@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Local CI gate: formatting, lints, release build, tests, then smoke-runs
-# the examples and the overload sweep.
+# the examples and the quick campaigns.
 # Run from the repo root; fails fast on the first broken step.
 set -eu
 
@@ -14,34 +14,16 @@ for example in quickstart iot_edge scientific_workflow tamper_detection; do
     cargo run --release --example "$example"
 done
 
-# Exercises the bounded-admission-queue path end to end.
-cargo run --release -p hyperprov-bench --bin table_overload -- --quick
-
-# Exercises crash/restart recovery, Raft failover, partitions and the
-# retrying client end to end.
-cargo run --release -p hyperprov-bench --bin table_faults -- --quick
-
-# Exercises multi-channel deployments, key->channel routing and
-# scatter-gather queries end to end.
-cargo run --release -p hyperprov-bench --bin table_sharding -- --quick
-
-# Exercises the accelerated commit path (multi-lane VSCC, validate/apply
-# pipelining, verification caches) end to end.
-cargo run --release -p hyperprov-bench --bin table_commit_pipeline -- --quick
-
-# Exercises the materialized provenance DAG index and the batched
-# cross-shard graph queries end to end (index vs oracle walk).
-cargo run --release -p hyperprov-bench --bin table_lineage -- --quick
-
-# Exercises snapshot cutting, block-store pruning, deep-chain crash
-# recovery and elastic membership (spare peer join + snapshot catch-up)
-# end to end.
-cargo run --release -p hyperprov-bench --bin table_recovery -- --quick
-
-# Exercises the 10k-client scale machinery in miniature: targeted commit
-# events, the flat-sorted state backend and lazily generated open-loop
-# schedules (the full run is `table_scale` without --quick).
-cargo run --release -p hyperprov-bench --bin table_scale -- --quick
+# Quick campaigns as end-to-end smoke runs: bounded admission queues
+# (overload); crash/restart, Raft failover, partitions and the retrying
+# client (faults); multi-channel routing and scatter-gather queries
+# (sharding); multi-lane VSCC and verification caches (commit_pipeline);
+# the provenance DAG index vs the oracle walk (lineage); snapshots,
+# pruning and elastic membership (recovery); the 10k-client machinery in
+# miniature (scale).
+for campaign in overload faults sharding commit_pipeline lineage recovery scale; do
+    cargo run --release -p hyperprov-bench --bin campaign -- "table_$campaign" --quick
+done
 
 # Perf-regression gate: reruns the quick BENCH-SIM reference workload and
 # diffs it against the committed BENCH_sim.json baseline (tight tolerances

@@ -219,7 +219,7 @@ impl OnChainNetwork {
             }
             for (c, &cid) in client_ids.iter().enumerate() {
                 if c % n_peers == i {
-                    actor.subscribe(cid);
+                    actor.subscribe(cid, client_identities[c].certificate().id);
                 }
             }
             let id = sim.add_actor_with_speed(Box::new(actor), config.peer_devices[i].cpu_speed);

@@ -66,46 +66,38 @@ fn bench_merkle(c: &mut Criterion) {
     group.finish();
 }
 
-/// A named state-DB constructor, one per storage backend.
-type Backend = (&'static str, fn() -> StateDb);
-
 fn bench_statedb(c: &mut Criterion) {
-    // Both storage backends on the same workload: the B-tree oracle and
-    // the flat-sorted scale backend.
-    let backends: [Backend; 2] = [("btree", StateDb::new), ("flat", StateDb::flat)];
+    let mut db = StateDb::new();
+    for i in 0..10_000u32 {
+        db.apply_write(
+            &KvWrite {
+                key: StateKey::new("cc", format!("key-{i:06}")),
+                value: Some(vec![0u8; 128]),
+            },
+            Version::new(1, i),
+        );
+    }
     let mut group = c.benchmark_group("statedb");
-    for (backend, make) in backends {
-        let mut db = make();
-        for i in 0..10_000u32 {
+    group.bench_function("point_get", |b| {
+        b.iter(|| db.get(&StateKey::new("cc", "key-004999")));
+    });
+    group.bench_function("range_100", |b| {
+        b.iter(|| db.range("cc", "key-005000", "key-005100").count());
+    });
+    group.bench_function("apply_write", |b| {
+        let mut db = db.clone();
+        let mut i = 0u32;
+        b.iter(|| {
+            i += 1;
             db.apply_write(
                 &KvWrite {
-                    key: StateKey::new("cc", format!("key-{i:06}")),
+                    key: StateKey::new("cc", format!("w-{i}")),
                     value: Some(vec![0u8; 128]),
                 },
-                Version::new(1, i),
+                Version::new(2, i),
             );
-        }
-        group.bench_function(&format!("point_get/{backend}"), |b| {
-            b.iter(|| db.get(&StateKey::new("cc", "key-004999")));
         });
-        group.bench_function(&format!("range_100/{backend}"), |b| {
-            b.iter(|| db.range("cc", "key-005000", "key-005100").count());
-        });
-        group.bench_function(&format!("apply_write/{backend}"), |b| {
-            let mut db = db.clone();
-            let mut i = 0u32;
-            b.iter(|| {
-                i += 1;
-                db.apply_write(
-                    &KvWrite {
-                        key: StateKey::new("cc", format!("w-{i}")),
-                        value: Some(vec![0u8; 128]),
-                    },
-                    Version::new(2, i),
-                );
-            });
-        });
-    }
+    });
     group.finish();
 }
 

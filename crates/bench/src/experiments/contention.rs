@@ -8,7 +8,7 @@
 
 use hyperprov::{ClientCommand, HyperProvError, HyperProvNetwork, NetworkConfig, OpId};
 use hyperprov_ledger::ValidationCode;
-use hyperprov_sim::{DetRng, SimDuration, SimTime};
+use hyperprov_sim::{DetRng, SimDuration};
 
 use crate::runner::run_open_loop;
 use crate::table::Table;
@@ -42,24 +42,16 @@ pub fn contention_sweep(quick: bool) -> Table {
         let mut net = HyperProvNetwork::build(&NetworkConfig::desktop(clients).with_seed(3));
         let mut rng = DetRng::new(3).fork("contention");
         let mut chooser = KeyChooser::new(fraction, rng.fork("keys"));
-        let schedule: Vec<(SimTime, usize, ClientCommand)> =
-            poisson_arrivals(&mut rng.fork("arrivals"), rate, duration, clients)
-                .into_iter()
-                .map(|(t, c)| {
-                    let key = chooser.next_key();
-                    let body = payload(&mut rng, 64);
-                    (
-                        t,
-                        c,
-                        ClientCommand::Post {
-                            key,
-                            input: hyperprov::RecordInput::new(hyperprov_ledger::Digest::of(&body)),
-                            op: OpId(0),
-                        },
-                    )
-                })
-                .collect();
-        let result = run_open_loop(&mut net, schedule, SimDuration::from_secs(15));
+        let arrivals = poisson_arrivals(&mut rng.fork("arrivals"), rate, duration, clients);
+        let result = run_open_loop(&mut net, &arrivals, SimDuration::from_secs(15), |_, _| {
+            let key = chooser.next_key();
+            let body = payload(&mut rng, 64);
+            ClientCommand::Post {
+                key,
+                input: hyperprov::RecordInput::new(hyperprov_ledger::Digest::of(&body)),
+                op: OpId(0),
+            }
+        });
         let mut valid = 0u64;
         let mut conflicts = 0u64;
         let mut other = 0u64;

@@ -108,21 +108,15 @@ fn run_level(rate: f64, interval: SimDuration, quick: bool) -> (f64, f64, f64) {
     let mut net = HyperProvNetwork::build(&NetworkConfig::rpi(1).with_seed(42));
     let mut rng = DetRng::new(42).fork("fig3");
     let size = if quick { 512 } else { 1024 };
-    let schedule: Vec<_> = poisson_arrivals(&mut rng.fork("arrivals"), rate, interval, 1)
-        .into_iter()
-        .enumerate()
-        .map(|(i, (t, c))| {
-            let data = payload(&mut rng, size);
-            (t, c, store_cmd(format!("item-{i}"), data))
-        })
-        .collect();
+    let arrivals = poisson_arrivals(&mut rng.fork("arrivals"), rate, interval, 1);
     let start = net.sim.now();
-    let result = run_open_loop(&mut net, schedule, SimDuration::from_secs(5));
+    let result = run_open_loop(&mut net, &arrivals, SimDuration::from_secs(5), |_, i| {
+        let data = payload(&mut rng, size);
+        store_cmd(format!("item-{i}"), data)
+    });
     // Meter exactly the 10-minute interval.
     let end = start + interval;
-    if net.sim.now() < end {
-        net.sim.run_until(end);
-    }
+    net.sim.run_until(end);
     let summary = Summary::of(&result.completions, interval);
     let (avg, peak) = meter(&net, start, end);
     (summary.throughput, avg, peak)

@@ -230,7 +230,7 @@ pub fn recovery_artefacts(quick: bool) -> Vec<Artefact> {
 /// BENCH-SIM artefacts: the host-side simulator profile table and its
 /// machine-readable JSON body (the committed `BENCH_sim.json` baseline is
 /// written by `bench_regress --update`, not here — host numbers must not
-/// silently drift under `run_all`).
+/// silently drift under `campaign all`).
 pub fn sim_bench_artefacts(quick: bool) -> Vec<Artefact> {
     let report = sim_bench(quick);
     vec![
@@ -253,21 +253,24 @@ pub fn scale_artefacts(quick: bool) -> Vec<Artefact> {
     ]
 }
 
-/// Every campaign, in `run_all` order.
-pub const ALL_CAMPAIGNS: &[fn(bool) -> Vec<Artefact>] = &[
-    fig1_artefacts,
-    fig2_artefacts,
-    fig3_artefacts,
-    batch_sweep_artefacts,
-    query_latency_artefacts,
-    baselines_artefacts,
-    contention_artefacts,
-    overload_artefacts,
-    faults_artefacts,
-    sharding_artefacts,
-    pipeline_artefacts,
-    lineage_artefacts,
-    recovery_artefacts,
-    scale_artefacts,
-    sim_bench_artefacts,
+/// A campaign: `quick` in, artefacts out.
+pub type Campaign = fn(bool) -> Vec<Artefact>;
+
+/// Every campaign by name, in `campaign all` order.
+pub const ALL_CAMPAIGNS: &[(&str, Campaign)] = &[
+    ("fig1_desktop", fig1_artefacts),
+    ("fig2_rpi", fig2_artefacts),
+    ("fig3_energy", fig3_artefacts),
+    ("table_batch_sweep", batch_sweep_artefacts),
+    ("table_query_latency", query_latency_artefacts),
+    ("table_baselines", baselines_artefacts),
+    ("table_contention", contention_artefacts),
+    ("table_overload", overload_artefacts),
+    ("table_faults", faults_artefacts),
+    ("table_sharding", sharding_artefacts),
+    ("table_commit_pipeline", pipeline_artefacts),
+    ("table_lineage", lineage_artefacts),
+    ("table_recovery", recovery_artefacts),
+    ("table_scale", scale_artefacts),
+    ("bench_sim", sim_bench_artefacts),
 ];

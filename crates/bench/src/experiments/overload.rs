@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_fabric::BatchConfig;
-use hyperprov_sim::{DetRng, Histogram, OverloadPolicy, QueueConfig, SimDuration, SimTime};
+use hyperprov_sim::{DetRng, Histogram, OverloadPolicy, QueueConfig, SimDuration};
 
 use super::Platform;
 use crate::report::{breakdown_table, merge_stages, MetricsExporter};
@@ -107,17 +107,12 @@ pub fn overload_sweep(quick: bool) -> OverloadReport {
                 .with_peer_queue(QueueConfig::new(PEER_QUEUE_CAPACITY, OverloadPolicy::Nack));
             let mut net = HyperProvNetwork::build(&config);
             let mut rng = DetRng::new(7).fork("overload");
-            let schedule: Vec<(SimTime, usize, hyperprov::ClientCommand)> =
-                uniform_arrivals(rate, duration, clients)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (t, c))| {
-                        let data = payload(&mut rng, ITEM_BYTES);
-                        (t, c, store_cmd(format!("item-{i}-c{c}"), data))
-                    })
-                    .collect();
-            let offered = schedule.len() as u64;
-            let result = run_open_loop(&mut net, schedule, drain);
+            let arrivals = uniform_arrivals(rate, duration, clients);
+            let offered = arrivals.len() as u64;
+            let result = run_open_loop(&mut net, &arrivals, drain, |c, i| {
+                let data = payload(&mut rng, ITEM_BYTES);
+                store_cmd(format!("item-{i}-c{c}"), data)
+            });
             let summary = Summary::of(&result.completions, result.span);
 
             let n_peers = net.peers.len();

@@ -163,16 +163,12 @@ pub fn query_latency(quick: bool) -> Table {
     for (name, factory) in cases {
         // Queries do not commit, so space them out open-loop.
         let start = net.sim.now();
-        let schedule: Vec<(SimTime, usize, ClientCommand)> = (0..queries_per_op)
-            .map(|i| {
-                (
-                    start + SimDuration::from_millis(200) * (i + 1),
-                    0usize,
-                    factory(i),
-                )
-            })
+        let arrivals: Vec<(SimTime, usize)> = (0..queries_per_op)
+            .map(|i| (start + SimDuration::from_millis(200) * (i + 1), 0usize))
             .collect();
-        let result = run_open_loop(&mut net, schedule, SimDuration::from_secs(5));
+        let result = run_open_loop(&mut net, &arrivals, SimDuration::from_secs(5), |_, i| {
+            factory(i)
+        });
         let summary = Summary::of(&result.completions, result.span);
         assert_eq!(
             summary.err, 0,

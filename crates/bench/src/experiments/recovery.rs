@@ -165,8 +165,7 @@ fn run_restart_cell(
         committer.clone(),
         CostModel::default(),
         "peer0",
-    )
-    .with_recovery_metrics();
+    );
     let snapshots_on = snapshots.is_some();
     if let Some(policy) = snapshots {
         actor = actor.with_snapshots(policy);
@@ -269,7 +268,6 @@ fn run_elastic_cell(records: u64, exporter: &mut MetricsExporter) -> ElasticCell
             ..BatchConfig::default()
         })
         .with_snapshots(SnapshotPolicy::every(8))
-        .with_recovery_metrics()
         .with_spare_peers(1);
     let mut net = HyperProvNetwork::build(&config);
     for i in 0..records {

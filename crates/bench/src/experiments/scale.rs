@@ -1,23 +1,13 @@
 //! T-SCALE: the harness at edge-population scale — 10,000 open-loop
 //! clients posting provenance records over 1,000,000 unique keys.
 //!
-//! The paper's testbeds stop at a handful of clients; ROADMAP open item 2
-//! asks for "millions of users" workload campaigns, which first requires
-//! the simulator itself (event kernel, metrics fast path, ledger
-//! storage) to get out of the way. This campaign is the proof: a
-//! deployment two to three orders of magnitude past the reference
-//! workloads, runnable on one host.
-//!
-//! Scale knobs exercised (all opt-in, defaults stay byte-identical):
-//!
-//! * [`NetworkConfig::with_targeted_events`] — commit events route to the
-//!   submitting client only, instead of a per-event broadcast to every
-//!   subscriber (quadratic at 10k clients);
-//! * [`NetworkConfig::with_flat_state`] — the flat-sorted state backend,
-//!   faster point lookups on a million-key world state;
-//! * lazily generated open-loop schedules
-//!   ([`crate::runner::run_open_loop_lazy`]) — the million-command
-//!   schedule never materialises in memory.
+//! The paper's testbeds stop at a handful of clients; this campaign runs
+//! the default deployment two to three orders of magnitude past the
+//! reference workloads on one host. Two properties of the one production
+//! path make that possible: a commit event goes to the submitting client
+//! only (a per-event broadcast would be quadratic at 10k clients), and
+//! [`crate::runner::run_open_loop`] builds each command at its arrival
+//! instant, so the million-command schedule never materialises.
 //!
 //! Like BENCH-SIM, the campaign reports deterministic *model* metrics
 //! (completions, goodput, latency quantiles in virtual time) and
@@ -29,7 +19,7 @@ use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_fabric::BatchConfig;
 use hyperprov_sim::{json, SimDuration};
 
-use crate::runner::{run_open_loop_lazy, Summary};
+use crate::runner::{run_open_loop, Summary};
 use crate::table::Table;
 use crate::workload::{post_cmd, uniform_arrivals};
 
@@ -63,8 +53,6 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
 
     let config = NetworkConfig::desktop(clients)
         .with_seed(SEED)
-        .with_flat_state()
-        .with_targeted_events()
         .with_batch(BatchConfig {
             max_message_count: 500,
             timeout: SimDuration::from_millis(250),
@@ -78,7 +66,7 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
     // (client, sequence) — `total_ops` distinct keys overall.
     let arrivals = uniform_arrivals(rate, window, clients);
     let per_client = keys_per_client;
-    let result = run_open_loop_lazy(
+    let result = run_open_loop(
         &mut net,
         &arrivals,
         SimDuration::from_secs(600),
@@ -139,7 +127,7 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
     let mut table = Table::new(
         format!(
             "T-SCALE: {clients} open-loop clients, {total_ops} unique keys \
-             ({rate:.0} ops/s, targeted events, flat state)"
+             ({rate:.0} ops/s)"
         ),
         &["metric", "value"],
     );

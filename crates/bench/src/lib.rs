@@ -5,16 +5,14 @@
 //! §5 for the experiment index and EXPERIMENTS.md for paper-vs-measured
 //! results.
 //!
-//! Binaries (each accepts `--quick`):
+//! Binaries:
 //!
-//! * `fig1_desktop`, `fig2_rpi` — throughput/response-time vs item size,
-//! * `fig3_energy` — RPi power over 10-minute intervals by load level,
-//! * `table_batch_sweep`, `table_query_latency`, `table_baselines`,
-//!   `table_contention`, `table_overload`, `table_faults`,
-//!   `table_sharding` — the extended tables,
+//! * `campaign <name>|all [--quick]` — one figure/table campaign by name
+//!   (`fig1_desktop`, `fig2_rpi`, `fig3_energy`, `table_*`, `bench_sim`;
+//!   see [`experiments::ALL_CAMPAIGNS`]) or all of them, saving CSVs and
+//!   metrics JSON under `results/`, and
 //! * `bench_regress` — the CI perf-regression gate over the committed
-//!   `BENCH_sim.json` baseline (`--update` regenerates it), and
-//! * `run_all` — everything, saving CSVs under `results/`.
+//!   `BENCH_sim.json` baseline (`--update` regenerates it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,8 +26,3 @@ pub mod workload;
 
 pub use report::MetricsExporter;
 pub use table::Table;
-
-/// Parses the conventional `--quick` flag from `std::env::args`.
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick" || a == "-q")
-}

@@ -36,18 +36,20 @@ pub const MODEL_REL_TOL: f64 = 0.01;
 /// `baseline * HOST_RATIO`. Wide on purpose — CI machines differ.
 pub const HOST_RATIO: f64 = 20.0;
 
-/// Shape floor on the *committed* BENCH-SIM host profile: the machine
-/// that regenerates the baseline must record at least this many events
-/// per wall-second — twice what the pre-optimisation kernel managed on
-/// the reference workload (108,959 ev/s). A slower baseline means the
-/// kernel/storage optimisations regressed; the floor is checked against
-/// the committed file, not the current machine, so CI boxes of any speed
-/// can still run the comparison gate.
-pub const BASELINE_EVENTS_FLOOR: f64 = 217_919.0;
+/// Shape ceiling on the *committed* BENCH-SIM host profile: the machine
+/// that regenerates the baseline must finish the fixed 432-transaction
+/// reference workload within this many wall seconds — the time the
+/// broadcast-era run (8,316 events) took at twice the pre-optimisation
+/// kernel's rate (2 x 108,959 ev/s). Wall time for fixed work, not
+/// events per second: deleting useless events lowers events/s while the
+/// run gets faster, and a rate floor would reward adding them back. The
+/// ceiling is checked against the committed file, not the current
+/// machine, so CI boxes of any speed can still run the comparison gate.
+pub const BASELINE_WALL_CEILING_S: f64 = 0.0382;
 
 /// Shape ceiling on the committed quick T-SCALE profile's peak RSS: the
-/// scale machinery (timer wheel, interned names, flat state backend,
-/// lazy schedules) must keep the quick run's footprint modest.
+/// scale machinery (timer wheel, interned names, lazy schedules) must
+/// keep the quick run's footprint modest.
 pub const SCALE_RSS_CEILING: f64 = 256.0 * 1024.0 * 1024.0;
 
 /// The gate's outcome: the pass/fail table plus the overall verdict.
@@ -198,12 +200,78 @@ fn push_check(
     ok != Some(false)
 }
 
-fn num(doc: &Value, section: &str, key: &str) -> Option<f64> {
-    doc.get(section)?.get(key)?.as_f64()
+/// The profile a label prefix names: the document itself for the
+/// reference workload (`""`), its `scale` member for `"scale."`.
+fn profile<'a>(doc: &'a Value, prefix: &str) -> Option<&'a Value> {
+    match prefix {
+        "" => Some(doc),
+        _ => doc.get(prefix.trim_end_matches('.')),
+    }
 }
 
-fn scale_num(doc: &Value, section: &str, key: &str) -> Option<f64> {
-    doc.get("scale")?.get(section)?.get(key)?.as_f64()
+fn num(doc: &Value, prefix: &str, section: &str, key: &str) -> Option<f64> {
+    profile(doc, prefix)?.get(section)?.get(key)?.as_f64()
+}
+
+/// Compares one profile of the fresh run against the baseline's: every
+/// model key the baseline recorded within [`MODEL_REL_TOL`] in both
+/// directions, host metrics within [`HOST_RATIO`] and only where the
+/// baseline recorded a positive value (RSS is unavailable off Linux, wall
+/// time can be zero on a skipped run).
+fn check_profile(table: &mut Table, base: &Value, fresh: &Value, prefix: &str) -> bool {
+    let mut pass = true;
+    let model_keys: Vec<String> = profile(base, prefix)
+        .and_then(|p| p.get("model"))
+        .and_then(Value::entries)
+        .map(|fields| fields.iter().map(|(k, _)| k.clone()).collect())
+        .unwrap_or_default();
+    if model_keys.is_empty() {
+        pass = push_check(
+            table,
+            &format!("{prefix}model"),
+            None,
+            None,
+            "baseline has no such section; run bench_regress --update",
+            Some(false),
+        );
+    }
+    for key in &model_keys {
+        let b = num(base, prefix, "model", key);
+        let f = num(fresh, prefix, "model", key);
+        let ok = match (b, f) {
+            (Some(b), Some(f)) => (f - b).abs() <= MODEL_REL_TOL * b.abs().max(1e-9),
+            _ => false,
+        };
+        pass = push_check(
+            table,
+            &format!("{prefix}model.{key}"),
+            b,
+            f,
+            &format!("within {:.0}%", MODEL_REL_TOL * 100.0),
+            Some(ok),
+        ) && pass;
+    }
+    for (key, upper) in [
+        ("events_per_sec", false), // lower bound: baseline / ratio
+        ("wall_s", true),          // upper bound: baseline * ratio
+        ("peak_rss_bytes", true),
+    ] {
+        let b = num(base, prefix, "host", key).filter(|v| *v > 0.0);
+        let f = num(fresh, prefix, "host", key);
+        let (constraint, ok) = match (b, f) {
+            (Some(b), Some(f)) if upper => (
+                format!("<= {:.0}x baseline", HOST_RATIO),
+                Some(f <= b * HOST_RATIO),
+            ),
+            (Some(b), Some(f)) => (
+                format!(">= baseline/{:.0}", HOST_RATIO),
+                Some(f >= b / HOST_RATIO),
+            ),
+            _ => ("no baseline value".to_owned(), None),
+        };
+        pass = push_check(table, &format!("{prefix}host.{key}"), b, f, &constraint, ok) && pass;
+    }
+    pass
 }
 
 /// Runs the gate. With `update = true` the fresh quick profile is written
@@ -286,133 +354,10 @@ pub fn run_regress(update: bool) -> RegressOutcome {
     };
 
     if let Some(base) = &baseline {
-        // Model metrics: compare every key the baseline recorded, tight
-        // relative tolerance in both directions.
-        let model_keys: Vec<String> = base
-            .get("model")
-            .and_then(Value::entries)
-            .map(|fields| fields.iter().map(|(k, _)| k.clone()).collect())
-            .unwrap_or_default();
-        if model_keys.is_empty() {
-            pass = push_check(
-                &mut table,
-                "model",
-                None,
-                None,
-                "baseline has no model section",
-                Some(false),
-            ) && pass;
-        }
-        for key in &model_keys {
-            let b = num(base, "model", key);
-            let f = num(&fresh, "model", key);
-            let ok = match (b, f) {
-                (Some(b), Some(f)) => {
-                    let tol = MODEL_REL_TOL * b.abs().max(1e-9);
-                    Some((f - b).abs() <= tol)
-                }
-                _ => Some(false),
-            };
-            pass = push_check(
-                &mut table,
-                &format!("model.{key}"),
-                b,
-                f,
-                &format!("within {:.0}%", MODEL_REL_TOL * 100.0),
-                ok,
-            ) && pass;
-        }
-
-        // Host metrics: loose ratio bounds, and only where the baseline
-        // actually recorded a positive value (RSS is unavailable off
-        // Linux, wall time can be zero on a skipped run).
-        let host_checks: [(&str, bool); 3] = [
-            ("events_per_sec", false), // lower bound: baseline / ratio
-            ("wall_s", true),          // upper bound: baseline * ratio
-            ("peak_rss_bytes", true),
-        ];
-        for (key, upper) in host_checks {
-            let b = num(base, "host", key).filter(|v| *v > 0.0);
-            let f = num(&fresh, "host", key);
-            let (constraint, ok) = match (b, f) {
-                (Some(b), Some(f)) if upper => (
-                    format!("<= {:.0}x baseline", HOST_RATIO),
-                    Some(f <= b * HOST_RATIO),
-                ),
-                (Some(b), Some(f)) => (
-                    format!(">= baseline/{:.0}", HOST_RATIO),
-                    Some(f >= b / HOST_RATIO),
-                ),
-                _ => ("no baseline value".to_owned(), None),
-            };
-            pass = push_check(&mut table, &format!("host.{key}"), b, f, &constraint, ok) && pass;
-        }
-
-        // T-SCALE section: the same discipline — deterministic model
-        // metrics within tight tolerance, host metrics within loose ratio
-        // bounds.
-        let scale_model_keys: Vec<String> = base
-            .get("scale")
-            .and_then(|s| s.get("model"))
-            .and_then(Value::entries)
-            .map(|fields| fields.iter().map(|(k, _)| k.clone()).collect())
-            .unwrap_or_default();
-        if scale_model_keys.is_empty() {
-            pass = push_check(
-                &mut table,
-                "scale",
-                None,
-                None,
-                "baseline has no scale section; run bench_regress --update",
-                Some(false),
-            ) && pass;
-        }
-        for key in &scale_model_keys {
-            let b = scale_num(base, "model", key);
-            let f = scale_num(&fresh, "model", key);
-            let ok = match (b, f) {
-                (Some(b), Some(f)) => {
-                    let tol = MODEL_REL_TOL * b.abs().max(1e-9);
-                    Some((f - b).abs() <= tol)
-                }
-                _ => Some(false),
-            };
-            pass = push_check(
-                &mut table,
-                &format!("scale.model.{key}"),
-                b,
-                f,
-                &format!("within {:.0}%", MODEL_REL_TOL * 100.0),
-                ok,
-            ) && pass;
-        }
-        let scale_host_checks: [(&str, bool); 3] = [
-            ("events_per_sec", false),
-            ("wall_s", true),
-            ("peak_rss_bytes", true),
-        ];
-        for (key, upper) in scale_host_checks {
-            let b = scale_num(base, "host", key).filter(|v| *v > 0.0);
-            let f = scale_num(&fresh, "host", key);
-            let (constraint, ok) = match (b, f) {
-                (Some(b), Some(f)) if upper => (
-                    format!("<= {:.0}x baseline", HOST_RATIO),
-                    Some(f <= b * HOST_RATIO),
-                ),
-                (Some(b), Some(f)) => (
-                    format!(">= baseline/{:.0}", HOST_RATIO),
-                    Some(f >= b / HOST_RATIO),
-                ),
-                _ => ("no baseline value".to_owned(), None),
-            };
-            pass = push_check(
-                &mut table,
-                &format!("scale.host.{key}"),
-                b,
-                f,
-                &constraint,
-                ok,
-            ) && pass;
+        // The BENCH-SIM reference workload, then the embedded quick
+        // T-SCALE run: the same discipline for both.
+        for prefix in ["", "scale."] {
+            pass = check_profile(&mut table, base, &fresh, prefix) && pass;
         }
 
         // Shape checks on the committed trajectory itself — these gate
@@ -420,16 +365,16 @@ pub fn run_regress(update: bool) -> RegressOutcome {
         // regressed kernel or a ballooning scale footprint cannot land as
         // the new normal. (Checked against the committed file, not the
         // current machine, so slow CI boxes can still run the gate.)
-        let b_events = num(base, "host", "events_per_sec");
+        let b_wall = num(base, "", "host", "wall_s");
         pass = push_check(
             &mut table,
-            "committed host.events_per_sec floor",
-            b_events,
-            Some(BASELINE_EVENTS_FLOOR),
-            ">= 2x the pre-optimisation kernel",
-            Some(b_events.is_some_and(|v| v >= BASELINE_EVENTS_FLOOR)),
+            "committed host.wall_s ceiling",
+            b_wall,
+            Some(BASELINE_WALL_CEILING_S),
+            "reference workload at >= 2x the pre-optimisation kernel",
+            Some(b_wall.is_some_and(|v| v > 0.0 && v <= BASELINE_WALL_CEILING_S)),
         ) && pass;
-        let b_rss = scale_num(base, "host", "peak_rss_bytes").filter(|v| *v > 0.0);
+        let b_rss = num(base, "scale.", "host", "peak_rss_bytes").filter(|v| *v > 0.0);
         pass = push_check(
             &mut table,
             "committed scale.host.peak_rss_bytes ceiling",
@@ -438,9 +383,9 @@ pub fn run_regress(update: bool) -> RegressOutcome {
             "quick scale run stays under the RSS ceiling",
             b_rss.map(|v| v <= SCALE_RSS_CEILING),
         ) && pass;
-        let issued = scale_num(base, "model", "issued");
-        let ok_n = scale_num(base, "model", "ok");
-        let err_n = scale_num(base, "model", "err");
+        let issued = num(base, "scale.", "model", "issued");
+        let ok_n = num(base, "scale.", "model", "ok");
+        let err_n = num(base, "scale.", "model", "err");
         let complete = match (issued, ok_n, err_n) {
             (Some(i), Some(o), Some(e)) => Some(i > 0.0 && o == i && e == 0.0),
             _ => Some(false),

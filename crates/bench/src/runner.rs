@@ -67,18 +67,6 @@ impl Artefact {
     }
 }
 
-/// The shared `main` of every benchmark binary: parses `--quick` from the
-/// process arguments, runs each campaign in order and prints/saves its
-/// artefacts as soon as it finishes.
-pub fn bench_main(campaigns: &[fn(bool) -> Vec<Artefact>]) {
-    let quick = crate::quick_flag();
-    for campaign in campaigns {
-        for artefact in campaign(quick) {
-            print!("{}", artefact.render_and_save());
-        }
-    }
-}
-
 /// Networks the drivers can operate: anything exposing a simulation,
 /// client actors and their completion queues.
 pub trait Driveable {
@@ -290,75 +278,17 @@ pub fn run_closed_loop_counted<N: Driveable>(
     }
 }
 
-/// Runs an open loop: commands are injected at scheduled instants
-/// regardless of completions, then the network drains for `drain_for`.
-///
-/// The schedule must be sorted by time.
-pub fn run_open_loop<N: Driveable>(
-    net: &mut N,
-    schedule: Vec<(SimTime, usize, ClientCommand)>,
-    drain_for: SimDuration,
-) -> RunResult {
-    let start = net.sim().now();
-    let mut completions = Vec::new();
-    let mut next_op = 0u64;
-    let mut last = start;
-    for (at, client, mut cmd) in schedule {
-        debug_assert!(at >= last, "schedule must be sorted");
-        // Step to the arrival instant, draining as we go.
-        while net.sim().now() < at {
-            let limit_hit = {
-                let sim = net.sim_mut();
-                if sim.run_events(1) == 0 {
-                    let now = sim.now();
-                    sim.run_until((now + SimDuration::from_millis(100)).min(at));
-                    sim.now() >= at
-                } else {
-                    false
-                }
-            };
-            drain(net, &mut completions);
-            if limit_hit {
-                break;
-            }
-        }
-        if net.sim().now() < at {
-            net.sim_mut().run_until(at);
-        }
-        next_op += 1;
-        set_op(&mut cmd, OpId(next_op));
-        let target = net.client(client);
-        net.sim_mut().inject_message(target, NodeMsg::Client(cmd));
-        last = at;
-    }
-    let deadline = last + drain_for;
-    while net.sim().now() < deadline {
-        if net.sim_mut().run_events(64) == 0 {
-            let now = net.sim().now();
-            net.sim_mut()
-                .run_until((now + SimDuration::from_millis(100)).min(deadline));
-        }
-        drain(net, &mut completions);
-    }
-    drain(net, &mut completions);
-    RunResult {
-        completions,
-        span: last.saturating_duration_since(start),
-        issued: next_op,
-    }
-}
-
-/// Runs an open loop with lazily built commands — the large-scale
-/// variant of [`run_open_loop`]. `arrivals` gives the issue instants and
+/// Runs an open loop: operations are injected at scheduled instants
+/// regardless of completions. `arrivals` gives the issue instants and
 /// issuing clients (sorted by time); `factory(client, index)` builds each
 /// command only when its instant is reached, so a million-operation
 /// schedule never materialises in memory. After the last arrival the
-/// network drains until every issued operation has completed, bounded by
+/// network runs until every issued operation has completed, bounded by
 /// `drain_cap` of virtual time.
 ///
 /// Completion queues are emptied in batches (not per event): with tens of
 /// thousands of clients a per-event drain would dominate host time.
-pub fn run_open_loop_lazy<N: Driveable>(
+pub fn run_open_loop<N: Driveable>(
     net: &mut N,
     arrivals: &[(SimTime, usize)],
     drain_cap: SimDuration,
@@ -372,6 +302,7 @@ pub fn run_open_loop_lazy<N: Driveable>(
     for (index, &(at, client)) in arrivals.iter().enumerate() {
         debug_assert!(at >= last, "schedule must be sorted");
         net.sim_mut().run_until(at);
+        debug_assert_eq!(net.sim().now(), at, "arrival injected off schedule");
         let mut cmd = factory(client, index as u64);
         next_op += 1;
         set_op(&mut cmd, OpId(next_op));
@@ -383,12 +314,12 @@ pub fn run_open_loop_lazy<N: Driveable>(
         }
     }
     let deadline = last + drain_cap;
+    drain(net, &mut completions);
     while (completions.len() as u64) < next_op && net.sim().now() < deadline {
         let chunk = net.sim().now() + SimDuration::from_millis(500);
         net.sim_mut().run_until(chunk.min(deadline));
         drain(net, &mut completions);
     }
-    drain(net, &mut completions);
     RunResult {
         completions,
         span: last.saturating_duration_since(start),

@@ -1,8 +1,7 @@
-//! Pinning tests: single-channel quick-mode metrics exports must stay
-//! byte-identical to the committed fixtures. These guard the sharding
-//! refactor's core promise — a one-channel deployment takes exactly the
-//! legacy code paths (same actor layout, same metric names, same event
-//! order), so seeded runs replay byte-for-byte across releases.
+//! Pinning tests: quick-mode metrics exports must stay byte-identical to
+//! the committed fixtures, so seeded runs replay byte-for-byte across
+//! releases and any change to the modelled system shows up as a fixture
+//! diff that has to be regenerated on purpose.
 
 use hyperprov_bench::experiments::{fault_scenario_json, pipeline_sweep, size_sweep, Platform};
 
@@ -43,8 +42,9 @@ fn fig2_quick_metrics_match_committed_fixture() {
 
 #[test]
 fn pipeline_quick_metrics_match_committed_fixture() {
-    // Covers both commit paths: the serial baseline cell (lanes = 1,
-    // caches off) and the accelerated cell (4 lanes, both caches on).
+    // Covers both ends of the commit-path settings: the baseline cell
+    // (lanes = 1, caches off) and the accelerated cell (4 lanes, both
+    // caches on).
     let json = pipeline_sweep(true).exporter.to_json();
     assert_eq!(
         json,

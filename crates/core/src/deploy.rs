@@ -135,9 +135,9 @@ pub struct NetworkConfig {
     /// the paper-faithful one-channel layout, byte-identical to the
     /// pre-sharding code paths.
     pub channels: Vec<ChannelSpec>,
-    /// Peer commit-path acceleration: VSCC lanes and verification caches.
-    /// The default (one lane, no caches) keeps the legacy serial commit
-    /// path; requested lanes are clamped to each peer device's core count.
+    /// Peer commit-path acceleration: VSCC lanes and verification caches
+    /// (default: one lane, no caches). Requested lanes are clamped to each
+    /// peer device's core count.
     pub pipeline: CommitPipeline,
     /// Rolling-window SLOs evaluated during the run (empty = monitoring
     /// off, the default — default-config exports stay byte-identical).
@@ -154,27 +154,12 @@ pub struct NetworkConfig {
     /// from the latest snapshot; the other peers hosting each channel
     /// become its snapshot-catch-up providers.
     pub snapshots: Option<SnapshotPolicy>,
-    /// Emit per-restart recovery gauges at peers (`peerN.recovery.*`);
-    /// off by default so existing metric exports stay unchanged.
-    pub recovery_metrics: bool,
     /// Identities pre-enrolled for elastic membership: how many peers can
     /// be added to the running network later via
     /// [`HyperProvNetwork::add_peer`]. Zero (the default) changes
     /// nothing; spares are enrolled after all baseline identities so
     /// existing certificates stay byte-identical.
     pub spare_peers: usize,
-    /// Back every peer's world state with the flat-sorted storage backend
-    /// instead of the B-tree default — faster point reads when the key
-    /// count is large (the T-SCALE regime). Off by default so existing
-    /// exports stay byte-identical.
-    pub flat_state: bool,
-    /// Deliver each commit event only to the client that submitted the
-    /// transaction (keyed by creator certificate) instead of
-    /// broadcasting every event to every subscriber of the peer — models
-    /// gateway-side event filtering. Mandatory at the 10k-client scale,
-    /// where the broadcast is quadratic; off by default so existing
-    /// exports stay byte-identical.
-    pub targeted_events: bool,
 }
 
 impl NetworkConfig {
@@ -212,10 +197,7 @@ impl NetworkConfig {
             pipeline: CommitPipeline::default(),
             slos: Vec::new(),
             snapshots: None,
-            recovery_metrics: false,
             spare_peers: 0,
-            flat_state: false,
-            targeted_events: false,
         }
     }
 
@@ -246,10 +228,7 @@ impl NetworkConfig {
             pipeline: CommitPipeline::default(),
             slos: Vec::new(),
             snapshots: None,
-            recovery_metrics: false,
             spare_peers: 0,
-            flat_state: false,
-            targeted_events: false,
         }
     }
 
@@ -381,36 +360,11 @@ impl NetworkConfig {
         self
     }
 
-    /// Emits per-restart recovery gauges at every peer (`peerN.recovery.*`).
-    #[must_use]
-    pub fn with_recovery_metrics(mut self) -> Self {
-        self.recovery_metrics = true;
-        self
-    }
-
     /// Pre-enrolls `n` spare peer identities for elastic membership, so
     /// [`HyperProvNetwork::add_peer`] can grow the running network.
     #[must_use]
     pub fn with_spare_peers(mut self, n: usize) -> Self {
         self.spare_peers = n;
-        self
-    }
-
-    /// Backs every peer's world state with the flat-sorted storage
-    /// backend (large-key-count deployments; see
-    /// [`NetworkConfig::flat_state`]).
-    #[must_use]
-    pub fn with_flat_state(mut self) -> Self {
-        self.flat_state = true;
-        self
-    }
-
-    /// Routes each commit event only to the submitting client (see
-    /// [`NetworkConfig::targeted_events`]) — required for deployments
-    /// with thousands of clients.
-    #[must_use]
-    pub fn with_targeted_events(mut self) -> Self {
-        self.targeted_events = true;
         self
     }
 }
@@ -431,8 +385,6 @@ struct JoinKit {
     pipeline: CommitPipeline,
     peer_queue: Option<QueueConfig>,
     snapshots: Option<SnapshotPolicy>,
-    recovery_metrics: bool,
-    flat_state: bool,
     /// Pre-enrolled spare identities with their device profiles.
     spares: Vec<(SigningIdentity, DeviceProfile)>,
     next_spare: usize,
@@ -604,15 +556,12 @@ impl HyperProvNetwork {
             let mut committers = Vec::with_capacity(hosted.len());
             for &ci in &hosted {
                 let chan = &chans[ci];
-                let mut committer = Committer::for_channel(
+                let committer = Committer::for_channel(
                     chan.id.clone(),
                     msp.clone(),
                     ChannelPolicies::new(chan.policy.clone()),
                 )
                 .with_indexer(Arc::new(HyperProvIndexer));
-                if config.flat_state {
-                    committer = committer.with_flat_state();
-                }
                 let committer = Rc::new(RefCell::new(committer));
                 channel_ledgers[ci].push((i, committer.clone()));
                 committers.push((ci, committer));
@@ -657,26 +606,18 @@ impl HyperProvNetwork {
                     actor.set_snapshot_providers(&chan.id, providers);
                 }
             }
-            if config.recovery_metrics {
-                actor = actor.with_recovery_metrics();
-            }
             if let Some(queue) = config.peer_queue {
                 actor = actor.with_queue(queue);
             }
-            // A client subscribes (for commit events) at its home peer on
-            // every channel it submits to — either for every event
-            // (broadcast) or, under targeted delivery, only for its own
-            // transactions.
+            // A client subscribes, for the commit events of its own
+            // transactions, at its home peer on every channel it submits
+            // to.
             for (c, &cid) in client_ids.iter().enumerate() {
                 if chans
                     .iter()
                     .any(|chan| chan.hosts[c % chan.hosts.len()] == i)
                 {
-                    if config.targeted_events {
-                        actor.subscribe_targeted(cid, client_identities[c].certificate().id);
-                    } else {
-                        actor.subscribe(cid);
-                    }
+                    actor.subscribe(cid, client_identities[c].certificate().id);
                 }
             }
             let id = sim.add_actor_with_cpu(
@@ -835,8 +776,6 @@ impl HyperProvNetwork {
             pipeline: config.pipeline,
             peer_queue: config.peer_queue,
             snapshots: config.snapshots,
-            recovery_metrics: config.recovery_metrics,
-            flat_state: config.flat_state,
             spares: spare_identities
                 .into_iter()
                 .enumerate()
@@ -902,15 +841,12 @@ impl HyperProvNetwork {
         let index = self.peers.len();
         let mut committers = Vec::with_capacity(self.kit.chan_info.len());
         for info in &self.kit.chan_info {
-            let mut committer = Committer::for_channel(
+            let committer = Committer::for_channel(
                 info.id.clone(),
                 self.kit.msp.clone(),
                 ChannelPolicies::new(info.policy.clone()),
             )
             .with_indexer(Arc::new(HyperProvIndexer));
-            if self.kit.flat_state {
-                committer = committer.with_flat_state();
-            }
             committers.push(Rc::new(RefCell::new(committer)));
         }
         let lanes = self.kit.pipeline.lanes.clamp(1, device.cores.max(1));
@@ -944,9 +880,6 @@ impl HyperProvNetwork {
                     .collect();
                 actor.set_snapshot_providers(&info.id, providers);
             }
-        }
-        if self.kit.recovery_metrics {
-            actor = actor.with_recovery_metrics();
         }
         if let Some(queue) = self.kit.peer_queue {
             actor = actor.with_queue(queue);

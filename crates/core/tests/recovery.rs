@@ -8,9 +8,7 @@ use hyperprov_sim::SimDuration;
 /// Desktop deployment with one client, a small snapshot interval and the
 /// recovery gauges enabled.
 fn snapshot_config() -> NetworkConfig {
-    NetworkConfig::desktop(1)
-        .with_snapshots(SnapshotPolicy::every(2))
-        .with_recovery_metrics()
+    NetworkConfig::desktop(1).with_snapshots(SnapshotPolicy::every(2))
 }
 
 /// Runs the network for `secs` of virtual time (drain/catch-up windows).
@@ -84,7 +82,7 @@ fn restart_bootstraps_from_snapshot_and_catches_up() {
 /// replay — same convergence, linear replay cost.
 #[test]
 fn restart_replays_from_genesis_without_snapshots() {
-    let config = NetworkConfig::desktop(1).with_recovery_metrics();
+    let config = NetworkConfig::desktop(1);
     let mut hp = HyperProv::with_config(&config);
     for i in 0..6 {
         hp.store_data(&format!("pre-{i}"), vec![i as u8; 64], vec![], vec![])
@@ -163,7 +161,7 @@ fn restart_during_partition_retries_until_heal() {
 /// path retries and converges too.
 #[test]
 fn partition_retry_converges_on_genesis_replay_path() {
-    let config = NetworkConfig::desktop(1).with_recovery_metrics();
+    let config = NetworkConfig::desktop(1);
     let mut hp = HyperProv::with_config(&config);
     for i in 0..5 {
         hp.store_data(&format!("pre-{i}"), vec![i as u8; 64], vec![], vec![])
@@ -253,11 +251,8 @@ fn snapshot_machinery_off_by_default_is_inert() {
         hp.now()
     };
     let base = NetworkConfig::desktop(1).with_seed(7);
-    // recovery_metrics only adds gauges at restart; spare enrollment adds
-    // identities after all live ones. Neither may shift the timeline.
-    let instrumented = NetworkConfig::desktop(1)
-        .with_seed(7)
-        .with_recovery_metrics()
-        .with_spare_peers(2);
-    assert_eq!(run(&base), run(&instrumented));
+    // Spare enrollment adds identities after all live ones; it may not
+    // shift the timeline.
+    let spares = NetworkConfig::desktop(1).with_seed(7).with_spare_peers(2);
+    assert_eq!(run(&base), run(&spares));
 }

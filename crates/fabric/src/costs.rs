@@ -12,7 +12,7 @@
 use hyperprov_sim::SimDuration;
 
 use crate::chaincode::StubStats;
-use crate::messages::{Envelope, Proposal};
+use crate::messages::Proposal;
 
 /// Reference-CPU cost table for peers, orderers and clients.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,23 +77,16 @@ impl CostModel {
             + self.sign
     }
 
-    /// Committing peer's cost to validate one envelope: verify each
-    /// endorsement, policy evaluation and MVCC bookkeeping.
-    pub fn validate_cost(&self, envelope: &Envelope) -> SimDuration {
-        self.verify * envelope.endorsements.len() as u64 + self.commit_per_tx
-    }
-
-    /// Parallelisable half of [`CostModel::validate_cost`]: the stateless
-    /// VSCC work for one envelope, with cache-served verifications charged
-    /// at [`CostModel::cache_hit_op`]. With no cache hits,
-    /// `vscc_cost(n, 0) + mvcc_cost()` equals `validate_cost` for an
-    /// envelope with `n` endorsements.
+    /// Parallelisable half of a committing peer's validation: the
+    /// stateless VSCC work for one envelope (verify each endorsement,
+    /// evaluate the policy), with cache-served verifications charged at
+    /// [`CostModel::cache_hit_op`].
     pub fn vscc_cost(&self, sig_misses: u64, sig_hits: u64) -> SimDuration {
         self.verify * sig_misses + self.cache_hit_op * sig_hits
     }
 
-    /// Serial half of [`CostModel::validate_cost`]: per-transaction MVCC
-    /// bookkeeping that must run in block order.
+    /// Serial half of validation: per-transaction MVCC bookkeeping that
+    /// must run in block order.
     pub fn mvcc_cost(&self) -> SimDuration {
         self.commit_per_tx
     }
@@ -195,29 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn validate_cost_counts_endorsements() {
+    fn vscc_cost_counts_verifications() {
         let m = model();
-        let mk = |n: usize| Envelope {
-            proposal: proposal(1),
-            payload: Vec::new(),
-            rwset: hyperprov_ledger::RwSet::new(),
-            event: None,
-            endorsements: vec![
-                crate::messages::Endorsement {
-                    endorser: proposal(1).creator,
-                    signature: crate::identity::Signature(hyperprov_ledger::Digest::ZERO),
-                };
-                n
-            ],
-        };
-        assert!(m.validate_cost(&mk(4)) > m.validate_cost(&mk(1)));
-        // The split phases partition the legacy per-envelope cost exactly.
-        for n in [0u64, 1, 4] {
-            assert_eq!(
-                m.vscc_cost(n, 0) + m.mvcc_cost(),
-                m.validate_cost(&mk(n as usize))
-            );
-        }
+        assert_eq!(m.vscc_cost(4, 0), m.verify * 4);
+        assert!(m.vscc_cost(4, 0) > m.vscc_cost(1, 0));
+        assert_eq!(m.mvcc_cost(), m.commit_per_tx);
         // A cache hit is strictly cheaper than a cryptographic check.
         assert!(m.vscc_cost(0, 1) < m.vscc_cost(1, 0));
     }

@@ -332,9 +332,9 @@ pub struct CommitEvent {
     /// Chaincode event attached by the contract, if any.
     pub chaincode_event: Option<ChaincodeEvent>,
     /// Enrolment id of the submitting client's certificate (`None` when
-    /// the envelope did not decode). Peers running targeted commit-event
-    /// delivery route the event to that client alone instead of
-    /// broadcasting it to every subscriber.
+    /// the envelope did not decode). Peers send the event to the client
+    /// subscribed under this id alone; an event without one goes to every
+    /// subscriber.
     pub creator: Option<CertId>,
 }
 

@@ -16,7 +16,7 @@
 //! actors' `with_queue` builders.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -174,8 +174,9 @@ impl Carries<FabricMsg> for FabricMsg {
 
 /// Configuration of a peer's FastFabric-style commit path: how many CPU
 /// lanes the parallel VSCC phase may spread across, and which
-/// verification caches are enabled. The default (one lane, no caches)
-/// reproduces the legacy serial commit path byte for byte.
+/// verification caches are enabled. Every peer commits through the same
+/// VSCC-then-apply path; the default (one lane, no caches) is its
+/// degenerate case, charged as two CPU jobs per block on one lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitPipeline {
     /// CPU lanes available to the parallel VSCC phase (deployment clamps
@@ -196,14 +197,6 @@ impl Default for CommitPipeline {
             sig_cache: false,
             read_cache: false,
         }
-    }
-}
-
-impl CommitPipeline {
-    /// True when this configuration is exactly the legacy serial commit
-    /// path (single lane, no caches).
-    pub fn is_legacy(&self) -> bool {
-        self.lanes <= 1 && !self.sig_cache && !self.read_cache
     }
 }
 
@@ -383,13 +376,9 @@ pub struct PeerActor<M> {
     registry: ChaincodeRegistry,
     channels: BTreeMap<ChannelId, PeerChannel>,
     costs: CostModel,
-    /// Clients that receive [`FabricMsg::Commit`] notifications.
-    subscribers: Vec<ActorId>,
-    /// Targeted commit-event delivery: creator certificate -> client.
-    /// Events whose creator is registered here go to that client alone;
-    /// everything else falls back to the `subscribers` broadcast. Empty
-    /// (the default) keeps the broadcast-only behaviour unchanged.
-    targeted: HashMap<CertId, ActorId>,
+    /// Commit-event subscriptions: creator certificate -> client. Ordered,
+    /// so the fan-out of an addressee-less event is deterministic.
+    subscribers: BTreeMap<CertId, ActorId>,
     harness: ServiceHarness<M>,
     metric_prefix: String,
     /// Commit-path acceleration settings (lanes + caches).
@@ -399,9 +388,6 @@ pub struct PeerActor<M> {
     /// Snapshot policy; `None` (the default) disables snapshots, pruning
     /// and snapshot-based recovery entirely.
     snapshots: Option<SnapshotPolicy>,
-    /// Emit per-restart recovery gauges (off by default so existing
-    /// metric exports stay unchanged).
-    recovery_metrics: bool,
     /// Per-peer jitter salt for the catch-up retry backoff, derived from
     /// the metric prefix (stable across restarts).
     retry_salt: u64,
@@ -440,14 +426,12 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             registry,
             channels,
             costs,
-            subscribers: Vec::new(),
-            targeted: HashMap::new(),
+            subscribers: BTreeMap::new(),
             harness: ServiceHarness::new(metric_prefix.clone()),
             metric_prefix,
             pipeline: CommitPipeline::default(),
             sig_cache: None,
             snapshots: None,
-            recovery_metrics: false,
             retry_salt,
         }
     }
@@ -471,15 +455,6 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
     #[must_use]
     pub fn with_snapshots(mut self, policy: SnapshotPolicy) -> Self {
         self.snapshots = Some(policy);
-        self
-    }
-
-    /// Emits per-restart recovery gauges (`<prefix>.recovery.*`) so
-    /// benchmarks can measure recovery cost; off by default to keep the
-    /// default metric exports unchanged.
-    #[must_use]
-    pub fn with_recovery_metrics(mut self) -> Self {
-        self.recovery_metrics = true;
         self
     }
 
@@ -522,22 +497,16 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         self
     }
 
-    /// Subscribes a client to commit events.
-    pub fn subscribe(&mut self, client: ActorId) {
-        if !self.subscribers.contains(&client) {
-            self.subscribers.push(client);
-        }
-    }
-
-    /// Subscribes a client to commit events *of its own transactions
-    /// only*, keyed by the enrolment id of the certificate it submits
-    /// with. Models gateway-side event filtering: with ten thousand
-    /// clients a per-event broadcast to every subscriber swamps both the
-    /// modelled network and the host, so scale deployments register
-    /// interest instead. Events from other creators (or from envelopes
-    /// that failed to decode) still broadcast to plain subscribers.
-    pub fn subscribe_targeted(&mut self, client: ActorId, interest: CertId) {
-        self.targeted.insert(interest, client);
+    /// Subscribes a client to the commit events of its own transactions,
+    /// keyed by the enrolment id of the certificate it submits with —
+    /// the paper's client waits for the commit event of *its*
+    /// transaction at its peer, and gateway-side filtering keeps the
+    /// messages per committed transaction independent of how many
+    /// clients share the peer. Events of other creators are not sent;
+    /// an event without a creator (the envelope failed to decode) goes
+    /// to every subscriber, so its submitter still learns the verdict.
+    pub fn subscribe(&mut self, client: ActorId, cert: CertId) {
+        self.subscribers.insert(cert, client);
     }
 
     /// Shared handle to this peer's first channel's ledger (tests and
@@ -1400,29 +1369,14 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         }
     }
 
+    /// The commit path: the stateless VSCC phase is charged as the
+    /// makespan of per-envelope costs spread across this peer's CPU lanes,
+    /// then the serial MVCC + apply phase runs on one lane. Because the
+    /// serial phase starts at the *global* CPU busy horizon while the next
+    /// block's VSCC batch fills whichever lanes free up first, block N+1's
+    /// VSCC naturally overlaps block N's apply (on one lane the two jobs
+    /// simply queue).
     fn commit_one(&mut self, ctx: &mut Context<'_, M>, channel: &ChannelId, block: Arc<Block>) {
-        if self.pipeline.is_legacy() {
-            // Sole holder in the common case (the orderer's retained copy
-            // has usually been evicted by now); clone only when shared.
-            let block = Arc::try_unwrap(block).unwrap_or_else(|shared| (*shared).clone());
-            self.commit_one_serial(ctx, channel, block);
-        } else {
-            self.commit_one_pipelined(ctx, channel, block);
-        }
-    }
-
-    /// The accelerated commit path: the stateless VSCC phase is charged as
-    /// the makespan of per-envelope costs spread across this peer's CPU
-    /// lanes, then the serial MVCC + apply phase runs on one lane. Because
-    /// the serial phase starts at the *global* CPU busy horizon while the
-    /// next block's VSCC batch fills whichever lanes free up first, block
-    /// N+1's VSCC naturally overlaps block N's apply.
-    fn commit_one_pipelined(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        channel: &ChannelId,
-        block: Arc<Block>,
-    ) {
         let trace = channel.trace_name(&format!("block-{}", block.header.number));
         ctx.span_start(&trace, "validate", &self.metric_prefix);
         let state = self.channels.get(channel).expect("caller checked");
@@ -1461,6 +1415,8 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
                 );
             }
         }
+        // Sole holder in the common case (the orderer's retained copy has
+        // usually been evicted by now); clone only when shared.
         let owned = Arc::try_unwrap(block).unwrap_or_else(|shared| (*shared).clone());
         let outcome = state
             .committer
@@ -1530,21 +1486,23 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
     }
 
     /// Builds the commit-notification sends for a block's events: one
-    /// message straight to the registered client for targeted creators, a
-    /// broadcast to every plain subscriber otherwise.
+    /// message to the creator's client when it subscribed here, none for
+    /// other creators, and one per subscriber (in certificate order) for
+    /// an event that names no creator.
     fn commit_event_sends(&self, events: Vec<CommitEvent>) -> Vec<Outbound<M>> {
         let mut sends = Vec::new();
         for event in events {
-            let target = event
-                .creator
-                .as_ref()
-                .and_then(|creator| self.targeted.get(creator));
-            if let Some(&client) = target {
-                sends.push((client, 128, M::wrap(FabricMsg::Commit(event))));
-                continue;
-            }
-            for &client in &self.subscribers {
-                sends.push((client, 128, M::wrap(FabricMsg::Commit(event.clone()))));
+            match &event.creator {
+                Some(creator) => {
+                    if let Some(&client) = self.subscribers.get(creator) {
+                        sends.push((client, 128, M::wrap(FabricMsg::Commit(event))));
+                    }
+                }
+                None => {
+                    for &client in self.subscribers.values() {
+                        sends.push((client, 128, M::wrap(FabricMsg::Commit(event.clone()))));
+                    }
+                }
             }
         }
         sends
@@ -1571,59 +1529,6 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         let now = ctx.now();
         ctx.tracer()
             .event(now, trace, "dangling_parent", &self.metric_prefix);
-    }
-
-    fn commit_one_serial(&mut self, ctx: &mut Context<'_, M>, channel: &ChannelId, block: Block) {
-        let mut cost = self.costs.block_cost(block.wire_size());
-        for raw in &block.envelopes {
-            if let Ok(env) = Envelope::from_raw(raw) {
-                cost += self.costs.validate_cost(&env);
-                cost += self.costs.apply_cost(
-                    env.rwset.write_bytes() as u64,
-                    env.rwset.writes.len() as u64,
-                );
-            }
-        }
-        // The validate span covers VSCC + MVCC + state apply for the whole
-        // block on this peer; it closes once the modelled CPU finishes.
-        let trace = channel.trace_name(&format!("block-{}", block.header.number));
-        ctx.span_start(&trace, "validate", &self.metric_prefix);
-        let state = self.channels.get(channel).expect("caller checked");
-        let outcome = state.committer.borrow_mut().commit_block(block);
-        match outcome {
-            Ok(outcome) => {
-                let prefix = &self.metric_prefix;
-                ctx.metrics()
-                    .incr(&channel.metric_name(prefix, "blocks"), 1);
-                ctx.metrics().incr(
-                    &channel.metric_name(prefix, "tx.valid"),
-                    outcome.valid as u64,
-                );
-                ctx.metrics().incr(
-                    &channel.metric_name(prefix, "tx.invalid"),
-                    outcome.invalid as u64,
-                );
-                // Goodput SLOs watch committed-transaction events.
-                ctx.slo_event_n("commit.tx", outcome.valid as u64);
-                self.note_dangling(ctx, channel, &trace, outcome.dangling_parents);
-                let sends = self.commit_event_sends(outcome.events);
-                let detail = self.metric_prefix.clone();
-                self.harness.defer(
-                    ctx,
-                    cost,
-                    sends,
-                    vec![SpanClose::new(trace, "validate", detail)],
-                );
-            }
-            Err(err) => {
-                ctx.span_end(&trace, "validate", &self.metric_prefix);
-                ctx.metrics().incr(
-                    &channel.metric_name(&self.metric_prefix, "commit_errors"),
-                    1,
-                );
-                let _ = err;
-            }
-        }
     }
 }
 
@@ -1780,19 +1685,13 @@ impl<M: Carries<FabricMsg>> Actor<M> for PeerActor<M> {
         }
         ctx.metrics()
             .incr(&format!("{}.recoveries", self.metric_prefix), 1);
-        if self.recovery_metrics {
-            ctx.metrics().set_gauge(
-                &format!("{}.recovery.cost_ms", self.metric_prefix),
-                replay_cost.as_nanos() as f64 / 1e6,
-            );
-            ctx.metrics().set_gauge(
-                &format!("{}.recovery.replayed_blocks", self.metric_prefix),
-                replayed_blocks as f64,
-            );
-            ctx.metrics().set_gauge(
-                &format!("{}.recovery.snapshot_boots", self.metric_prefix),
-                snapshot_boots as f64,
-            );
+        for (gauge, value) in [
+            ("cost_ms", replay_cost.as_nanos() as f64 / 1e6),
+            ("replayed_blocks", replayed_blocks as f64),
+            ("snapshot_boots", snapshot_boots as f64),
+        ] {
+            ctx.metrics()
+                .set_gauge(&format!("{}.recovery.{gauge}", self.metric_prefix), value);
         }
         for (target, msg) in catchups {
             let bytes = msg.wire_size();

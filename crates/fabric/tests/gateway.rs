@@ -116,7 +116,7 @@ fn build(
             format!("p{i}"),
         );
         if i == 0 {
-            peer.subscribe(client_actor);
+            peer.subscribe(client_actor, client_identity.certificate().id);
         }
         peers.push(sim.add_actor(Box::new(peer)));
     }

@@ -159,7 +159,7 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
 
     // Actor ids are assigned in add order: peers 0..4, orderer 4, client 5.
     let client_actor_id = ActorId(5);
-    peer_actors[0].subscribe(client_actor_id);
+    peer_actors[0].subscribe(client_actor_id, client_id.certificate().id);
 
     for actor in peer_actors {
         peers.push(sim.add_actor(Box::new(actor)));
@@ -294,7 +294,7 @@ fn raft_ordering_service_commits_transactions() {
         costs,
         "peer0",
     );
-    peer.subscribe(client_actor_id);
+    peer.subscribe(client_actor_id, client_id.certificate().id);
     let got_peer = sim.add_actor(Box::new(peer));
     assert_eq!(got_peer, peer_actor_id);
 

@@ -1,24 +1,16 @@
 //! The versioned world state: current value + write version per key.
 //!
-//! Backed by a pluggable [`StateStore`] so chaincode range queries
-//! (`GetStateByRange`, composite-key scans) work exactly as in Fabric's
-//! LevelDB state database. Two backends exist:
-//!
-//! * [`BTreeStore`] — the original ordered map, kept as the equivalence
-//!   oracle and the default (exports stay byte-identical).
-//! * [`FlatStore`] — an LSM-flavoured store: a flat sorted base run plus
-//!   a small delta memtable. Commit-time writes batch into the delta and
-//!   are merged into the base in bulk once the delta passes a threshold,
-//!   while reads see a copy-on-write merge of both runs. This keeps
-//!   per-write overhead flat at millions of keys, where a B-tree starts
-//!   paying deep-node traversals and pointer-chasing on every operation.
+//! One ordered map, so chaincode range queries (`GetStateByRange`,
+//! composite-key scans) work exactly as in Fabric's LevelDB state
+//! database. A flat sorted-run backend was measured against it and
+//! deleted: 2.6x slower point reads and ~10x slower writes at 10k keys,
+//! and 27-43 % more wall time on T-SCALE at 100k-300k keys for at most
+//! 2.4 % less RSS (DESIGN.md §10).
 //!
 //! MVCC validation compares the versions recorded in a transaction's read
 //! set against this database at commit time.
 
 use std::collections::BTreeMap;
-use std::iter::Peekable;
-use std::ops::Bound;
 
 use crate::tx::{KvRead, KvWrite, StateKey, Version};
 
@@ -29,272 +21,6 @@ pub struct VersionedValue {
     pub value: Vec<u8>,
     /// Height `(block, tx)` of the writing transaction.
     pub version: Version,
-}
-
-/// Minimal ordered key/value store interface the world state runs on.
-///
-/// Both backends store `(StateKey, VersionedValue)` pairs in lexicographic
-/// key order; [`StateDb`] layers Fabric's range/prefix/MVCC semantics on
-/// top of this interface.
-pub trait StateStore {
-    /// Point lookup.
-    fn get(&self, key: &StateKey) -> Option<&VersionedValue>;
-    /// Number of live keys.
-    fn len(&self) -> usize;
-    /// Inserts or overwrites one key.
-    fn insert(&mut self, key: StateKey, value: VersionedValue);
-    /// Removes one key (no-op when absent).
-    fn remove(&mut self, key: &StateKey);
-    /// Ordered iteration over every live pair.
-    fn iter<'a>(&'a self) -> Box<dyn Iterator<Item = (&'a StateKey, &'a VersionedValue)> + 'a>;
-    /// Ordered iteration over `[lower, upper)`; `None` means unbounded
-    /// above.
-    fn range<'a>(
-        &'a self,
-        lower: &StateKey,
-        upper: Option<&StateKey>,
-    ) -> Box<dyn Iterator<Item = (&'a StateKey, &'a VersionedValue)> + 'a>;
-}
-
-/// The original `BTreeMap` backend — the equivalence oracle.
-#[derive(Debug, Clone, Default)]
-pub struct BTreeStore {
-    map: BTreeMap<StateKey, VersionedValue>,
-}
-
-impl StateStore for BTreeStore {
-    fn get(&self, key: &StateKey) -> Option<&VersionedValue> {
-        self.map.get(key)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn insert(&mut self, key: StateKey, value: VersionedValue) {
-        self.map.insert(key, value);
-    }
-
-    fn remove(&mut self, key: &StateKey) {
-        self.map.remove(key);
-    }
-
-    fn iter<'a>(&'a self) -> Box<dyn Iterator<Item = (&'a StateKey, &'a VersionedValue)> + 'a> {
-        Box::new(self.map.iter())
-    }
-
-    fn range<'a>(
-        &'a self,
-        lower: &StateKey,
-        upper: Option<&StateKey>,
-    ) -> Box<dyn Iterator<Item = (&'a StateKey, &'a VersionedValue)> + 'a> {
-        let upper = upper.map_or(Bound::Unbounded, Bound::Excluded);
-        Box::new(self.map.range((Bound::Included(lower), upper)))
-    }
-}
-
-/// Delta entries merged into the base run in one bulk pass once the
-/// memtable reaches this many entries.
-const FLAT_COMPACT_THRESHOLD: usize = 8192;
-
-/// LSM-flavoured backend: sorted base run + delta memtable.
-///
-/// Writes land in the delta (deletes as tombstones) and are batch-merged
-/// into the flat base vector when the delta reaches
-/// [`FLAT_COMPACT_THRESHOLD`] entries — one `O(base + delta)` pass that
-/// amortises to `O(1)` pointer-free appends per write. Reads consult the
-/// delta first and fall back to a binary search of the base, so they
-/// observe a copy-on-write merged view without ever cloning values.
-#[derive(Debug, Clone)]
-pub struct FlatStore {
-    /// Immutable-between-compactions sorted run (no duplicate keys, no
-    /// tombstones).
-    base: Vec<(StateKey, VersionedValue)>,
-    /// Recent writes; `None` is a delete tombstone shadowing the base.
-    delta: BTreeMap<StateKey, Option<VersionedValue>>,
-    /// Live key count across both runs.
-    live: usize,
-    threshold: usize,
-}
-
-impl Default for FlatStore {
-    fn default() -> Self {
-        FlatStore {
-            base: Vec::new(),
-            delta: BTreeMap::new(),
-            live: 0,
-            threshold: FLAT_COMPACT_THRESHOLD,
-        }
-    }
-}
-
-impl FlatStore {
-    fn base_idx(&self, key: &StateKey) -> Result<usize, usize> {
-        self.base.binary_search_by(|(k, _)| k.cmp(key))
-    }
-
-    fn in_base(&self, key: &StateKey) -> bool {
-        self.base_idx(key).is_ok()
-    }
-
-    /// Merges the delta into the base run and clears it.
-    fn compact(&mut self) {
-        if self.delta.is_empty() {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.live);
-        let mut base = std::mem::take(&mut self.base).into_iter().peekable();
-        for (k, dv) in std::mem::take(&mut self.delta) {
-            while base.peek().is_some_and(|(bk, _)| *bk < k) {
-                merged.push(base.next().unwrap());
-            }
-            if base.peek().is_some_and(|(bk, _)| *bk == k) {
-                base.next(); // superseded by the delta entry
-            }
-            if let Some(v) = dv {
-                merged.push((k, v));
-            }
-        }
-        merged.extend(base);
-        self.base = merged;
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.delta.len() >= self.threshold {
-            self.compact();
-        }
-    }
-}
-
-/// Merged ordered view of a base-run window and a delta range, with delta
-/// entries shadowing base entries and tombstones skipped.
-struct FlatIter<'a> {
-    base: Peekable<std::slice::Iter<'a, (StateKey, VersionedValue)>>,
-    delta: Peekable<std::collections::btree_map::Range<'a, StateKey, Option<VersionedValue>>>,
-}
-
-impl<'a> Iterator for FlatIter<'a> {
-    type Item = (&'a StateKey, &'a VersionedValue);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let take_base = match (self.base.peek(), self.delta.peek()) {
-                (None, None) => return None,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some((bk, _)), Some((dk, _))) => match bk.cmp(dk) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Equal => {
-                        self.base.next(); // shadowed by the delta
-                        false
-                    }
-                    std::cmp::Ordering::Greater => false,
-                },
-            };
-            if take_base {
-                let (k, v) = self.base.next().unwrap();
-                return Some((k, v));
-            }
-            let (k, dv) = self.delta.next().unwrap();
-            if let Some(v) = dv {
-                return Some((k, v));
-            }
-            // Tombstone: skip.
-        }
-    }
-}
-
-impl StateStore for FlatStore {
-    fn get(&self, key: &StateKey) -> Option<&VersionedValue> {
-        match self.delta.get(key) {
-            Some(Some(v)) => Some(v),
-            Some(None) => None,
-            None => self.base_idx(key).ok().map(|i| &self.base[i].1),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn insert(&mut self, key: StateKey, value: VersionedValue) {
-        let existed = match self.delta.get(&key) {
-            Some(entry) => entry.is_some(),
-            None => self.in_base(&key),
-        };
-        if !existed {
-            self.live += 1;
-        }
-        self.delta.insert(key, Some(value));
-        self.maybe_compact();
-    }
-
-    fn remove(&mut self, key: &StateKey) {
-        match self.delta.get(key) {
-            Some(Some(_)) => {
-                self.live -= 1;
-                if self.in_base(key) {
-                    self.delta.insert(key.clone(), None);
-                } else {
-                    self.delta.remove(key);
-                }
-            }
-            Some(None) => {} // already deleted
-            None => {
-                if self.in_base(key) {
-                    self.live -= 1;
-                    self.delta.insert(key.clone(), None);
-                }
-            }
-        }
-        self.maybe_compact();
-    }
-
-    fn iter<'a>(&'a self) -> Box<dyn Iterator<Item = (&'a StateKey, &'a VersionedValue)> + 'a> {
-        Box::new(FlatIter {
-            base: self.base.iter().peekable(),
-            delta: self.delta.range(..).peekable(),
-        })
-    }
-
-    fn range<'a>(
-        &'a self,
-        lower: &StateKey,
-        upper: Option<&StateKey>,
-    ) -> Box<dyn Iterator<Item = (&'a StateKey, &'a VersionedValue)> + 'a> {
-        let from = self.base.partition_point(|(k, _)| k < lower);
-        let to = upper.map_or(self.base.len(), |u| {
-            self.base.partition_point(|(k, _)| k < u)
-        });
-        let bound = upper.map_or(Bound::Unbounded, Bound::Excluded);
-        Box::new(FlatIter {
-            base: self.base[from..to].iter().peekable(),
-            delta: self.delta.range((Bound::Included(lower), bound)).peekable(),
-        })
-    }
-}
-
-/// Which [`StateStore`] backend a [`StateDb`] runs on.
-#[derive(Debug, Clone)]
-enum Backend {
-    BTree(BTreeStore),
-    Flat(FlatStore),
-}
-
-impl Backend {
-    fn store(&self) -> &dyn StateStore {
-        match self {
-            Backend::BTree(s) => s,
-            Backend::Flat(s) => s,
-        }
-    }
-
-    fn store_mut(&mut self) -> &mut dyn StateStore {
-        match self {
-            Backend::BTree(s) => s,
-            Backend::Flat(s) => s,
-        }
-    }
 }
 
 /// The world state database.
@@ -311,47 +37,20 @@ impl Backend {
 /// );
 /// assert_eq!(db.get(&StateKey::new("cc", "k")).unwrap().value, b"v");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StateDb {
-    backend: Backend,
-}
-
-impl Default for StateDb {
-    fn default() -> Self {
-        StateDb {
-            backend: Backend::BTree(BTreeStore::default()),
-        }
-    }
+    map: BTreeMap<StateKey, VersionedValue>,
 }
 
 impl StateDb {
-    /// Creates an empty state database on the default `BTreeMap` backend.
+    /// Creates an empty state database.
     pub fn new() -> Self {
         StateDb::default()
     }
 
-    /// Creates an empty state database on the flat-sorted [`FlatStore`]
-    /// backend (batched commit-time writes; scales to millions of keys).
-    pub fn flat() -> Self {
-        StateDb {
-            backend: Backend::Flat(FlatStore::default()),
-        }
-    }
-
-    /// Name of the active backend (`"btree"` or `"flat"`), for reports.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::BTree(_) => "btree",
-            Backend::Flat(_) => "flat",
-        }
-    }
-
     /// Current value and version for `key`, if present.
     pub fn get(&self, key: &StateKey) -> Option<&VersionedValue> {
-        match &self.backend {
-            Backend::BTree(s) => s.get(key),
-            Backend::Flat(s) => s.get(key),
-        }
+        self.map.get(key)
     }
 
     /// Current version for `key`, if present.
@@ -361,7 +60,7 @@ impl StateDb {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.backend.store().len()
+        self.map.len()
     }
 
     /// True if no keys are stored.
@@ -371,20 +70,20 @@ impl StateDb {
 
     /// Iterates every live `(key, value)` pair in lexicographic key order.
     pub fn iter(&self) -> impl Iterator<Item = (&StateKey, &VersionedValue)> {
-        self.backend.store().iter()
+        self.map.iter()
     }
 
     /// Restores one key directly at its recorded version — used when
     /// rebuilding state from a verified snapshot.
     pub fn restore_entry(&mut self, key: StateKey, value: VersionedValue) {
-        self.backend.store_mut().insert(key, value);
+        self.map.insert(key, value);
     }
 
     /// Applies one write at the given version (delete when value is None).
     pub fn apply_write(&mut self, write: &KvWrite, version: Version) {
         match &write.value {
             Some(value) => {
-                self.backend.store_mut().insert(
+                self.map.insert(
                     write.key.clone(),
                     VersionedValue {
                         value: value.clone(),
@@ -393,7 +92,7 @@ impl StateDb {
                 );
             }
             None => {
-                self.backend.store_mut().remove(&write.key);
+                self.map.remove(&write.key);
             }
         }
     }
@@ -427,9 +126,8 @@ impl StateDb {
         } else {
             StateKey::new(namespace, end)
         };
-        self.backend
-            .store()
-            .range(&lower, Some(&upper))
+        self.map
+            .range(lower..upper)
             .filter(move |(k, _)| k.namespace == namespace)
     }
 
@@ -441,9 +139,8 @@ impl StateDb {
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a StateKey, &'a VersionedValue)> + 'a {
         let lower = StateKey::new(namespace, prefix);
-        self.backend
-            .store()
-            .range(&lower, None)
+        self.map
+            .range(lower..)
             .take_while(move |(k, _)| k.namespace == namespace && k.key.starts_with(prefix))
     }
 
@@ -455,8 +152,7 @@ impl StateDb {
     /// A digest over the entire world state — every key, value and write
     /// version, in key order. Two replicas hold identical state iff their
     /// hashes match, which is how the fault-recovery tests assert that a
-    /// healed partition left no divergence. Backend-independent: both
-    /// stores hash to the same digest for the same contents.
+    /// healed partition left no divergence.
     pub fn state_hash(&self) -> crate::hash::Digest {
         let mut hasher = crate::hash::Sha256::new();
         for (key, vv) in self.iter() {
@@ -485,125 +181,115 @@ mod tests {
         );
     }
 
-    fn backends() -> [StateDb; 2] {
-        [StateDb::new(), StateDb::flat()]
-    }
-
     #[test]
     fn put_get_delete() {
-        for mut db in backends() {
-            put(&mut db, "cc", "a", b"1", Version::new(1, 0));
-            assert_eq!(db.get(&StateKey::new("cc", "a")).unwrap().value, b"1");
-            assert_eq!(
-                db.version(&StateKey::new("cc", "a")),
-                Some(Version::new(1, 0))
-            );
-            db.apply_write(
-                &KvWrite {
-                    key: StateKey::new("cc", "a"),
-                    value: None,
-                },
-                Version::new(2, 0),
-            );
-            assert!(db.get(&StateKey::new("cc", "a")).is_none());
-            assert!(db.is_empty());
-        }
+        let mut db = StateDb::new();
+        put(&mut db, "cc", "a", b"1", Version::new(1, 0));
+        assert_eq!(db.get(&StateKey::new("cc", "a")).unwrap().value, b"1");
+        assert_eq!(
+            db.version(&StateKey::new("cc", "a")),
+            Some(Version::new(1, 0))
+        );
+        db.apply_write(
+            &KvWrite {
+                key: StateKey::new("cc", "a"),
+                value: None,
+            },
+            Version::new(2, 0),
+        );
+        assert!(db.get(&StateKey::new("cc", "a")).is_none());
+        assert!(db.is_empty());
     }
 
     #[test]
     fn overwrite_updates_version() {
-        for mut db in backends() {
-            put(&mut db, "cc", "a", b"1", Version::new(1, 0));
-            put(&mut db, "cc", "a", b"2", Version::new(1, 1));
-            let vv = db.get(&StateKey::new("cc", "a")).unwrap();
-            assert_eq!(vv.value, b"2");
-            assert_eq!(vv.version, Version::new(1, 1));
-            assert_eq!(db.len(), 1);
-        }
+        let mut db = StateDb::new();
+        put(&mut db, "cc", "a", b"1", Version::new(1, 0));
+        put(&mut db, "cc", "a", b"2", Version::new(1, 1));
+        let vv = db.get(&StateKey::new("cc", "a")).unwrap();
+        assert_eq!(vv.value, b"2");
+        assert_eq!(vv.version, Version::new(1, 1));
+        assert_eq!(db.len(), 1);
     }
 
     #[test]
     fn mvcc_validation() {
-        for mut db in backends() {
-            put(&mut db, "cc", "a", b"1", Version::new(1, 0));
-            let good = vec![KvRead {
-                key: StateKey::new("cc", "a"),
-                version: Some(Version::new(1, 0)),
-            }];
-            let stale = vec![KvRead {
-                key: StateKey::new("cc", "a"),
-                version: Some(Version::new(0, 0)),
-            }];
-            let phantom = vec![KvRead {
-                key: StateKey::new("cc", "missing"),
-                version: None,
-            }];
-            let appeared = vec![KvRead {
-                key: StateKey::new("cc", "a"),
-                version: None,
-            }];
-            assert!(db.validate_reads(&good));
-            assert!(!db.validate_reads(&stale));
-            assert!(db.validate_reads(&phantom));
-            assert!(!db.validate_reads(&appeared));
-            assert!(db.validate_reads(&[]));
-        }
+        let mut db = StateDb::new();
+        put(&mut db, "cc", "a", b"1", Version::new(1, 0));
+        let good = vec![KvRead {
+            key: StateKey::new("cc", "a"),
+            version: Some(Version::new(1, 0)),
+        }];
+        let stale = vec![KvRead {
+            key: StateKey::new("cc", "a"),
+            version: Some(Version::new(0, 0)),
+        }];
+        let phantom = vec![KvRead {
+            key: StateKey::new("cc", "missing"),
+            version: None,
+        }];
+        let appeared = vec![KvRead {
+            key: StateKey::new("cc", "a"),
+            version: None,
+        }];
+        assert!(db.validate_reads(&good));
+        assert!(!db.validate_reads(&stale));
+        assert!(db.validate_reads(&phantom));
+        assert!(!db.validate_reads(&appeared));
+        assert!(db.validate_reads(&[]));
     }
 
     #[test]
     fn range_respects_bounds_and_namespace() {
-        for mut db in backends() {
-            for (ns, k) in [
-                ("a", "k1"),
-                ("cc", "k1"),
-                ("cc", "k2"),
-                ("cc", "k3"),
-                ("zz", "k0"),
-            ] {
-                put(&mut db, ns, k, b"v", Version::new(1, 0));
-            }
-            let keys: Vec<String> = db
-                .range("cc", "k1", "k3")
-                .map(|(k, _)| k.key.clone())
-                .collect();
-            assert_eq!(keys, vec!["k1", "k2"]);
-            let all: Vec<String> = db.range("cc", "", "").map(|(k, _)| k.key.clone()).collect();
-            assert_eq!(all, vec!["k1", "k2", "k3"]);
+        let mut db = StateDb::new();
+        for (ns, k) in [
+            ("a", "k1"),
+            ("cc", "k1"),
+            ("cc", "k2"),
+            ("cc", "k3"),
+            ("zz", "k0"),
+        ] {
+            put(&mut db, ns, k, b"v", Version::new(1, 0));
         }
+        let keys: Vec<String> = db
+            .range("cc", "k1", "k3")
+            .map(|(k, _)| k.key.clone())
+            .collect();
+        assert_eq!(keys, vec!["k1", "k2"]);
+        let all: Vec<String> = db.range("cc", "", "").map(|(k, _)| k.key.clone()).collect();
+        assert_eq!(all, vec!["k1", "k2", "k3"]);
     }
 
     #[test]
     fn range_with_prefix_keys_respects_exclusive_end() {
         // Keys that are prefixes of each other ("k" < "k1" < "k10" < "k2")
         // must honour the half-open [start, end) contract exactly.
-        for mut db in backends() {
-            for k in ["k", "k1", "k10", "k2"] {
-                put(&mut db, "cc", k, b"v", Version::new(1, 0));
-            }
-            let hits = |start: &str, end: &str| -> Vec<String> {
-                db.range("cc", start, end)
-                    .map(|(k, _)| k.key.clone())
-                    .collect()
-            };
-            assert_eq!(hits("k", "k1"), vec!["k"]);
-            assert_eq!(hits("k1", "k2"), vec!["k1", "k10"]);
-            assert_eq!(hits("k", ""), vec!["k", "k1", "k10", "k2"]);
-            assert_eq!(hits("k10", "k10"), Vec::<String>::new());
+        let mut db = StateDb::new();
+        for k in ["k", "k1", "k10", "k2"] {
+            put(&mut db, "cc", k, b"v", Version::new(1, 0));
         }
+        let hits = |start: &str, end: &str| -> Vec<String> {
+            db.range("cc", start, end)
+                .map(|(k, _)| k.key.clone())
+                .collect()
+        };
+        assert_eq!(hits("k", "k1"), vec!["k"]);
+        assert_eq!(hits("k1", "k2"), vec!["k1", "k10"]);
+        assert_eq!(hits("k", ""), vec!["k", "k1", "k10", "k2"]);
+        assert_eq!(hits("k10", "k10"), Vec::<String>::new());
     }
 
     #[test]
     fn range_in_empty_namespace_sees_only_that_namespace() {
         // The empty namespace is a valid (if degenerate) chaincode name;
         // its open-ended scan must not drift into later namespaces.
-        for mut db in backends() {
-            put(&mut db, "", "a", b"v", Version::new(1, 0));
-            put(&mut db, "", "b", b"v", Version::new(1, 0));
-            put(&mut db, "cc", "a", b"v", Version::new(1, 0));
-            let keys: Vec<String> = db.range("", "", "").map(|(k, _)| k.key.clone()).collect();
-            assert_eq!(keys, vec!["a", "b"]);
-            assert_eq!(db.scan_prefix("", "").count(), 2);
-        }
+        let mut db = StateDb::new();
+        put(&mut db, "", "a", b"v", Version::new(1, 0));
+        put(&mut db, "", "b", b"v", Version::new(1, 0));
+        put(&mut db, "cc", "a", b"v", Version::new(1, 0));
+        let keys: Vec<String> = db.range("", "", "").map(|(k, _)| k.key.clone()).collect();
+        assert_eq!(keys, vec!["a", "b"]);
+        assert_eq!(db.scan_prefix("", "").count(), 2);
     }
 
     #[test]
@@ -611,65 +297,61 @@ mod tests {
         // Namespaces that sort immediately after "cc" — including the NUL
         // sentinel the upper bound is built from — must stay invisible to
         // chaincode "cc".
-        for mut db in backends() {
-            put(&mut db, "cc", "z", b"v", Version::new(1, 0));
-            put(&mut db, "cc\u{0}", "a", b"v", Version::new(1, 0));
-            put(&mut db, "cc0", "a", b"v", Version::new(1, 0));
-            put(&mut db, "ccx", "a", b"v", Version::new(1, 0));
-            put(&mut db, "cd", "a", b"v", Version::new(1, 0));
-            let keys: Vec<String> = db.range("cc", "", "").map(|(k, _)| k.key.clone()).collect();
-            assert_eq!(keys, vec!["z"], "no adjacent-namespace leakage");
-            // And the neighbours still see their own keys.
-            assert_eq!(db.range("cc\u{0}", "", "").count(), 1);
-            assert_eq!(db.range("ccx", "", "").count(), 1);
-        }
+        let mut db = StateDb::new();
+        put(&mut db, "cc", "z", b"v", Version::new(1, 0));
+        put(&mut db, "cc\u{0}", "a", b"v", Version::new(1, 0));
+        put(&mut db, "cc0", "a", b"v", Version::new(1, 0));
+        put(&mut db, "ccx", "a", b"v", Version::new(1, 0));
+        put(&mut db, "cd", "a", b"v", Version::new(1, 0));
+        let keys: Vec<String> = db.range("cc", "", "").map(|(k, _)| k.key.clone()).collect();
+        assert_eq!(keys, vec!["z"], "no adjacent-namespace leakage");
+        // And the neighbours still see their own keys.
+        assert_eq!(db.range("cc\u{0}", "", "").count(), 1);
+        assert_eq!(db.range("ccx", "", "").count(), 1);
     }
 
     #[test]
     fn scan_prefix_stays_inside_namespace() {
         // A prefix scan near the end of one namespace must not continue
         // into the next namespace even when its keys share the prefix.
-        for mut db in backends() {
-            put(&mut db, "cc", "item~a", b"v", Version::new(1, 0));
-            put(&mut db, "cc", "zz", b"v", Version::new(1, 0));
-            put(&mut db, "ccx", "zz1", b"v", Version::new(1, 0));
-            put(&mut db, "cd", "item~b", b"v", Version::new(1, 0));
-            let hits: Vec<String> = db
-                .scan_prefix("cc", "zz")
-                .map(|(k, _)| k.key.clone())
-                .collect();
-            assert_eq!(hits, vec!["zz"]);
-            assert_eq!(db.scan_prefix("cc", "item~").count(), 1);
-        }
+        let mut db = StateDb::new();
+        put(&mut db, "cc", "item~a", b"v", Version::new(1, 0));
+        put(&mut db, "cc", "zz", b"v", Version::new(1, 0));
+        put(&mut db, "ccx", "zz1", b"v", Version::new(1, 0));
+        put(&mut db, "cd", "item~b", b"v", Version::new(1, 0));
+        let hits: Vec<String> = db
+            .scan_prefix("cc", "zz")
+            .map(|(k, _)| k.key.clone())
+            .collect();
+        assert_eq!(hits, vec!["zz"]);
+        assert_eq!(db.scan_prefix("cc", "item~").count(), 1);
     }
 
     #[test]
     fn scan_prefix_matches_composite_keys() {
-        for mut db in backends() {
-            for k in [
-                "owner~org1~item1",
-                "owner~org1~item2",
-                "owner~org2~item3",
-                "other",
-            ] {
-                put(&mut db, "cc", k, b"v", Version::new(1, 0));
-            }
-            let hits: Vec<String> = db
-                .scan_prefix("cc", "owner~org1~")
-                .map(|(k, _)| k.key.clone())
-                .collect();
-            assert_eq!(hits, vec!["owner~org1~item1", "owner~org1~item2"]);
-            assert_eq!(db.scan_prefix("cc", "nope").count(), 0);
+        let mut db = StateDb::new();
+        for k in [
+            "owner~org1~item1",
+            "owner~org1~item2",
+            "owner~org2~item3",
+            "other",
+        ] {
+            put(&mut db, "cc", k, b"v", Version::new(1, 0));
         }
+        let hits: Vec<String> = db
+            .scan_prefix("cc", "owner~org1~")
+            .map(|(k, _)| k.key.clone())
+            .collect();
+        assert_eq!(hits, vec!["owner~org1~item1", "owner~org1~item2"]);
+        assert_eq!(db.scan_prefix("cc", "nope").count(), 0);
     }
 
     #[test]
     fn value_bytes_accounts_sizes() {
-        for mut db in backends() {
-            put(&mut db, "cc", "a", &[0u8; 10], Version::new(1, 0));
-            put(&mut db, "cc", "b", &[0u8; 5], Version::new(1, 1));
-            assert_eq!(db.value_bytes(), 15);
-        }
+        let mut db = StateDb::new();
+        put(&mut db, "cc", "a", &[0u8; 10], Version::new(1, 0));
+        put(&mut db, "cc", "b", &[0u8; 5], Version::new(1, 1));
+        assert_eq!(db.value_bytes(), 15);
     }
 
     #[test]
@@ -685,48 +367,5 @@ mod tests {
         put(&mut b, "cc", "x", b"1", Version::new(2, 0));
         assert_ne!(a.state_hash(), b.state_hash());
         assert_ne!(StateDb::new().state_hash(), a.state_hash());
-    }
-
-    #[test]
-    fn state_hash_is_backend_independent() {
-        let mut bt = StateDb::new();
-        let mut fl = StateDb::flat();
-        for db in [&mut bt, &mut fl] {
-            put(db, "cc", "x", b"1", Version::new(1, 0));
-            put(db, "cc", "y", b"2", Version::new(1, 1));
-            put(db, "dd", "z", b"3", Version::new(2, 0));
-        }
-        assert_eq!(bt.state_hash(), fl.state_hash());
-        assert_eq!(bt.backend_name(), "btree");
-        assert_eq!(fl.backend_name(), "flat");
-    }
-
-    #[test]
-    fn flat_store_survives_compaction_cycles() {
-        let mut fl = FlatStore {
-            threshold: 4, // force frequent merges
-            ..FlatStore::default()
-        };
-        let mut oracle = BTreeStore::default();
-        let vv = |n: u8| VersionedValue {
-            value: vec![n],
-            version: Version::new(n as u64, 0),
-        };
-        for round in 0..8u8 {
-            for i in 0..10u8 {
-                let key = StateKey::new("cc", format!("k{i:02}"));
-                if (i + round) % 3 == 0 {
-                    fl.remove(&key);
-                    oracle.remove(&key);
-                } else {
-                    fl.insert(key.clone(), vv(i ^ round));
-                    oracle.insert(key, vv(i ^ round));
-                }
-            }
-            assert_eq!(fl.len(), oracle.len(), "round {round}");
-            let f: Vec<_> = fl.iter().collect();
-            let o: Vec<_> = oracle.iter().collect();
-            assert_eq!(f, o, "round {round}");
-        }
     }
 }

@@ -138,93 +138,30 @@ proptest! {
     }
 
     #[test]
-    fn flat_backend_matches_btree_oracle(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(arb_write(), 1..12),
-            1..12,
-        ),
-        probes in proptest::collection::vec(arb_state_key(), 1..8),
-    ) {
-        // Apply the same write batches (inserts and deletes, arbitrary
-        // namespaces and keys) to both backends and check every read-side
-        // API agrees after each batch.
-        let mut oracle = StateDb::new();
-        let mut flat = StateDb::flat();
-        for (block, writes) in batches.iter().enumerate() {
-            let version = Version::new(block as u64 + 1, 0);
-            oracle.apply_writes(writes, version);
-            flat.apply_writes(writes, version);
-
-            prop_assert_eq!(oracle.len(), flat.len());
-            prop_assert_eq!(oracle.state_hash(), flat.state_hash());
-            let o: Vec<_> = oracle.iter().collect();
-            let f: Vec<_> = flat.iter().collect();
-            prop_assert_eq!(o, f);
-
-            for probe in &probes {
-                prop_assert_eq!(oracle.get(probe), flat.get(probe));
-                prop_assert_eq!(oracle.version(probe), flat.version(probe));
-            }
-            for w in writes {
-                prop_assert_eq!(oracle.get(&w.key), flat.get(&w.key));
-                let ns = w.key.namespace.as_str();
-                let o: Vec<_> = oracle.range(ns, "", "").collect();
-                let f: Vec<_> = flat.range(ns, "", "").collect();
-                prop_assert_eq!(o, f);
-                let prefix = &w.key.key[..w.key.key.len().min(2)];
-                let o: Vec<_> = oracle.scan_prefix(ns, prefix).collect();
-                let f: Vec<_> = flat.scan_prefix(ns, prefix).collect();
-                prop_assert_eq!(o, f);
-            }
-
-            // MVCC validation agrees for reads taken from either backend.
-            let reads: Vec<KvRead> = writes
-                .iter()
-                .map(|w| KvRead { key: w.key.clone(), version: oracle.version(&w.key) })
-                .collect();
-            prop_assert!(flat.validate_reads(&reads));
-            let stale: Vec<KvRead> = writes
-                .iter()
-                .map(|w| KvRead { key: w.key.clone(), version: Some(Version::new(u64::MAX, 0)) })
-                .collect();
-            prop_assert_eq!(oracle.validate_reads(&stale), flat.validate_reads(&stale));
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_on_both_backends(
+    fn snapshot_capture_restore_round_trips(
         writes in proptest::collection::vec(arb_write(), 1..20),
         chunk_entries in 1usize..8,
     ) {
-        // Snapshots captured from either backend are identical, and a
-        // restore reproduces the exact state either way.
-        let mut oracle = StateDb::new();
-        let mut flat = StateDb::flat();
+        let mut state = StateDb::new();
         let mut history = HistoryDb::new();
         let version = Version::new(1, 0);
-        oracle.apply_writes(&writes, version);
-        flat.apply_writes(&writes, version);
+        state.apply_writes(&writes, version);
         history.append(TxId(Digest::of(b"t")), version, &writes);
 
-        let channel = ChannelId::new("ch");
-        let snap = |db: &StateDb| Snapshot::capture(
-            &channel,
+        let snapshot = Snapshot::capture(
+            &ChannelId::new("ch"),
             1,
             Digest::of(b"tip"),
-            db,
+            &state,
             &history,
             vec![TxId(Digest::of(b"t"))],
             Digest::of(b"graph"),
             chunk_entries,
         );
-        let from_oracle = snap(&oracle);
-        let from_flat = snap(&flat);
-        prop_assert_eq!(&from_oracle, &from_flat);
-
-        let restored = from_flat.restore_state();
-        prop_assert_eq!(restored.state_hash(), oracle.state_hash());
-        prop_assert_eq!(restored.len(), flat.len());
-        let restored_history = from_oracle.restore_history();
+        let restored = snapshot.restore_state();
+        prop_assert_eq!(restored.state_hash(), state.state_hash());
+        prop_assert_eq!(restored.len(), state.len());
+        let restored_history = snapshot.restore_history();
         prop_assert_eq!(restored_history.total_entries(), history.total_entries());
     }
 

@@ -636,10 +636,23 @@ impl<M> Simulation<M> {
     /// Processes a single event. Returns `false` when the queue is empty or
     /// the simulation was stopped.
     pub fn step(&mut self) -> bool {
+        self.step_due(None)
+    }
+
+    /// [`Simulation::step`] restricted to events due at or before `limit`.
+    /// The bound is re-checked after every discarded entry (cancelled
+    /// timer, stale epoch), so the event processed is never later than
+    /// `limit`.
+    fn step_due(&mut self, limit: Option<SimTime>) -> bool {
         if self.kernel.stopped {
             return false;
         }
         loop {
+            if let Some(limit) = limit {
+                if !matches!(self.kernel.queue.peek_time(), Some(time) if time <= limit) {
+                    return false;
+                }
+            }
             let item = match self.kernel.queue.pop() {
                 Some(item) => item,
                 None => return false,
@@ -709,17 +722,7 @@ impl<M> Simulation<M> {
     /// Runs events with `time <= limit`; afterwards the clock reads `limit`
     /// (even if the queue still holds later events).
     pub fn run_until(&mut self, limit: SimTime) {
-        loop {
-            if self.kernel.stopped {
-                break;
-            }
-            match self.kernel.queue.peek_time() {
-                Some(time) if time <= limit => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        while self.step_due(Some(limit)) {}
         if self.kernel.now < limit {
             self.kernel.now = limit;
         }
@@ -901,6 +904,36 @@ mod tests {
         sim.run_until(SimTime::from_secs(20));
         assert!(sim.events_processed() > 0);
         assert_eq!(sim.now(), SimTime::from_secs(20));
+    }
+
+    struct CancelThenRearm;
+    impl Actor<()> for CancelThenRearm {
+        fn on_event(&mut self, ctx: &mut Context<'_, ()>, event: Event<()>) {
+            match event {
+                Event::Timer { token: 0 } => {
+                    let early = ctx.set_timer(SimDuration::from_secs(1), 1);
+                    ctx.cancel_timer(early);
+                    ctx.set_timer(SimDuration::from_secs(10), 2);
+                }
+                Event::Timer { token } => ctx.metrics().incr("fired", token),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn run_until_does_not_overshoot_past_a_cancelled_timer() {
+        let mut sim: Simulation<()> = Simulation::new(1);
+        let a = sim.add_actor(Box::new(CancelThenRearm));
+        sim.start_timer(a, SimDuration::ZERO, 0);
+        // The cancelled 1 s entry is due before the limit; discarding it
+        // must not pull the live 10 s timer forward.
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(sim.now(), SimTime::from_secs(5));
+        assert_eq!(sim.metrics().counter("fired"), 0);
+        sim.run();
+        assert_eq!(sim.now(), SimTime::from_secs(10));
+        assert_eq!(sim.metrics().counter("fired"), 2);
     }
 
     #[test]

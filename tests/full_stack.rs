@@ -47,7 +47,7 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
     )));
     let mut peer =
         PeerActor::<NodeMsg>::new(peer_identity, registry, committer.clone(), costs, "peer0");
-    peer.subscribe(client_id);
+    peer.subscribe(client_id, client_identity.certificate().id);
     assert_eq!(sim.add_actor(Box::new(peer)), peer_id);
 
     let batch = BatchConfig {
