@@ -31,3 +31,19 @@ done
 # numbers). Exits non-zero on any out-of-tolerance metric; regenerate the
 # baseline deliberately with `bench_regress --update`.
 cargo run --release -p hyperprov-bench --bin bench_regress -- --quick
+
+# The benchmark is a package of its own outside the workspace, so nothing
+# above compiles it, and it reads public fields of the product's types
+# (`Block.envelopes`, `StateKey.key`, `VersionedValue.value`). Build it
+# and run one short workload: the last line is the result object.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload ledger_growth --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$result"
+case "$result" in
+    *'"correct":true'*'"failed":0,'*) ;;
+    *)
+        echo "benchmark smoke run: not correct, or operations failed" >&2
+        exit 1
+        ;;
+esac

@@ -72,7 +72,7 @@ fn bench_statedb(c: &mut Criterion) {
         db.apply_write(
             &KvWrite {
                 key: StateKey::new("cc", format!("key-{i:06}")),
-                value: Some(vec![0u8; 128]),
+                value: Some(vec![0u8; 128].into()),
             },
             Version::new(1, i),
         );
@@ -92,7 +92,7 @@ fn bench_statedb(c: &mut Criterion) {
             db.apply_write(
                 &KvWrite {
                     key: StateKey::new("cc", format!("w-{i}")),
-                    value: Some(vec![0u8; 128]),
+                    value: Some(vec![0u8; 128].into()),
                 },
                 Version::new(2, i),
             );

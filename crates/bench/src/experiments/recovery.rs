@@ -88,7 +88,7 @@ fn chain_envelope(kit: &ChainKit, i: u64) -> Envelope {
         reads: vec![],
         writes: vec![KvWrite {
             key: StateKey::new("cc", key),
-            value: Some(vec![(i % 251) as u8; VALUE_BYTES]),
+            value: Some(vec![(i % 251) as u8; VALUE_BYTES].into()),
         }],
     };
     let proposal = Proposal {

@@ -735,8 +735,8 @@ mod tests {
         let ik = format!("item{sep}item{sep}");
         h.state.apply_write(
             &KvWrite {
-                key: StateKey::new(CHAINCODE_NAME, &ik),
-                value: Some(vec![0xFF]),
+                key: StateKey::new(CHAINCODE_NAME, ik),
+                value: Some(vec![0xFF].into()),
             },
             Version::new(99, 0),
         );

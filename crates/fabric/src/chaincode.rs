@@ -192,7 +192,7 @@ impl<'a> ChaincodeStub<'a> {
             });
         }
         self.stats.reads += 1;
-        let value = vv.map(|v| v.value.clone());
+        let value = vv.map(|v| v.value.to_vec());
         self.stats.bytes_read += value.as_ref().map(Vec::len).unwrap_or(0) as u64;
         value
     }
@@ -201,7 +201,7 @@ impl<'a> ChaincodeStub<'a> {
     pub fn put_state(&mut self, key: &str, value: Vec<u8>) {
         self.stats.writes += 1;
         self.stats.bytes_written += value.len() as u64;
-        self.upsert_write(key, Some(value));
+        self.upsert_write(key, Some(value.into()));
     }
 
     /// Deletes a key at commit time.
@@ -210,7 +210,7 @@ impl<'a> ChaincodeStub<'a> {
         self.upsert_write(key, None);
     }
 
-    fn upsert_write(&mut self, key: &str, value: Option<Vec<u8>>) {
+    fn upsert_write(&mut self, key: &str, value: Option<Arc<[u8]>>) {
         let skey = StateKey::new(self.ns.clone(), key);
         match self.write_index.get(&skey) {
             Some(&idx) => self.rwset.writes[idx].value = value,
@@ -229,7 +229,7 @@ impl<'a> ChaincodeStub<'a> {
         self.stats.reads += 1;
         self.stats.bytes_read += entries
             .iter()
-            .map(|e| e.value.as_ref().map(Vec::len).unwrap_or(0) as u64)
+            .map(|e| e.value.as_ref().map_or(0, |v| v.len()) as u64)
             .sum::<u64>();
         entries
     }
@@ -240,7 +240,7 @@ impl<'a> ChaincodeStub<'a> {
         for (k, vv) in self.state.range(self.namespace, start, end) {
             self.stats.scanned += 1;
             self.stats.bytes_read += vv.value.len() as u64;
-            out.push((k.key.clone(), vv.value.clone()));
+            out.push((String::from(&*k.key), vv.value.to_vec()));
         }
         out
     }
@@ -289,7 +289,7 @@ impl<'a> ChaincodeStub<'a> {
         for (k, vv) in self.state.scan_prefix(self.namespace, &prefix) {
             self.stats.scanned += 1;
             self.stats.bytes_read += vv.value.len() as u64;
-            out.push((k.key.clone(), vv.value.clone()));
+            out.push((String::from(&*k.key), vv.value.to_vec()));
         }
         Ok(out)
     }
@@ -388,7 +388,7 @@ mod tests {
         state.apply_write(
             &KvWrite {
                 key: StateKey::new("cc", "existing"),
-                value: Some(b"old".to_vec()),
+                value: Some(b"old".as_slice().into()),
             },
             Version::new(1, 0),
         );
@@ -398,7 +398,7 @@ mod tests {
             Version::new(1, 0),
             &[KvWrite {
                 key: StateKey::new("cc", "existing"),
-                value: Some(b"old".to_vec()),
+                value: Some(b"old".as_slice().into()),
             }],
         );
         let mut b = MspBuilder::new(1);
@@ -487,8 +487,8 @@ mod tests {
             let key = format!("own{COMPOSITE_SEP}{owner}{COMPOSITE_SEP}{item}{COMPOSITE_SEP}");
             state.apply_write(
                 &KvWrite {
-                    key: StateKey::new("cc", &key),
-                    value: Some(item.as_bytes().to_vec()),
+                    key: StateKey::new("cc", key.as_str()),
+                    value: Some(item.as_bytes().into()),
                 },
                 Version::new(2, 0),
             );

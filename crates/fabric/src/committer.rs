@@ -383,7 +383,7 @@ impl Committer {
     /// `block` — verdicts from a different block are a logic error.
     pub fn commit_block_prevalidated(
         &mut self,
-        mut block: Block,
+        block: Block,
         vscc: Vec<VsccVerdict>,
     ) -> Result<CommitOutcome, ChainError> {
         assert_eq!(
@@ -391,7 +391,11 @@ impl Committer {
             block.envelopes.len(),
             "one VSCC verdict per envelope"
         );
-        self.check_extends(&block)?;
+        // Structural checks come before any per-transaction work: state
+        // must not be applied from a block that does not extend the chain.
+        // The body is hashed here, once; the append below takes the
+        // checked block and does not hash it again.
+        let mut block = self.ledger.store.check_extends(block)?;
 
         let mut events = Vec::with_capacity(block.envelopes.len());
         let mut codes = Vec::with_capacity(block.envelopes.len());
@@ -450,8 +454,15 @@ impl Committer {
             });
         }
 
-        block.metadata.codes = codes;
-        self.append_committed(block);
+        block.metadata_mut().codes = codes;
+        // A failure here cannot be reported as a recoverable `Err`: it
+        // would leave the world state ahead of the block store. Nothing
+        // was appended to the store since `check_extends`, so this is
+        // unreachable unless that pairing breaks.
+        self.ledger
+            .store
+            .append_checked(block)
+            .expect("a block that passed check_extends still extends the chain");
         Ok(CommitOutcome {
             events,
             valid,
@@ -460,44 +471,6 @@ impl Committer {
             written_keys,
             dangling_parents,
         })
-    }
-
-    /// Structural checks: the block must extend the current chain. These
-    /// would also be caught by `append`, but state must not be applied
-    /// from a bad block, so they run before any per-transaction work.
-    fn check_extends(&self, block: &Block) -> Result<(), ChainError> {
-        if block.header.number != self.ledger.store.height() {
-            return Err(ChainError::WrongNumber {
-                got: block.header.number,
-                expected: self.ledger.store.height(),
-            });
-        }
-        if block.header.prev_hash != self.ledger.store.tip_hash() {
-            return Err(ChainError::BrokenLink {
-                at: block.header.number,
-            });
-        }
-        if !block.verify_data_hash() {
-            return Err(ChainError::BadDataHash {
-                at: block.header.number,
-            });
-        }
-        Ok(())
-    }
-
-    /// Appends a block whose state writes are already applied. A failure
-    /// here cannot be reported as a recoverable `Err` — it would leave the
-    /// world state ahead of the block store. [`Committer::check_extends`]
-    /// tests exactly the conditions `append` re-checks, so this is
-    /// unreachable unless that pairing breaks.
-    fn append_committed(&mut self, block: Block) {
-        self.ledger.store.append(block).unwrap_or_else(|err| {
-            panic!(
-                "invariant violated: block passed commit's structural \
-                 pre-checks (number/prev_hash/data_hash) but BlockStore::append \
-                 rejected it: {err:?}"
-            )
-        });
     }
 
     /// Rebuilds a peer's entire ledger by re-validating a persisted chain
@@ -747,7 +720,7 @@ mod tests {
             reads: vec![],
             writes: vec![KvWrite {
                 key: StateKey::new("cc", key),
-                value: Some(value.to_vec()),
+                value: Some(value.into()),
             }],
         }
     }
@@ -756,8 +729,8 @@ mod tests {
     /// serial commit loop (decode, duplicate, signatures, policy, MVCC and
     /// apply, one transaction at a time), written independently of
     /// [`Committer::vscc_block`] / [`Committer::commit_block_prevalidated`].
-    fn commit_block_reference(c: &mut Committer, mut block: Block) -> CommitOutcome {
-        c.check_extends(&block).unwrap();
+    fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
+        let mut block = c.ledger.store.check_extends(block).unwrap();
         let mut out = CommitOutcome {
             events: Vec::new(),
             valid: 0,
@@ -804,8 +777,8 @@ mod tests {
                 creator,
             });
         }
-        block.metadata.codes = codes;
-        c.append_committed(block);
+        block.metadata_mut().codes = codes;
+        c.ledger.store.append_checked(block).unwrap();
         out
     }
 
@@ -849,7 +822,7 @@ mod tests {
         assert_eq!(out.invalid, 0);
         assert_eq!(out.events[0].code, ValidationCode::Valid);
         assert_eq!(
-            c.state().get(&StateKey::new("cc", "k")).unwrap().value,
+            &*c.state().get(&StateKey::new("cc", "k")).unwrap().value,
             b"v"
         );
         assert_eq!(c.history().history(&StateKey::new("cc", "k")).len(), 1);
@@ -891,7 +864,7 @@ mod tests {
             }],
             writes: vec![KvWrite {
                 key: StateKey::new("cc", "k"),
-                value: Some(vec![nonce as u8]),
+                value: Some(vec![nonce as u8].into()),
             }],
         };
         let e1 = envelope(&n, 1, rw(1), &[0]);
@@ -900,8 +873,8 @@ mod tests {
         assert_eq!(out.events[0].code, ValidationCode::Valid);
         assert_eq!(out.events[1].code, ValidationCode::MvccReadConflict);
         assert_eq!(
-            c.state().get(&StateKey::new("cc", "k")).unwrap().value,
-            vec![1]
+            &*c.state().get(&StateKey::new("cc", "k")).unwrap().value,
+            [1]
         );
     }
 
@@ -930,20 +903,106 @@ mod tests {
     }
 
     #[test]
-    fn wrong_chain_position_rejected_without_side_effects() {
+    fn block_that_does_not_extend_the_chain_is_rejected_without_side_effects() {
+        let n = net();
+        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
+        let mut c = committer(&n, policy).with_indexer(Arc::new(TestIndexer));
+        let first = envelope(&n, 1, write_set("rec~a", b""), &[0]);
+        c.commit_block(block_of(&c, vec![first])).unwrap();
+
+        let next = || vec![envelope(&n, 2, write_set("rec~b", b"a"), &[0]).to_raw()];
+        let wrong_number = Block::build(7, c.store().tip_hash(), next());
+        let broken_link = Block::build(1, Digest::of(b"elsewhere"), next());
+        let mut bad_data_hash = Block::build(1, c.store().tip_hash(), next());
+        Arc::make_mut(&mut bad_data_hash.envelopes)[0].bytes.push(0);
+
+        let before = (
+            c.height(),
+            c.store().tip_hash(),
+            c.state().state_hash(),
+            c.history().total_entries(),
+            c.graph().digest(),
+        );
+        for (block, expected) in [
+            (
+                wrong_number,
+                ChainError::WrongNumber {
+                    got: 7,
+                    expected: 1,
+                },
+            ),
+            (broken_link, ChainError::BrokenLink { at: 1 }),
+            (bad_data_hash, ChainError::BadDataHash { at: 1 }),
+        ] {
+            assert_eq!(c.commit_block(block).unwrap_err(), expected);
+            let after = (
+                c.height(),
+                c.store().tip_hash(),
+                c.state().state_hash(),
+                c.history().total_entries(),
+                c.graph().digest(),
+            );
+            assert_eq!(after, before, "{expected:?} left a mark");
+        }
+        // The tx id of a rejected block was not recorded as seen either.
+        let out = c
+            .commit_block(Block::build(1, c.store().tip_hash(), next()))
+            .unwrap();
+        assert_eq!(out.events[0].code, ValidationCode::Valid);
+    }
+
+    #[test]
+    fn replicas_share_block_bodies_but_not_tampering() {
+        let n = net();
+        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
+        let mut a = committer(&n, policy.clone());
+        let mut b = committer(&n, policy);
+        for i in 0..4u64 {
+            let env = envelope(&n, i + 1, write_set(&format!("k{i}"), b"v"), &[0]);
+            let block = block_of(&a, vec![env]);
+            a.commit_block(block.clone()).unwrap();
+            b.commit_block(block).unwrap();
+        }
+        let body = |c: &Committer| Arc::clone(&c.store().block(2).unwrap().envelopes);
+        assert!(Arc::ptr_eq(&body(&a), &body(&b)), "one resident body");
+
+        // Rewriting history in one replica's store touches that replica
+        // only: its audit fails, the other's chain and bytes are intact.
+        let victim = a.ledger.store.tamper(2).unwrap();
+        Arc::make_mut(&mut victim.envelopes)[0].bytes = b"rewritten".to_vec();
+        assert_eq!(
+            a.store().verify_chain(),
+            Err(ChainError::BadDataHash { at: 2 })
+        );
+        b.store().verify_chain().unwrap();
+        assert!(!Arc::ptr_eq(&body(&a), &body(&b)));
+        assert_eq!(a.state().state_hash(), b.state().state_hash());
+    }
+
+    #[test]
+    fn state_and_history_hold_one_copy_of_each_key_and_value() {
         let n = net();
         let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
-        let env = envelope(&n, 1, write_set("k", b"v"), &[0]);
-        let bad = Block::build(7, Digest::ZERO, vec![env.to_raw()]);
-        assert!(matches!(
-            c.commit_block(bad),
-            Err(ChainError::WrongNumber {
-                got: 7,
-                expected: 0
-            })
-        ));
-        assert_eq!(c.height(), 0);
-        assert!(c.state().is_empty());
+        let key = StateKey::new("cc", "k");
+        for (nonce, value) in [(1, b"v1"), (2, b"v2")] {
+            let env = envelope(&n, nonce, write_set("k", value), &[0]);
+            c.commit_block(block_of(&c, vec![env])).unwrap();
+        }
+        let (state_key, held) = c.state().range("cc", "k", "").next().unwrap();
+        let (history_key, entries) = c.history().iter().next().unwrap();
+        assert_eq!(state_key, &key);
+        assert!(Arc::ptr_eq(&state_key.key, &history_key.key));
+        assert_eq!(entries.len(), 2);
+        let latest = entries[1].value.as_ref().unwrap();
+        assert_eq!(&**latest, b"v2");
+        assert!(Arc::ptr_eq(&held.value, latest));
+
+        let snapshot = c.snapshot(4);
+        snapshot.verify().unwrap();
+        assert_eq!(
+            snapshot.restore_state().state_hash(),
+            c.state().state_hash()
+        );
     }
 
     #[test]
@@ -962,7 +1021,7 @@ mod tests {
             }],
             writes: vec![KvWrite {
                 key: StateKey::new("cc", "k2"),
-                value: Some(b"w".to_vec()),
+                value: Some(b"w".as_slice().into()),
             }],
         };
         let e2 = envelope(&n, 2, rw2, &[0]);
@@ -988,7 +1047,7 @@ mod tests {
             }],
             writes: vec![KvWrite {
                 key: StateKey::new("cc", "a"),
-                value: Some(b"2".to_vec()),
+                value: Some(b"2".as_slice().into()),
             }],
         };
         let e2 = envelope(&n, 2, conflicting, &[0]);
@@ -1018,7 +1077,7 @@ mod tests {
         );
         // Same world state.
         assert_eq!(
-            rebuilt
+            &*rebuilt
                 .state()
                 .get(&StateKey::new("cc", "a"))
                 .unwrap()
@@ -1026,7 +1085,7 @@ mod tests {
             b"1"
         );
         assert_eq!(
-            rebuilt
+            &*rebuilt
                 .state()
                 .get(&StateKey::new("cc", "b"))
                 .unwrap()
@@ -1235,7 +1294,7 @@ mod tests {
 
         // Tampered state entry.
         let mut bad = good.clone();
-        bad.chunks[0].entries[0].value = b"evil".to_vec();
+        bad.chunks[0].entries[0].value = b"evil".as_slice().into();
         assert!(matches!(
             boot(&bad, ChannelId::default()),
             Err(BootstrapError::Snapshot(_))
@@ -1311,7 +1370,7 @@ mod tests {
             }],
             writes: vec![KvWrite {
                 key: StateKey::new("cc", "hot"),
-                value: Some(vec![nonce as u8]),
+                value: Some(vec![nonce as u8].into()),
             }],
         };
         let e_win = envelope(&n, 3, stale(3), &[0]);
@@ -1383,7 +1442,7 @@ mod tests {
                     0 => None,
                     _ => Some(Version::new(below(4), below(5) as u32)),
                 };
-                let value = Some(nonce.to_le_bytes().to_vec());
+                let value = Some(nonce.to_le_bytes().as_slice().into());
                 let rwset = if below(100) < 70 {
                     // Contention: read a hot key at a possibly-stale version
                     // and write it back.

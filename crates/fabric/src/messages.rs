@@ -276,9 +276,13 @@ impl Envelope {
 
     /// Serialises into the opaque [`RawEnvelope`] stored in blocks.
     pub fn to_raw(&self) -> RawEnvelope {
+        let mut bytes = self.to_bytes();
+        // A block keeps these bytes for the life of the chain, and the
+        // encoder's doubling buffer ends up to half unused.
+        bytes.shrink_to_fit();
         RawEnvelope {
             tx_id: self.tx_id(),
-            bytes: self.to_bytes(),
+            bytes,
         }
     }
 
@@ -429,7 +433,7 @@ mod tests {
             reads: vec![],
             writes: vec![KvWrite {
                 key: StateKey::new("hyperprov", "item"),
-                value: Some(b"record".to_vec()),
+                value: Some(b"record".as_slice().into()),
             }],
         };
         let env = Envelope {

@@ -1121,10 +1121,7 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
                         } else {
                             let bytes = part.wire_size() as u64;
                             if parts[idx].is_none() {
-                                parts[idx] = Some(
-                                    Arc::try_unwrap(part)
-                                        .unwrap_or_else(|shared| (*shared).clone()),
-                                );
+                                parts[idx] = Some(Arc::unwrap_or_clone(part));
                             }
                             match parts.iter().position(Option::is_none) {
                                 Some(next) => Step::RequestNext(next as u32, bytes),
@@ -1415,9 +1412,11 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
                 );
             }
         }
-        // Sole holder in the common case (the orderer's retained copy has
-        // usually been evicted by now); clone only when shared.
-        let owned = Arc::try_unwrap(block).unwrap_or_else(|shared| (*shared).clone());
+        // The orderer's retained tail and the other peers' deliveries
+        // usually still hold this block, so this is a clone: of the header
+        // and of a pointer to the shared envelopes. The validation codes the
+        // commit fills in are this peer's own.
+        let owned = Arc::unwrap_or_clone(block);
         let outcome = state
             .committer
             .borrow_mut()
@@ -1804,7 +1803,7 @@ impl<M: Carries<FabricMsg>> SoloOrdererActor<M> {
             let trace = self
                 .channel
                 .trace_name(&format!("block-{}", block.header.number));
-            for raw in &block.envelopes {
+            for raw in block.envelopes.iter() {
                 // The tx has left the cutter's pending queue.
                 ctx.span_end(&tx_trace(&raw.tx_id), "order.queue", "");
                 self.harness.request_done(ctx);
@@ -2055,7 +2054,7 @@ impl<M: Carries<FabricMsg>> RaftOrdererActor<M> {
             let trace = self
                 .channel
                 .trace_name(&format!("block-{}", block.header.number));
-            for raw in &block.envelopes {
+            for raw in block.envelopes.iter() {
                 // Queue spans close at the member that admitted the tx
                 // (see the `admitted` field), which also frees its
                 // admission slot — even if leadership moved and the

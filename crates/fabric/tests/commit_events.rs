@@ -46,7 +46,7 @@ fn envelope(client: &SigningIdentity, peer: &SigningIdentity, nonce: u64) -> Env
         reads: vec![],
         writes: vec![KvWrite {
             key: StateKey::new("cc", format!("k{nonce}")),
-            value: Some(vec![1]),
+            value: Some(vec![1].into()),
         }],
     };
     let msg = endorsement_message(&proposal.tx_id(), b"r", &rwset);

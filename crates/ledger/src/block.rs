@@ -4,11 +4,27 @@
 //! the Merkle root of the envelope digests, and `prev_hash` chains to the
 //! previous header, making any historical tamper detectable from the tip —
 //! the property HyperProv relies on for "tamper-proof" provenance.
+//!
+//! A block's envelopes are immutable once the orderer has cut it, so they
+//! are one shared body: cloning a [`Block`] copies the header and the
+//! validation codes and bumps a refcount. The orderer's retained tail,
+//! every delivery in flight and every peer's block store point at the
+//! same envelope bytes; what a peer owns of a block is its header and its
+//! own validation codes. Each holder still hashes and verifies the body
+//! itself, and changing it goes through [`Arc::make_mut`], which gives
+//! the writer a private copy and leaves every other holder's untouched.
 
-use crate::codec::{CodecError, Decode, Decoder, Encode, Encoder};
+use std::sync::Arc;
+
+use crate::codec::{
+    decode_seq, encode_seq, varint_len, CodecError, Decode, Decoder, Encode, Encoder,
+};
 use crate::hash::Digest;
 use crate::merkle::MerkleTree;
 use crate::tx::{TxId, ValidationCode};
+
+/// Encoded length of a [`Digest`] (and so of a [`TxId`]).
+const DIGEST_LEN: u64 = 32;
 
 /// An opaque, canonical-encoded transaction envelope plus its id.
 ///
@@ -27,6 +43,12 @@ impl RawEnvelope {
     /// Digest of the envelope bytes, used as a Merkle leaf.
     pub fn digest(&self) -> Digest {
         Digest::of(&self.bytes)
+    }
+
+    /// Length of the canonical encoding.
+    fn wire_size(&self) -> u64 {
+        let len = self.bytes.len() as u64;
+        DIGEST_LEN + varint_len(len) + len
     }
 }
 
@@ -57,6 +79,9 @@ pub struct BlockHeader {
 }
 
 impl BlockHeader {
+    /// Length of the canonical encoding: the number and two digests.
+    const WIRE_SIZE: u64 = 8 + 2 * DIGEST_LEN;
+
     /// The header hash that the next block chains to.
     pub fn hash(&self) -> Digest {
         self.digest()
@@ -129,8 +154,9 @@ impl Decode for BlockMetadata {
 pub struct Block {
     /// The hashed header.
     pub header: BlockHeader,
-    /// The ordered transaction envelopes.
-    pub envelopes: Vec<RawEnvelope>,
+    /// The ordered transaction envelopes: one immutable body shared by
+    /// every clone of this block.
+    pub envelopes: Arc<[RawEnvelope]>,
     /// Validation metadata; empty until the committer fills it in.
     pub metadata: BlockMetadata,
 }
@@ -138,6 +164,7 @@ pub struct Block {
 impl Block {
     /// Builds a block with the correct `data_hash` over `envelopes`.
     pub fn build(number: u64, prev_hash: Digest, envelopes: Vec<RawEnvelope>) -> Block {
+        let envelopes: Arc<[RawEnvelope]> = envelopes.into();
         let leaves: Vec<Digest> = envelopes.iter().map(RawEnvelope::digest).collect();
         Block {
             header: BlockHeader {
@@ -166,41 +193,33 @@ impl Block {
         self.envelopes.is_empty()
     }
 
-    /// Approximate wire size of the block, for network cost models.
+    /// Wire size of the block, for network and CPU cost models: the
+    /// length of its canonical encoding, added up without producing it.
     pub fn wire_size(&self) -> u64 {
-        self.to_bytes().len() as u64
+        let envelopes: u64 = self.envelopes.iter().map(RawEnvelope::wire_size).sum();
+        // Every validation code encodes as one byte.
+        let codes = self.metadata.codes.len() as u64;
+        BlockHeader::WIRE_SIZE
+            + varint_len(self.envelopes.len() as u64)
+            + envelopes
+            + varint_len(codes)
+            + codes
     }
 }
 
 impl Encode for Block {
     fn encode(&self, enc: &mut Encoder) {
         self.header.encode(enc);
-        enc.put_varint(self.envelopes.len() as u64);
-        for e in &self.envelopes {
-            e.encode(enc);
-        }
+        encode_seq(&self.envelopes, enc);
         self.metadata.encode(enc);
     }
 }
 impl Decode for Block {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let header = BlockHeader::decode(dec)?;
-        let n = dec.get_varint()?;
-        if n > dec.remaining() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: n,
-                remaining: dec.remaining(),
-            });
-        }
-        let mut envelopes = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            envelopes.push(RawEnvelope::decode(dec)?);
-        }
-        let metadata = BlockMetadata::decode(dec)?;
         Ok(Block {
-            header,
-            envelopes,
-            metadata,
+            header: BlockHeader::decode(dec)?,
+            envelopes: decode_seq(dec)?.into(),
+            metadata: BlockMetadata::decode(dec)?,
         })
     }
 }
@@ -235,8 +254,25 @@ mod tests {
     #[test]
     fn tampered_envelope_detected() {
         let mut b = Block::build(0, Digest::ZERO, vec![env(b"a"), env(b"b")]);
-        b.envelopes[1].bytes = b"tampered".to_vec();
+        Arc::make_mut(&mut b.envelopes)[1].bytes = b"tampered".to_vec();
         assert!(!b.verify_data_hash());
+    }
+
+    #[test]
+    fn clone_shares_the_body_until_one_side_writes() {
+        let original = Block::build(0, Digest::ZERO, vec![env(b"a"), env(b"b")]);
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.envelopes, &copy.envelopes));
+        // Validation codes are per holder and do not unshare the body.
+        copy.metadata.codes = vec![ValidationCode::Valid, ValidationCode::BadSignature];
+        assert!(Arc::ptr_eq(&original.envelopes, &copy.envelopes));
+        assert!(original.metadata.codes.is_empty());
+        // A write to one clone's body is private to that clone.
+        Arc::make_mut(&mut copy.envelopes)[0].bytes = b"tampered".to_vec();
+        assert!(!Arc::ptr_eq(&original.envelopes, &copy.envelopes));
+        assert!(!copy.verify_data_hash());
+        assert!(original.verify_data_hash());
+        assert_eq!(original.envelopes[0].bytes, b"a");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use crate::block::Block;
+use crate::block::{Block, BlockMetadata};
 use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::hash::Digest;
 use crate::tx::TxId;
@@ -51,6 +51,28 @@ impl fmt::Display for ChainError {
 }
 
 impl std::error::Error for ChainError {}
+
+/// A block that [`BlockStore::check_extends`] found to extend its chain:
+/// right number, right link, and a body that hashes to the header's
+/// `data_hash`. The header and body can no longer change — only the
+/// validation metadata can — so [`BlockStore::append_checked`] does not
+/// hash the body a second time.
+#[derive(Debug)]
+pub struct CheckedBlock(Block);
+
+impl CheckedBlock {
+    /// The validation metadata, for the committer to fill in.
+    pub fn metadata_mut(&mut self) -> &mut BlockMetadata {
+        &mut self.0.metadata
+    }
+}
+
+impl std::ops::Deref for CheckedBlock {
+    type Target = Block;
+    fn deref(&self) -> &Block {
+        &self.0
+    }
+}
 
 /// An append-only chain of verified blocks, optionally pruned behind a
 /// snapshot horizon.
@@ -135,7 +157,7 @@ impl BlockStore {
         let drop_n = (horizon - self.base_height) as usize;
         self.base_hash = self.blocks[drop_n - 1].header.hash();
         for block in &self.blocks[..drop_n] {
-            for env in &block.envelopes {
+            for env in block.envelopes.iter() {
                 self.tx_index.remove(&env.tx_id);
             }
         }
@@ -144,13 +166,26 @@ impl BlockStore {
         drop_n as u64
     }
 
-    /// Verifies and appends a block.
+    /// Verifies that `block` extends this chain: its number is
+    /// `height()`, its `prev_hash` is the tip, and its envelopes hash to
+    /// its `data_hash`. A committer runs this before it applies any of
+    /// the block's writes and hands the result to
+    /// [`BlockStore::append_checked`] afterwards.
     ///
     /// # Errors
     ///
-    /// Returns a [`ChainError`] if the number, link, or data hash is wrong;
-    /// the store is unchanged on error.
-    pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
+    /// Returns a [`ChainError`] if the number, link, or data hash is wrong.
+    pub fn check_extends(&self, block: Block) -> Result<CheckedBlock, ChainError> {
+        self.check_position(&block)?;
+        if !block.verify_data_hash() {
+            return Err(ChainError::BadDataHash {
+                at: block.header.number,
+            });
+        }
+        Ok(CheckedBlock(block))
+    }
+
+    fn check_position(&self, block: &Block) -> Result<(), ChainError> {
         let expected = self.height();
         if block.header.number != expected {
             return Err(ChainError::WrongNumber {
@@ -161,15 +196,46 @@ impl BlockStore {
         if block.header.prev_hash != self.tip_hash() {
             return Err(ChainError::BrokenLink { at: expected });
         }
-        if !block.verify_data_hash() {
-            return Err(ChainError::BadDataHash { at: expected });
-        }
+        Ok(())
+    }
+
+    /// Verifies and appends a block.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ChainError`] if the number, link, or data hash is wrong;
+    /// the store is unchanged on error.
+    pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
+        let checked = self.check_extends(block)?;
+        self.append_checked(checked)
+    }
+
+    /// Appends a block that passed [`BlockStore::check_extends`]. Number
+    /// and link are compared with the chain again, as it may have grown
+    /// since the check; the body is not hashed again.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ChainError`] if the block no longer extends the chain;
+    /// the store is unchanged on error.
+    pub fn append_checked(&mut self, block: CheckedBlock) -> Result<(), ChainError> {
+        let block = block.0;
+        self.check_position(&block)?;
         for (i, env) in block.envelopes.iter().enumerate() {
             self.tx_index
                 .insert(env.tx_id, (block.header.number, i as u32));
         }
         self.blocks.push(block);
         Ok(())
+    }
+
+    /// Mutable access to a retained block, past the checks `append` made —
+    /// for simulating tampering with one replica's durable chain (the
+    /// on-chain counterpart of the off-chain store's `tamper`).
+    /// [`BlockStore::verify_chain`] is what detects the result.
+    pub fn tamper(&mut self, number: u64) -> Option<&mut Block> {
+        let idx = number.checked_sub(self.base_height)?;
+        self.blocks.get_mut(idx as usize)
     }
 
     /// The block at `number`, if committed and not pruned.
@@ -305,6 +371,7 @@ impl<'a> IntoIterator for &'a BlockStore {
 mod tests {
     use super::*;
     use crate::block::RawEnvelope;
+    use std::sync::Arc;
 
     fn env(tag: &[u8]) -> RawEnvelope {
         RawEnvelope {
@@ -359,7 +426,7 @@ mod tests {
     fn bad_data_hash_rejected() {
         let mut store = chain_of(1);
         let mut bad = Block::build(1, store.tip_hash(), vec![env(b"x")]);
-        bad.envelopes[0].bytes = b"tampered".to_vec();
+        Arc::make_mut(&mut bad.envelopes)[0].bytes = b"tampered".to_vec();
         assert_eq!(store.append(bad), Err(ChainError::BadDataHash { at: 1 }));
     }
 
@@ -368,11 +435,11 @@ mod tests {
         let mut store = chain_of(5);
         assert!(store.verify_chain().is_ok());
         // Tamper with an old envelope directly.
-        store.blocks[2].envelopes[0].bytes = b"evil".to_vec();
+        Arc::make_mut(&mut store.tamper(2).unwrap().envelopes)[0].bytes = b"evil".to_vec();
         assert_eq!(store.verify_chain(), Err(ChainError::BadDataHash { at: 2 }));
         // Recompute that block's data hash to hide the tamper: the link
         // from block 3 now breaks instead.
-        let envs = store.blocks[2].envelopes.clone();
+        let envs = store.blocks[2].envelopes.to_vec();
         let rebuilt = Block::build(2, store.blocks[1].header.hash(), envs);
         store.blocks[2] = rebuilt;
         assert_eq!(store.verify_chain(), Err(ChainError::BrokenLink { at: 3 }));

@@ -8,6 +8,7 @@
 //! optional field reordering.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::hash::Digest;
 
@@ -60,6 +61,12 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// Number of bytes [`Encoder::put_varint`] writes for `v`.
+pub(crate) fn varint_len(v: u64) -> u64 {
+    // Seven payload bits per byte; zero still takes one byte.
+    u64::from((64 - (v | 1).leading_zeros()).div_ceil(7))
+}
 
 /// Serialises values into a canonical byte string.
 #[derive(Debug, Default)]
@@ -231,8 +238,9 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads a varint-length-prefixed byte string.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+    /// Reads a varint-length-prefixed byte string, borrowed from the
+    /// input.
+    fn get_slice(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.get_varint()?;
         if len > self.remaining() as u64 {
             return Err(CodecError::LengthOverrun {
@@ -240,7 +248,12 @@ impl<'a> Decoder<'a> {
                 remaining: self.remaining(),
             });
         }
-        Ok(self.take(len as usize)?.to_vec())
+        self.take(len as usize)
+    }
+
+    /// Reads a varint-length-prefixed byte string.
+    pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+        Ok(self.get_slice()?.to_vec())
     }
 
     /// Reads a varint-length-prefixed UTF-8 string.
@@ -361,6 +374,27 @@ impl Encode for Vec<u8> {
 impl Decode for Vec<u8> {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         dec.get_bytes()
+    }
+}
+
+/// Shared byte strings have the wire form of `Vec<u8>`; decoding copies
+/// the bytes once, straight into the shared allocation.
+impl Encode for Arc<[u8]> {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_bytes(self);
+    }
+}
+impl Decode for Arc<[u8]> {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(Arc::from(dec.get_slice()?))
+    }
+}
+
+/// Shared strings are read from the wire form of `String`.
+impl Decode for Arc<str> {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let text = std::str::from_utf8(dec.get_slice()?).map_err(|_| CodecError::InvalidUtf8)?;
+        Ok(Arc::from(text))
     }
 }
 
@@ -578,6 +612,35 @@ mod tests {
             Option::<String>::from_bytes(&none.to_bytes()).unwrap(),
             none
         );
+    }
+
+    #[test]
+    fn shared_strings_have_the_wire_form_of_owned_ones() {
+        for len in [0usize, 1, 127, 128, 300] {
+            let owned: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let shared: Arc<[u8]> = owned.as_slice().into();
+            assert_eq!(shared.to_bytes(), owned.to_bytes());
+            assert_eq!(Arc::<[u8]>::from_bytes(&owned.to_bytes()).unwrap(), shared);
+            assert_eq!(Some(shared).to_bytes(), Some(owned).to_bytes());
+        }
+        let owned = "héllo".to_owned();
+        assert_eq!(
+            Arc::<str>::from_bytes(&owned.to_bytes()).unwrap(),
+            Arc::from(owned.as_str())
+        );
+        assert_eq!(
+            Arc::<str>::from_bytes(&vec![0xFFu8, 0xFE].to_bytes()),
+            Err(CodecError::InvalidUtf8)
+        );
+    }
+
+    #[test]
+    fn varint_len_matches_the_encoder() {
+        for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
+            let mut enc = Encoder::new();
+            enc.put_varint(v);
+            assert_eq!(varint_len(v), enc.len() as u64, "{v}");
+        }
     }
 
     #[test]

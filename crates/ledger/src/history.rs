@@ -3,8 +3,15 @@
 //! HyperProv's provenance queries ("who edited this item, when, and what
 //! did it become") are history queries: every committed valid write is
 //! appended here, including deletions, in commit order.
+//!
+//! The index owns structure only. Keys and values are the shared strings
+//! of the [`KvWrite`] that carried them, so an entry costs its fixed
+//! fields, not a second copy of what the world state already holds; and
+//! most keys are written once, so a key's entry list starts with room for
+//! exactly one entry.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::tx::{KvWrite, StateKey, TxId, Version};
 
@@ -15,8 +22,9 @@ pub struct HistoryEntry {
     pub tx_id: TxId,
     /// Height `(block, tx)` of the write.
     pub version: Version,
-    /// Value written; `None` records a deletion.
-    pub value: Option<Vec<u8>>,
+    /// Value written (shared with the write that carried it); `None`
+    /// records a deletion.
+    pub value: Option<Arc<[u8]>>,
 }
 
 /// The history index: key → chronological list of writes.
@@ -31,7 +39,7 @@ pub struct HistoryEntry {
 /// db.append(
 ///     TxId(Digest::of(b"t1")),
 ///     Version::new(1, 0),
-///     &[KvWrite { key: key.clone(), value: Some(b"v1".to_vec()) }],
+///     &[KvWrite { key: key.clone(), value: Some(b"v1".as_slice().into()) }],
 /// );
 /// assert_eq!(db.history(&key).len(), 1);
 /// ```
@@ -50,9 +58,11 @@ impl HistoryDb {
     /// Records all writes of one valid transaction.
     pub fn append(&mut self, tx_id: TxId, version: Version, writes: &[KvWrite]) {
         for w in writes {
+            // `Vec::push` on an empty list reserves four entries; nearly
+            // every key is written once, so start at exactly one.
             self.map
                 .entry(w.key.clone())
-                .or_default()
+                .or_insert_with(|| Vec::with_capacity(1))
                 .push(HistoryEntry {
                     tx_id,
                     version,
@@ -75,8 +85,10 @@ impl HistoryDb {
     }
 
     /// Restores one key's full history, replacing any existing entries —
-    /// used when rebuilding the index from a verified snapshot.
-    pub fn restore_key(&mut self, key: StateKey, entries: Vec<HistoryEntry>) {
+    /// used when rebuilding the index from a verified snapshot. The list
+    /// is stored without spare capacity.
+    pub fn restore_key(&mut self, key: StateKey, mut entries: Vec<HistoryEntry>) {
+        entries.shrink_to_fit();
         self.total_entries += entries.len() as u64;
         if let Some(old) = self.map.insert(key, entries) {
             self.total_entries -= old.len() as u64;
@@ -102,7 +114,7 @@ mod tests {
     fn w(key: &StateKey, value: Option<&[u8]>) -> KvWrite {
         KvWrite {
             key: key.clone(),
-            value: value.map(<[u8]>::to_vec),
+            value: value.map(Arc::from),
         }
     }
 
@@ -131,6 +143,40 @@ mod tests {
         assert_eq!(h[1].value, None);
         assert_eq!(h[2].version, Version::new(3, 1));
         assert_eq!(db.total_entries(), 3);
+    }
+
+    #[test]
+    fn a_fresh_key_gets_room_for_one_entry_and_grows_in_order() {
+        let mut db = HistoryDb::new();
+        let key = StateKey::new("cc", "k");
+        db.append(
+            TxId(Digest::of(b"t0")),
+            Version::new(1, 0),
+            &[w(&key, Some(b"0"))],
+        );
+        assert_eq!(db.map[&key].capacity(), 1);
+        for i in 1..4u8 {
+            db.append(
+                TxId(Digest::of(&[i])),
+                Version::new(1 + u64::from(i), 0),
+                &[w(&key, Some(&[b'0' + i]))],
+            );
+        }
+        let values: Vec<&[u8]> = db
+            .history(&key)
+            .iter()
+            .map(|e| e.value.as_deref().unwrap())
+            .collect();
+        assert_eq!(values, [b"0", b"1", b"2", b"3"]);
+        assert_eq!(db.total_entries(), 4);
+
+        // A restored list is stored without slack, whatever it came with.
+        let mut roomy = Vec::with_capacity(16);
+        roomy.extend_from_slice(db.history(&key));
+        let mut restored = HistoryDb::new();
+        restored.restore_key(key.clone(), roomy);
+        assert_eq!(restored.map[&key].capacity(), 4);
+        assert_eq!(restored.history(&key), db.history(&key));
     }
 
     #[test]

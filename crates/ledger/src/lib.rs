@@ -36,7 +36,7 @@ mod statedb;
 mod tx;
 
 pub use block::{Block, BlockHeader, BlockMetadata, RawEnvelope};
-pub use blockstore::{BlockStore, ChainError};
+pub use blockstore::{BlockStore, ChainError, CheckedBlock};
 pub use channel::{ChannelId, ChannelLedger, DEFAULT_CHANNEL};
 pub use codec::{decode_seq, encode_seq, CodecError, Decode, Decoder, Encode, Encoder};
 pub use hash::{hmac_sha256, Digest, Sha256};

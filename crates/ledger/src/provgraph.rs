@@ -7,7 +7,8 @@
 //! record keys are interned to dense ids, backward (parents) and forward
 //! (children) adjacency lists are maintained transactionally as the
 //! committer applies writes, and traversals become in-memory BFS with
-//! depth/node budgets and cycle guards.
+//! depth/node budgets and cycle guards. A key's text is held once: the
+//! key → id map and the id → key table share one allocation per node.
 //!
 //! The index is *derived* state: it can always be rebuilt by replaying the
 //! block store (peer restart does exactly that), and [`ProvGraph::digest`]
@@ -19,6 +20,7 @@
 //! application layer) that maps committed writes to [`GraphUpdate`]s.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use crate::hash::{Digest, Sha256};
 use crate::tx::StateKey;
@@ -101,9 +103,9 @@ pub trait GraphIndexer: std::fmt::Debug {
 #[derive(Debug, Clone, Default)]
 pub struct ProvGraph {
     /// key -> interned id.
-    ids: HashMap<String, u32>,
-    /// id -> key.
-    keys: Vec<String>,
+    ids: HashMap<Arc<str>, u32>,
+    /// id -> key (the same allocation `ids` holds).
+    keys: Vec<Arc<str>>,
     /// id -> parent ids, record order, deduplicated (backward adjacency).
     parents: Vec<Vec<u32>>,
     /// id -> child ids (forward adjacency).
@@ -128,12 +130,18 @@ impl ProvGraph {
             return id;
         }
         let id = self.keys.len() as u32;
-        self.ids.insert(key.to_owned(), id);
-        self.keys.push(key.to_owned());
+        let key: Arc<str> = Arc::from(key);
+        self.ids.insert(Arc::clone(&key), id);
+        self.keys.push(key);
         self.parents.push(Vec::new());
         self.children.push(Vec::new());
         self.live.push(false);
         id
+    }
+
+    /// An owned copy of node `id`'s key, for traversal results.
+    fn key_of(&self, id: u32) -> String {
+        String::from(&*self.keys[id as usize])
     }
 
     /// Applies one update; returns how many of the inserted record's
@@ -213,7 +221,7 @@ impl ProvGraph {
         Some(
             self.parents[id as usize]
                 .iter()
-                .map(|&p| self.keys[p as usize].as_str())
+                .map(|&p| &*self.keys[p as usize])
                 .collect(),
         )
     }
@@ -286,7 +294,7 @@ impl ProvGraph {
         let mut sorted: Vec<&(u32, String)> = roots.iter().collect();
         sorted.sort_by_key(|(depth, _)| *depth);
         for (depth, key) in sorted {
-            match self.ids.get(key) {
+            match self.ids.get(key.as_str()) {
                 Some(&id) if self.live[id as usize] => {
                     if seen.insert(id) {
                         queue.push_back((*depth, id));
@@ -315,7 +323,7 @@ impl ProvGraph {
                     out.truncated = true;
                     break;
                 }
-                out.entries.push((depth, self.keys[id as usize].clone()));
+                out.entries.push((depth, self.key_of(id)));
             }
             if depth >= limits.max_depth {
                 // Depth budget exhausted: unexpanded edges remain.
@@ -333,19 +341,17 @@ impl ProvGraph {
             if direction != Direction::Descendants {
                 for &p in &self.parents[id as usize] {
                     if collect_edges {
-                        out.edges.push((
-                            self.keys[id as usize].clone(),
-                            self.keys[p as usize].clone(),
-                        ));
+                        out.edges.push((self.key_of(id), self.key_of(p)));
                     }
                     if self.live[p as usize] {
                         if seen.insert(p) {
                             queue.push_back((depth + 1, p));
                         }
                     } else {
-                        let key = &self.keys[p as usize];
-                        if boundary_seen.insert(key.clone()) {
-                            out.boundary.push((depth + 1, key.clone()));
+                        if !boundary_seen.contains(&*self.keys[p as usize]) {
+                            let key = self.key_of(p);
+                            boundary_seen.insert(key.clone());
+                            out.boundary.push((depth + 1, key));
                         }
                         // In the closure direction a placeholder still
                         // fans out to its committed children.
@@ -358,10 +364,7 @@ impl ProvGraph {
             if direction != Direction::Ancestors {
                 for &c in &self.children[id as usize] {
                     if collect_edges {
-                        out.edges.push((
-                            self.keys[c as usize].clone(),
-                            self.keys[id as usize].clone(),
-                        ));
+                        out.edges.push((self.key_of(c), self.key_of(id)));
                     }
                     if seen.insert(c) {
                         queue.push_back((depth + 1, c));

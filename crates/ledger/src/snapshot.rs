@@ -14,6 +14,7 @@
 //! compare for convergence.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::channel::ChannelId;
 use crate::codec::{decode_seq, encode_seq, CodecError, Decode, Decoder, Encode, Encoder};
@@ -90,8 +91,9 @@ impl std::error::Error for SnapshotError {}
 pub struct SnapshotEntry {
     /// The state key.
     pub key: StateKey,
-    /// The live value at capture time.
-    pub value: Vec<u8>,
+    /// The live value at capture time, shared with the world state it
+    /// was captured from.
+    pub value: Arc<[u8]>,
     /// The version that wrote it.
     pub version: Version,
 }
@@ -99,7 +101,7 @@ pub struct SnapshotEntry {
 impl Encode for SnapshotEntry {
     fn encode(&self, enc: &mut Encoder) {
         self.key.encode(enc);
-        enc.put_bytes(&self.value);
+        self.value.encode(enc);
         self.version.encode(enc);
     }
 }
@@ -108,7 +110,7 @@ impl Decode for SnapshotEntry {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(SnapshotEntry {
             key: StateKey::decode(dec)?,
-            value: dec.get_bytes()?,
+            value: Arc::<[u8]>::decode(dec)?,
             version: Version::decode(dec)?,
         })
     }
@@ -148,7 +150,7 @@ impl Decode for HistoryEntry {
         Ok(HistoryEntry {
             tx_id: TxId::decode(dec)?,
             version: Version::decode(dec)?,
-            value: Option::<Vec<u8>>::decode(dec)?,
+            value: Option::<Arc<[u8]>>::decode(dec)?,
         })
     }
 }
@@ -354,20 +356,20 @@ impl Snapshot {
         chunk_entries: usize,
     ) -> Snapshot {
         let per_chunk = chunk_entries.max(1);
-        let entries: Vec<SnapshotEntry> = state
+        let mut entries = state
             .iter()
             .map(|(k, vv)| SnapshotEntry {
                 key: k.clone(),
                 value: vv.value.clone(),
                 version: vv.version,
             })
-            .collect();
-        let chunks: Vec<SnapshotChunk> = entries
-            .chunks(per_chunk)
-            .map(|c| SnapshotChunk {
-                entries: c.to_vec(),
-            })
-            .collect();
+            .peekable();
+        let mut chunks = Vec::with_capacity(state.len().div_ceil(per_chunk));
+        while entries.peek().is_some() {
+            chunks.push(SnapshotChunk {
+                entries: entries.by_ref().take(per_chunk).collect(),
+            });
+        }
 
         let mut records: Vec<HistoryRecord> = history
             .iter()
@@ -522,7 +524,7 @@ impl Snapshot {
             for part in [
                 entry.key.namespace.as_bytes(),
                 entry.key.key.as_bytes(),
-                &entry.value,
+                &*entry.value,
             ] {
                 hasher.update(&(part.len() as u64).to_be_bytes());
                 hasher.update(part);
@@ -595,7 +597,7 @@ mod tests {
         db.apply_write(
             &KvWrite {
                 key: StateKey::new("cc", k),
-                value: Some(v.to_vec()),
+                value: Some(v.into()),
             },
             ver,
         );
@@ -619,7 +621,7 @@ mod tests {
                 ver,
                 &[KvWrite {
                     key: StateKey::new("cc", format!("k{i:03}")),
-                    value: Some(format!("v{i}").into_bytes()),
+                    value: Some(format!("v{i}").into_bytes().into()),
                 }],
             );
             seen.push(tx);
@@ -649,6 +651,45 @@ mod tests {
         back.verify().unwrap();
         assert!(snap.wire_size() > 0);
         assert!(snap.state_bytes() > 0);
+    }
+
+    #[test]
+    fn digests_match_the_owned_string_representation() {
+        // Pinned on the commit before keys and values became shared
+        // strings: neither the state hash nor the snapshot root may
+        // depend on how the bytes are held.
+        let snap = sample(5, 2);
+        assert_eq!(
+            snap.manifest.state_hash.to_hex(),
+            "effb8dd6c5a8e0bd1c8a1c9df66b562d17a843dd1d52d9f78fde847cc4ffc13d"
+        );
+        assert_eq!(
+            snap.manifest.merkle_root.to_hex(),
+            "85be8fa454af8506dbe9766f43c7426edf5a014752f5dd5e6e4e8c18acc9a437"
+        );
+    }
+
+    #[test]
+    fn capture_and_restore_share_values_with_the_state() {
+        let mut state = StateDb::new();
+        put(&mut state, "k", b"value", Version::new(1, 0));
+        let key = StateKey::new("cc", "k");
+        let snap = Snapshot::capture(
+            &ChannelId::default(),
+            2,
+            Digest::of(b"tip"),
+            &state,
+            &HistoryDb::new(),
+            vec![],
+            Digest::ZERO,
+            4,
+        );
+        snap.verify().unwrap();
+        let restored = snap.restore_state();
+        assert_eq!(restored.state_hash(), state.state_hash());
+        let held = &state.get(&key).unwrap().value;
+        assert!(Arc::ptr_eq(held, &snap.chunks[0].entries[0].value));
+        assert!(Arc::ptr_eq(held, &restored.get(&key).unwrap().value));
     }
 
     #[test]
@@ -687,7 +728,7 @@ mod tests {
     #[test]
     fn tampered_value_detected() {
         let mut snap = sample(6, 2);
-        snap.chunks[1].entries[0].value = b"evil".to_vec();
+        snap.chunks[1].entries[0].value = b"evil".as_slice().into();
         assert_eq!(
             snap.verify(),
             Err(SnapshotError::PartDigestMismatch { index: 1 })
@@ -757,7 +798,7 @@ mod tests {
         // Corrupted part.
         let mut parts: Vec<Option<SnapshotPart>> = (0..n).map(|i| snap.part(i)).collect();
         if let Some(SnapshotPart::State(c)) = parts[0].as_mut() {
-            c.entries[0].value = b"junk".to_vec();
+            c.entries[0].value = b"junk".as_slice().into();
         }
         assert_eq!(
             Snapshot::assemble(snap.manifest.clone(), parts),
@@ -777,7 +818,7 @@ mod tests {
                 ver,
                 &[KvWrite {
                     key: StateKey::new("cc", format!("k{i:02}")),
-                    value: Some(vec![i as u8; 8]),
+                    value: Some(vec![i as u8; 8].into()),
                 }],
             );
         }

@@ -7,18 +7,24 @@
 //! and 27-43 % more wall time on T-SCALE at 100k-300k keys for at most
 //! 2.4 % less RSS (DESIGN.md §10).
 //!
+//! The map owns structure only: a key and a value are the shared strings
+//! of the [`KvWrite`] that carried them, so applying a write, recording it
+//! in the history index and capturing or restoring a snapshot all bump
+//! refcounts on one allocation instead of copying its bytes.
+//!
 //! MVCC validation compares the versions recorded in a transaction's read
 //! set against this database at commit time.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::tx::{KvRead, KvWrite, StateKey, Version};
 
 /// A current state value together with the version that wrote it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedValue {
-    /// The stored bytes.
-    pub value: Vec<u8>,
+    /// The stored bytes, shared with the write that carried them.
+    pub value: Arc<[u8]>,
     /// Height `(block, tx)` of the writing transaction.
     pub version: Version,
 }
@@ -32,10 +38,10 @@ pub struct VersionedValue {
 ///
 /// let mut db = StateDb::new();
 /// db.apply_write(
-///     &KvWrite { key: StateKey::new("cc", "k"), value: Some(b"v".to_vec()) },
+///     &KvWrite { key: StateKey::new("cc", "k"), value: Some(b"v".as_slice().into()) },
 ///     Version::new(1, 0),
 /// );
-/// assert_eq!(db.get(&StateKey::new("cc", "k")).unwrap().value, b"v");
+/// assert_eq!(&*db.get(&StateKey::new("cc", "k")).unwrap().value, b"v");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StateDb {
@@ -86,7 +92,7 @@ impl StateDb {
                 self.map.insert(
                     write.key.clone(),
                     VersionedValue {
-                        value: value.clone(),
+                        value: Arc::clone(value),
                         version,
                     },
                 );
@@ -156,7 +162,7 @@ impl StateDb {
     pub fn state_hash(&self) -> crate::hash::Digest {
         let mut hasher = crate::hash::Sha256::new();
         for (key, vv) in self.iter() {
-            for part in [key.namespace.as_bytes(), key.key.as_bytes(), &vv.value] {
+            for part in [key.namespace.as_bytes(), key.key.as_bytes(), &*vv.value] {
                 hasher.update(&(part.len() as u64).to_be_bytes());
                 hasher.update(part);
             }
@@ -175,7 +181,7 @@ mod tests {
         db.apply_write(
             &KvWrite {
                 key: StateKey::new(ns, k),
-                value: Some(v.to_vec()),
+                value: Some(v.into()),
             },
             ver,
         );
@@ -185,7 +191,7 @@ mod tests {
     fn put_get_delete() {
         let mut db = StateDb::new();
         put(&mut db, "cc", "a", b"1", Version::new(1, 0));
-        assert_eq!(db.get(&StateKey::new("cc", "a")).unwrap().value, b"1");
+        assert_eq!(&*db.get(&StateKey::new("cc", "a")).unwrap().value, b"1");
         assert_eq!(
             db.version(&StateKey::new("cc", "a")),
             Some(Version::new(1, 0))
@@ -207,7 +213,7 @@ mod tests {
         put(&mut db, "cc", "a", b"1", Version::new(1, 0));
         put(&mut db, "cc", "a", b"2", Version::new(1, 1));
         let vv = db.get(&StateKey::new("cc", "a")).unwrap();
-        assert_eq!(vv.value, b"2");
+        assert_eq!(&*vv.value, b"2");
         assert_eq!(vv.version, Version::new(1, 1));
         assert_eq!(db.len(), 1);
     }
@@ -253,10 +259,13 @@ mod tests {
         }
         let keys: Vec<String> = db
             .range("cc", "k1", "k3")
-            .map(|(k, _)| k.key.clone())
+            .map(|(k, _)| k.key.to_string())
             .collect();
         assert_eq!(keys, vec!["k1", "k2"]);
-        let all: Vec<String> = db.range("cc", "", "").map(|(k, _)| k.key.clone()).collect();
+        let all: Vec<String> = db
+            .range("cc", "", "")
+            .map(|(k, _)| k.key.to_string())
+            .collect();
         assert_eq!(all, vec!["k1", "k2", "k3"]);
     }
 
@@ -270,7 +279,7 @@ mod tests {
         }
         let hits = |start: &str, end: &str| -> Vec<String> {
             db.range("cc", start, end)
-                .map(|(k, _)| k.key.clone())
+                .map(|(k, _)| k.key.to_string())
                 .collect()
         };
         assert_eq!(hits("k", "k1"), vec!["k"]);
@@ -287,7 +296,10 @@ mod tests {
         put(&mut db, "", "a", b"v", Version::new(1, 0));
         put(&mut db, "", "b", b"v", Version::new(1, 0));
         put(&mut db, "cc", "a", b"v", Version::new(1, 0));
-        let keys: Vec<String> = db.range("", "", "").map(|(k, _)| k.key.clone()).collect();
+        let keys: Vec<String> = db
+            .range("", "", "")
+            .map(|(k, _)| k.key.to_string())
+            .collect();
         assert_eq!(keys, vec!["a", "b"]);
         assert_eq!(db.scan_prefix("", "").count(), 2);
     }
@@ -303,7 +315,10 @@ mod tests {
         put(&mut db, "cc0", "a", b"v", Version::new(1, 0));
         put(&mut db, "ccx", "a", b"v", Version::new(1, 0));
         put(&mut db, "cd", "a", b"v", Version::new(1, 0));
-        let keys: Vec<String> = db.range("cc", "", "").map(|(k, _)| k.key.clone()).collect();
+        let keys: Vec<String> = db
+            .range("cc", "", "")
+            .map(|(k, _)| k.key.to_string())
+            .collect();
         assert_eq!(keys, vec!["z"], "no adjacent-namespace leakage");
         // And the neighbours still see their own keys.
         assert_eq!(db.range("cc\u{0}", "", "").count(), 1);
@@ -321,7 +336,7 @@ mod tests {
         put(&mut db, "cd", "item~b", b"v", Version::new(1, 0));
         let hits: Vec<String> = db
             .scan_prefix("cc", "zz")
-            .map(|(k, _)| k.key.clone())
+            .map(|(k, _)| k.key.to_string())
             .collect();
         assert_eq!(hits, vec!["zz"]);
         assert_eq!(db.scan_prefix("cc", "item~").count(), 1);
@@ -340,7 +355,7 @@ mod tests {
         }
         let hits: Vec<String> = db
             .scan_prefix("cc", "owner~org1~")
-            .map(|(k, _)| k.key.clone())
+            .map(|(k, _)| k.key.to_string())
             .collect();
         assert_eq!(hits, vec!["owner~org1~item1", "owner~org1~item2"]);
         assert_eq!(db.scan_prefix("cc", "nope").count(), 0);

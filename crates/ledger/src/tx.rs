@@ -180,17 +180,23 @@ impl Decode for Version {
 }
 
 /// A namespaced state key: `(chaincode namespace, key)`.
+///
+/// Both halves are shared strings, so the world state, the history index
+/// and a commit's written-key list hold one allocation per key between
+/// them: cloning a `StateKey` bumps two refcounts. It compares, orders,
+/// hashes and encodes exactly like the `(String, String)` pair it stands
+/// for.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateKey {
     /// Chaincode namespace the key belongs to (interned; see [`Ns`]).
     pub namespace: Ns,
     /// The key within the namespace.
-    pub key: String,
+    pub key: Arc<str>,
 }
 
 impl StateKey {
     /// Creates a key in a namespace.
-    pub fn new(namespace: impl Into<Ns>, key: impl Into<String>) -> Self {
+    pub fn new(namespace: impl Into<Ns>, key: impl Into<Arc<str>>) -> Self {
         StateKey {
             namespace: namespace.into(),
             key: key.into(),
@@ -214,7 +220,7 @@ impl Decode for StateKey {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(StateKey {
             namespace: Ns::intern(&dec.get_str()?),
-            key: dec.get_str()?,
+            key: Arc::<str>::decode(dec)?,
         })
     }
 }
@@ -245,12 +251,16 @@ impl Decode for KvRead {
 }
 
 /// A recorded write: the key and the new value (`None` = delete).
+///
+/// The value is a shared byte string: applying the write to the world
+/// state and appending it to the history index both keep a reference to
+/// this allocation instead of a copy of its bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvWrite {
     /// The key being written.
     pub key: StateKey,
     /// New value, or `None` for a deletion.
-    pub value: Option<Vec<u8>>,
+    pub value: Option<Arc<[u8]>>,
 }
 
 impl Encode for KvWrite {
@@ -263,7 +273,7 @@ impl Decode for KvWrite {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(KvWrite {
             key: StateKey::decode(dec)?,
-            value: Option::<Vec<u8>>::decode(dec)?,
+            value: Option::<Arc<[u8]>>::decode(dec)?,
         })
     }
 }
@@ -292,7 +302,7 @@ impl RwSet {
     pub fn write_bytes(&self) -> usize {
         self.writes
             .iter()
-            .map(|w| w.value.as_ref().map(Vec::len).unwrap_or(0))
+            .map(|w| w.value.as_ref().map_or(0, |v| v.len()))
             .sum()
     }
 }
@@ -408,7 +418,7 @@ mod tests {
             writes: vec![
                 KvWrite {
                     key: StateKey::new("cc", "k1"),
-                    value: Some(vec![1, 2, 3]),
+                    value: Some(vec![1, 2, 3].into()),
                 },
                 KvWrite {
                     key: StateKey::new("cc", "k2"),
@@ -458,6 +468,41 @@ mod tests {
         assert!(a < b);
         assert!(b < other_ns);
         assert_eq!(a.to_string(), "cc/a");
+    }
+
+    #[test]
+    fn state_key_orders_hashes_and_encodes_like_a_pair_of_strings() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn hash_of(v: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        }
+        let names = ["", "k", "k1", "k10", "k2", "l"];
+        for a in names {
+            for b in names {
+                assert_eq!(
+                    StateKey::new("cc", a).cmp(&StateKey::new("cc", b)),
+                    a.cmp(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+            // Equal keys from separate allocations hash alike, and like
+            // the (namespace, key) string pair.
+            let key = StateKey::new("cc", a);
+            assert_eq!(hash_of(&key), hash_of(&StateKey::new("cc", a.to_owned())));
+            assert_eq!(hash_of(&key), hash_of(&("cc", a)));
+            let mut pair = Encoder::new();
+            pair.put_str("cc");
+            pair.put_str(a);
+            assert_eq!(key.to_bytes(), pair.into_bytes());
+        }
+        // Pinned on the commit before the key became a shared string.
+        assert_eq!(
+            StateKey::new("cc", "k001").digest().to_hex(),
+            "1be29157f685a24f0182aa22da9f377b53650ba6314ac7d9ffc3ff8a3c30fa45"
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! under arbitrary inputs.
 
 use hyperprov_ledger::{
-    Block, BlockStore, ChannelId, Decode, Digest, Encode, Encoder, HistoryDb, KvRead, KvWrite,
-    MerkleTree, RawEnvelope, RwSet, Snapshot, StateDb, StateKey, TxId, ValidationCode, Version,
+    Block, BlockHeader, BlockMetadata, BlockStore, ChannelId, Decode, Digest, Encode, Encoder,
+    HistoryDb, KvRead, KvWrite, MerkleTree, RawEnvelope, RwSet, Snapshot, StateDb, StateKey, TxId,
+    ValidationCode, Version,
 };
 use proptest::prelude::*;
 
@@ -25,7 +26,10 @@ fn arb_write() -> impl Strategy<Value = KvWrite> {
         arb_state_key(),
         proptest::option::of(proptest::collection::vec(any::<u8>(), 0..64)),
     )
-        .prop_map(|(key, value)| KvWrite { key, value })
+        .prop_map(|(key, value)| KvWrite {
+            key,
+            value: value.map(Into::into),
+        })
 }
 
 fn arb_read() -> impl Strategy<Value = KvRead> {
@@ -127,7 +131,7 @@ proptest! {
         // After any key is overwritten at a later version, its read fails.
         if let Some(w) = writes.first() {
             db.apply_write(
-                &KvWrite { key: w.key.clone(), value: Some(vec![1]) },
+                &KvWrite { key: w.key.clone(), value: Some(vec![1].into()) },
                 Version::new(2, 0),
             );
             let stale = KvRead { key: w.key.clone(), version: reads[0].version };
@@ -216,5 +220,38 @@ proptest! {
             .collect();
         let bytes = block.to_bytes();
         prop_assert_eq!(Block::from_bytes(&bytes).unwrap(), block);
+    }
+
+    // Virtual network and CPU time are charged from `wire_size()`, which
+    // adds the length up instead of encoding the block.
+    #[test]
+    fn block_wire_size_is_the_encoded_length(
+        number in any::<u64>(),
+        body_lens in proptest::collection::vec(0usize..4097, 0..201),
+        codes in proptest::collection::vec(0u8..6, 0..201)
+    ) {
+        let envelopes: Vec<RawEnvelope> = body_lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| RawEnvelope {
+                tx_id: TxId(Digest::of(&i.to_le_bytes())),
+                bytes: vec![i as u8; len],
+            })
+            .collect();
+        let block = Block {
+            header: BlockHeader {
+                number,
+                prev_hash: Digest::of(b"prev"),
+                data_hash: Digest::of(b"data"),
+            },
+            envelopes: envelopes.into(),
+            metadata: BlockMetadata {
+                codes: codes
+                    .iter()
+                    .map(|&c| ValidationCode::from_u8(c).unwrap())
+                    .collect(),
+            },
+        };
+        prop_assert_eq!(block.wire_size(), block.to_bytes().len() as u64);
     }
 }
