@@ -7,7 +7,29 @@ set -eu
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-cargo test -q
+cargo test --workspace -q
+
+# Options audit: an option needs a caller that is not a test. Every
+# `pub fn with_*` of the product crates must be called (`.with_x(` or
+# `Type::with_x(`) from non-test source of a crate, an example or the
+# benchmark; the source is each file up to its first `#[cfg(test)]`.
+# The same pass prints the non-test line count CHANGES.md entries quote.
+src=target/options_audit.src
+find crates/*/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' >"$src"
+echo "non-test lines under crates/*/src: $(wc -l <"$src")"
+find examples benchmark/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' >>"$src"
+orphans=$(grep -rhoE 'pub fn with_[a-z_]*' \
+    crates/core/src crates/fabric/src crates/offchain/src crates/sim/src |
+    sed 's/pub fn //' | sort -u | while read -r name; do
+    grep -qE "[.:]$name\(" "$src" || echo "$name"
+done)
+rm -f "$src"
+if [ -n "$orphans" ]; then
+    echo "options no non-test code sets:" $orphans >&2
+    exit 1
+fi
 
 # The examples double as end-to-end smoke tests of the public API.
 for example in quickstart iot_edge scientific_workflow tamper_detection; do

@@ -204,16 +204,16 @@ impl OnChainNetwork {
             let committer = Rc::new(RefCell::new(Committer::for_channel(
                 "onchain-channel".into(),
                 msp.clone(),
-                ChannelPolicies::new(config.policy.clone()),
+                ChannelPolicies::new(config.endorsement_policy()),
             )));
             ledgers.push(committer.clone());
             let mut actor = PeerActor::<NodeMsg>::new(
                 identity.clone(),
                 registry.clone(),
-                committer,
                 config.costs,
                 format!("peer{i}"),
             );
+            actor.add_channel(committer, None);
             if let Some(queue) = config.peer_queue {
                 actor = actor.with_queue(queue);
             }
@@ -225,15 +225,12 @@ impl OnChainNetwork {
             let id = sim.add_actor_with_speed(Box::new(actor), config.peer_devices[i].cpu_speed);
             debug_assert_eq!(id, peer_ids[i]);
         }
-        let mut orderer_actor = SoloOrdererActor::<NodeMsg>::for_channel(
+        let orderer_actor = SoloOrdererActor::<NodeMsg>::new(
             "onchain-channel".into(),
             config.batch,
             peer_ids.clone(),
             config.costs,
         );
-        if let Some(queue) = config.orderer_queue {
-            orderer_actor = orderer_actor.with_queue(queue);
-        }
         let id = sim.add_actor_with_speed(Box::new(orderer_actor), config.orderer_device.cpu_speed);
         debug_assert_eq!(id, orderer_id);
 
@@ -247,7 +244,7 @@ impl OnChainNetwork {
                 "onchain-channel",
                 endorsers,
                 orderer_id,
-                config.endorsements_needed,
+                1,
                 config.costs,
             );
             let (client, queue) = OnChainClient::new(gateway);

@@ -14,8 +14,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use hyperprov_sim::{
-    Actor, ActorId, Admission, Carries, Context, DetRng, Event, QueueConfig, ServiceHarness,
-    SimDuration, SimTime, SpanClose,
+    Actor, ActorId, Carries, Context, DetRng, Event, QueueConfig, ServiceHarness, SimDuration,
+    SimTime, SpanClose,
 };
 use rand::Rng;
 
@@ -205,8 +205,8 @@ pub enum PowMsg {
         /// The finalized transaction.
         commit: PowCommit,
     },
-    /// The node's admission queue rejected the submission
-    /// ([`hyperprov_sim::OverloadPolicy::Nack`]); the client may retry.
+    /// The node's admission queue was full and rejected the submission;
+    /// the client may retry.
     Busy {
         /// Caller-assigned transaction id.
         id: u64,
@@ -315,13 +315,13 @@ impl Actor<PowMsg> for PowNodeActor {
     fn on_event(&mut self, ctx: &mut Context<'_, PowMsg>, event: Event<PowMsg>) {
         match event {
             Event::Message { src, msg } => match msg {
-                PowMsg::Submit { .. } => match self.harness.admit(ctx, src, msg) {
-                    Admission::Admit(PowMsg::Submit { tx }) => self.on_submit(ctx, src, tx),
-                    Admission::Nack(PowMsg::Submit { tx }) => {
+                PowMsg::Submit { tx } => {
+                    if self.harness.admit(ctx) {
+                        self.on_submit(ctx, src, tx);
+                    } else {
                         ctx.send(src, 64, PowMsg::Busy { id: tx.id });
                     }
-                    _ => {}
-                },
+                }
                 // Notifications are never addressed to the node.
                 PowMsg::Committed { .. } | PowMsg::Busy { .. } => {}
             },
@@ -461,7 +461,7 @@ mod tests {
 
     mod actor {
         use super::*;
-        use hyperprov_sim::{OverloadPolicy, Simulation};
+        use hyperprov_sim::Simulation;
         use std::cell::RefCell;
         use std::rc::Rc;
 
@@ -537,7 +537,7 @@ mod tests {
 
         #[test]
         fn bounded_mempool_nacks_past_capacity() {
-            let seen = run(10, Some(QueueConfig::new(3, OverloadPolicy::Nack)));
+            let seen = run(10, Some(QueueConfig::new(3)));
             assert!(!seen.busy.is_empty(), "expected nacks past capacity 3");
             assert_eq!(seen.commits.len() + seen.busy.len(), 10);
         }

@@ -6,14 +6,14 @@
 //! admission queues the peers nack excess proposals
 //! ([`hyperprov_fabric::BUSY_REASON`]), so this sweep drives open-loop
 //! store load past saturation on both testbeds and reports goodput,
-//! drop/nack rate and p99 queue wait: the saturation knee the paper only
+//! nack rate and p99 queue wait: the saturation knee the paper only
 //! observes qualitatively, made quantitative.
 
 use std::collections::BTreeMap;
 
 use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_fabric::BatchConfig;
-use hyperprov_sim::{DetRng, Histogram, OverloadPolicy, QueueConfig, SimDuration};
+use hyperprov_sim::{DetRng, Histogram, QueueConfig, SimDuration};
 
 use super::Platform;
 use crate::report::{breakdown_table, merge_stages, MetricsExporter};
@@ -104,7 +104,7 @@ pub fn overload_sweep(quick: bool) -> OverloadReport {
                     timeout: SimDuration::from_millis(100),
                     ..BatchConfig::default()
                 })
-                .with_peer_queue(QueueConfig::new(PEER_QUEUE_CAPACITY, OverloadPolicy::Nack));
+                .with_peer_queue(QueueConfig::new(PEER_QUEUE_CAPACITY));
             let mut net = HyperProvNetwork::build(&config);
             let mut rng = DetRng::new(7).fork("overload");
             let arrivals = uniform_arrivals(rate, duration, clients);
@@ -117,10 +117,7 @@ pub fn overload_sweep(quick: bool) -> OverloadReport {
 
             let n_peers = net.peers.len();
             let rejected: u64 = (0..n_peers)
-                .map(|i| {
-                    net.sim.metrics().counter(&format!("queue.nacked.peer{i}"))
-                        + net.sim.metrics().counter(&format!("queue.dropped.peer{i}"))
-                })
+                .map(|i| net.sim.metrics().counter(&format!("queue.nacked.peer{i}")))
                 .sum();
             let mut wait = Histogram::new();
             for i in 0..n_peers {

@@ -84,7 +84,7 @@ fn run_cell(
     slos: &[SloSpec],
     exporter: &mut MetricsExporter,
 ) -> Cell {
-    let (lanes, caches) = (pipeline.lanes, pipeline.sig_cache);
+    let (lanes, caches) = (pipeline.lanes, pipeline.caches);
     let config = match platform {
         Platform::Desktop => NetworkConfig::desktop(clients),
         Platform::Rpi => NetworkConfig::rpi(clients),
@@ -267,11 +267,7 @@ pub fn pipeline_sweep(quick: bool) -> PipelineReport {
     for &platform in &platforms {
         let mut serial_goodput = None;
         for &(lanes, caches) in &cells {
-            let pipeline = CommitPipeline {
-                lanes,
-                sig_cache: caches,
-                read_cache: caches,
-            };
+            let pipeline = CommitPipeline { lanes, caches };
             let cell = run_cell(
                 platform,
                 pipeline,

@@ -162,10 +162,10 @@ fn run_restart_cell(
     let mut actor: PeerActor<FabricMsg> = PeerActor::new(
         kit.peer.clone(),
         ChaincodeRegistry::new(),
-        committer.clone(),
         CostModel::default(),
         "peer0",
     );
+    actor.add_channel(committer.clone(), None);
     let snapshots_on = snapshots.is_some();
     if let Some(policy) = snapshots {
         actor = actor.with_snapshots(policy);

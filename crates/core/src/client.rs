@@ -26,7 +26,7 @@ use crate::record::{
     decode_history, decode_lineage, GraphSlice, HistoryRecord, LineageEntry, ProvenanceRecord,
     RecordInput,
 };
-use crate::router::{ChannelRouter, HashRouter};
+use crate::router::ChannelRouter;
 
 /// Identifies one client operation, assigned by the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -210,14 +210,6 @@ pub enum HyperProvError {
     },
     /// A response could not be decoded.
     Malformed(String),
-}
-
-impl HyperProvError {
-    /// True when the error is transient (backpressure or a deadline
-    /// expiry) and the operation may succeed if re-submitted.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, HyperProvError::Busy | HyperProvError::Timeout)
-    }
 }
 
 impl fmt::Display for HyperProvError {
@@ -433,7 +425,6 @@ struct Redo {
 struct ScatterCtx {
     op: OpId,
     started: SimTime,
-    kind: QueryKind,
     /// Responses still outstanding.
     remaining: usize,
     /// Per-gateway result slots, merged (sorted, deduplicated) at the end.
@@ -533,6 +524,19 @@ struct OpCtx {
     redo: Option<Redo>,
 }
 
+impl OpCtx {
+    /// An operation entering `state` with a fresh attempt budget.
+    fn new(op: OpId, started: SimTime, state: OpState) -> Self {
+        OpCtx {
+            op,
+            started,
+            state,
+            attempts: 0,
+            redo: None,
+        }
+    }
+}
+
 /// The span-trace key of a client operation, e.g. `"op-7"`.
 fn op_trace(op: OpId) -> String {
     format!("op-{}", op.0)
@@ -580,31 +584,15 @@ pub struct HyperProvClient {
 }
 
 impl HyperProvClient {
-    /// Creates a client bound to a single-channel gateway and a storage
-    /// node.
+    /// Creates a client with one gateway per channel (in shard-index
+    /// order; exactly one on an unsharded deployment) and a router
+    /// deciding which shard owns each item key. Keyed operations go to
+    /// the owning shard; on several channels `list` and
+    /// `get_keys_by_checksum` scatter-gather across every shard and
+    /// `get_lineage` walks parent links across shards client-side.
     ///
     /// `location_prefix` is prepended to content digests to form the
     /// on-chain `location` field (e.g. `"sshfs://store0/"`).
-    pub fn new(
-        gateway: Gateway,
-        storage: ActorId,
-        location_prefix: impl Into<String>,
-        costs: CostModel,
-    ) -> (Self, CompletionQueue) {
-        Self::sharded(
-            vec![gateway],
-            Box::new(HashRouter),
-            storage,
-            location_prefix,
-            costs,
-        )
-    }
-
-    /// Creates a client spanning several channels: one gateway per shard
-    /// (in shard-index order) and a router deciding which shard owns each
-    /// item key. Keyed operations go to the owning shard; `list` and
-    /// `get_keys_by_checksum` scatter-gather across every shard;
-    /// `get_lineage` walks parent links across shards client-side.
     ///
     /// Gateway deadline-token salts are assigned here (`index << 32`), so
     /// several gateways can share this actor's timer space; gateway 0
@@ -613,7 +601,7 @@ impl HyperProvClient {
     /// # Panics
     ///
     /// Panics if `gateways` is empty.
-    pub fn sharded(
+    pub fn new(
         gateways: Vec<Gateway>,
         router: Box<dyn ChannelRouter>,
         storage: ActorId,
@@ -741,10 +729,11 @@ impl HyperProvClient {
             }
             let attempts = op_ctx.attempts;
             ctx.metrics().incr("client.exhausted", 1);
-            self.complete(ctx, op_ctx, Err(HyperProvError::Exhausted { attempts }));
+            let exhausted = HyperProvError::Exhausted { attempts };
+            self.complete(ctx, op_ctx.op, op_ctx.started, Err(exhausted));
             return;
         }
-        self.complete(ctx, op_ctx, Err(error.into()));
+        self.complete(ctx, op_ctx.op, op_ctx.started, Err(error.into()));
     }
 
     /// A backoff timer fired: re-issue the parked operation's gateway
@@ -762,10 +751,11 @@ impl HyperProvClient {
     fn complete(
         &mut self,
         ctx: &mut Context<'_, NodeMsgOf>,
-        op_ctx: OpCtx,
+        op: OpId,
+        started: SimTime,
         outcome: Result<OpOutput, HyperProvError>,
     ) {
-        ctx.span_end(&op_trace(op_ctx.op), "op", "");
+        ctx.span_end(&op_trace(op), "op", "");
         // SLO sources: goodput objectives watch "client.ok", error-rate
         // objectives pair it with "client.err".
         ctx.slo_event(if outcome.is_ok() {
@@ -774,8 +764,8 @@ impl HyperProvClient {
             "client.err"
         });
         self.completions.borrow_mut().push_back(ClientCompletion {
-            op: op_ctx.op,
-            started: op_ctx.started,
+            op,
+            started,
             finished: ctx.now(),
             outcome,
         });
@@ -790,13 +780,7 @@ impl HyperProvClient {
             ClientCommand::Post { key, input, op } => {
                 let gw = self.route(&key);
                 let args = vec![key.into_bytes(), hyperprov_ledger::Encode::to_bytes(&input)];
-                let op_ctx = OpCtx {
-                    op,
-                    started: now,
-                    state: OpState::Commit,
-                    attempts: 0,
-                    redo: None,
-                };
+                let op_ctx = OpCtx::new(op, now, OpState::Commit);
                 self.submit_tx(ctx, op_ctx, gw, true, "post", args);
             }
             ClientCommand::StoreData {
@@ -823,19 +807,12 @@ impl HyperProvClient {
                 }
                 self.next_store_token += 1;
                 let token = self.next_store_token;
-                self.by_store_token.insert(
-                    token,
-                    OpCtx {
-                        op,
-                        started: now,
-                        state: OpState::StorePut {
-                            key,
-                            input: Box::new(input),
-                        },
-                        attempts: 0,
-                        redo: None,
-                    },
-                );
+                let state = OpState::StorePut {
+                    key,
+                    input: Box::new(input),
+                };
+                self.by_store_token
+                    .insert(token, OpCtx::new(op, now, state));
                 // Off-chain transfer phase of a StoreData, closed on the
                 // PutAck.
                 ctx.span_start(&op_trace(op), "offchain.put", "");
@@ -862,24 +839,12 @@ impl HyperProvClient {
             }
             ClientCommand::GetData { key, op } => {
                 let gw = self.route(&key);
-                let op_ctx = OpCtx {
-                    op,
-                    started: now,
-                    state: OpState::RecordThenData { check_only: false },
-                    attempts: 0,
-                    redo: None,
-                };
+                let op_ctx = OpCtx::new(op, now, OpState::RecordThenData { check_only: false });
                 self.submit_tx(ctx, op_ctx, gw, false, "get", vec![key.into_bytes()]);
             }
             ClientCommand::CheckData { key, op } => {
                 let gw = self.route(&key);
-                let op_ctx = OpCtx {
-                    op,
-                    started: now,
-                    state: OpState::RecordThenData { check_only: true },
-                    attempts: 0,
-                    redo: None,
-                };
+                let op_ctx = OpCtx::new(op, now, OpState::RecordThenData { check_only: true });
                 self.submit_tx(ctx, op_ctx, gw, false, "get", vec![key.into_bytes()]);
             }
             ClientCommand::GetHistory { key, op } => {
@@ -902,7 +867,6 @@ impl HyperProvClient {
                         op,
                         "get_keys_by_checksum",
                         vec![checksum.to_hex().into_bytes()],
-                        QueryKind::Keys,
                     );
                 } else {
                     self.start_query(
@@ -963,18 +927,12 @@ impl HyperProvClient {
             }
             ClientCommand::Delete { key, op } => {
                 let gw = self.route(&key);
-                let op_ctx = OpCtx {
-                    op,
-                    started: now,
-                    state: OpState::Commit,
-                    attempts: 0,
-                    redo: None,
-                };
+                let op_ctx = OpCtx::new(op, now, OpState::Commit);
                 self.submit_tx(ctx, op_ctx, gw, true, "delete", vec![key.into_bytes()]);
             }
             ClientCommand::List { op } => {
                 if self.gateways.len() > 1 {
-                    self.start_scatter(ctx, now, op, "list", vec![], QueryKind::List);
+                    self.start_scatter(ctx, now, op, "list", vec![]);
                 } else {
                     self.start_query(ctx, now, op, 0, "list", vec![], QueryKind::List);
                 }
@@ -993,13 +951,7 @@ impl HyperProvClient {
         args: Vec<Vec<u8>>,
         kind: QueryKind,
     ) {
-        let op_ctx = OpCtx {
-            op,
-            started: now,
-            state: OpState::Query(kind),
-            attempts: 0,
-            redo: None,
-        };
+        let op_ctx = OpCtx::new(op, now, OpState::Query(kind));
         self.submit_tx(ctx, op_ctx, gw, false, function, args);
     }
 
@@ -1012,7 +964,6 @@ impl HyperProvClient {
         op: OpId,
         function: &'static str,
         mut args: Vec<Vec<u8>>,
-        kind: QueryKind,
     ) {
         self.next_scatter += 1;
         let id = self.next_scatter;
@@ -1039,7 +990,6 @@ impl HyperProvClient {
             ScatterCtx {
                 op,
                 started: now,
-                kind,
                 remaining: n,
                 parts: vec![None; n],
                 error: None,
@@ -1090,17 +1040,7 @@ impl HyperProvClient {
                 Ok(OpOutput::Keys(keys))
             }
         };
-        self.complete(
-            ctx,
-            OpCtx {
-                op: scatter.op,
-                started: scatter.started,
-                state: OpState::Query(scatter.kind),
-                attempts: 0,
-                redo: None,
-            },
-            outcome,
-        );
+        self.complete(ctx, scatter.op, scatter.started, outcome);
     }
 
     /// Starts a cross-channel lineage traversal rooted at `key`: a
@@ -1193,11 +1133,8 @@ impl HyperProvClient {
                         .lineages
                         .remove(&id)
                         .expect("invariant: entry matched above");
-                    self.complete_lineage(
-                        ctx,
-                        lineage,
-                        Err(HyperProvError::Malformed(e.to_string())),
-                    );
+                    let error = HyperProvError::Malformed(e.to_string());
+                    self.complete(ctx, lineage.op, lineage.started, Err(error));
                     return;
                 }
             },
@@ -1208,7 +1145,7 @@ impl HyperProvClient {
                     .lineages
                     .remove(&id)
                     .expect("invariant: entry matched above");
-                self.complete_lineage(ctx, lineage, Err(error.into()));
+                self.complete(ctx, lineage.op, lineage.started, Err(error.into()));
                 return;
             }
             Err(_) => {
@@ -1222,36 +1159,17 @@ impl HyperProvClient {
                 self.fetch_lineage_key(ctx, id, &next);
             }
             None => {
-                let mut lineage = self
+                let lineage = self
                     .lineages
                     .remove(&id)
                     .expect("invariant: entry matched above");
-                let entries = std::mem::take(&mut lineage.entries);
-                let truncated = lineage.truncated;
-                self.complete_lineage(ctx, lineage, Ok(OpOutput::Lineage { entries, truncated }));
+                let output = OpOutput::Lineage {
+                    entries: lineage.entries,
+                    truncated: lineage.truncated,
+                };
+                self.complete(ctx, lineage.op, lineage.started, Ok(output));
             }
         }
-    }
-
-    fn complete_lineage(
-        &mut self,
-        ctx: &mut Context<'_, NodeMsgOf>,
-        lineage: LineageCtx,
-        outcome: Result<OpOutput, HyperProvError>,
-    ) {
-        self.complete(
-            ctx,
-            OpCtx {
-                op: lineage.op,
-                started: lineage.started,
-                state: OpState::Query(QueryKind::Lineage {
-                    max_depth: lineage.max_depth,
-                }),
-                attempts: 0,
-                redo: None,
-            },
-            outcome,
-        );
     }
 
     /// Starts a graph-index traversal rooted at `key`. On a single
@@ -1421,14 +1339,7 @@ impl HyperProvClient {
         if gctx.error.is_some() {
             let mut gctx = self.graphs.remove(&id).expect("invariant: matched above");
             let error = gctx.error.take().expect("checked above");
-            let op_ctx = OpCtx {
-                op: gctx.op,
-                started: gctx.started,
-                state: OpState::Query(QueryKind::Graph),
-                attempts: 0,
-                redo: None,
-            };
-            self.complete(ctx, op_ctx, Err(error));
+            self.complete(ctx, gctx.op, gctx.started, Err(error));
             return;
         }
         self.fold_graph_round(ctx, id);
@@ -1544,14 +1455,7 @@ impl HyperProvClient {
             edges: std::mem::take(&mut gctx.edges),
             truncated: gctx.truncated,
         };
-        let op_ctx = OpCtx {
-            op: gctx.op,
-            started: gctx.started,
-            state: OpState::Query(QueryKind::Graph),
-            attempts: 0,
-            redo: None,
-        };
-        self.complete(ctx, op_ctx, Ok(OpOutput::Graph(slice)));
+        self.complete(ctx, gctx.op, gctx.started, Ok(OpOutput::Graph(slice)));
     }
 
     fn on_gateway_event(&mut self, ctx: &mut Context<'_, NodeMsgOf>, event: GatewayEvent) {
@@ -1569,7 +1473,7 @@ impl HyperProvClient {
                     } else {
                         Err(HyperProvError::Invalidated(code))
                     };
-                    self.complete(ctx, op_ctx, outcome);
+                    self.complete(ctx, op_ctx.op, op_ctx.started, outcome);
                 }
             }
             GatewayEvent::TxFailed { tx_id, error } => {
@@ -1593,29 +1497,14 @@ impl HyperProvClient {
                 let Some(op_ctx) = self.by_tx.remove(&tx_id) else {
                     return;
                 };
-                let OpCtx {
-                    op,
-                    started,
-                    state,
-                    attempts,
-                    redo,
-                } = op_ctx;
-                let rebuilt = move |state| OpCtx {
-                    op,
-                    started,
-                    state,
-                    attempts,
-                    redo,
+                let bytes = match result {
+                    Ok(bytes) => bytes,
+                    Err(error) => return self.fail_or_retry(ctx, op_ctx, error),
                 };
-                match (result, state) {
-                    (Err(error), state) => {
-                        self.fail_or_retry(ctx, rebuilt(state), error);
-                    }
-                    (Ok(bytes), OpState::Query(kind)) => {
-                        let outcome = decode_query(kind, &bytes);
-                        self.complete(ctx, rebuilt(OpState::Query(kind)), outcome);
-                    }
-                    (Ok(bytes), OpState::RecordThenData { check_only }) => {
+                let (op, started) = (op_ctx.op, op_ctx.started);
+                let outcome = match op_ctx.state {
+                    OpState::Query(kind) => decode_query(kind, &bytes),
+                    OpState::RecordThenData { check_only } => {
                         match ProvenanceRecord::from_bytes(&bytes) {
                             Ok(record) if record.has_offchain_data() => {
                                 self.next_store_token += 1;
@@ -1628,13 +1517,11 @@ impl HyperProvClient {
                                     .next()
                                     .unwrap_or(&record.location)
                                     .to_owned();
-                                self.by_store_token.insert(
-                                    token,
-                                    rebuilt(OpState::Payload {
-                                        record: Box::new(record),
-                                        check_only,
-                                    }),
-                                );
+                                let state = OpState::Payload {
+                                    record: Box::new(record),
+                                    check_only,
+                                };
+                                self.by_store_token.insert(token, OpCtx { state, ..op_ctx });
                                 // Off-chain fetch phase of a GetData /
                                 // CheckData, closed on the GetResult.
                                 ctx.span_start(&op_trace(op), "offchain.get", "");
@@ -1642,35 +1529,19 @@ impl HyperProvClient {
                                 let bytes = msg.wire_size();
                                 let storage = self.storage;
                                 ctx.send(storage, bytes, NodeMsgOf::wrap(msg));
+                                return;
                             }
-                            Ok(_) => {
-                                self.complete(
-                                    ctx,
-                                    rebuilt(OpState::RecordThenData { check_only }),
-                                    Err(HyperProvError::Rejected(
-                                        "item has no off-chain payload".to_owned(),
-                                    )),
-                                );
-                            }
-                            Err(err) => {
-                                self.complete(
-                                    ctx,
-                                    rebuilt(OpState::RecordThenData { check_only }),
-                                    Err(HyperProvError::Malformed(err.to_string())),
-                                );
-                            }
+                            Ok(_) => Err(HyperProvError::Rejected(
+                                "item has no off-chain payload".to_owned(),
+                            )),
+                            Err(err) => Err(HyperProvError::Malformed(err.to_string())),
                         }
                     }
-                    (Ok(_), state) => {
-                        self.complete(
-                            ctx,
-                            rebuilt(state),
-                            Err(HyperProvError::Malformed(
-                                "unexpected query response".to_owned(),
-                            )),
-                        );
-                    }
-                }
+                    _ => Err(HyperProvError::Malformed(
+                        "unexpected query response".to_owned(),
+                    )),
+                };
+                self.complete(ctx, op, started, outcome);
             }
         }
     }
@@ -1695,40 +1566,15 @@ impl HyperProvClient {
                             key.into_bytes(),
                             hyperprov_ledger::Encode::to_bytes(input.as_ref()),
                         ];
-                        let op_ctx = OpCtx {
-                            op,
-                            started,
-                            state: OpState::Commit,
-                            attempts: 0,
-                            redo: None,
-                        };
+                        let op_ctx = OpCtx::new(op, started, OpState::Commit);
                         self.submit_tx(ctx, op_ctx, gw, true, "post", args);
                     }
-                    (Err(err), state) => {
-                        self.complete(
-                            ctx,
-                            OpCtx {
-                                op,
-                                started,
-                                state,
-                                attempts: 0,
-                                redo: None,
-                            },
-                            Err(HyperProvError::Storage(err)),
-                        );
+                    (Err(err), _) => {
+                        self.complete(ctx, op, started, Err(HyperProvError::Storage(err)));
                     }
-                    (Ok(()), state) => {
-                        self.complete(
-                            ctx,
-                            OpCtx {
-                                op,
-                                started,
-                                state,
-                                attempts: 0,
-                                redo: None,
-                            },
-                            Err(HyperProvError::Malformed("unexpected put ack".to_owned())),
-                        );
+                    (Ok(()), _) => {
+                        let error = HyperProvError::Malformed("unexpected put ack".to_owned());
+                        self.complete(ctx, op, started, Err(error));
                     }
                 }
             }
@@ -1772,17 +1618,7 @@ impl HyperProvClient {
                         }
                     }
                 };
-                self.complete(
-                    ctx,
-                    OpCtx {
-                        op,
-                        started,
-                        state: OpState::Commit,
-                        attempts: 0,
-                        redo: None,
-                    },
-                    outcome,
-                );
+                self.complete(ctx, op, started, outcome);
             }
             _ => {}
         }

@@ -9,12 +9,12 @@ use std::sync::Arc;
 use hyperprov_device::{link_between, DeviceProfile};
 use hyperprov_fabric::{
     BatchConfig, ChaincodeRegistry, ChannelPolicies, CommitPipeline, Committer, CostModel,
-    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, PeerActor, RaftConfig,
-    RaftOrdererActor, SigningIdentity, SnapshotPolicy, SoloOrdererActor, RAFT_TICK_TOKEN,
+    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, PeerActor, RaftOrdererActor,
+    SigningIdentity, SnapshotPolicy, SoloOrdererActor, RAFT_TICK_TOKEN,
 };
 use hyperprov_ledger::{ChannelId, DEFAULT_CHANNEL};
 use hyperprov_offchain::{MemoryStore, StorageActor, StorageCosts};
-use hyperprov_sim::{ActorId, CpuResource, QueueConfig, SimDuration, Simulation, SloSpec};
+use hyperprov_sim::{Actor, ActorId, CpuResource, QueueConfig, SimDuration, Simulation, SloSpec};
 
 use crate::chaincode::{HyperProvChaincode, HyperProvIndexer};
 use crate::client::{CompletionQueue, HyperProvClient, RetryPolicy};
@@ -36,47 +36,26 @@ pub enum OrdererMode {
 
 /// One channel (shard) of a deployment.
 ///
-/// A deployment instantiates one complete ordering pipeline per channel;
-/// peers host any subset of channels (each with its own block store,
-/// state database and history database), and clients route item keys to
-/// channels through a [`crate::ChannelRouter`].
+/// A deployment instantiates one complete ordering pipeline per channel
+/// (all in the deployment's [`NetworkConfig::orderer_mode`], under its
+/// one endorsement policy); peers host any subset of channels (each with
+/// its own block store, state database and history database), and
+/// clients route item keys to channels through a [`crate::ChannelRouter`].
 #[derive(Debug, Clone)]
 pub struct ChannelSpec {
     /// Channel name (unique within the deployment).
     pub name: String,
-    /// Ordering topology for this channel (`None` = the deployment-wide
-    /// [`NetworkConfig::orderer_mode`]).
-    pub orderer_mode: Option<OrdererMode>,
-    /// Endorsement policy for this channel (`None` = the deployment-wide
-    /// [`NetworkConfig::policy`]).
-    pub policy: Option<EndorsementPolicy>,
     /// Peer indices hosting this channel (`None` = every peer).
     pub peers: Option<Vec<usize>>,
 }
 
 impl ChannelSpec {
-    /// A channel hosted by every peer, with the deployment defaults.
+    /// A channel hosted by every peer.
     pub fn new(name: impl Into<String>) -> Self {
         ChannelSpec {
             name: name.into(),
-            orderer_mode: None,
-            policy: None,
             peers: None,
         }
-    }
-
-    /// Overrides the ordering topology for this channel.
-    #[must_use]
-    pub fn with_orderer_mode(mut self, mode: OrdererMode) -> Self {
-        self.orderer_mode = Some(mode);
-        self
-    }
-
-    /// Overrides the endorsement policy for this channel.
-    #[must_use]
-    pub fn with_policy(mut self, policy: EndorsementPolicy) -> Self {
-        self.policy = Some(policy);
-        self
     }
 
     /// Restricts the channel to a subset of peers (by peer index).
@@ -104,10 +83,6 @@ pub struct NetworkConfig {
     pub client_devices: Vec<DeviceProfile>,
     /// Orderer batching parameters.
     pub batch: BatchConfig,
-    /// Endorsement policy for the HyperProv chaincode.
-    pub policy: EndorsementPolicy,
-    /// How many endorsements clients collect before submitting.
-    pub endorsements_needed: usize,
     /// The reference CPU cost table.
     pub costs: CostModel,
     /// SSHFS service costs.
@@ -117,10 +92,6 @@ pub struct NetworkConfig {
     /// Admission-queue bound for every peer (`None` = unbounded, the
     /// paper-faithful work-at-arrival default).
     pub peer_queue: Option<QueueConfig>,
-    /// Admission-queue bound for the ordering service.
-    pub orderer_queue: Option<QueueConfig>,
-    /// Admission-queue bound for the off-chain storage node.
-    pub storage_queue: Option<QueueConfig>,
     /// Ordering-service topology (`Solo` keeps the paper-faithful layout
     /// and leaves every actor id unchanged).
     pub orderer_mode: OrdererMode,
@@ -150,7 +121,7 @@ pub struct NetworkConfig {
     /// Peer snapshot policy (`None` = snapshots, pruning and
     /// snapshot-based recovery off, the paper-faithful default). With a
     /// policy set, every peer cuts Merkle-rooted snapshots, prunes its
-    /// block store behind them (per the policy) and bootstraps restarts
+    /// block store behind them and bootstraps restarts
     /// from the latest snapshot; the other peers hosting each channel
     /// become its snapshot-catch-up providers.
     pub snapshots: Option<SnapshotPolicy>,
@@ -166,29 +137,41 @@ impl NetworkConfig {
     /// The paper's desktop testbed: two Xeon E5-1603 (one also hosting the
     /// orderer), one i7-4700MQ, one i3-2310M; SSHFS on a separate machine.
     pub fn desktop(clients: usize) -> Self {
-        let peer_devices = vec![
-            DeviceProfile::xeon_e5_1603(),
-            DeviceProfile::xeon_e5_1603(),
-            DeviceProfile::core_i7_4700mq(),
-            DeviceProfile::core_i3_2310m(),
-        ];
+        let xeon = DeviceProfile::xeon_e5_1603();
+        NetworkConfig::on_devices(
+            vec![
+                xeon.clone(),
+                xeon.clone(),
+                DeviceProfile::core_i7_4700mq(),
+                DeviceProfile::core_i3_2310m(),
+            ],
+            xeon,
+            clients,
+        )
+    }
+
+    /// The paper's edge testbed: four Raspberry Pi 3B+ devices on one
+    /// switch (one also hosts the orderer); SSHFS on a separate node.
+    pub fn rpi(clients: usize) -> Self {
+        let rpi = DeviceProfile::raspberry_pi_3b_plus();
+        NetworkConfig::on_devices(vec![rpi.clone(); 4], rpi, clients)
+    }
+
+    /// The paper's layout on the given peer devices, with the orderer,
+    /// the storage node and every client on an `other` machine each, and
+    /// every option at its default.
+    fn on_devices(peer_devices: Vec<DeviceProfile>, other: DeviceProfile, clients: usize) -> Self {
         NetworkConfig {
             seed: 1,
-            orderer_device: DeviceProfile::xeon_e5_1603(),
-            storage_device: DeviceProfile::xeon_e5_1603(),
-            client_devices: vec![DeviceProfile::xeon_e5_1603(); clients.max(1)],
-            policy: EndorsementPolicy::any_of(
-                (1..=peer_devices.len()).map(|i| MspId::new(format!("org{i}"))),
-            ),
             peer_devices,
+            orderer_device: other.clone(),
+            storage_device: other.clone(),
+            client_devices: vec![other; clients.max(1)],
             batch: BatchConfig::default(),
-            endorsements_needed: 1,
             costs: CostModel::default(),
             storage_costs: StorageCosts::default(),
             permissive: false,
             peer_queue: None,
-            orderer_queue: None,
-            storage_queue: None,
             orderer_mode: OrdererMode::Solo,
             retry: None,
             endorse_timeout: None,
@@ -201,35 +184,13 @@ impl NetworkConfig {
         }
     }
 
-    /// The paper's edge testbed: four Raspberry Pi 3B+ devices on one
-    /// switch (one also hosts the orderer); SSHFS on a separate node.
-    pub fn rpi(clients: usize) -> Self {
-        let rpi = DeviceProfile::raspberry_pi_3b_plus();
-        NetworkConfig {
-            seed: 1,
-            peer_devices: vec![rpi.clone(); 4],
-            orderer_device: rpi.clone(),
-            storage_device: rpi.clone(),
-            client_devices: vec![rpi; clients.max(1)],
-            policy: EndorsementPolicy::any_of((1..=4).map(|i| MspId::new(format!("org{i}")))),
-            batch: BatchConfig::default(),
-            endorsements_needed: 1,
-            costs: CostModel::default(),
-            storage_costs: StorageCosts::default(),
-            permissive: false,
-            peer_queue: None,
-            orderer_queue: None,
-            storage_queue: None,
-            orderer_mode: OrdererMode::Solo,
-            retry: None,
-            endorse_timeout: None,
-            commit_timeout: None,
-            channels: vec![ChannelSpec::new(DEFAULT_CHANNEL)],
-            pipeline: CommitPipeline::default(),
-            slos: Vec::new(),
-            snapshots: None,
-            spare_peers: 0,
-        }
+    /// The deployment's endorsement policy: any one of the peers' orgs
+    /// (peer `i` belongs to `org(i+1)`), so clients collect one
+    /// endorsement before submitting.
+    pub fn endorsement_policy(&self) -> EndorsementPolicy {
+        EndorsementPolicy::any_of(
+            (1..=self.peer_devices.len()).map(|i| MspId::new(format!("org{i}"))),
+        )
     }
 
     /// Sets the seed.
@@ -250,20 +211,6 @@ impl NetworkConfig {
     #[must_use]
     pub fn with_peer_queue(mut self, queue: QueueConfig) -> Self {
         self.peer_queue = Some(queue);
-        self
-    }
-
-    /// Bounds the orderer's admission queue.
-    #[must_use]
-    pub fn with_orderer_queue(mut self, queue: QueueConfig) -> Self {
-        self.orderer_queue = Some(queue);
-        self
-    }
-
-    /// Bounds the storage node's admission queue.
-    #[must_use]
-    pub fn with_storage_queue(mut self, queue: QueueConfig) -> Self {
-        self.storage_queue = Some(queue);
         self
     }
 
@@ -299,27 +246,6 @@ impl NetworkConfig {
         self
     }
 
-    /// Shards the deployment over `n` channels, every peer hosting every
-    /// channel. `n == 1` keeps the legacy channel name (and with it the
-    /// byte-identical single-channel layout); larger `n` names the shards
-    /// `hyperprov-channel-0..n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn with_channels(mut self, n: usize) -> Self {
-        assert!(n >= 1, "deployment needs at least one channel");
-        self.channels = if n == 1 {
-            vec![ChannelSpec::new(DEFAULT_CHANNEL)]
-        } else {
-            (0..n)
-                .map(|c| ChannelSpec::new(format!("{DEFAULT_CHANNEL}-{c}")))
-                .collect()
-        };
-        self
-    }
-
     /// Accelerates the peer commit path: spreads VSCC over `lanes` CPU
     /// lanes (clamped to each device's cores) and enables the requested
     /// verification caches.
@@ -338,7 +264,7 @@ impl NetworkConfig {
     }
 
     /// Replaces the channel list with explicit per-channel specifications
-    /// (names, ordering topologies, policies, hosting peers).
+    /// (names, hosting peers).
     ///
     /// # Panics
     ///
@@ -351,8 +277,8 @@ impl NetworkConfig {
     }
 
     /// Installs a peer snapshot policy: Merkle-rooted snapshots every
-    /// `policy.interval` blocks, block-store pruning behind them (per the
-    /// policy) and snapshot-based crash recovery, with the other hosting
+    /// `policy.interval` blocks, block-store pruning behind them and
+    /// snapshot-based crash recovery, with the other hosting
     /// peers of each channel acting as snapshot catch-up providers.
     #[must_use]
     pub fn with_snapshots(mut self, policy: SnapshotPolicy) -> Self {
@@ -369,18 +295,24 @@ impl NetworkConfig {
     }
 }
 
-/// Per-channel wiring a spare peer needs to join the running network.
-struct JoinChannelInfo {
+/// A shared handle to one peer's ledger of one channel.
+type Ledger = Rc<RefCell<Committer>>;
+
+/// One channel's wiring: who orders it, and which of the initial peers
+/// host it (spares added later host every channel).
+struct ChannelWiring {
     id: ChannelId,
-    policy: EndorsementPolicy,
+    hosts: Vec<usize>,
     orderers: Vec<ActorId>,
 }
 
-/// Everything needed to attach spare peers to the running network
-/// (elastic membership; see [`HyperProvNetwork::add_peer`]).
+/// Everything peers are built from — the initial ones in
+/// [`HyperProvNetwork::build`] and spares attached later by
+/// [`HyperProvNetwork::add_peer`] (elastic membership).
 struct JoinKit {
     msp: Arc<Msp>,
     registry: ChaincodeRegistry,
+    policy: EndorsementPolicy,
     costs: CostModel,
     pipeline: CommitPipeline,
     peer_queue: Option<QueueConfig>,
@@ -388,7 +320,63 @@ struct JoinKit {
     /// Pre-enrolled spare identities with their device profiles.
     spares: Vec<(SigningIdentity, DeviceProfile)>,
     next_spare: usize,
-    chan_info: Vec<JoinChannelInfo>,
+    channels: Vec<ChannelWiring>,
+}
+
+impl JoinKit {
+    /// Builds peer `index` hosting the channels in `hosted` — pairs of a
+    /// channel's shard index and the peers that can serve it snapshots
+    /// and block re-delivery (used only when the deployment runs
+    /// snapshots). Returns the actor, its CPU and one fresh ledger per
+    /// hosted channel, paired with the channel's shard index.
+    fn build_peer(
+        &self,
+        index: usize,
+        identity: SigningIdentity,
+        device: &DeviceProfile,
+        hosted: Vec<(usize, Vec<ActorId>)>,
+    ) -> (PeerActor<NodeMsg>, CpuResource, Vec<(usize, Ledger)>) {
+        // A peer gets at most as many VSCC lanes as its device has cores:
+        // an RPi cannot fan out like a Xeon.
+        let lanes = self.pipeline.lanes.clamp(1, device.cores.max(1));
+        let mut actor = PeerActor::<NodeMsg>::new(
+            identity,
+            self.registry.clone(),
+            self.costs,
+            format!("peer{index}"),
+        )
+        .with_pipeline(CommitPipeline {
+            lanes,
+            ..self.pipeline
+        });
+        if let Some(policy) = self.snapshots {
+            actor = actor.with_snapshots(policy);
+        }
+        if let Some(queue) = self.peer_queue {
+            actor = actor.with_queue(queue);
+        }
+        let mut committers = Vec::with_capacity(hosted.len());
+        for (ci, providers) in hosted {
+            let chan = &self.channels[ci];
+            let committer = Committer::for_channel(
+                chan.id.clone(),
+                self.msp.clone(),
+                ChannelPolicies::new(self.policy.clone()),
+            )
+            .with_indexer(Arc::new(HyperProvIndexer));
+            let committer = Rc::new(RefCell::new(committer));
+            actor.add_channel(
+                committer.clone(),
+                Some(chan.orderers[index % chan.orderers.len()]),
+            );
+            if self.snapshots.is_some() {
+                actor.set_snapshot_providers(&chan.id, providers);
+            }
+            committers.push((ci, committer));
+        }
+        let cpu = CpuResource::with_lanes(device.cpu_speed, lanes);
+        (actor, cpu, committers)
+    }
 }
 
 /// A built network, ready to run.
@@ -443,17 +431,8 @@ impl HyperProvNetwork {
         assert!(!config.channels.is_empty(), "need at least one channel");
         let n_peers = config.peer_devices.len();
 
-        // Resolve each channel's topology: ordering mode, endorsement
-        // policy and hosting peers (defaults fall back to the
-        // deployment-wide settings).
-        struct Chan {
-            id: ChannelId,
-            mode: OrdererMode,
-            policy: EndorsementPolicy,
-            hosts: Vec<usize>,
-            orderers: Vec<ActorId>,
-        }
-        let mut chans: Vec<Chan> = Vec::with_capacity(config.channels.len());
+        // Resolve each channel's hosting peers.
+        let mut chans: Vec<ChannelWiring> = Vec::with_capacity(config.channels.len());
         for spec in &config.channels {
             let hosts = match &spec.peers {
                 Some(list) => {
@@ -477,10 +456,8 @@ impl HyperProvNetwork {
                 "duplicate channel name {:?}",
                 spec.name
             );
-            chans.push(Chan {
+            chans.push(ChannelWiring {
                 id,
-                mode: spec.orderer_mode.unwrap_or(config.orderer_mode),
-                policy: spec.policy.clone().unwrap_or_else(|| config.policy.clone()),
                 hosts,
                 orderers: Vec::new(),
             });
@@ -527,11 +504,11 @@ impl HyperProvNetwork {
         // block in shard order, then storage and clients.
         let peer_ids: Vec<ActorId> = (0..n_peers as u32).map(ActorId).collect();
         let mut cursor = n_peers as u32;
+        let members = match config.orderer_mode {
+            OrdererMode::Solo => 1,
+            OrdererMode::Raft { members } => members.max(1),
+        };
         for chan in &mut chans {
-            let members = match chan.mode {
-                OrdererMode::Solo => 1,
-                OrdererMode::Raft { members } => members.max(1),
-            };
             chan.orderers = (0..members as u32).map(|i| ActorId(cursor + i)).collect();
             cursor += members as u32;
         }
@@ -549,65 +526,40 @@ impl HyperProvNetwork {
             vec![Vec::new(); chans.len()];
         let mut devices = Vec::new();
 
-        for (i, identity) in peer_identities.iter().enumerate() {
-            let hosted: Vec<usize> = (0..chans.len())
-                .filter(|&ci| chans[ci].hosts.contains(&i))
+        let kit = JoinKit {
+            msp,
+            registry,
+            policy: config.endorsement_policy(),
+            costs: config.costs,
+            pipeline: config.pipeline,
+            peer_queue: config.peer_queue,
+            snapshots: config.snapshots,
+            spares: spare_identities
+                .into_iter()
+                .enumerate()
+                .map(|(i, id)| (id, config.peer_devices[i % n_peers].clone()))
+                .collect(),
+            next_spare: 0,
+            channels: chans,
+        };
+        let chans = &kit.channels;
+        for (i, identity) in peer_identities.into_iter().enumerate() {
+            // The other peers hosting each channel form this peer's
+            // snapshot catch-up provider ladder.
+            let hosted: Vec<(usize, Vec<ActorId>)> = chans
+                .iter()
+                .enumerate()
+                .filter(|(_, chan)| chan.hosts.contains(&i))
+                .map(|(ci, chan)| {
+                    let others = chan.hosts.iter().filter(|&&p| p != i);
+                    (ci, others.map(|&p| peer_ids[p]).collect())
+                })
                 .collect();
-            let mut committers = Vec::with_capacity(hosted.len());
-            for &ci in &hosted {
-                let chan = &chans[ci];
-                let committer = Committer::for_channel(
-                    chan.id.clone(),
-                    msp.clone(),
-                    ChannelPolicies::new(chan.policy.clone()),
-                )
-                .with_indexer(Arc::new(HyperProvIndexer));
-                let committer = Rc::new(RefCell::new(committer));
-                channel_ledgers[ci].push((i, committer.clone()));
-                committers.push((ci, committer));
-            }
-            let (first_ci, first_committer) = committers[0].clone();
-            ledgers.push(first_committer.clone());
-            let first_chan = &chans[first_ci];
-            // A peer gets at most as many VSCC lanes as its device has
-            // cores: an RPi cannot fan out like a Xeon.
-            let lanes = config
-                .pipeline
-                .lanes
-                .clamp(1, config.peer_devices[i].cores.max(1));
-            let mut actor = PeerActor::<NodeMsg>::new(
-                identity.clone(),
-                registry.clone(),
-                first_committer,
-                config.costs,
-                format!("peer{i}"),
-            )
-            .with_pipeline(CommitPipeline {
-                lanes,
-                ..config.pipeline
-            })
-            .with_catchup_target(first_chan.orderers[i % first_chan.orderers.len()]);
-            for (ci, committer) in committers.into_iter().skip(1) {
-                let chan = &chans[ci];
-                actor.add_channel(committer, Some(chan.orderers[i % chan.orderers.len()]));
-            }
-            if let Some(policy) = config.snapshots {
-                actor = actor.with_snapshots(policy);
-                // The other peers hosting each channel form this peer's
-                // snapshot catch-up provider ladder.
-                for &ci in &hosted {
-                    let chan = &chans[ci];
-                    let providers: Vec<ActorId> = chan
-                        .hosts
-                        .iter()
-                        .filter(|&&p| p != i)
-                        .map(|&p| peer_ids[p])
-                        .collect();
-                    actor.set_snapshot_providers(&chan.id, providers);
-                }
-            }
-            if let Some(queue) = config.peer_queue {
-                actor = actor.with_queue(queue);
+            let (mut actor, cpu, committers) =
+                kit.build_peer(i, identity, &config.peer_devices[i], hosted);
+            ledgers.push(committers[0].1.clone());
+            for (ci, committer) in committers {
+                channel_ledgers[ci].push((i, committer));
             }
             // A client subscribes, for the commit events of its own
             // transactions, at its home peer on every channel it submits
@@ -620,10 +572,7 @@ impl HyperProvNetwork {
                     actor.subscribe(cid, client_identities[c].certificate().id);
                 }
             }
-            let id = sim.add_actor_with_cpu(
-                Box::new(actor),
-                CpuResource::with_lanes(config.peer_devices[i].cpu_speed, lanes),
-            );
+            let id = sim.add_actor_with_cpu(Box::new(actor), cpu);
             debug_assert_eq!(id, peer_ids[i]);
             sim.set_actor_label(id, "peer");
             devices.push(config.peer_devices[i].clone());
@@ -631,63 +580,40 @@ impl HyperProvNetwork {
 
         for (ci, chan) in chans.iter().enumerate() {
             let deliver_to: Vec<ActorId> = chan.hosts.iter().map(|&p| peer_ids[p]).collect();
-            match chan.mode {
-                OrdererMode::Solo => {
-                    let mut orderer_actor = SoloOrdererActor::<NodeMsg>::for_channel(
+            // Per-channel election seed so concurrent clusters do not elect
+            // in lock-step (channel 0 keeps the legacy seed and its exact
+            // election timeline).
+            let raft_seed = config.seed.wrapping_add(ci as u64 * 7919);
+            for (i, &expected) in chan.orderers.iter().enumerate() {
+                let actor: Box<dyn Actor<NodeMsg>> = match config.orderer_mode {
+                    OrdererMode::Solo => Box::new(SoloOrdererActor::<NodeMsg>::new(
                         chan.id.clone(),
                         config.batch,
-                        deliver_to,
+                        deliver_to.clone(),
                         config.costs,
-                    );
-                    if let Some(queue) = config.orderer_queue {
-                        orderer_actor = orderer_actor.with_queue(queue);
-                    }
-                    let id = sim.add_actor_with_speed(
-                        Box::new(orderer_actor),
-                        config.orderer_device.cpu_speed,
-                    );
-                    debug_assert_eq!(id, chan.orderers[0]);
-                    sim.set_actor_label(id, "orderer");
-                    devices.push(config.orderer_device.clone());
+                    )),
+                    OrdererMode::Raft { .. } => Box::new(RaftOrdererActor::<NodeMsg>::new(
+                        i,
+                        chan.orderers.clone(),
+                        chan.id.clone(),
+                        deliver_to.clone(),
+                        config.batch,
+                        raft_seed,
+                        config.costs,
+                    )),
+                };
+                let id = sim.add_actor_with_speed(actor, config.orderer_device.cpu_speed);
+                debug_assert_eq!(id, expected);
+                sim.set_actor_label(id, "orderer");
+                if matches!(config.orderer_mode, OrdererMode::Raft { .. }) {
+                    sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
                 }
-                OrdererMode::Raft { .. } => {
-                    // Per-channel election seed so concurrent clusters do
-                    // not elect in lock-step (channel 0 keeps the legacy
-                    // seed and its exact election timeline).
-                    let raft_seed = config.seed.wrapping_add(ci as u64 * 7919);
-                    for i in 0..chan.orderers.len() {
-                        let mut actor = RaftOrdererActor::<NodeMsg>::new(
-                            i,
-                            chan.orderers.clone(),
-                            deliver_to.clone(),
-                            config.batch,
-                            RaftConfig::default(),
-                            SimDuration::from_millis(50),
-                            raft_seed,
-                            config.costs,
-                        );
-                        if !chan.id.is_default() {
-                            actor = actor.with_channel(chan.id.clone());
-                        }
-                        if let Some(queue) = config.orderer_queue {
-                            actor = actor.with_queue(queue);
-                        }
-                        let id = sim
-                            .add_actor_with_speed(Box::new(actor), config.orderer_device.cpu_speed);
-                        debug_assert_eq!(id, chan.orderers[i]);
-                        sim.set_actor_label(id, "orderer");
-                        sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
-                        devices.push(config.orderer_device.clone());
-                    }
-                }
+                devices.push(config.orderer_device.clone());
             }
         }
 
         let store = Arc::new(MemoryStore::new());
-        let mut storage_actor = StorageActor::<NodeMsg>::new(store.clone(), config.storage_costs);
-        if let Some(queue) = config.storage_queue {
-            storage_actor = storage_actor.with_queue(queue);
-        }
+        let storage_actor = StorageActor::<NodeMsg>::new(store.clone(), config.storage_costs);
         let id = sim.add_actor_with_speed(Box::new(storage_actor), config.storage_device.cpu_speed);
         debug_assert_eq!(id, storage_id);
         sim.set_actor_label(id, "storage");
@@ -697,10 +623,10 @@ impl HyperProvNetwork {
         let mut completions = Vec::new();
         for (i, identity) in client_identities.iter().enumerate() {
             // One gateway per channel. On each channel, endorse at the
-            // client's home peer first, then the other hosting peers, so
-            // `endorsements_needed` > 1 spreads across orgs.
+            // client's home peer first, then the other hosting peers. The
+            // any-org policy needs one endorsement.
             let mut gateways = Vec::with_capacity(chans.len());
-            for chan in &chans {
+            for chan in chans {
                 let home = chan.hosts[i % chan.hosts.len()];
                 let mut endorsers = vec![peer_ids[home]];
                 endorsers.extend(
@@ -709,13 +635,12 @@ impl HyperProvNetwork {
                         .filter(|&&p| p != home)
                         .map(|&p| peer_ids[p]),
                 );
-                let needed = config.endorsements_needed.min(chan.hosts.len());
                 let mut gateway = Gateway::new(
                     identity.clone(),
                     chan.id.clone(),
                     endorsers,
                     chan.orderers[i % chan.orderers.len()],
-                    needed,
+                    1,
                     config.costs,
                 );
                 if config.endorse_timeout.is_some() || config.commit_timeout.is_some() {
@@ -723,22 +648,13 @@ impl HyperProvNetwork {
                 }
                 gateways.push(gateway);
             }
-            let (client_actor, queue) = if gateways.len() == 1 {
-                HyperProvClient::new(
-                    gateways.pop().expect("one gateway"),
-                    storage_id,
-                    "sshfs://store0/",
-                    config.costs,
-                )
-            } else {
-                HyperProvClient::sharded(
-                    gateways,
-                    Box::new(HashRouter),
-                    storage_id,
-                    "sshfs://store0/",
-                    config.costs,
-                )
-            };
+            let (client_actor, queue) = HyperProvClient::new(
+                gateways,
+                Box::new(HashRouter),
+                storage_id,
+                "sshfs://store0/",
+                config.costs,
+            );
             let client_actor = match config.retry {
                 Some(policy) => client_actor.with_retry(policy),
                 None => client_actor,
@@ -769,28 +685,7 @@ impl HyperProvNetwork {
         let channel_orderers: Vec<Vec<ActorId>> =
             chans.iter().map(|c| c.orderers.clone()).collect();
         let orderers: Vec<ActorId> = channel_orderers.iter().flatten().copied().collect();
-        let kit = JoinKit {
-            msp,
-            registry,
-            costs: config.costs,
-            pipeline: config.pipeline,
-            peer_queue: config.peer_queue,
-            snapshots: config.snapshots,
-            spares: spare_identities
-                .into_iter()
-                .enumerate()
-                .map(|(i, id)| (id, config.peer_devices[i % n_peers].clone()))
-                .collect(),
-            next_spare: 0,
-            chan_info: chans
-                .iter()
-                .map(|c| JoinChannelInfo {
-                    id: c.id.clone(),
-                    policy: c.policy.clone(),
-                    orderers: c.orderers.clone(),
-                })
-                .collect(),
-        };
+        let channels = chans.iter().map(|c| c.id.clone()).collect();
         HyperProvNetwork {
             sim,
             peers: peer_ids,
@@ -802,7 +697,7 @@ impl HyperProvNetwork {
             ledgers,
             store,
             devices,
-            channels: chans.iter().map(|c| c.id.clone()).collect(),
+            channels,
             channel_orderers,
             channel_ledgers,
             kit,
@@ -839,55 +734,16 @@ impl HyperProvNetwork {
         let (identity, device) = self.kit.spares[self.kit.next_spare].clone();
         self.kit.next_spare += 1;
         let index = self.peers.len();
-        let mut committers = Vec::with_capacity(self.kit.chan_info.len());
-        for info in &self.kit.chan_info {
-            let committer = Committer::for_channel(
-                info.id.clone(),
-                self.kit.msp.clone(),
-                ChannelPolicies::new(info.policy.clone()),
-            )
-            .with_indexer(Arc::new(HyperProvIndexer));
-            committers.push(Rc::new(RefCell::new(committer)));
-        }
-        let lanes = self.kit.pipeline.lanes.clamp(1, device.cores.max(1));
-        let first = &self.kit.chan_info[0];
-        let mut actor = PeerActor::<NodeMsg>::new(
-            identity,
-            self.kit.registry.clone(),
-            committers[0].clone(),
-            self.kit.costs,
-            format!("peer{index}"),
-        )
-        .with_pipeline(CommitPipeline {
-            lanes,
-            ..self.kit.pipeline
-        })
-        .with_catchup_target(first.orderers[index % first.orderers.len()]);
-        for (info, committer) in self.kit.chan_info.iter().zip(&committers).skip(1) {
-            actor.add_channel(
-                committer.clone(),
-                Some(info.orderers[index % info.orderers.len()]),
-            );
-        }
-        if let Some(policy) = self.kit.snapshots {
-            actor = actor.with_snapshots(policy);
-            // Every peer currently serving a channel can provide its
-            // snapshot (and block re-delivery) to the newcomer.
-            for (ci, info) in self.kit.chan_info.iter().enumerate() {
-                let providers: Vec<ActorId> = self.channel_ledgers[ci]
-                    .iter()
-                    .map(|(p, _)| self.peers[*p])
-                    .collect();
-                actor.set_snapshot_providers(&info.id, providers);
-            }
-        }
-        if let Some(queue) = self.kit.peer_queue {
-            actor = actor.with_queue(queue);
-        }
-        let id = self.sim.add_actor_with_cpu(
-            Box::new(actor),
-            CpuResource::with_lanes(device.cpu_speed, lanes),
-        );
+        // Every peer currently serving a channel can provide its snapshot
+        // (and block re-delivery) to the newcomer.
+        let hosted = self
+            .channel_ledgers
+            .iter()
+            .map(|serving| serving.iter().map(|(p, _)| self.peers[*p]).collect())
+            .enumerate()
+            .collect();
+        let (actor, cpu, committers) = self.kit.build_peer(index, identity, &device, hosted);
+        let id = self.sim.add_actor_with_cpu(Box::new(actor), cpu);
         debug_assert_eq!(id, ActorId(self.devices.len() as u32));
         self.sim.set_actor_label(id, "peer");
         // Full-mesh links to every existing device (one shared switch).
@@ -901,14 +757,14 @@ impl HyperProvNetwork {
                 .set_link(other, id, link_between(dev, &device));
         }
         self.devices.push(device);
-        for (ci, committer) in committers.iter().enumerate() {
-            self.channel_ledgers[ci].push((index, committer.clone()));
+        self.ledgers.push(committers[0].1.clone());
+        for (ci, committer) in committers {
+            self.channel_ledgers[ci].push((index, committer));
         }
-        self.ledgers.push(committers[0].clone());
         self.peers.push(id);
         // Subscribe to every channel's ordering service, then kick
         // catch-up on each hosted channel.
-        for info in &self.kit.chan_info {
+        for info in &self.kit.channels {
             for &orderer in &info.orderers {
                 self.sim.inject_message(
                     orderer,

@@ -95,15 +95,14 @@ impl HyperProv {
                 return completion.outcome;
             }
             if self.net.sim.now() >= deadline {
-                return Err(HyperProvError::Rejected(format!(
-                    "operation timed out after {OP_TIMEOUT} of virtual time"
-                )));
+                return Err(HyperProvError::Timeout);
             }
             if self.net.sim.run_events(256) == 0 {
-                // No immediately-runnable events: advance the clock so
-                // pending timers (e.g. the orderer's batch timeout) fire.
-                let now = self.net.sim.now();
-                self.net.sim.run_until(now + SimDuration::from_millis(100));
+                // No immediately-runnable events: advance the clock (not
+                // past the deadline) so pending timers, e.g. the
+                // orderer's batch timeout, fire.
+                let slice = self.net.sim.now() + SimDuration::from_millis(100);
+                self.net.sim.run_until(slice.min(deadline));
             }
         }
     }
@@ -403,4 +402,23 @@ impl HyperProv {
 
 fn unexpected(output: OpOutput) -> HyperProvError {
     HyperProvError::Malformed(format!("unexpected operation output: {output:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_operation_that_never_completes_times_out_typed() {
+        let mut hp = HyperProv::desktop();
+        hp.post("item", RecordInput::new(Digest::of(b"x")))
+            .expect("healthy network");
+        // Cut the client off from its peer: the query's proposal is lost
+        // and no completion can ever arrive.
+        let (client, peer) = (hp.network().clients[0], hp.network().peers[0]);
+        hp.network_mut().sim.network_mut().partition(client, peer);
+        let before = hp.now();
+        assert_eq!(hp.get("item"), Err(HyperProvError::Timeout));
+        assert_eq!(hp.now() - before, OP_TIMEOUT);
+    }
 }

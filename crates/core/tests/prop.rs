@@ -5,14 +5,25 @@
 use std::collections::{BTreeSet, HashMap};
 
 use hyperprov::{
-    decode_history, decode_lineage, encode_history, encode_lineage, HistoryRecord, HyperProv,
-    LineageEntry, NetworkConfig, ProvenanceRecord, RecordInput,
+    decode_history, decode_lineage, encode_history, encode_lineage, ChannelSpec, HistoryRecord,
+    HyperProv, LineageEntry, NetworkConfig, ProvenanceRecord, RecordInput,
 };
 use hyperprov_fabric::{Certificate, MspBuilder, MspId};
-use hyperprov_ledger::{Decode, Digest, Encode};
+use hyperprov_ledger::{Decode, Digest, Encode, DEFAULT_CHANNEL};
 use hyperprov_sim::DetRng;
 use proptest::prelude::*;
 use rand::Rng;
+
+/// `n` channels, every peer hosting every one; one channel keeps the
+/// default name (the unsharded layout).
+fn all_hosted(n: usize) -> Vec<ChannelSpec> {
+    if n == 1 {
+        return vec![ChannelSpec::new(DEFAULT_CHANNEL)];
+    }
+    (0..n)
+        .map(|c| ChannelSpec::new(format!("{DEFAULT_CHANNEL}-{c}")))
+        .collect()
+}
 
 fn cert() -> Certificate {
     let mut b = MspBuilder::new(1);
@@ -184,7 +195,7 @@ fn dag_index_queries_match_oracle_on_random_dags() {
 
         let mut config = NetworkConfig::desktop(1)
             .with_seed(300 + case as u64)
-            .with_channels(shards);
+            .with_channel_specs(all_hosted(shards));
         // Cross-channel parent links need the permissive chaincode; use
         // it on both layouts so the cases stay comparable.
         config.permissive = true;
@@ -253,7 +264,9 @@ fn dag_index_queries_match_oracle_on_random_dags() {
 fn dag_index_rebuild_matches_across_shards() {
     let mut rng = DetRng::new(77);
     let dag = random_dag(&mut rng, 10);
-    let mut config = NetworkConfig::desktop(1).with_seed(7).with_channels(4);
+    let mut config = NetworkConfig::desktop(1)
+        .with_seed(7)
+        .with_channel_specs(all_hosted(4));
     config.permissive = true;
     let mut hp = HyperProv::with_config(&config);
     for (key, parents) in &dag {

@@ -234,17 +234,6 @@ impl<'a> ChaincodeStub<'a> {
         entries
     }
 
-    /// Committed keys in `[start, end)` (empty `end` = to namespace end).
-    pub fn get_state_by_range(&mut self, start: &str, end: &str) -> Vec<(String, Vec<u8>)> {
-        let mut out = Vec::new();
-        for (k, vv) in self.state.range(self.namespace, start, end) {
-            self.stats.scanned += 1;
-            self.stats.bytes_read += vv.value.len() as u64;
-            out.push((String::from(&*k.key), vv.value.to_vec()));
-        }
-        out
-    }
-
     /// Builds a composite key `objectType + SEP + attr1 + SEP + ...`.
     ///
     /// # Errors

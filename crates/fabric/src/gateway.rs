@@ -14,9 +14,9 @@ use hyperprov_sim::{ActorId, Context, ServiceHarness, SimDuration, SimTime, Time
 use crate::costs::CostModel;
 use crate::identity::SigningIdentity;
 use crate::messages::{
-    tx_trace, CommitEvent, Endorsement, Envelope, Proposal, ProposalResponse, SignedProposal,
+    tx_trace, Carries, CommitEvent, Endorsement, Envelope, FabricMsg, Proposal, ProposalResponse,
+    SignedProposal, BUSY_REASON,
 };
-use crate::nodes::{Carries, FabricMsg, BUSY_REASON};
 
 /// Why a gateway operation failed before producing a commit or a query
 /// result.
@@ -27,8 +27,8 @@ pub enum GatewayError {
         /// The peer's rejection message.
         reason: String,
     },
-    /// The endorsing peer shed the request at admission (bounded queue,
-    /// `Nack` backpressure policy). The operation may succeed on retry.
+    /// The endorsing peer shed the request at admission (its bounded
+    /// queue was full). The operation may succeed on retry.
     Busy,
     /// Collected endorsements disagree on the result or read/write set.
     Mismatch,
@@ -62,11 +62,6 @@ impl GatewayError {
         } else {
             GatewayError::Query { reason }
         }
-    }
-
-    /// True when the failure is transient backpressure worth retrying.
-    pub fn is_busy(&self) -> bool {
-        matches!(self, GatewayError::Busy)
     }
 
     /// True when the failure is transient — backpressure or a deadline
@@ -305,11 +300,6 @@ impl Gateway {
     /// with several gateways to route timers to the right one).
     pub fn owns_deadline(&self, token: u64) -> bool {
         self.deadline_tx.contains_key(&token)
-    }
-
-    /// Number of transactions/queries awaiting completion.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
     }
 
     /// Builds and signs a proposal, returning it together with its tx id

@@ -26,8 +26,9 @@ mod endorser;
 mod gateway;
 mod identity;
 mod messages;
-mod nodes;
 mod orderer;
+mod ordering;
+mod peer;
 mod policy;
 mod raft;
 
@@ -41,13 +42,11 @@ pub use endorser::endorse;
 pub use gateway::{Gateway, GatewayError, GatewayEvent, GATEWAY_TOKEN_BIT};
 pub use identity::{CertId, Certificate, Msp, MspBuilder, MspId, Signature, SigningIdentity};
 pub use messages::{
-    endorsement_message, payload_checksum, tx_trace, ChaincodeEvent, CommitEvent, Endorsement,
-    Envelope, Proposal, ProposalResponse, SignedProposal,
-};
-pub use nodes::{
-    Carries, CommitPipeline, FabricMsg, PeerActor, RaftOrdererActor, SnapshotPolicy,
-    SoloOrdererActor, BUSY_REASON, RAFT_TICK_TOKEN,
+    endorsement_message, payload_checksum, tx_trace, Carries, ChaincodeEvent, CommitEvent,
+    Endorsement, Envelope, FabricMsg, Proposal, ProposalResponse, SignedProposal, BUSY_REASON,
 };
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
+pub use ordering::{RaftOrdererActor, SoloOrdererActor, RAFT_TICK_TOKEN};
+pub use peer::{CommitPipeline, PeerActor, SnapshotPolicy};
 pub use policy::EndorsementPolicy;
 pub use raft::{LogEntry, PeerIdx, RaftConfig, RaftMsg, RaftNode, RaftOutput, Role};

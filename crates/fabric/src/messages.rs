@@ -4,12 +4,17 @@
 //! All messages have a canonical encoding (hashing and signing operate on
 //! those bytes), mirroring Fabric's protobuf envelopes.
 
+use std::sync::Arc;
+
 use hyperprov_ledger::{
-    decode_seq, encode_seq, ChannelId, CodecError, Decode, Decoder, Digest, Encode, Encoder,
-    RawEnvelope, RwSet, TxId,
+    decode_seq, encode_seq, Block, ChannelId, CodecError, Decode, Decoder, Digest, Encode, Encoder,
+    RawEnvelope, RwSet, SnapshotManifest, SnapshotPart, TxId,
 };
 
+use hyperprov_sim::ActorId;
+
 use crate::identity::{CertId, Certificate, Signature};
+use crate::raft::RaftMsg;
 
 /// The span-trace key of a transaction: its full tx-id hex string.
 ///
@@ -345,6 +350,137 @@ pub struct CommitEvent {
 /// Digest of arbitrary payload bytes — convenience for checksum fields.
 pub fn payload_checksum(data: &[u8]) -> Digest {
     Digest::of(data)
+}
+
+/// Rejection reason carried by a [`ProposalResponse`] when an endorsing
+/// peer sheds a proposal at admission (its bounded queue is full).
+pub const BUSY_REASON: &str = "admission queue full";
+
+/// Messages exchanged by Fabric nodes.
+#[derive(Debug, Clone)]
+pub enum FabricMsg {
+    /// Client → endorsing peer.
+    SubmitProposal(SignedProposal),
+    /// Endorsing peer → client.
+    ProposalResult(ProposalResponse),
+    /// Client → orderer: an assembled transaction.
+    Broadcast(Envelope),
+    /// Orderer → peers: a cut block on one channel. The block is shared:
+    /// an orderer fanning one block out to N peers (plus its own retained
+    /// copy) clones an [`Arc`], not the payload.
+    DeliverBlock(ChannelId, Arc<Block>),
+    /// Peer → orderer: re-deliver blocks from a height (Fabric's deliver
+    /// service; used to catch up after partitions).
+    DeliverRequest {
+        /// Channel whose chain has the gap.
+        channel: ChannelId,
+        /// First block height the peer is missing.
+        from: u64,
+    },
+    /// Committing peer → subscribed client.
+    Commit(CommitEvent),
+    /// Orderer ↔ orderer consensus traffic.
+    Raft(Box<RaftMsg<Vec<RawEnvelope>>>),
+    /// Catch-up peer → provider peer: the snapshot catch-up protocol's
+    /// opening message, asking for the latest snapshot's manifest.
+    SnapshotRequest {
+        /// Channel to catch up on.
+        channel: ChannelId,
+    },
+    /// Provider peer → catch-up peer: the latest snapshot's manifest, or
+    /// `None` when the provider holds no snapshot (the requester then
+    /// tries its next provider or falls back to block re-delivery).
+    SnapshotOffer {
+        /// Channel the manifest describes.
+        channel: ChannelId,
+        /// The offered snapshot's manifest, if any.
+        manifest: Option<Box<SnapshotManifest>>,
+    },
+    /// Catch-up peer → provider peer: fetch one part (a state chunk or
+    /// the history/seen tail) of the offered snapshot.
+    SnapshotPartRequest {
+        /// Channel being caught up.
+        channel: ChannelId,
+        /// Height of the snapshot the part belongs to.
+        height: u64,
+        /// Part index within the snapshot's manifest.
+        index: u32,
+    },
+    /// Provider peer → catch-up peer: one snapshot part, or `None` when
+    /// the provider no longer holds a snapshot at that height.
+    SnapshotPartData {
+        /// Channel being caught up.
+        channel: ChannelId,
+        /// Height of the snapshot the part belongs to.
+        height: u64,
+        /// Part index within the snapshot's manifest.
+        index: u32,
+        /// The part's payload (shared, not cloned, on fan-out).
+        part: Option<Arc<SnapshotPart>>,
+    },
+    /// Deployment → peer: start catching up on a hosted channel (the
+    /// elastic-membership join hook for freshly added peers).
+    JoinChannel {
+        /// Channel to join.
+        channel: ChannelId,
+    },
+    /// Deployment or peer → orderer: add `peer` to the channel's block
+    /// delivery fan-out (elastic membership).
+    DeliverSubscribe {
+        /// Channel whose delivery list grows.
+        channel: ChannelId,
+        /// The peer to start delivering blocks to.
+        peer: ActorId,
+    },
+}
+
+impl FabricMsg {
+    /// Approximate wire size used by the network model.
+    pub fn wire_size(&self) -> u64 {
+        match self {
+            FabricMsg::SubmitProposal(sp) => sp.proposal.wire_size() + 32,
+            FabricMsg::ProposalResult(pr) => pr.wire_size(),
+            FabricMsg::Broadcast(env) => env.wire_size(),
+            FabricMsg::DeliverBlock(_, b) => b.wire_size(),
+            FabricMsg::DeliverRequest { .. } => 64,
+            FabricMsg::Commit(_) => 128,
+            FabricMsg::SnapshotRequest { .. } => 64,
+            FabricMsg::SnapshotOffer { manifest, .. } => {
+                64 + manifest.as_ref().map_or(0, |m| m.to_bytes().len() as u64)
+            }
+            FabricMsg::SnapshotPartRequest { .. } => 64,
+            FabricMsg::SnapshotPartData { part, .. } => {
+                64 + part.as_ref().map_or(0, |p| p.wire_size() as u64)
+            }
+            FabricMsg::JoinChannel { .. } => 64,
+            FabricMsg::DeliverSubscribe { .. } => 64,
+            FabricMsg::Raft(m) => match m.as_ref() {
+                RaftMsg::AppendEntries { entries, .. } => {
+                    128 + entries
+                        .iter()
+                        .map(|e| {
+                            e.payload
+                                .iter()
+                                .map(|r| r.bytes.len() as u64 + 40)
+                                .sum::<u64>()
+                        })
+                        .sum::<u64>()
+                }
+                _ => 64,
+            },
+        }
+    }
+}
+
+pub use hyperprov_sim::Carries;
+
+impl Carries<FabricMsg> for FabricMsg {
+    fn wrap(inner: FabricMsg) -> Self {
+        inner
+    }
+    fn peel(self) -> Result<FabricMsg, Self> {
+        Ok(self)
+    }
 }
 
 #[cfg(test)]

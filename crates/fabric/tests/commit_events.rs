@@ -82,10 +82,10 @@ fn run(n_clients: usize) -> (Vec<Vec<CommitEvent>>, [u64; 2], TxId) {
     let mut peer = PeerActor::<FabricMsg>::new(
         peer_identity.clone(),
         ChaincodeRegistry::new(),
-        committer.clone(),
         CostModel::default(),
         "peer0",
     );
+    peer.add_channel(committer.clone(), None);
     // Layout: peer 0, inboxes 1..=n.
     for (i, client) in clients.iter().enumerate() {
         peer.subscribe(ActorId(i as u32 + 1), client.certificate().id);

@@ -108,19 +108,15 @@ fn build(
             msp.clone(),
             ChannelPolicies::new(policy.clone()),
         )));
-        let mut peer = PeerActor::<FabricMsg>::new(
-            identity.clone(),
-            registry,
-            committer,
-            costs,
-            format!("p{i}"),
-        );
+        let mut peer =
+            PeerActor::<FabricMsg>::new(identity.clone(), registry, costs, format!("p{i}"));
+        peer.add_channel(committer, None);
         if i == 0 {
             peer.subscribe(client_actor, client_identity.certificate().id);
         }
         peers.push(sim.add_actor(Box::new(peer)));
     }
-    let orderer = sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::for_channel(
+    let orderer = sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
         "ch".into(),
         BatchConfig {
             max_message_count: 1,

@@ -9,9 +9,9 @@ use std::sync::Arc;
 use hyperprov_fabric::{
     BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelPolicies,
     Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayEvent, MspBuilder, MspId,
-    PeerActor, RaftConfig, RaftOrdererActor, SigningIdentity, SoloOrdererActor, RAFT_TICK_TOKEN,
+    PeerActor, RaftOrdererActor, SigningIdentity, SoloOrdererActor, RAFT_TICK_TOKEN,
 };
-use hyperprov_ledger::ValidationCode;
+use hyperprov_ledger::{ChannelId, ValidationCode};
 use hyperprov_sim::{
     Actor, ActorId, Context, Event, ServiceHarness, SimDuration, SimTime, Simulation,
 };
@@ -144,16 +144,15 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
         .iter()
         .enumerate()
         .map(|(i, identity)| {
-            PeerActor::new(
+            let mut peer = PeerActor::new(
                 identity.clone(),
                 registry.clone(),
-                Rc::new(RefCell::new(Committer::new(
-                    msp.clone(),
-                    ChannelPolicies::new(policy.clone()),
-                ))),
                 costs,
                 format!("peer{i}"),
-            )
+            );
+            let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy.clone()));
+            peer.add_channel(Rc::new(RefCell::new(ledger)), None);
+            peer
         })
         .collect();
 
@@ -165,6 +164,7 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
         peers.push(sim.add_actor(Box::new(actor)));
     }
     let orderer = sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
+        ChannelId::default(),
         batch,
         peers.clone(),
         costs,
@@ -173,7 +173,7 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     let log = Rc::new(RefCell::new(DriverLog::default()));
     let gateway = Gateway::new(
         client_id,
-        hyperprov_ledger::ChannelId::default(),
+        ChannelId::default(),
         peers.clone(),
         orderer,
         1,
@@ -284,16 +284,9 @@ fn raft_ordering_service_commits_transactions() {
     let orderer_ids: Vec<ActorId> = (1..=3).map(ActorId).collect();
     let client_actor_id = ActorId(4);
 
-    let mut peer = PeerActor::<FabricMsg>::new(
-        peer_identity,
-        registry,
-        Rc::new(RefCell::new(Committer::new(
-            msp.clone(),
-            ChannelPolicies::new(policy),
-        ))),
-        costs,
-        "peer0",
-    );
+    let mut peer = PeerActor::<FabricMsg>::new(peer_identity, registry, costs, "peer0");
+    let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
+    peer.add_channel(Rc::new(RefCell::new(ledger)), None);
     peer.subscribe(client_actor_id, client_id.certificate().id);
     let got_peer = sim.add_actor(Box::new(peer));
     assert_eq!(got_peer, peer_actor_id);
@@ -306,10 +299,9 @@ fn raft_ordering_service_commits_transactions() {
         let actor = RaftOrdererActor::<FabricMsg>::new(
             i,
             orderer_ids.clone(),
+            ChannelId::default(),
             vec![peer_actor_id],
             batch,
-            RaftConfig::default(),
-            SimDuration::from_millis(50),
             77,
             costs,
         );
@@ -322,7 +314,7 @@ fn raft_ordering_service_commits_transactions() {
     // Point the gateway at orderer 0; it redirects to the leader if needed.
     let gateway = Gateway::new(
         client_id,
-        hyperprov_ledger::ChannelId::default(),
+        ChannelId::default(),
         vec![peer_actor_id],
         orderer_ids[0],
         1,
@@ -400,21 +392,15 @@ fn endorsement_failure_reported_to_client() {
     }
 
     let mut sim = Simulation::new(3);
-    let peer = PeerActor::<FabricMsg>::new(
-        peer_identity,
-        registry,
-        Rc::new(RefCell::new(Committer::new(
-            msp.clone(),
-            ChannelPolicies::new(EndorsementPolicy::any_of([org.clone()])),
-        ))),
-        costs,
-        "peer0",
-    );
+    let mut peer = PeerActor::<FabricMsg>::new(peer_identity, registry, costs, "peer0");
+    let policy = EndorsementPolicy::any_of([org.clone()]);
+    let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
+    peer.add_channel(Rc::new(RefCell::new(ledger)), None);
     let peer_id = sim.add_actor(Box::new(peer));
     let log = Rc::new(RefCell::new(DriverLog::default()));
     let gateway = Gateway::new(
         client_id,
-        hyperprov_ledger::ChannelId::default(),
+        ChannelId::default(),
         vec![peer_id],
         peer_id,
         1,
@@ -430,4 +416,188 @@ fn endorsement_failure_reported_to_client() {
     let log = log.borrow();
     assert_eq!(log.queries.len(), 1);
     assert!(log.queries[0].as_ref().unwrap_err().contains("not found"));
+}
+
+/// Records every block delivered to it as `(sender, block number)`.
+struct DeliveryTap(Rc<RefCell<Vec<(ActorId, u64)>>>);
+impl Actor<FabricMsg> for DeliveryTap {
+    fn on_event(&mut self, _ctx: &mut Context<'_, FabricMsg>, event: Event<FabricMsg>) {
+        if let Event::Message {
+            src,
+            msg: FabricMsg::DeliverBlock(_, block),
+        } = event
+        {
+            self.0.borrow_mut().push((src, block.header.number));
+        }
+    }
+}
+
+/// The ordering front-end's deliver service and delivery subscription,
+/// on a solo orderer (`members == 1`) or a Raft cluster: two peers, one
+/// block per transaction, two closed-loop clients one after the other.
+///
+/// * Peer 1 is cut off from every ordering node for the last six of the
+///   first client's eleven blocks — fewer than the retained tail — and
+///   after the heal asks the sender of the first live block to
+///   re-deliver; it must converge with peer 0 on height and state hash.
+/// * A tap subscribed with `DeliverSubscribe` between the two clients
+///   receives every block of the second exactly once per ordering node,
+///   and none of the first.
+fn deliver_service_redelivers_and_subscribes(members: usize) {
+    let mut msp_builder = MspBuilder::new(21);
+    let org = MspId::new("org1");
+    let identities = [
+        msp_builder.enroll("peer0", &org),
+        msp_builder.enroll("peer1", &org),
+    ];
+    let client_ids = [
+        msp_builder.enroll("client0", &org),
+        msp_builder.enroll("client1", &org),
+    ];
+    let msp = msp_builder.build();
+    let mut registry = ChaincodeRegistry::new();
+    registry.install(Arc::new(CounterCc));
+    let costs = CostModel::default();
+    let policy = EndorsementPolicy::any_of([org.clone()]);
+
+    // Layout: peers 0 and 1, the tap 2, orderers 3.., then the clients.
+    let peer_ids = [ActorId(0), ActorId(1)];
+    let tap_id = ActorId(2);
+    let orderer_ids: Vec<ActorId> = (0..members as u32).map(|i| ActorId(3 + i)).collect();
+    let client_actor_ids = [ActorId(3 + members as u32), ActorId(4 + members as u32)];
+
+    let mut sim = Simulation::new(13);
+    let mut ledgers = Vec::new();
+    for (i, identity) in identities.into_iter().enumerate() {
+        let mut peer =
+            PeerActor::<FabricMsg>::new(identity, registry.clone(), costs, format!("peer{i}"));
+        let ledger = Rc::new(RefCell::new(Committer::new(
+            msp.clone(),
+            ChannelPolicies::new(policy.clone()),
+        )));
+        peer.add_channel(ledger.clone(), Some(orderer_ids[i % members]));
+        ledgers.push(ledger);
+        if i == 0 {
+            for (actor, identity) in client_actor_ids.iter().zip(&client_ids) {
+                peer.subscribe(*actor, identity.certificate().id);
+            }
+        }
+        assert_eq!(sim.add_actor(Box::new(peer)), peer_ids[i]);
+    }
+    let taps = Rc::new(RefCell::new(Vec::new()));
+    assert_eq!(sim.add_actor(Box::new(DeliveryTap(taps.clone()))), tap_id);
+    let batch = BatchConfig {
+        max_message_count: 1,
+        ..BatchConfig::default()
+    };
+    for (i, &expected) in orderer_ids.iter().enumerate() {
+        let id = if members == 1 {
+            sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
+                ChannelId::default(),
+                batch,
+                peer_ids.to_vec(),
+                costs,
+            )))
+        } else {
+            let id = sim.add_actor(Box::new(RaftOrdererActor::<FabricMsg>::new(
+                i,
+                orderer_ids.clone(),
+                ChannelId::default(),
+                peer_ids.to_vec(),
+                batch,
+                31,
+                costs,
+            )));
+            sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
+            id
+        };
+        assert_eq!(id, expected);
+    }
+    let log = Rc::new(RefCell::new(DriverLog::default()));
+    for (c, (identity, remaining)) in client_ids.into_iter().zip([11, 13]).enumerate() {
+        let driver = ClientDriver {
+            gateway: Gateway::new(
+                identity,
+                ChannelId::default(),
+                vec![peer_ids[0]],
+                orderer_ids[0],
+                1,
+                costs,
+            ),
+            harness: ServiceHarness::new("client"),
+            remaining,
+            key_of: Box::new(move |n| format!("key{c}-{n}")),
+            log: log.clone(),
+        };
+        assert_eq!(sim.add_actor(Box::new(driver)), client_actor_ids[c]);
+    }
+    // Give raft time to elect before the first client starts.
+    sim.start_timer(client_actor_ids[0], SimDuration::from_secs(5), 0);
+
+    let height = |peer: usize| ledgers[peer].borrow().height();
+    let run_to_height = |sim: &mut Simulation<FabricMsg>, target: u64| {
+        while ledgers[0].borrow().height() < target {
+            assert!(sim.run_events(1) == 1, "ran dry below height {target}");
+        }
+    };
+
+    run_to_height(&mut sim, 5);
+    sim.network_mut()
+        .partition_groups(&[peer_ids[1]], &orderer_ids);
+    run_to_height(&mut sim, 11);
+    // The first client is done: let every ordering node apply its last
+    // block before the heal and the subscription.
+    sim.run_until(sim.now() + SimDuration::from_secs(5));
+    assert_eq!(height(0), 11);
+    assert!(height(1) <= 5, "peer 1 kept receiving blocks");
+    sim.network_mut().heal_all();
+    for &orderer in &orderer_ids {
+        let subscribe = FabricMsg::DeliverSubscribe {
+            channel: ChannelId::default(),
+            peer: tap_id,
+        };
+        sim.inject_message(orderer, subscribe);
+    }
+    sim.start_timer(client_actor_ids[1], SimDuration::from_secs(1), 0);
+    sim.run_until(sim.now() + SimDuration::from_secs(120));
+
+    assert_eq!(
+        log.borrow().committed.len(),
+        24,
+        "{:?}",
+        log.borrow().failed
+    );
+    assert_eq!(height(0), 24);
+    assert_eq!(height(1), 24, "the cut-off peer caught up");
+    assert_eq!(
+        ledgers[1].borrow().state().state_hash(),
+        ledgers[0].borrow().state().state_hash()
+    );
+    let metrics = sim.metrics();
+    assert!(metrics.counter("peer1.catchup_requests") >= 1);
+    assert!(metrics.counter("orderer.deliver_requests") >= 1);
+    assert_eq!(metrics.counter("orderer.subscriptions"), members as u64);
+
+    let taps = taps.borrow();
+    for &orderer in &orderer_ids {
+        let mut got: Vec<u64> = taps
+            .iter()
+            .filter(|&&(src, _)| src == orderer)
+            .map(|&(_, n)| n)
+            .collect();
+        got.sort_unstable();
+        let later: Vec<u64> = (11..24).collect();
+        assert_eq!(got, later, "deliveries from {orderer}");
+    }
+    assert_eq!(taps.len(), 13 * members);
+}
+
+#[test]
+fn solo_deliver_service_redelivers_and_subscribes() {
+    deliver_service_redelivers_and_subscribes(1);
+}
+
+#[test]
+fn raft_deliver_service_redelivers_and_subscribes() {
+    deliver_service_redelivers_and_subscribes(3);
 }

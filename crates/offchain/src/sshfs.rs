@@ -9,8 +9,7 @@
 use std::sync::Arc;
 
 use hyperprov_sim::{
-    Actor, ActorId, Admission, Carries, Context, Event, QueueConfig, ServiceHarness, SimDuration,
-    SpanClose,
+    Actor, ActorId, Carries, Context, Event, ServiceHarness, SimDuration, SpanClose,
 };
 
 use crate::store::{ObjectStore, StoreError};
@@ -149,18 +148,6 @@ impl<M: Carries<StoreMsg>> StorageActor<M> {
         }
     }
 
-    /// Bounds the node's admission queue.
-    ///
-    /// Under [`hyperprov_sim::OverloadPolicy::Nack`], rejected puts and
-    /// gets are acked with [`StoreError::Busy`]; a rejected delete has no
-    /// error channel in its ack, so it is dropped (counted under
-    /// `storage.nacked_deletes`) and the caller sees a timeout.
-    #[must_use]
-    pub fn with_queue(mut self, config: QueueConfig) -> Self {
-        self.harness.set_queue(config);
-        self
-    }
-
     /// The backing store (shared with e.g. audit code).
     pub fn store(&self) -> &Arc<dyn ObjectStore> {
         &self.store
@@ -178,12 +165,11 @@ impl<M: Carries<StoreMsg>> StorageActor<M> {
         // number disambiguates concurrent operations on one object.
         let name = reply.object_name().to_owned();
         ctx.span_start(&name, "offchain.server", &job.to_string());
-        let close = SpanClose::new(name.clone(), "offchain.server", job.to_string());
+        let close = SpanClose::new(name, "offchain.server", job.to_string());
         let bytes = reply.wire_size();
-        self.harness.defer_request(
+        self.harness.defer(
             ctx,
             self.costs.service_time(bytes_moved),
-            &name,
             vec![(dst, bytes, M::wrap(reply))],
             vec![close],
         );
@@ -232,65 +218,14 @@ impl<M: Carries<StoreMsg>> StorageActor<M> {
             StoreMsg::PutAck { .. } | StoreMsg::GetResult { .. } | StoreMsg::DeleteAck { .. } => {}
         }
     }
-
-    /// Sends an immediate busy rejection for a request the admission queue
-    /// turned away. Nacks skip the service queue entirely (the SSH server
-    /// refuses the channel before any I/O happens), so no CPU is charged.
-    fn nack(&mut self, ctx: &mut Context<'_, M>, src: ActorId, msg: StoreMsg) {
-        let reply = match msg {
-            StoreMsg::Put { name, token, .. } => StoreMsg::PutAck {
-                name,
-                token,
-                result: Err(StoreError::Busy),
-            },
-            StoreMsg::Get { name, token } => StoreMsg::GetResult {
-                name,
-                token,
-                result: Err(StoreError::Busy),
-            },
-            StoreMsg::Delete { .. } => {
-                // DeleteAck carries no result; the caller times out.
-                ctx.metrics().incr("storage.nacked_deletes", 1);
-                return;
-            }
-            StoreMsg::PutAck { .. } | StoreMsg::GetResult { .. } | StoreMsg::DeleteAck { .. } => {
-                return;
-            }
-        };
-        let bytes = reply.wire_size();
-        ctx.send(src, bytes, M::wrap(reply));
-    }
 }
 
 impl<M: Carries<StoreMsg>> Actor<M> for StorageActor<M> {
     fn on_event(&mut self, ctx: &mut Context<'_, M>, event: Event<M>) {
         match event {
             Event::Message { src, msg } => {
-                let msg = match msg.peel() {
-                    Ok(m) => m,
-                    Err(_) => return,
-                };
-                // Replies never consume an admission slot.
-                if matches!(
-                    msg,
-                    StoreMsg::PutAck { .. }
-                        | StoreMsg::GetResult { .. }
-                        | StoreMsg::DeleteAck { .. }
-                ) {
-                    return;
-                }
-                match self.harness.admit(ctx, src, M::wrap(msg)) {
-                    Admission::Admit(msg) => {
-                        if let Ok(msg) = msg.peel() {
-                            self.serve(ctx, src, msg);
-                        }
-                    }
-                    Admission::Nack(msg) => {
-                        if let Ok(msg) = msg.peel() {
-                            self.nack(ctx, src, msg);
-                        }
-                    }
-                    Admission::Done => {}
+                if let Ok(msg) = msg.peel() {
+                    self.serve(ctx, src, msg);
                 }
             }
             Event::Timer { token } => {

@@ -24,9 +24,6 @@ pub enum StoreError {
     InvalidName(String),
     /// An underlying I/O failure (filesystem backend).
     Io(String),
-    /// The storage node's admission queue is full (bounded-queue mode
-    /// with a nack policy); the client may retry.
-    Busy,
 }
 
 impl fmt::Display for StoreError {
@@ -35,7 +32,6 @@ impl fmt::Display for StoreError {
             StoreError::NotFound(name) => write!(f, "object not found: {name}"),
             StoreError::InvalidName(name) => write!(f, "invalid object name: {name:?}"),
             StoreError::Io(err) => write!(f, "storage I/O error: {err}"),
-            StoreError::Busy => write!(f, "storage node busy: admission queue full"),
         }
     }
 }

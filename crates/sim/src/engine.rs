@@ -242,16 +242,6 @@ impl<M> Context<'_, M> {
             .push(self.kernel.now, dst, Event::Message { src, msg }, 0);
     }
 
-    /// Re-enqueues a message to this actor at the current instant,
-    /// preserving the original sender. Used by admission queues releasing
-    /// parked (blocked) work: the message re-enters [`Actor::on_event`]
-    /// after every event already queued at this instant.
-    pub fn requeue(&mut self, src: ActorId, msg: M) {
-        let target = self.id;
-        self.kernel
-            .push(self.kernel.now, target, Event::Message { src, msg }, 0);
-    }
-
     /// Fires [`Event::Timer`] with `token` on this actor after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         self.kernel.hot.timers_set += 1;
@@ -559,12 +549,6 @@ impl<M> Simulation<M> {
         &mut self.kernel.tracer
     }
 
-    /// Replaces the tracer (e.g. to change capacity/sampling, or to
-    /// disable tracing entirely with [`Tracer::disabled`]).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.kernel.tracer = tracer;
-    }
-
     /// Installs rolling-window SLOs (see [`SloMonitor`]). Latency
     /// objectives are fed automatically from [`Context::span_end`];
     /// goodput/error objectives from [`Context::slo_event`]. Replaces
@@ -590,11 +574,6 @@ impl<M> Simulation<M> {
     /// profiler is enabled. Defaults to `"actor"`.
     pub fn set_actor_label(&mut self, target: ActorId, label: &str) {
         self.labels[target.0 as usize] = label.to_owned();
-    }
-
-    /// The profiling label of `target`.
-    pub fn actor_label(&self, target: ActorId) -> &str {
-        &self.labels[target.0 as usize]
     }
 
     /// Enables host-side wall-clock profiling of the event loop; the
@@ -626,11 +605,6 @@ impl<M> Simulation<M> {
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.kernel.events_processed
-    }
-
-    /// True if an actor called [`Context::stop`].
-    pub fn is_stopped(&self) -> bool {
-        self.kernel.stopped
     }
 
     /// Processes a single event. Returns `false` when the queue is empty or

@@ -15,7 +15,7 @@
 //!   ([`CpuResource`]) — the basis for the energy model,
 //! * a shared service runtime for node actors — deferred-send outbox,
 //!   CPU charging, and bounded admission queues with backpressure
-//!   ([`ServiceHarness`], [`QueueConfig`], [`OverloadPolicy`]),
+//!   ([`ServiceHarness`], [`QueueConfig`]),
 //! * metrics ([`Metrics`], [`Histogram`]),
 //! * virtual-time span tracing with bounded memory ([`Tracer`],
 //!   [`Span`], [`TracerConfig`]),
@@ -75,9 +75,7 @@ mod trace;
 pub use cpu::CpuResource;
 pub use engine::{Actor, ActorId, Carries, Context, Event, Simulation, TimerId};
 pub use fault::{FaultAction, FaultPlan, FaultPlanActor};
-pub use harness::{
-    Admission, Outbound, OverloadPolicy, QueueConfig, ServiceHarness, SpanClose, HARNESS_TOKEN_BIT,
-};
+pub use harness::{Outbound, QueueConfig, ServiceHarness, SpanClose, HARNESS_TOKEN_BIT};
 pub use histogram::Histogram;
 pub use metrics::{CounterId, GaugeId, HistogramId, Metrics};
 pub use net::{Delivery, LinkSpec, Network};

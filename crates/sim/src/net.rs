@@ -98,12 +98,6 @@ impl Network {
         self.overrides.insert((src, dst), spec);
     }
 
-    /// Overrides the link in both directions.
-    pub fn set_link_symmetric(&mut self, a: ActorId, b: ActorId, spec: LinkSpec) {
-        self.set_link(a, b, spec);
-        self.set_link(b, a, spec);
-    }
-
     /// Replaces the default link.
     pub fn set_default_link(&mut self, spec: LinkSpec) {
         self.default_link = spec;

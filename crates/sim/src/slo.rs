@@ -129,18 +129,6 @@ impl SloSpec {
             buckets: 4,
         }
     }
-
-    /// Overrides the number of sub-buckets (burn-series resolution).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is zero.
-    #[must_use]
-    pub fn with_buckets(mut self, buckets: usize) -> Self {
-        assert!(buckets > 0, "SLO needs at least one bucket");
-        self.buckets = buckets;
-        self
-    }
 }
 
 /// One bucket of windowed observations.

@@ -9,11 +9,11 @@ use std::sync::Arc;
 use hyperprov_repro::device::{DeviceProfile, EnergyModel, PowerMeter};
 use hyperprov_repro::fabric::{
     BatchConfig, ChaincodeRegistry, ChannelPolicies, Committer, CostModel, EndorsementPolicy,
-    Gateway, MspBuilder, MspId, PeerActor, RaftConfig, RaftOrdererActor, RAFT_TICK_TOKEN,
+    Gateway, MspBuilder, MspId, PeerActor, RaftOrdererActor, RAFT_TICK_TOKEN,
 };
 use hyperprov_repro::hyperprov::{
-    audit, ClientCommand, HyperProv, HyperProvChaincode, HyperProvClient, NetworkConfig, NodeMsg,
-    OpId, OpOutput,
+    audit, ClientCommand, HashRouter, HyperProv, HyperProvChaincode, HyperProvClient,
+    NetworkConfig, NodeMsg, OpId, OpOutput,
 };
 use hyperprov_repro::sim::{ActorId, SimDuration, SimTime, Simulation};
 
@@ -45,8 +45,8 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
         msp.clone(),
         ChannelPolicies::new(EndorsementPolicy::any_of([org.clone()])),
     )));
-    let mut peer =
-        PeerActor::<NodeMsg>::new(peer_identity, registry, committer.clone(), costs, "peer0");
+    let mut peer = PeerActor::<NodeMsg>::new(peer_identity, registry, costs, "peer0");
+    peer.add_channel(committer.clone(), None);
     peer.subscribe(client_id, client_identity.certificate().id);
     assert_eq!(sim.add_actor(Box::new(peer)), peer_id);
 
@@ -58,14 +58,12 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
         let actor = RaftOrdererActor::<NodeMsg>::new(
             i,
             orderers.clone(),
+            "raft-channel".into(),
             vec![peer_id],
             batch,
-            RaftConfig::default(),
-            SimDuration::from_millis(50),
             99,
             costs,
-        )
-        .with_channel("raft-channel".into());
+        );
         let id = sim.add_actor(Box::new(actor));
         assert_eq!(id, orderers[i]);
         sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
@@ -84,7 +82,13 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
         1,
         costs,
     );
-    let (client, completions) = HyperProvClient::new(gateway, storage_id, "sshfs://s/", costs);
+    let (client, completions) = HyperProvClient::new(
+        vec![gateway],
+        Box::new(HashRouter),
+        storage_id,
+        "sshfs://s/",
+        costs,
+    );
     assert_eq!(sim.add_actor(Box::new(client)), client_id);
 
     // Let raft elect a leader.

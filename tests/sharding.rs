@@ -4,10 +4,18 @@
 
 use hyperprov_repro::fabric::COMPOSITE_SEP;
 use hyperprov_repro::hyperprov::{
-    ChannelRouter, ClientCommand, HashRouter, HyperProvNetwork, NetworkConfig, NodeMsg, OpId,
-    OpOutput,
+    ChannelRouter, ChannelSpec, ClientCommand, HashRouter, HyperProvNetwork, NetworkConfig,
+    NodeMsg, OpId, OpOutput,
 };
+use hyperprov_repro::ledger::DEFAULT_CHANNEL;
 use hyperprov_repro::sim::SimTime;
+
+/// Two channels, every peer hosting both.
+fn two_channels() -> Vec<ChannelSpec> {
+    (0..2)
+        .map(|c| ChannelSpec::new(format!("{DEFAULT_CHANNEL}-{c}")))
+        .collect()
+}
 
 /// Finds a key of the form `{prefix}-{i}` that the default router places
 /// on `want` of `n` channels.
@@ -46,7 +54,9 @@ fn drain_ok(net: &mut HyperProvNetwork, client: usize) -> Vec<OpOutput> {
 /// channel holds the record, and no peer of the other channel sees it.
 #[test]
 fn two_channel_state_isolation() {
-    let config = NetworkConfig::desktop(2).with_seed(41).with_channels(2);
+    let config = NetworkConfig::desktop(2)
+        .with_seed(41)
+        .with_channel_specs(two_channels());
     let mut net = HyperProvNetwork::build(&config);
     assert_eq!(net.channels.len(), 2);
     assert_eq!(net.channel_ledgers[0].len(), 4, "all peers host channel 0");
@@ -101,7 +111,9 @@ fn two_channel_state_isolation() {
 /// checksum/list queries scatter-gather over every channel.
 #[test]
 fn cross_channel_lineage_and_scatter_queries() {
-    let mut config = NetworkConfig::desktop(1).with_seed(43).with_channels(2);
+    let mut config = NetworkConfig::desktop(1)
+        .with_seed(43)
+        .with_channel_specs(two_channels());
     // Parent checks are per-channel state lookups, so cross-channel
     // parent links need the permissive chaincode (the strict variant
     // would reject a parent it cannot see on its own shard).
@@ -174,7 +186,9 @@ fn cross_channel_lineage_and_scatter_queries() {
 /// level.
 #[test]
 fn cross_shard_diamond_lineage_and_graph_queries() {
-    let mut config = NetworkConfig::desktop(1).with_seed(53).with_channels(2);
+    let mut config = NetworkConfig::desktop(1)
+        .with_seed(53)
+        .with_channel_specs(two_channels());
     config.permissive = true;
     let mut net = HyperProvNetwork::build(&config);
 
@@ -305,7 +319,9 @@ fn cross_shard_diamond_lineage_and_graph_queries() {
 /// checksum index (a scatter-gather over every channel's chaincode).
 #[test]
 fn checksum_lookup_spans_channels() {
-    let config = NetworkConfig::desktop(1).with_seed(47).with_channels(2);
+    let config = NetworkConfig::desktop(1)
+        .with_seed(47)
+        .with_channel_specs(two_channels());
     let mut net = HyperProvNetwork::build(&config);
 
     let a = key_on_shard("twin-a", 0, 2);
@@ -359,7 +375,7 @@ fn raft_outage_on_one_channel_leaves_other_channels_unaffected() {
     let config = NetworkConfig::desktop(1)
         .with_seed(53)
         .with_raft_orderers(3)
-        .with_channels(2);
+        .with_channel_specs(two_channels());
     let mut net = HyperProvNetwork::build(&config);
     assert_eq!(net.channel_orderers[0].len(), 3);
     assert_eq!(net.channel_orderers[1].len(), 3);
@@ -410,7 +426,9 @@ fn routing_is_stable_across_deployments() {
     let shards: Vec<usize> = keys.iter().map(|k| HashRouter.route(k, 2)).collect();
 
     for seed in [61, 67] {
-        let config = NetworkConfig::desktop(1).with_seed(seed).with_channels(2);
+        let config = NetworkConfig::desktop(1)
+            .with_seed(seed)
+            .with_channel_specs(two_channels());
         let mut net = HyperProvNetwork::build(&config);
         for (i, key) in keys.iter().enumerate() {
             store(&mut net, 0, i as u64 + 1, key, vec![]);
