@@ -57,15 +57,20 @@ cargo run --release -p hyperprov-bench --bin bench_regress -- --quick
 # The benchmark is a package of its own outside the workspace, so nothing
 # above compiles it, and it reads public fields of the product's types
 # (`Block.envelopes`, `StateKey.key`, `VersionedValue.value`). Build it
-# and run one short workload: the last line is the result object.
+# and run two short workloads — the one the ledger's memory shows on, and
+# the one snapshot cutting and recovery show on: the last line of each is
+# the result object.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload ledger_growth --seed 1 --seconds 1 --trace 0 | tail -n 1)
-echo "$result"
-case "$result" in
-    *'"correct":true'*'"failed":0,'*) ;;
-    *)
-        echo "benchmark smoke run: not correct, or operations failed" >&2
-        exit 1
-        ;;
-esac
+for smoke in "ledger_growth 1" "crash_recover 2"; do
+    set -- $smoke
+    result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds "$2" --trace 0 | tail -n 1)
+    echo "$result"
+    case "$result" in
+        *'"correct":true'*'"failed":0,'*) ;;
+        *)
+            echo "benchmark smoke run of $1: not correct, or operations failed" >&2
+            exit 1
+            ;;
+    esac
+done

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the substrate hot paths: hashing,
 //! canonical codec, Merkle roots, state-DB operations on both storage
-//! backends, the hybrid event queue, endorsement-policy evaluation and a
-//! full single-transaction pipeline step.
+//! backends, snapshot cutting and sealing, the hybrid event queue,
+//! endorsement-policy evaluation and a full single-transaction pipeline
+//! step.
 
 use std::sync::Arc;
 
@@ -12,7 +13,8 @@ use hyperprov_fabric::{
     Proposal, SignedProposal,
 };
 use hyperprov_ledger::{
-    Decode, Digest, Encode, HistoryDb, KvWrite, MerkleTree, StateDb, StateKey, Version,
+    ChannelId, Decode, Digest, Encode, HistoryDb, KvWrite, MerkleTree, Snapshot, StateDb, StateKey,
+    TxId, Version, DEFAULT_CHUNK_ENTRIES,
 };
 
 fn bench_sha256(c: &mut Criterion) {
@@ -98,6 +100,45 @@ fn bench_statedb(c: &mut Criterion) {
             );
         });
     });
+    group.finish();
+}
+
+/// Cutting a snapshot of 10k keys, written one per transaction, is a
+/// freeze; `seal_10k` is a cut plus the first read of its manifest (the
+/// seal is memoised, so every iteration needs a cut of its own);
+/// `verify_10k` is the integrity check of a sealed snapshot.
+fn bench_snapshot(c: &mut Criterion) {
+    let mut state = StateDb::new();
+    let mut history = HistoryDb::new();
+    let mut seen = Vec::new();
+    for i in 0..10_000u32 {
+        let write = KvWrite {
+            key: StateKey::new("cc", format!("key-{i:06}")),
+            value: Some(vec![0u8; 128].into()),
+        };
+        let version = Version::new(u64::from(i), 0);
+        let tx = TxId(Digest::of(&i.to_le_bytes()));
+        state.apply_write(&write, version);
+        history.append(tx, version, &[write]);
+        seen.push(tx);
+    }
+    let cut = || {
+        Snapshot::capture(
+            &ChannelId::default(),
+            10_000,
+            Digest::of(b"tip"),
+            &state,
+            &history,
+            seen.clone(),
+            None,
+            DEFAULT_CHUNK_ENTRIES,
+        )
+    };
+    let mut group = c.benchmark_group("snapshot");
+    group.bench_function("cut_10k", |b| b.iter(cut));
+    group.bench_function("seal_10k", |b| b.iter(|| cut().manifest().merkle_root));
+    let sealed = cut();
+    group.bench_function("verify_10k", |b| b.iter(|| sealed.verify()));
     group.finish();
 }
 
@@ -238,6 +279,7 @@ criterion_group! {
     bench_codec,
     bench_merkle,
     bench_statedb,
+    bench_snapshot,
     bench_event_queue,
     bench_policy,
     bench_endorse,

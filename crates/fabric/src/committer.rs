@@ -232,13 +232,9 @@ impl Committer {
         let Some(indexer) = &self.indexer else {
             return true;
         };
-        let mut fresh = ProvGraph::new();
-        for (key, value) in self.ledger.state.iter() {
-            if let Some(update) = indexer.index(key, Some(&value.value)) {
-                fresh.apply(&update);
-            }
-        }
-        fresh.digest() == self.ledger.graph.digest()
+        let entries = self.ledger.state.iter().map(|(k, v)| (k, &*v.value));
+        ProvGraph::from_state(Some(indexer.as_ref()), entries).digest()
+            == self.ledger.graph.digest()
     }
 
     /// Feeds one valid transaction's writes through the installed indexer,
@@ -546,8 +542,13 @@ impl Committer {
     }
 
     /// Freezes this committer's entire derived state at the current
-    /// height into a Merkle-rooted [`Snapshot`] with at most
-    /// `chunk_entries` state entries per transfer chunk.
+    /// height into a [`Snapshot`] with at most `chunk_entries` state
+    /// entries per transfer chunk. The cut shares the ledger's keys and
+    /// values and hashes nothing; the Merkle-rooted manifest is computed
+    /// when something first reads it ([`Snapshot::manifest`]). Its graph
+    /// digest is then derived from the frozen state with this committer's
+    /// indexer — what the live index hashes to at the cut, as
+    /// [`Committer::graph_consistent`] states.
     pub fn snapshot(&self, chunk_entries: usize) -> Snapshot {
         Snapshot::capture(
             &self.channel,
@@ -556,7 +557,7 @@ impl Committer {
             &self.ledger.state,
             &self.ledger.history,
             self.seen.iter().copied().collect(),
-            self.ledger.graph.digest(),
+            self.indexer.clone(),
             chunk_entries,
         )
     }
@@ -589,41 +590,38 @@ impl Committer {
         delta_blocks: impl IntoIterator<Item = Block>,
     ) -> Result<Committer, BootstrapError> {
         snapshot.verify()?;
-        if snapshot.manifest.channel != channel.as_str() {
+        let manifest = snapshot.manifest();
+        if manifest.channel != channel.as_str() {
             return Err(BootstrapError::WrongChannel {
-                got: snapshot.manifest.channel.clone(),
+                got: manifest.channel.clone(),
                 expected: channel.as_str().to_owned(),
             });
         }
 
         let state = snapshot.restore_state();
-        let mut graph = ProvGraph::new();
-        if let Some(indexer) = &indexer {
-            for (key, value) in state.iter() {
-                if let Some(update) = indexer.index(key, Some(&value.value)) {
-                    graph.apply(&update);
-                }
-            }
-        }
-        if graph.digest() != snapshot.manifest.graph_digest {
+        let graph = ProvGraph::from_state(
+            indexer.as_deref(),
+            state.iter().map(|(k, v)| (k, &*v.value)),
+        );
+        if graph.digest() != manifest.graph_digest {
             return Err(BootstrapError::GraphDigestMismatch);
         }
 
         let mut committer = Committer {
             channel,
             ledger: ChannelLedger {
-                store: BlockStore::with_base(snapshot.manifest.height, snapshot.manifest.tip_hash),
+                store: BlockStore::with_base(manifest.height, manifest.tip_hash),
                 state,
                 history: snapshot.restore_history(),
                 graph,
             },
             msp,
             policies,
-            seen: snapshot.tail.seen.iter().copied().collect(),
+            seen: snapshot.tail().seen.iter().copied().collect(),
             indexer,
         };
         for mut block in delta_blocks {
-            if block.header.number < snapshot.manifest.height {
+            if block.header.number < manifest.height {
                 continue;
             }
             block.metadata.codes.clear();
@@ -652,7 +650,7 @@ impl Committer {
             self.ledger
                 .store
                 .iter()
-                .filter(|b| b.header.number >= snapshot.manifest.height)
+                .filter(|b| b.header.number >= snapshot.height())
                 .cloned(),
         )
     }
@@ -1235,9 +1233,11 @@ mod tests {
         }
         full.commit_block(block_of(&full, vec![dup.clone()]))
             .unwrap();
+        // Cut at height 4 and never read until now, three blocks later:
+        // the seal still commits to the ledger as it stood at the cut.
         let snapshot = snapshot_at_4.unwrap();
         snapshot.verify().unwrap();
-        assert_eq!(snapshot.manifest.height, 4);
+        assert_eq!(snapshot.manifest().height, 4);
 
         // Bootstrap: snapshot + delta blocks 4..7 (including one below
         // the horizon, which must be skipped).
@@ -1292,21 +1292,24 @@ mod tests {
             )
         };
 
-        // Tampered state entry.
-        let mut bad = good.clone();
+        // A state entry tampered with after the seal.
+        let mut bad = c.snapshot(4);
+        bad.manifest();
         bad.chunks[0].entries[0].value = b"evil".as_slice().into();
-        assert!(matches!(
-            boot(&bad, ChannelId::default()),
-            Err(BootstrapError::Snapshot(_))
-        ));
+        assert_eq!(
+            boot(&bad, ChannelId::default()).unwrap_err(),
+            BootstrapError::Snapshot(SnapshotError::PartDigestMismatch { index: 0 })
+        );
         // Wrong channel.
         assert!(matches!(
             boot(&good, ChannelId::new("other")),
             Err(BootstrapError::WrongChannel { .. })
         ));
         // Forged graph digest (state consistent, commitment wrong).
-        let mut forged = good.clone();
-        forged.manifest.graph_digest = Digest::of(b"forged");
+        let mut forged = good.manifest().clone();
+        forged.graph_digest = Digest::of(b"forged");
+        let parts = (0..good.part_count()).map(|i| good.part(i)).collect();
+        let forged = Snapshot::assemble(forged, parts).unwrap();
         assert!(matches!(
             boot(&forged, ChannelId::default()),
             Err(BootstrapError::GraphDigestMismatch)

@@ -446,11 +446,11 @@ impl FabricMsg {
             FabricMsg::Commit(_) => 128,
             FabricMsg::SnapshotRequest { .. } => 64,
             FabricMsg::SnapshotOffer { manifest, .. } => {
-                64 + manifest.as_ref().map_or(0, |m| m.to_bytes().len() as u64)
+                64 + manifest.as_ref().map_or(0, |m| m.wire_size())
             }
             FabricMsg::SnapshotPartRequest { .. } => 64,
             FabricMsg::SnapshotPartData { part, .. } => {
-                64 + part.as_ref().map_or(0, |p| p.wire_size() as u64)
+                64 + part.as_ref().map_or(0, |p| p.wire_size())
             }
             FabricMsg::JoinChannel { .. } => 64,
             FabricMsg::DeliverSubscribe { .. } => 64,

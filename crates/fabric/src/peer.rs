@@ -136,7 +136,7 @@ struct PeerChannel {
     read_cache: Option<ReadCache>,
     /// Latest cut or fetched snapshot. Models durable checkpoint storage,
     /// so — like the block store — it survives crashes.
-    latest_snapshot: Option<Arc<Snapshot>>,
+    latest_snapshot: Option<Snapshot>,
     /// Peers that can serve snapshots and block re-delivery on this
     /// channel (the catch-up protocol's provider ladder).
     snapshot_providers: Vec<ActorId>,
@@ -426,8 +426,12 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
     /// Cuts a snapshot once the chain has grown `interval` blocks past the
     /// previous one (a no-op without a policy, so default deployments stay
     /// untouched). The capture cost is charged to the virtual CPU in
-    /// proportion to the state size; pruning then drops the block store
-    /// behind the new snapshot's height, bounding disk growth.
+    /// proportion to the state size — here, at the cut, where the modelled
+    /// peer hashes and writes its checkpoint; the host only freezes the
+    /// ledger and leaves the hashing to whichever recovery or transfer
+    /// first reads the manifest, which for most cuts is none. Pruning then
+    /// drops the block store behind the new snapshot's height, bounding
+    /// disk growth.
     fn maybe_cut_snapshot(&mut self, ctx: &mut Context<'_, M>, channel: &ChannelId) {
         let Some(policy) = self.snapshots else {
             return;
@@ -436,18 +440,18 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             return;
         };
         let height = state.committer.borrow().height();
-        let last = state
-            .latest_snapshot
-            .as_ref()
-            .map_or(0, |s| s.manifest.height);
+        let last = state.latest_snapshot.as_ref().map_or(0, |s| s.height());
         if height < last.saturating_add(policy.interval.max(1)) {
             return;
         }
+        // The previous cut goes before the next is built: two frozen views
+        // of the ledger are never alive at once.
+        state.latest_snapshot = None;
         let snapshot = state.committer.borrow().snapshot(DEFAULT_CHUNK_ENTRIES);
         let cost = self
             .costs
             .snapshot_capture_cost(snapshot.entry_count() as u64, snapshot.state_bytes());
-        state.latest_snapshot = Some(Arc::new(snapshot));
+        state.latest_snapshot = Some(snapshot);
         let pruned = state.committer.borrow_mut().prune_store_to(height);
         ctx.metrics().incr(
             &channel.metric_name(&self.metric_prefix, "snapshots.cut"),

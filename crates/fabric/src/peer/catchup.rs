@@ -379,7 +379,7 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             .channels
             .get(&channel)
             .and_then(|s| s.latest_snapshot.as_ref())
-            .map(|s| Box::new(s.manifest.clone()));
+            .map(|s| Box::new(s.manifest().clone()));
         ctx.metrics().incr(
             &channel.metric_name(&self.metric_prefix, "snapshot_requests"),
             1,
@@ -455,11 +455,11 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             .channels
             .get(&channel)
             .and_then(|s| s.latest_snapshot.as_ref())
-            .filter(|s| s.manifest.height == height)
+            .filter(|s| s.height() == height)
             .and_then(|s| s.part(index as usize))
             .map(Arc::new);
         let cost = part.as_ref().map_or(self.costs.cache_hit_op, |p| {
-            self.costs.snapshot_transfer_cost(p.wire_size() as u64)
+            self.costs.snapshot_transfer_cost(p.wire_size())
         });
         let msg = FabricMsg::SnapshotPartData {
             channel,
@@ -515,7 +515,7 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
                         } else if part.digest() != manifest.part_digests[idx] {
                             Step::Corrupt
                         } else {
-                            let bytes = part.wire_size() as u64;
+                            let bytes = part.wire_size();
                             if parts[idx].is_none() {
                                 parts[idx] = Some(Arc::unwrap_or_clone(part));
                             }
@@ -609,11 +609,11 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
                 let cost = self
                     .costs
                     .snapshot_restore_cost(snapshot.entry_count() as u64, snapshot.state_bytes());
-                let snap_height = snapshot.manifest.height;
+                let snap_height = snapshot.height();
                 {
                     let state = self.channels.get_mut(channel).expect("checked above");
                     *state.committer.borrow_mut() = rebuilt;
-                    state.latest_snapshot = Some(Arc::new(snapshot));
+                    state.latest_snapshot = Some(snapshot);
                     state.retry_attempts = 0;
                 }
                 ctx.metrics().incr(
@@ -748,10 +748,10 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             // only the delta blocks above it — work independent of total
             // chain length.
             let mut recovered = false;
-            if let Some(snapshot) = state.latest_snapshot.clone() {
+            if let Some(snapshot) = &state.latest_snapshot {
                 // Bind before matching: the scrutinee's shared borrow
                 // must end before the rebuilt ledger is swapped in.
-                let booted = state.committer.borrow().recover_from_snapshot(&snapshot);
+                let booted = state.committer.borrow().recover_from_snapshot(snapshot);
                 match booted {
                     Ok(rebuilt) => {
                         replay_cost += self.costs.snapshot_restore_cost(

@@ -7,11 +7,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelPolicies,
-    Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayEvent, MspBuilder, MspId,
-    PeerActor, RaftOrdererActor, SigningIdentity, SoloOrdererActor, RAFT_TICK_TOKEN,
+    BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
+    ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayEvent,
+    MspBuilder, MspId, PeerActor, RaftOrdererActor, SigningIdentity, SnapshotPolicy,
+    SoloOrdererActor, RAFT_TICK_TOKEN,
 };
-use hyperprov_ledger::{ChannelId, ValidationCode};
+use hyperprov_ledger::{
+    ChannelId, GraphIndexer, GraphUpdate, SnapshotError, StateKey, ValidationCode,
+};
 use hyperprov_sim::{
     Actor, ActorId, Context, Event, ServiceHarness, SimDuration, SimTime, Simulation,
 };
@@ -432,6 +435,158 @@ impl Actor<FabricMsg> for DeliveryTap {
     }
 }
 
+/// Every counter key is a parentless node of the provenance graph, so
+/// that graph digests have something to disagree about.
+#[derive(Debug)]
+struct KeyIndexer;
+impl GraphIndexer for KeyIndexer {
+    fn index(&self, key: &StateKey, value: Option<&[u8]>) -> Option<GraphUpdate> {
+        let key = key.key.to_string();
+        Some(match value {
+            Some(_) => GraphUpdate::Insert {
+                key,
+                parents: vec![],
+            },
+            None => GraphUpdate::Remove { key },
+        })
+    }
+}
+
+/// Two peers (actors 0 and 1), a delivery tap (actor 2), a solo orderer
+/// (`members == 1`) or a Raft cluster cutting one block per transaction,
+/// and two closed-loop clients of peer 0 that start when their timer 0
+/// does. Each peer asks one ordering node for the blocks it missed.
+struct SmallNet {
+    sim: Simulation<FabricMsg>,
+    ledgers: Vec<Rc<RefCell<Committer>>>,
+    orderers: Vec<ActorId>,
+    clients: [ActorId; 2],
+    taps: Rc<RefCell<Vec<(ActorId, u64)>>>,
+    log: Rc<RefCell<DriverLog>>,
+}
+
+const SMALL_NET_PEERS: [ActorId; 2] = [ActorId(0), ActorId(1)];
+const SMALL_NET_TAP: ActorId = ActorId(2);
+
+impl SmallNet {
+    fn build(members: usize, client_txs: [u32; 2], snapshots: Option<SnapshotPolicy>) -> Self {
+        let mut msp_builder = MspBuilder::new(21);
+        let org = MspId::new("org1");
+        let identities = [
+            msp_builder.enroll("peer0", &org),
+            msp_builder.enroll("peer1", &org),
+        ];
+        let client_ids = [
+            msp_builder.enroll("client0", &org),
+            msp_builder.enroll("client1", &org),
+        ];
+        let msp = msp_builder.build();
+        let mut registry = ChaincodeRegistry::new();
+        registry.install(Arc::new(CounterCc));
+        let costs = CostModel::default();
+        let policy = EndorsementPolicy::any_of([org.clone()]);
+
+        // Layout: the peers, the tap, the orderers, then the clients.
+        let orderers: Vec<ActorId> = (0..members as u32).map(|i| ActorId(3 + i)).collect();
+        let clients = [ActorId(3 + members as u32), ActorId(4 + members as u32)];
+
+        let mut sim = Simulation::new(13);
+        let mut ledgers = Vec::new();
+        for (i, identity) in identities.into_iter().enumerate() {
+            let mut peer =
+                PeerActor::<FabricMsg>::new(identity, registry.clone(), costs, format!("peer{i}"));
+            if let Some(policy) = snapshots {
+                peer = peer.with_snapshots(policy);
+            }
+            let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy.clone()))
+                .with_indexer(Arc::new(KeyIndexer));
+            let ledger = Rc::new(RefCell::new(ledger));
+            peer.add_channel(ledger.clone(), Some(orderers[i % members]));
+            ledgers.push(ledger);
+            if i == 0 {
+                for (actor, identity) in clients.iter().zip(&client_ids) {
+                    peer.subscribe(*actor, identity.certificate().id);
+                }
+            }
+            assert_eq!(sim.add_actor(Box::new(peer)), SMALL_NET_PEERS[i]);
+        }
+        let taps = Rc::new(RefCell::new(Vec::new()));
+        assert_eq!(
+            sim.add_actor(Box::new(DeliveryTap(taps.clone()))),
+            SMALL_NET_TAP
+        );
+        let batch = BatchConfig {
+            max_message_count: 1,
+            ..BatchConfig::default()
+        };
+        for (i, &expected) in orderers.iter().enumerate() {
+            let id = if members == 1 {
+                sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
+                    ChannelId::default(),
+                    batch,
+                    SMALL_NET_PEERS.to_vec(),
+                    costs,
+                )))
+            } else {
+                let id = sim.add_actor(Box::new(RaftOrdererActor::<FabricMsg>::new(
+                    i,
+                    orderers.clone(),
+                    ChannelId::default(),
+                    SMALL_NET_PEERS.to_vec(),
+                    batch,
+                    31,
+                    costs,
+                )));
+                sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
+                id
+            };
+            assert_eq!(id, expected);
+        }
+        let log = Rc::new(RefCell::new(DriverLog::default()));
+        for (c, (identity, remaining)) in client_ids.into_iter().zip(client_txs).enumerate() {
+            let driver = ClientDriver {
+                gateway: Gateway::new(
+                    identity,
+                    ChannelId::default(),
+                    vec![SMALL_NET_PEERS[0]],
+                    orderers[0],
+                    1,
+                    costs,
+                ),
+                harness: ServiceHarness::new("client"),
+                remaining,
+                key_of: Box::new(move |n| format!("key{c}-{n}")),
+                log: log.clone(),
+            };
+            assert_eq!(sim.add_actor(Box::new(driver)), clients[c]);
+        }
+        SmallNet {
+            sim,
+            ledgers,
+            orderers,
+            clients,
+            taps,
+            log,
+        }
+    }
+
+    fn height(&self, peer: usize) -> u64 {
+        self.ledgers[peer].borrow().height()
+    }
+
+    /// Steps the simulation until `peer` has committed `target` blocks.
+    fn run_to_height(&mut self, peer: usize, target: u64) {
+        while self.height(peer) < target {
+            assert!(self.sim.run_events(1) == 1, "ran dry below height {target}");
+        }
+    }
+
+    fn run_for(&mut self, seconds: u64) {
+        self.sim
+            .run_until(self.sim.now() + SimDuration::from_secs(seconds));
+    }
+}
+
 /// The ordering front-end's deliver service and delivery subscription,
 /// on a solo orderer (`members == 1`) or a Raft cluster: two peers, one
 /// block per transaction, two closed-loop clients one after the other.
@@ -444,142 +599,52 @@ impl Actor<FabricMsg> for DeliveryTap {
 ///   receives every block of the second exactly once per ordering node,
 ///   and none of the first.
 fn deliver_service_redelivers_and_subscribes(members: usize) {
-    let mut msp_builder = MspBuilder::new(21);
-    let org = MspId::new("org1");
-    let identities = [
-        msp_builder.enroll("peer0", &org),
-        msp_builder.enroll("peer1", &org),
-    ];
-    let client_ids = [
-        msp_builder.enroll("client0", &org),
-        msp_builder.enroll("client1", &org),
-    ];
-    let msp = msp_builder.build();
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(CounterCc));
-    let costs = CostModel::default();
-    let policy = EndorsementPolicy::any_of([org.clone()]);
-
-    // Layout: peers 0 and 1, the tap 2, orderers 3.., then the clients.
-    let peer_ids = [ActorId(0), ActorId(1)];
-    let tap_id = ActorId(2);
-    let orderer_ids: Vec<ActorId> = (0..members as u32).map(|i| ActorId(3 + i)).collect();
-    let client_actor_ids = [ActorId(3 + members as u32), ActorId(4 + members as u32)];
-
-    let mut sim = Simulation::new(13);
-    let mut ledgers = Vec::new();
-    for (i, identity) in identities.into_iter().enumerate() {
-        let mut peer =
-            PeerActor::<FabricMsg>::new(identity, registry.clone(), costs, format!("peer{i}"));
-        let ledger = Rc::new(RefCell::new(Committer::new(
-            msp.clone(),
-            ChannelPolicies::new(policy.clone()),
-        )));
-        peer.add_channel(ledger.clone(), Some(orderer_ids[i % members]));
-        ledgers.push(ledger);
-        if i == 0 {
-            for (actor, identity) in client_actor_ids.iter().zip(&client_ids) {
-                peer.subscribe(*actor, identity.certificate().id);
-            }
-        }
-        assert_eq!(sim.add_actor(Box::new(peer)), peer_ids[i]);
-    }
-    let taps = Rc::new(RefCell::new(Vec::new()));
-    assert_eq!(sim.add_actor(Box::new(DeliveryTap(taps.clone()))), tap_id);
-    let batch = BatchConfig {
-        max_message_count: 1,
-        ..BatchConfig::default()
-    };
-    for (i, &expected) in orderer_ids.iter().enumerate() {
-        let id = if members == 1 {
-            sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
-                ChannelId::default(),
-                batch,
-                peer_ids.to_vec(),
-                costs,
-            )))
-        } else {
-            let id = sim.add_actor(Box::new(RaftOrdererActor::<FabricMsg>::new(
-                i,
-                orderer_ids.clone(),
-                ChannelId::default(),
-                peer_ids.to_vec(),
-                batch,
-                31,
-                costs,
-            )));
-            sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
-            id
-        };
-        assert_eq!(id, expected);
-    }
-    let log = Rc::new(RefCell::new(DriverLog::default()));
-    for (c, (identity, remaining)) in client_ids.into_iter().zip([11, 13]).enumerate() {
-        let driver = ClientDriver {
-            gateway: Gateway::new(
-                identity,
-                ChannelId::default(),
-                vec![peer_ids[0]],
-                orderer_ids[0],
-                1,
-                costs,
-            ),
-            harness: ServiceHarness::new("client"),
-            remaining,
-            key_of: Box::new(move |n| format!("key{c}-{n}")),
-            log: log.clone(),
-        };
-        assert_eq!(sim.add_actor(Box::new(driver)), client_actor_ids[c]);
-    }
+    let mut net = SmallNet::build(members, [11, 13], None);
     // Give raft time to elect before the first client starts.
-    sim.start_timer(client_actor_ids[0], SimDuration::from_secs(5), 0);
+    net.sim
+        .start_timer(net.clients[0], SimDuration::from_secs(5), 0);
 
-    let height = |peer: usize| ledgers[peer].borrow().height();
-    let run_to_height = |sim: &mut Simulation<FabricMsg>, target: u64| {
-        while ledgers[0].borrow().height() < target {
-            assert!(sim.run_events(1) == 1, "ran dry below height {target}");
-        }
-    };
-
-    run_to_height(&mut sim, 5);
-    sim.network_mut()
-        .partition_groups(&[peer_ids[1]], &orderer_ids);
-    run_to_height(&mut sim, 11);
+    net.run_to_height(0, 5);
+    net.sim
+        .network_mut()
+        .partition_groups(&[SMALL_NET_PEERS[1]], &net.orderers);
+    net.run_to_height(0, 11);
     // The first client is done: let every ordering node apply its last
     // block before the heal and the subscription.
-    sim.run_until(sim.now() + SimDuration::from_secs(5));
-    assert_eq!(height(0), 11);
-    assert!(height(1) <= 5, "peer 1 kept receiving blocks");
-    sim.network_mut().heal_all();
-    for &orderer in &orderer_ids {
+    net.run_for(5);
+    assert_eq!(net.height(0), 11);
+    assert!(net.height(1) <= 5, "peer 1 kept receiving blocks");
+    net.sim.network_mut().heal_all();
+    for &orderer in &net.orderers {
         let subscribe = FabricMsg::DeliverSubscribe {
             channel: ChannelId::default(),
-            peer: tap_id,
+            peer: SMALL_NET_TAP,
         };
-        sim.inject_message(orderer, subscribe);
+        net.sim.inject_message(orderer, subscribe);
     }
-    sim.start_timer(client_actor_ids[1], SimDuration::from_secs(1), 0);
-    sim.run_until(sim.now() + SimDuration::from_secs(120));
+    net.sim
+        .start_timer(net.clients[1], SimDuration::from_secs(1), 0);
+    net.run_for(120);
 
     assert_eq!(
-        log.borrow().committed.len(),
+        net.log.borrow().committed.len(),
         24,
         "{:?}",
-        log.borrow().failed
+        net.log.borrow().failed
     );
-    assert_eq!(height(0), 24);
-    assert_eq!(height(1), 24, "the cut-off peer caught up");
+    assert_eq!(net.height(0), 24);
+    assert_eq!(net.height(1), 24, "the cut-off peer caught up");
     assert_eq!(
-        ledgers[1].borrow().state().state_hash(),
-        ledgers[0].borrow().state().state_hash()
+        net.ledgers[1].borrow().state().state_hash(),
+        net.ledgers[0].borrow().state().state_hash()
     );
-    let metrics = sim.metrics();
+    let metrics = net.sim.metrics();
     assert!(metrics.counter("peer1.catchup_requests") >= 1);
     assert!(metrics.counter("orderer.deliver_requests") >= 1);
     assert_eq!(metrics.counter("orderer.subscriptions"), members as u64);
 
-    let taps = taps.borrow();
-    for &orderer in &orderer_ids {
+    let taps = net.taps.borrow();
+    for &orderer in &net.orderers {
         let mut got: Vec<u64> = taps
             .iter()
             .filter(|&&(src, _)| src == orderer)
@@ -600,4 +665,55 @@ fn solo_deliver_service_redelivers_and_subscribes() {
 #[test]
 fn raft_deliver_service_redelivers_and_subscribes() {
     deliver_service_redelivers_and_subscribes(3);
+}
+
+/// A peer cuts snapshots and, in the usual course, nobody reads them:
+/// they stay frozen, their manifests uncomputed. A crash then makes the
+/// restart the first reader — it must seal the cut it finds, verify it,
+/// boot from it and converge with the peer that never went down.
+#[test]
+fn a_peer_that_crashes_holding_an_unread_cut_boots_from_it() {
+    let mut net = SmallNet::build(1, [11, 0], Some(SnapshotPolicy::every(4)));
+    let peer1 = SMALL_NET_PEERS[1];
+    net.sim.start_timer(net.clients[0], SimDuration::ZERO, 0);
+
+    // Peer 1 cuts at heights 4 and 8; no one asks it for either.
+    net.run_to_height(1, 9);
+    assert_eq!(net.sim.metrics().counter("peer1.snapshots.cut"), 2);
+    assert_eq!(net.sim.metrics().counter("peer1.snapshot_requests"), 0);
+    net.sim.crash_actor(peer1);
+    net.run_to_height(0, 11);
+    net.run_for(5);
+    assert_eq!(net.height(1), 9);
+
+    net.sim.restart_actor(peer1);
+    net.run_for(60);
+    let metrics = net.sim.metrics();
+    assert_eq!(metrics.counter("peer1.snapshot_boots"), 1);
+    assert_eq!(metrics.counter("peer1.snapshot_boot_errors"), 0);
+    assert_eq!(metrics.gauge("peer1.recovery.snapshot_boots"), Some(1.0));
+    // Block 8 on top of the cut at height 8; 9 and 10 come from the
+    // orderer.
+    assert_eq!(metrics.gauge("peer1.recovery.replayed_blocks"), Some(1.0));
+    assert_eq!(net.height(1), 11);
+    let (incumbent, recovered) = (net.ledgers[0].borrow(), net.ledgers[1].borrow());
+    assert_eq!(recovered.store().base_height(), 8);
+    assert_eq!(
+        recovered.state().state_hash(),
+        incumbent.state().state_hash()
+    );
+    assert_eq!(recovered.graph().len(), 11);
+    assert_eq!(recovered.graph().digest(), incumbent.graph().digest());
+
+    // An entry edited after the seal is what verification reports, and
+    // what keeps a committer from booting.
+    let mut cut = incumbent.snapshot(4);
+    cut.verify().unwrap();
+    cut.chunks[1].entries[0].value = b"evil".as_slice().into();
+    let tampered = SnapshotError::PartDigestMismatch { index: 1 };
+    assert_eq!(cut.verify(), Err(tampered.clone()));
+    assert_eq!(
+        incumbent.recover_from_snapshot(&cut).unwrap_err(),
+        BootstrapError::Snapshot(tampered)
+    );
 }

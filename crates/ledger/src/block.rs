@@ -17,14 +17,12 @@
 use std::sync::Arc;
 
 use crate::codec::{
-    decode_seq, encode_seq, varint_len, CodecError, Decode, Decoder, Encode, Encoder,
+    bytes_len, decode_seq, encode_seq, varint_len, CodecError, Decode, Decoder, Encode, Encoder,
+    DIGEST_LEN,
 };
 use crate::hash::Digest;
 use crate::merkle::MerkleTree;
 use crate::tx::{TxId, ValidationCode};
-
-/// Encoded length of a [`Digest`] (and so of a [`TxId`]).
-const DIGEST_LEN: u64 = 32;
 
 /// An opaque, canonical-encoded transaction envelope plus its id.
 ///
@@ -47,8 +45,7 @@ impl RawEnvelope {
 
     /// Length of the canonical encoding.
     fn wire_size(&self) -> u64 {
-        let len = self.bytes.len() as u64;
-        DIGEST_LEN + varint_len(len) + len
+        DIGEST_LEN + bytes_len(self.bytes.len())
     }
 }
 

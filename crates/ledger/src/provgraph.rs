@@ -125,6 +125,25 @@ impl ProvGraph {
         ProvGraph::default()
     }
 
+    /// The index `indexer` derives from a scan of a world state (empty
+    /// without one): what a graph maintained write by write must equal,
+    /// and how a snapshot consumer rebuilds the index it does not
+    /// transfer.
+    pub fn from_state<'a>(
+        indexer: Option<&dyn GraphIndexer>,
+        entries: impl IntoIterator<Item = (&'a StateKey, &'a [u8])>,
+    ) -> Self {
+        let mut graph = ProvGraph::new();
+        if let Some(indexer) = indexer {
+            for (key, value) in entries {
+                if let Some(update) = indexer.index(key, Some(value)) {
+                    graph.apply(&update);
+                }
+            }
+        }
+        graph
+    }
+
     fn intern(&mut self, key: &str) -> u32 {
         if let Some(&id) = self.ids.get(key) {
             return id;

@@ -12,17 +12,34 @@
 //! stay auditable: the manifest pins `tip_hash` (the header hash of the
 //! last covered block) and `state_hash`, the same digest replicas
 //! compare for convergence.
+//!
+//! Cutting a snapshot and committing to it are two steps. The cut
+//! *freezes*: it bumps the refcounts of the ledger's shared keys and
+//! values into the snapshot's own vectors and encodes, hashes and sorts
+//! nothing. The first reader of the manifest *seals*: part digests,
+//! Merkle root, state hash, graph digest and the tail's key order are
+//! computed once, from the frozen view, and kept. A peer cuts every few
+//! blocks and almost never reads what it cut, so the work that grows with
+//! the ledger is paid by the recovery or the transfer that needs it.
 
+use std::cell::{LazyCell, OnceCell};
 use std::fmt;
 use std::sync::Arc;
 
 use crate::channel::ChannelId;
-use crate::codec::{decode_seq, encode_seq, CodecError, Decode, Decoder, Encode, Encoder};
+use crate::codec::{
+    bytes_len, decode_seq, encode_seq, varint_len, CodecError, Decode, Decoder, Encode, Encoder,
+    DIGEST_LEN,
+};
 use crate::hash::Digest;
 use crate::history::{HistoryDb, HistoryEntry};
 use crate::merkle::MerkleTree;
-use crate::statedb::{StateDb, VersionedValue};
+use crate::provgraph::{GraphIndexer, ProvGraph};
+use crate::statedb::{hash_entries, StateDb, VersionedValue};
 use crate::tx::{StateKey, TxId, Version};
+
+/// Encoded length of a [`Version`]: block number and transaction index.
+const VERSION_LEN: u64 = 8 + 4;
 
 /// Default number of state entries per chunk.
 pub const DEFAULT_CHUNK_ENTRIES: usize = 256;
@@ -98,6 +115,17 @@ pub struct SnapshotEntry {
     pub version: Version,
 }
 
+/// Length of a key's canonical encoding.
+fn key_wire_size(key: &StateKey) -> u64 {
+    bytes_len(key.namespace.len()) + bytes_len(key.key.len())
+}
+
+impl SnapshotEntry {
+    fn wire_size(&self) -> u64 {
+        key_wire_size(&self.key) + bytes_len(self.value.len()) + VERSION_LEN
+    }
+}
+
 impl Encode for SnapshotEntry {
     fn encode(&self, enc: &mut Encoder) {
         self.key.encode(enc);
@@ -123,6 +151,15 @@ pub struct SnapshotChunk {
     pub entries: Vec<SnapshotEntry>,
 }
 
+impl SnapshotChunk {
+    /// Length of the chunk's canonical encoding, added up without
+    /// producing it.
+    pub fn wire_size(&self) -> u64 {
+        let entries: u64 = self.entries.iter().map(SnapshotEntry::wire_size).sum();
+        varint_len(self.entries.len() as u64) + entries
+    }
+}
+
 impl Encode for SnapshotChunk {
     fn encode(&self, enc: &mut Encoder) {
         encode_seq(&self.entries, enc);
@@ -134,6 +171,14 @@ impl Decode for SnapshotChunk {
         Ok(SnapshotChunk {
             entries: decode_seq(dec)?,
         })
+    }
+}
+
+impl HistoryEntry {
+    fn wire_size(&self) -> u64 {
+        // The value is an option: a tag byte, then the bytes if present.
+        let value = self.value.as_ref().map_or(0, |v| bytes_len(v.len()));
+        DIGEST_LEN + VERSION_LEN + 1 + value
     }
 }
 
@@ -164,6 +209,13 @@ pub struct HistoryRecord {
     pub entries: Vec<HistoryEntry>,
 }
 
+impl HistoryRecord {
+    fn wire_size(&self) -> u64 {
+        let entries: u64 = self.entries.iter().map(HistoryEntry::wire_size).sum();
+        key_wire_size(&self.key) + varint_len(self.entries.len() as u64) + entries
+    }
+}
+
 impl Encode for HistoryRecord {
     fn encode(&self, enc: &mut Encoder) {
         self.key.encode(enc);
@@ -189,6 +241,16 @@ pub struct SnapshotTail {
     /// Every committed tx id (valid and invalid), strictly increasing —
     /// restoring this keeps duplicate detection sound after bootstrap.
     pub seen: Vec<TxId>,
+}
+
+impl SnapshotTail {
+    /// Length of the tail's canonical encoding, added up without
+    /// producing it.
+    pub fn wire_size(&self) -> u64 {
+        let history: u64 = self.history.iter().map(HistoryRecord::wire_size).sum();
+        let seen = self.seen.len() as u64;
+        varint_len(self.history.len() as u64) + history + varint_len(seen) + seen * DIGEST_LEN
+    }
 }
 
 impl Encode for SnapshotTail {
@@ -233,6 +295,15 @@ impl SnapshotManifest {
     /// Number of transfer parts (state chunks + the tail).
     pub fn part_count(&self) -> usize {
         self.part_digests.len()
+    }
+
+    /// Length of the manifest's canonical encoding, added up without
+    /// producing it.
+    pub fn wire_size(&self) -> u64 {
+        let parts = self.part_digests.len() as u64;
+        // Height, then tip hash, state hash, Merkle root and graph digest
+        // around the part digests.
+        bytes_len(self.channel.len()) + 8 + (4 + parts) * DIGEST_LEN + varint_len(parts)
     }
 }
 
@@ -280,11 +351,13 @@ impl SnapshotPart {
         }
     }
 
-    /// Approximate wire size of this part (its canonical encoding).
-    pub fn wire_size(&self) -> usize {
+    /// Wire size of this part, for network and CPU cost models: the
+    /// length of the chunk's or tail's canonical encoding, added up
+    /// without producing it.
+    pub fn wire_size(&self) -> u64 {
         match self {
-            SnapshotPart::State(c) => c.to_bytes().len(),
-            SnapshotPart::Tail(t) => t.to_bytes().len(),
+            SnapshotPart::State(c) => c.wire_size(),
+            SnapshotPart::Tail(t) => t.wire_size(),
         }
     }
 }
@@ -316,6 +389,13 @@ impl Decode for SnapshotPart {
 
 /// A complete, verifiable snapshot of one channel's derived state.
 ///
+/// A snapshot is cut *frozen* and becomes *sealed* when its manifest is
+/// first read (see the module documentation). Every reader goes through
+/// [`Snapshot::manifest`], so the two are one type on one path: a
+/// snapshot that arrives over the wire ([`Snapshot::assemble`]) or from
+/// its encoding carries the manifest it came with and is sealed from the
+/// start.
+///
 /// # Examples
 ///
 /// ```
@@ -325,25 +405,40 @@ impl Decode for SnapshotPart {
 /// let history = HistoryDb::new();
 /// let snap = Snapshot::capture(
 ///     &ChannelId::default(), 3, Digest::of(b"tip"),
-///     &state, &history, vec![], Digest::ZERO, 4,
+///     &state, &history, vec![], None, 4,
 /// );
+/// assert_eq!(snap.manifest().state_hash, state.state_hash());
 /// assert!(snap.verify().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Snapshot {
-    /// The commitment over all parts.
-    pub manifest: SnapshotManifest,
-    /// State chunks, key order, manifest order.
+    channel: String,
+    height: u64,
+    tip_hash: Digest,
+    /// Derives the provenance graph the manifest commits to from the
+    /// frozen state; consulted once, by the seal.
+    indexer: Option<Arc<dyn GraphIndexer>>,
+    /// State chunks, key order, manifest order. An edit made after the
+    /// seal is what [`Snapshot::verify`] reports.
     pub chunks: Vec<SnapshotChunk>,
-    /// History + seen-tx remainder.
-    pub tail: SnapshotTail,
+    /// History + seen-tx remainder, frozen in the order the ledger's hash
+    /// tables gave it up; its first reader puts it in key order.
+    tail: LazyCell<SnapshotTail, Box<dyn FnOnce() -> SnapshotTail>>,
+    manifest: OnceCell<SnapshotManifest>,
 }
 
 impl Snapshot {
     /// Freezes the given databases at `height` into a snapshot with at
     /// most `chunk_entries` state entries per chunk. `seen` must be the
-    /// full committed-tx-id set; it is sorted here. Capture is host-side
-    /// cheap — simulated cost is charged by the caller.
+    /// full committed-tx-id set, in any order. `indexer` is the one the
+    /// channel's provenance graph is maintained with (`None` for an empty
+    /// graph).
+    ///
+    /// The cut shares every key and value with the ledger and computes
+    /// nothing over them: its host cost is a refcount bump per string,
+    /// into a fixed number of vectors. Simulated cost is charged by the
+    /// caller, from [`Snapshot::entry_count`] and
+    /// [`Snapshot::state_bytes`].
     #[allow(clippy::too_many_arguments)]
     pub fn capture(
         channel: &ChannelId,
@@ -352,7 +447,7 @@ impl Snapshot {
         state: &StateDb,
         history: &HistoryDb,
         mut seen: Vec<TxId>,
-        graph_digest: Digest,
+        indexer: Option<Arc<dyn GraphIndexer>>,
         chunk_entries: usize,
     ) -> Snapshot {
         let per_chunk = chunk_entries.max(1);
@@ -371,37 +466,50 @@ impl Snapshot {
             });
         }
 
-        let mut records: Vec<HistoryRecord> = history
-            .iter()
-            .map(|(key, entries)| HistoryRecord {
-                key: key.clone(),
-                entries: entries.to_vec(),
-            })
-            .collect();
-        records.sort_by(|a, b| a.key.cmp(&b.key));
-        seen.sort_unstable();
-        seen.dedup();
-        let tail = SnapshotTail {
-            history: records,
-            seen,
-        };
-
-        let mut part_digests: Vec<Digest> = chunks.iter().map(|c| c.digest()).collect();
-        part_digests.push(tail.digest());
-        let merkle_root = MerkleTree::root_of(&part_digests);
-
+        // History is frozen flat — every key with its entry count, and
+        // every entry, in two vectors — so the cut allocates twice, not
+        // once per key, and a cut nobody read is dropped as cheaply. The
+        // per-key lists are cut out when the tail is first read.
+        let mut keys = Vec::with_capacity(history.key_count());
+        let mut flat = Vec::with_capacity(history.total_entries() as usize);
+        for (key, entries) in history.iter() {
+            keys.push((key.clone(), entries.len()));
+            flat.extend_from_slice(entries);
+        }
         Snapshot {
-            manifest: SnapshotManifest {
-                channel: channel.as_str().to_owned(),
-                height,
-                tip_hash,
-                state_hash: state.state_hash(),
-                merkle_root,
-                part_digests,
-                graph_digest,
-            },
+            channel: channel.as_str().to_owned(),
+            height,
+            tip_hash,
+            indexer,
             chunks,
-            tail,
+            tail: LazyCell::new(Box::new(move || {
+                let mut flat = flat.into_iter();
+                let mut history: Vec<HistoryRecord> = keys
+                    .into_iter()
+                    .map(|(key, n)| HistoryRecord {
+                        key,
+                        entries: flat.by_ref().take(n).collect(),
+                    })
+                    .collect();
+                history.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+                seen.sort_unstable();
+                seen.dedup();
+                SnapshotTail { history, seen }
+            })),
+            manifest: OnceCell::new(),
+        }
+    }
+
+    /// A snapshot that arrives with its manifest: sealed from the start.
+    fn sealed(manifest: SnapshotManifest, chunks: Vec<SnapshotChunk>, tail: SnapshotTail) -> Self {
+        Snapshot {
+            channel: manifest.channel.clone(),
+            height: manifest.height,
+            tip_hash: manifest.tip_hash,
+            indexer: None,
+            chunks,
+            tail: LazyCell::new(Box::new(move || tail)),
+            manifest: OnceCell::from(manifest),
         }
     }
 
@@ -434,13 +542,58 @@ impl Snapshot {
                 SnapshotPart::Tail(t) => tail = Some(t),
             }
         }
-        let snapshot = Snapshot {
-            manifest,
-            chunks,
-            tail: tail.ok_or(SnapshotError::MissingPart { index: 0 })?,
-        };
+        // The tail is the last part: with none among them, that slot held
+        // something else.
+        let tail = tail.ok_or(SnapshotError::MissingPart {
+            index: manifest.part_count().saturating_sub(1),
+        })?;
+        let snapshot = Snapshot::sealed(manifest, chunks, tail);
         snapshot.verify()?;
         Ok(snapshot)
+    }
+
+    /// Number of blocks covered; reading it does not seal.
+    pub fn height(&self) -> u64 {
+        self.height
+    }
+
+    /// The commitment over all parts. The first call seals the snapshot:
+    /// it encodes and hashes every part, hashes the state, puts the tail
+    /// in key order and derives the graph digest — work proportional to
+    /// the ledger, done once.
+    pub fn manifest(&self) -> &SnapshotManifest {
+        self.manifest.get_or_init(|| {
+            let mut part_digests: Vec<Digest> = self.chunks.iter().map(Encode::digest).collect();
+            part_digests.push(self.tail().digest());
+            let graph = ProvGraph::from_state(
+                self.indexer.as_deref(),
+                self.entries().map(|e| (&e.key, &*e.value)),
+            );
+            SnapshotManifest {
+                channel: self.channel.clone(),
+                height: self.height,
+                tip_hash: self.tip_hash,
+                state_hash: self.state_hash(),
+                merkle_root: MerkleTree::root_of(&part_digests),
+                part_digests,
+                graph_digest: graph.digest(),
+            }
+        })
+    }
+
+    /// History + seen-tx remainder, in key order. The first call sorts.
+    pub fn tail(&self) -> &SnapshotTail {
+        &self.tail
+    }
+
+    /// Every state entry, in key order.
+    fn entries(&self) -> impl Iterator<Item = &SnapshotEntry> {
+        self.chunks.iter().flat_map(|c| &c.entries)
+    }
+
+    /// [`StateDb::state_hash`] of the state the entries restore to.
+    fn state_hash(&self) -> Digest {
+        hash_entries(self.entries().map(|e| (&e.key, &*e.value, e.version)))
     }
 
     /// The transfer part at `index` (state chunks first, tail last).
@@ -448,7 +601,7 @@ impl Snapshot {
         if index < self.chunks.len() {
             Some(SnapshotPart::State(self.chunks[index].clone()))
         } else if index == self.chunks.len() {
-            Some(SnapshotPart::Tail(self.tail.clone()))
+            Some(SnapshotPart::Tail(self.tail().clone()))
         } else {
             None
         }
@@ -466,16 +619,17 @@ impl Snapshot {
 
     /// Total bytes of captured state values.
     pub fn state_bytes(&self) -> u64 {
-        self.chunks
-            .iter()
-            .flat_map(|c| &c.entries)
-            .map(|e| e.value.len() as u64)
-            .sum()
+        self.entries().map(|e| e.value.len() as u64).sum()
     }
 
-    /// Approximate wire size of the whole snapshot.
-    pub fn wire_size(&self) -> usize {
-        self.to_bytes().len()
+    /// Wire size of the whole snapshot: the length of its canonical
+    /// encoding, added up without producing it.
+    pub fn wire_size(&self) -> u64 {
+        let chunks: u64 = self.chunks.iter().map(SnapshotChunk::wire_size).sum();
+        self.manifest().wire_size()
+            + varint_len(self.chunks.len() as u64)
+            + chunks
+            + self.tail().wire_size()
     }
 
     /// Full integrity check: part digests, Merkle root, key order of
@@ -486,7 +640,8 @@ impl Snapshot {
     ///
     /// Returns the first [`SnapshotError`] found.
     pub fn verify(&self) -> Result<(), SnapshotError> {
-        let m = &self.manifest;
+        let m = self.manifest();
+        let tail = self.tail();
         if m.height == 0 {
             return Err(SnapshotError::ZeroHeight);
         }
@@ -501,7 +656,7 @@ impl Snapshot {
                 return Err(SnapshotError::PartDigestMismatch { index });
             }
         }
-        if self.tail.digest() != m.part_digests[self.chunks.len()] {
+        if tail.digest() != m.part_digests[self.chunks.len()] {
             return Err(SnapshotError::PartDigestMismatch {
                 index: self.chunks.len(),
             });
@@ -511,35 +666,19 @@ impl Snapshot {
         }
 
         // State entries: strictly increasing keys across chunk borders,
-        // and the same running digest StateDb::state_hash computes.
-        let mut hasher = crate::hash::Sha256::new();
-        let mut prev_key: Option<&StateKey> = None;
-        for entry in self.chunks.iter().flat_map(|c| &c.entries) {
-            if let Some(prev) = prev_key {
-                if *prev >= entry.key {
-                    return Err(SnapshotError::EntriesOutOfOrder);
-                }
-            }
-            prev_key = Some(&entry.key);
-            for part in [
-                entry.key.namespace.as_bytes(),
-                entry.key.key.as_bytes(),
-                &*entry.value,
-            ] {
-                hasher.update(&(part.len() as u64).to_be_bytes());
-                hasher.update(part);
-            }
-            hasher.update(&entry.version.block_num.to_be_bytes());
-            hasher.update(&entry.version.tx_num.to_be_bytes());
+        // and the same digest StateDb::state_hash computes.
+        let mut pairs = self.entries().zip(self.entries().skip(1));
+        if pairs.any(|(prev, next)| prev.key >= next.key) {
+            return Err(SnapshotError::EntriesOutOfOrder);
         }
-        if hasher.finalize() != m.state_hash {
+        if self.state_hash() != m.state_hash {
             return Err(SnapshotError::StateHashMismatch);
         }
 
-        if self.tail.history.windows(2).any(|w| w[0].key >= w[1].key) {
+        if tail.history.windows(2).any(|w| w[0].key >= w[1].key) {
             return Err(SnapshotError::HistoryOutOfOrder);
         }
-        if self.tail.seen.windows(2).any(|w| w[0] >= w[1]) {
+        if tail.seen.windows(2).any(|w| w[0] >= w[1]) {
             return Err(SnapshotError::SeenOutOfOrder);
         }
         Ok(())
@@ -548,7 +687,7 @@ impl Snapshot {
     /// Rebuilds the world state captured by this snapshot.
     pub fn restore_state(&self) -> StateDb {
         let mut db = StateDb::new();
-        for entry in self.chunks.iter().flat_map(|c| &c.entries) {
+        for entry in self.entries() {
             db.restore_entry(
                 entry.key.clone(),
                 VersionedValue {
@@ -563,7 +702,7 @@ impl Snapshot {
     /// Rebuilds the history index captured by this snapshot.
     pub fn restore_history(&self) -> HistoryDb {
         let mut db = HistoryDb::new();
-        for record in &self.tail.history {
+        for record in &self.tail().history {
             db.restore_key(record.key.clone(), record.entries.clone());
         }
         db
@@ -572,19 +711,19 @@ impl Snapshot {
 
 impl Encode for Snapshot {
     fn encode(&self, enc: &mut Encoder) {
-        self.manifest.encode(enc);
+        self.manifest().encode(enc);
         encode_seq(&self.chunks, enc);
-        self.tail.encode(enc);
+        self.tail().encode(enc);
     }
 }
 
 impl Decode for Snapshot {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Snapshot {
-            manifest: SnapshotManifest::decode(dec)?,
-            chunks: decode_seq(dec)?,
-            tail: SnapshotTail::decode(dec)?,
-        })
+        Ok(Snapshot::sealed(
+            SnapshotManifest::decode(dec)?,
+            decode_seq(dec)?,
+            SnapshotTail::decode(dec)?,
+        ))
     }
 }
 
@@ -633,9 +772,37 @@ mod tests {
             &state,
             &history,
             seen,
-            Digest::of(b"graph"),
+            None,
             chunk_entries,
         )
+    }
+
+    /// A sample whose manifest has been read: edits from here on are
+    /// tampering, which `verify` must report.
+    fn sealed_sample(n_keys: usize, chunk_entries: usize) -> Snapshot {
+        let snap = sample(n_keys, chunk_entries);
+        snap.manifest();
+        snap
+    }
+
+    fn manifest_mut(snap: &mut Snapshot) -> &mut SnapshotManifest {
+        snap.manifest();
+        snap.manifest.get_mut().expect("sealed above")
+    }
+
+    fn tail_mut(snap: &mut Snapshot) -> &mut SnapshotTail {
+        LazyCell::force_mut(&mut snap.tail)
+    }
+
+    /// Recomputes the Merkle root over the manifest's part digests, as a
+    /// tamperer covering an edited part would.
+    fn reroot(snap: &mut Snapshot) {
+        let manifest = manifest_mut(snap);
+        manifest.merkle_root = MerkleTree::root_of(&manifest.part_digests);
+    }
+
+    fn parts_of(snap: &Snapshot) -> Vec<Option<SnapshotPart>> {
+        (0..snap.part_count()).map(|i| snap.part(i)).collect()
     }
 
     #[test]
@@ -647,10 +814,27 @@ mod tests {
         snap.verify().unwrap();
         // Codec round trip preserves everything.
         let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(back, snap);
+        assert_eq!(back.manifest(), snap.manifest());
+        assert_eq!(back.to_bytes(), snap.to_bytes());
         back.verify().unwrap();
-        assert!(snap.wire_size() > 0);
+        assert_eq!(snap.wire_size(), snap.to_bytes().len() as u64);
         assert!(snap.state_bytes() > 0);
+    }
+
+    #[test]
+    fn a_cut_stays_frozen_until_its_manifest_is_read() {
+        let snap = sample(10, 3);
+        // What the peer reads at the cut — height and the two cost-model
+        // inputs — seals nothing and orders nothing.
+        assert_eq!(snap.height(), 11);
+        assert_eq!(snap.entry_count(), 10);
+        assert!(snap.state_bytes() > 0);
+        assert!(snap.manifest.get().is_none());
+        assert!(LazyCell::get(&snap.tail).is_none());
+        // Every reader of the commitment seals, once.
+        snap.verify().unwrap();
+        let sealed: *const SnapshotManifest = snap.manifest();
+        assert!(std::ptr::eq(sealed, snap.manifest()));
     }
 
     #[test]
@@ -660,11 +844,11 @@ mod tests {
         // depend on how the bytes are held.
         let snap = sample(5, 2);
         assert_eq!(
-            snap.manifest.state_hash.to_hex(),
+            snap.manifest().state_hash.to_hex(),
             "effb8dd6c5a8e0bd1c8a1c9df66b562d17a843dd1d52d9f78fde847cc4ffc13d"
         );
         assert_eq!(
-            snap.manifest.merkle_root.to_hex(),
+            snap.manifest().merkle_root.to_hex(),
             "85be8fa454af8506dbe9766f43c7426edf5a014752f5dd5e6e4e8c18acc9a437"
         );
     }
@@ -681,7 +865,7 @@ mod tests {
             &state,
             &HistoryDb::new(),
             vec![],
-            Digest::ZERO,
+            None,
             4,
         );
         snap.verify().unwrap();
@@ -697,7 +881,7 @@ mod tests {
         let a = sample(20, 4);
         let b = sample(20, 4);
         assert_eq!(a.to_bytes(), b.to_bytes());
-        assert_eq!(a.manifest.merkle_root, b.manifest.merkle_root);
+        assert_eq!(a.manifest().merkle_root, b.manifest().merkle_root);
     }
 
     #[test]
@@ -709,100 +893,111 @@ mod tests {
             &StateDb::new(),
             &HistoryDb::new(),
             vec![],
-            Digest::ZERO,
+            None,
             8,
         );
         assert_eq!(snap.chunks.len(), 0);
         assert_eq!(snap.part_count(), 1);
         snap.verify().unwrap();
-        assert_eq!(snap.manifest.state_hash, StateDb::new().state_hash());
+        assert_eq!(snap.manifest().state_hash, StateDb::new().state_hash());
     }
 
     #[test]
     fn zero_height_rejected() {
         let mut snap = sample(2, 2);
-        snap.manifest.height = 0;
+        manifest_mut(&mut snap).height = 0;
         assert_eq!(snap.verify(), Err(SnapshotError::ZeroHeight));
     }
 
     #[test]
     fn tampered_value_detected() {
-        let mut snap = sample(6, 2);
+        let mut snap = sealed_sample(6, 2);
         snap.chunks[1].entries[0].value = b"evil".as_slice().into();
         assert_eq!(
             snap.verify(),
             Err(SnapshotError::PartDigestMismatch { index: 1 })
         );
         // Hide it by recomputing that part digest: the root breaks.
-        snap.manifest.part_digests[1] = snap.chunks[1].digest();
+        manifest_mut(&mut snap).part_digests[1] = snap.chunks[1].digest();
         assert_eq!(snap.verify(), Err(SnapshotError::RootMismatch));
         // Recompute the root too: the state hash still catches it.
-        snap.manifest.merkle_root = MerkleTree::root_of(&snap.manifest.part_digests);
+        reroot(&mut snap);
         assert_eq!(snap.verify(), Err(SnapshotError::StateHashMismatch));
     }
 
     #[test]
     fn out_of_order_entries_detected() {
-        let mut snap = sample(4, 2);
+        let mut snap = sealed_sample(4, 2);
         snap.chunks[0].entries.swap(0, 1);
-        snap.manifest.part_digests[0] = snap.chunks[0].digest();
-        snap.manifest.merkle_root = MerkleTree::root_of(&snap.manifest.part_digests);
+        manifest_mut(&mut snap).part_digests[0] = snap.chunks[0].digest();
+        reroot(&mut snap);
         assert_eq!(snap.verify(), Err(SnapshotError::EntriesOutOfOrder));
     }
 
     #[test]
     fn tampered_tail_detected() {
-        let mut snap = sample(4, 2);
-        snap.tail.seen.reverse();
-        let last = snap.manifest.part_digests.len() - 1;
+        let mut snap = sealed_sample(4, 2);
+        tail_mut(&mut snap).seen.reverse();
+        let last = snap.part_count() - 1;
         assert_eq!(
             snap.verify(),
             Err(SnapshotError::PartDigestMismatch { index: last })
         );
-        snap.manifest.part_digests[last] = snap.tail.digest();
-        snap.manifest.merkle_root = MerkleTree::root_of(&snap.manifest.part_digests);
+        manifest_mut(&mut snap).part_digests[last] = snap.tail().digest();
+        reroot(&mut snap);
         assert_eq!(snap.verify(), Err(SnapshotError::SeenOutOfOrder));
-        snap.tail.seen.reverse();
-        snap.tail.history.reverse();
-        snap.manifest.part_digests[last] = snap.tail.digest();
-        snap.manifest.merkle_root = MerkleTree::root_of(&snap.manifest.part_digests);
+        tail_mut(&mut snap).seen.reverse();
+        tail_mut(&mut snap).history.reverse();
+        manifest_mut(&mut snap).part_digests[last] = snap.tail().digest();
+        reroot(&mut snap);
         assert_eq!(snap.verify(), Err(SnapshotError::HistoryOutOfOrder));
     }
 
     #[test]
     fn assemble_from_parts() {
         let snap = sample(9, 4);
-        let parts: Vec<Option<SnapshotPart>> =
-            (0..snap.part_count()).map(|i| snap.part(i)).collect();
         assert!(snap.part(snap.part_count()).is_none());
-        let back = Snapshot::assemble(snap.manifest.clone(), parts).unwrap();
-        assert_eq!(back, snap);
+        let back = Snapshot::assemble(snap.manifest().clone(), parts_of(&snap)).unwrap();
+        assert_eq!(back.to_bytes(), snap.to_bytes());
     }
 
     #[test]
     fn assemble_rejects_missing_and_corrupt_parts() {
         let snap = sample(9, 4);
-        let n = snap.part_count();
+        let assemble = |parts| Snapshot::assemble(snap.manifest().clone(), parts).unwrap_err();
         // Missing part.
-        let mut parts: Vec<Option<SnapshotPart>> = (0..n).map(|i| snap.part(i)).collect();
+        let mut parts = parts_of(&snap);
         parts[1] = None;
-        assert_eq!(
-            Snapshot::assemble(snap.manifest.clone(), parts),
-            Err(SnapshotError::MissingPart { index: 1 })
-        );
+        assert_eq!(assemble(parts), SnapshotError::MissingPart { index: 1 });
         // Wrong count.
         assert!(matches!(
-            Snapshot::assemble(snap.manifest.clone(), vec![]),
-            Err(SnapshotError::PartCountMismatch { .. })
+            assemble(vec![]),
+            SnapshotError::PartCountMismatch { .. }
         ));
         // Corrupted part.
-        let mut parts: Vec<Option<SnapshotPart>> = (0..n).map(|i| snap.part(i)).collect();
+        let mut parts = parts_of(&snap);
         if let Some(SnapshotPart::State(c)) = parts[0].as_mut() {
             c.entries[0].value = b"junk".as_slice().into();
         }
         assert_eq!(
-            Snapshot::assemble(snap.manifest.clone(), parts),
-            Err(SnapshotError::PartDigestMismatch { index: 0 })
+            assemble(parts),
+            SnapshotError::PartDigestMismatch { index: 0 }
+        );
+    }
+
+    #[test]
+    fn assemble_names_the_tail_when_no_part_is_one() {
+        // Every slot filled and every digest matching, but the last slot
+        // holds a second state chunk: it is the tail that never arrived.
+        let snap = sample(9, 4);
+        let last = snap.part_count() - 1;
+        let mut manifest = snap.manifest().clone();
+        let mut parts = parts_of(&snap);
+        parts[last] = parts[0].clone();
+        manifest.part_digests[last] = manifest.part_digests[0];
+        assert_eq!(
+            Snapshot::assemble(manifest, parts).unwrap_err(),
+            SnapshotError::MissingPart { index: last }
         );
     }
 
@@ -829,7 +1024,7 @@ mod tests {
             &state,
             &history,
             vec![TxId(Digest::of(b"a")), TxId(Digest::of(b"b"))],
-            Digest::ZERO,
+            None,
             7,
         );
         snap.verify().unwrap();
@@ -854,11 +1049,11 @@ mod tests {
             &StateDb::new(),
             &HistoryDb::new(),
             vec![b, a, b, a],
-            Digest::ZERO,
+            None,
             8,
         );
         snap.verify().unwrap();
-        assert_eq!(snap.tail.seen.len(), 2);
+        assert_eq!(snap.tail().seen.len(), 2);
     }
 
     #[test]

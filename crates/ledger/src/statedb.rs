@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::hash::{Digest, Sha256};
 use crate::tx::{KvRead, KvWrite, StateKey, Version};
 
 /// A current state value together with the version that wrote it.
@@ -159,18 +160,27 @@ impl StateDb {
     /// version, in key order. Two replicas hold identical state iff their
     /// hashes match, which is how the fault-recovery tests assert that a
     /// healed partition left no divergence.
-    pub fn state_hash(&self) -> crate::hash::Digest {
-        let mut hasher = crate::hash::Sha256::new();
-        for (key, vv) in self.iter() {
-            for part in [key.namespace.as_bytes(), key.key.as_bytes(), &*vv.value] {
-                hasher.update(&(part.len() as u64).to_be_bytes());
-                hasher.update(part);
-            }
-            hasher.update(&vv.version.block_num.to_be_bytes());
-            hasher.update(&vv.version.tx_num.to_be_bytes());
-        }
-        hasher.finalize()
+    pub fn state_hash(&self) -> Digest {
+        hash_entries(self.iter().map(|(key, vv)| (key, &*vv.value, vv.version)))
     }
+}
+
+/// The digest behind [`StateDb::state_hash`] over any run of entries in
+/// key order, so a snapshot's frozen entries hash to the state they were
+/// cut from without rebuilding a map.
+pub(crate) fn hash_entries<'a>(
+    entries: impl Iterator<Item = (&'a StateKey, &'a [u8], Version)>,
+) -> Digest {
+    let mut hasher = Sha256::new();
+    for (key, value, version) in entries {
+        for part in [key.namespace.as_bytes(), key.key.as_bytes(), value] {
+            hasher.update(&(part.len() as u64).to_be_bytes());
+            hasher.update(part);
+        }
+        hasher.update(&version.block_num.to_be_bytes());
+        hasher.update(&version.tx_num.to_be_bytes());
+    }
+    hasher.finalize()
 }
 
 #[cfg(test)]

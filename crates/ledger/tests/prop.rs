@@ -2,12 +2,41 @@
 //! round-trips, Merkle proofs, MVCC coherence and hash-chain integrity
 //! under arbitrary inputs.
 
+use std::sync::Arc;
+
 use hyperprov_ledger::{
     Block, BlockHeader, BlockMetadata, BlockStore, ChannelId, Decode, Digest, Encode, Encoder,
-    HistoryDb, KvRead, KvWrite, MerkleTree, RawEnvelope, RwSet, Snapshot, StateDb, StateKey, TxId,
-    ValidationCode, Version,
+    GraphIndexer, GraphUpdate, HistoryDb, KvRead, KvWrite, MerkleTree, RawEnvelope, RwSet,
+    Snapshot, SnapshotPart, StateDb, StateKey, TxId, ValidationCode, Version,
 };
 use proptest::prelude::*;
+
+/// Every key is a graph node whose one parent is named by the first byte
+/// of its value, so the graph digest depends on values as well as keys.
+#[derive(Debug)]
+struct FirstByteIndexer;
+
+impl GraphIndexer for FirstByteIndexer {
+    fn index(&self, key: &StateKey, value: Option<&[u8]>) -> Option<GraphUpdate> {
+        let key = key.key.to_string();
+        Some(match value {
+            Some(value) => GraphUpdate::Insert {
+                key,
+                parents: value.first().map(|b| format!("p{b}")).into_iter().collect(),
+            },
+            None => GraphUpdate::Remove { key },
+        })
+    }
+}
+
+/// Applies one transaction's writes to both databases, as a commit does.
+fn commit(state: &mut StateDb, history: &mut HistoryDb, n: u64, writes: &[KvWrite]) -> TxId {
+    let tx = TxId(Digest::of(&n.to_le_bytes()));
+    let version = Version::new(n, 0);
+    state.apply_writes(writes, version);
+    history.append(tx, version, writes);
+    tx
+}
 
 fn arb_digest() -> impl Strategy<Value = Digest> {
     any::<[u8; 32]>().prop_map(Digest::from)
@@ -159,7 +188,7 @@ proptest! {
             &state,
             &history,
             vec![TxId(Digest::of(b"t"))],
-            Digest::of(b"graph"),
+            None,
             chunk_entries,
         );
         let restored = snapshot.restore_state();
@@ -253,5 +282,116 @@ proptest! {
             },
         };
         prop_assert_eq!(block.wire_size(), block.to_bytes().len() as u64);
+    }
+
+    // The same for snapshots: transfer cost and link time are charged from
+    // the sizes of the parts, which are added up, not encoded.
+    #[test]
+    fn snapshot_wire_sizes_are_the_encoded_lengths(
+        value_lens in proptest::collection::vec(0usize..4097, 0..301),
+        rewrites in 0u64..4,
+        with_tail in any::<bool>(),
+        chunk_entries in 1usize..301,
+    ) {
+        let mut state = StateDb::new();
+        let mut history = HistoryDb::new();
+        let mut seen = Vec::new();
+        // Version 1 writes every key, each later one rewrites every other
+        // key and deletes every fifth, so histories of one to four entries
+        // (deletions among them) sit beside live and deleted keys.
+        for version in 1..=1 + rewrites {
+            let writes: Vec<KvWrite> = value_lens
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| version == 1 || i % 2 == 0)
+                .map(|(i, &len)| KvWrite {
+                    key: StateKey::new("cc", format!("k{i:03}")),
+                    value: (version == 1 || i % 5 != 0).then(|| vec![version as u8; len].into()),
+                })
+                .collect();
+            seen.push(commit(&mut state, &mut history, version, &writes));
+        }
+        if !with_tail {
+            history = HistoryDb::new();
+            seen.clear();
+        }
+        let snapshot = Snapshot::capture(
+            &ChannelId::new("ch"),
+            2 + rewrites,
+            Digest::of(b"tip"),
+            &state,
+            &history,
+            seen,
+            None,
+            chunk_entries,
+        );
+        for index in 0..snapshot.part_count() {
+            let part = snapshot.part(index).unwrap();
+            let encoded = match &part {
+                SnapshotPart::State(chunk) => chunk.to_bytes(),
+                SnapshotPart::Tail(tail) => tail.to_bytes(),
+            };
+            prop_assert_eq!(part.wire_size(), encoded.len() as u64);
+        }
+        let manifest = snapshot.manifest();
+        prop_assert_eq!(manifest.wire_size(), manifest.to_bytes().len() as u64);
+        prop_assert_eq!(snapshot.wire_size(), snapshot.to_bytes().len() as u64);
+    }
+
+    // Frozen means frozen, lazy equals eager: a cut sealed only after the
+    // ledger has moved on commits to the ledger as it stood at the cut.
+    #[test]
+    fn a_cut_sealed_late_equals_a_cut_sealed_at_once(
+        writes in proptest::collection::vec(arb_write(), 1..40),
+        later in proptest::collection::vec(arb_write(), 0..20),
+        chunk_entries in 1usize..8,
+    ) {
+        let mut state = StateDb::new();
+        let mut history = HistoryDb::new();
+        let mut seen = vec![commit(&mut state, &mut history, 1, &writes)];
+        let cut = || {
+            Snapshot::capture(
+                &ChannelId::new("ch"),
+                2,
+                Digest::of(b"tip"),
+                &state,
+                &history,
+                seen.clone(),
+                Some(Arc::new(FirstByteIndexer)),
+                chunk_entries,
+            )
+        };
+        let eager = cut();
+        eager.manifest();
+        let lazy = cut();
+        let (state_at_cut, history_at_cut) = (state.clone(), history.clone());
+
+        // The ledger moves on: every key the cut holds — so every chunk —
+        // is overwritten, every third is then deleted, new keys arrive.
+        let overwrites: Vec<KvWrite> = state_at_cut
+            .iter()
+            .map(|(key, _)| KvWrite { key: key.clone(), value: Some(b"moved on".as_slice().into()) })
+            .collect();
+        let deletes: Vec<KvWrite> = overwrites
+            .iter()
+            .step_by(3)
+            .map(|w| KvWrite { key: w.key.clone(), value: None })
+            .collect();
+        for (n, writes) in [(2, &overwrites), (3, &deletes), (4, &later)] {
+            seen.push(commit(&mut state, &mut history, n, writes));
+        }
+
+        prop_assert_eq!(lazy.manifest(), eager.manifest());
+        prop_assert_eq!(lazy.to_bytes(), eager.to_bytes());
+        prop_assert!(lazy.verify().is_ok());
+        prop_assert_eq!(lazy.manifest().state_hash, state_at_cut.state_hash());
+        let restored = lazy.restore_state();
+        prop_assert_eq!(restored.state_hash(), state_at_cut.state_hash());
+        prop_assert_eq!(restored.len(), state_at_cut.len());
+        let restored = lazy.restore_history();
+        prop_assert_eq!(restored.key_count(), history_at_cut.key_count());
+        for (key, entries) in history_at_cut.iter() {
+            prop_assert_eq!(restored.history(key), entries);
+        }
     }
 }
