@@ -9,8 +9,8 @@
 //! hop across shards (`list`, `get_lineage`).
 
 use hyperprov::{
-    ChannelRouter, ChannelSpec, ClientCommand, HashRouter, HyperProvNetwork, NetworkConfig,
-    NodeMsg, OpId, OpOutput, RecordInput,
+    ChannelSpec, ClientCommand, HashRouter, HyperProvNetwork, NetworkConfig, NodeMsg, OpId,
+    OpOutput, RecordInput,
 };
 use hyperprov_fabric::BatchConfig;
 use hyperprov_ledger::Digest;

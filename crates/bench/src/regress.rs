@@ -2,18 +2,19 @@
 //! against the committed `BENCH_sim.json` baseline.
 //!
 //! [`run_regress`] reruns the [`crate::experiments::sim_bench`] reference
-//! workload in quick mode and diffs its metrics against the repo-root
-//! baseline with per-metric tolerances:
+//! workload in quick mode and diffs its **model** metrics (virtual-time
+//! completions, goodput, latency quantiles, kernel event/message counts)
+//! against the repo-root baseline. They are deterministic for the fixed
+//! seed, so they must match within [`MODEL_REL_TOL`] — a drift means the
+//! simulated system's behaviour changed and the baseline must be
+//! regenerated deliberately (`bench_regress --update`).
 //!
-//! * **model** metrics (virtual-time completions, goodput, latency
-//!   quantiles, kernel event/message counts) are deterministic for the
-//!   fixed seed, so they must match within [`MODEL_REL_TOL`] — a drift
-//!   means the simulated system's behaviour changed and the baseline must
-//!   be regenerated deliberately (`bench_regress --update`);
-//! * **host** metrics (wall seconds, events per wall-second, peak RSS)
-//!   are machine-dependent, so only loose ratio bounds apply: the gate
-//!   fails when the host throughput collapses below `1/`[`HOST_RATIO`]
-//!   of the baseline or memory/wall time balloons past [`HOST_RATIO`]×.
+//! Host numbers (wall seconds, events per wall-second, peak RSS) are
+//! recorded in `BENCH_sim.json` as information and gated nowhere here:
+//! what the simulator costs the host is the job of the repo's benchmark
+//! (`benchmark/`, `BENCHMARK.json`), and what must hold to the byte is
+//! held by the exact-count budget tests
+//! (`crates/fabric/tests/{memory,snapshot}_budget.rs`).
 //!
 //! The gate also structurally validates the committed `BENCH_commit.json`
 //! trajectory file (parseable, right campaign, non-empty cells) so a
@@ -30,30 +31,6 @@ use crate::table::Table;
 
 /// Relative tolerance for deterministic model metrics.
 pub const MODEL_REL_TOL: f64 = 0.01;
-
-/// Ratio bound for host metrics: events/sec may not fall below
-/// `baseline / HOST_RATIO`; wall time and peak RSS may not exceed
-/// `baseline * HOST_RATIO`. Wide on purpose — CI machines differ.
-pub const HOST_RATIO: f64 = 20.0;
-
-/// Shape ceiling on the *committed* BENCH-SIM host profile: the machine
-/// that regenerates the baseline must finish the fixed 432-transaction
-/// reference workload within this many wall seconds — the time the
-/// broadcast-era run (8,316 events) took at twice the pre-optimisation
-/// kernel's rate (2 x 108,959 ev/s). Wall time for fixed work, not
-/// events per second: deleting useless events lowers events/s while the
-/// run gets faster, and a rate floor would reward adding them back. The
-/// ceiling is checked against the committed file, not the current
-/// machine, so CI boxes of any speed can still run the comparison gate.
-pub const BASELINE_WALL_CEILING_S: f64 = 0.0382;
-
-/// Shape ceiling on the committed quick T-SCALE profile's peak RSS: the
-/// scale machinery (timer wheel, interned names, lazy schedules) must
-/// keep the quick run's footprint modest. A smoke bound only: the quick
-/// run peaks near 21 MB, so this catches a runaway, not a regression.
-/// The bytes a committed record may cost are gated by
-/// `crates/fabric/tests/memory_budget.rs`, on exact allocation counts.
-pub const SCALE_RSS_CEILING: f64 = 256.0 * 1024.0 * 1024.0;
 
 /// The gate's outcome: the pass/fail table plus the overall verdict.
 #[derive(Debug)]
@@ -218,9 +195,7 @@ fn num(doc: &Value, prefix: &str, section: &str, key: &str) -> Option<f64> {
 
 /// Compares one profile of the fresh run against the baseline's: every
 /// model key the baseline recorded within [`MODEL_REL_TOL`] in both
-/// directions, host metrics within [`HOST_RATIO`] and only where the
-/// baseline recorded a positive value (RSS is unavailable off Linux, wall
-/// time can be zero on a skipped run).
+/// directions.
 fn check_profile(table: &mut Table, base: &Value, fresh: &Value, prefix: &str) -> bool {
     let mut pass = true;
     let model_keys: Vec<String> = profile(base, prefix)
@@ -253,26 +228,6 @@ fn check_profile(table: &mut Table, base: &Value, fresh: &Value, prefix: &str) -
             &format!("within {:.0}%", MODEL_REL_TOL * 100.0),
             Some(ok),
         ) && pass;
-    }
-    for (key, upper) in [
-        ("events_per_sec", false), // lower bound: baseline / ratio
-        ("wall_s", true),          // upper bound: baseline * ratio
-        ("peak_rss_bytes", true),
-    ] {
-        let b = num(base, prefix, "host", key).filter(|v| *v > 0.0);
-        let f = num(fresh, prefix, "host", key);
-        let (constraint, ok) = match (b, f) {
-            (Some(b), Some(f)) if upper => (
-                format!("<= {:.0}x baseline", HOST_RATIO),
-                Some(f <= b * HOST_RATIO),
-            ),
-            (Some(b), Some(f)) => (
-                format!(">= baseline/{:.0}", HOST_RATIO),
-                Some(f >= b / HOST_RATIO),
-            ),
-            _ => ("no baseline value".to_owned(), None),
-        };
-        pass = push_check(table, &format!("{prefix}host.{key}"), b, f, &constraint, ok) && pass;
     }
     pass
 }
@@ -363,29 +318,8 @@ pub fn run_regress(update: bool) -> RegressOutcome {
             pass = check_profile(&mut table, base, &fresh, prefix) && pass;
         }
 
-        // Shape checks on the committed trajectory itself — these gate
-        // what `bench_regress --update` is allowed to record, so a
-        // regressed kernel or a ballooning scale footprint cannot land as
-        // the new normal. (Checked against the committed file, not the
-        // current machine, so slow CI boxes can still run the gate.)
-        let b_wall = num(base, "", "host", "wall_s");
-        pass = push_check(
-            &mut table,
-            "committed host.wall_s ceiling",
-            b_wall,
-            Some(BASELINE_WALL_CEILING_S),
-            "reference workload at >= 2x the pre-optimisation kernel",
-            Some(b_wall.is_some_and(|v| v > 0.0 && v <= BASELINE_WALL_CEILING_S)),
-        ) && pass;
-        let b_rss = num(base, "scale.", "host", "peak_rss_bytes").filter(|v| *v > 0.0);
-        pass = push_check(
-            &mut table,
-            "committed scale.host.peak_rss_bytes ceiling",
-            b_rss,
-            Some(SCALE_RSS_CEILING),
-            "quick scale run stays under the RSS ceiling",
-            b_rss.map(|v| v <= SCALE_RSS_CEILING),
-        ) && pass;
+        // A shape check on the committed trajectory itself — it gates
+        // what `bench_regress --update` is allowed to record.
         let issued = num(base, "scale.", "model", "issued");
         let ok_n = num(base, "scale.", "model", "ok");
         let err_n = num(base, "scale.", "model", "err");

@@ -19,7 +19,6 @@ use hyperprov_sim::{Actor, ActorId, CpuResource, QueueConfig, SimDuration, Simul
 use crate::chaincode::{HyperProvChaincode, HyperProvIndexer};
 use crate::client::{CompletionQueue, HyperProvClient, RetryPolicy};
 use crate::net::NodeMsg;
-use crate::router::HashRouter;
 
 /// Ordering-service topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +39,7 @@ pub enum OrdererMode {
 /// (all in the deployment's [`NetworkConfig::orderer_mode`], under its
 /// one endorsement policy); peers host any subset of channels (each with
 /// its own block store, state database and history database), and
-/// clients route item keys to channels through a [`crate::ChannelRouter`].
+/// clients route item keys to channels through [`crate::HashRouter`].
 #[derive(Debug, Clone)]
 pub struct ChannelSpec {
     /// Channel name (unique within the deployment).
@@ -648,13 +647,8 @@ impl HyperProvNetwork {
                 }
                 gateways.push(gateway);
             }
-            let (client_actor, queue) = HyperProvClient::new(
-                gateways,
-                Box::new(HashRouter),
-                storage_id,
-                "sshfs://store0/",
-                config.costs,
-            );
+            let (client_actor, queue) =
+                HyperProvClient::new(gateways, storage_id, "sshfs://store0/", config.costs);
             let client_actor = match config.retry {
                 Some(policy) => client_actor.with_retry(policy),
                 None => client_actor,

@@ -49,7 +49,7 @@ pub use chaincode::{
     HyperProvChaincode, HyperProvIndexer, CHAINCODE_NAME, MAX_GRAPH_NODES, MAX_LINEAGE_DEPTH,
 };
 pub use client::{
-    ClientCommand, ClientCompletion, CompletionQueue, HyperProvClient, HyperProvError, OpId,
+    plan, ClientCommand, ClientCompletion, CompletionQueue, HyperProvClient, HyperProvError, OpId,
     OpOutput, RetryPolicy,
 };
 pub use deploy::{ChannelSpec, HyperProvNetwork, NetworkConfig, OrdererMode};
@@ -61,5 +61,5 @@ pub use record::{
     decode_history, decode_lineage, encode_history, encode_lineage, GraphSlice, HistoryRecord,
     LineageEntry, ProvenanceRecord, RecordInput,
 };
-pub use router::{ChannelRouter, HashRouter};
+pub use router::HashRouter;
 pub use verify::{audit, current_records, AuditFinding, AuditReport};

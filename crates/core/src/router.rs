@@ -1,24 +1,15 @@
 //! Key → channel routing for sharded (multi-channel) deployments.
 //!
 //! A [`HyperProvClient`](crate::HyperProvClient) on a multi-channel
-//! network owns one gateway per channel and consults a [`ChannelRouter`]
-//! to decide which channel owns an item key. Routing must be
-//! deterministic and stable: every client in the deployment must map the
-//! same key to the same channel, or reads would miss the shard that holds
-//! the record.
+//! network owns one gateway per channel and asks [`HashRouter`] which
+//! channel owns an item key. Routing is a pure function of the key and
+//! the channel count: every client in the deployment maps the same key to
+//! the same channel, across clients and across runs, or reads would miss
+//! the shard that holds the record.
 
 use hyperprov_ledger::Digest;
 
-/// Maps an item key to one of `n` channels (shards).
-///
-/// Implementations must be pure functions of `(key, n)`: the same inputs
-/// always produce the same shard index, across clients and across runs.
-pub trait ChannelRouter {
-    /// The shard index in `0..n` that owns `key`. `n` is at least 1.
-    fn route(&self, key: &str, n: usize) -> usize;
-}
-
-/// The default router: hash partitioning on the item key.
+/// The router: hash partitioning on the item key.
 ///
 /// Uses the first 8 bytes of the key's content digest interpreted as a
 /// big-endian `u64`, modulo the channel count — uniform, stable under
@@ -26,8 +17,9 @@ pub trait ChannelRouter {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashRouter;
 
-impl ChannelRouter for HashRouter {
-    fn route(&self, key: &str, n: usize) -> usize {
+impl HashRouter {
+    /// The shard index in `0..n` that owns `key`. `n` is at least 1.
+    pub fn route(&self, key: &str, n: usize) -> usize {
         debug_assert!(n >= 1, "router needs at least one channel");
         if n <= 1 {
             return 0;

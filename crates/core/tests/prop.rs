@@ -4,12 +4,18 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use hyperprov::plan::{GraphRounds, LineageWalk, Plan, Reply, Request, Step};
 use hyperprov::{
-    decode_history, decode_lineage, encode_history, encode_lineage, ChannelSpec, HistoryRecord,
-    HyperProv, LineageEntry, NetworkConfig, ProvenanceRecord, RecordInput,
+    decode_history, decode_lineage, encode_history, encode_lineage, ChannelSpec, GraphSlice,
+    HashRouter, HistoryRecord, HyperProv, HyperProvChaincode, HyperProvError, HyperProvIndexer,
+    LineageEntry, NetworkConfig, OpOutput, ProvenanceRecord, RecordInput, CHAINCODE_NAME,
+    MAX_GRAPH_NODES,
 };
-use hyperprov_fabric::{Certificate, MspBuilder, MspId};
-use hyperprov_ledger::{Decode, Digest, Encode, DEFAULT_CHANNEL};
+use hyperprov_fabric::{Certificate, Chaincode, ChaincodeError, ChaincodeStub, MspBuilder, MspId};
+use hyperprov_ledger::{
+    Decode, Digest, Direction, Encode, GraphIndexer, HistoryDb, ProvGraph, StateDb,
+    TraversalLimits, TxId, Version, DEFAULT_CHANNEL,
+};
 use hyperprov_sim::DetRng;
 use proptest::prelude::*;
 use rand::Rng;
@@ -291,4 +297,293 @@ fn dag_index_rebuild_matches_across_shards() {
         }
     }
     assert!(indexed > 0, "the deployment must have indexed something");
+}
+
+/// One shard as the plans see it: the real chaincode over an in-memory
+/// state, history and DAG index, writes applied the way a committer
+/// applies them — no simulation, no consensus.
+struct Shard {
+    cert: Certificate,
+    state: StateDb,
+    history: HistoryDb,
+    graph: ProvGraph,
+    height: u64,
+}
+
+impl Shard {
+    fn new() -> Self {
+        Shard {
+            cert: cert(),
+            state: StateDb::new(),
+            history: HistoryDb::new(),
+            graph: ProvGraph::new(),
+            height: 0,
+        }
+    }
+
+    fn invoke(&mut self, function: &str, args: &[Vec<u8>]) -> Result<Vec<u8>, ChaincodeError> {
+        let mut stub = ChaincodeStub::new(
+            CHAINCODE_NAME,
+            function,
+            args,
+            &self.cert,
+            &self.state,
+            &self.history,
+        )
+        .with_graph(&self.graph);
+        let result = HyperProvChaincode::permissive().invoke(&mut stub);
+        let (rwset, _, _) = stub.into_results();
+        if result.is_ok() && !rwset.writes.is_empty() {
+            self.height += 1;
+            let version = Version::new(self.height, 0);
+            self.state.apply_writes(&rwset.writes, version);
+            let tx = TxId(Digest::of(&self.height.to_le_bytes()));
+            self.history.append(tx, version, &rwset.writes);
+            for write in &rwset.writes {
+                if let Some(update) = HyperProvIndexer.index(&write.key, write.value.as_deref()) {
+                    self.graph.apply(&update);
+                }
+            }
+        }
+        result
+    }
+}
+
+/// `dag` posted (then `deleted` deleted) on `n` shards, each key on the
+/// shard that owns it.
+fn sharded(dag: &[(String, Vec<String>)], deleted: &BTreeSet<String>, n: usize) -> Vec<Shard> {
+    let mut shards: Vec<Shard> = (0..n).map(|_| Shard::new()).collect();
+    for (key, parents) in dag {
+        let input = RecordInput::new(Digest::of(key.as_bytes())).with_parents(parents.clone());
+        shards[HashRouter.route(key, n)]
+            .invoke("post", &[key.clone().into_bytes(), input.to_bytes()])
+            .unwrap();
+    }
+    for key in deleted {
+        shards[HashRouter.route(key, n)]
+            .invoke("delete", &[key.clone().into_bytes()])
+            .unwrap();
+    }
+    shards
+}
+
+/// Runs a plan to completion against in-memory shards, answering its
+/// outstanding requests in a seeded random order; a chaincode error comes
+/// back the way a gateway reports one.
+fn drive(
+    mut plan: Plan,
+    requests: Vec<Request>,
+    shards: &mut [Shard],
+    rng: &mut DetRng,
+) -> Result<OpOutput, HyperProvError> {
+    let n = shards.len();
+    let mut outstanding = requests;
+    loop {
+        assert!(!outstanding.is_empty(), "the plan waits on nothing");
+        let next = outstanding.swap_remove(rng.gen_range(0..outstanding.len()));
+        let Request::Chain(call) = next else {
+            panic!("a read plan sent {next:?}");
+        };
+        let shard = call.shard;
+        assert!(!call.invoke, "a read plan invoked {call:?}");
+        let reply = match shards[shard].invoke(call.function, &call.args) {
+            Ok(bytes) => Reply::Bytes(bytes),
+            Err(e) => Reply::Failed(HyperProvError::Rejected(e.to_string())),
+        };
+        match plan.on_reply(shard, reply, n) {
+            Step::Wait => {}
+            Step::Send(more) => outstanding.extend(more),
+            Step::Done(outcome) => {
+                assert!(outstanding.is_empty(), "done with requests in flight");
+                return outcome;
+            }
+        }
+    }
+}
+
+/// A whole-index traversal, canonically sorted.
+fn traverse(
+    graph: &ProvGraph,
+    root: &str,
+    direction: Direction,
+    max_depth: u32,
+    max_nodes: usize,
+) -> GraphSlice {
+    let limits = TraversalLimits {
+        max_depth,
+        max_nodes,
+    };
+    let roots = [(0, root.to_owned())];
+    let edges = direction == Direction::Both;
+    let mut slice = GraphSlice::from(graph.traverse(&roots, direction, limits, edges));
+    slice.entries.sort();
+    slice.boundary.sort();
+    slice
+}
+
+/// The plans are pure, so they can be checked without a network: on
+/// random multi-parent DAGs with some records deleted, spread over 1, 2,
+/// 4 and 7 shards, the graph rounds and the lineage walk must return what
+/// one index, and one chaincode, over the whole DAG return.
+#[test]
+fn sharded_plans_match_one_whole_graph() {
+    let mut checked = 0usize;
+    for case in 0..300u64 {
+        let mut rng = DetRng::new(4000 + case);
+        let n = rng.gen_range(6..=18usize);
+        // Keys named per case, so every case places them on other shards.
+        let name = |i: usize| format!("c{case}n{i}");
+        let dag: Vec<(String, Vec<String>)> = random_dag(&mut rng, n)
+            .iter()
+            .map(|(key, parents)| {
+                let rename = |key: &String| format!("c{case}{key}");
+                (rename(key), parents.iter().map(rename).collect())
+            })
+            .collect();
+        let deleted: BTreeSet<String> = (0..n)
+            .filter(|_| rng.gen_range(0..6usize) == 0)
+            .map(name)
+            .collect();
+        // The youngest node has the deepest ancestry; the other root is
+        // anywhere.
+        let roots = [name(n - 1), name(rng.gen_range(0..n))];
+        let mut whole = sharded(&dag, &deleted, 1).pop().unwrap();
+
+        for shard_count in [1usize, 2, 4, 7] {
+            let mut shards = sharded(&dag, &deleted, shard_count);
+            for (root, depth) in roots.iter().flat_map(|r| [1u32, 3, 64].map(|d| (r, d))) {
+                let ctx = format!(
+                    "case {case} shards {shard_count} depth {depth} root {root} \
+                     deleted {deleted:?} dag {dag:?}"
+                );
+                for (query, direction, budget) in [
+                    ("get_ancestry", Direction::Ancestors),
+                    ("get_descendants", Direction::Descendants),
+                    ("get_closure", Direction::Both),
+                    ("get_subgraph", Direction::Both),
+                ]
+                .into_iter()
+                .flat_map(|(q, d)| [4, MAX_GRAPH_NODES].map(|b| (q, d, b)))
+                {
+                    let ctx = format!("{query} budget {budget}: {ctx}");
+                    let (plan, requests) =
+                        GraphRounds::start(query, root.clone(), depth, budget, shard_count);
+                    let got = match drive(plan, requests, &mut shards, &mut rng) {
+                        Ok(OpOutput::Graph(slice)) => slice,
+                        other => panic!("{other:?}: {ctx}"),
+                    };
+                    let mut want = traverse(&whole.graph, root, direction, depth, budget);
+                    let uncut = traverse(&whole.graph, root, direction, depth, usize::MAX);
+                    if query != "get_subgraph" {
+                        want.edges.clear();
+                    }
+                    if uncut.entries.len() <= budget {
+                        assert_eq!(got, want, "{ctx}");
+                    } else {
+                        // The budget cut both; which nodes fall inside it
+                        // depends on an order the shards do not share, so:
+                        // as many, all of them reachable.
+                        assert!(got.truncated && want.truncated, "{ctx}");
+                        assert_eq!(got.entries.len(), budget, "{ctx}");
+                        let near = |list: &[(u32, String)], d: u32, k: &String| {
+                            list.iter().any(|(min, key)| key == k && *min <= d)
+                        };
+                        for (d, k) in &got.entries {
+                            assert!(near(&uncut.entries, *d, k), "entry {k}: {ctx}");
+                        }
+                        for (d, k) in &got.boundary {
+                            assert!(near(&uncut.boundary, *d, k), "boundary {k}: {ctx}");
+                        }
+                        for edge in &got.edges {
+                            assert!(uncut.edges.contains(edge), "edge {edge:?}: {ctx}");
+                        }
+                    }
+                    checked += 1;
+                }
+
+                let oracle = |whole: &mut Shard, depth: u32| {
+                    let args = [root.clone().into_bytes(), depth.to_string().into_bytes()];
+                    let bytes = whole.invoke("get_lineage", &args)?;
+                    Ok::<_, ChaincodeError>(decode_lineage(&bytes).unwrap())
+                };
+                let (plan, requests) = LineageWalk::start(root.clone(), depth, shard_count);
+                match (
+                    oracle(&mut whole, depth),
+                    drive(plan, requests, &mut shards, &mut rng),
+                ) {
+                    (Ok(want), Ok(OpOutput::Lineage { entries, truncated })) => {
+                        assert_eq!(entries, want, "{ctx}");
+                        let all = oracle(&mut whole, 64).unwrap();
+                        assert!(
+                            truncated || all.len() == want.len(),
+                            "silently short: {ctx}"
+                        );
+                    }
+                    (Err(_), Err(HyperProvError::Rejected(_))) => {}
+                    (want, got) => panic!("lineage {want:?} vs {got:?}: {ctx}"),
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 300 * 4 * 2 * 3 * 9);
+}
+
+/// Random DAGs rarely have a long chain on one shard with a short cut
+/// through another, so that case is spelled out: `d` is first reported
+/// three hops up its own shard, at the clamp with a parent above it; the
+/// other shard then places it two hops up, so it goes out again and the
+/// answer is what one index gives — nearer, complete, and not truncated.
+#[test]
+fn a_key_reached_the_long_way_round_is_expanded_from_its_true_depth() {
+    let on = |prefix: &str, shard: usize| {
+        (0..1000)
+            .map(|i| format!("{prefix}{i}"))
+            .find(|k| HashRouter.route(k, 2) == shard)
+            .unwrap()
+    };
+    let [e, d, c, a, r] = ["e", "d", "c", "a", "r"].map(|prefix| on(prefix, 0));
+    let b = on("b", 1);
+    let dag = vec![
+        (e.clone(), vec![]),
+        (d.clone(), vec![e.clone()]),
+        (c.clone(), vec![d.clone()]),
+        (a.clone(), vec![c.clone()]),
+        (b.clone(), vec![d.clone()]),
+        (r.clone(), vec![a.clone(), b.clone()]),
+    ];
+    let whole = sharded(&dag, &BTreeSet::new(), 1).pop().unwrap();
+    let mut shards = sharded(&dag, &BTreeSet::new(), 2);
+    let (plan, requests) = GraphRounds::start("get_ancestry", r.clone(), 3, MAX_GRAPH_NODES, 2);
+    let got = drive(plan, requests, &mut shards, &mut DetRng::new(1));
+    let want = traverse(&whole.graph, &r, Direction::Ancestors, 3, MAX_GRAPH_NODES);
+    assert!(want.entries.contains(&(2, d)) && want.entries.contains(&(3, e)));
+    assert!(!want.truncated);
+    assert_eq!(got, Ok(OpOutput::Graph(want)));
+}
+
+/// A peer answers with at most `MAX_GRAPH_NODES` nodes. When that cap, not
+/// the client's count, is what cuts an answer — here the root and its
+/// 4,200 children all sit on one shard of two, and the first answer alone
+/// fills the budget exactly — the nodes the peer left out must not vanish
+/// behind `truncated = false`.
+#[test]
+fn an_answer_cut_by_the_peers_cap_is_reported_truncated() {
+    fn on_shard_0(prefix: &'static str) -> impl Iterator<Item = String> {
+        (0..)
+            .map(move |i| format!("{prefix}{i}"))
+            .filter(|k| HashRouter.route(k, 2) == 0)
+    }
+    let root = on_shard_0("root").next().unwrap();
+    let kids = on_shard_0("kid").take(MAX_GRAPH_NODES + 104);
+    let mut dag = vec![(root.clone(), vec![])];
+    dag.extend(kids.map(|kid| (kid, vec![root.clone()])));
+    let mut shards = sharded(&dag, &BTreeSet::new(), 2);
+    let (plan, requests) = GraphRounds::start("get_descendants", root, 8, MAX_GRAPH_NODES, 2);
+    let got = drive(plan, requests, &mut shards, &mut DetRng::new(1));
+    let Ok(OpOutput::Graph(slice)) = got else {
+        panic!("{got:?}");
+    };
+    assert_eq!(slice.entries.len(), MAX_GRAPH_NODES);
+    assert!(slice.truncated);
 }

@@ -290,12 +290,6 @@ impl Gateway {
         &self.channel
     }
 
-    /// True when this gateway has `tx_id` in flight (used by hosts with
-    /// several gateways to route responses to the right one).
-    pub fn knows(&self, tx_id: &TxId) -> bool {
-        self.inflight.contains_key(tx_id)
-    }
-
     /// True when this gateway armed the deadline `token` (used by hosts
     /// with several gateways to route timers to the right one).
     pub fn owns_deadline(&self, token: u64) -> bool {

@@ -308,35 +308,50 @@ impl ProvGraph {
         let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
         let mut seen: HashSet<u32> = HashSet::new();
         let mut boundary_seen: HashSet<String> = HashSet::new();
-        // Sort roots by base depth so the deque pops depths in
-        // non-decreasing order and first-visit depth is minimal.
+        // A multi-source BFS: roots, sorted by base depth, are merged into
+        // the deque's non-decreasing depths as the walk reaches theirs (a
+        // root first on a tie), so every key is visited at its minimum
+        // depth — a root the walk reaches sooner than its base depth
+        // included.
         let mut sorted: Vec<&(u32, String)> = roots.iter().collect();
         sorted.sort_by_key(|(depth, _)| *depth);
-        for (depth, key) in sorted {
-            match self.ids.get(key.as_str()) {
-                Some(&id) if self.live[id as usize] => {
-                    if seen.insert(id) {
-                        queue.push_back((*depth, id));
-                    }
-                }
-                Some(&id) => {
-                    // Placeholder: the record is absent locally, but in the
-                    // forward direction its committed children are not.
-                    if boundary_seen.insert(key.clone()) {
-                        out.boundary.push((*depth, key.clone()));
-                    }
-                    if direction != Direction::Ancestors && seen.insert(id) {
-                        queue.push_back((*depth, id));
-                    }
-                }
-                None => {
-                    if boundary_seen.insert(key.clone()) {
-                        out.boundary.push((*depth, key.clone()));
-                    }
-                }
+        // Roots still to come, by base depth: the walk leaves one alone
+        // unless it arrives sooner, and counts it as visited where a node
+        // at the clamp looks for unvisited children.
+        let mut waiting: HashMap<u32, u32> = HashMap::new();
+        for (depth, key) in &sorted {
+            if let Some(&id) = self.ids.get(key.as_str()) {
+                waiting.entry(id).or_insert(*depth);
             }
         }
-        while let Some((depth, id)) = queue.pop_front() {
+        let arrive = |id: u32, depth: u32, seen: &mut HashSet<u32>, waiting: &HashMap<u32, u32>| {
+            waiting.get(&id).is_none_or(|&base| depth < base) && seen.insert(id)
+        };
+        let mut roots = sorted.into_iter().peekable();
+        loop {
+            let root_due = match (roots.peek(), queue.front()) {
+                (Some((root, _)), Some((queued, _))) => root <= queued,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let Some((depth, id)) = (if root_due {
+                let (depth, key) = roots.next().expect("peeked above");
+                let id = self.ids.get(key.as_str()).copied();
+                id.map(|id| waiting.remove(&id));
+                let live = id.is_some_and(|id| self.live[id as usize]);
+                if !live && boundary_seen.insert(key.clone()) {
+                    out.boundary.push((*depth, key.clone()));
+                }
+                // A placeholder's record is absent locally, but in the
+                // forward direction its committed children are not.
+                id.filter(|&id| (live || direction != Direction::Ancestors) && seen.insert(id))
+                    .map(|id| (*depth, id))
+            } else {
+                queue.pop_front()
+            }) else {
+                continue;
+            };
             if self.live[id as usize] {
                 if out.entries.len() >= limits.max_nodes {
                     out.truncated = true;
@@ -351,7 +366,7 @@ impl ProvGraph {
                 let forward = direction != Direction::Ancestors
                     && self.children[id as usize]
                         .iter()
-                        .any(|&c| !seen.contains(&c));
+                        .any(|&c| !seen.contains(&c) && !waiting.contains_key(&c));
                 if backward || forward {
                     out.truncated = true;
                 }
@@ -363,7 +378,7 @@ impl ProvGraph {
                         out.edges.push((self.key_of(id), self.key_of(p)));
                     }
                     if self.live[p as usize] {
-                        if seen.insert(p) {
+                        if arrive(p, depth + 1, &mut seen, &waiting) {
                             queue.push_back((depth + 1, p));
                         }
                     } else {
@@ -374,7 +389,8 @@ impl ProvGraph {
                         }
                         // In the closure direction a placeholder still
                         // fans out to its committed children.
-                        if direction == Direction::Both && seen.insert(p) {
+                        if direction == Direction::Both && arrive(p, depth + 1, &mut seen, &waiting)
+                        {
                             queue.push_back((depth + 1, p));
                         }
                     }
@@ -385,7 +401,7 @@ impl ProvGraph {
                     if collect_edges {
                         out.edges.push((self.key_of(c), self.key_of(id)));
                     }
-                    if seen.insert(c) {
+                    if arrive(c, depth + 1, &mut seen, &waiting) {
                         queue.push_back((depth + 1, c));
                     }
                 }
@@ -597,6 +613,16 @@ mod tests {
         assert!(t.entries.contains(&(0, "c".to_owned())));
         assert!(t.entries.contains(&(1, "a".to_owned())));
         assert!(t.entries.contains(&(3, "d".to_owned())));
+        // And the other way round: a root the walk reaches sooner than its
+        // base depth is visited then, not left waiting for its turn.
+        let t = g.traverse(
+            &roots(&[(1, "d"), (5, "a")]),
+            Direction::Ancestors,
+            WIDE,
+            false,
+        );
+        assert_eq!(t.entries.last(), Some(&(3, "a".to_owned())));
+        assert_eq!(t.entries.len(), 4);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use hyperprov_repro::fabric::{
     Gateway, MspBuilder, MspId, PeerActor, RaftOrdererActor, RAFT_TICK_TOKEN,
 };
 use hyperprov_repro::hyperprov::{
-    audit, ClientCommand, HashRouter, HyperProv, HyperProvChaincode, HyperProvClient,
-    NetworkConfig, NodeMsg, OpId, OpOutput,
+    audit, ClientCommand, HyperProv, HyperProvChaincode, HyperProvClient, NetworkConfig, NodeMsg,
+    OpId, OpOutput,
 };
 use hyperprov_repro::sim::{ActorId, SimDuration, SimTime, Simulation};
 
@@ -82,13 +82,8 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
         1,
         costs,
     );
-    let (client, completions) = HyperProvClient::new(
-        vec![gateway],
-        Box::new(HashRouter),
-        storage_id,
-        "sshfs://s/",
-        costs,
-    );
+    let (client, completions) =
+        HyperProvClient::new(vec![gateway], storage_id, "sshfs://s/", costs);
     assert_eq!(sim.add_actor(Box::new(client)), client_id);
 
     // Let raft elect a leader.

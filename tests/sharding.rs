@@ -4,11 +4,11 @@
 
 use hyperprov_repro::fabric::COMPOSITE_SEP;
 use hyperprov_repro::hyperprov::{
-    ChannelRouter, ChannelSpec, ClientCommand, HashRouter, HyperProvNetwork, NetworkConfig,
-    NodeMsg, OpId, OpOutput,
+    ChannelSpec, ClientCommand, HashRouter, HyperProvError, HyperProvNetwork, NetworkConfig,
+    NodeMsg, OpId, OpOutput, RetryPolicy,
 };
-use hyperprov_repro::ledger::DEFAULT_CHANNEL;
-use hyperprov_repro::sim::SimTime;
+use hyperprov_repro::ledger::{Digest, DEFAULT_CHANNEL};
+use hyperprov_repro::sim::{SimDuration, SimTime};
 
 /// Two channels, every peer hosting both.
 fn two_channels() -> Vec<ChannelSpec> {
@@ -448,4 +448,181 @@ fn routing_is_stable_across_deployments() {
             assert!(present, "seed {seed}: key {key} must sit on shard {shard}");
         }
     }
+}
+
+/// Two channels on disjoint peer pairs, per-op deadlines armed, and a
+/// grandparent / parent / child chain on shards 0 / 1 / 0; the keys come
+/// back in that order.
+fn chain_across_disjoint_shards(retry: Option<RetryPolicy>) -> (HyperProvNetwork, [String; 3]) {
+    let specs = (0..2)
+        .map(|c| {
+            ChannelSpec::new(format!("{DEFAULT_CHANNEL}-{c}")).with_peers(vec![2 * c, 2 * c + 1])
+        })
+        .collect();
+    let mut config = NetworkConfig::desktop(1)
+        .with_seed(59)
+        .with_channel_specs(specs)
+        .with_deadlines(
+            Some(SimDuration::from_secs(2)),
+            Some(SimDuration::from_secs(10)),
+        );
+    config.permissive = true;
+    if let Some(policy) = retry {
+        config = config.with_retry(policy);
+    }
+    let mut net = HyperProvNetwork::build(&config);
+    let chain = [
+        key_on_shard("far-gp", 0, 2),
+        key_on_shard("far-p", 1, 2),
+        key_on_shard("far-c", 0, 2),
+    ];
+    for (i, key) in chain.iter().enumerate() {
+        let parents = chain[..i].last().cloned().into_iter().collect();
+        store(&mut net, 0, i as u64 + 1, key, parents);
+        let stop = net.sim.now() + SimDuration::from_secs(20);
+        net.sim.run_until(stop);
+    }
+    assert_eq!(drain_ok(&mut net, 0).len(), 3);
+    (net, chain)
+}
+
+/// Cuts client 0 off from shard 1's peers.
+fn cut_off_shard_1(net: &mut HyperProvNetwork) {
+    let (client, far) = (net.clients[0], [net.peers[2], net.peers[3]]);
+    net.sim.network_mut().partition_groups(&[client], &far);
+}
+
+/// Issues `cmds` on client 0 at once, runs for `secs` and returns the
+/// outcomes in op-id order.
+fn outcomes(
+    net: &mut HyperProvNetwork,
+    cmds: Vec<ClientCommand>,
+    secs: u64,
+) -> Vec<Result<OpOutput, HyperProvError>> {
+    for cmd in cmds {
+        net.sim.inject_message(net.clients[0], NodeMsg::Client(cmd));
+    }
+    let stop = net.sim.now() + SimDuration::from_secs(secs);
+    net.sim.run_until(stop);
+    let mut done: Vec<_> = net.completions[0].borrow_mut().drain(..).collect();
+    done.sort_by_key(|c| c.op);
+    done.into_iter().map(|c| c.outcome).collect()
+}
+
+fn lineage_of(key: &str, op: u64) -> ClientCommand {
+    ClientCommand::GetLineage {
+        key: key.to_owned(),
+        depth: 8,
+        op: OpId(op),
+    }
+}
+
+fn lineage_keys(outcome: &Result<OpOutput, HyperProvError>) -> (Vec<(u32, &str)>, bool) {
+    match outcome {
+        Ok(OpOutput::Lineage { entries, truncated }) => (
+            entries
+                .iter()
+                .map(|e| (e.depth, e.record.key.as_str()))
+                .collect(),
+            *truncated,
+        ),
+        other => panic!("expected lineage, got {other:?}"),
+    }
+}
+
+/// A shard the client cannot reach is not a shard without the key: the
+/// lineage walk fails with the transport's error instead of returning the
+/// chain up to the unreachable parent as if it were whole. A parent that
+/// really was deleted is still skipped, as the chaincode's walk skips it.
+#[test]
+fn an_unreachable_shard_fails_the_lineage_walk_a_deleted_parent_does_not() {
+    let (mut net, [_, parent, child]) = chain_across_disjoint_shards(None);
+    cut_off_shard_1(&mut net);
+    let cut = outcomes(&mut net, vec![lineage_of(&child, 10)], 20);
+    assert_eq!(cut, vec![Err(HyperProvError::Timeout)]);
+    assert_eq!(net.sim.metrics().counter("client.timeouts"), 1);
+
+    net.sim.network_mut().heal_all();
+    let delete = ClientCommand::Delete {
+        key: parent,
+        op: OpId(11),
+    };
+    assert!(outcomes(&mut net, vec![delete], 20)[0].is_ok());
+    let after = outcomes(&mut net, vec![lineage_of(&child, 12)], 20);
+    assert_eq!(lineage_keys(&after[0]), (vec![(0, child.as_str())], false));
+}
+
+/// With a retry policy armed, every sharded query rides out a partition
+/// that heals inside the budget, the way a single-shard `Get` does: each
+/// one's sub-query on the unreachable shard is a tracked request of its
+/// own, timed out, counted and re-issued.
+#[test]
+fn sharded_queries_ride_out_a_healed_partition_like_get() {
+    let (mut net, [grandparent, parent, child]) =
+        chain_across_disjoint_shards(Some(RetryPolicy::new(6)));
+    cut_off_shard_1(&mut net);
+    let cmds = vec![
+        ClientCommand::Get {
+            key: parent.clone(),
+            op: OpId(10),
+        },
+        lineage_of(&child, 11),
+        ClientCommand::List { op: OpId(12) },
+        ClientCommand::GetKeysByChecksum {
+            checksum: Digest::of(format!("payload of {parent}").as_bytes()),
+            op: OpId(13),
+        },
+        ClientCommand::GetAncestry {
+            key: child.clone(),
+            depth: 8,
+            op: OpId(14),
+        },
+    ];
+    let mut early = outcomes(&mut net, cmds, 1);
+    assert!(early.is_empty(), "nothing can finish while shard 1 is away");
+    net.sim.network_mut().heal_all();
+    early.extend(outcomes(&mut net, vec![], 30));
+    let [get, lineage, list, by_checksum, ancestry] = &early[..] else {
+        panic!("five operations, got {early:?}");
+    };
+
+    assert!(matches!(get, Ok(OpOutput::Record(r)) if r.key == parent));
+    let chain = vec![
+        (0, child.as_str()),
+        (1, parent.as_str()),
+        (2, grandparent.as_str()),
+    ];
+    assert_eq!(lineage_keys(lineage), (chain.clone(), false));
+    let mut all = vec![grandparent.clone(), parent.clone(), child.clone()];
+    all.sort();
+    assert_eq!(list, &Ok(OpOutput::Keys(all)));
+    assert_eq!(by_checksum, &Ok(OpOutput::Keys(vec![parent.clone()])));
+    match ancestry {
+        Ok(OpOutput::Graph(slice)) => {
+            let found: Vec<(u32, &str)> = slice.entries.iter().map(|(d, k)| (*d, &**k)).collect();
+            assert_eq!(found, chain);
+            assert!(slice.boundary.is_empty() && !slice.truncated);
+        }
+        other => panic!("expected a graph slice, got {other:?}"),
+    }
+    // One timed-out, re-issued request per operation: the `get` itself
+    // and the four plans' shard-1 sub-queries.
+    let metrics = net.sim.metrics();
+    assert_eq!(metrics.counter("client.timeouts"), 5);
+    assert_eq!(metrics.counter("client.retries"), 5);
+    assert_eq!(metrics.counter("client.exhausted"), 0);
+}
+
+/// A shard that stays away spends the sub-query's attempt budget, and the
+/// fan-in reports that — not a bare timeout, not a partial key list.
+#[test]
+fn a_shard_that_stays_away_exhausts_the_fan_in() {
+    let (mut net, _) = chain_across_disjoint_shards(Some(RetryPolicy::new(2)));
+    cut_off_shard_1(&mut net);
+    let list = outcomes(&mut net, vec![ClientCommand::List { op: OpId(10) }], 20);
+    assert_eq!(list, vec![Err(HyperProvError::Exhausted { attempts: 2 })]);
+    let metrics = net.sim.metrics();
+    assert_eq!(metrics.counter("client.timeouts"), 2);
+    assert_eq!(metrics.counter("client.retries"), 1);
+    assert_eq!(metrics.counter("client.exhausted"), 1);
 }
