@@ -10,7 +10,7 @@ cargo build --release
 cargo test --workspace -q
 
 # Options audit: an option needs a caller that is not a test. Every
-# `pub fn with_*` of the product crates must be called (`.with_x(` or
+# `pub fn with_*` of every crate must be called (`.with_x(` or
 # `Type::with_x(`) from non-test source of a crate, an example or the
 # benchmark; the source is each file up to its first `#[cfg(test)]`.
 # The same pass prints the non-test line counts CHANGES.md entries quote:
@@ -26,8 +26,7 @@ find crates/*/src -name '*.rs' -print0 |
              for (f in file) if (file[f] > file[top]) top = f
              printf "  largest non-test file: %s (%d)\n", top, file[top]}'
 find examples benchmark/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >>"$src"
-orphans=$(grep -rhoE 'pub fn with_[a-z_]*' \
-    crates/core/src crates/fabric/src crates/offchain/src crates/sim/src |
+orphans=$(grep -rhoE 'pub fn with_[a-z_]*' crates/*/src |
     sed 's/pub fn //' | sort -u | while read -r name; do
     grep -qE "[.:]$name\(" "$src" || echo "$name"
 done)
@@ -53,13 +52,15 @@ for campaign in overload faults sharding commit_pipeline lineage recovery scale;
     cargo run --release -p hyperprov-bench --bin campaign -- "table_$campaign" --quick
 done
 
-# Model-regression gate: reruns the quick BENCH-SIM reference workload and
-# diffs its deterministic model metrics against the committed
-# BENCH_sim.json baseline (1 %), and checks the shape of the committed
-# trajectories. Host numbers are recorded there as information only —
-# host cost is the benchmark's job (below). Exits non-zero on any
-# out-of-tolerance metric; regenerate the baseline deliberately with
-# `bench_regress --update`.
+# Regression gate: one table of claims (crates/bench/src/regress.rs,
+# GATES) over the committed BENCH_*.json trajectories. Reruns the quick
+# BENCH-SIM reference and T-SCALE profiles and diffs their deterministic
+# model metrics against BENCH_sim.json (1 %), and holds the committed
+# full-run trajectories to their shape claims (recovery flatness, the
+# Fig 1/2 knee, desktop : RPi, Fig 3 power). A committed file that is
+# missing or does not parse fails. Host numbers are recorded as
+# information only — host cost is the benchmark's job (below).
+# Regenerate BENCH_sim.json deliberately with `bench_regress --update`.
 cargo run --release -p hyperprov-bench --bin bench_regress -- --quick
 
 # The benchmark is a package of its own outside the workspace, so nothing

@@ -1,25 +1,20 @@
 //! # hyperprov-baseline
 //!
-//! Comparison systems for the HyperProv reproduction:
+//! The comparison system of the HyperProv reproduction that is not
+//! HyperProv itself: [`PowChain`], a ProvChain-like public proof-of-work
+//! anchor chain (exponential block intervals, bounded blocks,
+//! k-confirmation finality, load-independent mining energy). It
+//! quantifies the paper's argument that a permissioned chain beats a
+//! public one on resource cost.
 //!
-//! * [`PowChain`] — a ProvChain-like public proof-of-work anchor chain
-//!   (exponential block intervals, bounded blocks, k-confirmation
-//!   finality, load-independent mining energy), and
-//! * [`OnChainProvChaincode`]/[`OnChainNetwork`] — HyperProv *without*
-//!   off-chain storage: the payload rides through endorsement, ordering
-//!   and commit and is replicated into every peer's state database.
-//!
-//! Together they quantify the paper's two design arguments: permissioned
-//! beats public on resource cost, and metadata-only beats payload-on-chain
-//! on throughput as item sizes grow.
+//! The other baseline of T-BASE — HyperProv *without* off-chain storage,
+//! the payload riding through endorsement, ordering and commit into every
+//! peer's state database — is a workload on the real deployment
+//! (`crates/bench/src/experiments/baselines.rs`), not a second system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod deploy;
-mod onchain;
 mod pow;
 
-pub use deploy::{OnChainClient, OnChainNetwork};
-pub use onchain::{OnChainProvChaincode, ONCHAIN_NAME};
-pub use pow::{PowChain, PowCommit, PowConfig, PowMsg, PowNodeActor, PowTx};
+pub use pow::{PowChain, PowCommit, PowConfig, PowTx};

@@ -11,12 +11,9 @@
 //! defining resource property of PoW, miners burning full power
 //! continuously regardless of load.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use hyperprov_sim::{
-    Actor, ActorId, Carries, Context, DetRng, Event, QueueConfig, ServiceHarness, SimDuration,
-    SimTime, SpanClose,
-};
+use hyperprov_sim::{DetRng, SimDuration, SimTime};
 use rand::Rng;
 
 /// Parameters of the PoW chain.
@@ -184,160 +181,6 @@ impl PowChain {
     pub fn mining_energy_joules(&self, span: SimDuration) -> f64 {
         f64::from(self.config.miners) * self.config.miner_watts * span.as_secs_f64()
     }
-
-    /// When the next block will be found (virtual time).
-    pub fn next_block_at(&self) -> SimTime {
-        self.next_block_at
-    }
-}
-
-/// Messages between clients and the [`PowNodeActor`].
-#[derive(Debug, Clone)]
-pub enum PowMsg {
-    /// Submit a provenance anchor (the `submitted` field is stamped by
-    /// the node at arrival).
-    Submit {
-        /// The transaction.
-        tx: PowTx,
-    },
-    /// The anchor reached confirmation depth.
-    Committed {
-        /// The finalized transaction.
-        commit: PowCommit,
-    },
-    /// The node's admission queue was full and rejected the submission;
-    /// the client may retry.
-    Busy {
-        /// Caller-assigned transaction id.
-        id: u64,
-    },
-}
-
-impl Carries<PowMsg> for PowMsg {
-    fn wrap(inner: PowMsg) -> Self {
-        inner
-    }
-    fn peel(self) -> Result<PowMsg, Self> {
-        Ok(self)
-    }
-}
-
-/// Host timer token for the mining clock. Outside the harness token
-/// namespace (bit 63 clear), so [`ServiceHarness::on_timer`] passes it
-/// back to the actor.
-const MINE_TIMER: u64 = 1;
-
-/// The PoW anchor node as a simulation actor: accepts [`PowMsg::Submit`],
-/// charges a per-submission verification cost through its
-/// [`ServiceHarness`], mines blocks on a virtual-time clock and notifies
-/// submitters at k-confirmation finality.
-///
-/// The mining clock stays armed only while submissions are outstanding,
-/// so an idle chain does not keep the simulation alive forever.
-pub struct PowNodeActor {
-    chain: PowChain,
-    submit_cost: SimDuration,
-    harness: ServiceHarness<PowMsg>,
-    origins: HashMap<u64, ActorId>,
-    emitted: usize,
-    timer_armed: bool,
-}
-
-impl PowNodeActor {
-    /// Creates a node over a fresh chain; `submit_cost` models signature
-    /// and format checks per submission.
-    pub fn new(config: PowConfig, seed: u64, submit_cost: SimDuration) -> Self {
-        PowNodeActor {
-            chain: PowChain::new(config, seed),
-            submit_cost,
-            harness: ServiceHarness::new("pow"),
-            origins: HashMap::new(),
-            emitted: 0,
-            timer_armed: false,
-        }
-    }
-
-    /// Bounds the node's mempool admission queue.
-    #[must_use]
-    pub fn with_queue(mut self, config: QueueConfig) -> Self {
-        self.harness.set_queue(config);
-        self
-    }
-
-    /// The underlying chain (for audits and energy accounting).
-    pub fn chain(&self) -> &PowChain {
-        &self.chain
-    }
-
-    fn arm_mine_timer(&mut self, ctx: &mut Context<'_, PowMsg>) {
-        if self.timer_armed || self.origins.is_empty() {
-            return;
-        }
-        let delay = self
-            .chain
-            .next_block_at()
-            .saturating_duration_since(ctx.now());
-        ctx.set_timer(delay, MINE_TIMER);
-        self.timer_armed = true;
-    }
-
-    fn emit_commits(&mut self, ctx: &mut Context<'_, PowMsg>) {
-        while self.emitted < self.chain.commits().len() {
-            let commit = self.chain.commits()[self.emitted];
-            self.emitted += 1;
-            if let Some(origin) = self.origins.remove(&commit.tx.id) {
-                ctx.metrics().incr("pow.finalized", 1);
-                ctx.send(origin, 64, PowMsg::Committed { commit });
-            }
-        }
-    }
-
-    fn on_submit(&mut self, ctx: &mut Context<'_, PowMsg>, src: ActorId, tx: PowTx) {
-        // Stamp arrival time: the chain requires non-decreasing
-        // submission times and the wire delay already happened.
-        let tx = PowTx {
-            submitted: ctx.now(),
-            ..tx
-        };
-        let trace = format!("pow-{}", tx.id);
-        self.origins.insert(tx.id, src);
-        self.chain.submit(tx);
-        ctx.metrics().incr("pow.submits", 1);
-        ctx.span_start(&trace, "pow.verify", "");
-        let close = SpanClose::new(trace.clone(), "pow.verify", "");
-        self.harness
-            .defer_request(ctx, self.submit_cost, &trace, Vec::new(), vec![close]);
-        self.arm_mine_timer(ctx);
-    }
-}
-
-impl Actor<PowMsg> for PowNodeActor {
-    fn on_event(&mut self, ctx: &mut Context<'_, PowMsg>, event: Event<PowMsg>) {
-        match event {
-            Event::Message { src, msg } => match msg {
-                PowMsg::Submit { tx } => {
-                    if self.harness.admit(ctx) {
-                        self.on_submit(ctx, src, tx);
-                    } else {
-                        ctx.send(src, 64, PowMsg::Busy { id: tx.id });
-                    }
-                }
-                // Notifications are never addressed to the node.
-                PowMsg::Committed { .. } | PowMsg::Busy { .. } => {}
-            },
-            Event::Timer { token } => {
-                if self.harness.on_timer(ctx, token) {
-                    return;
-                }
-                if token == MINE_TIMER {
-                    self.timer_armed = false;
-                    self.chain.advance_to(ctx.now());
-                    self.emit_commits(ctx);
-                    self.arm_mine_timer(ctx);
-                }
-            }
-        }
-    }
 }
 
 fn exponential(rng: &mut DetRng, mean: SimDuration) -> SimDuration {
@@ -457,104 +300,6 @@ mod tests {
         let joules = chain.mining_energy_joules(hour);
         // 8 miners * 120 W * 3600 s.
         assert!((joules - 3_456_000.0).abs() < 1.0);
-    }
-
-    mod actor {
-        use super::*;
-        use hyperprov_sim::Simulation;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Debug, Default)]
-        struct Seen {
-            commits: Vec<PowCommit>,
-            busy: Vec<u64>,
-        }
-
-        struct Submitter {
-            node: ActorId,
-            count: u64,
-            seen: Rc<RefCell<Seen>>,
-        }
-
-        impl Actor<PowMsg> for Submitter {
-            fn on_event(&mut self, ctx: &mut Context<'_, PowMsg>, event: Event<PowMsg>) {
-                match event {
-                    Event::Timer { .. } => {
-                        for id in 0..self.count {
-                            let tx = PowTx {
-                                id,
-                                submitted: SimTime::ZERO,
-                                bytes: 400,
-                            };
-                            ctx.send(self.node, 464, PowMsg::Submit { tx });
-                        }
-                    }
-                    Event::Message { msg, .. } => match msg {
-                        PowMsg::Committed { commit } => {
-                            self.seen.borrow_mut().commits.push(commit);
-                        }
-                        PowMsg::Busy { id } => self.seen.borrow_mut().busy.push(id),
-                        PowMsg::Submit { .. } => {}
-                    },
-                }
-            }
-        }
-
-        fn run(count: u64, queue: Option<QueueConfig>) -> Seen {
-            let mut sim = Simulation::new(11);
-            let mut node = PowNodeActor::new(fast_config(), 11, SimDuration::from_micros(200));
-            if let Some(queue) = queue {
-                node = node.with_queue(queue);
-            }
-            let node = sim.add_actor(Box::new(node));
-            let seen = Rc::new(RefCell::new(Seen::default()));
-            let client = sim.add_actor(Box::new(Submitter {
-                node,
-                count,
-                seen: seen.clone(),
-            }));
-            sim.start_timer(client, SimDuration::ZERO, 0);
-            sim.run();
-            let out = std::mem::take(&mut *seen.borrow_mut());
-            out
-        }
-
-        #[test]
-        fn submissions_finalize_and_sim_terminates() {
-            let seen = run(10, None);
-            assert_eq!(seen.commits.len(), 10);
-            assert!(seen.busy.is_empty());
-            for commit in &seen.commits {
-                assert!(commit.finalized > commit.mined);
-            }
-            // FIFO mempool: finalization order follows submission order.
-            let ids: Vec<u64> = seen.commits.iter().map(|c| c.tx.id).collect();
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            assert_eq!(ids, sorted);
-        }
-
-        #[test]
-        fn bounded_mempool_nacks_past_capacity() {
-            let seen = run(10, Some(QueueConfig::new(3)));
-            assert!(!seen.busy.is_empty(), "expected nacks past capacity 3");
-            assert_eq!(seen.commits.len() + seen.busy.len(), 10);
-        }
-
-        #[test]
-        fn actor_runs_are_deterministic() {
-            let fingerprint = |seen: &Seen| -> u64 {
-                seen.commits
-                    .iter()
-                    .map(|c| c.finalized.as_nanos())
-                    .sum::<u64>()
-            };
-            let a = run(10, None);
-            let b = run(10, None);
-            assert_eq!(fingerprint(&a), fingerprint(&b));
-            assert_eq!(a.commits.len(), b.commits.len());
-        }
     }
 
     #[test]

@@ -6,21 +6,29 @@
 //! variant collapses, and (2) a permissioned chain costs orders of
 //! magnitude less energy and finalisation latency than a public PoW
 //! anchor.
+//!
+//! The on-chain variant is a *workload* on the same deployment, not a
+//! second system: a `Post` whose record carries the payload itself as
+//! metadata, so the item travels the whole transaction path (proposal
+//! arguments, read-write set, block, state and history of every peer) and
+//! the storage node sits idle.
 
-use hyperprov::{HyperProvNetwork, NetworkConfig};
-use hyperprov_baseline::{OnChainNetwork, PowChain, PowConfig, PowTx};
+use hyperprov::{ClientCommand, HyperProvNetwork, NetworkConfig, OpId, RecordInput};
+use hyperprov_baseline::{PowChain, PowConfig, PowTx};
 use hyperprov_device::{EnergyModel, PowerMeter};
 use hyperprov_fabric::BatchConfig;
-use hyperprov_sim::{DetRng, SimDuration, SimTime};
+use hyperprov_ledger::Digest;
+use hyperprov_sim::{ActorId, DetRng, SimDuration, SimTime};
 
-use crate::runner::{run_closed_loop_counted, Driveable, Summary};
-use crate::table::{fmt_bytes, Table};
+use crate::row;
+use crate::runner::{run_closed_loop, Artefact, Summary, Until};
+use crate::table::{Cell, Fmt, Table};
 use crate::workload::{payload, store_cmd};
 
 /// Runs the three-system comparison at several item sizes.
-pub fn baseline_comparison(quick: bool) -> Table {
+pub fn baseline_comparison(quick: bool) -> Vec<Artefact> {
     // The workload is bounded by *operation count*, not duration: the
-    // on-chain baseline replicates every payload into all four peers'
+    // on-chain variant replicates every payload into all four peers'
     // block stores, state and history databases, so a time-bounded run at
     // large item sizes exhausts host memory — which is itself the paper's
     // argument for off-chain storage. 1 MiB items at 300 ops stay within
@@ -35,150 +43,124 @@ pub fn baseline_comparison(quick: bool) -> Table {
     let mut table = Table::new(
         "T-BASE: HyperProv vs on-chain data vs ProvChain-like PoW",
         &[
-            "system",
-            "item size",
-            "throughput (tx/s)",
-            "latency p50 (ms)",
-            "chain bytes/tx",
-            "energy/tx (J)",
+            ("system", "system", Fmt::Plain),
+            ("size_bytes", "item size", Fmt::Bytes),
+            ("throughput_tx_s", "throughput (tx/s)", Fmt::Fixed(1, "")),
+            ("latency_p50_ms", "latency p50 (ms)", Fmt::Fixed(0, "")),
+            ("chain_bytes_per_tx", "chain bytes/tx", Fmt::Bytes),
+            ("energy_per_tx_j", "energy/tx (J)", Fmt::Fixed(2, "")),
         ],
     );
 
     for &size in &sizes {
-        // --- HyperProv (off-chain payloads) ---
-        let config = hyperprov_config(clients);
-        let mut net = HyperProvNetwork::build(&config);
-        let (summary, span, chain_bytes) =
-            run_fabric(&mut net, size, ops, |net| chain_bytes_of(&net.ledgers));
-        let energy = fabric_energy_per_tx(&net, &summary, span);
-        push(&mut table, "HyperProv", size, &summary, chain_bytes, energy);
+        for (system, on_chain) in [("HyperProv", false), ("on-chain data", true)] {
+            let (summary, chain_bytes, energy) = run_fabric(clients, size, ops, on_chain);
+            table.push_row(row![
+                system,
+                size,
+                summary.throughput,
+                summary.latency_ms(0.5),
+                chain_bytes.checked_div(summary.ok).unwrap_or(0),
+                energy,
+            ]);
+        }
 
-        // --- On-chain data baseline ---
-        let config = hyperprov_config(clients);
-        let mut net = OnChainNetwork::build(&config);
-        let (summary, span, chain_bytes) =
-            run_fabric(&mut net, size, ops, |net| chain_bytes_of(&net.ledgers));
-        let energy = onchain_energy_per_tx(&net, &summary, span);
-        push(
-            &mut table,
-            "on-chain data",
+        let (tput, latency_ms, bytes_per_tx, energy) =
+            run_pow(SimDuration::from_secs(duration), quick);
+        table.push_row(row![
+            "ProvChain-like PoW",
             size,
-            &summary,
-            chain_bytes,
-            energy,
-        );
-
-        // --- ProvChain-like PoW anchor ---
-        let (summary_tput, latency_ms, bytes_per_tx, energy) =
-            run_pow(size, SimDuration::from_secs(duration), quick);
-        table.push_row(vec![
-            "ProvChain-like PoW".into(),
-            fmt_bytes(size as u64),
-            format!("{summary_tput:.1}"),
-            format!("{latency_ms:.0}"),
-            fmt_bytes(bytes_per_tx),
-            format!("{energy:.0}"),
+            tput,
+            latency_ms,
+            bytes_per_tx,
+            // Three orders of magnitude above the permissioned rows:
+            // whole joules.
+            Cell::Shown(energy, Fmt::Fixed(0, "")),
         ]);
     }
-    table
+    vec![Artefact::table(table, "table_baselines")]
 }
 
-fn hyperprov_config(clients: usize) -> NetworkConfig {
+/// The item as an on-chain record: the payload rides in the record's
+/// metadata (ASCII, one character per payload byte) instead of going to
+/// the storage node.
+fn on_chain_cmd(key: String, data: &[u8]) -> ClientCommand {
+    let text: String = data.iter().map(|b| char::from(b'a' + b % 26)).collect();
+    ClientCommand::Post {
+        key,
+        input: RecordInput::new(Digest::of(data)).with_meta("payload", text),
+        op: OpId(0),
+    }
+}
+
+/// Runs `ops` closed-loop items of `size` bytes through a fresh desktop
+/// deployment — stored off-chain, or carried on-chain — and returns the
+/// summary, the bytes peer 0's chain holds, and the energy per committed
+/// transaction.
+fn run_fabric(clients: usize, size: usize, ops: u64, on_chain: bool) -> (Summary, u64, f64) {
     // One block per transaction: batching policy would otherwise interact
     // with envelope sizes (big envelopes overflow PreferredMaxBytes and
     // cut immediately while small ones wait out the timeout), muddying
     // the payload-cost comparison this table is about.
-    NetworkConfig::desktop(clients)
+    let config = NetworkConfig::desktop(clients)
         .with_seed(21)
         .with_batch(BatchConfig {
             max_message_count: 1,
             ..BatchConfig::default()
-        })
-}
-
-fn run_fabric<N: Driveable>(
-    net: &mut N,
-    size: usize,
-    ops: u64,
-    chain_bytes: impl Fn(&N) -> u64,
-) -> (Summary, SimDuration, u64) {
+        });
+    let mut net = HyperProvNetwork::build(&config);
     let mut rng = DetRng::new(77).fork("baseline");
-    let result = run_closed_loop_counted(net, ops, move |c, s| {
-        store_cmd(format!("item-{c}-{s}"), payload(&mut rng, size))
-    });
-    let span = result.span;
-    let summary = Summary::of(&result.completions, span);
-    let bytes = chain_bytes(net);
-    (summary, span, bytes)
-}
-
-fn chain_bytes_of(ledgers: &[std::rc::Rc<std::cell::RefCell<hyperprov_fabric::Committer>>]) -> u64 {
-    let ledger = ledgers[0].borrow();
-    ledger
+    let mut item = 0u64;
+    let result = run_closed_loop(
+        &mut net,
+        Until::Ops(ops),
+        SimDuration::from_secs(30),
+        move |client, _| {
+            let key = format!("item-{client}-{item}");
+            item += 1;
+            let data = payload(&mut rng, size);
+            if on_chain {
+                on_chain_cmd(key, &data)
+            } else {
+                store_cmd(key, data)
+            }
+        },
+    );
+    let summary = Summary::of(&result.completions, result.span);
+    let chain_bytes = net.ledgers[0]
+        .borrow()
         .store()
         .iter()
         .flat_map(|b| b.envelopes.iter())
         .map(|e| e.bytes.len() as u64)
-        .sum()
+        .sum();
+    // Everything that took part: the on-chain variant never touches the
+    // storage node, so its idle draw is not the variant's to pay.
+    let storage = (!on_chain).then_some(net.storage);
+    let actors = net
+        .peers
+        .iter()
+        .copied()
+        .chain([net.orderer])
+        .chain(storage)
+        .chain(net.clients.iter().copied());
+    let energy = energy_per_tx(&net, actors, &summary, result.span);
+    (summary, chain_bytes, energy)
 }
 
-fn push(
-    table: &mut Table,
-    system: &str,
-    size: usize,
+/// Energy of `actors` over the run per committed transaction (desktop
+/// power model).
+fn energy_per_tx(
+    net: &HyperProvNetwork,
+    actors: impl Iterator<Item = ActorId>,
     summary: &Summary,
-    chain_bytes: u64,
-    energy: f64,
-) {
-    let per_tx = chain_bytes.checked_div(summary.ok).unwrap_or(0);
-    table.push_row(vec![
-        system.into(),
-        fmt_bytes(size as u64),
-        format!("{:.1}", summary.throughput),
-        format!("{:.0}", summary.latency_ms(0.5)),
-        fmt_bytes(per_tx),
-        format!("{energy:.2}"),
-    ]);
-}
-
-/// Whole-network energy per committed transaction for the HyperProv
-/// deployment (peers + orderer + storage + clients, desktop model).
-fn fabric_energy_per_tx(net: &HyperProvNetwork, summary: &Summary, span: SimDuration) -> f64 {
+    span: SimDuration,
+) -> f64 {
     let meter = PowerMeter::new(EnergyModel::desktop(), SimDuration::from_secs(1));
-    let from = SimTime::ZERO;
-    let to = SimTime::ZERO + span;
-    let duration = span;
-    let mut joules = 0.0;
-    for id in net
-        .peers
-        .iter()
-        .chain(std::iter::once(&net.orderer))
-        .chain(std::iter::once(&net.storage))
-        .chain(net.clients.iter())
-    {
-        joules += meter.average_watts(net.sim.cpu(*id), from, to, true) * duration.as_secs_f64();
-    }
-    if summary.ok > 0 {
-        joules / summary.ok as f64
-    } else {
-        joules
-    }
-}
-
-fn onchain_energy_per_tx(net: &OnChainNetwork, summary: &Summary, span: SimDuration) -> f64 {
-    let meter = PowerMeter::new(EnergyModel::desktop(), SimDuration::from_secs(1));
-    let from = SimTime::ZERO;
-    let to = SimTime::ZERO + span;
-    let duration = span;
-    let mut joules = 0.0;
-    for id in net
-        .peers
-        .iter()
-        .chain(std::iter::once(&net.orderer))
-        .chain(net.clients.iter())
-    {
-        joules += meter.average_watts(net.sim.cpu(*id), from, to, true) * duration.as_secs_f64();
-    }
+    let (from, to) = (SimTime::ZERO, SimTime::ZERO + span);
+    let joules: f64 = actors
+        .map(|id| meter.average_watts(net.sim.cpu(id), from, to, true) * span.as_secs_f64())
+        .sum();
     if summary.ok > 0 {
         joules / summary.ok as f64
     } else {
@@ -187,10 +169,10 @@ fn onchain_energy_per_tx(net: &OnChainNetwork, summary: &Summary, span: SimDurat
 }
 
 /// Pushes the same offered load through the PoW chain. Records carry only
-/// metadata (~300 B), as in ProvChain — but finality waits for mining and
-/// confirmations, and the miners burn power continuously.
-fn run_pow(size: usize, duration: SimDuration, quick: bool) -> (f64, f64, u64, f64) {
-    let _ = size; // metadata-only on the public chain regardless of item size
+/// metadata (~300 B) regardless of item size, as in ProvChain — but
+/// finality waits for mining and confirmations, and the miners burn power
+/// continuously.
+fn run_pow(duration: SimDuration, quick: bool) -> (f64, f64, u64, f64) {
     let config = PowConfig::default();
     let mut chain = PowChain::new(config, 9);
     let record_bytes = 300u64;

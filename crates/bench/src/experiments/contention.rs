@@ -10,12 +10,13 @@ use hyperprov::{ClientCommand, HyperProvError, HyperProvNetwork, NetworkConfig, 
 use hyperprov_ledger::ValidationCode;
 use hyperprov_sim::{DetRng, SimDuration};
 
-use crate::runner::run_open_loop;
-use crate::table::Table;
+use crate::row;
+use crate::runner::{run_open_loop, Artefact};
+use crate::table::{Fmt, Table};
 use crate::workload::{payload, poisson_arrivals, KeyChooser};
 
 /// Runs the contention sweep.
-pub fn contention_sweep(quick: bool) -> Table {
+pub fn contention_sweep(quick: bool) -> Vec<Artefact> {
     let (fractions, rate, duration, clients): (Vec<f64>, f64, SimDuration, usize) = if quick {
         (vec![0.0, 0.8], 30.0, SimDuration::from_secs(10), 4)
     } else {
@@ -30,11 +31,11 @@ pub fn contention_sweep(quick: bool) -> Table {
     let mut table = Table::new(
         "T-MVCC: invalidation rate vs hot-key fraction (open loop, desktop)",
         &[
-            "hot fraction",
-            "offered (tx/s)",
-            "committed valid",
-            "mvcc conflicts",
-            "conflict rate",
+            ("hot_fraction", "hot fraction", Fmt::Fixed(1, "")),
+            ("offered_tx_s", "offered (tx/s)", Fmt::Fixed(0, "")),
+            ("committed_valid", "committed valid", Fmt::Plain),
+            ("mvcc_conflicts", "mvcc conflicts", Fmt::Plain),
+            ("conflict_rate_pct", "conflict rate", Fmt::Fixed(1, "%")),
         ],
     );
 
@@ -65,17 +66,13 @@ pub fn contention_sweep(quick: bool) -> Table {
             }
         }
         let total = valid + conflicts + other;
-        table.push_row(vec![
-            format!("{fraction:.1}"),
-            format!("{rate:.0}"),
-            valid.to_string(),
-            conflicts.to_string(),
-            if total > 0 {
-                format!("{:.1}%", conflicts as f64 / total as f64 * 100.0)
-            } else {
-                "-".into()
-            },
+        table.push_row(row![
+            fraction,
+            rate,
+            valid,
+            conflicts,
+            (total > 0).then(|| conflicts as f64 / total as f64 * 100.0),
         ]);
     }
-    table
+    vec![Artefact::table(table, "table_contention")]
 }

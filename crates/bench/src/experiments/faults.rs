@@ -19,8 +19,9 @@ use hyperprov_sim::{
 
 use super::Platform;
 use crate::report::{push_slo_verdicts, slo_verdict_table, MetricsExporter};
-use crate::runner::run_closed_loop;
-use crate::table::Table;
+use crate::row;
+use crate::runner::{run_closed_loop, Artefact, Until};
+use crate::table::{Fmt, Table};
 use crate::workload::{payload, store_cmd};
 
 /// Payload size: the 1 KiB point of Fig. 1/Fig. 2.
@@ -143,30 +144,9 @@ fn fault_slos() -> Vec<SloSpec> {
     ]
 }
 
-/// The fault campaign plus its observability artefacts.
-#[derive(Debug)]
-pub struct FaultsReport {
-    /// One row per `(platform, scenario)`: phase goodputs,
-    /// time-to-recover and retry/timeout counts.
-    pub table: Table,
-    /// Per-second goodput timeline of every run (the recovery curves).
-    pub timeline: Table,
-    /// Per-run SLO verdicts (goodput floor, error ceiling, latency
-    /// budget) over the fault windows.
-    pub verdicts: Table,
-    /// One metrics + trace + SLO snapshot per run.
-    pub exporter: MetricsExporter,
-    /// Chrome/Perfetto `trace_events` export of the desktop peer-crash
-    /// run, saved as `table_faults_peer_crash.trace.json`.
-    pub trace_json: String,
-}
-
 fn base_config(platform: Platform, scenario: FaultScenario, params: &Params) -> NetworkConfig {
-    let base = match platform {
-        Platform::Desktop => NetworkConfig::desktop(params.clients),
-        Platform::Rpi => NetworkConfig::rpi(params.clients),
-    };
-    let config = base
+    let config = platform
+        .config(params.clients)
         .with_seed(SEED)
         .with_batch(BatchConfig {
             timeout: SimDuration::from_millis(100),
@@ -263,12 +243,17 @@ fn run_scenario(
 
     let mut rng = DetRng::new(SEED).fork("faults").fork(scenario.name());
     let label = scenario.name();
-    let result = run_closed_loop(&mut net, params.duration, params.grace, |c, seq| {
-        store_cmd(
-            format!("item-{label}-c{c}-{seq}"),
-            payload(&mut rng, ITEM_BYTES),
-        )
-    });
+    let result = run_closed_loop(
+        &mut net,
+        Until::Elapsed(params.duration),
+        params.grace,
+        |c, seq| {
+            store_cmd(
+                format!("item-{label}-c{c}-{seq}"),
+                payload(&mut rng, ITEM_BYTES),
+            )
+        },
+    );
 
     // Per-second goodput buckets over [t0, t0 + duration + grace).
     let n_buckets = (params.duration + params.grace)
@@ -329,8 +314,13 @@ fn run_scenario(
     }
 }
 
-/// Runs the full fault campaign: every scenario on both testbeds.
-pub fn fault_campaign(quick: bool) -> FaultsReport {
+/// Runs the full fault campaign, every scenario on both testbeds: one row
+/// per `(platform, scenario)` (phase goodputs, time-to-recover,
+/// retry/timeout counts), the per-second goodput timeline of every run
+/// (the recovery curves), the per-run SLO verdicts over the fault
+/// windows, the Chrome/Perfetto `trace_events` export of the desktop
+/// peer-crash run, and one metrics + trace + SLO snapshot per run.
+pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
     let params = Params::new(quick);
     let mut table = Table::new(
         format!(
@@ -341,23 +331,36 @@ pub fn fault_campaign(quick: bool) -> FaultsReport {
             params.fault_to.as_nanos() / 1_000_000_000,
         ),
         &[
-            "platform",
-            "scenario",
-            "pre goodput (tx/s)",
-            "fault goodput (tx/s)",
-            "post goodput (tx/s)",
-            "recover (s)",
-            "ok",
-            "err",
-            "timeouts",
-            "retries",
-            "exhausted",
-            "hung clients",
+            ("platform", "platform", Fmt::Plain),
+            ("scenario", "scenario", Fmt::Plain),
+            ("pre_goodput_tx_s", "pre goodput (tx/s)", Fmt::Fixed(1, "")),
+            (
+                "fault_goodput_tx_s",
+                "fault goodput (tx/s)",
+                Fmt::Fixed(1, ""),
+            ),
+            (
+                "post_goodput_tx_s",
+                "post goodput (tx/s)",
+                Fmt::Fixed(1, ""),
+            ),
+            ("recover_s", "recover (s)", Fmt::Fixed(0, "")),
+            ("ok", "ok", Fmt::Plain),
+            ("err", "err", Fmt::Plain),
+            ("timeouts", "timeouts", Fmt::Plain),
+            ("retries", "retries", Fmt::Plain),
+            ("exhausted", "exhausted", Fmt::Plain),
+            ("hung_clients", "hung clients", Fmt::Plain),
         ],
     );
     let mut timeline = Table::new(
         "T-FAULTS: per-second goodput timelines",
-        &["platform", "scenario", "second", "ok (tx/s)"],
+        &[
+            ("platform", "platform", Fmt::Plain),
+            ("scenario", "scenario", Fmt::Plain),
+            ("second", "second", Fmt::Plain),
+            ("ok_tx_s", "ok (tx/s)", Fmt::Plain),
+        ],
     );
     let mut exporter = MetricsExporter::new("table_faults");
     let mut verdicts = slo_verdict_table(format!(
@@ -376,40 +379,36 @@ pub fn fault_campaign(quick: bool) -> FaultsReport {
                 &mut verdicts,
                 &mut trace_json,
             );
-            table.push_row(vec![
-                platform.name().to_owned(),
-                scenario.name().to_owned(),
-                format!("{:.1}", stats.pre_goodput),
-                format!("{:.1}", stats.during_goodput),
-                format!("{:.1}", stats.post_goodput),
-                stats
-                    .time_to_recover
-                    .map_or("-".to_owned(), |s| format!("{s:.0}")),
-                stats.ok.to_string(),
-                stats.err.to_string(),
-                stats.timeouts.to_string(),
-                stats.retries.to_string(),
-                stats.exhausted.to_string(),
-                stats.hung.to_string(),
+            table.push_row(row![
+                platform.name(),
+                scenario.name(),
+                stats.pre_goodput,
+                stats.during_goodput,
+                stats.post_goodput,
+                stats.time_to_recover,
+                stats.ok,
+                stats.err,
+                stats.timeouts,
+                stats.retries,
+                stats.exhausted,
+                stats.hung,
             ]);
             for (second, &count) in stats.buckets.iter().enumerate() {
-                timeline.push_row(vec![
-                    platform.name().to_owned(),
-                    scenario.name().to_owned(),
-                    second.to_string(),
-                    count.to_string(),
-                ]);
+                timeline.push_row(row![platform.name(), scenario.name(), second, count]);
             }
         }
     }
 
-    FaultsReport {
-        table,
-        timeline,
-        verdicts,
-        exporter,
-        trace_json: trace_json.unwrap_or_else(|| "{\"traceEvents\":[]}".to_owned()),
-    }
+    vec![
+        Artefact::table(table, "table_faults"),
+        Artefact::table(timeline, "table_faults_timeline"),
+        Artefact::table(verdicts, "table_faults_slo"),
+        Artefact::Raw {
+            body: trace_json.unwrap_or_else(|| "{\"traceEvents\":[]}".to_owned()),
+            name: "table_faults_peer_crash.trace.json",
+        },
+        Artefact::Metrics(exporter),
+    ]
 }
 
 /// A single short peer-crash run rendered as metrics JSON — the
@@ -433,9 +432,12 @@ pub fn fault_scenario_json(seed: u64) -> String {
         .crash_window(net.peers[0], t0 + params.fault_from, t0 + params.fault_to)
         .install(&mut net.sim);
     let mut rng = DetRng::new(seed).fork("faults");
-    run_closed_loop(&mut net, params.duration, params.grace, |c, seq| {
-        store_cmd(format!("item-c{c}-{seq}"), payload(&mut rng, ITEM_BYTES))
-    });
+    run_closed_loop(
+        &mut net,
+        Until::Elapsed(params.duration),
+        params.grace,
+        |c, seq| store_cmd(format!("item-c{c}-{seq}"), payload(&mut rng, ITEM_BYTES)),
+    );
     let mut exporter = MetricsExporter::new("table_faults_prop");
     exporter.add_run(&format!("seed={seed}"), &net.sim);
     exporter.to_json()

@@ -14,8 +14,9 @@ use hyperprov_fabric::BatchConfig;
 use hyperprov_sim::{DetRng, Histogram, SimDuration};
 
 use crate::report::{breakdown_table, merge_stages, MetricsExporter};
-use crate::runner::{run_closed_loop, Summary};
-use crate::table::{fmt_bytes, Table};
+use crate::row;
+use crate::runner::{run_closed_loop, Artefact, Summary, Until};
+use crate::table::{Fmt, Table};
 use crate::workload::{payload, store_cmd};
 
 /// Which testbed to sweep.
@@ -28,7 +29,8 @@ pub enum Platform {
 }
 
 impl Platform {
-    fn config(self, clients: usize) -> NetworkConfig {
+    /// The testbed's deployment with `clients` clients.
+    pub fn config(self, clients: usize) -> NetworkConfig {
         match self {
             Platform::Desktop => NetworkConfig::desktop(clients),
             Platform::Rpi => NetworkConfig::rpi(clients),
@@ -44,21 +46,24 @@ impl Platform {
     }
 }
 
-/// A size sweep plus its observability artefacts.
-#[derive(Debug)]
-pub struct SweepReport {
-    /// The figure's series table (throughput / response time vs size).
-    pub table: Table,
-    /// Per-stage latency breakdown aggregated over every run of the sweep.
-    pub breakdown: Table,
-    /// One metrics + trace snapshot per `(size, seed)` run.
-    pub exporter: MetricsExporter,
+/// The rows of a figure as part of the committed `BENCH_paper.json`
+/// trajectory (Figs 1–3 share the file; the regression gate's
+/// paper-shape rows read it).
+pub(super) fn paper_trajectory(table: &Table) -> Artefact {
+    Artefact::trajectory(
+        "BENCH_paper.json",
+        "PAPER",
+        "Figs 1-3: throughput and response time vs data size (desktop, RPi), RPi power vs load",
+        &[table],
+    )
 }
 
-/// Runs the data-size sweep for one platform, producing the figure's
-/// series (`size, throughput (tx/s) ± std, response time (ms) ± std`)
-/// plus the stage-attribution report and JSON export.
-pub fn size_sweep(platform: Platform, quick: bool) -> SweepReport {
+/// Runs the data-size sweep for one platform: the figure's series
+/// (`size, throughput (tx/s) ± std, response time (ms) ± std`), the
+/// per-stage latency breakdown aggregated over every run, one metrics +
+/// trace snapshot per `(size, seed)` run, and the figure's rows of
+/// `BENCH_paper.json`.
+pub fn size_sweep(platform: Platform, quick: bool) -> Vec<Artefact> {
     let (sizes, clients, duration, seeds): (Vec<usize>, usize, SimDuration, u64) = if quick {
         (
             vec![1 << 10, 1 << 16, 1 << 20],
@@ -84,9 +89,9 @@ pub fn size_sweep(platform: Platform, quick: bool) -> SweepReport {
         )
     };
 
-    let fig = match platform {
-        Platform::Desktop => "Fig. 1",
-        Platform::Rpi => "Fig. 2",
+    let (fig, name, stages_name) = match platform {
+        Platform::Desktop => ("Fig. 1", "fig1_desktop", "fig1_desktop_stages"),
+        Platform::Rpi => ("Fig. 2", "fig2_rpi", "fig2_rpi_stages"),
     };
     let mut table = Table::new(
         format!(
@@ -94,20 +99,21 @@ pub fn size_sweep(platform: Platform, quick: bool) -> SweepReport {
             platform.name()
         ),
         &[
-            "data size",
-            "throughput (tx/s)",
-            "tput std",
-            "resp time (ms)",
-            "resp p95 (ms)",
-            "resp std (ms)",
-            "errors",
+            ("platform", "", Fmt::Plain),
+            ("size_bytes", "data size", Fmt::Bytes),
+            ("throughput_tx_s", "throughput (tx/s)", Fmt::Fixed(1, "")),
+            ("throughput_std", "tput std", Fmt::Fixed(1, "")),
+            ("resp_ms", "resp time (ms)", Fmt::Fixed(1, "")),
+            ("resp_p95_ms", "resp p95 (ms)", Fmt::Fixed(1, "")),
+            ("resp_std_ms", "resp std (ms)", Fmt::Fixed(1, "")),
+            // Relative spread of the response time: the paper's "greater
+            // variation" on the RPi, as one number per size.
+            ("resp_std_over_mean", "", Fmt::Plain),
+            ("errors", "errors", Fmt::Plain),
         ],
     );
 
-    let mut exporter = MetricsExporter::new(match platform {
-        Platform::Desktop => "fig1_desktop",
-        Platform::Rpi => "fig2_rpi",
-    });
+    let mut exporter = MetricsExporter::new(name);
     let mut stages: BTreeMap<String, Histogram> = BTreeMap::new();
     for &size in &sizes {
         let mut tputs = Vec::new();
@@ -131,25 +137,30 @@ pub fn size_sweep(platform: Platform, quick: bool) -> SweepReport {
             lat_stds.push(summary.stddev_latency_ms());
             errors += summary.err;
         }
-        table.push_row(vec![
-            fmt_bytes(size as u64),
-            format!("{:.1}", mean(&tputs)),
-            format!("{:.1}", std_dev(&tputs)),
-            format!("{:.1}", mean(&lat_means)),
-            format!("{:.1}", mean(&lat_p95s)),
-            format!("{:.1}", mean(&lat_stds)),
-            errors.to_string(),
+        let (resp, resp_std) = (mean(&lat_means), mean(&lat_stds));
+        table.push_row(row![
+            platform.name(),
+            size,
+            mean(&tputs),
+            std_dev(&tputs),
+            resp,
+            mean(&lat_p95s),
+            resp_std,
+            resp_std / resp,
+            errors,
         ]);
     }
     let breakdown = breakdown_table(
         format!("{fig}: per-stage latency breakdown ({})", platform.name()),
         &stages,
     );
-    SweepReport {
-        table,
-        breakdown,
-        exporter,
-    }
+    let paper = paper_trajectory(&table);
+    vec![
+        Artefact::table(table, name),
+        Artefact::table(breakdown, stages_name),
+        Artefact::Metrics(exporter),
+        paper,
+    ]
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -176,7 +187,7 @@ fn run_one(
     let mut rng = DetRng::new(seed).fork("payload");
     let result = run_closed_loop(
         &mut net,
-        duration,
+        Until::Elapsed(duration),
         SimDuration::from_secs(10),
         move |client, seq| {
             let data = payload(&mut rng, size);

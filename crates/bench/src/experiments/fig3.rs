@@ -16,13 +16,15 @@ use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_device::{EnergyModel, PowerMeter};
 use hyperprov_sim::{DetRng, SimDuration, SimTime};
 
-use crate::runner::{run_open_loop, Summary};
-use crate::table::Table;
+use super::fig12::paper_trajectory;
+use crate::row;
+use crate::runner::{run_open_loop, Artefact, Summary};
+use crate::table::{Fmt, Table};
 use crate::workload::{payload, poisson_arrivals, store_cmd};
 
 /// Runs the energy profile. Each load level is a fresh 10-minute run (a
 /// shortened interval in quick mode).
-pub fn energy_profile(quick: bool) -> Table {
+pub fn energy_profile(quick: bool) -> Vec<Artefact> {
     let interval = if quick {
         SimDuration::from_secs(60)
     } else {
@@ -37,60 +39,55 @@ pub fn energy_profile(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 3: energy consumption on RPi, 10-minute intervals",
         &[
-            "load level",
-            "offered (tx/s)",
-            "achieved (tx/s)",
-            "avg power (W)",
-            "peak power (W)",
-            "energy (J)",
-            "vs HLF-idle",
+            ("load_level", "load level", Fmt::Plain),
+            ("offered_tx_s", "offered (tx/s)", Fmt::Fixed(1, "")),
+            ("achieved_tx_s", "achieved (tx/s)", Fmt::Fixed(1, "")),
+            ("avg_power_w", "avg power (W)", Fmt::Fixed(2, "")),
+            ("peak_power_w", "peak power (W)", Fmt::Fixed(2, "")),
+            ("energy_j", "energy (J)", Fmt::Fixed(0, "")),
+            ("vs_hlf_idle_pct", "vs HLF-idle", Fmt::Signed(1, "%")),
         ],
     );
+    let secs = interval.as_secs_f64();
 
     // Reference row: an idle RPi with no HLF software at all.
     let model = EnergyModel::raspberry_pi();
     let idle_no_hlf = model.power(0.0, false);
-    table.push_row(vec![
-        "idle (no HLF)".into(),
-        "0.0".into(),
-        "0.0".into(),
-        format!("{idle_no_hlf:.2}"),
-        format!("{idle_no_hlf:.2}"),
-        format!("{:.0}", idle_no_hlf * interval.as_secs_f64()),
-        "-".into(),
+    table.push_row(row![
+        "idle (no HLF)",
+        0.0,
+        0.0,
+        idle_no_hlf,
+        idle_no_hlf,
+        idle_no_hlf * secs,
+        None::<f64>,
     ]);
 
     let hlf_idle = model.power(0.0, true);
-    for &rate in &rates {
-        let (achieved, avg, peak) = run_level(rate, interval, quick);
+    let levels = rates.iter().map(|&rate| {
         let label = if rate == 0.0 {
             "HLF idle".to_owned()
         } else {
             format!("{rate:.0} tx/s")
         };
-        table.push_row(vec![
+        (label, rate)
+    });
+    // Peak: offer well beyond the device's capacity (open loop).
+    let peak = ("peak (saturated)".to_owned(), 120.0);
+    for (label, rate) in levels.chain(std::iter::once(peak)) {
+        let (achieved, avg, peak) = run_level(rate, interval, quick);
+        table.push_row(row![
             label,
-            format!("{rate:.1}"),
-            format!("{achieved:.1}"),
-            format!("{avg:.2}"),
-            format!("{peak:.2}"),
-            format!("{:.0}", avg * interval.as_secs_f64()),
-            format!("{:+.1}%", (avg / hlf_idle - 1.0) * 100.0),
+            rate,
+            achieved,
+            avg,
+            peak,
+            avg * secs,
+            (avg / hlf_idle - 1.0) * 100.0,
         ]);
     }
-
-    // Peak: offer well beyond the device's capacity (open loop).
-    let (achieved, avg, peak) = run_level(120.0, interval, quick);
-    table.push_row(vec![
-        "peak (saturated)".into(),
-        "120.0".into(),
-        format!("{achieved:.1}"),
-        format!("{avg:.2}"),
-        format!("{peak:.2}"),
-        format!("{:.0}", avg * interval.as_secs_f64()),
-        format!("{:+.1}%", (avg / hlf_idle - 1.0) * 100.0),
-    ]);
-    table
+    let paper = paper_trajectory(&table);
+    vec![Artefact::table(table, "fig3_energy"), paper]
 }
 
 fn meter(net: &HyperProvNetwork, from: SimTime, to: SimTime) -> (f64, f64) {

@@ -12,29 +12,19 @@
 //! committing into the same channels. Full runs also emit the
 //! machine-readable `BENCH_lineage.json` trajectory.
 
-use hyperprov::{ClientCommand, HyperProvNetwork, NetworkConfig, NodeMsg, OpId, RecordInput};
+use hyperprov::{ClientCommand, HyperProvNetwork, NodeMsg, OpId, RecordInput};
 use hyperprov_fabric::BatchConfig;
 use hyperprov_ledger::Digest;
-use hyperprov_sim::{json, SimDuration};
+use hyperprov_sim::SimDuration;
 
 use crate::report::MetricsExporter;
-use crate::table::Table;
+use crate::row;
+use crate::runner::Artefact;
+use crate::table::{Fmt, Table};
 use crate::workload::{deep_dag, deep_dag_sink};
 
-use super::Platform;
-
-/// The lineage campaign's artefacts.
-#[derive(Debug)]
-pub struct LineageReport {
-    /// The query-cost table (one row per platform × shards × depth ×
-    /// fan-out).
-    pub table: Table,
-    /// One metrics + trace snapshot per cell.
-    pub exporter: MetricsExporter,
-    /// Machine-readable per-cell quantiles and speedups, written to the
-    /// repo-root `BENCH_lineage.json` on full runs.
-    pub bench_json: String,
-}
+use super::sharding::shard_specs;
+use super::{op_ms, Platform};
 
 struct Cell {
     nodes: usize,
@@ -45,44 +35,6 @@ struct Cell {
     closure_ms: f64,
     loaded_graph_p50_ms: f64,
     dangling: u64,
-}
-
-/// Channel specifications mirroring the T-SHARDING partitioning: shard
-/// `c` hosted by the peers with `p % groups == c % groups`.
-fn shard_specs(channels: usize, n_peers: usize) -> Vec<hyperprov::ChannelSpec> {
-    if channels == 1 {
-        return vec![hyperprov::ChannelSpec::new(
-            hyperprov_ledger::DEFAULT_CHANNEL,
-        )];
-    }
-    let groups = channels.min(n_peers);
-    (0..channels)
-        .map(|c| {
-            let hosts: Vec<usize> = (0..n_peers).filter(|p| p % groups == c % groups).collect();
-            hyperprov::ChannelSpec::new(format!("{}-{c}", hyperprov_ledger::DEFAULT_CHANNEL))
-                .with_peers(hosts)
-        })
-        .collect()
-}
-
-/// Issues one operation on client 0 and runs until it completes,
-/// returning its latency in milliseconds (`None` if it failed).
-fn one_op(net: &mut HyperProvNetwork, mut cmd: ClientCommand) -> Option<f64> {
-    crate::runner::set_op(&mut cmd, OpId(1));
-    let client = net.clients[0];
-    net.sim.inject_message(client, NodeMsg::Client(cmd));
-    let queue = net.completions[0].clone();
-    for _ in 0..100_000 {
-        if let Some(completion) = queue.borrow_mut().pop_front() {
-            let latency_ms = completion.latency().as_nanos() as f64 / 1e6;
-            return completion.outcome.ok().map(|_| latency_ms);
-        }
-        if net.sim.run_events(64) == 0 {
-            let now = net.sim.now();
-            net.sim.run_until(now + SimDuration::from_millis(100));
-        }
-    }
-    panic!("operation never completed");
 }
 
 /// The p-th percentile of a latency sample (nearest-rank).
@@ -107,15 +59,13 @@ fn run_cell(
     seed: u64,
     exporter: &mut MetricsExporter,
 ) -> Cell {
-    let mut config = match platform {
-        Platform::Desktop => NetworkConfig::desktop(clients),
-        Platform::Rpi => NetworkConfig::rpi(clients),
-    }
-    .with_seed(seed)
-    .with_batch(BatchConfig {
-        timeout: SimDuration::from_millis(100),
-        ..BatchConfig::default()
-    });
+    let mut config = platform
+        .config(clients)
+        .with_seed(seed)
+        .with_batch(BatchConfig {
+            timeout: SimDuration::from_millis(100),
+            ..BatchConfig::default()
+        });
     let n_peers = config.peer_devices.len();
     config = config.with_channel_specs(shard_specs(channels, n_peers));
     // Parent links hop shards, and a shard cannot see its neighbours'
@@ -129,7 +79,7 @@ fn run_cell(
     let dag = deep_dag(depth, fan_out);
     for (key, parents) in &dag {
         let input = RecordInput::new(Digest::of(key.as_bytes())).with_parents(parents.clone());
-        let done = one_op(
+        let done = op_ms(
             &mut net,
             ClientCommand::Post {
                 key: key.clone(),
@@ -145,7 +95,7 @@ fn run_cell(
     // a time on sharded layouts.
     let mut oracle: Vec<f64> = (0..iters)
         .map(|_| {
-            one_op(
+            op_ms(
                 &mut net,
                 ClientCommand::GetLineage {
                     key: sink.clone(),
@@ -160,7 +110,7 @@ fn run_cell(
     // The one-shot index query over the same DAG.
     let mut graph: Vec<f64> = (0..iters)
         .map(|_| {
-            one_op(
+            op_ms(
                 &mut net,
                 ClientCommand::GetAncestry {
                     key: sink.clone(),
@@ -177,7 +127,7 @@ fn run_cell(
     let mid = format!("dag-l{}-n0", depth / 2);
     let mut closure: Vec<f64> = (0..iters)
         .map(|_| {
-            one_op(
+            op_ms(
                 &mut net,
                 ClientCommand::GetClosure {
                     key: mid.clone(),
@@ -206,7 +156,7 @@ fn run_cell(
                     }),
                 );
             }
-            let ms = one_op(
+            let ms = op_ms(
                 &mut net,
                 ClientCommand::GetAncestry {
                     key: sink.clone(),
@@ -254,9 +204,11 @@ fn run_cell(
     }
 }
 
-/// Runs the depth × fan-out × shard sweep, producing the T-LINEAGE
-/// table, its metrics export and the `BENCH_lineage.json` body.
-pub fn lineage_sweep(quick: bool) -> LineageReport {
+/// Runs the depth × fan-out × shard sweep: the query-cost table (one row
+/// per platform × shards × depth × fan-out), one metrics + trace snapshot
+/// per cell, and the table's rows as the committed `BENCH_lineage.json`
+/// trajectory.
+pub fn lineage_sweep(quick: bool) -> Vec<Artefact> {
     type Cfg = (Vec<Platform>, Vec<usize>, Vec<(u32, usize)>, usize, usize);
     let (platforms, shard_counts, shapes, clients, iters): Cfg = if quick {
         (vec![Platform::Desktop], vec![1, 4], vec![(4, 2)], 2, 3)
@@ -273,23 +225,26 @@ pub fn lineage_sweep(quick: bool) -> LineageReport {
     let mut table = Table::new(
         "T-LINEAGE: DAG-index queries vs the hop-by-hop oracle walk",
         &[
-            "platform",
-            "shards",
-            "depth",
-            "fanout",
-            "nodes",
-            "oracle p50 (ms)",
-            "oracle p99 (ms)",
-            "graph p50 (ms)",
-            "graph p99 (ms)",
-            "speedup p50",
-            "closure p50 (ms)",
-            "loaded graph p50 (ms)",
-            "dangling",
+            ("platform", "platform", Fmt::Plain),
+            ("shards", "shards", Fmt::Plain),
+            ("depth", "depth", Fmt::Plain),
+            ("fan_out", "fanout", Fmt::Plain),
+            ("nodes", "nodes", Fmt::Plain),
+            ("oracle_p50_ms", "oracle p50 (ms)", Fmt::Fixed(2, "")),
+            ("oracle_p99_ms", "oracle p99 (ms)", Fmt::Fixed(2, "")),
+            ("graph_p50_ms", "graph p50 (ms)", Fmt::Fixed(2, "")),
+            ("graph_p99_ms", "graph p99 (ms)", Fmt::Fixed(2, "")),
+            ("speedup_p50", "speedup p50", Fmt::Fixed(2, "x")),
+            ("closure_p50_ms", "closure p50 (ms)", Fmt::Fixed(2, "")),
+            (
+                "loaded_graph_p50_ms",
+                "loaded graph p50 (ms)",
+                Fmt::Fixed(2, ""),
+            ),
+            ("dangling", "dangling", Fmt::Plain),
         ],
     );
     let mut exporter = MetricsExporter::new("table_lineage");
-    let mut rows = Vec::new();
     for &platform in &platforms {
         for &channels in &shard_counts {
             for &(depth, fan_out) in &shapes {
@@ -308,53 +263,33 @@ pub fn lineage_sweep(quick: bool) -> LineageReport {
                 } else {
                     0.0
                 };
-                table.push_row(vec![
-                    platform.name().to_owned(),
-                    channels.to_string(),
-                    depth.to_string(),
-                    fan_out.to_string(),
-                    cell.nodes.to_string(),
-                    format!("{:.2}", cell.oracle_p50_ms),
-                    format!("{:.2}", cell.oracle_p99_ms),
-                    format!("{:.2}", cell.graph_p50_ms),
-                    format!("{:.2}", cell.graph_p99_ms),
-                    format!("{speedup:.2}x"),
-                    format!("{:.2}", cell.closure_ms),
-                    format!("{:.2}", cell.loaded_graph_p50_ms),
-                    cell.dangling.to_string(),
+                table.push_row(row![
+                    platform.name(),
+                    channels,
+                    depth,
+                    fan_out,
+                    cell.nodes,
+                    cell.oracle_p50_ms,
+                    cell.oracle_p99_ms,
+                    cell.graph_p50_ms,
+                    cell.graph_p99_ms,
+                    speedup,
+                    cell.closure_ms,
+                    cell.loaded_graph_p50_ms,
+                    cell.dangling,
                 ]);
-                rows.push(
-                    json::Obj::new()
-                        .str("platform", platform.name())
-                        .u64("shards", channels as u64)
-                        .u64("depth", u64::from(depth))
-                        .u64("fan_out", fan_out as u64)
-                        .u64("nodes", cell.nodes as u64)
-                        .f64("oracle_p50_ms", cell.oracle_p50_ms)
-                        .f64("oracle_p99_ms", cell.oracle_p99_ms)
-                        .f64("graph_p50_ms", cell.graph_p50_ms)
-                        .f64("graph_p99_ms", cell.graph_p99_ms)
-                        .f64("speedup_p50", speedup)
-                        .f64("closure_p50_ms", cell.closure_ms)
-                        .f64("loaded_graph_p50_ms", cell.loaded_graph_p50_ms)
-                        .build(),
-                );
             }
         }
     }
-    let bench_json = json::pretty(
-        &json::Obj::new()
-            .str("campaign", "T-LINEAGE")
-            .str(
-                "metric",
-                "lineage-query latency: DAG-index vs hop-by-hop oracle",
-            )
-            .raw("cells", &json::array(rows))
-            .build(),
+    let trajectory = Artefact::trajectory(
+        "BENCH_lineage.json",
+        "T-LINEAGE",
+        "lineage-query latency: DAG-index vs hop-by-hop oracle",
+        &[&table],
     );
-    LineageReport {
-        table,
-        exporter,
-        bench_json,
-    }
+    vec![
+        Artefact::table(table, "table_lineage"),
+        Artefact::Metrics(exporter),
+        trajectory,
+    ]
 }

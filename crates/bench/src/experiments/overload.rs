@@ -11,14 +11,15 @@
 
 use std::collections::BTreeMap;
 
-use hyperprov::{HyperProvNetwork, NetworkConfig};
+use hyperprov::HyperProvNetwork;
 use hyperprov_fabric::BatchConfig;
 use hyperprov_sim::{DetRng, Histogram, QueueConfig, SimDuration};
 
 use super::Platform;
 use crate::report::{breakdown_table, merge_stages, MetricsExporter};
-use crate::runner::{run_open_loop, Summary};
-use crate::table::Table;
+use crate::row;
+use crate::runner::{run_open_loop, Artefact, Summary};
+use crate::table::{Fmt, Table};
 use crate::workload::{payload, store_cmd, uniform_arrivals};
 
 /// Peer admission-queue bound used throughout the sweep.
@@ -28,28 +29,13 @@ const PEER_QUEUE_CAPACITY: usize = 32;
 /// saturate at roughly 530 tx/s (desktop) and 75 tx/s (RPi).
 const ITEM_BYTES: usize = 1 << 10;
 
-/// The overload sweep plus its observability artefacts.
-#[derive(Debug)]
-pub struct OverloadReport {
-    /// Goodput / rejection series per platform and offered rate.
-    pub table: Table,
-    /// Per-stage latency breakdown (includes the `queue.wait` stage).
-    pub breakdown: Table,
-    /// One metrics + trace snapshot per `(platform, rate)` run.
-    pub exporter: MetricsExporter,
-}
-
-fn base_config(platform: Platform, clients: usize) -> NetworkConfig {
-    match platform {
-        Platform::Desktop => NetworkConfig::desktop(clients),
-        Platform::Rpi => NetworkConfig::rpi(clients),
-    }
-}
-
 /// Runs the overload sweep: uniform open-loop arrivals from well below to
 /// well past each testbed's saturation rate, peers bounded at
-/// [`PEER_QUEUE_CAPACITY`] with the nack policy.
-pub fn overload_sweep(quick: bool) -> OverloadReport {
+/// [`PEER_QUEUE_CAPACITY`] with the nack policy. Returns the goodput /
+/// rejection series per platform and offered rate, the per-stage latency
+/// breakdown (includes the `queue.wait` stage) and one metrics + trace
+/// snapshot per `(platform, rate)` run.
+pub fn overload_sweep(quick: bool) -> Vec<Artefact> {
     let (desktop_rates, rpi_rates, clients, duration, drain): (
         Vec<f64>,
         Vec<f64>,
@@ -80,14 +66,18 @@ pub fn overload_sweep(quick: bool) -> OverloadReport {
              1 KiB items, peers bounded {PEER_QUEUE_CAPACITY}/nack)"
         ),
         &[
-            "platform",
-            "offered (tx/s)",
-            "offered ops",
-            "completed ok",
-            "goodput (tx/s)",
-            "rejected",
-            "reject rate",
-            "queue.wait p99 (ms)",
+            ("platform", "platform", Fmt::Plain),
+            ("offered_tx_s", "offered (tx/s)", Fmt::Fixed(0, "")),
+            ("offered_ops", "offered ops", Fmt::Plain),
+            ("completed_ok", "completed ok", Fmt::Plain),
+            ("goodput_tx_s", "goodput (tx/s)", Fmt::Fixed(1, "")),
+            ("rejected", "rejected", Fmt::Plain),
+            ("reject_rate_pct", "reject rate", Fmt::Fixed(1, "%")),
+            (
+                "queue_wait_p99_ms",
+                "queue.wait p99 (ms)",
+                Fmt::Fixed(3, ""),
+            ),
         ],
     );
     let mut exporter = MetricsExporter::new("table_overload");
@@ -98,7 +88,8 @@ pub fn overload_sweep(quick: bool) -> OverloadReport {
         (Platform::Rpi, rpi_rates),
     ] {
         for &rate in &rates {
-            let config = base_config(platform, clients)
+            let config = platform
+                .config(clients)
                 .with_seed(7)
                 .with_batch(BatchConfig {
                     timeout: SimDuration::from_millis(100),
@@ -128,15 +119,15 @@ pub fn overload_sweep(quick: bool) -> OverloadReport {
 
             exporter.add_run(&format!("{} rate={rate:.0}", platform.name()), &net.sim);
             merge_stages(&mut stages, &net.sim);
-            table.push_row(vec![
-                platform.name().to_owned(),
-                format!("{rate:.0}"),
-                offered.to_string(),
-                summary.ok.to_string(),
-                format!("{:.1}", summary.throughput),
-                rejected.to_string(),
-                format!("{:.1}%", rejected as f64 / (offered.max(1)) as f64 * 100.0),
-                format!("{:.3}", wait.quantile(0.99) as f64 / 1e6),
+            table.push_row(row![
+                platform.name(),
+                rate,
+                offered,
+                summary.ok,
+                summary.throughput,
+                rejected,
+                rejected as f64 / (offered.max(1)) as f64 * 100.0,
+                wait.quantile(0.99) as f64 / 1e6,
             ]);
         }
     }
@@ -145,9 +136,9 @@ pub fn overload_sweep(quick: bool) -> OverloadReport {
         "T-OVERLOAD: per-stage latency breakdown (both platforms, all rates)",
         &stages,
     );
-    OverloadReport {
-        table,
-        breakdown,
-        exporter,
-    }
+    vec![
+        Artefact::table(table, "table_overload"),
+        Artefact::table(breakdown, "table_overload_stages"),
+        Artefact::Metrics(exporter),
+    ]
 }

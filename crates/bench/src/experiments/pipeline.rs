@@ -12,31 +12,17 @@
 //! cell: commit-stage goodput, validate-stage p50/p99, and the cache hit
 //! rates.
 
-use hyperprov::{
-    ClientCommand, CommitPipeline, HyperProvNetwork, NetworkConfig, NodeMsg, OpId, OpOutput,
-    RecordInput,
-};
+use hyperprov::{ClientCommand, CommitPipeline, HyperProvNetwork, OpId, OpOutput, RecordInput};
 use hyperprov_fabric::BatchConfig;
 use hyperprov_ledger::Digest;
-use hyperprov_sim::{json, Histogram, SimDuration, SloObjective, SloSpec};
+use hyperprov_sim::{Histogram, SimDuration, SloObjective, SloSpec};
 
 use crate::report::MetricsExporter;
-use crate::runner::run_closed_loop;
-use crate::table::Table;
+use crate::row;
+use crate::runner::{run_closed_loop, Artefact, Until};
+use crate::table::{Fmt, Table};
 
-use super::Platform;
-
-/// The pipeline campaign's artefacts.
-#[derive(Debug)]
-pub struct PipelineReport {
-    /// The acceleration table (one row per platform × lanes × caches).
-    pub table: Table,
-    /// One metrics + trace snapshot per cell.
-    pub exporter: MetricsExporter,
-    /// Machine-readable per-cell goodput and commit-stage quantiles,
-    /// written to the repo-root `BENCH_commit.json` on full runs.
-    pub bench_json: String,
-}
+use super::{op_ms, Platform};
 
 /// Number of shared parent records the load phase links every post to;
 /// endorsers re-read these hot keys on each proposal, which is what the
@@ -85,22 +71,20 @@ fn run_cell(
     exporter: &mut MetricsExporter,
 ) -> Cell {
     let (lanes, caches) = (pipeline.lanes, pipeline.caches);
-    let config = match platform {
-        Platform::Desktop => NetworkConfig::desktop(clients),
-        Platform::Rpi => NetworkConfig::rpi(clients),
-    }
-    .with_seed(seed)
-    .with_batch(BatchConfig {
-        timeout: SimDuration::from_millis(100),
-        ..BatchConfig::default()
-    })
-    .with_pipeline(pipeline)
-    .with_slos(slos.to_vec());
+    let config = platform
+        .config(clients)
+        .with_seed(seed)
+        .with_batch(BatchConfig {
+            timeout: SimDuration::from_millis(100),
+            ..BatchConfig::default()
+        })
+        .with_pipeline(pipeline)
+        .with_slos(slos.to_vec());
     let mut net = HyperProvNetwork::build(&config);
 
     // Seed the shared parents all load-phase posts will link to.
     for p in 0..HOT_PARENTS {
-        let done = one_op(
+        let done = op_ms(
             &mut net,
             ClientCommand::Post {
                 key: format!("parent-{p}"),
@@ -115,7 +99,7 @@ fn run_cell(
     // re-read the same state keys proposal after proposal.
     let result = run_closed_loop(
         &mut net,
-        duration,
+        Until::Elapsed(duration),
         SimDuration::from_secs(10),
         |client, seq| ClientCommand::Post {
             key: format!("item-c{client}-s{seq}"),
@@ -173,29 +157,10 @@ fn run_cell(
     }
 }
 
-/// Issues one operation on client 0 and runs until it completes,
-/// returning its latency in milliseconds (`None` if it failed).
-fn one_op(net: &mut HyperProvNetwork, mut cmd: ClientCommand) -> Option<f64> {
-    crate::runner::set_op(&mut cmd, OpId(1));
-    let client = net.clients[0];
-    net.sim.inject_message(client, NodeMsg::Client(cmd));
-    let queue = net.completions[0].clone();
-    for _ in 0..10_000 {
-        if let Some(completion) = queue.borrow_mut().pop_front() {
-            let latency_ms = completion.latency().as_nanos() as f64 / 1e6;
-            return completion.outcome.ok().map(|_| latency_ms);
-        }
-        if net.sim.run_events(64) == 0 {
-            let now = net.sim.now();
-            net.sim.run_until(now + SimDuration::from_millis(100));
-        }
-    }
-    panic!("operation never completed");
-}
-
-/// Runs the lanes × caches sweep, producing the T-PIPELINE table, its
-/// metrics export and the machine-readable `BENCH_commit.json` body.
-pub fn pipeline_sweep(quick: bool) -> PipelineReport {
+/// Runs the lanes × caches sweep: the acceleration table (one row per
+/// platform × lanes × caches), one metrics + trace snapshot per cell, and
+/// the table's rows as the committed `BENCH_commit.json` trajectory.
+pub fn pipeline_sweep(quick: bool) -> Vec<Artefact> {
     type Cfg = (Vec<Platform>, Vec<(usize, bool)>, usize, SimDuration);
     let (platforms, cells, clients, duration): Cfg = if quick {
         (
@@ -223,16 +188,16 @@ pub fn pipeline_sweep(quick: bool) -> PipelineReport {
     let mut table = Table::new(
         "T-PIPELINE: commit goodput vs lanes and caches",
         &[
-            "platform",
-            "lanes",
-            "caches",
-            "goodput (tx/s)",
-            "vs serial",
-            "validate p50 (ms)",
-            "validate p99 (ms)",
-            "sigcache hit%",
-            "readcache hit%",
-            "errors",
+            ("platform", "platform", Fmt::Plain),
+            ("lanes", "lanes", Fmt::Plain),
+            ("caches", "caches", Fmt::Plain),
+            ("goodput_tx_s", "goodput (tx/s)", Fmt::Fixed(1, "")),
+            ("speedup_vs_serial", "vs serial", Fmt::Fixed(2, "x")),
+            ("commit_p50_ms", "validate p50 (ms)", Fmt::Fixed(2, "")),
+            ("commit_p99_ms", "validate p99 (ms)", Fmt::Fixed(2, "")),
+            ("sigcache_hit_pct", "sigcache hit%", Fmt::Fixed(1, "")),
+            ("readcache_hit_pct", "readcache hit%", Fmt::Fixed(1, "")),
+            ("errors", "errors", Fmt::Plain),
         ],
     );
     let mut exporter = MetricsExporter::new("table_commit_pipeline");
@@ -263,7 +228,6 @@ pub fn pipeline_sweep(quick: bool) -> PipelineReport {
             ),
         ]
     };
-    let mut rows = Vec::new();
     for &platform in &platforms {
         let mut serial_goodput = None;
         for &(lanes, caches) in &cells {
@@ -283,41 +247,29 @@ pub fn pipeline_sweep(quick: bool) -> PipelineReport {
             } else {
                 0.0
             };
-            table.push_row(vec![
-                platform.name().to_owned(),
-                lanes.to_string(),
-                (if caches { "on" } else { "off" }).to_owned(),
-                format!("{:.1}", cell.goodput),
-                format!("{speedup:.2}x"),
-                format!("{:.2}", cell.validate_p50_ms),
-                format!("{:.2}", cell.validate_p99_ms),
-                format!("{:.1}", cell.sigcache_pct),
-                format!("{:.1}", cell.readcache_pct),
-                cell.errors.to_string(),
+            table.push_row(row![
+                platform.name(),
+                lanes,
+                if caches { "on" } else { "off" },
+                cell.goodput,
+                speedup,
+                cell.validate_p50_ms,
+                cell.validate_p99_ms,
+                cell.sigcache_pct,
+                cell.readcache_pct,
+                cell.errors,
             ]);
-            rows.push(
-                json::Obj::new()
-                    .str("platform", platform.name())
-                    .u64("lanes", lanes as u64)
-                    .str("caches", if caches { "on" } else { "off" })
-                    .f64("goodput_tx_s", cell.goodput)
-                    .f64("speedup_vs_serial", speedup)
-                    .f64("commit_p50_ms", cell.validate_p50_ms)
-                    .f64("commit_p99_ms", cell.validate_p99_ms)
-                    .build(),
-            );
         }
     }
-    let bench_json = json::pretty(
-        &json::Obj::new()
-            .str("campaign", "T-PIPELINE")
-            .str("metric", "commit-stage goodput and validate-span quantiles")
-            .raw("cells", &json::array(rows))
-            .build(),
+    let trajectory = Artefact::trajectory(
+        "BENCH_commit.json",
+        "T-PIPELINE",
+        "commit-stage goodput and validate-span quantiles",
+        &[&table],
     );
-    PipelineReport {
-        table,
-        exporter,
-        bench_json,
-    }
+    vec![
+        Artefact::table(table, "table_commit_pipeline"),
+        Artefact::Metrics(exporter),
+        trajectory,
+    ]
 }

@@ -13,18 +13,20 @@
 //!   (`bench_regress`) compares them with tight tolerances.
 //! * **host** metrics — wall-clock run time, events processed per
 //!   wall-second, per-actor-type handler time shares and peak RSS. These
-//!   vary run to run and machine to machine; the gate only applies loose
-//!   ratio bounds.
+//!   vary run to run and machine to machine; they are recorded as
+//!   information and gated nowhere (host cost is `benchmark/`'s job).
 //!
-//! The JSON body is what `bench_regress --update` commits to the
-//! repo-root `BENCH_sim.json` baseline.
+//! `bench_regress --update` commits the quick profile, together with the
+//! quick T-SCALE profile, as the two cells of the repo-root
+//! `BENCH_sim.json` baseline.
 
 use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_fabric::BatchConfig;
-use hyperprov_sim::{json, DetRng, SimDuration};
+use hyperprov_sim::{DetRng, SimDuration};
 
-use crate::runner::{run_closed_loop, Summary};
-use crate::table::Table;
+use crate::row;
+use crate::runner::{run_closed_loop, Artefact, Summary, Until};
+use crate::table::{trajectory_json, Cell, Fmt, Table};
 use crate::workload::{payload, store_cmd};
 
 /// Campaign seed (workload payloads).
@@ -33,29 +35,6 @@ const SEED: u64 = 23;
 /// Payload size of the reference store workload.
 const ITEM_BYTES: usize = 1 << 10;
 
-/// The host-profile campaign's artefacts.
-#[derive(Debug)]
-pub struct SimBenchReport {
-    /// Headline model + host metrics, one row per metric.
-    pub table: Table,
-    /// The machine-readable profile (the `BENCH_sim.json` body).
-    pub bench_json: String,
-}
-
-/// Runs the reference workload with the profiler enabled and summarises
-/// the simulator's host-side performance.
-pub fn sim_bench(quick: bool) -> SimBenchReport {
-    sim_bench_inner(quick, None)
-}
-
-/// Like [`sim_bench`], but embedding a pre-rendered T-SCALE section body
-/// (see [`super::scale_campaign`]) as the profile's `scale` member — the
-/// combined document `bench_regress --update` commits to
-/// `BENCH_sim.json`.
-pub fn sim_bench_with_scale(quick: bool, scale_section: &str) -> SimBenchReport {
-    sim_bench_inner(quick, Some(scale_section))
-}
-
 /// Host-measurement repeats: the reference workload finishes in tens of
 /// milliseconds, where scheduler noise swings wall time by ~10 % run to
 /// run. The model is fully deterministic for the fixed seed, so we run
@@ -63,7 +42,10 @@ pub fn sim_bench_with_scale(quick: bool, scale_section: &str) -> SimBenchReport 
 /// standard minimum-of-repeats benchmarking.
 const HOST_REPEATS: usize = 3;
 
-fn sim_bench_inner(quick: bool, scale_section: Option<&str>) -> SimBenchReport {
+/// Runs the reference workload with the profiler enabled and summarises
+/// the simulator's host-side performance: the profile (model + host
+/// metrics, one line per metric) and its JSON rendering.
+pub fn sim_bench(quick: bool) -> Vec<Artefact> {
     let (clients, secs) = if quick { (8, 6) } else { (32, 20) };
     let config = NetworkConfig::desktop(clients)
         .with_seed(SEED)
@@ -79,7 +61,7 @@ fn sim_bench_inner(quick: bool, scale_section: Option<&str>) -> SimBenchReport {
         let mut rng = DetRng::new(SEED).fork("bench-sim");
         let result = run_closed_loop(
             &mut net,
-            SimDuration::from_secs(secs),
+            Until::Elapsed(SimDuration::from_secs(secs)),
             SimDuration::from_secs(5),
             |client, seq| {
                 store_cmd(
@@ -119,68 +101,90 @@ fn sim_bench_inner(quick: bool, scale_section: Option<&str>) -> SimBenchReport {
 
     let hot = net.sim.hot_counters();
     let events = net.sim.events_processed();
-    let host_json = net.sim.profiler().snapshot_json(events, hot);
-    let model_json = json::Obj::new()
-        .u64("ok", summary.ok)
-        .u64("err", summary.err)
-        .f64("goodput_tx_s", summary.throughput)
-        .f64("op_p50_ms", summary.latency_ms(0.50))
-        .f64("op_p95_ms", summary.latency_ms(0.95))
-        .u64("events", events)
-        .u64("messages", hot.messages_sent)
-        .u64("timers", hot.timers_set)
-        .u64("cpu_jobs", hot.cpu_jobs)
-        .build();
-    let mut obj = json::Obj::new()
-        .str("campaign", "BENCH-SIM")
-        .str("mode", if quick { "quick" } else { "full" })
-        .str(
-            "workload",
-            &format!("closed-loop store, {clients} clients, {ITEM_BYTES} B items, {secs}s"),
-        )
-        .raw("model", &model_json)
-        .raw("host", &host_json);
-    if let Some(scale) = scale_section {
-        obj = obj.raw("scale", scale);
-    }
-    let bench_json = json::pretty(&obj.build());
-
     let wall = net.sim.profiler().wall_elapsed().as_secs_f64();
-    let mut table = Table::new(
-        format!(
-            "BENCH-SIM: host-side simulator profile (closed-loop store, {clients} clients, \
-             1 KiB items, {secs}s virtual)"
-        ),
-        &["metric", "value"],
-    );
     let events_per_sec = if wall > 0.0 {
         events as f64 / wall
     } else {
         0.0
     };
     let rss_mib = hyperprov_sim::peak_rss_bytes().unwrap_or(0) as f64 / (1 << 20) as f64;
-    for (metric, value) in [
-        ("model: completions ok", summary.ok.to_string()),
-        (
-            "model: goodput (tx/s virtual)",
-            format!("{:.1}", summary.throughput),
-        ),
-        (
-            "model: op p95 (ms virtual)",
-            format!("{:.2}", summary.latency_ms(0.95)),
-        ),
-        ("model: kernel events", events.to_string()),
-        ("model: messages sent", hot.messages_sent.to_string()),
-        ("host: wall (s)", format!("{wall:.3}")),
-        ("host: events/sec (wall)", format!("{events_per_sec:.0}")),
-        (
-            "host: handler wall (s)",
-            format!("{:.3}", net.sim.profiler().handler_wall().as_secs_f64()),
-        ),
-        ("host: peak RSS (MiB)", format!("{rss_mib:.1}")),
-    ] {
-        table.push_row(vec![metric.to_owned(), value]);
-    }
 
-    SimBenchReport { table, bench_json }
+    let mut table = Table::profile(
+        format!(
+            "BENCH-SIM: host-side simulator profile (closed-loop store, {clients} clients, \
+             1 KiB items, {secs}s virtual)"
+        ),
+        &[
+            ("profile", "", Fmt::Plain),
+            ("mode", "", Fmt::Plain),
+            ("workload", "", Fmt::Plain),
+            ("model.ok", "model: completions ok", Fmt::Plain),
+            ("model.err", "", Fmt::Plain),
+            (
+                "model.goodput_tx_s",
+                "model: goodput (tx/s virtual)",
+                Fmt::Fixed(1, ""),
+            ),
+            ("model.op_p50_ms", "", Fmt::Plain),
+            (
+                "model.op_p95_ms",
+                "model: op p95 (ms virtual)",
+                Fmt::Fixed(2, ""),
+            ),
+            ("model.events", "model: kernel events", Fmt::Plain),
+            ("model.messages", "model: messages sent", Fmt::Plain),
+            ("model.timers", "", Fmt::Plain),
+            ("model.cpu_jobs", "", Fmt::Plain),
+            ("host.wall_s", "host: wall (s)", Fmt::Fixed(3, "")),
+            (
+                "host.events_per_sec",
+                "host: events/sec (wall)",
+                Fmt::Fixed(0, ""),
+            ),
+            (
+                "host.handler_wall_s",
+                "host: handler wall (s)",
+                Fmt::Fixed(3, ""),
+            ),
+            (
+                "host.peak_rss_mib",
+                "host: peak RSS (MiB)",
+                Fmt::Fixed(1, ""),
+            ),
+            // The profiler's own breakdown (per-actor handler shares, hot
+            // counters), carried whole.
+            ("host.profile", "", Fmt::Plain),
+        ],
+    );
+    table.push_row(row![
+        "reference",
+        if quick { "quick" } else { "full" },
+        format!("closed-loop store, {clients} clients, {ITEM_BYTES} B items, {secs}s"),
+        summary.ok,
+        summary.err,
+        summary.throughput,
+        summary.latency_ms(0.50),
+        summary.latency_ms(0.95),
+        events,
+        hot.messages_sent,
+        hot.timers_set,
+        hot.cpu_jobs,
+        wall,
+        events_per_sec,
+        net.sim.profiler().handler_wall().as_secs_f64(),
+        rss_mib,
+        Cell::Json(net.sim.profiler().snapshot_json(events, hot)),
+    ]);
+    let body = trajectory_json(
+        "BENCH-SIM",
+        "model and host metrics of the reference run",
+        table.cells_json(),
+    );
+    vec![
+        Artefact::table(table, "bench_sim"),
+        Artefact::Raw {
+            body,
+            name: "bench_sim.json",
+        },
+    ]
 }

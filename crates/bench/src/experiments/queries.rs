@@ -6,8 +6,9 @@ use hyperprov_fabric::BatchConfig;
 use hyperprov_ledger::Digest;
 use hyperprov_sim::{DetRng, SimDuration, SimTime};
 
-use crate::runner::{run_closed_loop, run_closed_loop_counted, run_open_loop, Summary};
-use crate::table::Table;
+use crate::row;
+use crate::runner::{run_closed_loop, run_open_loop, Artefact, Summary, Until};
+use crate::table::{Fmt, Table};
 use crate::workload::{payload, post_cmd, store_cmd};
 
 /// Builds the `i`-th command of a query-operator case.
@@ -15,7 +16,7 @@ type CommandFactory = Box<dyn Fn(u64) -> ClientCommand>;
 
 /// T-TPUT: peak throughput and latency vs the orderer's
 /// `MaxMessageCount`, metadata-only posts.
-pub fn batch_sweep(quick: bool) -> Table {
+pub fn batch_sweep(quick: bool) -> Vec<Artefact> {
     let (batch_sizes, clients, duration): (Vec<usize>, usize, SimDuration) = if quick {
         (vec![1, 10], 8, SimDuration::from_secs(10))
     } else {
@@ -24,11 +25,11 @@ pub fn batch_sweep(quick: bool) -> Table {
     let mut table = Table::new(
         "T-TPUT: throughput vs orderer batch size (metadata-only posts, desktop)",
         &[
-            "max msg count",
-            "throughput (tx/s)",
-            "resp p50 (ms)",
-            "resp p95 (ms)",
-            "blocks cut",
+            ("max_message_count", "max msg count", Fmt::Plain),
+            ("throughput_tx_s", "throughput (tx/s)", Fmt::Fixed(1, "")),
+            ("resp_p50_ms", "resp p50 (ms)", Fmt::Fixed(1, "")),
+            ("resp_p95_ms", "resp p95 (ms)", Fmt::Fixed(1, "")),
+            ("blocks_cut", "blocks cut", Fmt::Plain),
         ],
     );
     for &batch in &batch_sizes {
@@ -43,7 +44,7 @@ pub fn batch_sweep(quick: bool) -> Table {
         let mut rng = DetRng::new(7).fork("batch");
         let result = run_closed_loop(
             &mut net,
-            duration,
+            Until::Elapsed(duration),
             SimDuration::from_secs(10),
             move |client, seq| {
                 let body = payload(&mut rng, 64);
@@ -51,19 +52,19 @@ pub fn batch_sweep(quick: bool) -> Table {
             },
         );
         let summary = Summary::of(&result.completions, result.span);
-        table.push_row(vec![
-            batch.to_string(),
-            format!("{:.1}", summary.throughput),
-            format!("{:.1}", summary.latency_ms(0.5)),
-            format!("{:.1}", summary.latency_ms(0.95)),
-            net.sim.metrics().counter("orderer.blocks_cut").to_string(),
+        table.push_row(row![
+            batch,
+            summary.throughput,
+            summary.latency_ms(0.5),
+            summary.latency_ms(0.95),
+            net.sim.metrics().counter("orderer.blocks_cut"),
         ]);
     }
-    table
+    vec![Artefact::table(table, "table_batch_sweep")]
 }
 
 /// T-QUERY: latency of each client operator against a pre-loaded ledger.
-pub fn query_latency(quick: bool) -> Table {
+pub fn query_latency(quick: bool) -> Vec<Artefact> {
     let (preload, lineage_depth, queries_per_op) = if quick { (40, 6, 10) } else { (400, 16, 50) };
 
     // Build and preload one network: a lineage chain of `lineage_depth`
@@ -104,9 +105,12 @@ pub fn query_latency(quick: bool) -> Table {
     }
     let total = ops.len() as u64;
     let mut ops_iter = ops.into_iter();
-    let preload_result = run_closed_loop_counted(&mut net, total, move |_c, _s| {
-        ops_iter.next().expect("preload exhausted")
-    });
+    let preload_result = run_closed_loop(
+        &mut net,
+        Until::Ops(total),
+        SimDuration::from_secs(30),
+        move |_c, _s| ops_iter.next().expect("preload exhausted"),
+    );
     let preload_ok = preload_result
         .completions
         .iter()
@@ -116,7 +120,12 @@ pub fn query_latency(quick: bool) -> Table {
 
     let mut table = Table::new(
         "T-QUERY: query latency by operator (desktop, pre-loaded ledger)",
-        &["operator", "mean (ms)", "p95 (ms)", "samples"],
+        &[
+            ("operator", "operator", Fmt::Plain),
+            ("mean_ms", "mean (ms)", Fmt::Fixed(2, "")),
+            ("p95_ms", "p95 (ms)", Fmt::Fixed(2, "")),
+            ("samples", "samples", Fmt::Plain),
+        ],
     );
 
     let last_chain = chain_keys.last().expect("non-empty chain").clone();
@@ -175,12 +184,12 @@ pub fn query_latency(quick: bool) -> Table {
             "{name}: unexpected query failures ({} ok)",
             summary.ok
         );
-        table.push_row(vec![
-            name.to_owned(),
-            format!("{:.2}", summary.mean_latency_ms()),
-            format!("{:.2}", summary.latency_ms(0.95)),
-            summary.ok.to_string(),
+        table.push_row(row![
+            name,
+            summary.mean_latency_ms(),
+            summary.latency_ms(0.95),
+            summary.ok,
         ]);
     }
-    table
+    vec![Artefact::table(table, "table_query_latency")]
 }

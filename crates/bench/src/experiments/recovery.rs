@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov::{
-    ClientCommand, HyperProvNetwork, NetworkConfig, NodeMsg, OpId, RecordInput, SnapshotPolicy,
+    ClientCommand, HyperProvNetwork, NetworkConfig, OpId, RecordInput, SnapshotPolicy,
 };
 use hyperprov_device::DeviceProfile;
 use hyperprov_fabric::{
@@ -27,10 +27,13 @@ use hyperprov_fabric::{
     Proposal, SigningIdentity,
 };
 use hyperprov_ledger::{Block, ChannelId, Digest, KvWrite, RwSet, StateKey, DEFAULT_CHANNEL};
-use hyperprov_sim::{json, CpuResource, SimDuration, Simulation};
+use hyperprov_sim::{CpuResource, SimDuration, Simulation};
 
+use super::op_ms;
 use crate::report::MetricsExporter;
-use crate::table::Table;
+use crate::row;
+use crate::runner::Artefact;
+use crate::table::{Fmt, Table};
 
 /// Campaign seed (identities, network jitter).
 const SEED: u64 = 17;
@@ -41,20 +44,6 @@ const KEY_SPACE: u64 = 256;
 
 /// Value size written by every deep-chain transaction.
 const VALUE_BYTES: usize = 64;
-
-/// The recovery campaign's artefacts.
-#[derive(Debug)]
-pub struct RecoveryReport {
-    /// One row per (chain length × snapshot mode) restart cell.
-    pub table: Table,
-    /// The elastic-membership scenario's single-row summary.
-    pub elastic: Table,
-    /// One metrics snapshot per cell.
-    pub exporter: MetricsExporter,
-    /// Machine-readable cells, written to the repo-root
-    /// `BENCH_recovery.json` on full runs.
-    pub bench_json: String,
-}
 
 /// Shared identities for the standalone deep-chain cells.
 struct ChainKit {
@@ -225,29 +214,19 @@ fn run_restart_cell(
 /// The elastic-membership scenario's measurements.
 struct ElasticCell {
     chain_blocks: u64,
-    catchup_ms: f64,
+    /// `None`: the joiner never converged.
+    catchup_ms: Option<f64>,
     snapshot_boots: u64,
     converged: bool,
     converged_after_traffic: bool,
 }
 
-/// Issues one operation on client 0 and runs until it completes.
-fn one_op(net: &mut HyperProvNetwork, mut cmd: ClientCommand) {
-    crate::runner::set_op(&mut cmd, OpId(1));
-    let client = net.clients[0];
-    net.sim.inject_message(client, NodeMsg::Client(cmd));
-    let queue = net.completions[0].clone();
-    for _ in 0..100_000 {
-        if let Some(completion) = queue.borrow_mut().pop_front() {
-            assert!(completion.outcome.is_ok(), "elastic workload op failed");
-            return;
-        }
-        if net.sim.run_events(64) == 0 {
-            let now = net.sim.now();
-            net.sim.run_until(now + SimDuration::from_millis(100));
-        }
-    }
-    panic!("operation never completed");
+/// Posts one metadata-only record from client 0 and waits for its commit.
+fn post(net: &mut HyperProvNetwork, key: String) {
+    let input = RecordInput::new(Digest::of(key.as_bytes()));
+    let op = OpId(0);
+    let done = op_ms(net, ClientCommand::Post { key, input, op });
+    assert!(done.is_some(), "elastic workload op failed");
 }
 
 /// True when the joiner's ledger matches peer 0's height and state hash.
@@ -271,16 +250,7 @@ fn run_elastic_cell(records: u64, exporter: &mut MetricsExporter) -> ElasticCell
         .with_spare_peers(1);
     let mut net = HyperProvNetwork::build(&config);
     for i in 0..records {
-        let key = format!("rec-{i}");
-        let input = RecordInput::new(Digest::of(key.as_bytes()));
-        one_op(
-            &mut net,
-            ClientCommand::Post {
-                key,
-                input,
-                op: OpId(0),
-            },
-        );
+        post(&mut net, format!("rec-{i}"));
     }
     let chain_blocks = net.ledgers[0].borrow().height();
 
@@ -297,21 +267,11 @@ fn run_elastic_cell(records: u64, exporter: &mut MetricsExporter) -> ElasticCell
             break;
         }
     }
-    let did_converge = catchup_ms.is_some();
 
     // Fresh traffic after the join must reach the joiner through its
     // deliver subscription.
     for i in 0..3 {
-        let key = format!("post-{i}");
-        let input = RecordInput::new(Digest::of(key.as_bytes()));
-        one_op(
-            &mut net,
-            ClientCommand::Post {
-                key,
-                input,
-                op: OpId(0),
-            },
-        );
+        post(&mut net, format!("post-{i}"));
     }
     let now = net.sim.now();
     net.sim.run_until(now + SimDuration::from_secs(2));
@@ -324,9 +284,9 @@ fn run_elastic_cell(records: u64, exporter: &mut MetricsExporter) -> ElasticCell
     exporter.add_run(&format!("elastic records={records}"), &net.sim);
     ElasticCell {
         chain_blocks,
-        catchup_ms: catchup_ms.unwrap_or(-1.0),
+        catchup_ms,
         snapshot_boots: boots,
-        converged: did_converge,
+        converged: catchup_ms.is_some(),
         converged_after_traffic,
     }
 }
@@ -354,8 +314,12 @@ fn snapshot_interval(quick: bool) -> u64 {
 }
 
 /// Runs the full recovery campaign: the deep-chain restart sweep with
-/// snapshots on and off, then the elastic-membership scenario.
-pub fn recovery_sweep(quick: bool) -> RecoveryReport {
+/// snapshots on and off (one row per chain length × snapshot mode), then
+/// the elastic-membership scenario (one row), one metrics snapshot per
+/// cell, and the rows of both tables as the committed
+/// `BENCH_recovery.json` trajectory, whose flat-vs-linear shape the
+/// regression gate checks.
+pub fn recovery_sweep(quick: bool) -> Vec<Artefact> {
     let lengths = chain_lengths(quick);
     let interval = snapshot_interval(quick);
     let mut table = Table::new(
@@ -364,106 +328,81 @@ pub fn recovery_sweep(quick: bool) -> RecoveryReport {
              {KEY_SPACE}-key state, snapshot interval {interval})"
         ),
         &[
-            "chain (blocks)",
-            "snapshots",
-            "cut",
-            "store at crash (blocks)",
-            "recovery cost (ms)",
-            "replayed (blocks)",
-            "snapshot boots",
+            ("mode", "", Fmt::Plain),
+            ("chain_blocks", "chain (blocks)", Fmt::Plain),
+            ("snapshots", "snapshots", Fmt::Flag("off", "on")),
+            ("snapshots_cut", "cut", Fmt::Plain),
+            ("store_blocks", "store at crash (blocks)", Fmt::Plain),
+            ("recovery_cost_ms", "recovery cost (ms)", Fmt::Fixed(2, "")),
+            ("replayed_blocks", "replayed (blocks)", Fmt::Plain),
+            ("snapshot_boots", "snapshot boots", Fmt::Plain),
         ],
     );
     let mut exporter = MetricsExporter::new("table_recovery");
     let kit = chain_kit();
     let chain = build_chain(&kit, *lengths.iter().max().expect("non-empty sweep"));
 
-    let mut cells = Vec::new();
     for &n in &lengths {
         for snapshots_on in [true, false] {
             let policy = snapshots_on.then(|| SnapshotPolicy::every(interval));
             let cell = run_restart_cell(&kit, &chain[..n as usize], policy, &mut exporter);
-            table.push_row(vec![
-                cell.chain_blocks.to_string(),
-                if cell.snapshots_on { "on" } else { "off" }.to_owned(),
-                cell.snapshots_cut.to_string(),
-                cell.store_blocks.to_string(),
-                format!("{:.2}", cell.recovery_cost_ms),
-                cell.replayed_blocks.to_string(),
-                cell.snapshot_boots.to_string(),
+            table.push_row(row![
+                "restart",
+                cell.chain_blocks,
+                cell.snapshots_on,
+                cell.snapshots_cut,
+                cell.store_blocks,
+                cell.recovery_cost_ms,
+                cell.replayed_blocks,
+                cell.snapshot_boots,
             ]);
-            cells.push(
-                json::Obj::new()
-                    .str("mode", "restart")
-                    .u64("chain_blocks", cell.chain_blocks)
-                    .u64("snapshots", u64::from(cell.snapshots_on))
-                    .u64("snapshots_cut", cell.snapshots_cut)
-                    .u64("store_blocks", cell.store_blocks)
-                    .f64("recovery_cost_ms", cell.recovery_cost_ms)
-                    .u64("replayed_blocks", cell.replayed_blocks)
-                    .u64("snapshot_boots", cell.snapshot_boots)
-                    .build(),
-            );
         }
     }
 
     let mut elastic = Table::new(
         "T-RECOVERY: elastic membership (spare peer joins a live desktop network)",
         &[
-            "chain at join (blocks)",
-            "catch-up (virtual ms)",
-            "snapshot boots",
-            "converged",
-            "converged after new traffic",
+            ("mode", "", Fmt::Plain),
+            ("chain_blocks", "chain at join (blocks)", Fmt::Plain),
+            ("catchup_ms", "catch-up (virtual ms)", Fmt::Fixed(1, "")),
+            ("snapshot_boots", "snapshot boots", Fmt::Plain),
+            ("converged", "converged", Fmt::Flag("false", "true")),
+            (
+                "converged_after_traffic",
+                "converged after new traffic",
+                Fmt::Flag("false", "true"),
+            ),
         ],
     );
     let records = if quick { 12 } else { 48 };
     let cell = run_elastic_cell(records, &mut exporter);
-    elastic.push_row(vec![
-        cell.chain_blocks.to_string(),
-        if cell.converged {
-            format!("{:.1}", cell.catchup_ms)
-        } else {
-            "never".to_owned()
-        },
-        cell.snapshot_boots.to_string(),
-        cell.converged.to_string(),
-        cell.converged_after_traffic.to_string(),
+    elastic.push_row(row![
+        "elastic",
+        cell.chain_blocks,
+        cell.catchup_ms,
+        cell.snapshot_boots,
+        cell.converged,
+        cell.converged_after_traffic,
     ]);
-    cells.push(
-        json::Obj::new()
-            .str("mode", "elastic")
-            .u64("chain_blocks", cell.chain_blocks)
-            .f64("catchup_ms", cell.catchup_ms)
-            .u64("snapshot_boots", cell.snapshot_boots)
-            .u64("converged", u64::from(cell.converged))
-            .u64(
-                "converged_after_traffic",
-                u64::from(cell.converged_after_traffic),
-            )
-            .build(),
-    );
 
-    let bench_json = json::pretty(
-        &json::Obj::new()
-            .str("campaign", "T-RECOVERY")
-            .str(
-                "metric",
-                "restart recovery cost vs chain length (snapshots on/off) + elastic join",
-            )
-            .raw("cells", &json::array(cells))
-            .build(),
+    let trajectory = Artefact::trajectory(
+        "BENCH_recovery.json",
+        "T-RECOVERY",
+        "restart recovery cost vs chain length (snapshots on/off) + elastic join",
+        &[&table, &elastic],
     );
-    RecoveryReport {
-        table,
-        elastic,
-        exporter,
-        bench_json,
-    }
+    vec![
+        Artefact::table(table, "table_recovery"),
+        Artefact::table(elastic, "table_recovery_elastic"),
+        Artefact::Metrics(exporter),
+        trajectory,
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::table_of;
 
     /// The quick sweep already shows the tentpole property: snapshot
     /// recovery cost is flat (within 2x) across a 4x chain-length spread,
@@ -471,24 +410,21 @@ mod tests {
     /// converges via a snapshot bootstrap.
     #[test]
     fn quick_recovery_is_flat_with_snapshots_and_linear_without() {
-        let report = recovery_sweep(true);
-        let doc = hyperprov_sim::json::parse(&report.bench_json).unwrap();
-        let cells = doc.get("cells").unwrap().as_array().unwrap();
-        let costs = |on: u64| -> Vec<(u64, f64)> {
-            cells
-                .iter()
-                .filter(|c| c.get("mode").and_then(|m| m.as_str()) == Some("restart"))
-                .filter(|c| c.get("snapshots").and_then(|s| s.as_u64()) == Some(on))
-                .map(|c| {
+        let artefacts = recovery_sweep(true);
+        let table = table_of(&artefacts, "table_recovery");
+        let costs = |on: f64| -> Vec<(f64, f64)> {
+            (0..table.len())
+                .filter(|&row| table.num(row, "snapshots") == Some(on))
+                .map(|row| {
                     (
-                        c.get("chain_blocks").unwrap().as_u64().unwrap(),
-                        c.get("recovery_cost_ms").unwrap().as_f64().unwrap(),
+                        table.num(row, "chain_blocks").unwrap(),
+                        table.num(row, "recovery_cost_ms").unwrap(),
                     )
                 })
                 .collect()
         };
-        let on = costs(1);
-        let off = costs(0);
+        let on = costs(1.0);
+        let off = costs(0.0);
         assert_eq!(on.len(), 3);
         assert_eq!(off.len(), 3);
         let (on_min, on_max) = on
@@ -500,8 +436,8 @@ mod tests {
             on_max <= 2.0 * on_min,
             "snapshot recovery must be flat: min {on_min} max {on_max}"
         );
-        let shortest = off.iter().find(|(n, _)| *n == 250).unwrap().1;
-        let longest = off.iter().find(|(n, _)| *n == 850).unwrap().1;
+        let shortest = off.iter().find(|(n, _)| *n == 250.0).unwrap().1;
+        let longest = off.iter().find(|(n, _)| *n == 850.0).unwrap().1;
         assert!(
             longest >= 3.0 * shortest,
             "genesis replay must grow with the chain: {shortest} -> {longest}"
@@ -514,15 +450,9 @@ mod tests {
             );
         }
 
-        let elastic = cells
-            .iter()
-            .find(|c| c.get("mode").and_then(|m| m.as_str()) == Some("elastic"))
-            .unwrap();
-        assert_eq!(elastic.get("converged").unwrap().as_u64(), Some(1));
-        assert_eq!(
-            elastic.get("converged_after_traffic").unwrap().as_u64(),
-            Some(1)
-        );
-        assert!(elastic.get("snapshot_boots").unwrap().as_u64().unwrap() >= 1);
+        let elastic = table_of(&artefacts, "table_recovery_elastic");
+        assert_eq!(elastic.num(0, "converged"), Some(1.0));
+        assert_eq!(elastic.num(0, "converged_after_traffic"), Some(1.0));
+        assert!(elastic.num(0, "snapshot_boots").unwrap() >= 1.0);
     }
 }

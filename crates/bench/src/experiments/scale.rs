@@ -13,32 +13,25 @@
 //! (completions, goodput, latency quantiles in virtual time) and
 //! machine-dependent *host* metrics (wall seconds, events per
 //! wall-second, peak RSS). `bench_regress --update` records the quick
-//! variant as the `scale` section of the committed `BENCH_sim.json`.
+//! variant as the `scale` cell of the committed `BENCH_sim.json`.
 
 use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_fabric::BatchConfig;
-use hyperprov_sim::{json, SimDuration};
+use hyperprov_sim::SimDuration;
 
-use crate::runner::{run_open_loop, Summary};
-use crate::table::Table;
+use crate::row;
+use crate::runner::{run_open_loop, Artefact, Summary};
+use crate::table::{trajectory_json, Fmt, Table};
 use crate::workload::{post_cmd, uniform_arrivals};
 
 /// Campaign seed.
 const SEED: u64 = 29;
 
-/// The T-SCALE campaign's artefacts.
-#[derive(Debug)]
-pub struct ScaleReport {
-    /// Headline model + host metrics, one row per metric.
-    pub table: Table,
-    /// The machine-readable `scale` section body for `BENCH_sim.json`.
-    pub section_json: String,
-}
-
 /// Runs the scale campaign: `quick` shrinks the population three orders
 /// of magnitude for CI smoke runs; the full run is 10k clients x 100
-/// unique keys each = 1M operations.
-pub fn scale_campaign(quick: bool) -> ScaleReport {
+/// unique keys each = 1M operations. Returns the profile (model + host
+/// metrics, one line per metric) and its JSON rendering.
+pub fn scale_campaign(quick: bool) -> Vec<Artefact> {
     // The full offered rate sits at ~80 % of the pipeline's saturated
     // goodput for metadata posts at this batch shape (~490 tx/s measured
     // under overload), so the backlog stays bounded and every operation
@@ -97,68 +90,76 @@ pub fn scale_campaign(quick: bool) -> ScaleReport {
     };
     let peak_rss = hyperprov_sim::peak_rss_bytes().unwrap_or(0);
 
-    let model_json = json::Obj::new()
-        .u64("issued", result.issued)
-        .u64("ok", summary.ok)
-        .u64("err", summary.err)
-        .u64("unique_keys", total_ops)
-        .f64("goodput_tx_s", summary.throughput)
-        .f64("op_p50_ms", summary.latency_ms(0.50))
-        .f64("op_p95_ms", summary.latency_ms(0.95))
-        .u64("events", events)
-        .u64("messages", hot.messages_sent)
-        .build();
-    let host_json = json::Obj::new()
-        .f64("wall_s", wall)
-        .f64("events_per_sec", events_per_sec)
-        .u64("peak_rss_bytes", peak_rss)
-        .build();
-    // Compact on purpose: the section is embedded via `Obj::raw` into the
-    // BENCH-SIM document, which pretty-prints the combined body once.
-    let section_json = json::Obj::new()
-        .str(
-            "workload",
-            &format!("open-loop post, {clients} clients, {total_ops} unique keys, {rate:.0} ops/s"),
-        )
-        .raw("model", &model_json)
-        .raw("host", &host_json)
-        .build();
-
-    let mut table = Table::new(
+    let mut table = Table::profile(
         format!(
             "T-SCALE: {clients} open-loop clients, {total_ops} unique keys \
              ({rate:.0} ops/s)"
         ),
-        &["metric", "value"],
+        &[
+            ("profile", "", Fmt::Plain),
+            ("workload", "", Fmt::Plain),
+            ("model.issued", "model: operations issued", Fmt::Plain),
+            ("model.ok", "model: completions ok", Fmt::Plain),
+            ("model.err", "model: completions err", Fmt::Plain),
+            ("model.hung", "", Fmt::Plain),
+            ("model.unique_keys", "", Fmt::Plain),
+            (
+                "model.goodput_tx_s",
+                "model: goodput (tx/s virtual)",
+                Fmt::Fixed(1, ""),
+            ),
+            (
+                "model.op_p50_ms",
+                "model: op p50 (ms virtual)",
+                Fmt::Fixed(2, ""),
+            ),
+            (
+                "model.op_p95_ms",
+                "model: op p95 (ms virtual)",
+                Fmt::Fixed(2, ""),
+            ),
+            ("model.events", "model: kernel events", Fmt::Plain),
+            ("model.messages", "model: messages sent", Fmt::Plain),
+            ("host.wall_s", "host: wall (s)", Fmt::Fixed(3, "")),
+            (
+                "host.events_per_sec",
+                "host: events/sec (wall)",
+                Fmt::Fixed(0, ""),
+            ),
+            (
+                "host.peak_rss_mib",
+                "host: peak RSS (MiB)",
+                Fmt::Fixed(1, ""),
+            ),
+        ],
     );
-    let rss_mib = peak_rss as f64 / (1 << 20) as f64;
-    for (metric, value) in [
-        ("model: operations issued", result.issued.to_string()),
-        ("model: completions ok", summary.ok.to_string()),
-        ("model: completions err", summary.err.to_string()),
-        (
-            "model: goodput (tx/s virtual)",
-            format!("{:.1}", summary.throughput),
-        ),
-        (
-            "model: op p50 (ms virtual)",
-            format!("{:.2}", summary.latency_ms(0.50)),
-        ),
-        (
-            "model: op p95 (ms virtual)",
-            format!("{:.2}", summary.latency_ms(0.95)),
-        ),
-        ("model: kernel events", events.to_string()),
-        ("model: messages sent", hot.messages_sent.to_string()),
-        ("host: wall (s)", format!("{wall:.3}")),
-        ("host: events/sec (wall)", format!("{events_per_sec:.0}")),
-        ("host: peak RSS (MiB)", format!("{rss_mib:.1}")),
-    ] {
-        table.push_row(vec![metric.to_owned(), value]);
-    }
-
-    ScaleReport {
-        table,
-        section_json,
-    }
+    table.push_row(row![
+        "scale",
+        format!("open-loop post, {clients} clients, {total_ops} unique keys, {rate:.0} ops/s"),
+        result.issued,
+        summary.ok,
+        summary.err,
+        result.issued - result.completions.len() as u64,
+        total_ops,
+        summary.throughput,
+        summary.latency_ms(0.50),
+        summary.latency_ms(0.95),
+        events,
+        hot.messages_sent,
+        wall,
+        events_per_sec,
+        peak_rss as f64 / (1 << 20) as f64,
+    ]);
+    let body = trajectory_json(
+        "T-SCALE",
+        "model and host metrics of the scale run",
+        table.cells_json(),
+    );
+    vec![
+        Artefact::table(table, "table_scale"),
+        Artefact::Raw {
+            body,
+            name: "bench_scale.json",
+        },
+    ]
 }

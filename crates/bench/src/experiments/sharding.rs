@@ -9,35 +9,26 @@
 //! hop across shards (`list`, `get_lineage`).
 
 use hyperprov::{
-    ChannelSpec, ClientCommand, HashRouter, HyperProvNetwork, NetworkConfig, NodeMsg, OpId,
-    OpOutput, RecordInput,
+    ChannelSpec, ClientCommand, HashRouter, HyperProvNetwork, OpId, OpOutput, RecordInput,
 };
 use hyperprov_fabric::BatchConfig;
 use hyperprov_ledger::Digest;
 use hyperprov_sim::{Histogram, SimDuration};
 
 use crate::report::MetricsExporter;
-use crate::runner::run_closed_loop;
-use crate::table::Table;
+use crate::row;
+use crate::runner::{run_closed_loop, Artefact, Until};
+use crate::table::{Fmt, Table};
 use crate::workload::post_cmd;
 
-use super::{mean, Platform};
-
-/// The sharding campaign's artefacts.
-#[derive(Debug)]
-pub struct ShardingReport {
-    /// The scaling table (one row per platform × shard count).
-    pub table: Table,
-    /// One metrics + trace snapshot per cell.
-    pub exporter: MetricsExporter,
-}
+use super::{mean, op_ms, Platform};
 
 /// Channel specifications for a `channels`-shard deployment over
 /// `n_peers` peers: shard `c` is hosted by the peers with
 /// `p % min(channels, n_peers) == c % min(channels, n_peers)`, so peers
 /// partition across shards (and each peer hosts `channels / n_peers`
 /// shards once there are more shards than peers).
-fn shard_specs(channels: usize, n_peers: usize) -> Vec<ChannelSpec> {
+pub(super) fn shard_specs(channels: usize, n_peers: usize) -> Vec<ChannelSpec> {
     if channels == 1 {
         // Keep the default channel name: a 1-shard deployment is the
         // legacy single-channel layout, byte-identical metrics included.
@@ -72,15 +63,13 @@ fn run_cell(
     seed: u64,
     exporter: &mut MetricsExporter,
 ) -> Cell {
-    let mut config = match platform {
-        Platform::Desktop => NetworkConfig::desktop(clients),
-        Platform::Rpi => NetworkConfig::rpi(clients),
-    }
-    .with_seed(seed)
-    .with_batch(BatchConfig {
-        timeout: SimDuration::from_millis(100),
-        ..BatchConfig::default()
-    });
+    let mut config = platform
+        .config(clients)
+        .with_seed(seed)
+        .with_batch(BatchConfig {
+            timeout: SimDuration::from_millis(100),
+            ..BatchConfig::default()
+        });
     let n_peers = config.peer_devices.len();
     config = config.with_channel_specs(shard_specs(channels, n_peers));
     // Lineage chains hop shards, and a shard cannot see parents stored on
@@ -92,7 +81,7 @@ fn run_cell(
     // Load phase: unique keys, hash-routed across the shards.
     let result = run_closed_loop(
         &mut net,
-        duration,
+        Until::Elapsed(duration),
         SimDuration::from_secs(10),
         |client, seq| post_cmd(format!("item-c{client}-s{seq}"), b"shard-bench"),
     );
@@ -127,7 +116,7 @@ fn run_cell(
             vec![format!("chain-{}", i - 1)]
         };
         let input = RecordInput::new(Digest::of(b"chain")).with_parents(parents);
-        let done = one_op(
+        let done = op_ms(
             &mut net,
             ClientCommand::Post {
                 key: format!("chain-{i}"),
@@ -140,7 +129,7 @@ fn run_cell(
     let lineage_ms = mean(
         &(0..4)
             .map(|_| {
-                one_op(
+                op_ms(
                     &mut net,
                     ClientCommand::GetLineage {
                         key: format!("chain-{}", chain_depth - 1),
@@ -154,7 +143,7 @@ fn run_cell(
     );
     let list_ms = mean(
         &(0..4)
-            .map(|_| one_op(&mut net, ClientCommand::List { op: OpId(0) }).expect("list succeeds"))
+            .map(|_| op_ms(&mut net, ClientCommand::List { op: OpId(0) }).expect("list succeeds"))
             .collect::<Vec<f64>>(),
     );
 
@@ -172,29 +161,9 @@ fn run_cell(
     }
 }
 
-/// Issues one operation on client 0 and runs until it completes,
-/// returning its latency in milliseconds (`None` if it failed).
-fn one_op(net: &mut HyperProvNetwork, mut cmd: ClientCommand) -> Option<f64> {
-    crate::runner::set_op(&mut cmd, OpId(1));
-    let client = net.clients[0];
-    net.sim.inject_message(client, NodeMsg::Client(cmd));
-    let queue = net.completions[0].clone();
-    for _ in 0..10_000 {
-        if let Some(completion) = queue.borrow_mut().pop_front() {
-            let latency_ms = completion.latency().as_nanos() as f64 / 1e6;
-            return completion.outcome.ok().map(|_| latency_ms);
-        }
-        if net.sim.run_events(64) == 0 {
-            let now = net.sim.now();
-            net.sim.run_until(now + SimDuration::from_millis(100));
-        }
-    }
-    panic!("operation never completed");
-}
-
-/// Runs the shard-count sweep, producing the T-SHARDING table and its
-/// metrics export.
-pub fn sharding_sweep(quick: bool) -> ShardingReport {
+/// Runs the shard-count sweep: the scaling table (one row per platform ×
+/// shard count) and one metrics + trace snapshot per cell.
+pub fn sharding_sweep(quick: bool) -> Vec<Artefact> {
     let (shard_counts, platforms, clients, duration): (Vec<usize>, Vec<Platform>, usize, _) =
         if quick {
             (
@@ -215,35 +184,42 @@ pub fn sharding_sweep(quick: bool) -> ShardingReport {
     let mut table = Table::new(
         "T-SHARDING: goodput and query cost vs shard count",
         &[
-            "platform",
-            "channels",
-            "goodput (tx/s)",
-            "commit mean (ms)",
-            "per-channel commit (ms)",
-            "lineage (ms)",
-            "list (ms)",
-            "errors",
+            ("platform", "platform", Fmt::Plain),
+            ("channels", "channels", Fmt::Plain),
+            ("goodput_tx_s", "goodput (tx/s)", Fmt::Fixed(1, "")),
+            ("commit_mean_ms", "commit mean (ms)", Fmt::Fixed(2, "")),
+            (
+                "per_channel_commit_ms",
+                "per-channel commit (ms)",
+                Fmt::Plain,
+            ),
+            ("lineage_ms", "lineage (ms)", Fmt::Fixed(2, "")),
+            ("list_ms", "list (ms)", Fmt::Fixed(2, "")),
+            ("errors", "errors", Fmt::Plain),
         ],
     );
     let mut exporter = MetricsExporter::new("table_sharding");
     for &platform in &platforms {
         for &channels in &shard_counts {
             let cell = run_cell(platform, channels, clients, duration, 100, &mut exporter);
-            table.push_row(vec![
-                platform.name().to_owned(),
-                channels.to_string(),
-                format!("{:.1}", cell.goodput),
-                format!("{:.2}", cell.commit_mean_ms),
+            table.push_row(row![
+                platform.name(),
+                channels,
+                cell.goodput,
+                cell.commit_mean_ms,
                 cell.per_channel_ms
                     .iter()
                     .map(|ms| format!("{ms:.2}"))
                     .collect::<Vec<_>>()
                     .join("/"),
-                format!("{:.2}", cell.lineage_ms),
-                format!("{:.2}", cell.list_ms),
-                cell.errors.to_string(),
+                cell.lineage_ms,
+                cell.list_ms,
+                cell.errors,
             ]);
         }
     }
-    ShardingReport { table, exporter }
+    vec![
+        Artefact::table(table, "table_sharding"),
+        Artefact::Metrics(exporter),
+    ]
 }

@@ -1,13 +1,22 @@
-//! The CI perf-regression gate: compare a fresh quick BENCH-SIM run
-//! against the committed `BENCH_sim.json` baseline.
+//! The CI regression gate: one table of claims over the committed
+//! `BENCH_*.json` trajectories.
 //!
-//! [`run_regress`] reruns the [`crate::experiments::sim_bench`] reference
-//! workload in quick mode and diffs its **model** metrics (virtual-time
-//! completions, goodput, latency quantiles, kernel event/message counts)
-//! against the repo-root baseline. They are deterministic for the fixed
-//! seed, so they must match within [`MODEL_REL_TOL`] — a drift means the
-//! simulated system's behaviour changed and the baseline must be
-//! regenerated deliberately (`bench_regress --update`).
+//! Every committed trajectory is a document of cells (one JSON object per
+//! table row, see [`crate::table::trajectory_json`]). A [`Gate`] names a
+//! file, selects cells of it, names a metric key and states the
+//! [`Relation`] the selected values must satisfy; [`GATES`] is the whole
+//! gate, and [`evaluate`] is a pure function from (gates, committed
+//! documents, fresh document) to result rows — so a gate that can fail is
+//! a unit test.
+//!
+//! Two kinds of claim live in the table. *Model* claims compare the
+//! committed `BENCH_sim.json` (the quick BENCH-SIM reference profile and
+//! the quick T-SCALE profile) with a fresh run of both: the `model.*`
+//! metrics are deterministic for the fixed seeds, so a drift beyond
+//! [`MODEL_REL_TOL`] means the simulated system's behaviour changed and
+//! the baseline must be regenerated deliberately (`bench_regress
+//! --update`). *Shape* claims hold the committed full-run trajectories to
+//! what the paper and EXPERIMENTS.md say about them.
 //!
 //! Host numbers (wall seconds, events per wall-second, peak RSS) are
 //! recorded in `BENCH_sim.json` as information and gated nowhere here:
@@ -15,137 +24,162 @@
 //! (`benchmark/`, `BENCHMARK.json`), and what must hold to the byte is
 //! held by the exact-count budget tests
 //! (`crates/fabric/tests/{memory,snapshot}_budget.rs`).
-//!
-//! The gate also structurally validates the committed `BENCH_commit.json`
-//! trajectory file (parseable, right campaign, non-empty cells) so a
-//! broken regeneration cannot land unnoticed. `ci.sh` runs the
-//! `bench_regress` binary in quick mode and fails the build on any
-//! out-of-tolerance row.
 
 use std::path::PathBuf;
 
 use hyperprov_sim::json::{parse, Value};
 
-use crate::experiments::{results_dir, scale_campaign, sim_bench_with_scale};
-use crate::table::Table;
+use crate::experiments::{scale_campaign, sim_bench};
+use crate::row;
+use crate::runner::{table_of, trajectory_path};
+use crate::table::{trajectory_json, Fmt, Table};
+
+use Is::{AtLeast, AtMost, Num, Text};
+use Relation::{Between, Campaign, Equals, Spread, Steps, Within};
 
 /// Relative tolerance for deterministic model metrics.
 pub const MODEL_REL_TOL: f64 = 0.01;
 
-/// The gate's outcome: the pass/fail table plus the overall verdict.
-#[derive(Debug)]
-pub struct RegressOutcome {
-    /// One row per compared metric (metric, baseline, fresh, constraint,
-    /// status).
-    pub table: Table,
-    /// True when every comparison passed.
-    pub pass: bool,
-    /// True when the baseline was (re)written instead of compared.
-    pub updated: bool,
+/// A condition on one key of a cell (a cell without the key fails it).
+#[derive(Debug, Clone, Copy)]
+pub enum Is {
+    /// The key holds this string.
+    Text(&'static str),
+    /// The key holds this number.
+    Num(f64),
+    /// The key holds a number no larger than this.
+    AtMost(f64),
+    /// The key holds a number no smaller than this.
+    AtLeast(f64),
 }
 
-/// The committed baseline's path (`<repo>/BENCH_sim.json`).
-pub fn baseline_path() -> PathBuf {
-    results_dir().join("..").join("BENCH_sim.json")
+impl std::fmt::Display for Is {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Text(text) => write!(f, "={text}"),
+            Num(n) => write!(f, "={n}"),
+            AtMost(n) => write!(f, "<={n}"),
+            AtLeast(n) => write!(f, ">={n}"),
+        }
+    }
 }
 
-/// The committed commit-path trajectory's path
-/// (`<repo>/BENCH_commit.json`).
-pub fn commit_bench_path() -> PathBuf {
-    results_dir().join("..").join("BENCH_commit.json")
+/// A cell selector: a cell is selected when every condition holds.
+pub type Select = &'static [(&'static str, Is)];
+
+/// What the selected cells' values under a gate's key must satisfy. Every
+/// relation also fails on an empty selection and, [`Campaign`] apart, on
+/// a selected cell without a number under the key.
+#[derive(Debug, Clone, Copy)]
+pub enum Relation {
+    /// The document is of this campaign (and, as for every relation,
+    /// parses and has cells): present and non-empty.
+    Campaign(&'static str),
+    /// Each value is within this relative tolerance of the same cell's in
+    /// the fresh document. The one relation whose key may end in `*`: one
+    /// result row per key of the committed cell with that prefix.
+    Within(f64),
+    /// Each value equals this.
+    Equals(f64),
+    /// Each value lies in `[lo, hi]`.
+    Between(f64, f64),
+    /// At least two values, and `max <= k * min`: flat across the
+    /// selection.
+    Spread(f64),
+    /// At least two values, and each over its predecessor (in cell order)
+    /// lies in `[lo, hi]`: growth (`lo > 1`), decline (`hi <= 1`), a knee
+    /// or a ratio between two cells.
+    Steps(f64, f64),
 }
 
-/// The committed lineage-query trajectory's path
-/// (`<repo>/BENCH_lineage.json`).
-pub fn lineage_bench_path() -> PathBuf {
-    results_dir().join("..").join("BENCH_lineage.json")
-}
+/// One row of the gate: trajectory file at the repo root, cell selector,
+/// metric key read from each selected cell, and the relation (tolerance
+/// included) the values must satisfy.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate(pub &'static str, pub Select, pub &'static str, pub Relation);
 
-/// The committed crash-recovery trajectory's path
-/// (`<repo>/BENCH_recovery.json`).
-pub fn recovery_bench_path() -> PathBuf {
-    results_dir().join("..").join("BENCH_recovery.json")
-}
+const SIM: &str = "BENCH_sim.json";
+const COMMIT: &str = "BENCH_commit.json";
+const LINEAGE: &str = "BENCH_lineage.json";
+const RECOVERY: &str = "BENCH_recovery.json";
+const PAPER: &str = "BENCH_paper.json";
 
-/// Maximum allowed spread (max/min) of snapshot-mode recovery cost across
-/// the committed chain-length sweep: the "O(1) in chain length" claim.
-pub const RECOVERY_FLAT_RATIO: f64 = 2.0;
+const REFERENCE: Select = &[("profile", Text("reference"))];
+const SCALE: Select = &[("profile", Text("scale"))];
+const SNAPSHOTS_ON: Select = &[("mode", Text("restart")), ("snapshots", Num(1.0))];
+const SNAPSHOTS_OFF: Select = &[("mode", Text("restart")), ("snapshots", Num(0.0))];
+const ELASTIC: Select = &[("mode", Text("elastic"))];
+const DESKTOP: (&str, Is) = ("platform", Text("desktop"));
+const RPI: (&str, Is) = ("platform", Text("rpi"));
+const KIB: f64 = 1024.0;
+const TO_64K: (&str, Is) = ("size_bytes", AtMost(64.0 * KIB));
+const FROM_64K: (&str, Is) = ("size_bytes", AtLeast(64.0 * KIB));
+const TO_256K: (&str, Is) = ("size_bytes", AtMost(256.0 * KIB));
+const FROM_256K: (&str, Is) = ("size_bytes", AtLeast(256.0 * KIB));
+const AT_1_KIB: Select = &[("size_bytes", Num(KIB))];
+const AT_16_MIB: Select = &[("size_bytes", Num(16.0 * KIB * KIB))];
+const HLF_IDLE: Select = &[("load_level", Text("HLF idle"))];
+const SATURATED: Select = &[("load_level", Text("peak (saturated)"))];
+const TPUT: &str = "throughput_tx_s";
+const COST: &str = "recovery_cost_ms";
+const INF: f64 = f64::INFINITY;
 
-/// Validates the committed `BENCH_recovery.json` shape: snapshot-mode
-/// recovery cost must be flat (within [`RECOVERY_FLAT_RATIO`]) across the
-/// chain-length sweep, genesis replay must grow with the chain, and the
-/// elastic joiner must have converged. Returns rows via `push_check`.
-fn check_recovery_shape(table: &mut Table, doc: &Value) -> bool {
-    let mut pass = true;
-    let empty: [Value; 0] = [];
-    let cells = doc.get("cells").and_then(Value::as_array).unwrap_or(&empty);
-    let costs = |on: u64| -> Vec<(f64, f64)> {
-        cells
-            .iter()
-            .filter(|c| c.get("mode").and_then(Value::as_str) == Some("restart"))
-            .filter(|c| c.get("snapshots").and_then(Value::as_u64) == Some(on))
-            .filter_map(|c| {
-                Some((
-                    c.get("chain_blocks")?.as_f64()?,
-                    c.get("recovery_cost_ms")?.as_f64()?,
-                ))
-            })
-            .collect()
+/// The gate. Cells keep the order their campaign wrote them in: sizes and
+/// chain lengths ascend, Fig 1 (desktop) precedes Fig 2 (RPi).
+pub const GATES: &[Gate] = &[
+    // The model did not move: both profiles of BENCH_sim.json against a
+    // fresh quick run; and the committed scale run lost or failed no
+    // operation.
+    Gate(SIM, REFERENCE, "model.*", Within(MODEL_REL_TOL)),
+    Gate(SIM, SCALE, "model.*", Within(MODEL_REL_TOL)),
+    Gate(SIM, SCALE, "model.hung", Equals(0.0)),
+    Gate(SIM, SCALE, "model.err", Equals(0.0)),
+    // A broken regeneration of a trajectory must not land unnoticed.
+    Gate(COMMIT, &[], "", Campaign("T-PIPELINE")),
+    Gate(LINEAGE, &[], "", Campaign("T-LINEAGE")),
+    Gate(RECOVERY, &[], "", Campaign("T-RECOVERY")),
+    Gate(PAPER, &[], "", Campaign("PAPER")),
+    // T-RECOVERY: snapshot recovery is flat in chain length (within 2x),
+    // genesis replay grows with the chain (each tenfold chain costs more
+    // than double), the elastic joiner converged.
+    Gate(RECOVERY, SNAPSHOTS_ON, COST, Spread(2.0)),
+    Gate(RECOVERY, SNAPSHOTS_OFF, COST, Steps(2.0, INF)),
+    Gate(RECOVERY, ELASTIC, "converged", Equals(1.0)),
+    // Figs 1 and 2: throughput is flat (1 %) up to 64 KiB, drops below
+    // 0.7x at the 256 KiB knee and declines from there on.
+    Gate(PAPER, &[DESKTOP, TO_64K], TPUT, Spread(1.01)),
+    Gate(PAPER, &[DESKTOP, FROM_64K, TO_256K], TPUT, Steps(0.0, 0.7)),
+    Gate(PAPER, &[DESKTOP, FROM_256K], TPUT, Steps(0.0, 1.0)),
+    Gate(PAPER, &[RPI, TO_64K], TPUT, Spread(1.01)),
+    Gate(PAPER, &[RPI, FROM_64K, TO_256K], TPUT, Steps(0.0, 0.7)),
+    Gate(PAPER, &[RPI, FROM_256K], TPUT, Steps(0.0, 1.0)),
+    // "Absolute performance for RPi is lower than desktop machines" —
+    // desktop : RPi throughput at 1 KiB in [6, 8.5] — "though greater
+    // variation": response-time std / mean at 16 MiB larger on the RPi.
+    Gate(PAPER, AT_1_KIB, TPUT, Steps(1.0 / 8.5, 1.0 / 6.0)),
+    Gate(PAPER, AT_16_MIB, "resp_std_over_mean", Steps(1.0, INF)),
+    // Fig 3: "barely consumes any power (2.71 W)", "maximum up to 3.64 W".
+    Gate(PAPER, HLF_IDLE, "avg_power_w", Between(2.70, 2.72)),
+    Gate(PAPER, SATURATED, "peak_power_w", Between(0.0, 3.64)),
+];
+
+fn selected(doc: &Value, select: Select) -> Vec<&Value> {
+    let holds = |cell: &Value, key: &str, is: &Is| {
+        let value = cell.get(key);
+        let num = value.and_then(Value::as_f64);
+        match *is {
+            Text(text) => value.and_then(Value::as_str) == Some(text),
+            Num(n) => num == Some(n),
+            AtMost(n) => num.is_some_and(|v| v <= n),
+            AtLeast(n) => num.is_some_and(|v| v >= n),
+        }
     };
-
-    let on = costs(1);
-    let (on_min, on_max) = on
+    doc.get("cells")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
         .iter()
-        .fold((f64::INFINITY, 0.0f64), |(lo, hi), &(_, c)| {
-            (lo.min(c), hi.max(c))
-        });
-    let flat_ok = on.len() >= 2 && on_max <= RECOVERY_FLAT_RATIO * on_min;
-    pass = push_check(
-        table,
-        "BENCH_recovery.json snapshot-mode flatness",
-        Some(on_min),
-        Some(on_max),
-        &format!("max <= {RECOVERY_FLAT_RATIO}x min across chain lengths"),
-        Some(flat_ok),
-    ) && pass;
-
-    let off = costs(0);
-    let shortest = off
-        .iter()
-        .cloned()
-        .min_by(|a, b| a.0.total_cmp(&b.0))
-        .unwrap_or((0.0, 0.0));
-    let longest = off
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.0.total_cmp(&b.0))
-        .unwrap_or((0.0, 0.0));
-    let linear_ok = off.len() >= 2 && longest.0 > shortest.0 && longest.1 > 2.0 * shortest.1;
-    pass = push_check(
-        table,
-        "BENCH_recovery.json genesis-replay growth",
-        Some(shortest.1),
-        Some(longest.1),
-        "longest chain's replay cost > 2x shortest's",
-        Some(linear_ok),
-    ) && pass;
-
-    let elastic_ok = cells
-        .iter()
-        .filter(|c| c.get("mode").and_then(Value::as_str) == Some("elastic"))
-        .all(|c| c.get("converged").and_then(Value::as_u64) == Some(1));
-    let has_elastic = cells
-        .iter()
-        .any(|c| c.get("mode").and_then(Value::as_str) == Some("elastic"));
-    pass = push_check(
-        table,
-        "BENCH_recovery.json elastic join",
-        None,
-        None,
-        "elastic cell present and converged",
-        Some(has_elastic && elastic_ok),
-    ) && pass;
-    pass
+        .filter(|cell| select.iter().all(|(key, is)| holds(cell, key, is)))
+        .collect()
 }
 
 fn fmt_val(v: f64) -> String {
@@ -156,231 +190,328 @@ fn fmt_val(v: f64) -> String {
     }
 }
 
-/// One comparison row; returns whether it passed.
-fn push_check(
-    table: &mut Table,
-    metric: &str,
-    baseline: Option<f64>,
-    fresh: Option<f64>,
-    constraint: &str,
-    ok: Option<bool>,
-) -> bool {
-    let status = match ok {
-        Some(true) => "ok",
-        Some(false) => "FAIL",
-        None => "skipped",
-    };
-    table.push_row(vec![
-        metric.to_owned(),
-        baseline.map_or("-".to_owned(), fmt_val),
-        fresh.map_or("-".to_owned(), fmt_val),
-        constraint.to_owned(),
-        status.to_owned(),
-    ]);
-    ok != Some(false)
-}
-
-/// The profile a label prefix names: the document itself for the
-/// reference workload (`""`), its `scale` member for `"scale."`.
-fn profile<'a>(doc: &'a Value, prefix: &str) -> Option<&'a Value> {
-    match prefix {
-        "" => Some(doc),
-        _ => doc.get(prefix.trim_end_matches('.')),
-    }
-}
-
-fn num(doc: &Value, prefix: &str, section: &str, key: &str) -> Option<f64> {
-    profile(doc, prefix)?.get(section)?.get(key)?.as_f64()
-}
-
-/// Compares one profile of the fresh run against the baseline's: every
-/// model key the baseline recorded within [`MODEL_REL_TOL`] in both
-/// directions.
-fn check_profile(table: &mut Table, base: &Value, fresh: &Value, prefix: &str) -> bool {
-    let mut pass = true;
-    let model_keys: Vec<String> = profile(base, prefix)
-        .and_then(|p| p.get("model"))
-        .and_then(Value::entries)
-        .map(|fields| fields.iter().map(|(k, _)| k.clone()).collect())
-        .unwrap_or_default();
-    if model_keys.is_empty() {
-        pass = push_check(
-            table,
-            &format!("{prefix}model"),
-            None,
-            None,
-            "baseline has no such section; run bench_regress --update",
-            Some(false),
-        );
-    }
-    for key in &model_keys {
-        let b = num(base, prefix, "model", key);
-        let f = num(fresh, prefix, "model", key);
-        let ok = match (b, f) {
-            (Some(b), Some(f)) => (f - b).abs() <= MODEL_REL_TOL * b.abs().max(1e-9),
-            _ => false,
-        };
-        pass = push_check(
-            table,
-            &format!("{prefix}model.{key}"),
-            b,
-            f,
-            &format!("within {:.0}%", MODEL_REL_TOL * 100.0),
-            Some(ok),
-        ) && pass;
-    }
-    pass
-}
-
-/// Runs the gate. With `update = true` the fresh quick profile is written
-/// to [`baseline_path`] instead of being compared (the row table then
-/// documents what was recorded).
-pub fn run_regress(update: bool) -> RegressOutcome {
-    let mut table = Table::new(
-        "bench regress: fresh quick run vs committed BENCH_sim.json",
-        &["metric", "baseline", "fresh", "constraint", "status"],
+/// Evaluates `gates` over the committed documents (`(file, parsed
+/// document or why it could not be read)`) and the fresh BENCH-SIM
+/// document, into result rows: `metric` (file, selector, key),
+/// `committed` (the values read), `fresh` ([`Within`] only), `constraint`
+/// (the relation, or why it could not be evaluated) and `ok`. A gate
+/// whose file is missing, unreadable or unparseable, or whose selection
+/// is empty, yields a failing row.
+pub fn evaluate(
+    gates: &[Gate],
+    committed: &[(&str, Result<Value, String>)],
+    fresh: &Value,
+) -> Table {
+    let mut rows = Table::new(
+        "bench regress: the committed BENCH_*.json trajectories against a fresh quick run \
+         and their own claims",
+        &[
+            ("metric", "metric", Fmt::Plain),
+            ("committed", "committed", Fmt::Plain),
+            ("fresh", "fresh", Fmt::Plain),
+            ("constraint", "constraint", Fmt::Plain),
+            ("ok", "status", Fmt::Flag("FAIL", "ok")),
+        ],
     );
-    // The committed profile is the BENCH-SIM reference workload plus the
-    // quick T-SCALE run as its `scale` section — one file, one trajectory.
-    let scale = scale_campaign(true);
-    let fresh_body = sim_bench_with_scale(true, &scale.section_json).bench_json;
-    let fresh = parse(&fresh_body).expect("fresh BENCH-SIM profile must be valid JSON");
-
-    if update {
-        let path = baseline_path();
-        let mut pass = true;
-        match std::fs::write(&path, &fresh_body) {
-            Ok(()) => {
-                if let Some(model) = fresh.get("model").and_then(Value::entries) {
-                    for (key, value) in model {
-                        push_check(
-                            &mut table,
-                            &format!("model.{key}"),
-                            value.as_f64(),
-                            value.as_f64(),
-                            "recorded",
-                            None,
-                        );
+    let missing = Err("no such committed file".to_owned());
+    for &Gate(file, select, key, relation) in gates {
+        let selector: String = select.iter().map(|(k, is)| format!("{k}{is} ")).collect();
+        let mut push = |key: &str, committed: &[f64], fresh: Option<f64>, constraint: &str, ok| {
+            let committed: Vec<String> = committed.iter().map(|&v| fmt_val(v)).collect();
+            rows.push_row(row![
+                format!("{file} {selector}{key}"),
+                committed.join(" / "),
+                fresh.map_or(String::new(), fmt_val),
+                constraint,
+                ok,
+            ]);
+        };
+        let listed = committed.iter().find(|(name, _)| *name == file);
+        let doc = match listed.map_or(&missing, |(_, doc)| doc) {
+            Ok(doc) => doc,
+            Err(why) => {
+                let constraint = format!("cannot read the file: {why}");
+                push(key, &[], None, &constraint, false);
+                continue;
+            }
+        };
+        let cells = selected(doc, select);
+        let values: Option<Vec<f64>> = cells.iter().map(|c| c.get(key)?.as_f64()).collect();
+        let (constraint, ok) = match (relation, values.as_deref()) {
+            _ if cells.is_empty() => ("selects no cell".to_owned(), false),
+            (Campaign(name), _) => (
+                format!("parses, campaign {name}, non-empty cells"),
+                doc.get("campaign").and_then(Value::as_str) == Some(name),
+            ),
+            (Within(tol), _) => {
+                // Cell by cell, key by key, against the fresh document.
+                let constraint = format!("within {:.0}% of a fresh run", tol * 100.0);
+                let fresh_cells = selected(fresh, select);
+                let prefix = key.strip_suffix('*');
+                let mut found = false;
+                for (i, cell) in cells.iter().enumerate() {
+                    for (name, value) in cell.entries().unwrap_or_default() {
+                        if prefix.map_or(name != key, |p| !name.starts_with(p)) {
+                            continue;
+                        }
+                        let base = value.as_f64();
+                        let now = fresh_cells.get(i).and_then(|c| c.get(name)?.as_f64());
+                        let ok = matches!((base, now), (Some(b), Some(f))
+                            if (f - b).abs() <= tol * b.abs().max(1e-9));
+                        push(name, base.as_slice(), now, &constraint, ok);
+                        found = true;
                     }
                 }
+                if found {
+                    continue;
+                }
+                ("no such key in the selected cells".to_owned(), false)
             }
-            Err(err) => {
-                pass = push_check(
-                    &mut table,
-                    "baseline write",
-                    None,
-                    None,
-                    &format!("write {}: {err}", path.display()),
-                    Some(false),
-                ) && pass;
+            (_, None) => (
+                "a selected cell has no number under the key".to_owned(),
+                false,
+            ),
+            (Equals(v), Some(xs)) => (format!("= {v}"), xs.iter().all(|&x| x == v)),
+            (Between(lo, hi), Some(xs)) => (
+                format!("in [{lo}, {hi}]"),
+                xs.iter().all(|&x| lo <= x && x <= hi),
+            ),
+            (Spread(k), Some(xs)) => {
+                let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+                let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                (format!("max <= {k} x min"), xs.len() >= 2 && max <= k * min)
             }
-        }
-        return RegressOutcome {
-            table,
-            pass,
-            updated: true,
+            (Steps(lo, hi), Some(xs)) => (
+                format!("each value / its predecessor in [{lo:.3}, {hi:.3}]"),
+                xs.len() >= 2 && xs.windows(2).all(|w| (lo..=hi).contains(&(w[1] / w[0]))),
+            ),
         };
+        push(key, &values.unwrap_or_default(), None, &constraint, ok);
     }
+    rows
+}
 
-    let mut pass = true;
-    let baseline = match std::fs::read_to_string(baseline_path()) {
-        Ok(body) => match parse(&body) {
-            Ok(doc) => Some(doc),
-            Err(err) => {
-                pass = push_check(
-                    &mut table,
-                    "BENCH_sim.json",
-                    None,
-                    None,
-                    &format!("parse: {err}"),
-                    Some(false),
-                ) && pass;
-                None
-            }
-        },
-        Err(err) => {
-            pass = push_check(
-                &mut table,
-                "BENCH_sim.json",
-                None,
-                None,
-                &format!("missing baseline ({err}); run bench_regress --update"),
-                Some(false),
-            ) && pass;
-            None
-        }
+/// True when every row of an [`evaluate`] result holds.
+pub fn all_ok(rows: &Table) -> bool {
+    (0..rows.len()).all(|row| rows.num(row, "ok") == Some(1.0))
+}
+
+/// The committed baseline's path (`<repo>/BENCH_sim.json`).
+pub fn baseline_path() -> PathBuf {
+    trajectory_path(SIM)
+}
+
+/// Runs the gate: a fresh quick BENCH-SIM reference profile and quick
+/// T-SCALE profile — the two cells of `BENCH_sim.json`, one file, one
+/// trajectory — then [`evaluate`] over [`GATES`] and the committed files.
+/// With `update = true` the fresh document is first written to
+/// [`baseline_path`], so the rows document what was recorded and the
+/// claims gate what `--update` may record. The gate passes when the
+/// returned rows are [`all_ok`].
+pub fn run_regress(update: bool) -> Table {
+    let (reference, scale) = (sim_bench(true), scale_campaign(true));
+    let mut cells = table_of(&reference, "bench_sim").cells_json();
+    cells.extend(table_of(&scale, "table_scale").cells_json());
+    let fresh_body = trajectory_json(
+        "BENCH-SIM",
+        "quick reference and scale profiles: model metrics gated, host metrics informational",
+        cells,
+    );
+    let fresh = parse(&fresh_body).expect("fresh BENCH-SIM profile must be valid JSON");
+    let written = match update {
+        true => std::fs::write(baseline_path(), &fresh_body),
+        false => Ok(()),
     };
 
-    if let Some(base) = &baseline {
-        // The BENCH-SIM reference workload, then the embedded quick
-        // T-SCALE run: the same discipline for both.
-        for prefix in ["", "scale."] {
-            pass = check_profile(&mut table, base, &fresh, prefix) && pass;
-        }
+    let mut files: Vec<&str> = GATES.iter().map(|gate| gate.0).collect();
+    files.dedup();
+    let committed: Vec<(&str, Result<Value, String>)> = files
+        .into_iter()
+        .map(|file| {
+            let doc = std::fs::read_to_string(trajectory_path(file))
+                .map_err(|err| err.to_string())
+                .and_then(|body| parse(&body));
+            (file, doc)
+        })
+        .collect();
+    let mut table = evaluate(GATES, &committed, &fresh);
+    if let Err(err) = written {
+        table.push_row(row!["baseline write", "", "", err.to_string(), false]);
+    }
+    table
+}
 
-        // A shape check on the committed trajectory itself — it gates
-        // what `bench_regress --update` is allowed to record.
-        let issued = num(base, "scale.", "model", "issued");
-        let ok_n = num(base, "scale.", "model", "ok");
-        let err_n = num(base, "scale.", "model", "err");
-        let complete = match (issued, ok_n, err_n) {
-            (Some(i), Some(o), Some(e)) => Some(i > 0.0 && o == i && e == 0.0),
-            _ => Some(false),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(campaign: &str, cells: &[&str]) -> Value {
+        let cells = cells.iter().map(|c| (*c).to_owned()).collect();
+        parse(&trajectory_json(campaign, "m", cells)).unwrap()
+    }
+
+    fn sim(goodput: f64) -> Value {
+        doc(
+            "BENCH-SIM",
+            &[
+                &format!(
+                    "{{\"profile\":\"reference\",\"model.ok\":432,\
+                     \"model.goodput_tx_s\":{goodput},\"host.wall_s\":0.02}}"
+                ),
+                "{\"profile\":\"scale\",\"model.issued\":1000,\"model.hung\":0,\"model.err\":0}",
+            ],
+        )
+    }
+
+    fn gates_of(file: &str) -> Vec<Gate> {
+        GATES.iter().filter(|g| g.0 == file).copied().collect()
+    }
+
+    /// The rows that do not hold.
+    fn failed(rows: &Table) -> Vec<usize> {
+        (0..rows.len())
+            .filter(|&row| rows.num(row, "ok") != Some(1.0))
+            .collect()
+    }
+
+    #[test]
+    fn a_model_drift_of_three_percent_fails_and_half_a_percent_passes() {
+        let gates = gates_of(SIM);
+        let rows = evaluate(&gates, &[(SIM, Ok(sim(72.0 * 1.03)))], &sim(72.0));
+        let bad = failed(&rows);
+        assert_eq!(bad.len(), 1, "{rows}");
+        let metric = rows.text(bad[0], "metric").unwrap();
+        assert!(metric.contains("reference") && metric.ends_with("model.goodput_tx_s"));
+        assert_eq!(rows.text(bad[0], "committed").as_deref(), Some("74.160"));
+        assert_eq!(rows.text(bad[0], "fresh").as_deref(), Some("72"));
+        assert!(!all_ok(&rows));
+
+        let rows = evaluate(&gates, &[(SIM, Ok(sim(72.0 * 1.005)))], &sim(72.0));
+        assert!(all_ok(&rows), "{rows}");
+        // Host keys are not model keys: never compared.
+        assert!(!rows.to_csv().contains("host."));
+    }
+
+    #[test]
+    fn a_missing_or_broken_file_fails_every_row_that_reads_it() {
+        for why in ["No such file or directory (os error 2)", "expected value"] {
+            let rows = evaluate(&gates_of(SIM), &[(SIM, Err(why.to_owned()))], &sim(72.0));
+            assert_eq!(rows.len(), 4);
+            assert_eq!(failed(&rows).len(), 4);
+            assert!(rows.text(0, "constraint").unwrap().contains(why));
+        }
+        let present = [Gate(COMMIT, &[], "", Campaign("T-PIPELINE"))];
+        assert!(!all_ok(&evaluate(&present, &[], &sim(72.0))));
+        let wrong = doc("T-LINEAGE", &["{\"lanes\":1}"]);
+        assert!(!all_ok(&evaluate(
+            &present,
+            &[(COMMIT, Ok(wrong))],
+            &sim(72.0)
+        )));
+        let empty = doc("T-PIPELINE", &[]);
+        assert!(!all_ok(&evaluate(
+            &present,
+            &[(COMMIT, Ok(empty))],
+            &sim(72.0)
+        )));
+        let good = doc("T-PIPELINE", &["{\"lanes\":1}"]);
+        assert!(all_ok(&evaluate(
+            &present,
+            &[(COMMIT, Ok(good))],
+            &sim(72.0)
+        )));
+    }
+
+    fn recovery(snapshot_costs: [f64; 3]) -> Value {
+        let mut cells = Vec::new();
+        for (chain, (on, off)) in [1_000, 10_000, 100_000]
+            .into_iter()
+            .zip(snapshot_costs.into_iter().zip([901.0, 9_010.0, 90_100.0]))
+        {
+            for (snapshots, cost) in [(1, on), (0, off)] {
+                cells.push(format!(
+                    "{{\"mode\":\"restart\",\"chain_blocks\":{chain},\
+                     \"snapshots\":{snapshots},\"recovery_cost_ms\":{cost}}}"
+                ));
+            }
+        }
+        cells.push("{\"mode\":\"elastic\",\"converged\":1}".to_owned());
+        parse(&trajectory_json("T-RECOVERY", "m", cells)).unwrap()
+    }
+
+    #[test]
+    fn a_snapshot_recovery_cost_that_grows_with_the_chain_fails_flatness() {
+        let gates = gates_of(RECOVERY);
+        let grown = recovery([106.4, 106.4, 106.4 * 2.5]);
+        let rows = evaluate(&gates, &[(RECOVERY, Ok(grown))], &sim(72.0));
+        let bad = failed(&rows);
+        assert_eq!(bad.len(), 1, "{rows}");
+        assert_eq!(
+            rows.text(bad[0], "constraint").as_deref(),
+            Some("max <= 2 x min")
+        );
+        assert_eq!(
+            rows.text(bad[0], "committed").as_deref(),
+            Some("106.400 / 106.400 / 266")
+        );
+
+        let flat = recovery([106.4, 106.5, 106.3]);
+        let rows = evaluate(&gates, &[(RECOVERY, Ok(flat))], &sim(72.0));
+        assert!(all_ok(&rows), "{rows}");
+    }
+
+    #[test]
+    fn relations_fail_on_what_they_cannot_read() {
+        let cells = doc(
+            "X",
+            &[
+                "{\"k\":\"a\",\"v\":2}",
+                "{\"k\":\"a\",\"v\":1}",
+                "{\"k\":\"b\"}",
+            ],
+        );
+        let holds = |select: Select, key, relation| {
+            let gate = [Gate("x.json", select, key, relation)];
+            all_ok(&evaluate(
+                &gate,
+                &[("x.json", Ok(cells.clone()))],
+                &sim(72.0),
+            ))
         };
-        pass = push_check(
-            &mut table,
-            "committed scale completion",
-            issued,
-            ok_n,
-            "every issued scale op completed ok",
-            complete,
-        ) && pass;
+        const A: Select = &[("k", Text("a"))];
+        assert!(holds(A, "v", Steps(0.0, 0.5)));
+        assert!(!holds(A, "v", Steps(0.6, 1.0)));
+        assert!(holds(A, "v", Between(1.0, 2.0)));
+        assert!(!holds(A, "v", Equals(2.0)));
+        assert!(holds(A, "v", Spread(2.0)));
+        // A single value is neither flat nor a step.
+        const ONE: Select = &[("v", AtLeast(2.0))];
+        assert!(!holds(ONE, "v", Spread(2.0)));
+        assert!(!holds(ONE, "v", Steps(0.0, 9.0)));
+        assert!(holds(&[("v", AtMost(1.0))], "v", Equals(1.0)));
+        // An empty selection, a selected cell without the value, a key
+        // pattern that matches nothing.
+        assert!(!holds(&[("k", Text("z"))], "v", Equals(1.0)));
+        assert!(!holds(&[("k", Text("b"))], "v", Equals(1.0)));
+        assert!(!holds(A, "w*", Within(0.01)));
     }
 
-    // Structural checks of the committed campaign trajectory baselines:
-    // a broken regeneration must not land unnoticed.
-    let trajectories: [(PathBuf, &str, &str); 3] = [
-        (commit_bench_path(), "BENCH_commit.json", "T-PIPELINE"),
-        (lineage_bench_path(), "BENCH_lineage.json", "T-LINEAGE"),
-        (recovery_bench_path(), "BENCH_recovery.json", "T-RECOVERY"),
-    ];
-    for (path, name, campaign) in trajectories {
-        match std::fs::read_to_string(path) {
-            Ok(body) => {
-                let doc = parse(&body).ok();
-                let ok = doc.as_ref().is_some_and(|doc| {
-                    doc.get("campaign").and_then(Value::as_str) == Some(campaign)
-                        && doc
-                            .get("cells")
-                            .and_then(Value::as_array)
-                            .is_some_and(|cells| !cells.is_empty())
-                });
-                pass = push_check(
-                    &mut table,
-                    name,
-                    None,
-                    None,
-                    &format!("parses, campaign {campaign}, non-empty cells"),
-                    Some(ok),
-                ) && pass;
-                // The recovery trajectory additionally asserts its shape:
-                // flat snapshot recovery, linear genesis replay, elastic
-                // convergence.
-                if campaign == "T-RECOVERY" && ok {
-                    if let Some(doc) = &doc {
-                        pass = check_recovery_shape(&mut table, doc) && pass;
-                    }
-                }
-            }
-            Err(_) => {
-                pass = push_check(&mut table, name, None, None, "not present", None) && pass;
-            }
-        }
-    }
-
-    RegressOutcome {
-        table,
-        pass,
-        updated: false,
+    /// Every row of the gate reads something in the committed files and
+    /// holds on them: no row silently selects nothing. The fresh document
+    /// is the committed `BENCH_sim.json` itself, so this test runs no
+    /// campaign.
+    #[test]
+    fn every_gate_resolves_and_holds_on_the_committed_files() {
+        let read = |file: &str| {
+            let body = std::fs::read_to_string(trajectory_path(file)).unwrap();
+            parse(&body).unwrap()
+        };
+        let committed: Vec<(&str, Result<Value, String>)> = [SIM, COMMIT, LINEAGE, RECOVERY, PAPER]
+            .into_iter()
+            .map(|file| (file, Ok(read(file))))
+            .collect();
+        let rows = evaluate(GATES, &committed, &read(SIM));
+        assert!(rows.len() >= GATES.len());
+        assert!(all_ok(&rows), "{rows}");
     }
 }

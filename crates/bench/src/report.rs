@@ -16,14 +16,11 @@
 //! files.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io;
-use std::path::PathBuf;
 
 use hyperprov_sim::{json, Histogram, Simulation};
 
-use crate::experiments::results_dir;
-use crate::table::Table;
+use crate::row;
+use crate::table::{Fmt, Table};
 
 /// Pipeline stages in pipeline order, used to sort breakdown rows.
 /// Stages a run never recorded are skipped; stages not listed here sort
@@ -59,12 +56,12 @@ pub fn breakdown_table(title: impl Into<String>, stages: &BTreeMap<String, Histo
     let mut table = Table::new(
         title,
         &[
-            "stage",
-            "spans",
-            "mean (ms)",
-            "p50 (ms)",
-            "p95 (ms)",
-            "p99 (ms)",
+            ("stage", "stage", Fmt::Plain),
+            ("spans", "spans", Fmt::Plain),
+            ("mean_ms", "mean (ms)", Fmt::Fixed(3, "")),
+            ("p50_ms", "p50 (ms)", Fmt::Fixed(3, "")),
+            ("p95_ms", "p95 (ms)", Fmt::Fixed(3, "")),
+            ("p99_ms", "p99 (ms)", Fmt::Fixed(3, "")),
         ],
     );
     let rank = |stage: &str| {
@@ -77,13 +74,13 @@ pub fn breakdown_table(title: impl Into<String>, stages: &BTreeMap<String, Histo
     names.sort_by_key(|n| (rank(n), n.as_str()));
     for name in names {
         let h = &stages[name];
-        table.push_row(vec![
-            name.clone(),
-            h.count().to_string(),
-            format!("{:.3}", h.mean() / 1e6),
-            format!("{:.3}", h.quantile(0.50) as f64 / 1e6),
-            format!("{:.3}", h.quantile(0.95) as f64 / 1e6),
-            format!("{:.3}", h.quantile(0.99) as f64 / 1e6),
+        table.push_row(row![
+            name.as_str(),
+            h.count(),
+            h.mean() / 1e6,
+            h.quantile(0.50) as f64 / 1e6,
+            h.quantile(0.95) as f64 / 1e6,
+            h.quantile(0.99) as f64 / 1e6,
         ]);
     }
     table
@@ -96,8 +93,8 @@ pub fn stage_breakdown<M>(title: impl Into<String>, sim: &Simulation<M>) -> Tabl
     breakdown_table(title, &stages)
 }
 
-/// Collects per-run metric and trace snapshots of one experiment and
-/// serializes them to `results/<experiment>.metrics.json`.
+/// Collects per-run metric and trace snapshots of one experiment; saved
+/// as `results/<experiment>.metrics.json`.
 #[derive(Debug, Clone)]
 pub struct MetricsExporter {
     experiment: String,
@@ -111,6 +108,11 @@ impl MetricsExporter {
             experiment: experiment.into(),
             runs: Vec::new(),
         }
+    }
+
+    /// The experiment name.
+    pub fn experiment(&self) -> &str {
+        &self.experiment
     }
 
     /// Snapshots a finished run's metrics registry, tracer and — when the
@@ -148,19 +150,6 @@ impl MetricsExporter {
                 .build(),
         )
     }
-
-    /// Writes the export under [`results_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the directory or file cannot be written.
-    pub fn save(&self) -> io::Result<PathBuf> {
-        let dir = results_dir();
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.metrics.json", self.experiment));
-        fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
 }
 
 /// An empty SLO verdict table; fill it with [`push_slo_verdicts`], one
@@ -169,14 +158,14 @@ pub fn slo_verdict_table(title: impl Into<String>) -> Table {
     Table::new(
         title,
         &[
-            "run",
-            "slo",
-            "objective",
-            "evaluations",
-            "breaches",
-            "breach (s)",
-            "worst burn",
-            "verdict",
+            ("run", "run", Fmt::Plain),
+            ("slo", "slo", Fmt::Plain),
+            ("objective", "objective", Fmt::Plain),
+            ("evaluations", "evaluations", Fmt::Plain),
+            ("breaches", "breaches", Fmt::Plain),
+            ("breach_s", "breach (s)", Fmt::Fixed(1, "")),
+            ("worst_burn", "worst burn", Fmt::Fixed(2, "")),
+            ("pass", "verdict", Fmt::Flag("FAIL", "pass")),
         ],
     )
 }
@@ -185,15 +174,15 @@ pub fn slo_verdict_table(title: impl Into<String>) -> Table {
 /// runs without SLOs), labelled with the caller's run name.
 pub fn push_slo_verdicts<M>(table: &mut Table, run: &str, sim: &Simulation<M>) {
     for v in sim.slo().verdicts(sim.now()) {
-        table.push_row(vec![
-            run.to_owned(),
+        table.push_row(row![
+            run,
             v.name,
             v.objective,
-            v.evaluations.to_string(),
-            v.breaches.to_string(),
-            format!("{:.1}", v.breach_time.as_secs_f64()),
-            format!("{:.2}", v.worst_burn),
-            (if v.pass { "pass" } else { "FAIL" }).to_owned(),
+            v.evaluations,
+            v.breaches,
+            v.breach_time.as_secs_f64(),
+            v.worst_burn,
+            v.pass,
         ]);
     }
 }
@@ -225,10 +214,10 @@ mod tests {
         stages.insert("endorse".to_owned(), h.clone());
         stages.insert("zz.custom".to_owned(), h);
         let table = breakdown_table("t", &stages);
-        assert_eq!(table.cell(0, 0), Some("endorse"));
-        assert_eq!(table.cell(1, 0), Some("commit_wait"));
-        assert_eq!(table.cell(2, 0), Some("zz.custom"));
-        assert_eq!(table.cell_f64(0, 2), Some(1.0));
+        assert_eq!(table.text(0, "stage").as_deref(), Some("endorse"));
+        assert_eq!(table.text(1, "stage").as_deref(), Some("commit_wait"));
+        assert_eq!(table.text(2, "stage").as_deref(), Some("zz.custom"));
+        assert_eq!(table.num(0, "mean_ms"), Some(1.0));
     }
 
     #[test]
@@ -275,8 +264,8 @@ mod tests {
         let mut table = slo_verdict_table("t");
         push_slo_verdicts(&mut table, "run-a", &sim);
         assert_eq!(table.len(), 1);
-        assert_eq!(table.cell(0, 0), Some("run-a"));
-        assert_eq!(table.cell(0, 1), Some("endorse-p95"));
+        assert_eq!(table.text(0, "run").as_deref(), Some("run-a"));
+        assert_eq!(table.text(0, "slo").as_deref(), Some("endorse-p95"));
         push_slo_verdicts(&mut table, "no-slos", &plain);
         assert_eq!(table.len(), 1, "runs without SLOs add no rows");
     }
@@ -286,7 +275,7 @@ mod tests {
         let sim = sim_with_spans();
         let table = stage_breakdown("t", &sim);
         assert_eq!(table.len(), 1);
-        assert_eq!(table.cell(0, 0), Some("endorse"));
-        assert_eq!(table.cell_f64(0, 2), Some(2.0));
+        assert_eq!(table.text(0, "stage").as_deref(), Some("endorse"));
+        assert_eq!(table.num(0, "mean_ms"), Some(2.0));
     }
 }

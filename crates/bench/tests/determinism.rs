@@ -4,6 +4,18 @@
 //! diff that has to be regenerated on purpose.
 
 use hyperprov_bench::experiments::{fault_scenario_json, pipeline_sweep, size_sweep, Platform};
+use hyperprov_bench::runner::Artefact;
+
+/// The metrics export among a campaign's artefacts, as JSON.
+fn metrics_json(artefacts: &[Artefact]) -> String {
+    artefacts
+        .iter()
+        .find_map(|a| match a {
+            Artefact::Metrics(exporter) => Some(exporter.to_json()),
+            _ => None,
+        })
+        .expect("the campaign returns a metrics export")
+}
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -12,7 +24,7 @@ fn fixture(name: &str) -> String {
 
 #[test]
 fn fig1_quick_metrics_match_committed_fixture() {
-    let json = size_sweep(Platform::Desktop, true).exporter.to_json();
+    let json = metrics_json(&size_sweep(Platform::Desktop, true));
     assert!(
         !json.contains("\"unclosed\""),
         "fig1 quick runs must not leak spans"
@@ -27,7 +39,7 @@ fn fig1_quick_metrics_match_committed_fixture() {
 
 #[test]
 fn fig2_quick_metrics_match_committed_fixture() {
-    let json = size_sweep(Platform::Rpi, true).exporter.to_json();
+    let json = metrics_json(&size_sweep(Platform::Rpi, true));
     assert!(
         !json.contains("\"unclosed\""),
         "fig2 quick runs must not leak spans"
@@ -45,7 +57,7 @@ fn pipeline_quick_metrics_match_committed_fixture() {
     // Covers both ends of the commit-path settings: the baseline cell
     // (lanes = 1, caches off) and the accelerated cell (4 lanes, both
     // caches on).
-    let json = pipeline_sweep(true).exporter.to_json();
+    let json = metrics_json(&pipeline_sweep(true));
     assert_eq!(
         json,
         fixture("pipeline_quick.metrics.json"),

@@ -1,53 +1,106 @@
 //! Guard tests for the experiment harness: quick-mode runs must produce
 //! tables with the shapes the paper reports.
 
-use hyperprov_bench::experiments::{batch_sweep, contention_sweep, query_latency};
+use hyperprov_bench::experiments::{
+    baseline_comparison, batch_sweep, contention_sweep, query_latency,
+};
+use hyperprov_bench::runner::table_of;
 
 #[test]
 fn contention_conflicts_grow_with_hot_fraction() {
-    let table = contention_sweep(true);
+    let artefacts = contention_sweep(true);
+    let table = table_of(&artefacts, "table_contention");
     assert_eq!(table.len(), 2); // fractions 0.0 and 0.8 in quick mode
-    let cold_conflicts = table.cell_f64(0, 3).unwrap();
-    let hot_conflicts = table.cell_f64(1, 3).unwrap();
+    let cold_conflicts = table.num(0, "mvcc_conflicts").unwrap();
+    let hot_conflicts = table.num(1, "mvcc_conflicts").unwrap();
     assert_eq!(cold_conflicts, 0.0, "unique keys cannot conflict");
     assert!(
         hot_conflicts > 0.0,
         "hot-key contention must produce MVCC conflicts: {table}"
     );
     // Work was actually committed in both settings.
-    assert!(table.cell_f64(0, 2).unwrap() > 0.0);
-    assert!(table.cell_f64(1, 2).unwrap() > 0.0);
+    assert!(table.num(0, "committed_valid").unwrap() > 0.0);
+    assert!(table.num(1, "committed_valid").unwrap() > 0.0);
 }
 
 #[test]
 fn batch_size_one_has_lowest_latency() {
-    let table = batch_sweep(true);
+    let artefacts = batch_sweep(true);
+    let table = table_of(&artefacts, "table_batch_sweep");
     assert_eq!(table.len(), 2); // batch sizes 1 and 10 in quick mode
-    let p50_batch1 = table.cell_f64(0, 2).unwrap();
-    let p50_batch10 = table.cell_f64(1, 2).unwrap();
+    let p50_batch1 = table.num(0, "resp_p50_ms").unwrap();
+    let p50_batch10 = table.num(1, "resp_p50_ms").unwrap();
     assert!(
         p50_batch1 < p50_batch10,
         "immediate cuts must beat timeout-bound batches: {table}"
     );
-    assert!(table.cell_f64(0, 1).unwrap() > 0.0);
+    assert!(table.num(0, "throughput_tx_s").unwrap() > 0.0);
 }
 
 #[test]
 fn query_latency_table_covers_all_operators() {
-    let table = query_latency(true);
+    let artefacts = query_latency(true);
+    let table = table_of(&artefacts, "table_query_latency");
     assert_eq!(table.len(), 5);
     for row in 0..table.len() {
-        let mean = table.cell_f64(row, 1).unwrap();
-        let p95 = table.cell_f64(row, 2).unwrap();
+        let mean = table.num(row, "mean_ms").unwrap();
+        let p95 = table.num(row, "p95_ms").unwrap();
         assert!(mean > 0.0, "row {row} has zero latency: {table}");
         assert!(p95 + 1e-9 >= mean * 0.5, "p95 sane for row {row}");
-        assert!(table.cell_f64(row, 3).unwrap() > 0.0);
+        assert!(table.num(row, "samples").unwrap() > 0.0);
     }
     // Lineage over the whole chain must cost more than a point get.
-    let get_mean = table.cell_f64(0, 1).unwrap();
-    let lineage_mean = table.cell_f64(4, 1).unwrap();
+    assert_eq!(table.text(0, "operator").as_deref(), Some("get"));
+    assert_eq!(
+        table.text(4, "operator").as_deref(),
+        Some("get_lineage (full chain)")
+    );
+    let get_mean = table.num(0, "mean_ms").unwrap();
+    let lineage_mean = table.num(4, "mean_ms").unwrap();
     assert!(
         lineage_mean >= get_mean,
         "lineage should not be cheaper than a point get: {table}"
+    );
+}
+
+/// T-BASE's positioning claim in miniature: carrying the item on-chain
+/// costs throughput and chain growth in proportion to its size, storing
+/// it off-chain costs neither.
+#[test]
+fn on_chain_payloads_cost_throughput_and_chain_bytes() {
+    let artefacts = baseline_comparison(true);
+    let table = table_of(&artefacts, "table_baselines");
+    // Per item size (1 KiB, 256 KiB): HyperProv, on-chain data, PoW.
+    assert_eq!(table.len(), 6);
+    let row_of = |system: &str, size: f64| {
+        (0..table.len())
+            .find(|&row| {
+                table.text(row, "system").as_deref() == Some(system)
+                    && table.num(row, "size_bytes") == Some(size)
+            })
+            .unwrap_or_else(|| panic!("no row {system} at {size}: {table}"))
+    };
+    let (small, large) = (1024.0, 262_144.0);
+    let tput =
+        |system: &str, size: f64| table.num(row_of(system, size), "throughput_tx_s").unwrap();
+    assert!(
+        tput("on-chain data", large) < tput("HyperProv", large),
+        "on-chain payloads must cost throughput at 256 KiB: {table}"
+    );
+    let chain = |system: &str, size: f64| {
+        table
+            .num(row_of(system, size), "chain_bytes_per_tx")
+            .unwrap()
+    };
+    for size in [small, large] {
+        assert!(
+            chain("on-chain data", size) >= size,
+            "an on-chain item is on the chain: {table}"
+        );
+    }
+    assert_eq!(
+        chain("HyperProv", small),
+        chain("HyperProv", large),
+        "off-chain items leave the chain independent of their size: {table}"
     );
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use hyperprov::{HyperProvNetwork, NetworkConfig};
 use hyperprov_bench::report::{merge_stages, MetricsExporter};
-use hyperprov_bench::runner::run_closed_loop;
+use hyperprov_bench::runner::{run_closed_loop, Until};
 use hyperprov_bench::workload::{payload, store_cmd};
 use hyperprov_sim::{DetRng, Histogram, SimDuration};
 
@@ -20,7 +20,7 @@ fn fig1_run(seed: u64, clients: usize, secs: u64) -> HyperProvNetwork {
     let mut rng = DetRng::new(seed).fork("payload");
     run_closed_loop(
         &mut net,
-        SimDuration::from_secs(secs),
+        Until::Elapsed(SimDuration::from_secs(secs)),
         SimDuration::from_secs(10),
         move |client, seq| {
             let data = payload(&mut rng, SIZE);

@@ -11,7 +11,7 @@ use hyperprov_sim::{
 };
 
 use hyperprov_bench::report::{push_slo_verdicts, slo_verdict_table, MetricsExporter};
-use hyperprov_bench::runner::run_closed_loop;
+use hyperprov_bench::runner::{run_closed_loop, Until};
 use hyperprov_bench::workload::{payload, store_cmd};
 
 const SEED: u64 = 11;
@@ -75,7 +75,7 @@ fn fault_run() -> (HyperProvNetwork, SimTime) {
     let mut rng = DetRng::new(SEED).fork("slo-gate");
     run_closed_loop(
         &mut net,
-        SimDuration::from_secs(9),
+        Until::Elapsed(SimDuration::from_secs(9)),
         SimDuration::from_secs(8),
         |c, seq| store_cmd(format!("item-c{c}-{seq}"), payload(&mut rng, 1 << 10)),
     );

@@ -163,6 +163,26 @@ impl ClientCommand {
             | ClientCommand::List { op } => *op,
         }
     }
+
+    /// Rewrites the operation id (workload drivers own id assignment).
+    pub fn set_op(&mut self, new: OpId) {
+        match self {
+            ClientCommand::Post { op, .. }
+            | ClientCommand::StoreData { op, .. }
+            | ClientCommand::Get { op, .. }
+            | ClientCommand::GetData { op, .. }
+            | ClientCommand::CheckData { op, .. }
+            | ClientCommand::GetHistory { op, .. }
+            | ClientCommand::GetKeysByChecksum { op, .. }
+            | ClientCommand::GetLineage { op, .. }
+            | ClientCommand::GetAncestry { op, .. }
+            | ClientCommand::GetDescendants { op, .. }
+            | ClientCommand::GetClosure { op, .. }
+            | ClientCommand::GetSubgraph { op, .. }
+            | ClientCommand::Delete { op, .. }
+            | ClientCommand::List { op } => *op = new,
+        }
+    }
 }
 
 /// Errors surfaced by client operations.

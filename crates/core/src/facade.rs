@@ -9,13 +9,56 @@
 use hyperprov_ledger::Digest;
 use hyperprov_sim::{SimDuration, SimTime};
 
-use crate::client::{ClientCommand, HyperProvError, OpId, OpOutput};
+use crate::client::{ClientCommand, ClientCompletion, HyperProvError, OpId, OpOutput};
 use crate::deploy::{HyperProvNetwork, NetworkConfig};
 use crate::net::NodeMsg;
 use crate::record::{GraphSlice, HistoryRecord, LineageEntry, ProvenanceRecord, RecordInput};
 
-/// How long (virtual time) to wait for one operation before giving up.
-const OP_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// How long (virtual time) [`HyperProvNetwork::run_op`] waits for one
+/// operation before giving up.
+const OP_PATIENCE: SimDuration = SimDuration::from_secs(30);
+
+/// Events [`HyperProvNetwork::run_op`] runs between two looks at the
+/// completion queue. The events of a slice that follow the completion
+/// still run before the call returns, so the value decides at which
+/// virtual instant the *next* operation starts: every committed
+/// `BENCH_*.json` and `results/*` number of the campaigns that issue
+/// operations one at a time was recorded at 64.
+const OP_STEP_EVENTS: u64 = 64;
+
+impl HyperProvNetwork {
+    /// Runs one operation to completion: injects `cmd` on client
+    /// `client` and steps the simulation until that operation's
+    /// completion arrives. Returns `None` once 30 s of virtual time
+    /// (`OP_PATIENCE`) have passed without it; an event queue that runs
+    /// dry ends the wait at once (nothing can complete the operation any
+    /// more) with the clock moved to that deadline. Completions of other
+    /// operations found on the client's queue are dropped.
+    pub fn run_op(&mut self, client: usize, cmd: ClientCommand) -> Option<ClientCompletion> {
+        let op = cmd.op();
+        self.sim
+            .inject_message(self.clients[client], NodeMsg::Client(cmd));
+        let deadline = self.sim.now() + OP_PATIENCE;
+        loop {
+            let mut queue = self.completions[client].borrow_mut();
+            while let Some(completion) = queue.pop_front() {
+                if completion.op == op {
+                    return Some(completion);
+                }
+            }
+            drop(queue);
+            if self.sim.now() >= deadline {
+                return None;
+            }
+            if self.sim.run_events(OP_STEP_EVENTS) == 0 {
+                // Nothing is left that could complete the operation: the
+                // wait is over, only the clock still has to say so.
+                self.sim.run_until(deadline);
+                return None;
+            }
+        }
+    }
+}
 
 /// A running HyperProv deployment with a blocking client API.
 ///
@@ -72,38 +115,9 @@ impl HyperProv {
     }
 
     fn call(&mut self, cmd: ClientCommand) -> Result<OpOutput, HyperProvError> {
-        let op = cmd.op();
-        let client = self.net.clients[0];
-        self.net.sim.inject_message(client, NodeMsg::Client(cmd));
-        let deadline = self.net.sim.now() + OP_TIMEOUT;
-        loop {
-            // Drain completions looking for ours.
-            let hit = {
-                let mut queue = self.net.completions[0].borrow_mut();
-                let mut found = None;
-                while let Some(completion) = queue.pop_front() {
-                    if completion.op == op {
-                        found = Some(completion);
-                        break;
-                    }
-                    // Drop completions of abandoned ops (shouldn't happen
-                    // through this facade).
-                }
-                found
-            };
-            if let Some(completion) = hit {
-                return completion.outcome;
-            }
-            if self.net.sim.now() >= deadline {
-                return Err(HyperProvError::Timeout);
-            }
-            if self.net.sim.run_events(256) == 0 {
-                // No immediately-runnable events: advance the clock (not
-                // past the deadline) so pending timers, e.g. the
-                // orderer's batch timeout, fire.
-                let slice = self.net.sim.now() + SimDuration::from_millis(100);
-                self.net.sim.run_until(slice.min(deadline));
-            }
+        match self.net.run_op(0, cmd) {
+            Some(completion) => completion.outcome,
+            None => Err(HyperProvError::Timeout),
         }
     }
 
@@ -419,6 +433,6 @@ mod tests {
         hp.network_mut().sim.network_mut().partition(client, peer);
         let before = hp.now();
         assert_eq!(hp.get("item"), Err(HyperProvError::Timeout));
-        assert_eq!(hp.now() - before, OP_TIMEOUT);
+        assert_eq!(hp.now() - before, hyperprov_sim::SimDuration::from_secs(30));
     }
 }
