@@ -36,6 +36,15 @@ if [ -n "$orphans" ]; then
     exit 1
 fi
 
+# Purity audit: the protocol state machines are sans-IO — they answer
+# with what to do and never name the kernel types that do it.
+for pure in catchup orderer raft; do
+    if awk "$nontest" "crates/fabric/src/$pure.rs" | grep -nE '\b(Context|ServiceHarness|TimerId)\b'; then
+        echo "crates/fabric/src/$pure.rs names a kernel type: keep I/O in the actor" >&2
+        exit 1
+    fi
+done
+
 # The examples double as end-to-end smoke tests of the public API.
 for example in quickstart iot_edge scientific_workflow tamper_detection; do
     cargo run --release --example "$example"

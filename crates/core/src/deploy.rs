@@ -369,7 +369,7 @@ impl JoinKit {
                 Some(chan.orderers[index % chan.orderers.len()]),
             );
             if self.snapshots.is_some() {
-                actor.set_snapshot_providers(&chan.id, providers);
+                actor.set_catchup_providers(&chan.id, providers);
             }
             committers.push((ci, committer));
         }

@@ -238,6 +238,31 @@ fn added_peer_catches_up_via_snapshot_and_serves_queries() {
     assert_eq!(state_hash(&hp, new_idx), state_hash(&hp, 0));
 }
 
+/// Elastic membership without snapshots: nobody serves a snapshot, so
+/// the joiner asks its catch-up target for the chain from genesis and
+/// converges by block re-delivery alone.
+#[test]
+fn added_peer_without_snapshots_catches_up_by_block_redelivery() {
+    let config = NetworkConfig::desktop(1).with_spare_peers(1);
+    let mut hp = HyperProv::with_config(&config);
+    for i in 0..8 {
+        hp.store_data(&format!("pre-{i}"), vec![i as u8; 64], vec![], vec![])
+            .unwrap();
+    }
+    hp.network_mut().add_peer();
+    settle(&mut hp, 15);
+
+    let new_idx = hp.network().peers.len() - 1;
+    assert_eq!(height(&hp, new_idx), 8);
+    assert_eq!(height(&hp, new_idx), height(&hp, 0));
+    assert_eq!(state_hash(&hp, new_idx), state_hash(&hp, 0));
+    let metrics = hp.network().sim.metrics();
+    let prefix = format!("peer{new_idx}");
+    assert_eq!(metrics.counter(&format!("{prefix}.joins")), 1);
+    assert_eq!(metrics.counter(&format!("{prefix}.snapshot_boots")), 0);
+    assert!(metrics.counter(&format!("{prefix}.catchup_requests")) >= 1);
+}
+
 /// A spare-free deployment with snapshots disabled is byte-identical to
 /// the seed network: same virtual end time for the same workload.
 #[test]

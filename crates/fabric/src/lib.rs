@@ -11,6 +11,7 @@
 //! * [`BlockCutter`]/[`BatchConfig`] — ordering-service batching,
 //! * [`RaftNode`] — a compact Raft for replicated ordering,
 //! * [`Committer`] — VSCC endorsement-policy + MVCC validation and commit,
+//! * [`CatchUp`] — how a peer that fell behind gets current again,
 //! * [`PeerActor`]/[`SoloOrdererActor`]/[`RaftOrdererActor`] — simulation
 //!   actors that charge device CPU costs, and
 //! * [`Gateway`] — the client SDK equivalent.
@@ -19,6 +20,7 @@
 #![warn(missing_docs)]
 
 mod caches;
+mod catchup;
 mod chaincode;
 mod committer;
 mod costs;
@@ -33,6 +35,7 @@ mod policy;
 mod raft;
 
 pub use caches::{ReadCache, SigVerifyCache};
+pub use catchup::{Action as CatchUpAction, CatchUp, CATCHUP_ESCALATE_AFTER, CATCHUP_GIVE_UP};
 pub use chaincode::{
     Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, StubStats, COMPOSITE_SEP,
 };

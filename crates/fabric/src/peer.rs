@@ -1,10 +1,11 @@
 //! The peer actor: endorses proposals and commits delivered blocks on
 //! every channel it hosts, and cuts snapshots behind the commit path.
-//! Everything a peer does to *stay* current — gap detection, the retry
-//! ladder, snapshot fetch and serve, block re-delivery, join and restart
-//! recovery — lives in [`catchup`].
+//! What a peer does to *stay* current — gap detection, the retry ladder,
+//! snapshot fetch, join and restart — is decided by the sans-IO
+//! [`CatchUp`] machine, one per hosted channel; [`catchup`] interprets its
+//! actions, serves snapshots to other peers and boots ledgers.
 //!
-//! Node logic (endorsement, commit) lives in the sans-IO modules; the
+//! Node logic (endorsement, commit, catch-up) lives in the sans-IO modules; the
 //! actor glues it to the discrete-event kernel through the shared
 //! [`ServiceHarness`]: it charges CPU costs, queues outputs until the
 //! virtual CPU finishes, and ships messages through the simulated
@@ -32,6 +33,7 @@ use hyperprov_sim::{
 };
 
 use crate::caches::{ReadCache, SigVerifyCache};
+use crate::catchup::CatchUp;
 use crate::chaincode::ChaincodeRegistry;
 use crate::committer::Committer;
 use crate::costs::CostModel;
@@ -42,7 +44,7 @@ use crate::messages::{
     BUSY_REASON,
 };
 
-use catchup::{FetchState, CATCHUP_TIMER_BASE};
+use catchup::CATCHUP_TIMER_BASE;
 
 /// Configuration of a peer's FastFabric-style commit path: how many CPU
 /// lanes the parallel VSCC phase may spread across, and whether the
@@ -119,57 +121,32 @@ impl HotMetricNames {
 }
 
 /// A peer's per-channel commit pipeline: the channel's committer plus the
-/// volatile delivery bookkeeping (out-of-order buffer, catch-up marker,
-/// snapshot fetch progress) and the durable latest snapshot.
+/// volatile delivery bookkeeping (out-of-order buffer, catch-up machine
+/// and its timer) and the durable latest snapshot.
 struct PeerChannel {
     committer: Rc<RefCell<Committer>>,
     /// Pre-rendered metric names for per-event counters.
     names: HotMetricNames,
     /// Blocks that arrived ahead of the next expected height.
     block_buffer: BTreeMap<u64, Arc<Block>>,
-    /// Height of an outstanding catch-up request, to avoid repeats.
-    catchup_from: Option<u64>,
-    /// Where to request missed blocks from after a crash restart
-    /// (normally the channel's ordering node).
-    catchup_target: Option<ActorId>,
     /// Hot-state read cache for endorsement, when the pipeline enables it.
     read_cache: Option<ReadCache>,
     /// Latest cut or fetched snapshot. Models durable checkpoint storage,
     /// so — like the block store — it survives crashes.
     latest_snapshot: Option<Snapshot>,
-    /// Peers that can serve snapshots and block re-delivery on this
-    /// channel (the catch-up protocol's provider ladder).
-    snapshot_providers: Vec<ActorId>,
-    /// Outstanding snapshot fetch (volatile).
-    fetch: FetchState,
-    /// Pending catch-up retry timer (volatile).
+    /// The catch-up protocol's state (volatile).
+    catchup: CatchUp,
+    /// The machine's pending retry timer (volatile).
     retry_timer: Option<TimerId>,
-    /// Consecutive retries without progress; drives the backoff.
-    retry_attempts: u32,
-    /// Height recorded when a restart/join catch-up request went out;
-    /// progress past it counts as success and disarms the retry timer.
-    retry_goal: Option<u64>,
     /// This channel's retry-timer token.
     timer_token: u64,
 }
 
 impl PeerChannel {
-    fn new(committer: Rc<RefCell<Committer>>, timer_token: u64, metric_prefix: &str) -> Self {
-        let names = HotMetricNames::new(committer.borrow().channel(), metric_prefix);
-        PeerChannel {
-            committer,
-            names,
-            block_buffer: BTreeMap::new(),
-            catchup_from: None,
-            catchup_target: None,
-            read_cache: None,
-            latest_snapshot: None,
-            snapshot_providers: Vec::new(),
-            fetch: FetchState::Idle,
-            retry_timer: None,
-            retry_attempts: 0,
-            retry_goal: None,
-            timer_token,
+    /// Cancels the retry timer, if one is pending.
+    fn disarm<M>(&mut self, ctx: &mut Context<'_, M>) {
+        if let Some(timer) = self.retry_timer.take() {
+            ctx.cancel_timer(timer);
         }
     }
 }
@@ -194,12 +171,10 @@ pub struct PeerActor<M> {
     /// Snapshot policy; `None` (the default) disables snapshots, pruning
     /// and snapshot-based recovery entirely.
     snapshots: Option<SnapshotPolicy>,
-    /// Per-peer jitter salt for the catch-up retry backoff, derived from
-    /// the metric prefix (stable across restarts).
-    retry_salt: u64,
 }
 
-/// FNV-1a over the metric prefix: a stable, deterministic per-peer salt.
+/// FNV-1a over the metric prefix: a stable, deterministic per-peer salt
+/// for the catch-up retry backoff.
 fn salt_of(prefix: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in prefix.as_bytes() {
@@ -219,7 +194,6 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         metric_prefix: impl Into<String>,
     ) -> Self {
         let metric_prefix = metric_prefix.into();
-        let retry_salt = salt_of(&metric_prefix);
         PeerActor {
             identity,
             registry,
@@ -231,7 +205,6 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             pipeline: CommitPipeline::default(),
             sig_cache: None,
             snapshots: None,
-            retry_salt,
         }
     }
 
@@ -242,10 +215,16 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
     /// next live delivery to notice any gap.
     pub fn add_channel(&mut self, committer: Rc<RefCell<Committer>>, catchup: Option<ActorId>) {
         let channel = committer.borrow().channel().clone();
-        let token = CATCHUP_TIMER_BASE + self.channels.len() as u64;
-        let mut state = PeerChannel::new(committer, token, &self.metric_prefix);
-        state.catchup_target = catchup;
-        state.read_cache = self.pipeline.caches.then(ReadCache::new);
+        let state = PeerChannel {
+            names: HotMetricNames::new(&channel, &self.metric_prefix),
+            committer,
+            block_buffer: BTreeMap::new(),
+            read_cache: self.pipeline.caches.then(ReadCache::new),
+            latest_snapshot: None,
+            catchup: CatchUp::new(channel.clone(), catchup, salt_of(&self.metric_prefix)),
+            retry_timer: None,
+            timer_token: CATCHUP_TIMER_BASE + self.channels.len() as u64,
+        };
         self.channels.insert(channel, state);
     }
 
@@ -259,12 +238,11 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         self
     }
 
-    /// Registers the peers that can serve snapshots and block re-delivery
-    /// for `channel` — the catch-up protocol's provider ladder, tried in
-    /// order.
-    pub fn set_snapshot_providers(&mut self, channel: &ChannelId, providers: Vec<ActorId>) {
+    /// Registers the peers that can serve snapshots for `channel` — the
+    /// catch-up protocol's provider ladder, tried in order.
+    pub fn set_catchup_providers(&mut self, channel: &ChannelId, providers: Vec<ActorId>) {
         if let Some(state) = self.channels.get_mut(channel) {
-            state.snapshot_providers = providers;
+            state.catchup.set_providers(providers);
         }
     }
 
@@ -649,14 +627,13 @@ impl<M: Carries<FabricMsg>> Actor<M> for PeerActor<M> {
                 Ok(FabricMsg::DeliverBlock(channel, block)) => {
                     self.on_block(ctx, src, channel, block)
                 }
-                Ok(FabricMsg::DeliverRequest { channel, from }) => {
-                    self.on_deliver_request(ctx, src, channel, from)
-                }
                 Ok(FabricMsg::SnapshotRequest { channel }) => {
                     self.on_snapshot_request(ctx, src, channel)
                 }
                 Ok(FabricMsg::SnapshotOffer { channel, manifest }) => {
-                    self.on_snapshot_offer(ctx, src, channel, manifest)
+                    self.step(ctx, &channel, |machine, at, _| {
+                        machine.offer(src, at, manifest)
+                    })
                 }
                 Ok(FabricMsg::SnapshotPartRequest {
                     channel,
@@ -668,8 +645,12 @@ impl<M: Carries<FabricMsg>> Actor<M> for PeerActor<M> {
                     height,
                     index,
                     part,
-                }) => self.on_part_data(ctx, src, channel, height, index, part),
-                Ok(FabricMsg::JoinChannel { channel }) => self.on_join(ctx, channel),
+                }) => self.step(ctx, &channel, |machine, at, _| {
+                    machine.part(src, at, height, index, part)
+                }),
+                Ok(FabricMsg::JoinChannel { channel }) => {
+                    self.step(ctx, &channel, |machine, at, _| machine.join(at))
+                }
                 Ok(_) | Err(_) => {}
             },
             Event::Timer { token } => {

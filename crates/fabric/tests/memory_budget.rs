@@ -23,12 +23,12 @@ const RECORDS: u64 = BLOCKS * TXS_PER_BLOCK;
 const PEERS: usize = 4;
 
 /// Live heap all four committers may hold per record, block bodies
-/// included: measured 5,467 B (10,619 B before bodies, keys and values
-/// were shared).
-const TOTAL_BYTES_PER_RECORD: i64 = 6_013;
+/// included: measured 5,146 B (10,619 B before bodies, keys and values
+/// were shared; 5,467 B while the block store also indexed every tx id).
+const TOTAL_BYTES_PER_RECORD: i64 = 5_660;
 /// What the fourth committer may add per record on top of three:
-/// measured 1,178 B (2,654 B before).
-const MARGINAL_BYTES_PER_RECORD: i64 = 1_295;
+/// measured 1,098 B (2,654 B before sharing, 1,178 B with the index).
+const MARGINAL_BYTES_PER_RECORD: i64 = 1_208;
 
 #[test]
 fn four_replicas_stay_within_the_per_record_byte_budget() {

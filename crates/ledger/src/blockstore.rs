@@ -1,13 +1,11 @@
-//! Append-only block storage with chain verification and a tx-id index.
+//! Append-only block storage with chain verification.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use crate::block::{Block, BlockMetadata};
 use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::hash::Digest;
-use crate::tx::TxId;
 
 /// Magic prefix of the persisted chain format (unpruned, base 0).
 const CHAIN_MAGIC: &[u8; 8] = b"HPCHAIN1";
@@ -96,7 +94,6 @@ impl std::ops::Deref for CheckedBlock {
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
     blocks: Vec<Block>,
-    tx_index: HashMap<TxId, (u64, u32)>,
     /// Number of the first retained block; 0 for an unpruned store.
     base_height: u64,
     /// Header hash of block `base_height - 1` ([`Digest::ZERO`] at base 0).
@@ -145,10 +142,9 @@ impl BlockStore {
     }
 
     /// Drops every retained block below `horizon`, compacting the store
-    /// behind a snapshot that already covers blocks `[0, horizon)`. The
-    /// tx index forgets pruned transactions. Returns the number of blocks
-    /// pruned; a horizon at or below the current base is a no-op and a
-    /// horizon above `height()` is clamped.
+    /// behind a snapshot that already covers blocks `[0, horizon)`.
+    /// Returns the number of blocks pruned; a horizon at or below the
+    /// current base is a no-op and a horizon above `height()` is clamped.
     pub fn prune_to(&mut self, horizon: u64) -> u64 {
         let horizon = horizon.min(self.height());
         if horizon <= self.base_height {
@@ -156,11 +152,6 @@ impl BlockStore {
         }
         let drop_n = (horizon - self.base_height) as usize;
         self.base_hash = self.blocks[drop_n - 1].header.hash();
-        for block in &self.blocks[..drop_n] {
-            for env in block.envelopes.iter() {
-                self.tx_index.remove(&env.tx_id);
-            }
-        }
         self.blocks.drain(..drop_n);
         self.base_height = horizon;
         drop_n as u64
@@ -221,10 +212,6 @@ impl BlockStore {
     pub fn append_checked(&mut self, block: CheckedBlock) -> Result<(), ChainError> {
         let block = block.0;
         self.check_position(&block)?;
-        for (i, env) in block.envelopes.iter().enumerate() {
-            self.tx_index
-                .insert(env.tx_id, (block.header.number, i as u32));
-        }
         self.blocks.push(block);
         Ok(())
     }
@@ -242,12 +229,6 @@ impl BlockStore {
     pub fn block(&self, number: u64) -> Option<&Block> {
         let idx = number.checked_sub(self.base_height)?;
         self.blocks.get(idx as usize)
-    }
-
-    /// Locates a transaction: `(block number, tx index)`. Transactions in
-    /// pruned blocks are forgotten — resolve those against a snapshot.
-    pub fn find_tx(&self, tx_id: &TxId) -> Option<(u64, u32)> {
-        self.tx_index.get(tx_id).copied()
     }
 
     /// Iterates all *retained* blocks in order.
@@ -371,6 +352,7 @@ impl<'a> IntoIterator for &'a BlockStore {
 mod tests {
     use super::*;
     use crate::block::RawEnvelope;
+    use crate::tx::TxId;
     use std::sync::Arc;
 
     fn env(tag: &[u8]) -> RawEnvelope {
@@ -394,9 +376,6 @@ mod tests {
         let store = chain_of(3);
         assert_eq!(store.height(), 3);
         assert_eq!(store.tx_count(), 3);
-        let (blk, idx) = store.find_tx(&TxId(Digest::of(b"tx1"))).unwrap();
-        assert_eq!((blk, idx), (1, 0));
-        assert!(store.find_tx(&TxId(Digest::of(b"nope"))).is_none());
         assert_eq!(store.block(2).unwrap().header.number, 2);
         assert!(store.block(3).is_none());
     }
@@ -463,7 +442,6 @@ mod tests {
         assert_eq!(loaded.height(), 5);
         assert_eq!(loaded.tip_hash(), store.tip_hash());
         assert_eq!(loaded.tx_count(), store.tx_count());
-        assert!(loaded.find_tx(&TxId(Digest::of(b"tx3"))).is_some());
     }
 
     #[test]
@@ -498,12 +476,10 @@ mod tests {
         assert_eq!(store.height(), 8);
         assert_eq!(store.retained(), 3);
         assert_eq!(store.tip_hash(), tip);
-        // Pruned blocks and their transactions are gone…
+        // Pruned blocks are gone…
         assert!(store.block(4).is_none());
-        assert!(store.find_tx(&TxId(Digest::of(b"tx2"))).is_none());
         // …retained ones still resolve with absolute numbers.
         assert_eq!(store.block(6).unwrap().header.number, 6);
-        assert_eq!(store.find_tx(&TxId(Digest::of(b"tx7"))), Some((7, 0)));
         assert_eq!(store.tx_count(), 3);
         store.verify_chain().unwrap();
         // Appending continues from the tip as usual.

@@ -219,10 +219,6 @@ proptest! {
         }
         prop_assert!(store.verify_chain().is_ok());
         prop_assert_eq!(store.tx_count(), n);
-        // Every transaction is findable.
-        for i in 1..=n {
-            prop_assert!(store.find_tx(&TxId(Digest::of(&i.to_le_bytes()))).is_some());
-        }
     }
 
     #[test]

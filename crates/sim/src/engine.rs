@@ -848,8 +848,8 @@ mod tests {
                 ctx.execute(SimDuration::from_millis(50), 1);
                 ctx.execute(SimDuration::from_millis(50), 2);
             } else if let Event::Timer { token } = event {
-                let now = ctx.now();
-                ctx.metrics().push_series("done", now, token as f64);
+                let now = ctx.now().as_nanos() as f64;
+                ctx.metrics().set_gauge(&format!("done.{token}"), now);
             }
         }
     }
@@ -860,10 +860,8 @@ mod tests {
         let w = sim.add_actor_with_speed(Box::new(Worker), 0.5); // half speed
         sim.start_timer(w, SimDuration::ZERO, 0);
         sim.run();
-        let s = sim.metrics().series("done").unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].0, SimTime::from_nanos(100_000_000)); // 50ms/0.5
-        assert_eq!(s[1].0, SimTime::from_nanos(200_000_000));
+        assert_eq!(sim.metrics().gauge("done.1"), Some(100_000_000.0)); // 50ms/0.5
+        assert_eq!(sim.metrics().gauge("done.2"), Some(200_000_000.0));
         assert_eq!(sim.cpu(w).total_busy(), SimDuration::from_millis(200));
     }
 

@@ -1,7 +1,7 @@
 //! Metrics collected during a simulation run.
 //!
-//! A [`Metrics`] registry holds named counters, gauges, latency histograms
-//! and time series. Components record into it through [`crate::Context`];
+//! A [`Metrics`] registry holds named counters, gauges and latency
+//! histograms. Components record into it through [`crate::Context`];
 //! the benchmark harness reads it back after the run.
 //!
 //! Hot-path design: each kind of metric lives in a flat `Vec` indexed by a
@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 
 use crate::fxhash::FxHashMap;
 use crate::histogram::Histogram;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A dense name→slot registry: the storage scheme behind every metric
 /// kind.
@@ -69,13 +69,6 @@ impl<T: Default> Registry<T> {
     }
 }
 
-/// One time series: points plus the push counter downsampling uses.
-#[derive(Debug, Clone, Default)]
-struct Series {
-    points: Vec<(SimTime, f64)>,
-    pushes: u64,
-}
-
 /// Handle to a counter slot, resolved once with [`Metrics::counter_id`].
 /// Valid only for the registry (or clones of it) that created it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +82,7 @@ pub struct GaugeId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(u32);
 
-/// A named registry of counters, gauges, histograms and time series.
+/// A named registry of counters, gauges and histograms.
 ///
 /// Names are free-form dotted strings such as `"peer0.commit.latency"`.
 /// Exports are sorted by name so report output is deterministic.
@@ -98,14 +91,6 @@ pub struct Metrics {
     counters: Registry<u64>,
     gauges: Registry<f64>,
     histograms: Registry<Histogram>,
-    series: Registry<Series>,
-    /// Once a series holds this many points, further pushes are
-    /// downsampled; `0` (the default) keeps every point.
-    series_cap: usize,
-    /// Past the cap, keep one push in `series_keep_every`.
-    series_keep_every: u64,
-    /// Points discarded by downsampling.
-    series_dropped: u64,
 }
 
 impl Metrics {
@@ -185,50 +170,6 @@ impl Metrics {
         self.histograms.get(name)
     }
 
-    /// Bounds time-series growth: once a series holds `cap` points,
-    /// only every `keep_every`-th subsequent push is kept (the rest are
-    /// dropped and counted under
-    /// [`Metrics::series_points_dropped`]). `cap = 0` (the default)
-    /// disables downsampling entirely, leaving exports byte-identical
-    /// to unbounded recording.
-    pub fn set_series_downsample(&mut self, cap: usize, keep_every: u64) {
-        self.series_cap = cap;
-        self.series_keep_every = keep_every.max(1);
-        if cap == 0 {
-            for s in &mut self.series.values {
-                s.pushes = 0;
-            }
-        }
-    }
-
-    /// Points dropped by series downsampling so far.
-    pub fn series_points_dropped(&self) -> u64 {
-        self.series_dropped
-    }
-
-    /// Appends a `(time, value)` point to the named time series,
-    /// subject to the downsampling policy set with
-    /// [`Metrics::set_series_downsample`] (off by default).
-    pub fn push_series(&mut self, name: &str, t: SimTime, value: f64) {
-        let id = self.series.id(name);
-        let cap = self.series_cap;
-        let keep_every = self.series_keep_every;
-        let s = self.series.slot(id);
-        if cap > 0 {
-            s.pushes += 1;
-            if s.points.len() >= cap && !s.pushes.is_multiple_of(keep_every) {
-                self.series_dropped += 1;
-                return;
-            }
-        }
-        s.points.push((t, value));
-    }
-
-    /// Reads a time series, if present.
-    pub fn series(&self, name: &str) -> Option<&[(SimTime, f64)]> {
-        self.series.get(name).map(|s| s.points.as_slice())
-    }
-
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter_sorted().map(|(k, v)| (k, *v))
@@ -240,7 +181,7 @@ impl Metrics {
     }
 
     /// Merges another registry into this one (counters add, gauges take the
-    /// other's value, histograms merge, series concatenate).
+    /// other's value, histograms merge).
     pub fn merge(&mut self, other: &Metrics) {
         for (i, name) in other.counters.names.iter().enumerate() {
             let id = self.counters.id(name);
@@ -254,13 +195,6 @@ impl Metrics {
             let id = self.histograms.id(name);
             self.histograms.slot(id).merge(&other.histograms.values[i]);
         }
-        for (i, name) in other.series.names.iter().enumerate() {
-            let id = self.series.id(name);
-            self.series
-                .slot(id)
-                .points
-                .extend_from_slice(&other.series.values[i].points);
-        }
     }
 
     /// Serializes the whole registry to a compact JSON string with
@@ -268,7 +202,7 @@ impl Metrics {
     /// summary statistics). Two registries with identical contents
     /// produce byte-identical output.
     pub fn snapshot_json(&self) -> String {
-        use crate::json::{fmt_f64, Obj};
+        use crate::json::Obj;
         let mut counters = Obj::new();
         for (k, v) in self.counters.iter_sorted() {
             counters = counters.u64(k, *v);
@@ -281,24 +215,13 @@ impl Metrics {
         for (k, h) in self.histograms.iter_sorted() {
             histograms = histograms.raw(k, &histogram_json(h));
         }
-        let mut series = Obj::new();
-        for (k, s) in self.series.iter_sorted() {
-            let mut points = String::with_capacity(s.points.len() * 16 + 2);
-            points.push('[');
-            for (i, (t, v)) in s.points.iter().enumerate() {
-                if i > 0 {
-                    points.push(',');
-                }
-                let _ = write!(points, "[{},{}]", t.as_nanos(), fmt_f64(*v));
-            }
-            points.push(']');
-            series = series.raw(k, &points);
-        }
         Obj::new()
             .raw("counters", &counters.build())
             .raw("gauges", &gauges.build())
             .raw("histograms", &histograms.build())
-            .raw("series", &series.build())
+            // Nothing records time series; the key keeps every committed
+            // export byte-identical.
+            .raw("series", "{}")
             .build()
     }
 
@@ -313,9 +236,6 @@ impl Metrics {
         }
         for (k, h) in self.histograms.iter_sorted() {
             let _ = writeln!(out, "hist    {k}: {}", h.summary());
-        }
-        for (k, s) in self.series.iter_sorted() {
-            let _ = writeln!(out, "series  {k}: {} points", s.points.len());
         }
         out
     }
@@ -390,61 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn series_preserve_order() {
-        let mut m = Metrics::new();
-        m.push_series("p", SimTime::from_secs(1), 1.0);
-        m.push_series("p", SimTime::from_secs(2), 2.0);
-        let s = m.series("p").unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[1], (SimTime::from_secs(2), 2.0));
-    }
-
-    #[test]
-    fn downsampling_bounds_series_growth() {
-        let mut m = Metrics::new();
-        m.set_series_downsample(10, 4);
-        for i in 0..50u64 {
-            m.push_series("s", SimTime::from_nanos(i), i as f64);
-        }
-        let s = m.series("s").unwrap();
-        // First 10 kept verbatim, then every 4th push (12, 16, ... 48).
-        assert_eq!(s.len(), 20);
-        assert_eq!(s[9], (SimTime::from_nanos(9), 9.0));
-        assert_eq!(s[10], (SimTime::from_nanos(11), 11.0)); // push #12
-        assert_eq!(s.last().unwrap().1, 47.0); // push #48
-        assert_eq!(m.series_points_dropped(), 30);
-        // Other series have their own counters.
-        m.push_series("t", SimTime::ZERO, 0.0);
-        assert_eq!(m.series("t").unwrap().len(), 1);
-    }
-
-    #[test]
-    fn downsampling_off_by_default_keeps_everything() {
-        let with_default = |n: u64| {
-            let mut m = Metrics::new();
-            for i in 0..n {
-                m.push_series("s", SimTime::from_nanos(i), i as f64);
-            }
-            m.snapshot_json()
-        };
-        let explicit_off = |n: u64| {
-            let mut m = Metrics::new();
-            m.set_series_downsample(0, 7);
-            for i in 0..n {
-                m.push_series("s", SimTime::from_nanos(i), i as f64);
-            }
-            m.snapshot_json()
-        };
-        assert_eq!(with_default(100), explicit_off(100));
-        let mut m = Metrics::new();
-        for i in 0..100u64 {
-            m.push_series("s", SimTime::from_nanos(i), 0.0);
-        }
-        assert_eq!(m.series("s").unwrap().len(), 100);
-        assert_eq!(m.series_points_dropped(), 0);
-    }
-
-    #[test]
     fn merge_combines_all_kinds() {
         let mut a = Metrics::new();
         a.incr("c", 1);
@@ -453,12 +318,10 @@ mod tests {
         b.incr("c", 2);
         b.record("h", 20);
         b.set_gauge("g", 9.0);
-        b.push_series("s", SimTime::ZERO, 0.0);
         a.merge(&b);
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert_eq!(a.gauge("g"), Some(9.0));
-        assert_eq!(a.series("s").unwrap().len(), 1);
     }
 
     #[test]
@@ -469,7 +332,6 @@ mod tests {
             m.set_gauge("load", 0.75);
             m.record_duration("lat", SimDuration::from_micros(10));
             m.record_duration("lat", SimDuration::from_micros(30));
-            m.push_series("tput", SimTime::from_secs(1), 12.5);
             m.snapshot_json()
         };
         let a = build();
@@ -477,7 +339,7 @@ mod tests {
         assert!(a.contains("\"tx.committed\":3"));
         assert!(a.contains("\"load\":0.75"));
         assert!(a.contains("\"count\":2"));
-        assert!(a.contains("[1000000000,12.5]"));
+        assert!(a.ends_with("\"series\":{}}"));
         // Counters come before gauges, gauges before histograms.
         let c = a.find("\"counters\"").unwrap();
         let g = a.find("\"gauges\"").unwrap();
