@@ -13,6 +13,10 @@ cargo test --workspace -q
 # `pub fn with_*` of every crate must be called (`.with_x(` or
 # `Type::with_x(`) from non-test source of a crate, an example or the
 # benchmark; the source is each file up to its first `#[cfg(test)]`.
+# So does every other public function: a `pub fn` whose name that corpus
+# holds once — its definition — and no other `.rs` file of the repository
+# mentions (integration tests and benches included) is called by its own
+# unit tests at most, and goes.
 # The same pass prints the non-test line counts CHANGES.md entries quote:
 # the total, each crate's, and the largest single file.
 nontest='FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t'
@@ -30,15 +34,25 @@ orphans=$(grep -rhoE 'pub fn with_[a-z_]*' crates/*/src |
     sed 's/pub fn //' | sort -u | while read -r name; do
     grep -qE "[.:]$name\(" "$src" || echo "$name"
 done)
-rm -f "$src"
+tr -cs 'A-Za-z0-9_' '\n' <"$src" | sort | uniq -u >"$src.once"
+uncalled=$(grep -rhoE 'pub fn [A-Za-z0-9_]+' crates/*/src |
+    sed 's/pub fn //' | sort -u | grep -Fxf "$src.once" | while read -r name; do
+    files=$(grep -rlw --include='*.rs' "$name" crates tests examples benchmark/src src | wc -l)
+    [ "$files" -gt 1 ] || echo "$name"
+done)
+rm -f "$src" "$src.once"
 if [ -n "$orphans" ]; then
     echo "options no non-test code sets:" $orphans >&2
+    exit 1
+fi
+if [ -n "$uncalled" ]; then
+    echo "public functions only their own unit tests call:" $uncalled >&2
     exit 1
 fi
 
 # Purity audit: the protocol state machines are sans-IO — they answer
 # with what to do and never name the kernel types that do it.
-for pure in catchup orderer raft; do
+for pure in catchup orderer raft gateway; do
     if awk "$nontest" "crates/fabric/src/$pure.rs" | grep -nE '\b(Context|ServiceHarness|TimerId)\b'; then
         echo "crates/fabric/src/$pure.rs names a kernel type: keep I/O in the actor" >&2
         exit 1

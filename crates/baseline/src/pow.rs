@@ -155,11 +155,6 @@ impl PowChain {
         &self.commits
     }
 
-    /// Transactions still waiting in the mempool.
-    pub fn mempool_len(&self) -> usize {
-        self.mempool.len()
-    }
-
     /// Blocks mined so far.
     pub fn blocks_mined(&self) -> u64 {
         self.blocks_mined
@@ -169,11 +164,6 @@ impl PowChain {
     /// this is the replicated storage footprint.
     pub fn bytes_on_chain(&self) -> u64 {
         self.bytes_on_chain
-    }
-
-    /// Total replicated bytes across all miners.
-    pub fn replicated_bytes(&self) -> u64 {
-        self.bytes_on_chain * u64::from(self.config.miners)
     }
 
     /// Energy burned by the mining network over a span, in joules.
@@ -259,7 +249,6 @@ mod tests {
         assert!(chain.commits().len() < 100);
         chain.advance_to(SimTime::from_secs(10_000));
         assert_eq!(chain.commits().len(), 100);
-        assert_eq!(chain.mempool_len(), 0);
     }
 
     #[test]
@@ -303,11 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn storage_replicated_across_miners() {
+    fn finalized_records_count_as_bytes_on_chain() {
         let mut chain = PowChain::new(fast_config(), 2);
         chain.submit(tx(1, 0));
         chain.advance_to(SimTime::from_secs(1_000));
         assert_eq!(chain.bytes_on_chain(), 500);
-        assert_eq!(chain.replicated_bytes(), 2_000);
     }
 }

@@ -141,7 +141,7 @@ fn run_fabric(clients: usize, size: usize, ops: u64, on_chain: bool) -> (Summary
         .peers
         .iter()
         .copied()
-        .chain([net.orderer])
+        .chain([net.orderers[0]])
         .chain(storage)
         .chain(net.clients.iter().copied());
     let energy = energy_per_tx(&net, actors, &summary, result.span);

@@ -190,7 +190,7 @@ fn build_plan(
         }
         FaultScenario::Partition => {
             let cut = &net.peers[net.peers.len() / 2..];
-            FaultPlan::new().partition_window(cut, &[net.orderer], from, to)
+            FaultPlan::new().partition_window(cut, &[net.orderers[0]], from, to)
         }
     }
 }

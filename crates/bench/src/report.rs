@@ -86,13 +86,6 @@ pub fn breakdown_table(title: impl Into<String>, stages: &BTreeMap<String, Histo
     table
 }
 
-/// Convenience: the breakdown of a single simulation run.
-pub fn stage_breakdown<M>(title: impl Into<String>, sim: &Simulation<M>) -> Table {
-    let mut stages = BTreeMap::new();
-    merge_stages(&mut stages, sim);
-    breakdown_table(title, &stages)
-}
-
 /// Collects per-run metric and trace snapshots of one experiment; saved
 /// as `results/<experiment>.metrics.json`.
 #[derive(Debug, Clone)]
@@ -273,7 +266,9 @@ mod tests {
     #[test]
     fn stage_breakdown_reads_the_tracer() {
         let sim = sim_with_spans();
-        let table = stage_breakdown("t", &sim);
+        let mut stages = BTreeMap::new();
+        merge_stages(&mut stages, &sim);
+        let table = breakdown_table("t", &stages);
         assert_eq!(table.len(), 1);
         assert_eq!(table.text(0, "stage").as_deref(), Some("endorse"));
         assert_eq!(table.num(0, "mean_ms"), Some(2.0));

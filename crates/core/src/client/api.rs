@@ -8,10 +8,10 @@ use std::fmt;
 use std::rc::Rc;
 
 use hyperprov_fabric::GatewayError;
+pub use hyperprov_fabric::RetryPolicy;
 use hyperprov_ledger::{Digest, TxId, ValidationCode};
 use hyperprov_offchain::StoreError;
-use hyperprov_sim::{DetRng, SimDuration, SimTime};
-use rand::Rng;
+use hyperprov_sim::SimTime;
 
 use crate::record::{GraphSlice, HistoryRecord, LineageEntry, ProvenanceRecord, RecordInput};
 
@@ -247,7 +247,7 @@ impl From<GatewayError> for HyperProvError {
     /// Preserves the gateway's error structure: transient failures
     /// (backpressure, deadline expiries) keep their own variants so a
     /// retry policy can classify them; genuine rejections keep the
-    /// chaincode's message.
+    /// chaincode's message; a spent retry budget reports its attempts.
     fn from(err: GatewayError) -> Self {
         match err {
             GatewayError::Busy => HyperProvError::Busy,
@@ -258,47 +258,8 @@ impl From<GatewayError> for HyperProvError {
             GatewayError::Mismatch => {
                 HyperProvError::Rejected("endorsement mismatch across peers".to_owned())
             }
+            GatewayError::Exhausted { attempts } => HyperProvError::Exhausted { attempts },
         }
-    }
-}
-
-/// Deterministic exponential-backoff-with-jitter retry policy for
-/// transient gateway failures ([`GatewayError::Busy`], endorsement
-/// timeouts, commit-wait timeouts). Retried transactions are re-submitted
-/// with a fresh tx id; all randomness comes from the client actor's
-/// seeded stream, so runs are reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempt budget (initial try + retries), at least 1.
-    pub max_attempts: u32,
-}
-
-/// Backoff before the first retry; doubles per subsequent retry.
-const BASE_BACKOFF: SimDuration = SimDuration::from_millis(50);
-/// Upper bound on any single backoff sleep (before jitter).
-const MAX_BACKOFF: SimDuration = SimDuration::from_secs(2);
-/// A backoff is multiplied by a factor drawn uniformly from
-/// `[1 - JITTER_FRAC, 1 + JITTER_FRAC]`.
-const JITTER_FRAC: f64 = 0.2;
-
-impl RetryPolicy {
-    /// A policy with the given attempt budget; the backoff shape is fixed
-    /// (50 ms base, 2 s cap, ±20 % jitter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    pub fn new(max_attempts: u32) -> Self {
-        assert!(max_attempts >= 1, "retry policy needs at least one attempt");
-        RetryPolicy { max_attempts }
-    }
-
-    /// The jittered backoff before retry number `retry` (1-based).
-    pub(super) fn backoff(&self, retry: u32, rng: &mut DetRng) -> SimDuration {
-        let exp = retry.saturating_sub(1).min(20);
-        let raw = BASE_BACKOFF.mul_f64(f64::from(2u32.saturating_pow(exp)));
-        let factor = 1.0 + JITTER_FRAC * rng.gen_range(-1.0..=1.0);
-        raw.min(MAX_BACKOFF).mul_f64(factor)
     }
 }
 

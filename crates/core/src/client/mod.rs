@@ -5,15 +5,16 @@
 //!
 //! [`HyperProvClient`] is a simulation actor; it receives
 //! [`ClientCommand`]s (injected by the synchronous facade or by a workload
-//! driver), drives the blockchain gateways and the storage node, and
+//! driver), drives the blockchain gateway and the storage node, and
 //! pushes [`ClientCompletion`]s into a shared queue the caller drains.
 //!
 //! Every command runs the same way. [`plan`] turns it into a [`Plan`] —
-//! a pure state machine — and the actor keeps two tables: the running
-//! operations, and the gateway requests in flight for them. Every
-//! gateway request of every plan goes through the actor's one `submit`,
-//! so a shard's sub-query of a scattered `list` is counted, retried and
-//! reported as exhausted exactly as a `post` is.
+//! a pure state machine — and the actor keeps the table of running
+//! operations. The gateway requests of their plans live in the client's
+//! one [`Gateway`], another pure machine, which owns deadlines and retry:
+//! a shard's sub-query of a scattered `list` is counted, retried and
+//! reported as exhausted exactly as a `post` is. The actor itself only
+//! moves values between the two and performs what they answer.
 
 mod api;
 mod graph;
@@ -23,15 +24,14 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use hyperprov_fabric::{CostModel, FabricMsg, Gateway, GatewayError, GatewayEvent};
-use hyperprov_ledger::TxId;
+use hyperprov_fabric::{perform, Armed, Caller, CostModel, Gateway, GatewayAction, GatewayReply};
 use hyperprov_offchain::StoreMsg;
 use hyperprov_sim::{Actor, ActorId, Carries, Context, Event, ServiceHarness, SimTime};
 
 pub use self::api::{
     ClientCommand, ClientCompletion, CompletionQueue, HyperProvError, OpId, OpOutput, RetryPolicy,
 };
-use self::plan::{Call, Plan, Reply, Request, Step};
+use self::plan::{Plan, Reply, Request, Step};
 use crate::chaincode::CHAINCODE_NAME;
 
 /// A running operation.
@@ -42,19 +42,19 @@ struct Running {
     plan: Plan,
 }
 
-/// One gateway request of a running operation: in flight under a tx id,
-/// or sleeping out a backoff under a timer token.
+/// The client's tag on a gateway request: the operation it belongs to
+/// (key into `operations`) and the shard it went to.
 #[derive(Debug)]
-struct Tracked {
-    /// The operation it belongs to (key into `operations`).
+pub struct Origin {
+    op: OpId,
     slot: u64,
-    /// The gateway (channel) it was issued on.
     shard: usize,
-    /// Attempts made so far (1 = first try).
-    attempts: u32,
-    /// The call, to re-issue it with a fresh tx id (kept only when a
-    /// retry policy is armed).
-    redo: Option<Call>,
+}
+
+impl Caller for Origin {
+    fn trace(&self) -> String {
+        op_trace(self.op)
+    }
 }
 
 /// The span-trace key of a client operation, e.g. `"op-7"`.
@@ -62,101 +62,62 @@ fn op_trace(op: OpId) -> String {
     format!("op-{}", op.0)
 }
 
-/// Tag bit identifying the client's retry backoff timers. Disjoint from
-/// [`hyperprov_sim::HARNESS_TOKEN_BIT`] (bit 63) and
-/// [`hyperprov_fabric::GATEWAY_TOKEN_BIT`] (bit 62).
-const CLIENT_RETRY_BIT: u64 = 1 << 61;
-
 /// The client actor.
 #[derive(Debug)]
 pub struct HyperProvClient {
-    /// One gateway per channel; index = shard index under
-    /// [`HashRouter`](crate::HashRouter). Single-element on unsharded
-    /// deployments.
-    gateways: Vec<Gateway>,
+    /// Every gateway request of every operation, on every channel; route
+    /// index = shard index under [`HashRouter`](crate::HashRouter).
+    gateway: Gateway<Origin>,
+    /// The kernel handles of the gateway's armed timers.
+    armed: Armed,
     storage: ActorId,
     location_prefix: String,
     costs: CostModel,
     completions: CompletionQueue,
-    retry: Option<RetryPolicy>,
     /// Running operations by slot. The slot is also the correlation token
     /// of the operation's storage transfer (it has at most one).
     operations: HashMap<u64, Running>,
-    /// Gateway requests in flight.
-    requests: HashMap<TxId, Tracked>,
-    /// Gateway requests sleeping out a backoff, by retry timer token.
-    backoffs: HashMap<u64, Tracked>,
-    /// Source of operation slots and retry timer tokens.
-    next_id: u64,
+    next_slot: u64,
     harness: ServiceHarness<NodeMsgOf>,
 }
 
 impl HyperProvClient {
-    /// Creates a client with one gateway per channel (in shard-index
-    /// order; exactly one on an unsharded deployment). Keyed operations
-    /// go to the shard that owns the key; `list` and
+    /// Creates a client over a gateway with one route per channel (in
+    /// shard-index order; exactly one on an unsharded deployment). Keyed
+    /// operations go to the shard that owns the key; `list` and
     /// `get_keys_by_checksum` ask every shard, and on several channels
     /// `get_lineage` and the graph queries walk parent links across
     /// shards client-side (see [`plan`]).
     ///
     /// `location_prefix` is prepended to content digests to form the
     /// on-chain `location` field (e.g. `"sshfs://store0/"`).
-    ///
-    /// Gateway deadline-token salts are assigned here (`index << 32`), so
-    /// several gateways can share this actor's timer space; gateway 0
-    /// keeps salt zero and reproduces the single-gateway token stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gateways` is empty.
     pub fn new(
-        gateways: Vec<Gateway>,
+        gateway: Gateway<Origin>,
         storage: ActorId,
         location_prefix: impl Into<String>,
         costs: CostModel,
     ) -> (Self, CompletionQueue) {
-        assert!(!gateways.is_empty(), "client needs at least one gateway");
-        let gateways = gateways
-            .into_iter()
-            .enumerate()
-            .map(|(i, g)| g.with_token_salt((i as u64) << 32))
-            .collect();
         let completions: CompletionQueue = Rc::new(RefCell::new(VecDeque::new()));
         (
             HyperProvClient {
-                gateways,
+                gateway,
+                armed: Armed::new(),
                 storage,
                 location_prefix: location_prefix.into(),
                 costs,
                 completions: completions.clone(),
-                retry: None,
                 operations: HashMap::new(),
-                requests: HashMap::new(),
-                backoffs: HashMap::new(),
-                next_id: 0,
+                next_slot: 0,
                 harness: ServiceHarness::new("client"),
             },
             completions,
         )
     }
 
-    /// Enables transparent retries of transient gateway failures under
-    /// the given policy.
-    #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
     /// Number of operations currently in flight (including operations
     /// sleeping out a retry backoff).
     pub fn inflight(&self) -> usize {
         self.operations.len()
-    }
-
-    fn next_id(&mut self) -> u64 {
-        self.next_id += 1;
-        self.next_id
     }
 
     fn start(&mut self, ctx: &mut Context<'_, NodeMsgOf>, cmd: ClientCommand) {
@@ -172,11 +133,12 @@ impl HyperProvClient {
         }
         let (plan, requests) = Plan::start(
             cmd,
-            self.gateways.len(),
+            self.gateway.shards(),
             &self.location_prefix,
             now.as_nanos() / 1_000_000,
         );
-        let slot = self.next_id();
+        self.next_slot += 1;
+        let slot = self.next_slot;
         let running = Running {
             op,
             started: now,
@@ -197,7 +159,26 @@ impl HyperProvClient {
         for request in requests {
             let msg = match request {
                 Request::Chain(call) => {
-                    self.submit(ctx, slot, 0, call);
+                    let origin = Origin {
+                        op,
+                        slot,
+                        shard: call.shard,
+                    };
+                    let start = if call.invoke {
+                        Gateway::invoke
+                    } else {
+                        Gateway::query
+                    };
+                    let (function, args) = (call.function, call.args);
+                    let actions = start(
+                        &mut self.gateway,
+                        call.shard,
+                        origin,
+                        CHAINCODE_NAME,
+                        function,
+                        args,
+                    );
+                    self.run(ctx, actions);
                     continue;
                 }
                 // The off-chain transfer phases of a StoreData and of a
@@ -220,90 +201,33 @@ impl HyperProvClient {
         }
     }
 
-    /// Issues (or re-issues) a gateway request — the one place the client
-    /// calls a gateway — and indexes it by the fresh tx id. `attempts`
-    /// counts the tries before this one.
-    fn submit(&mut self, ctx: &mut Context<'_, NodeMsgOf>, slot: u64, attempts: u32, call: Call) {
-        let redo = self.retry.map(|_| call.clone());
-        let Call {
-            shard,
-            invoke,
-            function,
-            args,
-        } = call;
-        let gateway = &mut self.gateways[shard];
-        let tx_id = if invoke {
-            gateway.invoke(ctx, &mut self.harness, CHAINCODE_NAME, function, args)
-        } else {
-            gateway.query(ctx, &mut self.harness, CHAINCODE_NAME, function, args)
+    /// Performs what the gateway answered an input with and, if that
+    /// completed a request, hands the outcome to the plan it belongs to.
+    fn run(&mut self, ctx: &mut Context<'_, NodeMsgOf>, actions: Vec<GatewayAction<Origin>>) {
+        let done = perform(ctx, &mut self.harness, &mut self.armed, actions);
+        let Some((origin, result)) = done else {
+            return;
         };
-        let tracked = Tracked {
-            slot,
-            shard,
-            attempts: attempts + 1,
-            redo,
+        let reply = match result {
+            Ok(GatewayReply::Bytes(bytes)) => Reply::Bytes(bytes),
+            Ok(GatewayReply::Committed {
+                tx_id,
+                code,
+                payload,
+            }) => Reply::Committed {
+                tx_id,
+                code,
+                payload,
+            },
+            Err(error) => Reply::Failed(error.into()),
         };
-        self.requests.insert(tx_id, tracked);
-    }
-
-    /// Terminal-vs-retry decision for a failed gateway request. Transient
-    /// errors are retried on a jittered exponential backoff until the
-    /// attempt budget is spent; everything else (and every failure when no
-    /// policy is armed) is the request's reply to its plan.
-    fn fail_or_retry(
-        &mut self,
-        ctx: &mut Context<'_, NodeMsgOf>,
-        tracked: Tracked,
-        error: GatewayError,
-    ) {
-        if matches!(
-            error,
-            GatewayError::EndorseTimeout | GatewayError::CommitTimeout
-        ) {
-            ctx.metrics().incr("client.timeouts", 1);
-        }
-        let error = match self.retry {
-            Some(policy) if error.is_retryable() => {
-                if tracked.attempts < policy.max_attempts {
-                    let backoff = policy.backoff(tracked.attempts, ctx.rng());
-                    ctx.metrics().incr("client.retries", 1);
-                    ctx.metrics().record_duration("client.backoff", backoff);
-                    if let Some(running) = self.operations.get(&tracked.slot) {
-                        ctx.trace_event(
-                            &op_trace(running.op),
-                            "op.retry",
-                            &format!("attempt={} backoff={backoff}", tracked.attempts + 1),
-                        );
-                    }
-                    let token = CLIENT_RETRY_BIT | self.next_id();
-                    self.backoffs.insert(token, tracked);
-                    ctx.set_timer(backoff, token);
-                    return;
-                }
-                ctx.metrics().incr("client.exhausted", 1);
-                HyperProvError::Exhausted {
-                    attempts: tracked.attempts,
-                }
-            }
-            _ => error.into(),
-        };
-        self.advance(ctx, tracked.slot, tracked.shard, Reply::Failed(error));
-    }
-
-    /// A backoff timer fired: re-issue the sleeping request with a fresh
-    /// tx id.
-    fn on_retry_timer(&mut self, ctx: &mut Context<'_, NodeMsgOf>, token: u64) {
-        if let Some(tracked) = self.backoffs.remove(&token) {
-            if let Some(call) = tracked.redo {
-                self.submit(ctx, tracked.slot, tracked.attempts, call);
-            }
-        }
+        self.advance(ctx, origin.slot, origin.shard, reply);
     }
 
     /// Hands operation `slot`'s plan the reply to one of its requests and
     /// does what it asks next.
     fn advance(&mut self, ctx: &mut Context<'_, NodeMsgOf>, slot: u64, shard: usize, reply: Reply) {
-        let shards = self.gateways.len();
+        let shards = self.gateway.shards();
         let Some(running) = self.operations.get_mut(&slot) else {
             return;
         };
@@ -334,33 +258,6 @@ impl HyperProvClient {
         }
     }
 
-    fn on_gateway_event(&mut self, ctx: &mut Context<'_, NodeMsgOf>, event: GatewayEvent) {
-        let (tx_id, outcome) = match event {
-            GatewayEvent::TxCommitted {
-                tx_id,
-                code,
-                payload,
-                ..
-            } => {
-                let reply = Reply::Committed {
-                    tx_id,
-                    code,
-                    payload,
-                };
-                (tx_id, Ok(reply))
-            }
-            GatewayEvent::TxFailed { tx_id, error } => (tx_id, Err(error)),
-            GatewayEvent::QueryDone { tx_id, result, .. } => (tx_id, result.map(Reply::Bytes)),
-        };
-        let Some(tracked) = self.requests.remove(&tx_id) else {
-            return;
-        };
-        match outcome {
-            Ok(reply) => self.advance(ctx, tracked.slot, tracked.shard, reply),
-            Err(error) => self.fail_or_retry(ctx, tracked, error),
-        }
-    }
-
     fn on_store_msg(&mut self, ctx: &mut Context<'_, NodeMsgOf>, msg: StoreMsg) {
         let (slot, span, reply) = match msg {
             StoreMsg::PutAck { token, result, .. } => {
@@ -383,21 +280,6 @@ impl HyperProvClient {
         let reply = reply.unwrap_or_else(|err| Reply::Failed(HyperProvError::Storage(err)));
         self.advance(ctx, slot, 0, reply);
     }
-
-    /// Which gateway an incoming Fabric message belongs to: the one the
-    /// request table says has the message's transaction in flight.
-    /// Messages for no request of ours (stale commit notifications for
-    /// other clients' txs, answers to requests that timed out) go to
-    /// gateway 0, which ignores them — exactly the single-gateway
-    /// behaviour.
-    fn gateway_for(&self, msg: &FabricMsg) -> usize {
-        let tx_id = match msg {
-            FabricMsg::ProposalResult(resp) => &resp.tx_id,
-            FabricMsg::Commit(event) => &event.tx_id,
-            _ => return 0,
-        };
-        self.requests.get(tx_id).map_or(0, |tracked| tracked.shard)
-    }
 }
 
 /// The message type [`HyperProvClient`] is written against.
@@ -413,35 +295,19 @@ impl Actor<NodeMsgOf> for HyperProvClient {
             Event::Message { msg, .. } => match msg {
                 crate::net::NodeMsg::Client(cmd) => self.start(ctx, cmd),
                 crate::net::NodeMsg::Fabric(fmsg) => {
-                    let gw = self.gateway_for(&fmsg);
-                    let events = self.gateways[gw].handle(ctx, fmsg);
-                    for ev in events {
-                        self.on_gateway_event(ctx, ev);
-                    }
+                    let actions = self.gateway.on_message(fmsg, ctx.rng());
+                    self.run(ctx, actions);
                 }
                 crate::net::NodeMsg::Store(smsg) => self.on_store_msg(ctx, smsg),
             },
+            // CPU-accounting charges (hashing, signing) release in the
+            // harness; every other timer is a gateway wake-up: a per-op
+            // deadline or a retry backoff.
             Event::Timer { token } => {
-                if Gateway::owns_timer(token) {
-                    // A per-op deadline (endorse or commit-wait) expired;
-                    // deadline-token salts make ownership unambiguous.
-                    let gw = self
-                        .gateways
-                        .iter()
-                        .position(|g| g.owns_deadline(token))
-                        .unwrap_or(0);
-                    let events = self.gateways[gw].on_timer(ctx, token);
-                    for ev in events {
-                        self.on_gateway_event(ctx, ev);
-                    }
-                } else if token & CLIENT_RETRY_BIT != 0
-                    && token & hyperprov_sim::HARNESS_TOKEN_BIT == 0
-                {
-                    self.on_retry_timer(ctx, token);
-                } else {
-                    // CPU-accounting charges (hashing, signing) release
-                    // here.
-                    let _ = self.harness.on_timer(ctx, token);
+                if !self.harness.on_timer(ctx, token) {
+                    self.armed.remove(&token);
+                    let actions = self.gateway.on_timer(token, ctx.rng());
+                    self.run(ctx, actions);
                 }
             }
         }

@@ -10,7 +10,7 @@ use hyperprov_device::{link_between, DeviceProfile};
 use hyperprov_fabric::{
     BatchConfig, ChaincodeRegistry, ChannelPolicies, CommitPipeline, Committer, CostModel,
     EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, PeerActor, RaftOrdererActor,
-    SigningIdentity, SnapshotPolicy, SoloOrdererActor, RAFT_TICK_TOKEN,
+    Route, SigningIdentity, SnapshotPolicy, SoloOrdererActor, RAFT_TICK_TOKEN,
 };
 use hyperprov_ledger::{ChannelId, DEFAULT_CHANNEL};
 use hyperprov_offchain::{MemoryStore, StorageActor, StorageCosts};
@@ -384,9 +384,8 @@ pub struct HyperProvNetwork {
     pub sim: Simulation<NodeMsg>,
     /// Peer actor ids, in org order.
     pub peers: Vec<ActorId>,
-    /// The orderer actor (the first cluster member under Raft).
-    pub orderer: ActorId,
-    /// Every ordering-service actor (length 1 under `OrdererMode::Solo`).
+    /// Every ordering-service actor, channel by channel (length 1 on one
+    /// channel under `OrdererMode::Solo`).
     pub orderers: Vec<ActorId>,
     /// The storage node actor.
     pub storage: ActorId,
@@ -621,38 +620,31 @@ impl HyperProvNetwork {
         let mut clients = Vec::new();
         let mut completions = Vec::new();
         for (i, identity) in client_identities.iter().enumerate() {
-            // One gateway per channel. On each channel, endorse at the
+            // One route per channel. On each channel, endorse at the
             // client's home peer first, then the other hosting peers. The
             // any-org policy needs one endorsement.
-            let mut gateways = Vec::with_capacity(chans.len());
-            for chan in chans {
-                let home = chan.hosts[i % chan.hosts.len()];
-                let mut endorsers = vec![peer_ids[home]];
-                endorsers.extend(
-                    chan.hosts
-                        .iter()
-                        .filter(|&&p| p != home)
-                        .map(|&p| peer_ids[p]),
-                );
-                let mut gateway = Gateway::new(
-                    identity.clone(),
-                    chan.id.clone(),
-                    endorsers,
-                    chan.orderers[i % chan.orderers.len()],
-                    1,
-                    config.costs,
-                );
-                if config.endorse_timeout.is_some() || config.commit_timeout.is_some() {
-                    gateway = gateway.with_deadlines(config.endorse_timeout, config.commit_timeout);
-                }
-                gateways.push(gateway);
+            let routes = chans
+                .iter()
+                .map(|chan| {
+                    let home = chan.hosts[i % chan.hosts.len()];
+                    let mut endorsers = vec![peer_ids[home]];
+                    endorsers.extend(
+                        chan.hosts
+                            .iter()
+                            .filter(|&&p| p != home)
+                            .map(|&p| peer_ids[p]),
+                    );
+                    let orderer = chan.orderers[i % chan.orderers.len()];
+                    Route::new(chan.id.clone(), endorsers, orderer, 1)
+                })
+                .collect();
+            let mut gateway = Gateway::new(identity.clone(), routes, config.costs)
+                .with_deadlines(config.endorse_timeout, config.commit_timeout);
+            if let Some(policy) = config.retry {
+                gateway = gateway.with_retry(policy);
             }
             let (client_actor, queue) =
-                HyperProvClient::new(gateways, storage_id, "sshfs://store0/", config.costs);
-            let client_actor = match config.retry {
-                Some(policy) => client_actor.with_retry(policy),
-                None => client_actor,
-            };
+                HyperProvClient::new(gateway, storage_id, "sshfs://store0/", config.costs);
             let id = sim
                 .add_actor_with_speed(Box::new(client_actor), config.client_devices[i].cpu_speed);
             debug_assert_eq!(id, client_ids[i]);
@@ -683,7 +675,6 @@ impl HyperProvNetwork {
         HyperProvNetwork {
             sim,
             peers: peer_ids,
-            orderer: orderers[0],
             orderers,
             storage: storage_id,
             clients: client_ids,

@@ -50,7 +50,7 @@ pub use chaincode::{
 };
 pub use client::{
     plan, ClientCommand, ClientCompletion, CompletionQueue, HyperProvClient, HyperProvError, OpId,
-    OpOutput, RetryPolicy,
+    OpOutput, Origin, RetryPolicy,
 };
 pub use deploy::{ChannelSpec, HyperProvNetwork, NetworkConfig, OrdererMode};
 pub use facade::HyperProv;

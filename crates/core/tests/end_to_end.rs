@@ -304,10 +304,12 @@ fn exported_chain_replays_into_identical_ledger() {
     let loaded = hyperprov_ledger::BlockStore::read_from(buf.as_slice()).unwrap();
     let original = hp.network().ledgers[0].borrow();
     let rebuilt = hyperprov_fabric::Committer::replay(
+        original.channel().clone(),
         original.msp().clone(),
         hyperprov_fabric::ChannelPolicies::new(hyperprov_fabric::EndorsementPolicy::any_of(
             (1..=4).map(|i| hyperprov_fabric::MspId::new(format!("org{i}"))),
         )),
+        None,
         loaded.iter().cloned(),
     )
     .unwrap();

@@ -129,20 +129,6 @@ impl PowerMeter {
         self.model.power(u, hlf_running)
     }
 
-    /// Peak sampled power over `[from, to)`, in watts.
-    pub fn peak_watts(
-        &self,
-        cpu: &CpuResource,
-        from: SimTime,
-        to: SimTime,
-        hlf_running: bool,
-    ) -> f64 {
-        self.sample(cpu, from, to, hlf_running)
-            .iter()
-            .map(|s| s.watts)
-            .fold(self.model.power(0.0, hlf_running), f64::max)
-    }
-
     /// Samples a device hosting *several* processes (e.g. the paper's RPi
     /// running both peer and client): utilisation is the sum over all
     /// CPUs, clamped at 1.
@@ -250,8 +236,6 @@ mod tests {
         let avg = meter.average_watts(&cpu, t(0), t(10), true);
         let expected = 2.71 + (3.64 - 2.71) * 0.5;
         assert!((avg - expected).abs() < 1e-6, "{avg}");
-        let peak = meter.peak_watts(&cpu, t(0), t(10), true);
-        assert!((peak - 3.64).abs() < 1e-6, "{peak}"); // first seconds fully busy
     }
 
     #[test]

@@ -469,43 +469,17 @@ impl Committer {
         })
     }
 
-    /// Rebuilds a peer's entire ledger by re-validating a persisted chain
-    /// block by block — peer restart/recovery. Every signature, policy and
-    /// MVCC decision is recomputed, so the rebuilt state cannot silently
-    /// diverge from what honest validation would have produced.
+    /// Rebuilds a peer's entire ledger on `channel` by re-validating a
+    /// persisted chain block by block — peer restart/recovery. Every
+    /// signature, policy and MVCC decision is recomputed, so the rebuilt
+    /// state cannot silently diverge from what honest validation would
+    /// have produced; with an `indexer` the replay also rebuilds the
+    /// materialized provenance DAG index.
     ///
     /// # Errors
     ///
     /// Returns a [`ChainError`] if the chain does not link correctly.
     pub fn replay(
-        msp: Arc<Msp>,
-        policies: ChannelPolicies,
-        blocks: impl IntoIterator<Item = Block>,
-    ) -> Result<Committer, ChainError> {
-        Committer::replay_channel(ChannelId::default(), msp, policies, blocks)
-    }
-
-    /// [`Committer::replay`] for a named channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ChainError`] if the chain does not link correctly.
-    pub fn replay_channel(
-        channel: ChannelId,
-        msp: Arc<Msp>,
-        policies: ChannelPolicies,
-        blocks: impl IntoIterator<Item = Block>,
-    ) -> Result<Committer, ChainError> {
-        Committer::replay_channel_indexed(channel, msp, policies, None, blocks)
-    }
-
-    /// [`Committer::replay_channel`] with a [`GraphIndexer`] installed, so
-    /// the replay also rebuilds the materialized provenance DAG index.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ChainError`] if the chain does not link correctly.
-    pub fn replay_channel_indexed(
         channel: ChannelId,
         msp: Arc<Msp>,
         policies: ChannelPolicies,
@@ -532,7 +506,7 @@ impl Committer {
     /// Returns a [`ChainError`] if the stored chain does not link
     /// correctly (which would indicate durable-storage corruption).
     pub fn recover(&self) -> Result<Committer, ChainError> {
-        Committer::replay_channel_indexed(
+        Committer::replay(
             self.channel.clone(),
             self.msp.clone(),
             self.policies.clone(),
@@ -1059,8 +1033,10 @@ mod tests {
         original.store().write_to(&mut buf).unwrap();
         let loaded = hyperprov_ledger::BlockStore::read_from(buf.as_slice()).unwrap();
         let rebuilt = Committer::replay(
+            ChannelId::default(),
             n.msp.clone(),
             ChannelPolicies::new(policy),
+            None,
             loaded.iter().cloned(),
         )
         .unwrap();

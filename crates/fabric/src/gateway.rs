@@ -1,24 +1,30 @@
-//! The client gateway: drives the endorse → submit → commit flow.
+//! The client gateway — the role of the paper's NodeJS client library on
+//! top of the Fabric SDK — as a sans-IO state machine: one [`Gateway`]
+//! per client takes what happened (a request, a Fabric message, a timer)
+//! and answers with the [`Action`]s its host actor must perform, in order.
 //!
-//! [`Gateway`] is embedded inside an application actor (the HyperProv
-//! client, a workload generator, ...). The host actor forwards incoming
-//! [`FabricMsg`]s to [`Gateway::handle`] and reacts to the returned
-//! [`GatewayEvent`]s. This mirrors the role of the paper's NodeJS client
-//! library sitting on top of the Fabric SDK.
+//! One table holds every request of the client, on whichever channel. A
+//! row is in one of four phases — *endorsing*, *commit-wait*, *query*,
+//! *backing off* — and each phase waits on exactly one wake-up: the
+//! endorse deadline, the commit deadline, or the backoff sleep. So with
+//! deadlines configured a row exists exactly while its one timer is
+//! armed, and nothing can wedge: every wake-up either ends the row with a
+//! typed error or moves it to a fresh attempt under a fresh tx id.
 
 use std::collections::HashMap;
 
 use hyperprov_ledger::{ChannelId, Digest, Encode, TxId, ValidationCode};
-use hyperprov_sim::{ActorId, Context, ServiceHarness, SimDuration, SimTime, TimerId};
+use hyperprov_sim::{ActorId, DetRng, SimDuration};
+use rand::Rng;
 
 use crate::costs::CostModel;
 use crate::identity::SigningIdentity;
 use crate::messages::{
-    tx_trace, Carries, CommitEvent, Endorsement, Envelope, FabricMsg, Proposal, ProposalResponse,
+    tx_trace, CommitEvent, Endorsement, Envelope, FabricMsg, Proposal, ProposalResponse,
     SignedProposal, BUSY_REASON,
 };
 
-/// Why a gateway operation failed before producing a commit or a query
+/// Why a gateway request failed before producing a commit or a query
 /// result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GatewayError {
@@ -43,6 +49,11 @@ pub enum GatewayError {
     /// The commit notification did not arrive within the deadline — a
     /// lost broadcast, a dead orderer, or a partitioned commit event.
     CommitTimeout,
+    /// The retry budget was spent; every attempt failed transiently.
+    Exhausted {
+        /// How many attempts were made (initial try + retries).
+        attempts: u32,
+    },
 }
 
 impl GatewayError {
@@ -84,154 +95,242 @@ impl std::fmt::Display for GatewayError {
             GatewayError::Mismatch => write!(f, "endorsement mismatch across peers"),
             GatewayError::EndorseTimeout => write!(f, "endorsement deadline exceeded"),
             GatewayError::CommitTimeout => write!(f, "commit deadline exceeded"),
+            GatewayError::Exhausted { attempts } => {
+                write!(f, "retry budget exhausted after {attempts} attempts")
+            }
         }
     }
 }
 
 impl std::error::Error for GatewayError {}
 
-/// Completion notifications surfaced to the host actor.
-#[derive(Debug, Clone)]
-pub enum GatewayEvent {
+/// Deterministic exponential-backoff-with-jitter retry policy for
+/// transient gateway failures ([`GatewayError::Busy`], endorsement
+/// timeouts, commit-wait timeouts). Retried transactions are re-submitted
+/// with a fresh tx id; all randomness comes from the client actor's
+/// seeded stream, so runs are reproducible.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Total attempt budget (initial try + retries), at least 1.
+    pub max_attempts: u32,
+}
+
+/// Backoff before the first retry; doubles per subsequent retry.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(50);
+/// Upper bound on any single backoff sleep (before jitter).
+const MAX_BACKOFF: SimDuration = SimDuration::from_secs(2);
+/// A backoff is multiplied by a factor drawn uniformly from
+/// `[1 - JITTER_FRAC, 1 + JITTER_FRAC]`.
+const JITTER_FRAC: f64 = 0.2;
+
+impl RetryPolicy {
+    /// A policy with the given attempt budget; the backoff shape is fixed
+    /// (50 ms base, 2 s cap, ±20 % jitter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_attempts` is zero.
+    pub fn new(max_attempts: u32) -> Self {
+        assert!(max_attempts >= 1, "retry policy needs at least one attempt");
+        RetryPolicy { max_attempts }
+    }
+
+    /// The jittered backoff before retry number `retry` (1-based).
+    fn backoff(&self, retry: u32, rng: &mut DetRng) -> SimDuration {
+        let exp = retry.saturating_sub(1).min(20);
+        let raw = BASE_BACKOFF.mul_f64(f64::from(2u32.saturating_pow(exp)));
+        let factor = 1.0 + JITTER_FRAC * rng.gen_range(-1.0..=1.0);
+        raw.min(MAX_BACKOFF).mul_f64(factor)
+    }
+}
+
+/// A caller's tag on a request: handed back with the request's outcome,
+/// and naming the trace its retries are noted on (the client's `"op-7"`).
+pub trait Caller {
+    /// The trace key of the operation the request belongs to.
+    fn trace(&self) -> String;
+}
+
+impl Caller for () {
+    fn trace(&self) -> String {
+        String::new()
+    }
+}
+
+/// What a request that succeeded produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// An endorse-only query's result.
+    Bytes(Vec<u8>),
     /// The transaction was committed (validly or not) in a block.
-    TxCommitted {
+    Committed {
         /// The transaction.
         tx_id: TxId,
         /// Validation outcome.
         code: ValidationCode,
-        /// End-to-end latency from `invoke` to commit notification.
-        latency: hyperprov_sim::SimDuration,
         /// The chaincode's response payload agreed at endorsement.
         payload: Vec<u8>,
     },
-    /// The transaction failed before ordering (endorsement error or
-    /// mismatching endorsements).
-    TxFailed {
-        /// The transaction.
-        tx_id: TxId,
-        /// Why it failed.
-        error: GatewayError,
-    },
-    /// An endorse-only query finished.
-    QueryDone {
-        /// The query's proposal id.
-        tx_id: TxId,
-        /// Chaincode result.
-        result: Result<Vec<u8>, GatewayError>,
-        /// Latency from `query` to response.
-        latency: hyperprov_sim::SimDuration,
-    },
 }
 
+/// One thing the host actor must do for the gateway, in the order given:
+/// a send draws link jitter from the actor's random stream and arming a
+/// timer takes a kernel sequence number, so the order is part of the
+/// model. (Short-lived and mostly sends: boxing the message would buy
+/// nothing.)
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-enum Inflight {
-    Tx {
-        started: SimTime,
-        needed: usize,
-        proposal: Box<Proposal>,
-        responses: Vec<ProposalResponse>,
-        submitted: bool,
-        deadline: Option<(u64, TimerId)>,
-    },
-    Query {
-        started: SimTime,
-        deadline: Option<(u64, TimerId)>,
-    },
+pub enum Action<T> {
+    /// Charge this much client CPU (signing and hashing a proposal). It
+    /// models utilisation and energy; nothing waits for it.
+    Charge(SimDuration),
+    /// Send the message, this many bytes on the wire, to the actor.
+    Send(ActorId, u64, FabricMsg),
+    /// Arm the wake-up with this token to fire after the delay.
+    Arm(u64, SimDuration),
+    /// Cancel the armed wake-up with this token.
+    Disarm(u64),
+    /// Open the span of this stage on the transaction's trace.
+    SpanStart(TxId, &'static str),
+    /// Close the span of this stage on the transaction's trace.
+    SpanEnd(TxId, &'static str),
+    /// Note a point event (name, detail) on the trace with this key.
+    Note(String, &'static str, String),
+    /// Add one to the counter of this name.
+    Count(&'static str),
+    /// Record a backoff sleep in the `client.backoff` histogram.
+    Backoff(SimDuration),
+    /// The caller's request is over. Always the last action of an input,
+    /// which completes at most one request.
+    Done(T, Result<Reply, GatewayError>),
 }
 
-impl Inflight {
-    fn take_deadline(&mut self) -> Option<(u64, TimerId)> {
-        match self {
-            Inflight::Tx { deadline, .. } | Inflight::Query { deadline, .. } => deadline.take(),
-        }
-    }
-}
-
-/// Tag bit identifying timer tokens allocated by a [`Gateway`] for per-op
-/// deadlines. Disjoint from both [`hyperprov_sim::HARNESS_TOKEN_BIT`] and
-/// actor-internal small-constant tokens.
-pub const GATEWAY_TOKEN_BIT: u64 = 1 << 62;
-
-/// A Fabric client endpoint bound to one channel's endorsers and orderer.
-/// A client on a multi-channel network embeds one gateway per channel.
+/// Where one channel's requests go. A client on a sharded deployment has
+/// one route per channel, indexed by shard.
 #[derive(Debug)]
-pub struct Gateway {
-    identity: SigningIdentity,
+pub struct Route {
     channel: ChannelId,
     endorsers: Vec<ActorId>,
     orderer: ActorId,
     endorsements_needed: usize,
-    costs: CostModel,
+    /// The channel's proposal nonce: with the channel name and the
+    /// creator it makes every tx id unique.
     nonce: u64,
-    inflight: HashMap<TxId, Inflight>,
-    /// Deadline for the endorsement phase (and for queries). `None`
-    /// disables the timer entirely — zero-cost when off.
-    endorse_timeout: Option<SimDuration>,
-    /// Deadline for the commit-wait phase.
-    commit_timeout: Option<SimDuration>,
-    next_deadline_token: u64,
-    /// Maps an armed deadline token back to its transaction.
-    deadline_tx: HashMap<u64, TxId>,
-    /// OR-ed into every deadline token so several gateways embedded in one
-    /// host actor allocate disjoint token spaces. Zero (the default, and
-    /// always gateway 0 in a deployment) reproduces the single-gateway
-    /// token stream exactly.
-    token_salt: u64,
 }
 
-impl Gateway {
-    /// Creates a gateway.
-    ///
-    /// `endorsements_needed` is how many successful endorsements to collect
-    /// before submitting (derive it from the chaincode's policy via
-    /// [`crate::EndorsementPolicy::min_endorsers`]).
+impl Route {
+    /// A route to `channel`: proposals go to the first
+    /// `endorsements_needed` of `endorsers` (derive the count from the
+    /// chaincode's policy via [`crate::EndorsementPolicy::min_endorsers`]),
+    /// queries to the first, envelopes to `orderer`.
     ///
     /// # Panics
     ///
-    /// Panics if `endorsers` is empty or `endorsements_needed` exceeds the
-    /// endorser count.
+    /// Panics if `endorsers` is empty or `endorsements_needed` is not in
+    /// `1..=endorsers.len()`.
     pub fn new(
-        identity: SigningIdentity,
         channel: impl Into<ChannelId>,
         endorsers: Vec<ActorId>,
         orderer: ActorId,
         endorsements_needed: usize,
-        costs: CostModel,
     ) -> Self {
-        assert!(!endorsers.is_empty(), "gateway needs at least one endorser");
+        assert!(!endorsers.is_empty(), "a route needs at least one endorser");
         assert!(
             endorsements_needed >= 1 && endorsements_needed <= endorsers.len(),
             "endorsements_needed must be in 1..=endorsers.len()"
         );
-        Gateway {
-            identity,
+        Route {
             channel: channel.into(),
             endorsers,
             orderer,
             endorsements_needed,
-            costs,
             nonce: 0,
-            inflight: HashMap::new(),
-            endorse_timeout: None,
-            commit_timeout: None,
-            next_deadline_token: 0,
-            deadline_tx: HashMap::new(),
-            token_salt: 0,
         }
     }
+}
 
-    /// Sets the deadline-token salt for a gateway embedded alongside
-    /// others in the same host actor (use a distinct per-gateway value,
-    /// e.g. `(index as u64) << 32`).
-    #[must_use]
-    pub fn with_token_salt(mut self, salt: u64) -> Self {
-        debug_assert_eq!(
-            salt & (GATEWAY_TOKEN_BIT | hyperprov_sim::HARNESS_TOKEN_BIT),
-            0,
-            "token salt must not collide with the namespace tag bits"
-        );
-        self.token_salt = salt;
-        self
+/// A chaincode call, kept to issue it again under a fresh tx id.
+#[derive(Debug, Clone)]
+struct Call {
+    /// A full transaction rather than an endorse-only query.
+    invoke: bool,
+    chaincode: &'static str,
+    function: &'static str,
+    args: Vec<Vec<u8>>,
+}
+
+/// What a request is waiting for. Each phase has one wake-up.
+#[derive(Debug)]
+enum Phase {
+    /// Endorsements of the proposal (the endorse deadline).
+    Endorsing {
+        proposal: Box<Proposal>,
+        responses: Vec<ProposalResponse>,
+    },
+    /// The commit notification of the submitted envelope, whose agreed
+    /// chaincode response is `payload` (the commit deadline).
+    CommitWait { payload: Vec<u8> },
+    /// The one endorser's answer (the endorse deadline).
+    Query,
+    /// The backoff sleep before the next attempt. The row stays under the
+    /// failed attempt's tx id, whose late replies it ignores.
+    BackingOff,
+}
+
+/// One caller request, from `invoke` / `query` to its `Done`.
+#[derive(Debug)]
+struct Row<T> {
+    caller: T,
+    /// The route it was issued on.
+    shard: usize,
+    /// Attempts started so far (1 = first try).
+    attempts: u32,
+    /// The armed wake-up, if the phase has one configured.
+    token: Option<u64>,
+    /// The call, to issue it again (kept only under a retry policy).
+    redo: Option<Call>,
+    phase: Phase,
+}
+
+/// A Fabric client endpoint: every request of one client identity, on
+/// every channel it has a [`Route`] to.
+#[derive(Debug)]
+pub struct Gateway<T> {
+    identity: SigningIdentity,
+    routes: Vec<Route>,
+    costs: CostModel,
+    /// Deadline of the endorsement phase and of queries; `None` arms no
+    /// timer at all.
+    endorse_timeout: Option<SimDuration>,
+    /// Deadline of the commit-wait phase.
+    commit_timeout: Option<SimDuration>,
+    retry: Option<RetryPolicy>,
+    /// The requests in flight, by the tx id of their latest attempt —
+    /// what replies carry. Wake-ups fire only when something went wrong,
+    /// so the row of a token is found by scanning.
+    rows: HashMap<TxId, Row<T>>,
+    next_token: u64,
+}
+
+impl<T: Caller> Gateway<T> {
+    /// Creates a gateway signing as `identity`, with one route per
+    /// channel in shard-index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routes` is empty.
+    pub fn new(identity: SigningIdentity, routes: Vec<Route>, costs: CostModel) -> Self {
+        assert!(!routes.is_empty(), "gateway needs at least one route");
+        Gateway {
+            identity,
+            routes,
+            costs,
+            endorse_timeout: None,
+            commit_timeout: None,
+            retry: None,
+            rows: HashMap::new(),
+            next_token: 0,
+        }
     }
 
     /// Arms per-op deadlines: `endorse` bounds the endorsement/query phase,
@@ -239,8 +338,8 @@ impl Gateway {
     /// unbounded (the default — no timers are ever set, so a gateway
     /// without deadlines behaves exactly as before they existed).
     ///
-    /// The host actor must route timer tokens for which
-    /// [`Gateway::owns_timer`] is true into [`Gateway::on_timer`].
+    /// The host actor must route every timer token that is not its own
+    /// into [`Gateway::on_timer`]; tokens count up from 1.
     #[must_use]
     pub fn with_deadlines(
         mut self,
@@ -252,372 +351,339 @@ impl Gateway {
         self
     }
 
-    /// True when `token` is a deadline timer owned by a gateway (route it
-    /// to [`Gateway::on_timer`]).
-    pub fn owns_timer(token: u64) -> bool {
-        token & GATEWAY_TOKEN_BIT != 0 && token & hyperprov_sim::HARNESS_TOKEN_BIT == 0
+    /// Enables transparent retries of transient failures under `policy`:
+    /// a fresh attempt under a fresh tx id after a jittered exponential
+    /// backoff, until the attempt budget is spent.
+    #[must_use]
+    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
+        self.retry = Some(policy);
+        self
     }
 
-    fn arm_deadline<M>(
+    /// Number of channels this gateway has a route to.
+    pub fn shards(&self) -> usize {
+        self.routes.len()
+    }
+
+    /// Requests in flight, including those sleeping out a backoff.
+    pub fn inflight(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Starts a full transaction on route `shard`: endorse on the route's
+    /// first `endorsements_needed` endorsers, then order, then wait for
+    /// the commit event.
+    pub fn invoke(
         &mut self,
-        ctx: &mut Context<'_, M>,
-        tx_id: TxId,
-        timeout: Option<SimDuration>,
-    ) -> Option<(u64, TimerId)> {
-        let timeout = timeout?;
-        self.next_deadline_token += 1;
-        let token = GATEWAY_TOKEN_BIT | self.token_salt | self.next_deadline_token;
-        self.deadline_tx.insert(token, tx_id);
-        let timer = ctx.set_timer(timeout, token);
-        Some((token, timer))
-    }
-
-    /// Cancels and forgets an armed deadline.
-    fn disarm<M>(&mut self, ctx: &mut Context<'_, M>, deadline: Option<(u64, TimerId)>) {
-        if let Some((token, timer)) = deadline {
-            self.deadline_tx.remove(&token);
-            ctx.cancel_timer(timer);
-        }
-    }
-
-    /// The client certificate this gateway signs with.
-    pub fn identity(&self) -> &SigningIdentity {
-        &self.identity
-    }
-
-    /// The channel this gateway submits to.
-    pub fn channel(&self) -> &ChannelId {
-        &self.channel
-    }
-
-    /// True when this gateway armed the deadline `token` (used by hosts
-    /// with several gateways to route timers to the right one).
-    pub fn owns_deadline(&self, token: u64) -> bool {
-        self.deadline_tx.contains_key(&token)
-    }
-
-    /// Builds and signs a proposal, returning it together with its tx id
-    /// and wire size. The canonical encoding is produced exactly once:
-    /// the signature covers it, the tx id is its digest and the wire size
-    /// is its length.
-    fn make_signed<M: Carries<FabricMsg>>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        harness: &mut ServiceHarness<M>,
-        chaincode: &str,
-        function: &str,
+        shard: usize,
+        caller: T,
+        chaincode: &'static str,
+        function: &'static str,
         args: Vec<Vec<u8>>,
-    ) -> (SignedProposal, TxId, u64) {
-        self.nonce += 1;
-        let proposal = Proposal {
-            channel: self.channel.clone(),
-            chaincode: chaincode.to_owned(),
-            function: function.to_owned(),
+    ) -> Vec<Action<T>> {
+        let call = Call {
+            invoke: true,
+            chaincode,
+            function,
             args,
+        };
+        self.issue(caller, shard, 0, call)
+    }
+
+    /// Starts an endorse-only query against the first endorser of route
+    /// `shard`.
+    pub fn query(
+        &mut self,
+        shard: usize,
+        caller: T,
+        chaincode: &'static str,
+        function: &'static str,
+        args: Vec<Vec<u8>>,
+    ) -> Vec<Action<T>> {
+        let call = Call {
+            invoke: false,
+            chaincode,
+            function,
+            args,
+        };
+        self.issue(caller, shard, 0, call)
+    }
+
+    /// Issues attempt `attempts + 1` of `call`: builds and signs the
+    /// proposal — encoded exactly once: the signature covers the bytes,
+    /// the tx id is their digest and the wire size their length — and
+    /// sends it, under the endorse deadline.
+    fn issue(&mut self, caller: T, shard: usize, attempts: u32, call: Call) -> Vec<Action<T>> {
+        let redo = self.retry.map(|_| call.clone());
+        let route = &mut self.routes[shard];
+        route.nonce += 1;
+        let proposal = Proposal {
+            channel: route.channel.clone(),
+            chaincode: call.chaincode.to_owned(),
+            function: call.function.to_owned(),
+            args: call.args,
             creator: self.identity.certificate().clone(),
-            nonce: self.nonce,
+            nonce: route.nonce,
         };
         let bytes = proposal.to_bytes();
         let tx_id = TxId(Digest::of(&bytes));
-        // Charge client CPU (signing + hashing); results ship immediately —
-        // the charge models utilisation/energy, not a response gate.
-        harness.charge(ctx, self.costs.client_proposal_cost(bytes.len() as u64));
-        let sp = SignedProposal {
-            signature: self.identity.sign(&bytes),
-            proposal,
-        };
-        (sp, tx_id, bytes.len() as u64)
-    }
-
-    /// Starts a full transaction: endorse on `endorsements_needed`
-    /// endorsers, then order, then wait for the commit event.
-    ///
-    /// `harness` is the host actor's service harness; it absorbs the
-    /// client-side CPU charge for signing the proposal.
-    pub fn invoke<M: Carries<FabricMsg>>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        harness: &mut ServiceHarness<M>,
-        chaincode: &str,
-        function: &str,
-        args: Vec<Vec<u8>>,
-    ) -> TxId {
-        let (sp, tx_id, wire) = self.make_signed(ctx, harness, chaincode, function, args);
-        // The endorse span covers the whole client-side collection phase:
-        // it closes in `submit` (or on failure), where `commit_wait` opens.
-        ctx.span_start(&tx_trace(&tx_id), "endorse", "");
-        let deadline = self.arm_deadline(ctx, tx_id, self.endorse_timeout);
-        self.inflight.insert(
-            tx_id,
-            Inflight::Tx {
-                started: ctx.now(),
-                needed: self.endorsements_needed,
-                proposal: Box::new(sp.proposal.clone()),
+        let wire = bytes.len() as u64;
+        let signature = self.identity.sign(&bytes);
+        // The endorse span covers the whole collection phase: it closes
+        // at submit (or on failure), where `commit_wait` opens.
+        let (targets, stage, phase) = if call.invoke {
+            let phase = Phase::Endorsing {
+                proposal: Box::new(proposal.clone()),
                 responses: Vec::new(),
-                submitted: false,
-                deadline,
-            },
-        );
-        let bytes = wire + 32;
+            };
+            (route.endorsements_needed, "endorse", phase)
+        } else {
+            (1, "query", Phase::Query)
+        };
+        let mut out = Vec::with_capacity(3 + targets);
+        out.push(Action::Charge(self.costs.client_proposal_cost(wire)));
+        out.push(Action::SpanStart(tx_id, stage));
+        let token = arm(&mut self.next_token, self.endorse_timeout, &mut out);
         // The last endorser gets the proposal by move, the rest by clone.
-        let mut sp = Some(sp);
-        for i in 0..self.endorsements_needed {
-            let dst = self.endorsers[i];
-            let msg = if i + 1 == self.endorsements_needed {
-                sp.take().expect("sent exactly once")
+        let mut signed = Some(SignedProposal {
+            proposal,
+            signature,
+        });
+        for (i, &endorser) in route.endorsers[..targets].iter().enumerate() {
+            let signed = if i + 1 == targets {
+                signed.take()
             } else {
-                sp.as_ref().expect("taken only on the last send").clone()
+                signed.clone()
             };
-            ctx.send(dst, bytes, M::wrap(FabricMsg::SubmitProposal(msg)));
+            let msg = FabricMsg::SubmitProposal(signed.expect("taken on the last send only"));
+            out.push(Action::Send(endorser, wire + 32, msg));
         }
-        tx_id
+        let row = Row {
+            caller,
+            shard,
+            attempts: attempts + 1,
+            token,
+            redo,
+            phase,
+        };
+        self.rows.insert(tx_id, row);
+        out
     }
 
-    /// Starts an endorse-only query against the first endorser.
-    pub fn query<M: Carries<FabricMsg>>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        harness: &mut ServiceHarness<M>,
-        chaincode: &str,
-        function: &str,
-        args: Vec<Vec<u8>>,
-    ) -> TxId {
-        let (sp, tx_id, wire) = self.make_signed(ctx, harness, chaincode, function, args);
-        ctx.span_start(&tx_trace(&tx_id), "query", "");
-        let deadline = self.arm_deadline(ctx, tx_id, self.endorse_timeout);
-        self.inflight.insert(
-            tx_id,
-            Inflight::Query {
-                started: ctx.now(),
-                deadline,
-            },
-        );
-        let bytes = wire + 32;
-        let dst = self.endorsers[0];
-        ctx.send(dst, bytes, M::wrap(FabricMsg::SubmitProposal(sp)));
-        tx_id
-    }
-
-    /// Feeds an incoming Fabric message to the gateway. Returns any
-    /// completions. Non-gateway messages are ignored.
-    pub fn handle<M: Carries<FabricMsg>>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        msg: FabricMsg,
-    ) -> Vec<GatewayEvent> {
+    /// Feeds an incoming Fabric message to the gateway. Messages that
+    /// are not an answer to a live attempt — another client's commit, a
+    /// reply to an attempt that already timed out, an extra endorsement
+    /// after submit — do nothing. `rng` is the host actor's stream: a
+    /// rejection that is retried draws its backoff from it.
+    pub fn on_message(&mut self, msg: FabricMsg, rng: &mut DetRng) -> Vec<Action<T>> {
+        let mut out = Vec::new();
         match msg {
-            FabricMsg::ProposalResult(resp) => self.on_response(ctx, resp),
-            FabricMsg::Commit(event) => self.on_commit(ctx, event),
-            _ => Vec::new(),
+            FabricMsg::ProposalResult(resp) => self.on_response(resp, rng, &mut out),
+            FabricMsg::Commit(event) => self.on_commit(event, &mut out),
+            _ => {}
         }
+        out
     }
 
-    fn on_response<M: Carries<FabricMsg>>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        resp: ProposalResponse,
-    ) -> Vec<GatewayEvent> {
+    fn on_response(&mut self, resp: ProposalResponse, rng: &mut DetRng, out: &mut Vec<Action<T>>) {
         let tx_id = resp.tx_id;
-        match self.inflight.get_mut(&tx_id) {
-            Some(Inflight::Query { started, .. }) => {
-                let latency = ctx.now() - *started;
-                let mut entry = self
-                    .inflight
-                    .remove(&tx_id)
-                    .expect("invariant: entry matched above");
-                let deadline = entry.take_deadline();
-                self.disarm(ctx, deadline);
-                ctx.span_end(&tx_trace(&tx_id), "query", "");
-                vec![GatewayEvent::QueryDone {
-                    tx_id,
-                    result: resp.result.map_err(GatewayError::from_query),
-                    latency,
-                }]
-            }
-            Some(Inflight::Tx {
-                needed,
-                responses,
-                submitted,
-                ..
-            }) => {
-                if *submitted {
-                    return Vec::new(); // stale extra endorsement
+        let Some(row) = self.rows.get_mut(&tx_id) else {
+            return;
+        };
+        let needed = self.routes[row.shard].endorsements_needed;
+        let (stage, note, error) = match &mut row.phase {
+            Phase::Query => match resp.result {
+                Ok(bytes) => {
+                    let row = self.close(tx_id, "query", out);
+                    out.push(Action::Done(row.caller, Ok(Reply::Bytes(bytes))));
+                    return;
                 }
-                if let Err(reason) = &resp.result {
-                    // Fail fast, as the Fabric SDK does.
-                    let reason = reason.clone();
-                    let mut entry = self
-                        .inflight
-                        .remove(&tx_id)
-                        .expect("invariant: entry matched above");
-                    let deadline = entry.take_deadline();
-                    self.disarm(ctx, deadline);
-                    ctx.span_end(&tx_trace(&tx_id), "endorse", "");
-                    ctx.trace_event(&tx_trace(&tx_id), "endorse.rejected", &reason);
-                    return vec![GatewayEvent::TxFailed {
-                        tx_id,
-                        error: GatewayError::from_endorsement(reason),
-                    }];
+                Err(reason) => ("query", None, GatewayError::from_query(reason)),
+            },
+            Phase::Endorsing { responses, .. } => match &resp.result {
+                // Fail fast, as the Fabric SDK does.
+                Err(reason) => (
+                    "endorse",
+                    Some(("endorse.rejected", reason.clone())),
+                    GatewayError::from_endorsement(reason.clone()),
+                ),
+                Ok(_) => {
+                    responses.push(resp);
+                    if responses.len() < needed {
+                        return;
+                    }
+                    let first = &responses[0];
+                    let agree = responses
+                        .iter()
+                        .all(|r| r.rwset == first.rwset && r.result == first.result);
+                    if agree {
+                        return self.submit(tx_id, out);
+                    }
+                    let note = ("endorse.mismatch", String::new());
+                    ("endorse", Some(note), GatewayError::Mismatch)
                 }
-                responses.push(resp);
-                if responses.len() < *needed {
-                    return Vec::new();
-                }
-                // All endorsements collected: check they agree.
-                let first = &responses[0];
-                let agree = responses
-                    .iter()
-                    .all(|r| r.rwset == first.rwset && r.result == first.result);
-                if !agree {
-                    let mut entry = self
-                        .inflight
-                        .remove(&tx_id)
-                        .expect("invariant: entry matched above");
-                    let deadline = entry.take_deadline();
-                    self.disarm(ctx, deadline);
-                    ctx.span_end(&tx_trace(&tx_id), "endorse", "");
-                    ctx.trace_event(&tx_trace(&tx_id), "endorse.mismatch", "");
-                    return vec![GatewayEvent::TxFailed {
-                        tx_id,
-                        error: GatewayError::Mismatch,
-                    }];
-                }
-                self.submit(ctx, tx_id);
-                Vec::new()
-            }
-            None => Vec::new(),
+            },
+            Phase::CommitWait { .. } | Phase::BackingOff => return,
+        };
+        let row = self.close(tx_id, stage, out);
+        if let Some((name, detail)) = note {
+            out.push(Action::Note(tx_trace(&tx_id), name, detail));
         }
+        self.fail(tx_id, row, error, rng, out);
     }
 
-    /// Assembles the envelope from the stored proposal and collected
-    /// endorsements and broadcasts it to the orderer.
-    fn submit<M: Carries<FabricMsg>>(&mut self, ctx: &mut Context<'_, M>, tx_id: TxId) {
-        let (envelope, old_deadline) = {
-            let Some(Inflight::Tx {
-                proposal,
-                responses,
-                submitted,
-                deadline,
-                ..
-            }) = self.inflight.get_mut(&tx_id)
-            else {
-                return;
-            };
-            let first = responses
-                .first()
-                .expect("invariant: submit runs only after `needed >= 1` endorsements collected");
-            let envelope = Envelope {
-                proposal: proposal.as_ref().clone(),
-                payload: first.result.clone().unwrap_or_default(),
-                rwset: first.rwset.clone(),
-                event: first.event.clone(),
-                endorsements: responses
-                    .iter()
-                    .map(|r| Endorsement {
-                        endorser: r.endorser.clone(),
-                        signature: r.signature,
-                    })
-                    .collect(),
-            };
-            *submitted = true;
-            (envelope, deadline.take())
+    /// The attempt under `tx_id` got its answer: takes its row out of the
+    /// table, disarming its deadline and closing its `stage` span.
+    fn close(&mut self, tx_id: TxId, stage: &'static str, out: &mut Vec<Action<T>>) -> Row<T> {
+        let mut row = self
+            .rows
+            .remove(&tx_id)
+            .expect("invariant: callers looked the row up");
+        out.extend(row.token.take().map(Action::Disarm));
+        out.push(Action::SpanEnd(tx_id, stage));
+        row
+    }
+
+    /// All endorsements are in and agree: assembles the envelope,
+    /// broadcasts it to the orderer and moves to commit-wait, so a lost
+    /// broadcast or commit notification cannot wedge the client.
+    fn submit(&mut self, tx_id: TxId, out: &mut Vec<Action<T>>) {
+        let row = self.rows.get_mut(&tx_id).expect("caller looked it up");
+        let Phase::Endorsing {
+            proposal,
+            responses,
+        } = std::mem::replace(&mut row.phase, Phase::BackingOff)
+        else {
+            unreachable!("submit runs on an endorsing row");
         };
-        // The endorsement phase met its deadline; re-arm for commit-wait so
-        // a lost broadcast or commit notification cannot wedge the client.
-        self.disarm(ctx, old_deadline);
-        let commit_deadline = self.arm_deadline(ctx, tx_id, self.commit_timeout);
-        if let Some(Inflight::Tx { deadline, .. }) = self.inflight.get_mut(&tx_id) {
-            *deadline = commit_deadline;
-        }
+        let endorsements = responses
+            .iter()
+            .map(|r| Endorsement {
+                endorser: r.endorser.clone(),
+                signature: r.signature,
+            })
+            .collect();
+        let first = responses
+            .into_iter()
+            .next()
+            .expect("invariant: submit runs only after `needed >= 1` endorsements");
+        let payload = first.result.unwrap_or_default();
+        let envelope = Envelope {
+            proposal: *proposal,
+            payload: payload.clone(),
+            rwset: first.rwset,
+            event: first.event,
+            endorsements,
+        };
+        row.phase = Phase::CommitWait { payload };
+        out.extend(row.token.take().map(Action::Disarm));
+        row.token = arm(&mut self.next_token, self.commit_timeout, out);
         let bytes = envelope.wire_size();
-        let orderer = self.orderer;
-        ctx.send(orderer, bytes, M::wrap(FabricMsg::Broadcast(envelope)));
-        // Endorsements are in; from here the client just waits for the
-        // commit notification. The two spans are contiguous, so their
-        // durations sum exactly to the end-to-end invoke latency.
-        let trace = tx_trace(&tx_id);
-        ctx.span_end(&trace, "endorse", "");
-        ctx.span_start(&trace, "commit_wait", "");
+        let orderer = self.routes[row.shard].orderer;
+        out.push(Action::Send(orderer, bytes, FabricMsg::Broadcast(envelope)));
+        // The two spans are contiguous, so their durations sum exactly to
+        // the end-to-end invoke latency.
+        out.push(Action::SpanEnd(tx_id, "endorse"));
+        out.push(Action::SpanStart(tx_id, "commit_wait"));
     }
 
-    fn on_commit<M: Carries<FabricMsg>>(
+    fn on_commit(&mut self, event: CommitEvent, out: &mut Vec<Action<T>>) {
+        let tx_id = event.tx_id;
+        let Some(Phase::CommitWait { payload }) = self.rows.get_mut(&tx_id).map(|r| &mut r.phase)
+        else {
+            return;
+        };
+        let payload = std::mem::take(payload);
+        let row = self.close(tx_id, "commit_wait", out);
+        let code = event.code;
+        let reply = Reply::Committed {
+            tx_id,
+            code,
+            payload,
+        };
+        out.push(Action::Done(row.caller, Ok(reply)));
+    }
+
+    /// A wake-up fired. A deadline abandons the attempt — its span
+    /// closes, its row leaves the table, nothing can leak — and a backoff
+    /// issues the next one. Tokens of finished requests do nothing.
+    pub fn on_timer(&mut self, token: u64, rng: &mut DetRng) -> Vec<Action<T>> {
+        let found = self.rows.iter().find(|(_, row)| row.token == Some(token));
+        let Some(tx_id) = found.map(|(tx_id, _)| *tx_id) else {
+            return Vec::new();
+        };
+        let mut row = self.rows.remove(&tx_id).expect("found above");
+        row.token = None;
+        let (stage, event, error) = match row.phase {
+            Phase::Endorsing { .. } => ("endorse", "endorse.timeout", GatewayError::EndorseTimeout),
+            Phase::CommitWait { .. } => {
+                ("commit_wait", "commit.timeout", GatewayError::CommitTimeout)
+            }
+            Phase::Query => ("query", "query.timeout", GatewayError::EndorseTimeout),
+            Phase::BackingOff => {
+                let call = row.redo.expect("invariant: only a kept call backs off");
+                return self.issue(row.caller, row.shard, row.attempts, call);
+            }
+        };
+        let mut out = vec![
+            Action::SpanEnd(tx_id, stage),
+            Action::Note(tx_trace(&tx_id), event, String::new()),
+        ];
+        self.fail(tx_id, row, error, rng, &mut out);
+        out
+    }
+
+    /// The attempt under `tx_id` failed with `error`, and `row` is out of
+    /// the table with nothing armed. A transient error goes back in to
+    /// sleep out a jittered exponential backoff until the attempt budget
+    /// is spent; everything else (and every failure without a policy) is
+    /// the request's outcome.
+    fn fail(
         &mut self,
-        ctx: &mut Context<'_, M>,
-        event: CommitEvent,
-    ) -> Vec<GatewayEvent> {
-        match self.inflight.remove(&event.tx_id) {
-            Some(Inflight::Tx {
-                started,
-                responses,
-                deadline,
-                ..
-            }) => {
-                self.disarm(ctx, deadline);
-                let latency = ctx.now() - started;
-                ctx.span_end(&tx_trace(&event.tx_id), "commit_wait", "");
-                let payload = responses
-                    .first()
-                    .and_then(|r| r.result.clone().ok())
-                    .unwrap_or_default();
-                vec![GatewayEvent::TxCommitted {
-                    tx_id: event.tx_id,
-                    code: event.code,
-                    latency,
-                    payload,
-                }]
-            }
-            Some(other) => {
-                // A query cannot commit; put it back.
-                self.inflight.insert(event.tx_id, other);
-                Vec::new()
-            }
-            None => Vec::new(),
+        tx_id: TxId,
+        mut row: Row<T>,
+        error: GatewayError,
+        rng: &mut DetRng,
+        out: &mut Vec<Action<T>>,
+    ) {
+        if matches!(
+            error,
+            GatewayError::EndorseTimeout | GatewayError::CommitTimeout
+        ) {
+            out.push(Action::Count("client.timeouts"));
         }
+        let error = match self.retry {
+            Some(policy) if error.is_retryable() => {
+                if row.attempts < policy.max_attempts {
+                    let backoff = policy.backoff(row.attempts, rng);
+                    out.push(Action::Count("client.retries"));
+                    out.push(Action::Backoff(backoff));
+                    let detail = format!("attempt={} backoff={backoff}", row.attempts + 1);
+                    out.push(Action::Note(row.caller.trace(), "op.retry", detail));
+                    row.token = arm(&mut self.next_token, Some(backoff), out);
+                    row.phase = Phase::BackingOff;
+                    self.rows.insert(tx_id, row);
+                    return;
+                }
+                out.push(Action::Count("client.exhausted"));
+                GatewayError::Exhausted {
+                    attempts: row.attempts,
+                }
+            }
+            _ => error,
+        };
+        out.push(Action::Done(row.caller, Err(error)));
     }
+}
 
-    /// Handles a deadline timer (a token for which [`Gateway::owns_timer`]
-    /// is true). The expired operation is abandoned: its open span closes,
-    /// its pending-tx entry is removed — nothing can leak — and a
-    /// [`GatewayEvent::TxFailed`] / [`GatewayEvent::QueryDone`] with the
-    /// matching timeout error is returned. Tokens of already-finished
-    /// operations return no events.
-    pub fn on_timer<M>(&mut self, ctx: &mut Context<'_, M>, token: u64) -> Vec<GatewayEvent> {
-        let Some(tx_id) = self.deadline_tx.remove(&token) else {
-            return Vec::new();
-        };
-        let Some(entry) = self.inflight.remove(&tx_id) else {
-            return Vec::new();
-        };
-        let trace = tx_trace(&tx_id);
-        match entry {
-            Inflight::Tx {
-                submitted: true, ..
-            } => {
-                ctx.span_end(&trace, "commit_wait", "");
-                ctx.trace_event(&trace, "commit.timeout", "");
-                vec![GatewayEvent::TxFailed {
-                    tx_id,
-                    error: GatewayError::CommitTimeout,
-                }]
-            }
-            Inflight::Tx { .. } => {
-                ctx.span_end(&trace, "endorse", "");
-                ctx.trace_event(&trace, "endorse.timeout", "");
-                vec![GatewayEvent::TxFailed {
-                    tx_id,
-                    error: GatewayError::EndorseTimeout,
-                }]
-            }
-            Inflight::Query { started, .. } => {
-                let latency = ctx.now() - started;
-                ctx.span_end(&trace, "query", "");
-                ctx.trace_event(&trace, "query.timeout", "");
-                vec![GatewayEvent::QueryDone {
-                    tx_id,
-                    result: Err(GatewayError::EndorseTimeout),
-                    latency,
-                }]
-            }
-        }
-    }
+/// Arms a fresh wake-up after `delay`, if the phase has one configured.
+fn arm<T>(
+    next_token: &mut u64,
+    delay: Option<SimDuration>,
+    out: &mut Vec<Action<T>>,
+) -> Option<u64> {
+    let delay = delay?;
+    *next_token += 1;
+    out.push(Action::Arm(*next_token, delay));
+    Some(*next_token)
 }

@@ -156,14 +156,6 @@ pub struct Msp {
 }
 
 impl Msp {
-    /// True if the certificate is enrolled (same subject/org/id).
-    pub fn is_enrolled(&self, cert: &Certificate) -> bool {
-        self.certs
-            .get(&cert.id)
-            .map(|(c, _)| c == cert)
-            .unwrap_or(false)
-    }
-
     /// Verifies `sig` over `message` for `cert`.
     ///
     /// Returns `false` for unknown certificates, mismatching certificate
@@ -284,7 +276,6 @@ mod tests {
         // Forged certificate reusing a valid id but different subject.
         let mut forged = alice.certificate().clone();
         forged.subject = "eve".to_owned();
-        assert!(!msp.is_enrolled(&forged));
         assert!(!msp.verify(&forged, b"msg", &alice.sign(b"msg")));
     }
 

@@ -14,7 +14,8 @@
 //! * [`CatchUp`] — how a peer that fell behind gets current again,
 //! * [`PeerActor`]/[`SoloOrdererActor`]/[`RaftOrdererActor`] — simulation
 //!   actors that charge device CPU costs, and
-//! * [`Gateway`] — the client SDK equivalent.
+//! * [`Gateway`] — the client SDK equivalent, a machine like [`CatchUp`];
+//!   [`perform`] carries out what it answers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +32,7 @@ mod messages;
 mod orderer;
 mod ordering;
 mod peer;
+mod perform;
 mod policy;
 mod raft;
 
@@ -42,7 +44,10 @@ pub use chaincode::{
 pub use committer::{BootstrapError, ChannelPolicies, CommitOutcome, Committer, VsccVerdict};
 pub use costs::CostModel;
 pub use endorser::endorse;
-pub use gateway::{Gateway, GatewayError, GatewayEvent, GATEWAY_TOKEN_BIT};
+pub use gateway::{
+    Action as GatewayAction, Caller, Gateway, GatewayError, Reply as GatewayReply, RetryPolicy,
+    Route,
+};
 pub use identity::{CertId, Certificate, Msp, MspBuilder, MspId, Signature, SigningIdentity};
 pub use messages::{
     endorsement_message, payload_checksum, tx_trace, Carries, ChaincodeEvent, CommitEvent,
@@ -51,5 +56,6 @@ pub use messages::{
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
 pub use ordering::{RaftOrdererActor, SoloOrdererActor, RAFT_TICK_TOKEN};
 pub use peer::{CommitPipeline, PeerActor, SnapshotPolicy};
+pub use perform::{perform, Armed};
 pub use policy::EndorsementPolicy;
 pub use raft::{LogEntry, PeerIdx, RaftConfig, RaftMsg, RaftNode, RaftOutput, Role};

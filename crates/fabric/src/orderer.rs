@@ -64,11 +64,6 @@ impl BlockCutter {
         &self.config
     }
 
-    /// Number of envelopes waiting for a cut.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Offers one envelope; returns any batches that must be cut now and
     /// whether a batch timer should be running afterwards.
     pub fn offer(&mut self, env: RawEnvelope) -> CutterOutput {
@@ -186,7 +181,6 @@ mod tests {
         assert_eq!(out.batches.len(), 1);
         assert_eq!(out.batches[0].len(), 3);
         assert!(!out.timer_needed);
-        assert_eq!(c.pending_len(), 0);
     }
 
     #[test]
@@ -194,7 +188,6 @@ mod tests {
         let mut c = cutter(10, 1 << 20);
         let out = c.offer(env(1, 10));
         assert!(out.timer_needed);
-        assert_eq!(c.pending_len(), 1);
         let batch = c.cut().unwrap();
         assert_eq!(batch.len(), 1);
         assert!(c.cut().is_none());
@@ -218,7 +211,6 @@ mod tests {
         let out = c.offer(env(2, 60));
         assert_eq!(out.batches.len(), 1);
         assert_eq!(out.batches[0].len(), 1);
-        assert_eq!(c.pending_len(), 1); // second message now pending
         assert!(out.timer_needed);
     }
 

@@ -117,31 +117,6 @@ impl EndorsementPolicy {
             }
         }
     }
-
-    /// Every organisation mentioned anywhere in the policy.
-    pub fn mentioned_orgs(&self) -> Vec<MspId> {
-        let mut out = Vec::new();
-        self.collect_orgs(&mut out);
-        out.dedup();
-        out
-    }
-
-    fn collect_orgs(&self, out: &mut Vec<MspId>) {
-        match self {
-            EndorsementPolicy::SignedBy(org) => {
-                if !out.contains(org) {
-                    out.push(org.clone());
-                }
-            }
-            EndorsementPolicy::And(subs)
-            | EndorsementPolicy::Or(subs)
-            | EndorsementPolicy::OutOf(_, subs) => {
-                for p in subs {
-                    p.collect_orgs(out);
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for EndorsementPolicy {
@@ -257,15 +232,6 @@ mod tests {
         assert!(p.is_satisfied_by([org(1), org(2)].iter()));
         assert!(!p.is_satisfied_by([org(1)].iter()));
         assert_eq!(p.min_endorsers(), 1);
-    }
-
-    #[test]
-    fn mentioned_orgs_dedups() {
-        let p = EndorsementPolicy::or(vec![
-            EndorsementPolicy::all_of([org(1), org(2)]),
-            EndorsementPolicy::signed_by(org(1)),
-        ]);
-        assert_eq!(p.mentioned_orgs(), vec![org(1), org(2)]);
     }
 
     #[test]

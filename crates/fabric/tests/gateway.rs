@@ -6,9 +6,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelPolicies,
-    Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayEvent, MspBuilder, MspId,
-    PeerActor, SoloOrdererActor,
+    perform, Armed, BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
+    ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayError,
+    GatewayReply, MspBuilder, MspId, PeerActor, Route, SoloOrdererActor,
 };
 use hyperprov_ledger::ValidationCode;
 use hyperprov_sim::{
@@ -44,11 +44,12 @@ impl Chaincode for PutCc {
 
 #[derive(Default)]
 struct Log {
-    events: Vec<GatewayEvent>,
+    events: Vec<Result<GatewayReply, GatewayError>>,
 }
 
 struct OneShot {
-    gateway: Gateway,
+    gateway: Gateway<()>,
+    armed: Armed,
     harness: ServiceHarness<FabricMsg>,
     chaincode: &'static str,
     log: Rc<RefCell<Log>>,
@@ -56,24 +57,19 @@ struct OneShot {
 
 impl Actor<FabricMsg> for OneShot {
     fn on_event(&mut self, ctx: &mut Context<'_, FabricMsg>, event: Event<FabricMsg>) {
-        match event {
+        let actions = match event {
             Event::Timer { token: 0 } => {
-                self.gateway.invoke(
-                    ctx,
-                    &mut self.harness,
-                    self.chaincode,
-                    "go",
-                    vec![b"key".to_vec()],
-                );
+                self.gateway
+                    .invoke(0, (), self.chaincode, "go", vec![b"key".to_vec()])
             }
             Event::Timer { token } => {
                 let _ = self.harness.on_timer(ctx, token);
+                return;
             }
-            Event::Message { msg, .. } => {
-                let events = self.gateway.handle(ctx, msg);
-                self.log.borrow_mut().events.extend(events);
-            }
-        }
+            Event::Message { msg, .. } => self.gateway.on_message(msg, ctx.rng()),
+        };
+        let done = perform(ctx, &mut self.harness, &mut self.armed, actions);
+        self.log.borrow_mut().events.extend(done.map(|(_, r)| r));
     }
 }
 
@@ -126,9 +122,10 @@ fn build(
         costs,
     )));
     let log = Rc::new(RefCell::new(Log::default()));
-    let gateway = Gateway::new(client_identity, "ch", peers, orderer, needed, costs);
+    let route = Route::new("ch", peers, orderer, needed);
     let got = sim.add_actor(Box::new(OneShot {
-        gateway,
+        gateway: Gateway::new(client_identity, vec![route], costs),
+        armed: Armed::new(),
         harness: ServiceHarness::new("client"),
         chaincode,
         log: log.clone(),
@@ -161,10 +158,7 @@ fn mismatching_endorsements_fail_before_ordering() {
     let log = net.log.borrow();
     assert_eq!(log.events.len(), 1);
     match &log.events[0] {
-        GatewayEvent::TxFailed { error, .. } => {
-            let reason = error.to_string();
-            assert!(reason.contains("mismatch"), "{reason}");
-        }
+        Err(error) => assert_eq!(*error, GatewayError::Mismatch),
         other => panic!("expected mismatch failure, got {other:?}"),
     }
     // Nothing was ordered.
@@ -186,7 +180,7 @@ fn two_org_policy_commits_with_two_endorsements() {
     let log = net.log.borrow();
     assert_eq!(log.events.len(), 1);
     match &log.events[0] {
-        GatewayEvent::TxCommitted { code, .. } => assert_eq!(*code, ValidationCode::Valid),
+        Ok(GatewayReply::Committed { code, .. }) => assert_eq!(*code, ValidationCode::Valid),
         other => panic!("expected commit, got {other:?}"),
     }
 }
@@ -208,7 +202,7 @@ fn under_collected_endorsements_invalidated_at_commit() {
     let log = net.log.borrow();
     assert_eq!(log.events.len(), 1);
     match &log.events[0] {
-        GatewayEvent::TxCommitted { code, .. } => {
+        Ok(GatewayReply::Committed { code, .. }) => {
             assert_eq!(*code, ValidationCode::EndorsementPolicyFailure);
         }
         other => panic!("expected policy failure, got {other:?}"),

@@ -1,0 +1,601 @@
+//! The gateway machine, driven with no simulation: first one directed
+//! test per transition (inputs in, actions out), then two findings pinned
+//! as they stand, then a seeded property test over a model network that
+//! drops, duplicates and reorders replies and fires timers early or late.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use hyperprov_fabric::{
+    Caller, CommitEvent, CostModel, FabricMsg, Gateway, GatewayAction as Action, GatewayReply,
+    MspBuilder, MspId, ProposalResponse, RetryPolicy, Route, SigningIdentity, BUSY_REASON,
+};
+use hyperprov_ledger::{ChannelId, RwSet, TxId, ValidationCode};
+use hyperprov_sim::{ActorId, DetRng, SimDuration};
+use proptest::prelude::*;
+use rand::Rng as _;
+
+const ORDERER: ActorId = ActorId(20);
+const ENDORSE: SimDuration = SimDuration::from_secs(5);
+const COMMIT: SimDuration = SimDuration::from_secs(10);
+
+/// The caller's tag: a request number, traced the way the client does.
+#[derive(Debug, PartialEq)]
+struct Req(u32);
+
+impl Caller for Req {
+    fn trace(&self) -> String {
+        format!("op-{}", self.0)
+    }
+}
+
+/// The endorsers of route `shard`: actors `10 * (shard + 1)` and the next.
+fn endorsers(shard: usize) -> Vec<ActorId> {
+    let home = 10 * (shard as u32 + 1);
+    vec![ActorId(home), ActorId(home + 1)]
+}
+
+struct Bench {
+    gateway: Gateway<Req>,
+    rng: DetRng,
+    peer: SigningIdentity,
+}
+
+/// A gateway with one route per entry of `needed` (two endorsers each),
+/// both deadlines when `deadlines`, and a retry budget when given.
+fn bench(needed: &[usize], deadlines: bool, budget: Option<u32>) -> Bench {
+    let mut msp = MspBuilder::new(3);
+    let org = MspId::new("org1");
+    let client = msp.enroll("client", &org);
+    let peer = msp.enroll("peer", &org);
+    let routes = needed
+        .iter()
+        .enumerate()
+        .map(|(shard, &n)| Route::new(format!("ch{shard}"), endorsers(shard), ORDERER, n))
+        .collect();
+    let mut gateway = Gateway::new(client, routes, CostModel::default());
+    if deadlines {
+        gateway = gateway.with_deadlines(Some(ENDORSE), Some(COMMIT));
+    }
+    if let Some(budget) = budget {
+        gateway = gateway.with_retry(RetryPolicy::new(budget));
+    }
+    Bench {
+        gateway,
+        rng: DetRng::new(11),
+        peer,
+    }
+}
+
+impl Bench {
+    fn invoke(&mut self, shard: usize, req: u32) -> Vec<Action<Req>> {
+        self.gateway
+            .invoke(shard, Req(req), "cc", "put", vec![b"k".to_vec()])
+    }
+
+    fn query(&mut self, shard: usize, req: u32) -> Vec<Action<Req>> {
+        self.gateway
+            .query(shard, Req(req), "cc", "get", vec![b"k".to_vec()])
+    }
+
+    fn message(&mut self, msg: FabricMsg) -> Vec<Action<Req>> {
+        self.gateway.on_message(msg, &mut self.rng)
+    }
+
+    fn timer(&mut self, token: u64) -> Vec<Action<Req>> {
+        self.gateway.on_timer(token, &mut self.rng)
+    }
+
+    /// An endorser's answer to the proposal `tx_id`.
+    fn answer(&self, tx_id: TxId, result: Result<&[u8], &str>) -> FabricMsg {
+        FabricMsg::ProposalResult(ProposalResponse {
+            tx_id,
+            endorser: self.peer.certificate().clone(),
+            result: result.map(<[u8]>::to_vec).map_err(str::to_owned),
+            rwset: RwSet::new(),
+            event: None,
+            signature: self.peer.sign(b"endorsement"),
+        })
+    }
+}
+
+/// A peer's commit notification for `tx_id`.
+fn commit(tx_id: TxId) -> FabricMsg {
+    FabricMsg::Commit(CommitEvent {
+        channel: ChannelId::default(),
+        tx_id,
+        block_number: 1,
+        code: ValidationCode::Valid,
+        chaincode_event: None,
+        creator: None,
+    })
+}
+
+/// The tx id of the proposal (or envelope) these actions send.
+fn tx_of(actions: &[Action<Req>]) -> TxId {
+    actions
+        .iter()
+        .find_map(|action| match action {
+            Action::Send(_, _, FabricMsg::SubmitProposal(signed)) => Some(signed.proposal.tx_id()),
+            Action::Send(_, _, FabricMsg::Broadcast(envelope)) => Some(envelope.proposal.tx_id()),
+            _ => None,
+        })
+        .expect("the actions send a proposal")
+}
+
+/// One short word per action, so a transition reads as a line.
+fn show(actions: &[Action<Req>]) -> Vec<String> {
+    actions
+        .iter()
+        .map(|action| match action {
+            Action::Charge(_) => "charge".to_owned(),
+            Action::Send(to, _, FabricMsg::SubmitProposal(_)) => format!("propose->{}", to.0),
+            Action::Send(to, _, FabricMsg::Broadcast(_)) => format!("broadcast->{}", to.0),
+            Action::Send(..) => "send?".to_owned(),
+            Action::Arm(token, delay) if *delay == ENDORSE => format!("arm#{token}=endorse"),
+            Action::Arm(token, delay) if *delay == COMMIT => format!("arm#{token}=commit"),
+            Action::Arm(token, _) => format!("arm#{token}=backoff"),
+            Action::Disarm(token) => format!("disarm#{token}"),
+            Action::SpanStart(_, stage) => format!("[{stage}"),
+            Action::SpanEnd(_, stage) => format!("{stage}]"),
+            Action::Note(trace, name, _) if trace.starts_with("op-") => format!("!{name}@{trace}"),
+            Action::Note(_, name, _) => format!("!{name}"),
+            Action::Count(name) => format!("+{name}"),
+            Action::Backoff(_) => "backoff".to_owned(),
+            Action::Done(Req(n), Ok(GatewayReply::Bytes(_))) => format!("done{n}=bytes"),
+            Action::Done(Req(n), Ok(GatewayReply::Committed { code, .. })) => {
+                format!("done{n}={code:?}")
+            }
+            Action::Done(Req(n), Err(error)) => format!("done{n}={error:?}"),
+        })
+        .collect()
+}
+
+/// One test per transition of the machine.
+mod transitions {
+    use super::*;
+
+    #[test]
+    fn an_invoke_endorses_submits_and_commits_under_one_timer_at_a_time() {
+        let mut b = bench(&[2], true, None);
+        let issued = b.invoke(0, 1);
+        let start = [
+            "charge",
+            "[endorse",
+            "arm#1=endorse",
+            "propose->10",
+            "propose->11",
+        ];
+        assert_eq!(show(&issued), start);
+        let tx = tx_of(&issued);
+        assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
+        let submitted = b.message(b.answer(tx, Ok(b"r")));
+        let submit = [
+            "disarm#1",
+            "arm#2=commit",
+            "broadcast->20",
+            "endorse]",
+            "[commit_wait",
+        ];
+        assert_eq!(show(&submitted), submit);
+        assert_eq!(tx_of(&submitted), tx);
+        let done = ["disarm#2", "commit_wait]", "done1=Valid"];
+        assert_eq!(show(&b.message(commit(tx))), done);
+        assert_eq!(b.gateway.inflight(), 0);
+    }
+
+    #[test]
+    fn a_query_asks_the_first_endorser_and_ends_on_its_answer() {
+        let mut b = bench(&[2], true, None);
+        let issued = b.query(0, 1);
+        let start = ["charge", "[query", "arm#1=endorse", "propose->10"];
+        assert_eq!(show(&issued), start);
+        let answer = b.answer(tx_of(&issued), Ok(b"v"));
+        assert_eq!(
+            show(&b.message(answer)),
+            ["disarm#1", "query]", "done1=bytes"]
+        );
+        // A rejected query is the chaincode's error, with no note.
+        let issued = b.query(0, 2);
+        let answer = b.answer(tx_of(&issued), Err("not found"));
+        let rejected = show(&b.message(answer));
+        assert_eq!(rejected[..2], ["disarm#2", "query]"]);
+        assert!(rejected[2].starts_with("done2=Query"), "{rejected:?}");
+        assert_eq!(b.gateway.inflight(), 0);
+    }
+
+    #[test]
+    fn without_deadlines_no_timer_is_ever_armed() {
+        let mut b = bench(&[1], false, None);
+        let issued = b.invoke(0, 1);
+        assert_eq!(show(&issued), ["charge", "[endorse", "propose->10"]);
+        let tx = tx_of(&issued);
+        let submit = ["broadcast->20", "endorse]", "[commit_wait"];
+        assert_eq!(show(&b.message(b.answer(tx, Ok(b"r")))), submit);
+        assert_eq!(
+            show(&b.message(commit(tx))),
+            ["commit_wait]", "done1=Valid"]
+        );
+    }
+
+    #[test]
+    fn the_first_rejection_fails_fast_with_the_second_endorsement_in_flight() {
+        let mut b = bench(&[2], true, None);
+        let tx = tx_of(&b.invoke(0, 1));
+        let failed = show(&b.message(b.answer(tx, Err("no such key"))));
+        assert_eq!(failed[..3], ["disarm#1", "endorse]", "!endorse.rejected"]);
+        assert!(failed[3].starts_with("done1=Endorsement"), "{failed:?}");
+        assert_eq!(failed.len(), 4);
+        // The other endorser's answer finds no row.
+        assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
+        assert_eq!(b.gateway.inflight(), 0);
+    }
+
+    #[test]
+    fn mismatching_endorsements_are_not_submitted() {
+        let mut b = bench(&[2], true, None);
+        let tx = tx_of(&b.invoke(0, 1));
+        assert!(b.message(b.answer(tx, Ok(b"one"))).is_empty());
+        let failed = [
+            "disarm#1",
+            "endorse]",
+            "!endorse.mismatch",
+            "done1=Mismatch",
+        ];
+        assert_eq!(show(&b.message(b.answer(tx, Ok(b"two")))), failed);
+        assert_eq!(b.gateway.inflight(), 0);
+    }
+
+    #[test]
+    fn an_extra_endorsement_after_submit_is_stale() {
+        let mut b = bench(&[1], true, None);
+        let tx = tx_of(&b.invoke(0, 1));
+        assert_eq!(b.message(b.answer(tx, Ok(b"r"))).len(), 5);
+        assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
+        assert!(b.message(b.answer(tx, Err("late"))).is_empty());
+        assert_eq!(b.gateway.inflight(), 1);
+    }
+
+    #[test]
+    fn a_commit_completes_only_a_transaction_waiting_for_it() {
+        let mut b = bench(&[1], true, None);
+        let ours = tx_of(&b.invoke(0, 1));
+        // Somebody else's transaction; ours before it was submitted; a
+        // query's proposal id.
+        assert!(b.message(commit(TxId::default())).is_empty());
+        assert!(b.message(commit(ours)).is_empty());
+        let query = tx_of(&b.query(0, 2));
+        assert!(b.message(commit(query)).is_empty());
+        assert_eq!(b.gateway.inflight(), 2);
+    }
+
+    #[test]
+    fn each_deadline_closes_its_own_span_and_leaves_nothing_behind() {
+        let mut b = bench(&[1], true, None);
+        // Endorse deadline.
+        b.invoke(0, 1);
+        let expired = [
+            "endorse]",
+            "!endorse.timeout",
+            "+client.timeouts",
+            "done1=EndorseTimeout",
+        ];
+        assert_eq!(show(&b.timer(1)), expired);
+        // Commit deadline (token 2 was the endorse deadline it replaced).
+        let tx = tx_of(&b.invoke(0, 2));
+        b.message(b.answer(tx, Ok(b"r")));
+        let expired = [
+            "commit_wait]",
+            "!commit.timeout",
+            "+client.timeouts",
+            "done2=CommitTimeout",
+        ];
+        assert_eq!(show(&b.timer(3)), expired);
+        // Query deadline.
+        b.query(0, 3);
+        let expired = [
+            "query]",
+            "!query.timeout",
+            "+client.timeouts",
+            "done3=EndorseTimeout",
+        ];
+        assert_eq!(show(&b.timer(4)), expired);
+        assert_eq!(b.gateway.inflight(), 0);
+        // Nothing is left to fire: every token is spent or disarmed.
+        for token in 0..6 {
+            assert!(b.timer(token).is_empty());
+        }
+    }
+
+    #[test]
+    fn a_retry_reissues_under_a_fresh_tx_id_for_the_same_caller() {
+        let mut b = bench(&[1], true, Some(3));
+        let first = tx_of(&b.invoke(0, 7));
+        let backing_off = [
+            "endorse]",
+            "!endorse.timeout",
+            "+client.timeouts",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-7",
+            "arm#2=backoff",
+        ];
+        assert_eq!(show(&b.timer(1)), backing_off);
+        assert_eq!(b.gateway.inflight(), 1);
+        let reissued = b.timer(2);
+        let again = ["charge", "[endorse", "arm#3=endorse", "propose->10"];
+        assert_eq!(show(&reissued), again);
+        let second = tx_of(&reissued);
+        assert_ne!(first, second);
+        b.message(b.answer(second, Ok(b"r")));
+        let done = ["disarm#4", "commit_wait]", "done7=Valid"];
+        assert_eq!(show(&b.message(commit(second))), done);
+        assert_eq!(b.gateway.inflight(), 0);
+    }
+
+    #[test]
+    fn backpressure_is_retried_even_without_deadlines() {
+        let mut b = bench(&[1], false, Some(2));
+        let tx = tx_of(&b.query(0, 1));
+        let shed = [
+            "query]",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-1",
+            "arm#1=backoff",
+        ];
+        assert_eq!(show(&b.message(b.answer(tx, Err(BUSY_REASON)))), shed);
+        assert_eq!(show(&b.timer(1)), ["charge", "[query", "propose->10"]);
+    }
+
+    #[test]
+    fn a_spent_budget_reports_its_attempts() {
+        let mut b = bench(&[1], true, Some(2));
+        b.invoke(0, 1);
+        assert_eq!(b.timer(1).len(), 7); // endorse deadline -> backoff
+        assert_eq!(b.timer(2).len(), 4); // backoff -> second attempt
+        let exhausted = [
+            "endorse]",
+            "!endorse.timeout",
+            "+client.timeouts",
+            "+client.exhausted",
+            "done1=Exhausted { attempts: 2 }",
+        ];
+        assert_eq!(show(&b.timer(3)), exhausted);
+        assert_eq!(b.gateway.inflight(), 0);
+    }
+
+    #[test]
+    fn an_error_that_is_not_transient_ends_at_once_under_a_retry_policy() {
+        let mut b = bench(&[1], true, Some(5));
+        let tx = tx_of(&b.invoke(0, 1));
+        let failed = show(&b.message(b.answer(tx, Err("bad argument"))));
+        assert!(failed[3].starts_with("done1=Endorsement"), "{failed:?}");
+        assert_eq!(b.gateway.inflight(), 0);
+    }
+
+    #[test]
+    fn a_reply_to_an_attempt_that_timed_out_is_ignored() {
+        let mut b = bench(&[1], true, Some(3));
+        let first = tx_of(&b.invoke(0, 1));
+        b.timer(1);
+        // While the row sleeps out its backoff under the dead tx id...
+        assert!(b.message(b.answer(first, Ok(b"r"))).is_empty());
+        // ...and after the next attempt moved it to a fresh one.
+        b.timer(2);
+        assert!(b.message(b.answer(first, Ok(b"r"))).is_empty());
+        assert_eq!(b.gateway.inflight(), 1);
+    }
+
+    /// Pinned, not endorsed (benchmark README finding 3): a deployment
+    /// hands each route "home peer first, then the other hosting peers",
+    /// but only `endorsers[..needed]` is ever addressed, so every retry
+    /// of a crashed peer's client goes back to the crashed peer — 4 of 4
+    /// attempts here, the spare endorser 0 times. Consistent with
+    /// `crash_recover`'s 13.6 s `op_p99_ms`, not measured here; failing
+    /// over changes that workload's virtual numbers and belongs to the
+    /// issue that claims them.
+    #[test]
+    fn a_dead_home_endorser_is_asked_again_on_every_attempt() {
+        let mut b = bench(&[1], true, Some(4));
+        let [home, spare] = endorsers(0)[..] else {
+            unreachable!("two endorsers per route");
+        };
+        let mut asked = BTreeMap::new();
+        let mut actions = b.invoke(0, 1);
+        for token in 1.. {
+            for action in &actions {
+                if let Action::Send(to, _, FabricMsg::SubmitProposal(_)) = action {
+                    *asked.entry(*to).or_insert(0) += 1;
+                }
+            }
+            if matches!(actions.last(), Some(Action::Done(..))) {
+                break;
+            }
+            // The home peer is down: every wake-up fires unanswered.
+            actions = b.timer(token);
+        }
+        assert_eq!(asked.get(&home), Some(&4));
+        assert_eq!(asked.get(&spare), None);
+    }
+
+    /// Pinned, not endorsed (benchmark README finding 2): after a
+    /// `CommitTimeout` the row moves to a fresh tx id, and the first
+    /// attempt's commit notification, if it then arrives, completes
+    /// nothing — 0 of the 2 late commits here — although that
+    /// transaction is on the ledger. The operation is reported by its
+    /// second attempt alone.
+    #[test]
+    fn a_late_commit_of_a_timed_out_attempt_is_dropped() {
+        let mut b = bench(&[1], true, Some(3));
+        let first = tx_of(&b.invoke(0, 1));
+        b.message(b.answer(first, Ok(b"r")));
+        assert_eq!(show(&b.timer(2))[..2], ["commit_wait]", "!commit.timeout"]);
+        let mut completed = 0;
+        completed += b.message(commit(first)).len(); // during the backoff
+        let second = tx_of(&b.timer(3));
+        completed += b.message(commit(first)).len(); // during the second attempt
+        assert_eq!(completed, 0);
+        b.message(b.answer(second, Ok(b"r")));
+        assert_eq!(
+            show(&b.message(commit(second))).last().unwrap(),
+            "done1=Valid"
+        );
+    }
+}
+
+/// The model's own stream, seeded by the case.
+struct Rng(DetRng);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0.gen_range(0..n)
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// The model around a gateway: what its actions have armed, sent, opened
+/// and completed so far.
+struct Model {
+    bench: Bench,
+    rng: Rng,
+    /// Tokens armed and neither disarmed nor fired.
+    armed: BTreeSet<u64>,
+    /// Replies on their way back to the gateway.
+    wire: Vec<FabricMsg>,
+    /// Spans opened and not closed.
+    open: BTreeSet<(TxId, &'static str)>,
+    /// `Done`s per request number.
+    done: BTreeMap<u32, u32>,
+    /// Percent of replies lost, and duplicated; zero once the net heals.
+    loss: u64,
+}
+
+impl Model {
+    /// Checks the actions of one input against the books and applies
+    /// them: sends become the replies a (lossy) network would return.
+    fn apply(&mut self, actions: Vec<Action<Req>>) {
+        for action in actions {
+            match action {
+                Action::Arm(token, _) => assert!(self.armed.insert(token), "#{token} armed twice"),
+                Action::Disarm(token) => assert!(self.armed.remove(&token), "#{token} not armed"),
+                Action::SpanStart(tx, stage) => assert!(self.open.insert((tx, stage))),
+                Action::SpanEnd(tx, stage) => assert!(self.open.remove(&(tx, stage))),
+                Action::Done(Req(n), _) => *self.done.entry(n).or_insert(0) += 1,
+                Action::Send(_, _, msg) => self.reply_to(msg),
+                _ => {}
+            }
+        }
+        // A row exists exactly while its one wake-up is armed.
+        assert_eq!(self.armed.len(), self.bench.gateway.inflight());
+        assert!(self.done.values().all(|&n| n == 1));
+    }
+
+    fn reply_to(&mut self, msg: FabricMsg) {
+        let reply = match msg {
+            FabricMsg::SubmitProposal(signed) => {
+                let tx = signed.proposal.tx_id();
+                match self.rng.below(10) {
+                    0 => self.bench.answer(tx, Err(BUSY_REASON)),
+                    1 => self.bench.answer(tx, Err("rejected")),
+                    2 => self.bench.answer(tx, Ok(b"odd")),
+                    _ => self.bench.answer(tx, Ok(b"r")),
+                }
+            }
+            FabricMsg::Broadcast(envelope) => commit(envelope.proposal.tx_id()),
+            other => panic!("the gateway sends proposals and envelopes, not {other:?}"),
+        };
+        if self.rng.chance(self.loss) {
+            return;
+        }
+        if self.rng.chance(self.loss) {
+            self.wire.push(reply.clone());
+        }
+        self.wire.push(reply);
+    }
+
+    /// Delivers one reply, picked at random: the wire reorders.
+    fn deliver(&mut self) {
+        let pick = self.rng.below(self.wire.len() as u64) as usize;
+        let msg = self.wire.swap_remove(pick);
+        let actions = self.bench.message(msg);
+        self.apply(actions);
+    }
+
+    /// Fires the `nth` armed wake-up, whatever its delay: early or late.
+    fn fire(&mut self, nth: u64) {
+        let token = *self.armed.iter().nth(nth as usize).expect("in range");
+        self.armed.remove(&token);
+        let actions = self.bench.timer(token);
+        self.apply(actions);
+    }
+}
+
+proptest! {
+    /// Whatever the network does to the replies and whenever the timers
+    /// fire: a row exists exactly while its one wake-up is armed, no
+    /// token is armed twice, no span is opened or closed twice, every
+    /// request is answered exactly once — and once the inputs stop and
+    /// the timers drain, the table is empty.
+    #[test]
+    fn every_request_ends_exactly_once_and_the_table_drains(seed in any::<u64>()) {
+        let mut rng = Rng(DetRng::new(seed));
+        let needed: Vec<usize> = (0..1 + rng.below(4)).map(|_| 1 + rng.below(2) as usize).collect();
+        let budget = rng.chance(70).then(|| 1 + rng.below(4) as u32);
+        let loss = 10 + rng.below(30);
+        let bench = bench(&needed, true, budget);
+        let mut m = Model {
+            bench,
+            rng,
+            armed: BTreeSet::new(),
+            wire: Vec::new(),
+            open: BTreeSet::new(),
+            done: BTreeMap::new(),
+            loss,
+        };
+        let requests = 1 + m.rng.below(24) as u32;
+        let mut issued = 0;
+        for _ in 0..400 {
+            match m.rng.below(10) {
+                0..=2 if issued < requests => {
+                    issued += 1;
+                    let shard = m.rng.below(needed.len() as u64) as usize;
+                    let actions = match m.rng.chance(60) {
+                        true => m.bench.invoke(shard, issued),
+                        false => m.bench.query(shard, issued),
+                    };
+                    m.apply(actions);
+                }
+                3..=7 if !m.wire.is_empty() => m.deliver(),
+                8 if !m.armed.is_empty() => {
+                    let nth = m.rng.below(m.armed.len() as u64);
+                    m.fire(nth);
+                }
+                // A token that is not armed — spent, disarmed or never
+                // allocated — wakes nothing.
+                9 => {
+                    let token = m.rng.below(200);
+                    if !m.armed.contains(&token) {
+                        prop_assert!(m.bench.timer(token).is_empty());
+                    }
+                }
+                _ => {}
+            }
+        }
+        // The inputs stop, the network heals: what is on the wire arrives
+        // and every timer left fires, until nothing is armed.
+        m.loss = 0;
+        while !(m.wire.is_empty() && m.armed.is_empty()) {
+            if m.wire.is_empty() {
+                m.fire(0);
+            } else {
+                m.deliver();
+            }
+        }
+        prop_assert_eq!(m.bench.gateway.inflight(), 0);
+        prop_assert!(m.open.is_empty(), "spans left open: {:?}", m.open);
+        prop_assert_eq!(m.done.len() as u32, issued);
+    }
+}

@@ -7,10 +7,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
-    ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayEvent,
-    MspBuilder, MspId, PeerActor, RaftOrdererActor, SigningIdentity, SnapshotPolicy,
-    SoloOrdererActor, RAFT_TICK_TOKEN,
+    perform, Armed, BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry,
+    ChaincodeStub, ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway,
+    GatewayReply, MspBuilder, MspId, PeerActor, RaftOrdererActor, Route, SigningIdentity,
+    SnapshotPolicy, SoloOrdererActor, RAFT_TICK_TOKEN,
 };
 use hyperprov_ledger::{
     ChannelId, GraphIndexer, GraphUpdate, SnapshotError, StateKey, ValidationCode,
@@ -60,11 +60,46 @@ struct DriverLog {
 
 /// Closed-loop client: issues `remaining` transactions one at a time.
 struct ClientDriver {
-    gateway: Gateway,
+    gateway: Gateway<()>,
+    armed: Armed,
     harness: ServiceHarness<FabricMsg>,
     remaining: u32,
+    /// When the transaction in flight was issued.
+    started: SimTime,
     key_of: Box<dyn FnMut(u32) -> String>,
     log: Rc<RefCell<DriverLog>>,
+}
+
+impl ClientDriver {
+    fn new(
+        gateway: Gateway<()>,
+        remaining: u32,
+        key_of: impl FnMut(u32) -> String + 'static,
+        log: &Rc<RefCell<DriverLog>>,
+    ) -> Self {
+        ClientDriver {
+            gateway,
+            armed: Armed::new(),
+            harness: ServiceHarness::new("client"),
+            remaining,
+            started: SimTime::ZERO,
+            key_of: Box::new(key_of),
+            log: log.clone(),
+        }
+    }
+
+    fn next(&mut self, ctx: &mut Context<'_, FabricMsg>) {
+        if self.remaining == 0 {
+            return;
+        }
+        self.remaining -= 1;
+        let key = (self.key_of)(self.remaining);
+        self.started = ctx.now();
+        let actions = self
+            .gateway
+            .invoke(0, (), "counter", "inc", vec![key.into_bytes()]);
+        perform(ctx, &mut self.harness, &mut self.armed, actions);
+    }
 }
 
 impl Actor<FabricMsg> for ClientDriver {
@@ -75,44 +110,18 @@ impl Actor<FabricMsg> for ClientDriver {
                 let _ = self.harness.on_timer(ctx, token);
             }
             Event::Message { msg, .. } => {
-                for ev in self.gateway.handle(ctx, msg) {
-                    match ev {
-                        GatewayEvent::TxCommitted { code, latency, .. } => {
-                            self.log.borrow_mut().committed.push((code, latency));
-                            self.next(ctx);
-                        }
-                        GatewayEvent::TxFailed { error, .. } => {
-                            self.log.borrow_mut().failed.push(error.to_string());
-                            self.next(ctx);
-                        }
-                        GatewayEvent::QueryDone { result, .. } => {
-                            self.log
-                                .borrow_mut()
-                                .queries
-                                .push(result.map_err(|e| e.to_string()));
-                        }
+                let actions = self.gateway.on_message(msg, ctx.rng());
+                match perform(ctx, &mut self.harness, &mut self.armed, actions) {
+                    Some(((), Ok(GatewayReply::Committed { code, .. }))) => {
+                        let latency = ctx.now() - self.started;
+                        self.log.borrow_mut().committed.push((code, latency));
                     }
+                    Some(((), Err(error))) => self.log.borrow_mut().failed.push(error.to_string()),
+                    _ => return,
                 }
+                self.next(ctx);
             }
         }
-    }
-}
-
-impl ClientDriver {
-    fn next(&mut self, ctx: &mut Context<'_, FabricMsg>) {
-        if self.remaining == 0 {
-            return;
-        }
-        self.remaining -= 1;
-        let n = self.remaining;
-        let key = (self.key_of)(n);
-        self.gateway.invoke(
-            ctx,
-            &mut self.harness,
-            "counter",
-            "inc",
-            vec![key.into_bytes()],
-        );
     }
 }
 
@@ -174,25 +183,13 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     )));
 
     let log = Rc::new(RefCell::new(DriverLog::default()));
-    let gateway = Gateway::new(
-        client_id,
-        ChannelId::default(),
-        peers.clone(),
-        orderer,
-        1,
-        costs,
-    );
-    let driver = ClientDriver {
-        gateway,
-        harness: ServiceHarness::new("client"),
-        remaining: txs,
-        key_of: if hot_key {
-            Box::new(|_| "hot".to_owned())
-        } else {
-            Box::new(|n| format!("key{n}"))
-        },
-        log: log.clone(),
+    let route = Route::new(ChannelId::default(), peers.clone(), orderer, 1);
+    let gateway = Gateway::new(client_id, vec![route], costs);
+    let key_of = move |n| match hot_key {
+        true => "hot".to_owned(),
+        false => format!("key{n}"),
     };
+    let driver = ClientDriver::new(gateway, txs, key_of, &log);
     let client = sim.add_actor(Box::new(driver));
     assert_eq!(client, client_actor_id);
     sim.start_timer(client, SimDuration::ZERO, 0);
@@ -315,21 +312,9 @@ fn raft_ordering_service_commits_transactions() {
 
     let log = Rc::new(RefCell::new(DriverLog::default()));
     // Point the gateway at orderer 0; it redirects to the leader if needed.
-    let gateway = Gateway::new(
-        client_id,
-        ChannelId::default(),
-        vec![peer_actor_id],
-        orderer_ids[0],
-        1,
-        costs,
-    );
-    let driver = ClientDriver {
-        gateway,
-        harness: ServiceHarness::new("client"),
-        remaining: 8,
-        key_of: Box::new(|n| format!("key{n}")),
-        log: log.clone(),
-    };
+    let route = Route::new(ChannelId::default(), vec![peer_actor_id], orderer_ids[0], 1);
+    let gateway = Gateway::new(client_id, vec![route], costs);
+    let driver = ClientDriver::new(gateway, 8, |n| format!("key{n}"), &log);
     let client = sim.add_actor(Box::new(driver));
     assert_eq!(client, client_actor_id);
 
@@ -360,36 +345,34 @@ fn endorsement_failure_reported_to_client() {
     let costs = CostModel::default();
 
     struct QueryOnce {
-        gateway: Gateway,
+        gateway: Gateway<()>,
+        armed: Armed,
         harness: ServiceHarness<FabricMsg>,
         log: Rc<RefCell<DriverLog>>,
     }
     impl Actor<FabricMsg> for QueryOnce {
         fn on_event(&mut self, ctx: &mut Context<'_, FabricMsg>, event: Event<FabricMsg>) {
-            match event {
+            let actions = match event {
                 Event::Timer { token: 0 } => {
-                    self.gateway.query(
-                        ctx,
-                        &mut self.harness,
-                        "counter",
-                        "get",
-                        vec![b"missing".to_vec()],
-                    );
+                    self.gateway
+                        .query(0, (), "counter", "get", vec![b"missing".to_vec()])
                 }
                 Event::Timer { token } => {
                     let _ = self.harness.on_timer(ctx, token);
+                    return;
                 }
-                Event::Message { msg, .. } => {
-                    for ev in self.gateway.handle(ctx, msg) {
-                        if let GatewayEvent::QueryDone { result, .. } = ev {
-                            self.log
-                                .borrow_mut()
-                                .queries
-                                .push(result.map_err(|e| e.to_string()));
-                            ctx.stop();
-                        }
-                    }
-                }
+                Event::Message { msg, .. } => self.gateway.on_message(msg, ctx.rng()),
+            };
+            if let Some(((), result)) = perform(ctx, &mut self.harness, &mut self.armed, actions) {
+                let result = result.map(|reply| match reply {
+                    GatewayReply::Bytes(bytes) => bytes,
+                    other => panic!("a query does not commit: {other:?}"),
+                });
+                self.log
+                    .borrow_mut()
+                    .queries
+                    .push(result.map_err(|e| e.to_string()));
+                ctx.stop();
             }
         }
     }
@@ -401,16 +384,10 @@ fn endorsement_failure_reported_to_client() {
     peer.add_channel(Rc::new(RefCell::new(ledger)), None);
     let peer_id = sim.add_actor(Box::new(peer));
     let log = Rc::new(RefCell::new(DriverLog::default()));
-    let gateway = Gateway::new(
-        client_id,
-        ChannelId::default(),
-        vec![peer_id],
-        peer_id,
-        1,
-        costs,
-    );
+    let route = Route::new(ChannelId::default(), vec![peer_id], peer_id, 1);
     let client = sim.add_actor(Box::new(QueryOnce {
-        gateway,
+        gateway: Gateway::new(client_id, vec![route], costs),
+        armed: Armed::new(),
         harness: ServiceHarness::new("client"),
         log: log.clone(),
     }));
@@ -544,20 +521,11 @@ impl SmallNet {
         }
         let log = Rc::new(RefCell::new(DriverLog::default()));
         for (c, (identity, remaining)) in client_ids.into_iter().zip(client_txs).enumerate() {
-            let driver = ClientDriver {
-                gateway: Gateway::new(
-                    identity,
-                    ChannelId::default(),
-                    vec![SMALL_NET_PEERS[0]],
-                    orderers[0],
-                    1,
-                    costs,
-                ),
-                harness: ServiceHarness::new("client"),
-                remaining,
-                key_of: Box::new(move |n| format!("key{c}-{n}")),
-                log: log.clone(),
-            };
+            let peers = vec![SMALL_NET_PEERS[0]];
+            let route = Route::new(ChannelId::default(), peers, orderers[0], 1);
+            let gateway = Gateway::new(identity, vec![route], costs);
+            let key_of = move |n| format!("key{c}-{n}");
+            let driver = ClientDriver::new(gateway, remaining, key_of, &log);
             assert_eq!(sim.add_actor(Box::new(driver)), clients[c]);
         }
         SmallNet {

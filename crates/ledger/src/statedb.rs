@@ -151,11 +151,6 @@ impl StateDb {
             .take_while(move |(k, _)| k.namespace == namespace && k.key.starts_with(prefix))
     }
 
-    /// Total bytes of stored values, for resource accounting.
-    pub fn value_bytes(&self) -> u64 {
-        self.iter().map(|(_, v)| v.value.len() as u64).sum()
-    }
-
     /// A digest over the entire world state — every key, value and write
     /// version, in key order. Two replicas hold identical state iff their
     /// hashes match, which is how the fault-recovery tests assert that a
@@ -369,14 +364,6 @@ mod tests {
             .collect();
         assert_eq!(hits, vec!["owner~org1~item1", "owner~org1~item2"]);
         assert_eq!(db.scan_prefix("cc", "nope").count(), 0);
-    }
-
-    #[test]
-    fn value_bytes_accounts_sizes() {
-        let mut db = StateDb::new();
-        put(&mut db, "cc", "a", &[0u8; 10], Version::new(1, 0));
-        put(&mut db, "cc", "b", &[0u8; 5], Version::new(1, 1));
-        assert_eq!(db.value_bytes(), 15);
     }
 
     #[test]

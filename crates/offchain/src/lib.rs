@@ -5,8 +5,7 @@
 //! [`ObjectStore`]:
 //!
 //! * [`MemoryStore`] — in-memory backend for simulations and tests,
-//! * [`FsStore`] — a real directory-backed backend,
-//! * [`ContentStore`] — content-addressed wrapper (name = SHA-256), and
+//! * [`FsStore`] — a real directory-backed backend, and
 //! * [`StorageActor`]/[`StoreMsg`] — the simulated remote SSHFS node with
 //!   per-operation SSH overhead and per-byte service cost, matching the
 //!   paper's "off-chain storage always runs on a separate node" setup.
@@ -18,4 +17,4 @@ mod sshfs;
 mod store;
 
 pub use sshfs::{StorageActor, StorageCosts, StoreMsg};
-pub use store::{validate_name, ContentStore, FsStore, MemoryStore, ObjectStore, StoreError};
+pub use store::{validate_name, FsStore, MemoryStore, ObjectStore, StoreError};

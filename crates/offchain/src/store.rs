@@ -12,7 +12,6 @@ use std::fs;
 use std::io;
 use std::path::PathBuf;
 
-use hyperprov_ledger::Digest;
 use parking_lot::RwLock;
 
 /// Error from an object-store operation.
@@ -119,11 +118,6 @@ impl MemoryStore {
     /// Creates an empty in-memory store.
     pub fn new() -> Self {
         MemoryStore::default()
-    }
-
-    /// Total bytes stored across all objects.
-    pub fn total_bytes(&self) -> u64 {
-        self.map.read().values().map(|v| v.len() as u64).sum()
     }
 
     /// Overwrites stored bytes *without* going through `put` — test helper
@@ -244,53 +238,6 @@ impl ObjectStore for FsStore {
     }
 }
 
-/// Content-addressed view over any [`ObjectStore`]: the object name is the
-/// SHA-256 of its contents, so integrity is verifiable by construction.
-#[derive(Debug)]
-pub struct ContentStore<S> {
-    inner: S,
-}
-
-impl<S: ObjectStore> ContentStore<S> {
-    /// Wraps a backing store.
-    pub fn new(inner: S) -> Self {
-        ContentStore { inner }
-    }
-
-    /// Stores `data`, returning its content digest (the object name).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend errors.
-    pub fn put(&self, data: &[u8]) -> Result<Digest, StoreError> {
-        let digest = Digest::of(data);
-        self.inner.put(&digest.to_hex(), data)?;
-        Ok(digest)
-    }
-
-    /// Fetches by digest and verifies the contents still match it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::NotFound`] if absent, or [`StoreError::Io`]
-    /// with a tamper message if the content no longer hashes to `digest`.
-    pub fn get_verified(&self, digest: &Digest) -> Result<Vec<u8>, StoreError> {
-        let data = self.inner.get(&digest.to_hex())?;
-        if Digest::of(&data) != *digest {
-            return Err(StoreError::Io(format!(
-                "content tampered: stored bytes no longer match {}",
-                digest.short()
-            )));
-        }
-        Ok(data)
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,8 +261,6 @@ mod tests {
     fn memory_store_semantics() {
         let store = MemoryStore::new();
         exercise(&store);
-        store.put("x", &[0u8; 100]).unwrap();
-        assert_eq!(store.total_bytes(), 102);
     }
 
     #[test]
@@ -347,23 +292,6 @@ mod tests {
         assert!(store.tamper("victim", b"evil"));
         assert_eq!(store.get("victim").unwrap(), b"evil");
         assert!(!store.tamper("missing", b"x"));
-    }
-
-    #[test]
-    fn content_store_verifies_integrity() {
-        let store = ContentStore::new(MemoryStore::new());
-        let digest = store.put(b"payload").unwrap();
-        assert_eq!(store.get_verified(&digest).unwrap(), b"payload");
-        // Tamper under the hood.
-        store.inner().tamper(&digest.to_hex(), b"evil");
-        let err = store.get_verified(&digest).unwrap_err();
-        assert!(matches!(err, StoreError::Io(ref msg) if msg.contains("tampered")));
-        // Unknown digest.
-        let missing = Digest::of(b"never stored");
-        assert!(matches!(
-            store.get_verified(&missing),
-            Err(StoreError::NotFound(_))
-        ));
     }
 
     #[test]

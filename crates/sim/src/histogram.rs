@@ -85,22 +85,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = bucket_index(value);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -250,19 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn record_n_equivalent_to_loop() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(77, 10);
-        for _ in 0..10 {
-            b.record(77);
-        }
-        assert_eq!(a, b);
-        a.record_n(5, 0);
-        assert_eq!(a.count(), 10);
-    }
-
-    #[test]
     fn merge_combines_counts_and_extremes() {
         let mut a = Histogram::new();
         a.record(10);
@@ -340,7 +311,9 @@ mod tests {
     #[test]
     fn stddev_zero_for_constant() {
         let mut h = Histogram::new();
-        h.record_n(500, 100);
+        for _ in 0..100 {
+            h.record(500);
+        }
         assert!(h.stddev() < 500.0 / SUB_BUCKETS as f64 + 1.0);
     }
 }

@@ -77,7 +77,7 @@ pub use engine::{Actor, ActorId, Carries, Context, Event, Simulation, TimerId};
 pub use fault::{FaultAction, FaultPlan, FaultPlanActor};
 pub use harness::{Outbound, QueueConfig, ServiceHarness, SpanClose, HARNESS_TOKEN_BIT};
 pub use histogram::Histogram;
-pub use metrics::{CounterId, GaugeId, HistogramId, Metrics};
+pub use metrics::{GaugeId, HistogramId, Metrics};
 pub use net::{Delivery, LinkSpec, Network};
 pub use perfetto::chrome_trace_json;
 pub use profile::{peak_rss_bytes, HotCounters, SimProfiler};

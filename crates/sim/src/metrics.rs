@@ -8,7 +8,7 @@
 //! dense `u32` handle, with a deterministic hash index mapping names to
 //! handles. A by-name operation costs one hash lookup (no allocation, no
 //! ordered-map traversal); call sites on the kernel's fast path resolve a
-//! handle once ([`Metrics::counter_id`] and friends) and then update by
+//! handle once ([`Metrics::gauge_id`], [`Metrics::histogram_id`]) and then update by
 //! index. Exports sort names lazily, so output stays byte-identical to the
 //! previous ordered-map representation.
 
@@ -69,12 +69,8 @@ impl<T: Default> Registry<T> {
     }
 }
 
-/// Handle to a counter slot, resolved once with [`Metrics::counter_id`].
+/// Handle to a gauge slot, resolved once with [`Metrics::gauge_id`].
 /// Valid only for the registry (or clones of it) that created it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(u32);
-
-/// Handle to a gauge slot (see [`Metrics::gauge_id`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(u32);
 
@@ -103,17 +99,6 @@ impl Metrics {
     pub fn incr(&mut self, name: &str, delta: u64) {
         let id = self.counters.id(name);
         *self.counters.slot(id) += delta;
-    }
-
-    /// Resolves a reusable handle for the named counter (creating it at
-    /// zero), so hot call sites can skip the name lookup.
-    pub fn counter_id(&mut self, name: &str) -> CounterId {
-        CounterId(self.counters.id(name))
-    }
-
-    /// Adds `delta` through a pre-resolved handle.
-    pub fn incr_id(&mut self, id: CounterId, delta: u64) {
-        *self.counters.slot(id.0) += delta;
     }
 
     /// Reads a counter; absent counters read as zero.
@@ -282,10 +267,6 @@ mod tests {
     #[test]
     fn handles_alias_their_names() {
         let mut m = Metrics::new();
-        m.incr("tx", 1);
-        let c = m.counter_id("tx");
-        m.incr_id(c, 4);
-        assert_eq!(m.counter("tx"), 5);
         let g = m.gauge_id("load");
         m.set_gauge_id(g, 0.5);
         assert_eq!(m.gauge("load"), Some(0.5));
@@ -295,8 +276,8 @@ mod tests {
         assert_eq!(m.histogram("lat").unwrap().count(), 2);
         // Handles survive cloning (same dense slots).
         let mut copy = m.clone();
-        copy.incr_id(c, 1);
-        assert_eq!(copy.counter("tx"), 6);
+        copy.set_gauge_id(g, 1.5);
+        assert_eq!(copy.gauge("load"), Some(1.5));
     }
 
     #[test]

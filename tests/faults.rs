@@ -1,13 +1,15 @@
 //! Workspace-level fault-tolerance tests: commit deadlines firing cleanly
 //! under partitions, split peer groups converging after heal, Raft
-//! leader loss with a retrying client, and transient partitions absorbed
-//! entirely by the client retry budget.
+//! leader loss with a retrying client, transient partitions absorbed
+//! entirely by the client retry budget, and a network-wide loss window
+//! ridden out by deadlines and retry.
 
 use hyperprov_repro::fabric::{BatchConfig, RaftOrdererActor};
 use hyperprov_repro::hyperprov::{
     ClientCommand, HyperProvClient, HyperProvError, HyperProvNetwork, NetworkConfig, NodeMsg, OpId,
-    RetryPolicy,
+    RecordInput, RetryPolicy,
 };
+use hyperprov_repro::ledger::Digest;
 use hyperprov_repro::sim::{ActorId, FaultPlan, SimDuration, SimTime};
 
 fn store(net: &mut HyperProvNetwork, client: usize, op: u64, key: &str) {
@@ -66,7 +68,7 @@ fn commit_wait_times_out_cleanly_under_partition() {
     // still work; only the block delivery to the client's home peer is
     // cut, so the commit event never fires.
     let home = net.peers[0];
-    let orderer = net.orderer;
+    let orderer = net.orderers[0];
     net.sim.network_mut().partition(home, orderer);
 
     store(&mut net, 0, 1, "stuck-commit");
@@ -106,7 +108,7 @@ fn partitioned_peer_group_heals_without_state_divergence() {
     FaultPlan::new()
         .partition_window(
             &cut,
-            &[net.orderer],
+            &[net.orderers[0]],
             t0 + SimDuration::from_secs(1),
             t0 + SimDuration::from_secs(10),
         )
@@ -231,7 +233,7 @@ fn transient_partition_absorbed_by_retry_budget() {
     FaultPlan::new()
         .partition_window(
             &[net.clients[0]],
-            &[net.orderer],
+            &[net.orderers[0]],
             t0,
             t0 + SimDuration::from_secs(3),
         )
@@ -254,4 +256,86 @@ fn transient_partition_absorbed_by_retry_budget() {
     assert!(net.sim.metrics().counter("client.timeouts") >= 1);
     assert_eq!(net.sim.metrics().counter("client.exhausted"), 0);
     assert_eq!(inflight(&net, net.clients[0]), 0);
+}
+
+/// Two clients post in a closed loop for ten virtual seconds; for two of
+/// them, in the middle, one message in five is lost on every link. Every
+/// operation must end — `Ok`, or a typed error: a retried post whose
+/// first attempt did commit can be invalidated — with the retry budget
+/// never spent, no span left open, and, once the traffic after the window
+/// has shown every peer its gaps, all four ledgers equal.
+///
+/// Seed 67 with a budget of 8 attempts: 4 timeouts, 4 retries, none
+/// exhausted, no post invalidated, ~785 posts per client. The loop posts
+/// metadata only: the off-chain transfer of a `StoreData` has no
+/// deadline, so a lost `Put` or `PutAck` hangs it (tried here: the 401st
+/// `StoreData` never ended; ROADMAP item 1 records it).
+#[test]
+fn a_loss_window_is_ridden_out_by_deadlines_and_retry() {
+    let config = NetworkConfig::desktop(2)
+        .with_seed(67)
+        .with_batch(BatchConfig {
+            max_message_count: 1,
+            ..BatchConfig::default()
+        })
+        .with_deadlines(
+            Some(SimDuration::from_secs(1)),
+            Some(SimDuration::from_secs(1)),
+        )
+        .with_retry(RetryPolicy::new(8));
+    let mut net = HyperProvNetwork::build(&config);
+    let t0 = net.sim.now();
+    let at = |secs| t0 + SimDuration::from_secs(secs);
+    FaultPlan::new()
+        .loss_window(0.2, at(4), at(6))
+        .install(&mut net.sim);
+
+    // The closed loop: a client posts again as soon as its last post ended.
+    let mut issued = [0u64; 2];
+    while net.sim.now() < at(10) {
+        for (client, issued) in issued.iter_mut().enumerate() {
+            if net.completions[client].borrow().len() as u64 == *issued {
+                *issued += 1;
+                let key = format!("item-{client}-{issued}");
+                let input = RecordInput::new(Digest::of(key.as_bytes()));
+                let op = OpId(*issued);
+                let post = ClientCommand::Post { key, input, op };
+                net.sim
+                    .inject_message(net.clients[client], NodeMsg::Client(post));
+            }
+        }
+        net.sim
+            .run_until(net.sim.now() + SimDuration::from_millis(10));
+    }
+    net.sim.run_until(at(60));
+
+    let mut failed = 0;
+    for (client, &issued) in issued.iter().enumerate() {
+        let completions = net.completions[client].borrow();
+        assert_eq!(completions.len() as u64, issued, "an operation hung");
+        assert_eq!(inflight(&net, net.clients[client]), 0);
+        for completion in completions.iter() {
+            match &completion.outcome {
+                Ok(_) => {}
+                Err(HyperProvError::Invalidated(_)) => failed += 1,
+                Err(other) => panic!("{:?} failed with {other:?}", completion.op),
+            }
+        }
+        let after_window = completions.iter().filter(|c| c.started > at(6)).count();
+        assert!(after_window > 10, "the loop kept running after the window");
+    }
+    let metrics = net.sim.metrics();
+    assert!(metrics.counter("client.retries") >= 1);
+    assert_eq!(metrics.counter("client.exhausted"), 0);
+    assert_eq!(failed, 0, "posts invalidated");
+    assert_eq!(net.sim.tracer().open_spans(), 0);
+
+    let heights: Vec<u64> = net.ledgers.iter().map(|l| l.borrow().height()).collect();
+    assert!(heights.iter().all(|&h| h == heights[0]), "{heights:?}");
+    let hashes: Vec<_> = net
+        .ledgers
+        .iter()
+        .map(|l| l.borrow().state().state_hash())
+        .collect();
+    assert!(hashes.iter().all(|h| *h == hashes[0]), "state diverged");
 }

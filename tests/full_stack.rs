@@ -9,7 +9,7 @@ use std::sync::Arc;
 use hyperprov_repro::device::{DeviceProfile, EnergyModel, PowerMeter};
 use hyperprov_repro::fabric::{
     BatchConfig, ChaincodeRegistry, ChannelPolicies, Committer, CostModel, EndorsementPolicy,
-    Gateway, MspBuilder, MspId, PeerActor, RaftOrdererActor, RAFT_TICK_TOKEN,
+    Gateway, MspBuilder, MspId, PeerActor, RaftOrdererActor, Route, RAFT_TICK_TOKEN,
 };
 use hyperprov_repro::hyperprov::{
     audit, ClientCommand, HyperProv, HyperProvChaincode, HyperProvClient, NetworkConfig, NodeMsg,
@@ -74,16 +74,9 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
         hyperprov_repro::offchain::StorageActor::<NodeMsg>::new(store.clone(), Default::default());
     assert_eq!(sim.add_actor(Box::new(storage)), storage_id);
 
-    let gateway = Gateway::new(
-        client_identity,
-        "raft-channel",
-        vec![peer_id],
-        orderers[0],
-        1,
-        costs,
-    );
-    let (client, completions) =
-        HyperProvClient::new(vec![gateway], storage_id, "sshfs://s/", costs);
+    let route = Route::new("raft-channel", vec![peer_id], orderers[0], 1);
+    let gateway = Gateway::new(client_identity, vec![route], costs);
+    let (client, completions) = HyperProvClient::new(gateway, storage_id, "sshfs://s/", costs);
     assert_eq!(sim.add_actor(Box::new(client)), client_id);
 
     // Let raft elect a leader.
@@ -240,7 +233,7 @@ fn partitioned_peer_stays_consistent() {
         });
     let mut net = hyperprov_repro::hyperprov::HyperProvNetwork::build(&config);
     let victim = net.peers[3];
-    let orderer = net.orderer;
+    let orderer = net.orderers[0];
 
     // Cut peer 3 off from the orderer.
     net.sim.network_mut().partition(victim, orderer);
