@@ -77,8 +77,9 @@ pub struct NetworkConfig {
     /// The machine hosting the off-chain store (always separate, per the
     /// paper).
     pub storage_device: DeviceProfile,
-    /// One device per client process. Client `i` endorses at and
-    /// subscribes to peer `i % peers`.
+    /// One device per client process. Client `i`'s home peer is peer
+    /// `i % peers`: every first attempt is endorsed there, a retry at
+    /// the next.
     pub client_devices: Vec<DeviceProfile>,
     /// Orderer batching parameters.
     pub batch: BatchConfig,
@@ -559,16 +560,12 @@ impl HyperProvNetwork {
             for (ci, committer) in committers {
                 channel_ledgers[ci].push((i, committer));
             }
-            // A client subscribes, for the commit events of its own
-            // transactions, at its home peer on every channel it submits
-            // to.
-            for (c, &cid) in client_ids.iter().enumerate() {
-                if chans
-                    .iter()
-                    .any(|chan| chan.hosts[c % chan.hosts.len()] == i)
-                {
-                    actor.subscribe(cid, client_identities[c].certificate().id);
-                }
+            // A retry may ask any hosting peer to endorse, and the peer
+            // that endorsed reports the commit: every client subscribes,
+            // for the commit events of its own transactions, at every
+            // peer.
+            for (&cid, identity) in client_ids.iter().zip(&client_identities) {
+                actor.subscribe(cid, identity.certificate().id);
             }
             let id = sim.add_actor_with_cpu(Box::new(actor), cpu);
             debug_assert_eq!(id, peer_ids[i]);
@@ -620,22 +617,19 @@ impl HyperProvNetwork {
         let mut clients = Vec::new();
         let mut completions = Vec::new();
         for (i, identity) in client_identities.iter().enumerate() {
-            // One route per channel. On each channel, endorse at the
-            // client's home peer first, then the other hosting peers. The
-            // any-org policy needs one endorsement.
+            // One route per channel: the hosting peers and the orderers,
+            // each ring turned so that the client's home node is first
+            // and a retry moves on to the next. The any-org policy needs
+            // one endorsement.
             let routes = chans
                 .iter()
                 .map(|chan| {
-                    let home = chan.hosts[i % chan.hosts.len()];
-                    let mut endorsers = vec![peer_ids[home]];
-                    endorsers.extend(
-                        chan.hosts
-                            .iter()
-                            .filter(|&&p| p != home)
-                            .map(|&p| peer_ids[p]),
-                    );
-                    let orderer = chan.orderers[i % chan.orderers.len()];
-                    Route::new(chan.id.clone(), endorsers, orderer, 1)
+                    let mut endorsers: Vec<ActorId> =
+                        chan.hosts.iter().map(|&p| peer_ids[p]).collect();
+                    endorsers.rotate_left(i % chan.hosts.len());
+                    let mut orderers = chan.orderers.clone();
+                    orderers.rotate_left(i % chan.orderers.len());
+                    Route::new(chan.id.clone(), endorsers, orderers, 1)
                 })
                 .collect();
             let mut gateway = Gateway::new(identity.clone(), routes, config.costs)

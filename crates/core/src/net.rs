@@ -79,6 +79,7 @@ mod tests {
             code: hyperprov_ledger::ValidationCode::Valid,
             chaincode_event: None,
             creator: None,
+            endorser: None,
         }));
         assert!(matches!(f.clone().peel(), Ok(FabricMsg::Commit(_))));
         let as_store: Result<StoreMsg, NodeMsg> = f.peel();

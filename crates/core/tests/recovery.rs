@@ -238,6 +238,42 @@ fn added_peer_catches_up_via_snapshot_and_serves_queries() {
     assert_eq!(state_hash(&hp, new_idx), state_hash(&hp, 0));
 }
 
+/// A peer that was down for longer than the orderer's retained tail asks
+/// for the delta, gets a tail that does not link, buffers it, and climbs
+/// the ladder to a provider's snapshot. The boot jumps over most of what
+/// it buffered; those blocks must go, or they read as a gap for ever and
+/// the peer, long since current, keeps asking after the traffic stopped.
+#[test]
+fn a_snapshot_boot_forgets_the_buffered_blocks_it_jumped_over() {
+    let mut hp = HyperProv::with_config(&snapshot_config());
+    for i in 0..4 {
+        hp.store_data(&format!("pre-{i}"), vec![i as u8; 64], vec![], vec![])
+            .unwrap();
+    }
+    let victim = hp.network().peers[1];
+    hp.network_mut().sim.crash_actor(victim);
+    // More blocks than the 64 the orderer keeps for re-delivery.
+    for i in 0..80 {
+        hp.store_data(&format!("mid-{i}"), vec![i as u8; 64], vec![], vec![])
+            .unwrap();
+    }
+    hp.network_mut().sim.restart_actor(victim);
+    // Long enough to climb the ladder, boot, and then wait out the
+    // (goal-only) request for a delta nobody has.
+    settle(&mut hp, 60);
+
+    assert_eq!(height(&hp, 1), height(&hp, 0));
+    assert_eq!(state_hash(&hp, 1), state_hash(&hp, 0));
+    let retries = |hp: &HyperProv| hp.network().sim.metrics().counter("peer1.catchup_retries");
+    assert!(
+        hp.network().sim.metrics().counter("peer1.snapshot_fetches") >= 1,
+        "the tail did not link: the peer must have fetched a snapshot"
+    );
+    let settled = retries(&hp);
+    settle(&mut hp, 60);
+    assert_eq!(retries(&hp), settled, "current, and still asking");
+}
+
 /// Elastic membership without snapshots: nobody serves a snapshot, so
 /// the joiner asks its catch-up target for the chain from genesis and
 /// converges by block re-delivery alone.

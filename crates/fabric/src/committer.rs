@@ -402,10 +402,11 @@ impl Committer {
         let mut dangling_parents = 0u64;
 
         for (tx_num, (raw, verdict)) in block.envelopes.iter().zip(vscc).enumerate() {
-            let (code, event, creator) = match verdict.envelope {
+            let (code, event, creator, endorser) = match verdict.envelope {
                 Some(env) => {
                     let tx_id = verdict.tx_id;
                     let creator = env.proposal.creator.id;
+                    let endorser = env.endorsements.first().map(|e| e.endorser.id);
                     let code = if self.seen.contains(&tx_id) {
                         ValidationCode::DuplicateTxId
                     } else if let Some(failure) = verdict.failure {
@@ -430,9 +431,9 @@ impl Committer {
                         chaincode_event = env.event;
                     }
                     self.seen.insert(tx_id);
-                    (code, chaincode_event, Some(creator))
+                    (code, chaincode_event, Some(creator), endorser)
                 }
-                None => (ValidationCode::BadSignature, None, None),
+                None => (ValidationCode::BadSignature, None, None, None),
             };
             if code.is_valid() {
                 valid += 1;
@@ -447,6 +448,7 @@ impl Committer {
                 code,
                 chaincode_event: event,
                 creator,
+                endorser,
             });
         }
 
@@ -713,10 +715,11 @@ mod tests {
         };
         let mut codes = Vec::new();
         for (tx_num, raw) in block.envelopes.iter().enumerate() {
-            let (code, chaincode_event, creator) = match Envelope::from_raw(raw) {
+            let (code, chaincode_event, creator, endorser) = match Envelope::from_raw(raw) {
                 Ok(env) => {
                     let tx_id = env.tx_id();
                     let creator = env.proposal.creator.id;
+                    let endorser = env.endorsements.first().map(|e| e.endorser.id);
                     let code = validate_reference(c, &env, &tx_id);
                     let mut chaincode_event = None;
                     if code.is_valid() {
@@ -730,9 +733,9 @@ mod tests {
                         chaincode_event = env.event;
                     }
                     c.seen.insert(tx_id);
-                    (code, chaincode_event, Some(creator))
+                    (code, chaincode_event, Some(creator), endorser)
                 }
-                Err(_) => (ValidationCode::BadSignature, None, None),
+                Err(_) => (ValidationCode::BadSignature, None, None, None),
             };
             if code.is_valid() {
                 out.valid += 1;
@@ -747,6 +750,7 @@ mod tests {
                 code,
                 chaincode_event,
                 creator,
+                endorser,
             });
         }
         block.metadata_mut().codes = codes;

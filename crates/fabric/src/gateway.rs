@@ -207,11 +207,17 @@ pub enum Action<T> {
 
 /// Where one channel's requests go. A client on a sharded deployment has
 /// one route per channel, indexed by shard.
+///
+/// Both lists are rings, home node first, and attempt `k` (0-based) of a
+/// request starts `k` places along them: a retry — issued because a
+/// deadline expired or a queue was full — goes to the next node, not back
+/// to the one that just failed. Nothing is remembered between requests,
+/// so the first attempt always goes home.
 #[derive(Debug)]
 pub struct Route {
     channel: ChannelId,
     endorsers: Vec<ActorId>,
-    orderer: ActorId,
+    orderers: Vec<ActorId>,
     endorsements_needed: usize,
     /// The channel's proposal nonce: with the channel name and the
     /// creator it makes every tx id unique.
@@ -219,22 +225,24 @@ pub struct Route {
 }
 
 impl Route {
-    /// A route to `channel`: proposals go to the first
-    /// `endorsements_needed` of `endorsers` (derive the count from the
-    /// chaincode's policy via [`crate::EndorsementPolicy::min_endorsers`]),
-    /// queries to the first, envelopes to `orderer`.
+    /// A route to `channel`. Attempt `k` of a transaction is proposed to
+    /// the `endorsements_needed` endorsers from `endorsers[k % n]` on
+    /// (derive the count from the chaincode's policy via
+    /// [`crate::EndorsementPolicy::min_endorsers`]) and its envelope goes
+    /// to `orderers[k % m]`; attempt `k` of a query asks `endorsers[k % n]`.
     ///
     /// # Panics
     ///
-    /// Panics if `endorsers` is empty or `endorsements_needed` is not in
-    /// `1..=endorsers.len()`.
+    /// Panics if `endorsers` or `orderers` is empty or
+    /// `endorsements_needed` is not in `1..=endorsers.len()`.
     pub fn new(
         channel: impl Into<ChannelId>,
         endorsers: Vec<ActorId>,
-        orderer: ActorId,
+        orderers: Vec<ActorId>,
         endorsements_needed: usize,
     ) -> Self {
         assert!(!endorsers.is_empty(), "a route needs at least one endorser");
+        assert!(!orderers.is_empty(), "a route needs at least one orderer");
         assert!(
             endorsements_needed >= 1 && endorsements_needed <= endorsers.len(),
             "endorsements_needed must be in 1..=endorsers.len()"
@@ -242,7 +250,7 @@ impl Route {
         Route {
             channel: channel.into(),
             endorsers,
-            orderer,
+            orderers,
             endorsements_needed,
             nonce: 0,
         }
@@ -371,8 +379,8 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// Starts a full transaction on route `shard`: endorse on the route's
-    /// first `endorsements_needed` endorsers, then order, then wait for
-    /// the commit event.
+    /// first `endorsements_needed` endorsers, then order at its first
+    /// orderer, then wait for the commit event.
     pub fn invoke(
         &mut self,
         shard: usize,
@@ -412,7 +420,8 @@ impl<T: Caller> Gateway<T> {
     /// Issues attempt `attempts + 1` of `call`: builds and signs the
     /// proposal — encoded exactly once: the signature covers the bytes,
     /// the tx id is their digest and the wire size their length — and
-    /// sends it, under the endorse deadline.
+    /// sends it, under the endorse deadline, to the endorsers `attempts`
+    /// places along the route's ring.
     fn issue(&mut self, caller: T, shard: usize, attempts: u32, call: Call) -> Vec<Action<T>> {
         let redo = self.retry.map(|_| call.clone());
         let route = &mut self.routes[shard];
@@ -449,7 +458,8 @@ impl<T: Caller> Gateway<T> {
             proposal,
             signature,
         });
-        for (i, &endorser) in route.endorsers[..targets].iter().enumerate() {
+        for i in 0..targets {
+            let endorser = route.endorsers[(attempts as usize + i) % route.endorsers.len()];
             let signed = if i + 1 == targets {
                 signed.take()
             } else {
@@ -545,8 +555,8 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// All endorsements are in and agree: assembles the envelope,
-    /// broadcasts it to the orderer and moves to commit-wait, so a lost
-    /// broadcast or commit notification cannot wedge the client.
+    /// broadcasts it to this attempt's orderer and moves to commit-wait,
+    /// so a lost broadcast or commit notification cannot wedge the client.
     fn submit(&mut self, tx_id: TxId, out: &mut Vec<Action<T>>) {
         let row = self.rows.get_mut(&tx_id).expect("caller looked it up");
         let Phase::Endorsing {
@@ -579,7 +589,8 @@ impl<T: Caller> Gateway<T> {
         out.extend(row.token.take().map(Action::Disarm));
         row.token = arm(&mut self.next_token, self.commit_timeout, out);
         let bytes = envelope.wire_size();
-        let orderer = self.routes[row.shard].orderer;
+        let orderers = &self.routes[row.shard].orderers;
+        let orderer = orderers[(row.attempts as usize - 1) % orderers.len()];
         out.push(Action::Send(orderer, bytes, FabricMsg::Broadcast(envelope)));
         // The two spans are contiguous, so their durations sum exactly to
         // the end-to-end invoke latency.

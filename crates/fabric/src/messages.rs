@@ -345,6 +345,13 @@ pub struct CommitEvent {
     /// subscribed under this id alone; an event without one goes to every
     /// subscriber.
     pub creator: Option<CertId>,
+    /// Enrolment id of the certificate on the envelope's first
+    /// endorsement (`None` when it carries none, or did not decode). The
+    /// peer holding that certificate is the one that sends the event, so
+    /// a client hears of each transaction once, from a peer it asked,
+    /// wherever it is subscribed; an event without one is sent by every
+    /// peer.
+    pub endorser: Option<CertId>,
 }
 
 /// Digest of arbitrary payload bytes — convenience for checksum fields.

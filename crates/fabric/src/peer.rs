@@ -270,9 +270,12 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
     /// the paper's client waits for the commit event of *its*
     /// transaction at its peer, and gateway-side filtering keeps the
     /// messages per committed transaction independent of how many
-    /// clients share the peer. Events of other creators are not sent;
-    /// an event without a creator (the envelope failed to decode) goes
-    /// to every subscriber, so its submitter still learns the verdict.
+    /// clients share the peer. A client subscribes at every peer it may
+    /// ask to endorse: this peer reports the transactions it endorsed
+    /// first and leaves the rest to the peer that did. Events of other
+    /// creators are not sent; an event without a creator (the envelope
+    /// failed to decode) goes to every subscriber, so its submitter still
+    /// learns the verdict.
     pub fn subscribe(&mut self, client: ActorId, cert: CertId) {
         self.subscribers.insert(cert, client);
     }
@@ -566,19 +569,26 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         }
     }
 
-    /// Builds the commit-notification sends for a block's events: one
-    /// message to the creator's client when it subscribed here, none for
-    /// other creators, and one per subscriber (in certificate order) for
-    /// an event that names no creator.
+    /// Builds the commit-notification sends for a block's events. Every
+    /// hosting peer commits every transaction, so exactly one must tell
+    /// the client: the one whose certificate is on the envelope's first
+    /// endorsement — a peer the client asked, and so one it could reach
+    /// on this attempt, wherever its home is. Nothing is remembered: the
+    /// envelope names both parties. This peer sends one message to the
+    /// creator's client (when it subscribed here) for a transaction it
+    /// endorsed first, none for the others, and one per subscriber (in
+    /// certificate order) for an event that names no creator.
     fn commit_event_sends(&self, events: Vec<CommitEvent>) -> Vec<Outbound<M>> {
+        let own = self.identity.certificate().id;
         let mut sends = Vec::new();
         for event in events {
             match &event.creator {
-                Some(creator) => {
+                Some(creator) if event.endorser.is_none_or(|endorser| endorser == own) => {
                     if let Some(&client) = self.subscribers.get(creator) {
                         sends.push((client, 128, M::wrap(FabricMsg::Commit(event))));
                     }
                 }
+                Some(_) => {}
                 None => {
                     for &client in self.subscribers.values() {
                         sends.push((client, 128, M::wrap(FabricMsg::Commit(event.clone()))));

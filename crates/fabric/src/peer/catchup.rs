@@ -85,8 +85,6 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             return; // not hosting this channel
         };
         let height = state.committer.borrow().height();
-        // Blocks a snapshot boot jumped over stay in the buffer and count
-        // here as waiting above the height (ROADMAP item 1 records it).
         let buffered = !state.block_buffer.is_empty();
         let actions = input(&mut state.catchup, height, buffered);
         self.perform(ctx, channel, actions);
@@ -184,6 +182,10 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
             &channel.metric_name(prefix, "snapshots.height"),
             snapshot.height() as f64,
         );
+        // The boot jumped over what was buffered below the new height:
+        // left there it would never drain and always read as "a later
+        // block is waiting".
+        state.block_buffer = state.block_buffer.split_off(&snapshot.height());
         state.latest_snapshot = Some(snapshot);
         self.harness.charge(ctx, cost);
         if self.drain_ready(ctx, channel) > 0 {

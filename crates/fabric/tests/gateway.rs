@@ -107,9 +107,8 @@ fn build(
         let mut peer =
             PeerActor::<FabricMsg>::new(identity.clone(), registry, costs, format!("p{i}"));
         peer.add_channel(committer, None);
-        if i == 0 {
-            peer.subscribe(client_actor, client_identity.certificate().id);
-        }
+        // Whichever endorsement arrives first names the peer that reports.
+        peer.subscribe(client_actor, client_identity.certificate().id);
         peers.push(sim.add_actor(Box::new(peer)));
     }
     let orderer = sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
@@ -122,7 +121,7 @@ fn build(
         costs,
     )));
     let log = Rc::new(RefCell::new(Log::default()));
-    let route = Route::new("ch", peers, orderer, needed);
+    let route = Route::new("ch", peers, vec![orderer], needed);
     let got = sim.add_actor(Box::new(OneShot {
         gateway: Gateway::new(client_identity, vec![route], costs),
         armed: Armed::new(),

@@ -1,7 +1,9 @@
 //! The gateway machine, driven with no simulation: first one directed
-//! test per transition (inputs in, actions out), then two findings pinned
-//! as they stand, then a seeded property test over a model network that
-//! drops, duplicates and reorders replies and fires timers early or late.
+//! test per transition (inputs in, actions out), then the failover rule
+//! leg by leg and one finding pinned as it stands, then two seeded
+//! property tests over a model network — one that drops, duplicates and
+//! reorders replies and fires timers early or late, one that is clean but
+//! for a dead node.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,7 +16,8 @@ use hyperprov_sim::{ActorId, DetRng, SimDuration};
 use proptest::prelude::*;
 use rand::Rng as _;
 
-const ORDERER: ActorId = ActorId(20);
+/// The orderers of every route, home first.
+const ORDERERS: [ActorId; 3] = [ActorId(90), ActorId(91), ActorId(92)];
 const ENDORSE: SimDuration = SimDuration::from_secs(5);
 const COMMIT: SimDuration = SimDuration::from_secs(10);
 
@@ -28,10 +31,11 @@ impl Caller for Req {
     }
 }
 
-/// The endorsers of route `shard`: actors `10 * (shard + 1)` and the next.
+/// The endorsers of route `shard`, home first: actors `10 * (shard + 1)`
+/// and the next two.
 fn endorsers(shard: usize) -> Vec<ActorId> {
     let home = 10 * (shard as u32 + 1);
-    vec![ActorId(home), ActorId(home + 1)]
+    (home..home + 3).map(ActorId).collect()
 }
 
 struct Bench {
@@ -40,8 +44,9 @@ struct Bench {
     peer: SigningIdentity,
 }
 
-/// A gateway with one route per entry of `needed` (two endorsers each),
-/// both deadlines when `deadlines`, and a retry budget when given.
+/// A gateway with one route per entry of `needed` (three endorsers and
+/// three orderers each), both deadlines when `deadlines`, and a retry
+/// budget when given.
 fn bench(needed: &[usize], deadlines: bool, budget: Option<u32>) -> Bench {
     let mut msp = MspBuilder::new(3);
     let org = MspId::new("org1");
@@ -50,7 +55,10 @@ fn bench(needed: &[usize], deadlines: bool, budget: Option<u32>) -> Bench {
     let routes = needed
         .iter()
         .enumerate()
-        .map(|(shard, &n)| Route::new(format!("ch{shard}"), endorsers(shard), ORDERER, n))
+        .map(|(shard, &n)| {
+            let channel = format!("ch{shard}");
+            Route::new(channel, endorsers(shard), ORDERERS.to_vec(), n)
+        })
         .collect();
     let mut gateway = Gateway::new(client, routes, CostModel::default());
     if deadlines {
@@ -107,6 +115,7 @@ fn commit(tx_id: TxId) -> FabricMsg {
         code: ValidationCode::Valid,
         chaincode_event: None,
         creator: None,
+        endorser: None,
     })
 }
 
@@ -172,7 +181,7 @@ mod transitions {
         let submit = [
             "disarm#1",
             "arm#2=commit",
-            "broadcast->20",
+            "broadcast->90",
             "endorse]",
             "[commit_wait",
         ];
@@ -209,7 +218,7 @@ mod transitions {
         let issued = b.invoke(0, 1);
         assert_eq!(show(&issued), ["charge", "[endorse", "propose->10"]);
         let tx = tx_of(&issued);
-        let submit = ["broadcast->20", "endorse]", "[commit_wait"];
+        let submit = ["broadcast->90", "endorse]", "[commit_wait"];
         assert_eq!(show(&b.message(b.answer(tx, Ok(b"r")))), submit);
         assert_eq!(
             show(&b.message(commit(tx))),
@@ -322,7 +331,7 @@ mod transitions {
         assert_eq!(show(&b.timer(1)), backing_off);
         assert_eq!(b.gateway.inflight(), 1);
         let reissued = b.timer(2);
-        let again = ["charge", "[endorse", "arm#3=endorse", "propose->10"];
+        let again = ["charge", "[endorse", "arm#3=endorse", "propose->11"];
         assert_eq!(show(&reissued), again);
         let second = tx_of(&reissued);
         assert_ne!(first, second);
@@ -344,7 +353,7 @@ mod transitions {
             "arm#1=backoff",
         ];
         assert_eq!(show(&b.message(b.answer(tx, Err(BUSY_REASON)))), shed);
-        assert_eq!(show(&b.timer(1)), ["charge", "[query", "propose->10"]);
+        assert_eq!(show(&b.timer(1)), ["charge", "[query", "propose->11"]);
     }
 
     #[test]
@@ -386,36 +395,72 @@ mod transitions {
         assert_eq!(b.gateway.inflight(), 1);
     }
 
-    /// Pinned, not endorsed (benchmark README finding 3): a deployment
-    /// hands each route "home peer first, then the other hosting peers",
-    /// but only `endorsers[..needed]` is ever addressed, so every retry
-    /// of a crashed peer's client goes back to the crashed peer — 4 of 4
-    /// attempts here, the spare endorser 0 times. Consistent with
-    /// `crash_recover`'s 13.6 s `op_p99_ms`, not measured here; failing
-    /// over changes that workload's virtual numbers and belongs to the
-    /// issue that claims them.
-    #[test]
-    fn a_dead_home_endorser_is_asked_again_on_every_attempt() {
-        let mut b = bench(&[1], true, Some(4));
-        let [home, spare] = endorsers(0)[..] else {
-            unreachable!("two endorsers per route");
-        };
-        let mut asked = BTreeMap::new();
-        let mut actions = b.invoke(0, 1);
-        for token in 1.. {
+    /// Runs the request `actions` started to its end on a network where
+    /// nothing comes back — but, when `endorsed`, the endorsements — so
+    /// every wake-up fires. Returns whom its proposals and its envelopes
+    /// were sent to, in order.
+    fn addressed(
+        b: &mut Bench,
+        mut actions: Vec<Action<Req>>,
+        endorsed: bool,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (mut proposals, mut envelopes) = (Vec::new(), Vec::new());
+        let mut armed = 0;
+        loop {
+            let mut proposed = None;
             for action in &actions {
-                if let Action::Send(to, _, FabricMsg::SubmitProposal(_)) = action {
-                    *asked.entry(*to).or_insert(0) += 1;
+                match action {
+                    Action::Send(to, _, FabricMsg::SubmitProposal(signed)) => {
+                        proposals.push(to.0);
+                        proposed = Some(signed.proposal.tx_id());
+                    }
+                    Action::Send(to, _, FabricMsg::Broadcast(_)) => envelopes.push(to.0),
+                    Action::Arm(token, _) => armed = *token,
+                    Action::Done(..) => return (proposals, envelopes),
+                    _ => {}
                 }
             }
-            if matches!(actions.last(), Some(Action::Done(..))) {
-                break;
-            }
-            // The home peer is down: every wake-up fires unanswered.
-            actions = b.timer(token);
+            actions = match proposed.filter(|_| endorsed) {
+                Some(tx) => b.message(b.answer(tx, Ok(b"r"))),
+                None => b.timer(armed),
+            };
         }
-        assert_eq!(asked.get(&home), Some(&4));
-        assert_eq!(asked.get(&spare), None);
+    }
+
+    /// Attempt `k` starts `k` places along the ring, home first: a dead
+    /// home endorser costs its client one deadline, not the whole budget.
+    #[test]
+    fn a_retry_goes_to_the_next_endorser() {
+        let mut b = bench(&[1], true, Some(4));
+        let issued = b.invoke(0, 1);
+        let (proposals, envelopes) = addressed(&mut b, issued, false);
+        assert_eq!(proposals, [10, 11, 12, 10]);
+        assert!(envelopes.is_empty());
+        // With two endorsements needed, the window of two moves along.
+        let mut b = bench(&[2], true, Some(3));
+        let issued = b.invoke(0, 1);
+        let (proposals, _) = addressed(&mut b, issued, false);
+        assert_eq!(proposals, [10, 11, 11, 12, 12, 10]);
+    }
+
+    #[test]
+    fn a_query_retry_asks_the_next_endorser() {
+        let mut b = bench(&[2], true, Some(4));
+        let issued = b.query(0, 1);
+        let (proposals, envelopes) = addressed(&mut b, issued, false);
+        assert_eq!(proposals, [10, 11, 12, 10]);
+        assert!(envelopes.is_empty());
+    }
+
+    /// The envelope of attempt `k` goes `k` places along the orderers: a
+    /// dead home orderer costs one commit deadline.
+    #[test]
+    fn a_resubmission_goes_to_the_next_orderer() {
+        let mut b = bench(&[1], true, Some(4));
+        let issued = b.invoke(0, 1);
+        let (proposals, envelopes) = addressed(&mut b, issued, true);
+        assert_eq!(proposals, [10, 11, 12, 10]);
+        assert_eq!(envelopes, [90, 91, 92, 90]);
     }
 
     /// Pinned, not endorsed (benchmark README finding 2): after a
@@ -456,6 +501,15 @@ impl Rng {
     }
 }
 
+/// One node of a deployment of `shards` routes: an endorser of one of
+/// them, or an orderer.
+fn pick_target(rng: &mut Rng, shards: usize) -> ActorId {
+    let shard = rng.below(shards as u64) as usize;
+    let mut targets = endorsers(shard);
+    targets.extend(ORDERERS);
+    targets[rng.below(targets.len() as u64) as usize]
+}
+
 /// The model around a gateway: what its actions have armed, sent, opened
 /// and completed so far.
 struct Model {
@@ -469,11 +523,33 @@ struct Model {
     open: BTreeSet<(TxId, &'static str)>,
     /// `Done`s per request number.
     done: BTreeMap<u32, u32>,
-    /// Percent of replies lost, and duplicated; zero once the net heals.
+    /// How many of them were errors.
+    failed: u32,
+    /// Percent of replies lost, and duplicated, while endorsers also shed
+    /// and reject at random; zero once the net heals.
     loss: u64,
+    /// A node that answers nothing.
+    dead: Option<ActorId>,
+    /// Messages sent per node, the dead one included.
+    asked: BTreeMap<ActorId, u32>,
 }
 
 impl Model {
+    fn new(bench: Bench, rng: Rng, loss: u64, dead: Option<ActorId>) -> Self {
+        Model {
+            bench,
+            rng,
+            armed: BTreeSet::new(),
+            wire: Vec::new(),
+            open: BTreeSet::new(),
+            done: BTreeMap::new(),
+            failed: 0,
+            loss,
+            dead,
+            asked: BTreeMap::new(),
+        }
+    }
+
     /// Checks the actions of one input against the books and applies
     /// them: sends become the replies a (lossy) network would return.
     fn apply(&mut self, actions: Vec<Action<Req>>) {
@@ -483,8 +559,16 @@ impl Model {
                 Action::Disarm(token) => assert!(self.armed.remove(&token), "#{token} not armed"),
                 Action::SpanStart(tx, stage) => assert!(self.open.insert((tx, stage))),
                 Action::SpanEnd(tx, stage) => assert!(self.open.remove(&(tx, stage))),
-                Action::Done(Req(n), _) => *self.done.entry(n).or_insert(0) += 1,
-                Action::Send(_, _, msg) => self.reply_to(msg),
+                Action::Done(Req(n), result) => {
+                    *self.done.entry(n).or_insert(0) += 1;
+                    self.failed += u32::from(result.is_err());
+                }
+                Action::Send(to, _, msg) => {
+                    *self.asked.entry(to).or_insert(0) += 1;
+                    if Some(to) != self.dead {
+                        self.reply_to(msg);
+                    }
+                }
                 _ => {}
             }
         }
@@ -497,7 +581,13 @@ impl Model {
         let reply = match msg {
             FabricMsg::SubmitProposal(signed) => {
                 let tx = signed.proposal.tx_id();
-                match self.rng.below(10) {
+                // A healed network answers honestly.
+                let roll = if self.loss == 0 {
+                    9
+                } else {
+                    self.rng.below(10)
+                };
+                match roll {
                     0 => self.bench.answer(tx, Err(BUSY_REASON)),
                     1 => self.bench.answer(tx, Err("rejected")),
                     2 => self.bench.answer(tx, Ok(b"odd")),
@@ -524,6 +614,19 @@ impl Model {
         self.apply(actions);
     }
 
+    /// The network heals: what is on the wire arrives, and a wake-up fires
+    /// only once nothing is left to arrive, until nothing is armed.
+    fn drain(&mut self) {
+        self.loss = 0;
+        while !(self.wire.is_empty() && self.armed.is_empty()) {
+            if self.wire.is_empty() {
+                self.fire(0);
+            } else {
+                self.deliver();
+            }
+        }
+    }
+
     /// Fires the `nth` armed wake-up, whatever its delay: early or late.
     fn fire(&mut self, nth: u64) {
         let token = *self.armed.iter().nth(nth as usize).expect("in range");
@@ -535,26 +638,19 @@ impl Model {
 
 proptest! {
     /// Whatever the network does to the replies and whenever the timers
-    /// fire: a row exists exactly while its one wake-up is armed, no
-    /// token is armed twice, no span is opened or closed twice, every
-    /// request is answered exactly once — and once the inputs stop and
-    /// the timers drain, the table is empty.
+    /// fire, and whether or not one node of a route is dead throughout: a
+    /// row exists exactly while its one wake-up is armed, no token is
+    /// armed twice, no span is opened or closed twice, every request is
+    /// answered exactly once — and once the inputs stop and the timers
+    /// drain, the table is empty.
     #[test]
     fn every_request_ends_exactly_once_and_the_table_drains(seed in any::<u64>()) {
         let mut rng = Rng(DetRng::new(seed));
         let needed: Vec<usize> = (0..1 + rng.below(4)).map(|_| 1 + rng.below(2) as usize).collect();
         let budget = rng.chance(70).then(|| 1 + rng.below(4) as u32);
         let loss = 10 + rng.below(30);
-        let bench = bench(&needed, true, budget);
-        let mut m = Model {
-            bench,
-            rng,
-            armed: BTreeSet::new(),
-            wire: Vec::new(),
-            open: BTreeSet::new(),
-            done: BTreeMap::new(),
-            loss,
-        };
+        let dead = rng.chance(50).then(|| pick_target(&mut rng, needed.len()));
+        let mut m = Model::new(bench(&needed, true, budget), rng, loss, dead);
         let requests = 1 + m.rng.below(24) as u32;
         let mut issued = 0;
         for _ in 0..400 {
@@ -584,18 +680,35 @@ proptest! {
                 _ => {}
             }
         }
-        // The inputs stop, the network heals: what is on the wire arrives
-        // and every timer left fires, until nothing is armed.
-        m.loss = 0;
-        while !(m.wire.is_empty() && m.armed.is_empty()) {
-            if m.wire.is_empty() {
-                m.fire(0);
-            } else {
-                m.deliver();
-            }
-        }
+        // The inputs stop.
+        m.drain();
         prop_assert_eq!(m.bench.gateway.inflight(), 0);
         prop_assert!(m.open.is_empty(), "spans left open: {:?}", m.open);
         prop_assert_eq!(m.done.len() as u32, issued);
+    }
+
+    /// The network is clean and every timer fires on time, but one node
+    /// of the route is dead from the start: a request with a budget of
+    /// two or more ends `Ok`, because attempt `k` starts `k` places along
+    /// each ring — and over `a` attempts no node, dead or alive, is
+    /// addressed more than ⌈a/n⌉ times.
+    #[test]
+    fn a_request_with_a_retry_left_routes_around_one_dead_node(seed in any::<u64>()) {
+        let mut rng = Rng(DetRng::new(seed));
+        let budget = 2 + rng.below(4) as u32;
+        let dead = pick_target(&mut rng, 1);
+        let mut m = Model::new(bench(&[1], true, Some(budget)), rng, 0, Some(dead));
+        let actions = match m.rng.chance(60) {
+            true => m.bench.invoke(0, 1),
+            false => m.bench.query(0, 1),
+        };
+        m.apply(actions);
+        m.drain();
+        prop_assert_eq!(m.done.get(&1), Some(&1));
+        prop_assert_eq!(m.failed, 0);
+        let attempts: u32 = endorsers(0).iter().filter_map(|e| m.asked.get(e)).sum();
+        prop_assert!(attempts <= 2, "one dead node costs one retry, not {}", attempts - 1);
+        let share = attempts.div_ceil(3);
+        prop_assert!(m.asked.values().all(|&n| n <= share), "{:?}", m.asked);
     }
 }

@@ -183,7 +183,7 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     )));
 
     let log = Rc::new(RefCell::new(DriverLog::default()));
-    let route = Route::new(ChannelId::default(), peers.clone(), orderer, 1);
+    let route = Route::new(ChannelId::default(), peers.clone(), vec![orderer], 1);
     let gateway = Gateway::new(client_id, vec![route], costs);
     let key_of = move |n| match hot_key {
         true => "hot".to_owned(),
@@ -312,7 +312,7 @@ fn raft_ordering_service_commits_transactions() {
 
     let log = Rc::new(RefCell::new(DriverLog::default()));
     // Point the gateway at orderer 0; it redirects to the leader if needed.
-    let route = Route::new(ChannelId::default(), vec![peer_actor_id], orderer_ids[0], 1);
+    let route = Route::new(ChannelId::default(), vec![peer_actor_id], orderer_ids, 1);
     let gateway = Gateway::new(client_id, vec![route], costs);
     let driver = ClientDriver::new(gateway, 8, |n| format!("key{n}"), &log);
     let client = sim.add_actor(Box::new(driver));
@@ -384,7 +384,7 @@ fn endorsement_failure_reported_to_client() {
     peer.add_channel(Rc::new(RefCell::new(ledger)), None);
     let peer_id = sim.add_actor(Box::new(peer));
     let log = Rc::new(RefCell::new(DriverLog::default()));
-    let route = Route::new(ChannelId::default(), vec![peer_id], peer_id, 1);
+    let route = Route::new(ChannelId::default(), vec![peer_id], vec![peer_id], 1);
     let client = sim.add_actor(Box::new(QueryOnce {
         gateway: Gateway::new(client_id, vec![route], costs),
         armed: Armed::new(),
@@ -522,7 +522,7 @@ impl SmallNet {
         let log = Rc::new(RefCell::new(DriverLog::default()));
         for (c, (identity, remaining)) in client_ids.into_iter().zip(client_txs).enumerate() {
             let peers = vec![SMALL_NET_PEERS[0]];
-            let route = Route::new(ChannelId::default(), peers, orderers[0], 1);
+            let route = Route::new(ChannelId::default(), peers, vec![orderers[0]], 1);
             let gateway = Gateway::new(identity, vec![route], costs);
             let key_of = move |n| format!("key{c}-{n}");
             let driver = ClientDriver::new(gateway, remaining, key_of, &log);

@@ -1,13 +1,15 @@
 //! Workspace-level fault-tolerance tests: commit deadlines firing cleanly
 //! under partitions, split peer groups converging after heal, Raft
 //! leader loss with a retrying client, transient partitions absorbed
-//! entirely by the client retry budget, and a network-wide loss window
-//! ridden out by deadlines and retry.
+//! entirely by the client retry budget, a network-wide loss window
+//! ridden out by deadlines and retry, and a crashed home peer or home
+//! orderer costing its clients one deadline per operation, not the
+//! outage.
 
 use hyperprov_repro::fabric::{BatchConfig, RaftOrdererActor};
 use hyperprov_repro::hyperprov::{
-    ClientCommand, HyperProvClient, HyperProvError, HyperProvNetwork, NetworkConfig, NodeMsg, OpId,
-    RecordInput, RetryPolicy,
+    ClientCommand, ClientCompletion, HyperProvClient, HyperProvError, HyperProvNetwork,
+    NetworkConfig, NodeMsg, OpId, RecordInput, RetryPolicy,
 };
 use hyperprov_repro::ledger::Digest;
 use hyperprov_repro::sim::{ActorId, FaultPlan, SimDuration, SimTime};
@@ -44,6 +46,39 @@ fn raft_leader(net: &HyperProvNetwork) -> Option<ActorId> {
             .and_then(|any| any.downcast_ref::<RaftOrdererActor<NodeMsg>>())
             .is_some_and(|o| o.is_leader())
     })
+}
+
+/// A closed loop of posts until `until`: client `c` (one per entry of
+/// `issued`, which counts its posts) posts again as soon as its last post
+/// ended.
+fn post_in_a_closed_loop(net: &mut HyperProvNetwork, issued: &mut [u64], until: SimTime) {
+    while net.sim.now() < until {
+        for (client, issued) in issued.iter_mut().enumerate() {
+            if net.completions[client].borrow().len() as u64 == *issued {
+                *issued += 1;
+                let key = format!("item-{client}-{issued}");
+                let input = RecordInput::new(Digest::of(key.as_bytes()));
+                let op = OpId(*issued);
+                let post = ClientCommand::Post { key, input, op };
+                net.sim
+                    .inject_message(net.clients[client], NodeMsg::Client(post));
+            }
+        }
+        net.sim
+            .run_until(net.sim.now() + SimDuration::from_millis(10));
+    }
+}
+
+/// Every peer holds the same chain height and the same state.
+fn assert_converged(net: &HyperProvNetwork) {
+    let heights: Vec<u64> = net.ledgers.iter().map(|l| l.borrow().height()).collect();
+    assert!(heights.iter().all(|&h| h == heights[0]), "{heights:?}");
+    let hashes: Vec<_> = net
+        .ledgers
+        .iter()
+        .map(|l| l.borrow().state().state_hash())
+        .collect();
+    assert!(hashes.iter().all(|h| *h == hashes[0]), "state diverged");
 }
 
 /// A commit notification that never arrives (home peer partitioned from
@@ -290,23 +325,8 @@ fn a_loss_window_is_ridden_out_by_deadlines_and_retry() {
         .loss_window(0.2, at(4), at(6))
         .install(&mut net.sim);
 
-    // The closed loop: a client posts again as soon as its last post ended.
     let mut issued = [0u64; 2];
-    while net.sim.now() < at(10) {
-        for (client, issued) in issued.iter_mut().enumerate() {
-            if net.completions[client].borrow().len() as u64 == *issued {
-                *issued += 1;
-                let key = format!("item-{client}-{issued}");
-                let input = RecordInput::new(Digest::of(key.as_bytes()));
-                let op = OpId(*issued);
-                let post = ClientCommand::Post { key, input, op };
-                net.sim
-                    .inject_message(net.clients[client], NodeMsg::Client(post));
-            }
-        }
-        net.sim
-            .run_until(net.sim.now() + SimDuration::from_millis(10));
-    }
+    post_in_a_closed_loop(&mut net, &mut issued, at(10));
     net.sim.run_until(at(60));
 
     let mut failed = 0;
@@ -330,12 +350,112 @@ fn a_loss_window_is_ridden_out_by_deadlines_and_retry() {
     assert_eq!(failed, 0, "posts invalidated");
     assert_eq!(net.sim.tracer().open_spans(), 0);
 
-    let heights: Vec<u64> = net.ledgers.iter().map(|l| l.borrow().height()).collect();
-    assert!(heights.iter().all(|&h| h == heights[0]), "{heights:?}");
-    let hashes: Vec<_> = net
-        .ledgers
+    assert_converged(&net);
+}
+
+/// The benchmark's deadlines.
+const ENDORSE_DEADLINE: SimDuration = SimDuration::from_secs(2);
+const COMMIT_DEADLINE: SimDuration = SimDuration::from_secs(4);
+
+/// The deployment of the two outage tests: three clients, homed on peers
+/// and Raft orderers 0, 1 and 2, under the benchmark's deadlines and
+/// retry budget. Four blocks a second, so a peer that was down for ten
+/// seconds is still within the orderer's 64-block tail.
+fn three_homes(seed: u64) -> HyperProvNetwork {
+    let config = NetworkConfig::desktop(3)
+        .with_seed(seed)
+        .with_raft_orderers(3)
+        .with_batch(BatchConfig {
+            timeout: SimDuration::from_millis(250),
+            ..BatchConfig::default()
+        })
+        .with_deadlines(Some(ENDORSE_DEADLINE), Some(COMMIT_DEADLINE))
+        .with_retry(RetryPolicy::new(8));
+    let mut net = HyperProvNetwork::build(&config);
+    net.sim.run_until(SimTime::from_secs(2)); // elect
+    net
+}
+
+/// The three clients post in a closed loop for 24 s while `node`, the
+/// home of client `homed`, is down from 6 s to 16 s. Every post ends
+/// `Ok` with the budget never spent; a post `homed` issued during the
+/// outage takes `deadline` — the one attempt sent to the dead node — plus
+/// the first backoff (50 ms + 20 %) plus a steady-state post on the next
+/// node (at most twice the slowest post before the fault); and the live
+/// peers end up equal. Returns the number of such posts.
+fn an_outage_costs_one_deadline_per_post(
+    net: &mut HyperProvNetwork,
+    node: ActorId,
+    homed: usize,
+    deadline: SimDuration,
+) -> usize {
+    let (down, up) = (SimTime::from_secs(6), SimTime::from_secs(16));
+    FaultPlan::new()
+        .crash_window(node, down, up)
+        .install(&mut net.sim);
+    let mut issued = [0u64; 3];
+    post_in_a_closed_loop(net, &mut issued, SimTime::from_secs(24));
+    net.sim.run_until(SimTime::from_secs(60));
+
+    for (client, &issued) in issued.iter().enumerate() {
+        let completions = net.completions[client].borrow();
+        assert_eq!(completions.len() as u64, issued, "an operation hung");
+        for completion in completions.iter() {
+            assert!(completion.outcome.is_ok(), "{completion:?}");
+        }
+    }
+    assert_eq!(net.sim.metrics().counter("client.exhausted"), 0);
+    assert_eq!(net.sim.tracer().open_spans(), 0);
+
+    let completions = net.completions[homed].borrow();
+    let latency = |c: &ClientCompletion| c.finished - c.started;
+    let before = completions.iter().filter(|c| c.finished < down);
+    let steady = before.map(latency).max().expect("posts before the fault");
+    let bound = deadline + SimDuration::from_millis(60) + steady + steady;
+    let during: Vec<_> = completions
         .iter()
-        .map(|l| l.borrow().state().state_hash())
+        .filter(|c| c.started > down && c.started < up)
         .collect();
-    assert!(hashes.iter().all(|h| *h == hashes[0]), "state diverged");
+    for completion in &during {
+        let took = latency(completion);
+        assert!(
+            took >= deadline,
+            "{:?} never met the dead node",
+            completion.op
+        );
+        assert!(
+            took <= bound,
+            "{:?} took {took}, over {bound}",
+            completion.op
+        );
+    }
+
+    assert_converged(net);
+    during.len()
+}
+
+/// Client 0's home peer is down for ten seconds. Each post it issues
+/// meanwhile is proposed to the dead peer once, and its retry is endorsed
+/// — and its commit reported — by the next peer of the ring: three posts
+/// get through behind the one the crash caught in commit-wait, where
+/// waiting out the home peer would be one.
+#[test]
+fn a_crashed_home_peer_costs_one_endorse_deadline_per_post() {
+    let mut net = three_homes(71);
+    let home = net.peers[0];
+    let posts = an_outage_costs_one_deadline_per_post(&mut net, home, 0, ENDORSE_DEADLINE);
+    assert!(posts >= 3, "{posts} posts issued during the outage");
+}
+
+/// The home orderer of a client — a follower, so nobody else notices —
+/// is down for ten seconds. Each envelope sent to it is lost to one
+/// commit deadline, and the resubmission goes to the next orderer.
+#[test]
+fn a_crashed_home_orderer_costs_one_commit_deadline_per_post() {
+    let mut net = three_homes(73);
+    let leader = raft_leader(&net).expect("a leader after two seconds");
+    let follower = net.orderers.iter().position(|&o| o != leader).unwrap();
+    let home = net.orderers[follower];
+    let posts = an_outage_costs_one_deadline_per_post(&mut net, home, follower, COMMIT_DEADLINE);
+    assert!(posts >= 2, "{posts} posts issued during the outage");
 }

@@ -74,7 +74,7 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
         hyperprov_repro::offchain::StorageActor::<NodeMsg>::new(store.clone(), Default::default());
     assert_eq!(sim.add_actor(Box::new(storage)), storage_id);
 
-    let route = Route::new("raft-channel", vec![peer_id], orderers[0], 1);
+    let route = Route::new("raft-channel", vec![peer_id], orderers.clone(), 1);
     let gateway = Gateway::new(client_identity, vec![route], costs);
     let (client, completions) = HyperProvClient::new(gateway, storage_id, "sshfs://s/", costs);
     assert_eq!(sim.add_actor(Box::new(client)), client_id);
