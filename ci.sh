@@ -12,14 +12,15 @@ cargo test --workspace -q
 # Options audit: an option needs a caller that is not a test. Every
 # `pub fn with_*` of every crate must be called (`.with_x(` or
 # `Type::with_x(`) from non-test source of a crate, an example or the
-# benchmark; the source is each file up to its first `#[cfg(test)]`.
+# benchmark; the source is each file up to its first `#[cfg(test)]`, and
+# none of a `tests.rs` (a test module in a file of its own).
 # So does every other public function: a `pub fn` whose name that corpus
 # holds once — its definition — and no other `.rs` file of the repository
 # mentions (integration tests and benches included) is called by its own
 # unit tests at most, and goes.
 # The same pass prints the non-test line counts CHANGES.md entries quote:
 # the total, each crate's, and the largest single file.
-nontest='FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t'
+nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
 echo "non-test lines under crates/*/src: $(wc -l <"$src")"
@@ -52,7 +53,7 @@ fi
 
 # Purity audit: the protocol state machines are sans-IO — they answer
 # with what to do and never name the kernel types that do it.
-for pure in catchup orderer raft gateway; do
+for pure in catchup orderer raft gateway peer peer/boot; do
     if awk "$nontest" "crates/fabric/src/$pure.rs" | grep -nE '\b(Context|ServiceHarness|TimerId)\b'; then
         echo "crates/fabric/src/$pure.rs names a kernel type: keep I/O in the actor" >&2
         exit 1
@@ -64,16 +65,28 @@ for example in quickstart iot_edge scientific_workflow tamper_detection; do
     cargo run --release --example "$example"
 done
 
-# Quick campaigns as end-to-end smoke runs: bounded admission queues
-# (overload); crash/restart, Raft failover, partitions and the retrying
-# client (faults); multi-channel routing and scatter-gather queries
-# (sharding); multi-lane VSCC and verification caches (commit_pipeline);
-# the provenance DAG index vs the oracle walk (lineage); snapshots,
+# Every campaign, quick, as end-to-end smoke runs (about 10 s): the
+# paper's figures and the thesis-style tables, among them bounded
+# admission queues (overload); crash/restart, Raft failover, partitions
+# and the retrying client (faults); multi-channel routing (sharding);
+# multi-lane VSCC and verification caches (commit_pipeline); snapshots,
 # pruning and elastic membership (recovery); the 10k-client machinery in
-# miniature (scale).
-for campaign in overload faults sharding commit_pipeline lineage recovery scale; do
-    cargo run --release -p hyperprov-bench --bin campaign -- "table_$campaign" --quick
-done
+# miniature (scale). Then the other way round: a tracked file under
+# results/ that no campaign saved is nobody's output any more.
+saved=target/campaign_saved
+cargo run --release -p hyperprov-bench --bin campaign -- all --quick >"$saved" || {
+    cat "$saved"
+    exit 1
+}
+cat "$saved"
+stale=$(git ls-files results | while read -r file; do
+    grep -qF "/$file]" "$saved" || echo "$file"
+done)
+rm -f "$saved"
+if [ -n "$stale" ]; then
+    echo "tracked results no campaign saves:" $stale >&2
+    exit 1
+fi
 
 # Regression gate: one table of claims (crates/bench/src/regress.rs,
 # GATES) over the committed BENCH_*.json trajectories. Reruns the quick

@@ -1,6 +1,6 @@
 //! Verification caches for the accelerated commit path.
 //!
-//! Two FastFabric-style memoisations with hit/miss counters:
+//! Two FastFabric-style memoisations (the peer counts their hits):
 //!
 //! * [`SigVerifyCache`] — a per-peer memo of endorsement signatures that
 //!   already verified, keyed by `(certificate, message digest, signature)`.
@@ -26,8 +26,6 @@ use crate::identity::{CertId, Certificate, Msp, Signature};
 #[derive(Debug, Clone, Default)]
 pub struct SigVerifyCache {
     verified: HashSet<(CertId, Digest, Signature)>,
-    hits: u64,
-    misses: u64,
 }
 
 impl SigVerifyCache {
@@ -47,25 +45,13 @@ impl SigVerifyCache {
     ) -> (bool, bool) {
         let key = (cert.id, Digest::of(message), *sig);
         if self.verified.contains(&key) {
-            self.hits += 1;
             return (true, true);
         }
-        self.misses += 1;
         let ok = msp.verify(cert, message, sig);
         if ok {
             self.verified.insert(key);
         }
         (ok, false)
-    }
-
-    /// Verifications served from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Verifications that ran cryptographically.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Number of memoised triples.
@@ -84,9 +70,6 @@ impl SigVerifyCache {
 #[derive(Debug, Clone, Default)]
 pub struct ReadCache {
     keys: HashSet<StateKey>,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
 }
 
 impl ReadCache {
@@ -98,39 +81,17 @@ impl ReadCache {
     /// Records a chaincode read of `key`. Returns `true` when the read
     /// was served from the cache; a miss inserts the key for next time.
     pub fn touch(&mut self, key: &StateKey) -> bool {
-        if self.keys.contains(key) {
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
+        let hit = self.keys.contains(key);
+        if !hit {
             self.keys.insert(key.clone());
-            false
         }
+        hit
     }
 
     /// Evicts `key` after a committed write to it (MVCC-version
     /// invalidation). Returns `true` if an entry was dropped.
     pub fn invalidate(&mut self, key: &StateKey) -> bool {
-        let dropped = self.keys.remove(key);
-        if dropped {
-            self.invalidations += 1;
-        }
-        dropped
-    }
-
-    /// Reads served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Reads that went to the state database.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries evicted by committed writes.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
+        self.keys.remove(key)
     }
 
     /// Number of cached keys.
@@ -150,7 +111,7 @@ mod tests {
     use crate::identity::{MspBuilder, MspId};
 
     #[test]
-    fn sig_cache_hits_on_repeat_and_counts() {
+    fn sig_cache_hits_on_repeat() {
         let mut b = MspBuilder::new(1);
         let id = b.enroll("peer0", &MspId::new("org1"));
         let msp = b.build();
@@ -165,7 +126,6 @@ mod tests {
             cache.verify(&msp, id.certificate(), msg, &sig),
             (true, true)
         );
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -186,7 +146,6 @@ mod tests {
             (false, false)
         );
         assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 2);
     }
 
     #[test]
@@ -218,9 +177,6 @@ mod tests {
         assert!(cache.invalidate(&k)); // committed write evicts
         assert!(!cache.invalidate(&k)); // second eviction is a no-op
         assert!(!cache.touch(&k)); // miss again after invalidation
-        assert_eq!(
-            (cache.hits(), cache.misses(), cache.invalidations()),
-            (1, 2, 1)
-        );
+        assert_eq!(cache.len(), 1);
     }
 }

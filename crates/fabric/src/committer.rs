@@ -14,15 +14,17 @@
 //! degenerate case of the same path; the monolithic loop it replaced
 //! survives only as the test module's reference implementation.
 
+mod bootstrap;
+
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::sync::Arc;
 
 use hyperprov_ledger::{
     Block, BlockStore, ChainError, ChannelId, ChannelLedger, GraphIndexer, HistoryDb, KvWrite,
-    ProvGraph, RawEnvelope, Snapshot, SnapshotError, StateDb, StateKey, TxId, ValidationCode,
-    Version,
+    ProvGraph, RawEnvelope, StateDb, StateKey, TxId, ValidationCode, Version,
 };
+
+pub use bootstrap::BootstrapError;
 
 use crate::caches::SigVerifyCache;
 use crate::identity::Msp;
@@ -100,54 +102,6 @@ pub struct VsccVerdict {
     pub sig_misses: u32,
     /// Endorsement signatures served from the verification cache.
     pub sig_hits: u32,
-}
-
-/// Why a snapshot could not be used to bootstrap a committer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BootstrapError {
-    /// The snapshot failed its own integrity check.
-    Snapshot(SnapshotError),
-    /// The snapshot belongs to a different channel.
-    WrongChannel {
-        /// Channel named by the snapshot manifest.
-        got: String,
-        /// Channel the committer serves.
-        expected: String,
-    },
-    /// The provenance graph rebuilt from the restored state disagrees
-    /// with the digest the manifest committed to.
-    GraphDigestMismatch,
-    /// A delta block did not extend the restored chain.
-    Chain(ChainError),
-}
-
-impl fmt::Display for BootstrapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BootstrapError::Snapshot(e) => write!(f, "snapshot invalid: {e}"),
-            BootstrapError::WrongChannel { got, expected } => {
-                write!(f, "snapshot for channel {got}, expected {expected}")
-            }
-            BootstrapError::GraphDigestMismatch => {
-                write!(f, "restored graph digest mismatch")
-            }
-            BootstrapError::Chain(e) => write!(f, "delta replay failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BootstrapError {}
-
-impl From<SnapshotError> for BootstrapError {
-    fn from(e: SnapshotError) -> Self {
-        BootstrapError::Snapshot(e)
-    }
-}
-
-impl From<ChainError> for BootstrapError {
-    fn from(e: ChainError) -> Self {
-        BootstrapError::Chain(e)
-    }
 }
 
 /// A committing peer's view of one channel: the per-channel ledger bundle
@@ -516,1042 +470,7 @@ impl Committer {
             self.ledger.store.iter().cloned(),
         )
     }
-
-    /// Freezes this committer's entire derived state at the current
-    /// height into a [`Snapshot`] with at most `chunk_entries` state
-    /// entries per transfer chunk. The cut shares the ledger's keys and
-    /// values and hashes nothing; the Merkle-rooted manifest is computed
-    /// when something first reads it ([`Snapshot::manifest`]). Its graph
-    /// digest is then derived from the frozen state with this committer's
-    /// indexer — what the live index hashes to at the cut, as
-    /// [`Committer::graph_consistent`] states.
-    pub fn snapshot(&self, chunk_entries: usize) -> Snapshot {
-        Snapshot::capture(
-            &self.channel,
-            self.ledger.store.height(),
-            self.ledger.store.tip_hash(),
-            &self.ledger.state,
-            &self.ledger.history,
-            self.seen.iter().copied().collect(),
-            self.indexer.clone(),
-            chunk_entries,
-        )
-    }
-
-    /// Compacts the block store behind a snapshot horizon; blocks below
-    /// `horizon` are dropped. Returns the number of blocks pruned.
-    pub fn prune_store_to(&mut self, horizon: u64) -> u64 {
-        self.ledger.store.prune_to(horizon)
-    }
-
-    /// Rebuilds a committer from a verified snapshot plus delta blocks —
-    /// the O(1)-in-chain-length recovery path. The snapshot is integrity
-    /// checked ([`Snapshot::verify`]), the provenance graph is rebuilt by
-    /// running the indexer over the restored state and compared against
-    /// the manifest's graph digest, and the block store resumes pruned at
-    /// the snapshot height. Delta blocks below the snapshot height are
-    /// skipped; the rest are re-validated exactly like a genesis replay.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BootstrapError`] if the snapshot fails verification,
-    /// names another channel, the rebuilt graph digest disagrees, or a
-    /// delta block does not link.
-    pub fn bootstrap_from_snapshot(
-        channel: ChannelId,
-        msp: Arc<Msp>,
-        policies: ChannelPolicies,
-        indexer: Option<Arc<dyn GraphIndexer>>,
-        snapshot: &Snapshot,
-        delta_blocks: impl IntoIterator<Item = Block>,
-    ) -> Result<Committer, BootstrapError> {
-        snapshot.verify()?;
-        let manifest = snapshot.manifest();
-        if manifest.channel != channel.as_str() {
-            return Err(BootstrapError::WrongChannel {
-                got: manifest.channel.clone(),
-                expected: channel.as_str().to_owned(),
-            });
-        }
-
-        let state = snapshot.restore_state();
-        let graph = ProvGraph::from_state(
-            indexer.as_deref(),
-            state.iter().map(|(k, v)| (k, &*v.value)),
-        );
-        if graph.digest() != manifest.graph_digest {
-            return Err(BootstrapError::GraphDigestMismatch);
-        }
-
-        let mut committer = Committer {
-            channel,
-            ledger: ChannelLedger {
-                store: BlockStore::with_base(manifest.height, manifest.tip_hash),
-                state,
-                history: snapshot.restore_history(),
-                graph,
-            },
-            msp,
-            policies,
-            seen: snapshot.tail().seen.iter().copied().collect(),
-            indexer,
-        };
-        for mut block in delta_blocks {
-            if block.header.number < manifest.height {
-                continue;
-            }
-            block.metadata.codes.clear();
-            committer.commit_block(block)?;
-        }
-        Ok(committer)
-    }
-
-    /// [`Committer::bootstrap_from_snapshot`] against this committer's own
-    /// identity material and durable block store: restores the snapshot
-    /// and replays only the blocks at or above its height. This is the
-    /// restarted peer's fast path — `recover()` replays the whole chain,
-    /// this replays at most one snapshot interval.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BootstrapError`] if the snapshot fails verification or
-    /// the delta blocks do not link onto it.
-    pub fn recover_from_snapshot(&self, snapshot: &Snapshot) -> Result<Committer, BootstrapError> {
-        Committer::bootstrap_from_snapshot(
-            self.channel.clone(),
-            self.msp.clone(),
-            self.policies.clone(),
-            self.indexer.clone(),
-            snapshot,
-            self.ledger
-                .store
-                .iter()
-                .filter(|b| b.header.number >= snapshot.height())
-                .cloned(),
-        )
-    }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::identity::{MspBuilder, MspId, Signature, SigningIdentity};
-    use crate::messages::{endorsement_message, Endorsement, Proposal};
-    use hyperprov_ledger::{Digest, KvRead, KvWrite, RwSet, StateKey};
-
-    struct Net {
-        msp: Arc<Msp>,
-        client: SigningIdentity,
-        peers: Vec<SigningIdentity>,
-    }
-
-    fn net() -> Net {
-        let mut b = MspBuilder::new(1);
-        let client = b.enroll("client", &MspId::new("org1"));
-        let peers = (0..3)
-            .map(|i| b.enroll(&format!("peer{i}"), &MspId::new(format!("org{}", i + 1))))
-            .collect();
-        Net {
-            msp: b.build(),
-            client,
-            peers,
-        }
-    }
-
-    fn committer(net: &Net, policy: EndorsementPolicy) -> Committer {
-        Committer::new(net.msp.clone(), ChannelPolicies::new(policy))
-    }
-
-    fn envelope(net: &Net, nonce: u64, rwset: RwSet, endorsers: &[usize]) -> Envelope {
-        let proposal = Proposal {
-            channel: "ch".into(),
-            chaincode: "cc".into(),
-            function: "f".into(),
-            args: vec![],
-            creator: net.client.certificate().clone(),
-            nonce,
-        };
-        let tx_id = proposal.tx_id();
-        let msg = endorsement_message(&tx_id, b"r", &rwset);
-        let endorsements = endorsers
-            .iter()
-            .map(|&i| Endorsement {
-                endorser: net.peers[i].certificate().clone(),
-                signature: net.peers[i].sign(&msg),
-            })
-            .collect();
-        Envelope {
-            proposal,
-            payload: b"r".to_vec(),
-            rwset,
-            event: None,
-            endorsements,
-        }
-    }
-
-    fn write_set(key: &str, value: &[u8]) -> RwSet {
-        RwSet {
-            reads: vec![],
-            writes: vec![KvWrite {
-                key: StateKey::new("cc", key),
-                value: Some(value.into()),
-            }],
-        }
-    }
-
-    /// Reference implementation for the equivalence tests: the monolithic
-    /// serial commit loop (decode, duplicate, signatures, policy, MVCC and
-    /// apply, one transaction at a time), written independently of
-    /// [`Committer::vscc_block`] / [`Committer::commit_block_prevalidated`].
-    fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
-        let mut block = c.ledger.store.check_extends(block).unwrap();
-        let mut out = CommitOutcome {
-            events: Vec::new(),
-            valid: 0,
-            invalid: 0,
-            bytes_written: 0,
-            written_keys: Vec::new(),
-            dangling_parents: 0,
-        };
-        let mut codes = Vec::new();
-        for (tx_num, raw) in block.envelopes.iter().enumerate() {
-            let (code, chaincode_event, creator, endorser) = match Envelope::from_raw(raw) {
-                Ok(env) => {
-                    let tx_id = env.tx_id();
-                    let creator = env.proposal.creator.id;
-                    let endorser = env.endorsements.first().map(|e| e.endorser.id);
-                    let code = validate_reference(c, &env, &tx_id);
-                    let mut chaincode_event = None;
-                    if code.is_valid() {
-                        let version = Version::new(block.header.number, tx_num as u32);
-                        c.ledger.state.apply_writes(&env.rwset.writes, version);
-                        c.ledger.history.append(tx_id, version, &env.rwset.writes);
-                        out.dangling_parents += c.index_writes(&env.rwset.writes);
-                        out.bytes_written += env.rwset.write_bytes() as u64;
-                        out.written_keys
-                            .extend(env.rwset.writes.into_iter().map(|w| w.key));
-                        chaincode_event = env.event;
-                    }
-                    c.seen.insert(tx_id);
-                    (code, chaincode_event, Some(creator), endorser)
-                }
-                Err(_) => (ValidationCode::BadSignature, None, None, None),
-            };
-            if code.is_valid() {
-                out.valid += 1;
-            } else {
-                out.invalid += 1;
-            }
-            codes.push(code);
-            out.events.push(CommitEvent {
-                channel: c.channel.clone(),
-                tx_id: raw.tx_id,
-                block_number: block.header.number,
-                code,
-                chaincode_event,
-                creator,
-                endorser,
-            });
-        }
-        block.metadata_mut().codes = codes;
-        c.ledger.store.append_checked(block).unwrap();
-        out
-    }
-
-    fn validate_reference(c: &Committer, env: &Envelope, tx_id: &TxId) -> ValidationCode {
-        if c.seen.contains(tx_id) {
-            return ValidationCode::DuplicateTxId;
-        }
-        let msg = endorsement_message(tx_id, &env.payload, &env.rwset);
-        let mut orgs: Vec<&MspId> = Vec::new();
-        for e in &env.endorsements {
-            if !c.msp.verify(&e.endorser, &msg, &e.signature) {
-                return ValidationCode::BadSignature;
-            }
-            orgs.push(&e.endorser.org);
-        }
-        let policy = c.policies.policy_for(&env.proposal.chaincode);
-        if !policy.is_satisfied_by(orgs.iter().copied()) {
-            return ValidationCode::EndorsementPolicyFailure;
-        }
-        if !c.ledger.state.validate_reads(&env.rwset.reads) {
-            return ValidationCode::MvccReadConflict;
-        }
-        ValidationCode::Valid
-    }
-
-    fn block_of(c: &Committer, envs: Vec<Envelope>) -> Block {
-        Block::build(
-            c.height(),
-            c.store().tip_hash(),
-            envs.iter().map(Envelope::to_raw).collect(),
-        )
-    }
-
-    #[test]
-    fn valid_tx_commits_and_updates_state() {
-        let n = net();
-        let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
-        let env = envelope(&n, 1, write_set("k", b"v"), &[0]);
-        let out = c.commit_block(block_of(&c, vec![env])).unwrap();
-        assert_eq!(out.valid, 1);
-        assert_eq!(out.invalid, 0);
-        assert_eq!(out.events[0].code, ValidationCode::Valid);
-        assert_eq!(
-            &*c.state().get(&StateKey::new("cc", "k")).unwrap().value,
-            b"v"
-        );
-        assert_eq!(c.history().history(&StateKey::new("cc", "k")).len(), 1);
-        assert_eq!(c.height(), 1);
-    }
-
-    #[test]
-    fn policy_failure_invalidates() {
-        let n = net();
-        let mut c = committer(
-            &n,
-            EndorsementPolicy::all_of([MspId::new("org1"), MspId::new("org2")]),
-        );
-        let env = envelope(&n, 1, write_set("k", b"v"), &[0]); // only org1
-        let out = c.commit_block(block_of(&c, vec![env])).unwrap();
-        assert_eq!(out.events[0].code, ValidationCode::EndorsementPolicyFailure);
-        assert!(c.state().get(&StateKey::new("cc", "k")).is_none());
-    }
-
-    #[test]
-    fn forged_endorsement_signature_invalidates() {
-        let n = net();
-        let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
-        let mut env = envelope(&n, 1, write_set("k", b"v"), &[0]);
-        env.endorsements[0].signature = Signature(Digest::of(b"forged"));
-        let out = c.commit_block(block_of(&c, vec![env])).unwrap();
-        assert_eq!(out.events[0].code, ValidationCode::BadSignature);
-    }
-
-    #[test]
-    fn mvcc_conflict_within_block() {
-        let n = net();
-        let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
-        // Both transactions read key "k" at version None and write it.
-        let rw = |nonce: u64| RwSet {
-            reads: vec![KvRead {
-                key: StateKey::new("cc", "k"),
-                version: None,
-            }],
-            writes: vec![KvWrite {
-                key: StateKey::new("cc", "k"),
-                value: Some(vec![nonce as u8].into()),
-            }],
-        };
-        let e1 = envelope(&n, 1, rw(1), &[0]);
-        let e2 = envelope(&n, 2, rw(2), &[0]);
-        let out = c.commit_block(block_of(&c, vec![e1, e2])).unwrap();
-        assert_eq!(out.events[0].code, ValidationCode::Valid);
-        assert_eq!(out.events[1].code, ValidationCode::MvccReadConflict);
-        assert_eq!(
-            &*c.state().get(&StateKey::new("cc", "k")).unwrap().value,
-            [1]
-        );
-    }
-
-    #[test]
-    fn duplicate_txid_across_blocks_invalidates() {
-        let n = net();
-        let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
-        let env = envelope(&n, 1, write_set("k", b"v"), &[0]);
-        c.commit_block(block_of(&c, vec![env.clone()])).unwrap();
-        let out = c.commit_block(block_of(&c, vec![env])).unwrap();
-        assert_eq!(out.events[0].code, ValidationCode::DuplicateTxId);
-    }
-
-    #[test]
-    fn malformed_envelope_marked_bad() {
-        let n = net();
-        let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
-        let raw = hyperprov_ledger::RawEnvelope {
-            tx_id: TxId(Digest::of(b"junk")),
-            bytes: vec![0xFF, 0x00],
-        };
-        let block = Block::build(0, Digest::ZERO, vec![raw]);
-        let out = c.commit_block(block).unwrap();
-        assert_eq!(out.events[0].code, ValidationCode::BadSignature);
-        assert_eq!(out.invalid, 1);
-    }
-
-    #[test]
-    fn block_that_does_not_extend_the_chain_is_rejected_without_side_effects() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut c = committer(&n, policy).with_indexer(Arc::new(TestIndexer));
-        let first = envelope(&n, 1, write_set("rec~a", b""), &[0]);
-        c.commit_block(block_of(&c, vec![first])).unwrap();
-
-        let next = || vec![envelope(&n, 2, write_set("rec~b", b"a"), &[0]).to_raw()];
-        let wrong_number = Block::build(7, c.store().tip_hash(), next());
-        let broken_link = Block::build(1, Digest::of(b"elsewhere"), next());
-        let mut bad_data_hash = Block::build(1, c.store().tip_hash(), next());
-        Arc::make_mut(&mut bad_data_hash.envelopes)[0].bytes.push(0);
-
-        let before = (
-            c.height(),
-            c.store().tip_hash(),
-            c.state().state_hash(),
-            c.history().total_entries(),
-            c.graph().digest(),
-        );
-        for (block, expected) in [
-            (
-                wrong_number,
-                ChainError::WrongNumber {
-                    got: 7,
-                    expected: 1,
-                },
-            ),
-            (broken_link, ChainError::BrokenLink { at: 1 }),
-            (bad_data_hash, ChainError::BadDataHash { at: 1 }),
-        ] {
-            assert_eq!(c.commit_block(block).unwrap_err(), expected);
-            let after = (
-                c.height(),
-                c.store().tip_hash(),
-                c.state().state_hash(),
-                c.history().total_entries(),
-                c.graph().digest(),
-            );
-            assert_eq!(after, before, "{expected:?} left a mark");
-        }
-        // The tx id of a rejected block was not recorded as seen either.
-        let out = c
-            .commit_block(Block::build(1, c.store().tip_hash(), next()))
-            .unwrap();
-        assert_eq!(out.events[0].code, ValidationCode::Valid);
-    }
-
-    #[test]
-    fn replicas_share_block_bodies_but_not_tampering() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut a = committer(&n, policy.clone());
-        let mut b = committer(&n, policy);
-        for i in 0..4u64 {
-            let env = envelope(&n, i + 1, write_set(&format!("k{i}"), b"v"), &[0]);
-            let block = block_of(&a, vec![env]);
-            a.commit_block(block.clone()).unwrap();
-            b.commit_block(block).unwrap();
-        }
-        let body = |c: &Committer| Arc::clone(&c.store().block(2).unwrap().envelopes);
-        assert!(Arc::ptr_eq(&body(&a), &body(&b)), "one resident body");
-
-        // Rewriting history in one replica's store touches that replica
-        // only: its audit fails, the other's chain and bytes are intact.
-        let victim = a.ledger.store.tamper(2).unwrap();
-        Arc::make_mut(&mut victim.envelopes)[0].bytes = b"rewritten".to_vec();
-        assert_eq!(
-            a.store().verify_chain(),
-            Err(ChainError::BadDataHash { at: 2 })
-        );
-        b.store().verify_chain().unwrap();
-        assert!(!Arc::ptr_eq(&body(&a), &body(&b)));
-        assert_eq!(a.state().state_hash(), b.state().state_hash());
-    }
-
-    #[test]
-    fn state_and_history_hold_one_copy_of_each_key_and_value() {
-        let n = net();
-        let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
-        let key = StateKey::new("cc", "k");
-        for (nonce, value) in [(1, b"v1"), (2, b"v2")] {
-            let env = envelope(&n, nonce, write_set("k", value), &[0]);
-            c.commit_block(block_of(&c, vec![env])).unwrap();
-        }
-        let (state_key, held) = c.state().range("cc", "k", "").next().unwrap();
-        let (history_key, entries) = c.history().iter().next().unwrap();
-        assert_eq!(state_key, &key);
-        assert!(Arc::ptr_eq(&state_key.key, &history_key.key));
-        assert_eq!(entries.len(), 2);
-        let latest = entries[1].value.as_ref().unwrap();
-        assert_eq!(&**latest, b"v2");
-        assert!(Arc::ptr_eq(&held.value, latest));
-
-        let snapshot = c.snapshot(4);
-        snapshot.verify().unwrap();
-        assert_eq!(
-            snapshot.restore_state().state_hash(),
-            c.state().state_hash()
-        );
-    }
-
-    #[test]
-    fn later_tx_in_block_sees_earlier_writes() {
-        let n = net();
-        let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
-        // tx1 writes k; tx2 reads k at the *new* version — this models a
-        // client that simulated tx2 after tx1 committed. Inside one block
-        // tx2's read version (1? no — block 0 tx 0) must match what tx1
-        // wrote for tx2 to be valid.
-        let e1 = envelope(&n, 1, write_set("k", b"v"), &[0]);
-        let rw2 = RwSet {
-            reads: vec![KvRead {
-                key: StateKey::new("cc", "k"),
-                version: Some(Version::new(0, 0)),
-            }],
-            writes: vec![KvWrite {
-                key: StateKey::new("cc", "k2"),
-                value: Some(b"w".as_slice().into()),
-            }],
-        };
-        let e2 = envelope(&n, 2, rw2, &[0]);
-        let out = c.commit_block(block_of(&c, vec![e1, e2])).unwrap();
-        assert_eq!(out.events[0].code, ValidationCode::Valid);
-        assert_eq!(out.events[1].code, ValidationCode::Valid);
-    }
-
-    #[test]
-    fn replay_reconstructs_identical_ledger() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut original = committer(&n, policy.clone());
-        // Build a few blocks, including one MVCC conflict.
-        let e1 = envelope(&n, 1, write_set("a", b"1"), &[0]);
-        original
-            .commit_block(block_of(&original, vec![e1]))
-            .unwrap();
-        let conflicting = RwSet {
-            reads: vec![KvRead {
-                key: StateKey::new("cc", "a"),
-                version: None, // stale: "a" now exists
-            }],
-            writes: vec![KvWrite {
-                key: StateKey::new("cc", "a"),
-                value: Some(b"2".as_slice().into()),
-            }],
-        };
-        let e2 = envelope(&n, 2, conflicting, &[0]);
-        let e3 = envelope(&n, 3, write_set("b", b"3"), &[0]);
-        original
-            .commit_block(block_of(&original, vec![e2, e3]))
-            .unwrap();
-
-        // Persist and replay through a fresh committer.
-        let mut buf = Vec::new();
-        original.store().write_to(&mut buf).unwrap();
-        let loaded = hyperprov_ledger::BlockStore::read_from(buf.as_slice()).unwrap();
-        let rebuilt = Committer::replay(
-            ChannelId::default(),
-            n.msp.clone(),
-            ChannelPolicies::new(policy),
-            None,
-            loaded.iter().cloned(),
-        )
-        .unwrap();
-
-        assert_eq!(rebuilt.height(), original.height());
-        assert_eq!(rebuilt.store().tip_hash(), original.store().tip_hash());
-        // Same validation decisions, including the MVCC invalidation.
-        let codes: Vec<_> = rebuilt.store().block(1).unwrap().metadata.codes.clone();
-        assert_eq!(
-            codes,
-            vec![ValidationCode::MvccReadConflict, ValidationCode::Valid]
-        );
-        // Same world state.
-        assert_eq!(
-            &*rebuilt
-                .state()
-                .get(&StateKey::new("cc", "a"))
-                .unwrap()
-                .value,
-            b"1"
-        );
-        assert_eq!(
-            &*rebuilt
-                .state()
-                .get(&StateKey::new("cc", "b"))
-                .unwrap()
-                .value,
-            b"3"
-        );
-        assert_eq!(
-            rebuilt.history().total_entries(),
-            original.history().total_entries()
-        );
-    }
-
-    #[test]
-    fn per_chaincode_policy_override() {
-        let n = net();
-        let mut policies = ChannelPolicies::new(EndorsementPolicy::any_of([MspId::new("org1")]));
-        policies.set(
-            "cc",
-            EndorsementPolicy::all_of([MspId::new("org1"), MspId::new("org2")]),
-        );
-        assert_eq!(policies.policy_for("cc").min_endorsers(), 2);
-        assert_eq!(policies.policy_for("other").min_endorsers(), 1);
-        let mut c = Committer::new(n.msp.clone(), policies);
-        let env = envelope(&n, 1, write_set("k", b"v"), &[0, 1]);
-        let out = c.commit_block(block_of(&c, vec![env])).unwrap();
-        assert_eq!(out.events[0].code, ValidationCode::Valid);
-    }
-
-    /// A toy indexer for graph-maintenance tests: keys `rec~<item>` carry
-    /// a comma-separated parent list as their value.
-    #[derive(Debug)]
-    struct TestIndexer;
-
-    impl hyperprov_ledger::GraphIndexer for TestIndexer {
-        fn index(
-            &self,
-            key: &StateKey,
-            value: Option<&[u8]>,
-        ) -> Option<hyperprov_ledger::GraphUpdate> {
-            let item = key.key.strip_prefix("rec~")?.to_owned();
-            Some(match value {
-                Some(bytes) => hyperprov_ledger::GraphUpdate::Insert {
-                    key: item,
-                    parents: String::from_utf8_lossy(bytes)
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_owned)
-                        .collect(),
-                },
-                None => hyperprov_ledger::GraphUpdate::Remove { key: item },
-            })
-        }
-    }
-
-    #[test]
-    fn graph_index_maintained_on_commit_and_rebuilt_on_recover() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut c = committer(&n, policy).with_indexer(Arc::new(TestIndexer));
-
-        let e1 = envelope(&n, 1, write_set("rec~a", b""), &[0]);
-        let e2 = envelope(&n, 2, write_set("rec~b", b"a"), &[0]);
-        let out = c.commit_block(block_of(&c, vec![e1, e2])).unwrap();
-        assert_eq!(out.dangling_parents, 0);
-        // c references a committed parent and a missing one.
-        let e3 = envelope(&n, 3, write_set("rec~c", b"a,ghost"), &[0]);
-        let out = c.commit_block(block_of(&c, vec![e3])).unwrap();
-        assert_eq!(out.dangling_parents, 1);
-
-        assert_eq!(c.graph().len(), 3);
-        assert_eq!(c.graph().dangling(), 1);
-        let t = c.graph().traverse(
-            &[(0, "c".to_owned())],
-            hyperprov_ledger::Direction::Ancestors,
-            hyperprov_ledger::TraversalLimits {
-                max_depth: 8,
-                max_nodes: 64,
-            },
-            false,
-        );
-        let keys: Vec<&str> = t.entries.iter().map(|(_, k)| k.as_str()).collect();
-        assert_eq!(keys, vec!["c", "a"]);
-        assert_eq!(t.boundary, vec![(1, "ghost".to_owned())]);
-        assert!(c.graph_consistent());
-
-        // Crash recovery replays the block store and rebuilds an
-        // identical index (same structure, same dangling count).
-        let rebuilt = c.recover().unwrap();
-        assert_eq!(rebuilt.graph().digest(), c.graph().digest());
-        assert_eq!(rebuilt.graph().dangling(), 1);
-        assert!(rebuilt.graph_consistent());
-    }
-
-    #[test]
-    fn graph_index_identical_on_split_commit_path() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut legacy = committer(&n, policy.clone()).with_indexer(Arc::new(TestIndexer));
-        let mut split = committer(&n, policy).with_indexer(Arc::new(TestIndexer));
-
-        let envs = vec![
-            envelope(&n, 1, write_set("rec~a", b""), &[0]),
-            envelope(&n, 2, write_set("rec~b", b"a,gone"), &[0]),
-        ];
-        let b_legacy = block_of(&legacy, envs.clone());
-        let out_legacy = commit_block_reference(&mut legacy, b_legacy);
-        let b_split = block_of(&split, envs);
-        let verdicts = split.vscc_block(&b_split, None);
-        let out_split = split.commit_block_prevalidated(b_split, verdicts).unwrap();
-
-        assert_eq!(out_legacy.dangling_parents, 1);
-        assert_eq!(out_split.dangling_parents, 1);
-        assert_eq!(legacy.graph().digest(), split.graph().digest());
-    }
-
-    #[test]
-    fn snapshot_bootstrap_matches_full_replay() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut c = committer(&n, policy.clone()).with_indexer(Arc::new(TestIndexer));
-        // A chain with provenance records, an MVCC conflict and (later) a
-        // duplicate — everything a bootstrap must reproduce faithfully.
-        for i in 0..6u64 {
-            let env = envelope(
-                &n,
-                i + 1,
-                write_set(&format!("rec~i{i}"), if i == 0 { b"" } else { b"i0" }),
-                &[0],
-            );
-            c.commit_block(block_of(&c, vec![env])).unwrap();
-        }
-        let dup = envelope(&n, 1, write_set("rec~i0", b""), &[0]);
-
-        // Snapshot at height 4, then two more blocks of deltas.
-        let mut snapshot_at_4: Option<Snapshot> = None;
-        let mut full = committer(&n, policy.clone()).with_indexer(Arc::new(TestIndexer));
-        for block in c.store().iter().cloned() {
-            full.commit_block({
-                let mut b = block;
-                b.metadata.codes.clear();
-                b
-            })
-            .unwrap();
-            if full.height() == 4 {
-                snapshot_at_4 = Some(full.snapshot(3));
-            }
-        }
-        full.commit_block(block_of(&full, vec![dup.clone()]))
-            .unwrap();
-        // Cut at height 4 and never read until now, three blocks later:
-        // the seal still commits to the ledger as it stood at the cut.
-        let snapshot = snapshot_at_4.unwrap();
-        snapshot.verify().unwrap();
-        assert_eq!(snapshot.manifest().height, 4);
-
-        // Bootstrap: snapshot + delta blocks 4..7 (including one below
-        // the horizon, which must be skipped).
-        let deltas: Vec<Block> = full.store().iter().cloned().collect();
-        let rebuilt = Committer::bootstrap_from_snapshot(
-            ChannelId::default(),
-            n.msp.clone(),
-            ChannelPolicies::new(policy.clone()),
-            Some(Arc::new(TestIndexer)),
-            &snapshot,
-            deltas,
-        )
-        .unwrap();
-
-        assert_eq!(rebuilt.height(), full.height());
-        assert_eq!(rebuilt.store().tip_hash(), full.store().tip_hash());
-        assert_eq!(rebuilt.store().base_height(), 4);
-        assert_eq!(rebuilt.state().state_hash(), full.state().state_hash());
-        assert_eq!(
-            rebuilt.history().total_entries(),
-            full.history().total_entries()
-        );
-        assert_eq!(rebuilt.graph().digest(), full.graph().digest());
-        assert!(rebuilt.graph_consistent());
-        // The duplicate stays a duplicate after bootstrap: `seen` came
-        // back with the snapshot.
-        let out = {
-            let mut r = rebuilt;
-            let b = Block::build(r.height(), r.store().tip_hash(), vec![dup.to_raw()]);
-            r.commit_block(b).unwrap()
-        };
-        assert_eq!(out.events[0].code, ValidationCode::DuplicateTxId);
-    }
-
-    #[test]
-    fn bootstrap_rejects_bad_snapshots() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut c = committer(&n, policy.clone()).with_indexer(Arc::new(TestIndexer));
-        let env = envelope(&n, 1, write_set("rec~a", b""), &[0]);
-        c.commit_block(block_of(&c, vec![env])).unwrap();
-        let good = c.snapshot(4);
-
-        let boot = |snap: &Snapshot, channel: ChannelId| {
-            Committer::bootstrap_from_snapshot(
-                channel,
-                n.msp.clone(),
-                ChannelPolicies::new(policy.clone()),
-                Some(Arc::new(TestIndexer)),
-                snap,
-                std::iter::empty(),
-            )
-        };
-
-        // A state entry tampered with after the seal.
-        let mut bad = c.snapshot(4);
-        bad.manifest();
-        bad.chunks[0].entries[0].value = b"evil".as_slice().into();
-        assert_eq!(
-            boot(&bad, ChannelId::default()).unwrap_err(),
-            BootstrapError::Snapshot(SnapshotError::PartDigestMismatch { index: 0 })
-        );
-        // Wrong channel.
-        assert!(matches!(
-            boot(&good, ChannelId::new("other")),
-            Err(BootstrapError::WrongChannel { .. })
-        ));
-        // Forged graph digest (state consistent, commitment wrong).
-        let mut forged = good.manifest().clone();
-        forged.graph_digest = Digest::of(b"forged");
-        let parts = (0..good.part_count()).map(|i| good.part(i)).collect();
-        let forged = Snapshot::assemble(forged, parts).unwrap();
-        assert!(matches!(
-            boot(&forged, ChannelId::default()),
-            Err(BootstrapError::GraphDigestMismatch)
-        ));
-        // A delta block that does not link.
-        let orphan = Block::build(9, Digest::of(b"nowhere"), vec![]);
-        assert!(matches!(
-            Committer::bootstrap_from_snapshot(
-                ChannelId::default(),
-                n.msp.clone(),
-                ChannelPolicies::new(policy.clone()),
-                Some(Arc::new(TestIndexer)),
-                &good,
-                vec![orphan],
-            ),
-            Err(BootstrapError::Chain(_))
-        ));
-        for e in [
-            BootstrapError::Snapshot(SnapshotError::ZeroHeight),
-            BootstrapError::WrongChannel {
-                got: "a".into(),
-                expected: "b".into(),
-            },
-            BootstrapError::GraphDigestMismatch,
-            BootstrapError::Chain(ChainError::BrokenLink { at: 1 }),
-        ] {
-            assert!(!e.to_string().is_empty());
-        }
-    }
-
-    #[test]
-    fn bootstrap_error_eq_derives() {
-        // PartialEq on BootstrapError is exercised via From impls too.
-        assert_eq!(
-            BootstrapError::from(SnapshotError::RootMismatch),
-            BootstrapError::Snapshot(SnapshotError::RootMismatch)
-        );
-        assert_eq!(
-            BootstrapError::from(ChainError::BrokenLink { at: 2 }),
-            BootstrapError::Chain(ChainError::BrokenLink { at: 2 })
-        );
-    }
-
-    #[test]
-    fn prevalidated_path_matches_legacy_on_mixed_block() {
-        let n = net();
-        let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-        let mut legacy = committer(&n, policy.clone());
-        let mut split = committer(&n, policy);
-        let mut cache = crate::SigVerifyCache::new();
-
-        // A mix: valid, forged signature, MVCC conflict pair, and (in a
-        // second block) a duplicate of the first transaction.
-        let e_valid = envelope(&n, 1, write_set("a", b"1"), &[0]);
-        let mut e_forged = envelope(&n, 2, write_set("b", b"2"), &[0]);
-        e_forged.endorsements[0].signature = Signature(Digest::of(b"forged"));
-        let stale = |nonce: u64| RwSet {
-            reads: vec![KvRead {
-                key: StateKey::new("cc", "hot"),
-                version: None,
-            }],
-            writes: vec![KvWrite {
-                key: StateKey::new("cc", "hot"),
-                value: Some(vec![nonce as u8].into()),
-            }],
-        };
-        let e_win = envelope(&n, 3, stale(3), &[0]);
-        let e_lose = envelope(&n, 4, stale(4), &[0]);
-        let envs = [&e_valid, &e_forged, &e_win, &e_lose];
-        let blocks = |c: &Committer| {
-            Block::build(
-                c.height(),
-                c.store().tip_hash(),
-                envs.iter().map(|e| e.to_raw()).collect(),
-            )
-        };
-
-        let b1_legacy = blocks(&legacy);
-        let out_legacy = commit_block_reference(&mut legacy, b1_legacy);
-        let b1_split = blocks(&split);
-        let verdicts = split.vscc_block(&b1_split, Some(&mut cache));
-        let out_split = split.commit_block_prevalidated(b1_split, verdicts).unwrap();
-
-        let codes = |c: &Committer, h: u64| c.store().block(h).unwrap().metadata.codes.clone();
-        assert_eq!(codes(&legacy, 0), codes(&split, 0));
-        assert_eq!(out_legacy.valid, out_split.valid);
-        assert_eq!(out_legacy.bytes_written, out_split.bytes_written);
-        assert_eq!(out_legacy.written_keys, out_split.written_keys);
-        assert_eq!(legacy.state().state_hash(), split.state().state_hash());
-
-        // Block 2: duplicate of e_valid. The split path runs (cached)
-        // signature checks eagerly, but the serial phase still reports
-        // DuplicateTxId just like the legacy validator.
-        let b2_legacy = Block::build(
-            legacy.height(),
-            legacy.store().tip_hash(),
-            vec![e_valid.to_raw()],
-        );
-        commit_block_reference(&mut legacy, b2_legacy);
-        let b2_split = Block::build(
-            split.height(),
-            split.store().tip_hash(),
-            vec![e_valid.to_raw()],
-        );
-        let verdicts = split.vscc_block(&b2_split, Some(&mut cache));
-        assert_eq!(verdicts[0].sig_hits, 1); // same (cert, msg, sig) as block 1
-        split.commit_block_prevalidated(b2_split, verdicts).unwrap();
-        assert_eq!(codes(&legacy, 1), codes(&split, 1));
-        assert_eq!(codes(&split, 1), vec![ValidationCode::DuplicateTxId]);
-        assert_eq!(legacy.state().state_hash(), split.state().state_hash());
-    }
-
-    /// One seeded contention workload: a few hot keys, random read versions
-    /// (stale and fresh), endorser subsets that sometimes fail the all-of
-    /// policy, occasional forged signatures and duplicate transactions.
-    fn workload(net: &Net, seed: u64) -> Vec<Vec<Envelope>> {
-        let mut rng = hyperprov_sim::DetRng::new(seed);
-        let mut below = move |n: u64| rand::RngCore::next_u64(&mut rng) % n;
-        let mut nonce = 0u64;
-        let mut history: Vec<Envelope> = Vec::new();
-        let mut blocks = Vec::new();
-        for _ in 0..3 + below(3) {
-            let mut envs = Vec::new();
-            for _ in 0..3 + below(4) {
-                if below(100) < 15 && !history.is_empty() {
-                    // Duplicate of an earlier transaction (same tx id).
-                    envs.push(history[below(history.len() as u64) as usize].clone());
-                    continue;
-                }
-                nonce += 1;
-                let hot = StateKey::new("cc", format!("k{}", below(3)));
-                let version = match below(4) {
-                    0 => None,
-                    _ => Some(Version::new(below(4), below(5) as u32)),
-                };
-                let value = Some(nonce.to_le_bytes().as_slice().into());
-                let rwset = if below(100) < 70 {
-                    // Contention: read a hot key at a possibly-stale version
-                    // and write it back.
-                    RwSet {
-                        reads: vec![KvRead {
-                            key: hot.clone(),
-                            version,
-                        }],
-                        writes: vec![KvWrite { key: hot, value }],
-                    }
-                } else {
-                    // Blind write to a fresh key: valid whenever the
-                    // signatures and policy hold.
-                    write_set(&format!("fresh-{nonce}"), &nonce.to_le_bytes())
-                };
-                // [0] and [1] fail the all-of(org1, org2) policy; the rest
-                // satisfy it.
-                let endorsers: &[usize] = match below(4) {
-                    0 => &[0],
-                    1 => &[1],
-                    2 => &[0, 1],
-                    _ => &[0, 1, 2],
-                };
-                let mut env = envelope(net, nonce, rwset, endorsers);
-                if below(100) < 10 {
-                    let slot = below(env.endorsements.len() as u64) as usize;
-                    env.endorsements[slot].signature = Signature(Digest::of(&nonce.to_le_bytes()));
-                }
-                history.push(env.clone());
-                envs.push(env);
-            }
-            blocks.push(envs);
-        }
-        blocks
-    }
-
-    fn all_of_committer(net: &Net) -> Committer {
-        committer(
-            net,
-            EndorsementPolicy::all_of([MspId::new("org1"), MspId::new("org2")]),
-        )
-    }
-
-    /// Commits one seeded workload through the reference loop and through
-    /// the production path (inline, split without a cache, split with a
-    /// persistent [`SigVerifyCache`]), asserting all four agree on every
-    /// observable outcome.
-    fn assert_equivalent(seed: u64) {
-        let net = net();
-        let mut reference = all_of_committer(&net);
-        let mut others: [Committer; 3] = std::array::from_fn(|_| all_of_committer(&net));
-        let mut cache = SigVerifyCache::new();
-        for envs in workload(&net, seed) {
-            let block = block_of(&reference, envs.clone());
-            let expected = commit_block_reference(&mut reference, block);
-            let height = reference.height() - 1;
-            for (i, c) in others.iter_mut().enumerate() {
-                let block = block_of(c, envs.clone());
-                let out = match i {
-                    0 => c.commit_block(block),
-                    1 => {
-                        let verdicts = c.vscc_block(&block, None);
-                        c.commit_block_prevalidated(block, verdicts)
-                    }
-                    _ => {
-                        let verdicts = c.vscc_block(&block, Some(&mut cache));
-                        c.commit_block_prevalidated(block, verdicts)
-                    }
-                }
-                .unwrap();
-                let at = format!("seed {seed} block {height} path {i}");
-                // Same event per transaction, hence the same codes and the
-                // same MVCC-conflict set.
-                assert_eq!(out.events, expected.events, "{at}");
-                assert_eq!(
-                    c.store().block(height).unwrap().metadata.codes,
-                    reference.store().block(height).unwrap().metadata.codes,
-                    "{at}"
-                );
-                assert_eq!((out.valid, out.invalid), (expected.valid, expected.invalid));
-                assert_eq!(out.bytes_written, expected.bytes_written, "{at}");
-                assert_eq!(out.written_keys, expected.written_keys, "{at}");
-                assert_eq!(c.state().state_hash(), reference.state().state_hash());
-                assert_eq!(c.store().tip_hash(), reference.store().tip_hash());
-            }
-        }
-        // The cache saw repeated (cert, msg, sig) triples across duplicates
-        // and re-endorsements without ever changing a decision.
-        assert!(cache.hits() + cache.misses() > 0, "seed {seed}");
-    }
-
-    #[test]
-    fn commit_path_matches_reference_on_seeded_contention() {
-        for seed in 0..12 {
-            assert_equivalent(seed);
-        }
-    }
-
-    #[test]
-    fn workloads_exercise_every_validation_code() {
-        // Meta-check: across the fixed seeds the generator actually produces
-        // the interesting mix — otherwise the equivalence above is vacuous.
-        let net = net();
-        let mut seen = HashSet::new();
-        for seed in 0..12 {
-            let mut c = all_of_committer(&net);
-            for envs in workload(&net, seed) {
-                let out = c.commit_block(block_of(&c, envs)).unwrap();
-                seen.extend(out.events.iter().map(|e| e.code));
-            }
-        }
-        for code in [
-            ValidationCode::Valid,
-            ValidationCode::MvccReadConflict,
-            ValidationCode::BadSignature,
-            ValidationCode::EndorsementPolicyFailure,
-            ValidationCode::DuplicateTxId,
-        ] {
-            assert!(seen.contains(&code), "generator never produced {code:?}");
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn commit_path_matches_reference_on_any_seed(seed in proptest::prelude::any::<u64>()) {
-            assert_equivalent(seed);
-        }
-    }
-}
+mod tests;

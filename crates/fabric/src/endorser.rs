@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use hyperprov_ledger::{Digest, Encode, HistoryDb, ProvGraph, RwSet, StateDb, TxId};
+use hyperprov_ledger::{Digest, Encode, HistoryDb, ProvGraph, StateDb, TxId};
 
 use crate::chaincode::{ChaincodeRegistry, ChaincodeStub, StubStats};
 use crate::identity::{Msp, SigningIdentity};
@@ -34,14 +34,7 @@ pub fn endorse(
     let proposal_bytes = proposal.to_bytes();
     let tx_id = TxId(Digest::of(&proposal_bytes));
 
-    let fail = |why: String| ProposalResponse {
-        tx_id,
-        endorser: identity.certificate().clone(),
-        result: Err(why),
-        rwset: RwSet::new(),
-        event: None,
-        signature: identity.sign(&endorsement_message(&tx_id, &[], &RwSet::new())),
-    };
+    let fail = |why: String| ProposalResponse::refused(identity, tx_id, why);
 
     // Authenticate the client.
     if !msp.verify(&proposal.creator, &proposal_bytes, &signed.signature) {

@@ -12,9 +12,10 @@
 //! * [`RaftNode`] — a compact Raft for replicated ordering,
 //! * [`Committer`] — VSCC endorsement-policy + MVCC validation and commit,
 //! * [`CatchUp`] — how a peer that fell behind gets current again,
+//! * [`Peer`] — endorsement, commit, snapshots, a machine like [`CatchUp`],
 //! * [`PeerActor`]/[`SoloOrdererActor`]/[`RaftOrdererActor`] — simulation
 //!   actors that charge device CPU costs, and
-//! * [`Gateway`] — the client SDK equivalent, a machine like [`CatchUp`];
+//! * [`Gateway`] — the client SDK equivalent, another such machine;
 //!   [`perform`] carries out what it answers.
 
 #![forbid(unsafe_code)]
@@ -55,7 +56,9 @@ pub use messages::{
 };
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
 pub use ordering::{RaftOrdererActor, SoloOrdererActor, RAFT_TICK_TOKEN};
-pub use peer::{CommitPipeline, PeerActor, SnapshotPolicy};
+pub use peer::{
+    Action as PeerAction, ChannelView, CommitPipeline, Peer, PeerActor, SnapshotPolicy,
+};
 pub use perform::{perform, Armed};
 pub use policy::EndorsementPolicy;
 pub use raft::{LogEntry, PeerIdx, RaftConfig, RaftMsg, RaftNode, RaftOutput, Role};

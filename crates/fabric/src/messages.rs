@@ -13,7 +13,7 @@ use hyperprov_ledger::{
 
 use hyperprov_sim::ActorId;
 
-use crate::identity::{CertId, Certificate, Signature};
+use crate::identity::{CertId, Certificate, Signature, SigningIdentity};
 use crate::raft::RaftMsg;
 
 /// The span-trace key of a transaction: its full tx-id hex string.
@@ -170,6 +170,18 @@ pub struct ProposalResponse {
 }
 
 impl ProposalResponse {
+    /// The peer `identity`'s signed refusal of transaction `tx_id`.
+    pub fn refused(identity: &SigningIdentity, tx_id: TxId, reason: String) -> Self {
+        ProposalResponse {
+            tx_id,
+            endorser: identity.certificate().clone(),
+            result: Err(reason),
+            rwset: RwSet::new(),
+            event: None,
+            signature: identity.sign(&endorsement_message(&tx_id, &[], &RwSet::new())),
+        }
+    }
+
     /// True if the chaincode executed successfully.
     pub fn is_success(&self) -> bool {
         self.result.is_ok()

@@ -1,50 +1,39 @@
-//! The peer actor: endorses proposals and commits delivered blocks on
-//! every channel it hosts, and cuts snapshots behind the commit path.
-//! What a peer does to *stay* current — gap detection, the retry ladder,
-//! snapshot fetch, join and restart — is decided by the sans-IO
-//! [`CatchUp`] machine, one per hosted channel; [`catchup`] interprets its
-//! actions, serves snapshots to other peers and boots ledgers.
+//! The peer, as a sans-IO state machine: one [`Peer`] takes what happened
+//! (a message, a retry timer, a restart) and answers with the [`Action`]s
+//! its host, [`PeerActor`], must perform, in order. It endorses proposals
+//! and commits delivered blocks on every channel it hosts, cuts snapshots
+//! behind the commit path and serves them, says who hears of a commit, and
+//! keeps each channel current through that channel's [`CatchUp`] machine,
+//! whose actions it translates into its own.
 //!
-//! Node logic (endorsement, commit, catch-up) lives in the sans-IO modules; the
-//! actor glues it to the discrete-event kernel through the shared
-//! [`ServiceHarness`]: it charges CPU costs, queues outputs until the
-//! virtual CPU finishes, and ships messages through the simulated
-//! network.
-//!
-//! Work is *performed* at message arrival (so state mutations happen in
-//! arrival order — equivalent to a FIFO service discipline) but results
-//! become *visible* only after the modelled CPU time elapses, which is
-//! what produces the latency/throughput curves of the paper's figures.
-//! Proposals ([`FabricMsg::SubmitProposal`]) pass through the harness
-//! admission queue: unbounded by default, or bounded with
-//! [`PeerActor::with_queue`].
+//! Ledger work is *done* when the input arrives (so state changes in
+//! arrival order — a FIFO service discipline); its results become
+//! *visible* once the host's modelled CPU has spent the time an action
+//! carries, which is what produces the paper's latency/throughput curves.
 
-mod catchup;
+mod actor;
+mod boot;
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use hyperprov_ledger::{Block, ChannelId, RwSet, Snapshot, DEFAULT_CHUNK_ENTRIES};
-use hyperprov_sim::{
-    Actor, ActorId, Carries, Context, Event, Outbound, QueueConfig, ServiceHarness, SpanClose,
-    TimerId,
-};
+use hyperprov_ledger::{Block, ChannelId, Snapshot, DEFAULT_CHUNK_ENTRIES};
+use hyperprov_sim::{ActorId, SimDuration};
 
 use crate::caches::{ReadCache, SigVerifyCache};
-use crate::catchup::CatchUp;
+use crate::catchup::{self, CatchUp};
 use crate::chaincode::ChaincodeRegistry;
 use crate::committer::Committer;
 use crate::costs::CostModel;
 use crate::endorser::endorse;
 use crate::identity::{CertId, SigningIdentity};
 use crate::messages::{
-    endorsement_message, tx_trace, CommitEvent, FabricMsg, ProposalResponse, SignedProposal,
-    BUSY_REASON,
+    tx_trace, CommitEvent, FabricMsg, ProposalResponse, SignedProposal, BUSY_REASON,
 };
 
-use catchup::CATCHUP_TIMER_BASE;
+pub use actor::PeerActor;
 
 /// Configuration of a peer's FastFabric-style commit path: how many CPU
 /// lanes the parallel VSCC phase may spread across, and whether the
@@ -73,9 +62,7 @@ impl Default for CommitPipeline {
 
 /// Peer-side snapshot policy: cut a Merkle-rooted state snapshot every
 /// `interval` blocks and prune the block store behind it. Snapshots are
-/// off unless a policy is installed with [`PeerActor::with_snapshots`],
-/// keeping default deployments byte for byte identical to the
-/// pre-snapshot behaviour.
+/// off unless a policy is installed with [`PeerActor::with_snapshots`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotPolicy {
     /// Cut a snapshot once the chain has grown this many blocks past the
@@ -92,217 +79,230 @@ impl SnapshotPolicy {
     }
 }
 
-/// Pre-rendered per-channel metric names for the endorse and commit hot
-/// paths: one `format!` per channel at join time instead of one per
-/// event. By-name counter updates are allocation-free hash lookups, so
-/// the rendered name is all the hot path needs.
-struct HotMetricNames {
-    endorsed: String,
-    readcache_hits: String,
-    readcache_misses: String,
-    readcache_invalidations: String,
-    blocks: String,
-    tx_valid: String,
-    tx_invalid: String,
+/// One thing the host must do for the machine, in the order given. An
+/// action says who, what and how much CPU, never when: the host owns the
+/// clock. A metric belongs to the hosted channel named, or with `None` to
+/// the peer itself.
+#[allow(clippy::large_enum_variant)] // short-lived and mostly sends, as `catchup::Action`
+#[derive(Debug)]
+pub enum Action {
+    /// Send the message to the actor now.
+    Send(ActorId, FabricMsg),
+    /// Run a CPU job of this cost, then send the message to the actor.
+    Defer(SimDuration, ActorId, FabricMsg),
+    /// [`Action::Defer`] for an admitted request: the span (trace, stage)
+    /// opens now and closes when the job is done, which also frees the
+    /// request's place in the admission queue.
+    DeferRequest(SimDuration, (String, &'static str), ActorId, FabricMsg),
+    /// A block was committed: run its VSCC checks as one parallel batch
+    /// over the CPU lanes (span `commit.vscc`), then the serial MVCC +
+    /// apply phase on one lane (span `commit.apply`), and when that is
+    /// done close the block's `validate` span and send the commit events.
+    Committed {
+        /// The block's trace.
+        trace: String,
+        /// VSCC cost of each envelope that decoded.
+        vscc: Vec<SimDuration>,
+        /// Cost of the serial phase.
+        serial: SimDuration,
+        /// Who is told about which transaction.
+        events: Vec<(ActorId, FabricMsg)>,
+    },
+    /// Keep the CPU busy for this long; nothing waits for it.
+    Charge(SimDuration),
+    /// Arm the timer of this token; it comes back through [`Peer::timer`].
+    Arm(u64, SimDuration),
+    /// Cancel the timer of this token, if it is pending.
+    Disarm(u64),
+    /// Add to the counter of this name.
+    Count(Option<ChannelId>, &'static str, u64),
+    /// Set the gauge of this name.
+    Gauge(Option<ChannelId>, &'static str, f64),
+    /// Open span `stage` on the trace.
+    SpanStart(String, &'static str),
+    /// Close span `stage` on the trace.
+    SpanEnd(String, &'static str),
+    /// Record a point event of this name on the trace; without a detail
+    /// of its own it gets the peer's name.
+    Note(String, &'static str, Option<String>),
+    /// Feed this many events of this source to the SLO monitor.
+    Slo(&'static str, u64),
 }
 
-impl HotMetricNames {
-    fn new(channel: &ChannelId, prefix: &str) -> Self {
-        HotMetricNames {
-            endorsed: channel.metric_name(prefix, "endorsed"),
-            readcache_hits: channel.metric_name(prefix, "readcache.hits"),
-            readcache_misses: channel.metric_name(prefix, "readcache.misses"),
-            readcache_invalidations: channel.metric_name(prefix, "readcache.invalidations"),
-            blocks: channel.metric_name(prefix, "blocks"),
-            tx_valid: channel.metric_name(prefix, "tx.valid"),
-            tx_invalid: channel.metric_name(prefix, "tx.invalid"),
-        }
-    }
-}
-
-/// A peer's per-channel commit pipeline: the channel's committer plus the
-/// volatile delivery bookkeeping (out-of-order buffer, catch-up machine
-/// and its timer) and the durable latest snapshot.
-struct PeerChannel {
+/// A hosted channel: its ledger, the durable latest snapshot, and what a
+/// crash loses — the reorder buffer, the read cache, the catch-up state.
+struct Channel {
+    id: ChannelId,
     committer: Rc<RefCell<Committer>>,
-    /// Pre-rendered metric names for per-event counters.
-    names: HotMetricNames,
     /// Blocks that arrived ahead of the next expected height.
-    block_buffer: BTreeMap<u64, Arc<Block>>,
+    buffer: BTreeMap<u64, Arc<Block>>,
     /// Hot-state read cache for endorsement, when the pipeline enables it.
     read_cache: Option<ReadCache>,
     /// Latest cut or fetched snapshot. Models durable checkpoint storage,
     /// so — like the block store — it survives crashes.
     latest_snapshot: Option<Snapshot>,
-    /// The catch-up protocol's state (volatile).
     catchup: CatchUp,
-    /// The machine's pending retry timer (volatile).
-    retry_timer: Option<TimerId>,
-    /// This channel's retry-timer token.
-    timer_token: u64,
 }
 
-impl PeerChannel {
-    /// Cancels the retry timer, if one is pending.
-    fn disarm<M>(&mut self, ctx: &mut Context<'_, M>) {
-        if let Some(timer) = self.retry_timer.take() {
-            ctx.cancel_timer(timer);
-        }
-    }
+/// What a test may see of one hosted channel (see [`Peer::view`]).
+#[derive(Debug)]
+pub struct ChannelView {
+    /// Numbers of the blocks in the reorder buffer, ascending.
+    pub buffered: Vec<u64>,
+    /// Entries in the channel's read cache and the peer's signature cache.
+    pub cached: usize,
+    /// Height of the latest snapshot.
+    pub snapshot_height: Option<u64>,
+    /// Whether the channel's [`CatchUp`] waits for nothing.
+    pub current: bool,
 }
 
-/// A Fabric peer: endorses proposals and commits delivered blocks on
-/// every channel it hosts (a map `ChannelId -> ledger`, any subset of the
-/// network's channels).
-pub struct PeerActor<M> {
+/// A Fabric peer's decisions, on every channel it hosts.
+pub struct Peer {
     identity: SigningIdentity,
     registry: ChaincodeRegistry,
-    channels: BTreeMap<ChannelId, PeerChannel>,
     costs: CostModel,
+    /// Per-peer salt of the catch-up retry backoff.
+    salt: u64,
+    /// Hosted channels in joining order: the index is the channel's
+    /// retry-timer token.
+    channels: Vec<Channel>,
+    /// Index into `channels`; a restart boots them in this (name) order.
+    by_id: BTreeMap<ChannelId, usize>,
     /// Commit-event subscriptions: creator certificate -> client. Ordered,
     /// so the fan-out of an addressee-less event is deterministic.
     subscribers: BTreeMap<CertId, ActorId>,
-    harness: ServiceHarness<M>,
-    metric_prefix: String,
-    /// Commit-path acceleration settings (lanes + caches).
     pipeline: CommitPipeline,
-    /// Signature-verification memo, shared across this peer's channels.
+    /// Signature-verification memo, shared across the channels.
     sig_cache: Option<SigVerifyCache>,
-    /// Snapshot policy; `None` (the default) disables snapshots, pruning
-    /// and snapshot-based recovery entirely.
+    /// `None` (the default) disables snapshots, pruning and
+    /// snapshot-based recovery entirely.
     snapshots: Option<SnapshotPolicy>,
 }
 
-/// FNV-1a over the metric prefix: a stable, deterministic per-peer salt
-/// for the catch-up retry backoff.
-fn salt_of(prefix: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in prefix.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-impl<M: Carries<FabricMsg>> PeerActor<M> {
-    /// Creates a peer hosting no channel yet; join it to each channel it
-    /// hosts with [`PeerActor::add_channel`].
+impl Peer {
+    /// A peer hosting no channel yet. `salt` decorrelates its catch-up
+    /// retry backoff from the other peers'.
     pub fn new(
         identity: SigningIdentity,
         registry: ChaincodeRegistry,
         costs: CostModel,
-        metric_prefix: impl Into<String>,
+        salt: u64,
     ) -> Self {
-        let metric_prefix = metric_prefix.into();
-        PeerActor {
+        Peer {
             identity,
             registry,
-            channels: BTreeMap::new(),
             costs,
+            salt,
+            channels: Vec::new(),
+            by_id: BTreeMap::new(),
             subscribers: BTreeMap::new(),
-            harness: ServiceHarness::new(metric_prefix.clone()),
-            metric_prefix,
             pipeline: CommitPipeline::default(),
             sig_cache: None,
             snapshots: None,
         }
     }
 
-    /// Joins the peer to a channel (keyed by the committer's channel).
-    /// `catchup` is the node the peer asks to re-deliver blocks missed
-    /// while crashed (normally the channel's ordering node); without one
-    /// the peer still recovers its ledger on restart but waits for the
-    /// next live delivery to notice any gap.
-    pub fn add_channel(&mut self, committer: Rc<RefCell<Committer>>, catchup: Option<ActorId>) {
-        let channel = committer.borrow().channel().clone();
-        let state = PeerChannel {
-            names: HotMetricNames::new(&channel, &self.metric_prefix),
+    /// Hosts the committer's channel; `target` is the node asked to
+    /// re-deliver missed blocks (see [`PeerActor::add_channel`]).
+    pub fn host(&mut self, committer: Rc<RefCell<Committer>>, target: Option<ActorId>) {
+        let id = committer.borrow().channel().clone();
+        self.by_id.insert(id.clone(), self.channels.len());
+        self.channels.push(Channel {
+            catchup: CatchUp::new(id.clone(), target, self.salt),
+            id,
             committer,
-            block_buffer: BTreeMap::new(),
+            buffer: BTreeMap::new(),
             read_cache: self.pipeline.caches.then(ReadCache::new),
             latest_snapshot: None,
-            catchup: CatchUp::new(channel.clone(), catchup, salt_of(&self.metric_prefix)),
-            retry_timer: None,
-            timer_token: CATCHUP_TIMER_BASE + self.channels.len() as u64,
-        };
-        self.channels.insert(channel, state);
+        });
     }
 
-    /// Installs a snapshot policy: cut a Merkle-rooted snapshot every
-    /// `policy.interval` blocks on every hosted channel, prune the block
-    /// store behind it, and recover from the latest snapshot plus a delta
-    /// replay — instead of a full genesis replay — after a crash.
-    #[must_use]
-    pub fn with_snapshots(mut self, policy: SnapshotPolicy) -> Self {
+    /// Installs the snapshot policy (see [`PeerActor::with_snapshots`]).
+    pub fn set_snapshots(&mut self, policy: SnapshotPolicy) {
         self.snapshots = Some(policy);
-        self
     }
 
-    /// Registers the peers that can serve snapshots for `channel` — the
-    /// catch-up protocol's provider ladder, tried in order.
-    pub fn set_catchup_providers(&mut self, channel: &ChannelId, providers: Vec<ActorId>) {
-        if let Some(state) = self.channels.get_mut(channel) {
-            state.catchup.set_providers(providers);
+    /// Sets the snapshot provider ladder of a hosted channel.
+    pub fn set_providers(&mut self, channel: &ChannelId, providers: Vec<ActorId>) {
+        if let Some(i) = self.hosted(channel) {
+            self.channels[i].catchup.set_providers(providers);
         }
     }
 
-    /// Configures the commit-path acceleration (VSCC lanes + caches) for
-    /// this peer, applying cache settings to every channel hosted so far
-    /// and to channels added later.
-    pub fn with_pipeline(mut self, pipeline: CommitPipeline) -> Self {
+    /// Configures the commit path, on every channel hosted so far or
+    /// later (see [`PeerActor::with_pipeline`]).
+    pub fn set_pipeline(&mut self, pipeline: CommitPipeline) {
         self.pipeline = pipeline;
         self.sig_cache = pipeline.caches.then(SigVerifyCache::new);
-        for state in self.channels.values_mut() {
-            state.read_cache = pipeline.caches.then(ReadCache::new);
+        for ch in &mut self.channels {
+            ch.read_cache = pipeline.caches.then(ReadCache::new);
         }
-        self
     }
 
-    /// Bounds this peer's admission queue (proposals only; block delivery
-    /// always proceeds, since falling behind the ledger helps nobody).
-    pub fn with_queue(mut self, config: QueueConfig) -> Self {
-        self.harness.set_queue(config);
-        self
-    }
-
-    /// Subscribes a client to the commit events of its own transactions,
-    /// keyed by the enrolment id of the certificate it submits with —
-    /// the paper's client waits for the commit event of *its*
-    /// transaction at its peer, and gateway-side filtering keeps the
-    /// messages per committed transaction independent of how many
-    /// clients share the peer. A client subscribes at every peer it may
-    /// ask to endorse: this peer reports the transactions it endorsed
-    /// first and leaves the rest to the peer that did. Events of other
-    /// creators are not sent; an event without a creator (the envelope
-    /// failed to decode) goes to every subscriber, so its submitter still
-    /// learns the verdict.
+    /// Subscribes a client to the commit events of the transactions it
+    /// submits under `cert` (see [`PeerActor::subscribe`]).
     pub fn subscribe(&mut self, client: ActorId, cert: CertId) {
         self.subscribers.insert(cert, client);
     }
 
-    /// Shared handle to this peer's first channel's ledger (tests and
-    /// audits; single-channel deployments have exactly one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the peer hosts no channel yet.
-    pub fn committer(&self) -> Rc<RefCell<Committer>> {
-        self.channels
-            .values()
-            .next()
-            .expect("the peer hosts no channel: call add_channel first")
-            .committer
-            .clone()
+    /// A hosted channel's state, for tests.
+    pub fn view(&self, channel: &ChannelId) -> Option<ChannelView> {
+        let ch = &self.channels[self.hosted(channel)?];
+        let read_cached = ch.read_cache.as_ref().map_or(0, ReadCache::len);
+        Some(ChannelView {
+            buffered: ch.buffer.keys().copied().collect(),
+            cached: read_cached + self.sig_cache.as_ref().map_or(0, SigVerifyCache::len),
+            snapshot_height: ch.latest_snapshot.as_ref().map(Snapshot::height),
+            current: ch.catchup.is_current(),
+        })
     }
 
-    fn on_proposal(&mut self, ctx: &mut Context<'_, M>, src: ActorId, sp: SignedProposal) {
-        let channel = sp.proposal.channel.clone();
-        let Some(state) = self.channels.get_mut(&channel) else {
-            // Not hosting this channel: reject like any endorsement error.
-            self.reject_proposal(ctx, src, &sp, format!("channel {channel} not hosted"));
-            return;
+    /// A message from `src`; what a peer does not take is ignored.
+    /// `admitted` is the verdict of the admission queue, which the host
+    /// owns and asks about proposals only.
+    pub fn message(&mut self, src: ActorId, msg: FabricMsg, admitted: bool) -> Vec<Action> {
+        match msg {
+            FabricMsg::SubmitProposal(sp) => self.proposal(src, sp, admitted),
+            FabricMsg::DeliverBlock(channel, block) => self.block(src, channel, block),
+            FabricMsg::SnapshotRequest { channel } => self.snapshot_request(src, channel),
+            FabricMsg::SnapshotPartRequest {
+                channel,
+                height,
+                index,
+            } => self.part_request(src, channel, height, index),
+            FabricMsg::SnapshotOffer { channel, manifest } => {
+                self.fed(self.hosted(&channel), |m, at, _| m.offer(src, at, manifest))
+            }
+            FabricMsg::SnapshotPartData {
+                channel,
+                height,
+                index,
+                part,
+            } => self.fed(self.hosted(&channel), |m, at, _| {
+                m.part(src, at, height, index, part)
+            }),
+            FabricMsg::JoinChannel { channel } => {
+                self.fed(self.hosted(&channel), |m, at, _| m.join(at))
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// A client's proposal. A shed one and one for a channel not hosted
+    /// are rejected at once; any other is endorsed against the channel's
+    /// committed state, the response released after its cost.
+    fn proposal(&mut self, src: ActorId, sp: SignedProposal, admitted: bool) -> Vec<Action> {
+        if !admitted {
+            let nacked = Action::Count(None, "nacked", 1);
+            return vec![nacked, self.reject(src, &sp, BUSY_REASON.to_owned())];
+        }
+        let channel = &sp.proposal.channel;
+        let Some(i) = self.hosted(channel) else {
+            return vec![self.reject(src, &sp, format!("channel {channel} not hosted"))];
         };
-        let committer = state.committer.borrow();
+        let ch = &mut self.channels[i];
+        let committer = ch.committer.borrow();
         let (response, stats) = endorse(
             &self.identity,
             &self.registry,
@@ -315,12 +315,10 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         drop(committer);
         let mut cost = self.costs.endorse_cost(&sp.proposal, &stats);
         // Hot-state read cache: reads served from cache cost a cache hit
-        // instead of a full state operation. The chaincode still executed
-        // against the authoritative state database above, so only the
-        // charged CPU time changes, never the endorsement result.
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        if let Some(cache) = state.read_cache.as_mut() {
+        // instead of a full state operation. The chaincode still ran against
+        // the authoritative state above, so only the charged time changes.
+        let (mut hits, mut misses) = (0u64, 0u64);
+        if let Some(cache) = ch.read_cache.as_mut() {
             for read in &response.rwset.reads {
                 if cache.touch(&read.key) {
                     hits += 1;
@@ -329,156 +327,88 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
                 }
             }
         }
+        let mut out = Vec::with_capacity(2 + usize::from(hits > 0) + usize::from(misses > 0));
+        let count = |name, n| Action::Count(Some(ch.id.clone()), name, n);
         if hits > 0 {
             cost = cost - (self.costs.state_op - self.costs.cache_hit_op) * hits;
-            ctx.metrics().incr(&state.names.readcache_hits, hits);
+            out.push(count("readcache.hits", hits));
         }
         if misses > 0 {
-            ctx.metrics().incr(&state.names.readcache_misses, misses);
+            out.push(count("readcache.misses", misses));
         }
-        ctx.metrics().incr(&state.names.endorsed, 1);
-        // Per-peer execution span: chaincode simulation + signing, closed
-        // when the virtual CPU finishes and the response ships. The
-        // response carries the tx id `endorse` already computed.
-        let trace = tx_trace(&response.tx_id);
-        ctx.span_start(&trace, "endorse.exec", &self.metric_prefix);
-        let bytes = response.wire_size();
-        let closes = vec![SpanClose::new(
-            trace.clone(),
-            "endorse.exec",
-            self.metric_prefix.clone(),
-        )];
-        self.harness.defer_request(
-            ctx,
-            cost,
-            &trace,
-            vec![(src, bytes, M::wrap(FabricMsg::ProposalResult(response)))],
-            closes,
-        );
+        out.push(count("endorsed", 1));
+        // Chaincode simulation + signing, as a span on the tx id `endorse`
+        // already computed.
+        let span = (tx_trace(&response.tx_id), "endorse.exec");
+        let result = FabricMsg::ProposalResult(response);
+        out.push(Action::DeferRequest(cost, span, src, result));
+        out
     }
 
-    /// Sends an immediate rejection carrying `reason` (unhosted channel).
-    fn reject_proposal(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        src: ActorId,
-        sp: &SignedProposal,
-        reason: String,
-    ) {
-        let tx_id = sp.proposal.tx_id();
-        let response = ProposalResponse {
-            tx_id,
-            endorser: self.identity.certificate().clone(),
-            result: Err(reason),
-            rwset: RwSet::new(),
-            event: None,
-            signature: self
-                .identity
-                .sign(&endorsement_message(&tx_id, &[], &RwSet::new())),
+    /// An immediate rejection carrying `reason`.
+    fn reject(&self, src: ActorId, sp: &SignedProposal, reason: String) -> Action {
+        let refusal = ProposalResponse::refused(&self.identity, sp.proposal.tx_id(), reason);
+        Action::Send(src, FabricMsg::ProposalResult(refusal))
+    }
+
+    /// A delivered block: a duplicate (multi-orderer dissemination) is
+    /// dropped; any other is buffered, every consecutive block now
+    /// available committed, and the catch-up machine told where the chain
+    /// stands.
+    fn block(&mut self, src: ActorId, channel: ChannelId, block: Arc<Block>) -> Vec<Action> {
+        let Some(i) = self.hosted(&channel) else {
+            return Vec::new();
         };
-        let bytes = response.wire_size();
-        ctx.send(src, bytes, M::wrap(FabricMsg::ProposalResult(response)));
-    }
-
-    /// Sends an immediate rejection for a proposal shed at admission.
-    fn nack_proposal(&mut self, ctx: &mut Context<'_, M>, src: ActorId, sp: &SignedProposal) {
-        ctx.metrics()
-            .incr(&format!("{}.nacked", self.metric_prefix), 1);
-        self.reject_proposal(ctx, src, sp, BUSY_REASON.to_owned());
-    }
-
-    /// Commits every consecutive buffered block; returns how many were
-    /// committed.
-    fn drain_ready(&mut self, ctx: &mut Context<'_, M>, channel: &ChannelId) -> u64 {
-        let mut committed = 0;
-        while let Some(state) = self.channels.get_mut(channel) {
-            let height = state.committer.borrow().height();
-            match state.block_buffer.remove(&height) {
-                Some(block) => {
-                    self.commit_one(ctx, channel, block);
-                    committed += 1;
-                }
-                None => break,
-            }
+        let ch = &mut self.channels[i];
+        let (number, height) = (block.header.number, ch.committer.borrow().height());
+        if number < height {
+            return Vec::new();
         }
-        committed
+        ch.buffer.insert(number, block);
+        // Room for what one committed block answers with.
+        let mut out = Vec::with_capacity(if number == height { 8 } else { 0 });
+        self.drain(i, &mut out);
+        self.step(i, &mut out, |machine, height, buffered| {
+            machine.delivered(src, height, buffered)
+        });
+        out
     }
 
-    /// Cuts a snapshot once the chain has grown `interval` blocks past the
-    /// previous one (a no-op without a policy, so default deployments stay
-    /// untouched). The capture cost is charged to the virtual CPU in
-    /// proportion to the state size — here, at the cut, where the modelled
-    /// peer hashes and writes its checkpoint; the host only freezes the
-    /// ledger and leaves the hashing to whichever recovery or transfer
-    /// first reads the manifest, which for most cuts is none. Pruning then
-    /// drops the block store behind the new snapshot's height, bounding
-    /// disk growth.
-    fn maybe_cut_snapshot(&mut self, ctx: &mut Context<'_, M>, channel: &ChannelId) {
-        let Some(policy) = self.snapshots else {
-            return;
-        };
-        let Some(state) = self.channels.get_mut(channel) else {
-            return;
-        };
-        let height = state.committer.borrow().height();
-        let last = state.latest_snapshot.as_ref().map_or(0, |s| s.height());
-        if height < last.saturating_add(policy.interval.max(1)) {
-            return;
+    /// Commits every consecutive buffered block, then cuts a snapshot if
+    /// the chain grew and one is due.
+    fn drain(&mut self, i: usize, out: &mut Vec<Action>) {
+        let mut grew = false;
+        loop {
+            let ch = &mut self.channels[i];
+            let height = ch.committer.borrow().height();
+            let Some(block) = ch.buffer.remove(&height) else {
+                break;
+            };
+            grew |= self.commit(i, block, out);
         }
-        // The previous cut goes before the next is built: two frozen views
-        // of the ledger are never alive at once.
-        state.latest_snapshot = None;
-        let snapshot = state.committer.borrow().snapshot(DEFAULT_CHUNK_ENTRIES);
-        let cost = self
-            .costs
-            .snapshot_capture_cost(snapshot.entry_count() as u64, snapshot.state_bytes());
-        state.latest_snapshot = Some(snapshot);
-        let pruned = state.committer.borrow_mut().prune_store_to(height);
-        ctx.metrics().incr(
-            &channel.metric_name(&self.metric_prefix, "snapshots.cut"),
-            1,
-        );
-        ctx.metrics().set_gauge(
-            &channel.metric_name(&self.metric_prefix, "snapshots.height"),
-            height as f64,
-        );
-        if pruned > 0 {
-            ctx.metrics().incr(
-                &channel.metric_name(&self.metric_prefix, "snapshots.pruned_blocks"),
-                pruned,
-            );
+        if grew {
+            self.cut_if_due(i, out);
         }
-        self.harness.charge(ctx, cost);
     }
 
-    /// The commit path: the stateless VSCC phase is charged as the
-    /// makespan of per-envelope costs spread across this peer's CPU lanes,
-    /// then the serial MVCC + apply phase runs on one lane. Because the
-    /// serial phase starts at the *global* CPU busy horizon while the next
-    /// block's VSCC batch fills whichever lanes free up first, block N+1's
-    /// VSCC naturally overlaps block N's apply (on one lane the two jobs
-    /// simply queue).
-    fn commit_one(&mut self, ctx: &mut Context<'_, M>, channel: &ChannelId, block: Arc<Block>) {
-        let trace = channel.trace_name(&format!("block-{}", block.header.number));
-        ctx.span_start(&trace, "validate", &self.metric_prefix);
-        let state = self.channels.get(channel).expect("caller checked");
-        let verdicts = state
-            .committer
-            .borrow()
-            .vscc_block(&block, self.sig_cache.as_mut());
-        let mut vscc_costs = Vec::with_capacity(verdicts.len());
-        let mut serial_cost = self.costs.block_cost(block.wire_size());
-        let mut sig_hits = 0u64;
-        let mut sig_misses = 0u64;
+    /// The commit path: the stateless VSCC phase is charged as
+    /// per-envelope costs for the CPU lanes, the serial MVCC + apply phase
+    /// as one. Answers whether the block extended the chain.
+    fn commit(&mut self, i: usize, block: Arc<Block>, out: &mut Vec<Action>) -> bool {
+        let (ch, sig_cache) = (&mut self.channels[i], self.sig_cache.as_mut());
+        let trace = ch.id.trace_name(&format!("block-{}", block.header.number));
+        out.push(Action::SpanStart(trace.clone(), "validate"));
+        let verdicts = ch.committer.borrow().vscc_block(&block, sig_cache);
+        let mut vscc = Vec::with_capacity(verdicts.len());
+        let mut serial = self.costs.block_cost(block.wire_size());
+        let (mut sig_hits, mut sig_misses) = (0u64, 0u64);
         for verdict in &verdicts {
-            sig_hits += verdict.sig_hits as u64;
-            sig_misses += verdict.sig_misses as u64;
+            let (hits, misses) = (verdict.sig_hits as u64, verdict.sig_misses as u64);
+            sig_hits += hits;
+            sig_misses += misses;
             if let Some(env) = &verdict.envelope {
-                vscc_costs.push(
-                    self.costs
-                        .vscc_cost(verdict.sig_misses as u64, verdict.sig_hits as u64),
-                );
-                serial_cost += self.costs.mvcc_cost()
+                vscc.push(self.costs.vscc_cost(misses, hits));
+                serial += self.costs.mvcc_cost()
                     + self.costs.apply_cost(
                         env.rwset.write_bytes() as u64,
                         env.rwset.writes.len() as u64,
@@ -487,14 +417,10 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         }
         if self.sig_cache.is_some() {
             if sig_hits > 0 {
-                ctx.metrics()
-                    .incr(&format!("{}.sigcache.hits", self.metric_prefix), sig_hits);
+                out.push(Action::Count(None, "sigcache.hits", sig_hits));
             }
             if sig_misses > 0 {
-                ctx.metrics().incr(
-                    &format!("{}.sigcache.misses", self.metric_prefix),
-                    sig_misses,
-                );
+                out.push(Action::Count(None, "sigcache.misses", sig_misses));
             }
         }
         // The orderer's retained tail and the other peers' deliveries
@@ -502,96 +428,73 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         // and of a pointer to the shared envelopes. The validation codes the
         // commit fills in are this peer's own.
         let owned = Arc::unwrap_or_clone(block);
-        let outcome = state
-            .committer
-            .borrow_mut()
-            .commit_block_prevalidated(owned, verdicts);
-        match outcome {
-            Ok(outcome) => {
-                let names = &self.channels.get(channel).expect("caller checked").names;
-                ctx.metrics().incr(&names.blocks, 1);
-                ctx.metrics().incr(&names.tx_valid, outcome.valid as u64);
-                ctx.metrics()
-                    .incr(&names.tx_invalid, outcome.invalid as u64);
-                // Goodput SLOs watch committed-transaction events.
-                ctx.slo_event_n("commit.tx", outcome.valid as u64);
-                self.note_dangling(ctx, channel, &trace, outcome.dangling_parents);
-                // Every committed write invalidates its read-cache entry:
-                // the cached version is no longer the latest.
-                let mut invalidated = 0u64;
-                let state = self.channels.get_mut(channel).expect("caller checked");
-                if let Some(cache) = state.read_cache.as_mut() {
-                    for key in &outcome.written_keys {
-                        if cache.invalidate(key) {
-                            invalidated += 1;
-                        }
-                    }
-                }
-                if invalidated > 0 {
-                    ctx.metrics()
-                        .incr(&state.names.readcache_invalidations, invalidated);
-                }
-                let detail = self.metric_prefix.clone();
-                ctx.span_start(&trace, "commit.vscc", &detail);
-                self.harness.defer_parallel(
-                    ctx,
-                    &vscc_costs,
-                    vec![],
-                    vec![SpanClose::new(trace.clone(), "commit.vscc", detail.clone())],
-                );
-                // The serial phase starts once every lane has drained the
-                // VSCC batch (and any earlier block's apply has finished).
-                let apply_start = ctx.now().max(ctx.cpu().busy_until());
-                ctx.tracer()
-                    .span_start(apply_start, &trace, "commit.apply", &detail);
-                let sends = self.commit_event_sends(outcome.events);
-                self.harness.defer(
-                    ctx,
-                    serial_cost,
-                    sends,
-                    vec![
-                        SpanClose::new(trace.clone(), "commit.apply", detail.clone()),
-                        SpanClose::new(trace, "validate", detail),
-                    ],
-                );
-                let lanes_busy = ctx.cpu().lanes_busy_at(ctx.now()) as f64;
-                ctx.metrics()
-                    .set_gauge(&format!("{}.lanes_busy", self.metric_prefix), lanes_busy);
-            }
+        let mut ledger = ch.committer.borrow_mut();
+        let committed = ledger.commit_block_prevalidated(owned, verdicts);
+        drop(ledger);
+        let id = ch.id.clone();
+        let count = |name, n| Action::Count(Some(id.clone()), name, n);
+        let outcome = match committed {
+            Ok(outcome) => outcome,
             Err(err) => {
-                ctx.span_end(&trace, "validate", &self.metric_prefix);
-                ctx.metrics().incr(
-                    &channel.metric_name(&self.metric_prefix, "commit_errors"),
-                    1,
-                );
-                let _ = err;
+                out.push(Action::SpanEnd(trace.clone(), "validate"));
+                out.push(count("commit_errors", 1));
+                out.push(Action::Note(trace, "commit_error", Some(err.to_string())));
+                return false;
+            }
+        };
+        out.push(count("blocks", 1));
+        out.push(count("tx.valid", outcome.valid as u64));
+        out.push(count("tx.invalid", outcome.invalid as u64));
+        // Goodput SLOs watch committed-transaction events.
+        out.push(Action::Slo("commit.tx", outcome.valid as u64));
+        // Committed records whose parent ids are absent from the graph
+        // index: only when a block actually dangles (strict runs never do).
+        if outcome.dangling_parents > 0 {
+            out.push(count("dangling_parent", outcome.dangling_parents));
+            out.push(Action::Note(trace.clone(), "dangling_parent", None));
+        }
+        // Every committed write invalidates its read-cache entry: the
+        // cached version is no longer the latest.
+        if let Some(cache) = ch.read_cache.as_mut() {
+            let stale = outcome.written_keys.iter();
+            let invalidated = stale.filter(|key| cache.invalidate(key)).count() as u64;
+            if invalidated > 0 {
+                out.push(count("readcache.invalidations", invalidated));
             }
         }
+        let events = self.commit_events(outcome.events);
+        out.push(Action::Committed {
+            trace,
+            vscc,
+            serial,
+            events,
+        });
+        true
     }
 
-    /// Builds the commit-notification sends for a block's events. Every
-    /// hosting peer commits every transaction, so exactly one must tell
-    /// the client: the one whose certificate is on the envelope's first
-    /// endorsement — a peer the client asked, and so one it could reach
-    /// on this attempt, wherever its home is. Nothing is remembered: the
-    /// envelope names both parties. This peer sends one message to the
-    /// creator's client (when it subscribed here) for a transaction it
-    /// endorsed first, none for the others, and one per subscriber (in
-    /// certificate order) for an event that names no creator.
-    fn commit_event_sends(&self, events: Vec<CommitEvent>) -> Vec<Outbound<M>> {
+    /// Who is told about which transaction of a block. Every hosting peer
+    /// commits every transaction, so exactly one must tell the client:
+    /// the one whose certificate is on the envelope's first endorsement —
+    /// a peer the client asked, and so one it could reach on this attempt,
+    /// wherever its home is. Nothing is remembered: the envelope names
+    /// both parties. This peer sends one message to the creator's client
+    /// (when it subscribed here) for a transaction it endorsed first, none
+    /// for the others, and one per subscriber (in certificate order) for
+    /// an event that names no creator.
+    fn commit_events(&self, events: Vec<CommitEvent>) -> Vec<(ActorId, FabricMsg)> {
         let own = self.identity.certificate().id;
         let mut sends = Vec::new();
         for event in events {
             match &event.creator {
                 Some(creator) if event.endorser.is_none_or(|endorser| endorser == own) => {
                     if let Some(&client) = self.subscribers.get(creator) {
-                        sends.push((client, 128, M::wrap(FabricMsg::Commit(event))));
+                        sends.push((client, FabricMsg::Commit(event)));
                     }
                 }
                 Some(_) => {}
                 None => {
                     for &client in self.subscribers.values() {
-                        sends.push((client, 128, M::wrap(FabricMsg::Commit(event.clone()))));
+                        sends.push((client, FabricMsg::Commit(event.clone())));
                     }
                 }
             }
@@ -599,79 +502,146 @@ impl<M: Carries<FabricMsg>> PeerActor<M> {
         sends
     }
 
-    /// Flags committed records whose parent ids are absent from the graph
-    /// index: a warning event on the block trace plus a counter, emitted
-    /// only when a block actually dangles (strict runs never do, so the
-    /// default exports stay untouched).
-    fn note_dangling(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        channel: &ChannelId,
-        trace: &str,
-        dangling: u64,
-    ) {
-        if dangling == 0 {
+    /// Cuts a snapshot once the chain has grown `interval` blocks past the
+    /// previous one (never without a policy). The capture cost is charged
+    /// here, where the modelled peer hashes and writes its checkpoint; the
+    /// host only freezes the ledger and leaves the hashing to whichever
+    /// recovery or transfer first reads the manifest, which for most cuts
+    /// is none. Pruning then drops the block store behind the new height.
+    fn cut_if_due(&mut self, i: usize, out: &mut Vec<Action>) {
+        let Some(policy) = self.snapshots else {
+            return;
+        };
+        let ch = &mut self.channels[i];
+        let height = ch.committer.borrow().height();
+        let last = ch.latest_snapshot.as_ref().map_or(0, |s| s.height());
+        if height < last.saturating_add(policy.interval.max(1)) {
             return;
         }
-        ctx.metrics().incr(
-            &channel.metric_name(&self.metric_prefix, "dangling_parent"),
-            dangling,
-        );
-        let now = ctx.now();
-        ctx.tracer()
-            .event(now, trace, "dangling_parent", &self.metric_prefix);
+        // The previous cut goes before the next is built: two frozen views
+        // of the ledger are never alive at once.
+        ch.latest_snapshot = None;
+        let snapshot = ch.committer.borrow().snapshot(DEFAULT_CHUNK_ENTRIES);
+        let cost = self
+            .costs
+            .snapshot_capture_cost(snapshot.entry_count() as u64, snapshot.state_bytes());
+        ch.latest_snapshot = Some(snapshot);
+        let pruned = ch.committer.borrow_mut().prune_store_to(height);
+        let id = Some(ch.id.clone());
+        out.push(Action::Count(id.clone(), "snapshots.cut", 1));
+        out.push(Action::Gauge(id.clone(), "snapshots.height", height as f64));
+        if pruned > 0 {
+            out.push(Action::Count(id, "snapshots.pruned_blocks", pruned));
+        }
+        out.push(Action::Charge(cost));
     }
-}
 
-impl<M: Carries<FabricMsg>> Actor<M> for PeerActor<M> {
-    fn on_event(&mut self, ctx: &mut Context<'_, M>, event: Event<M>) {
-        match event {
-            Event::Message { src, msg } => match msg.peel() {
-                Ok(FabricMsg::SubmitProposal(sp)) => {
-                    if self.harness.admit(ctx) {
-                        self.on_proposal(ctx, src, sp);
-                    } else {
-                        self.nack_proposal(ctx, src, &sp);
+    /// Feeds channel `i`'s catch-up machine one input — `input` also gets
+    /// the chain height and whether a later block is buffered above it —
+    /// and translates what it answers, in order. Booting a fetched snapshot
+    /// is ledger work: done here, the outcome fed back before the rest.
+    fn step(
+        &mut self,
+        i: usize,
+        out: &mut Vec<Action>,
+        input: impl FnOnce(&mut CatchUp, u64, bool) -> Vec<catchup::Action>,
+    ) {
+        let ch = &mut self.channels[i];
+        let height = ch.committer.borrow().height();
+        let mut todo = VecDeque::from(input(&mut ch.catchup, height, !ch.buffer.is_empty()));
+        while let Some(action) = todo.pop_front() {
+            match action {
+                catchup::Action::Send(dest, msg) => out.push(Action::Send(dest, msg)),
+                catchup::Action::Arm(delay) => {
+                    out.extend([Action::Disarm(i as u64), Action::Arm(i as u64, delay)]);
+                }
+                catchup::Action::Disarm => out.push(Action::Disarm(i as u64)),
+                catchup::Action::Count(name) => {
+                    let id = Some(self.channels[i].id.clone());
+                    out.push(Action::Count(id, name, 1));
+                }
+                catchup::Action::Ingested(bytes) => {
+                    out.push(Action::Charge(self.costs.snapshot_transfer_cost(bytes)));
+                }
+                catchup::Action::Boot(snapshot) => {
+                    let ok = self.install(i, snapshot, out);
+                    let ch = &mut self.channels[i];
+                    let height = ch.committer.borrow().height();
+                    for next in ch.catchup.booted(ok, height).into_iter().rev() {
+                        todo.push_front(next);
                     }
-                }
-                Ok(FabricMsg::DeliverBlock(channel, block)) => {
-                    self.on_block(ctx, src, channel, block)
-                }
-                Ok(FabricMsg::SnapshotRequest { channel }) => {
-                    self.on_snapshot_request(ctx, src, channel)
-                }
-                Ok(FabricMsg::SnapshotOffer { channel, manifest }) => {
-                    self.step(ctx, &channel, |machine, at, _| {
-                        machine.offer(src, at, manifest)
-                    })
-                }
-                Ok(FabricMsg::SnapshotPartRequest {
-                    channel,
-                    height,
-                    index,
-                }) => self.on_part_request(ctx, src, channel, height, index),
-                Ok(FabricMsg::SnapshotPartData {
-                    channel,
-                    height,
-                    index,
-                    part,
-                }) => self.step(ctx, &channel, |machine, at, _| {
-                    machine.part(src, at, height, index, part)
-                }),
-                Ok(FabricMsg::JoinChannel { channel }) => {
-                    self.step(ctx, &channel, |machine, at, _| machine.join(at))
-                }
-                Ok(_) | Err(_) => {}
-            },
-            Event::Timer { token } => {
-                if !self.harness.on_timer(ctx, token) {
-                    self.on_retry_timer(ctx, token);
                 }
             }
         }
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
-        self.recover_after_restart(ctx);
+    /// The catch-up protocol's opening request: answer with the latest
+    /// snapshot's manifest, or `None` (sending the requester to its next
+    /// provider).
+    fn snapshot_request(&mut self, src: ActorId, channel: ChannelId) -> Vec<Action> {
+        let manifest = self
+            .latest_snapshot(&channel)
+            .map(|s| Box::new(s.manifest().clone()));
+        let requests = Action::Count(Some(channel.clone()), "snapshot_requests", 1);
+        let offer = FabricMsg::SnapshotOffer { channel, manifest };
+        vec![requests, Action::Defer(self.costs.cache_hit_op, src, offer)]
+    }
+
+    /// A request for one part (state chunk or tail) of the snapshot at
+    /// `height`, charged as transfer I/O; answered with `None` when that
+    /// snapshot is gone (superseded by a newer one), which advances the
+    /// requester's ladder.
+    fn part_request(
+        &mut self,
+        src: ActorId,
+        channel: ChannelId,
+        height: u64,
+        index: u32,
+    ) -> Vec<Action> {
+        let part = self
+            .latest_snapshot(&channel)
+            .filter(|s| s.height() == height)
+            .and_then(|s| s.part(index as usize))
+            .map(Arc::new);
+        let cost = part.as_ref().map_or(self.costs.cache_hit_op, |p| {
+            self.costs.snapshot_transfer_cost(p.wire_size())
+        });
+        let msg = FabricMsg::SnapshotPartData {
+            channel,
+            height,
+            index,
+            part,
+        };
+        vec![Action::Defer(cost, src, msg)]
+    }
+
+    fn hosted(&self, channel: &ChannelId) -> Option<usize> {
+        self.by_id.get(channel).copied()
+    }
+
+    fn latest_snapshot(&self, channel: &ChannelId) -> Option<&Snapshot> {
+        self.channels[self.hosted(channel)?]
+            .latest_snapshot
+            .as_ref()
+    }
+
+    /// The timer of `token` fired: the retry timer of the channel the
+    /// token names.
+    pub fn timer(&mut self, token: u64) -> Vec<Action> {
+        let hosted = (token as usize) < self.channels.len();
+        self.fed(hosted.then_some(token as usize), CatchUp::timer_fired)
+    }
+
+    /// [`Peer::step`] on a channel that may not be hosted.
+    fn fed(
+        &mut self,
+        channel: Option<usize>,
+        input: impl FnOnce(&mut CatchUp, u64, bool) -> Vec<catchup::Action>,
+    ) -> Vec<Action> {
+        let mut out = Vec::new();
+        if let Some(i) = channel {
+            self.step(i, &mut out, input);
+        }
+        out
     }
 }

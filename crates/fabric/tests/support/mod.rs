@@ -102,14 +102,25 @@ impl GraphIndexer for ItemIndexer {
     }
 }
 
-/// A client, an endorsing peer of the same organisation, and a maker of
-/// empty committers that accept what the two sign and index it with
-/// [`ItemIndexer`].
-pub fn new_committers() -> (SigningIdentity, SigningIdentity, impl Fn() -> Committer) {
+/// `clients` clients, `peers` endorsing peers of the same organisation,
+/// and a maker of empty committers that accept what any two of them sign
+/// and index it with [`ItemIndexer`].
+pub fn network(
+    clients: usize,
+    peers: usize,
+) -> (
+    Vec<SigningIdentity>,
+    Vec<SigningIdentity>,
+    impl Fn() -> Committer,
+) {
     let org = MspId::new("org1");
     let mut msp = MspBuilder::new(1);
-    let client = msp.enroll("client0", &org);
-    let endorser = msp.enroll("peer0", &org);
+    let mut enroll = |role: &str, n: usize| -> Vec<SigningIdentity> {
+        (0..n)
+            .map(|i| msp.enroll(&format!("{role}{i}"), &org))
+            .collect()
+    };
+    let (clients, peers) = (enroll("client", clients), enroll("peer", peers));
     let msp = msp.build();
     let new_committer = move || {
         Committer::new(
@@ -118,13 +129,19 @@ pub fn new_committers() -> (SigningIdentity, SigningIdentity, impl Fn() -> Commi
         )
         .with_indexer(Arc::new(ItemIndexer))
     };
-    (client, endorser, new_committer)
+    (clients, peers, new_committer)
+}
+
+/// [`network`] with one client and one endorsing peer.
+pub fn new_committers() -> (SigningIdentity, SigningIdentity, impl Fn() -> Committer) {
+    let (mut clients, mut peers, new_committer) = network(1, 1);
+    (clients.remove(0), peers.remove(0), new_committer)
 }
 
 /// One endorsed `post` of a fresh key, shaped like the benchmark's
 /// `ledger_growth` transactions: the record under `item~<key>~`, the key
 /// under `cs~<checksum>~<key>~`, and an envelope of about 700 bytes.
-fn post(client: &SigningIdentity, endorser: &SigningIdentity, nonce: u64) -> Envelope {
+pub fn post(client: &SigningIdentity, endorser: &SigningIdentity, nonce: u64) -> Envelope {
     let key = format!("scale1-c{:05}-k{}", nonce % 16, nonce / 16);
     let sep = COMPOSITE_SEP;
     let item_key = format!("item{sep}{key}{sep}");

@@ -84,4 +84,4 @@ pub use profile::{peak_rss_bytes, HotCounters, SimProfiler};
 pub use rng::DetRng;
 pub use slo::{SloBreach, SloMonitor, SloObjective, SloSpec, SloVerdict, MAX_BURN};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Span, SpanId, TraceEvent, Tracer, TracerConfig};
+pub use trace::{fnv1a, Span, SpanId, TraceEvent, Tracer, TracerConfig};

@@ -399,7 +399,8 @@ impl Tracer {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a, a stable 64-bit hash (trace sampling, per-node jitter salts).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
