@@ -1,16 +1,16 @@
 //! Criterion micro-benchmarks for the substrate hot paths: hashing,
 //! canonical codec, Merkle roots, state-DB operations on both storage
 //! backends, snapshot cutting and sealing, the hybrid event queue,
-//! endorsement-policy evaluation and a full single-transaction pipeline
-//! step.
+//! endorsement-policy evaluation, a full single-transaction pipeline step
+//! and the commit path's decoders.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyperprov::{HyperProvChaincode, RecordInput, CHAINCODE_NAME};
 use hyperprov_fabric::{
-    endorse, Chaincode, ChaincodeRegistry, ChaincodeStub, EndorsementPolicy, MspBuilder, MspId,
-    Proposal, SignedProposal,
+    endorse, Chaincode, ChaincodeRegistry, ChaincodeStub, Endorsement, EndorsementPolicy, Envelope,
+    EnvelopeView, MspBuilder, MspId, Proposal, SignedProposal,
 };
 use hyperprov_ledger::{
     ChannelId, Decode, Digest, Encode, HistoryDb, KvWrite, MerkleTree, Snapshot, StateDb, StateKey,
@@ -227,6 +227,62 @@ fn bench_endorse(c: &mut Criterion) {
     });
 }
 
+/// The commit path's decoders beside the owned ones they replaced, on the
+/// benchmark's `ledger_growth` transaction: a metadata-only post of a
+/// fresh key endorsed by one peer, an envelope of 691 bytes (685 there, its
+/// names being shorter). Reading it in place is what every replica does to every envelope of every block;
+/// the owned decode is the oracle the tests keep.
+fn bench_commit_decode(c: &mut Criterion) {
+    let mut builder = MspBuilder::new(1);
+    let peer = builder.enroll("peer0", &MspId::new("org1"));
+    let client = builder.enroll("client0", &MspId::new("org1"));
+    let msp = builder.build();
+    let mut registry = ChaincodeRegistry::new();
+    registry.install(Arc::new(HyperProvChaincode::new()));
+    let key = "scale1-c00003-k1234";
+    let input = RecordInput::new(Digest::of(key.as_bytes()));
+    let proposal = Proposal {
+        channel: "hyperprov-channel".into(),
+        chaincode: CHAINCODE_NAME.into(),
+        function: "post".into(),
+        args: vec![key.as_bytes().to_vec(), input.to_bytes()],
+        creator: client.certificate().clone(),
+        nonce: 1_234,
+    };
+    let signed = SignedProposal {
+        signature: client.sign(&proposal.to_bytes()),
+        proposal: proposal.clone(),
+    };
+    let (state, history) = (StateDb::new(), HistoryDb::new());
+    let (response, _) = endorse(&peer, &registry, &msp, &state, &history, None, &signed);
+    let record = response.result.clone().expect("endorsed");
+    let raw = Envelope {
+        proposal,
+        payload: record.clone(),
+        rwset: response.rwset,
+        event: response.event,
+        endorsements: vec![Endorsement {
+            endorser: response.endorser,
+            signature: response.signature,
+        }],
+    }
+    .to_raw();
+    let mut group = c.benchmark_group("commit_decode");
+    group.bench_function("envelope_view", |b| {
+        b.iter(|| EnvelopeView::parse(&raw.bytes).unwrap());
+    });
+    group.bench_function("envelope_from_raw", |b| {
+        b.iter(|| Envelope::from_raw(&raw).unwrap());
+    });
+    group.bench_function("record_parents", |b| {
+        b.iter(|| hyperprov::ProvenanceRecord::parents_of(&record).unwrap());
+    });
+    group.bench_function("record_from_bytes", |b| {
+        b.iter(|| hyperprov::ProvenanceRecord::from_bytes(&record).unwrap());
+    });
+    group.finish();
+}
+
 fn bench_chaincode_lineage(c: &mut Criterion) {
     // Pre-build a 32-deep lineage chain in a state DB, then measure the
     // chaincode-side BFS.
@@ -283,6 +339,7 @@ criterion_group! {
     bench_event_queue,
     bench_policy,
     bench_endorse,
+    bench_commit_decode,
     bench_chaincode_lineage
 }
 criterion_main!(benches);

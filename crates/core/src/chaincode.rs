@@ -45,21 +45,23 @@ impl GraphIndexer for HyperProvIndexer {
         if key.namespace != CHAINCODE_NAME {
             return None;
         }
-        let parts = ChaincodeStub::split_composite_key(&key.key);
-        if parts.len() != 2 || parts[0] != "item" {
-            return None;
-        }
-        let item = parts[1].to_owned();
+        let key = item_of(&key.key)?.to_owned();
         match value {
             Some(bytes) => {
-                let record = ProvenanceRecord::from_bytes(bytes).ok()?;
-                Some(GraphUpdate::Insert {
-                    key: item,
-                    parents: record.parents,
-                })
+                let parents = ProvenanceRecord::parents_of(bytes).ok()?;
+                Some(GraphUpdate::Insert { key, parents })
             }
-            None => Some(GraphUpdate::Remove { key: item }),
+            None => Some(GraphUpdate::Remove { key }),
         }
+    }
+}
+
+/// The item a composite key `item~<key>~` names, `None` for any other key.
+fn item_of(composite: &str) -> Option<&str> {
+    let mut parts = ChaincodeStub::split_composite_key(composite);
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some("item"), Some(item), None) => Some(item),
+        _ => None,
     }
 }
 
@@ -158,10 +160,11 @@ impl HyperProvChaincode {
         let record = ProvenanceRecord::from_input(key.clone(), input, stub.creator().clone());
         let ik = Self::item_key(stub, &key)?;
         let ck = Self::cs_key(stub, &record.checksum, &key)?;
-        stub.put_state(&ik, record.to_bytes());
+        let bytes = record.to_bytes();
+        stub.put_state(&ik, bytes.clone());
         stub.put_state(&ck, key.clone().into_bytes());
         stub.set_event("post", key.into_bytes());
-        Ok(record.to_bytes())
+        Ok(bytes)
     }
 
     fn get(&self, stub: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError> {
@@ -296,14 +299,8 @@ impl HyperProvChaincode {
 
     fn list(&self, stub: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError> {
         let hits = stub.get_state_by_partial_composite_key("item", &[])?;
-        let mut keys = Vec::with_capacity(hits.len());
-        for (composite, _) in hits {
-            let parts = ChaincodeStub::split_composite_key(&composite);
-            if parts.len() == 2 && parts[0] == "item" {
-                keys.push(parts[1].to_owned());
-            }
-        }
-        Ok(keys.to_bytes())
+        let keys = hits.iter().filter_map(|(composite, _)| item_of(composite));
+        Ok(keys.map(str::to_owned).collect::<Vec<_>>().to_bytes())
     }
 
     fn delete(&self, stub: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError> {
@@ -715,6 +712,56 @@ mod tests {
         h.invoke("delete", vec![b"b".to_vec()]).unwrap();
         assert!(!h.graph.contains("b"));
         assert_eq!(h.graph.len(), 1);
+    }
+
+    #[test]
+    fn indexer_reads_parents_of_whole_valid_records_only() {
+        let mut h = Harness::new();
+        h.post("a", &input(b"a")).unwrap();
+        h.post("c", &input(b"c")).unwrap();
+        let record = h
+            .post("b", &input(b"b").with_parents(vec!["a".into(), "c".into()]))
+            .unwrap();
+        let key = StateKey::new(CHAINCODE_NAME, "item\u{1}b\u{1}");
+        let good = record.to_bytes();
+        assert_eq!(
+            HyperProvIndexer.index(&key, Some(&good)),
+            Some(GraphUpdate::Insert {
+                key: "b".into(),
+                parents: record.parents.clone(),
+            })
+        );
+        // Garbage in a field before the parent list, after it, or beyond
+        // the record's end: no update, as when the indexer decoded the
+        // whole record and dropped what did not decode.
+        let mut padded_key_length = good.clone();
+        padded_key_length.splice(0..1, [good[0] | 0x80, 0x00]);
+        let mut bad_utf8_key = good.clone();
+        bad_utf8_key[1] = 0xFF;
+        let mut bad_utf8_metadata = h
+            .post("m", &input(b"m").with_meta("k", "v"))
+            .unwrap()
+            .to_bytes();
+        let value_at = bad_utf8_metadata.len() - 9;
+        bad_utf8_metadata[value_at] = 0xFF;
+        let mut trailing = good.clone();
+        trailing.push(0);
+        for bytes in [
+            &padded_key_length,
+            &bad_utf8_key,
+            &bad_utf8_metadata,
+            &trailing,
+            &good[..good.len() - 1].to_vec(),
+            &vec![0xFF],
+        ] {
+            assert!(ProvenanceRecord::from_bytes(bytes).is_err());
+            assert_eq!(HyperProvIndexer.index(&key, Some(bytes)), None);
+        }
+        // A key that is not exactly `item~<key>~` is no record.
+        for other in ["item\u{1}b\u{1}x\u{1}", "item\u{1}", "cs\u{1}b\u{1}"] {
+            let key = StateKey::new(CHAINCODE_NAME, other);
+            assert_eq!(HyperProvIndexer.index(&key, Some(&good)), None);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! items that were used to create an item, and a custom field for any
 //! additional metadata."
 
-use hyperprov_fabric::Certificate;
+use hyperprov_fabric::{CertRef, Certificate};
 use hyperprov_ledger::{
     decode_seq, encode_seq, CodecError, Decode, Decoder, Digest, Encode, Encoder,
 };
@@ -82,37 +82,18 @@ impl Encode for RecordInput {
         enc.put_str(&self.location);
         enc.put_u64(self.size);
         self.parents.encode(enc);
-        enc.put_varint(self.metadata.len() as u64);
-        for (k, v) in &self.metadata {
-            enc.put_str(k);
-            enc.put_str(v);
-        }
+        encode_seq(&self.metadata, enc);
         enc.put_u64(self.timestamp_ms);
     }
 }
 impl Decode for RecordInput {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let checksum = dec.get_digest()?;
-        let location = dec.get_str()?;
-        let size = dec.get_u64()?;
-        let parents = Vec::<String>::decode(dec)?;
-        let n = dec.get_varint()?;
-        if n > dec.remaining() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: n,
-                remaining: dec.remaining(),
-            });
-        }
-        let mut metadata = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            metadata.push((dec.get_str()?, dec.get_str()?));
-        }
         Ok(RecordInput {
-            checksum,
-            location,
-            size,
-            parents,
-            metadata,
+            checksum: dec.get_digest()?,
+            location: dec.get_str()?,
+            size: dec.get_u64()?,
+            parents: Vec::decode(dec)?,
+            metadata: decode_seq(dec)?,
             timestamp_ms: dec.get_u64()?,
         })
     }
@@ -167,6 +148,30 @@ impl ProvenanceRecord {
     pub fn has_offchain_data(&self) -> bool {
         !self.location.is_empty()
     }
+
+    /// The parent list of an encoded record, read in place: what
+    /// `from_bytes(bytes)?.parents` answers — the whole record is
+    /// validated — without building its other fields.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] exactly when [`Decode::from_bytes`] does.
+    pub fn parents_of(bytes: &[u8]) -> Result<Vec<String>, CodecError> {
+        let mut dec = Decoder::new(bytes);
+        dec.get_str_ref()?; // key
+        dec.get_digest()?; // checksum
+        dec.get_str_ref()?; // location
+        dec.get_u64()?; // size
+        CertRef::decode(&mut dec)?; // creator
+        let parents = Vec::<String>::decode(&mut dec)?;
+        for _ in 0..dec.get_count()? {
+            dec.get_str_ref()?; // metadata key
+            dec.get_str_ref()?; // metadata value
+        }
+        dec.get_u64()?; // timestamp
+        dec.finish()?;
+        Ok(parents)
+    }
 }
 
 impl Encode for ProvenanceRecord {
@@ -177,41 +182,20 @@ impl Encode for ProvenanceRecord {
         enc.put_u64(self.size);
         self.creator.encode(enc);
         self.parents.encode(enc);
-        enc.put_varint(self.metadata.len() as u64);
-        for (k, v) in &self.metadata {
-            enc.put_str(k);
-            enc.put_str(v);
-        }
+        encode_seq(&self.metadata, enc);
         enc.put_u64(self.timestamp_ms);
     }
 }
 impl Decode for ProvenanceRecord {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let key = dec.get_str()?;
-        let checksum = dec.get_digest()?;
-        let location = dec.get_str()?;
-        let size = dec.get_u64()?;
-        let creator = Certificate::decode(dec)?;
-        let parents = Vec::<String>::decode(dec)?;
-        let n = dec.get_varint()?;
-        if n > dec.remaining() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: n,
-                remaining: dec.remaining(),
-            });
-        }
-        let mut metadata = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            metadata.push((dec.get_str()?, dec.get_str()?));
-        }
         Ok(ProvenanceRecord {
-            key,
-            checksum,
-            location,
-            size,
-            creator,
-            parents,
-            metadata,
+            key: dec.get_str()?,
+            checksum: dec.get_digest()?,
+            location: dec.get_str()?,
+            size: dec.get_u64()?,
+            creator: Certificate::decode(dec)?,
+            parents: Vec::decode(dec)?,
+            metadata: decode_seq(dec)?,
             timestamp_ms: dec.get_u64()?,
         })
     }
@@ -341,57 +325,18 @@ impl From<hyperprov_ledger::Traversal> for GraphSlice {
 
 impl Encode for GraphSlice {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_varint(self.entries.len() as u64);
-        for (depth, key) in &self.entries {
-            enc.put_u32(*depth);
-            enc.put_str(key);
-        }
-        enc.put_varint(self.boundary.len() as u64);
-        for (depth, key) in &self.boundary {
-            enc.put_u32(*depth);
-            enc.put_str(key);
-        }
-        enc.put_varint(self.edges.len() as u64);
-        for (child, parent) in &self.edges {
-            enc.put_str(child);
-            enc.put_str(parent);
-        }
+        encode_seq(&self.entries, enc);
+        encode_seq(&self.boundary, enc);
+        encode_seq(&self.edges, enc);
         enc.put_bool(self.truncated);
     }
 }
 impl Decode for GraphSlice {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let pairs = |dec: &mut Decoder<'_>| -> Result<Vec<(u32, String)>, CodecError> {
-            let n = dec.get_varint()?;
-            if n > dec.remaining() as u64 {
-                return Err(CodecError::LengthOverrun {
-                    declared: n,
-                    remaining: dec.remaining(),
-                });
-            }
-            let mut out = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                out.push((dec.get_u32()?, dec.get_str()?));
-            }
-            Ok(out)
-        };
-        let entries = pairs(dec)?;
-        let boundary = pairs(dec)?;
-        let n = dec.get_varint()?;
-        if n > dec.remaining() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: n,
-                remaining: dec.remaining(),
-            });
-        }
-        let mut edges = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            edges.push((dec.get_str()?, dec.get_str()?));
-        }
         Ok(GraphSlice {
-            entries,
-            boundary,
-            edges,
+            entries: decode_seq(dec)?,
+            boundary: decode_seq(dec)?,
+            edges: decode_seq(dec)?,
             truncated: dec.get_bool()?,
         })
     }

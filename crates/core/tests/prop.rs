@@ -127,6 +127,34 @@ proptest! {
         prop_assert_eq!(decode_lineage(&bytes).unwrap(), entries);
     }
 
+    // Decoding is canonical, and the indexer's in-place read of a
+    // record's parents accepts exactly what the owned decoder accepts.
+    #[test]
+    fn a_damaged_record_that_decodes_re_encodes_to_itself(
+        input in arb_input(),
+        key in ".{1,32}",
+        at in any::<u16>(),
+        kind in 0u8..4,
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = ProvenanceRecord::from_input(key, input, cert()).to_bytes();
+        let at = at as usize % bytes.len();
+        match kind {
+            0 => bytes[at] = byte,
+            1 => drop(bytes.splice(at..=at, [bytes[at] | 0x80, 0x00])),
+            2 => bytes.truncate(at),
+            _ => bytes.push(byte),
+        }
+        let decoded = ProvenanceRecord::from_bytes(&bytes);
+        if let Ok(record) = &decoded {
+            prop_assert_eq!(record.to_bytes(), &bytes[..]);
+        }
+        prop_assert_eq!(
+            ProvenanceRecord::parents_of(&bytes).ok(),
+            decoded.ok().map(|record| record.parents)
+        );
+    }
+
     #[test]
     fn junk_never_panics(junk in proptest::collection::vec(any::<u8>(), 0..150)) {
         let _ = ProvenanceRecord::from_bytes(&junk);

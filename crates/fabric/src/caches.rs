@@ -6,8 +6,9 @@
 //!   already verified, keyed by `(certificate, message digest, signature)`.
 //!   Re-delivered, replayed or re-validated envelopes skip the expensive
 //!   verification; only *successful* checks are cached, so a forged
-//!   signature is re-checked (and re-rejected) every time and the cache
-//!   can never turn an invalid endorsement valid.
+//!   signature is re-checked (and re-rejected) every time, a hit still
+//!   compares the certificate with the enrolled one, and the cache can
+//!   never turn an invalid endorsement valid.
 //! * [`ReadCache`] — an endorser-side hot-state read cache with
 //!   MVCC-version invalidation: every key written by a committed
 //!   transaction is evicted, so a present entry is provably current. The
@@ -20,7 +21,7 @@ use std::collections::HashSet;
 
 use hyperprov_ledger::{Digest, StateKey};
 
-use crate::identity::{CertId, Certificate, Msp, Signature};
+use crate::identity::{CertId, CertRef, Msp, MspId, Signature};
 
 /// Memo of already-verified `(certificate, digest, signature)` triples.
 #[derive(Debug, Clone, Default)]
@@ -34,24 +35,26 @@ impl SigVerifyCache {
         SigVerifyCache::default()
     }
 
-    /// Verifies `sig` by `cert` over `message`, consulting the memo
-    /// first. Returns `(ok, was_hit)`.
-    pub fn verify(
+    /// Verifies `sig` by `cert` over the concatenation of `parts` (see
+    /// [`Msp::verify_parts`]), consulting the memo first. Returns the
+    /// signer's organisation when the signature holds, and whether the
+    /// memo answered.
+    pub fn verify<'m>(
         &mut self,
-        msp: &Msp,
-        cert: &Certificate,
-        message: &[u8],
+        msp: &'m Msp,
+        cert: CertRef<'_>,
+        parts: &[&[u8]],
         sig: &Signature,
-    ) -> (bool, bool) {
-        let key = (cert.id, Digest::of(message), *sig);
+    ) -> (Option<&'m MspId>, bool) {
+        let key = (cert.id, Digest::of_parts(parts), *sig);
         if self.verified.contains(&key) {
-            return (true, true);
+            return (msp.org_of(cert), true);
         }
-        let ok = msp.verify(cert, message, sig);
-        if ok {
+        let org = msp.verify_parts(cert, parts, sig);
+        if org.is_some() {
             self.verified.insert(key);
         }
-        (ok, false)
+        (org, false)
     }
 
     /// Number of memoised triples.
@@ -118,15 +121,29 @@ mod tests {
         let msg = b"endorse-me";
         let sig = id.sign(msg);
         let mut cache = SigVerifyCache::new();
+        let cert = id.certificate();
+        let org = Some(&cert.org);
         assert_eq!(
-            cache.verify(&msp, id.certificate(), msg, &sig),
-            (true, false)
+            cache.verify(&msp, cert.borrowed(), &[msg], &sig),
+            (org, false)
         );
         assert_eq!(
-            cache.verify(&msp, id.certificate(), msg, &sig),
-            (true, true)
+            cache.verify(&msp, cert.borrowed(), &[msg], &sig),
+            (org, true)
+        );
+        // The memo is keyed by the message, not by how it was cut up.
+        let (head, tail) = msg.split_at(3);
+        assert_eq!(
+            cache.verify(&msp, cert.borrowed(), &[head, tail], &sig),
+            (org, true)
         );
         assert_eq!(cache.len(), 1);
+        // A hit does not vouch for certificate contents it never saw.
+        let forged = CertRef {
+            org: "org2",
+            ..cert.borrowed()
+        };
+        assert_eq!(cache.verify(&msp, forged, &[msg], &sig), (None, true));
     }
 
     #[test]
@@ -136,15 +153,10 @@ mod tests {
         let msp = b.build();
         let forged = Signature(Digest::of(b"forged"));
         let mut cache = SigVerifyCache::new();
-        assert_eq!(
-            cache.verify(&msp, id.certificate(), b"m", &forged),
-            (false, false)
-        );
+        let cert = id.certificate().borrowed();
+        assert_eq!(cache.verify(&msp, cert, &[b"m"], &forged), (None, false));
         // Re-checked, still a miss: failures are not memoised.
-        assert_eq!(
-            cache.verify(&msp, id.certificate(), b"m", &forged),
-            (false, false)
-        );
+        assert_eq!(cache.verify(&msp, cert, &[b"m"], &forged), (None, false));
         assert!(cache.is_empty());
     }
 
@@ -155,15 +167,16 @@ mod tests {
         let c = b.enroll("c", &MspId::new("org2"));
         let msp = b.build();
         let mut cache = SigVerifyCache::new();
-        cache.verify(&msp, a.certificate(), b"m1", &a.sign(b"m1"));
+        let (ca, cc) = (a.certificate(), c.certificate());
+        cache.verify(&msp, ca.borrowed(), &[b"m1"], &a.sign(b"m1"));
         // Different message: miss. Different signer: miss.
         assert_eq!(
-            cache.verify(&msp, a.certificate(), b"m2", &a.sign(b"m2")),
-            (true, false)
+            cache.verify(&msp, ca.borrowed(), &[b"m2"], &a.sign(b"m2")),
+            (Some(&ca.org), false)
         );
         assert_eq!(
-            cache.verify(&msp, c.certificate(), b"m1", &c.sign(b"m1")),
-            (true, false)
+            cache.verify(&msp, cc.borrowed(), &[b"m1"], &c.sign(b"m1")),
+            (Some(&cc.org), false)
         );
         assert_eq!(cache.len(), 3);
     }

@@ -259,8 +259,8 @@ impl<'a> ChaincodeStub<'a> {
     }
 
     /// Splits a composite key back into object type and attributes.
-    pub fn split_composite_key(key: &str) -> Vec<&str> {
-        key.split(COMPOSITE_SEP).filter(|s| !s.is_empty()).collect()
+    pub fn split_composite_key(key: &str) -> impl Iterator<Item = &str> {
+        key.split(COMPOSITE_SEP).filter(|s| !s.is_empty())
     }
 
     /// Committed keys matching a composite-key prefix.
@@ -460,7 +460,7 @@ mod tests {
             .create_composite_key("owner", &["org1", "item1"])
             .unwrap();
         assert_eq!(
-            ChaincodeStub::split_composite_key(&key),
+            ChaincodeStub::split_composite_key(&key).collect::<Vec<_>>(),
             vec!["owner", "org1", "item1"]
         );
         assert!(stub

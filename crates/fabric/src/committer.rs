@@ -1,18 +1,23 @@
 //! The committing peer's validation pipeline (VSCC + MVCC) and ledger
 //! apply.
 //!
-//! One commit path, in two phases. [`Committer::vscc_block`] decodes each
-//! envelope of a delivered block and runs the stateless checks
-//! (endorsement signatures, endorsement policy); its verdicts are
-//! mutually independent, so a peer may spread them over CPU lanes.
-//! [`Committer::commit_block_prevalidated`] then walks the block in
-//! order: duplicate tx-id, the VSCC verdict, MVCC read-version
-//! validation. Valid transactions apply their write sets immediately, so
-//! later transactions in the same block validate against the updated
-//! state — exactly Fabric's serial intra-block validation, which is what
-//! produces MVCC conflicts under contention. A one-lane peer is the
-//! degenerate case of the same path; the monolithic loop it replaced
-//! survives only as the test module's reference implementation.
+//! One commit path, in two phases, both reading each envelope in place
+//! through an [`EnvelopeView`] over the block's shared bytes.
+//! [`Committer::vscc_block`] validates each envelope of a delivered block
+//! and runs the stateless checks (endorsement signatures, endorsement
+//! policy); its verdicts are mutually independent, so a peer may spread
+//! them over CPU lanes. [`Committer::commit_block_prevalidated`] then
+//! walks the block in order: duplicate tx-id, the VSCC verdict, MVCC
+//! read-version validation. Valid transactions apply their write sets
+//! immediately, so later transactions in the same block validate against
+//! the updated state — exactly Fabric's serial intra-block validation,
+//! which is what produces MVCC conflicts under contention. Only what the
+//! ledger keeps is copied out of a block: the key and the value of each
+//! write of a valid transaction. A one-lane peer is the degenerate case
+//! of the same path; the monolithic loop over owned [`Envelope`]s it
+//! replaced survives only as the test module's reference implementation.
+//!
+//! [`Envelope`]: crate::messages::Envelope
 
 mod bootstrap;
 
@@ -20,15 +25,15 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use hyperprov_ledger::{
-    Block, BlockStore, ChainError, ChannelId, ChannelLedger, GraphIndexer, HistoryDb, KvWrite,
-    ProvGraph, RawEnvelope, StateDb, StateKey, TxId, ValidationCode, Version,
+    Block, BlockStore, ChainError, ChannelId, ChannelLedger, GraphIndexer, HistoryDb, ProvGraph,
+    RawEnvelope, StateDb, StateKey, TxId, ValidationCode, Version,
 };
 
 pub use bootstrap::BootstrapError;
 
 use crate::caches::SigVerifyCache;
-use crate::identity::Msp;
-use crate::messages::{endorsement_message, CommitEvent, Envelope};
+use crate::identity::{Msp, MspId};
+use crate::messages::{CommitEvent, EnvelopeSpans, EnvelopeView};
 use crate::policy::EndorsementPolicy;
 
 /// Per-chaincode endorsement policies with a channel default.
@@ -79,20 +84,20 @@ pub struct CommitOutcome {
     pub dangling_parents: u64,
 }
 
-/// Outcome of the parallelisable VSCC phase for one envelope: the decoded
-/// envelope, the VSCC failure code (if any), and how many endorsement
-/// signatures ran cryptographically vs. were served from a
-/// [`SigVerifyCache`]. The phase touches no world state, so verdicts for
+/// Outcome of the parallelisable VSCC phase for one envelope: where its
+/// parts sit in the block's bytes, the VSCC failure code (if any), and how
+/// many endorsement signatures ran cryptographically vs. were served from
+/// a [`SigVerifyCache`]. The phase touches no world state, so verdicts for
 /// the envelopes of one block are independent and can be computed on
 /// separate CPU lanes.
 #[derive(Debug, Clone)]
 pub struct VsccVerdict {
-    /// The decoded envelope, `None` when decoding failed.
-    pub envelope: Option<Envelope>,
-    /// The envelope's transaction id, recomputed from the decoded
-    /// proposal exactly once per peer; the ledger phase reuses it rather
-    /// than re-encoding the proposal (the raw wrapper's claimed id when
-    /// decoding failed).
+    /// What [`EnvelopeView::parse`] recorded, `None` when the bytes are
+    /// not an envelope.
+    pub spans: Option<EnvelopeSpans>,
+    /// The envelope's transaction id, the digest of its proposal's bytes,
+    /// computed exactly once per peer; the ledger phase reuses it (the
+    /// raw wrapper's claimed id when the bytes are not an envelope).
     pub tx_id: TxId,
     /// The VSCC-phase failure ([`ValidationCode::BadSignature`] or
     /// [`ValidationCode::EndorsementPolicyFailure`]), `None` when the
@@ -191,20 +196,12 @@ impl Committer {
             == self.ledger.graph.digest()
     }
 
-    /// Feeds one valid transaction's writes through the installed indexer,
-    /// updating the graph index; returns how many parent references were
-    /// absent from the index at apply time.
-    fn index_writes(&mut self, writes: &[KvWrite]) -> u64 {
-        let Some(indexer) = &self.indexer else {
-            return 0;
-        };
-        let mut dangling = 0;
-        for write in writes {
-            if let Some(update) = indexer.index(&write.key, write.value.as_deref()) {
-                dangling += self.ledger.graph.apply(&update);
-            }
-        }
-        dangling
+    /// Feeds one applied write through the installed indexer, updating the
+    /// graph index; returns how many parent references were absent from
+    /// the index at apply time.
+    fn index_write(&mut self, key: &StateKey, value: Option<&[u8]>) -> u64 {
+        let update = self.indexer.as_ref().and_then(|i| i.index(key, value));
+        update.map_or(0, |update| self.ledger.graph.apply(&update))
     }
 
     /// The membership registry this committer validates against.
@@ -254,63 +251,44 @@ impl Committer {
             .collect()
     }
 
-    fn vscc_envelope(&self, raw: &RawEnvelope, cache: Option<&mut SigVerifyCache>) -> VsccVerdict {
-        let env = match Envelope::from_raw(raw) {
-            Ok(env) => env,
-            Err(_) => {
-                return VsccVerdict {
-                    envelope: None,
-                    tx_id: raw.tx_id,
-                    failure: Some(ValidationCode::BadSignature),
-                    sig_misses: 0,
-                    sig_hits: 0,
-                }
-            }
+    fn vscc_envelope(
+        &self,
+        raw: &RawEnvelope,
+        mut cache: Option<&mut SigVerifyCache>,
+    ) -> VsccVerdict {
+        let mut verdict = VsccVerdict {
+            spans: None,
+            tx_id: raw.tx_id,
+            failure: Some(ValidationCode::BadSignature),
+            sig_misses: 0,
+            sig_hits: 0,
         };
-        let tx_id = env.tx_id();
-        let msg = endorsement_message(&tx_id, &env.payload, &env.rwset);
-        let mut orgs: Vec<&crate::identity::MspId> = Vec::new();
-        let mut sig_misses = 0u32;
-        let mut sig_hits = 0u32;
-        let mut failure = None;
-        let mut cache = cache;
-        for e in &env.endorsements {
-            let ok = match cache.as_deref_mut() {
-                Some(c) => {
-                    let (ok, hit) = c.verify(&self.msp, &e.endorser, &msg, &e.signature);
-                    if hit {
-                        sig_hits += 1;
-                    } else {
-                        sig_misses += 1;
-                    }
-                    ok
-                }
-                None => {
-                    sig_misses += 1;
-                    self.msp.verify(&e.endorser, &msg, &e.signature)
-                }
+        let Ok(view) = EnvelopeView::parse(&raw.bytes) else {
+            return verdict;
+        };
+        verdict.spans = Some(view.spans);
+        verdict.tx_id = view.tx_id();
+        // What every endorser signed, as it lies in the block.
+        let message = [verdict.tx_id.0.as_ref(), view.signed()];
+        let mut orgs: Vec<&MspId> = Vec::new();
+        for (endorser, signature) in view.endorsements() {
+            let (org, hit) = match cache.as_deref_mut() {
+                Some(c) => c.verify(&self.msp, endorser, &message, &signature),
+                None => (self.msp.verify_parts(endorser, &message, &signature), false),
             };
-            if !ok {
-                // Stop at the first bad signature, exactly like the serial
-                // validator's early return.
-                failure = Some(ValidationCode::BadSignature);
-                break;
-            }
-            orgs.push(&e.endorser.org);
+            verdict.sig_hits += u32::from(hit);
+            verdict.sig_misses += u32::from(!hit);
+            // Stop at the first bad signature, exactly like the serial
+            // validator's early return.
+            let Some(org) = org else {
+                return verdict;
+            };
+            orgs.push(org);
         }
-        if failure.is_none() {
-            let policy = self.policies.policy_for(&env.proposal.chaincode);
-            if !policy.is_satisfied_by(orgs.iter().copied()) {
-                failure = Some(ValidationCode::EndorsementPolicyFailure);
-            }
-        }
-        VsccVerdict {
-            envelope: Some(env),
-            tx_id,
-            failure,
-            sig_misses,
-            sig_hits,
-        }
+        let policy = self.policies.policy_for(view.chaincode());
+        verdict.failure =
+            (!policy.is_satisfied_by(orgs)).then_some(ValidationCode::EndorsementPolicyFailure);
+        verdict
     }
 
     /// The serial half of the commit path: duplicate-tx-id and MVCC
@@ -356,39 +334,36 @@ impl Committer {
         let mut dangling_parents = 0u64;
 
         for (tx_num, (raw, verdict)) in block.envelopes.iter().zip(vscc).enumerate() {
-            let (code, event, creator, endorser) = match verdict.envelope {
-                Some(env) => {
-                    let tx_id = verdict.tx_id;
-                    let creator = env.proposal.creator.id;
-                    let endorser = env.endorsements.first().map(|e| e.endorser.id);
-                    let code = if self.seen.contains(&tx_id) {
-                        ValidationCode::DuplicateTxId
-                    } else if let Some(failure) = verdict.failure {
-                        failure
-                    } else if !self.ledger.state.validate_reads(&env.rwset.reads) {
-                        ValidationCode::MvccReadConflict
-                    } else {
-                        ValidationCode::Valid
-                    };
-                    let mut chaincode_event = None;
-                    if code.is_valid() {
-                        let version = Version::new(block.header.number, tx_num as u32);
-                        self.ledger.state.apply_writes(&env.rwset.writes, version);
-                        self.ledger
-                            .history
-                            .append(tx_id, version, &env.rwset.writes);
-                        dangling_parents += self.index_writes(&env.rwset.writes);
-                        bytes_written += env.rwset.write_bytes() as u64;
-                        // The verdict's envelope is consumed here, so move
-                        // the written keys and event out instead of cloning.
-                        written_keys.extend(env.rwset.writes.into_iter().map(|w| w.key));
-                        chaincode_event = env.event;
+            let mut code = ValidationCode::BadSignature;
+            let mut event = None;
+            if let Some(spans) = verdict.spans {
+                let view = EnvelopeView::over(&raw.bytes, spans);
+                let state = &self.ledger.state;
+                code = if self.seen.contains(&verdict.tx_id) {
+                    ValidationCode::DuplicateTxId
+                } else if let Some(failure) = verdict.failure {
+                    failure
+                } else if !view.reads().all(|r| state.version(&r.key) == r.version) {
+                    ValidationCode::MvccReadConflict
+                } else {
+                    ValidationCode::Valid
+                };
+                if code.is_valid() {
+                    let version = Version::new(block.header.number, tx_num as u32);
+                    // The one copy a write gets: state, history and the
+                    // written-key list share its key and its value.
+                    for write in view.writes() {
+                        self.ledger.state.apply_write(&write, version);
+                        let history = &mut self.ledger.history;
+                        history.append(verdict.tx_id, version, std::slice::from_ref(&write));
+                        dangling_parents += self.index_write(&write.key, write.value.as_deref());
+                        written_keys.push(write.key);
                     }
-                    self.seen.insert(tx_id);
-                    (code, chaincode_event, Some(creator), endorser)
+                    bytes_written += spans.write_bytes;
+                    event = view.event();
                 }
-                None => (ValidationCode::BadSignature, None, None, None),
-            };
+                self.seen.insert(verdict.tx_id);
+            }
             if code.is_valid() {
                 valid += 1;
             } else {
@@ -401,8 +376,8 @@ impl Committer {
                 block_number: block.header.number,
                 code,
                 chaincode_event: event,
-                creator,
-                endorser,
+                creator: verdict.spans.map(|spans| spans.creator),
+                endorser: verdict.spans.and_then(|spans| spans.endorser),
             });
         }
 

@@ -2,9 +2,10 @@
 //! kept as their reference implementation.
 
 use super::*;
-use crate::identity::{MspBuilder, MspId, Signature, SigningIdentity};
-use crate::messages::{endorsement_message, Endorsement, Proposal};
-use hyperprov_ledger::{Digest, KvRead, KvWrite, RwSet, Snapshot, SnapshotError, StateKey};
+use crate::identity::{MspBuilder, Signature, SigningIdentity};
+use crate::messages::{endorsement_message, Endorsement, Envelope, Proposal};
+use hyperprov_ledger::Encode;
+use hyperprov_ledger::{Digest, KvRead, KvWrite, RwSet, Snapshot, SnapshotError};
 
 struct Net {
     msp: Arc<Msp>,
@@ -66,6 +67,12 @@ fn write_set(key: &str, value: &[u8]) -> RwSet {
     }
 }
 
+/// Total value bytes a write set carries.
+fn write_bytes(rwset: &RwSet) -> u64 {
+    let len = |w: &KvWrite| w.value.as_ref().map_or(0, |v| v.len() as u64);
+    rwset.writes.iter().map(len).sum()
+}
+
 /// Reference implementation for the equivalence tests: the monolithic
 /// serial commit loop (decode, duplicate, signatures, policy, MVCC and
 /// apply, one transaction at a time), written independently of
@@ -93,8 +100,10 @@ fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
                     let version = Version::new(block.header.number, tx_num as u32);
                     c.ledger.state.apply_writes(&env.rwset.writes, version);
                     c.ledger.history.append(tx_id, version, &env.rwset.writes);
-                    out.dangling_parents += c.index_writes(&env.rwset.writes);
-                    out.bytes_written += env.rwset.write_bytes() as u64;
+                    for w in &env.rwset.writes {
+                        out.dangling_parents += c.index_write(&w.key, w.value.as_deref());
+                    }
+                    out.bytes_written += write_bytes(&env.rwset);
                     out.written_keys
                         .extend(env.rwset.writes.into_iter().map(|w| w.key));
                     chaincode_event = env.event;
@@ -800,9 +809,11 @@ fn workload(net: &Net, seed: u64) -> Vec<Vec<Envelope>> {
                     writes: vec![KvWrite { key: hot, value }],
                 }
             } else {
-                // Blind write to a fresh key: valid whenever the
-                // signatures and policy hold.
-                write_set(&format!("fresh-{nonce}"), &nonce.to_le_bytes())
+                // Blind write of a fresh graph record whose parent may or
+                // may not exist: valid whenever the signatures and policy
+                // hold.
+                let parent = below(nonce + 2).to_string();
+                write_set(&format!("rec~{nonce}"), parent.as_bytes())
             };
             // [0] and [1] fail the all-of(org1, org2) policy; the rest
             // satisfy it.
@@ -817,6 +828,10 @@ fn workload(net: &Net, seed: u64) -> Vec<Vec<Envelope>> {
                 let slot = below(env.endorsements.len() as u64) as usize;
                 env.endorsements[slot].signature = Signature(Digest::of(&nonce.to_le_bytes()));
             }
+            if below(3) == 0 {
+                // No signature covers the event.
+                env.event = Some(("put".to_owned(), nonce.to_le_bytes().to_vec()).into());
+            }
             history.push(env.clone());
             envs.push(env);
         }
@@ -829,6 +844,26 @@ fn all_of_committer(net: &Net) -> Committer {
     committer(
         net,
         EndorsementPolicy::all_of([MspId::new("org1"), MspId::new("org2")]),
+    )
+    .with_indexer(Arc::new(TestIndexer))
+}
+
+/// Everything a commit leaves behind in a ledger.
+fn fingerprint(c: &Committer) -> impl PartialEq + std::fmt::Debug {
+    let mut history: Vec<_> = c.history().iter().collect();
+    history.sort_by(|a, b| a.0.cmp(b.0));
+    let history: Vec<_> = history
+        .into_iter()
+        .map(|(key, entries)| (key.clone(), entries.to_vec()))
+        .collect();
+    let codes: Vec<_> = c.store().iter().map(|b| b.metadata.codes.clone()).collect();
+    let tip = c.store().tip_hash();
+    (
+        c.state().state_hash(),
+        tip,
+        codes,
+        history,
+        c.graph().digest(),
     )
 }
 
@@ -871,8 +906,8 @@ fn assert_equivalent(seed: u64) {
             assert_eq!((out.valid, out.invalid), (expected.valid, expected.invalid));
             assert_eq!(out.bytes_written, expected.bytes_written, "{at}");
             assert_eq!(out.written_keys, expected.written_keys, "{at}");
-            assert_eq!(c.state().state_hash(), reference.state().state_hash());
-            assert_eq!(c.store().tip_hash(), reference.store().tip_hash());
+            assert_eq!(out.dangling_parents, expected.dangling_parents, "{at}");
+            assert_eq!(fingerprint(c), fingerprint(&reference), "{at}");
         }
     }
     // The cache saw repeated (cert, msg, sig) triples across duplicates
@@ -911,9 +946,164 @@ fn workloads_exercise_every_validation_code() {
     }
 }
 
+/// The stateless phase as it was over owned envelopes: decode, re-encode
+/// the proposal for its id and the signed message for the signatures.
+/// Answers what a [`VsccVerdict`] holds, field for field.
+fn vscc_reference(
+    c: &Committer,
+    raw: &RawEnvelope,
+    mut cache: Option<&mut SigVerifyCache>,
+) -> (Option<Envelope>, TxId, Option<ValidationCode>, u32, u32) {
+    let Ok(env) = Envelope::from_raw(raw) else {
+        let failure = Some(ValidationCode::BadSignature);
+        return (None, raw.tx_id, failure, 0, 0);
+    };
+    let tx_id = env.tx_id();
+    let msg = endorsement_message(&tx_id, &env.payload, &env.rwset);
+    let (mut misses, mut hits, mut failure) = (0, 0, None);
+    let mut orgs = Vec::new();
+    for e in &env.endorsements {
+        let cert = e.endorser.borrowed();
+        let (ok, hit) = match cache.as_deref_mut() {
+            Some(cache) => {
+                let (org, hit) = cache.verify(&c.msp, cert, &[&msg], &e.signature);
+                (org.is_some(), hit)
+            }
+            None => (c.msp.verify(&e.endorser, &msg, &e.signature), false),
+        };
+        hits += u32::from(hit);
+        misses += u32::from(!hit);
+        if !ok {
+            failure = Some(ValidationCode::BadSignature);
+            break;
+        }
+        orgs.push(&e.endorser.org);
+    }
+    let policy = c.policies.policy_for(&env.proposal.chaincode);
+    if failure.is_none() && !policy.is_satisfied_by(orgs) {
+        failure = Some(ValidationCode::EndorsementPolicyFailure);
+    }
+    (Some(env), tx_id, failure, misses, hits)
+}
+
+/// Damages an envelope one of the ways a faulty orderer, a bad disk or an
+/// attacker could; `donor` is another envelope of the same run.
+fn damage(raw: &mut RawEnvelope, donor: &RawEnvelope, below: &mut impl FnMut(u64) -> u64) {
+    let len = raw.bytes.len();
+    match below(6) {
+        0 => raw.bytes[below(len as u64) as usize] ^= 1 << below(8),
+        1 => raw.bytes.truncate(below(len as u64) as usize),
+        2 => raw.bytes.push(below(256) as u8),
+        // The channel name's length prefix, padded to two bytes.
+        3 => drop(raw.bytes.splice(0..1, [raw.bytes[0] | 0x80, 0x00])),
+        4 => raw.tx_id = TxId(Digest::of(&raw.bytes)),
+        // An envelope ends with its last endorsement's signature: splice
+        // in the donor's.
+        _ => raw.bytes[len - 32..].copy_from_slice(&donor.bytes[donor.bytes.len() - 32..]),
+    }
+}
+
+/// Commits one seeded workload, about half of its envelopes damaged,
+/// through the reference loop over owned envelopes and through the
+/// production path over views, with and without a [`SigVerifyCache`]:
+/// every verdict, event and ledger agrees, and nothing panics. Answers
+/// `(envelopes that still decoded, envelopes that did not)` among the
+/// damaged ones, and the codes seen.
+fn assert_views_agree(seed: u64) -> (u32, u32, HashSet<ValidationCode>) {
+    let net = net();
+    let mut rng = hyperprov_sim::DetRng::new(seed ^ 0xD1FF);
+    let mut below = move |n: u64| rand::RngCore::next_u64(&mut rng) % n;
+    let mut reference = all_of_committer(&net);
+    let mut plain = all_of_committer(&net);
+    let mut cached = all_of_committer(&net);
+    let (mut cache, mut reference_cache) = (SigVerifyCache::new(), SigVerifyCache::new());
+    let (mut decoded, mut rejected, mut codes) = (0, 0, HashSet::new());
+    let mut donor = envelope(&net, u64::MAX, write_set("donor", b""), &[2]).to_raw();
+    for envs in workload(&net, seed) {
+        let mut raws: Vec<RawEnvelope> = envs.iter().map(Envelope::to_raw).collect();
+        for raw in &mut raws {
+            let pristine = raw.clone();
+            if below(2) == 0 {
+                damage(raw, &donor, &mut below);
+                match EnvelopeView::parse(&raw.bytes) {
+                    Ok(_) => decoded += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+            donor = pristine;
+        }
+        let block = Block::build(reference.height(), reference.store().tip_hash(), raws);
+        let at = format!("seed {seed} block {}", block.header.number);
+
+        // The stateless phase, envelope by envelope.
+        let verdicts = plain.vscc_block(&block, None);
+        let verdicts_cached = cached.vscc_block(&block, Some(&mut cache));
+        for (i, raw) in block.envelopes.iter().enumerate() {
+            let (env, tx_id, failure, _, _) = vscc_reference(&reference, raw, None);
+            let (_, _, _, misses, hits) =
+                vscc_reference(&reference, raw, Some(&mut reference_cache));
+            for (v, expected_misses, expected_hits) in [
+                (&verdicts[i], misses + hits, 0),
+                (&verdicts_cached[i], misses, hits),
+            ] {
+                assert_eq!((v.tx_id, v.failure), (tx_id, failure), "{at} tx {i}");
+                assert_eq!((v.sig_misses, v.sig_hits), (expected_misses, expected_hits));
+                assert_eq!(v.spans.is_some(), env.is_some(), "{at} tx {i}");
+            }
+            if let (Some(spans), Some(env)) = (verdicts[i].spans, env) {
+                assert_eq!(
+                    env.to_bytes(),
+                    raw.bytes,
+                    "{at} tx {i}: decoding is canonical"
+                );
+                assert_eq!(spans.creator, env.proposal.creator.id);
+                assert_eq!(
+                    spans.endorser,
+                    env.endorsements.first().map(|e| e.endorser.id)
+                );
+                assert_eq!(spans.writes, env.rwset.writes.len() as u64);
+                assert_eq!(spans.write_bytes, write_bytes(&env.rwset));
+            }
+        }
+        assert_eq!(cache.len(), reference_cache.len(), "{at}");
+
+        // The serial phase and what it leaves behind.
+        let expected = commit_block_reference(&mut reference, block.clone());
+        codes.extend(expected.events.iter().map(|e| e.code));
+        for (c, verdicts) in [(&mut plain, verdicts), (&mut cached, verdicts_cached)] {
+            let out = c
+                .commit_block_prevalidated(block.clone(), verdicts)
+                .unwrap();
+            assert_eq!(out.events, expected.events, "{at}");
+            assert_eq!((out.valid, out.invalid), (expected.valid, expected.invalid));
+            assert_eq!(out.bytes_written, expected.bytes_written, "{at}");
+            assert_eq!(out.written_keys, expected.written_keys, "{at}");
+            assert_eq!(out.dangling_parents, expected.dangling_parents, "{at}");
+            assert_eq!(fingerprint(c), fingerprint(&reference), "{at}");
+        }
+    }
+    (decoded, rejected, codes)
+}
+
+#[test]
+fn view_path_matches_owned_reference_on_damaged_blocks() {
+    let (mut decoded, mut rejected, mut codes) = (0, 0, HashSet::new());
+    for seed in 0..64 {
+        let (d, r, c) = assert_views_agree(seed);
+        decoded += d;
+        rejected += r;
+        codes.extend(c);
+    }
+    // Meta-check: damage lands on both sides of the decoder, and damaged
+    // runs still produce every code.
+    assert!(decoded > 50 && rejected > 50, "{decoded} / {rejected}");
+    assert_eq!(codes.len(), 5, "{codes:?}");
+}
+
 proptest::proptest! {
     #[test]
     fn commit_path_matches_reference_on_any_seed(seed in proptest::prelude::any::<u64>()) {
         assert_equivalent(seed);
+        assert_views_agree(seed);
     }
 }

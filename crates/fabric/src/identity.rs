@@ -16,7 +16,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use hyperprov_ledger::{hmac_sha256, CodecError, Decode, Decoder, Digest, Encode, Encoder};
+use hyperprov_ledger::{
+    hmac_sha256, hmac_sha256_parts, CodecError, Decode, Decoder, Digest, Encode, Encoder,
+};
 
 /// An organisation (membership service provider) identifier.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -90,11 +92,46 @@ impl Encode for Certificate {
 }
 impl Decode for Certificate {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let cert = CertRef::decode(dec)?;
         Ok(Certificate {
-            subject: dec.get_str()?,
-            org: MspId::decode(dec)?,
+            subject: cert.subject.to_owned(),
+            org: MspId::new(cert.org),
+            id: cert.id,
+        })
+    }
+}
+
+/// A [`Certificate`] read in place: subject and organisation borrow the
+/// encoded bytes (or the certificate, see [`Certificate::borrowed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CertRef<'a> {
+    /// Human-readable subject.
+    pub subject: &'a str,
+    /// Issuing organisation.
+    pub org: &'a str,
+    /// Enrolment id.
+    pub id: CertId,
+}
+
+impl<'a> CertRef<'a> {
+    /// Reads one encoded [`Certificate`] without copying it.
+    pub fn decode(dec: &mut Decoder<'a>) -> Result<Self, CodecError> {
+        Ok(CertRef {
+            subject: dec.get_str_ref()?,
+            org: dec.get_str_ref()?,
             id: CertId::decode(dec)?,
         })
+    }
+}
+
+impl Certificate {
+    /// The certificate as a borrowed view of itself.
+    pub fn borrowed(&self) -> CertRef<'_> {
+        CertRef {
+            subject: &self.subject,
+            org: &self.org.0,
+            id: self.id,
+        }
     }
 }
 
@@ -161,10 +198,30 @@ impl Msp {
     /// Returns `false` for unknown certificates, mismatching certificate
     /// contents, or wrong tags.
     pub fn verify(&self, cert: &Certificate, message: &[u8], sig: &Signature) -> bool {
-        match self.certs.get(&cert.id) {
-            Some((enrolled, secret)) if enrolled == cert => hmac_sha256(secret, message) == sig.0,
-            _ => false,
-        }
+        self.verify_parts(cert.borrowed(), &[message], sig)
+            .is_some()
+    }
+
+    /// [`Msp::verify`] for a certificate and a message read in place: the
+    /// message is the concatenation of `parts`. Answers the organisation
+    /// the certificate is enrolled under — the registry's own copy, so a
+    /// verifier collects endorsing organisations without copying a name.
+    pub fn verify_parts(
+        &self,
+        cert: CertRef<'_>,
+        parts: &[&[u8]],
+        sig: &Signature,
+    ) -> Option<&MspId> {
+        let (enrolled, secret) = self.certs.get(&cert.id)?;
+        let ok = enrolled.borrowed() == cert && hmac_sha256_parts(secret, parts) == sig.0;
+        ok.then_some(&enrolled.org)
+    }
+
+    /// The organisation `cert` is enrolled under, `None` for an unknown
+    /// certificate or one whose contents differ from the enrolled one.
+    pub fn org_of(&self, cert: CertRef<'_>) -> Option<&MspId> {
+        let (enrolled, _) = self.certs.get(&cert.id)?;
+        (enrolled.borrowed() == cert).then_some(&enrolled.org)
     }
 
     /// All organisations that have enrolled at least one identity,

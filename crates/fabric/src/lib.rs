@@ -49,10 +49,13 @@ pub use gateway::{
     Action as GatewayAction, Caller, Gateway, GatewayError, Reply as GatewayReply, RetryPolicy,
     Route,
 };
-pub use identity::{CertId, Certificate, Msp, MspBuilder, MspId, Signature, SigningIdentity};
+pub use identity::{
+    CertId, CertRef, Certificate, Msp, MspBuilder, MspId, Signature, SigningIdentity,
+};
 pub use messages::{
     endorsement_message, payload_checksum, tx_trace, Carries, ChaincodeEvent, CommitEvent,
-    Endorsement, Envelope, FabricMsg, Proposal, ProposalResponse, SignedProposal, BUSY_REASON,
+    Endorsement, Envelope, EnvelopeSpans, EnvelopeView, FabricMsg, Proposal, ProposalResponse,
+    SignedProposal, BUSY_REASON,
 };
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
 pub use ordering::{RaftOrdererActor, SoloOrdererActor, RAFT_TICK_TOKEN};

@@ -8,12 +8,12 @@ use std::sync::Arc;
 
 use hyperprov_ledger::{
     decode_seq, encode_seq, Block, ChannelId, CodecError, Decode, Decoder, Digest, Encode, Encoder,
-    RawEnvelope, RwSet, SnapshotManifest, SnapshotPart, TxId,
+    KvRead, KvWrite, RawEnvelope, RwSet, SnapshotManifest, SnapshotPart, TxId,
 };
 
 use hyperprov_sim::ActorId;
 
-use crate::identity::{CertId, Certificate, Signature, SigningIdentity};
+use crate::identity::{CertId, CertRef, Certificate, Signature, SigningIdentity};
 use crate::raft::RaftMsg;
 
 /// The span-trace key of a transaction: its full tx-id hex string.
@@ -61,35 +61,18 @@ impl Encode for Proposal {
         enc.put_str(self.channel.as_str());
         enc.put_str(&self.chaincode);
         enc.put_str(&self.function);
-        enc.put_varint(self.args.len() as u64);
-        for a in &self.args {
-            enc.put_bytes(a);
-        }
+        encode_seq(&self.args, enc);
         self.creator.encode(enc);
         enc.put_u64(self.nonce);
     }
 }
 impl Decode for Proposal {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let channel = ChannelId::from(dec.get_str()?);
-        let chaincode = dec.get_str()?;
-        let function = dec.get_str()?;
-        let n = dec.get_varint()?;
-        if n > dec.remaining() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: n,
-                remaining: dec.remaining(),
-            });
-        }
-        let mut args = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            args.push(dec.get_bytes()?);
-        }
         Ok(Proposal {
-            channel,
-            chaincode,
-            function,
-            args,
+            channel: ChannelId::from(dec.get_str()?),
+            chaincode: dec.get_str()?,
+            function: dec.get_str()?,
+            args: decode_seq(dec)?,
             creator: Certificate::decode(dec)?,
             nonce: dec.get_u64()?,
         })
@@ -286,21 +269,29 @@ impl Envelope {
         self.proposal.tx_id()
     }
 
-    /// The message each endorsement must have signed.
-    pub fn endorsement_message(&self) -> Vec<u8> {
-        endorsement_message(&self.tx_id(), &self.payload, &self.rwset)
-    }
-
-    /// Serialises into the opaque [`RawEnvelope`] stored in blocks.
+    /// Serialises into the opaque [`RawEnvelope`] stored in blocks. The
+    /// proposal is encoded once: its tx id is the digest of the prefix of
+    /// the envelope's bytes that it is.
     pub fn to_raw(&self) -> RawEnvelope {
-        let mut bytes = self.to_bytes();
+        let mut enc = Encoder::new();
+        self.proposal.encode(&mut enc);
+        let proposal_len = enc.len();
+        self.encode_after_proposal(&mut enc);
+        let mut bytes = enc.into_bytes();
         // A block keeps these bytes for the life of the chain, and the
         // encoder's doubling buffer ends up to half unused.
         bytes.shrink_to_fit();
         RawEnvelope {
-            tx_id: self.tx_id(),
+            tx_id: TxId(Digest::of(&bytes[..proposal_len])),
             bytes,
         }
+    }
+
+    fn encode_after_proposal(&self, enc: &mut Encoder) {
+        enc.put_bytes(&self.payload);
+        self.rwset.encode(enc);
+        self.event.encode(enc);
+        encode_seq(&self.endorsements, enc);
     }
 
     /// Decodes an envelope back out of a block.
@@ -321,10 +312,7 @@ impl Envelope {
 impl Encode for Envelope {
     fn encode(&self, enc: &mut Encoder) {
         self.proposal.encode(enc);
-        enc.put_bytes(&self.payload);
-        self.rwset.encode(enc);
-        self.event.encode(enc);
-        encode_seq(&self.endorsements, enc);
+        self.encode_after_proposal(enc);
     }
 }
 impl Decode for Envelope {
@@ -337,6 +325,159 @@ impl Decode for Envelope {
             endorsements: decode_seq(dec)?,
         })
     }
+}
+
+/// Where the parts of an encoded [`Envelope`] begin, as
+/// [`EnvelopeView::parse`] found them, with the values the commit path
+/// reads more than once. Offsets, not borrows: a verdict keeps these past
+/// the borrow of the block it was computed from, and
+/// [`EnvelopeView::over`] puts them back on the same bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EnvelopeSpans {
+    proposal_end: usize,
+    reads_at: usize,
+    writes_at: usize,
+    event_at: usize,
+    endorsements_at: usize,
+    /// Enrolment id of the submitting client's certificate.
+    pub creator: CertId,
+    /// Enrolment id of the first endorsement's certificate, if any.
+    pub endorser: Option<CertId>,
+    /// Number of writes in the write set.
+    pub writes: u64,
+    /// Total value bytes of the writes.
+    pub write_bytes: u64,
+}
+
+/// An encoded [`Envelope`] read in place. [`EnvelopeView::parse`] is the
+/// one validating pass: it accepts exactly the byte strings
+/// [`Envelope::from_bytes`] accepts and copies none of them. The tx id and
+/// the message the endorsers signed are spans of the bytes, because
+/// [`Envelope::encode`] writes `proposal ‖ put_bytes(payload) ‖ rwset ‖
+/// event ‖ endorsements` and [`endorsement_message`] is `tx_id ‖
+/// put_bytes(payload) ‖ rwset`. What the ledger keeps of a valid
+/// transaction — its reads' keys to look them up, its writes, its event —
+/// is decoded owned, on demand.
+#[derive(Debug, Clone, Copy)]
+pub struct EnvelopeView<'a> {
+    bytes: &'a [u8],
+    /// What [`EnvelopeView::parse`] recorded.
+    pub spans: EnvelopeSpans,
+}
+
+impl<'a> EnvelopeView<'a> {
+    /// Validates `bytes` as one whole envelope and records where its parts
+    /// begin.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut dec = Decoder::new(bytes);
+        dec.get_str_ref()?; // channel
+        dec.get_str_ref()?; // chaincode
+        dec.get_str_ref()?; // function
+        for _ in 0..dec.get_count()? {
+            dec.get_slice()?; // argument
+        }
+        let creator = CertRef::decode(&mut dec)?.id;
+        dec.get_u64()?; // nonce
+        let proposal_end = dec.position();
+        dec.get_slice()?; // payload
+        let reads_at = dec.position();
+        for _ in 0..dec.get_count()? {
+            KvRead::skip(&mut dec)?;
+        }
+        let writes_at = dec.position();
+        let writes = dec.get_count()?;
+        let mut write_bytes = 0;
+        for _ in 0..writes {
+            write_bytes += KvWrite::skip(&mut dec)?;
+        }
+        let event_at = dec.position();
+        if dec.get_option_tag()? {
+            dec.get_str_ref()?; // event name
+            dec.get_slice()?; // event payload
+        }
+        let endorsements_at = dec.position();
+        let mut endorser = None;
+        for _ in 0..dec.get_count()? {
+            let (cert, _) = endorsement_ref(&mut dec)?;
+            endorser.get_or_insert(cert.id);
+        }
+        dec.finish()?;
+        let spans = EnvelopeSpans {
+            proposal_end,
+            reads_at,
+            writes_at,
+            event_at,
+            endorsements_at,
+            creator,
+            endorser,
+            writes: writes as u64,
+            write_bytes: write_bytes as u64,
+        };
+        Ok(EnvelopeView { bytes, spans })
+    }
+
+    /// The view `spans` came from, over the bytes it came from (on other
+    /// bytes its getters may panic).
+    pub fn over(bytes: &'a [u8], spans: EnvelopeSpans) -> Self {
+        EnvelopeView { bytes, spans }
+    }
+
+    /// The transaction id: the digest of the proposal's span.
+    pub fn tx_id(&self) -> TxId {
+        TxId(Digest::of(&self.bytes[..self.spans.proposal_end]))
+    }
+
+    /// `put_bytes(payload) ‖ rwset`: with the tx id before it, the message
+    /// every endorsement signed.
+    pub fn signed(&self) -> &'a [u8] {
+        &self.bytes[self.spans.proposal_end..self.spans.event_at]
+    }
+
+    /// The target chaincode's name: the proposal's second string.
+    pub fn chaincode(&self) -> &'a str {
+        let mut dec = Decoder::new(self.bytes);
+        let name = dec.get_str_ref().and_then(|_channel| dec.get_str_ref());
+        name.unwrap_or_default()
+    }
+
+    /// The read set, in order, each read decoded as it is reached.
+    pub fn reads(&self) -> impl Iterator<Item = KvRead> + 'a {
+        items(self.bytes, self.spans.reads_at, KvRead::decode)
+    }
+
+    /// The write set, in order, each write copied out as it is reached:
+    /// one allocation for its key and one for its value.
+    pub fn writes(&self) -> impl Iterator<Item = KvWrite> + 'a {
+        items(self.bytes, self.spans.writes_at, KvWrite::decode)
+    }
+
+    /// The chaincode event, copied out.
+    pub fn event(&self) -> Option<ChaincodeEvent> {
+        let bytes = &self.bytes[self.spans.event_at..self.spans.endorsements_at];
+        Option::from_bytes(bytes).ok().flatten()
+    }
+
+    /// The endorsements, in order: certificate and signature.
+    pub fn endorsements(&self) -> impl Iterator<Item = (CertRef<'a>, Signature)> + 'a {
+        items(self.bytes, self.spans.endorsements_at, endorsement_ref)
+    }
+}
+
+/// One encoded [`Endorsement`], read in place.
+fn endorsement_ref<'a>(dec: &mut Decoder<'a>) -> Result<(CertRef<'a>, Signature), CodecError> {
+    Ok((CertRef::decode(dec)?, Signature::decode(dec)?))
+}
+
+/// The counted sequence at `bytes[at..]`, item by item. `parse` accepted
+/// these bytes item by item too, so the `Err` arms are unreachable.
+fn items<'a, T: 'a>(
+    bytes: &'a [u8],
+    at: usize,
+    decode: fn(&mut Decoder<'a>) -> Result<T, CodecError>,
+) -> impl Iterator<Item = T> + 'a {
+    let mut dec = Decoder::new(&bytes[at..]);
+    let n = dec.get_count().unwrap_or(0);
+    (0..n).map_while(move |_| decode(&mut dec).ok())
 }
 
 /// A commit notification delivered to subscribed clients.

@@ -406,13 +406,10 @@ impl Peer {
             let (hits, misses) = (verdict.sig_hits as u64, verdict.sig_misses as u64);
             sig_hits += hits;
             sig_misses += misses;
-            if let Some(env) = &verdict.envelope {
+            if let Some(spans) = &verdict.spans {
                 vscc.push(self.costs.vscc_cost(misses, hits));
-                serial += self.costs.mvcc_cost()
-                    + self.costs.apply_cost(
-                        env.rwset.write_bytes() as u64,
-                        env.rwset.writes.len() as u64,
-                    );
+                serial +=
+                    self.costs.mvcc_cost() + self.costs.apply_cost(spans.write_bytes, spans.writes);
             }
         }
         if self.sig_cache.is_some() {

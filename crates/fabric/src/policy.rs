@@ -4,7 +4,6 @@
 //! MSP principals). The committing peer evaluates the policy against the
 //! set of organisations whose endorsements verified.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::identity::MspId;
@@ -75,15 +74,17 @@ impl EndorsementPolicy {
         EndorsementPolicy::OutOf(n, leaves)
     }
 
-    /// Evaluates the policy against the set of endorsing organisations.
+    /// Evaluates the policy against the set of endorsing organisations
+    /// (a handful: searched as a list, and a caller's `Vec` is taken as
+    /// it is).
     pub fn is_satisfied_by<'a>(&self, endorsers: impl IntoIterator<Item = &'a MspId>) -> bool {
-        let set: BTreeSet<&MspId> = endorsers.into_iter().collect();
+        let set: Vec<&MspId> = endorsers.into_iter().collect();
         self.eval(&set)
     }
 
-    fn eval(&self, set: &BTreeSet<&MspId>) -> bool {
+    fn eval(&self, set: &[&MspId]) -> bool {
         match self {
-            EndorsementPolicy::SignedBy(org) => set.contains(org),
+            EndorsementPolicy::SignedBy(org) => set.contains(&org),
             EndorsementPolicy::And(subs) => subs.iter().all(|p| p.eval(set)),
             EndorsementPolicy::Or(subs) => {
                 // An empty Or is unsatisfiable, like Fabric's empty NOutOf.

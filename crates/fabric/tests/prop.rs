@@ -2,10 +2,13 @@
 //! algebra, block-cutter conservation and message codec round-trips.
 
 use hyperprov_fabric::{
-    BatchConfig, BlockAssembler, BlockCutter, Certificate, EndorsementPolicy, Envelope, MspBuilder,
-    MspId, Proposal, ProposalResponse, Signature,
+    endorsement_message, BatchConfig, BlockAssembler, BlockCutter, Certificate, ChaincodeEvent,
+    Endorsement, EndorsementPolicy, Envelope, EnvelopeView, MspBuilder, MspId, Proposal,
+    ProposalResponse, Signature,
 };
-use hyperprov_ledger::{Decode, Digest, Encode, RawEnvelope, RwSet, TxId};
+use hyperprov_ledger::{
+    Decode, Digest, Encode, KvRead, KvWrite, RawEnvelope, RwSet, StateKey, TxId, Version,
+};
 use hyperprov_sim::SimDuration;
 use proptest::prelude::*;
 
@@ -172,6 +175,97 @@ proptest! {
         };
         let raw = env.to_raw();
         prop_assert_eq!(Envelope::from_raw(&raw).unwrap(), env);
+    }
+
+    // The view and the owned decoder accept the same byte strings, and on
+    // those the view's spans are what re-encoding the owned value gives:
+    // decoding is canonical (a padded varint used to decode too, and made
+    // the digest of a span differ from the digest of the re-encoding).
+    #[test]
+    fn a_damaged_envelope_reads_the_same_in_place_and_owned(
+        payload in proptest::collection::vec(any::<u8>(), 0..40),
+        reads in 0usize..3,
+        writes in 0usize..3,
+        endorsements in 0usize..3,
+        event in any::<bool>(),
+        damage in any::<bool>(),
+        at in any::<u16>(),
+        kind in 0u8..4,
+        byte in any::<u8>(),
+    ) {
+        let key = |i: usize| StateKey::new("cc", format!("k{i}"));
+        let env = Envelope {
+            proposal: Proposal {
+                channel: "ch".into(),
+                chaincode: "cc".into(),
+                function: "f".into(),
+                args: vec![payload.clone(), vec![]],
+                creator: cert(),
+                nonce: 5,
+            },
+            rwset: RwSet {
+                reads: (0..reads)
+                    .map(|i| KvRead {
+                        key: key(i),
+                        version: (i > 0).then(|| Version::new(i as u64, 7)),
+                    })
+                    .collect(),
+                writes: (0..writes)
+                    .map(|i| KvWrite {
+                        key: key(i),
+                        value: (i > 0).then(|| payload.as_slice().into()),
+                    })
+                    .collect(),
+            },
+            event: event.then(|| ChaincodeEvent::from(("e".to_owned(), payload.clone()))),
+            endorsements: (0..endorsements)
+                .map(|i| Endorsement {
+                    endorser: cert(),
+                    signature: Signature(Digest::of(&[i as u8])),
+                })
+                .collect(),
+            payload,
+        };
+        let mut bytes = env.to_bytes();
+        if damage {
+            let at = at as usize % bytes.len();
+            match kind {
+                0 => bytes[at] = byte,
+                1 => drop(bytes.splice(at..=at, [bytes[at] | 0x80, 0x00])),
+                2 => bytes.truncate(at),
+                _ => bytes.push(byte),
+            }
+        }
+        let view = EnvelopeView::parse(&bytes);
+        let Ok(owned) = Envelope::from_bytes(&bytes) else {
+            prop_assert!(view.is_err());
+            return Ok(());
+        };
+        prop_assert!(!damage || owned != env || bytes == env.to_bytes());
+        prop_assert_eq!(owned.to_bytes(), &bytes[..]);
+        let view = view.unwrap();
+        let tx_id = owned.tx_id();
+        prop_assert_eq!(view.tx_id(), tx_id);
+        prop_assert_eq!(
+            [tx_id.0.as_ref(), view.signed()].concat(),
+            endorsement_message(&tx_id, &owned.payload, &owned.rwset)
+        );
+        prop_assert_eq!(view.chaincode(), owned.proposal.chaincode.as_str());
+        prop_assert_eq!(view.event(), owned.event.clone());
+        prop_assert_eq!(view.reads().collect::<Vec<_>>(), owned.rwset.reads.clone());
+        prop_assert_eq!(view.writes().collect::<Vec<_>>(), owned.rwset.writes.clone());
+        let expected: Vec<_> = owned
+            .endorsements
+            .iter()
+            .map(|e| (e.endorser.borrowed(), e.signature))
+            .collect();
+        prop_assert_eq!(view.endorsements().collect::<Vec<_>>(), expected);
+        let spans = view.spans;
+        prop_assert_eq!(spans.creator, owned.proposal.creator.id);
+        prop_assert_eq!(spans.endorser, owned.endorsements.first().map(|e| e.endorser.id));
+        prop_assert_eq!(spans.writes, owned.rwset.writes.len() as u64);
+        let value_bytes = owned.rwset.writes.iter().flat_map(|w| w.value.as_deref()).map(<[u8]>::len);
+        prop_assert_eq!(spans.write_bytes, value_bytes.sum::<usize>() as u64);
     }
 
     #[test]

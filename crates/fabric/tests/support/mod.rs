@@ -18,6 +18,7 @@ use hyperprov_ledger::{
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
 static ALLOCATED: AtomicI64 = AtomicI64::new(0);
+static CALLS: AtomicI64 = AtomicI64::new(0);
 
 pub struct Counting;
 
@@ -32,6 +33,7 @@ fn grew(by: i64) {
 // publish no other data, so `Relaxed` is enough.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         grew(layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
@@ -44,6 +46,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let by = new_size as i64 - layout.size() as i64;
         if by > 0 {
             grew(by);
@@ -63,6 +66,12 @@ pub fn live() -> i64 {
 /// Bytes ever allocated (growth by `realloc` included).
 pub fn allocated() -> i64 {
     ALLOCATED.load(Ordering::Relaxed)
+}
+
+/// Calls to `alloc` and `realloc` so far, as the benchmark's traced run
+/// counts them (`host.allocs_per_op`).
+pub fn calls() -> i64 {
+    CALLS.load(Ordering::Relaxed)
 }
 
 /// The highest [`live`] since the last [`reset_peak`].

@@ -111,26 +111,14 @@ pub struct BlockMetadata {
 
 impl Encode for BlockMetadata {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_varint(self.codes.len() as u64);
-        for c in &self.codes {
-            c.encode(enc);
-        }
+        encode_seq(&self.codes, enc);
     }
 }
 impl Decode for BlockMetadata {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let n = dec.get_varint()?;
-        if n > dec.remaining() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: n,
-                remaining: dec.remaining(),
-            });
-        }
-        let mut codes = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            codes.push(ValidationCode::decode(dec)?);
-        }
-        Ok(BlockMetadata { codes })
+        Ok(BlockMetadata {
+            codes: decode_seq(dec)?,
+        })
     }
 }
 

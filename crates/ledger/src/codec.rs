@@ -26,6 +26,9 @@ pub enum CodecError {
     InvalidUtf8,
     /// A varint exceeded 64 bits.
     VarintOverflow,
+    /// A varint carried a trailing zero byte: the same value has a shorter
+    /// encoding, and every value must have exactly one.
+    VarintNotMinimal,
     /// A declared length exceeds the remaining input.
     LengthOverrun {
         /// The declared length.
@@ -46,6 +49,7 @@ impl fmt::Display for CodecError {
             }
             CodecError::InvalidUtf8 => write!(f, "invalid UTF-8 in string"),
             CodecError::VarintOverflow => write!(f, "varint exceeds 64 bits"),
+            CodecError::VarintNotMinimal => write!(f, "varint is not minimally encoded"),
             CodecError::LengthOverrun {
                 declared,
                 remaining,
@@ -179,6 +183,11 @@ impl<'a> Decoder<'a> {
         self.data.len() - self.pos
     }
 
+    /// Bytes consumed so far: the offset of the next value in the input.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// Fails unless the input was fully consumed.
     pub fn finish(&self) -> Result<(), CodecError> {
         if self.remaining() == 0 {
@@ -227,7 +236,17 @@ impl<'a> Decoder<'a> {
         ]))
     }
 
-    /// Reads an unsigned LEB128 varint.
+    /// Reads an `Option` tag: whether a value follows.
+    pub fn get_option_tag(&mut self) -> Result<bool, CodecError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Invalid("option tag not 0 or 1")),
+        }
+    }
+
+    /// Reads an unsigned LEB128 varint. Only the shortest encoding of a
+    /// value is accepted, so bytes that decode re-encode to themselves.
     pub fn get_varint(&mut self) -> Result<u64, CodecError> {
         let mut value = 0u64;
         let mut shift = 0u32;
@@ -235,6 +254,9 @@ impl<'a> Decoder<'a> {
             let byte = self.get_u8()?;
             if shift == 63 && byte > 1 {
                 return Err(CodecError::VarintOverflow);
+            }
+            if byte == 0 && shift > 0 {
+                return Err(CodecError::VarintNotMinimal);
             }
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
@@ -247,17 +269,25 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads a varint-length-prefixed byte string, borrowed from the
-    /// input.
-    fn get_slice(&mut self) -> Result<&'a [u8], CodecError> {
-        let len = self.get_varint()?;
-        if len > self.remaining() as u64 {
+    /// Reads a varint element count, or the length of a byte string.
+    /// Every element takes at least one byte, so a count beyond the
+    /// remaining input is rejected before anything is allocated for it.
+    pub fn get_count(&mut self) -> Result<usize, CodecError> {
+        let declared = self.get_varint()?;
+        if declared > self.remaining() as u64 {
             return Err(CodecError::LengthOverrun {
-                declared: len,
+                declared,
                 remaining: self.remaining(),
             });
         }
-        self.take(len as usize)
+        Ok(declared as usize)
+    }
+
+    /// Reads a varint-length-prefixed byte string, borrowed from the
+    /// input.
+    pub fn get_slice(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.get_count()?;
+        self.take(len)
     }
 
     /// Reads a varint-length-prefixed byte string.
@@ -265,10 +295,15 @@ impl<'a> Decoder<'a> {
         Ok(self.get_slice()?.to_vec())
     }
 
+    /// Reads a varint-length-prefixed UTF-8 string, borrowed from the
+    /// input.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, CodecError> {
+        std::str::from_utf8(self.get_slice()?).map_err(|_| CodecError::InvalidUtf8)
+    }
+
     /// Reads a varint-length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, CodecError> {
-        let bytes = self.get_bytes()?;
-        String::from_utf8(bytes).map_err(|_| CodecError::InvalidUtf8)
+        Ok(self.get_str_ref()?.to_owned())
     }
 
     /// Reads a 32-byte digest.
@@ -399,14 +434,6 @@ impl Decode for Arc<[u8]> {
     }
 }
 
-/// Shared strings are read from the wire form of `String`.
-impl Decode for Arc<str> {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let text = std::str::from_utf8(dec.get_slice()?).map_err(|_| CodecError::InvalidUtf8)?;
-        Ok(Arc::from(text))
-    }
-}
-
 impl Encode for Digest {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_digest(self);
@@ -431,11 +458,20 @@ impl<T: Encode> Encode for Option<T> {
 }
 impl<T: Decode> Decode for Option<T> {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match dec.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(dec)?)),
-            _ => Err(CodecError::Invalid("option tag not 0 or 1")),
-        }
+        dec.get_option_tag()?.then(|| T::decode(dec)).transpose()
+    }
+}
+
+/// A pair encodes as its first half followed by its second.
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode(&self, enc: &mut Encoder) {
+        self.0.encode(enc);
+        self.1.encode(enc);
+    }
+}
+impl<A: Decode, B: Decode> Decode for (A, B) {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok((A::decode(dec)?, B::decode(dec)?))
     }
 }
 
@@ -445,27 +481,12 @@ macro_rules! impl_vec_codec {
     ($t:ty) => {
         impl Encode for Vec<$t> {
             fn encode(&self, enc: &mut Encoder) {
-                enc.put_varint(self.len() as u64);
-                for item in self {
-                    item.encode(enc);
-                }
+                encode_seq(self, enc);
             }
         }
         impl Decode for Vec<$t> {
             fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-                let n = dec.get_varint()?;
-                // Guard: each element needs at least one byte.
-                if n > dec.remaining() as u64 {
-                    return Err(CodecError::LengthOverrun {
-                        declared: n,
-                        remaining: dec.remaining(),
-                    });
-                }
-                let mut out = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    out.push(<$t>::decode(dec)?);
-                }
-                Ok(out)
+                decode_seq(dec)
             }
         }
     };
@@ -489,14 +510,8 @@ pub fn encode_seq<T: Encode>(items: &[T], enc: &mut Encoder) {
 ///
 /// Returns a [`CodecError`] on malformed input.
 pub fn decode_seq<T: Decode>(dec: &mut Decoder<'_>) -> Result<Vec<T>, CodecError> {
-    let n = dec.get_varint()?;
-    if n > dec.remaining() as u64 {
-        return Err(CodecError::LengthOverrun {
-            declared: n,
-            remaining: dec.remaining(),
-        });
-    }
-    let mut out = Vec::with_capacity(n as usize);
+    let n = dec.get_count()?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(T::decode(dec)?);
     }
@@ -555,6 +570,20 @@ mod tests {
         let bytes = [0xFFu8; 10];
         let mut dec = Decoder::new(&bytes);
         assert_eq!(dec.get_varint(), Err(CodecError::VarintOverflow));
+    }
+
+    #[test]
+    fn varint_with_a_shorter_encoding_is_rejected() {
+        // 0 as two bytes, 1 as two bytes, 128 as three.
+        for bytes in [&[0x80u8, 0x00][..], &[0x81, 0x00], &[0x80, 0x81, 0x00]] {
+            let mut dec = Decoder::new(bytes);
+            assert_eq!(dec.get_varint(), Err(CodecError::VarintNotMinimal));
+        }
+        // A length prefix is a varint too.
+        assert_eq!(
+            Vec::<u8>::from_bytes(&[0x81, 0x00, 7]),
+            Err(CodecError::VarintNotMinimal)
+        );
     }
 
     #[test]
@@ -632,15 +661,6 @@ mod tests {
             assert_eq!(Arc::<[u8]>::from_bytes(&owned.to_bytes()).unwrap(), shared);
             assert_eq!(Some(shared).to_bytes(), Some(owned).to_bytes());
         }
-        let owned = "héllo".to_owned();
-        assert_eq!(
-            Arc::<str>::from_bytes(&owned.to_bytes()).unwrap(),
-            Arc::from(owned.as_str())
-        );
-        assert_eq!(
-            Arc::<str>::from_bytes(&vec![0xFFu8, 0xFE].to_bytes()),
-            Err(CodecError::InvalidUtf8)
-        );
     }
 
     #[test]
@@ -691,6 +711,7 @@ mod tests {
             CodecError::TrailingBytes { remaining: 3 },
             CodecError::InvalidUtf8,
             CodecError::VarintOverflow,
+            CodecError::VarintNotMinimal,
             CodecError::LengthOverrun {
                 declared: 9,
                 remaining: 1,

@@ -54,17 +54,21 @@ impl Digest {
 
     /// Hashes `data` with SHA-256.
     pub fn of(data: &[u8]) -> Digest {
+        Digest::of_parts(&[data])
+    }
+
+    /// Hashes the concatenation of `parts` without building it.
+    pub fn of_parts(parts: &[&[u8]]) -> Digest {
         let mut h = Sha256::new();
-        h.update(data);
+        for part in parts {
+            h.update(part);
+        }
         h.finalize()
     }
 
     /// Hashes the concatenation of two digests (Merkle interior node).
     pub fn combine(left: &Digest, right: &Digest) -> Digest {
-        let mut h = Sha256::new();
-        h.update(&left.0);
-        h.update(&right.0);
-        h.finalize()
+        Digest::of_parts(&[&left.0, &right.0])
     }
 
     /// The raw bytes.
@@ -412,6 +416,13 @@ mod shani {
 /// verifiable tags. See DESIGN.md for why this substitution preserves the
 /// paper's behaviour.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+    hmac_sha256_parts(key, &[message])
+}
+
+/// [`hmac_sha256`] over the concatenation of `parts`, without building it:
+/// a verifier whose message is spans of bytes it already holds signs and
+/// checks them in place.
+pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
     const BLOCK: usize = 64;
     let mut key_block = [0u8; BLOCK];
     if key.len() > BLOCK {
@@ -427,7 +438,9 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     }
     let mut inner = Sha256::new();
     inner.update(&ipad);
-    inner.update(message);
+    for part in parts {
+        inner.update(part);
+    }
     let inner_digest = inner.finalize();
     let mut outer = Sha256::new();
     outer.update(&opad);
@@ -532,6 +545,20 @@ mod tests {
             d.to_hex(),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn hashing_in_parts_is_hashing_the_concatenation() {
+        let data: Vec<u8> = (0..200u8).collect();
+        for cut in [0usize, 1, 32, 63, 64, 65, 200] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(Digest::of_parts(&[a, b]), Digest::of(&data), "cut={cut}");
+            assert_eq!(
+                hmac_sha256_parts(b"key", &[a, b]),
+                hmac_sha256(b"key", &data),
+                "cut={cut}"
+            );
+        }
     }
 
     /// The SHA-NI and scalar compressions must agree on every block, not

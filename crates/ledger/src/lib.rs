@@ -39,7 +39,7 @@ pub use block::{Block, BlockHeader, BlockMetadata, RawEnvelope};
 pub use blockstore::{BlockStore, ChainError, CheckedBlock};
 pub use channel::{ChannelId, ChannelLedger, DEFAULT_CHANNEL};
 pub use codec::{decode_seq, encode_seq, CodecError, Decode, Decoder, Encode, Encoder};
-pub use hash::{hmac_sha256, Digest, Sha256};
+pub use hash::{hmac_sha256, hmac_sha256_parts, Digest, Sha256};
 pub use history::{HistoryDb, HistoryEntry};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use provgraph::{Direction, GraphIndexer, GraphUpdate, ProvGraph, Traversal, TraversalLimits};

@@ -218,10 +218,7 @@ impl Encode for StateKey {
 }
 impl Decode for StateKey {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(StateKey {
-            namespace: Ns::intern(&dec.get_str()?),
-            key: Arc::<str>::decode(dec)?,
-        })
+        Ok(StateKey::new(dec.get_str_ref()?, dec.get_str_ref()?))
     }
 }
 
@@ -247,6 +244,16 @@ impl Decode for KvRead {
             key: StateKey::decode(dec)?,
             version: Option::<Version>::decode(dec)?,
         })
+    }
+}
+
+impl KvRead {
+    /// Validates one encoded read in place: fails exactly when
+    /// [`Decode::decode`] would, and builds nothing.
+    pub fn skip(dec: &mut Decoder<'_>) -> Result<(), CodecError> {
+        dec.get_str_ref()?;
+        dec.get_str_ref()?;
+        Option::<Version>::decode(dec).map(drop)
     }
 }
 
@@ -278,6 +285,19 @@ impl Decode for KvWrite {
     }
 }
 
+impl KvWrite {
+    /// Validates one encoded write in place, as [`KvRead::skip`] does a
+    /// read; answers the length of its value (0 for a deletion).
+    pub fn skip(dec: &mut Decoder<'_>) -> Result<usize, CodecError> {
+        dec.get_str_ref()?;
+        dec.get_str_ref()?;
+        Ok(match dec.get_option_tag()? {
+            true => dec.get_slice()?.len(),
+            false => 0,
+        })
+    }
+}
+
 /// The read/write set produced by simulating a transaction.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RwSet {
@@ -296,14 +316,6 @@ impl RwSet {
     /// True if the transaction neither read nor wrote state.
     pub fn is_empty(&self) -> bool {
         self.reads.is_empty() && self.writes.is_empty()
-    }
-
-    /// Total serialized payload size of the writes, used for cost models.
-    pub fn write_bytes(&self) -> usize {
-        self.writes
-            .iter()
-            .map(|w| w.value.as_ref().map_or(0, |v| v.len()))
-            .sum()
     }
 }
 
@@ -428,7 +440,6 @@ mod tests {
         };
         let back = RwSet::from_bytes(&rw.to_bytes()).unwrap();
         assert_eq!(back, rw);
-        assert_eq!(back.write_bytes(), 3);
         assert!(!back.is_empty());
         assert!(RwSet::new().is_empty());
     }
