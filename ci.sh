@@ -53,7 +53,7 @@ fi
 
 # Purity audit: the protocol state machines are sans-IO — they answer
 # with what to do and never name the kernel types that do it.
-for pure in catchup orderer raft gateway peer peer/boot; do
+for pure in action catchup orderer raft gateway peer peer/boot ordering; do
     if awk "$nontest" "crates/fabric/src/$pure.rs" | grep -nE '\b(Context|ServiceHarness|TimerId)\b'; then
         echo "crates/fabric/src/$pure.rs names a kernel type: keep I/O in the actor" >&2
         exit 1

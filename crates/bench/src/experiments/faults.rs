@@ -11,10 +11,10 @@
 //! jittered-backoff [`RetryPolicy`], so every operation terminates — the
 //! hung-client column must read zero.
 
-use hyperprov::{HyperProvNetwork, NetworkConfig, NodeMsg, RetryPolicy};
-use hyperprov_fabric::{BatchConfig, RaftOrdererActor};
+use hyperprov::{HyperProvNetwork, NetworkConfig, RetryPolicy};
+use hyperprov_fabric::BatchConfig;
 use hyperprov_sim::{
-    chrome_trace_json, ActorId, DetRng, FaultPlan, SimDuration, SimTime, SloObjective, SloSpec,
+    chrome_trace_json, DetRng, FaultPlan, SimDuration, SimTime, SloObjective, SloSpec,
 };
 
 use super::Platform;
@@ -164,18 +164,6 @@ fn base_config(platform: Platform, scenario: FaultScenario, params: &Params) -> 
     }
 }
 
-/// The currently elected Raft ordering leader, if any member claims the
-/// role.
-fn raft_leader(net: &HyperProvNetwork) -> Option<ActorId> {
-    net.orderers.iter().copied().find(|&id| {
-        net.sim
-            .actor_ref(id)
-            .and_then(|actor| actor.as_any())
-            .and_then(|any| any.downcast_ref::<RaftOrdererActor<NodeMsg>>())
-            .is_some_and(|orderer| orderer.is_leader())
-    })
-}
-
 fn build_plan(
     net: &HyperProvNetwork,
     scenario: FaultScenario,
@@ -185,7 +173,7 @@ fn build_plan(
     match scenario {
         FaultScenario::PeerCrash => FaultPlan::new().crash_window(net.peers[0], from, to),
         FaultScenario::LeaderKill => {
-            let leader = raft_leader(net).unwrap_or(net.orderers[0]);
+            let leader = net.ordering_leader().unwrap_or(net.orderers[0]);
             FaultPlan::new().crash_window(leader, from, to)
         }
         FaultScenario::Partition => {

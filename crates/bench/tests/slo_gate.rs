@@ -3,11 +3,11 @@
 //! burn-rate series must land in the metrics export, and a run's
 //! Perfetto trace export must be structurally valid Chrome trace JSON.
 
-use hyperprov::{HyperProvNetwork, NetworkConfig, NodeMsg, RetryPolicy};
-use hyperprov_fabric::{BatchConfig, RaftOrdererActor};
+use hyperprov::{HyperProvNetwork, NetworkConfig, RetryPolicy};
+use hyperprov_fabric::BatchConfig;
 use hyperprov_sim::json::parse;
 use hyperprov_sim::{
-    chrome_trace_json, ActorId, DetRng, FaultPlan, SimDuration, SimTime, SloObjective, SloSpec,
+    chrome_trace_json, DetRng, FaultPlan, SimDuration, SimTime, SloObjective, SloSpec,
 };
 
 use hyperprov_bench::report::{push_slo_verdicts, slo_verdict_table, MetricsExporter};
@@ -18,16 +18,6 @@ const SEED: u64 = 11;
 const FAULT_FROM: SimDuration = SimDuration::from_secs(3);
 const FAULT_TO: SimDuration = SimDuration::from_secs(5);
 const SLO_WINDOW: SimDuration = SimDuration::from_secs(2);
-
-fn raft_leader(net: &HyperProvNetwork) -> Option<ActorId> {
-    net.orderers.iter().copied().find(|&id| {
-        net.sim
-            .actor_ref(id)
-            .and_then(|actor| actor.as_any())
-            .and_then(|any| any.downcast_ref::<RaftOrdererActor<NodeMsg>>())
-            .is_some_and(|orderer| orderer.is_leader())
-    })
-}
 
 /// A quick-mode desktop Raft leader-kill run (the T-FAULTS scenario that
 /// stalls ordering outright) with the campaign's SLO shapes installed.
@@ -68,7 +58,7 @@ fn fault_run() -> (HyperProvNetwork, SimTime) {
     // Let the cluster elect a leader, then schedule its crash mid-run.
     net.sim.run_until(SimTime::from_secs(2));
     let t0 = net.sim.now();
-    let leader = raft_leader(&net).unwrap_or(net.orderers[0]);
+    let leader = net.ordering_leader().unwrap_or(net.orderers[0]);
     FaultPlan::new()
         .crash_window(leader, t0 + FAULT_FROM, t0 + FAULT_TO)
         .install(&mut net.sim);

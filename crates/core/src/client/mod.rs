@@ -24,9 +24,11 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use hyperprov_fabric::{perform, Armed, Caller, CostModel, Gateway, GatewayAction, GatewayReply};
+use hyperprov_fabric::{
+    Caller, CostModel, Gateway, GatewayAction, GatewayDone, GatewayReply, Host,
+};
 use hyperprov_offchain::StoreMsg;
-use hyperprov_sim::{Actor, ActorId, Carries, Context, Event, ServiceHarness, SimTime};
+use hyperprov_sim::{Actor, ActorId, Carries, Context, Event, SimTime};
 
 pub use self::api::{
     ClientCommand, ClientCompletion, CompletionQueue, HyperProvError, OpId, OpOutput, RetryPolicy,
@@ -68,8 +70,9 @@ pub struct HyperProvClient {
     /// Every gateway request of every operation, on every channel; route
     /// index = shard index under [`HashRouter`](crate::HashRouter).
     gateway: Gateway<Origin>,
-    /// The kernel handles of the gateway's armed timers.
-    armed: Armed,
+    /// Performs what the gateway answers, and absorbs the client's own
+    /// CPU charges (hashing).
+    host: Host<NodeMsgOf>,
     storage: ActorId,
     location_prefix: String,
     costs: CostModel,
@@ -78,7 +81,6 @@ pub struct HyperProvClient {
     /// of the operation's storage transfer (it has at most one).
     operations: HashMap<u64, Running>,
     next_slot: u64,
-    harness: ServiceHarness<NodeMsgOf>,
 }
 
 impl HyperProvClient {
@@ -101,14 +103,13 @@ impl HyperProvClient {
         (
             HyperProvClient {
                 gateway,
-                armed: Armed::new(),
+                host: Host::new("client"),
                 storage,
                 location_prefix: location_prefix.into(),
                 costs,
                 completions: completions.clone(),
                 operations: HashMap::new(),
                 next_slot: 0,
-                harness: ServiceHarness::new("client"),
             },
             completions,
         )
@@ -129,7 +130,7 @@ impl HyperProvClient {
             // Client-side checksum of the payload: the dominant client
             // CPU cost for large items (per the paper's Fig. 1 and 2).
             let hash_cost = self.costs.hash_cost(data.len() as u64);
-            self.harness.charge(ctx, hash_cost);
+            self.host.harness.charge(ctx, hash_cost);
         }
         let (plan, requests) = Plan::start(
             cmd,
@@ -204,8 +205,10 @@ impl HyperProvClient {
     /// Performs what the gateway answered an input with and, if that
     /// completed a request, hands the outcome to the plan it belongs to.
     fn run(&mut self, ctx: &mut Context<'_, NodeMsgOf>, actions: Vec<GatewayAction<Origin>>) {
-        let done = perform(ctx, &mut self.harness, &mut self.armed, actions);
-        let Some((origin, result)) = done else {
+        let mut done = None;
+        self.host
+            .perform(ctx, actions, |_, _, ended| done = Some(ended));
+        let Some(GatewayDone(origin, result)) = done else {
             return;
         };
         let reply = match result {
@@ -275,7 +278,7 @@ impl HyperProvClient {
         if let Ok(Reply::Bytes(data)) = &reply {
             // Client-side verification hash.
             let hash_cost = self.costs.hash_cost(data.len() as u64);
-            self.harness.charge(ctx, hash_cost);
+            self.host.harness.charge(ctx, hash_cost);
         }
         let reply = reply.unwrap_or_else(|err| Reply::Failed(HyperProvError::Storage(err)));
         self.advance(ctx, slot, 0, reply);
@@ -304,8 +307,7 @@ impl Actor<NodeMsgOf> for HyperProvClient {
             // harness; every other timer is a gateway wake-up: a per-op
             // deadline or a retry backoff.
             Event::Timer { token } => {
-                if !self.harness.on_timer(ctx, token) {
-                    self.armed.remove(&token);
+                if self.host.timer(ctx, token) {
                     let actions = self.gateway.on_timer(token, ctx.rng());
                     self.run(ctx, actions);
                 }

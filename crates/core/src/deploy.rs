@@ -9,12 +9,12 @@ use std::sync::Arc;
 use hyperprov_device::{link_between, DeviceProfile};
 use hyperprov_fabric::{
     BatchConfig, ChaincodeRegistry, ChannelPolicies, CommitPipeline, Committer, CostModel,
-    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, PeerActor, RaftOrdererActor,
-    Route, SigningIdentity, SnapshotPolicy, SoloOrdererActor, RAFT_TICK_TOKEN,
+    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, OrdererActor, OrderingNode,
+    PeerActor, Route, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{ChannelId, DEFAULT_CHANNEL};
 use hyperprov_offchain::{MemoryStore, StorageActor, StorageCosts};
-use hyperprov_sim::{Actor, ActorId, CpuResource, QueueConfig, SimDuration, Simulation, SloSpec};
+use hyperprov_sim::{ActorId, CpuResource, QueueConfig, SimDuration, Simulation, SloSpec};
 
 use crate::chaincode::{HyperProvChaincode, HyperProvIndexer};
 use crate::client::{CompletionQueue, HyperProvClient, RetryPolicy};
@@ -580,14 +580,14 @@ impl HyperProvNetwork {
             // election timeline).
             let raft_seed = config.seed.wrapping_add(ci as u64 * 7919);
             for (i, &expected) in chan.orderers.iter().enumerate() {
-                let actor: Box<dyn Actor<NodeMsg>> = match config.orderer_mode {
-                    OrdererMode::Solo => Box::new(SoloOrdererActor::<NodeMsg>::new(
+                let node = match config.orderer_mode {
+                    OrdererMode::Solo => OrderingNode::solo(
                         chan.id.clone(),
                         config.batch,
                         deliver_to.clone(),
                         config.costs,
-                    )),
-                    OrdererMode::Raft { .. } => Box::new(RaftOrdererActor::<NodeMsg>::new(
+                    ),
+                    OrdererMode::Raft { .. } => OrderingNode::raft(
                         i,
                         chan.orderers.clone(),
                         chan.id.clone(),
@@ -595,14 +595,10 @@ impl HyperProvNetwork {
                         config.batch,
                         raft_seed,
                         config.costs,
-                    )),
+                    ),
                 };
-                let id = sim.add_actor_with_speed(actor, config.orderer_device.cpu_speed);
+                let id = OrdererActor::start(node, &mut sim, config.orderer_device.cpu_speed);
                 debug_assert_eq!(id, expected);
-                sim.set_actor_label(id, "orderer");
-                if matches!(config.orderer_mode, OrdererMode::Raft { .. }) {
-                    sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
-                }
                 devices.push(config.orderer_device.clone());
             }
         }
@@ -681,6 +677,16 @@ impl HyperProvNetwork {
             channel_ledgers,
             kit,
         }
+    }
+
+    /// The first ordering node that orders now: the solo orderer, or the
+    /// raft member that leads its cluster (`None` during an election).
+    pub fn ordering_leader(&self) -> Option<ActorId> {
+        self.orderers.iter().copied().find(|&id| {
+            let actor = self.sim.actor_ref(id).and_then(|actor| actor.as_any());
+            let orderer = actor.and_then(|any| any.downcast_ref::<OrdererActor<NodeMsg>>());
+            orderer.is_some_and(|orderer| orderer.node().is_leader())
+        })
     }
 
     /// Number of spare peer identities still available to

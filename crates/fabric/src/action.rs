@@ -1,0 +1,47 @@
+//! What a sans-IO machine — [`Gateway`](crate::Gateway),
+//! [`Peer`](crate::Peer), [`OrderingNode`](crate::OrderingNode) — answers
+//! an input with; [`Host`](crate::Host) performs it.
+
+use hyperprov_ledger::ChannelId;
+use hyperprov_sim::{ActorId, Outbound, SimDuration, SpanClose};
+
+use crate::messages::FabricMsg;
+
+/// One thing the host must do for its machine, in the order given: a send
+/// draws link jitter from the actor's random stream and arming a timer
+/// takes a kernel sequence number, so the order is part of the model. An
+/// action says who, what and how much CPU, never when: the host owns the
+/// clock. (Short-lived and mostly sends: boxing the message would buy
+/// nothing.)
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Action<X> {
+    /// Send the message, this many bytes on the wire, to the actor now.
+    Send(ActorId, u64, FabricMsg),
+    /// Run one CPU job of this cost; when it is done close the spans, then
+    /// send the messages.
+    Job(SimDuration, Vec<Outbound<FabricMsg>>, Vec<SpanClose>),
+    /// Keep the CPU busy for this long (it models utilisation and
+    /// energy); nothing waits for it.
+    Charge(SimDuration),
+    /// Arm the timer of this token to fire after the delay; it comes back
+    /// through the machine's timer input.
+    Arm(u64, SimDuration),
+    /// Cancel the timer of this token, if it is pending.
+    Disarm(u64),
+    /// Add to the counter of this name: the hosted channel's, or with
+    /// `None` the node's own.
+    Count(Option<ChannelId>, &'static str, u64),
+    /// Set the gauge of this name, scoped like a counter.
+    Gauge(Option<ChannelId>, &'static str, f64),
+    /// Record the duration in the node's histogram of this name.
+    Observe(&'static str, SimDuration),
+    /// Open the span (trace, stage, detail).
+    SpanStart(String, &'static str, String),
+    /// Close the span (trace, stage, detail).
+    SpanEnd(String, &'static str, String),
+    /// Record a point event (name, detail) on the trace.
+    Note(String, &'static str, String),
+    /// What only this kind of machine asks for; its host knows how.
+    Own(X),
+}

@@ -173,37 +173,14 @@ pub enum Reply {
     },
 }
 
-/// One thing the host actor must do for the gateway, in the order given:
-/// a send draws link jitter from the actor's random stream and arming a
-/// timer takes a kernel sequence number, so the order is part of the
-/// model. (Short-lived and mostly sends: boxing the message would buy
-/// nothing.)
-#[allow(clippy::large_enum_variant)]
+/// What a gateway answers an input with, in the order its host must
+/// perform it.
+pub type Action<T> = crate::action::Action<Done<T>>;
+
+/// What only a gateway tells its host: the caller's request is over.
+/// Always the last action of an input, which completes at most one request.
 #[derive(Debug)]
-pub enum Action<T> {
-    /// Charge this much client CPU (signing and hashing a proposal). It
-    /// models utilisation and energy; nothing waits for it.
-    Charge(SimDuration),
-    /// Send the message, this many bytes on the wire, to the actor.
-    Send(ActorId, u64, FabricMsg),
-    /// Arm the wake-up with this token to fire after the delay.
-    Arm(u64, SimDuration),
-    /// Cancel the armed wake-up with this token.
-    Disarm(u64),
-    /// Open the span of this stage on the transaction's trace.
-    SpanStart(TxId, &'static str),
-    /// Close the span of this stage on the transaction's trace.
-    SpanEnd(TxId, &'static str),
-    /// Note a point event (name, detail) on the trace with this key.
-    Note(String, &'static str, String),
-    /// Add one to the counter of this name.
-    Count(&'static str),
-    /// Record a backoff sleep in the `client.backoff` histogram.
-    Backoff(SimDuration),
-    /// The caller's request is over. Always the last action of an input,
-    /// which completes at most one request.
-    Done(T, Result<Reply, GatewayError>),
-}
+pub struct Done<T>(pub T, pub Result<Reply, GatewayError>);
 
 /// Where one channel's requests go. A client on a sharded deployment has
 /// one route per channel, indexed by shard.
@@ -451,7 +428,7 @@ impl<T: Caller> Gateway<T> {
         };
         let mut out = Vec::with_capacity(3 + targets);
         out.push(Action::Charge(self.costs.client_proposal_cost(wire)));
-        out.push(Action::SpanStart(tx_id, stage));
+        out.push(Action::SpanStart(tx_trace(&tx_id), stage, String::new()));
         let token = arm(&mut self.next_token, self.endorse_timeout, &mut out);
         // The last endorser gets the proposal by move, the rest by clone.
         let mut signed = Some(SignedProposal {
@@ -505,7 +482,7 @@ impl<T: Caller> Gateway<T> {
             Phase::Query => match resp.result {
                 Ok(bytes) => {
                     let row = self.close(tx_id, "query", out);
-                    out.push(Action::Done(row.caller, Ok(Reply::Bytes(bytes))));
+                    out.push(Action::Own(Done(row.caller, Ok(Reply::Bytes(bytes)))));
                     return;
                 }
                 Err(reason) => ("query", None, GatewayError::from_query(reason)),
@@ -550,7 +527,7 @@ impl<T: Caller> Gateway<T> {
             .remove(&tx_id)
             .expect("invariant: callers looked the row up");
         out.extend(row.token.take().map(Action::Disarm));
-        out.push(Action::SpanEnd(tx_id, stage));
+        out.push(Action::SpanEnd(tx_trace(&tx_id), stage, String::new()));
         row
     }
 
@@ -594,8 +571,9 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::Send(orderer, bytes, FabricMsg::Broadcast(envelope)));
         // The two spans are contiguous, so their durations sum exactly to
         // the end-to-end invoke latency.
-        out.push(Action::SpanEnd(tx_id, "endorse"));
-        out.push(Action::SpanStart(tx_id, "commit_wait"));
+        let trace = tx_trace(&tx_id);
+        out.push(Action::SpanEnd(trace.clone(), "endorse", String::new()));
+        out.push(Action::SpanStart(trace, "commit_wait", String::new()));
     }
 
     fn on_commit(&mut self, event: CommitEvent, out: &mut Vec<Action<T>>) {
@@ -612,7 +590,7 @@ impl<T: Caller> Gateway<T> {
             code,
             payload,
         };
-        out.push(Action::Done(row.caller, Ok(reply)));
+        out.push(Action::Own(Done(row.caller, Ok(reply))));
     }
 
     /// A wake-up fired. A deadline abandons the attempt — its span
@@ -637,7 +615,7 @@ impl<T: Caller> Gateway<T> {
             }
         };
         let mut out = vec![
-            Action::SpanEnd(tx_id, stage),
+            Action::SpanEnd(tx_trace(&tx_id), stage, String::new()),
             Action::Note(tx_trace(&tx_id), event, String::new()),
         ];
         self.fail(tx_id, row, error, rng, &mut out);
@@ -661,14 +639,14 @@ impl<T: Caller> Gateway<T> {
             error,
             GatewayError::EndorseTimeout | GatewayError::CommitTimeout
         ) {
-            out.push(Action::Count("client.timeouts"));
+            out.push(Action::Count(None, "timeouts", 1));
         }
         let error = match self.retry {
             Some(policy) if error.is_retryable() => {
                 if row.attempts < policy.max_attempts {
                     let backoff = policy.backoff(row.attempts, rng);
-                    out.push(Action::Count("client.retries"));
-                    out.push(Action::Backoff(backoff));
+                    out.push(Action::Count(None, "retries", 1));
+                    out.push(Action::Observe("backoff", backoff));
                     let detail = format!("attempt={} backoff={backoff}", row.attempts + 1);
                     out.push(Action::Note(row.caller.trace(), "op.retry", detail));
                     row.token = arm(&mut self.next_token, Some(backoff), out);
@@ -676,14 +654,14 @@ impl<T: Caller> Gateway<T> {
                     self.rows.insert(tx_id, row);
                     return;
                 }
-                out.push(Action::Count("client.exhausted"));
+                out.push(Action::Count(None, "exhausted", 1));
                 GatewayError::Exhausted {
                     attempts: row.attempts,
                 }
             }
             _ => error,
         };
-        out.push(Action::Done(row.caller, Err(error)));
+        out.push(Action::Own(Done(row.caller, Err(error))));
     }
 }
 

@@ -13,14 +13,16 @@
 //! * [`Committer`] — VSCC endorsement-policy + MVCC validation and commit,
 //! * [`CatchUp`] — how a peer that fell behind gets current again,
 //! * [`Peer`] — endorsement, commit, snapshots, a machine like [`CatchUp`],
-//! * [`PeerActor`]/[`SoloOrdererActor`]/[`RaftOrdererActor`] — simulation
-//!   actors that charge device CPU costs, and
-//! * [`Gateway`] — the client SDK equivalent, another such machine;
-//!   [`perform`] carries out what it answers.
+//! * [`OrderingNode`] — batching, consensus hand-off, block fan-out and
+//!   the deliver service, solo or raft, another such machine,
+//! * [`Gateway`] — the client SDK equivalent, another such machine, and
+//! * [`Host`] — performs the [`Action`]s the machines answer, for the
+//!   simulation actors [`PeerActor`]/[`OrdererActor`] and for a client.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod action;
 mod caches;
 mod catchup;
 mod chaincode;
@@ -37,6 +39,7 @@ mod perform;
 mod policy;
 mod raft;
 
+pub use action::Action;
 pub use caches::{ReadCache, SigVerifyCache};
 pub use catchup::{Action as CatchUpAction, CatchUp, CATCHUP_ESCALATE_AFTER, CATCHUP_GIVE_UP};
 pub use chaincode::{
@@ -46,8 +49,8 @@ pub use committer::{BootstrapError, ChannelPolicies, CommitOutcome, Committer, V
 pub use costs::CostModel;
 pub use endorser::endorse;
 pub use gateway::{
-    Action as GatewayAction, Caller, Gateway, GatewayError, Reply as GatewayReply, RetryPolicy,
-    Route,
+    Action as GatewayAction, Caller, Done as GatewayDone, Gateway, GatewayError,
+    Reply as GatewayReply, RetryPolicy, Route,
 };
 pub use identity::{
     CertId, CertRef, Certificate, Msp, MspBuilder, MspId, Signature, SigningIdentity,
@@ -58,10 +61,11 @@ pub use messages::{
     SignedProposal, BUSY_REASON,
 };
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
-pub use ordering::{RaftOrdererActor, SoloOrdererActor, RAFT_TICK_TOKEN};
+pub use ordering::{Action as OrderingAction, OrdererActor, OrderingNode};
 pub use peer::{
-    Action as PeerAction, ChannelView, CommitPipeline, Peer, PeerActor, SnapshotPolicy,
+    Action as PeerAction, ChannelView, CommitPipeline, Own as PeerOwn, Peer, PeerActor,
+    SnapshotPolicy,
 };
-pub use perform::{perform, Armed};
+pub use perform::Host;
 pub use policy::EndorsementPolicy;
 pub use raft::{LogEntry, PeerIdx, RaftConfig, RaftMsg, RaftNode, RaftOutput, Role};

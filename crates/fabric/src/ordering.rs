@@ -1,323 +1,217 @@
-//! The ordering-service actors: the paper's single-node ("solo") orderer
-//! and a Raft-replicated one. What the two do identically — batching and
-//! the batch timer, block assembly, the retained tail, block fan-out, the
-//! deliver service, delivery subscriptions, the restart reset — is one
-//! private [`OrderingFrontEnd`] they both own; each actor keeps what
-//! differs: when a cut batch becomes a block, and what ordering costs.
+//! The ordering node, as a sans-IO state machine: one [`OrderingNode`]
+//! takes what happened (a message, a timer, a restart) and answers with
+//! the [`Action`]s its host, [`OrdererActor`], must perform, in order. It
+//! batches incoming envelopes, hands cut batches to its consensus,
+//! assembles what consensus ordered into the channel's chain, fans blocks
+//! out to the delivery list and serves re-delivery from a retained tail.
+//! The paper's single-node ("solo") orderer and a Raft cluster member are
+//! the same node with a different `Consensus`, which decides one thing:
+//! when a cut batch becomes a block.
+
+mod actor;
 
 use std::collections::{BTreeSet, VecDeque};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use hyperprov_ledger::{Block, ChannelId, RawEnvelope, TxId};
-use hyperprov_sim::{
-    Actor, ActorId, Carries, Context, Event, Outbound, ServiceHarness, SimDuration, SpanClose,
-    TimerId,
-};
+use hyperprov_sim::{ActorId, Outbound, SimDuration, SpanClose};
 
 use crate::costs::CostModel;
 use crate::messages::{tx_trace, Envelope, FabricMsg};
-use crate::orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
+use crate::orderer::{BatchConfig, BlockAssembler, BlockCutter};
 use crate::raft::{RaftConfig, RaftNode, RaftOutput};
 
-/// Timer token used by orderers for the batch timeout.
+pub use actor::OrdererActor;
+
+/// Timer token of the batch timeout.
 const BATCH_TIMER: u64 = 1;
-/// Timer token used by raft orderers for consensus ticks.
+/// Timer token of a raft member's consensus tick, and the tick's length.
 const RAFT_TICK: u64 = 2;
-/// Interval between a raft orderer's consensus ticks.
 const RAFT_TICK_INTERVAL: SimDuration = SimDuration::from_millis(50);
-/// Recently cut blocks an ordering node retains for the deliver
-/// (catch-up) service.
+/// Recently cut blocks retained for the deliver (catch-up) service.
 const RETAINED_BLOCKS: usize = 64;
 
-/// What every ordering node does, whatever its consensus: batch incoming
-/// envelopes, assemble cut batches into the channel's chain, fan blocks
-/// out to the delivery list, and serve re-delivery from a retained tail.
-struct OrderingFrontEnd<M> {
+/// What an ordering node answers an input with, in the order its host
+/// must perform it: nothing of its own. A counter is the channel's, among
+/// its orderer metrics; a job is a block's assembly and dissemination,
+/// closing `order.deliver` spans and sending each block to each peer.
+pub type Action = crate::action::Action<Infallible>;
+
+/// Closes the `order.queue` span of a transaction that left the cutter.
+fn queue_left(raw: &RawEnvelope) -> Action {
+    Action::SpanEnd(tx_trace(&raw.tx_id), "order.queue", String::new())
+}
+
+/// The channel's chain as this node has assembled it, who gets each block,
+/// and the tail kept for those who missed one.
+struct Chain {
     channel: ChannelId,
-    cutter: BlockCutter,
-    batch_timer: Option<TimerId>,
     assembler: BlockAssembler,
     /// The peers every block is delivered to.
     peers: Vec<ActorId>,
     /// Recently cut blocks, retained for the deliver (catch-up) service.
     retained: VecDeque<Arc<Block>>,
     costs: CostModel,
-    harness: ServiceHarness<M>,
 }
 
-impl<M: Carries<FabricMsg>> OrderingFrontEnd<M> {
-    /// A front-end for `channel`; `node` names the harness, suffixed with
-    /// the channel unless it is the default one.
-    fn new(
-        node: String,
+impl Chain {
+    /// Assembles `batch` into the chain's next block: counts it, closes
+    /// the `order.queue` spans — solo's of every transaction, with a
+    /// `block.cut` note; a raft `member`'s of those it admitted — opens
+    /// its `order.deliver` span (the job closes it with the [`SpanClose`]
+    /// returned; a member's index is the detail, so the members' spans of
+    /// one block do not collide), retains it and appends one `DeliverBlock`
+    /// per peer to `sends`. Also returns the block's wire size.
+    fn block(
+        &mut self,
+        batch: Vec<RawEnvelope>,
+        member: Option<&mut RaftMember>,
+        sends: &mut Vec<Outbound<FabricMsg>>,
+        out: &mut Vec<Action>,
+    ) -> (SpanClose, u64) {
+        let block = Arc::new(self.assembler.assemble(batch));
+        out.push(self.count("blocks_cut"));
+        let number = format!("block-{}", block.header.number);
+        let (trace, txs) = (self.channel.trace_name(&number), block.envelopes.iter());
+        let detail = match member {
+            Some(member) => {
+                let applied = txs.filter(|raw| member.admitted.remove(&raw.tx_id));
+                out.extend(applied.map(queue_left));
+                member.index.to_string()
+            }
+            None => {
+                out.extend(txs.map(queue_left));
+                let txs = format!("txs={}", block.envelopes.len());
+                out.push(Action::Note(trace.clone(), "block.cut", txs));
+                String::new()
+            }
+        };
+        let close = SpanClose::new(trace.clone(), "order.deliver", detail.clone());
+        out.push(Action::SpanStart(trace, "order.deliver", detail));
+        self.retained.push_back(Arc::clone(&block));
+        while self.retained.len() > RETAINED_BLOCKS {
+            self.retained.pop_front();
+        }
+        let bytes = block.wire_size();
+        let deliver = |&peer| (peer, bytes, self.deliver_block(&block));
+        sends.extend(self.peers.iter().map(deliver));
+        (close, bytes)
+    }
+
+    fn deliver_block(&self, block: &Arc<Block>) -> FabricMsg {
+        FabricMsg::DeliverBlock(self.channel.clone(), Arc::clone(block))
+    }
+
+    /// The deliver service: re-sends every retained block from height
+    /// `from` to `src`, one message each.
+    fn deliver_request(&self, src: ActorId, from: u64) -> Vec<Action> {
+        let tail = self.retained.iter().filter(|b| b.header.number >= from);
+        let resend = |b: &Arc<Block>| Action::Send(src, b.wire_size(), self.deliver_block(b));
+        let mut out = vec![self.count("deliver_requests")];
+        out.extend(tail.map(resend));
+        out
+    }
+
+    /// Adds `peer` to the delivery list (elastic membership).
+    fn subscribe(&mut self, peer: ActorId) -> Vec<Action> {
+        if self.peers.contains(&peer) {
+            return Vec::new();
+        }
+        self.peers.push(peer);
+        vec![self.count("subscriptions")]
+    }
+
+    /// The action that adds one to the channel's counter of this name.
+    fn count(&self, name: &'static str) -> Action {
+        Action::Count(Some(self.channel.clone()), name, 1)
+    }
+}
+
+/// A raft member's consensus state.
+struct RaftMember {
+    node: RaftNode<Vec<RawEnvelope>>,
+    /// This member's index in `cluster`, the members' actor ids.
+    index: usize,
+    cluster: Vec<ActorId>,
+    /// Transactions this member admitted (and opened `order.queue` spans
+    /// for) that have neither applied nor been dropped. Span closes follow
+    /// this set, not current leadership: an entry admitted here may commit
+    /// under a later leader, and gating on `is_leader()` at apply time
+    /// would close the span at the wrong member (or twice) whenever
+    /// leadership moved in between.
+    admitted: BTreeSet<TxId>,
+}
+
+impl RaftMember {
+    /// Ships a raft step's consensus messages and delivers every batch the
+    /// cluster committed, one CPU job of the block's cost per block.
+    fn ship(
+        &mut self,
+        chain: &mut Chain,
+        stepped: RaftOutput<Vec<RawEnvelope>>,
+        out: &mut Vec<Action>,
+    ) {
+        let wrap = |(dst, msg)| {
+            let msg = FabricMsg::Raft(Box::new(msg));
+            Action::Send(self.cluster[dst], msg.wire_size(), msg)
+        };
+        out.extend(stepped.messages.into_iter().map(wrap));
+        for (_, batch) in stepped.committed {
+            let mut sends = Vec::new();
+            let (close, bytes) = chain.block(batch, Some(self), &mut sends, out);
+            let cost = chain.costs.block_cost(bytes);
+            out.push(Action::Job(cost, sends, vec![close]));
+        }
+    }
+}
+
+/// When a cut batch becomes a block, and what ordering costs.
+enum Consensus {
+    /// At once: every block an input cuts is assembled and delivered as
+    /// one CPU job, paid by the envelope that cut it.
+    Solo,
+    /// Once the cluster has committed it: each member that applies the
+    /// entry delivers the block to all peers (peers deduplicate by
+    /// height), one CPU job of the block's cost each.
+    Raft(Box<RaftMember>),
+}
+
+/// An ordering node's decisions, on the one channel it orders.
+pub struct OrderingNode {
+    chain: Chain,
+    cutter: BlockCutter,
+    /// The batch timer is armed exactly while the cutter holds something.
+    batch_armed: bool,
+    consensus: Consensus,
+}
+
+impl OrderingNode {
+    /// The single-node ("solo") ordering service of `channel`, as used by
+    /// the paper's setup, delivering blocks to `peers`.
+    pub fn solo(
         channel: ChannelId,
         batch: BatchConfig,
         peers: Vec<ActorId>,
         costs: CostModel,
     ) -> Self {
-        let harness_name = if channel.is_default() {
-            node
-        } else {
-            format!("{node}.{channel}")
-        };
-        OrderingFrontEnd {
-            channel,
-            cutter: BlockCutter::new(batch),
-            batch_timer: None,
-            assembler: BlockAssembler::new(),
-            peers,
-            retained: VecDeque::new(),
-            costs,
-            harness: ServiceHarness::new(harness_name),
-        }
-    }
-
-    /// The channel's name for an orderer metric (namespaced by channel
-    /// unless it is the default one).
-    fn metric(&self, suffix: &str) -> String {
-        self.channel.metric_name("orderer", suffix)
-    }
-
-    /// Takes one broadcast into the cutter: counts it, opens the `order.queue`
-    /// span (the time the tx waits for its batch to cut) and cancels the
-    /// batch timer when a batch cut. Returns the tx id, the envelope's
-    /// ordering cost and what the cutter wants done.
-    fn accept(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        env: Envelope,
-    ) -> (TxId, SimDuration, CutterOutput) {
-        let raw = env.to_raw();
-        let tx_id = raw.tx_id;
-        let cost = self.costs.order_cost(raw.bytes.len() as u64);
-        ctx.metrics().incr(&self.metric("broadcasts"), 1);
-        ctx.span_start(&tx_trace(&tx_id), "order.queue", "");
-        let out = self.cutter.offer(raw);
-        if !out.batches.is_empty() {
-            if let Some(t) = self.batch_timer.take() {
-                ctx.cancel_timer(t);
-            }
-        }
-        (tx_id, cost, out)
-    }
-
-    /// Arms the batch timer when the cutter holds pending envelopes and no
-    /// timer is running.
-    fn arm_batch_timer(&mut self, ctx: &mut Context<'_, M>, needed: bool) {
-        if needed && self.batch_timer.is_none() {
-            let timeout = self.cutter.config().timeout;
-            self.batch_timer = Some(ctx.set_timer(timeout, BATCH_TIMER));
-        }
-    }
-
-    /// The batch timer fired: cuts whatever is pending.
-    fn on_batch_timeout(&mut self, ctx: &mut Context<'_, M>) -> Option<Vec<RawEnvelope>> {
-        self.batch_timer = None;
-        let batch = self.cutter.cut()?;
-        ctx.metrics().incr(&self.metric("timeout_cuts"), 1);
-        Some(batch)
-    }
-
-    /// Assembles `batch` into the chain's next block and counts it;
-    /// returns the block with its trace name.
-    fn cut_block(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        batch: Vec<RawEnvelope>,
-    ) -> (Arc<Block>, String) {
-        let block = Arc::new(self.assembler.assemble(batch));
-        ctx.metrics().incr(&self.metric("blocks_cut"), 1);
-        let trace = self
-            .channel
-            .trace_name(&format!("block-{}", block.header.number));
-        (block, trace)
-    }
-
-    /// Opens the block's `order.deliver` span (assembly + dissemination,
-    /// closed by the returned [`SpanClose`] at CPU finish), retains the
-    /// block for the deliver service and appends one `DeliverBlock` per
-    /// peer to `sends`.
-    fn fan_out(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        block: &Arc<Block>,
-        trace: String,
-        detail: String,
-        sends: &mut Vec<Outbound<M>>,
-    ) -> SpanClose {
-        ctx.span_start(&trace, "order.deliver", &detail);
-        self.retained.push_back(Arc::clone(block));
-        while self.retained.len() > RETAINED_BLOCKS {
-            self.retained.pop_front();
-        }
-        let bytes = block.wire_size();
-        for &peer in &self.peers {
-            let msg = FabricMsg::DeliverBlock(self.channel.clone(), Arc::clone(block));
-            sends.push((peer, bytes, M::wrap(msg)));
-        }
-        SpanClose::new(trace, "order.deliver", detail)
-    }
-
-    /// The deliver service: re-sends every retained block from height
-    /// `from` to `src`.
-    fn on_deliver_request(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        src: ActorId,
-        channel: ChannelId,
-        from: u64,
-    ) {
-        if channel != self.channel {
-            return; // another channel's ordering service
-        }
-        ctx.metrics().incr(&self.metric("deliver_requests"), 1);
-        for block in self.retained.iter() {
-            if block.header.number >= from {
-                let msg = FabricMsg::DeliverBlock(self.channel.clone(), block.clone());
-                ctx.send(src, block.wire_size(), M::wrap(msg));
-            }
-        }
-    }
-
-    /// Adds `peer` to the delivery list (elastic membership).
-    fn on_subscribe(&mut self, ctx: &mut Context<'_, M>, channel: ChannelId, peer: ActorId) {
-        if channel != self.channel {
-            return; // another channel's ordering service
-        }
-        if !self.peers.contains(&peer) {
-            self.peers.push(peer);
-            ctx.metrics().incr(&self.metric("subscriptions"), 1);
-        }
-    }
-
-    /// Crash restart. The assembled chain (`assembler`, `retained`) models
-    /// the orderer's durable ledger and survives; transactions pending in
-    /// the cutter are volatile and are lost — their clients observe a
-    /// commit timeout and retry with fresh tx ids.
-    fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
-        let config = *self.cutter.config();
-        self.cutter = BlockCutter::new(config);
-        self.batch_timer = None;
-        self.harness.reset();
-        ctx.metrics().incr(&self.metric("recoveries"), 1);
-    }
-}
-
-/// A single-node ("solo") ordering service for one channel, as used by
-/// the paper's setup. A multi-channel deployment runs one ordering
-/// pipeline (solo or raft) per channel.
-pub struct SoloOrdererActor<M> {
-    front: OrderingFrontEnd<M>,
-}
-
-impl<M: Carries<FabricMsg>> SoloOrdererActor<M> {
-    /// Creates a solo orderer for `channel` delivering blocks to `peers`.
-    /// Metrics are namespaced by channel unless it is the default one.
-    pub fn new(
-        channel: ChannelId,
-        config: BatchConfig,
-        peers: Vec<ActorId>,
-        costs: CostModel,
-    ) -> Self {
-        SoloOrdererActor {
-            front: OrderingFrontEnd::new("orderer".to_owned(), channel, config, peers, costs),
-        }
-    }
-
-    /// Turns cut batches into blocks and delivers them at once, as one
-    /// CPU job of `cost`.
-    fn deliver_batches(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        batches: Vec<Vec<RawEnvelope>>,
-        cost: SimDuration,
-    ) {
-        if batches.is_empty() {
-            return;
-        }
-        let mut sends = Vec::new();
-        let mut closes = Vec::new();
-        for batch in batches {
-            let (block, trace) = self.front.cut_block(ctx, batch);
-            for raw in block.envelopes.iter() {
-                // The tx has left the cutter's pending queue.
-                ctx.span_end(&tx_trace(&raw.tx_id), "order.queue", "");
-            }
-            ctx.trace_event(
-                &trace,
-                "block.cut",
-                &format!("txs={}", block.envelopes.len()),
-            );
-            closes.push(
-                self.front
-                    .fan_out(ctx, &block, trace, String::new(), &mut sends),
-            );
-        }
-        self.front.harness.defer(ctx, cost, sends, closes);
-    }
-}
-
-impl<M: Carries<FabricMsg>> Actor<M> for SoloOrdererActor<M> {
-    fn on_event(&mut self, ctx: &mut Context<'_, M>, event: Event<M>) {
-        match event {
-            Event::Message { src, msg } => match msg.peel() {
-                Ok(FabricMsg::Broadcast(env)) => {
-                    // The cut-triggering envelope's ordering cost pays for
-                    // the blocks it cuts.
-                    let (_, cost, out) = self.front.accept(ctx, env);
-                    self.deliver_batches(ctx, out.batches, cost);
-                    self.front.arm_batch_timer(ctx, out.timer_needed);
-                }
-                Ok(FabricMsg::DeliverRequest { channel, from }) => {
-                    self.front.on_deliver_request(ctx, src, channel, from)
-                }
-                Ok(FabricMsg::DeliverSubscribe { channel, peer }) => {
-                    self.front.on_subscribe(ctx, channel, peer)
-                }
-                Ok(_) | Err(_) => {}
+        OrderingNode {
+            chain: Chain {
+                channel,
+                assembler: BlockAssembler::new(),
+                peers,
+                retained: VecDeque::new(),
+                costs,
             },
-            Event::Timer { token: BATCH_TIMER } => {
-                if let Some(batch) = self.front.on_batch_timeout(ctx) {
-                    let cost = self.front.costs.block_base;
-                    self.deliver_batches(ctx, vec![batch], cost);
-                }
-            }
-            Event::Timer { token } => {
-                let _ = self.front.harness.on_timer(ctx, token);
-            }
+            cutter: BlockCutter::new(batch),
+            batch_armed: false,
+            consensus: Consensus::Solo,
         }
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
-        self.front.on_restart(ctx);
-    }
-}
-
-/// A Raft-replicated ordering node. Run one actor per cluster member; each
-/// member that applies a committed batch delivers the resulting block to
-/// all peers (peers deduplicate by height).
-pub struct RaftOrdererActor<M> {
-    front: OrderingFrontEnd<M>,
-    raft: RaftNode<Vec<RawEnvelope>>,
-    /// This member's cluster index, used as span detail so the per-member
-    /// `order.deliver` spans of one block do not collide.
-    index: usize,
-    /// Actor ids of the raft cluster, indexed by raft peer index.
-    cluster: Vec<ActorId>,
-    /// Transactions this member admitted (and opened `order.queue` spans
-    /// for) that have not yet applied. Span closes follow this set, not
-    /// current leadership: an entry admitted here may commit under a
-    /// later leader, and gating on `is_leader()` at apply time would
-    /// close the span at the wrong member (or twice) whenever leadership
-    /// moved in between.
-    admitted: BTreeSet<TxId>,
-}
-
-impl<M: Carries<FabricMsg>> RaftOrdererActor<M> {
-    /// Creates raft orderer `index` of `channel`'s `cluster.len()`-member
-    /// ordering cluster. Metrics are namespaced by the channel unless it
-    /// is the default one.
-    pub fn new(
+    /// Member `index` of `channel`'s `cluster.len()`-member raft ordering
+    /// cluster; `seed` draws its election timeouts.
+    pub fn raft(
         index: usize,
         cluster: Vec<ActorId>,
         channel: ChannelId,
@@ -326,133 +220,169 @@ impl<M: Carries<FabricMsg>> RaftOrdererActor<M> {
         seed: u64,
         costs: CostModel,
     ) -> Self {
-        RaftOrdererActor {
-            front: OrderingFrontEnd::new(format!("orderer{index}"), channel, batch, peers, costs),
-            raft: RaftNode::new(index, cluster.len(), RaftConfig::default(), seed),
+        let member = RaftMember {
+            node: RaftNode::new(index, cluster.len(), RaftConfig::default(), seed),
             index,
             cluster,
             admitted: BTreeSet::new(),
+        };
+        OrderingNode {
+            consensus: Consensus::Raft(Box::new(member)),
+            ..OrderingNode::solo(channel, batch, peers, costs)
         }
     }
 
-    /// True if this member currently leads the cluster.
+    /// True if this node orders for its channel now: always for solo, for
+    /// a raft member while it leads the cluster.
     pub fn is_leader(&self) -> bool {
-        self.raft.is_leader()
+        match &self.consensus {
+            Consensus::Solo => true,
+            Consensus::Raft(member) => member.node.is_leader(),
+        }
     }
 
-    /// Ships consensus messages and delivers every batch the cluster
-    /// committed, one CPU job of `block_cost` per block.
-    fn ship(&mut self, ctx: &mut Context<'_, M>, out: RaftOutput<Vec<RawEnvelope>>) {
-        for (dst, msg) in out.messages {
-            let wrapped = FabricMsg::Raft(Box::new(msg));
-            let bytes = wrapped.wire_size();
-            ctx.send(self.cluster[dst], bytes, M::wrap(wrapped));
+    /// The token of the timer a host fires once, at no delay, to start the
+    /// node: a raft member's first consensus tick. Solo needs none.
+    pub fn first_timer(&self) -> Option<u64> {
+        matches!(self.consensus, Consensus::Raft(_)).then_some(RAFT_TICK)
+    }
+
+    /// A message from `src`; what an ordering node does not take — a
+    /// request to another channel's ordering service, say — is ignored.
+    pub fn message(&mut self, src: ActorId, msg: FabricMsg) -> Vec<Action> {
+        let here = &self.chain.channel;
+        match (msg, &mut self.consensus) {
+            (FabricMsg::Broadcast(env), _) => self.broadcast(env),
+            (FabricMsg::DeliverRequest { channel, from }, _) if channel == *here => {
+                self.chain.deliver_request(src, from)
+            }
+            (FabricMsg::DeliverSubscribe { channel, peer }, _) if channel == *here => {
+                self.chain.subscribe(peer)
+            }
+            (FabricMsg::Raft(msg), Consensus::Raft(member)) => {
+                let (mut out, stepped) = (Vec::new(), member.node.step(*msg));
+                member.ship(&mut self.chain, stepped, &mut out);
+                out
+            }
+            _ => Vec::new(),
         }
-        for (_, batch) in out.committed {
-            let (block, trace) = self.front.cut_block(ctx, batch);
-            for raw in block.envelopes.iter() {
-                // Queue spans close at the member that admitted the tx
-                // (see the `admitted` field), even if leadership moved and
-                // the entry committed under a different leader.
-                if self.admitted.remove(&raw.tx_id) {
-                    ctx.span_end(&tx_trace(&raw.tx_id), "order.queue", "");
+    }
+
+    /// The timer of `token` fired: the batch timeout cuts whatever is
+    /// pending, a raft member's tick drives its consensus and re-arms.
+    pub fn timer(&mut self, token: u64) -> Vec<Action> {
+        let mut out = Vec::new();
+        match (token, &mut self.consensus) {
+            (BATCH_TIMER, _) => {
+                self.batch_armed = false;
+                if let Some(batch) = self.cutter.cut() {
+                    out.push(self.chain.count("timeout_cuts"));
+                    let cost = self.chain.costs.block_base;
+                    self.order(vec![batch], cost, &mut out);
                 }
             }
-            let mut sends = Vec::new();
-            let close = self
-                .front
-                .fan_out(ctx, &block, trace, self.index.to_string(), &mut sends);
-            let cost = self.front.costs.block_cost(block.wire_size());
-            self.front.harness.defer(ctx, cost, sends, vec![close]);
+            (RAFT_TICK, Consensus::Raft(member)) => {
+                let ticked = member.node.tick();
+                member.ship(&mut self.chain, ticked, &mut out);
+                out.push(Action::Arm(RAFT_TICK, RAFT_TICK_INTERVAL));
+            }
+            _ => {}
         }
+        out
     }
 
-    fn propose_batches(&mut self, ctx: &mut Context<'_, M>, batches: Vec<Vec<RawEnvelope>>) {
-        for batch in batches {
-            match self.raft.propose(batch) {
-                Ok(out) => self.ship(ctx, out),
-                Err(_) => {
-                    let name = self.front.metric("dropped_not_leader");
-                    ctx.metrics().incr(&name, 1)
-                }
+    /// Crash restart. The assembled chain and the retained tail model the
+    /// orderer's durable ledger and survive, and so do a raft member's
+    /// term, vote and log: a restarted stale leader steps down as soon as
+    /// it hears a higher term. Transactions pending in the cutter are
+    /// volatile and are lost — their clients observe a commit timeout and
+    /// retry with fresh tx ids — and the spans of pre-crash admissions
+    /// stay open in the tracer (reported as open, never as unmatched). The
+    /// crash dropped every pending timer, so the tick is armed again.
+    pub fn restarted(&mut self) -> Vec<Action> {
+        self.cutter = BlockCutter::new(*self.cutter.config());
+        self.batch_armed = false;
+        let mut out = vec![self.chain.count("recoveries")];
+        if let Consensus::Raft(member) = &mut self.consensus {
+            member.admitted.clear();
+            out.push(Action::Arm(RAFT_TICK, RAFT_TICK_INTERVAL));
+        }
+        out
+    }
+
+    /// A client's envelope. A raft member that does not lead forwards it
+    /// to the leader it knows of, or drops it; the node that orders takes
+    /// it into the cutter: counts it, opens its `order.queue` span (the
+    /// time the tx waits for its batch to cut), cancels the batch timer
+    /// when a batch cut, and arms it when something stays pending.
+    fn broadcast(&mut self, env: Envelope) -> Vec<Action> {
+        if let Consensus::Raft(member) = &self.consensus {
+            if !member.node.is_leader() {
+                let Some(leader) = member.node.leader_hint() else {
+                    return vec![self.chain.count("dropped_no_leader")];
+                };
+                let (dst, bytes) = (member.cluster[leader], env.wire_size());
+                let forward = Action::Send(dst, bytes, FabricMsg::Broadcast(env));
+                return vec![forward, self.chain.count("redirects")];
             }
         }
-    }
-
-    fn on_broadcast(&mut self, ctx: &mut Context<'_, M>, env: Envelope) {
-        if self.raft.is_leader() {
-            let (tx_id, cost, out) = self.front.accept(ctx, env);
-            self.admitted.insert(tx_id);
+        let raw = env.to_raw();
+        let tx_id = raw.tx_id;
+        let cost = self.chain.costs.order_cost(raw.bytes.len() as u64);
+        let cut = self.cutter.offer(raw);
+        // Room for what each cut block answers with.
+        let txs: usize = cut.batches.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(4 + txs + 4 * cut.batches.len());
+        out.push(self.chain.count("broadcasts"));
+        let trace = tx_trace(&tx_id);
+        out.push(Action::SpanStart(trace, "order.queue", String::new()));
+        if !cut.batches.is_empty() && std::mem::take(&mut self.batch_armed) {
+            out.push(Action::Disarm(BATCH_TIMER));
+        }
+        if let Consensus::Raft(member) = &mut self.consensus {
+            member.admitted.insert(tx_id);
             // Admission cost is charged but does not gate consensus
             // messages (they are network-bound).
-            self.front.harness.charge(ctx, cost);
-            self.propose_batches(ctx, out.batches);
-            self.front.arm_batch_timer(ctx, out.timer_needed);
-        } else if let Some(leader) = self.raft.leader_hint() {
-            // Redirect to the current leader.
-            let bytes = env.wire_size();
-            let dst = self.cluster[leader];
-            ctx.send(dst, bytes, M::wrap(FabricMsg::Broadcast(env)));
-            let name = self.front.metric("redirects");
-            ctx.metrics().incr(&name, 1);
-        } else {
-            let name = self.front.metric("dropped_no_leader");
-            ctx.metrics().incr(&name, 1);
+            out.push(Action::Charge(cost));
+        }
+        // Solo: the cut-triggering envelope's ordering cost pays for the
+        // blocks it cuts.
+        self.order(cut.batches, cost, &mut out);
+        if cut.timer_needed && !self.batch_armed {
+            self.batch_armed = true;
+            out.push(Action::Arm(BATCH_TIMER, self.cutter.config().timeout));
+        }
+        out
+    }
+
+    /// Hands cut batches to consensus. Solo turns them into blocks and
+    /// delivers them at once, as one CPU job of `cost`; a raft leader
+    /// proposes each to the cluster, and a member deposed since it took
+    /// the envelopes in drops the batch: its transactions have left the
+    /// queue for good, and their clients time out and retry.
+    fn order(&mut self, batches: Vec<Vec<RawEnvelope>>, cost: SimDuration, out: &mut Vec<Action>) {
+        let member = match &mut self.consensus {
+            Consensus::Raft(member) => member,
+            Consensus::Solo if batches.is_empty() => return,
+            Consensus::Solo => {
+                let (mut sends, mut closes) = (Vec::new(), Vec::new());
+                for batch in batches {
+                    closes.push(self.chain.block(batch, None, &mut sends, out).0);
+                }
+                out.push(Action::Job(cost, sends, closes));
+                return;
+            }
+        };
+        for batch in batches {
+            match member.node.propose(batch) {
+                Ok(proposed) => member.ship(&mut self.chain, proposed, out),
+                Err(batch) => {
+                    out.push(self.chain.count("dropped_not_leader"));
+                    let admitted = &mut member.admitted;
+                    let dropped = batch.iter().filter(|raw| admitted.remove(&raw.tx_id));
+                    out.extend(dropped.map(queue_left));
+                }
+            }
         }
     }
 }
-
-impl<M: Carries<FabricMsg> + 'static> Actor<M> for RaftOrdererActor<M> {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn on_event(&mut self, ctx: &mut Context<'_, M>, event: Event<M>) {
-        match event {
-            Event::Message { src, msg } => match msg.peel() {
-                Ok(FabricMsg::DeliverRequest { channel, from }) => {
-                    self.front.on_deliver_request(ctx, src, channel, from)
-                }
-                Ok(FabricMsg::Broadcast(env)) => self.on_broadcast(ctx, env),
-                Ok(FabricMsg::Raft(raft_msg)) => {
-                    let out = self.raft.step(*raft_msg);
-                    self.ship(ctx, out);
-                }
-                Ok(FabricMsg::DeliverSubscribe { channel, peer }) => {
-                    self.front.on_subscribe(ctx, channel, peer)
-                }
-                Ok(_) | Err(_) => {}
-            },
-            Event::Timer { token: RAFT_TICK } => {
-                let out = self.raft.tick();
-                self.ship(ctx, out);
-                ctx.set_timer(RAFT_TICK_INTERVAL, RAFT_TICK);
-            }
-            Event::Timer { token: BATCH_TIMER } => {
-                if let Some(batch) = self.front.on_batch_timeout(ctx) {
-                    self.propose_batches(ctx, vec![batch]);
-                }
-            }
-            Event::Timer { token } => {
-                let _ = self.front.harness.on_timer(ctx, token);
-            }
-        }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
-        // Raft term/vote/log model the persisted consensus state and
-        // survive the crash; a restarted stale leader steps down as soon
-        // as it hears a higher term. The spans of pre-crash admissions
-        // stay open in the tracer (reported as open, never as unmatched).
-        // The consensus tick must be re-armed because the crash dropped
-        // every pending timer.
-        self.admitted.clear();
-        self.front.on_restart(ctx);
-        ctx.set_timer(RAFT_TICK_INTERVAL, RAFT_TICK);
-    }
-}
-
-/// Kick-off token: schedule this timer on each raft orderer at start so it
-/// begins ticking (use [`hyperprov_sim::Simulation::start_timer`] with
-/// [`RAFT_TICK_TOKEN`]).
-pub const RAFT_TICK_TOKEN: u64 = RAFT_TICK;

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_ledger::{Block, ChannelId, Snapshot, DEFAULT_CHUNK_ENTRIES};
-use hyperprov_sim::{ActorId, SimDuration};
+use hyperprov_sim::{fnv1a, ActorId, SimDuration};
 
 use crate::caches::{ReadCache, SigVerifyCache};
 use crate::catchup::{self, CatchUp};
@@ -79,20 +79,19 @@ impl SnapshotPolicy {
     }
 }
 
-/// One thing the host must do for the machine, in the order given. An
-/// action says who, what and how much CPU, never when: the host owns the
-/// clock. A metric belongs to the hosted channel named, or with `None` to
-/// the peer itself.
-#[allow(clippy::large_enum_variant)] // short-lived and mostly sends, as `catchup::Action`
+/// What a peer answers an input with, in the order its host must perform
+/// it. A span's or note's detail is the peer's name, a metric belongs to
+/// the hosted channel named, or with `None` to the peer itself.
+pub type Action = crate::action::Action<Own>;
+
+/// What only a peer asks of its host.
+#[allow(clippy::large_enum_variant)] // short-lived, as `Action`
 #[derive(Debug)]
-pub enum Action {
-    /// Send the message to the actor now.
-    Send(ActorId, FabricMsg),
-    /// Run a CPU job of this cost, then send the message to the actor.
-    Defer(SimDuration, ActorId, FabricMsg),
-    /// [`Action::Defer`] for an admitted request: the span (trace, stage)
-    /// opens now and closes when the job is done, which also frees the
-    /// request's place in the admission queue.
+pub enum Own {
+    /// Run a CPU job of this cost, then send the message to the actor,
+    /// for an admitted request: the span (trace, stage) opens now and
+    /// closes when the job is done, which also frees the request's place
+    /// in the admission queue.
     DeferRequest(SimDuration, (String, &'static str), ActorId, FabricMsg),
     /// A block was committed: run its VSCC checks as one parallel batch
     /// over the CPU lanes (span `commit.vscc`), then the serial MVCC +
@@ -108,25 +107,18 @@ pub enum Action {
         /// Who is told about which transaction.
         events: Vec<(ActorId, FabricMsg)>,
     },
-    /// Keep the CPU busy for this long; nothing waits for it.
-    Charge(SimDuration),
-    /// Arm the timer of this token; it comes back through [`Peer::timer`].
-    Arm(u64, SimDuration),
-    /// Cancel the timer of this token, if it is pending.
-    Disarm(u64),
-    /// Add to the counter of this name.
-    Count(Option<ChannelId>, &'static str, u64),
-    /// Set the gauge of this name.
-    Gauge(Option<ChannelId>, &'static str, f64),
-    /// Open span `stage` on the trace.
-    SpanStart(String, &'static str),
-    /// Close span `stage` on the trace.
-    SpanEnd(String, &'static str),
-    /// Record a point event of this name on the trace; without a detail
-    /// of its own it gets the peer's name.
-    Note(String, &'static str, Option<String>),
     /// Feed this many events of this source to the SLO monitor.
     Slo(&'static str, u64),
+}
+
+/// The action that sends `msg`, its encoded size on the wire, to `to`.
+fn send(to: ActorId, msg: FabricMsg) -> Action {
+    Action::Send(to, msg.wire_size(), msg)
+}
+
+/// The action that sends `msg` to `to` once a CPU job of `cost` is done.
+fn defer(cost: SimDuration, to: ActorId, msg: FabricMsg) -> Action {
+    Action::Job(cost, vec![(to, msg.wire_size(), msg)], vec![])
 }
 
 /// A hosted channel: its ledger, the durable latest snapshot, and what a
@@ -162,8 +154,9 @@ pub struct Peer {
     identity: SigningIdentity,
     registry: ChaincodeRegistry,
     costs: CostModel,
-    /// Per-peer salt of the catch-up retry backoff.
-    salt: u64,
+    /// The peer's metric prefix: the detail of its spans, and, hashed,
+    /// the salt of its catch-up retry backoff.
+    name: String,
     /// Hosted channels in joining order: the index is the channel's
     /// retry-timer token.
     channels: Vec<Channel>,
@@ -181,19 +174,18 @@ pub struct Peer {
 }
 
 impl Peer {
-    /// A peer hosting no channel yet. `salt` decorrelates its catch-up
-    /// retry backoff from the other peers'.
+    /// A peer called `name`, hosting no channel yet.
     pub fn new(
         identity: SigningIdentity,
         registry: ChaincodeRegistry,
         costs: CostModel,
-        salt: u64,
+        name: String,
     ) -> Self {
         Peer {
             identity,
             registry,
             costs,
-            salt,
+            name,
             channels: Vec::new(),
             by_id: BTreeMap::new(),
             subscribers: BTreeMap::new(),
@@ -209,7 +201,7 @@ impl Peer {
         let id = committer.borrow().channel().clone();
         self.by_id.insert(id.clone(), self.channels.len());
         self.channels.push(Channel {
-            catchup: CatchUp::new(id.clone(), target, self.salt),
+            catchup: CatchUp::new(id.clone(), target, fnv1a(self.name.as_bytes())),
             id,
             committer,
             buffer: BTreeMap::new(),
@@ -341,14 +333,14 @@ impl Peer {
         // already computed.
         let span = (tx_trace(&response.tx_id), "endorse.exec");
         let result = FabricMsg::ProposalResult(response);
-        out.push(Action::DeferRequest(cost, span, src, result));
+        out.push(Action::Own(Own::DeferRequest(cost, span, src, result)));
         out
     }
 
     /// An immediate rejection carrying `reason`.
     fn reject(&self, src: ActorId, sp: &SignedProposal, reason: String) -> Action {
         let refusal = ProposalResponse::refused(&self.identity, sp.proposal.tx_id(), reason);
-        Action::Send(src, FabricMsg::ProposalResult(refusal))
+        send(src, FabricMsg::ProposalResult(refusal))
     }
 
     /// A delivered block: a duplicate (multi-orderer dissemination) is
@@ -396,8 +388,9 @@ impl Peer {
     /// as one. Answers whether the block extended the chain.
     fn commit(&mut self, i: usize, block: Arc<Block>, out: &mut Vec<Action>) -> bool {
         let (ch, sig_cache) = (&mut self.channels[i], self.sig_cache.as_mut());
+        let name = &self.name;
         let trace = ch.id.trace_name(&format!("block-{}", block.header.number));
-        out.push(Action::SpanStart(trace.clone(), "validate"));
+        out.push(Action::SpanStart(trace.clone(), "validate", name.clone()));
         let verdicts = ch.committer.borrow().vscc_block(&block, sig_cache);
         let mut vscc = Vec::with_capacity(verdicts.len());
         let mut serial = self.costs.block_cost(block.wire_size());
@@ -433,9 +426,9 @@ impl Peer {
         let outcome = match committed {
             Ok(outcome) => outcome,
             Err(err) => {
-                out.push(Action::SpanEnd(trace.clone(), "validate"));
+                out.push(Action::SpanEnd(trace.clone(), "validate", name.clone()));
                 out.push(count("commit_errors", 1));
-                out.push(Action::Note(trace, "commit_error", Some(err.to_string())));
+                out.push(Action::Note(trace, "commit_error", err.to_string()));
                 return false;
             }
         };
@@ -443,12 +436,12 @@ impl Peer {
         out.push(count("tx.valid", outcome.valid as u64));
         out.push(count("tx.invalid", outcome.invalid as u64));
         // Goodput SLOs watch committed-transaction events.
-        out.push(Action::Slo("commit.tx", outcome.valid as u64));
+        out.push(Action::Own(Own::Slo("commit.tx", outcome.valid as u64)));
         // Committed records whose parent ids are absent from the graph
         // index: only when a block actually dangles (strict runs never do).
         if outcome.dangling_parents > 0 {
             out.push(count("dangling_parent", outcome.dangling_parents));
-            out.push(Action::Note(trace.clone(), "dangling_parent", None));
+            out.push(Action::Note(trace.clone(), "dangling_parent", name.clone()));
         }
         // Every committed write invalidates its read-cache entry: the
         // cached version is no longer the latest.
@@ -460,12 +453,12 @@ impl Peer {
             }
         }
         let events = self.commit_events(outcome.events);
-        out.push(Action::Committed {
+        out.push(Action::Own(Own::Committed {
             trace,
             vscc,
             serial,
             events,
-        });
+        }));
         true
     }
 
@@ -548,7 +541,7 @@ impl Peer {
         let mut todo = VecDeque::from(input(&mut ch.catchup, height, !ch.buffer.is_empty()));
         while let Some(action) = todo.pop_front() {
             match action {
-                catchup::Action::Send(dest, msg) => out.push(Action::Send(dest, msg)),
+                catchup::Action::Send(dest, msg) => out.push(send(dest, msg)),
                 catchup::Action::Arm(delay) => {
                     out.extend([Action::Disarm(i as u64), Action::Arm(i as u64, delay)]);
                 }
@@ -581,7 +574,7 @@ impl Peer {
             .map(|s| Box::new(s.manifest().clone()));
         let requests = Action::Count(Some(channel.clone()), "snapshot_requests", 1);
         let offer = FabricMsg::SnapshotOffer { channel, manifest };
-        vec![requests, Action::Defer(self.costs.cache_hit_op, src, offer)]
+        vec![requests, defer(self.costs.cache_hit_op, src, offer)]
     }
 
     /// A request for one part (state chunk or tail) of the snapshot at
@@ -609,7 +602,7 @@ impl Peer {
             index,
             part,
         };
-        vec![Action::Defer(cost, src, msg)]
+        vec![defer(cost, src, msg)]
     }
 
     fn hosted(&self, channel: &ChannelId) -> Option<usize> {

@@ -310,9 +310,13 @@ impl<T: Clone> RaftNode<T> {
     }
 
     fn become_follower(&mut self, term: u64, leader: Option<PeerIdx>) {
+        // A vote lasts for its term: following the leader of the term
+        // voted in must not free the vote for a second candidate.
+        if term > self.term {
+            self.voted_for = None;
+        }
         self.term = term;
         self.role = Role::Follower;
-        self.voted_for = None;
         self.votes.clear();
         self.leader_hint = leader;
         self.reset_election_timer();
@@ -823,6 +827,32 @@ mod tests {
         let _ = n.propose(9).unwrap();
         assert_eq!(n.commit_index(), 0);
         drop(out);
+    }
+
+    /// Found by the ordering machines' adversarial schedule: a voter that
+    /// heard from the leader it voted for used to forget the vote, and a
+    /// late `RequestVote` of the same term then made a second leader.
+    #[test]
+    fn a_vote_is_kept_for_its_term() {
+        let mut voter: RaftNode<u64> = RaftNode::new(1, 3, RaftConfig::default(), 7);
+        let ask = |candidate| RaftMsg::RequestVote {
+            term: 1,
+            candidate,
+            last_log_index: 0,
+            last_log_term: 0,
+        };
+        let granted = |out: RaftOutput<u64>| matches!(out.messages[..], [(_, RaftMsg::VoteReply { granted, .. })] if granted);
+        assert!(granted(voter.step(ask(0))));
+        let _ = voter.step(RaftMsg::AppendEntries {
+            term: 1,
+            leader: 0,
+            prev_index: 0,
+            prev_term: 0,
+            entries: vec![],
+            leader_commit: 0,
+        });
+        assert!(!granted(voter.step(ask(2))));
+        assert!(granted(voter.step(ask(0))));
     }
 
     #[test]

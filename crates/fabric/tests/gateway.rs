@@ -6,14 +6,13 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    perform, Armed, BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
-    ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayError,
-    GatewayReply, MspBuilder, MspId, PeerActor, Route, SoloOrdererActor,
+    BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelPolicies,
+    Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayAction, GatewayDone,
+    GatewayError, GatewayReply, Host, MspBuilder, MspId, OrdererActor, OrderingNode, PeerActor,
+    Route,
 };
 use hyperprov_ledger::ValidationCode;
-use hyperprov_sim::{
-    Actor, ActorId, Context, Event, ServiceHarness, SimDuration, SimTime, Simulation,
-};
+use hyperprov_sim::{Actor, ActorId, Context, Event, SimDuration, SimTime, Simulation};
 
 /// A chaincode whose output depends on a per-instance tag — installing
 /// different tags on different peers yields mismatching endorsements,
@@ -49,8 +48,7 @@ struct Log {
 
 struct OneShot {
     gateway: Gateway<()>,
-    armed: Armed,
-    harness: ServiceHarness<FabricMsg>,
+    host: Host<FabricMsg>,
     chaincode: &'static str,
     log: Rc<RefCell<Log>>,
 }
@@ -63,14 +61,28 @@ impl Actor<FabricMsg> for OneShot {
                     .invoke(0, (), self.chaincode, "go", vec![b"key".to_vec()])
             }
             Event::Timer { token } => {
-                let _ = self.harness.on_timer(ctx, token);
+                let _ = self.host.timer(ctx, token);
                 return;
             }
             Event::Message { msg, .. } => self.gateway.on_message(msg, ctx.rng()),
         };
-        let done = perform(ctx, &mut self.harness, &mut self.armed, actions);
+        let done = perform(ctx, &mut self.host, actions);
         self.log.borrow_mut().events.extend(done.map(|(_, r)| r));
     }
+}
+
+/// Has `host` perform what the gateway answered; the request that ended, if
+/// one did.
+fn perform(
+    ctx: &mut Context<'_, FabricMsg>,
+    host: &mut Host<FabricMsg>,
+    actions: Vec<GatewayAction<()>>,
+) -> Option<((), Result<GatewayReply, GatewayError>)> {
+    let mut done = None;
+    host.perform(ctx, actions, |_, _, GatewayDone(caller, result)| {
+        done = Some((caller, result));
+    });
+    done
 }
 
 struct Net {
@@ -111,21 +123,17 @@ fn build(
         peer.subscribe(client_actor, client_identity.certificate().id);
         peers.push(sim.add_actor(Box::new(peer)));
     }
-    let orderer = sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
-        "ch".into(),
-        BatchConfig {
-            max_message_count: 1,
-            ..BatchConfig::default()
-        },
-        peers.clone(),
-        costs,
-    )));
+    let batch = BatchConfig {
+        max_message_count: 1,
+        ..BatchConfig::default()
+    };
+    let node = OrderingNode::solo("ch".into(), batch, peers.clone(), costs);
+    let orderer = OrdererActor::start(node, &mut sim, 1.0);
     let log = Rc::new(RefCell::new(Log::default()));
     let route = Route::new("ch", peers, vec![orderer], needed);
     let got = sim.add_actor(Box::new(OneShot {
         gateway: Gateway::new(client_identity, vec![route], costs),
-        armed: Armed::new(),
-        harness: ServiceHarness::new("client"),
+        host: Host::new("client"),
         chaincode,
         log: log.clone(),
     }));

@@ -8,8 +8,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hyperprov_fabric::{
-    Caller, CommitEvent, CostModel, FabricMsg, Gateway, GatewayAction as Action, GatewayReply,
-    MspBuilder, MspId, ProposalResponse, RetryPolicy, Route, SigningIdentity, BUSY_REASON,
+    Caller, CommitEvent, CostModel, FabricMsg, Gateway, GatewayAction as Action,
+    GatewayDone as Done, GatewayReply, MspBuilder, MspId, ProposalResponse, RetryPolicy, Route,
+    SigningIdentity, BUSY_REASON,
 };
 use hyperprov_ledger::{ChannelId, RwSet, TxId, ValidationCode};
 use hyperprov_sim::{ActorId, DetRng, SimDuration};
@@ -144,17 +145,18 @@ fn show(actions: &[Action<Req>]) -> Vec<String> {
             Action::Arm(token, delay) if *delay == COMMIT => format!("arm#{token}=commit"),
             Action::Arm(token, _) => format!("arm#{token}=backoff"),
             Action::Disarm(token) => format!("disarm#{token}"),
-            Action::SpanStart(_, stage) => format!("[{stage}"),
-            Action::SpanEnd(_, stage) => format!("{stage}]"),
+            Action::SpanStart(_, stage, _) => format!("[{stage}"),
+            Action::SpanEnd(_, stage, _) => format!("{stage}]"),
             Action::Note(trace, name, _) if trace.starts_with("op-") => format!("!{name}@{trace}"),
             Action::Note(_, name, _) => format!("!{name}"),
-            Action::Count(name) => format!("+{name}"),
-            Action::Backoff(_) => "backoff".to_owned(),
-            Action::Done(Req(n), Ok(GatewayReply::Bytes(_))) => format!("done{n}=bytes"),
-            Action::Done(Req(n), Ok(GatewayReply::Committed { code, .. })) => {
+            Action::Count(None, name, 1) => format!("+client.{name}"),
+            Action::Observe("backoff", _) => "backoff".to_owned(),
+            Action::Own(Done(Req(n), Ok(GatewayReply::Bytes(_)))) => format!("done{n}=bytes"),
+            Action::Own(Done(Req(n), Ok(GatewayReply::Committed { code, .. }))) => {
                 format!("done{n}={code:?}")
             }
-            Action::Done(Req(n), Err(error)) => format!("done{n}={error:?}"),
+            Action::Own(Done(Req(n), Err(error))) => format!("done{n}={error:?}"),
+            other => panic!("not a gateway's action: {other:?}"),
         })
         .collect()
 }
@@ -416,7 +418,7 @@ mod transitions {
                     }
                     Action::Send(to, _, FabricMsg::Broadcast(_)) => envelopes.push(to.0),
                     Action::Arm(token, _) => armed = *token,
-                    Action::Done(..) => return (proposals, envelopes),
+                    Action::Own(Done(..)) => return (proposals, envelopes),
                     _ => {}
                 }
             }
@@ -520,7 +522,7 @@ struct Model {
     /// Replies on their way back to the gateway.
     wire: Vec<FabricMsg>,
     /// Spans opened and not closed.
-    open: BTreeSet<(TxId, &'static str)>,
+    open: BTreeSet<(String, &'static str)>,
     /// `Done`s per request number.
     done: BTreeMap<u32, u32>,
     /// How many of them were errors.
@@ -557,9 +559,9 @@ impl Model {
             match action {
                 Action::Arm(token, _) => assert!(self.armed.insert(token), "#{token} armed twice"),
                 Action::Disarm(token) => assert!(self.armed.remove(&token), "#{token} not armed"),
-                Action::SpanStart(tx, stage) => assert!(self.open.insert((tx, stage))),
-                Action::SpanEnd(tx, stage) => assert!(self.open.remove(&(tx, stage))),
-                Action::Done(Req(n), result) => {
+                Action::SpanStart(tx, stage, _) => assert!(self.open.insert((tx, stage))),
+                Action::SpanEnd(tx, stage, _) => assert!(self.open.remove(&(tx, stage))),
+                Action::Own(Done(Req(n), result)) => {
                     *self.done.entry(n).or_insert(0) += 1;
                     self.failed += u32::from(result.is_err());
                 }

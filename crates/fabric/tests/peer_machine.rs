@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{
     Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, CommitPipeline, Committer,
-    CostModel, FabricMsg, Peer, PeerAction as Action, Proposal, SignedProposal, SigningIdentity,
-    SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
+    CostModel, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal, SignedProposal,
+    SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, Encode, RawEnvelope, TxId, ValidationCode, DEFAULT_CHANNEL,
@@ -72,7 +72,8 @@ fn peer_on(
 ) -> (Peer, Rc<RefCell<Committer>>) {
     let mut registry = ChaincodeRegistry::new();
     registry.install(Arc::new(ReadCc));
-    let mut peer = Peer::new(identity.clone(), registry, CostModel::default(), 7);
+    let name = "peer0".to_owned();
+    let mut peer = Peer::new(identity.clone(), registry, CostModel::default(), name);
     peer.set_pipeline(pipeline);
     if let Some(interval) = snapshots {
         peer.set_snapshots(SnapshotPolicy::every(interval));
@@ -107,12 +108,21 @@ fn show(actions: &[Action]) -> Vec<String> {
     actions
         .iter()
         .map(|action| match action {
-            Action::Send(to, m) => format!("{}->{}", msg(m), to.0),
-            Action::Defer(_, to, m) => format!("job:{}->{}", msg(m), to.0),
-            Action::DeferRequest(_, (_, stage), to, m) => {
+            Action::Send(to, bytes, m) => {
+                assert_eq!(*bytes, m.wire_size());
+                format!("{}->{}", msg(m), to.0)
+            }
+            Action::Job(_, sends, _) => {
+                let [(to, bytes, m)] = &sends[..] else {
+                    panic!("{sends:?}");
+                };
+                assert_eq!(*bytes, m.wire_size());
+                format!("job:{}->{}", msg(m), to.0)
+            }
+            Action::Own(Own::DeferRequest(_, (_, stage), to, m)) => {
                 format!("request[{stage}]:{}->{}", msg(m), to.0)
             }
-            Action::Committed { trace, events, .. } => {
+            Action::Own(Own::Committed { trace, events, .. }) => {
                 let to: Vec<u32> = events.iter().map(|(to, _)| to.0).collect();
                 format!("committed {trace}->{to:?}")
             }
@@ -121,10 +131,11 @@ fn show(actions: &[Action]) -> Vec<String> {
             Action::Disarm(token) => format!("disarm#{token}"),
             Action::Count(s, name, n) => format!("+{}{name}={n}", scope(s)),
             Action::Gauge(s, name, v) => format!("{}{name}:={v}", scope(s)),
-            Action::SpanStart(trace, stage) => format!("[{stage} {trace}"),
-            Action::SpanEnd(trace, stage) => format!("{stage}] {trace}"),
+            Action::SpanStart(trace, stage, _) => format!("[{stage} {trace}"),
+            Action::SpanEnd(trace, stage, _) => format!("{stage}] {trace}"),
             Action::Note(trace, name, _) => format!("!{name} {trace}"),
-            Action::Slo(source, n) => format!("slo {source}={n}"),
+            Action::Own(Own::Slo(source, n)) => format!("slo {source}={n}"),
+            other => panic!("not a peer's action: {other:?}"),
         })
         .collect()
 }
@@ -173,7 +184,7 @@ mod transitions {
         let again = deliver(&mut peer, &chain[0]);
         assert!(again.is_empty() && again.capacity() == 0);
         let actions = deliver(&mut peer, &chain[1]);
-        let Some(Action::Committed { vscc, events, .. }) = actions.last() else {
+        let Some(Action::Own(Own::Committed { vscc, events, .. })) = actions.last() else {
             panic!("{:?}", show(&actions));
         };
         assert_eq!(vscc.len(), 2);
@@ -240,7 +251,7 @@ mod transitions {
         ];
         let actions = deliver(&mut peer, &stray);
         assert_eq!(show(&actions), rejected);
-        let Some(Action::Note(_, _, Some(detail))) = actions.last() else {
+        let Some(Action::Note(_, _, detail)) = actions.last() else {
             panic!("no detail");
         };
         let error = ledger.borrow_mut().commit_block(stray).unwrap_err();
@@ -280,7 +291,7 @@ mod transitions {
         };
         let ask = |nonce| read_proposal(&client, DEFAULT_CHANNEL, "k", nonce);
         let cost = |actions: &[Action]| match actions.last() {
-            Some(Action::DeferRequest(cost, (trace, _), ..)) => (*cost, trace.clone()),
+            Some(Action::Own(Own::DeferRequest(cost, (trace, _), ..))) => (*cost, trace.clone()),
             _ => panic!("{:?}", show(actions)),
         };
 
@@ -418,8 +429,12 @@ mod transitions {
         while let Some((from, actions)) = flight.pop() {
             seen.extend(show(&actions));
             for action in actions {
-                let (Action::Send(to, msg) | Action::Defer(_, to, msg)) = action else {
-                    continue;
+                let (to, msg) = match action {
+                    Action::Send(to, _, msg) => (to, msg),
+                    Action::Job(_, mut sends, _) => {
+                        sends.pop().map(|(to, _, msg)| (to, msg)).unwrap()
+                    }
+                    _ => continue,
                 };
                 if to == provider_id {
                     flight.push((to, provider.message(from, msg, true)));
@@ -509,7 +524,7 @@ impl Node {
         let committed: Vec<String> = actions
             .iter()
             .filter_map(|action| match action {
-                Action::Committed { trace, .. } => Some(trace.clone()),
+                Action::Own(Own::Committed { trace, .. }) => Some(trace.clone()),
                 _ => None,
             })
             .collect();
@@ -542,7 +557,7 @@ impl Node {
                 Action::Disarm(token) => {
                     self.armed.remove(token);
                 }
-                Action::Committed { events, .. } => {
+                Action::Own(Own::Committed { events, .. }) => {
                     for (to, event) in events {
                         let FabricMsg::Commit(event) = event else {
                             panic!("{event:?} among commit events");
@@ -661,7 +676,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
                     assert_eq!(ledger_digests(&node.ledger), before);
                     let refused = format!("refused({BUSY_REASON})->{}", src.0);
                     match (admitted, actions.last()) {
-                        (true, Some(Action::DeferRequest(_, _, to, msg))) => {
+                        (true, Some(Action::Own(Own::DeferRequest(_, _, to, msg)))) => {
                             let FabricMsg::ProposalResult(response) = msg else {
                                 panic!("{msg:?}");
                             };

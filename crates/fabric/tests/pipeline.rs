@@ -7,17 +7,15 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    perform, Armed, BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry,
-    ChaincodeStub, ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway,
-    GatewayReply, MspBuilder, MspId, PeerActor, RaftOrdererActor, Route, SigningIdentity,
-    SnapshotPolicy, SoloOrdererActor, RAFT_TICK_TOKEN,
+    BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
+    ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayAction,
+    GatewayDone, GatewayError, GatewayReply, Host, MspBuilder, MspId, OrdererActor, OrderingNode,
+    PeerActor, Route, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{
     ChannelId, GraphIndexer, GraphUpdate, SnapshotError, StateKey, ValidationCode,
 };
-use hyperprov_sim::{
-    Actor, ActorId, Context, Event, ServiceHarness, SimDuration, SimTime, Simulation,
-};
+use hyperprov_sim::{Actor, ActorId, Context, Event, SimDuration, SimTime, Simulation};
 
 /// A counter chaincode: `inc <key>` reads, increments, writes.
 struct CounterCc;
@@ -61,8 +59,7 @@ struct DriverLog {
 /// Closed-loop client: issues `remaining` transactions one at a time.
 struct ClientDriver {
     gateway: Gateway<()>,
-    armed: Armed,
-    harness: ServiceHarness<FabricMsg>,
+    host: Host<FabricMsg>,
     remaining: u32,
     /// When the transaction in flight was issued.
     started: SimTime,
@@ -79,8 +76,7 @@ impl ClientDriver {
     ) -> Self {
         ClientDriver {
             gateway,
-            armed: Armed::new(),
-            harness: ServiceHarness::new("client"),
+            host: Host::new("client"),
             remaining,
             started: SimTime::ZERO,
             key_of: Box::new(key_of),
@@ -98,8 +94,22 @@ impl ClientDriver {
         let actions = self
             .gateway
             .invoke(0, (), "counter", "inc", vec![key.into_bytes()]);
-        perform(ctx, &mut self.harness, &mut self.armed, actions);
+        perform(ctx, &mut self.host, actions);
     }
+}
+
+/// Has `host` perform what the gateway answered; the request that ended, if
+/// one did.
+fn perform(
+    ctx: &mut Context<'_, FabricMsg>,
+    host: &mut Host<FabricMsg>,
+    actions: Vec<GatewayAction<()>>,
+) -> Option<((), Result<GatewayReply, GatewayError>)> {
+    let mut done = None;
+    host.perform(ctx, actions, |_, _, GatewayDone(caller, result)| {
+        done = Some((caller, result));
+    });
+    done
 }
 
 impl Actor<FabricMsg> for ClientDriver {
@@ -107,11 +117,11 @@ impl Actor<FabricMsg> for ClientDriver {
         match event {
             Event::Timer { token: 0 } => self.next(ctx),
             Event::Timer { token } => {
-                let _ = self.harness.on_timer(ctx, token);
+                let _ = self.host.timer(ctx, token);
             }
             Event::Message { msg, .. } => {
                 let actions = self.gateway.on_message(msg, ctx.rng());
-                match perform(ctx, &mut self.harness, &mut self.armed, actions) {
+                match perform(ctx, &mut self.host, actions) {
                     Some(((), Ok(GatewayReply::Committed { code, .. }))) => {
                         let latency = ctx.now() - self.started;
                         self.log.borrow_mut().committed.push((code, latency));
@@ -175,12 +185,8 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     for actor in peer_actors {
         peers.push(sim.add_actor(Box::new(actor)));
     }
-    let orderer = sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
-        ChannelId::default(),
-        batch,
-        peers.clone(),
-        costs,
-    )));
+    let node = OrderingNode::solo(ChannelId::default(), batch, peers.clone(), costs);
+    let orderer = OrdererActor::start(node, &mut sim, 1.0);
 
     let log = Rc::new(RefCell::new(DriverLog::default()));
     let route = Route::new(ChannelId::default(), peers.clone(), vec![orderer], 1);
@@ -296,7 +302,7 @@ fn raft_ordering_service_commits_transactions() {
         ..BatchConfig::default()
     };
     for i in 0..3 {
-        let actor = RaftOrdererActor::<FabricMsg>::new(
+        let node = OrderingNode::raft(
             i,
             orderer_ids.clone(),
             ChannelId::default(),
@@ -305,9 +311,7 @@ fn raft_ordering_service_commits_transactions() {
             77,
             costs,
         );
-        let id = sim.add_actor(Box::new(actor));
-        assert_eq!(id, orderer_ids[i]);
-        sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
+        assert_eq!(OrdererActor::start(node, &mut sim, 1.0), orderer_ids[i]);
     }
 
     let log = Rc::new(RefCell::new(DriverLog::default()));
@@ -346,8 +350,7 @@ fn endorsement_failure_reported_to_client() {
 
     struct QueryOnce {
         gateway: Gateway<()>,
-        armed: Armed,
-        harness: ServiceHarness<FabricMsg>,
+        host: Host<FabricMsg>,
         log: Rc<RefCell<DriverLog>>,
     }
     impl Actor<FabricMsg> for QueryOnce {
@@ -358,12 +361,12 @@ fn endorsement_failure_reported_to_client() {
                         .query(0, (), "counter", "get", vec![b"missing".to_vec()])
                 }
                 Event::Timer { token } => {
-                    let _ = self.harness.on_timer(ctx, token);
+                    let _ = self.host.timer(ctx, token);
                     return;
                 }
                 Event::Message { msg, .. } => self.gateway.on_message(msg, ctx.rng()),
             };
-            if let Some(((), result)) = perform(ctx, &mut self.harness, &mut self.armed, actions) {
+            if let Some(((), result)) = perform(ctx, &mut self.host, actions) {
                 let result = result.map(|reply| match reply {
                     GatewayReply::Bytes(bytes) => bytes,
                     other => panic!("a query does not commit: {other:?}"),
@@ -387,8 +390,7 @@ fn endorsement_failure_reported_to_client() {
     let route = Route::new(ChannelId::default(), vec![peer_id], vec![peer_id], 1);
     let client = sim.add_actor(Box::new(QueryOnce {
         gateway: Gateway::new(client_id, vec![route], costs),
-        armed: Armed::new(),
-        harness: ServiceHarness::new("client"),
+        host: Host::new("client"),
         log: log.clone(),
     }));
     sim.start_timer(client, SimDuration::ZERO, 0);
@@ -497,27 +499,13 @@ impl SmallNet {
             ..BatchConfig::default()
         };
         for (i, &expected) in orderers.iter().enumerate() {
-            let id = if members == 1 {
-                sim.add_actor(Box::new(SoloOrdererActor::<FabricMsg>::new(
-                    ChannelId::default(),
-                    batch,
-                    SMALL_NET_PEERS.to_vec(),
-                    costs,
-                )))
+            let (channel, peers) = (ChannelId::default(), SMALL_NET_PEERS.to_vec());
+            let node = if members == 1 {
+                OrderingNode::solo(channel, batch, peers, costs)
             } else {
-                let id = sim.add_actor(Box::new(RaftOrdererActor::<FabricMsg>::new(
-                    i,
-                    orderers.clone(),
-                    ChannelId::default(),
-                    SMALL_NET_PEERS.to_vec(),
-                    batch,
-                    31,
-                    costs,
-                )));
-                sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
-                id
+                OrderingNode::raft(i, orderers.clone(), channel, peers, batch, 31, costs)
             };
-            assert_eq!(id, expected);
+            assert_eq!(OrdererActor::start(node, &mut sim, 1.0), expected);
         }
         let log = Rc::new(RefCell::new(DriverLog::default()));
         for (c, (identity, remaining)) in client_ids.into_iter().zip(client_txs).enumerate() {

@@ -6,7 +6,7 @@
 //! orderer costing its clients one deadline per operation, not the
 //! outage.
 
-use hyperprov_repro::fabric::{BatchConfig, RaftOrdererActor};
+use hyperprov_repro::fabric::BatchConfig;
 use hyperprov_repro::hyperprov::{
     ClientCommand, ClientCompletion, HyperProvClient, HyperProvError, HyperProvNetwork,
     NetworkConfig, NodeMsg, OpId, RecordInput, RetryPolicy,
@@ -36,16 +36,6 @@ fn inflight(net: &HyperProvNetwork, id: ActorId) -> usize {
         .and_then(|any| any.downcast_ref::<HyperProvClient>())
         .expect("client actor")
         .inflight()
-}
-
-fn raft_leader(net: &HyperProvNetwork) -> Option<ActorId> {
-    net.orderers.iter().copied().find(|&id| {
-        net.sim
-            .actor_ref(id)
-            .and_then(|a| a.as_any())
-            .and_then(|any| any.downcast_ref::<RaftOrdererActor<NodeMsg>>())
-            .is_some_and(|o| o.is_leader())
-    })
 }
 
 /// A closed loop of posts until `until`: client `c` (one per entry of
@@ -217,7 +207,7 @@ fn raft_leader_kill_recovers_with_retrying_client() {
 
     // Let the cluster elect, then kill whoever leads.
     net.sim.run_until(SimTime::from_secs(2));
-    let leader = raft_leader(&net).expect("a leader after two seconds");
+    let leader = net.ordering_leader().expect("a leader after two seconds");
     net.sim.crash_actor(leader);
 
     store(&mut net, 0, 1, "across-failover");
@@ -235,7 +225,7 @@ fn raft_leader_kill_recovers_with_retrying_client() {
     assert_eq!(net.sim.metrics().counter("client.exhausted"), 0);
     assert_eq!(inflight(&net, net.clients[0]), 0, "no hung operations");
     assert!(
-        raft_leader(&net).is_some(),
+        net.ordering_leader().is_some(),
         "the cluster must have a leader again"
     );
     net.ledgers[0].borrow().store().verify_chain().unwrap();
@@ -453,7 +443,7 @@ fn a_crashed_home_peer_costs_one_endorse_deadline_per_post() {
 #[test]
 fn a_crashed_home_orderer_costs_one_commit_deadline_per_post() {
     let mut net = three_homes(73);
-    let leader = raft_leader(&net).expect("a leader after two seconds");
+    let leader = net.ordering_leader().expect("a leader after two seconds");
     let follower = net.orderers.iter().position(|&o| o != leader).unwrap();
     let home = net.orderers[follower];
     let posts = an_outage_costs_one_deadline_per_post(&mut net, home, follower, COMMIT_DEADLINE);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use hyperprov_repro::device::{DeviceProfile, EnergyModel, PowerMeter};
 use hyperprov_repro::fabric::{
     BatchConfig, ChaincodeRegistry, ChannelPolicies, Committer, CostModel, EndorsementPolicy,
-    Gateway, MspBuilder, MspId, PeerActor, RaftOrdererActor, Route, RAFT_TICK_TOKEN,
+    Gateway, MspBuilder, MspId, OrdererActor, OrderingNode, PeerActor, Route,
 };
 use hyperprov_repro::hyperprov::{
     audit, ClientCommand, HyperProv, HyperProvChaincode, HyperProvClient, NetworkConfig, NodeMsg,
@@ -55,7 +55,7 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
         ..BatchConfig::default()
     };
     for i in 0..3 {
-        let actor = RaftOrdererActor::<NodeMsg>::new(
+        let node = OrderingNode::raft(
             i,
             orderers.clone(),
             "raft-channel".into(),
@@ -64,9 +64,7 @@ fn hyperprov_over_raft_ordering_survives_leader_loss() {
             99,
             costs,
         );
-        let id = sim.add_actor(Box::new(actor));
-        assert_eq!(id, orderers[i]);
-        sim.start_timer(id, SimDuration::ZERO, RAFT_TICK_TOKEN);
+        assert_eq!(OrdererActor::start(node, &mut sim, 1.0), orderers[i]);
     }
 
     let store = Arc::new(hyperprov_repro::offchain::MemoryStore::new());
