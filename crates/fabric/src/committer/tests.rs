@@ -160,7 +160,7 @@ fn block_of(c: &Committer, envs: Vec<Envelope>) -> Block {
     Block::build(
         c.height(),
         c.store().tip_hash(),
-        envs.iter().map(Envelope::to_raw).collect(),
+        envs.iter().map(Envelope::to_raw).collect::<Vec<_>>(),
     )
 }
 
@@ -735,7 +735,7 @@ fn prevalidated_path_matches_legacy_on_mixed_block() {
         Block::build(
             c.height(),
             c.store().tip_hash(),
-            envs.iter().map(|e| e.to_raw()).collect(),
+            envs.iter().map(|e| e.to_raw()).collect::<Vec<_>>(),
         )
     };
 

@@ -7,8 +7,9 @@
 use std::sync::Arc;
 
 use hyperprov_ledger::{
-    decode_seq, encode_seq, Block, ChannelId, CodecError, Decode, Decoder, Digest, Encode, Encoder,
-    KvRead, KvWrite, RawEnvelope, RwSet, SnapshotManifest, SnapshotPart, TxId,
+    bytes_len, decode_seq, encode_seq, varint_len, Block, ChannelId, CodecError, Decode, Decoder,
+    Digest, Encode, Encoder, KvRead, KvWrite, RawEnvelope, RwSet, SnapshotManifest, SnapshotPart,
+    TxId, DIGEST_LEN,
 };
 
 use hyperprov_sim::ActorId;
@@ -23,6 +24,19 @@ use crate::raft::RaftMsg;
 /// "Observability" section of DESIGN.md for the span taxonomy).
 pub fn tx_trace(tx_id: &TxId) -> String {
     tx_id.0.to_hex()
+}
+
+/// Encoded length of a certificate.
+fn cert_len(cert: &Certificate) -> u64 {
+    bytes_len(cert.subject.len()) + bytes_len(cert.org.0.len()) + DIGEST_LEN
+}
+
+/// Encoded length of an optional chaincode event: a tag byte, then the
+/// event.
+fn event_len(event: &Option<ChaincodeEvent>) -> u64 {
+    1 + event
+        .as_ref()
+        .map_or(0, |e| bytes_len(e.name.len()) + bytes_len(e.payload.len()))
 }
 
 /// A client's request to execute a chaincode function.
@@ -48,9 +62,17 @@ impl Proposal {
         TxId(self.digest())
     }
 
-    /// Approximate wire size in bytes (used by the network model).
+    /// Wire size in bytes (used by the network model): the length of the
+    /// canonical encoding, added up without producing it.
     pub fn wire_size(&self) -> u64 {
-        self.to_bytes().len() as u64
+        let args: u64 = self.args.iter().map(|arg| bytes_len(arg.len())).sum();
+        bytes_len(self.channel.as_str().len())
+            + bytes_len(self.chaincode.len())
+            + bytes_len(self.function.len())
+            + varint_len(self.args.len() as u64)
+            + args
+            + cert_len(&self.creator)
+            + 8
     }
 }
 
@@ -170,9 +192,20 @@ impl ProposalResponse {
         self.result.is_ok()
     }
 
-    /// Approximate wire size in bytes.
+    /// Wire size in bytes: the length of the canonical encoding, added up
+    /// without producing it.
     pub fn wire_size(&self) -> u64 {
-        self.to_bytes().len() as u64
+        let result = match &self.result {
+            Ok(payload) => bytes_len(payload.len()),
+            Err(msg) => bytes_len(msg.len()),
+        };
+        DIGEST_LEN
+            + cert_len(&self.endorser)
+            + 1
+            + result
+            + self.rwset.wire_size()
+            + event_len(&self.event)
+            + DIGEST_LEN
     }
 }
 
@@ -303,9 +336,20 @@ impl Envelope {
         Envelope::from_bytes(&raw.bytes)
     }
 
-    /// Approximate wire size in bytes.
+    /// Wire size in bytes: the length of the canonical encoding, added up
+    /// without producing it.
     pub fn wire_size(&self) -> u64 {
-        self.to_bytes().len() as u64
+        let endorsements: u64 = self
+            .endorsements
+            .iter()
+            .map(|e| cert_len(&e.endorser) + DIGEST_LEN)
+            .sum();
+        self.proposal.wire_size()
+            + bytes_len(self.payload.len())
+            + self.rwset.wire_size()
+            + event_len(&self.event)
+            + varint_len(self.endorsements.len() as u64)
+            + endorsements
     }
 }
 
@@ -539,8 +583,9 @@ pub enum FabricMsg {
     },
     /// Committing peer → subscribed client.
     Commit(CommitEvent),
-    /// Orderer ↔ orderer consensus traffic.
-    Raft(Box<RaftMsg<Vec<RawEnvelope>>>),
+    /// Orderer ↔ orderer consensus traffic. A batch rides as the body the
+    /// leader proposed: every member's log and block share it.
+    Raft(Box<RaftMsg<Arc<[RawEnvelope]>>>),
     /// Catch-up peer → provider peer: the snapshot catch-up protocol's
     /// opening message, asking for the latest snapshot's manifest.
     SnapshotRequest {

@@ -6,6 +6,8 @@
 //! Fabric's latency/throughput trade-off and therefore the shape of the
 //! paper's Figures 1 and 2.
 
+use std::sync::Arc;
+
 use hyperprov_ledger::{Block, Digest, RawEnvelope};
 use hyperprov_sim::SimDuration;
 
@@ -133,7 +135,7 @@ impl BlockAssembler {
     }
 
     /// Builds the next block in the chain from a batch.
-    pub fn assemble(&mut self, batch: Vec<RawEnvelope>) -> Block {
+    pub fn assemble(&mut self, batch: impl Into<Arc<[RawEnvelope]>>) -> Block {
         let block = Block::build(self.next_number, self.prev_hash, batch);
         self.next_number += 1;
         self.prev_hash = block.header.hash();

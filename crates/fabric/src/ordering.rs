@@ -65,7 +65,7 @@ impl Chain {
     /// per peer to `sends`. Also returns the block's wire size.
     fn block(
         &mut self,
-        batch: Vec<RawEnvelope>,
+        batch: Arc<[RawEnvelope]>,
         member: Option<&mut RaftMember>,
         sends: &mut Vec<Outbound<FabricMsg>>,
         out: &mut Vec<Action>,
@@ -130,7 +130,7 @@ impl Chain {
 
 /// A raft member's consensus state.
 struct RaftMember {
-    node: RaftNode<Vec<RawEnvelope>>,
+    node: RaftNode<Arc<[RawEnvelope]>>,
     /// This member's index in `cluster`, the members' actor ids.
     index: usize,
     cluster: Vec<ActorId>,
@@ -149,7 +149,7 @@ impl RaftMember {
     fn ship(
         &mut self,
         chain: &mut Chain,
-        stepped: RaftOutput<Vec<RawEnvelope>>,
+        stepped: RaftOutput<Arc<[RawEnvelope]>>,
         out: &mut Vec<Action>,
     ) {
         let wrap = |(dst, msg)| {
@@ -238,6 +238,15 @@ impl OrderingNode {
         match &self.consensus {
             Consensus::Solo => true,
             Consensus::Raft(member) => member.node.is_leader(),
+        }
+    }
+
+    /// A raft member's log as `(compacted, last index)`: the entries it
+    /// holds are those after the first, up to the second. Solo has none.
+    pub fn raft_log(&self) -> Option<(u64, u64)> {
+        match &self.consensus {
+            Consensus::Solo => None,
+            Consensus::Raft(member) => Some((member.node.compacted(), member.node.last_index())),
         }
     }
 
@@ -355,8 +364,9 @@ impl OrderingNode {
         out
     }
 
-    /// Hands cut batches to consensus. Solo turns them into blocks and
-    /// delivers them at once, as one CPU job of `cost`; a raft leader
+    /// Hands cut batches to consensus, each made the one shared body it
+    /// keeps from here to every peer's store. Solo turns them into blocks
+    /// and delivers them at once, as one CPU job of `cost`; a raft leader
     /// proposes each to the cluster, and a member deposed since it took
     /// the envelopes in drops the batch: its transactions have left the
     /// queue for good, and their clients time out and retry.
@@ -367,14 +377,14 @@ impl OrderingNode {
             Consensus::Solo => {
                 let (mut sends, mut closes) = (Vec::new(), Vec::new());
                 for batch in batches {
-                    closes.push(self.chain.block(batch, None, &mut sends, out).0);
+                    closes.push(self.chain.block(batch.into(), None, &mut sends, out).0);
                 }
                 out.push(Action::Job(cost, sends, closes));
                 return;
             }
         };
         for batch in batches {
-            match member.node.propose(batch) {
+            match member.node.propose(batch.into()) {
                 Ok(proposed) => member.ship(&mut self.chain, proposed, out),
                 Err(batch) => {
                     out.push(self.chain.count("dropped_not_leader"));

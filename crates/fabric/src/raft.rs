@@ -8,9 +8,24 @@
 //! deterministic simulator and in unit tests.
 //!
 //! Scope: leader election, log replication, commit-index advancement with
-//! the "current-term only" rule, and follower log repair. Log compaction,
-//! snapshotting and membership changes are out of scope (Fabric's orderer
+//! the "current-term only" rule, follower log repair, and log compaction.
+//! Snapshotting and membership changes are out of scope (Fabric's orderer
 //! does not need them for the paper's experiments).
+//!
+//! Compaction is to the index every member holds. A node keeps
+//! `(compacted, compacted_term)` and the suffix of its log after
+//! `compacted`. The leader puts `compact_to` on every `AppendEntries`: the
+//! lowest `match_index` over the other members and its own last index, 0
+//! until every member has answered it. Each member drops the entries up to
+//! `min(compact_to, applied)` — entries every member holds and this one
+//! has applied, so committed ones, which no later leader overwrites. No
+//! member ever lacks an entry another has dropped, so a leader serves
+//! every follower from its own suffix and no snapshot install is needed;
+//! the price is that a member that is down holds compaction back for the
+//! length of its outage. Three rules keep the rest of the protocol as it
+//! was: `next_index` never falls below `compacted + 1`, a `prev_index` at
+//! or below `compacted` matches, and the last term of an empty suffix is
+//! `compacted_term`.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -77,6 +92,9 @@ pub enum RaftMsg<T> {
         entries: Vec<LogEntry<T>>,
         /// Leader's commit index.
         leader_commit: u64,
+        /// The index every member holds: a receiver may drop its log up
+        /// to here, as far as it has applied it.
+        compact_to: u64,
     },
     /// Reply to AppendEntries.
     AppendReply {
@@ -142,6 +160,9 @@ pub struct RaftNode<T> {
 
     term: u64,
     voted_for: Option<PeerIdx>,
+    /// The log up to `compacted` is dropped; `log` is what follows it.
+    compacted: u64,
+    compacted_term: u64,
     log: Vec<LogEntry<T>>,
     commit_index: u64,
     applied_index: u64,
@@ -177,6 +198,8 @@ impl<T: Clone> RaftNode<T> {
             rng,
             term: 0,
             voted_for: None,
+            compacted: 0,
+            compacted_term: 0,
             log: Vec::new(),
             commit_index: 0,
             applied_index: 0,
@@ -226,11 +249,51 @@ impl<T: Clone> RaftNode<T> {
 
     /// Log length (highest index; indices are 1-based).
     pub fn last_index(&self) -> u64 {
-        self.log.len() as u64
+        self.compacted + self.log.len() as u64
+    }
+
+    /// Highest index dropped from the log: the entries held are those
+    /// after it, up to [`RaftNode::last_index`].
+    pub(crate) fn compacted(&self) -> u64 {
+        self.compacted
     }
 
     fn last_term(&self) -> u64 {
-        self.log.last().map(|e| e.term).unwrap_or(0)
+        self.log.last().map_or(self.compacted_term, |e| e.term)
+    }
+
+    /// Position in `log` of the entry at `index`, which must be held.
+    fn slot(&self, index: u64) -> usize {
+        (index - self.compacted - 1) as usize
+    }
+
+    /// Term of the entry at `index`, from `compacted` to the last index.
+    fn term_at(&self, index: u64) -> u64 {
+        if index == self.compacted {
+            self.compacted_term
+        } else {
+            self.log[self.slot(index)].term
+        }
+    }
+
+    /// The index every member holds: the lowest `match_index` and this
+    /// leader's own last index, 0 until every member has answered.
+    fn compact_to(&self) -> u64 {
+        let matched = self.match_index.values().copied();
+        matched.fold(self.last_index(), u64::min)
+    }
+
+    /// Drops the entries up to `to`, as far as this node has applied them.
+    fn compact(&mut self, to: u64) {
+        let to = to.min(self.applied_index);
+        if to > self.compacted {
+            self.compacted_term = self.term_at(to);
+            self.log.drain(..=self.slot(to));
+            self.compacted = to;
+            for next in self.next_index.values_mut() {
+                *next = (to + 1).max(*next);
+            }
+        }
     }
 
     fn majority(&self) -> usize {
@@ -347,26 +410,21 @@ impl<T: Clone> RaftNode<T> {
     }
 
     fn broadcast_append(&mut self) -> RaftOutput<T> {
+        let compact_to = self.compact_to();
+        self.compact(compact_to);
         let mut out = RaftOutput::empty();
         for peer in self.others().collect::<Vec<_>>() {
-            let next = *self.next_index.get(&peer).unwrap_or(&1);
-            let prev_index = next.saturating_sub(1);
-            let prev_term = if prev_index == 0 {
-                0
-            } else {
-                self.log[(prev_index - 1) as usize].term
-            };
-            let entries: Vec<LogEntry<T>> =
-                self.log.iter().skip((next - 1) as usize).cloned().collect();
+            let prev_index = self.next_index[&peer] - 1;
             out.messages.push((
                 peer,
                 RaftMsg::AppendEntries {
                     term: self.term,
                     leader: self.id,
                     prev_index,
-                    prev_term,
-                    entries,
+                    prev_term: self.term_at(prev_index),
+                    entries: self.log[(prev_index - self.compacted) as usize..].to_vec(),
                     leader_commit: self.commit_index,
+                    compact_to,
                 },
             ));
         }
@@ -394,7 +452,17 @@ impl<T: Clone> RaftNode<T> {
                 prev_term,
                 entries,
                 leader_commit,
-            } => self.on_append(term, leader, prev_index, prev_term, entries, leader_commit),
+                compact_to,
+            } => {
+                let out =
+                    self.on_append(term, leader, prev_index, prev_term, entries, leader_commit);
+                // Unless the leader was stale, every member holds the log
+                // up to `compact_to`.
+                if term == self.term {
+                    self.compact(compact_to);
+                }
+                out
+            }
             RaftMsg::AppendReply {
                 term,
                 success,
@@ -475,10 +543,10 @@ impl<T: Clone> RaftNode<T> {
         // Valid leader for this term (or newer): follow it.
         self.become_follower(term, Some(leader));
 
-        // Log consistency check.
-        let prev_ok = prev_index == 0
-            || (prev_index <= self.last_index()
-                && self.log[(prev_index - 1) as usize].term == prev_term);
+        // Log consistency check; what was compacted was committed, so it
+        // matches any leader's log.
+        let prev_ok = prev_index <= self.compacted
+            || (prev_index <= self.last_index() && self.term_at(prev_index) == prev_term);
         if !prev_ok {
             out.messages.push((
                 leader,
@@ -496,9 +564,12 @@ impl<T: Clone> RaftNode<T> {
         let mut idx = prev_index;
         for entry in entries {
             idx += 1;
+            if idx <= self.compacted {
+                continue;
+            }
             if idx <= self.last_index() {
-                if self.log[(idx - 1) as usize].term != entry.term {
-                    self.log.truncate((idx - 1) as usize);
+                if self.term_at(idx) != entry.term {
+                    self.log.truncate(self.slot(idx));
                     self.log.push(entry);
                 }
             } else {
@@ -539,13 +610,17 @@ impl<T: Clone> RaftNode<T> {
             return out;
         }
         if success {
-            self.match_index.insert(from, match_index);
-            self.next_index.insert(from, match_index + 1);
+            // A reply overtaken by a later one must not undo its progress.
+            let matched = self.match_index.entry(from).or_insert(0);
+            *matched = match_index.max(*matched);
+            let next = self.next_index.entry(from).or_insert(1);
+            *next = (match_index + 1).max(*next);
             self.advance_commit(&mut out);
         } else {
-            // Back off and retry on the next heartbeat.
+            // Back off and retry on the next heartbeat, no further back
+            // than the log reaches.
             let next = self.next_index.entry(from).or_insert(1);
-            *next = next.saturating_sub(1).max(1);
+            *next = next.saturating_sub(1).max(self.compacted + 1);
         }
         out
     }
@@ -557,10 +632,7 @@ impl<T: Clone> RaftNode<T> {
         indices.push(self.last_index()); // self
         indices.sort_unstable_by(|a, b| b.cmp(a));
         let candidate = indices[self.majority() - 1];
-        if candidate > self.commit_index
-            && candidate >= 1
-            && self.log[(candidate - 1) as usize].term == self.term
-        {
+        if candidate > self.commit_index && self.term_at(candidate) == self.term {
             self.commit_index = candidate;
             self.drain_applied(out);
         }
@@ -569,7 +641,7 @@ impl<T: Clone> RaftNode<T> {
     fn drain_applied(&mut self, out: &mut RaftOutput<T>) {
         while self.applied_index < self.commit_index {
             self.applied_index += 1;
-            let entry = &self.log[(self.applied_index - 1) as usize];
+            let entry = &self.log[self.slot(self.applied_index)];
             out.committed
                 .push((self.applied_index, entry.payload.clone()));
         }
@@ -850,9 +922,189 @@ mod tests {
             prev_term: 0,
             entries: vec![],
             leader_commit: 0,
+            compact_to: 0,
         });
         assert!(!granted(voter.step(ask(2))));
         assert!(granted(voter.step(ask(0))));
+    }
+
+    /// Member 0 of a three-node cluster, elected by hand, that heartbeats
+    /// on every tick and has proposed `1..=entries`.
+    fn leader_with(entries: u64) -> RaftNode<u64> {
+        let config = RaftConfig {
+            election_timeout_min: 2,
+            election_timeout_max: 3,
+            heartbeat_interval: 1,
+        };
+        let mut leader = RaftNode::new(0, 3, config, 7);
+        while leader.role() != Role::Candidate {
+            let _ = leader.tick();
+        }
+        let term = leader.term();
+        let _ = leader.step(RaftMsg::VoteReply {
+            term,
+            granted: true,
+            from: 1,
+        });
+        for payload in 1..=entries {
+            leader.propose(payload).unwrap();
+        }
+        leader
+    }
+
+    /// Member `from`'s answer to an append of `leader`'s current term.
+    fn reply(leader: &mut RaftNode<u64>, from: PeerIdx, success: bool, match_index: u64) {
+        let term = leader.term();
+        let _ = leader.step(RaftMsg::AppendReply {
+            term,
+            success,
+            from,
+            match_index,
+        });
+    }
+
+    /// What `leader`'s next heartbeat sends member 1: `(prev_index,
+    /// entries, compact_to)`.
+    fn heartbeat(leader: &mut RaftNode<u64>) -> (u64, usize, u64) {
+        let sent = leader
+            .tick()
+            .messages
+            .into_iter()
+            .find_map(|(to, msg)| match msg {
+                RaftMsg::AppendEntries {
+                    prev_index,
+                    entries,
+                    compact_to,
+                    ..
+                } if to == 1 => Some((prev_index, entries.len(), compact_to)),
+                _ => None,
+            });
+        sent.expect("an append to member 1")
+    }
+
+    /// Link jitter reorders replies: one to an older append, arriving
+    /// last, used to move member 1's `match_index` and `next_index` back,
+    /// so the leader re-sent what it held and compacted less.
+    #[test]
+    fn a_stale_success_reply_does_not_regress_progress() {
+        let mut leader = leader_with(3);
+        reply(&mut leader, 1, true, 3);
+        reply(&mut leader, 2, true, 3);
+        reply(&mut leader, 1, true, 1);
+        assert_eq!(heartbeat(&mut leader), (3, 0, 3));
+        assert_eq!(leader.compacted(), 3);
+    }
+
+    #[test]
+    fn back_off_stops_at_the_compaction_floor() {
+        let mut leader = leader_with(3);
+        reply(&mut leader, 1, true, 3);
+        reply(&mut leader, 2, true, 3);
+        assert_eq!(heartbeat(&mut leader), (3, 0, 3));
+        assert_eq!((leader.compacted(), leader.last_index()), (3, 3));
+        leader.propose(4).unwrap();
+        for _ in 0..5 {
+            reply(&mut leader, 1, false, 0);
+        }
+        // Everything below the floor is held by member 1 already.
+        assert_eq!(heartbeat(&mut leader), (3, 1, 3));
+    }
+
+    #[test]
+    fn a_vote_is_judged_on_the_compacted_term_when_the_suffix_is_empty() {
+        let mut voter: RaftNode<u64> = RaftNode::new(1, 3, RaftConfig::default(), 7);
+        let entry = |payload| LogEntry { term: 2, payload };
+        let _ = voter.step(RaftMsg::AppendEntries {
+            term: 2,
+            leader: 0,
+            prev_index: 0,
+            prev_term: 0,
+            entries: vec![entry(1), entry(2), entry(3)],
+            leader_commit: 3,
+            compact_to: 3,
+        });
+        assert_eq!((voter.compacted(), voter.last_index()), (3, 3));
+        let ask = |last_log_index, last_log_term| RaftMsg::RequestVote {
+            term: 3,
+            candidate: 2,
+            last_log_index,
+            last_log_term,
+        };
+        let granted = |out: RaftOutput<u64>| matches!(out.messages[..], [(_, RaftMsg::VoteReply { granted, .. })] if granted);
+        // A longer log of an older term, then a shorter one of the same.
+        assert!(!granted(voter.step(ask(9, 1))));
+        assert!(!granted(voter.step(ask(2, 2))));
+        assert!(granted(voter.step(ask(3, 2))));
+    }
+
+    /// The values member `p` committed, in order.
+    fn values(c: &Cluster, p: PeerIdx) -> Vec<u64> {
+        c.committed[p].iter().map(|&(_, v)| v).collect()
+    }
+
+    #[test]
+    fn a_follower_that_was_down_rejoins_from_the_leaders_suffix() {
+        let mut c = Cluster::new(3);
+        c.run_ticks(50);
+        let leader = c.leader().unwrap();
+        let down = (0..3).find(|&p| p != leader).unwrap();
+        assert!(c.propose(1));
+        c.run_ticks(5);
+        for n in &c.nodes {
+            assert_eq!((n.compacted(), n.last_index()), (1, 1));
+        }
+        for p in 0..3 {
+            if p != down {
+                c.partition(down, p);
+            }
+        }
+        for v in 2..=5 {
+            assert!(c.propose(v));
+        }
+        c.run_ticks(10);
+        // The others commit all of it but drop nothing `down` lacks.
+        assert_eq!(values(&c, leader), [1, 2, 3, 4, 5]);
+        assert_eq!(c.nodes[down].last_index(), 1);
+        for n in &c.nodes {
+            assert_eq!(n.compacted(), 1);
+        }
+        c.heal();
+        c.run_ticks(80);
+        for p in 0..3 {
+            assert_eq!(values(&c, p), [1, 2, 3, 4, 5], "node {p}");
+            assert_eq!(c.nodes[p].compacted(), 5, "node {p}");
+        }
+    }
+
+    #[test]
+    fn a_leader_elected_after_compaction_replicates() {
+        let mut c = Cluster::new(3);
+        c.run_ticks(50);
+        let old = c.leader().unwrap();
+        for v in 1..=3 {
+            assert!(c.propose(v));
+        }
+        c.run_ticks(5);
+        for n in &c.nodes {
+            assert_eq!((n.compacted(), n.last_index()), (3, 3));
+        }
+        for p in 0..3 {
+            if p != old {
+                c.partition(old, p);
+            }
+        }
+        c.run_ticks(60);
+        let new = (0..3)
+            .find(|&p| p != old && c.nodes[p].is_leader())
+            .expect("a survivor takes over");
+        let out = c.nodes[new].propose(4).ok().unwrap();
+        c.dispatch(new, out);
+        c.heal();
+        c.run_ticks(80);
+        for p in 0..3 {
+            assert_eq!(values(&c, p), [1, 2, 3, 4], "node {p}");
+            assert_eq!(c.nodes[p].compacted(), 4, "node {p}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! findings pinned where they live, then a seeded property test: a raft
 //! cluster of three machines under a scheduler that delays, drops and
 //! reorders their consensus messages, fires their timers in any order,
-//! stalls a member and crashes and restarts one.
+//! stalls a member and crashes and restarts one. Throughout, no member
+//! compacts away an entry another member's log lacks, and the members'
+//! blocks of one height share one body.
 
 mod support;
 
@@ -557,6 +559,8 @@ struct Coverage {
     batches_dropped_by_a_deposed_leader: u64,
     full_tails: u64,
     blocks: u64,
+    /// Entries compacted away, summed over the members at the end.
+    compacted: u64,
 }
 
 /// The model network around three machines: consensus messages in flight,
@@ -569,6 +573,8 @@ struct Net {
     stalled: Option<(usize, u64)>,
     /// Every `order.queue` span ever opened.
     queued: BTreeSet<String>,
+    /// The body of the block at each height, as first fanned out.
+    bodies: Vec<Arc<[RawEnvelope]>>,
     txs: Txs,
     rng: Rng,
 }
@@ -593,6 +599,7 @@ impl Net {
             flying: Vec::new(),
             stalled: None,
             queued: BTreeSet::new(),
+            bodies: Vec::new(),
             txs: Txs::new(),
             rng,
         };
@@ -644,6 +651,12 @@ impl Net {
                         if i % PEERS.len() == 0 {
                             assert_eq!(block.header.number, member.fanned.len() as u64);
                             member.fanned.push(block.clone());
+                            // One body per height, whichever member
+                            // assembled the block.
+                            match self.bodies.get(block.header.number as usize) {
+                                Some(body) => assert!(Arc::ptr_eq(body, &block.envelopes)),
+                                None => self.bodies.push(Arc::clone(&block.envelopes)),
+                            }
                         }
                         assert!(Arc::ptr_eq(block, member.fanned.last().unwrap()));
                     }
@@ -667,6 +680,16 @@ impl Net {
         // The batch timer runs exactly while the cutter holds something.
         let batch_timer = member.armed.iter().any(|&token| token != member.tick);
         assert_eq!(batch_timer, member.pending);
+        // Nothing any member lacks is compacted away anywhere, crashed
+        // members included: their logs are durable.
+        let logs: Vec<(u64, u64)> = self
+            .members
+            .iter()
+            .map(|m| m.node.raft_log().unwrap())
+            .collect();
+        let held = logs.iter().map(|&(_, last)| last).min().unwrap();
+        let kept = logs.iter().all(|&(compacted, _)| compacted <= held);
+        assert!(kept, "compacted past a member's log: {logs:?}");
         actions
     }
 
@@ -849,6 +872,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     for m in 0..net.members.len() {
         assert_eq!(hashes(&net.members[m]), chain);
         net.check_tail(m, coverage);
+        coverage.compacted += net.members[m].node.raft_log().unwrap().0;
     }
     coverage.blocks += chain.len() as u64;
     // No transaction in two blocks, and none that nobody broadcast.
@@ -872,7 +896,7 @@ proptest! {
 
 /// The generator reaches what the property is about: over a few dozen
 /// seeds messages are lost, leaders crash, followers forward, a deposed
-/// leader drops a batch and a tail outgrows its horizon.
+/// leader drops a batch, a tail outgrows its horizon and logs compact.
 #[test]
 fn the_generated_schedules_exercise_the_machine() {
     let mut coverage = Coverage::default();
@@ -883,4 +907,5 @@ fn the_generated_schedules_exercise_the_machine() {
     assert!(coverage.redirects > 0 && coverage.full_tails > 0);
     assert!(coverage.batches_dropped_by_a_deposed_leader > 0);
     assert!(coverage.blocks > 32 * TAIL / 2);
+    assert!(coverage.compacted > coverage.blocks);
 }

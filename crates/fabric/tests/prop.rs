@@ -285,6 +285,63 @@ proptest! {
         prop_assert_eq!(ProposalResponse::from_bytes(&resp.to_bytes()).unwrap(), resp);
     }
 
+    // Wire sizes are added up, not encoded; lengths from 128 on take a
+    // two-byte varint.
+    #[test]
+    fn wire_sizes_are_the_lengths_of_the_encodings(
+        subject in "[a-z]{1,150}",
+        channel in "[a-z]{1,140}",
+        args in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 0..3),
+        payload in proptest::collection::vec(any::<u8>(), 0..300),
+        reads in 0usize..3,
+        writes in 0usize..3,
+        endorsements in 0usize..3,
+        event in any::<bool>(),
+        ok in any::<bool>(),
+    ) {
+        let creator = MspBuilder::new(1).enroll(&subject, &org(1)).certificate().clone();
+        let key = |i: usize| StateKey::new("cc", "k".repeat(i * 70));
+        let rwset = RwSet {
+            reads: (0..reads)
+                .map(|i| KvRead { key: key(i), version: (i > 0).then(|| Version::new(9, 7)) })
+                .collect(),
+            writes: (0..writes)
+                .map(|i| KvWrite { key: key(i), value: (i > 0).then(|| payload.as_slice().into()) })
+                .collect(),
+        };
+        let event = event.then(|| ChaincodeEvent::from((subject.clone(), payload.clone())));
+        let env = Envelope {
+            proposal: Proposal {
+                channel: channel.as_str().into(),
+                chaincode: "cc".into(),
+                function: subject.clone(),
+                args,
+                creator: creator.clone(),
+                nonce: 5,
+            },
+            payload: payload.clone(),
+            rwset: rwset.clone(),
+            event: event.clone(),
+            endorsements: (0..endorsements)
+                .map(|i| Endorsement {
+                    endorser: creator.clone(),
+                    signature: Signature(Digest::of(&[i as u8])),
+                })
+                .collect(),
+        };
+        let response = ProposalResponse {
+            tx_id: env.tx_id(),
+            endorser: creator,
+            result: if ok { Ok(payload) } else { Err(channel) },
+            rwset,
+            event,
+            signature: Signature(Digest::of(b"s")),
+        };
+        prop_assert_eq!(env.proposal.wire_size(), env.proposal.to_bytes().len() as u64);
+        prop_assert_eq!(response.wire_size(), response.to_bytes().len() as u64);
+        prop_assert_eq!(env.wire_size(), env.to_bytes().len() as u64);
+    }
+
     #[test]
     fn signatures_verify_only_for_signer_and_message(
         msg1 in proptest::collection::vec(any::<u8>(), 1..64),

@@ -210,7 +210,7 @@ pub fn extend_chain(
 ) -> Vec<Block> {
     (first.height()..first.height() + blocks)
         .map(|number| {
-            let envelopes = (0..txs_per_block)
+            let envelopes: Vec<_> = (0..txs_per_block)
                 .map(|i| post(client, endorser, number * txs_per_block + i).to_raw())
                 .collect();
             let block = Block::build(number, first.store().tip_hash(), envelopes);

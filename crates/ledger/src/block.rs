@@ -147,9 +147,14 @@ pub struct Block {
 }
 
 impl Block {
-    /// Builds a block with the correct `data_hash` over `envelopes`.
-    pub fn build(number: u64, prev_hash: Digest, envelopes: Vec<RawEnvelope>) -> Block {
-        let envelopes: Arc<[RawEnvelope]> = envelopes.into();
+    /// Builds a block with the correct `data_hash` over `envelopes`; a
+    /// body that is already shared is taken as it is, not copied.
+    pub fn build(
+        number: u64,
+        prev_hash: Digest,
+        envelopes: impl Into<Arc<[RawEnvelope]>>,
+    ) -> Block {
+        let envelopes = envelopes.into();
         let leaves: Vec<Digest> = envelopes.iter().map(RawEnvelope::digest).collect();
         Block {
             header: BlockHeader {

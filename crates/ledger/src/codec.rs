@@ -67,17 +67,17 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Encoded length of a [`Digest`] (and so of a transaction id).
-pub(crate) const DIGEST_LEN: u64 = 32;
+pub const DIGEST_LEN: u64 = 32;
 
 /// Number of bytes [`Encoder::put_varint`] writes for `v`.
-pub(crate) fn varint_len(v: u64) -> u64 {
+pub fn varint_len(v: u64) -> u64 {
     // Seven payload bits per byte; zero still takes one byte.
     u64::from((64 - (v | 1).leading_zeros()).div_ceil(7))
 }
 
 /// Number of bytes [`Encoder::put_bytes`] (and so [`Encoder::put_str`])
 /// writes for a string of `len` bytes.
-pub(crate) fn bytes_len(len: usize) -> u64 {
+pub fn bytes_len(len: usize) -> u64 {
     varint_len(len as u64) + len as u64
 }
 

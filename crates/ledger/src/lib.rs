@@ -38,7 +38,10 @@ mod tx;
 pub use block::{Block, BlockHeader, BlockMetadata, RawEnvelope};
 pub use blockstore::{BlockStore, ChainError, CheckedBlock};
 pub use channel::{ChannelId, ChannelLedger, DEFAULT_CHANNEL};
-pub use codec::{decode_seq, encode_seq, CodecError, Decode, Decoder, Encode, Encoder};
+pub use codec::{
+    bytes_len, decode_seq, encode_seq, varint_len, CodecError, Decode, Decoder, Encode, Encoder,
+    DIGEST_LEN,
+};
 pub use hash::{hmac_sha256, hmac_sha256_parts, Digest, Sha256};
 pub use history::{HistoryDb, HistoryEntry};
 pub use merkle::{MerkleProof, MerkleTree};

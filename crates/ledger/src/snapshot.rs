@@ -38,9 +38,6 @@ use crate::provgraph::{GraphIndexer, ProvGraph};
 use crate::statedb::{hash_entries, StateDb, VersionedValue};
 use crate::tx::{StateKey, TxId, Version};
 
-/// Encoded length of a [`Version`]: block number and transaction index.
-const VERSION_LEN: u64 = 8 + 4;
-
 /// Default number of state entries per chunk.
 pub const DEFAULT_CHUNK_ENTRIES: usize = 256;
 
@@ -115,14 +112,9 @@ pub struct SnapshotEntry {
     pub version: Version,
 }
 
-/// Length of a key's canonical encoding.
-fn key_wire_size(key: &StateKey) -> u64 {
-    bytes_len(key.namespace.len()) + bytes_len(key.key.len())
-}
-
 impl SnapshotEntry {
     fn wire_size(&self) -> u64 {
-        key_wire_size(&self.key) + bytes_len(self.value.len()) + VERSION_LEN
+        self.key.wire_size() + bytes_len(self.value.len()) + Version::WIRE_SIZE
     }
 }
 
@@ -178,7 +170,7 @@ impl HistoryEntry {
     fn wire_size(&self) -> u64 {
         // The value is an option: a tag byte, then the bytes if present.
         let value = self.value.as_ref().map_or(0, |v| bytes_len(v.len()));
-        DIGEST_LEN + VERSION_LEN + 1 + value
+        DIGEST_LEN + Version::WIRE_SIZE + 1 + value
     }
 }
 
@@ -212,7 +204,7 @@ pub struct HistoryRecord {
 impl HistoryRecord {
     fn wire_size(&self) -> u64 {
         let entries: u64 = self.entries.iter().map(HistoryEntry::wire_size).sum();
-        key_wire_size(&self.key) + varint_len(self.entries.len() as u64) + entries
+        self.key.wire_size() + varint_len(self.entries.len() as u64) + entries
     }
 }
 

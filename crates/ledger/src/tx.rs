@@ -13,7 +13,9 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::codec::{decode_seq, encode_seq, CodecError, Decode, Decoder, Encode, Encoder};
+use crate::codec::{
+    bytes_len, decode_seq, encode_seq, varint_len, CodecError, Decode, Decoder, Encode, Encoder,
+};
 use crate::hash::Digest;
 
 /// An interned chaincode namespace.
@@ -152,6 +154,9 @@ pub struct Version {
 }
 
 impl Version {
+    /// Length of the canonical encoding: block number and tx index.
+    pub(crate) const WIRE_SIZE: u64 = 8 + 4;
+
     /// Creates a version.
     pub fn new(block_num: u64, tx_num: u32) -> Self {
         Version { block_num, tx_num }
@@ -201,6 +206,11 @@ impl StateKey {
             namespace: namespace.into(),
             key: key.into(),
         }
+    }
+
+    /// Length of the canonical encoding.
+    pub(crate) fn wire_size(&self) -> u64 {
+        bytes_len(self.namespace.len()) + bytes_len(self.key.len())
     }
 }
 
@@ -316,6 +326,19 @@ impl RwSet {
     /// True if the transaction neither read nor wrote state.
     pub fn is_empty(&self) -> bool {
         self.reads.is_empty() && self.writes.is_empty()
+    }
+
+    /// Length of the canonical encoding, added up without producing it.
+    pub fn wire_size(&self) -> u64 {
+        // An option's tag is one byte.
+        let read = |r: &KvRead| r.key.wire_size() + 1 + r.version.map_or(0, |_| Version::WIRE_SIZE);
+        let write = |w: &KvWrite| {
+            w.key.wire_size() + 1 + w.value.as_ref().map_or(0, |v| bytes_len(v.len()))
+        };
+        varint_len(self.reads.len() as u64)
+            + self.reads.iter().map(read).sum::<u64>()
+            + varint_len(self.writes.len() as u64)
+            + self.writes.iter().map(write).sum::<u64>()
     }
 }
 
