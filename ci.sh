@@ -111,6 +111,9 @@ cargo run --release -p hyperprov-bench --bin bench_regress -- --quick
 # it is the one workload that runs a raft ordering cluster, whose members
 # share one body per batch and compact their logs: `peak_rss_mib` reads
 # about 76 MiB, and 104 with a deep copy of every batch per member.
+# `ledger_growth` is where a per-key cost of the ledger shows: a key's
+# history lives in its state entry, and `peak_rss_mib` reads about 116 MiB;
+# a list of history entries per key beside the state reads 136-146.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 for smoke in "ledger_growth 1" "crash_recover 2"; do
     set -- $smoke
@@ -124,6 +127,13 @@ for smoke in "ledger_growth 1" "crash_recover 2"; do
             exit 1
             ;;
     esac
+    if [ "$1" = ledger_growth ]; then
+        rss=$(echo "$result" | sed 's/.*"peak_rss_mib":{"value":\([0-9.]*\).*/\1/')
+        if awk "BEGIN {exit !($rss >= 132)}"; then
+            echo "ledger_growth peak_rss_mib $rss >= 132: the ledger keeps per-key history lists beside the state again" >&2
+            exit 1
+        fi
+    fi
     if [ "$1" = crash_recover ]; then
         p99=$(echo "$result" | sed 's/.*"op_p99_ms":{"value":\([0-9.]*\).*/\1/')
         if awk "BEGIN {exit !($p99 >= 5000)}"; then

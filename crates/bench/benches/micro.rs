@@ -13,8 +13,8 @@ use hyperprov_fabric::{
     EnvelopeView, MspBuilder, MspId, Proposal, SignedProposal,
 };
 use hyperprov_ledger::{
-    ChannelId, Decode, Digest, Encode, HistoryDb, KvWrite, MerkleTree, Snapshot, StateDb, StateKey,
-    TxId, Version, DEFAULT_CHUNK_ENTRIES,
+    ChannelId, Decode, Digest, Encode, KvWrite, MerkleTree, Snapshot, StateDb, StateKey, TxId,
+    Version, DEFAULT_CHUNK_ENTRIES,
 };
 
 fn bench_sha256(c: &mut Criterion) {
@@ -109,17 +109,14 @@ fn bench_statedb(c: &mut Criterion) {
 /// `verify_10k` is the integrity check of a sealed snapshot.
 fn bench_snapshot(c: &mut Criterion) {
     let mut state = StateDb::new();
-    let mut history = HistoryDb::new();
     let mut seen = Vec::new();
     for i in 0..10_000u32 {
         let write = KvWrite {
             key: StateKey::new("cc", format!("key-{i:06}")),
             value: Some(vec![0u8; 128].into()),
         };
-        let version = Version::new(u64::from(i), 0);
         let tx = TxId(Digest::of(&i.to_le_bytes()));
-        state.apply_write(&write, version);
-        history.append(tx, version, &[write]);
+        state.apply_tx(tx, Version::new(u64::from(i), 0), &write);
         seen.push(tx);
     }
     let cut = || {
@@ -128,7 +125,6 @@ fn bench_snapshot(c: &mut Criterion) {
             10_000,
             Digest::of(b"tip"),
             &state,
-            &history,
             seen.clone(),
             None,
             DEFAULT_CHUNK_ENTRIES,
@@ -208,7 +204,6 @@ fn bench_endorse(c: &mut Criterion) {
     let mut registry = ChaincodeRegistry::new();
     registry.install(Arc::new(HyperProvChaincode::new()));
     let state = StateDb::new();
-    let history = HistoryDb::new();
     let input = RecordInput::new(Digest::of(b"data")).with_location("sshfs://s/x", 4096);
     let proposal = Proposal {
         channel: "ch".into(),
@@ -223,7 +218,7 @@ fn bench_endorse(c: &mut Criterion) {
         proposal,
     };
     c.bench_function("endorse_hyperprov_post", |b| {
-        b.iter(|| endorse(&peer, &registry, &msp, &state, &history, None, &signed));
+        b.iter(|| endorse(&peer, &registry, &msp, &state, None, &signed));
     });
 }
 
@@ -253,8 +248,8 @@ fn bench_commit_decode(c: &mut Criterion) {
         signature: client.sign(&proposal.to_bytes()),
         proposal: proposal.clone(),
     };
-    let (state, history) = (StateDb::new(), HistoryDb::new());
-    let (response, _) = endorse(&peer, &registry, &msp, &state, &history, None, &signed);
+    let state = StateDb::new();
+    let (response, _) = endorse(&peer, &registry, &msp, &state, None, &signed);
     let record = response.result.clone().expect("endorsed");
     let raw = Envelope {
         proposal,
@@ -291,7 +286,6 @@ fn bench_chaincode_lineage(c: &mut Criterion) {
     let cert = client.certificate().clone();
     let cc = HyperProvChaincode::new();
     let mut state = StateDb::new();
-    let history = HistoryDb::new();
     for i in 0..32u32 {
         let parents = if i == 0 {
             vec![]
@@ -300,22 +294,18 @@ fn bench_chaincode_lineage(c: &mut Criterion) {
         };
         let input = RecordInput::new(Digest::of(&i.to_le_bytes())).with_parents(parents);
         let args = vec![format!("n{i}").into_bytes(), input.to_bytes()];
-        let mut stub = ChaincodeStub::new(CHAINCODE_NAME, "post", &args, &cert, &state, &history);
+        let mut stub = ChaincodeStub::new(CHAINCODE_NAME, "post", &args, &cert, &state);
         cc.invoke(&mut stub).unwrap();
         let (rwset, _, _) = stub.into_results();
-        state.apply_writes(&rwset.writes, Version::new(u64::from(i) + 1, 0));
+        let tx = TxId(Digest::of(&args[0]));
+        for write in &rwset.writes {
+            state.apply_tx(tx, Version::new(u64::from(i) + 1, 0), write);
+        }
     }
     let args = vec![b"n31".to_vec(), b"64".to_vec()];
     c.bench_function("chaincode_lineage_depth32", |b| {
         b.iter(|| {
-            let mut stub = ChaincodeStub::new(
-                CHAINCODE_NAME,
-                "get_lineage",
-                &args,
-                &cert,
-                &state,
-                &history,
-            );
+            let mut stub = ChaincodeStub::new(CHAINCODE_NAME, "get_lineage", &args, &cert, &state);
             cc.invoke(&mut stub).unwrap()
         });
     });

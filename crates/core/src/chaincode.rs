@@ -342,7 +342,7 @@ impl Chaincode for HyperProvChaincode {
 mod tests {
     use super::*;
     use hyperprov_fabric::{Certificate, MspBuilder, MspId};
-    use hyperprov_ledger::{HistoryDb, KvWrite, ProvGraph, StateDb, StateKey, TxId, Version};
+    use hyperprov_ledger::{KvWrite, ProvGraph, StateDb, StateKey, TxId, Version};
 
     /// A tiny single-peer harness that executes invocations and applies
     /// their write sets directly (no consensus), for chaincode-level tests.
@@ -351,7 +351,6 @@ mod tests {
     struct Harness {
         cc: HyperProvChaincode,
         state: StateDb,
-        history: HistoryDb,
         graph: ProvGraph,
         cert: Certificate,
         next_height: u64,
@@ -367,7 +366,6 @@ mod tests {
             Harness {
                 cc: HyperProvChaincode::new(),
                 state: StateDb::new(),
-                history: HistoryDb::new(),
                 graph: ProvGraph::new(),
                 cert,
                 next_height: 1,
@@ -379,27 +377,17 @@ mod tests {
             function: &str,
             args: Vec<Vec<u8>>,
         ) -> Result<Vec<u8>, ChaincodeError> {
-            let mut stub = ChaincodeStub::new(
-                CHAINCODE_NAME,
-                function,
-                &args,
-                &self.cert,
-                &self.state,
-                &self.history,
-            )
-            .with_graph(&self.graph);
+            let mut stub =
+                ChaincodeStub::new(CHAINCODE_NAME, function, &args, &self.cert, &self.state)
+                    .with_graph(&self.graph);
             let result = self.cc.invoke(&mut stub);
             let (rwset, _, _) = stub.into_results();
             if result.is_ok() {
                 let version = Version::new(self.next_height, 0);
                 self.next_height += 1;
-                self.state.apply_writes(&rwset.writes, version);
-                self.history.append(
-                    TxId(Digest::of(&self.next_height.to_le_bytes())),
-                    version,
-                    &rwset.writes,
-                );
+                let tx = TxId(Digest::of(&self.next_height.to_le_bytes()));
                 for write in &rwset.writes {
+                    self.state.apply_tx(tx, version, write);
                     if let Some(update) = HyperProvIndexer.index(&write.key, write.value.as_deref())
                     {
                         self.graph.apply(&update);
@@ -681,14 +669,7 @@ mod tests {
         ));
         // A stub without a graph index rejects the query outright.
         let args = vec![b"5".to_vec(), b"10".to_vec(), b"0:a".to_vec()];
-        let mut stub = ChaincodeStub::new(
-            CHAINCODE_NAME,
-            "get_ancestry",
-            &args,
-            &h.cert,
-            &h.state,
-            &h.history,
-        );
+        let mut stub = ChaincodeStub::new(CHAINCODE_NAME, "get_ancestry", &args, &h.cert, &h.state);
         assert!(matches!(
             h.cc.invoke(&mut stub),
             Err(ChaincodeError::Rejected(_))

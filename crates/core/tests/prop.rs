@@ -13,8 +13,8 @@ use hyperprov::{
 };
 use hyperprov_fabric::{Certificate, Chaincode, ChaincodeError, ChaincodeStub, MspBuilder, MspId};
 use hyperprov_ledger::{
-    Decode, Digest, Direction, Encode, GraphIndexer, HistoryDb, ProvGraph, StateDb,
-    TraversalLimits, TxId, Version, DEFAULT_CHANNEL,
+    Decode, Digest, Direction, Encode, GraphIndexer, ProvGraph, StateDb, TraversalLimits, TxId,
+    Version, DEFAULT_CHANNEL,
 };
 use hyperprov_sim::DetRng;
 use proptest::prelude::*;
@@ -333,7 +333,6 @@ fn dag_index_rebuild_matches_across_shards() {
 struct Shard {
     cert: Certificate,
     state: StateDb,
-    history: HistoryDb,
     graph: ProvGraph,
     height: u64,
 }
@@ -343,31 +342,22 @@ impl Shard {
         Shard {
             cert: cert(),
             state: StateDb::new(),
-            history: HistoryDb::new(),
             graph: ProvGraph::new(),
             height: 0,
         }
     }
 
     fn invoke(&mut self, function: &str, args: &[Vec<u8>]) -> Result<Vec<u8>, ChaincodeError> {
-        let mut stub = ChaincodeStub::new(
-            CHAINCODE_NAME,
-            function,
-            args,
-            &self.cert,
-            &self.state,
-            &self.history,
-        )
-        .with_graph(&self.graph);
+        let mut stub = ChaincodeStub::new(CHAINCODE_NAME, function, args, &self.cert, &self.state)
+            .with_graph(&self.graph);
         let result = HyperProvChaincode::permissive().invoke(&mut stub);
         let (rwset, _, _) = stub.into_results();
         if result.is_ok() && !rwset.writes.is_empty() {
             self.height += 1;
             let version = Version::new(self.height, 0);
-            self.state.apply_writes(&rwset.writes, version);
             let tx = TxId(Digest::of(&self.height.to_le_bytes()));
-            self.history.append(tx, version, &rwset.writes);
             for write in &rwset.writes {
+                self.state.apply_tx(tx, version, write);
                 if let Some(update) = HyperProvIndexer.index(&write.key, write.value.as_deref()) {
                     self.graph.apply(&update);
                 }

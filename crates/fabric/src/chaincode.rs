@@ -3,18 +3,16 @@
 //! ledger.
 //!
 //! Execution follows Fabric's simulate-then-order model: a stub wraps an
-//! immutable snapshot of the state/history databases and records every
-//! access into a [`RwSet`]. Like Fabric, a transaction **cannot read its
-//! own writes** — `get_state` always returns committed state — and range
-//! queries observe committed state only.
+//! immutable snapshot of the state database, history included, and
+//! records every access into a [`RwSet`]. Like Fabric, a transaction
+//! **cannot read its own writes** — `get_state` always returns committed
+//! state — and range queries observe committed state only.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use hyperprov_ledger::{
-    HistoryDb, HistoryEntry, KvRead, KvWrite, Ns, ProvGraph, RwSet, StateDb, StateKey,
-};
+use hyperprov_ledger::{HistoryEntry, KvRead, KvWrite, Ns, ProvGraph, RwSet, StateDb, StateKey};
 
 use crate::identity::Certificate;
 
@@ -72,7 +70,6 @@ pub struct ChaincodeStub<'a> {
     args: &'a [Vec<u8>],
     creator: &'a Certificate,
     state: &'a StateDb,
-    history: &'a HistoryDb,
     graph: Option<&'a ProvGraph>,
     rwset: RwSet,
     read_keys: HashMap<StateKey, ()>,
@@ -89,7 +86,6 @@ impl<'a> ChaincodeStub<'a> {
         args: &'a [Vec<u8>],
         creator: &'a Certificate,
         state: &'a StateDb,
-        history: &'a HistoryDb,
     ) -> Self {
         ChaincodeStub {
             namespace,
@@ -98,7 +94,6 @@ impl<'a> ChaincodeStub<'a> {
             args,
             creator,
             state,
-            history,
             graph: None,
             rwset: RwSet::new(),
             read_keys: HashMap::new(),
@@ -225,7 +220,7 @@ impl<'a> ChaincodeStub<'a> {
     /// The committed write history of `key`, oldest first.
     pub fn get_history_for_key(&mut self, key: &str) -> Vec<HistoryEntry> {
         let skey = StateKey::new(self.ns.clone(), key);
-        let entries = self.history.history(&skey).to_vec();
+        let entries = self.state.history().get(&skey).to_vec();
         self.stats.reads += 1;
         self.stats.bytes_read += entries
             .iter()
@@ -372,34 +367,26 @@ mod tests {
     use crate::identity::{MspBuilder, MspId};
     use hyperprov_ledger::{TxId, Version};
 
-    fn fixtures() -> (StateDb, HistoryDb, Certificate) {
+    fn fixtures() -> (StateDb, Certificate) {
         let mut state = StateDb::new();
-        state.apply_write(
+        state.apply_tx(
+            TxId(hyperprov_ledger::Digest::of(b"t0")),
+            Version::new(1, 0),
             &KvWrite {
                 key: StateKey::new("cc", "existing"),
                 value: Some(b"old".as_slice().into()),
             },
-            Version::new(1, 0),
-        );
-        let mut history = HistoryDb::new();
-        history.append(
-            TxId(hyperprov_ledger::Digest::of(b"t0")),
-            Version::new(1, 0),
-            &[KvWrite {
-                key: StateKey::new("cc", "existing"),
-                value: Some(b"old".as_slice().into()),
-            }],
         );
         let mut b = MspBuilder::new(1);
         let id = b.enroll("client", &MspId::new("org1"));
-        (state, history, id.certificate().clone())
+        (state, id.certificate().clone())
     }
 
     #[test]
     fn reads_record_versions_once() {
-        let (state, history, cert) = fixtures();
+        let (state, cert) = fixtures();
         let args = vec![];
-        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state, &history);
+        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state);
         assert_eq!(stub.get_state("existing"), Some(b"old".to_vec()));
         assert_eq!(stub.get_state("existing"), Some(b"old".to_vec()));
         assert_eq!(stub.get_state("missing"), None);
@@ -413,9 +400,9 @@ mod tests {
 
     #[test]
     fn no_read_your_writes() {
-        let (state, history, cert) = fixtures();
+        let (state, cert) = fixtures();
         let args = vec![];
-        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state, &history);
+        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state);
         stub.put_state("k", b"new".to_vec());
         // Fabric semantics: the pending write is invisible.
         assert_eq!(stub.get_state("k"), None);
@@ -424,9 +411,9 @@ mod tests {
 
     #[test]
     fn last_write_wins_per_key() {
-        let (state, history, cert) = fixtures();
+        let (state, cert) = fixtures();
         let args = vec![];
-        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state, &history);
+        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state);
         stub.put_state("k", b"v1".to_vec());
         stub.put_state("k", b"v2".to_vec());
         stub.del_state("gone");
@@ -439,9 +426,9 @@ mod tests {
 
     #[test]
     fn arg_accessors_validate() {
-        let (state, history, cert) = fixtures();
+        let (state, cert) = fixtures();
         let args = vec![b"hello".to_vec(), vec![0xFF]];
-        let stub = ChaincodeStub::new("cc", "f", &args, &cert, &state, &history);
+        let stub = ChaincodeStub::new("cc", "f", &args, &cert, &state);
         assert_eq!(stub.arg_str(0).unwrap(), "hello");
         assert!(matches!(stub.arg_str(1), Err(ChaincodeError::BadArgs(_))));
         assert!(matches!(stub.arg_str(2), Err(ChaincodeError::BadArgs(_))));
@@ -453,9 +440,9 @@ mod tests {
 
     #[test]
     fn composite_keys_round_trip() {
-        let (state, history, cert) = fixtures();
+        let (state, cert) = fixtures();
         let args = vec![];
-        let stub = ChaincodeStub::new("cc", "f", &args, &cert, &state, &history);
+        let stub = ChaincodeStub::new("cc", "f", &args, &cert, &state);
         let key = stub
             .create_composite_key("owner", &["org1", "item1"])
             .unwrap();
@@ -470,7 +457,7 @@ mod tests {
 
     #[test]
     fn partial_composite_key_scan() {
-        let (mut state, history, cert) = fixtures();
+        let (mut state, cert) = fixtures();
         // Seed composite keys directly.
         for (owner, item) in [("org1", "a"), ("org1", "b"), ("org2", "c")] {
             let key = format!("own{COMPOSITE_SEP}{owner}{COMPOSITE_SEP}{item}{COMPOSITE_SEP}");
@@ -483,7 +470,7 @@ mod tests {
             );
         }
         let args = vec![];
-        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state, &history);
+        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state);
         let hits = stub
             .get_state_by_partial_composite_key("own", &["org1"])
             .unwrap();
@@ -494,9 +481,9 @@ mod tests {
 
     #[test]
     fn history_query_returns_committed_entries() {
-        let (state, history, cert) = fixtures();
+        let (state, cert) = fixtures();
         let args = vec![];
-        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state, &history);
+        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state);
         let h = stub.get_history_for_key("existing");
         assert_eq!(h.len(), 1);
         assert_eq!(h[0].value.as_deref(), Some(b"old".as_slice()));
@@ -505,9 +492,9 @@ mod tests {
 
     #[test]
     fn events_captured() {
-        let (state, history, cert) = fixtures();
+        let (state, cert) = fixtures();
         let args = vec![];
-        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state, &history);
+        let mut stub = ChaincodeStub::new("cc", "f", &args, &cert, &state);
         stub.set_event("posted", b"payload".to_vec());
         let (_, event, _) = stub.into_results();
         assert_eq!(event, Some(("posted".to_owned(), b"payload".to_vec())));
@@ -530,9 +517,9 @@ mod tests {
         reg.install(Arc::new(Echo));
         assert_eq!(reg.len(), 1);
         let cc = reg.get("echo").unwrap().clone();
-        let (state, history, cert) = fixtures();
+        let (state, cert) = fixtures();
         let args = vec![b"x".to_vec()];
-        let mut stub = ChaincodeStub::new("echo", "any", &args, &cert, &state, &history);
+        let mut stub = ChaincodeStub::new("echo", "any", &args, &cert, &state);
         assert_eq!(cc.invoke(&mut stub).unwrap(), b"x".to_vec());
         assert!(reg.get("nope").is_none());
     }

@@ -25,8 +25,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use hyperprov_ledger::{
-    Block, BlockStore, ChainError, ChannelId, ChannelLedger, GraphIndexer, HistoryDb, ProvGraph,
-    RawEnvelope, StateDb, StateKey, TxId, ValidationCode, Version,
+    Block, BlockStore, ChainError, ChannelId, GraphIndexer, History, ProvGraph, RawEnvelope,
+    StateDb, StateKey, TxId, ValidationCode, Version,
 };
 
 pub use bootstrap::BootstrapError;
@@ -109,14 +109,18 @@ pub struct VsccVerdict {
     pub sig_hits: u32,
 }
 
-/// A committing peer's view of one channel: the per-channel ledger bundle
-/// ([`ChannelLedger`]: block store, world state, history) and the
-/// validation machinery. A peer hosting several channels owns one
-/// `Committer` per channel.
+/// A committing peer's ledger of one channel — block store, world state
+/// with every key's history, provenance DAG index — and the validation
+/// machinery. A peer hosting several channels owns one `Committer` per
+/// channel.
 #[derive(Debug)]
 pub struct Committer {
     channel: ChannelId,
-    ledger: ChannelLedger,
+    store: BlockStore,
+    state: StateDb,
+    /// Maintained on commit alongside `state`; derived, so rebuilt from
+    /// block replay on restart.
+    graph: ProvGraph,
     msp: Arc<Msp>,
     policies: ChannelPolicies,
     seen: HashSet<TxId>,
@@ -135,7 +139,9 @@ impl Committer {
     pub fn for_channel(channel: ChannelId, msp: Arc<Msp>, policies: ChannelPolicies) -> Self {
         Committer {
             channel,
-            ledger: ChannelLedger::new(),
+            store: BlockStore::new(),
+            state: StateDb::new(),
+            graph: ProvGraph::new(),
             msp,
             policies,
             seen: HashSet::new(),
@@ -157,30 +163,25 @@ impl Committer {
         &self.channel
     }
 
-    /// The channel's ledger bundle.
-    pub fn ledger(&self) -> &ChannelLedger {
-        &self.ledger
-    }
-
     /// The committed block chain.
     pub fn store(&self) -> &BlockStore {
-        &self.ledger.store
+        &self.store
     }
 
     /// The current world state.
     pub fn state(&self) -> &StateDb {
-        &self.ledger.state
+        &self.state
     }
 
-    /// The per-key history index.
-    pub fn history(&self) -> &HistoryDb {
-        &self.ledger.history
+    /// Every key's write history, held in the world state's entries.
+    pub fn history(&self) -> History<'_> {
+        self.state.history()
     }
 
     /// The channel's materialized provenance DAG index (empty unless a
     /// [`GraphIndexer`] was installed via [`Committer::with_indexer`]).
     pub fn graph(&self) -> &ProvGraph {
-        &self.ledger.graph
+        &self.graph
     }
 
     /// Verifies the incrementally maintained graph index against the
@@ -191,9 +192,8 @@ impl Committer {
         let Some(indexer) = &self.indexer else {
             return true;
         };
-        let entries = self.ledger.state.iter().map(|(k, v)| (k, &*v.value));
-        ProvGraph::from_state(Some(indexer.as_ref()), entries).digest()
-            == self.ledger.graph.digest()
+        let entries = self.state.iter().map(|(k, v)| (k, &*v.value));
+        ProvGraph::from_state(Some(indexer.as_ref()), entries).digest() == self.graph.digest()
     }
 
     /// Feeds one applied write through the installed indexer, updating the
@@ -201,7 +201,7 @@ impl Committer {
     /// the index at apply time.
     fn index_write(&mut self, key: &StateKey, value: Option<&[u8]>) -> u64 {
         let update = self.indexer.as_ref().and_then(|i| i.index(key, value));
-        update.map_or(0, |update| self.ledger.graph.apply(&update))
+        update.map_or(0, |update| self.graph.apply(&update))
     }
 
     /// The membership registry this committer validates against.
@@ -211,7 +211,7 @@ impl Committer {
 
     /// Chain height.
     pub fn height(&self) -> u64 {
-        self.ledger.store.height()
+        self.store.height()
     }
 
     /// Validates and commits one block: the VSCC verdicts computed inline
@@ -292,7 +292,7 @@ impl Committer {
     }
 
     /// The serial half of the commit path: duplicate-tx-id and MVCC
-    /// read-version checks plus the state/history apply, consuming the
+    /// read-version checks plus the state apply, consuming the
     /// [`VsccVerdict`]s produced by [`Committer::vscc_block`] for this
     /// block. Duplicates are decided before signature/policy verdicts
     /// before MVCC, as in Fabric's serial validator; signature and policy
@@ -323,7 +323,7 @@ impl Committer {
         // must not be applied from a block that does not extend the chain.
         // The body is hashed here, once; the append below takes the
         // checked block and does not hash it again.
-        let mut block = self.ledger.store.check_extends(block)?;
+        let mut block = self.store.check_extends(block)?;
 
         let mut events = Vec::with_capacity(block.envelopes.len());
         let mut codes = Vec::with_capacity(block.envelopes.len());
@@ -338,7 +338,7 @@ impl Committer {
             let mut event = None;
             if let Some(spans) = verdict.spans {
                 let view = EnvelopeView::over(&raw.bytes, spans);
-                let state = &self.ledger.state;
+                let state = &self.state;
                 code = if self.seen.contains(&verdict.tx_id) {
                     ValidationCode::DuplicateTxId
                 } else if let Some(failure) = verdict.failure {
@@ -350,12 +350,11 @@ impl Committer {
                 };
                 if code.is_valid() {
                     let version = Version::new(block.header.number, tx_num as u32);
-                    // The one copy a write gets: state, history and the
-                    // written-key list share its key and its value.
+                    // The one copy a write gets: the state entry, its
+                    // history and the written-key list share its key and
+                    // its value.
                     for write in view.writes() {
-                        self.ledger.state.apply_write(&write, version);
-                        let history = &mut self.ledger.history;
-                        history.append(verdict.tx_id, version, std::slice::from_ref(&write));
+                        self.state.apply_tx(verdict.tx_id, version, &write);
                         dangling_parents += self.index_write(&write.key, write.value.as_deref());
                         written_keys.push(write.key);
                     }
@@ -386,8 +385,7 @@ impl Committer {
         // would leave the world state ahead of the block store. Nothing
         // was appended to the store since `check_extends`, so this is
         // unreachable unless that pairing breaks.
-        self.ledger
-            .store
+        self.store
             .append_checked(block)
             .expect("a block that passed check_extends still extends the chain");
         Ok(CommitOutcome {
@@ -429,8 +427,8 @@ impl Committer {
 
     /// Rebuilds this committer from its own persisted chain — the crash
     /// recovery path. Equivalent to [`Committer::replay`] over
-    /// [`Committer::store`]: volatile state (world state, history, seen
-    /// set) is reconstructed from the durable block store.
+    /// [`Committer::store`]: volatile state (world state with its
+    /// history, seen set) is reconstructed from the durable block store.
     ///
     /// # Errors
     ///
@@ -442,7 +440,7 @@ impl Committer {
             self.msp.clone(),
             self.policies.clone(),
             self.indexer.clone(),
-            self.ledger.store.iter().cloned(),
+            self.store.iter().cloned(),
         )
     }
 }

@@ -67,10 +67,9 @@ impl Committer {
     pub fn snapshot(&self, chunk_entries: usize) -> Snapshot {
         Snapshot::capture(
             &self.channel,
-            self.ledger.store.height(),
-            self.ledger.store.tip_hash(),
-            &self.ledger.state,
-            &self.ledger.history,
+            self.store.height(),
+            self.store.tip_hash(),
+            &self.state,
             self.seen.iter().copied().collect(),
             self.indexer.clone(),
             chunk_entries,
@@ -80,7 +79,7 @@ impl Committer {
     /// Compacts the block store behind a snapshot horizon; blocks below
     /// `horizon` are dropped. Returns the number of blocks pruned.
     pub fn prune_store_to(&mut self, horizon: u64) -> u64 {
-        self.ledger.store.prune_to(horizon)
+        self.store.prune_to(horizon)
     }
 
     /// Rebuilds a committer from a verified snapshot plus delta blocks —
@@ -124,12 +123,9 @@ impl Committer {
 
         let mut committer = Committer {
             channel,
-            ledger: ChannelLedger {
-                store: BlockStore::with_base(manifest.height, manifest.tip_hash),
-                state,
-                history: snapshot.restore_history(),
-                graph,
-            },
+            store: BlockStore::with_base(manifest.height, manifest.tip_hash),
+            state,
+            graph,
             msp,
             policies,
             seen: snapshot.tail().seen.iter().copied().collect(),
@@ -162,8 +158,7 @@ impl Committer {
             self.policies.clone(),
             self.indexer.clone(),
             snapshot,
-            self.ledger
-                .store
+            self.store
                 .iter()
                 .filter(|b| b.header.number >= snapshot.height())
                 .cloned(),

@@ -4,8 +4,8 @@
 use super::*;
 use crate::identity::{MspBuilder, Signature, SigningIdentity};
 use crate::messages::{endorsement_message, Endorsement, Envelope, Proposal};
-use hyperprov_ledger::Encode;
-use hyperprov_ledger::{Digest, KvRead, KvWrite, RwSet, Snapshot, SnapshotError};
+use hyperprov_ledger::{Decode, Encode};
+use hyperprov_ledger::{Digest, HistoryEntry, KvRead, KvWrite, RwSet, Snapshot, SnapshotError};
 
 struct Net {
     msp: Arc<Msp>,
@@ -78,7 +78,7 @@ fn write_bytes(rwset: &RwSet) -> u64 {
 /// apply, one transaction at a time), written independently of
 /// [`Committer::vscc_block`] / [`Committer::commit_block_prevalidated`].
 fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
-    let mut block = c.ledger.store.check_extends(block).unwrap();
+    let mut block = c.store.check_extends(block).unwrap();
     let mut out = CommitOutcome {
         events: Vec::new(),
         valid: 0,
@@ -98,9 +98,8 @@ fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
                 let mut chaincode_event = None;
                 if code.is_valid() {
                     let version = Version::new(block.header.number, tx_num as u32);
-                    c.ledger.state.apply_writes(&env.rwset.writes, version);
-                    c.ledger.history.append(tx_id, version, &env.rwset.writes);
                     for w in &env.rwset.writes {
+                        c.state.apply_tx(tx_id, version, w);
                         out.dangling_parents += c.index_write(&w.key, w.value.as_deref());
                     }
                     out.bytes_written += write_bytes(&env.rwset);
@@ -130,7 +129,7 @@ fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
         });
     }
     block.metadata_mut().codes = codes;
-    c.ledger.store.append_checked(block).unwrap();
+    c.store.append_checked(block).unwrap();
     out
 }
 
@@ -150,10 +149,19 @@ fn validate_reference(c: &Committer, env: &Envelope, tx_id: &TxId) -> Validation
     if !policy.is_satisfied_by(orgs.iter().copied()) {
         return ValidationCode::EndorsementPolicyFailure;
     }
-    if !c.ledger.state.validate_reads(&env.rwset.reads) {
+    if !c.state.validate_reads(&env.rwset.reads) {
         return ValidationCode::MvccReadConflict;
     }
     ValidationCode::Valid
+}
+
+/// Every key's write history, in key order.
+fn histories(c: &Committer) -> Vec<(StateKey, Vec<HistoryEntry>)> {
+    let history = c.history();
+    history
+        .iter()
+        .map(|(key, writes)| (key.clone(), writes.to_vec()))
+        .collect()
 }
 
 fn block_of(c: &Committer, envs: Vec<Envelope>) -> Block {
@@ -177,7 +185,7 @@ fn valid_tx_commits_and_updates_state() {
         &*c.state().get(&StateKey::new("cc", "k")).unwrap().value,
         b"v"
     );
-    assert_eq!(c.history().history(&StateKey::new("cc", "k")).len(), 1);
+    assert_eq!(c.history().get(&StateKey::new("cc", "k")).to_vec().len(), 1);
     assert_eq!(c.height(), 1);
 }
 
@@ -272,7 +280,7 @@ fn block_that_does_not_extend_the_chain_is_rejected_without_side_effects() {
         c.height(),
         c.store().tip_hash(),
         c.state().state_hash(),
-        c.history().total_entries(),
+        histories(&c),
         c.graph().digest(),
     );
     for (block, expected) in [
@@ -291,7 +299,7 @@ fn block_that_does_not_extend_the_chain_is_rejected_without_side_effects() {
             c.height(),
             c.store().tip_hash(),
             c.state().state_hash(),
-            c.history().total_entries(),
+            histories(&c),
             c.graph().digest(),
         );
         assert_eq!(after, before, "{expected:?} left a mark");
@@ -320,7 +328,7 @@ fn replicas_share_block_bodies_but_not_tampering() {
 
     // Rewriting history in one replica's store touches that replica
     // only: its audit fails, the other's chain and bytes are intact.
-    let victim = a.ledger.store.tamper(2).unwrap();
+    let victim = a.store.tamper(2).unwrap();
     Arc::make_mut(&mut victim.envelopes)[0].bytes = b"rewritten".to_vec();
     assert_eq!(
         a.store().verify_chain(),
@@ -341,13 +349,18 @@ fn state_and_history_hold_one_copy_of_each_key_and_value() {
         c.commit_block(block_of(&c, vec![env])).unwrap();
     }
     let (state_key, held) = c.state().range("cc", "k", "").next().unwrap();
-    let (history_key, entries) = c.history().iter().next().unwrap();
+    let (history_key, writes) = c.history().iter().next().unwrap();
     assert_eq!(state_key, &key);
     assert!(Arc::ptr_eq(&state_key.key, &history_key.key));
+    let entries = writes.to_vec();
     assert_eq!(entries.len(), 2);
     let latest = entries[1].value.as_ref().unwrap();
     assert_eq!(&**latest, b"v2");
     assert!(Arc::ptr_eq(&held.value, latest));
+    // The superseded write keeps its own value and the tx id that wrote it.
+    assert_eq!(entries[0].value.as_deref(), Some(b"v1".as_slice()));
+    assert_ne!(entries[0].tx_id, entries[1].tx_id);
+    assert_eq!(entries[1].tx_id, held.tx_id);
 
     let snapshot = c.snapshot(4);
     snapshot.verify().unwrap();
@@ -446,10 +459,7 @@ fn replay_reconstructs_identical_ledger() {
             .value,
         b"3"
     );
-    assert_eq!(
-        rebuilt.history().total_entries(),
-        original.history().total_entries()
-    );
+    assert_eq!(histories(&rebuilt), histories(&original));
 }
 
 #[test]
@@ -608,10 +618,7 @@ fn snapshot_bootstrap_matches_full_replay() {
     assert_eq!(rebuilt.store().tip_hash(), full.store().tip_hash());
     assert_eq!(rebuilt.store().base_height(), 4);
     assert_eq!(rebuilt.state().state_hash(), full.state().state_hash());
-    assert_eq!(
-        rebuilt.history().total_entries(),
-        full.history().total_entries()
-    );
+    assert_eq!(histories(&rebuilt), histories(&full));
     assert_eq!(rebuilt.graph().digest(), full.graph().digest());
     assert!(rebuilt.graph_consistent());
     // The duplicate stays a duplicate after bootstrap: `seen` came
@@ -651,6 +658,29 @@ fn bootstrap_rejects_bad_snapshots() {
     assert_eq!(
         boot(&bad, ChannelId::default()).unwrap_err(),
         BootstrapError::Snapshot(SnapshotError::PartDigestMismatch { index: 0 })
+    );
+    // A tail whose history a forger changed, re-sealed so that its part
+    // digest and the root match: neither a transfer nor a boot takes it.
+    let mut tail = good.tail().clone();
+    tail.history[0].entries[0].value = Some(b"forged".as_slice().into());
+    let last = good.part_count() - 1;
+    let mut manifest = good.manifest().clone();
+    manifest.part_digests[last] = tail.digest();
+    manifest.merkle_root = hyperprov_ledger::MerkleTree::root_of(&manifest.part_digests);
+    let mut parts: Vec<_> = (0..good.part_count()).map(|i| good.part(i)).collect();
+    parts[last] = Some(hyperprov_ledger::SnapshotPart::Tail(tail.clone()));
+    assert_eq!(
+        Snapshot::assemble(manifest.clone(), parts).unwrap_err(),
+        SnapshotError::HistoryMismatch
+    );
+    let mut enc = hyperprov_ledger::Encoder::new();
+    manifest.encode(&mut enc);
+    hyperprov_ledger::encode_seq(&good.chunks, &mut enc);
+    tail.encode(&mut enc);
+    let forged = Snapshot::from_bytes(&enc.into_bytes()).unwrap();
+    assert_eq!(
+        boot(&forged, ChannelId::default()).unwrap_err(),
+        BootstrapError::Snapshot(SnapshotError::HistoryMismatch)
     );
     // Wrong channel.
     assert!(matches!(
@@ -850,19 +880,13 @@ fn all_of_committer(net: &Net) -> Committer {
 
 /// Everything a commit leaves behind in a ledger.
 fn fingerprint(c: &Committer) -> impl PartialEq + std::fmt::Debug {
-    let mut history: Vec<_> = c.history().iter().collect();
-    history.sort_by(|a, b| a.0.cmp(b.0));
-    let history: Vec<_> = history
-        .into_iter()
-        .map(|(key, entries)| (key.clone(), entries.to_vec()))
-        .collect();
     let codes: Vec<_> = c.store().iter().map(|b| b.metadata.codes.clone()).collect();
     let tip = c.store().tip_hash();
     (
         c.state().state_hash(),
         tip,
         codes,
-        history,
+        histories(c),
         c.graph().digest(),
     )
 }

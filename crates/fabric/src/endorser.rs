@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use hyperprov_ledger::{Digest, Encode, HistoryDb, ProvGraph, StateDb, TxId};
+use hyperprov_ledger::{Digest, Encode, ProvGraph, StateDb, TxId};
 
 use crate::chaincode::{ChaincodeRegistry, ChaincodeStub, StubStats};
 use crate::identity::{Msp, SigningIdentity};
@@ -24,7 +24,6 @@ pub fn endorse(
     registry: &ChaincodeRegistry,
     msp: &Arc<Msp>,
     state: &StateDb,
-    history: &HistoryDb,
     graph: Option<&ProvGraph>,
     signed: &SignedProposal,
 ) -> (ProposalResponse, StubStats) {
@@ -61,7 +60,6 @@ pub fn endorse(
         &proposal.args,
         &proposal.creator,
         state,
-        history,
     );
     if let Some(graph) = graph {
         stub = stub.with_graph(graph);
@@ -123,7 +121,6 @@ mod tests {
         peer: SigningIdentity,
         registry: ChaincodeRegistry,
         state: StateDb,
-        history: HistoryDb,
     }
 
     use crate::identity::Msp;
@@ -140,7 +137,6 @@ mod tests {
             peer,
             registry,
             state: StateDb::new(),
-            history: HistoryDb::new(),
         }
     }
 
@@ -168,15 +164,7 @@ mod tests {
     fn successful_endorsement_is_signed_and_carries_rwset() {
         let s = setup();
         let sp = signed(&s.client, "kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
-        let (resp, stats) = endorse(
-            &s.peer,
-            &s.registry,
-            &s.msp,
-            &s.state,
-            &s.history,
-            None,
-            &sp,
-        );
+        let (resp, stats) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
         assert!(resp.is_success());
         assert_eq!(resp.rwset.writes.len(), 1);
         assert_eq!(resp.event.as_ref().unwrap().name, "put");
@@ -191,15 +179,7 @@ mod tests {
         let s = setup();
         let mut sp = signed(&s.client, "kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
         sp.signature = Signature(Digest::of(b"forged"));
-        let (resp, _) = endorse(
-            &s.peer,
-            &s.registry,
-            &s.msp,
-            &s.state,
-            &s.history,
-            None,
-            &sp,
-        );
+        let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
         assert!(!resp.is_success());
         assert!(resp.result.unwrap_err().contains("signature"));
         assert!(resp.rwset.is_empty());
@@ -209,15 +189,7 @@ mod tests {
     fn unknown_chaincode_rejected() {
         let s = setup();
         let sp = signed(&s.client, "ghost", "put", vec![]);
-        let (resp, _) = endorse(
-            &s.peer,
-            &s.registry,
-            &s.msp,
-            &s.state,
-            &s.history,
-            None,
-            &sp,
-        );
+        let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
         assert!(!resp.is_success());
         assert!(resp.result.unwrap_err().contains("not installed"));
     }
@@ -226,28 +198,12 @@ mod tests {
     fn chaincode_error_propagates_as_rejection() {
         let s = setup();
         let sp = signed(&s.client, "kv", "get", vec![b"missing".to_vec()]);
-        let (resp, _) = endorse(
-            &s.peer,
-            &s.registry,
-            &s.msp,
-            &s.state,
-            &s.history,
-            None,
-            &sp,
-        );
+        let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
         assert!(!resp.is_success());
         assert!(resp.result.unwrap_err().contains("not found"));
         // The read of the missing key is still recorded in stats.
         let sp2 = signed(&s.client, "kv", "nope", vec![]);
-        let (resp2, _) = endorse(
-            &s.peer,
-            &s.registry,
-            &s.msp,
-            &s.state,
-            &s.history,
-            None,
-            &sp2,
-        );
+        let (resp2, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp2);
         assert!(resp2.result.unwrap_err().contains("unknown function"));
     }
 
@@ -261,10 +217,9 @@ mod tests {
         let mut registry = ChaincodeRegistry::new();
         registry.install(Arc::new(Kv));
         let state = StateDb::new();
-        let history = HistoryDb::new();
         let sp = signed(&client, "kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
-        let (r1, _) = endorse(&peer1, &registry, &msp, &state, &history, None, &sp);
-        let (r2, _) = endorse(&peer2, &registry, &msp, &state, &history, None, &sp);
+        let (r1, _) = endorse(&peer1, &registry, &msp, &state, None, &sp);
+        let (r2, _) = endorse(&peer2, &registry, &msp, &state, None, &sp);
         assert_eq!(r1.rwset, r2.rwset);
         assert_eq!(r1.result, r2.result);
         assert_ne!(r1.signature, r2.signature); // different keys

@@ -300,7 +300,6 @@ impl Peer {
             &self.registry,
             committer.msp(),
             committer.state(),
-            committer.history(),
             Some(committer.graph()),
             &sp,
         );

@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{CatchUp, CatchUpAction, FabricMsg, CATCHUP_GIVE_UP};
 use hyperprov_ledger::{
-    ChannelId, Digest, HistoryDb, KvWrite, Snapshot, SnapshotManifest, SnapshotPart, StateDb,
-    StateKey, Version,
+    ChannelId, Digest, KvWrite, Snapshot, SnapshotManifest, SnapshotPart, StateDb, StateKey, TxId,
+    Version,
 };
 use hyperprov_sim::ActorId;
 use proptest::prelude::*;
@@ -46,20 +46,14 @@ fn snapshot(height: u64) -> Snapshot {
             key: StateKey::new("cc", format!("k{i:03}")),
             value: Some(vec![i as u8].into()),
         };
-        state.apply_write(&write, Version::new(i, 0));
+        state.apply_tx(
+            TxId(Digest::of(&i.to_le_bytes())),
+            Version::new(i, 0),
+            &write,
+        );
     }
     let tip = Digest::of(b"tip");
-    let history = HistoryDb::new();
-    Snapshot::capture(
-        &ChannelId::default(),
-        height,
-        tip,
-        &state,
-        &history,
-        vec![],
-        None,
-        3,
-    )
+    Snapshot::capture(&ChannelId::default(), height, tip, &state, vec![], None, 3)
 }
 
 /// One test per transition of the machine: a line of inputs, the actions

@@ -15,7 +15,8 @@
 //! for 2,437 B per transaction in the stateless phase (an owned envelope,
 //! the proposal re-encoded for its id, the signed message re-encoded) and
 //! 4.73 for 1,427 B in the serial one, which moved keys and values out of
-//! the decoded envelope; 43.75 calls together, 12.75 now.
+//! the decoded envelope; 43.75 calls together, 12.75 while each write
+//! also started a history list of its own beside the state, 10.75 now.
 //!
 //! This file holds one test on purpose: the counters are process-wide.
 
@@ -35,13 +36,13 @@ const TXS: i64 = (BLOCKS * TXS_PER_BLOCK) as i64;
 /// per 50-transaction block — for 21,600 B.
 const VSCC_CALLS_PER_100_TX: i64 = 112;
 const VSCC_BYTES_PER_100_TX: i64 = 23_760;
-/// The serial phase, per 100 transactions: measured 1,173 calls — per
-/// transaction the looked-up key of its one read, key, value and history
-/// list of each of its two writes, the graph update and the graph's node
-/// for its record, the name and payload of its event; the rest is maps
-/// and vectors growing — for 182,056 B.
-const SERIAL_CALLS_PER_100_TX: i64 = 1_290;
-const SERIAL_BYTES_PER_100_TX: i64 = 200_262;
+/// The serial phase, per 100 transactions: measured 973 calls — per
+/// transaction the looked-up key of its one read, key and value of each
+/// of its two writes, the graph update and the graph's node for its
+/// record, the name and payload of its event; the rest is maps and
+/// vectors growing — for 141,940 B.
+const SERIAL_CALLS_PER_100_TX: i64 = 1_070;
+const SERIAL_BYTES_PER_100_TX: i64 = 156_134;
 
 #[test]
 fn a_replica_commits_a_transaction_within_the_allocation_budget() {

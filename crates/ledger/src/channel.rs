@@ -1,4 +1,4 @@
-//! Channel identity and the per-channel ledger bundle.
+//! Channel identity.
 //!
 //! A channel is Fabric's sharding unit: an independent chain with its own
 //! ordering service, world state and history. [`ChannelId`] is the name a
@@ -8,11 +8,6 @@
 
 use std::fmt;
 use std::sync::Arc;
-
-use crate::blockstore::BlockStore;
-use crate::history::HistoryDb;
-use crate::provgraph::ProvGraph;
-use crate::statedb::StateDb;
 
 /// Name of the channel a single-channel deployment uses. Kept identical to
 /// the pre-sharding hard-wired name so degenerate deployments stay
@@ -112,36 +107,6 @@ impl PartialEq<&str> for ChannelId {
     }
 }
 
-/// The per-channel ledger bundle a peer keeps for every channel it hosts:
-/// the block store (hash chain), versioned world state, and per-key write
-/// history. Peers own a map `ChannelId -> ChannelLedger` instead of a
-/// single set of databases.
-#[derive(Debug, Default)]
-pub struct ChannelLedger {
-    /// The channel's hash chain.
-    pub store: BlockStore,
-    /// The channel's versioned world state.
-    pub state: StateDb,
-    /// The channel's per-key write history.
-    pub history: HistoryDb,
-    /// The channel's materialized provenance DAG index, maintained by the
-    /// committer alongside `state`/`history` (derived state: rebuilt from
-    /// block replay on restart).
-    pub graph: ProvGraph,
-}
-
-impl ChannelLedger {
-    /// Creates an empty ledger bundle.
-    pub fn new() -> Self {
-        ChannelLedger::default()
-    }
-
-    /// Current chain height.
-    pub fn height(&self) -> u64 {
-        self.store.height()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,12 +146,5 @@ mod tests {
         let b = ChannelId::new("b");
         assert!(a < b);
         assert_eq!(a, ChannelId::new("a"));
-    }
-
-    #[test]
-    fn channel_ledger_starts_empty() {
-        let l = ChannelLedger::new();
-        assert_eq!(l.height(), 0);
-        assert!(l.state.is_empty());
     }
 }

@@ -11,8 +11,9 @@
 //! * [`Block`]/[`BlockHeader`]/[`BlockStore`] — the hash chain,
 //! * [`RwSet`]/[`Version`]/[`ValidationCode`] — transaction simulation
 //!   artefacts for execute-order-validate,
-//! * [`StateDb`] — the versioned world state with range queries, and
-//! * [`HistoryDb`] — per-key write history for provenance queries.
+//! * [`StateDb`] — the versioned world state with range queries, whose
+//!   entries also hold every key's write history ([`History`]) for
+//!   provenance queries.
 //!
 //! This crate is deliberately independent of the simulator: it is pure data
 //! structures and can be reused by a wall-clock deployment.
@@ -37,13 +38,13 @@ mod tx;
 
 pub use block::{Block, BlockHeader, BlockMetadata, RawEnvelope};
 pub use blockstore::{BlockStore, ChainError, CheckedBlock};
-pub use channel::{ChannelId, ChannelLedger, DEFAULT_CHANNEL};
+pub use channel::{ChannelId, DEFAULT_CHANNEL};
 pub use codec::{
     bytes_len, decode_seq, encode_seq, varint_len, CodecError, Decode, Decoder, Encode, Encoder,
     DIGEST_LEN,
 };
 pub use hash::{hmac_sha256, hmac_sha256_parts, Digest, Sha256};
-pub use history::{HistoryDb, HistoryEntry};
+pub use history::{History, HistoryDb, HistoryEntry, KeyHistory};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use provgraph::{Direction, GraphIndexer, GraphUpdate, ProvGraph, Traversal, TraversalLimits};
 pub use snapshot::{

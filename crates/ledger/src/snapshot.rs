@@ -1,8 +1,8 @@
 //! Merkle-rooted state snapshots for O(1)-in-chain-length recovery.
 //!
 //! A [`Snapshot`] captures one channel's entire derived state — world
-//! state, per-key history, the duplicate-detection tx-id set and the
-//! provenance-graph structure digest — at a block height. The world
+//! state with every key's history, the duplicate-detection tx-id set and
+//! the provenance-graph structure digest — at a block height. The world
 //! state is split into fixed-size [`SnapshotChunk`]s (key order), the
 //! history/tx-id remainder forms a [`SnapshotTail`], and a Merkle root
 //! over the part digests commits to the whole artefact, so a peer can
@@ -15,12 +15,13 @@
 //!
 //! Cutting a snapshot and committing to it are two steps. The cut
 //! *freezes*: it bumps the refcounts of the ledger's shared keys and
-//! values into the snapshot's own vectors and encodes, hashes and sorts
-//! nothing. The first reader of the manifest *seals*: part digests,
-//! Merkle root, state hash, graph digest and the tail's key order are
-//! computed once, from the frozen view, and kept. A peer cuts every few
-//! blocks and almost never reads what it cut, so the work that grows with
-//! the ledger is paid by the recovery or the transfer that needs it.
+//! values into the snapshot's own vectors, in key order, and encodes and
+//! hashes nothing. The first reader of the manifest *seals*: part
+//! digests, Merkle root, state hash, graph digest and the order of the
+//! tx-id set are computed once, from the frozen view, and kept. A peer
+//! cuts every few blocks and almost never reads what it cut, so the work
+//! that grows with the ledger is paid by the recovery or the transfer
+//! that needs it.
 
 use std::cell::{LazyCell, OnceCell};
 use std::fmt;
@@ -32,10 +33,10 @@ use crate::codec::{
     DIGEST_LEN,
 };
 use crate::hash::Digest;
-use crate::history::{HistoryDb, HistoryEntry};
+use crate::history::HistoryEntry;
 use crate::merkle::MerkleTree;
 use crate::provgraph::{GraphIndexer, ProvGraph};
-use crate::statedb::{hash_entries, StateDb, VersionedValue};
+use crate::statedb::{hash_entries, StateDb};
 use crate::tx::{StateKey, TxId, Version};
 
 /// Default number of state entries per chunk.
@@ -73,6 +74,11 @@ pub enum SnapshotError {
         /// Index of the part that never arrived.
         index: usize,
     },
+    /// The state entries are not the live writes the history ends in: a
+    /// live entry's value or version differs from its key's last history
+    /// entry, a live key has no history, or a history ends in a write the
+    /// state does not hold.
+    HistoryMismatch,
 }
 
 impl fmt::Display for SnapshotError {
@@ -94,6 +100,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::HistoryOutOfOrder => write!(f, "history records out of key order"),
             SnapshotError::SeenOutOfOrder => write!(f, "seen tx ids out of order"),
             SnapshotError::MissingPart { index } => write!(f, "part {index} missing"),
+            SnapshotError::HistoryMismatch => write!(f, "state disagrees with history"),
         }
     }
 }
@@ -391,13 +398,11 @@ impl Decode for SnapshotPart {
 /// # Examples
 ///
 /// ```
-/// use hyperprov_ledger::{ChannelId, Digest, HistoryDb, Snapshot, StateDb};
+/// use hyperprov_ledger::{ChannelId, Digest, Snapshot, StateDb};
 ///
 /// let state = StateDb::new();
-/// let history = HistoryDb::new();
 /// let snap = Snapshot::capture(
-///     &ChannelId::default(), 3, Digest::of(b"tip"),
-///     &state, &history, vec![], None, 4,
+///     &ChannelId::default(), 3, Digest::of(b"tip"), &state, vec![], None, 4,
 /// );
 /// assert_eq!(snap.manifest().state_hash, state.state_hash());
 /// assert!(snap.verify().is_ok());
@@ -413,31 +418,29 @@ pub struct Snapshot {
     /// State chunks, key order, manifest order. An edit made after the
     /// seal is what [`Snapshot::verify`] reports.
     pub chunks: Vec<SnapshotChunk>,
-    /// History + seen-tx remainder, frozen in the order the ledger's hash
-    /// tables gave it up; its first reader puts it in key order.
+    /// History + seen-tx remainder, frozen flat; its first reader cuts
+    /// out the per-key lists and puts the tx ids in order.
     tail: LazyCell<SnapshotTail, Box<dyn FnOnce() -> SnapshotTail>>,
     manifest: OnceCell<SnapshotManifest>,
 }
 
 impl Snapshot {
-    /// Freezes the given databases at `height` into a snapshot with at
-    /// most `chunk_entries` state entries per chunk. `seen` must be the
-    /// full committed-tx-id set, in any order. `indexer` is the one the
-    /// channel's provenance graph is maintained with (`None` for an empty
-    /// graph).
+    /// Freezes `state` — live entries and every key's history — at
+    /// `height` into a snapshot with at most `chunk_entries` state entries
+    /// per chunk. `seen` must be the full committed-tx-id set, in any
+    /// order. `indexer` is the one the channel's provenance graph is
+    /// maintained with (`None` for an empty graph).
     ///
     /// The cut shares every key and value with the ledger and computes
     /// nothing over them: its host cost is a refcount bump per string,
     /// into a fixed number of vectors. Simulated cost is charged by the
     /// caller, from [`Snapshot::entry_count`] and
     /// [`Snapshot::state_bytes`].
-    #[allow(clippy::too_many_arguments)]
     pub fn capture(
         channel: &ChannelId,
         height: u64,
         tip_hash: Digest,
         state: &StateDb,
-        history: &HistoryDb,
         mut seen: Vec<TxId>,
         indexer: Option<Arc<dyn GraphIndexer>>,
         chunk_entries: usize,
@@ -460,13 +463,17 @@ impl Snapshot {
 
         // History is frozen flat — every key with its entry count, and
         // every entry, in two vectors — so the cut allocates twice, not
-        // once per key, and a cut nobody read is dropped as cheaply. The
-        // per-key lists are cut out when the tail is first read.
-        let mut keys = Vec::with_capacity(history.key_count());
-        let mut flat = Vec::with_capacity(history.total_entries() as usize);
-        for (key, entries) in history.iter() {
-            keys.push((key.clone(), entries.len()));
-            flat.extend_from_slice(entries);
+        // once per key, and a cut nobody read is dropped as cheaply. One
+        // merge pass over the live and the earlier writes gives it up in
+        // key order; the per-key lists are cut out when the tail is first
+        // read.
+        let earlier = state.earlier.values().map(Vec::len).sum::<usize>();
+        let mut keys = Vec::with_capacity(state.len() + state.earlier.len());
+        let mut flat = Vec::with_capacity(state.len() + earlier);
+        for (key, writes) in state.history().iter() {
+            let before = flat.len();
+            flat.extend(writes.entries());
+            keys.push((key.clone(), flat.len() - before));
         }
         Snapshot {
             channel: channel.as_str().to_owned(),
@@ -476,14 +483,13 @@ impl Snapshot {
             chunks,
             tail: LazyCell::new(Box::new(move || {
                 let mut flat = flat.into_iter();
-                let mut history: Vec<HistoryRecord> = keys
+                let history = keys
                     .into_iter()
                     .map(|(key, n)| HistoryRecord {
                         key,
                         entries: flat.by_ref().take(n).collect(),
                     })
                     .collect();
-                history.sort_unstable_by(|a, b| a.key.cmp(&b.key));
                 seen.sort_unstable();
                 seen.dedup();
                 SnapshotTail { history, seen }
@@ -550,9 +556,9 @@ impl Snapshot {
     }
 
     /// The commitment over all parts. The first call seals the snapshot:
-    /// it encodes and hashes every part, hashes the state, puts the tail
-    /// in key order and derives the graph digest — work proportional to
-    /// the ledger, done once.
+    /// it encodes and hashes every part, hashes the state, cuts out the
+    /// tail and derives the graph digest — work proportional to the
+    /// ledger, done once.
     pub fn manifest(&self) -> &SnapshotManifest {
         self.manifest.get_or_init(|| {
             let mut part_digests: Vec<Digest> = self.chunks.iter().map(Encode::digest).collect();
@@ -573,7 +579,8 @@ impl Snapshot {
         })
     }
 
-    /// History + seen-tx remainder, in key order. The first call sorts.
+    /// History + seen-tx remainder, in key order. The first call cuts it
+    /// out of the frozen view.
     pub fn tail(&self) -> &SnapshotTail {
         &self.tail
     }
@@ -625,8 +632,9 @@ impl Snapshot {
     }
 
     /// Full integrity check: part digests, Merkle root, key order of
-    /// state/history/seen, and the recomputed state hash against the
-    /// manifest. A snapshot that passes is safe to restore from.
+    /// state/history/seen, the recomputed state hash against the
+    /// manifest, and the state entries against the live writes the
+    /// history ends in. A snapshot that passes is safe to restore from.
     ///
     /// # Errors
     ///
@@ -673,27 +681,22 @@ impl Snapshot {
         if tail.seen.windows(2).any(|w| w[0] >= w[1]) {
             return Err(SnapshotError::SeenOutOfOrder);
         }
+        let live = tail.history.iter().filter_map(|record| {
+            let last = record.entries.last()?;
+            Some((&record.key, last.value.as_deref()?, last.version))
+        });
+        if !live.eq(self.entries().map(|e| (&e.key, &*e.value, e.version))) {
+            return Err(SnapshotError::HistoryMismatch);
+        }
         Ok(())
     }
 
-    /// Rebuilds the world state captured by this snapshot.
+    /// Rebuilds the store captured by this snapshot — values, versions
+    /// and every key's history with its tx ids — in one pass over the
+    /// tail. On a snapshot that passed [`Snapshot::verify`] the live
+    /// writes the tail's histories end in are the state chunks' entries.
     pub fn restore_state(&self) -> StateDb {
         let mut db = StateDb::new();
-        for entry in self.entries() {
-            db.restore_entry(
-                entry.key.clone(),
-                VersionedValue {
-                    value: entry.value.clone(),
-                    version: entry.version,
-                },
-            );
-        }
-        db
-    }
-
-    /// Rebuilds the history index captured by this snapshot.
-    pub fn restore_history(&self) -> HistoryDb {
-        let mut db = HistoryDb::new();
         for record in &self.tail().history {
             db.restore_key(record.key.clone(), record.entries.clone());
         }
@@ -724,49 +727,47 @@ mod tests {
     use super::*;
     use crate::tx::KvWrite;
 
-    fn put(db: &mut StateDb, k: &str, v: &[u8], ver: Version) {
-        db.apply_write(
-            &KvWrite {
-                key: StateKey::new("cc", k),
-                value: Some(v.into()),
-            },
-            ver,
-        );
+    /// Writes `k` (deletes it when `v` is `None`) in the transaction
+    /// named `tx`, and answers the transaction's id.
+    fn put(db: &mut StateDb, tx: &str, k: &str, v: Option<&[u8]>, ver: Version) -> TxId {
+        let tx = TxId(Digest::of(tx.as_bytes()));
+        let write = KvWrite {
+            key: StateKey::new("cc", k),
+            value: v.map(Into::into),
+        };
+        db.apply_tx(tx, ver, &write);
+        tx
     }
 
-    fn sample(n_keys: usize, chunk_entries: usize) -> Snapshot {
-        let mut state = StateDb::new();
-        let mut history = HistoryDb::new();
-        let mut seen = Vec::new();
-        for i in 0..n_keys {
-            let ver = Version::new(i as u64 + 1, 0);
-            put(
-                &mut state,
-                &format!("k{i:03}"),
-                format!("v{i}").as_bytes(),
-                ver,
-            );
-            let tx = TxId(Digest::of(format!("t{i}").as_bytes()));
-            history.append(
-                tx,
-                ver,
-                &[KvWrite {
-                    key: StateKey::new("cc", format!("k{i:03}")),
-                    value: Some(format!("v{i}").into_bytes().into()),
-                }],
-            );
-            seen.push(tx);
-        }
+    fn capture(state: &StateDb, seen: Vec<TxId>, height: u64, chunk_entries: usize) -> Snapshot {
+        let tip = Digest::of(b"tip");
         Snapshot::capture(
             &ChannelId::default(),
-            n_keys as u64 + 1,
-            Digest::of(b"tip"),
-            &state,
-            &history,
+            height,
+            tip,
+            state,
             seen,
             None,
             chunk_entries,
         )
+    }
+
+    fn sample(n_keys: usize, chunk_entries: usize) -> Snapshot {
+        let mut state = StateDb::new();
+        let seen = (0..n_keys)
+            .map(|i| {
+                let (key, value) = (format!("k{i:03}"), format!("v{i}"));
+                let ver = Version::new(i as u64 + 1, 0);
+                put(
+                    &mut state,
+                    &format!("t{i}"),
+                    &key,
+                    Some(value.as_bytes()),
+                    ver,
+                )
+            })
+            .collect();
+        capture(&state, seen, n_keys as u64 + 1, chunk_entries)
     }
 
     /// A sample whose manifest has been read: edits from here on are
@@ -848,24 +849,16 @@ mod tests {
     #[test]
     fn capture_and_restore_share_values_with_the_state() {
         let mut state = StateDb::new();
-        put(&mut state, "k", b"value", Version::new(1, 0));
+        put(&mut state, "t", "k", Some(b"value"), Version::new(1, 0));
         let key = StateKey::new("cc", "k");
-        let snap = Snapshot::capture(
-            &ChannelId::default(),
-            2,
-            Digest::of(b"tip"),
-            &state,
-            &HistoryDb::new(),
-            vec![],
-            None,
-            4,
-        );
+        let snap = capture(&state, vec![], 2, 4);
         snap.verify().unwrap();
         let restored = snap.restore_state();
         assert_eq!(restored.state_hash(), state.state_hash());
         let held = &state.get(&key).unwrap().value;
         assert!(Arc::ptr_eq(held, &snap.chunks[0].entries[0].value));
         assert!(Arc::ptr_eq(held, &restored.get(&key).unwrap().value));
+        assert_eq!(restored.get(&key), state.get(&key));
     }
 
     #[test]
@@ -878,16 +871,7 @@ mod tests {
 
     #[test]
     fn empty_state_still_verifies() {
-        let snap = Snapshot::capture(
-            &ChannelId::default(),
-            1,
-            Digest::of(b"genesis"),
-            &StateDb::new(),
-            &HistoryDb::new(),
-            vec![],
-            None,
-            8,
-        );
+        let snap = capture(&StateDb::new(), vec![], 1, 8);
         assert_eq!(snap.chunks.len(), 0);
         assert_eq!(snap.part_count(), 1);
         snap.verify().unwrap();
@@ -996,54 +980,79 @@ mod tests {
     #[test]
     fn restore_matches_original() {
         let mut state = StateDb::new();
-        let mut history = HistoryDb::new();
-        for i in 0..25 {
-            let ver = Version::new(i + 1, 0);
-            put(&mut state, &format!("k{i:02}"), &[i as u8; 8], ver);
-            history.append(
-                TxId(Digest::of(&[i as u8])),
-                ver,
-                &[KvWrite {
-                    key: StateKey::new("cc", format!("k{i:02}")),
-                    value: Some(vec![i as u8; 8].into()),
-                }],
-            );
+        for i in 0..25u8 {
+            let (tx, key) = (format!("t{i}"), format!("k{:02}", i % 10));
+            // Keys written up to three times, every seventh write a delete.
+            let value = (i % 7 != 6).then_some([i; 8]);
+            let ver = Version::new(u64::from(i) + 1, 0);
+            put(&mut state, &tx, &key, value.as_ref().map(|v| &v[..]), ver);
         }
-        let snap = Snapshot::capture(
-            &ChannelId::default(),
-            26,
-            Digest::of(b"tip"),
-            &state,
-            &history,
-            vec![TxId(Digest::of(b"a")), TxId(Digest::of(b"b"))],
-            None,
-            7,
-        );
+        let seen = vec![TxId(Digest::of(b"a")), TxId(Digest::of(b"b"))];
+        let snap = capture(&state, seen, 26, 7);
         snap.verify().unwrap();
         let restored = snap.restore_state();
         assert_eq!(restored.state_hash(), state.state_hash());
         assert_eq!(restored.len(), state.len());
-        let rh = snap.restore_history();
-        assert_eq!(rh.total_entries(), history.total_entries());
-        assert_eq!(rh.key_count(), history.key_count());
-        let key = StateKey::new("cc", "k07");
-        assert_eq!(rh.history(&key), history.history(&key));
+        assert_eq!(restored.key_count(), 10);
+        for (key, writes) in state.history().iter() {
+            assert_eq!(restored.history().get(key).to_vec(), writes.to_vec());
+        }
+    }
+
+    #[test]
+    fn a_tail_that_disagrees_with_the_state_is_rejected() {
+        // A forged tail, its part digest and the root re-sealed to match:
+        // only comparing the state with the history catches it.
+        let forge = |edit: &dyn Fn(&mut SnapshotTail)| {
+            let mut snap = sealed_sample(4, 2);
+            edit(tail_mut(&mut snap));
+            let last = snap.part_count() - 1;
+            manifest_mut(&mut snap).part_digests[last] = snap.tail().digest();
+            reroot(&mut snap);
+            snap.verify()
+        };
+        let entry = |value: Option<&[u8]>| HistoryEntry {
+            tx_id: TxId(Digest::of(b"forger")),
+            version: Version::new(99, 0),
+            value: value.map(Into::into),
+        };
+        // A live entry's value, or its version, differs from its key's
+        // last history entry.
+        assert_eq!(
+            forge(&|t| t.history[1].entries[0].value = Some(b"forged".as_slice().into())),
+            Err(SnapshotError::HistoryMismatch)
+        );
+        assert_eq!(
+            forge(&|t| t.history[1].entries[0].version = Version::new(9, 9)),
+            Err(SnapshotError::HistoryMismatch)
+        );
+        // A live key with no history at all.
+        assert_eq!(
+            forge(&|t| drop(t.history.remove(1))),
+            Err(SnapshotError::HistoryMismatch)
+        );
+        // A history that ends in a deletion of a key the state holds.
+        assert_eq!(
+            forge(&|t| t.history[1].entries.push(entry(None))),
+            Err(SnapshotError::HistoryMismatch)
+        );
+        // A key the state lacks whose history ends in a write.
+        assert_eq!(
+            forge(&|t| t.history.push(HistoryRecord {
+                key: StateKey::new("cc", "k999"),
+                entries: vec![entry(Some(b"v"))],
+            })),
+            Err(SnapshotError::HistoryMismatch)
+        );
+        // The check is on the live write: an earlier one is history only.
+        forge(&|t| t.history[1].entries.insert(0, entry(Some(b"old")))).unwrap();
     }
 
     #[test]
     fn seen_is_sorted_and_deduped() {
         let a = TxId(Digest::of(b"a"));
         let b = TxId(Digest::of(b"b"));
-        let snap = Snapshot::capture(
-            &ChannelId::default(),
-            1,
-            Digest::ZERO,
-            &StateDb::new(),
-            &HistoryDb::new(),
-            vec![b, a, b, a],
-            None,
-            8,
-        );
+        let snap = capture(&StateDb::new(), vec![b, a, b, a], 1, 8);
         snap.verify().unwrap();
         assert_eq!(snap.tail().seen.len(), 2);
     }
@@ -1063,6 +1072,7 @@ mod tests {
             SnapshotError::HistoryOutOfOrder,
             SnapshotError::SeenOutOfOrder,
             SnapshotError::MissingPart { index: 3 },
+            SnapshotError::HistoryMismatch,
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -1,16 +1,20 @@
-//! The versioned world state: current value + write version per key.
+//! The per-key store of a channel: the versioned world state, and in the
+//! same store every key's write history.
 //!
-//! One ordered map, so chaincode range queries (`GetStateByRange`,
-//! composite-key scans) work exactly as in Fabric's LevelDB state
-//! database. A flat sorted-run backend was measured against it and
-//! deleted: 2.6x slower point reads and ~10x slower writes at 10k keys,
-//! and 27-43 % more wall time on T-SCALE at 100k-300k keys for at most
-//! 2.4 % less RSS (DESIGN.md §10).
+//! One ordered map holds the live entries, so chaincode range queries
+//! (`GetStateByRange`, composite-key scans) work exactly as in Fabric's
+//! LevelDB state database (DESIGN.md §10 says why not a sorted run).
 //!
-//! The map owns structure only: a key and a value are the shared strings
-//! of the [`KvWrite`] that carried them, so applying a write, recording it
-//! in the history index and capturing or restoring a snapshot all bump
-//! refcounts on one allocation instead of copying its bytes.
+//! A key's history lives in its state entry: the live entry carries the
+//! id of the transaction that wrote it, and a second ordered map,
+//! `earlier`, holds the superseded and deleted writes of the keys written
+//! more than once or deleted ([`crate::History`]). A key written once and
+//! still live costs one entry and nothing else.
+//!
+//! The maps own structure only: a key and a value are the shared strings
+//! of the [`KvWrite`] that carried them, so applying a write and capturing
+//! or restoring a snapshot bump refcounts on one allocation instead of
+//! copying its bytes.
 //!
 //! MVCC validation compares the versions recorded in a transaction's read
 //! set against this database at commit time.
@@ -19,34 +23,51 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::hash::{Digest, Sha256};
-use crate::tx::{KvRead, KvWrite, StateKey, Version};
+use crate::history::HistoryEntry;
+use crate::tx::{KvRead, KvWrite, StateKey, TxId, Version};
 
-/// A current state value together with the version that wrote it.
+/// A current state value together with the write that put it there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedValue {
     /// The stored bytes, shared with the write that carried them.
     pub value: Arc<[u8]>,
     /// Height `(block, tx)` of the writing transaction.
     pub version: Version,
+    /// The writing transaction.
+    pub tx_id: TxId,
 }
 
-/// The world state database.
+impl From<VersionedValue> for HistoryEntry {
+    fn from(live: VersionedValue) -> Self {
+        HistoryEntry {
+            tx_id: live.tx_id,
+            version: live.version,
+            value: Some(live.value),
+        }
+    }
+}
+
+/// The world state database, and the history of every key.
 ///
 /// # Examples
 ///
 /// ```
-/// use hyperprov_ledger::{KvWrite, StateDb, StateKey, Version};
+/// use hyperprov_ledger::{Digest, KvWrite, StateDb, StateKey, TxId, Version};
 ///
 /// let mut db = StateDb::new();
-/// db.apply_write(
-///     &KvWrite { key: StateKey::new("cc", "k"), value: Some(b"v".as_slice().into()) },
-///     Version::new(1, 0),
-/// );
-/// assert_eq!(&*db.get(&StateKey::new("cc", "k")).unwrap().value, b"v");
+/// let key = StateKey::new("cc", "k");
+/// let tx = TxId(Digest::of(b"t1"));
+/// let write = KvWrite { key: key.clone(), value: Some(b"v".as_slice().into()) };
+/// db.apply_tx(tx, Version::new(1, 0), &write);
+/// assert_eq!(&*db.get(&key).unwrap().value, b"v");
+/// assert_eq!(db.history().get(&key).to_vec()[0].tx_id, tx);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StateDb {
-    map: BTreeMap<StateKey, VersionedValue>,
+    pub(crate) map: BTreeMap<StateKey, VersionedValue>,
+    /// Superseded and deleted writes, oldest first, of every key written
+    /// more than once or deleted.
+    pub(crate) earlier: BTreeMap<StateKey, Vec<HistoryEntry>>,
 }
 
 impl StateDb {
@@ -80,35 +101,44 @@ impl StateDb {
         self.map.iter()
     }
 
-    /// Restores one key directly at its recorded version — used when
-    /// rebuilding state from a verified snapshot.
-    pub fn restore_entry(&mut self, key: StateKey, value: VersionedValue) {
-        self.map.insert(key, value);
-    }
-
-    /// Applies one write at the given version (delete when value is None).
-    pub fn apply_write(&mut self, write: &KvWrite, version: Version) {
-        match &write.value {
+    /// Applies one write of transaction `tx_id` at `version` (a delete
+    /// when its value is `None`): the write becomes the key's live entry,
+    /// and what it supersedes — and a deletion itself — joins the key's
+    /// earlier writes.
+    pub fn apply_tx(&mut self, tx_id: TxId, version: Version, write: &KvWrite) {
+        let (superseded, deletion) = match &write.value {
             Some(value) => {
-                self.map.insert(
-                    write.key.clone(),
-                    VersionedValue {
-                        value: Arc::clone(value),
-                        version,
-                    },
-                );
+                let live = VersionedValue {
+                    value: Arc::clone(value),
+                    version,
+                    tx_id,
+                };
+                (self.map.insert(write.key.clone(), live), None)
             }
             None => {
-                self.map.remove(&write.key);
+                let deletion = HistoryEntry {
+                    tx_id,
+                    version,
+                    value: None,
+                };
+                (self.map.remove(&write.key), Some(deletion))
             }
+        };
+        let new = usize::from(superseded.is_some()) + usize::from(deletion.is_some());
+        if new > 0 {
+            // Nearly every key is written once: a list starts at exactly
+            // the room its first writes need.
+            let earlier = self.earlier.entry(write.key.clone());
+            let earlier = earlier.or_insert_with(|| Vec::with_capacity(new));
+            earlier.extend(superseded.map(HistoryEntry::from));
+            earlier.extend(deletion);
         }
     }
 
-    /// Applies a whole write set at the given version.
-    pub fn apply_writes(&mut self, writes: &[KvWrite], version: Version) {
-        for w in writes {
-            self.apply_write(w, version);
-        }
+    /// [`StateDb::apply_tx`] for a write no transaction is named for: its
+    /// history entry carries the zero transaction id.
+    pub fn apply_write(&mut self, write: &KvWrite, version: Version) {
+        self.apply_tx(TxId::default(), version, write);
     }
 
     /// MVCC check: true iff every recorded read still observes the same
@@ -119,7 +149,8 @@ impl StateDb {
 
     /// Iterates keys in `namespace` whose key is in `[start, end)`,
     /// in lexicographic order. An empty `end` means "to the end of the
-    /// namespace" (Fabric's open-ended range query).
+    /// namespace" (Fabric's open-ended range query); a `start` past `end`
+    /// is an empty range.
     pub fn range<'a>(
         &'a self,
         namespace: &'a str,
@@ -132,7 +163,8 @@ impl StateDb {
             StateKey::new(format!("{namespace}\u{0}"), "")
         } else {
             StateKey::new(namespace, end)
-        };
+        }
+        .max(lower.clone());
         self.map
             .range(lower..upper)
             .filter(move |(k, _)| k.namespace == namespace)
@@ -224,6 +256,27 @@ mod tests {
     }
 
     #[test]
+    fn a_key_written_once_has_no_earlier_entries() {
+        let mut db = StateDb::new();
+        put(&mut db, "cc", "once", b"1", Version::new(1, 0));
+        put(&mut db, "cc", "twice", b"1", Version::new(1, 1));
+        put(&mut db, "cc", "twice", b"2", Version::new(2, 0));
+        let gone = KvWrite {
+            key: StateKey::new("cc", "gone"),
+            value: None,
+        };
+        db.apply_write(&gone, Version::new(2, 1));
+        let earlier: Vec<(&str, usize, usize)> = db
+            .earlier
+            .iter()
+            .map(|(k, list)| (&*k.key, list.len(), list.capacity()))
+            .collect();
+        // A first supersession or a deletion of an absent key: one entry,
+        // with room for exactly one.
+        assert_eq!(earlier, [("gone", 1, 1), ("twice", 1, 1)]);
+    }
+
+    #[test]
     fn mvcc_validation() {
         let mut db = StateDb::new();
         put(&mut db, "cc", "a", b"1", Version::new(1, 0));
@@ -291,6 +344,8 @@ mod tests {
         assert_eq!(hits("k1", "k2"), vec!["k1", "k10"]);
         assert_eq!(hits("k", ""), vec!["k", "k1", "k10", "k2"]);
         assert_eq!(hits("k10", "k10"), Vec::<String>::new());
+        // A start past the end is an empty range, not a panic.
+        assert_eq!(hits("k2", "k1"), Vec::<String>::new());
     }
 
     #[test]

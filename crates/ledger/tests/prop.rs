@@ -1,13 +1,16 @@
 //! Property-based tests of the ledger substrate: canonical codec
-//! round-trips, Merkle proofs, MVCC coherence and hash-chain integrity
+//! round-trips, Merkle proofs, MVCC coherence, hash-chain integrity and
+//! the state store against a reference with a history index of its own,
 //! under arbitrary inputs.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hyperprov_ledger::{
     Block, BlockHeader, BlockMetadata, BlockStore, ChannelId, Decode, Digest, Encode, Encoder,
-    GraphIndexer, GraphUpdate, HistoryDb, KvRead, KvWrite, MerkleTree, RawEnvelope, RwSet,
-    Snapshot, SnapshotPart, StateDb, StateKey, TxId, ValidationCode, Version,
+    GraphIndexer, GraphUpdate, HistoryEntry, HistoryRecord, KvRead, KvWrite, MerkleTree,
+    RawEnvelope, RwSet, Sha256, Snapshot, SnapshotChunk, SnapshotEntry, SnapshotPart, SnapshotTail,
+    StateDb, StateKey, TxId, ValidationCode, Version, VersionedValue,
 };
 use proptest::prelude::*;
 
@@ -29,14 +32,138 @@ impl GraphIndexer for FirstByteIndexer {
     }
 }
 
-/// Applies one transaction's writes to both databases, as a commit does.
-fn commit(state: &mut StateDb, history: &mut HistoryDb, n: u64, writes: &[KvWrite]) -> TxId {
+/// Applies one transaction's writes, as a commit does.
+fn commit(state: &mut StateDb, n: u64, writes: &[KvWrite]) -> TxId {
     let tx = TxId(Digest::of(&n.to_le_bytes()));
     let version = Version::new(n, 0);
-    state.apply_writes(writes, version);
-    history.append(tx, version, writes);
+    for write in writes {
+        state.apply_tx(tx, version, write);
+    }
     tx
 }
+
+/// Every key's history, in key order.
+fn histories(state: &StateDb) -> Vec<(StateKey, Vec<HistoryEntry>)> {
+    let history = state.history();
+    history
+        .iter()
+        .map(|(key, writes)| (key.clone(), writes.to_vec()))
+        .collect()
+}
+
+/// The store as it was kept before a key's history moved into its state
+/// entry: an ordered map of live entries, and beside it a list of every
+/// write per key.
+#[derive(Debug, Default)]
+struct Reference {
+    state: BTreeMap<StateKey, VersionedValue>,
+    history: BTreeMap<StateKey, Vec<HistoryEntry>>,
+}
+
+impl Reference {
+    fn apply(&mut self, tx_id: TxId, version: Version, write: &KvWrite) {
+        match &write.value {
+            Some(value) => {
+                let live = VersionedValue {
+                    value: value.clone(),
+                    version,
+                    tx_id,
+                };
+                self.state.insert(write.key.clone(), live);
+            }
+            None => {
+                self.state.remove(&write.key);
+            }
+        }
+        let entry = HistoryEntry {
+            tx_id,
+            version,
+            value: write.value.clone(),
+        };
+        self.history
+            .entry(write.key.clone())
+            .or_default()
+            .push(entry);
+    }
+
+    fn entries(&self) -> Vec<(StateKey, VersionedValue)> {
+        let pairs = self.state.iter();
+        pairs.map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
+    /// The state hash, computed as its definition reads: length-prefixed
+    /// namespace, key and value, then the version, for every entry in key
+    /// order.
+    fn state_hash(&self) -> Digest {
+        let mut hasher = Sha256::new();
+        for (key, live) in &self.state {
+            for part in [key.namespace.as_bytes(), key.key.as_bytes(), &live.value] {
+                hasher.update(&(part.len() as u64).to_be_bytes());
+                hasher.update(part);
+            }
+            hasher.update(&live.version.block_num.to_be_bytes());
+            hasher.update(&live.version.tx_num.to_be_bytes());
+        }
+        hasher.finalize()
+    }
+
+    /// The Merkle root a snapshot of this store commits to: its state in
+    /// chunks of `per_chunk` entries, then the tail of every key's
+    /// history and the sorted tx ids.
+    fn snapshot_root(&self, per_chunk: usize, mut seen: Vec<TxId>) -> Digest {
+        let entries: Vec<SnapshotEntry> = self
+            .state
+            .iter()
+            .map(|(key, live)| SnapshotEntry {
+                key: key.clone(),
+                value: live.value.clone(),
+                version: live.version,
+            })
+            .collect();
+        let mut parts: Vec<Digest> = entries
+            .chunks(per_chunk)
+            .map(|chunk| {
+                let entries = chunk.to_vec();
+                SnapshotChunk { entries }.digest()
+            })
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let history = self
+            .history
+            .iter()
+            .map(|(key, entries)| HistoryRecord {
+                key: key.clone(),
+                entries: entries.clone(),
+            })
+            .collect();
+        parts.push(SnapshotTail { history, seen }.digest());
+        MerkleTree::root_of(&parts)
+    }
+}
+
+/// One step of a store's life: key `key` of a small key space written
+/// (`Some`) or deleted (`None`), in a new transaction or the current one.
+fn arb_step() -> impl Strategy<Value = (usize, Option<Vec<u8>>, bool)> {
+    (
+        0..KEY_SPACE.len(),
+        0u8..10,
+        proptest::collection::vec(any::<u8>(), 0..6),
+        any::<bool>(),
+    )
+        // Seven writes in ten, three deletes.
+        .prop_map(|(key, dice, value, new_tx)| (key, (dice < 7).then_some(value), new_tx))
+}
+
+/// Keys that are prefixes of each other, in two namespaces.
+const KEY_SPACE: [(&str, &str); 6] = [
+    ("a", "k"),
+    ("a", "k1"),
+    ("a", "k10"),
+    ("a", "k2"),
+    ("b", "k1"),
+    ("b", "x"),
+];
 
 /// One small change to an encoding: a byte replaced, a byte padded as a
 /// two-byte varint would be (`x` → `x|0x80, 0x00`), a cut, or a byte more.
@@ -160,7 +287,7 @@ proptest! {
     #[test]
     fn statedb_reads_after_writes_validate(writes in proptest::collection::vec(arb_write(), 1..20)) {
         let mut db = StateDb::new();
-        db.apply_writes(&writes, Version::new(1, 0));
+        commit(&mut db, 1, &writes);
         // Reads at the observed versions always validate.
         let reads: Vec<KvRead> = writes
             .iter()
@@ -189,26 +316,22 @@ proptest! {
         chunk_entries in 1usize..8,
     ) {
         let mut state = StateDb::new();
-        let mut history = HistoryDb::new();
-        let version = Version::new(1, 0);
-        state.apply_writes(&writes, version);
-        history.append(TxId(Digest::of(b"t")), version, &writes);
+        let tx = commit(&mut state, 1, &writes);
 
         let snapshot = Snapshot::capture(
             &ChannelId::new("ch"),
             1,
             Digest::of(b"tip"),
             &state,
-            &history,
-            vec![TxId(Digest::of(b"t"))],
+            vec![tx],
             None,
             chunk_entries,
         );
+        prop_assert!(snapshot.verify().is_ok());
         let restored = snapshot.restore_state();
         prop_assert_eq!(restored.state_hash(), state.state_hash());
         prop_assert_eq!(restored.len(), state.len());
-        let restored_history = snapshot.restore_history();
-        prop_assert_eq!(restored_history.total_entries(), history.total_entries());
+        prop_assert_eq!(histories(&restored), histories(&state));
     }
 
     #[test]
@@ -341,11 +464,10 @@ proptest! {
     fn snapshot_wire_sizes_are_the_encoded_lengths(
         value_lens in proptest::collection::vec(0usize..4097, 0..301),
         rewrites in 0u64..4,
-        with_tail in any::<bool>(),
+        with_seen in any::<bool>(),
         chunk_entries in 1usize..301,
     ) {
         let mut state = StateDb::new();
-        let mut history = HistoryDb::new();
         let mut seen = Vec::new();
         // Version 1 writes every key, each later one rewrites every other
         // key and deletes every fifth, so histories of one to four entries
@@ -360,10 +482,9 @@ proptest! {
                     value: (version == 1 || i % 5 != 0).then(|| vec![version as u8; len].into()),
                 })
                 .collect();
-            seen.push(commit(&mut state, &mut history, version, &writes));
+            seen.push(commit(&mut state, version, &writes));
         }
-        if !with_tail {
-            history = HistoryDb::new();
+        if !with_seen {
             seen.clear();
         }
         let snapshot = Snapshot::capture(
@@ -371,7 +492,6 @@ proptest! {
             2 + rewrites,
             Digest::of(b"tip"),
             &state,
-            &history,
             seen,
             None,
             chunk_entries,
@@ -398,15 +518,13 @@ proptest! {
         chunk_entries in 1usize..8,
     ) {
         let mut state = StateDb::new();
-        let mut history = HistoryDb::new();
-        let mut seen = vec![commit(&mut state, &mut history, 1, &writes)];
+        let mut seen = vec![commit(&mut state, 1, &writes)];
         let cut = || {
             Snapshot::capture(
                 &ChannelId::new("ch"),
                 2,
                 Digest::of(b"tip"),
                 &state,
-                &history,
                 seen.clone(),
                 Some(Arc::new(FirstByteIndexer)),
                 chunk_entries,
@@ -415,7 +533,7 @@ proptest! {
         let eager = cut();
         eager.manifest();
         let lazy = cut();
-        let (state_at_cut, history_at_cut) = (state.clone(), history.clone());
+        let state_at_cut = state.clone();
 
         // The ledger moves on: every key the cut holds — so every chunk —
         // is overwritten, every third is then deleted, new keys arrive.
@@ -429,7 +547,7 @@ proptest! {
             .map(|w| KvWrite { key: w.key.clone(), value: None })
             .collect();
         for (n, writes) in [(2, &overwrites), (3, &deletes), (4, &later)] {
-            seen.push(commit(&mut state, &mut history, n, writes));
+            seen.push(commit(&mut state, n, writes));
         }
 
         prop_assert_eq!(lazy.manifest(), eager.manifest());
@@ -439,10 +557,87 @@ proptest! {
         let restored = lazy.restore_state();
         prop_assert_eq!(restored.state_hash(), state_at_cut.state_hash());
         prop_assert_eq!(restored.len(), state_at_cut.len());
-        let restored = lazy.restore_history();
-        prop_assert_eq!(restored.key_count(), history_at_cut.key_count());
-        for (key, entries) in history_at_cut.iter() {
-            prop_assert_eq!(restored.history(key), entries);
+        prop_assert_eq!(restored.key_count(), state_at_cut.key_count());
+        prop_assert_eq!(histories(&restored), histories(&state_at_cut));
+    }
+
+    // The store against the reference it replaced: put, rewrite, delete
+    // and re-create over a small key space, one or more writes per
+    // transaction. Every read agrees after every write; at the end the
+    // histories, the snapshot root and a restore of the snapshot do too.
+    #[test]
+    fn the_store_answers_as_a_state_map_beside_a_history_index(
+        steps in proptest::collection::vec(arb_step(), 1..80),
+        chunk_entries in 1usize..5,
+    ) {
+        let (mut store, mut reference) = (StateDb::new(), Reference::default());
+        let (mut block, mut tx_num, mut seen) = (1u64, 0u32, Vec::new());
+        for (i, (key, value, new_tx)) in steps.into_iter().enumerate() {
+            if new_tx || seen.is_empty() {
+                seen.push(TxId(Digest::of(&i.to_le_bytes())));
+                tx_num += 1;
+                if tx_num == 3 {
+                    (block, tx_num) = (block + 1, 0);
+                }
+            }
+            let (tx, version) = (*seen.last().unwrap(), Version::new(block, tx_num));
+            let (ns, k) = KEY_SPACE[key];
+            let write = KvWrite { key: StateKey::new(ns, k), value: value.map(Into::into) };
+            store.apply_tx(tx, version, &write);
+            reference.apply(tx, version, &write);
+            prop_assert_eq!(store.get(&write.key), reference.state.get(&write.key));
+            prop_assert_eq!(store.version(&write.key), reference.state.get(&write.key).map(|v| v.version));
+            prop_assert_eq!(store.len(), reference.state.len());
         }
+
+        let pairs = |it: &mut dyn Iterator<Item = (&StateKey, &VersionedValue)>| {
+            it.map(|(k, v)| (k.clone(), v.clone())).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(pairs(&mut store.iter()), reference.entries());
+        for ns in ["", "a", "b", "c"] {
+            for start in ["", "k", "k1", "k2", "x"] {
+                for end in ["", "k", "k1", "k10", "k2", "z"] {
+                    let expected: Vec<_> = reference
+                        .entries()
+                        .into_iter()
+                        .filter(|(k, _)| k.namespace == ns && *k.key >= *start)
+                        .filter(|(k, _)| end.is_empty() || *k.key < *end)
+                        .collect();
+                    prop_assert_eq!(pairs(&mut store.range(ns, start, end)), expected);
+                }
+                let prefix = start;
+                let expected: Vec<_> = reference
+                    .entries()
+                    .into_iter()
+                    .filter(|(k, _)| k.namespace == ns && k.key.starts_with(prefix))
+                    .collect();
+                prop_assert_eq!(pairs(&mut store.scan_prefix(ns, prefix)), expected);
+            }
+        }
+        prop_assert_eq!(store.state_hash(), reference.state_hash());
+        for (ns, k) in KEY_SPACE {
+            let key = StateKey::new(ns, k);
+            let expected = reference.history.get(&key).cloned().unwrap_or_default();
+            prop_assert_eq!(store.history().get(&key).to_vec(), expected);
+        }
+        let expected: Vec<_> = reference.history.iter().map(|(k, h)| (k.clone(), h.clone())).collect();
+        prop_assert_eq!(histories(&store), expected);
+        prop_assert_eq!(store.key_count(), reference.history.len());
+
+        let snapshot = Snapshot::capture(
+            &ChannelId::new("ch"),
+            block + 1,
+            Digest::of(b"tip"),
+            &store,
+            seen.clone(),
+            None,
+            chunk_entries,
+        );
+        prop_assert_eq!(snapshot.manifest().merkle_root, reference.snapshot_root(chunk_entries, seen));
+        prop_assert_eq!(snapshot.manifest().state_hash, reference.state_hash());
+        prop_assert!(snapshot.verify().is_ok());
+        let restored = snapshot.restore_state();
+        prop_assert_eq!(pairs(&mut restored.iter()), reference.entries());
+        prop_assert_eq!(histories(&restored), histories(&store));
     }
 }
