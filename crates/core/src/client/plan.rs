@@ -2,11 +2,11 @@
 //! machines.
 //!
 //! An operation is a [`Plan`]. [`Plan::start`] turns a command into the
-//! plan and its first [`Request`]s; the client actor carries each request
+//! plan and its first [`Request`]s; the client machine carries each request
 //! out — tracking it, retrying transient failures — and hands its
 //! terminal [`Reply`] to [`Plan::on_reply`], which answers with a
 //! [`Step`]: wait for more replies, send further requests, or finish.
-//! Nothing here touches the simulation, a gateway or the actor's tables;
+//! Nothing here touches the simulation, a gateway or the machine's tables;
 //! the only thing a plan is told about the deployment is the shard count
 //! (which, with [`HashRouter`], is the key → shard map), so a plan can be
 //! driven by a test against in-memory shards.
@@ -18,6 +18,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
+use hyperprov_fabric::GatewayReply;
 use hyperprov_ledger::{CodecError, Decode, Digest, Encode, TxId, ValidationCode};
 
 use super::api::{ClientCommand, HyperProvError, OpOutput};
@@ -40,8 +41,8 @@ pub struct Call {
     pub args: Vec<Vec<u8>>,
 }
 
-/// One unit of work a plan asks the client actor to carry out.
-#[derive(Debug)]
+/// One unit of work a plan asks the client machine to carry out.
+#[derive(Debug, Clone)]
 pub enum Request {
     /// Call the chaincode.
     Chain(Call),
@@ -99,6 +100,23 @@ pub enum Reply {
     Failed(HyperProvError),
 }
 
+impl From<GatewayReply> for Reply {
+    fn from(reply: GatewayReply) -> Self {
+        match reply {
+            GatewayReply::Bytes(bytes) => Reply::Bytes(bytes),
+            GatewayReply::Committed {
+                tx_id,
+                code,
+                payload,
+            } => Reply::Committed {
+                tx_id,
+                code,
+                payload,
+            },
+        }
+    }
+}
+
 impl Reply {
     /// The error this reply amounts to where a plan cannot use it.
     fn into_error(self) -> HyperProvError {
@@ -127,7 +145,7 @@ fn malformed(e: CodecError) -> HyperProvError {
 }
 
 /// What a plan wants next. (A `Step` lives only from `on_reply`'s return
-/// to the actor's match on it; boxing the outcome would buy nothing for
+/// to the machine's match on it; boxing the outcome would buy nothing for
 /// an allocation per operation.)
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]

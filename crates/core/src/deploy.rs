@@ -234,7 +234,7 @@ impl NetworkConfig {
     }
 
     /// Arms client per-op deadlines for the endorsement and commit-wait
-    /// phases.
+    /// phases; the endorse deadline also bounds each off-chain transfer.
     #[must_use]
     pub fn with_deadlines(
         mut self,

@@ -49,8 +49,8 @@ pub use chaincode::{
     HyperProvChaincode, HyperProvIndexer, CHAINCODE_NAME, MAX_GRAPH_NODES, MAX_LINEAGE_DEPTH,
 };
 pub use client::{
-    plan, ClientCommand, ClientCompletion, CompletionQueue, HyperProvClient, HyperProvError, OpId,
-    OpOutput, Origin, RetryPolicy,
+    plan, Client, ClientCommand, ClientCompletion, ClientOwn, CompletionQueue, HyperProvClient,
+    HyperProvError, OpId, OpOutput, Origin, RetryPolicy, TRANSFER_TOKEN_BIT,
 };
 pub use deploy::{ChannelSpec, HyperProvNetwork, NetworkConfig, OrdererMode};
 pub use facade::HyperProv;

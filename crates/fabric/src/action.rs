@@ -1,4 +1,4 @@
-//! What a sans-IO machine — [`Gateway`](crate::Gateway),
+//! What a sans-IO machine — [`Gateway`](crate::Gateway), the HyperProv client,
 //! [`Peer`](crate::Peer), [`OrderingNode`](crate::OrderingNode) — answers
 //! an input with; [`Host`](crate::Host) performs it.
 
@@ -44,4 +44,25 @@ pub enum Action<X> {
     Note(String, &'static str, String),
     /// What only this kind of machine asks for; its host knows how.
     Own(X),
+}
+
+impl<X> Action<X> {
+    /// The same action in the vocabulary of a machine whose own actions
+    /// are `Y` — one that embeds this machine — or this machine's own.
+    pub fn split<Y>(self) -> Result<Action<Y>, X> {
+        Ok(match self {
+            Action::Send(to, bytes, msg) => Action::Send(to, bytes, msg),
+            Action::Job(cost, sends, closes) => Action::Job(cost, sends, closes),
+            Action::Charge(cost) => Action::Charge(cost),
+            Action::Arm(token, delay) => Action::Arm(token, delay),
+            Action::Disarm(token) => Action::Disarm(token),
+            Action::Count(scope, name, n) => Action::Count(scope, name, n),
+            Action::Gauge(scope, name, value) => Action::Gauge(scope, name, value),
+            Action::Observe(name, duration) => Action::Observe(name, duration),
+            Action::SpanStart(trace, stage, detail) => Action::SpanStart(trace, stage, detail),
+            Action::SpanEnd(trace, stage, detail) => Action::SpanEnd(trace, stage, detail),
+            Action::Note(trace, name, detail) => Action::Note(trace, name, detail),
+            Action::Own(x) => return Err(x),
+        })
+    }
 }

@@ -142,6 +142,30 @@ impl RetryPolicy {
         let factor = 1.0 + JITTER_FRAC * rng.gen_range(-1.0..=1.0);
         raw.min(MAX_BACKOFF).mul_f64(factor)
     }
+
+    /// Attempt number `attempts` of the request traced on `trace` failed
+    /// transiently. With budget left: the backoff to sleep before the next
+    /// one, the retry counted, observed and noted; spent: `Exhausted`,
+    /// counted.
+    pub fn after_failure<X>(
+        &self,
+        attempts: u32,
+        trace: String,
+        rng: &mut DetRng,
+        out: &mut Vec<crate::action::Action<X>>,
+    ) -> Result<SimDuration, GatewayError> {
+        use crate::action::Action;
+        if attempts >= self.max_attempts {
+            out.push(Action::Count(None, "exhausted", 1));
+            return Err(GatewayError::Exhausted { attempts });
+        }
+        let backoff = self.backoff(attempts, rng);
+        out.push(Action::Count(None, "retries", 1));
+        out.push(Action::Observe("backoff", backoff));
+        let detail = format!("attempt={} backoff={backoff}", attempts + 1);
+        out.push(Action::Note(trace, "op.retry", detail));
+        Ok(backoff)
+    }
 }
 
 /// A caller's tag on a request: handed back with the request's outcome,
@@ -318,10 +342,10 @@ impl<T: Caller> Gateway<T> {
         }
     }
 
-    /// Arms per-op deadlines: `endorse` bounds the endorsement/query phase,
-    /// `commit` bounds the commit-wait phase. `None` leaves a phase
-    /// unbounded (the default — no timers are ever set, so a gateway
-    /// without deadlines behaves exactly as before they existed).
+    /// Arms per-op deadlines: `endorse` bounds the endorsement/query phase
+    /// (and, read through [`Gateway::endorse_deadline`], each off-chain
+    /// transfer of the HyperProv client), `commit` the commit-wait phase.
+    /// `None` leaves a phase unbounded (the default: no timer is ever set).
     ///
     /// The host actor must route every timer token that is not its own
     /// into [`Gateway::on_timer`]; tokens count up from 1.
@@ -353,6 +377,16 @@ impl<T: Caller> Gateway<T> {
     /// Requests in flight, including those sleeping out a backoff.
     pub fn inflight(&self) -> usize {
         self.rows.len()
+    }
+
+    /// The deadline of the endorsement phase and of queries, if any.
+    pub fn endorse_deadline(&self) -> Option<SimDuration> {
+        self.endorse_timeout
+    }
+
+    /// The retry policy, if any.
+    pub fn retry_policy(&self) -> Option<RetryPolicy> {
+        self.retry
     }
 
     /// Starts a full transaction on route `shard`: endorse on the route's
@@ -643,20 +677,14 @@ impl<T: Caller> Gateway<T> {
         }
         let error = match self.retry {
             Some(policy) if error.is_retryable() => {
-                if row.attempts < policy.max_attempts {
-                    let backoff = policy.backoff(row.attempts, rng);
-                    out.push(Action::Count(None, "retries", 1));
-                    out.push(Action::Observe("backoff", backoff));
-                    let detail = format!("attempt={} backoff={backoff}", row.attempts + 1);
-                    out.push(Action::Note(row.caller.trace(), "op.retry", detail));
-                    row.token = arm(&mut self.next_token, Some(backoff), out);
-                    row.phase = Phase::BackingOff;
-                    self.rows.insert(tx_id, row);
-                    return;
-                }
-                out.push(Action::Count(None, "exhausted", 1));
-                GatewayError::Exhausted {
-                    attempts: row.attempts,
+                match policy.after_failure(row.attempts, row.caller.trace(), rng, out) {
+                    Ok(backoff) => {
+                        row.token = arm(&mut self.next_token, Some(backoff), out);
+                        row.phase = Phase::BackingOff;
+                        self.rows.insert(tx_id, row);
+                        return;
+                    }
+                    Err(exhausted) => exhausted,
                 }
             }
             _ => error,

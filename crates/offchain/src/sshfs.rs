@@ -51,20 +51,6 @@ pub enum StoreMsg {
         /// The object bytes or the failure.
         result: Result<Vec<u8>, StoreError>,
     },
-    /// Delete an object.
-    Delete {
-        /// Object name.
-        name: String,
-        /// Correlation token echoed in the ack.
-        token: u64,
-    },
-    /// Acknowledge a delete.
-    DeleteAck {
-        /// Object name.
-        name: String,
-        /// Correlation token.
-        token: u64,
-    },
 }
 
 impl StoreMsg {
@@ -74,9 +60,7 @@ impl StoreMsg {
             StoreMsg::Put { name, .. }
             | StoreMsg::PutAck { name, .. }
             | StoreMsg::Get { name, .. }
-            | StoreMsg::GetResult { name, .. }
-            | StoreMsg::Delete { name, .. }
-            | StoreMsg::DeleteAck { name, .. } => name,
+            | StoreMsg::GetResult { name, .. } => name,
         }
     }
 
@@ -88,10 +72,7 @@ impl StoreMsg {
             StoreMsg::GetResult { name, result, .. } => {
                 name.len() as u64 + result.as_ref().map(|d| d.len() as u64).unwrap_or(16) + 64
             }
-            StoreMsg::Get { name, .. }
-            | StoreMsg::PutAck { name, .. }
-            | StoreMsg::Delete { name, .. }
-            | StoreMsg::DeleteAck { name, .. } => name.len() as u64 + 64,
+            StoreMsg::Get { name, .. } | StoreMsg::PutAck { name, .. } => name.len() as u64 + 64,
         }
     }
 }
@@ -130,7 +111,7 @@ impl StorageCosts {
     }
 }
 
-/// The storage node actor: serves puts/gets/deletes over a shared
+/// The storage node actor: serves puts and gets over a shared
 /// [`ObjectStore`], charging SSH-like service time per request.
 pub struct StorageActor<M> {
     store: Arc<dyn ObjectStore>,
@@ -209,13 +190,8 @@ impl<M: Carries<StoreMsg>> StorageActor<M> {
                     },
                 );
             }
-            StoreMsg::Delete { name, token } => {
-                let _ = self.store.delete(&name);
-                ctx.metrics().incr("storage.deletes", 1);
-                self.finish_later(ctx, src, 0, StoreMsg::DeleteAck { name, token });
-            }
             // Replies are never addressed to the server.
-            StoreMsg::PutAck { .. } | StoreMsg::GetResult { .. } | StoreMsg::DeleteAck { .. } => {}
+            StoreMsg::PutAck { .. } | StoreMsg::GetResult { .. } => {}
         }
     }
 }
@@ -356,23 +332,6 @@ mod tests {
         assert!(large > small, "large={large} small={small}");
         // 4 MB over a 1 Gb/s LAN alone is 32 ms of transfer.
         assert!(large >= SimTime::from_nanos(32_000_000));
-    }
-
-    #[test]
-    fn delete_is_acknowledged() {
-        let (_, sim, store) = run_script(vec![
-            StoreMsg::Put {
-                name: "obj".into(),
-                data: b"x".to_vec(),
-                token: 1,
-            },
-            StoreMsg::Delete {
-                name: "obj".into(),
-                token: 2,
-            },
-        ]);
-        assert_eq!(sim.metrics().counter("storage.deletes"), 1);
-        assert!(!store.contains("obj"));
     }
 
     #[test]

@@ -8,50 +8,52 @@
 
 use hyperprov_repro::fabric::BatchConfig;
 use hyperprov_repro::hyperprov::{
-    ClientCommand, ClientCompletion, HyperProvClient, HyperProvError, HyperProvNetwork,
-    NetworkConfig, NodeMsg, OpId, RecordInput, RetryPolicy,
+    ClientCommand, ClientCompletion, HyperProvError, HyperProvNetwork, NetworkConfig, NodeMsg,
+    OpId, RecordInput, RetryPolicy,
 };
 use hyperprov_repro::ledger::Digest;
 use hyperprov_repro::sim::{ActorId, FaultPlan, SimDuration, SimTime};
 
+/// A `StoreData` of a small payload under `key`.
+fn store_data(key: &str, op: u64) -> ClientCommand {
+    ClientCommand::StoreData {
+        key: key.into(),
+        data: format!("payload for {key}").into_bytes(),
+        parents: vec![],
+        metadata: vec![],
+        op: OpId(op),
+    }
+}
+
 fn store(net: &mut HyperProvNetwork, client: usize, op: u64, key: &str) {
-    net.sim.inject_message(
-        net.clients[client],
-        NodeMsg::Client(ClientCommand::StoreData {
-            key: key.into(),
-            data: format!("payload for {key}").into_bytes(),
-            parents: vec![],
-            metadata: vec![],
-            op: OpId(op),
-        }),
-    );
-}
-
-/// Looks up the client actor through the engine and reports how many
-/// operations it still tracks (tx waits, storage waits, parked retries).
-fn inflight(net: &HyperProvNetwork, id: ActorId) -> usize {
     net.sim
-        .actor_ref(id)
-        .and_then(|a| a.as_any())
-        .and_then(|any| any.downcast_ref::<HyperProvClient>())
-        .expect("client actor")
-        .inflight()
+        .inject_message(net.clients[client], NodeMsg::Client(store_data(key, op)));
 }
 
-/// A closed loop of posts until `until`: client `c` (one per entry of
-/// `issued`, which counts its posts) posts again as soon as its last post
-/// ended.
-fn post_in_a_closed_loop(net: &mut HyperProvNetwork, issued: &mut [u64], until: SimTime) {
+/// A metadata-only `Post` under `key`.
+fn post(key: &str, op: u64) -> ClientCommand {
+    let input = RecordInput::new(Digest::of(key.as_bytes()));
+    let (key, op) = (key.into(), OpId(op));
+    ClientCommand::Post { key, input, op }
+}
+
+/// A closed loop until `until`: client `c` (one per entry of `issued`,
+/// which counts its operations) issues `command(key, op)` again as soon
+/// as its last operation ended.
+fn in_a_closed_loop(
+    net: &mut HyperProvNetwork,
+    issued: &mut [u64],
+    until: SimTime,
+    command: fn(&str, u64) -> ClientCommand,
+) {
     while net.sim.now() < until {
         for (client, issued) in issued.iter_mut().enumerate() {
             if net.completions[client].borrow().len() as u64 == *issued {
                 *issued += 1;
                 let key = format!("item-{client}-{issued}");
-                let input = RecordInput::new(Digest::of(key.as_bytes()));
-                let op = OpId(*issued);
-                let post = ClientCommand::Post { key, input, op };
+                let cmd = command(&key, *issued);
                 net.sim
-                    .inject_message(net.clients[client], NodeMsg::Client(post));
+                    .inject_message(net.clients[client], NodeMsg::Client(cmd));
             }
         }
         net.sim
@@ -73,8 +75,9 @@ fn assert_converged(net: &HyperProvNetwork) {
 
 /// A commit notification that never arrives (home peer partitioned from
 /// the orderer) must surface as a clean `Timeout` completion: no retry
-/// policy is armed, the deadline fires, and the client tracks nothing
-/// afterwards.
+/// policy is armed, the deadline fires once, and the operation ends once.
+/// (That nothing is left in the client's tables afterwards, under every
+/// schedule, is `client_machine.rs`'s property test.)
 #[test]
 fn commit_wait_times_out_cleanly_under_partition() {
     let config = NetworkConfig::desktop(1)
@@ -107,11 +110,6 @@ fn commit_wait_times_out_cleanly_under_partition() {
         completions[0].outcome
     );
     assert_eq!(net.sim.metrics().counter("client.timeouts"), 1);
-    assert_eq!(
-        inflight(&net, net.clients[0]),
-        0,
-        "no dangling op state after the deadline fired"
-    );
 }
 
 /// A 2/2 peer split heals via block catch-up: the cut half misses blocks
@@ -223,7 +221,6 @@ fn raft_leader_kill_recovers_with_retrying_client() {
         completions[0].outcome
     );
     assert_eq!(net.sim.metrics().counter("client.exhausted"), 0);
-    assert_eq!(inflight(&net, net.clients[0]), 0, "no hung operations");
     assert!(
         net.ordering_leader().is_some(),
         "the cluster must have a leader again"
@@ -280,21 +277,20 @@ fn transient_partition_absorbed_by_retry_budget() {
     );
     assert!(net.sim.metrics().counter("client.timeouts") >= 1);
     assert_eq!(net.sim.metrics().counter("client.exhausted"), 0);
-    assert_eq!(inflight(&net, net.clients[0]), 0);
 }
 
-/// Two clients post in a closed loop for ten virtual seconds; for two of
-/// them, in the middle, one message in five is lost on every link. Every
-/// operation must end — `Ok`, or a typed error: a retried post whose
-/// first attempt did commit can be invalidated — with the retry budget
-/// never spent, no span left open, and, once the traffic after the window
-/// has shown every peer its gaps, all four ledgers equal.
+/// Two clients store payloads in a closed loop for ten virtual seconds;
+/// for two of them, in the middle, one message in five is lost on every
+/// link — chain traffic and off-chain transfers alike. Every operation
+/// must end — `Ok`, or a typed error: a retried post whose first attempt
+/// did commit can be invalidated — with the retry budget never spent, no
+/// span left open, and, once the traffic after the window has shown every
+/// peer its gaps, all four ledgers equal.
 ///
-/// Seed 67 with a budget of 8 attempts: 4 timeouts, 4 retries, none
-/// exhausted, no post invalidated, ~785 posts per client. The loop posts
-/// metadata only: the off-chain transfer of a `StoreData` has no
-/// deadline, so a lost `Put` or `PutAck` hangs it (tried here: the 401st
-/// `StoreData` never ended; ROADMAP item 1 records it).
+/// Seed 67 with a budget of 8 attempts: 4 timeouts and 4 retries — 3 on
+/// the chain (two commit deadlines, one endorse deadline), 1 an
+/// off-chain transfer — none exhausted, no post invalidated, ~785
+/// `StoreData` per client.
 #[test]
 fn a_loss_window_is_ridden_out_by_deadlines_and_retry() {
     let config = NetworkConfig::desktop(2)
@@ -316,14 +312,13 @@ fn a_loss_window_is_ridden_out_by_deadlines_and_retry() {
         .install(&mut net.sim);
 
     let mut issued = [0u64; 2];
-    post_in_a_closed_loop(&mut net, &mut issued, at(10));
+    in_a_closed_loop(&mut net, &mut issued, at(10), store_data);
     net.sim.run_until(at(60));
 
     let mut failed = 0;
     for (client, &issued) in issued.iter().enumerate() {
         let completions = net.completions[client].borrow();
         assert_eq!(completions.len() as u64, issued, "an operation hung");
-        assert_eq!(inflight(&net, net.clients[client]), 0);
         for completion in completions.iter() {
             match &completion.outcome {
                 Ok(_) => {}
@@ -384,7 +379,7 @@ fn an_outage_costs_one_deadline_per_post(
         .crash_window(node, down, up)
         .install(&mut net.sim);
     let mut issued = [0u64; 3];
-    post_in_a_closed_loop(net, &mut issued, SimTime::from_secs(24));
+    in_a_closed_loop(net, &mut issued, SimTime::from_secs(24), post);
     net.sim.run_until(SimTime::from_secs(60));
 
     for (client, &issued) in issued.iter().enumerate() {
