@@ -109,9 +109,13 @@ cargo run --release -p hyperprov-bench --bin bench_regress -- --quick
 # and run two short workloads — the one the ledger's memory shows on, and
 # the one snapshot cutting and recovery show on: the last line of each is
 # the result object. `crash_recover` is also where the client's failover
-# shows: an operation sent to a crashed node costs one deadline, so its
-# (virtual, exactly repeating) `op_p99_ms` stays under the 4 s commit
-# deadline + 25 %; retries that go back to the dead node read 13.6 s. And
+# shows: a retry goes to the next node, the orderer answers an envelope
+# under the 2 s endorse deadline, and a node that let a deadline expire
+# is not asked again — its client's home moves past it — so an outage
+# costs a client one endorse deadline and the (virtual, exactly
+# repeating) `op_p99_ms` stays under that deadline + 25 %: it reads
+# 2.1 s; 4.1 s when every operation starts at home again, 13.6 s when
+# retries go back to the dead node. And
 # it is the one workload that runs a raft ordering cluster, whose members
 # share one body per batch and compact their logs: `peak_rss_mib` reads
 # about 76 MiB, and 104 with a deep copy of every batch per member.
@@ -140,8 +144,8 @@ for smoke in "ledger_growth 1" "crash_recover 2"; do
     fi
     if [ "$1" = crash_recover ]; then
         p99=$(echo "$result" | sed 's/.*"op_p99_ms":{"value":\([0-9.]*\).*/\1/')
-        if awk "BEGIN {exit !($p99 >= 5000)}"; then
-            echo "crash_recover op_p99_ms $p99 >= 5000: a retry waits out the node that failed it" >&2
+        if awk "BEGIN {exit !($p99 >= 2500)}"; then
+            echo "crash_recover op_p99_ms $p99 >= 2500: a node that let a deadline expire is asked again" >&2
             exit 1
         fi
         rss=$(echo "$result" | sed 's/.*"peak_rss_mib":{"value":\([0-9.]*\).*/\1/')

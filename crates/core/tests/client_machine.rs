@@ -177,7 +177,7 @@ fn tx_of(actions: &[Action<ClientOwn>]) -> TxId {
         .iter()
         .find_map(|action| match action {
             Action::Send(_, _, FabricMsg::SubmitProposal(signed)) => Some(signed.proposal.tx_id()),
-            Action::Send(_, _, FabricMsg::Broadcast(envelope)) => Some(envelope.proposal.tx_id()),
+            Action::Send(_, _, FabricMsg::Broadcast { envelope, .. }) => Some(envelope.tx_id()),
             _ => None,
         })
         .expect("the actions send a proposal")
@@ -211,7 +211,7 @@ fn show(actions: &[Action<ClientOwn>]) -> Vec<String> {
         .map(|action| match action {
             Action::Charge(_) => "charge".to_owned(),
             Action::Send(to, _, FabricMsg::SubmitProposal(_)) => format!("propose->{}", to.0),
-            Action::Send(to, _, FabricMsg::Broadcast(_)) => format!("broadcast->{}", to.0),
+            Action::Send(to, _, FabricMsg::Broadcast { .. }) => format!("broadcast->{}", to.0),
             Action::Arm(token, delay) if *delay == ENDORSE => {
                 format!("arm#{}=endorse", tok(*token))
             }
@@ -520,7 +520,15 @@ impl Model {
                     _ => self.bench.answer(tx, Ok(b"r".to_vec())),
                 }
             }
-            FabricMsg::Broadcast(envelope) => commit(envelope.proposal.tx_id()),
+            // The orderer takes the envelope in and answers if asked.
+            FabricMsg::Broadcast { envelope, ack } => {
+                let tx_id = envelope.tx_id();
+                if ack {
+                    let accepted = true;
+                    self.ship(NodeMsg::Fabric(FabricMsg::BroadcastAck { tx_id, accepted }));
+                }
+                commit(tx_id)
+            }
             other => panic!("the client sends proposals and envelopes, not {other:?}"),
         };
         self.ship(reply);

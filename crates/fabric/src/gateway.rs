@@ -4,9 +4,9 @@
 //! and answers with the [`Action`]s its host actor must perform, in order.
 //!
 //! One table holds every request of the client, on whichever channel. A
-//! row is in one of four phases — *endorsing*, *commit-wait*, *query*,
-//! *backing off* — and each phase waits on exactly one wake-up: the
-//! endorse deadline, the commit deadline, or the backoff sleep. So with
+//! row is in one of five phases — *endorsing*, *ordering*, *commit-wait*,
+//! *query*, *backing off* — and each phase waits on exactly one wake-up:
+//! the endorse deadline, the commit deadline, or the backoff sleep. So with
 //! deadlines configured a row exists exactly while its one timer is
 //! armed, and nothing can wedge: every wake-up either ends the row with a
 //! typed error or moves it to a fresh attempt under a fresh tx id.
@@ -33,8 +33,8 @@ pub enum GatewayError {
         /// The peer's rejection message.
         reason: String,
     },
-    /// The endorsing peer shed the request at admission (its bounded
-    /// queue was full). The operation may succeed on retry.
+    /// The endorsing peer shed the request (its queue was full), or an
+    /// orderer that knows no leader refused the envelope. A retry may work.
     Busy,
     /// Collected endorsements disagree on the result or read/write set.
     Mismatch,
@@ -46,8 +46,8 @@ pub enum GatewayError {
     /// The endorsement (or query) phase exceeded its per-op deadline —
     /// typically a crashed or partitioned endorsing peer.
     EndorseTimeout,
-    /// The commit notification did not arrive within the deadline — a
-    /// lost broadcast, a dead orderer, or a partitioned commit event.
+    /// The orderer's answer or the commit notification missed its deadline
+    /// — a lost broadcast, a dead orderer, or a partitioned commit event.
     CommitTimeout,
     /// The retry budget was spent; every attempt failed transiently.
     Exhausted {
@@ -209,11 +209,12 @@ pub struct Done<T>(pub T, pub Result<Reply, GatewayError>);
 /// Where one channel's requests go. A client on a sharded deployment has
 /// one route per channel, indexed by shard.
 ///
-/// Both lists are rings, home node first, and attempt `k` (0-based) of a
-/// request starts `k` places along them: a retry — issued because a
-/// deadline expired or a queue was full — goes to the next node, not back
-/// to the one that just failed. Nothing is remembered between requests,
-/// so the first attempt always goes home.
+/// Both lists are rings. A request's first attempt starts at each ring's
+/// *home*, its first node to begin with; a retry one place along from its
+/// own attempt's positions, so it goes to the next node, not back to the
+/// one that just failed. An expired deadline moves the home of the ring
+/// it blames one place past the position that expired, if the home still
+/// points there ([`Gateway::on_timer`]); nothing else moves a home.
 #[derive(Debug)]
 pub struct Route {
     channel: ChannelId,
@@ -223,14 +224,20 @@ pub struct Route {
     /// The channel's proposal nonce: with the channel name and the
     /// creator it makes every tx id unique.
     nonce: u64,
+    /// Where a first attempt starts: `[ENDORSERS]`, `[ORDERERS]`.
+    home: [usize; 2],
 }
 
+/// A route's rings, as indices into a pair of ring positions.
+const ENDORSERS: usize = 0;
+const ORDERERS: usize = 1;
+
 impl Route {
-    /// A route to `channel`. Attempt `k` of a transaction is proposed to
-    /// the `endorsements_needed` endorsers from `endorsers[k % n]` on
-    /// (derive the count from the chaincode's policy via
+    /// A route to `channel`. A first attempt is proposed to the
+    /// `endorsements_needed` endorsers from the home endorser on (derive
+    /// the count from the chaincode's policy via
     /// [`crate::EndorsementPolicy::min_endorsers`]) and its envelope goes
-    /// to `orderers[k % m]`; attempt `k` of a query asks `endorsers[k % n]`.
+    /// to the home orderer; a query asks the home endorser.
     ///
     /// # Panics
     ///
@@ -254,7 +261,13 @@ impl Route {
             orderers,
             endorsements_needed,
             nonce: 0,
+            home: [0; 2],
         }
+    }
+
+    /// The position one place on from `at` on `ring`.
+    fn after(&self, ring: usize, at: usize) -> usize {
+        (at + 1) % [self.endorsers.len(), self.orderers.len()][ring]
     }
 }
 
@@ -276,6 +289,9 @@ enum Phase {
         proposal: Box<Proposal>,
         responses: Vec<ProposalResponse>,
     },
+    /// The orderer's answer to the submitted envelope (the endorse
+    /// deadline: one node answers it); `payload` as in commit-wait.
+    Ordering { payload: Vec<u8> },
     /// The commit notification of the submitted envelope, whose agreed
     /// chaincode response is `payload` (the commit deadline).
     CommitWait { payload: Vec<u8> },
@@ -294,6 +310,8 @@ struct Row<T> {
     shard: usize,
     /// Attempts started so far (1 = first try).
     attempts: u32,
+    /// The ring positions the latest attempt used (first endorser, orderer).
+    at: [usize; 2],
     /// The armed wake-up, if the phase has one configured.
     token: Option<u64>,
     /// The call, to issue it again (kept only under a retry policy).
@@ -389,9 +407,16 @@ impl<T: Caller> Gateway<T> {
         self.retry
     }
 
-    /// Starts a full transaction on route `shard`: endorse on the route's
-    /// first `endorsements_needed` endorsers, then order at its first
-    /// orderer, then wait for the commit event.
+    /// Where the next request on route `shard` starts: home endorser, home orderer.
+    pub fn homes(&self, shard: usize) -> (ActorId, ActorId) {
+        let route = &self.routes[shard];
+        let [endorser, orderer] = route.home;
+        (route.endorsers[endorser], route.orderers[orderer])
+    }
+
+    /// Starts a full transaction on route `shard`: endorse on the
+    /// `endorsements_needed` endorsers from the route's home endorser on,
+    /// then order at its home orderer, then wait for the commit event.
     pub fn invoke(
         &mut self,
         shard: usize,
@@ -406,10 +431,11 @@ impl<T: Caller> Gateway<T> {
             function,
             args,
         };
-        self.issue(caller, shard, 0, call)
+        let at = self.routes[shard].home;
+        self.issue(caller, shard, 0, at, call)
     }
 
-    /// Starts an endorse-only query against the first endorser of route
+    /// Starts an endorse-only query against the home endorser of route
     /// `shard`.
     pub fn query(
         &mut self,
@@ -425,15 +451,23 @@ impl<T: Caller> Gateway<T> {
             function,
             args,
         };
-        self.issue(caller, shard, 0, call)
+        let at = self.routes[shard].home;
+        self.issue(caller, shard, 0, at, call)
     }
 
-    /// Issues attempt `attempts + 1` of `call`: builds and signs the
-    /// proposal — encoded exactly once: the signature covers the bytes,
-    /// the tx id is their digest and the wire size their length — and
-    /// sends it, under the endorse deadline, to the endorsers `attempts`
-    /// places along the route's ring.
-    fn issue(&mut self, caller: T, shard: usize, attempts: u32, call: Call) -> Vec<Action<T>> {
+    /// Issues attempt `attempts + 1` of `call` at ring positions `at`:
+    /// builds and signs the proposal — encoded exactly once: the signature
+    /// covers the bytes, the tx id is their digest and the wire size their
+    /// length — and sends it, under the endorse deadline, to the endorsers
+    /// from position `at[ENDORSERS]` on.
+    fn issue(
+        &mut self,
+        caller: T,
+        shard: usize,
+        attempts: u32,
+        at: [usize; 2],
+        call: Call,
+    ) -> Vec<Action<T>> {
         let redo = self.retry.map(|_| call.clone());
         let route = &mut self.routes[shard];
         route.nonce += 1;
@@ -470,7 +504,7 @@ impl<T: Caller> Gateway<T> {
             signature,
         });
         for i in 0..targets {
-            let endorser = route.endorsers[(attempts as usize + i) % route.endorsers.len()];
+            let endorser = route.endorsers[(at[ENDORSERS] + i) % route.endorsers.len()];
             let signed = if i + 1 == targets {
                 signed.take()
             } else {
@@ -483,6 +517,7 @@ impl<T: Caller> Gateway<T> {
             caller,
             shard,
             attempts: attempts + 1,
+            at,
             token,
             redo,
             phase,
@@ -500,6 +535,9 @@ impl<T: Caller> Gateway<T> {
         let mut out = Vec::new();
         match msg {
             FabricMsg::ProposalResult(resp) => self.on_response(resp, rng, &mut out),
+            FabricMsg::BroadcastAck { tx_id, accepted } => {
+                self.on_ack(tx_id, accepted, rng, &mut out);
+            }
             FabricMsg::Commit(event) => self.on_commit(event, &mut out),
             _ => {}
         }
@@ -544,7 +582,7 @@ impl<T: Caller> Gateway<T> {
                     ("endorse", Some(note), GatewayError::Mismatch)
                 }
             },
-            Phase::CommitWait { .. } | Phase::BackingOff => return,
+            Phase::Ordering { .. } | Phase::CommitWait { .. } | Phase::BackingOff => return,
         };
         let row = self.close(tx_id, stage, out);
         if let Some((name, detail)) = note {
@@ -566,8 +604,9 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// All endorsements are in and agree: assembles the envelope,
-    /// broadcasts it to this attempt's orderer and moves to commit-wait,
-    /// so a lost broadcast or commit notification cannot wedge the client.
+    /// broadcasts it to this attempt's orderer and waits — for its answer
+    /// under an endorse deadline, else for the commit — so a lost
+    /// broadcast or commit notification cannot wedge the client.
     fn submit(&mut self, tx_id: TxId, out: &mut Vec<Action<T>>) {
         let row = self.rows.get_mut(&tx_id).expect("caller looked it up");
         let Phase::Endorsing {
@@ -596,13 +635,18 @@ impl<T: Caller> Gateway<T> {
             event: first.event,
             endorsements,
         };
-        row.phase = Phase::CommitWait { payload };
+        let ack = self.endorse_timeout.is_some();
+        row.phase = match ack {
+            true => Phase::Ordering { payload },
+            false => Phase::CommitWait { payload },
+        };
         out.extend(row.token.take().map(Action::Disarm));
-        row.token = arm(&mut self.next_token, self.commit_timeout, out);
+        let deadline = self.endorse_timeout.or(self.commit_timeout);
+        row.token = arm(&mut self.next_token, deadline, out);
         let bytes = envelope.wire_size();
-        let orderers = &self.routes[row.shard].orderers;
-        let orderer = orderers[(row.attempts as usize - 1) % orderers.len()];
-        out.push(Action::Send(orderer, bytes, FabricMsg::Broadcast(envelope)));
+        let orderer = self.routes[row.shard].orderers[row.at[ORDERERS]];
+        let msg = FabricMsg::Broadcast { envelope, ack };
+        out.push(Action::Send(orderer, bytes, msg));
         // The two spans are contiguous, so their durations sum exactly to
         // the end-to-end invoke latency.
         let trace = tx_trace(&tx_id);
@@ -610,9 +654,33 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::SpanStart(trace, "commit_wait", String::new()));
     }
 
+    /// The orderer answered the envelope: taken in, the row waits for the
+    /// commit under the commit deadline; refused, the attempt fails `Busy`.
+    fn on_ack(&mut self, tx_id: TxId, accepted: bool, rng: &mut DetRng, out: &mut Vec<Action<T>>) {
+        let Some(row) = self.rows.get_mut(&tx_id) else {
+            return;
+        };
+        let Phase::Ordering { payload } = &mut row.phase else {
+            return;
+        };
+        if accepted {
+            let payload = std::mem::take(payload);
+            row.phase = Phase::CommitWait { payload };
+            out.extend(row.token.take().map(Action::Disarm));
+            row.token = arm(&mut self.next_token, self.commit_timeout, out);
+            return;
+        }
+        let row = self.close(tx_id, "commit_wait", out);
+        let refused = Action::Note(tx_trace(&tx_id), "order.refused", String::new());
+        out.push(refused);
+        self.fail(tx_id, row, GatewayError::Busy, rng, out);
+    }
+
+    /// A commit completes the row, even one that overtook the ack.
     fn on_commit(&mut self, event: CommitEvent, out: &mut Vec<Action<T>>) {
         let tx_id = event.tx_id;
-        let Some(Phase::CommitWait { payload }) = self.rows.get_mut(&tx_id).map(|r| &mut r.phase)
+        let Some(Phase::Ordering { payload } | Phase::CommitWait { payload }) =
+            self.rows.get_mut(&tx_id).map(|r| &mut r.phase)
         else {
             return;
         };
@@ -628,8 +696,9 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// A wake-up fired. A deadline abandons the attempt — its span
-    /// closes, its row leaves the table, nothing can leak — and a backoff
-    /// issues the next one. Tokens of finished requests do nothing.
+    /// closes, its row leaves the table, nothing can leak — and moves the
+    /// home of the ring it blames; a backoff issues the next attempt, one
+    /// place along both rings. Tokens of finished requests do nothing.
     pub fn on_timer(&mut self, token: u64, rng: &mut DetRng) -> Vec<Action<T>> {
         let found = self.rows.iter().find(|(_, row)| row.token == Some(token));
         let Some(tx_id) = found.map(|(tx_id, _)| *tx_id) else {
@@ -637,17 +706,28 @@ impl<T: Caller> Gateway<T> {
         };
         let mut row = self.rows.remove(&tx_id).expect("found above");
         row.token = None;
-        let (stage, event, error) = match row.phase {
-            Phase::Endorsing { .. } => ("endorse", "endorse.timeout", GatewayError::EndorseTimeout),
-            Phase::CommitWait { .. } => {
-                ("commit_wait", "commit.timeout", GatewayError::CommitTimeout)
-            }
-            Phase::Query => ("query", "query.timeout", GatewayError::EndorseTimeout),
+        use GatewayError::{CommitTimeout, EndorseTimeout};
+        // Whose deadline it was: the endorser asked, the orderer that did
+        // not answer, or — in commit-wait — the first endorser, which is
+        // the peer that reports the commit.
+        let (stage, event, error, blamed) = match row.phase {
+            Phase::Endorsing { .. } => ("endorse", "endorse.timeout", EndorseTimeout, ENDORSERS),
+            Phase::Ordering { .. } => ("commit_wait", "order.timeout", CommitTimeout, ORDERERS),
+            Phase::CommitWait { .. } => ("commit_wait", "commit.timeout", CommitTimeout, ENDORSERS),
+            Phase::Query => ("query", "query.timeout", EndorseTimeout, ENDORSERS),
             Phase::BackingOff => {
                 let call = row.redo.expect("invariant: only a kept call backs off");
-                return self.issue(row.caller, row.shard, row.attempts, call);
+                let route = &self.routes[row.shard];
+                let at = [ENDORSERS, ORDERERS].map(|ring| route.after(ring, row.at[ring]));
+                return self.issue(row.caller, row.shard, row.attempts, at, call);
             }
         };
+        // The home moves past the expired position, unless an earlier
+        // expiry moved it already.
+        let (route, at) = (&mut self.routes[row.shard], row.at[blamed]);
+        if route.home[blamed] == at {
+            route.home[blamed] = route.after(blamed, at);
+        }
         let mut out = vec![
             Action::SpanEnd(tx_trace(&tx_id), stage, String::new()),
             Action::Note(tx_trace(&tx_id), event, String::new()),

@@ -567,8 +567,22 @@ pub enum FabricMsg {
     SubmitProposal(SignedProposal),
     /// Endorsing peer → client.
     ProposalResult(ProposalResponse),
-    /// Client → orderer: an assembled transaction.
-    Broadcast(Envelope),
+    /// Client → orderer: an assembled transaction; one that asks is
+    /// answered with a [`FabricMsg::BroadcastAck`].
+    Broadcast {
+        /// The transaction.
+        envelope: Envelope,
+        /// Whether the envelope asks for the orderer's answer.
+        ack: bool,
+    },
+    /// Orderer → client: an envelope that asked was taken in (or forwarded
+    /// to the raft leader), or dropped.
+    BroadcastAck {
+        /// The envelope's transaction.
+        tx_id: TxId,
+        /// False when the envelope was dropped.
+        accepted: bool,
+    },
     /// Orderer → peers: a cut block on one channel. The block is shared:
     /// an orderer fanning one block out to N peers (plus its own retained
     /// copy) clones an [`Arc`], not the payload.
@@ -645,7 +659,8 @@ impl FabricMsg {
         match self {
             FabricMsg::SubmitProposal(sp) => sp.proposal.wire_size() + 32,
             FabricMsg::ProposalResult(pr) => pr.wire_size(),
-            FabricMsg::Broadcast(env) => env.wire_size(),
+            FabricMsg::Broadcast { envelope, .. } => envelope.wire_size(),
+            FabricMsg::BroadcastAck { .. } => 64,
             FabricMsg::DeliverBlock(_, b) => b.wire_size(),
             FabricMsg::DeliverRequest { .. } => 64,
             FabricMsg::Commit(_) => 128,

@@ -43,6 +43,12 @@ fn queue_left(raw: &RawEnvelope) -> Action {
     Action::SpanEnd(tx_trace(&raw.tx_id), "order.queue", String::new())
 }
 
+/// The answer to `client`'s envelope of `tx_id`, which asked for one.
+fn answer(client: ActorId, tx_id: TxId, accepted: bool) -> Action {
+    let msg = FabricMsg::BroadcastAck { tx_id, accepted };
+    Action::Send(client, msg.wire_size(), msg)
+}
+
 /// The channel's chain as this node has assembled it, who gets each block,
 /// and the tail kept for those who missed one.
 struct Chain {
@@ -261,7 +267,7 @@ impl OrderingNode {
     pub fn message(&mut self, src: ActorId, msg: FabricMsg) -> Vec<Action> {
         let here = &self.chain.channel;
         match (msg, &mut self.consensus) {
-            (FabricMsg::Broadcast(env), _) => self.broadcast(env),
+            (FabricMsg::Broadcast { envelope, ack }, _) => self.broadcast(src, envelope, ack),
             (FabricMsg::DeliverRequest { channel, from }, _) if channel == *here => {
                 self.chain.deliver_request(src, from)
             }
@@ -323,25 +329,31 @@ impl OrderingNode {
     /// to the leader it knows of, or drops it; the node that orders takes
     /// it into the cutter: counts it, opens its `order.queue` span (the
     /// time the tx waits for its batch to cut), cancels the batch timer
-    /// when a batch cut, and arms it when something stays pending.
-    fn broadcast(&mut self, env: Envelope) -> Vec<Action> {
+    /// when a batch cut, and arms it when something stays pending. If the
+    /// envelope asked (`ack`), `src` is told whether it was dropped.
+    fn broadcast(&mut self, src: ActorId, envelope: Envelope, ack: bool) -> Vec<Action> {
         if let Consensus::Raft(member) = &self.consensus {
             if !member.node.is_leader() {
-                let Some(leader) = member.node.leader_hint() else {
-                    return vec![self.chain.count("dropped_no_leader")];
+                let leader = member.node.leader_hint().map(|i| member.cluster[i]);
+                let accepted = leader.is_some();
+                let reply = ack.then(|| answer(src, envelope.tx_id(), accepted));
+                let Some(dst) = leader else {
+                    let dropped = self.chain.count("dropped_no_leader");
+                    return std::iter::once(dropped).chain(reply).collect();
                 };
-                let (dst, bytes) = (member.cluster[leader], env.wire_size());
-                let forward = Action::Send(dst, bytes, FabricMsg::Broadcast(env));
-                return vec![forward, self.chain.count("redirects")];
+                let (bytes, ack) = (envelope.wire_size(), false);
+                let forward = Action::Send(dst, bytes, FabricMsg::Broadcast { envelope, ack });
+                let redirect = self.chain.count("redirects");
+                return [forward, redirect].into_iter().chain(reply).collect();
             }
         }
-        let raw = env.to_raw();
+        let raw = envelope.to_raw();
         let tx_id = raw.tx_id;
         let cost = self.chain.costs.order_cost(raw.bytes.len() as u64);
         let cut = self.cutter.offer(raw);
         // Room for what each cut block answers with.
         let txs: usize = cut.batches.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(4 + txs + 4 * cut.batches.len());
+        let mut out = Vec::with_capacity(5 + txs + 4 * cut.batches.len());
         out.push(self.chain.count("broadcasts"));
         let trace = tx_trace(&tx_id);
         out.push(Action::SpanStart(trace, "order.queue", String::new()));
@@ -361,6 +373,7 @@ impl OrderingNode {
             self.batch_armed = true;
             out.push(Action::Arm(BATCH_TIMER, self.cutter.config().timeout));
         }
+        out.extend(ack.then(|| answer(src, tx_id, true)));
         out
     }
 

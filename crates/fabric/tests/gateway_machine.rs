@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hyperprov_fabric::{
-    Caller, CommitEvent, CostModel, FabricMsg, Gateway, GatewayAction as Action,
+    tx_trace, Caller, CommitEvent, CostModel, FabricMsg, Gateway, GatewayAction as Action,
     GatewayDone as Done, GatewayReply, MspBuilder, MspId, ProposalResponse, RetryPolicy, Route,
     SigningIdentity, BUSY_REASON,
 };
@@ -49,6 +49,17 @@ struct Bench {
 /// three orderers each), both deadlines when `deadlines`, and a retry
 /// budget when given.
 fn bench(needed: &[usize], deadlines: bool, budget: Option<u32>) -> Bench {
+    let (endorse, commit) = (deadlines.then_some(ENDORSE), deadlines.then_some(COMMIT));
+    bench_with(needed, endorse, commit, budget)
+}
+
+/// [`bench`] with each deadline given on its own.
+fn bench_with(
+    needed: &[usize],
+    endorse: Option<SimDuration>,
+    commit: Option<SimDuration>,
+    budget: Option<u32>,
+) -> Bench {
     let mut msp = MspBuilder::new(3);
     let org = MspId::new("org1");
     let client = msp.enroll("client", &org);
@@ -61,10 +72,8 @@ fn bench(needed: &[usize], deadlines: bool, budget: Option<u32>) -> Bench {
             Route::new(channel, endorsers(shard), ORDERERS.to_vec(), n)
         })
         .collect();
-    let mut gateway = Gateway::new(client, routes, CostModel::default());
-    if deadlines {
-        gateway = gateway.with_deadlines(Some(ENDORSE), Some(COMMIT));
-    }
+    let mut gateway =
+        Gateway::new(client, routes, CostModel::default()).with_deadlines(endorse, commit);
     if let Some(budget) = budget {
         gateway = gateway.with_retry(RetryPolicy::new(budget));
     }
@@ -120,16 +129,30 @@ fn commit(tx_id: TxId) -> FabricMsg {
     })
 }
 
+/// An orderer's answer to the envelope of `tx_id`, which asked.
+fn ack(tx_id: TxId, accepted: bool) -> FabricMsg {
+    FabricMsg::BroadcastAck { tx_id, accepted }
+}
+
 /// The tx id of the proposal (or envelope) these actions send.
 fn tx_of(actions: &[Action<Req>]) -> TxId {
     actions
         .iter()
         .find_map(|action| match action {
             Action::Send(_, _, FabricMsg::SubmitProposal(signed)) => Some(signed.proposal.tx_id()),
-            Action::Send(_, _, FabricMsg::Broadcast(envelope)) => Some(envelope.proposal.tx_id()),
+            Action::Send(_, _, FabricMsg::Broadcast { envelope, .. }) => Some(envelope.tx_id()),
             _ => None,
         })
         .expect("the actions send a proposal")
+}
+
+/// The token of the last timer these actions arm.
+fn armed_by(actions: &[Action<Req>]) -> u64 {
+    let armed = actions.iter().rev().find_map(|action| match action {
+        Action::Arm(token, _) => Some(*token),
+        _ => None,
+    });
+    armed.expect("the actions arm a timer")
 }
 
 /// One short word per action, so a transition reads as a line.
@@ -139,7 +162,11 @@ fn show(actions: &[Action<Req>]) -> Vec<String> {
         .map(|action| match action {
             Action::Charge(_) => "charge".to_owned(),
             Action::Send(to, _, FabricMsg::SubmitProposal(_)) => format!("propose->{}", to.0),
-            Action::Send(to, _, FabricMsg::Broadcast(_)) => format!("broadcast->{}", to.0),
+            // An envelope that asks for the orderer's answer.
+            Action::Send(to, _, FabricMsg::Broadcast { ack: true, .. }) => {
+                format!("broadcast?->{}", to.0)
+            }
+            Action::Send(to, _, FabricMsg::Broadcast { .. }) => format!("broadcast->{}", to.0),
             Action::Send(..) => "send?".to_owned(),
             Action::Arm(token, delay) if *delay == ENDORSE => format!("arm#{token}=endorse"),
             Action::Arm(token, delay) if *delay == COMMIT => format!("arm#{token}=commit"),
@@ -180,16 +207,24 @@ mod transitions {
         let tx = tx_of(&issued);
         assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
         let submitted = b.message(b.answer(tx, Ok(b"r")));
+        // The envelope asks, and the orderer's answer is awaited under the
+        // endorse deadline: one node answers it.
         let submit = [
             "disarm#1",
-            "arm#2=commit",
-            "broadcast->90",
+            "arm#2=endorse",
+            "broadcast?->90",
             "endorse]",
             "[commit_wait",
         ];
         assert_eq!(show(&submitted), submit);
         assert_eq!(tx_of(&submitted), tx);
-        let done = ["disarm#2", "commit_wait]", "done1=Valid"];
+        assert_eq!(
+            show(&b.message(ack(tx, true))),
+            ["disarm#2", "arm#3=commit"]
+        );
+        // A duplicate answer finds the row past ordering.
+        assert!(b.message(ack(tx, true)).is_empty());
+        let done = ["disarm#3", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(tx))), done);
         assert_eq!(b.gateway.inflight(), 0);
     }
@@ -226,6 +261,20 @@ mod transitions {
             show(&b.message(commit(tx))),
             ["commit_wait]", "done1=Valid"]
         );
+    }
+
+    /// With no endorse deadline the envelope does not ask, and the row
+    /// goes straight to commit-wait: a deployment without deadlines sends
+    /// and arms exactly what it did before the orderer answered.
+    #[test]
+    fn without_an_endorse_deadline_the_envelope_does_not_ask() {
+        let mut b = bench_with(&[1], None, Some(COMMIT), Some(3));
+        let tx = tx_of(&b.invoke(0, 1));
+        let submit = ["arm#1=commit", "broadcast->90", "endorse]", "[commit_wait"];
+        assert_eq!(show(&b.message(b.answer(tx, Ok(b"r")))), submit);
+        // An answer nobody asked for changes nothing.
+        assert!(b.message(ack(tx, false)).is_empty());
+        assert_eq!(show(&b.timer(1))[..2], ["commit_wait]", "!commit.timeout"]);
     }
 
     #[test]
@@ -277,6 +326,13 @@ mod transitions {
         let query = tx_of(&b.query(0, 2));
         assert!(b.message(commit(query)).is_empty());
         assert_eq!(b.gateway.inflight(), 2);
+        // Ours once submitted: a commit that overtakes the orderer's answer
+        // completes it, and the answer then finds nothing.
+        b.message(b.answer(ours, Ok(b"r")));
+        let done = ["disarm#3", "commit_wait]", "done1=Valid"];
+        assert_eq!(show(&b.message(commit(ours))), done);
+        assert!(b.message(ack(ours, true)).is_empty());
+        assert_eq!(b.gateway.inflight(), 1);
     }
 
     #[test]
@@ -291,28 +347,40 @@ mod transitions {
             "done1=EndorseTimeout",
         ];
         assert_eq!(show(&b.timer(1)), expired);
-        // Commit deadline (token 2 was the endorse deadline it replaced).
+        // The orderer's answer (token 2 was the endorse deadline it
+        // replaced).
         let tx = tx_of(&b.invoke(0, 2));
         b.message(b.answer(tx, Ok(b"r")));
         let expired = [
             "commit_wait]",
-            "!commit.timeout",
+            "!order.timeout",
             "+client.timeouts",
             "done2=CommitTimeout",
         ];
         assert_eq!(show(&b.timer(3)), expired);
+        // Commit deadline, after the answer.
+        let tx = tx_of(&b.invoke(0, 3));
+        b.message(b.answer(tx, Ok(b"r")));
+        b.message(ack(tx, true));
+        let expired = [
+            "commit_wait]",
+            "!commit.timeout",
+            "+client.timeouts",
+            "done3=CommitTimeout",
+        ];
+        assert_eq!(show(&b.timer(6)), expired);
         // Query deadline.
-        b.query(0, 3);
+        b.query(0, 4);
         let expired = [
             "query]",
             "!query.timeout",
             "+client.timeouts",
-            "done3=EndorseTimeout",
+            "done4=EndorseTimeout",
         ];
-        assert_eq!(show(&b.timer(4)), expired);
+        assert_eq!(show(&b.timer(7)), expired);
         assert_eq!(b.gateway.inflight(), 0);
         // Nothing is left to fire: every token is spent or disarmed.
-        for token in 0..6 {
+        for token in 0..9 {
             assert!(b.timer(token).is_empty());
         }
     }
@@ -397,72 +465,151 @@ mod transitions {
         assert_eq!(b.gateway.inflight(), 1);
     }
 
-    /// Runs the request `actions` started to its end on a network where
-    /// nothing comes back — but, when `endorsed`, the endorsements — so
-    /// every wake-up fires. Returns whom its proposals and its envelopes
-    /// were sent to, in order.
-    fn addressed(
-        b: &mut Bench,
-        mut actions: Vec<Action<Req>>,
-        endorsed: bool,
-    ) -> (Vec<u32>, Vec<u32>) {
+    /// Runs request `req` on route 0 — an invoke, or a query — to its end
+    /// on a network where the nodes in `dead` answer nothing and every
+    /// other node answers at once: endorsements, the orderer's answer and
+    /// the commit. So only a dead node's deadline fires. Returns whom its
+    /// proposals and its envelopes were sent to, in order.
+    fn addressed(b: &mut Bench, req: u32, invoke: bool, dead: &[u32]) -> (Vec<u32>, Vec<u32>) {
         let (mut proposals, mut envelopes) = (Vec::new(), Vec::new());
+        let mut actions = match invoke {
+            true => b.invoke(0, req),
+            false => b.query(0, req),
+        };
         let mut armed = 0;
         loop {
-            let mut proposed = None;
+            let mut replies = Vec::new();
             for action in &actions {
                 match action {
                     Action::Send(to, _, FabricMsg::SubmitProposal(signed)) => {
                         proposals.push(to.0);
-                        proposed = Some(signed.proposal.tx_id());
+                        let tx = signed.proposal.tx_id();
+                        replies.extend((!dead.contains(&to.0)).then(|| b.answer(tx, Ok(b"r"))));
                     }
-                    Action::Send(to, _, FabricMsg::Broadcast(_)) => envelopes.push(to.0),
+                    Action::Send(to, _, FabricMsg::Broadcast { envelope, .. }) => {
+                        envelopes.push(to.0);
+                        if !dead.contains(&to.0) {
+                            replies.push(ack(envelope.tx_id(), true));
+                            replies.push(commit(envelope.tx_id()));
+                        }
+                    }
                     Action::Arm(token, _) => armed = *token,
                     Action::Own(Done(..)) => return (proposals, envelopes),
                     _ => {}
                 }
             }
-            actions = match proposed.filter(|_| endorsed) {
-                Some(tx) => b.message(b.answer(tx, Ok(b"r"))),
-                None => b.timer(armed),
+            actions = match replies.is_empty() {
+                true => b.timer(armed),
+                false => replies.into_iter().flat_map(|r| b.message(r)).collect(),
             };
         }
     }
 
-    /// Attempt `k` starts `k` places along the ring, home first: a dead
-    /// home endorser costs its client one deadline, not the whole budget.
+    /// A dead home endorser costs its client one endorse deadline per
+    /// outage, not one per request: the retry goes one place along both
+    /// rings, and the expiry moves the endorsers' home past the dead node,
+    /// so the next request starts where the retry went.
     #[test]
     fn a_retry_goes_to_the_next_endorser() {
         let mut b = bench(&[1], true, Some(4));
-        let issued = b.invoke(0, 1);
-        let (proposals, envelopes) = addressed(&mut b, issued, false);
-        assert_eq!(proposals, [10, 11, 12, 10]);
-        assert!(envelopes.is_empty());
+        assert_eq!(addressed(&mut b, 1, true, &[10]), (vec![10, 11], vec![91]));
+        assert_eq!(b.gateway.homes(0), (ActorId(11), ActorId(90)));
+        assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11], vec![90]));
         // With two endorsements needed, the window of two moves along.
         let mut b = bench(&[2], true, Some(3));
-        let issued = b.invoke(0, 1);
-        let (proposals, _) = addressed(&mut b, issued, false);
-        assert_eq!(proposals, [10, 11, 11, 12, 12, 10]);
+        let first = addressed(&mut b, 1, true, &[10]);
+        assert_eq!(first, (vec![10, 11, 11, 12], vec![91]));
+        assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11, 12], vec![90]));
+        // Every attempt expiring walks the home along with it.
+        let mut b = bench(&[1], true, Some(4));
+        let (proposals, _) = addressed(&mut b, 1, true, &[10, 11, 12]);
+        assert_eq!(proposals, [10, 11, 12, 10]);
+        assert_eq!(b.gateway.homes(0).0, ActorId(11));
     }
 
     #[test]
     fn a_query_retry_asks_the_next_endorser() {
         let mut b = bench(&[2], true, Some(4));
-        let issued = b.query(0, 1);
-        let (proposals, envelopes) = addressed(&mut b, issued, false);
-        assert_eq!(proposals, [10, 11, 12, 10]);
-        assert!(envelopes.is_empty());
+        assert_eq!(addressed(&mut b, 1, false, &[10]), (vec![10, 11], vec![]));
+        assert_eq!(addressed(&mut b, 2, false, &[10]), (vec![11], vec![]));
+        assert_eq!(b.gateway.homes(0), (ActorId(11), ActorId(90)));
     }
 
-    /// The envelope of attempt `k` goes `k` places along the orderers: a
-    /// dead home orderer costs one commit deadline.
+    /// A dead home orderer costs one endorse deadline per outage: its
+    /// answer does not come, the resubmission goes to the next orderer,
+    /// and the next request's envelope goes there first. The endorsers'
+    /// home stays: it was not their deadline.
     #[test]
     fn a_resubmission_goes_to_the_next_orderer() {
         let mut b = bench(&[1], true, Some(4));
-        let issued = b.invoke(0, 1);
-        let (proposals, envelopes) = addressed(&mut b, issued, true);
-        assert_eq!(proposals, [10, 11, 12, 10]);
-        assert_eq!(envelopes, [90, 91, 92, 90]);
+        let first = addressed(&mut b, 1, true, &[90]);
+        assert_eq!(first, (vec![10, 11], vec![90, 91]));
+        assert_eq!(b.gateway.homes(0), (ActorId(10), ActorId(91)));
+        assert_eq!(addressed(&mut b, 2, true, &[90]), (vec![10], vec![91]));
+    }
+
+    /// The orderer's answer is lost: the attempt fails `CommitTimeout`
+    /// after the endorse deadline and, with budget left, is re-sent to the
+    /// next orderer, which the home then points at.
+    #[test]
+    fn a_lost_answer_with_budget_left_resends_to_the_next_orderer() {
+        let mut b = bench(&[1], true, Some(3));
+        let tx = tx_of(&b.invoke(0, 1));
+        let ordering = armed_by(&b.message(b.answer(tx, Ok(b"r"))));
+        let backing_off = [
+            "commit_wait]",
+            "!order.timeout",
+            "+client.timeouts",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-1",
+            "arm#3=backoff",
+        ];
+        assert_eq!(show(&b.timer(ordering)), backing_off);
+        let second = tx_of(&b.timer(3));
+        let submitted = show(&b.message(b.answer(second, Ok(b"r"))));
+        assert_eq!(submitted[2], "broadcast?->91");
+        assert_eq!(
+            show(&b.message(ack(second, true))),
+            ["disarm#5", "arm#6=commit"]
+        );
+        let done = ["disarm#6", "commit_wait]", "done1=Valid"];
+        assert_eq!(show(&b.message(commit(second))), done);
+        assert_eq!(b.gateway.homes(0), (ActorId(10), ActorId(91)));
+    }
+
+    /// Only an expiry moves a home: a full queue, an orderer's refusal and
+    /// a rejection are answers, and leave both homes where they were. The
+    /// retry after `Busy` still goes one place along.
+    #[test]
+    fn busy_a_refusal_and_a_rejection_move_no_home() {
+        let homes = (ActorId(10), ActorId(90));
+        let mut b = bench(&[1], true, Some(3));
+        // Refused by the home orderer.
+        let tx = tx_of(&b.invoke(0, 1));
+        assert_eq!(
+            show(&b.message(b.answer(tx, Ok(b"r"))))[2],
+            "broadcast?->90"
+        );
+        let refused = [
+            "disarm#2",
+            "commit_wait]",
+            "!order.refused",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-1",
+            "arm#3=backoff",
+        ];
+        assert_eq!(show(&b.message(ack(tx, false))), refused);
+        assert_eq!(b.gateway.homes(0), homes);
+        assert_eq!(show(&b.timer(3)).last().unwrap(), "propose->11");
+        // Shed by the home endorser, then rejected by it.
+        for (req, reason) in [(2, BUSY_REASON), (3, "not found")] {
+            let issued = b.query(0, req);
+            assert_eq!(show(&issued).last().unwrap(), "propose->10");
+            b.message(b.answer(tx_of(&issued), Err(reason)));
+            assert_eq!(b.gateway.homes(0), homes);
+        }
     }
 
     /// Pinned, not endorsed (benchmark README finding 2): after a
@@ -476,10 +623,11 @@ mod transitions {
         let mut b = bench(&[1], true, Some(3));
         let first = tx_of(&b.invoke(0, 1));
         b.message(b.answer(first, Ok(b"r")));
-        assert_eq!(show(&b.timer(2))[..2], ["commit_wait]", "!commit.timeout"]);
+        b.message(ack(first, true));
+        assert_eq!(show(&b.timer(3))[..2], ["commit_wait]", "!commit.timeout"]);
         let mut completed = 0;
         completed += b.message(commit(first)).len(); // during the backoff
-        let second = tx_of(&b.timer(3));
+        let second = tx_of(&b.timer(4));
         completed += b.message(commit(first)).len(); // during the second attempt
         assert_eq!(completed, 0);
         b.message(b.answer(second, Ok(b"r")));
@@ -534,11 +682,28 @@ struct Model {
     dead: Option<ActorId>,
     /// Messages sent per node, the dead one included.
     asked: BTreeMap<ActorId, u32>,
+    /// Per attempt, by its trace: its route, its first endorser and, once
+    /// submitted, its orderer.
+    attempts: BTreeMap<String, (usize, ActorId, Option<ActorId>)>,
+    /// Where each route's next request should start: home endorser, home
+    /// orderer.
+    homes: Vec<(ActorId, ActorId)>,
+}
+
+/// The node one place along `ring` from `node`.
+fn next(ring: &[ActorId], node: ActorId) -> ActorId {
+    let at = ring.iter().position(|&n| n == node).expect("on the ring");
+    ring[(at + 1) % ring.len()]
 }
 
 impl Model {
     fn new(bench: Bench, rng: Rng, loss: u64, dead: Option<ActorId>) -> Self {
+        let shards = bench.gateway.shards();
         Model {
+            attempts: BTreeMap::new(),
+            homes: (0..shards)
+                .map(|s| (endorsers(s)[0], ORDERERS[0]))
+                .collect(),
             bench,
             rng,
             armed: BTreeSet::new(),
@@ -567,38 +732,96 @@ impl Model {
                 }
                 Action::Send(to, _, msg) => {
                     *self.asked.entry(to).or_insert(0) += 1;
+                    self.record(to, &msg);
                     if Some(to) != self.dead {
                         self.reply_to(msg);
                     }
                 }
+                Action::Note(trace, name, _) => self.expired(&trace, name),
                 _ => {}
             }
         }
-        // A row exists exactly while its one wake-up is armed.
+        // A row exists exactly while its one wake-up is armed, in every
+        // phase, *ordering* included.
         assert_eq!(self.armed.len(), self.bench.gateway.inflight());
         assert!(self.done.values().all(|&n| n == 1));
+        // A home moves only on an expiry, one place on from the position
+        // that expired.
+        for (shard, &home) in self.homes.iter().enumerate() {
+            assert_eq!(self.bench.gateway.homes(shard), home, "route {shard}");
+        }
+    }
+
+    /// Notes where an attempt went: its route and first endorser when
+    /// proposed, its orderer when submitted.
+    fn record(&mut self, to: ActorId, msg: &FabricMsg) {
+        match msg {
+            FabricMsg::SubmitProposal(signed) => {
+                let (trace, shard) = (tx_trace(&signed.proposal.tx_id()), to.0 as usize / 10 - 1);
+                self.attempts.entry(trace).or_insert((shard, to, None));
+            }
+            FabricMsg::Broadcast { envelope, .. } => {
+                let attempt = self.attempts.get_mut(&tx_trace(&envelope.tx_id()));
+                attempt.expect("proposed before submitted").2 = Some(to);
+            }
+            _ => {}
+        }
+    }
+
+    /// The note `name` on `trace`: if it says an attempt's deadline
+    /// expired, the blamed ring's home moves one place on past the node
+    /// that let it expire — if the home still points there.
+    fn expired(&mut self, trace: &str, name: &str) {
+        let Some(&(shard, endorser, orderer)) = self.attempts.get(trace) else {
+            return;
+        };
+        let home = &mut self.homes[shard];
+        match name {
+            "endorse.timeout" | "query.timeout" | "commit.timeout" if home.0 == endorser => {
+                home.0 = next(&endorsers(shard), endorser);
+            }
+            "order.timeout" if Some(home.1) == orderer => home.1 = next(&ORDERERS, home.1),
+            _ => {}
+        }
     }
 
     fn reply_to(&mut self, msg: FabricMsg) {
+        // A healed network answers honestly.
+        let honest = self.loss == 0;
         let reply = match msg {
             FabricMsg::SubmitProposal(signed) => {
                 let tx = signed.proposal.tx_id();
-                // A healed network answers honestly.
-                let roll = if self.loss == 0 {
-                    9
-                } else {
-                    self.rng.below(10)
-                };
-                match roll {
+                match if honest { 9 } else { self.rng.below(10) } {
                     0 => self.bench.answer(tx, Err(BUSY_REASON)),
                     1 => self.bench.answer(tx, Err("rejected")),
                     2 => self.bench.answer(tx, Ok(b"odd")),
                     _ => self.bench.answer(tx, Ok(b"r")),
                 }
             }
-            FabricMsg::Broadcast(envelope) => commit(envelope.proposal.tx_id()),
+            // The orderer answers an envelope that asks, and refuses one
+            // now and then (a follower that knows no leader): that one is
+            // never committed.
+            FabricMsg::Broadcast {
+                envelope,
+                ack: asked,
+            } => {
+                let tx = envelope.tx_id();
+                let accepted = honest || self.rng.below(10) != 0;
+                if asked {
+                    self.ship(ack(tx, accepted));
+                }
+                if !accepted {
+                    return;
+                }
+                commit(tx)
+            }
             other => panic!("the gateway sends proposals and envelopes, not {other:?}"),
         };
+        self.ship(reply);
+    }
+
+    /// Puts a reply on the wire: lost, once, or twice.
+    fn ship(&mut self, reply: FabricMsg) {
         if self.rng.chance(self.loss) {
             return;
         }
@@ -664,6 +887,12 @@ proptest! {
                         true => m.bench.invoke(shard, issued),
                         false => m.bench.query(shard, issued),
                     };
+                    // A first attempt starts at the route's home.
+                    let first = actions.iter().find_map(|action| match action {
+                        Action::Send(to, ..) => Some(*to),
+                        _ => None,
+                    });
+                    prop_assert_eq!(first, Some(m.homes[shard].0));
                     m.apply(actions);
                 }
                 3..=7 if !m.wire.is_empty() => m.deliver(),
@@ -691,19 +920,22 @@ proptest! {
 
     /// The network is clean and every timer fires on time, but one node
     /// of the route is dead from the start: a request with a budget of
-    /// two or more ends `Ok`, because attempt `k` starts `k` places along
-    /// each ring — and over `a` attempts no node, dead or alive, is
-    /// addressed more than ⌈a/n⌉ times.
+    /// two or more ends `Ok`, because a retry starts one place along each
+    /// ring — and over `a` attempts no node, dead or alive, is addressed
+    /// more than ⌈a/n⌉ times. The next request of the same kind never
+    /// meets the dead node: the expiry moved the home past it.
     #[test]
     fn a_request_with_a_retry_left_routes_around_one_dead_node(seed in any::<u64>()) {
         let mut rng = Rng(DetRng::new(seed));
         let budget = 2 + rng.below(4) as u32;
         let dead = pick_target(&mut rng, 1);
         let mut m = Model::new(bench(&[1], true, Some(budget)), rng, 0, Some(dead));
-        let actions = match m.rng.chance(60) {
-            true => m.bench.invoke(0, 1),
-            false => m.bench.query(0, 1),
+        let invoke = m.rng.chance(60);
+        let request = |m: &mut Model, n| match invoke {
+            true => m.bench.invoke(0, n),
+            false => m.bench.query(0, n),
         };
+        let actions = request(&mut m, 1);
         m.apply(actions);
         m.drain();
         prop_assert_eq!(m.done.get(&1), Some(&1));
@@ -712,5 +944,12 @@ proptest! {
         prop_assert!(attempts <= 2, "one dead node costs one retry, not {}", attempts - 1);
         let share = attempts.div_ceil(3);
         prop_assert!(m.asked.values().all(|&n| n <= share), "{:?}", m.asked);
+        let met = m.asked.get(&dead).copied();
+        let actions = request(&mut m, 2);
+        m.apply(actions);
+        m.drain();
+        prop_assert_eq!((m.done.get(&2), m.failed), (Some(&1), 0));
+        let again = m.asked.get(&dead).copied();
+        prop_assert!(again == met, "the next request met the dead node");
     }
 }

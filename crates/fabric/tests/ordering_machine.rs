@@ -78,7 +78,22 @@ impl Txs {
     }
 
     fn broadcast(&mut self) -> FabricMsg {
-        FabricMsg::Broadcast(self.envelope())
+        let (envelope, ack) = (self.envelope(), false);
+        FabricMsg::Broadcast { envelope, ack }
+    }
+
+    /// The next post, asking for the orderer's answer.
+    fn asking(&mut self) -> FabricMsg {
+        let (envelope, ack) = (self.envelope(), true);
+        FabricMsg::Broadcast { envelope, ack }
+    }
+}
+
+/// A client's envelope that does not ask for the orderer's answer.
+fn broadcast(envelope: Envelope) -> FabricMsg {
+    FabricMsg::Broadcast {
+        envelope,
+        ack: false,
     }
 }
 
@@ -91,7 +106,10 @@ fn show(actions: &[Action], txs: &Txs) -> Vec<String> {
     let sent = |to: &ActorId, msg: &FabricMsg| {
         let what = match msg {
             FabricMsg::DeliverBlock(_, block) => format!("block-{}", block.header.number),
-            FabricMsg::Broadcast(_) => "broadcast".to_owned(),
+            FabricMsg::Broadcast { ack: true, .. } => "broadcast?".to_owned(),
+            FabricMsg::Broadcast { .. } => "broadcast".to_owned(),
+            FabricMsg::BroadcastAck { accepted: true, .. } => "ack".to_owned(),
+            FabricMsg::BroadcastAck { .. } => "refused".to_owned(),
             FabricMsg::Raft(msg) => match **msg {
                 RaftMsg::RequestVote { .. } => "vote?".to_owned(),
                 RaftMsg::VoteReply { .. } => "vote".to_owned(),
@@ -212,7 +230,7 @@ mod transitions {
 
         let second = txs.envelope();
         let cost = CostModel::default().order_cost(second.to_raw().bytes.len() as u64);
-        let actions = node.message(CLIENT, FabricMsg::Broadcast(second));
+        let actions = node.message(CLIENT, broadcast(second));
         let cut = [
             "+broadcasts=1",
             "[order.queue tx1",
@@ -252,8 +270,10 @@ mod transitions {
         let (mut node, mut txs) = (solo(batch_of(10)), Txs::new());
         let timer = armed_by(&node.message(CLIENT, txs.broadcast()));
         // The second envelope finds the timer running.
-        let second = node.message(CLIENT, txs.broadcast());
-        assert_eq!(show(&second, &txs), ["+broadcasts=1", "[order.queue tx1"]);
+        // It asks, and is answered once taken in.
+        let second = node.message(CLIENT, txs.asking());
+        let waits = ["+broadcasts=1", "[order.queue tx1", "ack->100"];
+        assert_eq!(show(&second, &txs), waits);
         let actions = node.timer(timer);
         let cut = [
             "+timeout_cuts=1",
@@ -291,7 +311,7 @@ mod transitions {
         let mut big = txs.envelope();
         big.payload = vec![7; 4_096];
         *txs.ids.last_mut().unwrap() = big.tx_id();
-        let actions = node.message(CLIENT, FabricMsg::Broadcast(big));
+        let actions = node.message(CLIENT, broadcast(big));
         // What was pending is flushed, then the large one goes alone: two
         // blocks, one job, no timer left running.
         let cut = [
@@ -420,19 +440,44 @@ mod transitions {
         );
     }
 
+    /// A follower forwards to the leader it knows of, or drops the
+    /// envelope. An envelope that asks is answered either way — refused
+    /// when dropped, accepted when forwarded — and the forward itself does
+    /// not ask; one that does not ask gets nothing. The leader answers an
+    /// envelope that asks it directly.
     #[test]
     fn a_member_that_does_not_lead_forwards_to_the_leader_it_knows_of() {
         let (mut nodes, mut txs) = (cluster(1, 5), Txs::new());
         assert!(nodes.iter().all(|node| !node.is_leader()));
         let lost = nodes[1].message(CLIENT, txs.broadcast());
         assert_eq!(show(&lost, &txs), ["+dropped_no_leader=1"]);
+        let refused = nodes[1].message(CLIENT, txs.asking());
+        let answer = ["+dropped_no_leader=1", "refused->100"];
+        assert_eq!(show(&refused, &txs), answer);
+        let Some(Action::Send(_, 64, FabricMsg::BroadcastAck { tx_id, .. })) = refused.last()
+        else {
+            panic!("{refused:?}");
+        };
+        assert_eq!(tx_id, txs.ids.last().unwrap());
         elect(&mut nodes, 0);
         assert!(nodes[0].is_leader() && !nodes[1].is_leader());
         let env = txs.envelope();
         let size = env.wire_size();
-        let forwarded = nodes[1].message(CLIENT, FabricMsg::Broadcast(env));
+        let forwarded = nodes[1].message(CLIENT, broadcast(env));
         assert_eq!(show(&forwarded, &txs), ["broadcast->90", "+redirects=1"]);
         assert!(matches!(forwarded[0], Action::Send(_, bytes, _) if bytes == size));
+        let asked = nodes[1].message(CLIENT, txs.asking());
+        let answer = ["broadcast->90", "+redirects=1", "ack->100"];
+        assert_eq!(show(&asked, &txs), answer);
+        // The leader takes the forward in and answers nobody for it; an
+        // envelope that reaches it asking is answered after admission.
+        let Action::Send(_, _, forward) = &asked[0] else {
+            panic!("{asked:?}");
+        };
+        let taken = show(&nodes[0].message(ORDERERS[1], forward.clone()), &txs);
+        assert!(taken[0] == "+broadcasts=1" && !taken.iter().any(|w| w.starts_with("ack")));
+        let direct = show(&nodes[0].message(CLIENT, txs.asking()), &txs);
+        assert_eq!(direct.last().unwrap(), "ack->100");
     }
 
     #[test]
@@ -633,7 +678,7 @@ impl Net {
             match action {
                 Action::Send(to, _, msg) => {
                     if let Some(dst) = ORDERERS.iter().position(|id| id == to) {
-                        let forwarded = matches!(msg, FabricMsg::Broadcast(_));
+                        let forwarded = matches!(msg, FabricMsg::Broadcast { .. });
                         coverage.redirects += u64::from(forwarded);
                         self.flying.push((m, dst, msg.clone()));
                     }
@@ -699,7 +744,7 @@ impl Net {
             return;
         }
         let offered = match &msg {
-            FabricMsg::Broadcast(env) => Some(env.to_raw()),
+            FabricMsg::Broadcast { envelope, .. } => Some(envelope.to_raw()),
             _ => None,
         };
         self.input(m, coverage, offered, |node| node.message(src, msg));
