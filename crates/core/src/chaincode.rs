@@ -42,7 +42,7 @@ pub struct HyperProvIndexer;
 
 impl GraphIndexer for HyperProvIndexer {
     fn index(&self, key: &StateKey, value: Option<&[u8]>) -> Option<GraphUpdate> {
-        if key.namespace != CHAINCODE_NAME {
+        if key.namespace.as_bytes() != CHAINCODE_NAME.as_bytes() {
             return None;
         }
         let key = item_of(&key.key)?.to_owned();

@@ -12,7 +12,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use hyperprov_ledger::{HistoryEntry, KvRead, KvWrite, Ns, ProvGraph, RwSet, StateDb, StateKey};
+use hyperprov_ledger::{
+    HistoryEntry, KvRead, KvWrite, ProvGraph, RwSet, SharedBytes, SharedStr, StateDb, StateKey,
+};
 
 use crate::identity::Certificate;
 
@@ -63,9 +65,9 @@ pub struct StubStats {
 /// The shim handed to chaincode during simulation.
 pub struct ChaincodeStub<'a> {
     namespace: &'a str,
-    /// The namespace interned once per invocation; every state key built
-    /// below shares this allocation instead of re-interning per access.
-    ns: Ns,
+    /// The namespace as a shared string, made once per invocation: every
+    /// state key built below shares its allocation.
+    ns: SharedStr,
     function: &'a str,
     args: &'a [Vec<u8>],
     creator: &'a Certificate,
@@ -89,7 +91,7 @@ impl<'a> ChaincodeStub<'a> {
     ) -> Self {
         ChaincodeStub {
             namespace,
-            ns: Ns::intern(namespace),
+            ns: namespace.into(),
             function,
             args,
             creator,
@@ -205,7 +207,7 @@ impl<'a> ChaincodeStub<'a> {
         self.upsert_write(key, None);
     }
 
-    fn upsert_write(&mut self, key: &str, value: Option<Arc<[u8]>>) {
+    fn upsert_write(&mut self, key: &str, value: Option<SharedBytes>) {
         let skey = StateKey::new(self.ns.clone(), key);
         match self.write_index.get(&skey) {
             Some(&idx) => self.rwset.writes[idx].value = value,

@@ -11,9 +11,9 @@
 //! read-version validation. Valid transactions apply their write sets
 //! immediately, so later transactions in the same block validate against
 //! the updated state — exactly Fabric's serial intra-block validation,
-//! which is what produces MVCC conflicts under contention. Only what the
-//! ledger keeps is copied out of a block: the key and the value of each
-//! write of a valid transaction. A one-lane peer is the degenerate case
+//! which is what produces MVCC conflicts under contention. Nothing is
+//! copied out of a block: reads are looked up, and writes kept, as ranges
+//! of the envelope's bytes. A one-lane peer is the degenerate case
 //! of the same path; the monolithic loop over owned [`Envelope`]s it
 //! replaced survives only as the test module's reference implementation.
 //!
@@ -343,16 +343,15 @@ impl Committer {
                     ValidationCode::DuplicateTxId
                 } else if let Some(failure) = verdict.failure {
                     failure
-                } else if !view.reads().all(|r| state.version(&r.key) == r.version) {
+                } else if !view.reads().all(|(key, seen)| state.version(&key) == seen) {
                     ValidationCode::MvccReadConflict
                 } else {
                     ValidationCode::Valid
                 };
                 if code.is_valid() {
                     let version = Version::new(block.header.number, tx_num as u32);
-                    // The one copy a write gets: the state entry, its
-                    // history and the written-key list share its key and
-                    // its value.
+                    // The state entry, its history and the written-key list
+                    // share the write's key and value with the envelope.
                     for write in view.writes() {
                         self.state.apply_tx(verdict.tx_id, version, &write);
                         dangling_parents += self.index_write(&write.key, write.value.as_deref());

@@ -254,7 +254,7 @@ fn malformed_envelope_marked_bad() {
     let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
     let raw = hyperprov_ledger::RawEnvelope {
         tx_id: TxId(Digest::of(b"junk")),
-        bytes: vec![0xFF, 0x00],
+        bytes: [0xFF, 0x00].as_slice().into(),
     };
     let block = Block::build(0, Digest::ZERO, vec![raw]);
     let out = c.commit_block(block).unwrap();
@@ -274,7 +274,8 @@ fn block_that_does_not_extend_the_chain_is_rejected_without_side_effects() {
     let wrong_number = Block::build(7, c.store().tip_hash(), next());
     let broken_link = Block::build(1, Digest::of(b"elsewhere"), next());
     let mut bad_data_hash = Block::build(1, c.store().tip_hash(), next());
-    Arc::make_mut(&mut bad_data_hash.envelopes)[0].bytes.push(0);
+    let bytes = &mut Arc::make_mut(&mut bad_data_hash.envelopes)[0].bytes;
+    *bytes = [&bytes[..], &[0]].concat().into();
 
     let before = (
         c.height(),
@@ -315,59 +316,96 @@ fn block_that_does_not_extend_the_chain_is_rejected_without_side_effects() {
 fn replicas_share_block_bodies_but_not_tampering() {
     let n = net();
     let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-    let mut a = committer(&n, policy.clone());
-    let mut b = committer(&n, policy);
+    let mut replicas: Vec<Committer> = (0..3).map(|_| committer(&n, policy.clone())).collect();
     for i in 0..4u64 {
         let env = envelope(&n, i + 1, write_set(&format!("k{i}"), b"v"), &[0]);
-        let block = block_of(&a, vec![env]);
-        a.commit_block(block.clone()).unwrap();
-        b.commit_block(block).unwrap();
+        let block = block_of(&replicas[0], vec![env]);
+        for c in &mut replicas {
+            c.commit_block(block.clone()).unwrap();
+        }
     }
     let body = |c: &Committer| Arc::clone(&c.store().block(2).unwrap().envelopes);
-    assert!(Arc::ptr_eq(&body(&a), &body(&b)), "one resident body");
+    let pristine = body(&replicas[0]);
+    assert!(
+        replicas.iter().all(|c| Arc::ptr_eq(&body(c), &pristine)),
+        "one resident body"
+    );
+    let state_hash = replicas[0].state().state_hash();
 
-    // Rewriting history in one replica's store touches that replica
-    // only: its audit fails, the other's chain and bytes are intact.
+    // Flipping a byte of one replica's stored envelope touches that
+    // replica only: its audit fails, every other's chain and bytes are
+    // intact, and no replica's state — which holds ranges of those very
+    // bytes — moves.
+    let (a, others) = replicas.split_first_mut().unwrap();
     let victim = a.store.tamper(2).unwrap();
-    Arc::make_mut(&mut victim.envelopes)[0].bytes = b"rewritten".to_vec();
+    Arc::make_mut(&mut Arc::make_mut(&mut victim.envelopes)[0].bytes)[5] ^= 1;
     assert_eq!(
         a.store().verify_chain(),
         Err(ChainError::BadDataHash { at: 2 })
     );
-    b.store().verify_chain().unwrap();
-    assert!(!Arc::ptr_eq(&body(&a), &body(&b)));
-    assert_eq!(a.state().state_hash(), b.state().state_hash());
+    assert_ne!(body(a)[0].bytes, pristine[0].bytes);
+    for c in others.iter() {
+        c.store().verify_chain().unwrap();
+        assert!(Arc::ptr_eq(&body(c), &pristine));
+        assert_eq!(body(c)[0].bytes, pristine[0].bytes);
+    }
+    for c in &replicas {
+        assert_eq!(c.state().state_hash(), state_hash);
+    }
 }
 
 #[test]
 fn state_and_history_hold_one_copy_of_each_key_and_value() {
     let n = net();
-    let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
+    let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
+    let (mut a, mut b) = (committer(&n, policy.clone()), committer(&n, policy));
     let key = StateKey::new("cc", "k");
     for (nonce, value) in [(1, b"v1"), (2, b"v2")] {
         let env = envelope(&n, nonce, write_set("k", value), &[0]);
-        c.commit_block(block_of(&c, vec![env])).unwrap();
+        let block = block_of(&a, vec![env]);
+        a.commit_block(block.clone()).unwrap();
+        b.commit_block(block).unwrap();
     }
-    let (state_key, held) = c.state().range("cc", "k", "").next().unwrap();
-    let (history_key, writes) = c.history().iter().next().unwrap();
-    assert_eq!(state_key, &key);
-    assert!(Arc::ptr_eq(&state_key.key, &history_key.key));
-    let entries = writes.to_vec();
-    assert_eq!(entries.len(), 2);
-    let latest = entries[1].value.as_ref().unwrap();
-    assert_eq!(&**latest, b"v2");
-    assert!(Arc::ptr_eq(&held.value, latest));
-    // The superseded write keeps its own value and the tx id that wrote it.
-    assert_eq!(entries[0].value.as_deref(), Some(b"v1".as_slice()));
-    assert_ne!(entries[0].tx_id, entries[1].tx_id);
-    assert_eq!(entries[1].tx_id, held.tx_id);
+    // The one copy of a key and of a value is the envelope's that carried
+    // it: each replica's state entry and history point into the bytes of
+    // the blocks both were fed clones of. A key stays the one its first
+    // write brought.
+    let bytes_of = |number: u64| Arc::clone(&a.store().block(number).unwrap().envelopes[0].bytes);
+    let (first, second) = (bytes_of(0), bytes_of(1));
+    let within = |envelope: &[u8], bytes: &[u8]| envelope.as_ptr_range().contains(&bytes.as_ptr());
+    let (state_key, held) = a.state().range("cc", "k", "").next().unwrap();
+    assert!(within(&first, state_key.key.as_bytes()) && within(&second, &held.value));
+    for c in [&a, &b] {
+        let (replica_key, replica_held) = c.state().range("cc", "k", "").next().unwrap();
+        let (history_key, writes) = c.history().iter().next().unwrap();
+        assert_eq!(replica_key, &key);
+        for bytes in [replica_key.key.as_bytes(), history_key.key.as_bytes()] {
+            assert!(std::ptr::eq(bytes, state_key.key.as_bytes()));
+        }
+        let entries = writes.to_vec();
+        assert_eq!(entries.len(), 2);
+        let latest = entries[1].value.as_ref().unwrap();
+        assert_eq!(&**latest, b"v2");
+        for bytes in [&**latest, &*replica_held.value] {
+            assert!(std::ptr::eq(bytes, &*held.value));
+        }
+        // The superseded write keeps its own value, in its own envelope,
+        // and the tx id that wrote it.
+        let superseded = entries[0].value.as_deref().unwrap();
+        assert!(superseded == b"v1" && within(&first, superseded));
+        assert_ne!(entries[0].tx_id, entries[1].tx_id);
+        assert_eq!(entries[1].tx_id, replica_held.tx_id);
+    }
 
-    let snapshot = c.snapshot(4);
+    // A replica restored from a snapshot's encoding holds values of its
+    // own, and the same state.
+    let snapshot = a.snapshot(4);
     snapshot.verify().unwrap();
-    assert_eq!(
-        snapshot.restore_state().state_hash(),
-        c.state().state_hash()
-    );
+    let decoded = Snapshot::from_bytes(&snapshot.to_bytes()).unwrap();
+    let restored = decoded.restore_state();
+    assert_eq!(restored.state_hash(), a.state().state_hash());
+    let owned = restored.get(&key).unwrap();
+    assert!(!within(&second, &owned.value) && owned.value == held.value);
 }
 
 #[test]
@@ -1013,18 +1051,20 @@ fn vscc_reference(
 /// Damages an envelope one of the ways a faulty orderer, a bad disk or an
 /// attacker could; `donor` is another envelope of the same run.
 fn damage(raw: &mut RawEnvelope, donor: &RawEnvelope, below: &mut impl FnMut(u64) -> u64) {
-    let len = raw.bytes.len();
+    let mut bytes = raw.bytes.to_vec();
+    let len = bytes.len();
     match below(6) {
-        0 => raw.bytes[below(len as u64) as usize] ^= 1 << below(8),
-        1 => raw.bytes.truncate(below(len as u64) as usize),
-        2 => raw.bytes.push(below(256) as u8),
+        0 => bytes[below(len as u64) as usize] ^= 1 << below(8),
+        1 => bytes.truncate(below(len as u64) as usize),
+        2 => bytes.push(below(256) as u8),
         // The channel name's length prefix, padded to two bytes.
-        3 => drop(raw.bytes.splice(0..1, [raw.bytes[0] | 0x80, 0x00])),
-        4 => raw.tx_id = TxId(Digest::of(&raw.bytes)),
+        3 => drop(bytes.splice(0..1, [bytes[0] | 0x80, 0x00])),
+        4 => raw.tx_id = TxId(Digest::of(&bytes)),
         // An envelope ends with its last endorsement's signature: splice
         // in the donor's.
-        _ => raw.bytes[len - 32..].copy_from_slice(&donor.bytes[donor.bytes.len() - 32..]),
+        _ => bytes[len - 32..].copy_from_slice(&donor.bytes[donor.bytes.len() - 32..]),
     }
+    raw.bytes = bytes.into();
 }
 
 /// Commits one seeded workload, about half of its envelopes damaged,
@@ -1077,7 +1117,7 @@ fn assert_views_agree(seed: u64) -> (u32, u32, HashSet<ValidationCode>) {
             if let (Some(spans), Some(env)) = (verdicts[i].spans, env) {
                 assert_eq!(
                     env.to_bytes(),
-                    raw.bytes,
+                    *raw.bytes,
                     "{at} tx {i}: decoding is canonical"
                 );
                 assert_eq!(spans.creator, env.proposal.creator.id);

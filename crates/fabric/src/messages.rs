@@ -9,7 +9,7 @@ use std::sync::Arc;
 use hyperprov_ledger::{
     bytes_len, decode_seq, encode_seq, varint_len, Block, ChannelId, CodecError, Decode, Decoder,
     Digest, Encode, Encoder, KvRead, KvWrite, RawEnvelope, RwSet, SnapshotManifest, SnapshotPart,
-    TxId, DIGEST_LEN,
+    TxId, Version, DIGEST_LEN,
 };
 
 use hyperprov_sim::ActorId;
@@ -310,13 +310,10 @@ impl Envelope {
         self.proposal.encode(&mut enc);
         let proposal_len = enc.len();
         self.encode_after_proposal(&mut enc);
-        let mut bytes = enc.into_bytes();
-        // A block keeps these bytes for the life of the chain, and the
-        // encoder's doubling buffer ends up to half unused.
-        bytes.shrink_to_fit();
+        let bytes = enc.into_bytes();
         RawEnvelope {
             tx_id: TxId(Digest::of(&bytes[..proposal_len])),
-            bytes,
+            bytes: bytes.into(),
         }
     }
 
@@ -393,18 +390,18 @@ pub struct EnvelopeSpans {
     pub write_bytes: u64,
 }
 
-/// An encoded [`Envelope`] read in place. [`EnvelopeView::parse`] is the
-/// one validating pass: it accepts exactly the byte strings
-/// [`Envelope::from_bytes`] accepts and copies none of them. The tx id and
-/// the message the endorsers signed are spans of the bytes, because
-/// [`Envelope::encode`] writes `proposal ‖ put_bytes(payload) ‖ rwset ‖
-/// event ‖ endorsements` and [`endorsement_message`] is `tx_id ‖
-/// put_bytes(payload) ‖ rwset`. What the ledger keeps of a valid
-/// transaction — its reads' keys to look them up, its writes, its event —
-/// is decoded owned, on demand.
+/// An encoded [`Envelope`] read in place, in a [`RawEnvelope`]'s shared
+/// bytes. [`EnvelopeView::parse`] is the one validating pass: it accepts
+/// exactly the byte strings [`Envelope::from_bytes`] accepts and copies
+/// none of them. The tx id and the message the endorsers signed are spans
+/// of the bytes, because [`Envelope::encode`] writes `proposal ‖
+/// put_bytes(payload) ‖ rwset ‖ event ‖ endorsements` and
+/// [`endorsement_message`] is `tx_id ‖ put_bytes(payload) ‖ rwset`. What
+/// the ledger keeps of a valid transaction — its writes' keys and values —
+/// are ranges of the same bytes; only its event is copied out.
 #[derive(Debug, Clone, Copy)]
 pub struct EnvelopeView<'a> {
-    bytes: &'a [u8],
+    bytes: &'a Arc<[u8]>,
     /// What [`EnvelopeView::parse`] recorded.
     pub spans: EnvelopeSpans,
 }
@@ -412,7 +409,7 @@ pub struct EnvelopeView<'a> {
 impl<'a> EnvelopeView<'a> {
     /// Validates `bytes` as one whole envelope and records where its parts
     /// begin.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
+    pub fn parse(bytes: &'a Arc<[u8]>) -> Result<Self, CodecError> {
         let mut dec = Decoder::new(bytes);
         dec.get_str_ref()?; // channel
         dec.get_str_ref()?; // chaincode
@@ -426,7 +423,7 @@ impl<'a> EnvelopeView<'a> {
         dec.get_slice()?; // payload
         let reads_at = dec.position();
         for _ in 0..dec.get_count()? {
-            KvRead::skip(&mut dec)?;
+            KvRead::decode_borrowed(&mut dec)?;
         }
         let writes_at = dec.position();
         let writes = dec.get_count()?;
@@ -462,7 +459,7 @@ impl<'a> EnvelopeView<'a> {
 
     /// The view `spans` came from, over the bytes it came from (on other
     /// bytes its getters may panic).
-    pub fn over(bytes: &'a [u8], spans: EnvelopeSpans) -> Self {
+    pub fn over(bytes: &'a Arc<[u8]>, spans: EnvelopeSpans) -> Self {
         EnvelopeView { bytes, spans }
     }
 
@@ -484,13 +481,14 @@ impl<'a> EnvelopeView<'a> {
         name.unwrap_or_default()
     }
 
-    /// The read set, in order, each read decoded as it is reached.
-    pub fn reads(&self) -> impl Iterator<Item = KvRead> + 'a {
-        items(self.bytes, self.spans.reads_at, KvRead::decode)
+    /// The read set, in order: each read's namespace and key, borrowed
+    /// from the envelope, and the version it observed.
+    pub fn reads(&self) -> impl Iterator<Item = ((&'a str, &'a str), Option<Version>)> + 'a {
+        items(self.bytes, self.spans.reads_at, KvRead::decode_borrowed)
     }
 
-    /// The write set, in order, each write copied out as it is reached:
-    /// one allocation for its key and one for its value.
+    /// The write set, in order, each write decoded as it is reached: its
+    /// key and its value are ranges of the envelope's bytes.
     pub fn writes(&self) -> impl Iterator<Item = KvWrite> + 'a {
         items(self.bytes, self.spans.writes_at, KvWrite::decode)
     }
@@ -512,14 +510,15 @@ fn endorsement_ref<'a>(dec: &mut Decoder<'a>) -> Result<(CertRef<'a>, Signature)
     Ok((CertRef::decode(dec)?, Signature::decode(dec)?))
 }
 
-/// The counted sequence at `bytes[at..]`, item by item. `parse` accepted
-/// these bytes item by item too, so the `Err` arms are unreachable.
+/// The counted sequence at `bytes[at..]`, item by item, its shared
+/// strings ranges of `bytes`. `parse` accepted these bytes item by item
+/// too, so the `Err` arms are unreachable.
 fn items<'a, T: 'a>(
-    bytes: &'a [u8],
+    bytes: &'a Arc<[u8]>,
     at: usize,
     decode: fn(&mut Decoder<'a>) -> Result<T, CodecError>,
 ) -> impl Iterator<Item = T> + 'a {
-    let mut dec = Decoder::new(&bytes[at..]);
+    let mut dec = Decoder::sharing(bytes, at);
     let n = dec.get_count().unwrap_or(0);
     (0..n).map_while(move |_| decode(&mut dec).ok())
 }
@@ -828,7 +827,7 @@ mod tests {
     fn malformed_envelope_rejected() {
         let raw = RawEnvelope {
             tx_id: proposal().tx_id(),
-            bytes: vec![1, 2, 3],
+            bytes: [1, 2, 3].as_slice().into(),
         };
         assert!(Envelope::from_raw(&raw).is_err());
     }

@@ -162,7 +162,7 @@ mod tests {
     fn env(tag: u64, size: usize) -> RawEnvelope {
         RawEnvelope {
             tx_id: TxId(Digest::of(&tag.to_le_bytes())),
-            bytes: vec![0u8; size],
+            bytes: vec![0u8; size].into(),
         }
     }
 

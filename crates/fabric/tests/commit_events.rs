@@ -132,7 +132,7 @@ fn run(n_peers: usize, n_clients: usize) -> Outcome {
 
     let junk = RawEnvelope {
         tx_id: TxId(Digest::of(b"junk")),
-        bytes: vec![0xFF, 0x00],
+        bytes: [0xFF, 0x00].as_slice().into(),
     };
     let (first, last) = (&peers[0], &peers[n_peers - 1]);
     let (first_id, last_id) = (ActorId(0), ActorId(n_peers as u32 - 1));

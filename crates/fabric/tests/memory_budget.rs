@@ -5,8 +5,9 @@
 //! peers of a deployment are. What a record may cost is fixed here in
 //! bytes; the counts repeat exactly from run to run (one thread, no
 //! clock), so the bounds sit 10 % above the measured values and a copy of
-//! the block body, a value or a key per peer, or a history list per key
-//! beside the state, breaks them.
+//! the block body, a value or a key per peer — a replica's keys and values
+//! are ranges of the envelope bytes all four share — or a history list per
+//! key beside the state, breaks them.
 //!
 //! This file holds one test on purpose: the counter is process-wide.
 
@@ -24,14 +25,17 @@ const RECORDS: u64 = BLOCKS * TXS_PER_BLOCK;
 const PEERS: usize = 4;
 
 /// Live heap all four committers may hold per record, block bodies
-/// included: measured 4,288 B (10,619 B before bodies, keys and values
+/// included: measured 3,181 B (10,619 B before bodies, keys and values
 /// were shared; 5,467 B while the block store also indexed every tx id;
-/// 5,146 B while every key kept a history list beside its state entry).
-const TOTAL_BYTES_PER_RECORD: i64 = 4_717;
+/// 5,146 B while every key kept a history list beside its state entry;
+/// 4,288 B while each replica copied its keys and values out of the
+/// envelopes).
+const TOTAL_BYTES_PER_RECORD: i64 = 3_499;
 /// What the fourth committer may add per record on top of three:
-/// measured 884 B (2,654 B before sharing, 1,178 B with the index,
-/// 1,098 B with a history list per key).
-const MARGINAL_BYTES_PER_RECORD: i64 = 972;
+/// measured 604 B (2,654 B before sharing, 1,178 B with the index,
+/// 1,098 B with a history list per key, 884 B with its own keys and
+/// values).
+const MARGINAL_BYTES_PER_RECORD: i64 = 664;
 
 #[test]
 fn four_replicas_stay_within_the_per_record_byte_budget() {

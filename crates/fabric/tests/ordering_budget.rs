@@ -90,10 +90,11 @@ fn tail_bytes(leader: &mut OrderingNode) -> i64 {
     let mut bytes = 0;
     for action in leader.message(PEER, request) {
         if let Action::Send(_, _, FabricMsg::DeliverBlock(_, block)) = action {
-            // The shared slice's two counts, then its envelopes.
+            // The shared slice's two counts, then its envelopes, each
+            // with its shared bytes' two counts.
             bytes += 2 * size_of::<usize>();
             for raw in block.envelopes.iter() {
-                bytes += size_of::<RawEnvelope>() + raw.bytes.capacity();
+                bytes += size_of::<RawEnvelope>() + 2 * size_of::<usize>() + raw.bytes.len();
             }
         }
     }

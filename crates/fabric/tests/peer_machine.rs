@@ -593,7 +593,10 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
             if rng.chance(10) {
                 let id = TxId(Digest::of(&nonce.to_be_bytes()));
                 let bytes = vec![0xFF, 0x00];
-                envelopes.push(RawEnvelope { tx_id: id, bytes });
+                envelopes.push(RawEnvelope {
+                    tx_id: id,
+                    bytes: bytes.into(),
+                });
                 txs.push(Tx { id, parties: None });
             } else {
                 let (c, p) = (rng.below(3) as usize, rng.below(n_peers as u64) as usize);

@@ -1,6 +1,8 @@
 //! Property-based tests of the Fabric substrate: endorsement-policy
 //! algebra, block-cutter conservation and message codec round-trips.
 
+use std::sync::Arc;
+
 use hyperprov_fabric::{
     endorsement_message, BatchConfig, BlockAssembler, BlockCutter, Certificate, ChaincodeEvent,
     Endorsement, EndorsementPolicy, Envelope, EnvelopeView, MspBuilder, MspId, Proposal,
@@ -81,7 +83,7 @@ proptest! {
         for (i, &size) in sizes.iter().enumerate() {
             let env = RawEnvelope {
                 tx_id: TxId(Digest::of(&(i as u64).to_le_bytes())),
-                bytes: vec![0u8; size],
+                bytes: vec![0u8; size].into(),
             };
             let out = cutter.offer(env);
             for batch in out.batches {
@@ -126,7 +128,7 @@ proptest! {
                     n += 1;
                     RawEnvelope {
                         tx_id: TxId(Digest::of(&n.to_le_bytes())),
-                        bytes: n.to_le_bytes().to_vec(),
+                        bytes: n.to_le_bytes().as_slice().into(),
                     }
                 })
                 .collect();
@@ -236,7 +238,8 @@ proptest! {
                 _ => bytes.push(byte),
             }
         }
-        let view = EnvelopeView::parse(&bytes);
+        let shared: Arc<[u8]> = bytes.as_slice().into();
+        let view = EnvelopeView::parse(&shared);
         let Ok(owned) = Envelope::from_bytes(&bytes) else {
             prop_assert!(view.is_err());
             return Ok(());
@@ -252,8 +255,14 @@ proptest! {
         );
         prop_assert_eq!(view.chaincode(), owned.proposal.chaincode.as_str());
         prop_assert_eq!(view.event(), owned.event.clone());
-        prop_assert_eq!(view.reads().collect::<Vec<_>>(), owned.rwset.reads.clone());
+        let reads = owned.rwset.reads.iter().map(|r| ((&*r.key.namespace, &*r.key.key), r.version));
+        prop_assert_eq!(view.reads().collect::<Vec<_>>(), reads.collect::<Vec<_>>());
         prop_assert_eq!(view.writes().collect::<Vec<_>>(), owned.rwset.writes.clone());
+        // A write's key and value are ranges of the envelope's bytes.
+        let within = |b: &[u8]| b.is_empty() || shared.as_ptr_range().contains(&b.as_ptr());
+        prop_assert!(view
+            .writes()
+            .all(|w| within(w.key.key.as_bytes()) && w.value.as_deref().is_none_or(within)));
         let expected: Vec<_> = owned
             .endorsements
             .iter()

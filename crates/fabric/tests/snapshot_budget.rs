@@ -41,10 +41,12 @@ const KEYS: i64 = (BLOCKS * TXS_PER_BLOCK * 2) as i64;
 const PEERS: usize = 4;
 
 /// Bytes a cut may allocate per state key, all of it structure: measured
-/// 184 B — a frozen state entry (64 B), a frozen history key with its
-/// entry count and its one entry (40 B + 64 B), and half a transaction id
-/// (a post writes two keys).
-const CUT_BYTES_PER_KEY: i64 = 202;
+/// 216 B — a frozen state entry (80 B), a frozen history key with its
+/// entry count and its one entry (48 B + 72 B), and half a transaction id
+/// (a post writes two keys). 184 B while a key and a value were handles
+/// of 16 B on allocations of their own rather than ranges of 24 B of an
+/// envelope's bytes.
+const CUT_BYTES_PER_KEY: i64 = 238;
 
 #[test]
 fn a_cut_allocates_structure_only_and_two_cuts_hold_no_more_than_one() {

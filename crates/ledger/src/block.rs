@@ -33,8 +33,9 @@ use crate::tx::{TxId, ValidationCode};
 pub struct RawEnvelope {
     /// Transaction id (digest of the signed proposal).
     pub tx_id: TxId,
-    /// Canonical envelope bytes.
-    pub bytes: Vec<u8>,
+    /// Canonical envelope bytes, shared with every clone and with the keys
+    /// and values a committer reads out of them.
+    pub bytes: Arc<[u8]>,
 }
 
 impl RawEnvelope {
@@ -59,7 +60,7 @@ impl Decode for RawEnvelope {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(RawEnvelope {
             tx_id: TxId::decode(dec)?,
-            bytes: dec.get_bytes()?,
+            bytes: dec.get_slice()?.into(),
         })
     }
 }
@@ -129,7 +130,7 @@ impl Decode for BlockMetadata {
 /// ```
 /// use hyperprov_ledger::{Block, Digest, RawEnvelope, TxId};
 ///
-/// let env = RawEnvelope { tx_id: TxId(Digest::of(b"p")), bytes: b"payload".to_vec() };
+/// let env = RawEnvelope { tx_id: TxId(Digest::of(b"p")), bytes: b"payload".as_slice().into() };
 /// let genesis = Block::build(0, Digest::ZERO, vec![env]);
 /// assert!(genesis.verify_data_hash());
 /// let next = Block::build(1, genesis.header.hash(), vec![]);
@@ -221,7 +222,7 @@ mod tests {
     fn env(tag: &[u8]) -> RawEnvelope {
         RawEnvelope {
             tx_id: TxId(Digest::of(tag)),
-            bytes: tag.to_vec(),
+            bytes: tag.into(),
         }
     }
 
@@ -244,7 +245,7 @@ mod tests {
     #[test]
     fn tampered_envelope_detected() {
         let mut b = Block::build(0, Digest::ZERO, vec![env(b"a"), env(b"b")]);
-        Arc::make_mut(&mut b.envelopes)[1].bytes = b"tampered".to_vec();
+        Arc::make_mut(&mut b.envelopes)[1].bytes = b"tampered".as_slice().into();
         assert!(!b.verify_data_hash());
     }
 
@@ -258,11 +259,11 @@ mod tests {
         assert!(Arc::ptr_eq(&original.envelopes, &copy.envelopes));
         assert!(original.metadata.codes.is_empty());
         // A write to one clone's body is private to that clone.
-        Arc::make_mut(&mut copy.envelopes)[0].bytes = b"tampered".to_vec();
+        Arc::make_mut(&mut copy.envelopes)[0].bytes = b"tampered".as_slice().into();
         assert!(!Arc::ptr_eq(&original.envelopes, &copy.envelopes));
         assert!(!copy.verify_data_hash());
         assert!(original.verify_data_hash());
-        assert_eq!(original.envelopes[0].bytes, b"a");
+        assert_eq!(*original.envelopes[0].bytes, *b"a");
     }
 
     #[test]

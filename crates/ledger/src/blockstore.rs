@@ -358,7 +358,7 @@ mod tests {
     fn env(tag: &[u8]) -> RawEnvelope {
         RawEnvelope {
             tx_id: TxId(Digest::of(tag)),
-            bytes: tag.to_vec(),
+            bytes: tag.into(),
         }
     }
 
@@ -405,7 +405,7 @@ mod tests {
     fn bad_data_hash_rejected() {
         let mut store = chain_of(1);
         let mut bad = Block::build(1, store.tip_hash(), vec![env(b"x")]);
-        Arc::make_mut(&mut bad.envelopes)[0].bytes = b"tampered".to_vec();
+        Arc::make_mut(&mut bad.envelopes)[0].bytes = b"tampered".as_slice().into();
         assert_eq!(store.append(bad), Err(ChainError::BadDataHash { at: 1 }));
     }
 
@@ -414,7 +414,7 @@ mod tests {
         let mut store = chain_of(5);
         assert!(store.verify_chain().is_ok());
         // Tamper with an old envelope directly.
-        Arc::make_mut(&mut store.tamper(2).unwrap().envelopes)[0].bytes = b"evil".to_vec();
+        Arc::make_mut(&mut store.tamper(2).unwrap().envelopes)[0].bytes = b"evil".as_slice().into();
         assert_eq!(store.verify_chain(), Err(ChainError::BadDataHash { at: 2 }));
         // Recompute that block's data hash to hide the tamper: the link
         // from block 3 now breaks instead.

@@ -11,6 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::hash::Digest;
+use crate::shared::Shared;
 
 /// Error returned when decoding malformed bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,12 +171,35 @@ impl Encoder {
 pub struct Decoder<'a> {
     data: &'a [u8],
     pos: usize,
+    /// The buffer `data` lies in, and where, for a sharing decoder.
+    shared: Option<(&'a Arc<[u8]>, usize)>,
 }
 
 impl<'a> Decoder<'a> {
-    /// Creates a decoder over `data`.
+    /// Creates a decoder over `data` whose [`Shared`] strings are copies.
     pub fn new(data: &'a [u8]) -> Self {
-        Decoder { data, pos: 0 }
+        Decoder {
+            data,
+            pos: 0,
+            shared: None,
+        }
+    }
+
+    /// Creates a decoder over `buf[at..]` whose [`Shared`] strings are
+    /// ranges of `buf`, sharing its allocation.
+    pub fn sharing(buf: &'a Arc<[u8]>, at: usize) -> Self {
+        Decoder {
+            shared: Some((buf, at)),
+            ..Decoder::new(&buf[at..])
+        }
+    }
+
+    /// The `len` bytes just read, which the caller read as a `T`, as a
+    /// range of the shared buffer.
+    pub(crate) fn share<T: ?Sized>(&self, len: usize) -> Option<Shared<T>> {
+        let (buf, at) = self.shared?;
+        let end = at + self.pos;
+        Some(Shared::new(Arc::clone(buf), end - len..end))
     }
 
     /// Bytes not yet consumed.
@@ -421,19 +445,6 @@ impl Decode for Vec<u8> {
     }
 }
 
-/// Shared byte strings have the wire form of `Vec<u8>`; decoding copies
-/// the bytes once, straight into the shared allocation.
-impl Encode for Arc<[u8]> {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_bytes(self);
-    }
-}
-impl Decode for Arc<[u8]> {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Arc::from(dec.get_slice()?))
-    }
-}
-
 impl Encode for Digest {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_digest(self);
@@ -654,12 +665,15 @@ mod tests {
 
     #[test]
     fn shared_strings_have_the_wire_form_of_owned_ones() {
+        use crate::shared::{SharedBytes, SharedStr};
         for len in [0usize, 1, 127, 128, 300] {
             let owned: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let shared: Arc<[u8]> = owned.as_slice().into();
+            let shared = SharedBytes::from(owned.as_slice());
             assert_eq!(shared.to_bytes(), owned.to_bytes());
-            assert_eq!(Arc::<[u8]>::from_bytes(&owned.to_bytes()).unwrap(), shared);
+            assert_eq!(SharedBytes::from_bytes(&owned.to_bytes()).unwrap(), shared);
             assert_eq!(Some(shared).to_bytes(), Some(owned).to_bytes());
+            let text = "k".repeat(len);
+            assert_eq!(SharedStr::from(text.as_str()).to_bytes(), text.to_bytes());
         }
     }
 

@@ -9,8 +9,7 @@
 //! in key order in one merge pass — there is no second index beside the
 //! state to keep in step with it.
 
-use std::sync::Arc;
-
+use crate::shared::SharedBytes;
 use crate::statedb::{StateDb, VersionedValue};
 use crate::tx::{KvWrite, StateKey, TxId, Version};
 
@@ -23,7 +22,7 @@ pub struct HistoryEntry {
     pub version: Version,
     /// Value written (shared with the write that carried it); `None`
     /// records a deletion.
-    pub value: Option<Arc<[u8]>>,
+    pub value: Option<SharedBytes>,
 }
 
 /// The name a channel's history index went by, and the one the
@@ -115,7 +114,7 @@ mod tests {
     fn write(db: &mut StateDb, tx: &[u8], version: Version, key: &StateKey, value: Option<&[u8]>) {
         let write = KvWrite {
             key: key.clone(),
-            value: value.map(Arc::from),
+            value: value.map(Into::into),
         };
         db.apply_tx(TxId(Digest::of(tx)), version, &write);
     }
@@ -146,10 +145,10 @@ mod tests {
         }
         let history = db.history().get(&key);
         assert_eq!(history.earlier.len(), 3);
-        let values: Vec<Arc<[u8]>> = history.entries().map(|e| e.value.unwrap()).collect();
-        let expected = [b"0", b"1", b"2", b"3"].map(|v| Arc::from(v.as_slice()));
+        let values: Vec<SharedBytes> = history.entries().map(|e| e.value.unwrap()).collect();
+        let expected = [b"0", b"1", b"2", b"3"].map(|v| SharedBytes::from(v.as_slice()));
         assert_eq!(values, expected);
-        assert!(Arc::ptr_eq(&values[3], &db.get(&key).unwrap().value));
+        assert!(std::ptr::eq(&*values[3], &*db.get(&key).unwrap().value));
     }
 
     #[test]

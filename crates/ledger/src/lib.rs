@@ -13,7 +13,8 @@
 //!   artefacts for execute-order-validate,
 //! * [`StateDb`] — the versioned world state with range queries, whose
 //!   entries also hold every key's write history ([`History`]) for
-//!   provenance queries.
+//!   provenance queries, holding keys and values as [`Shared`] ranges of
+//!   the envelope bytes that carried them.
 //!
 //! This crate is deliberately independent of the simulator: it is pure data
 //! structures and can be reused by a wall-clock deployment.
@@ -32,6 +33,7 @@ mod hash;
 mod history;
 mod merkle;
 mod provgraph;
+mod shared;
 mod snapshot;
 mod statedb;
 mod tx;
@@ -47,9 +49,10 @@ pub use hash::{hmac_sha256, hmac_sha256_parts, Digest, Sha256};
 pub use history::{History, HistoryDb, HistoryEntry, KeyHistory};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use provgraph::{Direction, GraphIndexer, GraphUpdate, ProvGraph, Traversal, TraversalLimits};
+pub use shared::{Shared, SharedBytes, SharedStr};
 pub use snapshot::{
     HistoryRecord, Snapshot, SnapshotChunk, SnapshotEntry, SnapshotError, SnapshotManifest,
     SnapshotPart, SnapshotTail, DEFAULT_CHUNK_ENTRIES,
 };
 pub use statedb::{StateDb, VersionedValue};
-pub use tx::{KvRead, KvWrite, Ns, RwSet, StateKey, TxId, ValidationCode, Version};
+pub use tx::{KeyParts, KvRead, KvWrite, RwSet, StateKey, TxId, ValidationCode, Version};

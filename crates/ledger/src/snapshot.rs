@@ -36,6 +36,7 @@ use crate::hash::Digest;
 use crate::history::HistoryEntry;
 use crate::merkle::MerkleTree;
 use crate::provgraph::{GraphIndexer, ProvGraph};
+use crate::shared::SharedBytes;
 use crate::statedb::{hash_entries, StateDb};
 use crate::tx::{StateKey, TxId, Version};
 
@@ -113,8 +114,8 @@ pub struct SnapshotEntry {
     /// The state key.
     pub key: StateKey,
     /// The live value at capture time, shared with the world state it
-    /// was captured from.
-    pub value: Arc<[u8]>,
+    /// was captured from (owned when decoded from bytes).
+    pub value: SharedBytes,
     /// The version that wrote it.
     pub version: Version,
 }
@@ -137,7 +138,7 @@ impl Decode for SnapshotEntry {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(SnapshotEntry {
             key: StateKey::decode(dec)?,
-            value: Arc::<[u8]>::decode(dec)?,
+            value: SharedBytes::decode(dec)?,
             version: Version::decode(dec)?,
         })
     }
@@ -194,7 +195,7 @@ impl Decode for HistoryEntry {
         Ok(HistoryEntry {
             tx_id: TxId::decode(dec)?,
             version: Version::decode(dec)?,
-            value: Option::<Arc<[u8]>>::decode(dec)?,
+            value: Option::<SharedBytes>::decode(dec)?,
         })
     }
 }
@@ -855,9 +856,9 @@ mod tests {
         snap.verify().unwrap();
         let restored = snap.restore_state();
         assert_eq!(restored.state_hash(), state.state_hash());
-        let held = &state.get(&key).unwrap().value;
-        assert!(Arc::ptr_eq(held, &snap.chunks[0].entries[0].value));
-        assert!(Arc::ptr_eq(held, &restored.get(&key).unwrap().value));
+        let held: &[u8] = &state.get(&key).unwrap().value;
+        assert!(std::ptr::eq(held, &*snap.chunks[0].entries[0].value));
+        assert!(std::ptr::eq(held, &*restored.get(&key).unwrap().value));
         assert_eq!(restored.get(&key), state.get(&key));
     }
 

@@ -12,25 +12,26 @@
 //! still live costs one entry and nothing else.
 //!
 //! The maps own structure only: a key and a value are the shared strings
-//! of the [`KvWrite`] that carried them, so applying a write and capturing
-//! or restoring a snapshot bump refcounts on one allocation instead of
-//! copying its bytes.
+//! of the [`KvWrite`] that carried them — for a committed write, ranges of
+//! the envelope bytes every replica shares — so applying a write and
+//! capturing or restoring a snapshot copy no bytes, and a lookup
+//! ([`KeyParts`]) builds no key.
 //!
 //! MVCC validation compares the versions recorded in a transaction's read
 //! set against this database at commit time.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::hash::{Digest, Sha256};
 use crate::history::HistoryEntry;
-use crate::tx::{KvRead, KvWrite, StateKey, TxId, Version};
+use crate::shared::SharedBytes;
+use crate::tx::{KeyParts, KvRead, KvWrite, StateKey, TxId, Version};
 
 /// A current state value together with the write that put it there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedValue {
     /// The stored bytes, shared with the write that carried them.
-    pub value: Arc<[u8]>,
+    pub value: SharedBytes,
     /// Height `(block, tx)` of the writing transaction.
     pub version: Version,
     /// The writing transaction.
@@ -76,13 +77,13 @@ impl StateDb {
         StateDb::default()
     }
 
-    /// Current value and version for `key`, if present.
-    pub fn get(&self, key: &StateKey) -> Option<&VersionedValue> {
-        self.map.get(key)
+    /// Current value and version for `key` (or a `(namespace, key)` pair).
+    pub fn get(&self, key: &impl KeyParts) -> Option<&VersionedValue> {
+        self.map.get(key as &dyn KeyParts)
     }
 
     /// Current version for `key`, if present.
-    pub fn version(&self, key: &StateKey) -> Option<Version> {
+    pub fn version(&self, key: &impl KeyParts) -> Option<Version> {
         self.get(key).map(|v| v.version)
     }
 
@@ -109,7 +110,7 @@ impl StateDb {
         let (superseded, deletion) = match &write.value {
             Some(value) => {
                 let live = VersionedValue {
-                    value: Arc::clone(value),
+                    value: value.clone(),
                     version,
                     tx_id,
                 };
@@ -167,7 +168,7 @@ impl StateDb {
         .max(lower.clone());
         self.map
             .range(lower..upper)
-            .filter(move |(k, _)| k.namespace == namespace)
+            .filter(move |(k, _)| k.namespace.as_bytes() == namespace.as_bytes())
     }
 
     /// Iterates keys in `namespace` starting with `prefix` (composite-key
@@ -178,9 +179,10 @@ impl StateDb {
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a StateKey, &'a VersionedValue)> + 'a {
         let lower = StateKey::new(namespace, prefix);
-        self.map
-            .range(lower..)
-            .take_while(move |(k, _)| k.namespace == namespace && k.key.starts_with(prefix))
+        self.map.range(lower..).take_while(move |(k, _)| {
+            k.namespace.as_bytes() == namespace.as_bytes()
+                && k.key.as_bytes().starts_with(prefix.as_bytes())
+        })
     }
 
     /// A digest over the entire world state — every key, value and write

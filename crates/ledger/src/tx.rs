@@ -7,114 +7,15 @@
 //! against current state — Fabric's MVCC rule — and marks the transaction
 //! valid or invalid in the block metadata.
 
-use std::cell::RefCell;
-use std::collections::HashSet;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Deref;
-use std::sync::Arc;
 
 use crate::codec::{
     bytes_len, decode_seq, encode_seq, varint_len, CodecError, Decode, Decoder, Encode, Encoder,
 };
 use crate::hash::Digest;
-
-/// An interned chaincode namespace.
-///
-/// A handful of namespaces repeat across millions of state keys, so the
-/// namespace half of a [`StateKey`] is stored as a reference-counted
-/// interned string: cloning a key bumps a refcount instead of copying the
-/// namespace bytes, and equality usually short-circuits on pointer
-/// identity. `Ns` compares, orders, hashes and encodes exactly like the
-/// `String` it replaces.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Ns(Arc<str>);
-
-thread_local! {
-    static NS_INTERN: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
-}
-
-/// Safety valve: stop caching once this many distinct namespaces have been
-/// interned on a thread (pathological workloads only; real deployments use
-/// a handful of chaincode names).
-const NS_INTERN_CAP: usize = 4096;
-
-impl Ns {
-    /// Interns `s`, returning a shared handle. Repeated calls with the
-    /// same contents on the same thread share one allocation.
-    pub fn intern(s: &str) -> Ns {
-        NS_INTERN.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some(hit) = cache.get(s) {
-                return Ns(Arc::clone(hit));
-            }
-            let arc: Arc<str> = Arc::from(s);
-            if cache.len() < NS_INTERN_CAP {
-                cache.insert(Arc::clone(&arc));
-            }
-            Ns(arc)
-        })
-    }
-
-    /// The namespace as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl Deref for Ns {
-    type Target = str;
-    fn deref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl AsRef<str> for Ns {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl From<&str> for Ns {
-    fn from(s: &str) -> Ns {
-        Ns::intern(s)
-    }
-}
-
-impl From<&String> for Ns {
-    fn from(s: &String) -> Ns {
-        Ns::intern(s)
-    }
-}
-
-impl From<String> for Ns {
-    fn from(s: String) -> Ns {
-        Ns::intern(&s)
-    }
-}
-
-impl PartialEq<str> for Ns {
-    fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
-    }
-}
-
-impl PartialEq<&str> for Ns {
-    fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
-    }
-}
-
-impl PartialEq<String> for Ns {
-    fn eq(&self, other: &String) -> bool {
-        &*self.0 == other.as_str()
-    }
-}
-
-impl fmt::Display for Ns {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
+use crate::shared::{SharedBytes, SharedStr};
 
 /// A transaction identifier: the digest of the signed proposal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -186,22 +87,23 @@ impl Decode for Version {
 
 /// A namespaced state key: `(chaincode namespace, key)`.
 ///
-/// Both halves are shared strings, so the world state, the history index
-/// and a commit's written-key list hold one allocation per key between
-/// them: cloning a `StateKey` bumps two refcounts. It compares, orders,
-/// hashes and encodes exactly like the `(String, String)` pair it stands
-/// for.
+/// Both halves are shared strings, so the world state, its history and a
+/// commit's written-key list hold no copy of a key between them — a key a
+/// committer read out of an envelope is two ranges of the envelope's
+/// bytes — and cloning a `StateKey` bumps two refcounts. It compares,
+/// orders, hashes and encodes exactly like the `(String, String)` pair it
+/// stands for.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateKey {
-    /// Chaincode namespace the key belongs to (interned; see [`Ns`]).
-    pub namespace: Ns,
+    /// Chaincode namespace the key belongs to.
+    pub namespace: SharedStr,
     /// The key within the namespace.
-    pub key: Arc<str>,
+    pub key: SharedStr,
 }
 
 impl StateKey {
     /// Creates a key in a namespace.
-    pub fn new(namespace: impl Into<Ns>, key: impl Into<Arc<str>>) -> Self {
+    pub fn new(namespace: impl Into<SharedStr>, key: impl Into<SharedStr>) -> Self {
         StateKey {
             namespace: namespace.into(),
             key: key.into(),
@@ -216,7 +118,7 @@ impl StateKey {
 
 impl fmt::Display for StateKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.namespace, self.key)
+        write!(f, "{}/{}", &*self.namespace, &*self.key)
     }
 }
 
@@ -228,7 +130,52 @@ impl Encode for StateKey {
 }
 impl Decode for StateKey {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(StateKey::new(dec.get_str_ref()?, dec.get_str_ref()?))
+        Ok(StateKey {
+            namespace: SharedStr::decode(dec)?,
+            key: SharedStr::decode(dec)?,
+        })
+    }
+}
+
+/// A state key's namespace and key, as bytes: what a world-state lookup
+/// takes, so that a `(&str, &str)` pair — a read's key where it lies in an
+/// envelope — finds a [`StateKey`]'s entry without one being built.
+pub trait KeyParts {
+    /// The namespace's bytes and the key's.
+    fn parts(&self) -> (&[u8], &[u8]);
+}
+
+impl KeyParts for StateKey {
+    fn parts(&self) -> (&[u8], &[u8]) {
+        (self.namespace.as_bytes(), self.key.as_bytes())
+    }
+}
+impl KeyParts for (&str, &str) {
+    fn parts(&self) -> (&[u8], &[u8]) {
+        (self.0.as_bytes(), self.1.as_bytes())
+    }
+}
+
+// Parts order as the keys they name do.
+impl<'a> Borrow<dyn KeyParts + 'a> for StateKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+impl Eq for dyn KeyParts + '_ {}
+impl PartialOrd for dyn KeyParts + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for dyn KeyParts + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts().cmp(&other.parts())
     }
 }
 
@@ -258,26 +205,28 @@ impl Decode for KvRead {
 }
 
 impl KvRead {
-    /// Validates one encoded read in place: fails exactly when
-    /// [`Decode::decode`] would, and builds nothing.
-    pub fn skip(dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        dec.get_str_ref()?;
-        dec.get_str_ref()?;
-        Option::<Version>::decode(dec).map(drop)
+    /// One encoded read, borrowed from the input: its namespace and key,
+    /// and the version it observed. Fails exactly when [`Decode::decode`]
+    /// would.
+    pub fn decode_borrowed<'a>(
+        dec: &mut Decoder<'a>,
+    ) -> Result<((&'a str, &'a str), Option<Version>), CodecError> {
+        let key = (dec.get_str_ref()?, dec.get_str_ref()?);
+        Ok((key, Option::<Version>::decode(dec)?))
     }
 }
 
 /// A recorded write: the key and the new value (`None` = delete).
 ///
 /// The value is a shared byte string: applying the write to the world
-/// state and appending it to the history index both keep a reference to
-/// this allocation instead of a copy of its bytes.
+/// state keeps a reference to the bytes the write holds — for a write a
+/// committer read out of an envelope, the envelope's — instead of a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KvWrite {
     /// The key being written.
     pub key: StateKey,
     /// New value, or `None` for a deletion.
-    pub value: Option<Arc<[u8]>>,
+    pub value: Option<SharedBytes>,
 }
 
 impl Encode for KvWrite {
@@ -290,7 +239,7 @@ impl Decode for KvWrite {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(KvWrite {
             key: StateKey::decode(dec)?,
-            value: Option::<Arc<[u8]>>::decode(dec)?,
+            value: Option::<SharedBytes>::decode(dec)?,
         })
     }
 }
@@ -537,26 +486,6 @@ mod tests {
             StateKey::new("cc", "k001").digest().to_hex(),
             "1be29157f685a24f0182aa22da9f377b53650ba6314ac7d9ffc3ff8a3c30fa45"
         );
-    }
-
-    #[test]
-    fn interned_namespaces_share_storage_and_compare_by_content() {
-        let a = Ns::intern("cc");
-        let b = Ns::intern("cc");
-        assert!(Arc::ptr_eq(&a.0, &b.0), "same thread interns share one Arc");
-        assert_eq!(a, b);
-        assert_eq!(a, "cc");
-        assert_eq!(a, *"cc");
-        assert_eq!(a.to_string(), "cc");
-        assert_eq!(a.as_str(), "cc");
-        let c = Ns::intern("dd");
-        assert!(a < c, "Ns orders by contents");
-        // Two keys that only share an interned namespace still hash and
-        // encode exactly like the String-based representation did.
-        let k = StateKey::new("cc", "k1");
-        let back = StateKey::from_bytes(&k.to_bytes()).unwrap();
-        assert_eq!(back, k);
-        assert!(Arc::ptr_eq(&back.namespace.0, &a.0));
     }
 
     #[test]

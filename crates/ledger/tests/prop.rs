@@ -1,16 +1,19 @@
 //! Property-based tests of the ledger substrate: canonical codec
-//! round-trips, Merkle proofs, MVCC coherence, hash-chain integrity and
-//! the state store against a reference with a history index of its own,
-//! under arbitrary inputs.
+//! round-trips, shared strings against plain ones, Merkle proofs, MVCC
+//! coherence, hash-chain integrity and the state store against a
+//! reference with a history index of its own, under arbitrary inputs.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use hyperprov_ledger::{
-    Block, BlockHeader, BlockMetadata, BlockStore, ChannelId, Decode, Digest, Encode, Encoder,
-    GraphIndexer, GraphUpdate, HistoryEntry, HistoryRecord, KvRead, KvWrite, MerkleTree,
-    RawEnvelope, RwSet, Sha256, Snapshot, SnapshotChunk, SnapshotEntry, SnapshotPart, SnapshotTail,
-    StateDb, StateKey, TxId, ValidationCode, Version, VersionedValue,
+    Block, BlockHeader, BlockMetadata, BlockStore, ChannelId, Decode, Decoder, Digest, Encode,
+    Encoder, GraphIndexer, GraphUpdate, HistoryEntry, HistoryRecord, KvRead, KvWrite, MerkleTree,
+    RawEnvelope, RwSet, Sha256, Shared, SharedBytes, SharedStr, Snapshot, SnapshotChunk,
+    SnapshotEntry, SnapshotPart, SnapshotTail, StateDb, StateKey, TxId, ValidationCode, Version,
+    VersionedValue,
 };
 use proptest::prelude::*;
 
@@ -214,7 +217,66 @@ fn arb_rwset() -> impl Strategy<Value = RwSet> {
         .prop_map(|(reads, writes)| RwSet { reads, writes })
 }
 
+/// `part` decoded in place out of a buffer of random bytes around its
+/// encoding: a range of that buffer, not a copy.
+fn shared_in<T: ?Sized>(around: &(Vec<u8>, Vec<u8>), part: &[u8]) -> Shared<T>
+where
+    Shared<T>: Decode,
+{
+    let mut enc = Encoder::new();
+    enc.put_bytes(part);
+    let (prefix, suffix) = around;
+    let buf: Arc<[u8]> = [&prefix[..], &enc.into_bytes(), suffix].concat().into();
+    let shared = Shared::<T>::decode(&mut Decoder::sharing(&buf, prefix.len())).unwrap();
+    let end = buf.len() - suffix.len();
+    assert!(std::ptr::eq(shared.as_bytes(), &buf[end - part.len()..end]));
+    shared
+}
+
+fn hash_of(value: &(impl Hash + ?Sized)) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 proptest! {
+    #[test]
+    fn a_shared_string_compares_hashes_and_encodes_as_its_plain_string(
+        around in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..16), proptest::collection::vec(any::<u8>(), 0..16)),
+            4,
+        ),
+        // Small alphabets, so that equal and prefix pairs are common.
+        texts in proptest::collection::vec("[ab\u{e9}]{0,4}", 2),
+        bytes in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..4), 2),
+    ) {
+        let strs: Vec<SharedStr> = (0..2).map(|i| shared_in(&around[i], texts[i].as_bytes())).collect();
+        let raws: Vec<SharedBytes> = (0..2).map(|i| shared_in(&around[2 + i], &bytes[i])).collect();
+        for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            prop_assert_eq!(strs[i].cmp(&strs[j]), texts[i].cmp(&texts[j]));
+            prop_assert_eq!(strs[i] == strs[j], texts[i] == texts[j]);
+            prop_assert_eq!(raws[i].cmp(&raws[j]), bytes[i].cmp(&bytes[j]));
+            prop_assert_eq!(raws[i] == raws[j], bytes[i] == bytes[j]);
+            // Keys order in a B-tree as the string pairs they stand for.
+            let (a, b) = (StateKey::new("cc", strs[i].clone()), StateKey::new("cc", strs[j].clone()));
+            prop_assert_eq!(a.cmp(&b), ("cc", &texts[i]).cmp(&("cc", &texts[j])));
+        }
+        for i in 0..2 {
+            prop_assert_eq!(&*strs[i], texts[i].as_str());
+            prop_assert_eq!(&*raws[i], bytes[i].as_slice());
+            prop_assert_eq!(hash_of(&strs[i]), hash_of(texts[i].as_str()));
+            prop_assert_eq!(hash_of(&raws[i]), hash_of(bytes[i].as_slice()));
+            prop_assert_eq!(strs[i].to_bytes(), texts[i].to_bytes());
+            prop_assert_eq!(raws[i].to_bytes(), bytes[i].to_bytes());
+            prop_assert_eq!(format!("{:?}", strs[i]), format!("{:?}", texts[i]));
+            prop_assert_eq!(format!("{:?}", raws[i]), format!("{:?}", bytes[i]));
+            // An owned one is the same string.
+            let owned = SharedStr::from(texts[i].as_str());
+            prop_assert!(owned == strs[i] && hash_of(&owned) == hash_of(&strs[i]));
+            prop_assert_eq!(&SharedBytes::from(bytes[i].clone()), &raws[i]);
+        }
+    }
+
     #[test]
     fn varint_round_trips(v in any::<u64>()) {
         let mut enc = Encoder::new();
@@ -235,7 +297,10 @@ proptest! {
     #[test]
     fn rwset_round_trips(rw in arb_rwset()) {
         let bytes = rw.to_bytes();
-        prop_assert_eq!(RwSet::from_bytes(&bytes).unwrap(), rw);
+        prop_assert_eq!(&RwSet::from_bytes(&bytes).unwrap(), &rw);
+        // Decoded in place, as a committer decodes an envelope's writes.
+        let shared: Arc<[u8]> = bytes.into();
+        prop_assert_eq!(RwSet::decode(&mut Decoder::sharing(&shared, 0)).unwrap(), rw);
     }
 
     #[test]
@@ -346,7 +411,7 @@ proptest! {
                     n += 1;
                     RawEnvelope {
                         tx_id: TxId(Digest::of(&n.to_le_bytes())),
-                        bytes: vec![i as u8; 10],
+                        bytes: vec![i as u8; 10].into(),
                     }
                 })
                 .collect();
@@ -371,7 +436,7 @@ proptest! {
         let envelopes: Vec<RawEnvelope> = (0..n)
             .map(|i| RawEnvelope {
                 tx_id: TxId(Digest::of(&[i as u8])),
-                bytes: vec![i as u8; i + 1],
+                bytes: vec![i as u8; i + 1].into(),
             })
             .collect();
         let mut block = Block::build(3, Digest::of(b"prev"), envelopes);
@@ -398,7 +463,7 @@ proptest! {
             .iter()
             .map(|&len| RawEnvelope {
                 tx_id: TxId(Digest::of(&[len as u8])),
-                bytes: vec![len as u8; len],
+                bytes: vec![len as u8; len].into(),
             })
             .collect();
         let mut block = Block::build(3, Digest::of(b"prev"), envelopes);
@@ -438,7 +503,7 @@ proptest! {
             .enumerate()
             .map(|(i, &len)| RawEnvelope {
                 tx_id: TxId(Digest::of(&i.to_le_bytes())),
-                bytes: vec![i as u8; len],
+                bytes: vec![i as u8; len].into(),
             })
             .collect();
         let block = Block {
@@ -600,7 +665,7 @@ proptest! {
                     let expected: Vec<_> = reference
                         .entries()
                         .into_iter()
-                        .filter(|(k, _)| k.namespace == ns && *k.key >= *start)
+                        .filter(|(k, _)| *k.namespace == *ns && *k.key >= *start)
                         .filter(|(k, _)| end.is_empty() || *k.key < *end)
                         .collect();
                     prop_assert_eq!(pairs(&mut store.range(ns, start, end)), expected);
@@ -609,7 +674,7 @@ proptest! {
                 let expected: Vec<_> = reference
                     .entries()
                     .into_iter()
-                    .filter(|(k, _)| k.namespace == ns && k.key.starts_with(prefix))
+                    .filter(|(k, _)| *k.namespace == *ns && k.key.starts_with(prefix))
                     .collect();
                 prop_assert_eq!(pairs(&mut store.scan_prefix(ns, prefix)), expected);
             }
