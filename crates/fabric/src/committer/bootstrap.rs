@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use hyperprov_ledger::{Snapshot, SnapshotError};
+use hyperprov_ledger::{Digest, Snapshot, SnapshotError};
 
 use super::*;
 
@@ -71,6 +71,37 @@ impl Committer {
             self.store.tip_hash(),
             &self.state,
             self.seen.iter().copied().collect(),
+            self.indexer.clone(),
+            chunk_entries,
+        )
+    }
+
+    /// The snapshot [`Committer::snapshot`] would have cut when the chain
+    /// was `height` blocks long and ended in `tip_hash`, made now: the
+    /// state as of that height ([`Snapshot::capture_as_of`]), and the
+    /// tx-id set minus the ids first seen in the stored blocks at or
+    /// above it. An envelope coded [`ValidationCode::DuplicateTxId`] was
+    /// seen before its block, and one that does not parse was never
+    /// recorded. Those blocks must still be stored: prune no further
+    /// than the latest height a snapshot may be made at.
+    pub fn snapshot_at(&self, height: u64, tip_hash: Digest, chunk_entries: usize) -> Snapshot {
+        debug_assert!(self.store.base_height() <= height && height <= self.height());
+        let later: HashSet<TxId> = self
+            .store
+            .iter()
+            .filter(|block| block.header.number >= height)
+            .flat_map(|block| block.envelopes.iter().zip(&block.metadata.codes))
+            .filter(|&(_, &code)| code != ValidationCode::DuplicateTxId)
+            .filter_map(|(raw, _)| Some(EnvelopeView::parse(&raw.bytes).ok()?.tx_id()))
+            .collect();
+        let mut seen = Vec::with_capacity(self.seen.len() - later.len());
+        seen.extend(self.seen.iter().filter(|id| !later.contains(id)));
+        Snapshot::capture_as_of(
+            &self.channel,
+            height,
+            tip_hash,
+            &self.state,
+            seen,
             self.indexer.clone(),
             chunk_entries,
         )

@@ -14,12 +14,12 @@
 mod actor;
 mod boot;
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use hyperprov_ledger::{Block, ChannelId, Snapshot, DEFAULT_CHUNK_ENTRIES};
+use hyperprov_ledger::{Block, ChannelId, Digest, Snapshot, DEFAULT_CHUNK_ENTRIES};
 use hyperprov_sim::{fnv1a, ActorId, SimDuration};
 
 use crate::caches::{ReadCache, SigVerifyCache};
@@ -121,7 +121,7 @@ fn defer(cost: SimDuration, to: ActorId, msg: FabricMsg) -> Action {
     Action::Job(cost, vec![(to, msg.wire_size(), msg)], vec![])
 }
 
-/// A hosted channel: its ledger, the durable latest snapshot, and what a
+/// A hosted channel: its ledger, the durable latest checkpoint, and what a
 /// crash loses — the reorder buffer, the read cache, the catch-up state.
 struct Channel {
     id: ChannelId,
@@ -132,8 +132,57 @@ struct Channel {
     read_cache: Option<ReadCache>,
     /// Latest cut or fetched snapshot. Models durable checkpoint storage,
     /// so — like the block store — it survives crashes.
-    latest_snapshot: Option<Snapshot>,
+    checkpoint: Option<Checkpoint>,
     catchup: CatchUp,
+}
+
+/// A channel's latest checkpoint.
+enum Checkpoint {
+    /// A cut of the peer's own ledger: the height and tip hash it was cut
+    /// at, and nothing per key. The ledger's history is append-only and
+    /// its store is pruned no further than the cut, so the content is
+    /// materialized from it when something first reads the checkpoint,
+    /// and kept until the next cut or a crash.
+    Cut {
+        height: u64,
+        tip_hash: Digest,
+        read: OnceCell<Snapshot>,
+    },
+    /// A snapshot fetched from a provider and booted from.
+    Fetched(Snapshot),
+}
+
+impl Checkpoint {
+    fn height(&self) -> u64 {
+        match self {
+            Checkpoint::Cut { height, .. } => *height,
+            Checkpoint::Fetched(snapshot) => snapshot.height(),
+        }
+    }
+
+    /// The checkpoint's content; a cut's first read materializes it from
+    /// `ledger`.
+    fn snapshot(&self, ledger: &RefCell<Committer>) -> &Snapshot {
+        match self {
+            Checkpoint::Cut {
+                height,
+                tip_hash,
+                read,
+            } => read.get_or_init(|| {
+                let ledger = ledger.borrow();
+                ledger.snapshot_at(*height, *tip_hash, DEFAULT_CHUNK_ENTRIES)
+            }),
+            Checkpoint::Fetched(snapshot) => snapshot,
+        }
+    }
+
+    /// Whether the content is held in memory.
+    fn resident(&self) -> bool {
+        match self {
+            Checkpoint::Cut { read, .. } => read.get().is_some(),
+            Checkpoint::Fetched(_) => true,
+        }
+    }
 }
 
 /// What a test may see of one hosted channel (see [`Peer::view`]).
@@ -145,6 +194,9 @@ pub struct ChannelView {
     pub cached: usize,
     /// Height of the latest snapshot.
     pub snapshot_height: Option<u64>,
+    /// Whether that snapshot's content is held in memory: a fetched one
+    /// always is, a cut only once something has read it.
+    pub snapshot_resident: bool,
     /// Whether the channel's [`CatchUp`] waits for nothing.
     pub current: bool,
 }
@@ -206,7 +258,7 @@ impl Peer {
             committer,
             buffer: BTreeMap::new(),
             read_cache: self.pipeline.caches.then(ReadCache::new),
-            latest_snapshot: None,
+            checkpoint: None,
         });
     }
 
@@ -245,7 +297,8 @@ impl Peer {
         Some(ChannelView {
             buffered: ch.buffer.keys().copied().collect(),
             cached: read_cached + self.sig_cache.as_ref().map_or(0, SigVerifyCache::len),
-            snapshot_height: ch.latest_snapshot.as_ref().map(Snapshot::height),
+            snapshot_height: ch.checkpoint.as_ref().map(Checkpoint::height),
+            snapshot_resident: ch.checkpoint.as_ref().is_some_and(Checkpoint::resident),
             current: ch.catchup.is_current(),
         })
     }
@@ -493,29 +546,32 @@ impl Peer {
 
     /// Cuts a snapshot once the chain has grown `interval` blocks past the
     /// previous one (never without a policy). The capture cost is charged
-    /// here, where the modelled peer hashes and writes its checkpoint; the
-    /// host only freezes the ledger and leaves the hashing to whichever
-    /// recovery or transfer first reads the manifest, which for most cuts
-    /// is none. Pruning then drops the block store behind the new height.
+    /// here, where the modelled peer hashes and writes its checkpoint, from
+    /// the live entry count and value bytes; the host records only the
+    /// height and the tip hash, and leaves the freeze and the hashing to
+    /// whichever recovery or transfer first reads the checkpoint, which for
+    /// most cuts is none. Pruning then drops the block store behind the
+    /// new height, and no further until the next cut.
     fn cut_if_due(&mut self, i: usize, out: &mut Vec<Action>) {
         let Some(policy) = self.snapshots else {
             return;
         };
         let ch = &mut self.channels[i];
-        let height = ch.committer.borrow().height();
-        let last = ch.latest_snapshot.as_ref().map_or(0, |s| s.height());
+        let mut ledger = ch.committer.borrow_mut();
+        let height = ledger.height();
+        let last = ch.checkpoint.as_ref().map_or(0, Checkpoint::height);
         if height < last.saturating_add(policy.interval.max(1)) {
             return;
         }
-        // The previous cut goes before the next is built: two frozen views
-        // of the ledger are never alive at once.
-        ch.latest_snapshot = None;
-        let snapshot = ch.committer.borrow().snapshot(DEFAULT_CHUNK_ENTRIES);
-        let cost = self
-            .costs
-            .snapshot_capture_cost(snapshot.entry_count() as u64, snapshot.state_bytes());
-        ch.latest_snapshot = Some(snapshot);
-        let pruned = ch.committer.borrow_mut().prune_store_to(height);
+        let (entries, bytes) = (ledger.state().len(), ledger.state().live_bytes());
+        let cost = self.costs.snapshot_capture_cost(entries as u64, bytes);
+        ch.checkpoint = Some(Checkpoint::Cut {
+            height,
+            tip_hash: ledger.store().tip_hash(),
+            read: OnceCell::new(),
+        });
+        let pruned = ledger.prune_store_to(height);
+        drop(ledger);
         let id = Some(ch.id.clone());
         out.push(Action::Count(id.clone(), "snapshots.cut", 1));
         out.push(Action::Gauge(id.clone(), "snapshots.height", height as f64));
@@ -569,7 +625,7 @@ impl Peer {
     /// provider).
     fn snapshot_request(&mut self, src: ActorId, channel: ChannelId) -> Vec<Action> {
         let manifest = self
-            .latest_snapshot(&channel)
+            .latest_snapshot(&channel, None)
             .map(|s| Box::new(s.manifest().clone()));
         let requests = Action::Count(Some(channel.clone()), "snapshot_requests", 1);
         let offer = FabricMsg::SnapshotOffer { channel, manifest };
@@ -588,8 +644,7 @@ impl Peer {
         index: u32,
     ) -> Vec<Action> {
         let part = self
-            .latest_snapshot(&channel)
-            .filter(|s| s.height() == height)
+            .latest_snapshot(&channel, Some(height))
             .and_then(|s| s.part(index as usize))
             .map(Arc::new);
         let cost = part.as_ref().map_or(self.costs.cache_hit_op, |p| {
@@ -608,10 +663,16 @@ impl Peer {
         self.by_id.get(channel).copied()
     }
 
-    fn latest_snapshot(&self, channel: &ChannelId) -> Option<&Snapshot> {
-        self.channels[self.hosted(channel)?]
-            .latest_snapshot
-            .as_ref()
+    /// The content of a hosted channel's latest checkpoint — of the one at
+    /// `height`, if one is named —, materialized if it is a cut no one
+    /// has read yet.
+    fn latest_snapshot(&self, channel: &ChannelId, height: Option<u64>) -> Option<&Snapshot> {
+        let ch = &self.channels[self.hosted(channel)?];
+        let checkpoint = ch.checkpoint.as_ref()?;
+        if height.is_some_and(|height| height != checkpoint.height()) {
+            return None;
+        }
+        Some(checkpoint.snapshot(&ch.committer))
     }
 
     /// The timer of `token` fired: the retry timer of the channel the

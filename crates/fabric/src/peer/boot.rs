@@ -5,7 +5,7 @@
 use hyperprov_ledger::Snapshot;
 use hyperprov_sim::SimDuration;
 
-use super::{Action, Peer};
+use super::{Action, Checkpoint, Peer};
 use crate::caches::{ReadCache, SigVerifyCache};
 
 impl Peer {
@@ -68,17 +68,20 @@ impl Peer {
         // left there it would never drain and always read as "a later
         // block is waiting".
         ch.buffer = ch.buffer.split_off(&height);
-        ch.latest_snapshot = Some(snapshot);
+        ch.checkpoint = Some(Checkpoint::Fetched(snapshot));
         out.push(Action::Charge(cost));
         self.drain(i, out);
         true
     }
 
     /// Crash restart. What is volatile is gone: buffered out-of-order
-    /// blocks, the verification caches, the catch-up waits. Every hosted
-    /// ledger is rebuilt from what the peer models as durable — the latest
-    /// snapshot plus the block store, or the block store alone — and each
-    /// channel's machine asks for whatever was cut meanwhile.
+    /// blocks, the verification caches, the catch-up waits, a cut's
+    /// materialized content. Every hosted ledger is rebuilt from what the
+    /// peer models as durable — the latest checkpoint plus the block store,
+    /// or the block store alone — and each channel's machine asks for
+    /// whatever was cut meanwhile. A cut is materialized from the ledger it
+    /// is about to replace, which holds all it covers, and dropped once the
+    /// rebuild has read it.
     pub fn restarted(&mut self) -> Vec<Action> {
         self.sig_cache = self.pipeline.caches.then(SigVerifyCache::new);
         let mut out = Vec::new();
@@ -88,8 +91,12 @@ impl Peer {
             let ch = &mut self.channels[i];
             ch.buffer.clear();
             ch.read_cache = self.pipeline.caches.then(ReadCache::new);
-            let latest = self.channels[i].latest_snapshot.as_ref();
+            let ch = &self.channels[i];
+            let latest = ch.checkpoint.as_ref().map(|c| c.snapshot(&ch.committer));
             let from_snapshot = latest.and_then(|s| self.rebuild(i, Some(s), &mut out));
+            if let Some(Checkpoint::Cut { read, .. }) = &mut self.channels[i].checkpoint {
+                read.take();
+            }
             boots += u64::from(from_snapshot.is_some());
             let booted = from_snapshot.or_else(|| self.rebuild(i, None, &mut out));
             if let Some((spent, blocks)) = booted {

@@ -377,6 +377,65 @@ mod transitions {
         assert_eq!(height, 6);
     }
 
+    /// A restart across a cut: the cut is materialized from the ledger it
+    /// is about to replace, booted from and dropped, and the rebuilt
+    /// ledger is the one that crashed — down to the tx ids it has seen on
+    /// either side of the cut.
+    #[test]
+    fn a_restart_boots_from_the_cut_and_keeps_none_of_its_content() {
+        let (_, endorser, chain, empty) = fixture(6);
+        let (mut peer, ledger) =
+            peer_on(&endorser, empty, CommitPipeline::default(), Some(4), None);
+        for block in &chain {
+            deliver(&mut peer, block);
+        }
+        let offer = |peer: &mut Peer| {
+            let request = FabricMsg::SnapshotRequest { channel: channel() };
+            match peer.message(ActorId(7), request, true).pop() {
+                Some(Action::Job(_, mut sends, _)) => match sends.pop() {
+                    Some((_, _, FabricMsg::SnapshotOffer { manifest, .. })) => manifest,
+                    other => panic!("{other:?}"),
+                },
+                other => panic!("{other:?}"),
+            }
+        };
+        let resident = |peer: &Peer| peer.view(&channel()).unwrap().snapshot_resident;
+        let before = ledger_digests(&ledger);
+        assert_eq!(before.0, 6);
+        assert!(!resident(&peer));
+
+        // Restarted with the cut unread, then with it served: each time
+        // one boot, the crashed ledger back, nothing of the cut resident.
+        let mut served = None;
+        for serve in [false, true] {
+            if serve {
+                served = offer(&mut peer);
+                assert!(resident(&peer));
+            }
+            let actions = show(&peer.restarted());
+            assert!(actions.contains(&"+ch.snapshot_boots=1".to_owned()));
+            assert!(actions.contains(&"recovery.snapshot_boots:=1".to_owned()));
+            assert!(actions.contains(&"recovery.replayed_blocks:=2".to_owned()));
+            assert_eq!(ledger_digests(&ledger), before);
+            assert!(ledger.borrow().graph_consistent());
+            let view = peer.view(&channel()).unwrap();
+            assert_eq!(view.snapshot_height, Some(4));
+            assert!(!view.snapshot_resident);
+        }
+        // Materialized from the rebuilt ledger, it is the cut served before.
+        assert_eq!(offer(&mut peer).map(|m| m.height), Some(4));
+        assert_eq!(offer(&mut peer), served);
+
+        // Transactions from below the cut and from above it, submitted
+        // again: both are duplicates.
+        let again = vec![chain[1].envelopes[0].clone(), chain[5].envelopes[1].clone()];
+        let tip = ledger.borrow().store().tip_hash();
+        deliver(&mut peer, &Block::build(6, tip, again));
+        let ledger = ledger.borrow();
+        let codes = &ledger.store().block(6).unwrap().metadata.codes;
+        assert_eq!(*codes, [ValidationCode::DuplicateTxId; 2]);
+    }
+
     #[test]
     fn a_store_that_does_not_replay_is_counted_and_the_ledger_kept() {
         let (actions, height) = restarted(None, |ledger, _| {
@@ -719,6 +778,9 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
                     assert!(after.buffered.is_empty());
                     assert_eq!(after.cached, 0);
                     assert_eq!(after.snapshot_height, view.snapshot_height);
+                    // Every checkpoint here is a cut (nothing is fetched):
+                    // its content does not outlive the boot.
+                    assert!(!after.snapshot_resident);
                 }
                 _ => {}
             }

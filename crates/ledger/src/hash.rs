@@ -167,7 +167,9 @@ impl Sha256 {
         }
     }
 
-    /// Absorbs `data`.
+    /// Absorbs `data`: what completes the buffered block, then every whole
+    /// block of `data` in one call of the compression loop, then the rest
+    /// into the buffer.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
@@ -177,112 +179,88 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_blocks(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            compress_blocks(&mut self.state, &data[..whole]);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        let rest = &data[whole..];
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len += rest.len();
     }
 
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        // 0x80, zeros to 56 mod 64, then the bit length, in one write.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero padding to 56 mod 64, then 8-byte length.
-        self.update_padding_byte();
-        while self.buffer_len != 56 {
-            self.update_zero_byte();
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        self.buffer[56..64].copy_from_slice(&len_bytes);
-        let block = self.buffer;
-        self.compress(&block);
+        let zeros = (55 - self.buffer_len as isize).rem_euclid(64) as usize;
+        let mut padding = [0u8; 72];
+        padding[0] = 0x80;
+        padding[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&padding[..9 + zeros]);
+        debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn update_padding_byte(&mut self) {
-        self.buffer[self.buffer_len] = 0x80;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
+/// Runs the compression function over `blocks`, a whole number of 64-byte
+/// blocks, in order.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if shani::compress_checked(state, blocks) {
+        return;
     }
-
-    fn update_zero_byte(&mut self) {
-        self.buffer[self.buffer_len] = 0;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
+    for block in blocks.chunks_exact(64) {
+        compress_soft(state, block.try_into().expect("64-byte chunks"));
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        #[cfg(target_arch = "x86_64")]
-        if shani::compress_checked(&mut self.state, block) {
-            return;
-        }
-        self.compress_soft(block);
+/// The portable scalar rounds over one block: the fallback, and the
+/// reference the SHA-NI path is checked against.
+fn compress_soft(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
     }
-
-    fn compress_soft(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    for (word, round) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(round);
     }
 }
 
@@ -308,18 +286,19 @@ mod shani {
 
     use super::K;
 
-    /// Runs one SHA-NI compression when the CPU supports it; returns
-    /// `false` (leaving `state` untouched) when it does not, so the
-    /// caller falls back to the scalar rounds. This is the only safe
-    /// entry point — the feature check lives on the same side of the
-    /// module boundary as the `unsafe` it justifies.
-    pub fn compress_checked(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    /// Runs the SHA-NI compression over `blocks` (a whole number of
+    /// 64-byte blocks) when the CPU supports it; returns `false` (leaving
+    /// `state` untouched) when it does not, so the caller falls back to
+    /// the scalar rounds. This is the only safe entry point — the feature
+    /// check lives on the same side of the module boundary as the
+    /// `unsafe` it justifies.
+    pub fn compress_checked(state: &mut [u32; 8], blocks: &[u8]) -> bool {
         if !available() {
             return false;
         }
         // SAFETY: `available` confirmed the sha/ssse3/sse4.1 features at
         // runtime.
-        unsafe { compress(state, block) };
+        unsafe { compress(state, blocks) };
         true
     }
 
@@ -343,14 +322,16 @@ mod shani {
         _mm_sha256msg2_epu32(t, w3)
     }
 
-    /// One 64-byte block of SHA-256 over `state`.
+    /// SHA-256 rounds over `state` for each 64-byte block of `blocks`,
+    /// in order. The state is packed into the working pairs once, and
+    /// unpacked once at the end.
     ///
     /// # Safety
     ///
     /// The caller must ensure the `sha`, `ssse3` and `sse4.1` CPU
     /// features are present (see [`available`]).
     #[target_feature(enable = "sha,ssse3,sse4.1")]
-    pub unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    pub unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
         // Map the first 16 big-endian message bytes of each lane-load
         // into host-order schedule words.
         let flip = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
@@ -363,43 +344,46 @@ mod shani {
         let s1 = _mm_shuffle_epi32(s1, 0x1B);
         let mut abef = _mm_alignr_epi8(t, s1, 8);
         let mut cdgh = _mm_blend_epi16(s1, t, 0xF0);
-        let abef_in = abef;
-        let cdgh_in = cdgh;
 
-        // Four rounds per step: the low two schedule+K lanes feed the
-        // CDGH update, the high two (after the lane swap) feed ABEF.
-        macro_rules! rounds4 {
-            ($w:expr, $group:expr) => {{
-                let k = _mm_loadu_si128(K.as_ptr().add(4 * $group).cast());
-                let wk = _mm_add_epi32($w, k);
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
-            }};
+        for block in blocks.chunks_exact(64) {
+            let abef_in = abef;
+            let cdgh_in = cdgh;
+
+            // Four rounds per step: the low two schedule+K lanes feed the
+            // CDGH update, the high two (after the lane swap) feed ABEF.
+            macro_rules! rounds4 {
+                ($w:expr, $group:expr) => {{
+                    let k = _mm_loadu_si128(K.as_ptr().add(4 * $group).cast());
+                    let wk = _mm_add_epi32($w, k);
+                    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+                }};
+            }
+
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().cast()), flip);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16).cast()), flip);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(32).cast()), flip);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(48).cast()), flip);
+
+            rounds4!(w0, 0);
+            rounds4!(w1, 1);
+            rounds4!(w2, 2);
+            rounds4!(w3, 3);
+            for group in [4usize, 8, 12] {
+                let w4 = schedule(w0, w1, w2, w3);
+                rounds4!(w4, group);
+                let w5 = schedule(w1, w2, w3, w4);
+                rounds4!(w5, group + 1);
+                let w6 = schedule(w2, w3, w4, w5);
+                rounds4!(w6, group + 2);
+                let w7 = schedule(w3, w4, w5, w6);
+                rounds4!(w7, group + 3);
+                (w0, w1, w2, w3) = (w4, w5, w6, w7);
+            }
+
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-
-        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().cast()), flip);
-        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16).cast()), flip);
-        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(32).cast()), flip);
-        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(48).cast()), flip);
-
-        rounds4!(w0, 0);
-        rounds4!(w1, 1);
-        rounds4!(w2, 2);
-        rounds4!(w3, 3);
-        for group in [4usize, 8, 12] {
-            let w4 = schedule(w0, w1, w2, w3);
-            rounds4!(w4, group);
-            let w5 = schedule(w1, w2, w3, w4);
-            rounds4!(w5, group + 1);
-            let w6 = schedule(w2, w3, w4, w5);
-            rounds4!(w6, group + 2);
-            let w7 = schedule(w3, w4, w5, w6);
-            rounds4!(w7, group + 3);
-            (w0, w1, w2, w3) = (w4, w5, w6, w7);
-        }
-
-        let abef = _mm_add_epi32(abef, abef_in);
-        let cdgh = _mm_add_epi32(cdgh, cdgh_in);
 
         // Unpack ABEF/CDGH back into [a,b,c,d] / [e,f,g,h].
         let t = _mm_shuffle_epi32(abef, 0x1B);
@@ -561,29 +545,83 @@ mod tests {
         }
     }
 
+    /// The digest by the scalar rounds alone, over a message padded by
+    /// hand: the oracle the dispatching hasher is checked against.
+    fn scalar_digest(data: &[u8]) -> Digest {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            compress_soft(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    /// Every padding length, and a long message fed in uneven pieces —
+    /// the buffered head, whole blocks in one call, the buffered rest —
+    /// hash as one call does and as the scalar rounds do.
+    #[test]
+    fn any_split_of_any_length_hashes_as_one_call_and_as_the_scalar_rounds() {
+        let data: Vec<u8> = (0..1 << 20)
+            .map(|i: u32| (i * 167 + i / 251) as u8)
+            .collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |below: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize % below
+        };
+        for len in (0..=200).chain([data.len()]) {
+            let data = &data[..len];
+            let oneshot = Digest::of(data);
+            assert_eq!(oneshot, scalar_digest(data), "len={len}");
+            let mut h = Sha256::new();
+            let mut rest = data;
+            while !rest.is_empty() {
+                let (piece, after) = rest.split_at(next(rest.len().min(300)) + 1);
+                h.update(piece);
+                rest = after;
+            }
+            assert_eq!(h.finalize(), oneshot, "len={len}");
+        }
+    }
+
     /// The SHA-NI and scalar compressions must agree on every block, not
     /// just on the NIST vectors (which exercise whichever path the host
-    /// dispatches to).
+    /// dispatches to), and on a run of blocks in one call.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn shani_matches_scalar_rounds() {
         if !super::shani::available() {
             return;
         }
-        let mut block = [0u8; 64];
+        let mut blocks = [0u8; 64 * 64];
         let mut byte = 0u8;
-        for round in 0..64u32 {
-            for b in &mut block {
-                byte = byte.wrapping_mul(167).wrapping_add(13);
-                *b = byte;
-            }
-            let mut soft = Sha256::new();
-            soft.state = H0.map(|h| h.wrapping_add(round));
-            let mut hard = soft.clone();
-            soft.compress_soft(&block);
-            assert!(super::shani::compress_checked(&mut hard.state, &block));
-            assert_eq!(soft.state, hard.state, "round={round}");
+        for b in &mut blocks {
+            byte = byte.wrapping_mul(167).wrapping_add(13);
+            *b = byte;
         }
+        let mut run = H0;
+        for (round, block) in blocks.chunks_exact(64).enumerate() {
+            let mut soft = H0.map(|h| h.wrapping_add(round as u32));
+            let mut hard = soft;
+            compress_soft(&mut soft, block.try_into().unwrap());
+            assert!(super::shani::compress_checked(&mut hard, block));
+            assert_eq!(soft, hard, "round={round}");
+            compress_soft(&mut run, block.try_into().unwrap());
+        }
+        let mut hard = H0;
+        assert!(super::shani::compress_checked(&mut hard, &blocks));
+        assert_eq!(run, hard);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! values into the snapshot's own vectors, in key order, and encodes and
 //! hashes nothing. The first reader of the manifest *seals*: part
 //! digests, Merkle root, state hash, graph digest and the order of the
-//! tx-id set are computed once, from the frozen view, and kept. A peer
-//! cuts every few blocks and almost never reads what it cut, so the work
-//! that grows with the ledger is paid by the recovery or the transfer
-//! that needs it.
+//! tx-id set are computed once, from the frozen view, and kept.
+//!
+//! A store's history is append-only, so a snapshot of an earlier height
+//! can still be frozen from it later ([`Snapshot::capture_as_of`]): that
+//! is how a peer defers even the freeze until something reads its
+//! checkpoint.
 
 use std::cell::{LazyCell, OnceCell};
 use std::fmt;
@@ -442,39 +444,81 @@ impl Snapshot {
         height: u64,
         tip_hash: Digest,
         state: &StateDb,
+        seen: Vec<TxId>,
+        indexer: Option<Arc<dyn GraphIndexer>>,
+        chunk_entries: usize,
+    ) -> Snapshot {
+        let head = (channel, height, tip_hash);
+        Snapshot::freeze(head, state, None, seen, indexer, chunk_entries)
+    }
+
+    /// [`Snapshot::capture`] of the store as it stood when the chain was
+    /// `height` blocks long: only the writes of blocks below `height`
+    /// count, so a key's live entry is its last such write unless that
+    /// write is a deletion, and a key with none is left out. The history
+    /// is append-only, so this is the snapshot an eager capture at that
+    /// height would have made; `seen` must be the tx-id set of that
+    /// height.
+    pub fn capture_as_of(
+        channel: &ChannelId,
+        height: u64,
+        tip_hash: Digest,
+        state: &StateDb,
+        seen: Vec<TxId>,
+        indexer: Option<Arc<dyn GraphIndexer>>,
+        chunk_entries: usize,
+    ) -> Snapshot {
+        let head = (channel, height, tip_hash);
+        Snapshot::freeze(head, state, Some(height), seen, indexer, chunk_entries)
+    }
+
+    /// The two captures: every write of `state`, or those of blocks below
+    /// `as_of`.
+    fn freeze(
+        (channel, height, tip_hash): (&ChannelId, u64, Digest),
+        state: &StateDb,
+        as_of: Option<u64>,
         mut seen: Vec<TxId>,
         indexer: Option<Arc<dyn GraphIndexer>>,
         chunk_entries: usize,
     ) -> Snapshot {
         let per_chunk = chunk_entries.max(1);
-        let mut entries = state
-            .iter()
-            .map(|(k, vv)| SnapshotEntry {
-                key: k.clone(),
-                value: vv.value.clone(),
-                version: vv.version,
-            })
-            .peekable();
+        let counts = |entry: &HistoryEntry| as_of.is_none_or(|h| entry.version.block_num < h);
         let mut chunks = Vec::with_capacity(state.len().div_ceil(per_chunk));
-        while entries.peek().is_some() {
-            chunks.push(SnapshotChunk {
-                entries: entries.by_ref().take(per_chunk).collect(),
-            });
-        }
 
         // History is frozen flat — every key with its entry count, and
         // every entry, in two vectors — so the cut allocates twice, not
         // once per key, and a cut nobody read is dropped as cheaply. One
         // merge pass over the live and the earlier writes gives it up in
         // key order; the per-key lists are cut out when the tail is first
-        // read.
+        // read. A key's live entry is its last write, when that is not a
+        // deletion.
         let earlier = state.earlier.values().map(Vec::len).sum::<usize>();
         let mut keys = Vec::with_capacity(state.len() + state.earlier.len());
-        let mut flat = Vec::with_capacity(state.len() + earlier);
+        let mut flat: Vec<HistoryEntry> = Vec::with_capacity(state.len() + earlier);
         for (key, writes) in state.history().iter() {
             let before = flat.len();
-            flat.extend(writes.entries());
+            flat.extend(writes.entries().take_while(counts));
+            let Some(last) = flat[before..].last() else {
+                continue;
+            };
             keys.push((key.clone(), flat.len() - before));
+            let Some(value) = &last.value else {
+                continue;
+            };
+            if chunks
+                .last()
+                .is_none_or(|c: &SnapshotChunk| c.entries.len() == per_chunk)
+            {
+                let entries = Vec::with_capacity(per_chunk);
+                chunks.push(SnapshotChunk { entries });
+            }
+            let chunk = chunks.last_mut().expect("pushed above");
+            chunk.entries.push(SnapshotEntry {
+                key: key.clone(),
+                value: value.clone(),
+                version: last.version,
+            });
         }
         Snapshot {
             channel: channel.as_str().to_owned(),
@@ -998,6 +1042,54 @@ mod tests {
         for (key, writes) in state.history().iter() {
             assert_eq!(restored.history().get(key).to_vec(), writes.to_vec());
         }
+    }
+
+    #[test]
+    fn a_capture_as_of_an_earlier_height_is_the_capture_made_then() {
+        // Block b writes keys b % 5 and deletes key (b + 2) % 5 every third
+        // block: re-writes, deletions, and keys born after the cut.
+        let mut state = StateDb::new();
+        let mut eager = None;
+        for block in 0..12u64 {
+            if block == 7 {
+                eager = Some(capture(&state, vec![], block, 2));
+            }
+            let key = format!("k{}", block % 5 + block / 8 * 5);
+            let ver = Version::new(block, 0);
+            put(
+                &mut state,
+                &format!("t{block}"),
+                &key,
+                Some(&[block as u8][..]),
+                ver,
+            );
+            if block % 3 == 0 {
+                let gone = format!("k{}", (block + 2) % 5);
+                put(
+                    &mut state,
+                    &format!("d{block}"),
+                    &gone,
+                    None,
+                    Version::new(block, 1),
+                );
+            }
+        }
+        let as_of = |height| {
+            let (channel, tip) = (ChannelId::default(), Digest::of(b"tip"));
+            Snapshot::capture_as_of(&channel, height, tip, &state, vec![], None, 2)
+        };
+        let (deferred, eager) = (as_of(7), eager.expect("cut at 7"));
+        assert_eq!(deferred.manifest(), eager.manifest());
+        assert_eq!(deferred.to_bytes(), eager.to_bytes());
+        assert_eq!(
+            (deferred.entry_count(), deferred.state_bytes()),
+            (eager.entry_count(), eager.state_bytes())
+        );
+        // As of the tip, it is the eager capture of the whole store.
+        assert_eq!(
+            as_of(12).to_bytes(),
+            capture(&state, vec![], 12, 2).to_bytes()
+        );
     }
 
     #[test]

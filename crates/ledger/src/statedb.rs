@@ -69,6 +69,8 @@ pub struct StateDb {
     /// Superseded and deleted writes, oldest first, of every key written
     /// more than once or deleted.
     pub(crate) earlier: BTreeMap<StateKey, Vec<HistoryEntry>>,
+    /// Bytes of the live values, kept as writes apply.
+    live_bytes: u64,
 }
 
 impl StateDb {
@@ -97,6 +99,11 @@ impl StateDb {
         self.len() == 0
     }
 
+    /// Total bytes of the live values, without a scan.
+    pub fn live_bytes(&self) -> u64 {
+        self.live_bytes
+    }
+
     /// Iterates every live `(key, value)` pair in lexicographic key order.
     pub fn iter(&self) -> impl Iterator<Item = (&StateKey, &VersionedValue)> {
         self.map.iter()
@@ -109,6 +116,7 @@ impl StateDb {
     pub fn apply_tx(&mut self, tx_id: TxId, version: Version, write: &KvWrite) {
         let (superseded, deletion) = match &write.value {
             Some(value) => {
+                self.live_bytes += value.len() as u64;
                 let live = VersionedValue {
                     value: value.clone(),
                     version,
@@ -125,6 +133,9 @@ impl StateDb {
                 (self.map.remove(&write.key), Some(deletion))
             }
         };
+        if let Some(gone) = &superseded {
+            self.live_bytes -= gone.value.len() as u64;
+        }
         let new = usize::from(superseded.is_some()) + usize::from(deletion.is_some());
         if new > 0 {
             // Nearly every key is written once: a list starts at exactly
@@ -255,6 +266,19 @@ mod tests {
         assert_eq!(&*vv.value, b"2");
         assert_eq!(vv.version, Version::new(1, 1));
         assert_eq!(db.len(), 1);
+        // The counter follows what is live: the superseded value is gone
+        // from it, a deletion takes the rest.
+        put(&mut db, "cc", "b", b"three", Version::new(2, 0));
+        assert_eq!(db.live_bytes(), 6);
+        let delete = |k: &str| KvWrite {
+            key: StateKey::new("cc", k),
+            value: None,
+        };
+        db.apply_write(&delete("a"), Version::new(3, 0));
+        db.apply_write(&delete("never"), Version::new(3, 1));
+        assert_eq!(db.live_bytes(), 5);
+        let scanned: usize = db.iter().map(|(_, vv)| vv.value.len()).sum();
+        assert_eq!(db.live_bytes(), scanned as u64);
     }
 
     #[test]
