@@ -15,7 +15,8 @@ use hyperprov_sim::SimTime;
 
 use crate::record::{GraphSlice, HistoryRecord, LineageEntry, ProvenanceRecord, RecordInput};
 
-/// Identifies one client operation, assigned by the caller.
+/// Identifies one client operation, assigned by the caller, unique among
+/// the network's operations in flight: it keys the operation's spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u64);
 

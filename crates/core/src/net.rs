@@ -19,17 +19,6 @@ pub enum NodeMsg {
     Client(ClientCommand),
 }
 
-impl NodeMsg {
-    /// Approximate wire size for the network model.
-    pub fn wire_size(&self) -> u64 {
-        match self {
-            NodeMsg::Fabric(m) => m.wire_size(),
-            NodeMsg::Store(m) => m.wire_size(),
-            NodeMsg::Client(_) => 0, // local injection, never crosses a link
-        }
-    }
-}
-
 impl Carries<FabricMsg> for NodeMsg {
     fn wrap(inner: FabricMsg) -> Self {
         NodeMsg::Fabric(inner)
@@ -49,18 +38,6 @@ impl Carries<StoreMsg> for NodeMsg {
     fn peel(self) -> Result<StoreMsg, Self> {
         match self {
             NodeMsg::Store(m) => Ok(m),
-            other => Err(other),
-        }
-    }
-}
-
-impl Carries<ClientCommand> for NodeMsg {
-    fn wrap(inner: ClientCommand) -> Self {
-        NodeMsg::Client(inner)
-    }
-    fn peel(self) -> Result<ClientCommand, Self> {
-        match self {
-            NodeMsg::Client(m) => Ok(m),
             other => Err(other),
         }
     }

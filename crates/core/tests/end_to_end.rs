@@ -2,10 +2,13 @@
 //! Fabric pipeline, off-chain storage and auditing, all under virtual
 //! time.
 
-use hyperprov::{
-    audit, AuditFinding, HyperProv, HyperProvError, NetworkConfig, OpmGraph, RecordInput,
-};
-use hyperprov_ledger::Digest;
+use hyperprov::{AuditFinding, HyperProv, HyperProvError, NetworkConfig, OpmGraph, RecordInput};
+use hyperprov_ledger::{Digest, DEFAULT_CHANNEL};
+
+/// `finding` on peer 0, the replica the record pass reads.
+fn on_peer0(finding: AuditFinding) -> AuditFinding {
+    AuditFinding::Replica(DEFAULT_CHANNEL.into(), 0, Box::new(finding))
+}
 
 #[test]
 fn store_get_round_trip_desktop() {
@@ -170,13 +173,12 @@ fn tampering_detected_end_to_end() {
     assert!(!hp.check_data("victim").unwrap());
 
     // The auditor sees it too.
-    let ledger = hp.network().ledgers[0].clone();
-    let report = audit(&ledger.borrow(), hp.network().store.as_ref());
-    assert!(!report.is_clean());
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| matches!(f, AuditFinding::TamperedPayload { key, .. } if key == "victim")));
+    let tampered = AuditFinding::TamperedPayload {
+        key: "victim".into(),
+        expected: Digest::of(b"original"),
+        actual: Digest::of(b"evil bytes"),
+    };
+    assert_eq!(hp.network().audit([]), [on_peer0(tampered)]);
 }
 
 #[test]
@@ -187,27 +189,8 @@ fn audit_clean_network_and_ledger_convergence() {
             .unwrap();
     }
     // All four peers converge to the same chain tip and state.
-    let heights: Vec<u64> = hp
-        .network()
-        .ledgers
-        .iter()
-        .map(|l| l.borrow().height())
-        .collect();
-    assert!(heights.iter().all(|&h| h == heights[0] && h > 0));
-    let tips: Vec<_> = hp
-        .network()
-        .ledgers
-        .iter()
-        .map(|l| l.borrow().store().tip_hash())
-        .collect();
-    assert!(tips.iter().all(|t| *t == tips[0]));
-
-    for ledger in &hp.network().ledgers {
-        let report = audit(&ledger.borrow(), hp.network().store.as_ref());
-        assert!(report.is_clean(), "{:?}", report.findings);
-        assert_eq!(report.records_checked, 8);
-        assert_eq!(report.payloads_checked, 8);
-    }
+    assert!(hp.network().ledgers[0].borrow().height() > 0);
+    assert_eq!(hp.network().audit([]), []);
 }
 
 #[test]
@@ -219,12 +202,9 @@ fn missing_payload_detected_by_audit() {
     let object = record.location.rsplit('/').next().unwrap().to_owned();
     use hyperprov_offchain::ObjectStore;
     hp.network().store.delete(&object).unwrap();
-    let ledger = hp.network().ledgers[0].clone();
-    let report = audit(&ledger.borrow(), hp.network().store.as_ref());
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| matches!(f, AuditFinding::MissingPayload { key, .. } if key == "gone")));
+    let key = "gone".into();
+    let missing = AuditFinding::MissingPayload { key, object };
+    assert_eq!(hp.network().audit([]), [on_peer0(missing)]);
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Crash-recovery and elastic-membership tests: snapshot bootstrap,
 //! genesis replay, restart-during-partition retry, and a spare peer
-//! joining a live network — all asserting state-hash convergence.
+//! joining a live network; whether they converged, the network audit says.
 
-use hyperprov::{HyperProv, NetworkConfig, SnapshotPolicy};
+use hyperprov::{AuditFinding, HyperProv, NetworkConfig, SnapshotPolicy};
+use hyperprov_ledger::DEFAULT_CHANNEL;
 use hyperprov_sim::SimDuration;
 
 /// Desktop deployment with one client, a small snapshot interval and the
@@ -17,15 +18,6 @@ fn settle(hp: &mut HyperProv, secs: u64) {
     hp.network_mut()
         .sim
         .run_until(now + SimDuration::from_secs(secs));
-}
-
-/// State hash of peer `p`'s default-channel ledger.
-fn state_hash(hp: &HyperProv, p: usize) -> hyperprov_ledger::Digest {
-    hp.network().ledgers[p].borrow().state().state_hash()
-}
-
-fn height(hp: &HyperProv, p: usize) -> u64 {
-    hp.network().ledgers[p].borrow().height()
 }
 
 /// A restarted peer with a snapshot boots from it (plus a bounded delta
@@ -48,8 +40,7 @@ fn restart_bootstraps_from_snapshot_and_catches_up() {
     hp.network_mut().sim.restart_actor(victim);
     settle(&mut hp, 10);
 
-    assert_eq!(height(&hp, 1), height(&hp, 0));
-    assert_eq!(state_hash(&hp, 1), state_hash(&hp, 0));
+    assert_eq!(hp.network().audit([]), []);
     let metrics = hp.network().sim.metrics();
     assert_eq!(metrics.counter("peer1.recoveries"), 1);
     assert!(
@@ -62,7 +53,7 @@ fn restart_bootstraps_from_snapshot_and_catches_up() {
         .gauge("peer1.recovery.replayed_blocks")
         .expect("recovery gauges enabled");
     assert!(
-        replayed < height(&hp, 1) as f64,
+        replayed < hp.network().ledgers[1].borrow().height() as f64,
         "snapshot boot must not replay the whole chain ({replayed} blocks)"
     );
     // Snapshot cutting prunes the store behind the horizon.
@@ -97,8 +88,7 @@ fn restart_replays_from_genesis_without_snapshots() {
     hp.network_mut().sim.restart_actor(victim);
     settle(&mut hp, 10);
 
-    assert_eq!(height(&hp, 1), height(&hp, 0));
-    assert_eq!(state_hash(&hp, 1), state_hash(&hp, 0));
+    assert_eq!(hp.network().audit([]), []);
     let metrics = hp.network().sim.metrics();
     assert_eq!(metrics.counter("peer1.recoveries"), 1);
     assert_eq!(metrics.counter("peer1.snapshot_boots"), 0);
@@ -146,15 +136,13 @@ fn restart_during_partition_retries_until_heal() {
         metrics.counter("peer1.catchup_retries") >= 1,
         "lost catch-up requests must be retried"
     );
-    assert!(
-        height(&hp, 1) < height(&hp, 0),
-        "partitioned peer cannot have caught up yet"
-    );
+    let behind = Box::new(AuditFinding::Diverged("height"));
+    let behind = AuditFinding::Replica(DEFAULT_CHANNEL.into(), 1, behind);
+    assert_eq!(hp.network().audit([]), [behind], "caught up already");
 
     hp.network_mut().sim.network_mut().heal_all();
     settle(&mut hp, 20);
-    assert_eq!(height(&hp, 1), height(&hp, 0));
-    assert_eq!(state_hash(&hp, 1), state_hash(&hp, 0));
+    assert_eq!(hp.network().audit([]), []);
 }
 
 /// The same partition interleaving without snapshots: the genesis-replay
@@ -187,8 +175,7 @@ fn partition_retry_converges_on_genesis_replay_path() {
 
     hp.network_mut().sim.network_mut().heal_all();
     settle(&mut hp, 20);
-    assert_eq!(height(&hp, 1), height(&hp, 0));
-    assert_eq!(state_hash(&hp, 1), state_hash(&hp, 0));
+    assert_eq!(hp.network().audit([]), []);
 }
 
 /// Elastic membership: a spare peer added to a live network fetches the
@@ -209,8 +196,7 @@ fn added_peer_catches_up_via_snapshot_and_serves_queries() {
 
     let new_idx = hp.network().peers.len() - 1;
     assert_eq!(hp.network().peers[new_idx], joined);
-    assert_eq!(height(&hp, new_idx), height(&hp, 0));
-    assert_eq!(state_hash(&hp, new_idx), state_hash(&hp, 0));
+    assert_eq!(hp.network().audit([]), []);
 
     let metrics = hp.network().sim.metrics();
     let prefix = format!("peer{new_idx}");
@@ -221,12 +207,8 @@ fn added_peer_catches_up_via_snapshot_and_serves_queries() {
     );
 
     // The joiner answers provenance queries from its own ledger: its
-    // graph index matches the incumbents' and resolves lineage.
-    let new_ledger = hp.network().ledgers[new_idx].borrow();
-    let old_ledger = hp.network().ledgers[0].borrow();
-    assert_eq!(new_ledger.graph().digest(), old_ledger.graph().digest());
-    assert!(new_ledger.graph().len() >= 8);
-    drop((new_ledger, old_ledger));
+    // graph index matches the incumbents' (the audit) and holds every item.
+    assert!(hp.network().ledgers[new_idx].borrow().graph().len() >= 8);
 
     // New traffic reaches the joiner through its deliver subscription.
     for i in 0..3 {
@@ -234,8 +216,7 @@ fn added_peer_catches_up_via_snapshot_and_serves_queries() {
             .unwrap();
     }
     settle(&mut hp, 5);
-    assert_eq!(height(&hp, new_idx), height(&hp, 0));
-    assert_eq!(state_hash(&hp, new_idx), state_hash(&hp, 0));
+    assert_eq!(hp.network().audit([]), []);
 }
 
 /// A peer that was down for longer than the orderer's retained tail asks
@@ -262,8 +243,7 @@ fn a_snapshot_boot_forgets_the_buffered_blocks_it_jumped_over() {
     // (goal-only) request for a delta nobody has.
     settle(&mut hp, 60);
 
-    assert_eq!(height(&hp, 1), height(&hp, 0));
-    assert_eq!(state_hash(&hp, 1), state_hash(&hp, 0));
+    assert_eq!(hp.network().audit([]), []);
     let retries = |hp: &HyperProv| hp.network().sim.metrics().counter("peer1.catchup_retries");
     assert!(
         hp.network().sim.metrics().counter("peer1.snapshot_fetches") >= 1,
@@ -289,9 +269,8 @@ fn added_peer_without_snapshots_catches_up_by_block_redelivery() {
     settle(&mut hp, 15);
 
     let new_idx = hp.network().peers.len() - 1;
-    assert_eq!(height(&hp, new_idx), 8);
-    assert_eq!(height(&hp, new_idx), height(&hp, 0));
-    assert_eq!(state_hash(&hp, new_idx), state_hash(&hp, 0));
+    assert_eq!(hp.network().ledgers[new_idx].borrow().height(), 8);
+    assert_eq!(hp.network().audit([]), []);
     let metrics = hp.network().sim.metrics();
     let prefix = format!("peer{new_idx}");
     assert_eq!(metrics.counter(&format!("{prefix}.joins")), 1);

@@ -168,6 +168,12 @@ impl Committer {
         &self.store
     }
 
+    /// One stored block, past every check: rewrites this replica's chain
+    /// history, as [`BlockStore::tamper`] does.
+    pub fn tamper(&mut self, number: u64) -> Option<&mut Block> {
+        self.store.tamper(number)
+    }
+
     /// The current world state.
     pub fn state(&self) -> &StateDb {
         &self.state

@@ -165,7 +165,7 @@ mod tests {
         let s = setup();
         let sp = signed(&s.client, "kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
         let (resp, stats) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
-        assert!(resp.is_success());
+        assert!(resp.result.is_ok());
         assert_eq!(resp.rwset.writes.len(), 1);
         assert_eq!(resp.event.as_ref().unwrap().name, "put");
         assert_eq!(stats.writes, 1);
@@ -180,7 +180,7 @@ mod tests {
         let mut sp = signed(&s.client, "kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
         sp.signature = Signature(Digest::of(b"forged"));
         let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
-        assert!(!resp.is_success());
+        assert!(resp.result.is_err());
         assert!(resp.result.unwrap_err().contains("signature"));
         assert!(resp.rwset.is_empty());
     }
@@ -190,7 +190,7 @@ mod tests {
         let s = setup();
         let sp = signed(&s.client, "ghost", "put", vec![]);
         let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
-        assert!(!resp.is_success());
+        assert!(resp.result.is_err());
         assert!(resp.result.unwrap_err().contains("not installed"));
     }
 
@@ -199,7 +199,7 @@ mod tests {
         let s = setup();
         let sp = signed(&s.client, "kv", "get", vec![b"missing".to_vec()]);
         let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
-        assert!(!resp.is_success());
+        assert!(resp.result.is_err());
         assert!(resp.result.unwrap_err().contains("not found"));
         // The read of the missing key is still recorded in stats.
         let sp2 = signed(&s.client, "kv", "nope", vec![]);

@@ -187,11 +187,6 @@ impl ProposalResponse {
         }
     }
 
-    /// True if the chaincode executed successfully.
-    pub fn is_success(&self) -> bool {
-        self.result.is_ok()
-    }
-
     /// Wire size in bytes: the length of the canonical encoding, added up
     /// without producing it.
     pub fn wire_size(&self) -> u64 {
@@ -772,13 +767,13 @@ mod tests {
             }),
             signature: Signature(Digest::of(b"sig")),
         };
-        assert!(ok.is_success());
+        assert!(ok.result.is_ok());
         assert_eq!(ProposalResponse::from_bytes(&ok.to_bytes()).unwrap(), ok);
         let err = ProposalResponse {
             result: Err("rejected: dup".to_owned()),
             ..ok
         };
-        assert!(!err.is_success());
+        assert!(err.result.is_err());
         assert_eq!(ProposalResponse::from_bytes(&err.to_bytes()).unwrap(), err);
     }
 

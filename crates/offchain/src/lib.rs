@@ -4,8 +4,7 @@
 //! metadata (checksum, location, lineage); the payload itself lives in an
 //! [`ObjectStore`]:
 //!
-//! * [`MemoryStore`] — in-memory backend for simulations and tests,
-//! * [`FsStore`] — a real directory-backed backend, and
+//! * [`MemoryStore`] — in-memory backend for simulations and tests, and
 //! * [`StorageActor`]/[`StoreMsg`] — the simulated remote SSHFS node with
 //!   per-operation SSH overhead and per-byte service cost, matching the
 //!   paper's "off-chain storage always runs on a separate node" setup.
@@ -17,4 +16,4 @@ mod sshfs;
 mod store;
 
 pub use sshfs::{StorageActor, StorageCosts, StoreMsg};
-pub use store::{validate_name, FsStore, MemoryStore, ObjectStore, StoreError};
+pub use store::{validate_name, MemoryStore, ObjectStore, StoreError};

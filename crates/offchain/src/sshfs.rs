@@ -54,16 +54,6 @@ pub enum StoreMsg {
 }
 
 impl StoreMsg {
-    /// The object name the message refers to.
-    pub fn object_name(&self) -> &str {
-        match self {
-            StoreMsg::Put { name, .. }
-            | StoreMsg::PutAck { name, .. }
-            | StoreMsg::Get { name, .. }
-            | StoreMsg::GetResult { name, .. } => name,
-        }
-    }
-
     /// Approximate wire size for the network model (requests carry their
     /// payload; replies carry the fetched bytes).
     pub fn wire_size(&self) -> u64 {
@@ -74,15 +64,6 @@ impl StoreMsg {
             }
             StoreMsg::Get { name, .. } | StoreMsg::PutAck { name, .. } => name.len() as u64 + 64,
         }
-    }
-}
-
-impl Carries<StoreMsg> for StoreMsg {
-    fn wrap(inner: StoreMsg) -> Self {
-        inner
-    }
-    fn peel(self) -> Result<StoreMsg, Self> {
-        Ok(self)
     }
 }
 
@@ -129,22 +110,18 @@ impl<M: Carries<StoreMsg>> StorageActor<M> {
         }
     }
 
-    /// The backing store (shared with e.g. audit code).
-    pub fn store(&self) -> &Arc<dyn ObjectStore> {
-        &self.store
-    }
-
+    /// Sends `reply`, about object `name`, after the service time.
     fn finish_later(
         &mut self,
         ctx: &mut Context<'_, M>,
         dst: ActorId,
         bytes_moved: u64,
+        name: String,
         reply: StoreMsg,
     ) {
         let job = self.harness.next_job();
         // Server-side service span (SSH overhead + per-byte I/O); the job
         // number disambiguates concurrent operations on one object.
-        let name = reply.object_name().to_owned();
         ctx.span_start(&name, "offchain.server", &job.to_string());
         let close = SpanClose::new(name, "offchain.server", job.to_string());
         let bytes = reply.wire_size();
@@ -163,32 +140,24 @@ impl<M: Carries<StoreMsg>> StorageActor<M> {
                 let result = self.store.put(&name, &data);
                 ctx.metrics().incr("storage.puts", 1);
                 ctx.metrics().incr("storage.bytes_in", bytes);
-                self.finish_later(
-                    ctx,
-                    src,
-                    bytes,
-                    StoreMsg::PutAck {
-                        name,
-                        token,
-                        result,
-                    },
-                );
+                let reply = StoreMsg::PutAck {
+                    name: name.clone(),
+                    token,
+                    result,
+                };
+                self.finish_later(ctx, src, bytes, name, reply);
             }
             StoreMsg::Get { name, token } => {
                 let result = self.store.get(&name);
                 let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
                 ctx.metrics().incr("storage.gets", 1);
                 ctx.metrics().incr("storage.bytes_out", bytes);
-                self.finish_later(
-                    ctx,
-                    src,
-                    bytes,
-                    StoreMsg::GetResult {
-                        name,
-                        token,
-                        result,
-                    },
-                );
+                let reply = StoreMsg::GetResult {
+                    name: name.clone(),
+                    token,
+                    result,
+                };
+                self.finish_later(ctx, src, bytes, name, reply);
             }
             // Replies are never addressed to the server.
             StoreMsg::PutAck { .. } | StoreMsg::GetResult { .. } => {}
@@ -218,6 +187,16 @@ mod tests {
     use hyperprov_sim::{SimTime, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// The tests' simulations carry nothing but storage traffic.
+    impl Carries<StoreMsg> for StoreMsg {
+        fn wrap(inner: StoreMsg) -> Self {
+            inner
+        }
+        fn peel(self) -> Result<StoreMsg, Self> {
+            Ok(self)
+        }
+    }
 
     #[derive(Debug, Default)]
     struct Seen {

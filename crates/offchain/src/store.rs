@@ -1,5 +1,5 @@
-//! Object-store backends: the [`ObjectStore`] trait with in-memory and
-//! local-filesystem implementations, plus a content-addressed wrapper.
+//! Object-store backends: the [`ObjectStore`] trait and its in-memory
+//! implementation.
 //!
 //! HyperProv keeps only metadata on-chain; the payload goes to a pluggable
 //! store (the paper uses SSHFS). These backends provide the storage
@@ -8,9 +8,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs;
-use std::io;
-use std::path::PathBuf;
 
 use parking_lot::RwLock;
 
@@ -21,8 +18,6 @@ pub enum StoreError {
     NotFound(String),
     /// The name contains characters the backend cannot store safely.
     InvalidName(String),
-    /// An underlying I/O failure (filesystem backend).
-    Io(String),
 }
 
 impl fmt::Display for StoreError {
@@ -30,18 +25,11 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::NotFound(name) => write!(f, "object not found: {name}"),
             StoreError::InvalidName(name) => write!(f, "invalid object name: {name:?}"),
-            StoreError::Io(err) => write!(f, "storage I/O error: {err}"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
-
-impl From<io::Error> for StoreError {
-    fn from(err: io::Error) -> Self {
-        StoreError::Io(err.to_string())
-    }
-}
 
 /// A named blob store.
 ///
@@ -53,7 +41,7 @@ pub trait ObjectStore: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::InvalidName`] or [`StoreError::Io`].
+    /// Returns [`StoreError::InvalidName`].
     fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError>;
 
     /// Retrieves the object named `name`.
@@ -67,7 +55,7 @@ pub trait ObjectStore: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on backend failure.
+    /// A backend may fail to delete.
     fn delete(&self, name: &str) -> Result<(), StoreError>;
 
     /// True if an object with this name exists.
@@ -163,81 +151,6 @@ impl ObjectStore for MemoryStore {
     }
 }
 
-/// A directory-backed object store (one file per object).
-#[derive(Debug)]
-pub struct FsStore {
-    root: PathBuf,
-}
-
-impl FsStore {
-    /// Opens (creating if needed) a store rooted at `root`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] if the directory cannot be created.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        let root = root.into();
-        fs::create_dir_all(&root)?;
-        Ok(FsStore { root })
-    }
-
-    fn path_of(&self, name: &str) -> Result<PathBuf, StoreError> {
-        validate_name(name)?;
-        Ok(self.root.join(name))
-    }
-}
-
-impl ObjectStore for FsStore {
-    fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
-        let path = self.path_of(name)?;
-        // Write-then-rename for atomicity.
-        let tmp = self.root.join(format!(".{name}.tmp"));
-        fs::write(&tmp, data)?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
-    }
-
-    fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-        let path = self.path_of(name)?;
-        match fs::read(&path) {
-            Ok(data) => Ok(data),
-            Err(err) if err.kind() == io::ErrorKind::NotFound => {
-                Err(StoreError::NotFound(name.to_owned()))
-            }
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    fn delete(&self, name: &str) -> Result<(), StoreError> {
-        let path = self.path_of(name)?;
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.path_of(name).map(|p| p.exists()).unwrap_or(false)
-    }
-
-    fn len(&self) -> usize {
-        fs::read_dir(&self.root)
-            .map(|entries| {
-                entries
-                    .filter_map(Result::ok)
-                    .filter(|e| {
-                        e.file_name()
-                            .to_str()
-                            .map(|n| !n.starts_with('.'))
-                            .unwrap_or(false)
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,15 +174,6 @@ mod tests {
     fn memory_store_semantics() {
         let store = MemoryStore::new();
         exercise(&store);
-    }
-
-    #[test]
-    fn fs_store_semantics() {
-        let dir = std::env::temp_dir().join(format!("hyperprov-fsstore-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = FsStore::open(&dir).unwrap();
-        exercise(&store);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -298,6 +202,5 @@ mod tests {
     fn error_display() {
         assert!(!StoreError::NotFound("n".into()).to_string().is_empty());
         assert!(!StoreError::InvalidName("i".into()).to_string().is_empty());
-        assert!(!StoreError::Io("io".into()).to_string().is_empty());
     }
 }

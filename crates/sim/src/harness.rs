@@ -492,7 +492,7 @@ mod tests {
         let tracer = sim.tracer();
         assert_eq!(tracer.spans_started(), 8);
         assert_eq!(tracer.spans_finished(), 8);
-        assert_eq!(tracer.open_spans(), 0);
+        assert!(tracer.unclosed_by_stage().is_empty());
         assert_eq!(tracer.unmatched_ends(), 0);
         assert_eq!(tracer.duplicate_starts(), 0);
     }

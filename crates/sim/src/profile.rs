@@ -85,11 +85,6 @@ impl SimProfiler {
         self.started = Some(Instant::now());
     }
 
-    /// Whether handler timing is being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Samples the clock before an event handler runs; `None` when
     /// disabled (and then [`SimProfiler::end_handler`] is free).
     pub fn start_handler(&self) -> Option<Instant> {
@@ -193,7 +188,6 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         let mut p = SimProfiler::new();
-        assert!(!p.is_enabled());
         let t = p.start_handler();
         assert!(t.is_none());
         p.end_handler(t, "peer");

@@ -146,11 +146,6 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// Whether the tracer records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The active configuration.
     pub fn config(&self) -> TracerConfig {
         self.config
@@ -316,11 +311,6 @@ impl Tracer {
         self.stage_hist.get(stage)
     }
 
-    /// Number of spans currently open (work in flight).
-    pub fn open_spans(&self) -> usize {
-        self.open_count
-    }
-
     /// Spans still open, counted per stage (in stage-name order). At
     /// export time a non-empty result is a leak report: every span a
     /// run opens should be closed (or the work it models is stuck).
@@ -423,7 +413,7 @@ mod tests {
         tr.span_start(t(100), "tx1", "endorse", "peer0");
         let d = tr.span_end(t(350), "tx1", "endorse", "peer0").unwrap();
         assert_eq!(d, SimDuration::from_nanos(250));
-        assert_eq!(tr.open_spans(), 0);
+        assert!(tr.unclosed_by_stage().is_empty());
         assert_eq!(tr.spans_finished(), 1);
         let span = tr.finished_spans().next().unwrap();
         assert_eq!(span.trace, "tx1");

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example iot_edge`
 
 use hyperprov_repro::device::{EnergyModel, PowerMeter};
-use hyperprov_repro::hyperprov::{audit, HyperProv, HyperProvError};
+use hyperprov_repro::hyperprov::{HyperProv, HyperProvError};
 use hyperprov_repro::sim::SimDuration;
 
 fn main() -> Result<(), HyperProvError> {
@@ -49,23 +49,19 @@ fn main() -> Result<(), HyperProvError> {
         println!("  depth {} -> {}", entry.depth, entry.record.key);
     }
 
-    // The site auditor cross-checks every peer's ledger against the
-    // off-chain store.
-    for (i, ledger) in hp.network().ledgers.iter().enumerate() {
-        let report = audit(&ledger.borrow(), hp.network().store.as_ref());
-        println!(
-            "peer{i} audit: {} blocks, {} records, {} payloads -> {}",
-            report.blocks_checked,
-            report.records_checked,
-            report.payloads_checked,
-            if report.is_clean() {
-                "CLEAN"
-            } else {
-                "FINDINGS!"
-            }
-        );
-        assert!(report.is_clean());
+    // The site auditor cross-checks the whole network: every peer's chain,
+    // index and replay, their agreement, and the records and payloads
+    // against the off-chain store.
+    let findings = hp.network().audit([]);
+    let peers = hp.network().peers.len();
+    println!(
+        "network audit of {peers} peers: {} findings",
+        findings.len()
+    );
+    for finding in &findings {
+        println!("  {finding}");
     }
+    assert!(findings.is_empty());
 
     // How much power did the edge device (peer + client) draw?
     let meter = PowerMeter::new(EnergyModel::raspberry_pi(), SimDuration::from_secs(1));

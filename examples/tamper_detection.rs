@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --example tamper_detection`
 
+use std::sync::Arc;
+
 use hyperprov_repro::hyperprov::{audit, AuditFinding, HyperProv, HyperProvError};
 use hyperprov_repro::offchain::ObjectStore;
 
@@ -80,19 +82,26 @@ fn main() -> Result<(), HyperProvError> {
         .any(|f| matches!(f, AuditFinding::MissingPayload { key, .. } if key == "evidence-2")));
     println!("\nattacker deleted evidence-2's payload; audit reports it missing");
 
-    // --- Why rewriting history doesn't help: the hash chain. ---
+    // --- Attack 3: rewrite one peer's chain history. ---
     // Every block commits to its transactions (Merkle root) and to the
-    // previous header; peers hold replicas. Verify the chain end-to-end on
-    // every peer.
+    // previous header, and the peers hold replicas: a rewritten byte on
+    // one peer breaks that peer's chain, and no other.
+    let mut victim = hp.network().ledgers[1].borrow_mut();
+    let block = victim.tamper(1).expect("block 1 is stored");
+    Arc::make_mut(&mut Arc::make_mut(&mut block.envelopes)[0].bytes)[0] ^= 1;
+    drop(victim);
     for (i, ledger) in hp.network().ledgers.iter().enumerate() {
-        let ledger = ledger.borrow();
-        ledger.store().verify_chain().expect("chain verifies");
-        println!(
-            "peer{i}: {} blocks verified, tip {}",
-            ledger.store().height(),
-            ledger.store().tip_hash().short()
-        );
+        let report = audit(&ledger.borrow(), hp.network().store.as_ref());
+        let broken = report
+            .findings
+            .iter()
+            .find(|f| matches!(f, AuditFinding::ChainBroken { .. }));
+        assert_eq!(broken.is_some(), i == 1);
+        match broken {
+            Some(finding) => println!("peer{i}: {finding}"),
+            None => println!("peer{i}: {} blocks verified", report.blocks_checked),
+        }
     }
-    println!("\nhash chain intact on all peers: history cannot be silently rewritten");
+    println!("\nhistory cannot be silently rewritten: the hash chain names the peer");
     Ok(())
 }

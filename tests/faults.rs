@@ -8,8 +8,8 @@
 
 use hyperprov_repro::fabric::BatchConfig;
 use hyperprov_repro::hyperprov::{
-    ClientCommand, ClientCompletion, HyperProvError, HyperProvNetwork, NetworkConfig, NodeMsg,
-    OpId, RecordInput, RetryPolicy,
+    AuditFinding, ClientCommand, ClientCompletion, HyperProvError, HyperProvNetwork, NetworkConfig,
+    NodeMsg, OpId, RecordInput, RetryPolicy,
 };
 use hyperprov_repro::ledger::Digest;
 use hyperprov_repro::sim::{ActorId, FaultPlan, SimDuration, SimTime};
@@ -25,9 +25,16 @@ fn store_data(key: &str, op: u64) -> ClientCommand {
     }
 }
 
-fn store(net: &mut HyperProvNetwork, client: usize, op: u64, key: &str) {
+/// Client `client`'s `n`th operation: an op id keys the operation's
+/// spans, so it is unique across the network.
+fn op_id(client: usize, n: u64) -> u64 {
+    (client as u64) << 32 | n
+}
+
+fn store(net: &mut HyperProvNetwork, client: usize, n: u64, key: &str) {
+    let command = store_data(key, op_id(client, n));
     net.sim
-        .inject_message(net.clients[client], NodeMsg::Client(store_data(key, op)));
+        .inject_message(net.clients[client], NodeMsg::Client(command));
 }
 
 /// A metadata-only `Post` under `key`.
@@ -51,7 +58,7 @@ fn in_a_closed_loop(
             if net.completions[client].borrow().len() as u64 == *issued {
                 *issued += 1;
                 let key = format!("item-{client}-{issued}");
-                let cmd = command(&key, *issued);
+                let cmd = command(&key, op_id(client, *issued));
                 net.sim
                     .inject_message(net.clients[client], NodeMsg::Client(cmd));
             }
@@ -61,16 +68,14 @@ fn in_a_closed_loop(
     }
 }
 
-/// Every peer holds the same chain height and the same state.
-fn assert_converged(net: &HyperProvNetwork) {
-    let heights: Vec<u64> = net.ledgers.iter().map(|l| l.borrow().height()).collect();
-    assert!(heights.iter().all(|&h| h == heights[0]), "{heights:?}");
-    let hashes: Vec<_> = net
-        .ledgers
+/// The network's audit over every completion its clients were handed.
+fn audit(net: &HyperProvNetwork) -> Vec<AuditFinding> {
+    let done: Vec<_> = net
+        .completions
         .iter()
-        .map(|l| l.borrow().state().state_hash())
+        .flat_map(|q| q.borrow().clone())
         .collect();
-    assert!(hashes.iter().all(|h| *h == hashes[0]), "state diverged");
+    net.audit(&done)
 }
 
 /// A commit notification that never arrives (home peer partitioned from
@@ -110,6 +115,11 @@ fn commit_wait_times_out_cleanly_under_partition() {
         completions[0].outcome
     );
     assert_eq!(net.sim.metrics().counter("client.timeouts"), 1);
+    drop(completions);
+    // The home peer is still cut off, so it is behind; nothing else is
+    // wrong.
+    let found: Vec<String> = audit(&net).iter().map(ToString::to_string).collect();
+    assert_eq!(found, ["hyperprov-channel peer0: diverged in height"]);
 }
 
 /// A 2/2 peer split heals via block catch-up: the cut half misses blocks
@@ -161,26 +171,8 @@ fn partitioned_peer_group_heals_without_state_divergence() {
     store(&mut net, 1, 2, "after-b");
     net.sim.run_until(SimTime::from_secs(30));
 
-    let heights: Vec<u64> = net.ledgers.iter().map(|l| l.borrow().height()).collect();
-    assert_eq!(heights, vec![4, 4, 4, 4], "all peers at the same height");
-    let hashes: Vec<_> = net
-        .ledgers
-        .iter()
-        .map(|l| l.borrow().state().state_hash())
-        .collect();
-    assert!(
-        hashes.iter().all(|h| *h == hashes[0]),
-        "state databases diverged after catch-up"
-    );
-    let tips: Vec<_> = net
-        .ledgers
-        .iter()
-        .map(|l| l.borrow().store().tip_hash())
-        .collect();
-    assert!(tips.iter().all(|t| *t == tips[0]));
-    for ledger in &net.ledgers {
-        ledger.borrow().store().verify_chain().unwrap();
-    }
+    assert_eq!(net.ledgers[0].borrow().height(), 4);
+    assert_eq!(audit(&net), []);
 }
 
 /// Killing the Raft leader mid-run does not strand the client: the
@@ -225,7 +217,8 @@ fn raft_leader_kill_recovers_with_retrying_client() {
         net.ordering_leader().is_some(),
         "the cluster must have a leader again"
     );
-    net.ledgers[0].borrow().store().verify_chain().unwrap();
+    drop(completions);
+    assert_eq!(audit(&net), []);
 }
 
 /// A transient partition shorter than the retry budget is invisible to
@@ -277,6 +270,8 @@ fn transient_partition_absorbed_by_retry_budget() {
     );
     assert!(net.sim.metrics().counter("client.timeouts") >= 1);
     assert_eq!(net.sim.metrics().counter("client.exhausted"), 0);
+    drop(completions);
+    assert_eq!(audit(&net), []);
 }
 
 /// Two clients store payloads in a closed loop for ten virtual seconds;
@@ -333,9 +328,7 @@ fn a_loss_window_is_ridden_out_by_deadlines_and_retry() {
     assert!(metrics.counter("client.retries") >= 1);
     assert_eq!(metrics.counter("client.exhausted"), 0);
     assert_eq!(failed, 0, "posts invalidated");
-    assert_eq!(net.sim.tracer().open_spans(), 0);
-
-    assert_converged(&net);
+    assert_eq!(audit(&net), []);
 }
 
 /// The benchmark's deadlines.
@@ -394,7 +387,7 @@ fn an_outage_costs_one_deadline(
         }
     }
     assert_eq!(net.sim.metrics().counter("client.exhausted"), 0);
-    assert_eq!(net.sim.tracer().open_spans(), 0);
+    assert_eq!(audit(net), []);
 
     let completions = net.completions[homed].borrow();
     let latency = |c: &ClientCompletion| c.finished - c.started;
@@ -418,8 +411,6 @@ fn an_outage_costs_one_deadline(
         );
     }
     let paid = during.iter().filter(|c| latency(c) >= deadline).count();
-
-    assert_converged(net);
     (during.len(), paid)
 }
 

@@ -68,6 +68,13 @@ fn two_channel_state_isolation() {
         store(&mut net, i % 2, i as u64 + 1, key, vec![]);
     }
     net.sim.run_until(SimTime::from_secs(60));
+    // Each channel's replicas converge among themselves.
+    let done: Vec<_> = net
+        .completions
+        .iter()
+        .flat_map(|q| q.borrow().clone())
+        .collect();
+    assert_eq!(net.audit(&done), []);
     assert_eq!(drain_ok(&mut net, 0).len(), 3);
     assert_eq!(drain_ok(&mut net, 1).len(), 3);
 
@@ -91,15 +98,7 @@ fn two_channel_state_isolation() {
         }
     }
 
-    // Each channel's replicas converge among themselves, and MVCC state
-    // never leaks across: the two channels' world states differ.
-    for ledgers in &net.channel_ledgers {
-        let hashes: Vec<_> = ledgers
-            .iter()
-            .map(|(_, c)| c.borrow().state().state_hash())
-            .collect();
-        assert!(hashes.iter().all(|h| *h == hashes[0]));
-    }
+    // MVCC state never leaks across: the two channels' world states differ.
     assert_ne!(
         net.channel_ledgers[0][0].1.borrow().state().state_hash(),
         net.channel_ledgers[1][0].1.borrow().state().state_hash(),
@@ -177,6 +176,7 @@ fn cross_channel_lineage_and_scatter_queries() {
         }
         other => panic!("expected keys, got {other:?}"),
     }
+    assert_eq!(net.audit([]), []);
 }
 
 /// A diamond DAG whose arms land on different shards: the hop-by-hop
@@ -313,6 +313,7 @@ fn cross_shard_diamond_lineage_and_graph_queries() {
         }
         other => panic!("expected graph slice, got {other:?}"),
     }
+    assert_eq!(net.audit([]), []);
 }
 
 /// Identical payloads on different shards are both found by the reverse
@@ -365,6 +366,7 @@ fn checksum_lookup_spans_channels() {
         }
         other => panic!("expected keys, got {other:?}"),
     }
+    assert_eq!(net.audit([]), []);
 }
 
 /// Killing one channel's entire Raft quorum stops that shard only: the
@@ -416,6 +418,7 @@ fn raft_outage_on_one_channel_leaves_other_channels_unaffected() {
     let outputs = drain_ok(&mut net, 0);
     assert_eq!(outputs.len(), 1, "channel 0 must recover after the heal");
     assert_eq!(net.channel_ledgers[0][0].1.borrow().height(), 1);
+    assert_eq!(net.audit([]), []);
 }
 
 /// Routing is a pure function of the key: a rebuilt network (fresh MSP,
@@ -550,6 +553,7 @@ fn an_unreachable_shard_fails_the_lineage_walk_a_deleted_parent_does_not() {
     assert!(outcomes(&mut net, vec![delete], 20)[0].is_ok());
     let after = outcomes(&mut net, vec![lineage_of(&child, 12)], 20);
     assert_eq!(lineage_keys(&after[0]), (vec![(0, child.as_str())], false));
+    assert_eq!(net.audit([]), []);
 }
 
 /// With a retry policy armed, every sharded query rides out a partition
@@ -611,6 +615,7 @@ fn sharded_queries_ride_out_a_healed_partition_like_get() {
     assert_eq!(metrics.counter("client.timeouts"), 5);
     assert_eq!(metrics.counter("client.retries"), 5);
     assert_eq!(metrics.counter("client.exhausted"), 0);
+    assert_eq!(net.audit([]), []);
 }
 
 /// A shard that stays away spends the sub-query's attempt budget, and the
@@ -625,4 +630,5 @@ fn a_shard_that_stays_away_exhausts_the_fan_in() {
     assert_eq!(metrics.counter("client.timeouts"), 2);
     assert_eq!(metrics.counter("client.retries"), 1);
     assert_eq!(metrics.counter("client.exhausted"), 1);
+    assert_eq!(net.audit([]), []);
 }
