@@ -22,7 +22,7 @@ cargo test --workspace -q
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=24504
+ceiling=24390
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"

@@ -7,14 +7,16 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hyperprov::{HyperProvChaincode, RecordInput, CHAINCODE_NAME};
+use hyperprov::{
+    HyperProvChaincode, HyperProvIndexer, RecordInput, CHAINCODE_NAME, MAX_GRAPH_NODES,
+};
 use hyperprov_fabric::{
     endorse, Chaincode, ChaincodeRegistry, ChaincodeStub, Endorsement, EndorsementPolicy, Envelope,
     EnvelopeView, MspBuilder, MspId, Proposal, SignedProposal,
 };
 use hyperprov_ledger::{
-    ChannelId, Decode, Digest, Encode, KvWrite, MerkleTree, Snapshot, StateDb, StateKey, TxId,
-    Version, DEFAULT_CHUNK_ENTRIES,
+    ChannelId, Decode, Digest, Encode, GraphIndexer, KvWrite, MerkleTree, ProvGraph, Snapshot,
+    StateDb, StateKey, TxId, Version, DEFAULT_CHUNK_ENTRIES,
 };
 
 fn bench_sha256(c: &mut Criterion) {
@@ -279,13 +281,14 @@ fn bench_commit_decode(c: &mut Criterion) {
 }
 
 fn bench_chaincode_lineage(c: &mut Criterion) {
-    // Pre-build a 32-deep lineage chain in a state DB, then measure the
-    // chaincode-side BFS.
+    // Pre-build a 32-deep lineage chain in a state DB and its graph index,
+    // then measure the chaincode's traversal plus its 32 record reads.
     let mut builder = MspBuilder::new(1);
     let client = builder.enroll("client0", &MspId::new("org1"));
     let cert = client.certificate().clone();
     let cc = HyperProvChaincode::new();
     let mut state = StateDb::new();
+    let mut graph = ProvGraph::new();
     for i in 0..32u32 {
         let parents = if i == 0 {
             vec![]
@@ -300,13 +303,21 @@ fn bench_chaincode_lineage(c: &mut Criterion) {
         let tx = TxId(Digest::of(&args[0]));
         for write in &rwset.writes {
             state.apply_tx(tx, Version::new(u64::from(i) + 1, 0), write);
+            if let Some(update) = HyperProvIndexer.index(&write.key, write.value.as_deref()) {
+                graph.apply(&update);
+            }
         }
     }
-    let args = vec![b"n31".to_vec(), b"64".to_vec()];
+    let args = [
+        "64".to_owned(),
+        MAX_GRAPH_NODES.to_string(),
+        "0:n31".to_owned(),
+    ];
+    let args: Vec<Vec<u8>> = args.map(String::into_bytes).into();
     c.bench_function("chaincode_lineage_depth32", |b| {
         b.iter(|| {
-            let mut stub = ChaincodeStub::new(CHAINCODE_NAME, "get_lineage", &args, &cert, &state);
-            cc.invoke(&mut stub).unwrap()
+            let stub = ChaincodeStub::new(CHAINCODE_NAME, "get_lineage", &args, &cert, &state);
+            cc.invoke(&mut stub.with_graph(&graph)).unwrap()
         });
     });
 }

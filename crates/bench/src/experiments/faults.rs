@@ -20,7 +20,7 @@ use hyperprov_sim::{
 use super::Platform;
 use crate::report::{push_slo_verdicts, slo_verdict_table, MetricsExporter};
 use crate::row;
-use crate::runner::{run_closed_loop, Artefact, Until};
+use crate::runner::{run_closed_loop, Artefact, RunResult, Until};
 use crate::table::{Fmt, Table};
 use crate::workload::{payload, store_cmd};
 
@@ -156,8 +156,7 @@ fn base_config(platform: Platform, scenario: FaultScenario, params: &Params) -> 
             Some(SimDuration::from_secs(2)),
             Some(SimDuration::from_secs(4)),
         )
-        .with_retry(RetryPolicy::new(6))
-        .with_slos(fault_slos());
+        .with_retry(RetryPolicy::new(6));
     match scenario {
         FaultScenario::LeaderKill => config.with_raft_orderers(3),
         _ => config,
@@ -219,7 +218,7 @@ fn run_scenario(
     verdicts: &mut Table,
     trace: &mut Option<String>,
 ) -> RunStats {
-    let config = base_config(platform, scenario, params);
+    let config = base_config(platform, scenario, params).with_slos(fault_slos());
     let mut net = HyperProvNetwork::build(&config);
     if scenario == FaultScenario::LeaderKill {
         // Let the cluster elect a leader before the workload starts, so
@@ -399,33 +398,29 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
     ]
 }
 
-/// A single short peer-crash run rendered as metrics JSON — the
-/// determinism property the test suite checks across repeated runs.
-pub fn fault_scenario_json(seed: u64) -> String {
-    let params = Params::new(true);
-    let config = NetworkConfig::desktop(params.clients)
-        .with_seed(seed)
-        .with_batch(BatchConfig {
-            timeout: SimDuration::from_millis(100),
-            ..BatchConfig::default()
-        })
-        .with_deadlines(
-            Some(SimDuration::from_secs(2)),
-            Some(SimDuration::from_secs(4)),
-        )
-        .with_retry(RetryPolicy::new(6));
+/// A single short desktop peer-crash run of the campaign's deployment and
+/// fault plan (quick timing, no SLOs) under `seed`: the network after it
+/// and what its clients were told.
+pub fn peer_crash_run(seed: u64) -> (HyperProvNetwork, RunResult) {
+    let (params, scenario) = (Params::new(true), FaultScenario::PeerCrash);
+    let config = base_config(Platform::Desktop, scenario, &params).with_seed(seed);
     let mut net = HyperProvNetwork::build(&config);
     let t0 = net.sim.now();
-    FaultPlan::new()
-        .crash_window(net.peers[0], t0 + params.fault_from, t0 + params.fault_to)
-        .install(&mut net.sim);
+    build_plan(&net, scenario, t0 + params.fault_from, t0 + params.fault_to).install(&mut net.sim);
     let mut rng = DetRng::new(seed).fork("faults");
-    run_closed_loop(
+    let run = run_closed_loop(
         &mut net,
         Until::Elapsed(params.duration),
         params.grace,
         |c, seq| store_cmd(format!("item-c{c}-{seq}"), payload(&mut rng, ITEM_BYTES)),
     );
+    (net, run)
+}
+
+/// [`peer_crash_run`] rendered as metrics JSON — the determinism property
+/// the test suite checks across repeated runs.
+pub fn fault_scenario_json(seed: u64) -> String {
+    let (net, _) = peer_crash_run(seed);
     let mut exporter = MetricsExporter::new("table_faults_prop");
     exporter.add_run(&format!("seed={seed}"), &net.sim);
     exporter.to_json()

@@ -1,16 +1,16 @@
-//! T-LINEAGE: one-shot DAG-index queries vs the hop-by-hop oracle walk.
+//! T-LINEAGE: lineage and ancestry queries over the DAG index.
 //!
-//! The materialized provenance graph answers ancestry/closure queries
-//! from a per-channel index maintained at commit time, and the sharded
-//! client resolves cross-shard traversals with one batched frontier
-//! exchange per shard per level instead of one RPC per hop. This
-//! campaign quantifies that: over [`crate::workload::deep_dag`] DAGs of
-//! swept depth × fan-out, on single- and 4-shard deployments (desktop
-//! and RPi), it reports the legacy `get_lineage` oracle walk's p50/p99
-//! against the `get_ancestry` index query's, the transitive-closure
-//! cost, and the index query's latency while concurrent writers keep
-//! committing into the same channels. Full runs also emit the
-//! machine-readable `BENCH_lineage.json` trajectory.
+//! The materialized provenance graph answers lineage, ancestry and
+//! closure queries from a per-channel index maintained at commit time,
+//! and the sharded client resolves cross-shard traversals in batched
+//! frontier rounds. This campaign measures them: over
+//! [`crate::workload::deep_dag`] DAGs of swept depth × fan-out, on
+//! single- and 4-shard deployments (desktop and RPi), it reports the
+//! `get_lineage` p50/p99 (the ancestry traversal plus one record read per
+//! entry) against the keys-only `get_ancestry` query's, the
+//! transitive-closure cost, and the ancestry query's latency while
+//! concurrent writers keep committing into the same channels. Full runs
+//! also emit the machine-readable `BENCH_lineage.json` trajectory.
 
 use hyperprov::{ClientCommand, HyperProvNetwork, NodeMsg, OpId, RecordInput};
 use hyperprov_fabric::BatchConfig;
@@ -28,8 +28,8 @@ use super::{op_ms, Platform};
 
 struct Cell {
     nodes: usize,
-    oracle_p50_ms: f64,
-    oracle_p99_ms: f64,
+    lineage_p50_ms: f64,
+    lineage_p99_ms: f64,
     graph_p50_ms: f64,
     graph_p99_ms: f64,
     closure_ms: f64,
@@ -46,8 +46,8 @@ fn percentile(samples: &mut [f64], p: f64) -> f64 {
 }
 
 /// Runs one (platform, shards, depth, fan-out) cell: commits the deep
-/// DAG, then measures the oracle walk, the index queries, and the index
-/// query under a concurrent `post` load from the other clients.
+/// DAG, then measures the lineage, the keys-only index queries, and the
+/// ancestry query under a concurrent `post` load from the other clients.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     platform: Platform,
@@ -91,9 +91,8 @@ fn run_cell(
     }
     let sink = deep_dag_sink().to_owned();
 
-    // The legacy oracle: hop-by-hop record fetches, one frontier key at
-    // a time on sharded layouts.
-    let mut oracle: Vec<f64> = (0..iters)
+    // The lineage: the ancestry traversal, with every entry's record.
+    let mut lineage: Vec<f64> = (0..iters)
         .map(|_| {
             op_ms(
                 &mut net,
@@ -103,11 +102,11 @@ fn run_cell(
                     op: OpId(0),
                 },
             )
-            .expect("oracle walk over a committed DAG")
+            .expect("lineage over a committed DAG")
         })
         .collect();
 
-    // The one-shot index query over the same DAG.
+    // The keys-only ancestry query over the same DAG.
     let mut graph: Vec<f64> = (0..iters)
         .map(|_| {
             op_ms(
@@ -194,8 +193,8 @@ fn run_cell(
     );
     Cell {
         nodes: dag.len(),
-        oracle_p50_ms: percentile(&mut oracle, 0.50),
-        oracle_p99_ms: percentile(&mut oracle, 0.99),
+        lineage_p50_ms: percentile(&mut lineage, 0.50),
+        lineage_p99_ms: percentile(&mut lineage, 0.99),
         graph_p50_ms: percentile(&mut graph, 0.50),
         graph_p99_ms: percentile(&mut graph, 0.99),
         closure_ms: percentile(&mut closure, 0.50),
@@ -223,18 +222,22 @@ pub fn lineage_sweep(quick: bool) -> Vec<Artefact> {
     };
 
     let mut table = Table::new(
-        "T-LINEAGE: DAG-index queries vs the hop-by-hop oracle walk",
+        "T-LINEAGE: lineage (records) vs ancestry (keys) over the DAG index",
         &[
             ("platform", "platform", Fmt::Plain),
             ("shards", "shards", Fmt::Plain),
             ("depth", "depth", Fmt::Plain),
             ("fan_out", "fanout", Fmt::Plain),
             ("nodes", "nodes", Fmt::Plain),
-            ("oracle_p50_ms", "oracle p50 (ms)", Fmt::Fixed(2, "")),
-            ("oracle_p99_ms", "oracle p99 (ms)", Fmt::Fixed(2, "")),
+            ("lineage_p50_ms", "lineage p50 (ms)", Fmt::Fixed(2, "")),
+            ("lineage_p99_ms", "lineage p99 (ms)", Fmt::Fixed(2, "")),
             ("graph_p50_ms", "graph p50 (ms)", Fmt::Fixed(2, "")),
             ("graph_p99_ms", "graph p99 (ms)", Fmt::Fixed(2, "")),
-            ("speedup_p50", "speedup p50", Fmt::Fixed(2, "x")),
+            (
+                "lineage_over_graph_p50",
+                "lineage/graph p50",
+                Fmt::Fixed(2, "x"),
+            ),
             ("closure_p50_ms", "closure p50 (ms)", Fmt::Fixed(2, "")),
             (
                 "loaded_graph_p50_ms",
@@ -258,8 +261,8 @@ pub fn lineage_sweep(quick: bool) -> Vec<Artefact> {
                     100,
                     &mut exporter,
                 );
-                let speedup = if cell.graph_p50_ms > 0.0 {
-                    cell.oracle_p50_ms / cell.graph_p50_ms
+                let ratio = if cell.graph_p50_ms > 0.0 {
+                    cell.lineage_p50_ms / cell.graph_p50_ms
                 } else {
                     0.0
                 };
@@ -269,11 +272,11 @@ pub fn lineage_sweep(quick: bool) -> Vec<Artefact> {
                     depth,
                     fan_out,
                     cell.nodes,
-                    cell.oracle_p50_ms,
-                    cell.oracle_p99_ms,
+                    cell.lineage_p50_ms,
+                    cell.lineage_p99_ms,
                     cell.graph_p50_ms,
                     cell.graph_p99_ms,
-                    speedup,
+                    ratio,
                     cell.closure_ms,
                     cell.loaded_graph_p50_ms,
                     cell.dangling,
@@ -284,7 +287,7 @@ pub fn lineage_sweep(quick: bool) -> Vec<Artefact> {
     let trajectory = Artefact::trajectory(
         "BENCH_lineage.json",
         "T-LINEAGE",
-        "lineage-query latency: DAG-index vs hop-by-hop oracle",
+        "lineage-query latency: lineage (records) vs ancestry (keys) over the DAG index",
         &[&table],
     );
     vec![

@@ -22,7 +22,9 @@ mod sharding;
 
 pub use baselines::baseline_comparison;
 pub use contention::contention_sweep;
-pub use faults::{fault_campaign, fault_scenario_json, FaultScenario, FAULT_SCENARIOS};
+pub use faults::{
+    fault_campaign, fault_scenario_json, peer_crash_run, FaultScenario, FAULT_SCENARIOS,
+};
 pub use fig12::{mean, size_sweep, std_dev, Platform};
 pub use fig3::energy_profile;
 pub use lineage::lineage_sweep;

@@ -7,16 +7,13 @@
 //! checksum to the items carrying it (the paper's built-in queries for
 //! lightweight provenance retrieval).
 
-use std::collections::{HashSet, VecDeque};
-
 use hyperprov_fabric::{Chaincode, ChaincodeError, ChaincodeStub};
 use hyperprov_ledger::{
     Decode, Digest, Direction, Encode, GraphIndexer, GraphUpdate, StateKey, TraversalLimits,
 };
 
 use crate::record::{
-    encode_history, encode_lineage, GraphSlice, HistoryRecord, LineageEntry, ProvenanceRecord,
-    RecordInput,
+    encode_history, GraphSlice, HistoryRecord, LineageSlice, ProvenanceRecord, RecordInput,
 };
 
 /// The chaincode (namespace) name.
@@ -214,37 +211,8 @@ impl HyperProvChaincode {
         Ok(keys.to_bytes())
     }
 
-    fn get_lineage(&self, stub: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError> {
-        let key = stub.arg_str(0)?.to_owned();
-        let max_depth: u32 = stub
-            .arg_str(1)?
-            .parse()
-            .map_err(|_| ChaincodeError::BadArgs("depth must be an integer".to_owned()))?;
-        let max_depth = max_depth.min(MAX_LINEAGE_DEPTH);
-
-        let root = Self::load(stub, &key)?.ok_or(ChaincodeError::NotFound(key.clone()))?;
-        let mut seen: HashSet<String> = HashSet::new();
-        seen.insert(key);
-        let mut queue: VecDeque<(u32, ProvenanceRecord)> = VecDeque::new();
-        queue.push_back((0, root));
-        let mut out = Vec::new();
-        while let Some((depth, record)) = queue.pop_front() {
-            if depth < max_depth {
-                for parent in &record.parents {
-                    if seen.insert(parent.clone()) {
-                        if let Some(prec) = Self::load(stub, parent)? {
-                            queue.push_back((depth + 1, prec));
-                        }
-                    }
-                }
-            }
-            out.push(LineageEntry { depth, record });
-        }
-        Ok(encode_lineage(&out))
-    }
-
-    /// Shared implementation of the one-shot graph queries
-    /// (`get_ancestry`, `get_descendants`, `get_closure`, `get_subgraph`).
+    /// Shared implementation of the graph queries (`get_lineage`,
+    /// `get_ancestry`, `get_descendants`, `get_closure`, `get_subgraph`).
     ///
     /// Arguments: `args[0]` = max depth, `args[1]` = max nodes, `args[2..]`
     /// = depth-tagged roots `"<base_depth>:<key>"`. The base depth lets a
@@ -252,12 +220,13 @@ impl HyperProvChaincode {
     /// previous shard reported at depth *d* re-enter here as roots at *d*,
     /// so the global depth budget stays consistent across shards. Answers
     /// come from the peer's materialized DAG index — no state reads, a few
-    /// bytes per node — encoded as a [`GraphSlice`].
+    /// bytes per node — encoded as a [`GraphSlice`]; `get_lineage` then
+    /// reads each entry's record from state, one read per record, and
+    /// answers a [`LineageSlice`] (a root at depth 0 must be live).
     fn graph_query(
         &self,
         stub: &mut ChaincodeStub<'_>,
         direction: Direction,
-        collect_edges: bool,
     ) -> Result<Vec<u8>, ChaincodeError> {
         let graph = stub.graph().ok_or_else(|| {
             ChaincodeError::Rejected("peer maintains no provenance graph index".to_owned())
@@ -290,7 +259,21 @@ impl HyperProvChaincode {
                 "at least one root required".to_owned(),
             ));
         }
+        let collect_edges = stub.function() == "get_subgraph";
         let traversal = graph.traverse(&roots, direction, limits, collect_edges);
+        if stub.function() == "get_lineage" {
+            if let Some((_, root)) = traversal.boundary.iter().find(|(depth, _)| *depth == 0) {
+                return Err(ChaincodeError::NotFound(root.clone()));
+            }
+            let mut records = Vec::with_capacity(traversal.entries.len());
+            for (_, key) in &traversal.entries {
+                let record = Self::load(stub, key)?;
+                let drift = || ChaincodeError::Rejected(format!("{key:?} indexed, not in state"));
+                records.push(record.ok_or_else(drift)?);
+            }
+            let slice = GraphSlice::from(traversal);
+            return Ok(LineageSlice { slice, records }.to_bytes());
+        }
         let visited = (traversal.entries.len() + traversal.boundary.len()) as u64;
         let bytes = GraphSlice::from(traversal).to_bytes();
         stub.note_graph_visits(visited, bytes.len() as u64);
@@ -326,11 +309,9 @@ impl Chaincode for HyperProvChaincode {
             "get" => self.get(stub),
             "get_history" => self.get_history(stub),
             "get_keys_by_checksum" => self.get_keys_by_checksum(stub),
-            "get_lineage" => self.get_lineage(stub),
-            "get_ancestry" => self.graph_query(stub, Direction::Ancestors, false),
-            "get_descendants" => self.graph_query(stub, Direction::Descendants, false),
-            "get_closure" => self.graph_query(stub, Direction::Both, false),
-            "get_subgraph" => self.graph_query(stub, Direction::Both, true),
+            "get_lineage" | "get_ancestry" => self.graph_query(stub, Direction::Ancestors),
+            "get_descendants" => self.graph_query(stub, Direction::Descendants),
+            "get_closure" | "get_subgraph" => self.graph_query(stub, Direction::Both),
             "list" => self.list(stub),
             "delete" => self.delete(stub),
             other => Err(ChaincodeError::UnknownFunction(other.to_owned())),
@@ -343,6 +324,7 @@ mod tests {
     use super::*;
     use hyperprov_fabric::{Certificate, MspBuilder, MspId};
     use hyperprov_ledger::{KvWrite, ProvGraph, StateDb, StateKey, TxId, Version};
+    use std::collections::HashSet;
 
     /// A tiny single-peer harness that executes invocations and applies
     /// their write sets directly (no consensus), for chaincode-level tests.
@@ -414,6 +396,31 @@ mod tests {
             Ok(GraphSlice::from_bytes(&bytes).unwrap())
         }
 
+        /// `root`'s lineage to `depth`, and the state reads it was charged.
+        fn lineage(
+            &mut self,
+            root: &str,
+            depth: u32,
+        ) -> Result<(LineageSlice, u64), ChaincodeError> {
+            let args = [
+                depth.to_string(),
+                MAX_GRAPH_NODES.to_string(),
+                format!("0:{root}"),
+            ];
+            let args: Vec<Vec<u8>> = args.map(String::into_bytes).into();
+            let mut stub = ChaincodeStub::new(
+                CHAINCODE_NAME,
+                "get_lineage",
+                &args,
+                &self.cert,
+                &self.state,
+            )
+            .with_graph(&self.graph);
+            let bytes = self.cc.invoke(&mut stub)?;
+            let reads = stub.into_results().2.reads;
+            Ok((LineageSlice::from_bytes(&bytes).unwrap(), reads))
+        }
+
         fn post(
             &mut self,
             key: &str,
@@ -472,15 +479,13 @@ mod tests {
         h.post("b", &input(b"b")).unwrap();
         h.post("c", &input(b"c").with_parents(vec!["a".into(), "b".into()]))
             .unwrap();
-        let bytes = h
-            .invoke("get_lineage", vec![b"c".to_vec(), b"5".to_vec()])
-            .unwrap();
-        let lineage = crate::record::decode_lineage(&bytes).unwrap();
-        assert_eq!(lineage.len(), 3);
-        assert_eq!(lineage[0].depth, 0);
-        assert_eq!(lineage[0].record.key, "c");
-        let depths: Vec<u32> = lineage.iter().map(|e| e.depth).collect();
+        let (lineage, reads) = h.lineage("c", 5).unwrap();
+        let keys: Vec<&str> = lineage.records.iter().map(|r| r.key.as_str()).collect();
+        assert_eq!(keys, ["c", "a", "b"]);
+        let depths: Vec<u32> = lineage.slice.entries.iter().map(|e| e.0).collect();
         assert_eq!(depths, vec![0, 1, 1]);
+        // One state read per record, nothing per graph visit.
+        assert_eq!(reads, 3);
     }
 
     #[test]
@@ -492,17 +497,25 @@ mod tests {
             .unwrap();
         h.post("c", &input(b"c").with_parents(vec!["b".into(), "a".into()]))
             .unwrap();
-        let bytes = h
-            .invoke("get_lineage", vec![b"c".to_vec(), b"10".to_vec()])
-            .unwrap();
-        let lineage = crate::record::decode_lineage(&bytes).unwrap();
-        // a appears once even though reachable along two paths.
-        assert_eq!(lineage.len(), 3);
+        // a appears once even though reachable along two paths, and the
+        // walk reaching it at depth 1 is not cut short by the clamp.
+        let (lineage, _) = h.lineage("c", 10).unwrap();
+        assert_eq!(lineage.records.len(), 3);
+        assert!(!lineage.slice.truncated);
+        assert!(!h.lineage("c", 1).unwrap().0.slice.truncated);
         // Depth 0 only.
-        let bytes = h
-            .invoke("get_lineage", vec![b"c".to_vec(), b"0".to_vec()])
-            .unwrap();
-        assert_eq!(crate::record::decode_lineage(&bytes).unwrap().len(), 1);
+        let (lineage, _) = h.lineage("c", 0).unwrap();
+        assert_eq!(lineage.records.len(), 1);
+        assert!(lineage.slice.truncated);
+        // A missing root is not found; a deleted parent is a boundary key.
+        assert!(matches!(
+            h.lineage("ghost", 3),
+            Err(ChaincodeError::NotFound(_))
+        ));
+        h.invoke("delete", vec![b"a".to_vec()]).unwrap();
+        let (lineage, reads) = h.lineage("c", 10).unwrap();
+        assert_eq!((lineage.records.len(), reads), (2, 2));
+        assert_eq!(lineage.slice.boundary, [(1, "a".to_owned())]);
     }
 
     #[test]
@@ -575,7 +588,10 @@ mod tests {
             Err(ChaincodeError::BadArgs(_))
         ));
         assert!(matches!(
-            h.invoke("get_lineage", vec![b"k".to_vec(), b"NaN".to_vec()]),
+            h.invoke(
+                "get_lineage",
+                vec![b"NaN".to_vec(), b"9".to_vec(), b"0:k".to_vec()]
+            ),
             Err(ChaincodeError::BadArgs(_))
         ));
         assert!(matches!(
@@ -598,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_ancestry_matches_lineage_key_set() {
+    fn graph_ancestry_is_the_lineage_without_records() {
         let mut h = diamond();
         let slice = h.graph_query("get_ancestry", 10, 100, &["d"]).unwrap();
         let mut keys: Vec<&str> = slice.entries.iter().map(|(_, k)| k.as_str()).collect();
@@ -606,17 +622,12 @@ mod tests {
         assert_eq!(keys, vec!["a", "b", "c", "d"]);
         assert!(!slice.truncated);
         assert!(slice.boundary.is_empty());
-        // The legacy hop-by-hop walk agrees.
-        let bytes = h
-            .invoke("get_lineage", vec![b"d".to_vec(), b"10".to_vec()])
-            .unwrap();
-        let mut legacy: Vec<String> = crate::record::decode_lineage(&bytes)
-            .unwrap()
-            .into_iter()
-            .map(|e| e.record.key)
-            .collect();
-        legacy.sort_unstable();
-        assert_eq!(keys, legacy);
+        // The lineage is the same traversal, carrying each entry's record.
+        let (lineage, _) = h.lineage("d", 10).unwrap();
+        assert_eq!(lineage.slice, slice);
+        let records: Vec<&str> = lineage.records.iter().map(|r| r.key.as_str()).collect();
+        let entries: Vec<&str> = slice.entries.iter().map(|(_, k)| k.as_str()).collect();
+        assert_eq!(records, entries);
     }
 
     #[test]

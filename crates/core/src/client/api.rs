@@ -295,11 +295,11 @@ pub enum OpOutput {
     Keys(Vec<String>),
     /// A `get_lineage` finished.
     Lineage {
-        /// The visited records, breadth-first.
+        /// The visited records at their least depths: breadth-first on
+        /// one shard, sorted by `(depth, key)` across several.
         entries: Vec<LineageEntry>,
-        /// True when the depth clamp cut the walk short: ancestors beyond
-        /// the accepted depth exist but are not in `entries`. Previously
-        /// a clamped walk silently returned a partial chain.
+        /// True when the depth clamp or the node cap cut the traversal
+        /// short: ancestors beyond it exist but are not in `entries`.
         truncated: bool,
     },
     /// A graph query (`get_ancestry` / `get_descendants` / `get_closure`

@@ -5,9 +5,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use super::api::{HyperProvError, OpOutput};
-use super::plan::{Plan, Reply, Request, Step};
+use super::plan::{lineage, Plan, Reply, Request, Step};
 use crate::chaincode::{MAX_GRAPH_NODES, MAX_LINEAGE_DEPTH};
-use crate::record::GraphSlice;
+use crate::record::{GraphSlice, LineageSlice, ProvenanceRecord};
 use crate::router::HashRouter;
 
 /// A traversal frontier: `(depth, key)` pairs, keys shared by refcount.
@@ -44,26 +44,26 @@ impl Node {
     }
 }
 
-/// A cross-shard graph traversal (`get_ancestry`, `get_descendants`,
-/// `get_closure`, `get_subgraph`): one batched frontier exchange per
-/// shard per round, instead of the lineage walk's one fetch per hop. It
-/// returns what one index over the union of the shards returns —
-/// entries, boundary and edges at their minimum depths, canonically
-/// sorted, and the same `truncated` — unless the node budget cuts it:
-/// then `truncated` is set and `entries` holds `budget` reachable nodes,
-/// not necessarily the nearest.
+/// A cross-shard graph traversal (`get_lineage`, `get_ancestry`,
+/// `get_descendants`, `get_closure`, `get_subgraph`): one batched
+/// frontier exchange per shard per round. It returns what one index over
+/// the union of the shards returns — entries, boundary and edges at their
+/// minimum depths, canonically sorted, and the same `truncated` — unless
+/// the node budget cuts it: then `truncated` is set and `entries` holds
+/// `budget` reachable nodes, not necessarily the nearest. A lineage keeps
+/// each entry's record from its owner's answer.
 ///
 /// Parent edges live on the shard that owns the child record, so an
-/// ancestry round routes each frontier key to its owner, which expands as
-/// deep as its local graph reaches; keys it does not hold come back as
-/// boundary for the next round, and a key that turns out nearer than the
-/// depth it was expanded from goes out again. Child edges live on
-/// whichever shard committed the child, so the other three queries send
-/// the whole frontier to every shard, one level per round.
+/// ancestry or lineage round routes each frontier key to its owner, which
+/// expands as deep as its local graph reaches; keys it does not hold come
+/// back as boundary for the next round, and a key that turns out nearer
+/// than the depth it was expanded from goes out again. Child edges live
+/// on whichever shard committed the child, so the other three queries
+/// send the whole frontier to every shard, one level per round.
 ///
 /// A shard cannot tell which neighbours of the nodes it sees at the depth
 /// clamp have been visited through other shards, so its `truncated` flag
-/// is only a suspicion; when there is one, a last round hands the shards
+/// is only a suspicion; when there is one, a last round hands every shard
 /// every visited key as a root, so each knows, and that round's flags
 /// decide.
 #[derive(Debug)]
@@ -89,6 +89,8 @@ pub struct GraphRounds {
     remaining: usize,
     /// Answers collected this round, tagged by shard.
     round: Vec<(usize, GraphSlice)>,
+    /// The record of every live key answered so far (`get_lineage` only).
+    records: Option<HashMap<String, ProvenanceRecord>>,
     /// First per-shard failure; reported when the round fans in.
     error: Option<HyperProvError>,
 }
@@ -116,6 +118,7 @@ impl GraphRounds {
             roots: Vec::new(),
             remaining: 0,
             round: Vec::new(),
+            records: (function == "get_lineage").then(HashMap::new),
             error: None,
         };
         let Step::Send(requests) = rounds.dispatch(shards) else {
@@ -124,16 +127,24 @@ impl GraphRounds {
         (Plan::Graph(rounds), requests)
     }
 
-    /// Child edges can be on any shard: every query but ancestry sends
-    /// its frontier to all of them, one level per round.
+    /// Child edges can be on any shard: every query but ancestry and
+    /// lineage sends its frontier to all of them, one level per round.
     fn scatter(&self) -> bool {
-        self.function != "get_ancestry"
+        !matches!(self.function, "get_ancestry" | "get_lineage")
     }
 
     /// One shard of the round answered. When the round has fanned in, its
     /// answers are merged and the next frontier goes out.
     pub(super) fn on_reply(&mut self, shard: usize, reply: Reply, shards: usize) -> Step {
-        match reply.decode::<GraphSlice>() {
+        let answer = match &mut self.records {
+            Some(records) if !self.confirming => reply.decode::<LineageSlice>().map(|answer| {
+                let keys = answer.slice.entries.iter().map(|(_, key)| key.clone());
+                records.extend(keys.zip(answer.records));
+                answer.slice
+            }),
+            _ => reply.decode::<GraphSlice>(),
+        };
+        match answer {
             Ok(slice) => self.round.push((shard, slice)),
             Err(error) => {
                 self.error.get_or_insert(error);
@@ -168,8 +179,9 @@ impl GraphRounds {
                 }
             }
             // An ancestry answer's flag is raised by a node at the clamp
-            // with parents, wherever they are; the other queries' nodes at
-            // the clamp may have children on shards that never saw them.
+            // with a parent its shard has not seen reached; the other
+            // queries' nodes at the clamp may have children on shards that
+            // never saw them.
             let suspect = if scatter {
                 self.nodes.values().any(|node| node.depth >= clamp)
             } else {
@@ -182,7 +194,16 @@ impl GraphRounds {
             }
         }
         if roots.is_empty() {
-            return Step::Done(Ok(OpOutput::Graph(self.finish())));
+            let slice = self.finish();
+            return Step::Done(match self.records.take() {
+                None => Ok(OpOutput::Graph(slice)),
+                Some(mut found) => {
+                    // Every live key came from an answer with its record.
+                    let record = |(_, key): &(u32, String)| found.remove(key).expect("answered");
+                    let records = slice.entries.iter().map(record).collect();
+                    Ok(lineage(LineageSlice { slice, records }))
+                }
+            });
         }
         // Sorted, because the map's iteration order is not deterministic.
         roots.sort();
@@ -194,8 +215,14 @@ impl GraphRounds {
         } else {
             clamp
         };
+        // The last round asks for the flags only: a lineage's, no records.
+        let function = if self.confirming && !scatter {
+            "get_ancestry"
+        } else {
+            self.function
+        };
         let mut per_shard: BTreeMap<usize, Frontier> = BTreeMap::new();
-        if scatter {
+        if scatter || self.confirming {
             per_shard.extend((0..shards).map(|shard| (shard, roots.clone())));
         } else {
             for (d, k) in &roots {
@@ -213,7 +240,7 @@ impl GraphRounds {
                     MAX_GRAPH_NODES.to_string().into_bytes(),
                 ];
                 args.extend(roots.iter().map(|(d, k)| format!("{d}:{k}").into_bytes()));
-                Request::query(shard, self.function, args)
+                Request::query(shard, function, args)
             })
             .collect();
         self.roots = roots;

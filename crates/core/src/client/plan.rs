@@ -15,16 +15,15 @@
 //! fails the operation; only a chaincode rejection can mean "this key is
 //! not on its shard".
 
-use std::collections::{HashSet, VecDeque};
-use std::rc::Rc;
-
 use hyperprov_fabric::GatewayReply;
 use hyperprov_ledger::{CodecError, Decode, Digest, Encode, TxId, ValidationCode};
 
 use super::api::{ClientCommand, HyperProvError, OpOutput};
 pub use super::graph::GraphRounds;
 use crate::chaincode::{MAX_GRAPH_NODES, MAX_LINEAGE_DEPTH};
-use crate::record::{decode_history, decode_lineage, LineageEntry, ProvenanceRecord, RecordInput};
+use crate::record::{
+    decode_history, GraphSlice, LineageEntry, LineageSlice, ProvenanceRecord, RecordInput,
+};
 use crate::router::HashRouter;
 
 /// A chaincode call on one shard's channel.
@@ -158,29 +157,13 @@ pub enum Step {
     Done(Result<OpOutput, HyperProvError>),
 }
 
-/// How a single query's answer decodes.
-#[derive(Debug, Clone, Copy)]
-pub enum QueryKind {
-    /// A provenance record.
-    Get,
-    /// A version history.
-    History,
-    /// The chaincode's own lineage walk.
-    Lineage {
-        /// The accepted (clamped) depth, for truncation detection.
-        max_depth: u32,
-    },
-    /// A peer's graph-index answer, final as it stands.
-    Graph,
-}
-
 /// A running client operation.
 #[derive(Debug)]
 pub enum Plan {
     /// Waiting for a transaction to commit.
     Commit,
-    /// Waiting for one query's answer.
-    Query(QueryKind),
+    /// Waiting for one query's answer, which this decodes.
+    Query(fn(&[u8]) -> Result<OpOutput, CodecError>),
     /// Waiting for the storage put; the metadata post goes out on the ack.
     StoreThenPost(Option<Request>),
     /// Fetching the on-chain record, then the payload it locates.
@@ -192,8 +175,6 @@ pub enum Plan {
     },
     /// One key-list query per shard, merged.
     FanIn(FanIn),
-    /// A client-side lineage walk across shards.
-    Lineage(LineageWalk),
     /// Batched frontier rounds over the shards' graph indexes.
     Graph(GraphRounds),
 }
@@ -248,9 +229,13 @@ impl Plan {
                 let request = Request::invoke(owner(&key), "delete", vec![key.into_bytes()]);
                 (Plan::Commit, vec![request])
             }
-            ClientCommand::Get { key, .. } => keyed(Plan::Query(QueryKind::Get), "get", key),
+            ClientCommand::Get { key, .. } => {
+                let plan = Plan::Query(|b| ProvenanceRecord::from_bytes(b).map(OpOutput::Record));
+                keyed(plan, "get", key)
+            }
             ClientCommand::GetHistory { key, .. } => {
-                keyed(Plan::Query(QueryKind::History), "get_history", key)
+                let plan = Plan::Query(|b| decode_history(b).map(OpOutput::History));
+                keyed(plan, "get_history", key)
             }
             ClientCommand::GetData { key, .. } => {
                 keyed(Plan::record_then_payload(false), "get", key)
@@ -265,21 +250,7 @@ impl Plan {
             ),
             ClientCommand::List { .. } => FanIn::start(shards, "list", vec![]),
             ClientCommand::GetLineage { key, depth, .. } => {
-                // On one channel `get_lineage` is the chaincode's own
-                // operator — the paper's, and the oracle the graph index
-                // is checked against — so it stays one call; across
-                // shards no peer can follow a parent link, so the client
-                // walks.
-                if shards == 1 {
-                    let args = vec![key.into_bytes(), depth.to_string().into_bytes()];
-                    let max_depth = depth.min(MAX_LINEAGE_DEPTH);
-                    (
-                        Plan::Query(QueryKind::Lineage { max_depth }),
-                        vec![Request::query(0, "get_lineage", args)],
-                    )
-                } else {
-                    LineageWalk::start(key, depth, shards)
-                }
+                Plan::graph("get_lineage", key, depth, shards)
             }
             ClientCommand::GetAncestry { key, depth, .. } => {
                 Plan::graph("get_ancestry", key, depth, shards)
@@ -311,7 +282,8 @@ impl Plan {
     ) -> (Plan, Vec<Request>) {
         // A single shard's index holds the whole DAG: its answer is final
         // and is passed on in the peer's BFS order. The rounds below merge
-        // several shards' answers, which have no common order, and sort.
+        // several shards' answers, which have no common order, and sort by
+        // `(depth, key)`.
         if shards == 1 {
             let args = vec![
                 depth.min(MAX_LINEAGE_DEPTH).to_string().into_bytes(),
@@ -319,7 +291,11 @@ impl Plan {
                 format!("0:{key}").into_bytes(),
             ];
             let request = Request::query(0, function, args);
-            return (Plan::Query(QueryKind::Graph), vec![request]);
+            let plan = match function {
+                "get_lineage" => Plan::Query(|b| LineageSlice::from_bytes(b).map(lineage)),
+                _ => Plan::Query(|b| GraphSlice::from_bytes(b).map(OpOutput::Graph)),
+            };
+            return (plan, vec![request]);
         }
         GraphRounds::start(function, key, depth, MAX_GRAPH_NODES, shards)
     }
@@ -340,7 +316,11 @@ impl Plan {
                 Reply::Committed { code, .. } => Err(HyperProvError::Invalidated(code)),
                 other => Err(other.into_error()),
             }),
-            Plan::Query(kind) => Step::Done(decode_query(*kind, reply)),
+            Plan::Query(decode) => Step::Done(
+                reply
+                    .into_bytes()
+                    .and_then(|b| decode(&b).map_err(malformed)),
+            ),
             Plan::StoreThenPost(post) => match (reply, post.take()) {
                 // Payload stored: now post the metadata on-chain.
                 (Reply::Stored, Some(post)) => {
@@ -371,7 +351,6 @@ impl Plan {
                 Some(record) => Step::Done(verify_payload(*record, *check_only, reply)),
             },
             Plan::FanIn(fan_in) => fan_in.on_reply(reply),
-            Plan::Lineage(walk) => walk.on_reply(reply, shards),
             Plan::Graph(rounds) => rounds.on_reply(shard, reply, shards),
         }
     }
@@ -413,31 +392,15 @@ fn verify_payload(
     }
 }
 
-fn decode_query(kind: QueryKind, reply: Reply) -> Result<OpOutput, HyperProvError> {
-    Ok(match kind {
-        QueryKind::Get => OpOutput::Record(reply.decode()?),
-        QueryKind::Graph => OpOutput::Graph(reply.decode()?),
-        QueryKind::History => {
-            OpOutput::History(decode_history(&reply.into_bytes()?).map_err(malformed)?)
-        }
-        QueryKind::Lineage { max_depth } => {
-            let entries = decode_lineage(&reply.into_bytes()?).map_err(malformed)?;
-            let truncated = lineage_truncated(&entries, max_depth);
-            OpOutput::Lineage { entries, truncated }
-        }
-    })
-}
-
-/// Truncation detection for the single-shard lineage path, where the wire
-/// format carries no explicit marker: an entry sitting at the depth clamp
-/// whose parent never appears in the returned set means the walk was cut
-/// short. (A parent deleted from state reads the same way — the chaincode
-/// BFS cannot distinguish the two without extra reads.)
-fn lineage_truncated(entries: &[LineageEntry], max_depth: u32) -> bool {
-    let keys: HashSet<&str> = entries.iter().map(|e| e.record.key.as_str()).collect();
-    entries.iter().any(|e| {
-        e.depth == max_depth && e.record.parents.iter().any(|p| !keys.contains(p.as_str()))
-    })
+/// A lineage answer: its entries, each with its record.
+pub(super) fn lineage(answer: LineageSlice) -> OpOutput {
+    let entries = answer.slice.entries.into_iter().zip(answer.records);
+    let entries = entries.map(|((depth, _), record)| LineageEntry { depth, record });
+    let truncated = answer.slice.truncated;
+    OpOutput::Lineage {
+        entries: entries.collect(),
+        truncated,
+    }
 }
 
 /// One key-list query (`list`, `get_keys_by_checksum`) per shard; done
@@ -486,89 +449,4 @@ impl FanIn {
             }
         })
     }
-}
-
-/// A client-side breadth-first lineage walk across shards: parent links
-/// may cross shards, so each record is fetched from the shard that owns
-/// its key, one `get` at a time in BFS order — the order, and the entries,
-/// of the chaincode's `get_lineage` over the union of the shards.
-#[derive(Debug)]
-pub struct LineageWalk {
-    max_depth: u32,
-    /// Keys already visited (or enqueued) — lineage graphs can be DAGs.
-    /// `Rc<str>` so the visited set and the fetch queue share one
-    /// allocation per key.
-    seen: HashSet<Rc<str>>,
-    /// Keys awaiting a fetch, with their depth; the front one is in
-    /// flight.
-    queue: VecDeque<(u32, Rc<str>)>,
-    entries: Vec<LineageEntry>,
-    /// Set when the depth clamp stopped the walk with parents left
-    /// unvisited, so callers see an explicit truncation marker instead of
-    /// a silently partial chain.
-    truncated: bool,
-}
-
-impl LineageWalk {
-    /// A walk from `key` up to `depth` (clamped) levels, with its first
-    /// fetch.
-    pub fn start(key: String, depth: u32, shards: usize) -> (Plan, Vec<Request>) {
-        let key: Rc<str> = Rc::from(key);
-        let walk = LineageWalk {
-            max_depth: depth.min(MAX_LINEAGE_DEPTH),
-            seen: HashSet::from([key.clone()]),
-            queue: VecDeque::from([(0, key.clone())]),
-            entries: Vec::new(),
-            truncated: false,
-        };
-        (Plan::Lineage(walk), vec![fetch_record(&key, shards)])
-    }
-
-    /// The front key's fetch answered: append the record (if found),
-    /// enqueue unseen parents, and fetch the next key or finish.
-    fn on_reply(&mut self, reply: Reply, shards: usize) -> Step {
-        let Some((depth, _)) = self.queue.pop_front() else {
-            return Step::Done(Err(reply.into_error()));
-        };
-        match reply.decode::<ProvenanceRecord>() {
-            Ok(record) => {
-                if depth < self.max_depth {
-                    for parent in &record.parents {
-                        if !self.seen.contains(parent.as_str()) {
-                            let parent: Rc<str> = Rc::from(parent.as_str());
-                            self.seen.insert(parent.clone());
-                            self.queue.push_back((depth + 1, parent));
-                        }
-                    }
-                } else if record
-                    .parents
-                    .iter()
-                    .any(|p| !self.seen.contains(p.as_str()))
-                {
-                    self.truncated = true;
-                }
-                self.entries.push(LineageEntry { depth, record });
-            }
-            // A parent its shard's chaincode does not know is skipped,
-            // exactly as the chaincode's BFS skips parents absent from
-            // state. A missing root (the one key at depth 0), and any
-            // other failure — a shard that could not be reached is not a
-            // shard without the key — fails the walk.
-            Err(HyperProvError::Rejected(_)) if depth > 0 => {}
-            Err(error) => return Step::Done(Err(error)),
-        }
-        match self.queue.front() {
-            Some((_, next)) => Step::Send(vec![fetch_record(next, shards)]),
-            None => Step::Done(Ok(OpOutput::Lineage {
-                entries: std::mem::take(&mut self.entries),
-                truncated: self.truncated,
-            })),
-        }
-    }
-}
-
-/// The `get` of `key` on its owning shard.
-fn fetch_record(key: &str, shards: usize) -> Request {
-    let shard = HashRouter.route(key, shards);
-    Request::query(shard, "get", vec![key.as_bytes().to_vec()])
 }

@@ -263,9 +263,9 @@ impl HyperProv {
         }
     }
 
-    /// Ancestor lineage of `key`, breadth-first to `depth` (full records,
-    /// hop-by-hop oracle walk). A traversal cut short by the depth clamp
-    /// is reported via [`Self::get_lineage_truncated`].
+    /// Ancestor lineage of `key` to `depth`: the ancestry traversal of the
+    /// DAG index, with full records. A traversal cut short by the depth
+    /// clamp or the node cap is reported via [`Self::get_lineage_truncated`].
     ///
     /// # Errors
     ///
@@ -278,9 +278,9 @@ impl HyperProv {
         Ok(self.get_lineage_truncated(key, depth)?.0)
     }
 
-    /// Like [`Self::get_lineage`] but also reports whether the depth
-    /// clamp cut the walk short (ancestors beyond the limit exist but are
-    /// not in the returned chain).
+    /// Like [`Self::get_lineage`] but also reports whether a budget cut
+    /// the traversal short (ancestors beyond it exist but are not in the
+    /// returned chain).
     ///
     /// # Errors
     ///

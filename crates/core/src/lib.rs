@@ -58,8 +58,8 @@ pub use hyperprov_fabric::{CommitPipeline, SnapshotPolicy};
 pub use net::NodeMsg;
 pub use opm::{OpmEdge, OpmEdgeKind, OpmGraph, OpmNode, OpmNodeKind};
 pub use record::{
-    decode_history, decode_lineage, encode_history, encode_lineage, GraphSlice, HistoryRecord,
-    LineageEntry, ProvenanceRecord, RecordInput,
+    decode_history, encode_history, GraphSlice, HistoryRecord, LineageEntry, ProvenanceRecord,
+    RecordInput,
 };
 pub use router::HashRouter;
 pub use verify::{audit, current_records, AuditFinding, AuditReport};

@@ -245,48 +245,14 @@ pub struct LineageEntry {
     pub record: ProvenanceRecord,
 }
 
-impl Encode for LineageEntry {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.depth);
-        self.record.encode(enc);
-    }
-}
-impl Decode for LineageEntry {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(LineageEntry {
-            depth: dec.get_u32()?,
-            record: ProvenanceRecord::decode(dec)?,
-        })
-    }
-}
-
-/// Encodes a list of lineage entries (chaincode response payload).
-pub fn encode_lineage(entries: &[LineageEntry]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    encode_seq(entries, &mut enc);
-    enc.into_bytes()
-}
-
-/// Decodes a list of lineage entries.
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] on malformed input.
-pub fn decode_lineage(bytes: &[u8]) -> Result<Vec<LineageEntry>, CodecError> {
-    let mut dec = Decoder::new(bytes);
-    let out = decode_seq(&mut dec)?;
-    dec.finish()?;
-    Ok(out)
-}
-
 /// A slice of the materialized provenance DAG, as returned by the graph
 /// query operations (`get_ancestry`, `get_descendants`, `get_closure`,
 /// `get_subgraph`).
 ///
-/// Unlike [`LineageEntry`] lists this carries *keys only* — depth-tagged
-/// node keys plus (for subgraph queries) the edges between them — so a
-/// deep traversal ships a few bytes per node instead of a full record.
-/// Callers that need record bodies fetch them separately with `get`.
+/// It carries *keys only* — depth-tagged node keys plus (for subgraph
+/// queries) the edges between them — so a deep traversal ships a few
+/// bytes per node; `get_lineage` answers the records beside it, as a
+/// [`LineageSlice`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphSlice {
     /// Visited node keys with their minimum distance from the query roots
@@ -339,6 +305,31 @@ impl Decode for GraphSlice {
             edges: decode_seq(dec)?,
             truncated: dec.get_bool()?,
         })
+    }
+}
+
+/// One peer's `get_lineage` answer: its ancestry slice and the record of
+/// every entry, in entry order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LineageSlice {
+    pub(crate) slice: GraphSlice,
+    pub(crate) records: Vec<ProvenanceRecord>,
+}
+
+impl Encode for LineageSlice {
+    fn encode(&self, enc: &mut Encoder) {
+        self.slice.encode(enc);
+        encode_seq(&self.records, enc);
+    }
+}
+impl Decode for LineageSlice {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let slice = GraphSlice::decode(dec)?;
+        let records: Vec<ProvenanceRecord> = decode_seq(dec)?;
+        if records.len() != slice.entries.len() {
+            return Err(CodecError::Invalid("a lineage entry without its record"));
+        }
+        Ok(LineageSlice { slice, records })
     }
 }
 
@@ -431,18 +422,22 @@ mod tests {
 
     #[test]
     fn lineage_round_trip() {
-        let entries = vec![
-            LineageEntry {
-                depth: 0,
-                record: sample(),
+        let answer = LineageSlice {
+            slice: GraphSlice {
+                entries: vec![(0, "k".into()), (1, "k".into())],
+                truncated: true,
+                ..GraphSlice::default()
             },
-            LineageEntry {
-                depth: 1,
-                record: sample(),
-            },
-        ];
-        let bytes = encode_lineage(&entries);
-        assert_eq!(decode_lineage(&bytes).unwrap(), entries);
+            records: vec![sample(), sample()],
+        };
+        assert_eq!(
+            LineageSlice::from_bytes(&answer.to_bytes()),
+            Ok(answer.clone())
+        );
+        let mut short = answer;
+        short.records.pop();
+        assert!(LineageSlice::from_bytes(&short.to_bytes()).is_err());
+        assert!(LineageSlice::from_bytes(&[0, 0, 0, 0, 9]).is_err());
     }
 
     #[test]

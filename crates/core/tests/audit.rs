@@ -74,6 +74,23 @@ fn a_tampered_block_body_breaks_one_chain() {
     );
 }
 
+/// A node dropped from one replica's graph index, whose state still holds
+/// the record: that replica would answer lineage and ancestry without it.
+#[test]
+fn a_drifted_graph_index_is_named() {
+    let net = network(NetworkConfig::desktop(1), 2);
+    assert!(net.ledgers[1].borrow_mut().graph_mut().remove("item-1"));
+    let replay = "graph digest".to_owned();
+    assert_eq!(
+        findings(&net),
+        [
+            on(1, AuditFinding::Diverged("graph digest")),
+            on(1, AuditFinding::IndexDrift),
+            on(1, AuditFinding::RestoreDiffers(replay)),
+        ]
+    );
+}
+
 /// Appends a valid, empty block to `peer`'s ledger behind the network's
 /// back.
 fn hand_an_extra_block(net: &HyperProvNetwork, peer: usize) -> u64 {

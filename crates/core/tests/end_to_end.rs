@@ -301,7 +301,8 @@ fn exported_chain_replays_into_identical_ledger() {
 }
 
 /// Stores a diamond DAG (`a ← b`, `a ← c`, `{b, c} ← d`) and checks every
-/// graph-index query against the legacy hop-by-hop lineage walk.
+/// graph-index query against the lineage, which answers from the same
+/// index.
 #[test]
 fn graph_queries_end_to_end() {
     let mut hp = HyperProv::desktop();
@@ -322,7 +323,7 @@ fn graph_queries_end_to_end() {
     )
     .unwrap();
 
-    // Ancestry matches the oracle walk's key set (and tags depths).
+    // Ancestry matches the lineage's key set (and tags depths).
     let ancestry = hp.get_ancestry("d", 8).unwrap();
     let mut keys: Vec<(u32, &str)> = ancestry
         .entries
@@ -333,17 +334,17 @@ fn graph_queries_end_to_end() {
     assert_eq!(keys, vec![(0, "d"), (1, "b"), (1, "c"), (2, "a")]);
     assert!(!ancestry.truncated);
     assert!(ancestry.boundary.is_empty());
-    let oracle: Vec<String> = hp
+    let lineage: Vec<String> = hp
         .get_lineage("d", 8)
         .unwrap()
         .iter()
         .map(|e| e.record.key.clone())
         .collect();
     let mut index_keys: Vec<String> = ancestry.entries.iter().map(|(_, k)| k.clone()).collect();
-    let mut oracle_keys = oracle.clone();
+    let mut lineage_keys = lineage.clone();
     index_keys.sort();
-    oracle_keys.sort();
-    assert_eq!(index_keys, oracle_keys);
+    lineage_keys.sort();
+    assert_eq!(index_keys, lineage_keys);
 
     // Both sides report the depth clamp cutting the walk short.
     let (shallow, truncated) = hp.get_lineage_truncated("d", 1).unwrap();

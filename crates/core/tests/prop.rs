@@ -1,20 +1,21 @@
 //! Property-based tests of the provenance record model, the HyperProv
 //! chaincode invariants, and the materialized DAG index (checked against
-//! the legacy hop-by-hop oracle walk on random multi-parent DAGs).
+//! a hop-by-hop walk over the world state on random multi-parent DAGs).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use hyperprov::plan::{GraphRounds, LineageWalk, Plan, Reply, Request, Step};
+use hyperprov::plan::{GraphRounds, Plan, Reply, Request, Step};
 use hyperprov::{
-    decode_history, decode_lineage, encode_history, encode_lineage, ChannelSpec, GraphSlice,
-    HashRouter, HistoryRecord, HyperProv, HyperProvChaincode, HyperProvError, HyperProvIndexer,
-    LineageEntry, NetworkConfig, OpOutput, ProvenanceRecord, RecordInput, CHAINCODE_NAME,
-    MAX_GRAPH_NODES,
+    decode_history, encode_history, ChannelSpec, ClientCommand, GraphSlice, HashRouter,
+    HistoryRecord, HyperProv, HyperProvChaincode, HyperProvError, HyperProvIndexer, LineageEntry,
+    NetworkConfig, OpId, OpOutput, ProvenanceRecord, RecordInput, CHAINCODE_NAME, MAX_GRAPH_NODES,
 };
-use hyperprov_fabric::{Certificate, Chaincode, ChaincodeError, ChaincodeStub, MspBuilder, MspId};
+use hyperprov_fabric::{
+    Certificate, Chaincode, ChaincodeError, ChaincodeStub, MspBuilder, MspId, COMPOSITE_SEP,
+};
 use hyperprov_ledger::{
-    Decode, Digest, Direction, Encode, GraphIndexer, ProvGraph, StateDb, TraversalLimits, TxId,
-    Version, DEFAULT_CHANNEL,
+    Decode, Digest, Direction, Encode, GraphIndexer, ProvGraph, StateDb, StateKey, TraversalLimits,
+    TxId, Version, DEFAULT_CHANNEL,
 };
 use hyperprov_sim::DetRng;
 use proptest::prelude::*;
@@ -113,20 +114,6 @@ proptest! {
         prop_assert_eq!(decode_history(&bytes).unwrap(), entries);
     }
 
-    #[test]
-    fn lineage_codec_round_trips(inputs in proptest::collection::vec(arb_input(), 0..5)) {
-        let entries: Vec<LineageEntry> = inputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| LineageEntry {
-                depth: i as u32,
-                record: ProvenanceRecord::from_input(format!("k{i}"), input, cert()),
-            })
-            .collect();
-        let bytes = encode_lineage(&entries);
-        prop_assert_eq!(decode_lineage(&bytes).unwrap(), entries);
-    }
-
     // Decoding is canonical, and the indexer's in-place read of a
     // record's parents accepts exactly what the owned decoder accepts.
     #[test]
@@ -160,7 +147,6 @@ proptest! {
         let _ = ProvenanceRecord::from_bytes(&junk);
         let _ = RecordInput::from_bytes(&junk);
         let _ = decode_history(&junk);
-        let _ = decode_lineage(&junk);
     }
 }
 
@@ -254,13 +240,13 @@ fn dag_index_queries_match_oracle_on_random_dags() {
                 reach(&dag, &root, true, false),
                 "{ctx}"
             );
-            let oracle: BTreeSet<String> = hp
+            let lineage: BTreeSet<String> = hp
                 .get_lineage(&root, 64)
                 .unwrap()
                 .iter()
                 .map(|e| e.record.key.clone())
                 .collect();
-            assert_eq!(slice_keys(&ancestry), oracle, "{ctx}");
+            assert_eq!(slice_keys(&ancestry), lineage, "{ctx}");
 
             let descendants = hp.get_descendants(&root, 64).unwrap();
             assert_eq!(
@@ -367,6 +353,34 @@ impl Shard {
     }
 }
 
+/// The lineage oracle: a breadth-first walk over `shard`'s world state,
+/// one record read per parent link, skipping parents not in state. `None`
+/// when the root is not there.
+fn walk(shard: &Shard, root: &str, max_depth: u32) -> Option<Vec<LineageEntry>> {
+    let load = |key: &str| {
+        let item = StateKey::new(
+            CHAINCODE_NAME,
+            format!("item{COMPOSITE_SEP}{key}{COMPOSITE_SEP}"),
+        );
+        let stored = shard.state.get(&item)?;
+        Some(ProvenanceRecord::from_bytes(&stored.value).unwrap())
+    };
+    let mut seen = HashSet::from([root.to_owned()]);
+    let mut queue = VecDeque::from([(0, load(root)?)]);
+    let mut out = Vec::new();
+    while let Some((depth, record)) = queue.pop_front() {
+        if depth < max_depth {
+            for parent in &record.parents {
+                if seen.insert(parent.clone()) {
+                    queue.extend(load(parent).map(|found| (depth + 1, found)));
+                }
+            }
+        }
+        out.push(LineageEntry { depth, record });
+    }
+    Some(out)
+}
+
 /// `dag` posted (then `deleted` deleted) on `n` shards, each key on the
 /// shard that owns it.
 fn sharded(dag: &[(String, Vec<String>)], deleted: &BTreeSet<String>, n: usize) -> Vec<Shard> {
@@ -441,8 +455,9 @@ fn traverse(
 
 /// The plans are pure, so they can be checked without a network: on
 /// random multi-parent DAGs with some records deleted, spread over 1, 2,
-/// 4 and 7 shards, the graph rounds and the lineage walk must return what
-/// one index, and one chaincode, over the whole DAG return.
+/// 4 and 7 shards, the graph rounds must return what one index over the
+/// whole DAG returns, and a lineage what the oracle walk over the whole
+/// state returns: entry for entry on one shard, sorted across several.
 #[test]
 fn sharded_plans_match_one_whole_graph() {
     let mut checked = 0usize;
@@ -465,7 +480,7 @@ fn sharded_plans_match_one_whole_graph() {
         // The youngest node has the deepest ancestry; the other root is
         // anywhere.
         let roots = [name(n - 1), name(rng.gen_range(0..n))];
-        let mut whole = sharded(&dag, &deleted, 1).pop().unwrap();
+        let whole = sharded(&dag, &deleted, 1).pop().unwrap();
 
         for shard_count in [1usize, 2, 4, 7] {
             let mut shards = sharded(&dag, &deleted, shard_count);
@@ -519,25 +534,36 @@ fn sharded_plans_match_one_whole_graph() {
                     checked += 1;
                 }
 
-                let oracle = |whole: &mut Shard, depth: u32| {
-                    let args = [root.clone().into_bytes(), depth.to_string().into_bytes()];
-                    let bytes = whole.invoke("get_lineage", &args)?;
-                    Ok::<_, ChaincodeError>(decode_lineage(&bytes).unwrap())
+                let command = ClientCommand::GetLineage {
+                    key: root.clone(),
+                    depth,
+                    op: OpId(0),
                 };
-                let (plan, requests) = LineageWalk::start(root.clone(), depth, shard_count);
-                match (
-                    oracle(&mut whole, depth),
-                    drive(plan, requests, &mut shards, &mut rng),
-                ) {
-                    (Ok(want), Ok(OpOutput::Lineage { entries, truncated })) => {
+                let (plan, requests) = Plan::start(command, shard_count, "", 0);
+                let got = drive(plan, requests, &mut shards, &mut rng);
+                match (walk(&whole, root, depth), got) {
+                    (Some(mut want), Ok(OpOutput::Lineage { entries, truncated })) => {
+                        if shard_count > 1 {
+                            want.sort_by(|a, b| {
+                                (a.depth, &a.record.key).cmp(&(b.depth, &b.record.key))
+                            });
+                        }
                         assert_eq!(entries, want, "{ctx}");
-                        let all = oracle(&mut whole, 64).unwrap();
+                        let uncut = traverse(
+                            &whole.graph,
+                            root,
+                            Direction::Ancestors,
+                            depth,
+                            MAX_GRAPH_NODES,
+                        );
+                        assert_eq!(truncated, uncut.truncated, "{ctx}");
+                        let all = walk(&whole, root, 64).unwrap();
                         assert!(
                             truncated || all.len() == want.len(),
                             "silently short: {ctx}"
                         );
                     }
-                    (Err(_), Err(HyperProvError::Rejected(_))) => {}
+                    (None, Err(HyperProvError::Rejected(_))) => {}
                     (want, got) => panic!("lineage {want:?} vs {got:?}: {ctx}"),
                 }
                 checked += 1;
@@ -545,6 +571,57 @@ fn sharded_plans_match_one_whole_graph() {
         }
     }
     assert_eq!(checked, 300 * 4 * 2 * 3 * 9);
+}
+
+/// `b`, `a ← b`, `r ← {a, b}`: at depth 1 the walk reaches both of `r`'s
+/// parents, so `a`'s parent `b` is no truncation — on one shard, and on
+/// two with the three keys placed every way.
+#[test]
+fn a_parent_reached_at_the_clamp_is_no_truncation() {
+    let on = |prefix: &str, shard: usize, shards: usize| {
+        (0..1000)
+            .map(|i| format!("{prefix}{i}"))
+            .find(|k| HashRouter.route(k, shards) == shard)
+            .unwrap()
+    };
+    let placements = (0..8usize).map(|bits| (2, [bits & 1, bits >> 1 & 1, bits >> 2 & 1]));
+    for (shard_count, [r, a, b]) in [(1, [0, 0, 0])].into_iter().chain(placements) {
+        let [r, a, b] = [("r", r), ("a", a), ("b", b)].map(|(p, at)| on(p, at, shard_count));
+        let dag = vec![
+            (b.clone(), vec![]),
+            (a.clone(), vec![b.clone()]),
+            (r.clone(), vec![a.clone(), b.clone()]),
+        ];
+        let mut shards = sharded(&dag, &BTreeSet::new(), shard_count);
+        for (depth, cut) in [(1, false), (0, true)] {
+            let ctx = format!("{shard_count} shards, r {r} a {a} b {b}, depth {depth}");
+            let ancestry = ClientCommand::GetAncestry {
+                key: r.clone(),
+                depth,
+                op: OpId(0),
+            };
+            let lineage = ClientCommand::GetLineage {
+                key: r.clone(),
+                depth,
+                op: OpId(1),
+            };
+            for command in [ancestry, lineage] {
+                let (plan, requests) = Plan::start(command, shard_count, "", 0);
+                let (keys, truncated) =
+                    match drive(plan, requests, &mut shards, &mut DetRng::new(1)) {
+                        Ok(OpOutput::Graph(slice)) => (slice_keys(&slice), slice.truncated),
+                        Ok(OpOutput::Lineage { entries, truncated }) => (
+                            entries.into_iter().map(|e| e.record.key).collect(),
+                            truncated,
+                        ),
+                        other => panic!("{other:?}: {ctx}"),
+                    };
+                let want = if cut { vec![&r] } else { vec![&r, &a, &b] };
+                assert_eq!(keys, want.into_iter().cloned().collect(), "{ctx}");
+                assert_eq!(truncated, cut, "{ctx}");
+            }
+        }
+    }
 }
 
 /// Random DAGs rarely have a long chain on one shard with a short cut

@@ -106,8 +106,7 @@ impl<'a> ChaincodeStub<'a> {
     }
 
     /// Attaches the channel's materialized provenance DAG index, giving
-    /// graph query functions an in-memory adjacency structure instead of
-    /// hop-by-hop state reads.
+    /// graph query functions an in-memory adjacency structure.
     #[must_use]
     pub fn with_graph(mut self, graph: &'a ProvGraph) -> Self {
         self.graph = Some(graph);

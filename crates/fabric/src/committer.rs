@@ -174,6 +174,11 @@ impl Committer {
         self.store.tamper(number)
     }
 
+    /// The graph index, past every check: lets it drift from the state.
+    pub fn graph_mut(&mut self) -> &mut ProvGraph {
+        &mut self.graph
+    }
+
     /// The current world state.
     pub fn state(&self) -> &StateDb {
         &self.state

@@ -360,13 +360,18 @@ impl ProvGraph {
                 out.entries.push((depth, self.key_of(id)));
             }
             if depth >= limits.max_depth {
-                // Depth budget exhausted: unexpanded edges remain.
-                let backward =
-                    direction != Direction::Descendants && !self.parents[id as usize].is_empty();
+                // Depth budget exhausted: truncated if a neighbour the
+                // walk has not reached — visited, on the boundary, or a
+                // root still to come — is left unexpanded.
+                let unreached = |&n: &u32| {
+                    !seen.contains(&n)
+                        && !waiting.contains_key(&n)
+                        && !boundary_seen.contains(&*self.keys[n as usize])
+                };
+                let backward = direction != Direction::Descendants
+                    && self.parents[id as usize].iter().any(unreached);
                 let forward = direction != Direction::Ancestors
-                    && self.children[id as usize]
-                        .iter()
-                        .any(|&c| !seen.contains(&c) && !waiting.contains_key(&c));
+                    && self.children[id as usize].iter().any(unreached);
                 if backward || forward {
                     out.truncated = true;
                 }
@@ -485,6 +490,26 @@ mod tests {
         };
         let t = g.traverse(&roots(&[(0, "d")]), Direction::Ancestors, exact, false);
         assert!(!t.truncated, "the walk completed within the budget");
+    }
+
+    #[test]
+    fn a_parent_already_reached_at_the_clamp_is_no_truncation() {
+        // r -> {a, b}, a -> b: at depth 1, a's parent b is already visited.
+        let mut g = ProvGraph::new();
+        g.insert("b", &[]);
+        g.insert("a", &["b".into()]);
+        g.insert("r", &["a".into(), "b".into()]);
+        let limits = TraversalLimits {
+            max_depth: 1,
+            max_nodes: 4096,
+        };
+        let t = g.traverse(&roots(&[(0, "r")]), Direction::Ancestors, limits, false);
+        assert_eq!(keys(&t), vec!["r", "a", "b"]);
+        assert!(!t.truncated);
+        // Likewise a deleted parent the walk already put on the boundary.
+        g.remove("b");
+        let t = g.traverse(&roots(&[(0, "r")]), Direction::Ancestors, limits, false);
+        assert_eq!((keys(&t), t.truncated), (vec!["r", "a"], false));
     }
 
     #[test]

@@ -179,11 +179,10 @@ fn cross_channel_lineage_and_scatter_queries() {
     assert_eq!(net.audit([]), []);
 }
 
-/// A diamond DAG whose arms land on different shards: the hop-by-hop
-/// lineage walk visits the shared grandparent exactly once, reports the
-/// depth clamp explicitly, and the one-shot graph-index queries return
-/// the same node sets with one batched frontier exchange per shard per
-/// level.
+/// A diamond DAG whose arms land on different shards: the lineage visits
+/// the shared grandparent exactly once and reports the depth clamp
+/// explicitly, and the other graph-index queries return the same node
+/// sets.
 #[test]
 fn cross_shard_diamond_lineage_and_graph_queries() {
     let mut config = NetworkConfig::desktop(1)
@@ -215,7 +214,7 @@ fn cross_shard_diamond_lineage_and_graph_queries() {
         outputs.pop().unwrap()
     };
 
-    // The oracle walk: the diamond's shared grandparent appears once.
+    // The lineage: the diamond's shared grandparent appears once.
     match run_query(
         &mut net,
         ClientCommand::GetLineage {
@@ -534,9 +533,9 @@ fn lineage_keys(outcome: &Result<OpOutput, HyperProvError>) -> (Vec<(u32, &str)>
 }
 
 /// A shard the client cannot reach is not a shard without the key: the
-/// lineage walk fails with the transport's error instead of returning the
+/// lineage fails with the transport's error instead of returning the
 /// chain up to the unreachable parent as if it were whole. A parent that
-/// really was deleted is still skipped, as the chaincode's walk skips it.
+/// really was deleted is skipped, as its owner reports it gone.
 #[test]
 fn an_unreachable_shard_fails_the_lineage_walk_a_deleted_parent_does_not() {
     let (mut net, [_, parent, child]) = chain_across_disjoint_shards(None);
