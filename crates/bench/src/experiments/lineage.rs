@@ -140,20 +140,19 @@ fn run_cell(
 
     // Deep lineage under write load: every other client posts a fresh
     // record right before the query is issued, so ordering, commit and
-    // index maintenance run concurrently with the traversal.
+    // index maintenance run concurrently with the traversal. Each post has
+    // an op id of its own: concurrent operations under one id would share
+    // their spans.
+    let clients = net.clients.len();
     let mut loaded: Vec<f64> = (0..iters)
         .map(|iter| {
-            for c in 1..net.clients.len() {
+            for c in 1..clients {
                 let key = format!("load-c{c}-i{iter}");
                 let input = RecordInput::new(Digest::of(key.as_bytes()));
-                net.sim.inject_message(
-                    net.clients[c],
-                    NodeMsg::Client(ClientCommand::Post {
-                        key,
-                        input,
-                        op: OpId(2),
-                    }),
-                );
+                let op = OpId((1 + iter * clients + c) as u64);
+                let post = ClientCommand::Post { key, input, op };
+                net.sim
+                    .inject_message(net.clients[c], NodeMsg::Client(post));
             }
             let ms = op_ms(
                 &mut net,

@@ -23,7 +23,7 @@ use hyperprov::{
 use hyperprov_device::DeviceProfile;
 use hyperprov_fabric::{
     endorsement_message, BatchConfig, ChaincodeRegistry, ChannelPolicies, Committer, CostModel,
-    Endorsement, EndorsementPolicy, Envelope, FabricMsg, Msp, MspBuilder, MspId, PeerActor,
+    Endorsement, EndorsementPolicy, Envelope, FabricMsg, Msp, MspBuilder, MspId, Node, Peer,
     Proposal, SigningIdentity,
 };
 use hyperprov_ledger::{Block, ChannelId, Digest, KvWrite, RwSet, StateKey, DEFAULT_CHANNEL};
@@ -148,24 +148,17 @@ fn run_restart_cell(
         kit.msp.clone(),
         policies(),
     )));
-    let mut actor: PeerActor<FabricMsg> = PeerActor::new(
-        kit.peer.clone(),
-        ChaincodeRegistry::new(),
-        CostModel::default(),
-        "peer0",
-    );
-    actor.add_channel(committer.clone(), None);
+    let (registry, costs) = (ChaincodeRegistry::new(), CostModel::default());
+    let mut peer = Peer::new(kit.peer.clone(), registry, costs, "peer0".to_owned());
+    peer.host(committer.clone(), None);
     let snapshots_on = snapshots.is_some();
     if let Some(policy) = snapshots {
-        actor = actor.with_snapshots(policy);
+        peer.set_snapshots(policy);
     }
 
     let mut sim: Simulation<FabricMsg> = Simulation::new(SEED);
-    let id = sim.add_actor_with_cpu(
-        Box::new(actor),
-        CpuResource::new(DeviceProfile::xeon_e5_1603().cpu_speed),
-    );
-    sim.set_actor_label(id, "peer");
+    let cpu = CpuResource::new(DeviceProfile::xeon_e5_1603().cpu_speed);
+    let id = Node::new(peer, "peer0").start(&mut sim, cpu, "peer");
     for block in chain {
         sim.inject_message(id, FabricMsg::DeliverBlock(channel.clone(), block.clone()));
     }

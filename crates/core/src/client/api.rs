@@ -20,7 +20,7 @@ use crate::record::{GraphSlice, HistoryRecord, LineageEntry, ProvenanceRecord, R
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u64);
 
-/// An operation submitted to a [`HyperProvClient`].
+/// An operation submitted to a [`Client`](super::Client).
 #[derive(Debug, Clone)]
 pub enum ClientCommand {
     /// Record provenance metadata for an item (payload already placed).

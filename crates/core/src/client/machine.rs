@@ -17,7 +17,7 @@ use hyperprov_fabric::{Action, Caller, CostModel, Gateway, GatewayAction, Gatewa
 use hyperprov_offchain::StoreMsg;
 use hyperprov_sim::{ActorId, DetRng, SimTime};
 
-use super::api::{ClientCommand, HyperProvError, OpId, OpOutput};
+use super::api::{ClientCommand, CompletionQueue, HyperProvError, OpId, OpOutput};
 use super::plan::{Plan, Reply, Request, Step};
 use crate::chaincode::CHAINCODE_NAME;
 use crate::net::NodeMsg;
@@ -93,6 +93,9 @@ pub struct Client {
     /// Transfer rows by token.
     transfers: HashMap<u64, Transfer>,
     next_token: u64,
+    /// Where its host queues each finished operation, for the embedding
+    /// code to drain.
+    pub(crate) completions: CompletionQueue,
 }
 
 impl Client {
@@ -113,6 +116,7 @@ impl Client {
             next_slot: 0,
             transfers: HashMap::new(),
             next_token: 0,
+            completions: CompletionQueue::default(),
         }
     }
 

@@ -8,16 +8,16 @@ use std::sync::Arc;
 
 use hyperprov_device::{link_between, DeviceProfile};
 use hyperprov_fabric::{
-    BatchConfig, ChaincodeRegistry, ChannelPolicies, CommitPipeline, Committer, CostModel,
-    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, OrdererActor, OrderingNode,
-    PeerActor, Route, SigningIdentity, SnapshotPolicy,
+    BatchConfig, CertId, ChaincodeRegistry, ChannelPolicies, CommitPipeline, Committer, CostModel,
+    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, Node, OrderingNode, Peer, Route,
+    SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{ChannelId, DEFAULT_CHANNEL};
 use hyperprov_offchain::{MemoryStore, StorageActor, StorageCosts};
 use hyperprov_sim::{ActorId, CpuResource, QueueConfig, SimDuration, Simulation, SloSpec};
 
 use crate::chaincode::{HyperProvChaincode, HyperProvIndexer};
-use crate::client::{CompletionQueue, HyperProvClient, RetryPolicy};
+use crate::client::{Client, CompletionQueue, RetryPolicy};
 use crate::net::NodeMsg;
 
 /// Ordering-service topology.
@@ -324,36 +324,32 @@ struct JoinKit {
 }
 
 impl JoinKit {
-    /// Builds peer `index` hosting the channels in `hosted` — pairs of a
-    /// channel's shard index and the peers that can serve it snapshots
-    /// and block re-delivery (used only when the deployment runs
-    /// snapshots). Returns the actor, its CPU and one fresh ledger per
-    /// hosted channel, paired with the channel's shard index.
-    fn build_peer(
+    /// Starts peer `index` in `sim`, hosting the channels in `hosted` —
+    /// pairs of a channel's shard index and the peers that can serve it
+    /// snapshots and block re-delivery (used only when the deployment runs
+    /// snapshots) — and telling each of `subscribers` of its commits.
+    /// Returns the actor and one fresh ledger per hosted channel, paired
+    /// with the channel's shard index.
+    fn start_peer(
         &self,
         index: usize,
         identity: SigningIdentity,
         device: &DeviceProfile,
         hosted: Vec<(usize, Vec<ActorId>)>,
-    ) -> (PeerActor<NodeMsg>, CpuResource, Vec<(usize, Ledger)>) {
+        subscribers: &[(ActorId, CertId)],
+        sim: &mut Simulation<NodeMsg>,
+    ) -> (ActorId, Vec<(usize, Ledger)>) {
         // A peer gets at most as many VSCC lanes as its device has cores:
         // an RPi cannot fan out like a Xeon.
         let lanes = self.pipeline.lanes.clamp(1, device.cores.max(1));
-        let mut actor = PeerActor::<NodeMsg>::new(
-            identity,
-            self.registry.clone(),
-            self.costs,
-            format!("peer{index}"),
-        )
-        .with_pipeline(CommitPipeline {
+        let name = format!("peer{index}");
+        let mut peer = Peer::new(identity, self.registry.clone(), self.costs, name.clone());
+        peer.set_pipeline(CommitPipeline {
             lanes,
             ..self.pipeline
         });
         if let Some(policy) = self.snapshots {
-            actor = actor.with_snapshots(policy);
-        }
-        if let Some(queue) = self.peer_queue {
-            actor = actor.with_queue(queue);
+            peer.set_snapshots(policy);
         }
         let mut committers = Vec::with_capacity(hosted.len());
         for (ci, providers) in hosted {
@@ -365,17 +361,24 @@ impl JoinKit {
             )
             .with_indexer(Arc::new(HyperProvIndexer));
             let committer = Rc::new(RefCell::new(committer));
-            actor.add_channel(
+            peer.host(
                 committer.clone(),
                 Some(chan.orderers[index % chan.orderers.len()]),
             );
             if self.snapshots.is_some() {
-                actor.set_catchup_providers(&chan.id, providers);
+                peer.set_providers(&chan.id, providers);
             }
             committers.push((ci, committer));
         }
+        for &(client, cert) in subscribers {
+            peer.subscribe(client, cert);
+        }
+        let mut node = Node::new(peer, name);
+        if let Some(queue) = self.peer_queue {
+            node = node.with_queue(queue);
+        }
         let cpu = CpuResource::with_lanes(device.cpu_speed, lanes);
-        (actor, cpu, committers)
+        (node.start(sim, cpu, "peer"), committers)
     }
 }
 
@@ -542,6 +545,14 @@ impl HyperProvNetwork {
             channels: chans,
         };
         let chans = &kit.channels;
+        // A retry may ask any hosting peer to endorse, and the peer that
+        // endorsed reports the commit: every client subscribes, for the
+        // commit events of its own transactions, at every peer.
+        let subscribers: Vec<(ActorId, CertId)> = client_ids
+            .iter()
+            .zip(&client_identities)
+            .map(|(&cid, identity)| (cid, identity.certificate().id))
+            .collect();
         for (i, identity) in peer_identities.into_iter().enumerate() {
             // The other peers hosting each channel form this peer's
             // snapshot catch-up provider ladder.
@@ -554,22 +565,14 @@ impl HyperProvNetwork {
                     (ci, others.map(|&p| peer_ids[p]).collect())
                 })
                 .collect();
-            let (mut actor, cpu, committers) =
-                kit.build_peer(i, identity, &config.peer_devices[i], hosted);
+            let device = &config.peer_devices[i];
+            let (id, committers) =
+                kit.start_peer(i, identity, device, hosted, &subscribers, &mut sim);
+            debug_assert_eq!(id, peer_ids[i]);
             ledgers.push(committers[0].1.clone());
             for (ci, committer) in committers {
                 channel_ledgers[ci].push((i, committer));
             }
-            // A retry may ask any hosting peer to endorse, and the peer
-            // that endorsed reports the commit: every client subscribes,
-            // for the commit events of its own transactions, at every
-            // peer.
-            for (&cid, identity) in client_ids.iter().zip(&client_identities) {
-                actor.subscribe(cid, identity.certificate().id);
-            }
-            let id = sim.add_actor_with_cpu(Box::new(actor), cpu);
-            debug_assert_eq!(id, peer_ids[i]);
-            sim.set_actor_label(id, "peer");
             devices.push(config.peer_devices[i].clone());
         }
 
@@ -597,7 +600,8 @@ impl HyperProvNetwork {
                         config.costs,
                     ),
                 };
-                let id = OrdererActor::start(node, &mut sim, config.orderer_device.cpu_speed);
+                let cpu = CpuResource::new(config.orderer_device.cpu_speed);
+                let id = Node::new(node, "orderer").start(&mut sim, cpu, "orderer");
                 debug_assert_eq!(id, expected);
                 devices.push(config.orderer_device.clone());
             }
@@ -633,14 +637,13 @@ impl HyperProvNetwork {
             if let Some(policy) = config.retry {
                 gateway = gateway.with_retry(policy);
             }
-            let (client_actor, queue) =
-                HyperProvClient::new(gateway, storage_id, "sshfs://store0/", config.costs);
-            let id = sim
-                .add_actor_with_speed(Box::new(client_actor), config.client_devices[i].cpu_speed);
+            let prefix = "sshfs://store0/".to_owned();
+            let client = Client::new(gateway, storage_id, prefix, config.costs);
+            completions.push(client.completions.clone());
+            let cpu = CpuResource::new(config.client_devices[i].cpu_speed);
+            let id = Node::new(client, "client").start(&mut sim, cpu, "client");
             debug_assert_eq!(id, client_ids[i]);
-            sim.set_actor_label(id, "client");
             clients.push(id);
-            completions.push(queue);
             devices.push(config.client_devices[i].clone());
         }
 
@@ -684,8 +687,8 @@ impl HyperProvNetwork {
     pub fn ordering_leader(&self) -> Option<ActorId> {
         self.orderers.iter().copied().find(|&id| {
             let actor = self.sim.actor_ref(id).and_then(|actor| actor.as_any());
-            let orderer = actor.and_then(|any| any.downcast_ref::<OrdererActor<NodeMsg>>());
-            orderer.is_some_and(|orderer| orderer.node().is_leader())
+            let orderer = actor.and_then(|any| any.downcast_ref::<Node<OrderingNode, NodeMsg>>());
+            orderer.is_some_and(|orderer| orderer.machine().is_leader())
         })
     }
 
@@ -727,10 +730,10 @@ impl HyperProvNetwork {
             .map(|serving| serving.iter().map(|(p, _)| self.peers[*p]).collect())
             .enumerate()
             .collect();
-        let (actor, cpu, committers) = self.kit.build_peer(index, identity, &device, hosted);
-        let id = self.sim.add_actor_with_cpu(Box::new(actor), cpu);
+        let (id, committers) =
+            self.kit
+                .start_peer(index, identity, &device, hosted, &[], &mut self.sim);
         debug_assert_eq!(id, ActorId(self.devices.len() as u32));
-        self.sim.set_actor_label(id, "peer");
         // Full-mesh links to every existing device (one shared switch).
         for (other, dev) in self.devices.iter().enumerate() {
             let other = ActorId(other as u32);

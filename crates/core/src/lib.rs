@@ -13,7 +13,7 @@
 //! * [`HyperProvChaincode`] — the smart contract (`post`, `get`,
 //!   `get_history`, `get_keys_by_checksum`, `get_lineage`, `list`,
 //!   `delete`),
-//! * [`HyperProvClient`] — the client library (the NodeJS SDK equivalent),
+//! * [`Client`] — the client library (the NodeJS SDK equivalent),
 //! * [`HyperProv`] — a blocking facade over a complete simulated
 //!   deployment ([`NetworkConfig::desktop`] and [`NetworkConfig::rpi`]
 //!   mirror the paper's two testbeds),
@@ -49,8 +49,8 @@ pub use chaincode::{
     HyperProvChaincode, HyperProvIndexer, CHAINCODE_NAME, MAX_GRAPH_NODES, MAX_LINEAGE_DEPTH,
 };
 pub use client::{
-    plan, Client, ClientCommand, ClientCompletion, ClientOwn, CompletionQueue, HyperProvClient,
-    HyperProvError, OpId, OpOutput, Origin, RetryPolicy, TRANSFER_TOKEN_BIT,
+    plan, Client, ClientCommand, ClientCompletion, ClientOwn, CompletionQueue, HyperProvError,
+    OpId, OpOutput, Origin, RetryPolicy, TRANSFER_TOKEN_BIT,
 };
 pub use deploy::{ChannelSpec, HyperProvNetwork, NetworkConfig, OrdererMode};
 pub use facade::HyperProv;

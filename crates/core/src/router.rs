@@ -1,7 +1,7 @@
 //! Key → channel routing for sharded (multi-channel) deployments.
 //!
-//! A [`HyperProvClient`](crate::HyperProvClient) on a multi-channel
-//! network owns one gateway per channel and asks [`HashRouter`] which
+//! A [`Client`](crate::Client) on a multi-channel network has one
+//! gateway route per channel and asks [`HashRouter`] which
 //! channel owns an item key. Routing is a pure function of the key and
 //! the channel count: every client in the deployment maps the same key to
 //! the same channel, across clients and across runs, or reads would miss

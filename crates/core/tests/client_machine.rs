@@ -4,6 +4,9 @@
 //! duplicates and reorders store and Fabric replies and fires timers early
 //! and late.
 
+#[path = "../../fabric/tests/support/sched.rs"]
+mod sched;
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use hyperprov::{
@@ -16,10 +19,13 @@ use hyperprov_fabric::{
 };
 use hyperprov_ledger::{ChannelId, Digest, Encode, RwSet, TxId, ValidationCode};
 use hyperprov_offchain::{StoreError, StoreMsg};
-use hyperprov_sim::{ActorId, DetRng, SimDuration, SimTime};
+use hyperprov_sim::{ActorId, SimDuration, SimTime};
 use proptest::prelude::*;
-use rand::Rng as _;
 
+use sched::{Rng, Sched};
+
+/// The client's own actor.
+const CLIENT: ActorId = ActorId(100);
 const STORAGE: ActorId = ActorId(50);
 /// The orderers of every route, home first.
 const ORDERERS: [ActorId; 3] = [ActorId(90), ActorId(91), ActorId(92)];
@@ -34,8 +40,7 @@ fn endorsers(shard: usize) -> Vec<ActorId> {
 }
 
 struct Bench {
-    client: Client,
-    rng: DetRng,
+    sched: Sched<Client>,
     peer: SigningIdentity,
 }
 
@@ -62,24 +67,27 @@ fn bench(shards: usize, deadlines: bool, budget: Option<u32>) -> Bench {
         "sshfs://s/".to_owned(),
         CostModel::default(),
     );
-    Bench {
-        client,
-        rng: DetRng::new(11),
-        peer,
-    }
+    let sched = Sched::new([(CLIENT, client)], Rng::new(11));
+    Bench { sched, peer }
 }
 
 impl Bench {
-    fn command(&mut self, cmd: ClientCommand) -> Vec<Action<ClientOwn>> {
-        self.client.command(SimTime::ZERO, cmd)
+    fn client(&self) -> &Client {
+        &self.sched.machines[0]
     }
 
+    fn command(&mut self, cmd: ClientCommand) -> Vec<Action<ClientOwn>> {
+        self.message(NodeMsg::Client(cmd))
+    }
+
+    /// A command or a reply, from whichever node: the client reads no
+    /// sender.
     fn message(&mut self, msg: NodeMsg) -> Vec<Action<ClientOwn>> {
-        self.client.message(msg, &mut self.rng)
+        self.sched.message(0, STORAGE, msg)
     }
 
     fn timer(&mut self, token: u64) -> Vec<Action<ClientOwn>> {
-        self.client.timer(token, &mut self.rng)
+        self.sched.fire(0, token)
     }
 
     /// An endorser's answer to the proposal `tx_id`.
@@ -251,7 +259,7 @@ mod transfers {
         let acked = b.message(put_ack(token(1)));
         let post = ["offchain.put]", "charge", "[endorse", "propose->10"];
         assert_eq!(show(&acked), post);
-        assert_eq!(b.client.rows(), (1, 0));
+        assert_eq!(b.client().rows(), (1, 0));
     }
 
     #[test]
@@ -300,7 +308,7 @@ mod transfers {
         b.message(b.answer(tx, Ok(b"r".to_vec())));
         let done = ["disarm#2", "commit_wait]", "op]", "done1=Ok"];
         assert_eq!(show(&b.message(commit(tx))), done);
-        assert_eq!((b.client.inflight(), b.client.rows()), (0, (0, 0)));
+        assert_eq!((b.client().inflight(), b.client().rows()), (0, (0, 0)));
     }
 
     #[test]
@@ -324,7 +332,7 @@ mod transfers {
             "done1=Timeout",
         ];
         assert_eq!(show(&b.timer(token(1))), timed_out);
-        assert_eq!((b.client.inflight(), b.client.rows()), (0, (0, 0)));
+        assert_eq!((b.client().inflight(), b.client().rows()), (0, (0, 0)));
         // The result thought lost arrives after all, and finds nothing.
         assert!(b.message(get_result(token(1), Ok(payload("k")))).is_empty());
     }
@@ -357,7 +365,7 @@ mod transfers {
             "done1=Exhausted { attempts: 2 }",
         ];
         assert_eq!(show(&b.timer(token(3))), exhausted);
-        assert_eq!((b.client.inflight(), b.client.rows()), (0, (0, 0)));
+        assert_eq!((b.client().inflight(), b.client().rows()), (0, (0, 0)));
     }
 
     /// The first attempt's ack arrives late: during the backoff, and again
@@ -400,32 +408,14 @@ mod transfers {
             })
             .collect();
         assert_eq!(armed, [token(1), 1, token(2), 2]);
-        assert_eq!(b.client.rows(), (1, 2));
+        assert_eq!(b.client().rows(), (1, 2));
     }
 }
 
-/// The model's own stream, seeded by the case.
-struct Rng(DetRng);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0.gen_range(0..n)
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
-
-/// The model around a client: what its actions have armed, sent, opened
+/// The model around a client and its host: what its actions have opened
 /// and completed so far, and the store its transfers reach.
 struct Model {
     bench: Bench,
-    rng: Rng,
-    /// Tokens armed and neither disarmed nor fired.
-    armed: BTreeSet<u64>,
-    /// Replies on their way back to the client.
-    wire: Vec<NodeMsg>,
     /// Spans opened and not closed.
     open: BTreeSet<(String, &'static str)>,
     /// Completions per operation.
@@ -439,13 +429,15 @@ struct Model {
 }
 
 impl Model {
+    fn rng(&mut self) -> &mut Rng {
+        &mut self.bench.sched.rng
+    }
+
     /// Checks the actions of one input against the books and applies
     /// them: sends become the replies a (lossy) network would return.
     fn apply(&mut self, actions: Vec<Action<ClientOwn>>) {
         for action in actions {
             match action {
-                Action::Arm(token, _) => assert!(self.armed.insert(token), "#{token} armed twice"),
-                Action::Disarm(token) => assert!(self.armed.remove(&token), "#{token} not armed"),
                 Action::SpanStart(trace, stage, _) => {
                     assert!(self.open.insert((trace, stage)), "{stage} opened twice");
                 }
@@ -457,22 +449,26 @@ impl Model {
                     assert_eq!(to, STORAGE);
                     self.serve(msg);
                 }
-                Action::Send(_, _, msg) => self.endorse_or_order(msg),
+                Action::Send(to, _, msg) => self.endorse_or_order(to, msg),
                 _ => {}
             }
         }
         // Every command ends at most once, and a row exists exactly while
         // its one wake-up is armed: the gateway's under its tokens, a
-        // transfer's under a token that carries the bit.
+        // transfer's under a token that carries the bit. Nothing else is
+        // disarmed.
         assert!(self.done.values().all(|&n| n == 1));
-        let transfers = self.armed.iter().filter(|&&t| t & TRANSFER_TOKEN_BIT != 0);
+        let armed = &self.bench.sched.armed[0];
+        let transfers = armed.iter().filter(|&&t| t & TRANSFER_TOKEN_BIT != 0);
         let transfers = transfers.count();
-        let rows = (self.armed.len() - transfers, transfers);
-        assert_eq!(rows, self.bench.client.rows());
+        let rows = (armed.len() - transfers, transfers);
+        assert_eq!(rows, self.bench.client().rows());
+        assert_eq!(self.bench.sched.stray_disarms, 0);
     }
 
     fn serve(&mut self, msg: StoreMsg) {
-        if self.rng.chance(self.loss) {
+        let loss = self.loss;
+        if self.rng().chance(loss) {
             return;
         }
         let reply = match msg {
@@ -496,10 +492,11 @@ impl Model {
             }
             other => panic!("the client puts and gets, not {other:?}"),
         };
-        self.ship(NodeMsg::Store(reply));
+        self.ship(STORAGE, NodeMsg::Store(reply));
     }
 
-    fn endorse_or_order(&mut self, msg: FabricMsg) {
+    /// The node `to` answers `msg`.
+    fn endorse_or_order(&mut self, to: ActorId, msg: FabricMsg) {
         let reply = match msg {
             FabricMsg::SubmitProposal(signed) => {
                 let proposal = signed.proposal;
@@ -508,7 +505,7 @@ impl Model {
                 let roll = if self.loss == 0 {
                     9
                 } else {
-                    self.rng.below(10)
+                    self.rng().below(10)
                 };
                 match roll {
                     0 => self.bench.answer(tx, Err(BUSY_REASON)),
@@ -525,38 +522,33 @@ impl Model {
                 let tx_id = envelope.tx_id();
                 if ack {
                     let accepted = true;
-                    self.ship(NodeMsg::Fabric(FabricMsg::BroadcastAck { tx_id, accepted }));
+                    self.ship(
+                        to,
+                        NodeMsg::Fabric(FabricMsg::BroadcastAck { tx_id, accepted }),
+                    );
                 }
                 commit(tx_id)
             }
             other => panic!("the client sends proposals and envelopes, not {other:?}"),
         };
-        self.ship(reply);
+        self.ship(to, reply);
     }
 
-    /// Puts a reply on the wire: lost, once, or twice.
-    fn ship(&mut self, reply: NodeMsg) {
-        if self.rng.chance(self.loss) {
-            return;
-        }
-        if self.rng.chance(self.loss) {
-            self.wire.push(reply.clone());
-        }
-        self.wire.push(reply);
+    /// Puts a reply of `from` on the wire: lost, once, or twice.
+    fn ship(&mut self, from: ActorId, reply: NodeMsg) {
+        self.bench.sched.ship(from, 0, reply, self.loss);
     }
 
     /// Delivers one reply, picked at random: the wire reorders.
     fn deliver(&mut self) {
-        let pick = self.rng.below(self.wire.len() as u64) as usize;
-        let msg = self.wire.swap_remove(pick);
-        let actions = self.bench.message(msg);
+        let actions = self.bench.sched.deliver_any();
         self.apply(actions);
     }
 
     /// Fires the `nth` armed wake-up, whatever its delay: early or late.
     fn fire(&mut self, nth: u64) {
-        let token = *self.armed.iter().nth(nth as usize).expect("in range");
-        self.armed.remove(&token);
+        let armed = &self.bench.sched.armed[0];
+        let token = *armed.iter().nth(nth as usize).expect("in range");
         let actions = self.bench.timer(token);
         self.apply(actions);
     }
@@ -565,12 +557,8 @@ impl Model {
     /// only once nothing is left to arrive, until nothing is armed.
     fn drain(&mut self) {
         self.loss = 0;
-        while !(self.wire.is_empty() && self.armed.is_empty()) {
-            if self.wire.is_empty() {
-                self.fire(0);
-            } else {
-                self.deliver();
-            }
+        while let Some(actions) = self.bench.sched.heal() {
+            self.apply(actions);
         }
     }
 }
@@ -583,43 +571,43 @@ proptest! {
     /// timers drain, the table is empty.
     #[test]
     fn every_command_ends_exactly_once_and_the_table_drains(seed in any::<u64>()) {
-        let mut rng = Rng(DetRng::new(seed));
+        let mut rng = Rng::new(seed);
         let shards = 1 + rng.below(2) as usize;
         let budget = rng.chance(70).then(|| 1 + rng.below(4) as u32);
         let loss = 10 + rng.below(30);
+        let mut bench = bench(shards, true, budget);
+        bench.sched.rng = rng;
         let mut m = Model {
-            bench: bench(shards, true, budget),
-            rng,
-            armed: BTreeSet::new(),
-            wire: Vec::new(),
+            bench,
             open: BTreeSet::new(),
             done: BTreeMap::new(),
             objects: BTreeMap::new(),
             loss,
         };
         let kinds: [fn(u64, &str) -> ClientCommand; 4] = [store_data, get_data, check_data, post];
-        let commands = 1 + m.rng.below(24);
+        let commands = 1 + m.rng().below(24);
         let mut issued = 0;
         for step in 0..400u64 {
-            match m.rng.below(10) {
+            let armed = m.bench.sched.armed[0].len() as u64;
+            match m.rng().below(10) {
                 0..=2 if issued < commands => {
                     issued += 1;
-                    let key = format!("k{}", m.rng.below(4));
-                    let command = kinds[m.rng.below(4) as usize];
-                    let now = SimTime::from_nanos(step * 1_000_000);
-                    let actions = m.bench.client.command(now, command(issued, &key));
+                    let key = format!("k{}", m.rng().below(4));
+                    let command = kinds[m.rng().below(4) as usize];
+                    m.bench.sched.now = SimTime::from_nanos(step * 1_000_000);
+                    let actions = m.bench.command(command(issued, &key));
                     m.apply(actions);
                 }
-                3..=7 if !m.wire.is_empty() => m.deliver(),
-                8 if !m.armed.is_empty() => {
-                    let nth = m.rng.below(m.armed.len() as u64);
+                3..=7 if !m.bench.sched.flying.is_empty() => m.deliver(),
+                8 if armed > 0 => {
+                    let nth = m.rng().below(armed);
                     m.fire(nth);
                 }
                 // A token that is not armed — spent, disarmed or never
                 // allocated, of either kind — wakes nothing.
                 9 => {
-                    let token = m.rng.below(64) | [0, TRANSFER_TOKEN_BIT][m.rng.below(2) as usize];
-                    if !m.armed.contains(&token) {
+                    let token = m.rng().below(64) | [0, TRANSFER_TOKEN_BIT][m.rng().below(2) as usize];
+                    if !m.bench.sched.armed[0].contains(&token) {
                         prop_assert!(m.bench.timer(token).is_empty());
                     }
                 }
@@ -628,8 +616,8 @@ proptest! {
         }
         // The inputs stop.
         m.drain();
-        prop_assert_eq!(m.bench.client.inflight(), 0);
-        prop_assert_eq!(m.bench.client.rows(), (0, 0));
+        prop_assert_eq!(m.bench.client().inflight(), 0);
+        prop_assert_eq!(m.bench.client().rows(), (0, 0));
         prop_assert!(m.open.is_empty(), "spans left open: {:?}", m.open);
         prop_assert_eq!(m.done.len() as u64, issued);
     }

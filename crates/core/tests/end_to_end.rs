@@ -469,3 +469,22 @@ fn deterministic_replay_same_seed() {
     assert_eq!(run(11), run(11));
     assert_ne!(run(11), run(12));
 }
+
+/// The benchmark's per-layer `sim.handler_s.*` metrics are the profiler's
+/// handler time by actor label, and each host sets its actor's label: a
+/// desktop deployment reports exactly its four roles.
+#[test]
+fn the_profiler_reports_handler_time_by_role() {
+    let mut hp = HyperProv::desktop();
+    hp.network_mut().sim.enable_profiler();
+    hp.store_data("k", b"v".to_vec(), vec![], vec![]).unwrap();
+    hp.get_data("k").unwrap();
+    let sim = &hp.network().sim;
+    let report = sim
+        .profiler()
+        .snapshot_json(sim.events_processed(), sim.hot_counters());
+    let report = hyperprov_sim::json::parse(&report).unwrap();
+    let handlers = report.get("handlers").and_then(|h| h.entries()).unwrap();
+    let labels: Vec<&str> = handlers.iter().map(|(label, _)| label.as_str()).collect();
+    assert_eq!(labels, ["client", "orderer", "peer", "storage"]);
+}

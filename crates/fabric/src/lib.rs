@@ -16,8 +16,9 @@
 //! * [`OrderingNode`] — batching, consensus hand-off, block fan-out and
 //!   the deliver service, solo or raft, another such machine,
 //! * [`Gateway`] — the client SDK equivalent, another such machine, and
-//! * [`Host`] — performs the [`Action`]s the machines answer, for the
-//!   simulation actors [`PeerActor`]/[`OrdererActor`] and for a client.
+//! * [`Host`] — performs the [`Action`]s the machines answer, and
+//!   [`Node`] — the one simulation actor that hosts a [`Machine`]: a peer,
+//!   an ordering node or a client.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,11 +62,10 @@ pub use messages::{
     SignedProposal, BUSY_REASON,
 };
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
-pub use ordering::{Action as OrderingAction, OrdererActor, OrderingNode};
+pub use ordering::{Action as OrderingAction, OrderingNode};
 pub use peer::{
-    Action as PeerAction, ChannelView, CommitPipeline, Own as PeerOwn, Peer, PeerActor,
-    SnapshotPolicy,
+    Action as PeerAction, ChannelView, CommitPipeline, Own as PeerOwn, Peer, SnapshotPolicy,
 };
-pub use perform::Host;
+pub use perform::{Host, Io, Machine, Node};
 pub use policy::EndorsementPolicy;
 pub use raft::{LogEntry, PeerIdx, RaftConfig, RaftMsg, RaftNode, RaftOutput, Role};

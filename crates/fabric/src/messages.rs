@@ -688,15 +688,6 @@ impl FabricMsg {
 
 pub use hyperprov_sim::Carries;
 
-impl Carries<FabricMsg> for FabricMsg {
-    fn wrap(inner: FabricMsg) -> Self {
-        inner
-    }
-    fn peel(self) -> Result<FabricMsg, Self> {
-        Ok(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

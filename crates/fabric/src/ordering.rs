@@ -1,6 +1,6 @@
 //! The ordering node, as a sans-IO state machine: one [`OrderingNode`]
 //! takes what happened (a message, a timer, a restart) and answers with
-//! the [`Action`]s its host, [`OrdererActor`], must perform, in order. It
+//! the [`Action`]s its host, a [`Node`](crate::Node), must perform, in order. It
 //! batches incoming envelopes, hands cut batches to its consensus,
 //! assembles what consensus ordered into the channel's chain, fans blocks
 //! out to the delivery list and serves re-delivery from a retained tail.
@@ -21,8 +21,6 @@ use crate::costs::CostModel;
 use crate::messages::{tx_trace, Envelope, FabricMsg};
 use crate::orderer::{BatchConfig, BlockAssembler, BlockCutter};
 use crate::raft::{RaftConfig, RaftNode, RaftOutput};
-
-pub use actor::OrdererActor;
 
 /// Timer token of the batch timeout.
 const BATCH_TIMER: u64 = 1;
@@ -254,12 +252,6 @@ impl OrderingNode {
             Consensus::Solo => None,
             Consensus::Raft(member) => Some((member.node.compacted(), member.node.last_index())),
         }
-    }
-
-    /// The token of the timer a host fires once, at no delay, to start the
-    /// node: a raft member's first consensus tick. Solo needs none.
-    pub fn first_timer(&self) -> Option<u64> {
-        matches!(self.consensus, Consensus::Raft(_)).then_some(RAFT_TICK)
     }
 
     /// A message from `src`; what an ordering node does not take — a

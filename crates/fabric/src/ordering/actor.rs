@@ -1,63 +1,41 @@
-//! The I/O half of the ordering node: the actor that feeds the sans-IO
-//! [`OrderingNode`] and has its [`Host`] perform what it answers on the
-//! discrete-event kernel.
+//! The I/O half of the ordering node: the [`OrderingNode`] — solo or a
+//! raft member — as a [`Machine`], which asks for nothing of its own.
 
-use hyperprov_sim::{Actor, ActorId, Carries, Context, Event, SimDuration, Simulation};
+use std::convert::Infallible;
 
-use super::OrderingNode;
+use hyperprov_sim::{ActorId, Carries, Context};
+
+use super::{Action, Consensus, OrderingNode, RAFT_TICK};
 use crate::messages::FabricMsg;
-use crate::perform::Host;
+use crate::perform::{Host, Io, Machine};
 
-/// An ordering node on the simulation kernel: an [`OrderingNode`] — solo
-/// or a raft member, one actor per member — and what performs its actions.
-/// A multi-channel deployment runs one ordering pipeline per channel.
-pub struct OrdererActor<M> {
-    node: OrderingNode,
-    host: Host<M>,
-}
+impl Machine for OrderingNode {
+    type Msg = FabricMsg;
+    type Own = Infallible;
 
-impl<M: Carries<FabricMsg> + 'static> OrdererActor<M> {
-    /// The one way to start an orderer: puts `node` into `sim` on a CPU of
-    /// relative speed `cpu_speed`, labelled `orderer`, and fires the timer
-    /// that starts it, if it needs one (a raft member's first tick).
-    pub fn start(node: OrderingNode, sim: &mut Simulation<M>, cpu_speed: f64) -> ActorId {
-        let first_timer = node.first_timer();
-        let host = Host::new("orderer");
-        let id = sim.add_actor_with_speed(Box::new(OrdererActor { node, host }), cpu_speed);
-        sim.set_actor_label(id, "orderer");
-        if let Some(token) = first_timer {
-            sim.start_timer(id, SimDuration::ZERO, token);
-        }
-        id
+    fn message(&mut self, src: ActorId, msg: FabricMsg, _: Io<'_>) -> Vec<Action> {
+        OrderingNode::message(self, src, msg)
     }
 
-    /// The machine, to read: whether it leads.
-    pub fn node(&self) -> &OrderingNode {
-        &self.node
-    }
-}
-
-impl<M: Carries<FabricMsg> + 'static> Actor<M> for OrdererActor<M> {
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn timer(&mut self, token: u64, _: Io<'_>) -> Vec<Action> {
+        OrderingNode::timer(self, token)
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, M>, event: Event<M>) {
-        let actions = match event {
-            Event::Message { src, msg } => match msg.peel() {
-                Ok(msg) => self.node.message(src, msg),
-                Err(_) => return,
-            },
-            Event::Timer { token } if self.host.timer(ctx, token) => self.node.timer(token),
-            Event::Timer { .. } => return,
-        };
-        // An ordering node asks for nothing of its own.
-        self.host.perform(ctx, actions, |_, _, own| match own {});
+    fn restarted(&mut self) -> Vec<Action> {
+        OrderingNode::restarted(self)
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
-        self.host.reset();
-        let actions = self.node.restarted();
-        self.host.perform(ctx, actions, |_, _, own| match own {});
+    /// A raft member's first consensus tick; solo needs none.
+    fn first_timer(&self) -> Option<u64> {
+        matches!(self.consensus, Consensus::Raft(_)).then_some(RAFT_TICK)
+    }
+
+    fn perform_own<M: Carries<FabricMsg>>(
+        &mut self,
+        _: &mut Host<M>,
+        _: &mut Context<'_, M>,
+        own: Infallible,
+    ) {
+        match own {}
     }
 }

@@ -1,6 +1,6 @@
 //! The peer, as a sans-IO state machine: one [`Peer`] takes what happened
 //! (a message, a retry timer, a restart) and answers with the [`Action`]s
-//! its host, [`PeerActor`], must perform, in order. It endorses proposals
+//! its host, a [`Node`](crate::Node), must perform, in order. It endorses proposals
 //! and commits delivered blocks on every channel it hosts, cuts snapshots
 //! behind the commit path and serves them, says who hears of a commit, and
 //! keeps each channel current through that channel's [`CatchUp`] machine,
@@ -33,8 +33,6 @@ use crate::messages::{
     tx_trace, CommitEvent, FabricMsg, ProposalResponse, SignedProposal, BUSY_REASON,
 };
 
-pub use actor::PeerActor;
-
 /// Configuration of a peer's FastFabric-style commit path: how many CPU
 /// lanes the parallel VSCC phase may spread across, and whether the
 /// verification caches are on. Every peer commits through the same
@@ -62,7 +60,7 @@ impl Default for CommitPipeline {
 
 /// Peer-side snapshot policy: cut a Merkle-rooted state snapshot every
 /// `interval` blocks and prune the block store behind it. Snapshots are
-/// off unless a policy is installed with [`PeerActor::with_snapshots`].
+/// off unless a policy is installed with [`Peer::set_snapshots`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotPolicy {
     /// Cut a snapshot once the chain has grown this many blocks past the
@@ -248,7 +246,8 @@ impl Peer {
     }
 
     /// Hosts the committer's channel; `target` is the node asked to
-    /// re-deliver missed blocks (see [`PeerActor::add_channel`]).
+    /// re-deliver blocks missed while crashed (normally the channel's
+    /// ordering node). Without one a gap shows at the next live delivery.
     pub fn host(&mut self, committer: Rc<RefCell<Committer>>, target: Option<ActorId>) {
         let id = committer.borrow().channel().clone();
         self.by_id.insert(id.clone(), self.channels.len());
@@ -262,20 +261,21 @@ impl Peer {
         });
     }
 
-    /// Installs the snapshot policy (see [`PeerActor::with_snapshots`]).
+    /// Installs the snapshot policy: on every hosted channel, cut, prune
+    /// behind the cut, and recover from the latest cut plus a delta replay.
     pub fn set_snapshots(&mut self, policy: SnapshotPolicy) {
         self.snapshots = Some(policy);
     }
 
-    /// Sets the snapshot provider ladder of a hosted channel.
+    /// Sets the snapshot provider ladder of a hosted channel, tried in order.
     pub fn set_providers(&mut self, channel: &ChannelId, providers: Vec<ActorId>) {
         if let Some(i) = self.hosted(channel) {
             self.channels[i].catchup.set_providers(providers);
         }
     }
 
-    /// Configures the commit path, on every channel hosted so far or
-    /// later (see [`PeerActor::with_pipeline`]).
+    /// Configures the commit path (VSCC lanes + caches), on every channel
+    /// hosted so far or later.
     pub fn set_pipeline(&mut self, pipeline: CommitPipeline) {
         self.pipeline = pipeline;
         self.sig_cache = pipeline.caches.then(SigVerifyCache::new);
@@ -285,7 +285,8 @@ impl Peer {
     }
 
     /// Subscribes a client to the commit events of the transactions it
-    /// submits under `cert` (see [`PeerActor::subscribe`]).
+    /// submits under `cert`, at every peer it may ask to endorse; which of
+    /// them reports which transaction is the machine's rule.
     pub fn subscribe(&mut self, client: ActorId, cert: CertId) {
         self.subscribers.insert(cert, client);
     }

@@ -4,6 +4,9 @@
 //! providers (some empty, superseded or corrupting), and a lossy,
 //! reordering, duplicating model network that heals at a seeded point.
 
+#[path = "support/sched.rs"]
+mod sched;
+
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -15,28 +18,9 @@ use hyperprov_ledger::{
 use hyperprov_sim::ActorId;
 use proptest::prelude::*;
 
+use sched::Rng;
+
 const ORDERER: ActorId = ActorId(100);
-
-/// SplitMix64: the cases draw a seed, the model draws from this.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
 
 /// A snapshot of `height - 1` keys in three-entry chunks.
 fn snapshot(height: u64) -> Snapshot {
@@ -573,7 +557,7 @@ proptest! {
     /// accepted manifest does not have.
     #[test]
     fn catch_up_converges_once_the_network_heals(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let tip = 4 + rng.below(27);
         let with_target = rng.chance(85);
         // An orderer that has pruned what the peer needs is survivable

@@ -12,13 +12,13 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{
     endorsement_message, ChaincodeRegistry, ChannelPolicies, CommitEvent, Committer, CostModel,
-    Endorsement, EndorsementPolicy, Envelope, FabricMsg, MspBuilder, MspId, PeerActor, Proposal,
+    Endorsement, EndorsementPolicy, Envelope, FabricMsg, MspBuilder, MspId, Node, Peer, Proposal,
     SigningIdentity,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, KvWrite, RawEnvelope, RwSet, StateKey, TxId, ValidationCode,
 };
-use hyperprov_sim::{Actor, ActorId, Context, Event, Simulation};
+use hyperprov_sim::{Actor, ActorId, Context, CpuResource, Event, Simulation};
 
 /// The commit events a client was sent, and by whom.
 type Received = Vec<(ActorId, CommitEvent)>;
@@ -109,17 +109,19 @@ fn run(n_peers: usize, n_clients: usize) -> Outcome {
             msp.clone(),
             ChannelPolicies::new(EndorsementPolicy::any_of([org.clone()])),
         )));
-        let mut peer = PeerActor::<FabricMsg>::new(
+        let (name, registry) = (format!("peer{i}"), ChaincodeRegistry::new());
+        let mut peer = Peer::new(
             identity.clone(),
-            ChaincodeRegistry::new(),
+            registry,
             CostModel::default(),
-            format!("peer{i}"),
+            name.clone(),
         );
-        peer.add_channel(committer.clone(), None);
+        peer.host(committer.clone(), None);
         for (c, client) in clients.iter().enumerate() {
             peer.subscribe(ActorId((n_peers + c) as u32), client.certificate().id);
         }
-        assert_eq!(sim.add_actor(Box::new(peer)), ActorId(i as u32));
+        let id = Node::new(peer, name).start(&mut sim, CpuResource::new(1.0), "peer");
+        assert_eq!(id, ActorId(i as u32));
         committers.push(committer);
     }
     let inboxes: Vec<Rc<RefCell<Received>>> = (0..n_clients)

@@ -8,11 +8,12 @@ use std::sync::Arc;
 use hyperprov_fabric::{
     BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelPolicies,
     Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayAction, GatewayDone,
-    GatewayError, GatewayReply, Host, MspBuilder, MspId, OrdererActor, OrderingNode, PeerActor,
-    Route,
+    GatewayError, GatewayReply, Host, MspBuilder, MspId, Node, OrderingNode, Peer, Route,
 };
 use hyperprov_ledger::ValidationCode;
-use hyperprov_sim::{Actor, ActorId, Context, Event, SimDuration, SimTime, Simulation};
+use hyperprov_sim::{
+    Actor, ActorId, Context, CpuResource, Event, SimDuration, SimTime, Simulation,
+};
 
 /// A chaincode whose output depends on a per-instance tag — installing
 /// different tags on different peers yields mismatching endorsements,
@@ -116,19 +117,19 @@ fn build(
             msp.clone(),
             ChannelPolicies::new(policy.clone()),
         )));
-        let mut peer =
-            PeerActor::<FabricMsg>::new(identity.clone(), registry, costs, format!("p{i}"));
-        peer.add_channel(committer, None);
+        let name = format!("p{i}");
+        let mut peer = Peer::new(identity.clone(), registry, costs, name.clone());
+        peer.host(committer, None);
         // Whichever endorsement arrives first names the peer that reports.
         peer.subscribe(client_actor, client_identity.certificate().id);
-        peers.push(sim.add_actor(Box::new(peer)));
+        peers.push(Node::new(peer, name).start(&mut sim, CpuResource::new(1.0), "peer"));
     }
     let batch = BatchConfig {
         max_message_count: 1,
         ..BatchConfig::default()
     };
     let node = OrderingNode::solo("ch".into(), batch, peers.clone(), costs);
-    let orderer = OrdererActor::start(node, &mut sim, 1.0);
+    let orderer = Node::new(node, "orderer").start(&mut sim, CpuResource::new(1.0), "orderer");
     let log = Rc::new(RefCell::new(Log::default()));
     let route = Route::new("ch", peers, vec![orderer], needed);
     let got = sim.add_actor(Box::new(OneShot {

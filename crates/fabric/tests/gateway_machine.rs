@@ -5,17 +5,21 @@
 //! reorders replies and fires timers early or late, one that is clean but
 //! for a dead node.
 
+#[path = "support/sched.rs"]
+mod sched;
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use hyperprov_fabric::{
-    tx_trace, Caller, CommitEvent, CostModel, FabricMsg, Gateway, GatewayAction as Action,
-    GatewayDone as Done, GatewayReply, MspBuilder, MspId, ProposalResponse, RetryPolicy, Route,
-    SigningIdentity, BUSY_REASON,
+    tx_trace, Caller, Carries, CommitEvent, CostModel, FabricMsg, Gateway, GatewayAction as Action,
+    GatewayDone as Done, GatewayReply, Host, Io, Machine, MspBuilder, MspId, ProposalResponse,
+    RetryPolicy, Route, SigningIdentity, BUSY_REASON,
 };
 use hyperprov_ledger::{ChannelId, RwSet, TxId, ValidationCode};
-use hyperprov_sim::{ActorId, DetRng, SimDuration};
+use hyperprov_sim::{ActorId, Context, SimDuration};
 use proptest::prelude::*;
-use rand::Rng as _;
+
+use sched::{Rng, Sched};
 
 /// The orderers of every route, home first.
 const ORDERERS: [ActorId; 3] = [ActorId(90), ActorId(91), ActorId(92)];
@@ -32,6 +36,9 @@ impl Caller for Req {
     }
 }
 
+/// The gateway's own actor.
+const CLIENT: ActorId = ActorId(100);
+
 /// The endorsers of route `shard`, home first: actors `10 * (shard + 1)`
 /// and the next two.
 fn endorsers(shard: usize) -> Vec<ActorId> {
@@ -39,9 +46,33 @@ fn endorsers(shard: usize) -> Vec<ActorId> {
     (home..home + 3).map(ActorId).collect()
 }
 
+/// A gateway on its own, as the model host drives it.
+struct Bare(Gateway<Req>);
+
+impl Machine for Bare {
+    type Msg = FabricMsg;
+    type Own = Done<Req>;
+
+    fn message(&mut self, _: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Req>> {
+        self.0.on_message(msg, io.rng)
+    }
+
+    fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<Req>> {
+        self.0.on_timer(token, io.rng)
+    }
+
+    fn perform_own<M: Carries<FabricMsg>>(
+        &mut self,
+        _: &mut Host<M>,
+        _: &mut Context<'_, M>,
+        _: Done<Req>,
+    ) {
+        unreachable!("no kernel hosts a bare gateway: a client performs its ends")
+    }
+}
+
 struct Bench {
-    gateway: Gateway<Req>,
-    rng: DetRng,
+    sched: Sched<Bare>,
     peer: SigningIdentity,
 }
 
@@ -77,30 +108,34 @@ fn bench_with(
     if let Some(budget) = budget {
         gateway = gateway.with_retry(RetryPolicy::new(budget));
     }
-    Bench {
-        gateway,
-        rng: DetRng::new(11),
-        peer,
-    }
+    let sched = Sched::new([(CLIENT, Bare(gateway))], Rng::new(11));
+    Bench { sched, peer }
 }
 
 impl Bench {
+    fn gateway(&self) -> &Gateway<Req> {
+        &self.sched.machines[0].0
+    }
+
     fn invoke(&mut self, shard: usize, req: u32) -> Vec<Action<Req>> {
-        self.gateway
-            .invoke(shard, Req(req), "cc", "put", vec![b"k".to_vec()])
+        let args = vec![b"k".to_vec()];
+        self.sched
+            .input(0, |g, _| g.0.invoke(shard, Req(req), "cc", "put", args))
     }
 
     fn query(&mut self, shard: usize, req: u32) -> Vec<Action<Req>> {
-        self.gateway
-            .query(shard, Req(req), "cc", "get", vec![b"k".to_vec()])
+        let args = vec![b"k".to_vec()];
+        self.sched
+            .input(0, |g, _| g.0.query(shard, Req(req), "cc", "get", args))
     }
 
+    /// A reply, from whichever node: the gateway reads no sender.
     fn message(&mut self, msg: FabricMsg) -> Vec<Action<Req>> {
-        self.gateway.on_message(msg, &mut self.rng)
+        self.sched.message(0, ORDERERS[0], msg)
     }
 
     fn timer(&mut self, token: u64) -> Vec<Action<Req>> {
-        self.gateway.on_timer(token, &mut self.rng)
+        self.sched.fire(0, token)
     }
 
     /// An endorser's answer to the proposal `tx_id`.
@@ -226,7 +261,7 @@ mod transitions {
         assert!(b.message(ack(tx, true)).is_empty());
         let done = ["disarm#3", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(tx))), done);
-        assert_eq!(b.gateway.inflight(), 0);
+        assert_eq!(b.gateway().inflight(), 0);
     }
 
     #[test]
@@ -246,7 +281,7 @@ mod transitions {
         let rejected = show(&b.message(answer));
         assert_eq!(rejected[..2], ["disarm#2", "query]"]);
         assert!(rejected[2].starts_with("done2=Query"), "{rejected:?}");
-        assert_eq!(b.gateway.inflight(), 0);
+        assert_eq!(b.gateway().inflight(), 0);
     }
 
     #[test]
@@ -287,7 +322,7 @@ mod transitions {
         assert_eq!(failed.len(), 4);
         // The other endorser's answer finds no row.
         assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
-        assert_eq!(b.gateway.inflight(), 0);
+        assert_eq!(b.gateway().inflight(), 0);
     }
 
     #[test]
@@ -302,7 +337,7 @@ mod transitions {
             "done1=Mismatch",
         ];
         assert_eq!(show(&b.message(b.answer(tx, Ok(b"two")))), failed);
-        assert_eq!(b.gateway.inflight(), 0);
+        assert_eq!(b.gateway().inflight(), 0);
     }
 
     #[test]
@@ -312,7 +347,7 @@ mod transitions {
         assert_eq!(b.message(b.answer(tx, Ok(b"r"))).len(), 5);
         assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
         assert!(b.message(b.answer(tx, Err("late"))).is_empty());
-        assert_eq!(b.gateway.inflight(), 1);
+        assert_eq!(b.gateway().inflight(), 1);
     }
 
     #[test]
@@ -325,14 +360,14 @@ mod transitions {
         assert!(b.message(commit(ours)).is_empty());
         let query = tx_of(&b.query(0, 2));
         assert!(b.message(commit(query)).is_empty());
-        assert_eq!(b.gateway.inflight(), 2);
+        assert_eq!(b.gateway().inflight(), 2);
         // Ours once submitted: a commit that overtakes the orderer's answer
         // completes it, and the answer then finds nothing.
         b.message(b.answer(ours, Ok(b"r")));
         let done = ["disarm#3", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(ours))), done);
         assert!(b.message(ack(ours, true)).is_empty());
-        assert_eq!(b.gateway.inflight(), 1);
+        assert_eq!(b.gateway().inflight(), 1);
     }
 
     #[test]
@@ -378,7 +413,7 @@ mod transitions {
             "done4=EndorseTimeout",
         ];
         assert_eq!(show(&b.timer(7)), expired);
-        assert_eq!(b.gateway.inflight(), 0);
+        assert_eq!(b.gateway().inflight(), 0);
         // Nothing is left to fire: every token is spent or disarmed.
         for token in 0..9 {
             assert!(b.timer(token).is_empty());
@@ -399,7 +434,7 @@ mod transitions {
             "arm#2=backoff",
         ];
         assert_eq!(show(&b.timer(1)), backing_off);
-        assert_eq!(b.gateway.inflight(), 1);
+        assert_eq!(b.gateway().inflight(), 1);
         let reissued = b.timer(2);
         let again = ["charge", "[endorse", "arm#3=endorse", "propose->11"];
         assert_eq!(show(&reissued), again);
@@ -408,7 +443,7 @@ mod transitions {
         b.message(b.answer(second, Ok(b"r")));
         let done = ["disarm#4", "commit_wait]", "done7=Valid"];
         assert_eq!(show(&b.message(commit(second))), done);
-        assert_eq!(b.gateway.inflight(), 0);
+        assert_eq!(b.gateway().inflight(), 0);
     }
 
     #[test]
@@ -440,7 +475,7 @@ mod transitions {
             "done1=Exhausted { attempts: 2 }",
         ];
         assert_eq!(show(&b.timer(3)), exhausted);
-        assert_eq!(b.gateway.inflight(), 0);
+        assert_eq!(b.gateway().inflight(), 0);
     }
 
     #[test]
@@ -449,7 +484,7 @@ mod transitions {
         let tx = tx_of(&b.invoke(0, 1));
         let failed = show(&b.message(b.answer(tx, Err("bad argument"))));
         assert!(failed[3].starts_with("done1=Endorsement"), "{failed:?}");
-        assert_eq!(b.gateway.inflight(), 0);
+        assert_eq!(b.gateway().inflight(), 0);
     }
 
     #[test]
@@ -462,7 +497,7 @@ mod transitions {
         // ...and after the next attempt moved it to a fresh one.
         b.timer(2);
         assert!(b.message(b.answer(first, Ok(b"r"))).is_empty());
-        assert_eq!(b.gateway.inflight(), 1);
+        assert_eq!(b.gateway().inflight(), 1);
     }
 
     /// Runs request `req` on route 0 — an invoke, or a query — to its end
@@ -513,7 +548,7 @@ mod transitions {
     fn a_retry_goes_to_the_next_endorser() {
         let mut b = bench(&[1], true, Some(4));
         assert_eq!(addressed(&mut b, 1, true, &[10]), (vec![10, 11], vec![91]));
-        assert_eq!(b.gateway.homes(0), (ActorId(11), ActorId(90)));
+        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
         assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11], vec![90]));
         // With two endorsements needed, the window of two moves along.
         let mut b = bench(&[2], true, Some(3));
@@ -524,7 +559,7 @@ mod transitions {
         let mut b = bench(&[1], true, Some(4));
         let (proposals, _) = addressed(&mut b, 1, true, &[10, 11, 12]);
         assert_eq!(proposals, [10, 11, 12, 10]);
-        assert_eq!(b.gateway.homes(0).0, ActorId(11));
+        assert_eq!(b.gateway().homes(0).0, ActorId(11));
     }
 
     #[test]
@@ -532,7 +567,7 @@ mod transitions {
         let mut b = bench(&[2], true, Some(4));
         assert_eq!(addressed(&mut b, 1, false, &[10]), (vec![10, 11], vec![]));
         assert_eq!(addressed(&mut b, 2, false, &[10]), (vec![11], vec![]));
-        assert_eq!(b.gateway.homes(0), (ActorId(11), ActorId(90)));
+        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
     }
 
     /// A dead home orderer costs one endorse deadline per outage: its
@@ -544,7 +579,7 @@ mod transitions {
         let mut b = bench(&[1], true, Some(4));
         let first = addressed(&mut b, 1, true, &[90]);
         assert_eq!(first, (vec![10, 11], vec![90, 91]));
-        assert_eq!(b.gateway.homes(0), (ActorId(10), ActorId(91)));
+        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
         assert_eq!(addressed(&mut b, 2, true, &[90]), (vec![10], vec![91]));
     }
 
@@ -575,7 +610,7 @@ mod transitions {
         );
         let done = ["disarm#6", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(second))), done);
-        assert_eq!(b.gateway.homes(0), (ActorId(10), ActorId(91)));
+        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
     }
 
     /// Only an expiry moves a home: a full queue, an orderer's refusal and
@@ -601,14 +636,14 @@ mod transitions {
             "arm#3=backoff",
         ];
         assert_eq!(show(&b.message(ack(tx, false))), refused);
-        assert_eq!(b.gateway.homes(0), homes);
+        assert_eq!(b.gateway().homes(0), homes);
         assert_eq!(show(&b.timer(3)).last().unwrap(), "propose->11");
         // Shed by the home endorser, then rejected by it.
         for (req, reason) in [(2, BUSY_REASON), (3, "not found")] {
             let issued = b.query(0, req);
             assert_eq!(show(&issued).last().unwrap(), "propose->10");
             b.message(b.answer(tx_of(&issued), Err(reason)));
-            assert_eq!(b.gateway.homes(0), homes);
+            assert_eq!(b.gateway().homes(0), homes);
         }
     }
 
@@ -638,19 +673,6 @@ mod transitions {
     }
 }
 
-/// The model's own stream, seeded by the case.
-struct Rng(DetRng);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0.gen_range(0..n)
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
-
 /// One node of a deployment of `shards` routes: an endorser of one of
 /// them, or an orderer.
 fn pick_target(rng: &mut Rng, shards: usize) -> ActorId {
@@ -660,15 +682,10 @@ fn pick_target(rng: &mut Rng, shards: usize) -> ActorId {
     targets[rng.below(targets.len() as u64) as usize]
 }
 
-/// The model around a gateway: what its actions have armed, sent, opened
-/// and completed so far.
+/// The model around a gateway and its host: what its actions have opened
+/// and completed so far, and where they went.
 struct Model {
     bench: Bench,
-    rng: Rng,
-    /// Tokens armed and neither disarmed nor fired.
-    armed: BTreeSet<u64>,
-    /// Replies on their way back to the gateway.
-    wire: Vec<FabricMsg>,
     /// Spans opened and not closed.
     open: BTreeSet<(String, &'static str)>,
     /// `Done`s per request number.
@@ -697,17 +714,15 @@ fn next(ring: &[ActorId], node: ActorId) -> ActorId {
 }
 
 impl Model {
-    fn new(bench: Bench, rng: Rng, loss: u64, dead: Option<ActorId>) -> Self {
-        let shards = bench.gateway.shards();
+    fn new(mut bench: Bench, rng: Rng, loss: u64, dead: Option<ActorId>) -> Self {
+        bench.sched.rng = rng;
+        let shards = bench.gateway().shards();
         Model {
             attempts: BTreeMap::new(),
             homes: (0..shards)
                 .map(|s| (endorsers(s)[0], ORDERERS[0]))
                 .collect(),
             bench,
-            rng,
-            armed: BTreeSet::new(),
-            wire: Vec::new(),
             open: BTreeSet::new(),
             done: BTreeMap::new(),
             failed: 0,
@@ -717,13 +732,15 @@ impl Model {
         }
     }
 
+    fn rng(&mut self) -> &mut Rng {
+        &mut self.bench.sched.rng
+    }
+
     /// Checks the actions of one input against the books and applies
     /// them: sends become the replies a (lossy) network would return.
     fn apply(&mut self, actions: Vec<Action<Req>>) {
         for action in actions {
             match action {
-                Action::Arm(token, _) => assert!(self.armed.insert(token), "#{token} armed twice"),
-                Action::Disarm(token) => assert!(self.armed.remove(&token), "#{token} not armed"),
                 Action::SpanStart(tx, stage, _) => assert!(self.open.insert((tx, stage))),
                 Action::SpanEnd(tx, stage, _) => assert!(self.open.remove(&(tx, stage))),
                 Action::Own(Done(Req(n), result)) => {
@@ -734,7 +751,7 @@ impl Model {
                     *self.asked.entry(to).or_insert(0) += 1;
                     self.record(to, &msg);
                     if Some(to) != self.dead {
-                        self.reply_to(msg);
+                        self.reply_to(to, msg);
                     }
                 }
                 Action::Note(trace, name, _) => self.expired(&trace, name),
@@ -742,13 +759,15 @@ impl Model {
             }
         }
         // A row exists exactly while its one wake-up is armed, in every
-        // phase, *ordering* included.
-        assert_eq!(self.armed.len(), self.bench.gateway.inflight());
+        // phase, *ordering* included, and nothing else is disarmed.
+        let sched = &self.bench.sched;
+        assert_eq!(sched.armed[0].len(), self.bench.gateway().inflight());
+        assert_eq!(sched.stray_disarms, 0);
         assert!(self.done.values().all(|&n| n == 1));
         // A home moves only on an expiry, one place on from the position
         // that expired.
         for (shard, &home) in self.homes.iter().enumerate() {
-            assert_eq!(self.bench.gateway.homes(shard), home, "route {shard}");
+            assert_eq!(self.bench.gateway().homes(shard), home, "route {shard}");
         }
     }
 
@@ -785,13 +804,14 @@ impl Model {
         }
     }
 
-    fn reply_to(&mut self, msg: FabricMsg) {
+    /// The node `to` answers `msg`.
+    fn reply_to(&mut self, to: ActorId, msg: FabricMsg) {
         // A healed network answers honestly.
         let honest = self.loss == 0;
         let reply = match msg {
             FabricMsg::SubmitProposal(signed) => {
                 let tx = signed.proposal.tx_id();
-                match if honest { 9 } else { self.rng.below(10) } {
+                match if honest { 9 } else { self.rng().below(10) } {
                     0 => self.bench.answer(tx, Err(BUSY_REASON)),
                     1 => self.bench.answer(tx, Err("rejected")),
                     2 => self.bench.answer(tx, Ok(b"odd")),
@@ -806,9 +826,9 @@ impl Model {
                 ack: asked,
             } => {
                 let tx = envelope.tx_id();
-                let accepted = honest || self.rng.below(10) != 0;
+                let accepted = honest || self.rng().below(10) != 0;
                 if asked {
-                    self.ship(ack(tx, accepted));
+                    self.bench.sched.ship(to, 0, ack(tx, accepted), self.loss);
                 }
                 if !accepted {
                     return;
@@ -817,25 +837,12 @@ impl Model {
             }
             other => panic!("the gateway sends proposals and envelopes, not {other:?}"),
         };
-        self.ship(reply);
-    }
-
-    /// Puts a reply on the wire: lost, once, or twice.
-    fn ship(&mut self, reply: FabricMsg) {
-        if self.rng.chance(self.loss) {
-            return;
-        }
-        if self.rng.chance(self.loss) {
-            self.wire.push(reply.clone());
-        }
-        self.wire.push(reply);
+        self.bench.sched.ship(to, 0, reply, self.loss);
     }
 
     /// Delivers one reply, picked at random: the wire reorders.
     fn deliver(&mut self) {
-        let pick = self.rng.below(self.wire.len() as u64) as usize;
-        let msg = self.wire.swap_remove(pick);
-        let actions = self.bench.message(msg);
+        let actions = self.bench.sched.deliver_any();
         self.apply(actions);
     }
 
@@ -843,19 +850,15 @@ impl Model {
     /// only once nothing is left to arrive, until nothing is armed.
     fn drain(&mut self) {
         self.loss = 0;
-        while !(self.wire.is_empty() && self.armed.is_empty()) {
-            if self.wire.is_empty() {
-                self.fire(0);
-            } else {
-                self.deliver();
-            }
+        while let Some(actions) = self.bench.sched.heal() {
+            self.apply(actions);
         }
     }
 
     /// Fires the `nth` armed wake-up, whatever its delay: early or late.
     fn fire(&mut self, nth: u64) {
-        let token = *self.armed.iter().nth(nth as usize).expect("in range");
-        self.armed.remove(&token);
+        let armed = &self.bench.sched.armed[0];
+        let token = *armed.iter().nth(nth as usize).expect("in range");
         let actions = self.bench.timer(token);
         self.apply(actions);
     }
@@ -870,20 +873,21 @@ proptest! {
     /// drain, the table is empty.
     #[test]
     fn every_request_ends_exactly_once_and_the_table_drains(seed in any::<u64>()) {
-        let mut rng = Rng(DetRng::new(seed));
+        let mut rng = Rng::new(seed);
         let needed: Vec<usize> = (0..1 + rng.below(4)).map(|_| 1 + rng.below(2) as usize).collect();
         let budget = rng.chance(70).then(|| 1 + rng.below(4) as u32);
         let loss = 10 + rng.below(30);
         let dead = rng.chance(50).then(|| pick_target(&mut rng, needed.len()));
         let mut m = Model::new(bench(&needed, true, budget), rng, loss, dead);
-        let requests = 1 + m.rng.below(24) as u32;
+        let requests = 1 + m.rng().below(24) as u32;
         let mut issued = 0;
         for _ in 0..400 {
-            match m.rng.below(10) {
+            let armed = m.bench.sched.armed[0].len() as u64;
+            match m.rng().below(10) {
                 0..=2 if issued < requests => {
                     issued += 1;
-                    let shard = m.rng.below(needed.len() as u64) as usize;
-                    let actions = match m.rng.chance(60) {
+                    let shard = m.rng().below(needed.len() as u64) as usize;
+                    let actions = match m.rng().chance(60) {
                         true => m.bench.invoke(shard, issued),
                         false => m.bench.query(shard, issued),
                     };
@@ -895,16 +899,16 @@ proptest! {
                     prop_assert_eq!(first, Some(m.homes[shard].0));
                     m.apply(actions);
                 }
-                3..=7 if !m.wire.is_empty() => m.deliver(),
-                8 if !m.armed.is_empty() => {
-                    let nth = m.rng.below(m.armed.len() as u64);
+                3..=7 if !m.bench.sched.flying.is_empty() => m.deliver(),
+                8 if armed > 0 => {
+                    let nth = m.rng().below(armed);
                     m.fire(nth);
                 }
                 // A token that is not armed — spent, disarmed or never
                 // allocated — wakes nothing.
                 9 => {
-                    let token = m.rng.below(200);
-                    if !m.armed.contains(&token) {
+                    let token = m.rng().below(200);
+                    if !m.bench.sched.armed[0].contains(&token) {
                         prop_assert!(m.bench.timer(token).is_empty());
                     }
                 }
@@ -913,7 +917,7 @@ proptest! {
         }
         // The inputs stop.
         m.drain();
-        prop_assert_eq!(m.bench.gateway.inflight(), 0);
+        prop_assert_eq!(m.bench.gateway().inflight(), 0);
         prop_assert!(m.open.is_empty(), "spans left open: {:?}", m.open);
         prop_assert_eq!(m.done.len() as u32, issued);
     }
@@ -926,11 +930,11 @@ proptest! {
     /// meets the dead node: the expiry moved the home past it.
     #[test]
     fn a_request_with_a_retry_left_routes_around_one_dead_node(seed in any::<u64>()) {
-        let mut rng = Rng(DetRng::new(seed));
+        let mut rng = Rng::new(seed);
         let budget = 2 + rng.below(4) as u32;
         let dead = pick_target(&mut rng, 1);
         let mut m = Model::new(bench(&[1], true, Some(budget)), rng, 0, Some(dead));
-        let invoke = m.rng.chance(60);
+        let invoke = m.rng().chance(60);
         let request = |m: &mut Model, n| match invoke {
             true => m.bench.invoke(0, n),
             false => m.bench.query(0, n),

@@ -19,7 +19,8 @@ use std::collections::VecDeque;
 use std::mem::size_of;
 
 use hyperprov_fabric::{
-    BatchConfig, CostModel, FabricMsg, OrderingAction as Action, OrderingNode, SigningIdentity,
+    BatchConfig, CostModel, FabricMsg, Machine as _, OrderingAction as Action, OrderingNode,
+    SigningIdentity,
 };
 use hyperprov_ledger::{ChannelId, RawEnvelope};
 use hyperprov_sim::ActorId;

@@ -7,19 +7,23 @@
 //! compacts away an entry another member's log lacks, and the members'
 //! blocks of one height share one body.
 
+#[path = "support/sched.rs"]
+mod sched;
 mod support;
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
+use std::iter;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    tx_trace, BatchConfig, BlockCutter, CostModel, Envelope, FabricMsg, OrderingAction as Action,
-    OrderingNode, RaftMsg, SigningIdentity,
+    tx_trace, BatchConfig, BlockCutter, CostModel, Envelope, FabricMsg, Machine as _,
+    OrderingAction as Action, OrderingNode, RaftMsg, SigningIdentity,
 };
 use hyperprov_ledger::{Block, ChannelId, RawEnvelope, TxId};
-use hyperprov_sim::{ActorId, DetRng};
+use hyperprov_sim::ActorId;
 use proptest::prelude::*;
-use rand::Rng as _;
+
+use sched::{Rng, Sched};
 
 const PEERS: [ActorId; 2] = [ActorId(1), ActorId(2)];
 const ORDERERS: [ActorId; 3] = [ActorId(90), ActorId(91), ActorId(92)];
@@ -42,14 +46,16 @@ fn solo(batch: BatchConfig) -> OrderingNode {
     OrderingNode::solo(channel(), batch, PEERS.to_vec(), CostModel::default())
 }
 
-/// The three members of a raft cluster cutting batches of `count`.
-fn cluster(count: usize, seed: u64) -> Vec<OrderingNode> {
-    let member = |i| {
+/// The three members of a raft cluster cutting batches of `count`, under
+/// their model host.
+fn cluster(count: usize, seed: u64, rng: Rng) -> Sched<OrderingNode> {
+    let member = |(i, id)| {
         let (cluster, peers) = (ORDERERS.to_vec(), PEERS.to_vec());
         let costs = CostModel::default();
-        OrderingNode::raft(i, cluster, channel(), peers, batch_of(count), seed, costs)
+        let node = OrderingNode::raft(i, cluster, channel(), peers, batch_of(count), seed, costs);
+        (id, node)
     };
-    (0..ORDERERS.len()).map(member).collect()
+    Sched::new(ORDERERS.into_iter().enumerate().map(member), rng)
 }
 
 /// A client's endorsed posts, numbered as they are made: `tx0`, `tx1`, …
@@ -184,36 +190,25 @@ fn height(node: &mut OrderingNode) -> u64 {
         .map_or(0, |tip| tip + 1)
 }
 
-/// Carries the messages `actions` of member `from` send to other members,
-/// and those their answers send, until none is in flight. Returns what
-/// each member answered along the way apart from those sends, in order.
-fn carry(nodes: &mut [OrderingNode], from: usize, actions: Vec<Action>) -> Vec<Vec<Action>> {
-    let mut seen: Vec<Vec<Action>> = nodes.iter().map(|_| Vec::new()).collect();
-    let mut flying = VecDeque::new();
-    let mut answered = Some((from, actions));
-    while let Some((member, actions)) = answered.take() {
-        for action in actions {
-            match action {
-                Action::Send(to, _, msg) if ORDERERS.contains(&to) => {
-                    flying.push_back((member, to, msg));
-                }
-                other => seen[member].push(other),
-            }
-        }
-        if let Some((src, to, msg)) = flying.pop_front() {
-            let dst = ORDERERS.iter().position(|&id| id == to).unwrap();
-            answered = Some((dst, nodes[dst].message(ORDERERS[src], msg)));
-        }
+/// Carries what is in flight among the members — `actions`, the answer of
+/// member `from`, sent some of it — and what that sends, until nothing
+/// is. Returns what each member answered along the way apart from those
+/// sends, in order.
+fn carry(s: &mut Sched<OrderingNode>, from: usize, actions: Vec<Action>) -> Vec<Vec<Action>> {
+    let mut seen: Vec<Vec<Action>> = ORDERERS.iter().map(|_| Vec::new()).collect();
+    for (m, actions) in iter::once((from, actions)).chain(s.settle()) {
+        let among = |a: &Action| matches!(a, Action::Send(to, ..) if ORDERERS.contains(to));
+        seen[m].extend(actions.into_iter().filter(|a| !among(a)));
     }
     seen
 }
 
 /// Ticks member `who` alone until it stands for election and wins it.
-fn elect(nodes: &mut [OrderingNode], who: usize) {
-    let tick = nodes[who].first_timer().expect("a raft member ticks");
-    while !nodes[who].is_leader() {
-        let actions = nodes[who].timer(tick);
-        carry(nodes, who, actions);
+fn elect(s: &mut Sched<OrderingNode>, who: usize) {
+    let tick = s.machines[who].first_timer().expect("a raft member ticks");
+    while !s.machines[who].is_leader() {
+        s.fire(who, tick);
+        s.settle();
     }
 }
 
@@ -428,7 +423,8 @@ mod transitions {
 
     #[test]
     fn a_restarted_raft_member_arms_its_tick_again() {
-        let (mut nodes, txs) = (cluster(1, 5), Txs::new());
+        let (mut s, txs) = (cluster(1, 5, Rng::new(5)), Txs::new());
+        let nodes = &mut s.machines;
         let tick = nodes[1].first_timer().unwrap();
         assert_eq!(solo(batch_of(1)).first_timer(), None);
         // A tick that finds nothing to do only arms the next one.
@@ -447,11 +443,11 @@ mod transitions {
     /// envelope that asks it directly.
     #[test]
     fn a_member_that_does_not_lead_forwards_to_the_leader_it_knows_of() {
-        let (mut nodes, mut txs) = (cluster(1, 5), Txs::new());
-        assert!(nodes.iter().all(|node| !node.is_leader()));
-        let lost = nodes[1].message(CLIENT, txs.broadcast());
+        let (mut s, mut txs) = (cluster(1, 5, Rng::new(5)), Txs::new());
+        assert!(s.machines.iter().all(|node| !node.is_leader()));
+        let lost = s.machines[1].message(CLIENT, txs.broadcast());
         assert_eq!(show(&lost, &txs), ["+dropped_no_leader=1"]);
-        let refused = nodes[1].message(CLIENT, txs.asking());
+        let refused = s.machines[1].message(CLIENT, txs.asking());
         let answer = ["+dropped_no_leader=1", "refused->100"];
         assert_eq!(show(&refused, &txs), answer);
         let Some(Action::Send(_, 64, FabricMsg::BroadcastAck { tx_id, .. })) = refused.last()
@@ -459,7 +455,8 @@ mod transitions {
             panic!("{refused:?}");
         };
         assert_eq!(tx_id, txs.ids.last().unwrap());
-        elect(&mut nodes, 0);
+        elect(&mut s, 0);
+        let nodes = &mut s.machines;
         assert!(nodes[0].is_leader() && !nodes[1].is_leader());
         let env = txs.envelope();
         let size = env.wire_size();
@@ -482,12 +479,12 @@ mod transitions {
 
     #[test]
     fn a_raft_block_is_delivered_by_every_member_that_applies_it() {
-        let (mut nodes, mut txs) = (cluster(1, 5), Txs::new());
-        elect(&mut nodes, 0);
-        let tick = nodes[0].first_timer().unwrap();
+        let (mut s, mut txs) = (cluster(1, 5, Rng::new(5)), Txs::new());
+        elect(&mut s, 0);
+        let tick = s.machines[0].first_timer().unwrap();
         // The leader admits, charges the admission and proposes; the block
         // is cut when a majority holds the entry.
-        let actions = nodes[0].message(CLIENT, txs.broadcast());
+        let actions = s.message(0, CLIENT, txs.broadcast());
         let proposed = [
             "+broadcasts=1",
             "[order.queue tx0",
@@ -496,7 +493,7 @@ mod transitions {
             "append->92",
         ];
         assert_eq!(show(&actions, &txs), proposed);
-        let seen = carry(&mut nodes, 0, actions);
+        let seen = carry(&mut s, 0, actions);
         let applied = [
             "+broadcasts=1",
             "[order.queue tx0",
@@ -520,9 +517,9 @@ mod transitions {
         // The followers learn of the commit from the next heartbeat, and
         // close no queue span: they admitted nothing.
         let mut seen = Vec::new();
-        while height(&mut nodes[1]) == 0 {
-            let ticked = nodes[0].timer(tick);
-            seen = carry(&mut nodes, 0, ticked);
+        while height(&mut s.machines[1]) == 0 {
+            let ticked = s.fire(0, tick);
+            seen = carry(&mut s, 0, ticked);
         }
         for follower in &seen[1..] {
             let applied = [
@@ -540,50 +537,31 @@ mod transitions {
     /// ids leave the admitted set.
     #[test]
     fn a_deposed_leader_drops_its_pending_batch() {
-        let (mut nodes, mut txs) = (cluster(3, 5), Txs::new());
-        elect(&mut nodes, 0);
-        let admitted = nodes[0].message(CLIENT, txs.broadcast());
+        let (mut s, mut txs) = (cluster(3, 5, Rng::new(5)), Txs::new());
+        elect(&mut s, 0);
+        let admitted = s.message(0, CLIENT, txs.broadcast());
         let timer = armed_by(&admitted);
-        nodes[0].message(CLIENT, txs.broadcast());
-        elect(&mut nodes, 1);
-        assert!(!nodes[0].is_leader());
+        s.message(0, CLIENT, txs.broadcast());
+        elect(&mut s, 1);
+        assert!(!s.machines[0].is_leader());
         let dropped = [
             "+timeout_cuts=1",
             "+dropped_not_leader=1",
             "order.queue] tx0",
             "order.queue] tx1",
         ];
-        assert_eq!(show(&nodes[0].timer(timer), &txs), dropped);
+        assert_eq!(show(&s.fire(0, timer), &txs), dropped);
         // Nothing of the batch is left behind: the next leadership of this
         // member starts clean.
-        elect(&mut nodes, 0);
-        let actions = nodes[0].message(CLIENT, txs.broadcast());
+        elect(&mut s, 0);
+        let actions = s.message(0, CLIENT, txs.broadcast());
         let again = ["+broadcasts=1", "[order.queue tx2", "charge", "arm#1"];
         assert_eq!(show(&actions, &txs), again);
     }
 }
 
-/// The model's own stream, seeded by the case.
-struct Rng(DetRng);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0.gen_range(0..n)
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
-
-/// A cluster member and what its actions have armed, opened and fanned
-/// out so far.
+/// What a cluster member's actions have opened and fanned out so far.
 struct Member {
-    node: OrderingNode,
-    tick: u64,
-    crashed: bool,
-    /// Tokens armed and neither disarmed nor fired.
-    armed: BTreeSet<u64>,
     /// A cutter of the same configuration, offered what the node took in
     /// and cut when its batch timer fired: whether it holds something.
     cutter: BlockCutter,
@@ -608,12 +586,11 @@ struct Coverage {
     compacted: u64,
 }
 
-/// The model network around three machines: consensus messages in flight,
-/// and a scheduler that picks what happens next.
+/// The model around three machines and their host, whose scheduler picks
+/// what happens next.
 struct Net {
+    sched: Sched<OrderingNode>,
     members: Vec<Member>,
-    /// `(from, to, message)` among the members, in no order.
-    flying: Vec<(usize, usize, FabricMsg)>,
     /// The member the scheduler leaves alone, and for how many steps.
     stalled: Option<(usize, u64)>,
     /// Every `order.queue` span ever opened.
@@ -621,67 +598,61 @@ struct Net {
     /// The body of the block at each height, as first fanned out.
     bodies: Vec<Arc<[RawEnvelope]>>,
     txs: Txs,
-    rng: Rng,
 }
 
 impl Net {
     fn new(seed: u64) -> Self {
-        let mut rng = Rng(DetRng::new(seed));
+        let mut rng = Rng::new(seed);
         let count = 1 + rng.below(3) as usize;
         let raft_seed = rng.below(1 << 32);
-        let member = |node: OrderingNode| Member {
-            tick: node.first_timer().unwrap(),
-            node,
-            crashed: false,
-            armed: BTreeSet::new(),
+        let member = |_| Member {
             cutter: BlockCutter::new(batch_of(count)),
             pending: false,
             open: BTreeSet::new(),
             fanned: Vec::new(),
         };
-        let mut net = Net {
-            members: cluster(count, raft_seed).into_iter().map(member).collect(),
-            flying: Vec::new(),
+        Net {
+            sched: cluster(count, raft_seed, rng),
+            members: ORDERERS.iter().map(member).collect(),
             stalled: None,
             queued: BTreeSet::new(),
             bodies: Vec::new(),
             txs: Txs::new(),
-            rng,
-        };
-        // The host starts each member with its first tick.
-        for member in &mut net.members {
-            member.armed.insert(member.tick);
         }
-        net
+    }
+
+    fn rng(&mut self) -> &mut Rng {
+        &mut self.sched.rng
+    }
+
+    /// The token of member `m`'s tick.
+    fn tick(&self, m: usize) -> u64 {
+        self.sched.machines[m].first_timer().unwrap()
     }
 
     fn leader(&self) -> Option<usize> {
-        let leads = |m: &Member| !m.crashed && m.node.is_leader();
-        self.members.iter().position(leads)
+        let s = &self.sched;
+        (0..ORDERERS.len()).find(|&m| !s.down[m] && s.machines[m].is_leader())
     }
 
-    /// Feeds member `m` one input — `offered` is the envelope it brings,
-    /// if it brings one — and holds what must hold after any.
-    fn input(
+    /// Holds what must hold after member `m` answered an input with
+    /// `actions`; `offered` is the envelope the input brought, if any.
+    fn check(
         &mut self,
         m: usize,
         coverage: &mut Coverage,
         offered: Option<RawEnvelope>,
-        input: impl FnOnce(&mut OrderingNode) -> Vec<Action>,
-    ) -> Vec<Action> {
+        actions: &[Action],
+    ) {
+        let tick = self.tick(m);
         let member = &mut self.members[m];
-        let actions = input(&mut member.node);
         if let (Some(raw), Some(Action::Count(_, "broadcasts", 1))) = (offered, actions.first()) {
             member.pending = member.cutter.offer(raw).timer_needed;
         }
-        for action in &actions {
+        for action in actions {
             match action {
-                Action::Send(to, _, msg) => {
-                    if let Some(dst) = ORDERERS.iter().position(|id| id == to) {
-                        let forwarded = matches!(msg, FabricMsg::Broadcast { .. });
-                        coverage.redirects += u64::from(forwarded);
-                        self.flying.push((m, dst, msg.clone()));
-                    }
+                Action::Send(to, _, FabricMsg::Broadcast { .. }) if ORDERERS.contains(to) => {
+                    coverage.redirects += 1;
                 }
                 Action::Job(_, sends, closes) => {
                     // Every block of the job goes to every peer once, and
@@ -708,8 +679,6 @@ impl Net {
                     assert_eq!(closes.len(), member.fanned.len() - first);
                     assert_eq!(sends.len(), closes.len() * PEERS.len());
                 }
-                Action::Arm(token, _) => assert!(member.armed.insert(*token), "armed twice"),
-                Action::Disarm(token) => assert!(member.armed.remove(token), "was not armed"),
                 Action::SpanStart(trace, "order.queue", _) => {
                     assert!(self.queued.insert(trace.clone()), "queued twice");
                     member.open.insert(trace.clone());
@@ -722,57 +691,56 @@ impl Net {
                 _ => {}
             }
         }
-        // The batch timer runs exactly while the cutter holds something.
-        let batch_timer = member.armed.iter().any(|&token| token != member.tick);
+        // The batch timer runs exactly while the cutter holds something,
+        // and nothing that is not armed is disarmed.
+        let batch_timer = self.sched.armed[m].iter().any(|&token| token != tick);
         assert_eq!(batch_timer, member.pending);
+        assert_eq!(self.sched.stray_disarms, 0);
         // Nothing any member lacks is compacted away anywhere, crashed
         // members included: their logs are durable.
         let logs: Vec<(u64, u64)> = self
-            .members
+            .sched
+            .machines
             .iter()
-            .map(|m| m.node.raft_log().unwrap())
+            .map(|node| node.raft_log().unwrap())
             .collect();
         let held = logs.iter().map(|&(_, last)| last).min().unwrap();
         let kept = logs.iter().all(|&(compacted, _)| compacted <= held);
         assert!(kept, "compacted past a member's log: {logs:?}");
-        actions
     }
 
     /// A message from `src` arrives at member `m`, unless it is down.
     fn arrive(&mut self, src: ActorId, m: usize, msg: FabricMsg, coverage: &mut Coverage) {
-        if self.members[m].crashed {
-            return;
-        }
         let offered = match &msg {
             FabricMsg::Broadcast { envelope, .. } => Some(envelope.to_raw()),
             _ => None,
         };
-        self.input(m, coverage, offered, |node| node.message(src, msg));
+        let actions = self.sched.message(m, src, msg);
+        self.check(m, coverage, offered, &actions);
     }
 
     /// One armed timer of member `m` fires.
     fn fire(&mut self, m: usize, token: u64, coverage: &mut Coverage) {
-        let member = &mut self.members[m];
-        assert!(member.armed.remove(&token));
-        if token != member.tick {
-            member.cutter.cut();
-            member.pending = false;
+        assert!(self.sched.armed[m].contains(&token));
+        if token != self.tick(m) {
+            self.members[m].cutter.cut();
+            self.members[m].pending = false;
         }
-        self.input(m, coverage, None, |node| node.timer(token));
+        let actions = self.sched.fire(m, token);
+        self.check(m, coverage, None, &actions);
     }
 
     fn crash(&mut self, m: usize) {
+        self.sched.crash(m);
         let member = &mut self.members[m];
-        member.crashed = true;
-        member.armed.clear();
         member.cutter = BlockCutter::new(*member.cutter.config());
         member.pending = false;
     }
 
     fn restart(&mut self, m: usize, coverage: &mut Coverage) {
-        self.members[m].crashed = false;
-        let actions = self.input(m, coverage, None, OrderingNode::restarted);
-        let tick = self.members[m].tick;
+        let actions = self.sched.restart(m);
+        self.check(m, coverage, None, &actions);
+        let tick = self.tick(m);
         assert!(
             matches!(actions[..], [Action::Count(_, "recoveries", 1), Action::Arm(t, _)] if t == tick)
         );
@@ -786,12 +754,12 @@ impl Net {
         let height = self.members[m].fanned.len() as u64;
         let tail: Vec<u64> = (height.saturating_sub(TAIL)..height).collect();
         coverage.full_tails += u64::from(height > TAIL);
-        assert_eq!(redelivered(&mut self.members[m].node, PEERS[0], 0), tail);
+        assert_eq!(redelivered(&mut self.sched.machines[m], PEERS[0], 0), tail);
     }
 
     /// Whether the scheduler may touch member `m` now.
     fn schedulable(&self, m: usize) -> bool {
-        !self.members[m].crashed && self.stalled.is_none_or(|(stalled, _)| stalled != m)
+        !self.sched.down[m] && self.stalled.is_none_or(|(stalled, _)| stalled != m)
     }
 
     /// One step of the adversarial schedule.
@@ -799,60 +767,61 @@ impl Net {
         if let Some((m, left)) = self.stalled {
             self.stalled = (left > 0).then(|| (m, left - 1));
         }
-        match self.rng.below(100) {
+        match self.rng().below(100) {
             // A message in flight arrives, whichever: delayed, reordered.
             0..=54 => {
-                let ready: Vec<usize> = (0..self.flying.len())
-                    .filter(|&i| self.schedulable(self.flying[i].1))
+                let flying = &self.sched.flying;
+                let ready: Vec<usize> = (0..flying.len())
+                    .filter(|&i| self.schedulable(flying[i].1))
                     .collect();
                 if !ready.is_empty() {
-                    let at = ready[self.rng.below(ready.len() as u64) as usize];
-                    let (from, to, msg) = self.flying.swap_remove(at);
-                    self.arrive(ORDERERS[from], to, msg, coverage);
+                    let at = ready[self.rng().below(ready.len() as u64) as usize];
+                    let (src, m, msg) = self.sched.flying.swap_remove(at);
+                    self.arrive(src, m, msg, coverage);
                 }
             }
             // A timer fires, whichever: early, late, out of order.
             55..=79 => {
-                let m = self.rng.below(3) as usize;
-                let armed: Vec<u64> = self.members[m].armed.iter().copied().collect();
+                let m = self.rng().below(3) as usize;
+                let armed: Vec<u64> = self.sched.armed[m].iter().copied().collect();
                 if self.schedulable(m) && !armed.is_empty() {
-                    let token = armed[self.rng.below(armed.len() as u64) as usize];
+                    let token = armed[self.rng().below(armed.len() as u64) as usize];
                     self.fire(m, token, coverage);
                 }
             }
             // A client's envelope reaches a member.
             80..=91 => {
-                let m = self.rng.below(3) as usize;
+                let m = self.rng().below(3) as usize;
                 let msg = self.txs.broadcast();
                 self.arrive(CLIENT, m, msg, coverage);
             }
             92..=95 => {
-                if !self.flying.is_empty() {
-                    let at = self.rng.below(self.flying.len() as u64) as usize;
-                    self.flying.swap_remove(at);
+                if !self.sched.flying.is_empty() {
+                    let at = self.sched.rng.below(self.sched.flying.len() as u64) as usize;
+                    self.sched.flying.swap_remove(at);
                     coverage.dropped_messages += 1;
                 }
             }
             // A crash — of the leader more often than not — or the restart
             // of what is down; never two members down at once.
-            96 => match self.members.iter().position(|m| m.crashed) {
+            96 => match self.sched.down.iter().position(|&down| down) {
                 Some(down) => self.restart(down, coverage),
                 None => {
-                    let leader = self.leader().filter(|_| self.rng.chance(70));
+                    let leader = self.leader().filter(|_| self.sched.rng.chance(70));
                     coverage.leader_crashes += u64::from(leader.is_some());
-                    let m = leader.unwrap_or_else(|| self.rng.below(3) as usize);
+                    let m = leader.unwrap_or_else(|| self.rng().below(3) as usize);
                     self.crash(m);
                 }
             },
             // A member — the leader more often than not — is left alone
             // for a while: its messages wait, its timers do not fire.
             97 => {
-                let leader = self.leader().filter(|_| self.rng.chance(70));
-                let m = leader.unwrap_or_else(|| self.rng.below(3) as usize);
-                self.stalled = Some((m, 40 + self.rng.below(120)));
+                let leader = self.leader().filter(|_| self.sched.rng.chance(70));
+                let m = leader.unwrap_or_else(|| self.rng().below(3) as usize);
+                self.stalled = Some((m, 40 + self.rng().below(120)));
             }
             _ => {
-                let m = self.rng.below(3) as usize;
+                let m = self.rng().below(3) as usize;
                 self.check_tail(m, coverage);
             }
         }
@@ -863,18 +832,18 @@ impl Net {
     /// successor, then until `done`.
     fn heal(&mut self, coverage: &mut Coverage, done: impl Fn(&Net) -> bool) {
         self.stalled = None;
-        if let Some(down) = self.members.iter().position(|m| m.crashed) {
+        if let Some(down) = self.sched.down.iter().position(|&down| down) {
             self.restart(down, coverage);
         }
         for round in 0..2_000 {
             if round >= 40 && done(self) {
                 return;
             }
-            for (from, to, msg) in std::mem::take(&mut self.flying) {
-                self.arrive(ORDERERS[from], to, msg, coverage);
+            for (src, m, msg) in std::mem::take(&mut self.sched.flying) {
+                self.arrive(src, m, msg, coverage);
             }
             for m in 0..self.members.len() {
-                for token in self.members[m].armed.clone() {
+                for token in self.sched.armed[m].clone() {
                     self.fire(m, token, coverage);
                 }
             }
@@ -893,7 +862,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     // consensus commits what earlier terms left behind only with an entry
     // of the current one — and every member applies all of it.
     net.heal(coverage, |net| {
-        let leaders = net.members.iter().filter(|m| m.node.is_leader()).count();
+        let leaders = net.sched.machines.iter().filter(|n| n.is_leader()).count();
         leaders == 1 && net.members.iter().all(|m| !m.pending)
     });
     let leader = net.leader().unwrap();
@@ -904,7 +873,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     }
     let last = *net.txs.ids.last().unwrap();
     net.heal(coverage, |net| {
-        net.flying.is_empty()
+        net.sched.flying.is_empty()
             && net.members.iter().all(|m| {
                 let tip = m.fanned.last();
                 tip.is_some_and(|block| block.envelopes.iter().any(|raw| raw.tx_id == last))
@@ -917,7 +886,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     for m in 0..net.members.len() {
         assert_eq!(hashes(&net.members[m]), chain);
         net.check_tail(m, coverage);
-        coverage.compacted += net.members[m].node.raft_log().unwrap().0;
+        coverage.compacted += net.sched.machines[m].raft_log().unwrap().0;
     }
     coverage.blocks += chain.len() as u64;
     // No transaction in two blocks, and none that nobody broadcast.

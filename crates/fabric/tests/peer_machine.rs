@@ -5,6 +5,8 @@
 //! (shuffled, duplicated, with holes filled later) between proposals,
 //! snapshot requests, retry timers and restarts.
 
+#[path = "support/sched.rs"]
+mod sched;
 mod support;
 
 use std::cell::RefCell;
@@ -13,15 +15,17 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, CommitPipeline, Committer,
-    CostModel, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal, SignedProposal,
-    SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
+    Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelView, CommitPipeline,
+    Committer, CostModel, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal,
+    SignedProposal, SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, Encode, RawEnvelope, TxId, ValidationCode, DEFAULT_CHANNEL,
 };
 use hyperprov_sim::ActorId;
 use proptest::prelude::*;
+
+use sched::{Rng, Sched};
 
 const ORDERER: ActorId = ActorId(90);
 
@@ -481,26 +485,12 @@ mod transitions {
             deliver(&mut joiner, &chain[number]);
         }
         // A message to the other machine goes to it, its answer back, until
-        // nothing is left in flight; the rest is kept.
-        let mut seen = Vec::new();
+        // nothing is left in flight; every answer is kept.
+        let mut s = Sched::new([(provider_id, provider), (joiner_id, joiner)], Rng::new(0));
         let join = FabricMsg::JoinChannel { channel: channel() };
-        let mut flight = vec![(joiner_id, joiner.message(ORDERER, join, true))];
-        while let Some((from, actions)) = flight.pop() {
+        let mut seen = show(&s.message(1, ORDERER, join));
+        for (_, actions) in s.settle() {
             seen.extend(show(&actions));
-            for action in actions {
-                let (to, msg) = match action {
-                    Action::Send(to, _, msg) => (to, msg),
-                    Action::Job(_, mut sends, _) => {
-                        sends.pop().map(|(to, _, msg)| (to, msg)).unwrap()
-                    }
-                    _ => continue,
-                };
-                if to == provider_id {
-                    flight.push((to, provider.message(from, msg, true)));
-                } else if to == joiner_id {
-                    flight.push((to, joiner.message(from, msg, true)));
-                }
-            }
         }
         let has = |word: &str| seen.iter().any(|a| a == word);
         assert!(has("+ch.joins=1") && has("+ch.snapshot_requests=1"));
@@ -509,30 +499,9 @@ mod transitions {
         assert!(!has("committed block-2->[]"));
         assert!(has("blocks@8->90"));
         assert_eq!(ledger_digests(&ledger), ledger_digests(&served));
-        let view = joiner.view(&channel()).unwrap();
+        let view = s.machines[1].view(&channel()).unwrap();
         assert!(view.buffered.is_empty() && !view.current);
         assert_eq!(view.snapshot_height, Some(6));
-    }
-}
-
-/// SplitMix64: the cases draw a seed, the model draws from this.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
     }
 }
 
@@ -544,13 +513,10 @@ struct Tx {
     parties: Option<(usize, usize)>,
 }
 
-/// One machine under test, the host's share of its state (which timers
-/// are armed), and what it has answered so far.
-struct Node {
-    peer: Peer,
+/// What one machine under test has answered so far, beside its ledger.
+struct Replica {
     ledger: Rc<RefCell<Committer>>,
     interval: Option<u64>,
-    armed: BTreeSet<u64>,
     cuts: BTreeSet<u64>,
     /// Commit sends, in the order answered.
     told: Vec<(TxId, ActorId)>,
@@ -567,17 +533,37 @@ struct Coverage {
     snapshot_boots: u64,
 }
 
-impl Node {
-    fn height(&self) -> u64 {
-        self.ledger.borrow().height()
+/// The machines under test, their host, and what each answered.
+struct Model {
+    sched: Sched<Peer>,
+    replicas: Vec<Replica>,
+}
+
+impl Model {
+    fn rng(&mut self) -> &mut Rng {
+        &mut self.sched.rng
     }
 
-    /// Feeds the machine one input and holds what must hold after any.
-    fn input(&mut self, input: impl FnOnce(&mut Peer) -> Vec<Action>) -> Vec<Action> {
-        let before = self.height();
-        let last_cut = self.peer.view(&channel()).unwrap().snapshot_height;
-        let actions = input(&mut self.peer);
-        let (height, view) = (self.height(), self.peer.view(&channel()).unwrap());
+    fn height(&self, i: usize) -> u64 {
+        self.replicas[i].ledger.borrow().height()
+    }
+
+    fn view(&self, i: usize) -> ChannelView {
+        self.sched.machines[i].view(&channel()).unwrap()
+    }
+
+    /// Feeds machine `i` one input through its host and holds what must
+    /// hold after any.
+    fn input(
+        &mut self,
+        i: usize,
+        input: impl FnOnce(&mut Sched<Peer>) -> Vec<Action>,
+    ) -> Vec<Action> {
+        let before = self.height(i);
+        let last_cut = self.view(i).snapshot_height;
+        let actions = input(&mut self.sched);
+        let (height, view) = (self.height(i), self.view(i));
+        let replica = &mut self.replicas[i];
 
         // Heights are contiguous: one `Committed` per block, in order.
         let committed: Vec<String> = actions
@@ -596,45 +582,43 @@ impl Node {
             .iter()
             .filter(|a| matches!(a, Action::Count(_, "snapshots.cut", _)))
             .count();
-        let due = self
+        let due = replica
             .interval
             .is_some_and(|interval| height > before && height >= last_cut.unwrap_or(0) + interval);
         assert_eq!(cuts, usize::from(due), "at {height}, last cut {last_cut:?}");
         if due {
-            assert!(self.cuts.insert(height), "two cuts at {height}");
+            assert!(replica.cuts.insert(height), "two cuts at {height}");
             assert_eq!(view.snapshot_height, Some(height));
         } else {
             assert_eq!(view.snapshot_height, last_cut);
         }
 
-        // The retry timer is armed exactly while catch-up is not current.
         for action in &actions {
-            match action {
-                Action::Arm(token, _) => {
-                    self.armed.insert(*token);
+            if let Action::Own(Own::Committed { events, .. }) = action {
+                for (to, event) in events {
+                    let FabricMsg::Commit(event) = event else {
+                        panic!("{event:?} among commit events");
+                    };
+                    replica.told.push((event.tx_id, *to));
                 }
-                Action::Disarm(token) => {
-                    self.armed.remove(token);
-                }
-                Action::Own(Own::Committed { events, .. }) => {
-                    for (to, event) in events {
-                        let FabricMsg::Commit(event) = event else {
-                            panic!("{event:?} among commit events");
-                        };
-                        self.told.push((event.tx_id, *to));
-                    }
-                }
-                _ => {}
             }
         }
-        assert_eq!(!self.armed.is_empty(), !view.current);
+        // The retry timer is armed exactly while catch-up is not current.
+        assert_eq!(!self.sched.armed[i].is_empty(), !view.current);
         actions
+    }
+
+    /// The first timer machine `i` has armed fires, if it has one.
+    fn fire_first(&mut self, i: usize) {
+        if let Some(&token) = self.sched.armed[i].first() {
+            self.input(i, |s| s.fire(i, token));
+        }
     }
 }
 
 /// One case: a chain, one to four machines, a schedule each, a heal.
 fn run_case(seed: u64, coverage: &mut Coverage) {
-    let mut rng = Rng(seed);
+    let mut rng = Rng::new(seed);
     let n_peers = 1 + rng.below(4) as usize;
     let n_clients = 3;
     let (clients, peers, new_committer) = support::network(n_clients, n_peers);
@@ -676,66 +660,71 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
         .map(|(key, _)| key.key.to_string())
         .collect();
 
-    let mut nodes: Vec<Node> = peers
-        .iter()
-        .map(|identity| {
-            let caches = rng.chance(50);
-            let pipeline = CommitPipeline { lanes: 2, caches };
-            let interval = rng.chance(60).then(|| 2 + rng.below(4));
-            let target = rng.chance(80).then_some(ORDERER);
-            let (mut peer, ledger) = peer_on(identity, new_committer(), pipeline, interval, target);
-            for (c, client) in clients.iter().enumerate() {
-                peer.subscribe(client_actor(c), client.certificate().id);
-            }
-            Node {
-                peer,
-                ledger,
-                interval,
-                armed: BTreeSet::new(),
-                cuts: BTreeSet::new(),
-                told: Vec::new(),
-            }
-        })
-        .collect();
+    let mut machines = Vec::new();
+    let mut replicas = Vec::new();
+    for (p, identity) in peers.iter().enumerate() {
+        let caches = rng.chance(50);
+        let pipeline = CommitPipeline { lanes: 2, caches };
+        let interval = rng.chance(60).then(|| 2 + rng.below(4));
+        let target = rng.chance(80).then_some(ORDERER);
+        let (mut peer, ledger) = peer_on(identity, new_committer(), pipeline, interval, target);
+        for (c, client) in clients.iter().enumerate() {
+            peer.subscribe(client_actor(c), client.certificate().id);
+        }
+        machines.push((ActorId(1 + p as u32), peer));
+        let (cuts, told) = (BTreeSet::new(), Vec::new());
+        replicas.push(Replica {
+            ledger,
+            interval,
+            cuts,
+            told,
+        });
+    }
+    let sched = Sched::new(machines, rng);
+    let mut m = Model { sched, replicas };
 
-    for node in &mut nodes {
+    for i in 0..n_peers {
         // This machine's deliveries: the chain, some of it swapped about,
         // some of it twice, some of it held back until the end.
         let mut order: Vec<u64> = (0..tip).collect();
-        for _ in 0..rng.below(tip) {
-            let at = rng.below(tip - 1) as usize;
-            order.swap(at, (at + 1 + rng.below(3) as usize).min(tip as usize - 1));
+        for _ in 0..m.rng().below(tip) {
+            let at = m.rng().below(tip - 1) as usize;
+            order.swap(
+                at,
+                (at + 1 + m.rng().below(3) as usize).min(tip as usize - 1),
+            );
         }
-        for _ in 0..rng.below(tip) {
-            let copy = order[rng.below(order.len() as u64) as usize];
-            order.insert(rng.below(order.len() as u64 + 1) as usize, copy);
+        for _ in 0..m.rng().below(tip) {
+            let copy = order[m.rng().below(order.len() as u64) as usize];
+            order.insert(m.rng().below(order.len() as u64 + 1) as usize, copy);
         }
-        let (held, order): (Vec<u64>, Vec<u64>) = order.into_iter().partition(|_| rng.chance(15));
+        let (held, order): (Vec<u64>, Vec<u64>) =
+            order.into_iter().partition(|_| m.rng().chance(15));
         coverage.holes += held.len() as u64;
 
         let mut nonce = 1_000;
         for number in order.into_iter().chain(held) {
-            let height = node.height();
-            let block = chain[number as usize].clone();
-            let block = FabricMsg::DeliverBlock(channel(), block);
-            let actions = node.input(|peer| peer.message(ORDERER, block, true));
+            let height = m.height(i);
+            let block = FabricMsg::DeliverBlock(channel(), chain[number as usize].clone());
+            let actions = m.input(i, |s| s.message(i, ORDERER, block));
             if number < height {
                 coverage.stale += 1;
                 assert!(actions.is_empty(), "stale block {number} at {height}");
             }
 
-            match rng.below(12) {
+            match m.rng().below(12) {
                 0..=2 => {
                     // A proposal touches no ledger, admitted or shed.
                     nonce += 1;
-                    let key = &keys[rng.below(keys.len() as u64) as usize];
-                    let client = rng.below(3) as usize;
+                    let key = &keys[m.rng().below(keys.len() as u64) as usize];
+                    let client = m.rng().below(3) as usize;
                     let sp = read_proposal(&clients[client], DEFAULT_CHANNEL, key, nonce);
-                    let (src, admitted) = (client_actor(client), rng.chance(85));
-                    let before = ledger_digests(&node.ledger);
+                    let (src, admitted) = (client_actor(client), m.rng().chance(85));
+                    let before = ledger_digests(&m.replicas[i].ledger);
                     let sp = FabricMsg::SubmitProposal(sp);
-                    let actions = node.input(|peer| peer.message(src, sp, admitted));
-                    assert_eq!(ledger_digests(&node.ledger), before);
+                    let actions =
+                        m.input(i, |s| s.input(i, |peer, _| peer.message(src, sp, admitted)));
+                    assert_eq!(ledger_digests(&m.replicas[i].ledger), before);
                     let refused = format!("refused({BUSY_REASON})->{}", src.0);
                     match (admitted, actions.last()) {
                         (true, Some(Action::Own(Own::DeferRequest(_, _, to, msg)))) => {
@@ -749,32 +738,26 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
                     }
                 }
                 3 => {
-                    let src = ActorId(7);
-                    let offered = node.peer.view(&channel()).unwrap().snapshot_height;
+                    let offered = m.view(i).snapshot_height;
                     let request = FabricMsg::SnapshotRequest { channel: channel() };
-                    let actions = node.input(|peer| peer.message(src, request, true));
+                    let actions = m.input(i, |s| s.message(i, ActorId(7), request));
                     let offer = format!("job:offer@{offered:?}->7");
                     assert_eq!(show(&actions), ["+ch.snapshot_requests=1", &offer]);
                 }
-                4 => {
-                    if let Some(token) = node.armed.pop_first() {
-                        node.input(|peer| peer.timer(token));
-                    }
-                }
+                4 => m.fire_first(i),
                 5 => {
                     // A restart keeps what is durable and nothing else.
-                    let before = ledger_digests(&node.ledger);
-                    let view = node.peer.view(&channel()).unwrap();
+                    let before = ledger_digests(&m.replicas[i].ledger);
+                    let view = m.view(i);
                     let volatile = view.buffered.len() + view.cached;
                     coverage.restarts_with_something_to_lose += u64::from(volatile > 0);
-                    node.armed.clear();
-                    let actions = show(&node.input(Peer::restarted));
+                    let actions = show(&m.input(i, |s| s.restart(i)));
                     assert!(actions.contains(&"+recoveries=1".to_owned()));
                     let booted = actions.contains(&"+ch.snapshot_boots=1".to_owned());
                     assert_eq!(booted, view.snapshot_height.is_some());
                     coverage.snapshot_boots += u64::from(booted);
-                    assert_eq!(ledger_digests(&node.ledger), before);
-                    let after = node.peer.view(&channel()).unwrap();
+                    assert_eq!(ledger_digests(&m.replicas[i].ledger), before);
+                    let after = m.view(i);
                     assert!(after.buffered.is_empty());
                     assert_eq!(after.cached, 0);
                     assert_eq!(after.snapshot_height, view.snapshot_height);
@@ -786,32 +769,30 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
             }
         }
 
-        coverage.cuts += node.cuts.len() as u64;
+        coverage.cuts += m.replicas[i].cuts.len() as u64;
 
         // The heal: the chain once more, in order. What a restart lost
         // commits now; everything else is stale and answers nothing.
         for block in &chain {
-            let stale = block.header.number < node.height();
+            let stale = block.header.number < m.height(i);
             let block = FabricMsg::DeliverBlock(channel(), block.clone());
-            let actions = node.input(|peer| peer.message(ORDERER, block, true));
+            let actions = m.input(i, |s| s.message(i, ORDERER, block));
             assert!(!stale || actions.is_empty());
         }
         // Nothing proves a gap any more, so whatever still waits gives up.
         for _ in 0..=CATCHUP_GIVE_UP + 1 {
-            if let Some(token) = node.armed.pop_first() {
-                node.input(|peer| peer.timer(token));
-            }
+            m.fire_first(i);
         }
-        let view = node.peer.view(&channel()).unwrap();
-        assert!(view.current && node.armed.is_empty() && view.buffered.is_empty());
+        let view = m.view(i);
+        assert!(view.current && m.sched.armed[i].is_empty() && view.buffered.is_empty());
     }
 
     // One height, one state, one graph — the reference's — whatever the
     // order, the duplicates, the holes and the restarts.
     let reference = RefCell::new(reference);
-    for node in &nodes {
-        assert_eq!(ledger_digests(&node.ledger), ledger_digests(&reference));
-        assert!(node.ledger.borrow().graph_consistent());
+    for replica in &m.replicas {
+        assert_eq!(ledger_digests(&replica.ledger), ledger_digests(&reference));
+        assert!(replica.ledger.borrow().graph_consistent());
     }
 
     // Every transaction that names its parties is reported once across
@@ -822,10 +803,11 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     by_cert.sort_by_key(|&c| clients[c].certificate().id);
     let everyone: Vec<ActorId> = by_cert.into_iter().map(client_actor).collect();
     for tx in &txs {
-        let told: Vec<Vec<ActorId>> = nodes
+        let told: Vec<Vec<ActorId>> = m
+            .replicas
             .iter()
-            .map(|node| {
-                let own = node.told.iter().filter(|(id, _)| *id == tx.id);
+            .map(|replica| {
+                let own = replica.told.iter().filter(|(id, _)| *id == tx.id);
                 own.map(|(_, to)| *to).collect()
             })
             .collect();

@@ -9,13 +9,15 @@ use std::sync::Arc;
 use hyperprov_fabric::{
     BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
     ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayAction,
-    GatewayDone, GatewayError, GatewayReply, Host, MspBuilder, MspId, OrdererActor, OrderingNode,
-    PeerActor, Route, SigningIdentity, SnapshotPolicy,
+    GatewayDone, GatewayError, GatewayReply, Host, MspBuilder, MspId, Node, OrderingNode, Peer,
+    Route, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{
     ChannelId, GraphIndexer, GraphUpdate, SnapshotError, StateKey, ValidationCode,
 };
-use hyperprov_sim::{Actor, ActorId, Context, Event, SimDuration, SimTime, Simulation};
+use hyperprov_sim::{
+    Actor, ActorId, Context, CpuResource, Event, SimDuration, SimTime, Simulation,
+};
 
 /// A counter chaincode: `inc <key>` reads, increments, writes.
 struct CounterCc;
@@ -135,6 +137,16 @@ impl Actor<FabricMsg> for ClientDriver {
     }
 }
 
+/// Puts `peer`, called `name`, into `sim` on a CPU of speed 1.
+fn start_peer(sim: &mut Simulation<FabricMsg>, peer: Peer, name: String) -> ActorId {
+    Node::new(peer, name).start(sim, CpuResource::new(1.0), "peer")
+}
+
+/// Puts the ordering node into `sim` on a CPU of speed 1.
+fn start_orderer(sim: &mut Simulation<FabricMsg>, node: OrderingNode) -> ActorId {
+    Node::new(node, "orderer").start(sim, CpuResource::new(1.0), "orderer")
+}
+
 struct TestNet {
     sim: Simulation<FabricMsg>,
     peers: Vec<ActorId>,
@@ -162,31 +174,20 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
 
     let mut sim = Simulation::new(42);
     let mut peers = Vec::new();
-    let mut peer_actors: Vec<PeerActor<FabricMsg>> = peer_ids
-        .iter()
-        .enumerate()
-        .map(|(i, identity)| {
-            let mut peer = PeerActor::new(
-                identity.clone(),
-                registry.clone(),
-                costs,
-                format!("peer{i}"),
-            );
-            let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy.clone()));
-            peer.add_channel(Rc::new(RefCell::new(ledger)), None);
-            peer
-        })
-        .collect();
-
     // Actor ids are assigned in add order: peers 0..4, orderer 4, client 5.
     let client_actor_id = ActorId(5);
-    peer_actors[0].subscribe(client_actor_id, client_id.certificate().id);
-
-    for actor in peer_actors {
-        peers.push(sim.add_actor(Box::new(actor)));
+    for (i, identity) in peer_ids.iter().enumerate() {
+        let name = format!("peer{i}");
+        let mut peer = Peer::new(identity.clone(), registry.clone(), costs, name.clone());
+        let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy.clone()));
+        peer.host(Rc::new(RefCell::new(ledger)), None);
+        if i == 0 {
+            peer.subscribe(client_actor_id, client_id.certificate().id);
+        }
+        peers.push(start_peer(&mut sim, peer, name));
     }
     let node = OrderingNode::solo(ChannelId::default(), batch, peers.clone(), costs);
-    let orderer = OrdererActor::start(node, &mut sim, 1.0);
+    let orderer = start_orderer(&mut sim, node);
 
     let log = Rc::new(RefCell::new(DriverLog::default()));
     let route = Route::new(ChannelId::default(), peers.clone(), vec![orderer], 1);
@@ -290,11 +291,11 @@ fn raft_ordering_service_commits_transactions() {
     let orderer_ids: Vec<ActorId> = (1..=3).map(ActorId).collect();
     let client_actor_id = ActorId(4);
 
-    let mut peer = PeerActor::<FabricMsg>::new(peer_identity, registry, costs, "peer0");
+    let mut peer = Peer::new(peer_identity, registry, costs, "peer0".to_owned());
     let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
-    peer.add_channel(Rc::new(RefCell::new(ledger)), None);
+    peer.host(Rc::new(RefCell::new(ledger)), None);
     peer.subscribe(client_actor_id, client_id.certificate().id);
-    let got_peer = sim.add_actor(Box::new(peer));
+    let got_peer = start_peer(&mut sim, peer, "peer0".to_owned());
     assert_eq!(got_peer, peer_actor_id);
 
     let batch = BatchConfig {
@@ -311,7 +312,7 @@ fn raft_ordering_service_commits_transactions() {
             77,
             costs,
         );
-        assert_eq!(OrdererActor::start(node, &mut sim, 1.0), orderer_ids[i]);
+        assert_eq!(start_orderer(&mut sim, node), orderer_ids[i]);
     }
 
     let log = Rc::new(RefCell::new(DriverLog::default()));
@@ -381,11 +382,11 @@ fn endorsement_failure_reported_to_client() {
     }
 
     let mut sim = Simulation::new(3);
-    let mut peer = PeerActor::<FabricMsg>::new(peer_identity, registry, costs, "peer0");
+    let mut peer = Peer::new(peer_identity, registry, costs, "peer0".to_owned());
     let policy = EndorsementPolicy::any_of([org.clone()]);
     let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
-    peer.add_channel(Rc::new(RefCell::new(ledger)), None);
-    let peer_id = sim.add_actor(Box::new(peer));
+    peer.host(Rc::new(RefCell::new(ledger)), None);
+    let peer_id = start_peer(&mut sim, peer, "peer0".to_owned());
     let log = Rc::new(RefCell::new(DriverLog::default()));
     let route = Route::new(ChannelId::default(), vec![peer_id], vec![peer_id], 1);
     let client = sim.add_actor(Box::new(QueryOnce {
@@ -472,22 +473,22 @@ impl SmallNet {
         let mut sim = Simulation::new(13);
         let mut ledgers = Vec::new();
         for (i, identity) in identities.into_iter().enumerate() {
-            let mut peer =
-                PeerActor::<FabricMsg>::new(identity, registry.clone(), costs, format!("peer{i}"));
+            let name = format!("peer{i}");
+            let mut peer = Peer::new(identity, registry.clone(), costs, name.clone());
             if let Some(policy) = snapshots {
-                peer = peer.with_snapshots(policy);
+                peer.set_snapshots(policy);
             }
             let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy.clone()))
                 .with_indexer(Arc::new(KeyIndexer));
             let ledger = Rc::new(RefCell::new(ledger));
-            peer.add_channel(ledger.clone(), Some(orderers[i % members]));
+            peer.host(ledger.clone(), Some(orderers[i % members]));
             ledgers.push(ledger);
             if i == 0 {
                 for (actor, identity) in clients.iter().zip(&client_ids) {
                     peer.subscribe(*actor, identity.certificate().id);
                 }
             }
-            assert_eq!(sim.add_actor(Box::new(peer)), SMALL_NET_PEERS[i]);
+            assert_eq!(start_peer(&mut sim, peer, name), SMALL_NET_PEERS[i]);
         }
         let taps = Rc::new(RefCell::new(Vec::new()));
         assert_eq!(
@@ -505,7 +506,7 @@ impl SmallNet {
             } else {
                 OrderingNode::raft(i, orderers.clone(), channel, peers, batch, 31, costs)
             };
-            assert_eq!(OrdererActor::start(node, &mut sim, 1.0), expected);
+            assert_eq!(start_orderer(&mut sim, node), expected);
         }
         let log = Rc::new(RefCell::new(DriverLog::default()));
         for (c, (identity, remaining)) in client_ids.into_iter().zip(client_txs).enumerate() {

@@ -188,16 +188,6 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// The tests' simulations carry nothing but storage traffic.
-    impl Carries<StoreMsg> for StoreMsg {
-        fn wrap(inner: StoreMsg) -> Self {
-            inner
-        }
-        fn peel(self) -> Result<StoreMsg, Self> {
-            Ok(self)
-        }
-    }
-
     #[derive(Debug, Default)]
     struct Seen {
         acks: Vec<(String, u64, bool)>,

@@ -67,6 +67,17 @@ pub trait Carries<T>: Sized {
     fn peel(self) -> Result<T, Self>;
 }
 
+/// A message type carries itself: an actor that takes the whole
+/// simulation's message type peels nothing off.
+impl<T> Carries<T> for T {
+    fn wrap(inner: T) -> Self {
+        inner
+    }
+    fn peel(self) -> Result<T, Self> {
+        Ok(self)
+    }
+}
+
 /// A simulation participant.
 ///
 /// Actors are single-threaded state machines: the engine calls
