@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 
 use hyperprov::HyperProvNetwork;
-use hyperprov_fabric::BatchConfig;
-use hyperprov_sim::{DetRng, Histogram, QueueConfig, SimDuration};
+use hyperprov_fabric::{BatchConfig, QueueConfig};
+use hyperprov_sim::{DetRng, Histogram, SimDuration};
 
 use super::Platform;
 use crate::report::{breakdown_table, merge_stages, MetricsExporter};

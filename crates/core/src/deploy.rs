@@ -9,12 +9,12 @@ use std::sync::Arc;
 use hyperprov_device::{link_between, DeviceProfile};
 use hyperprov_fabric::{
     BatchConfig, CertId, ChaincodeRegistry, ChannelPolicies, CommitPipeline, Committer, CostModel,
-    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, Node, OrderingNode, Peer, Route,
-    SigningIdentity, SnapshotPolicy,
+    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, Node, OrderingNode, Peer,
+    QueueConfig, Route, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{ChannelId, DEFAULT_CHANNEL};
-use hyperprov_offchain::{MemoryStore, StorageActor, StorageCosts};
-use hyperprov_sim::{ActorId, CpuResource, QueueConfig, SimDuration, Simulation, SloSpec};
+use hyperprov_offchain::{MemoryStore, StorageCosts, StorageNode};
+use hyperprov_sim::{ActorId, CpuResource, SimDuration, Simulation, SloSpec};
 
 use crate::chaincode::{HyperProvChaincode, HyperProvIndexer};
 use crate::client::{Client, CompletionQueue, RetryPolicy};
@@ -608,10 +608,10 @@ impl HyperProvNetwork {
         }
 
         let store = Arc::new(MemoryStore::new());
-        let storage_actor = StorageActor::<NodeMsg>::new(store.clone(), config.storage_costs);
-        let id = sim.add_actor_with_speed(Box::new(storage_actor), config.storage_device.cpu_speed);
+        let node = StorageNode::new(store.clone(), config.storage_costs);
+        let cpu = CpuResource::new(config.storage_device.cpu_speed);
+        let id = Node::new(node, "storage").start(&mut sim, cpu, "storage");
         debug_assert_eq!(id, storage_id);
-        sim.set_actor_label(id, "storage");
         devices.push(config.storage_device.clone());
 
         let mut clients = Vec::new();

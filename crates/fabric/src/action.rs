@@ -1,11 +1,18 @@
 //! What a sans-IO machine — [`Gateway`](crate::Gateway), the HyperProv client,
-//! [`Peer`](crate::Peer), [`OrderingNode`](crate::OrderingNode) — answers
-//! an input with; [`Host`](crate::Host) performs it.
+//! [`Peer`](crate::Peer), [`OrderingNode`](crate::OrderingNode), the
+//! off-chain store — answers an input with; [`Host`](crate::Host) performs
+//! it.
 
 use hyperprov_ledger::ChannelId;
-use hyperprov_sim::{ActorId, Outbound, SimDuration, SpanClose};
+use hyperprov_sim::{ActorId, SimDuration};
 
 use crate::messages::FabricMsg;
+
+/// A message to send: `(destination, wire bytes, message)`.
+pub type Outbound<M> = (ActorId, u64, M);
+
+/// The key of a span: `(trace, stage, detail)`.
+pub type SpanKey = (String, &'static str, String);
 
 /// One thing the host must do for its machine, in the order given: a send
 /// draws link jitter from the actor's random stream and arming a timer
@@ -20,7 +27,7 @@ pub enum Action<X> {
     Send(ActorId, u64, FabricMsg),
     /// Run one CPU job of this cost; when it is done close the spans, then
     /// send the messages.
-    Job(SimDuration, Vec<Outbound<FabricMsg>>, Vec<SpanClose>),
+    Job(SimDuration, Vec<Outbound<FabricMsg>>, Vec<SpanKey>),
     /// Keep the CPU busy for this long (it models utilisation and
     /// energy); nothing waits for it.
     Charge(SimDuration),

@@ -18,7 +18,7 @@
 //! * [`Gateway`] — the client SDK equivalent, another such machine, and
 //! * [`Host`] — performs the [`Action`]s the machines answer, and
 //!   [`Node`] — the one simulation actor that hosts a [`Machine`]: a peer,
-//!   an ordering node or a client.
+//!   an ordering node, a client or the off-chain store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,7 @@ mod perform;
 mod policy;
 mod raft;
 
-pub use action::Action;
+pub use action::{Action, Outbound, SpanKey};
 pub use caches::{ReadCache, SigVerifyCache};
 pub use catchup::{Action as CatchUpAction, CatchUp, CATCHUP_ESCALATE_AFTER, CATCHUP_GIVE_UP};
 pub use chaincode::{
@@ -66,6 +66,6 @@ pub use ordering::{Action as OrderingAction, OrderingNode};
 pub use peer::{
     Action as PeerAction, ChannelView, CommitPipeline, Own as PeerOwn, Peer, SnapshotPolicy,
 };
-pub use perform::{Host, Io, Machine, Node};
+pub use perform::{Host, Io, Machine, Node, QueueConfig};
 pub use policy::EndorsementPolicy;
 pub use raft::{LogEntry, PeerIdx, RaftConfig, RaftMsg, RaftNode, RaftOutput, Role};

@@ -15,8 +15,9 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use hyperprov_ledger::{Block, ChannelId, RawEnvelope, TxId};
-use hyperprov_sim::{ActorId, Outbound, SimDuration, SpanClose};
+use hyperprov_sim::{ActorId, SimDuration};
 
+use crate::action::{Outbound, SpanKey};
 use crate::costs::CostModel;
 use crate::messages::{tx_trace, Envelope, FabricMsg};
 use crate::orderer::{BatchConfig, BlockAssembler, BlockCutter};
@@ -63,7 +64,7 @@ impl Chain {
     /// Assembles `batch` into the chain's next block: counts it, closes
     /// the `order.queue` spans — solo's of every transaction, with a
     /// `block.cut` note; a raft `member`'s of those it admitted — opens
-    /// its `order.deliver` span (the job closes it with the [`SpanClose`]
+    /// its `order.deliver` span (the job closes it with the [`SpanKey`]
     /// returned; a member's index is the detail, so the members' spans of
     /// one block do not collide), retains it and appends one `DeliverBlock`
     /// per peer to `sends`. Also returns the block's wire size.
@@ -73,7 +74,7 @@ impl Chain {
         member: Option<&mut RaftMember>,
         sends: &mut Vec<Outbound<FabricMsg>>,
         out: &mut Vec<Action>,
-    ) -> (SpanClose, u64) {
+    ) -> (SpanKey, u64) {
         let block = Arc::new(self.assembler.assemble(batch));
         out.push(self.count("blocks_cut"));
         let number = format!("block-{}", block.header.number);
@@ -91,7 +92,7 @@ impl Chain {
                 String::new()
             }
         };
-        let close = SpanClose::new(trace.clone(), "order.deliver", detail.clone());
+        let close = (trace.clone(), "order.deliver", detail.clone());
         out.push(Action::SpanStart(trace, "order.deliver", detail));
         self.retained.push_back(Arc::clone(&block));
         while self.retained.len() > RETAINED_BLOCKS {

@@ -3,9 +3,10 @@
 //! slot, and a committed block's two jobs with the instants they read off
 //! the CPU.
 
-use hyperprov_sim::{ActorId, Carries, Context, Outbound, SpanClose};
+use hyperprov_sim::{ActorId, Carries, Context};
 
 use super::{Action, Own, Peer};
+use crate::action::Outbound;
 use crate::messages::FabricMsg;
 use crate::perform::{Host, Io, Machine};
 
@@ -42,11 +43,11 @@ impl Machine for Peer {
     ) {
         match own {
             Own::DeferRequest(cost, (trace, stage), to, msg) => {
-                let name = host.harness.name().to_owned();
+                let name = host.name().to_owned();
                 ctx.span_start(&trace, stage, &name);
                 let sends = vec![outbound((to, msg))];
-                let closes = vec![SpanClose::new(trace.clone(), stage, name)];
-                host.harness.defer_request(ctx, cost, &trace, sends, closes);
+                let closes = vec![(trace.clone(), stage, name)];
+                host.request_job(ctx, cost, &trace, sends, closes);
             }
             Own::Committed {
                 trace,
@@ -54,11 +55,10 @@ impl Machine for Peer {
                 serial,
                 events,
             } => {
-                let name = host.harness.name().to_owned();
-                let close = |stage| SpanClose::new(trace.clone(), stage, name.clone());
+                let name = host.name().to_owned();
+                let close = |stage| (trace.clone(), stage, name.clone());
                 ctx.span_start(&trace, "commit.vscc", &name);
-                let closes = vec![close("commit.vscc")];
-                host.harness.defer_parallel(ctx, &vscc, vec![], closes);
+                host.parallel_job(ctx, &vscc, vec![close("commit.vscc")]);
                 // The serial phase starts once every lane has drained the
                 // VSCC batch (and any earlier block's apply has finished).
                 let apply_start = ctx.now().max(ctx.cpu().busy_until());
@@ -66,8 +66,8 @@ impl Machine for Peer {
                     .span_start(apply_start, &trace, "commit.apply", &name);
                 let sends = events.into_iter().map(outbound).collect();
                 let apply = close("commit.apply");
-                let closes = vec![apply, SpanClose::new(trace, "validate", name)];
-                host.harness.defer(ctx, serial, sends, closes);
+                let closes = vec![apply, (trace, "validate", name)];
+                host.job(ctx, serial, sends, closes);
                 let lanes_busy = ctx.cpu().lanes_busy_at(ctx.now()) as f64;
                 ctx.metrics()
                     .set_gauge(host.metric(None, "lanes_busy"), lanes_busy);

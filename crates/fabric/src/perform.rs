@@ -1,21 +1,21 @@
 //! The I/O half of every machine: [`Host`] holds what only the kernel can
-//! give and turns [`Action`]s into kernel calls — the one interpreter that
-//! the host actor, [`Node`], and the test drivers call with what an input
-//! answered.
+//! give and turns [`Action`]s into kernel calls — the one interpreter, which
+//! the one host actor, [`Node`], calls with what an input answered.
 
 use std::any::Any;
 use std::collections::HashMap;
 
 use hyperprov_ledger::ChannelId;
 use hyperprov_sim::{
-    Actor, ActorId, Context, CpuResource, DetRng, Event, QueueConfig, ServiceHarness, SimDuration,
-    SimTime, Simulation, TimerId,
+    Actor, ActorId, Context, CpuResource, DetRng, Event, GaugeId, HistogramId, Metrics,
+    SimDuration, SimTime, Simulation, TimerId,
 };
 
-use crate::action::Action;
+use crate::action::{Action, Outbound, SpanKey};
 use crate::messages::{Carries, FabricMsg};
 
-/// A sans-IO machine — peer, ordering node, client — as a [`Node`] hosts it.
+/// A sans-IO machine — peer, ordering node, client, off-chain store — as a
+/// [`Node`] hosts it.
 pub trait Machine {
     /// The messages it takes.
     type Msg;
@@ -75,7 +75,15 @@ impl<Mc: Machine + 'static, M: Carries<Mc::Msg> + Carries<FabricMsg> + 'static> 
     /// Bounds the admission queue, which is unbounded by default.
     #[must_use]
     pub fn with_queue(mut self, config: QueueConfig) -> Self {
-        self.host.harness.set_queue(config);
+        let metric = |kind| format!("queue.{kind}.{}", self.host.name);
+        self.host.queue = Some(Queue {
+            capacity: config.capacity,
+            in_flight: 0,
+            depth: (metric("depth"), None),
+            util: (metric("util"), None),
+            wait: (metric("wait"), None),
+            nacked: metric("nacked"),
+        });
         self
     }
 
@@ -116,12 +124,12 @@ impl<Mc: Machine + 'static, M: Carries<Mc::Msg> + Carries<FabricMsg> + 'static> 
                 let Ok(msg) = <M as Carries<Mc::Msg>>::peel(msg) else {
                     return;
                 };
-                let admitted = !self.machine.admits(&msg) || self.host.harness.admit(ctx);
+                let admitted = !self.machine.admits(&msg) || self.host.admit(ctx);
                 let (now, rng) = (ctx.now(), ctx.rng());
                 self.machine.message(src, msg, Io { now, rng, admitted })
             }
-            // A CPU job's end releases in the harness; any other timer is
-            // the machine's.
+            // A CPU job's end releases in the host; any other timer is the
+            // machine's.
             Event::Timer { token } if self.host.timer(ctx, token) => {
                 let (now, rng, admitted) = (ctx.now(), ctx.rng(), true);
                 self.machine.timer(token, Io { now, rng, admitted })
@@ -131,25 +139,84 @@ impl<Mc: Machine + 'static, M: Carries<Mc::Msg> + Carries<FabricMsg> + 'static> 
         self.perform(ctx, actions);
     }
 
-    /// Deferred jobs, admitted requests and pending timers died with the
-    /// crash.
+    /// Running jobs, admitted requests and armed timers died with the
+    /// crash; the queue's bound survives, as the node's configuration does.
     fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
-        self.host.harness.reset();
-        self.host.armed.clear();
+        let host = &mut self.host;
+        host.outbox.clear();
+        host.armed.clear();
+        if let Some(q) = &mut host.queue {
+            q.in_flight = 0;
+        }
         let actions = self.machine.restarted();
         self.perform(ctx, actions);
     }
 }
 
-/// What a machine's host keeps beside it: the kernel's handle of every
-/// timer the machine has armed, by token, and the metric names as the
-/// exports spell them.
+/// Bound of a node's admission queue. An arrival that finds the queue
+/// full is nacked: the machine answers the caller with a protocol-level
+/// rejection instead of serving it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueConfig {
+    /// Maximum requests in flight (admitted but not completed).
+    pub capacity: usize,
+}
+
+impl QueueConfig {
+    /// Creates a bound with the given capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero (a zero-capacity queue could never
+    /// admit anything).
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "admission queue capacity must be > 0");
+        QueueConfig { capacity }
+    }
+}
+
+/// The bit every CPU job's token carries, so that a job's end never
+/// reaches the machine: its own tokens stay below it.
+const JOB_TOKEN_BIT: u64 = 1 << 63;
+
+/// What a job releases when the virtual CPU finishes it: span closes
+/// first, then sends, and whether it completes an admitted request.
+#[derive(Debug)]
+struct Release<M>(Vec<SpanKey>, Vec<Outbound<M>>, bool);
+
+/// A bounded admission queue, and its metric names with the per-request
+/// ones' handles, resolved at first use: a metric appears in the exports
+/// only once it is recorded.
+#[derive(Debug)]
+struct Queue {
+    capacity: usize,
+    /// Requests admitted but not completed.
+    in_flight: usize,
+    depth: (String, Option<GaugeId>),
+    util: (String, Option<GaugeId>),
+    wait: (String, Option<HistogramId>),
+    nacked: String,
+}
+
+fn set_gauge(m: &mut Metrics, (name, id): &mut (String, Option<GaugeId>), value: f64) {
+    let id = *id.get_or_insert_with(|| m.gauge_id(name));
+    m.set_gauge_id(id, value);
+}
+
+/// What a machine's host keeps beside it: the outbox that holds a CPU
+/// job's span closes and sends until the virtual CPU finishes it, the
+/// admission queue, the kernel's handle of every timer the machine has
+/// armed, by token, and the metric names as the exports spell them.
 #[derive(Debug)]
 pub struct Host<M> {
-    /// The admission queue, and the outbox that holds a job's sends and
-    /// span closes until the virtual CPU finishes it; its name prefixes
-    /// the node's metrics.
-    pub harness: ServiceHarness<M>,
+    /// The node's name; it prefixes the node's metrics.
+    name: String,
+    /// The last job's token number; it survives a restart, so a token
+    /// never meets a stale one.
+    jobs: u64,
+    outbox: HashMap<u64, Release<M>>,
+    /// Unbounded, and side-effect free, when `None`.
+    queue: Option<Queue>,
     armed: HashMap<u64, TimerId>,
     /// Names as rendered at first use, by scope and name: one `format!`
     /// per name, not one per event.
@@ -157,28 +224,129 @@ pub struct Host<M> {
 }
 
 impl<M: Carries<FabricMsg>> Host<M> {
-    /// The host of the node called `name`.
-    pub fn new(name: impl Into<String>) -> Self {
+    fn new(name: impl Into<String>) -> Self {
         Host {
-            harness: ServiceHarness::new(name),
+            name: name.into(),
+            jobs: 0,
+            outbox: HashMap::new(),
+            queue: None,
             armed: HashMap::new(),
             names: HashMap::new(),
         }
     }
 
-    /// True if the timer that fired is the machine's — feed it the token —
-    /// and not the end of a CPU job, which the harness releases here.
-    pub fn timer(&mut self, ctx: &mut Context<'_, M>, token: u64) -> bool {
-        !self.harness.on_timer(ctx, token) && {
-            self.armed.remove(&token);
-            true
+    /// The node's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Whether the admission queue takes a request: always when
+    /// unbounded; when bounded, while fewer than its capacity are in
+    /// flight, and the rest are counted as nacked.
+    fn admit(&mut self, ctx: &mut Context<'_, M>) -> bool {
+        let Some(q) = &mut self.queue else {
+            return true;
+        };
+        if q.in_flight < q.capacity {
+            q.in_flight += 1;
+            set_gauge(ctx.metrics(), &mut q.depth, q.in_flight as f64);
+            return true;
         }
+        ctx.metrics().incr(&q.nacked, 1);
+        false
+    }
+
+    /// True if the timer that fired is the machine's — feed it the token —
+    /// and not the end of a CPU job, whose release happens here.
+    fn timer(&mut self, ctx: &mut Context<'_, M>, token: u64) -> bool {
+        if token & JOB_TOKEN_BIT == 0 {
+            self.armed.remove(&token);
+            return true;
+        }
+        if let Some(Release(closes, sends, request)) = self.outbox.remove(&token) {
+            for (trace, stage, detail) in &closes {
+                ctx.span_end(trace, stage, detail);
+            }
+            for (to, bytes, msg) in sends {
+                ctx.send(to, bytes, msg);
+            }
+            // A request's end frees its slot in a bounded queue.
+            if let (true, Some(q)) = (request, &mut self.queue) {
+                q.in_flight = q.in_flight.saturating_sub(1);
+                set_gauge(ctx.metrics(), &mut q.depth, q.in_flight as f64);
+                let util = ctx.cpu().utilization(SimTime::ZERO, ctx.now());
+                set_gauge(ctx.metrics(), &mut q.util, util);
+            }
+        }
+        false
+    }
+
+    fn token(&mut self) -> u64 {
+        self.jobs += 1;
+        JOB_TOKEN_BIT | self.jobs
+    }
+
+    /// Runs one CPU job of `cost`; when it is done, closes the spans, then
+    /// sends.
+    pub fn job(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        cost: SimDuration,
+        sends: Vec<Outbound<M>>,
+        closes: Vec<SpanKey>,
+    ) {
+        self.hold(ctx, cost, Release(closes, sends, false));
+    }
+
+    /// Like [`Host::job`], and its end also frees the slot of one admitted
+    /// request. Under a bounded queue, the `queue.wait` span of `trace`
+    /// covers the time the job waits behind earlier CPU work.
+    pub fn request_job(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        cost: SimDuration,
+        trace: &str,
+        sends: Vec<Outbound<M>>,
+        closes: Vec<SpanKey>,
+    ) {
+        if let Some(q) = &mut self.queue {
+            let arrival = ctx.now();
+            let start = arrival.max(ctx.cpu().busy_until());
+            let tracer = ctx.tracer();
+            tracer.span_start(arrival, trace, "queue.wait", &self.name);
+            tracer.span_end(start, trace, "queue.wait", &self.name);
+            let wait = start.saturating_duration_since(arrival).as_nanos();
+            let (name, id) = &mut q.wait;
+            let id = *id.get_or_insert_with(|| ctx.metrics().histogram_id(name));
+            ctx.metrics().record_id(id, wait);
+        }
+        self.hold(ctx, cost, Release(closes, sends, true));
+    }
+
+    fn hold(&mut self, ctx: &mut Context<'_, M>, cost: SimDuration, release: Release<M>) {
+        let token = self.token();
+        self.outbox.insert(token, release);
+        ctx.execute(cost, token);
+    }
+
+    /// Runs the costs as one batch spread over the CPU's lanes; when the
+    /// last lane is done, closes the spans.
+    pub fn parallel_job(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        costs: &[SimDuration],
+        closes: Vec<SpanKey>,
+    ) {
+        let token = self.token();
+        self.outbox
+            .insert(token, Release(closes, Vec::new(), false));
+        ctx.execute_parallel(costs, token);
     }
 
     /// The metric's name as the exports spell it: `<node>.<name>`, or the
     /// channel's namespacing of it.
     pub fn metric(&mut self, scope: Option<ChannelId>, name: &'static str) -> &str {
-        let node = self.harness.name();
+        let node = &self.name;
         let slot = self.names.entry((scope, name));
         slot.or_insert_with_key(|(scope, name)| match scope {
             Some(channel) => channel.metric_name(node, name),
@@ -188,7 +356,7 @@ impl<M: Carries<FabricMsg>> Host<M> {
 
     /// Performs `actions` in the order given; `own` performs what only
     /// this kind of machine asks for.
-    pub fn perform<X>(
+    fn perform<X>(
         &mut self,
         ctx: &mut Context<'_, M>,
         actions: Vec<Action<X>>,
@@ -199,11 +367,11 @@ impl<M: Carries<FabricMsg>> Host<M> {
                 Action::Send(to, bytes, msg) => ctx.send(to, bytes, M::wrap(msg)),
                 Action::Job(cost, sends, closes) => {
                     let wrap = |(to, bytes, msg)| (to, bytes, M::wrap(msg));
-                    let sends = sends.into_iter().map(wrap).collect();
-                    self.harness.defer(ctx, cost, sends, closes);
+                    self.job(ctx, cost, sends.into_iter().map(wrap).collect(), closes);
                 }
                 Action::Charge(cost) => {
-                    self.harness.charge(ctx, cost);
+                    let token = self.token();
+                    ctx.execute(cost, token);
                 }
                 Action::Arm(token, delay) => {
                     self.armed.insert(token, ctx.set_timer(delay, token));

@@ -7,13 +7,15 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{
     BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelPolicies,
-    Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayAction, GatewayDone,
-    GatewayError, GatewayReply, Host, MspBuilder, MspId, Node, OrderingNode, Peer, Route,
+    Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayError, GatewayReply,
+    MspBuilder, MspId, Node, OrderingNode, Peer, Route,
 };
 use hyperprov_ledger::ValidationCode;
-use hyperprov_sim::{
-    Actor, ActorId, Context, CpuResource, Event, SimDuration, SimTime, Simulation,
-};
+use hyperprov_sim::{ActorId, CpuResource, SimDuration, SimTime, Simulation};
+
+#[path = "support/driver.rs"]
+mod driver;
+use driver::{Driver, Ended};
 
 /// A chaincode whose output depends on a per-instance tag — installing
 /// different tags on different peers yields mismatching endorsements,
@@ -42,53 +44,9 @@ impl Chaincode for PutCc {
     }
 }
 
-#[derive(Default)]
-struct Log {
-    events: Vec<Result<GatewayReply, GatewayError>>,
-}
-
-struct OneShot {
-    gateway: Gateway<()>,
-    host: Host<FabricMsg>,
-    chaincode: &'static str,
-    log: Rc<RefCell<Log>>,
-}
-
-impl Actor<FabricMsg> for OneShot {
-    fn on_event(&mut self, ctx: &mut Context<'_, FabricMsg>, event: Event<FabricMsg>) {
-        let actions = match event {
-            Event::Timer { token: 0 } => {
-                self.gateway
-                    .invoke(0, (), self.chaincode, "go", vec![b"key".to_vec()])
-            }
-            Event::Timer { token } => {
-                let _ = self.host.timer(ctx, token);
-                return;
-            }
-            Event::Message { msg, .. } => self.gateway.on_message(msg, ctx.rng()),
-        };
-        let done = perform(ctx, &mut self.host, actions);
-        self.log.borrow_mut().events.extend(done.map(|(_, r)| r));
-    }
-}
-
-/// Has `host` perform what the gateway answered; the request that ended, if
-/// one did.
-fn perform(
-    ctx: &mut Context<'_, FabricMsg>,
-    host: &mut Host<FabricMsg>,
-    actions: Vec<GatewayAction<()>>,
-) -> Option<((), Result<GatewayReply, GatewayError>)> {
-    let mut done = None;
-    host.perform(ctx, actions, |_, _, GatewayDone(caller, result)| {
-        done = Some((caller, result));
-    });
-    done
-}
-
 struct Net {
     sim: Simulation<FabricMsg>,
-    log: Rc<RefCell<Log>>,
+    log: Rc<RefCell<Vec<Ended>>>,
 }
 
 /// Builds 2 peers (org1, org2) with per-peer registries, a solo orderer,
@@ -130,14 +88,14 @@ fn build(
     };
     let node = OrderingNode::solo("ch".into(), batch, peers.clone(), costs);
     let orderer = Node::new(node, "orderer").start(&mut sim, CpuResource::new(1.0), "orderer");
-    let log = Rc::new(RefCell::new(Log::default()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let route = Route::new("ch", peers, vec![orderer], needed);
-    let got = sim.add_actor(Box::new(OneShot {
-        gateway: Gateway::new(client_identity, vec![route], costs),
-        host: Host::new("client"),
-        chaincode,
-        log: log.clone(),
-    }));
+    let gateway = Gateway::new(client_identity, vec![route], costs);
+    let go = move |gateway: &mut Gateway<()>, _| {
+        gateway.invoke(0, (), chaincode, "go", vec![b"key".to_vec()])
+    };
+    let driver = Node::new(Driver::new(gateway, 1, go, &log), "client");
+    let got = driver.start(&mut sim, CpuResource::new(1.0), "client");
     assert_eq!(got, client_actor);
     sim.start_timer(client_actor, SimDuration::ZERO, 0);
     Net { sim, log }
@@ -164,8 +122,8 @@ fn mismatching_endorsements_fail_before_ordering() {
     let mut net = net;
     net.sim.run_until(SimTime::from_secs(30));
     let log = net.log.borrow();
-    assert_eq!(log.events.len(), 1);
-    match &log.events[0] {
+    assert_eq!(log.len(), 1);
+    match &log[0].1 {
         Err(error) => assert_eq!(*error, GatewayError::Mismatch),
         other => panic!("expected mismatch failure, got {other:?}"),
     }
@@ -186,8 +144,8 @@ fn two_org_policy_commits_with_two_endorsements() {
     );
     net.sim.run_until(SimTime::from_secs(30));
     let log = net.log.borrow();
-    assert_eq!(log.events.len(), 1);
-    match &log.events[0] {
+    assert_eq!(log.len(), 1);
+    match &log[0].1 {
         Ok(GatewayReply::Committed { code, .. }) => assert_eq!(*code, ValidationCode::Valid),
         other => panic!("expected commit, got {other:?}"),
     }
@@ -208,8 +166,8 @@ fn under_collected_endorsements_invalidated_at_commit() {
     );
     net.sim.run_until(SimTime::from_secs(30));
     let log = net.log.borrow();
-    assert_eq!(log.events.len(), 1);
-    match &log.events[0] {
+    assert_eq!(log.len(), 1);
+    match &log[0].1 {
         Ok(GatewayReply::Committed { code, .. }) => {
             assert_eq!(*code, ValidationCode::EndorsementPolicyFailure);
         }

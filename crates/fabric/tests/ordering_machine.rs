@@ -254,7 +254,7 @@ mod transitions {
         assert_eq!(ids, txs.ids);
         assert_eq!(closes.len(), 1);
         assert_eq!(
-            (closes[0].trace.as_str(), closes[0].stage),
+            (closes[0].0.as_str(), closes[0].1),
             ("block-0", "order.deliver")
         );
         assert_eq!(height(&mut node), 1);
@@ -327,7 +327,7 @@ mod transitions {
         let Some(Action::Job(_, _, closes)) = actions.last() else {
             panic!("{actions:?}");
         };
-        let closed: Vec<&str> = closes.iter().map(|close| close.trace.as_str()).collect();
+        let closed: Vec<&str> = closes.iter().map(|(trace, ..)| trace.as_str()).collect();
         assert_eq!(closed, ["block-0", "block-1"]);
         assert_eq!(height(&mut node), 2);
     }
@@ -511,7 +511,7 @@ mod transitions {
         let Some(Action::SpanStart(_, _, member)) = seen[0].get(5) else {
             panic!("{:?}", seen[0]);
         };
-        assert_eq!((member.as_str(), closes[0].detail.as_str()), ("0", "0"));
+        assert_eq!((member.as_str(), closes[0].2.as_str()), ("0", "0"));
         assert!(*cost > CostModel::default().block_base);
         assert!(seen[1].is_empty() && seen[2].is_empty());
         // The followers learn of the commit from the next heartbeat, and

@@ -8,9 +8,8 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{
     BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
-    ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayAction,
-    GatewayDone, GatewayError, GatewayReply, Host, MspBuilder, MspId, Node, OrderingNode, Peer,
-    Route, SigningIdentity, SnapshotPolicy,
+    ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayReply,
+    MspBuilder, MspId, Node, OrderingNode, Peer, Route, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{
     ChannelId, GraphIndexer, GraphUpdate, SnapshotError, StateKey, ValidationCode,
@@ -18,6 +17,10 @@ use hyperprov_ledger::{
 use hyperprov_sim::{
     Actor, ActorId, Context, CpuResource, Event, SimDuration, SimTime, Simulation,
 };
+
+#[path = "support/driver.rs"]
+mod driver;
+use driver::{Driver, Ended};
 
 /// A counter chaincode: `inc <key>` reads, increments, writes.
 struct CounterCc;
@@ -51,90 +54,39 @@ impl Chaincode for CounterCc {
     }
 }
 
-#[derive(Debug, Default)]
-struct DriverLog {
-    committed: Vec<(ValidationCode, SimDuration)>,
-    failed: Vec<String>,
-    queries: Vec<Result<Vec<u8>, String>>,
-}
+type Log = Rc<RefCell<Vec<Ended>>>;
 
-/// Closed-loop client: issues `remaining` transactions one at a time.
-struct ClientDriver {
+/// A closed-loop client: increments the counter under `key_of(n)`, one
+/// transaction at a time, for `n` from `remaining - 1` down to 0.
+fn client_driver(
     gateway: Gateway<()>,
-    host: Host<FabricMsg>,
     remaining: u32,
-    /// When the transaction in flight was issued.
-    started: SimTime,
-    key_of: Box<dyn FnMut(u32) -> String>,
-    log: Rc<RefCell<DriverLog>>,
+    mut key_of: impl FnMut(u32) -> String + 'static,
+    log: &Log,
+) -> Node<Driver, FabricMsg> {
+    let inc = move |gateway: &mut Gateway<()>, n| {
+        gateway.invoke(0, (), "counter", "inc", vec![key_of(n).into_bytes()])
+    };
+    Node::new(Driver::new(gateway, remaining, inc, log), "client")
 }
 
-impl ClientDriver {
-    fn new(
-        gateway: Gateway<()>,
-        remaining: u32,
-        key_of: impl FnMut(u32) -> String + 'static,
-        log: &Rc<RefCell<DriverLog>>,
-    ) -> Self {
-        ClientDriver {
-            gateway,
-            host: Host::new("client"),
-            remaining,
-            started: SimTime::ZERO,
-            key_of: Box::new(key_of),
-            log: log.clone(),
-        }
-    }
-
-    fn next(&mut self, ctx: &mut Context<'_, FabricMsg>) {
-        if self.remaining == 0 {
-            return;
-        }
-        self.remaining -= 1;
-        let key = (self.key_of)(self.remaining);
-        self.started = ctx.now();
-        let actions = self
-            .gateway
-            .invoke(0, (), "counter", "inc", vec![key.into_bytes()]);
-        perform(ctx, &mut self.host, actions);
-    }
+/// The transactions that committed: their codes and latencies.
+fn committed(log: &Log) -> Vec<(ValidationCode, SimDuration)> {
+    let log = log.borrow();
+    let code = |(latency, result): &Ended| match result {
+        Ok(GatewayReply::Committed { code, .. }) => Some((*code, *latency)),
+        _ => None,
+    };
+    log.iter().filter_map(code).collect()
 }
 
-/// Has `host` perform what the gateway answered; the request that ended, if
-/// one did.
-fn perform(
-    ctx: &mut Context<'_, FabricMsg>,
-    host: &mut Host<FabricMsg>,
-    actions: Vec<GatewayAction<()>>,
-) -> Option<((), Result<GatewayReply, GatewayError>)> {
-    let mut done = None;
-    host.perform(ctx, actions, |_, _, GatewayDone(caller, result)| {
-        done = Some((caller, result));
-    });
-    done
-}
-
-impl Actor<FabricMsg> for ClientDriver {
-    fn on_event(&mut self, ctx: &mut Context<'_, FabricMsg>, event: Event<FabricMsg>) {
-        match event {
-            Event::Timer { token: 0 } => self.next(ctx),
-            Event::Timer { token } => {
-                let _ = self.host.timer(ctx, token);
-            }
-            Event::Message { msg, .. } => {
-                let actions = self.gateway.on_message(msg, ctx.rng());
-                match perform(ctx, &mut self.host, actions) {
-                    Some(((), Ok(GatewayReply::Committed { code, .. }))) => {
-                        let latency = ctx.now() - self.started;
-                        self.log.borrow_mut().committed.push((code, latency));
-                    }
-                    Some(((), Err(error))) => self.log.borrow_mut().failed.push(error.to_string()),
-                    _ => return,
-                }
-                self.next(ctx);
-            }
-        }
-    }
+/// What the transactions that failed failed with.
+fn failed(log: &Log) -> Vec<String> {
+    let log = log.borrow();
+    log.iter()
+        .filter_map(|(_, r)| r.as_ref().err())
+        .map(|e| e.to_string())
+        .collect()
 }
 
 /// Puts `peer`, called `name`, into `sim` on a CPU of speed 1.
@@ -150,7 +102,7 @@ fn start_orderer(sim: &mut Simulation<FabricMsg>, node: OrderingNode) -> ActorId
 struct TestNet {
     sim: Simulation<FabricMsg>,
     peers: Vec<ActorId>,
-    log: Rc<RefCell<DriverLog>>,
+    log: Log,
 }
 
 /// Builds: 4 peers (org1..org4), 1 solo orderer, 1 client, counter
@@ -189,15 +141,15 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     let node = OrderingNode::solo(ChannelId::default(), batch, peers.clone(), costs);
     let orderer = start_orderer(&mut sim, node);
 
-    let log = Rc::new(RefCell::new(DriverLog::default()));
+    let log = Log::default();
     let route = Route::new(ChannelId::default(), peers.clone(), vec![orderer], 1);
     let gateway = Gateway::new(client_id, vec![route], costs);
     let key_of = move |n| match hot_key {
         true => "hot".to_owned(),
         false => format!("key{n}"),
     };
-    let driver = ClientDriver::new(gateway, txs, key_of, &log);
-    let client = sim.add_actor(Box::new(driver));
+    let driver = client_driver(gateway, txs, key_of, &log);
+    let client = driver.start(&mut sim, CpuResource::new(1.0), "client");
     assert_eq!(client, client_actor_id);
     sim.start_timer(client, SimDuration::ZERO, 0);
     TestNet { sim, peers, log }
@@ -207,10 +159,10 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
 fn closed_loop_transactions_all_commit() {
     let mut net = build_solo_net(20, BatchConfig::default(), false);
     net.sim.run_until(SimTime::from_secs(120));
-    let log = net.log.borrow();
-    assert_eq!(log.committed.len(), 20, "failed: {:?}", log.failed);
-    assert!(log.failed.is_empty());
-    for (code, latency) in &log.committed {
+    let committed = committed(&net.log);
+    assert_eq!(committed.len(), 20, "failed: {:?}", failed(&net.log));
+    assert!(failed(&net.log).is_empty());
+    for (code, latency) in &committed {
         assert_eq!(*code, ValidationCode::Valid);
         // Each closed-loop tx waits for the 2s batch timeout at most.
         assert!(*latency <= SimDuration::from_secs(3), "{latency}");
@@ -226,9 +178,9 @@ fn batch_size_one_cuts_immediately_and_lowers_latency() {
     };
     let mut net = build_solo_net(10, fast_batch, false);
     net.sim.run_until(SimTime::from_secs(60));
-    let log = net.log.borrow();
-    assert_eq!(log.committed.len(), 10);
-    for (_, latency) in &log.committed {
+    let committed = committed(&net.log);
+    assert_eq!(committed.len(), 10);
+    for (_, latency) in &committed {
         // No batch-timeout stall: commits land in ~10s of milliseconds.
         assert!(*latency < SimDuration::from_millis(100), "{latency}");
     }
@@ -241,10 +193,9 @@ fn closed_loop_hot_key_still_commits_serially() {
     // A closed-loop client on one hot key never conflicts with itself.
     let mut net = build_solo_net(10, BatchConfig::default(), true);
     net.sim.run_until(SimTime::from_secs(120));
-    let log = net.log.borrow();
-    assert_eq!(log.committed.len(), 10);
-    assert!(log
-        .committed
+    let committed = committed(&net.log);
+    assert_eq!(committed.len(), 10);
+    assert!(committed
         .iter()
         .all(|(code, _)| *code == ValidationCode::Valid));
 }
@@ -315,22 +266,21 @@ fn raft_ordering_service_commits_transactions() {
         assert_eq!(start_orderer(&mut sim, node), orderer_ids[i]);
     }
 
-    let log = Rc::new(RefCell::new(DriverLog::default()));
+    let log = Log::default();
     // Point the gateway at orderer 0; it redirects to the leader if needed.
     let route = Route::new(ChannelId::default(), vec![peer_actor_id], orderer_ids, 1);
     let gateway = Gateway::new(client_id, vec![route], costs);
-    let driver = ClientDriver::new(gateway, 8, |n| format!("key{n}"), &log);
-    let client = sim.add_actor(Box::new(driver));
+    let driver = client_driver(gateway, 8, |n| format!("key{n}"), &log);
+    let client = driver.start(&mut sim, CpuResource::new(1.0), "client");
     assert_eq!(client, client_actor_id);
 
     // Give raft time to elect before starting the workload.
     sim.start_timer(client, SimDuration::from_secs(5), 0);
     sim.run_until(SimTime::from_secs(300));
 
-    let log = log.borrow();
-    assert_eq!(log.committed.len(), 8, "failed: {:?}", log.failed);
-    assert!(log
-        .committed
+    let committed = committed(&log);
+    assert_eq!(committed.len(), 8, "failed: {:?}", failed(&log));
+    assert!(committed
         .iter()
         .all(|(code, _)| *code == ValidationCode::Valid));
     // Peer deduplicated multi-orderer deliveries: 8 blocks committed once.
@@ -349,56 +299,25 @@ fn endorsement_failure_reported_to_client() {
     registry.install(Arc::new(CounterCc));
     let costs = CostModel::default();
 
-    struct QueryOnce {
-        gateway: Gateway<()>,
-        host: Host<FabricMsg>,
-        log: Rc<RefCell<DriverLog>>,
-    }
-    impl Actor<FabricMsg> for QueryOnce {
-        fn on_event(&mut self, ctx: &mut Context<'_, FabricMsg>, event: Event<FabricMsg>) {
-            let actions = match event {
-                Event::Timer { token: 0 } => {
-                    self.gateway
-                        .query(0, (), "counter", "get", vec![b"missing".to_vec()])
-                }
-                Event::Timer { token } => {
-                    let _ = self.host.timer(ctx, token);
-                    return;
-                }
-                Event::Message { msg, .. } => self.gateway.on_message(msg, ctx.rng()),
-            };
-            if let Some(((), result)) = perform(ctx, &mut self.host, actions) {
-                let result = result.map(|reply| match reply {
-                    GatewayReply::Bytes(bytes) => bytes,
-                    other => panic!("a query does not commit: {other:?}"),
-                });
-                self.log
-                    .borrow_mut()
-                    .queries
-                    .push(result.map_err(|e| e.to_string()));
-                ctx.stop();
-            }
-        }
-    }
-
     let mut sim = Simulation::new(3);
     let mut peer = Peer::new(peer_identity, registry, costs, "peer0".to_owned());
     let policy = EndorsementPolicy::any_of([org.clone()]);
     let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
     peer.host(Rc::new(RefCell::new(ledger)), None);
     let peer_id = start_peer(&mut sim, peer, "peer0".to_owned());
-    let log = Rc::new(RefCell::new(DriverLog::default()));
+    let log = Log::default();
     let route = Route::new(ChannelId::default(), vec![peer_id], vec![peer_id], 1);
-    let client = sim.add_actor(Box::new(QueryOnce {
-        gateway: Gateway::new(client_id, vec![route], costs),
-        host: Host::new("client"),
-        log: log.clone(),
-    }));
+    let gateway = Gateway::new(client_id, vec![route], costs);
+    let get = |gateway: &mut Gateway<()>, _| {
+        gateway.query(0, (), "counter", "get", vec![b"missing".to_vec()])
+    };
+    let driver = Node::new(Driver::new(gateway, 1, get, &log), "client");
+    let client = driver.start(&mut sim, CpuResource::new(1.0), "client");
     sim.start_timer(client, SimDuration::ZERO, 0);
     sim.run_until(SimTime::from_secs(10));
-    let log = log.borrow();
-    assert_eq!(log.queries.len(), 1);
-    assert!(log.queries[0].as_ref().unwrap_err().contains("not found"));
+    assert_eq!(failed(&log).len(), 1);
+    assert!(failed(&log)[0].contains("not found"), "{:?}", failed(&log));
+    assert_eq!(log.borrow().len(), 1, "a query does not commit");
 }
 
 /// Records every block delivered to it as `(sender, block number)`.
@@ -442,7 +361,7 @@ struct SmallNet {
     orderers: Vec<ActorId>,
     clients: [ActorId; 2],
     taps: Rc<RefCell<Vec<(ActorId, u64)>>>,
-    log: Rc<RefCell<DriverLog>>,
+    log: Log,
 }
 
 const SMALL_NET_PEERS: [ActorId; 2] = [ActorId(0), ActorId(1)];
@@ -508,14 +427,15 @@ impl SmallNet {
             };
             assert_eq!(start_orderer(&mut sim, node), expected);
         }
-        let log = Rc::new(RefCell::new(DriverLog::default()));
+        let log = Log::default();
         for (c, (identity, remaining)) in client_ids.into_iter().zip(client_txs).enumerate() {
             let peers = vec![SMALL_NET_PEERS[0]];
             let route = Route::new(ChannelId::default(), peers, vec![orderers[0]], 1);
             let gateway = Gateway::new(identity, vec![route], costs);
             let key_of = move |n| format!("key{c}-{n}");
-            let driver = ClientDriver::new(gateway, remaining, key_of, &log);
-            assert_eq!(sim.add_actor(Box::new(driver)), clients[c]);
+            let driver = client_driver(gateway, remaining, key_of, &log);
+            let cpu = CpuResource::new(1.0);
+            assert_eq!(driver.start(&mut sim, cpu, "client"), clients[c]);
         }
         SmallNet {
             sim,
@@ -583,12 +503,7 @@ fn deliver_service_redelivers_and_subscribes(members: usize) {
         .start_timer(net.clients[1], SimDuration::from_secs(1), 0);
     net.run_for(120);
 
-    assert_eq!(
-        net.log.borrow().committed.len(),
-        24,
-        "{:?}",
-        net.log.borrow().failed
-    );
+    assert_eq!(committed(&net.log).len(), 24, "{:?}", failed(&net.log));
     assert_eq!(net.height(0), 24);
     assert_eq!(net.height(1), 24, "the cut-off peer caught up");
     assert_eq!(

@@ -5,9 +5,11 @@
 //! [`ObjectStore`]:
 //!
 //! * [`MemoryStore`] — in-memory backend for simulations and tests, and
-//! * [`StorageActor`]/[`StoreMsg`] — the simulated remote SSHFS node with
+//! * [`StorageNode`]/[`StoreMsg`] — the simulated remote SSHFS node with
 //!   per-operation SSH overhead and per-byte service cost, matching the
-//!   paper's "off-chain storage always runs on a separate node" setup.
+//!   paper's "off-chain storage always runs on a separate node" setup: a
+//!   sans-IO machine that `hyperprov_fabric::Node` hosts, as it hosts the
+//!   peer, the ordering node and the client.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,5 +17,5 @@
 mod sshfs;
 mod store;
 
-pub use sshfs::{StorageActor, StorageCosts, StoreMsg};
+pub use sshfs::{Reply, StorageCosts, StorageNode, StoreMsg};
 pub use store::{validate_name, MemoryStore, ObjectStore, StoreError};

@@ -3,14 +3,16 @@
 //! The paper runs its off-chain store as an SSH filesystem on a separate
 //! machine; every access therefore pays an SSH round trip plus a
 //! bandwidth-limited transfer. In the simulation the transfer cost comes
-//! from the network link to the [`StorageActor`]; this module adds the
-//! per-operation SSH overhead and the server-side I/O cost.
+//! from the network link to the [`StorageNode`]; this module adds the
+//! per-operation SSH overhead and the server-side I/O cost. `actor.rs` is
+//! its [`Machine`](hyperprov_fabric::Machine) impl.
+
+mod actor;
 
 use std::sync::Arc;
 
-use hyperprov_sim::{
-    Actor, ActorId, Carries, Context, Event, ServiceHarness, SimDuration, SpanClose,
-};
+use hyperprov_fabric::{Action, SpanKey};
+use hyperprov_sim::{ActorId, SimDuration};
 
 use crate::store::{ObjectStore, StoreError};
 
@@ -92,91 +94,69 @@ impl StorageCosts {
     }
 }
 
-/// The storage node actor: serves puts and gets over a shared
-/// [`ObjectStore`], charging SSH-like service time per request.
-pub struct StorageActor<M> {
+/// The storage node as a sans-IO machine: it serves puts and gets over a
+/// shared [`ObjectStore`] and answers each with one job of SSH-like
+/// service time. It arms no timer and admits everything; a restart keeps
+/// the objects, as a rebooted SSHFS node does.
+pub struct StorageNode {
     store: Arc<dyn ObjectStore>,
     costs: StorageCosts,
-    harness: ServiceHarness<M>,
+    /// Requests served, which numbers their `offchain.server` spans.
+    jobs: u64,
 }
 
-impl<M: Carries<StoreMsg>> StorageActor<M> {
+/// What only the storage node asks its host for: one CPU job of the
+/// service time that, when done, closes the span and sends the reply to
+/// the caller — a job whose send is a [`StoreMsg`].
+#[derive(Debug)]
+pub struct Reply(pub SimDuration, pub ActorId, pub StoreMsg, pub SpanKey);
+
+impl StorageNode {
     /// Creates a storage node over `store`.
     pub fn new(store: Arc<dyn ObjectStore>, costs: StorageCosts) -> Self {
-        StorageActor {
+        StorageNode {
             store,
             costs,
-            harness: ServiceHarness::new("storage"),
+            jobs: 0,
         }
     }
 
-    /// Sends `reply`, about object `name`, after the service time.
-    fn finish_later(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        dst: ActorId,
-        bytes_moved: u64,
-        name: String,
-        reply: StoreMsg,
-    ) {
-        let job = self.harness.next_job();
-        // Server-side service span (SSH overhead + per-byte I/O); the job
-        // number disambiguates concurrent operations on one object.
-        ctx.span_start(&name, "offchain.server", &job.to_string());
-        let close = SpanClose::new(name, "offchain.server", job.to_string());
-        let bytes = reply.wire_size();
-        self.harness.defer(
-            ctx,
-            self.costs.service_time(bytes_moved),
-            vec![(dst, bytes, M::wrap(reply))],
-            vec![close],
-        );
-    }
-
-    fn serve(&mut self, ctx: &mut Context<'_, M>, src: ActorId, msg: StoreMsg) {
-        match msg {
+    /// Serves a request from `src` at once: counts it, opens its
+    /// server-side span (SSH overhead + per-byte I/O), and asks for the
+    /// job that sends the reply.
+    pub fn message(&mut self, src: ActorId, msg: StoreMsg) -> Vec<Action<Reply>> {
+        let (name, reply, moved, counts) = match msg {
             StoreMsg::Put { name, data, token } => {
                 let bytes = data.len() as u64;
                 let result = self.store.put(&name, &data);
-                ctx.metrics().incr("storage.puts", 1);
-                ctx.metrics().incr("storage.bytes_in", bytes);
                 let reply = StoreMsg::PutAck {
                     name: name.clone(),
                     token,
                     result,
                 };
-                self.finish_later(ctx, src, bytes, name, reply);
+                (name, reply, bytes, [("puts", 1), ("bytes_in", bytes)])
             }
             StoreMsg::Get { name, token } => {
                 let result = self.store.get(&name);
-                let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-                ctx.metrics().incr("storage.gets", 1);
-                ctx.metrics().incr("storage.bytes_out", bytes);
+                let bytes = result.as_ref().map_or(0, |d| d.len() as u64);
                 let reply = StoreMsg::GetResult {
                     name: name.clone(),
                     token,
                     result,
                 };
-                self.finish_later(ctx, src, bytes, name, reply);
+                (name, reply, bytes, [("gets", 1), ("bytes_out", bytes)])
             }
             // Replies are never addressed to the server.
-            StoreMsg::PutAck { .. } | StoreMsg::GetResult { .. } => {}
-        }
-    }
-}
-
-impl<M: Carries<StoreMsg>> Actor<M> for StorageActor<M> {
-    fn on_event(&mut self, ctx: &mut Context<'_, M>, event: Event<M>) {
-        match event {
-            Event::Message { src, msg } => {
-                if let Ok(msg) = msg.peel() {
-                    self.serve(ctx, src, msg);
-                }
-            }
-            Event::Timer { token } => {
-                let _ = self.harness.on_timer(ctx, token);
-            }
-        }
+            StoreMsg::PutAck { .. } | StoreMsg::GetResult { .. } => return Vec::new(),
+        };
+        // The job number tells concurrent operations on one object apart.
+        self.jobs += 1;
+        let (stage, job) = ("offchain.server", self.jobs.to_string());
+        let mut out: Vec<_> = counts.map(|(n, by)| Action::Count(None, n, by)).into();
+        out.push(Action::SpanStart(name.clone(), stage, job.clone()));
+        let cost = self.costs.service_time(moved);
+        out.push(Action::Own(Reply(cost, src, reply, (name, stage, job))));
+        out
     }
 }
 
@@ -184,9 +164,42 @@ impl<M: Carries<StoreMsg>> Actor<M> for StorageActor<M> {
 mod tests {
     use super::*;
     use crate::store::MemoryStore;
-    use hyperprov_sim::{SimTime, Simulation};
+    use hyperprov_fabric::{Carries, FabricMsg, Node};
+    use hyperprov_sim::{Actor, Context, CpuResource, Event, SimTime, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// The store's protocol, on a wire that carries fabric's too, as a
+    /// [`Node`] needs.
+    #[derive(Debug)]
+    enum Wire {
+        Store(StoreMsg),
+        Fabric(Box<FabricMsg>),
+    }
+
+    impl Carries<StoreMsg> for Wire {
+        fn wrap(inner: StoreMsg) -> Self {
+            Wire::Store(inner)
+        }
+        fn peel(self) -> Result<StoreMsg, Self> {
+            match self {
+                Wire::Store(msg) => Ok(msg),
+                other => Err(other),
+            }
+        }
+    }
+
+    impl Carries<FabricMsg> for Wire {
+        fn wrap(inner: FabricMsg) -> Self {
+            Wire::Fabric(Box::new(inner))
+        }
+        fn peel(self) -> Result<FabricMsg, Self> {
+            match self {
+                Wire::Fabric(msg) => Ok(*msg),
+                other => Err(other),
+            }
+        }
+    }
 
     #[derive(Debug, Default)]
     struct Seen {
@@ -201,26 +214,26 @@ mod tests {
         seen: Rc<RefCell<Seen>>,
     }
 
-    impl Actor<StoreMsg> for TestClient {
-        fn on_event(&mut self, ctx: &mut Context<'_, StoreMsg>, event: Event<StoreMsg>) {
+    impl Actor<Wire> for TestClient {
+        fn on_event(&mut self, ctx: &mut Context<'_, Wire>, event: Event<Wire>) {
             match event {
                 Event::Timer { .. } => {
                     for msg in self.script.drain(..) {
                         let bytes = msg.wire_size();
-                        ctx.send(self.server, bytes, msg);
+                        ctx.send(self.server, bytes, Wire::Store(msg));
                     }
                 }
                 Event::Message { msg, .. } => {
                     let mut seen = self.seen.borrow_mut();
                     match msg {
-                        StoreMsg::PutAck {
+                        Wire::Store(StoreMsg::PutAck {
                             name,
                             token,
                             result,
-                        } => {
+                        }) => {
                             seen.acks.push((name, token, result.is_ok()));
                         }
-                        StoreMsg::GetResult { token, result, .. } => {
+                        Wire::Store(StoreMsg::GetResult { token, result, .. }) => {
                             seen.gets.push((token, result));
                         }
                         _ => {}
@@ -231,13 +244,12 @@ mod tests {
         }
     }
 
-    fn run_script(script: Vec<StoreMsg>) -> (Seen, Simulation<StoreMsg>, Arc<MemoryStore>) {
+    fn run_script(script: Vec<StoreMsg>) -> (Seen, Simulation<Wire>, Arc<MemoryStore>) {
         let store = Arc::new(MemoryStore::new());
         let mut sim = Simulation::new(1);
-        let server = sim.add_actor(Box::new(StorageActor::<StoreMsg>::new(
-            store.clone(),
-            StorageCosts::default(),
-        )));
+        let node = StorageNode::new(store.clone(), StorageCosts::default());
+        let cpu = CpuResource::new(1.0);
+        let server = Node::new(node, "storage").start(&mut sim, cpu, "storage");
         let seen = Rc::new(RefCell::new(Seen::default()));
         let client = sim.add_actor(Box::new(TestClient {
             server,

@@ -4,7 +4,7 @@
 //! HyperProv keeps only metadata on-chain; the payload goes to a pluggable
 //! store (the paper uses SSHFS). These backends provide the storage
 //! semantics; the timing of the paper's remote SSHFS node is modelled by
-//! [`crate::StorageActor`].
+//! [`crate::StorageNode`].
 
 use std::collections::HashMap;
 use std::fmt;

@@ -13,9 +13,6 @@
 //!   of crash/partition/loss windows ([`FaultPlan`], [`FaultAction`]),
 //! * per-actor serialising CPU resources with busy-interval accounting
 //!   ([`CpuResource`]) — the basis for the energy model,
-//! * a shared service runtime for node actors — deferred-send outbox,
-//!   CPU charging, and bounded admission queues with backpressure
-//!   ([`ServiceHarness`], [`QueueConfig`]),
 //! * metrics ([`Metrics`], [`Histogram`]),
 //! * virtual-time span tracing with bounded memory ([`Tracer`],
 //!   [`Span`], [`TracerConfig`]),
@@ -28,7 +25,9 @@
 //!
 //! The paper's testbed — four machines and a switch — maps to one actor per
 //! process (peer, orderer, off-chain store, client) with CPU speeds and
-//! link parameters taken from device profiles.
+//! link parameters taken from device profiles. Every one of them is
+//! `hyperprov-fabric`'s `Node` hosting a sans-IO machine; the outbox of
+//! CPU jobs and the admission queues live in that host, not here.
 //!
 //! # Examples
 //!
@@ -60,7 +59,6 @@ mod engine;
 mod equeue;
 mod fault;
 mod fxhash;
-mod harness;
 mod histogram;
 pub mod json;
 mod metrics;
@@ -75,7 +73,6 @@ mod trace;
 pub use cpu::CpuResource;
 pub use engine::{Actor, ActorId, Carries, Context, Event, Simulation, TimerId};
 pub use fault::{FaultAction, FaultPlan, FaultPlanActor};
-pub use harness::{Outbound, QueueConfig, ServiceHarness, SpanClose, HARNESS_TOKEN_BIT};
 pub use histogram::Histogram;
 pub use metrics::{GaugeId, HistogramId, Metrics};
 pub use net::{Delivery, LinkSpec, Network};

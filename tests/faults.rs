@@ -2,14 +2,15 @@
 //! under partitions, split peer groups converging after heal, Raft
 //! leader loss with a retrying client, transient partitions absorbed
 //! entirely by the client retry budget, a network-wide loss window
-//! ridden out by deadlines and retry, and a crashed home peer or home
+//! ridden out by deadlines and retry, a crashed home peer or home
 //! orderer costing its clients one deadline per outage, not one per
-//! operation.
+//! operation, and a crashed storage node serving what it held after the
+//! restart.
 
 use hyperprov_repro::fabric::BatchConfig;
 use hyperprov_repro::hyperprov::{
     AuditFinding, ClientCommand, ClientCompletion, HyperProvError, HyperProvNetwork, NetworkConfig,
-    NodeMsg, OpId, RecordInput, RetryPolicy,
+    NodeMsg, OpId, OpOutput, RecordInput, RetryPolicy,
 };
 use hyperprov_repro::ledger::Digest;
 use hyperprov_repro::sim::{ActorId, FaultPlan, SimDuration, SimTime};
@@ -441,4 +442,79 @@ fn a_crashed_home_orderer_costs_one_endorse_deadline_per_outage() {
     let (posts, paid) = an_outage_costs_one_deadline(&mut net, home, follower, ENDORSE_DEADLINE);
     assert!(posts >= 20, "{posts} posts issued during the outage");
     assert!(paid <= 1, "{paid} of {posts} posts paid a deadline");
+}
+
+/// Client `c`'s odd operations store a fresh item, and its even ones read
+/// back `kept`, the object stored before the storage node crashed.
+fn store_or_get_kept(key: &str, op: u64) -> ClientCommand {
+    match op % 2 {
+        1 => store_data(key, op),
+        _ => ClientCommand::GetData {
+            key: "kept".into(),
+            op: OpId(op),
+        },
+    }
+}
+
+/// A crash of the off-chain storage node is ridden out like any other
+/// node's: every `StoreData` / `GetData` in flight or issued while it is
+/// down takes a transfer deadline and a retry, and ends. The node reboots
+/// with its objects, so one stored before the crash is served after it,
+/// and the replicas and the chain audit clean.
+///
+/// The crash lands while the node serves a request (500 µs after a loop
+/// tick; at the tick itself no job is running). That job dies with it, and
+/// its `offchain.server` span stays open: the audit reports it, a known
+/// finding until a restart closes the spans of the jobs it lost.
+#[test]
+fn a_crashed_storage_node_serves_what_it_held_after_the_restart() {
+    let config = NetworkConfig::desktop(2)
+        .with_seed(71)
+        .with_batch(BatchConfig {
+            max_message_count: 1,
+            ..BatchConfig::default()
+        })
+        .with_deadlines(
+            Some(SimDuration::from_secs(1)),
+            Some(SimDuration::from_secs(1)),
+        )
+        .with_retry(RetryPolicy::new(8));
+    let mut net = HyperProvNetwork::build(&config);
+    let t0 = net.sim.now();
+    let at = |secs| t0 + SimDuration::from_secs(secs);
+    store(&mut net, 0, 1, "kept");
+    net.sim.run_until(at(2));
+    assert!(net.completions[0].borrow()[0].outcome.is_ok());
+    FaultPlan::new()
+        .crash_window(net.storage, at(4) + SimDuration::from_micros(500), at(6))
+        .install(&mut net.sim);
+
+    let mut issued = [1u64, 0];
+    in_a_closed_loop(&mut net, &mut issued, at(10), store_or_get_kept);
+    net.sim.run_until(at(60));
+
+    let kept = b"payload for kept".to_vec();
+    let mut read_after = 0;
+    for (client, &issued) in issued.iter().enumerate() {
+        let completions = net.completions[client].borrow();
+        assert_eq!(completions.len() as u64, issued, "an operation hung");
+        for completion in completions.iter() {
+            match &completion.outcome {
+                Ok(OpOutput::Data { data, .. }) if completion.started > at(6) => {
+                    assert_eq!(data, &kept);
+                    read_after += 1;
+                }
+                Ok(_) => {}
+                Err(error) => panic!("{:?} failed with {error:?}", completion.op),
+            }
+        }
+    }
+    assert!(
+        read_after > 10,
+        "{read_after} reads of kept after the restart"
+    );
+    let metrics = net.sim.metrics();
+    assert!(metrics.counter("client.retries") >= 1);
+    assert_eq!(metrics.counter("client.exhausted"), 0);
+    assert_eq!(audit(&net), [AuditFinding::OpenSpans("offchain.server", 1)]);
 }
