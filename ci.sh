@@ -22,7 +22,7 @@ cargo test --workspace -q
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=24187
+ceiling=24228
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -138,12 +138,14 @@ cargo run --release -p hyperprov-bench --bin bench_regress -- --quick
 # the one snapshot cutting and recovery show on: the last line of each is
 # the result object. `crash_recover` is also where the client's failover
 # shows: a retry goes to the next node, the orderer answers an envelope
-# under the 2 s endorse deadline, and a node that let a deadline expire
-# is not asked again — its client's home moves past it — so an outage
-# costs a client one endorse deadline and the (virtual, exactly
-# repeating) `op_p99_ms` stays under that deadline + 25 %: it reads
-# 2.1 s; 4.1 s when every operation starts at home again, 13.6 s when
-# retries go back to the dead node. And
+# under the 2 s endorse deadline, a node that let a deadline expire is
+# not asked again — its client's home moves past it — and that first
+# expiry moves on every other attempt waiting on the node, so an outage
+# costs a client one endorse deadline, not one per operation in flight.
+# The (virtual, exactly repeating) `op_p99_ms` reads 1.94 s, its tail
+# mostly the partition's; 2.1 s when each attempt left on the dead node
+# waits out its own deadline, 4.1 s when every operation starts at home
+# again, 13.6 s when retries go back to the dead node. And
 # it is the one workload that cuts snapshots and runs a raft ordering
 # cluster: a peer's cut is a height, its content materialized from the
 # ledger only when something reads it, and the raft members share one body
@@ -178,8 +180,8 @@ for smoke in "ledger_growth 1" "crash_recover 2"; do
     fi
     if [ "$1" = crash_recover ]; then
         p99=$(echo "$result" | sed 's/.*"op_p99_ms":{"value":\([0-9.]*\).*/\1/')
-        if awk "BEGIN {exit !($p99 >= 2500)}"; then
-            echo "crash_recover op_p99_ms $p99 >= 2500: a node that let a deadline expire is asked again" >&2
+        if awk "BEGIN {exit !($p99 >= 2050)}"; then
+            echo "crash_recover op_p99_ms $p99 >= 2050: an expiry left the other attempts waiting on the dead node" >&2
             exit 1
         fi
         rss=$(echo "$result" | sed 's/.*"peak_rss_mib":{"value":\([0-9.]*\).*/\1/')

@@ -11,9 +11,8 @@
 //! armed, and nothing can wedge: every wake-up either ends the row with a
 //! typed error or moves it to a fresh attempt under a fresh tx id.
 
-use std::collections::HashMap;
-
 use hyperprov_ledger::{ChannelId, Digest, Encode, TxId, ValidationCode};
+use hyperprov_sim::fxhash::FxHashMap;
 use hyperprov_sim::{ActorId, DetRng, SimDuration};
 use rand::Rng;
 
@@ -212,9 +211,9 @@ pub struct Done<T>(pub T, pub Result<Reply, GatewayError>);
 /// Both lists are rings. A request's first attempt starts at each ring's
 /// *home*, its first node to begin with; a retry one place along from its
 /// own attempt's positions, so it goes to the next node, not back to the
-/// one that just failed. An expired deadline moves the home of the ring
-/// it blames one place past the position that expired, if the home still
-/// points there ([`Gateway::on_timer`]); nothing else moves a home.
+/// one that just failed. An expired deadline moves the home of the ring it
+/// blames past the expired position, if it still points there, and every
+/// attempt stranded on that node ([`Gateway::on_timer`]); nothing else moves a home.
 #[derive(Debug)]
 pub struct Route {
     channel: ChannelId,
@@ -334,8 +333,8 @@ pub struct Gateway<T> {
     retry: Option<RetryPolicy>,
     /// The requests in flight, by the tx id of their latest attempt —
     /// what replies carry. Wake-ups fire only when something went wrong,
-    /// so the row of a token is found by scanning.
-    rows: HashMap<TxId, Row<T>>,
+    /// so the row of a token is found by a scan, in the fixed hasher's order.
+    rows: FxHashMap<TxId, Row<T>>,
     next_token: u64,
 }
 
@@ -355,7 +354,7 @@ impl<T: Caller> Gateway<T> {
             endorse_timeout: None,
             commit_timeout: None,
             retry: None,
-            rows: HashMap::new(),
+            rows: FxHashMap::default(),
             next_token: 0,
         }
     }
@@ -696,9 +695,10 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// A wake-up fired. A deadline abandons the attempt — its span
-    /// closes, its row leaves the table, nothing can leak — and moves the
-    /// home of the ring it blames; a backoff issues the next attempt, one
-    /// place along both rings. Tokens of finished requests do nothing.
+    /// closes, its row leaves the table, nothing can leak — moves the home
+    /// of the ring it blames and, unless a commit may be in, every attempt
+    /// waiting on the node it blames ([`Gateway::fail_over`]); a backoff
+    /// issues the next attempt. Tokens of finished requests do nothing.
     pub fn on_timer(&mut self, token: u64, rng: &mut DetRng) -> Vec<Action<T>> {
         let found = self.rows.iter().find(|(_, row)| row.token == Some(token));
         let Some(tx_id) = found.map(|(tx_id, _)| *tx_id) else {
@@ -715,12 +715,7 @@ impl<T: Caller> Gateway<T> {
             Phase::Ordering { .. } => ("commit_wait", "order.timeout", CommitTimeout, ORDERERS),
             Phase::CommitWait { .. } => ("commit_wait", "commit.timeout", CommitTimeout, ENDORSERS),
             Phase::Query => ("query", "query.timeout", EndorseTimeout, ENDORSERS),
-            Phase::BackingOff => {
-                let call = row.redo.expect("invariant: only a kept call backs off");
-                let route = &self.routes[row.shard];
-                let at = [ENDORSERS, ORDERERS].map(|ring| route.after(ring, row.at[ring]));
-                return self.issue(row.caller, row.shard, row.attempts, at, call);
-            }
+            Phase::BackingOff => return self.next_attempt(row),
         };
         // The home moves past the expired position, unless an earlier
         // expiry moved it already.
@@ -728,12 +723,58 @@ impl<T: Caller> Gateway<T> {
         if route.home[blamed] == at {
             route.home[blamed] = route.after(blamed, at);
         }
+        let dead = [&route.endorsers, &route.orderers][blamed][at];
         let mut out = vec![
             Action::SpanEnd(tx_trace(&tx_id), stage, String::new()),
             Action::Note(tx_trace(&tx_id), event, String::new()),
         ];
+        if !matches!(row.phase, Phase::CommitWait { .. }) {
+            self.fail_over(dead, &mut out);
+        }
         self.fail(tx_id, row, error, rng, &mut out);
         out
+    }
+
+    /// A deadline blamed `dead`: each attempt waiting on it for its first
+    /// endorsement, its query's or its orderer's answer, with an attempt
+    /// left and another node on that ring, is abandoned and issued again at
+    /// once, one place along its rings, in the order they were armed: a
+    /// retry, noted `op.failover`. One still endorsing submits past `dead`.
+    fn fail_over(&mut self, dead: ActorId, out: &mut Vec<Action<T>>) {
+        let budget = self.retry.map_or(0, |policy| policy.max_attempts);
+        let mut stranded = Vec::new();
+        for (&tx_id, row) in &mut self.rows {
+            let (route, at) = (&self.routes[row.shard], row.at);
+            let rings = [&route.endorsers, &route.orderers];
+            let on_dead = |ring: usize| rings[ring][at[ring]] == dead;
+            let (stage, ring) = match row.phase {
+                Phase::Endorsing { .. } if on_dead(ORDERERS) => {
+                    row.at[ORDERERS] = route.after(ORDERERS, at[ORDERERS]);
+                    continue;
+                }
+                Phase::Endorsing { .. } => ("endorse", ENDORSERS),
+                Phase::Query => ("query", ENDORSERS),
+                Phase::Ordering { .. } => ("commit_wait", ORDERERS),
+                Phase::CommitWait { .. } | Phase::BackingOff => continue,
+            };
+            if on_dead(ring) && rings[ring].len() > 1 && row.attempts < budget {
+                stranded.push((row.token, tx_id, stage));
+            }
+        }
+        stranded.sort_unstable();
+        for (_, tx_id, stage) in stranded {
+            let row = self.close(tx_id, stage, out);
+            out.push(Action::Note(tx_trace(&tx_id), "op.failover", String::new()));
+            out.push(Action::Count(None, "retries", 1));
+            out.extend(self.next_attempt(row));
+        }
+    }
+
+    /// Issues the next attempt of a row out of the table, one place along both rings.
+    fn next_attempt(&mut self, row: Row<T>) -> Vec<Action<T>> {
+        let call = row.redo.expect("invariant: only a kept call goes again");
+        let at = [ENDORSERS, ORDERERS].map(|ring| self.routes[row.shard].after(ring, row.at[ring]));
+        self.issue(row.caller, row.shard, row.attempts, at, call)
     }
 
     /// The attempt under `tx_id` failed with `error`, and `row` is out of

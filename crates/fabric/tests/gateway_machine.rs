@@ -1,9 +1,9 @@
 //! The gateway machine, driven with no simulation: first one directed
 //! test per transition (inputs in, actions out), then the failover rule
-//! leg by leg and one finding pinned as it stands, then two seeded
+//! leg by leg and one finding pinned as it stands, then three seeded
 //! property tests over a model network — one that drops, duplicates and
-//! reorders replies and fires timers early or late, one that is clean but
-//! for a dead node.
+//! reorders replies and fires timers early or late, two that are clean
+//! but for a dead node.
 
 #[path = "support/sched.rs"]
 mod sched;
@@ -91,10 +91,6 @@ fn bench_with(
     commit: Option<SimDuration>,
     budget: Option<u32>,
 ) -> Bench {
-    let mut msp = MspBuilder::new(3);
-    let org = MspId::new("org1");
-    let client = msp.enroll("client", &org);
-    let peer = msp.enroll("peer", &org);
     let routes = needed
         .iter()
         .enumerate()
@@ -103,6 +99,21 @@ fn bench_with(
             Route::new(channel, endorsers(shard), ORDERERS.to_vec(), n)
         })
         .collect();
+    bench_on(routes, endorse, commit, budget)
+}
+
+/// A gateway on `routes`, with deadlines and a retry budget as in
+/// [`bench_with`].
+fn bench_on(
+    routes: Vec<Route>,
+    endorse: Option<SimDuration>,
+    commit: Option<SimDuration>,
+    budget: Option<u32>,
+) -> Bench {
+    let mut msp = MspBuilder::new(3);
+    let org = MspId::new("org1");
+    let client = msp.enroll("client", &org);
+    let peer = msp.enroll("peer", &org);
     let mut gateway =
         Gateway::new(client, routes, CostModel::default()).with_deadlines(endorse, commit);
     if let Some(budget) = budget {
@@ -647,6 +658,218 @@ mod transitions {
         }
     }
 
+    /// The actions that move one stranded attempt of route 0 on: it is
+    /// abandoned in `stage` under its deadline `token`, and issued again
+    /// one place along, at endorser 11, armed as `fresh`.
+    fn moved(token: u64, stage: &str, fresh: u64) -> Vec<String> {
+        let again = if stage == "query" { "query" } else { "endorse" };
+        vec![
+            format!("disarm#{token}"),
+            format!("{stage}]"),
+            "!op.failover".to_owned(),
+            "+client.retries".to_owned(),
+            "charge".to_owned(),
+            format!("[{again}"),
+            format!("arm#{fresh}=endorse"),
+            "propose->11".to_owned(),
+        ]
+    }
+
+    /// How many of these actions close a span of `tx`.
+    fn closes(actions: &[Action<Req>], tx: TxId) -> usize {
+        let trace = tx_trace(&tx);
+        let ends = actions
+            .iter()
+            .filter(|a| matches!(a, Action::SpanEnd(t, ..) if *t == trace));
+        ends.count()
+    }
+
+    /// Three requests wait on a dead home endorser. Its first expiry
+    /// moves the other two at once, in the order they were armed, under
+    /// fresh tx ids, one place along both rings: no backoff, a retry each,
+    /// and one timeout in all. Each abandoned attempt's span closes once,
+    /// and late replies to the old tx ids find nothing.
+    #[test]
+    fn the_first_expiry_moves_every_attempt_stranded_on_a_dead_endorser() {
+        let mut b = bench(&[1], true, Some(3));
+        let old: Vec<TxId> = (1..=3).map(|n| tx_of(&b.invoke(0, n))).collect();
+        let expired = b.timer(1);
+        let mut expected = vec!["endorse]".to_owned(), "!endorse.timeout".to_owned()];
+        expected.extend(moved(2, "endorse", 4));
+        expected.extend(moved(3, "endorse", 5));
+        let backing_off = [
+            "+client.timeouts",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-1",
+            "arm#6=backoff",
+        ];
+        expected.extend(backing_off.map(str::to_owned));
+        assert_eq!(show(&expired), expected);
+        for &tx in &old {
+            assert_eq!(closes(&expired, tx), 1);
+        }
+        let fresh: Vec<TxId> = expired
+            .iter()
+            .filter_map(|action| match action {
+                Action::Send(_, _, FabricMsg::SubmitProposal(signed)) => {
+                    Some(signed.proposal.tx_id())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fresh.len(), 2);
+        assert!(fresh.iter().all(|tx| !old.contains(tx)));
+        for &tx in &old {
+            assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
+        }
+        assert_eq!(b.gateway().inflight(), 3);
+        // A moved attempt goes one place along the orderers too.
+        let submitted = show(&b.message(b.answer(fresh[0], Ok(b"r"))));
+        assert_eq!(submitted[2], "broadcast?->91");
+        // Only the expiry moved the home, once.
+        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+        // A peer that serves two routes strands the attempts of both.
+        let shared = |channel| Route::new(channel, endorsers(0), ORDERERS.to_vec(), 1);
+        let routes = vec![shared("ch0"), shared("ch1")];
+        let mut b = bench_on(routes, Some(ENDORSE), Some(COMMIT), Some(3));
+        b.invoke(0, 1);
+        b.query(1, 2);
+        let expired = show(&b.timer(1));
+        assert_eq!(expired[2..10], moved(2, "query", 3));
+    }
+
+    /// The same for envelopes a dead home orderer leaves unanswered: its
+    /// first `order.timeout` moves the other two at once, to be endorsed
+    /// again one place along and ordered at the next orderer. Their late
+    /// answers and commits find nothing. A request still endorsing keeps
+    /// its attempt, and submits to the next orderer.
+    #[test]
+    fn the_first_expiry_moves_every_envelope_stranded_on_a_dead_orderer() {
+        let mut b = bench(&[1], true, Some(3));
+        let old: Vec<TxId> = (1..=3)
+            .map(|n| {
+                let tx = tx_of(&b.invoke(0, n));
+                b.message(b.answer(tx, Ok(b"r")));
+                tx
+            })
+            .collect();
+        let endorsing = tx_of(&b.invoke(0, 4));
+        // Each envelope's answer is awaited under tokens 2, 4 and 6.
+        let expired = b.timer(2);
+        let mut expected = vec!["commit_wait]".to_owned(), "!order.timeout".to_owned()];
+        expected.extend(moved(4, "commit_wait", 8));
+        expected.extend(moved(6, "commit_wait", 9));
+        let backing_off = [
+            "+client.timeouts",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-1",
+            "arm#10=backoff",
+        ];
+        expected.extend(backing_off.map(str::to_owned));
+        assert_eq!(show(&expired), expected);
+        for &tx in &old {
+            assert_eq!(closes(&expired, tx), 1);
+            assert!(b.message(ack(tx, true)).is_empty());
+            assert!(b.message(commit(tx)).is_empty());
+        }
+        let fresh = tx_of(&expired);
+        let submitted = show(&b.message(b.answer(fresh, Ok(b"r"))));
+        assert_eq!(submitted[2], "broadcast?->91");
+        let submitted = show(&b.message(b.answer(endorsing, Ok(b"r"))));
+        assert_eq!(
+            submitted[..3],
+            ["disarm#7", "arm#12=endorse", "broadcast?->91"]
+        );
+        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
+    }
+
+    /// A row in commit-wait is never moved, as its commit may be in
+    /// already: not by an endorse deadline that blames its peer, and no
+    /// commit deadline moves anything.
+    #[test]
+    fn no_row_in_commit_wait_moves_and_no_commit_deadline_moves_any() {
+        let mut b = bench(&[1], true, Some(3));
+        let waiting = tx_of(&b.invoke(0, 1));
+        b.message(b.answer(waiting, Ok(b"r")));
+        b.message(ack(waiting, true));
+        b.invoke(0, 2);
+        // Request 1's commit deadline blames endorser 10, where request 2
+        // waits: it stays.
+        let expired = [
+            "commit_wait]",
+            "!commit.timeout",
+            "+client.timeouts",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-1",
+            "arm#5=backoff",
+        ];
+        assert_eq!(show(&b.timer(3)), expired);
+        // Request 3 waits for its commit at endorser 11, the new home,
+        // when request 4's endorse deadline there expires: it stays.
+        let waiting = tx_of(&b.invoke(0, 3));
+        b.message(b.answer(waiting, Ok(b"r")));
+        b.message(ack(waiting, true));
+        assert_eq!(show(&b.invoke(0, 4))[3], "propose->11");
+        let expired = [
+            "endorse]",
+            "!endorse.timeout",
+            "+client.timeouts",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-4",
+            "arm#10=backoff",
+        ];
+        assert_eq!(show(&b.timer(9)), expired);
+        assert_eq!(b.gateway().inflight(), 4);
+    }
+
+    /// An attempt stays to wait out its own deadline where moving it could
+    /// find no other node or only spend budget: on a Solo orderer's ring of
+    /// one, on its last attempt, and with no retry policy.
+    #[test]
+    fn an_attempt_with_nowhere_to_go_waits_out_its_own_deadline() {
+        let solo = Route::new("ch0", endorsers(0), vec![ORDERERS[0]], 1);
+        let mut b = bench_on(vec![solo], Some(ENDORSE), Some(COMMIT), Some(3));
+        for n in 1..=2 {
+            let tx = tx_of(&b.invoke(0, n));
+            b.message(b.answer(tx, Ok(b"r")));
+        }
+        for (token, req) in [(2, 1), (4, 2)] {
+            let expired = show(&b.timer(token));
+            assert_eq!(expired[..2], ["commit_wait]", "!order.timeout"]);
+            assert_eq!(expired[5], format!("!op.retry@op-{req}"));
+            assert_eq!(expired.len(), 7, "{expired:?}");
+        }
+        // Request 1 is on the last of its two attempts at endorser 11 when
+        // request 2's deadline there expires.
+        let mut b = bench(&[1], true, Some(2));
+        b.invoke(0, 1);
+        b.timer(1);
+        assert_eq!(show(&b.timer(2))[3], "propose->11");
+        b.invoke(0, 2);
+        assert_eq!(show(&b.timer(4)).len(), 7);
+        let exhausted = [
+            "endorse]",
+            "!endorse.timeout",
+            "+client.timeouts",
+            "+client.exhausted",
+            "done1=Exhausted { attempts: 2 }",
+        ];
+        assert_eq!(show(&b.timer(3)), exhausted);
+        // No retry policy.
+        let mut b = bench(&[1], true, None);
+        b.invoke(0, 1);
+        b.invoke(0, 2);
+        for (token, req) in [(1, 1), (2, 2)] {
+            let expired = show(&b.timer(token));
+            assert_eq!(expired.len(), 4, "{expired:?}");
+            assert_eq!(expired[3], format!("done{req}=EndorseTimeout"));
+        }
+    }
+
     /// Pinned, not endorsed (benchmark README finding 2): after a
     /// `CommitTimeout` the row moves to a fresh tx id, and the first
     /// attempt's commit notification, if it then arrives, completes
@@ -705,6 +928,9 @@ struct Model {
     /// Where each route's next request should start: home endorser, home
     /// orderer.
     homes: Vec<(ActorId, ActorId)>,
+    /// The node the current input's expiry blamed, unless it was a commit
+    /// deadline: the only node attempts may be moved off.
+    blamed: Option<ActorId>,
 }
 
 /// The node one place along `ring` from `node`.
@@ -729,6 +955,7 @@ impl Model {
             loss,
             dead,
             asked: BTreeMap::new(),
+            blamed: None,
         }
     }
 
@@ -739,6 +966,7 @@ impl Model {
     /// Checks the actions of one input against the books and applies
     /// them: sends become the replies a (lossy) network would return.
     fn apply(&mut self, actions: Vec<Action<Req>>) {
+        self.blamed = None;
         for action in actions {
             match action {
                 Action::SpanStart(tx, stage, _) => assert!(self.open.insert((tx, stage))),
@@ -789,11 +1017,26 @@ impl Model {
 
     /// The note `name` on `trace`: if it says an attempt's deadline
     /// expired, the blamed ring's home moves one place on past the node
-    /// that let it expire — if the home still points there.
+    /// that let it expire — if the home still points there. If it says the
+    /// attempt was moved on, the expiry just noted blamed the node it
+    /// waited on: its endorser before it was submitted, else its orderer.
     fn expired(&mut self, trace: &str, name: &str) {
         let Some(&(shard, endorser, orderer)) = self.attempts.get(trace) else {
             return;
         };
+        match name {
+            "endorse.timeout" | "query.timeout" => self.blamed = Some(endorser),
+            "order.timeout" => self.blamed = orderer,
+            "op.failover" => {
+                let waited_on = orderer.unwrap_or(endorser);
+                assert_eq!(
+                    Some(waited_on),
+                    self.blamed,
+                    "{trace} moved off a node no expiry blamed"
+                );
+            }
+            _ => {}
+        }
         let home = &mut self.homes[shard];
         match name {
             "endorse.timeout" | "query.timeout" | "commit.timeout" if home.0 == endorser => {
@@ -802,6 +1045,19 @@ impl Model {
             "order.timeout" if Some(home.1) == orderer => home.1 = next(&ORDERERS, home.1),
             _ => {}
         }
+    }
+
+    /// How many attempts in flight wait on `node`: for their endorsement
+    /// or answer, or for their orderer's answer.
+    fn waiting_on(&self, node: ActorId) -> usize {
+        let waits = |(trace, stage): &&(String, &str)| {
+            let (_, endorser, orderer) = self.attempts[trace];
+            match *stage {
+                "commit_wait" => orderer == Some(node),
+                _ => endorser == node,
+            }
+        };
+        self.open.iter().filter(waits).count()
     }
 
     /// The node `to` answers `msg`.
@@ -955,5 +1211,40 @@ proptest! {
         prop_assert_eq!((m.done.get(&2), m.failed), (Some(&1), 0));
         let again = m.asked.get(&dead).copied();
         prop_assert!(again == met, "the next request met the dead node");
+    }
+
+    /// Several requests are in flight on a clean network when one node of
+    /// the route is dead from the start: the first expiry it causes moves
+    /// every other attempt waiting on it at once, so that from then on no
+    /// attempt in flight is addressed to it. That expiry is the only one,
+    /// and every request ends `Ok`.
+    #[test]
+    fn the_first_expiry_on_a_dead_node_moves_every_attempt_stranded_there(seed in any::<u64>()) {
+        let mut rng = Rng::new(seed);
+        let budget = 2 + rng.below(4) as u32;
+        let dead = pick_target(&mut rng, 1);
+        let mut m = Model::new(bench(&[1], true, Some(budget)), rng, 0, Some(dead));
+        let requests = 2 + m.rng().below(6) as u32;
+        for n in 1..=requests {
+            let actions = match m.rng().chance(60) {
+                true => m.bench.invoke(0, n),
+                false => m.bench.query(0, n),
+            };
+            m.apply(actions);
+        }
+        let mut expiries = 0;
+        while let Some(actions) = m.bench.sched.heal() {
+            expiries += actions
+                .iter()
+                .filter(|a| matches!(a, Action::Note(_, name, _) if name.ends_with(".timeout")))
+                .count();
+            m.apply(actions);
+            if expiries > 0 {
+                prop_assert!(m.waiting_on(dead) == 0, "an attempt is left on the dead node");
+            }
+        }
+        prop_assert_eq!(expiries, usize::from(m.asked.contains_key(&dead)));
+        prop_assert_eq!((m.done.len() as u32, m.failed), (requests, 0));
+        prop_assert_eq!(m.bench.gateway().inflight(), 0);
     }
 }

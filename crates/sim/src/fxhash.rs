@@ -9,7 +9,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` with the deterministic [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// `HashSet` with the deterministic [`FxHasher`].
 pub(crate) type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
@@ -18,7 +18,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Multiply-rotate hasher (the rustc/Firefox "Fx" construction).
 #[derive(Debug, Default, Clone)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 

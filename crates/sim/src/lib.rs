@@ -58,7 +58,7 @@ mod cpu;
 mod engine;
 mod equeue;
 mod fault;
-mod fxhash;
+pub mod fxhash;
 mod histogram;
 pub mod json;
 mod metrics;

@@ -4,8 +4,8 @@
 //! entirely by the client retry budget, a network-wide loss window
 //! ridden out by deadlines and retry, a crashed home peer or home
 //! orderer costing its clients one deadline per outage, not one per
-//! operation, and a crashed storage node serving what it held after the
-//! restart.
+//! operation — in an open loop too, with many operations in flight — and
+//! a crashed storage node serving what it held after the restart.
 
 use hyperprov_repro::fabric::BatchConfig;
 use hyperprov_repro::hyperprov::{
@@ -66,6 +66,32 @@ fn in_a_closed_loop(
         }
         net.sim
             .run_until(net.sim.now() + SimDuration::from_millis(10));
+    }
+}
+
+/// How clients issue operations until an instant: `in_a_closed_loop` or
+/// `on_a_schedule`.
+type Load = fn(&mut HyperProvNetwork, &mut [u64], SimTime, fn(&str, u64) -> ClientCommand);
+
+/// An open loop until `until`: every client issues `command(key, op)`
+/// every 80 ms — the benchmark's 12.5 operations a second per client —
+/// whether or not its earlier operations ended.
+fn on_a_schedule(
+    net: &mut HyperProvNetwork,
+    issued: &mut [u64],
+    until: SimTime,
+    command: fn(&str, u64) -> ClientCommand,
+) {
+    while net.sim.now() < until {
+        for (client, issued) in issued.iter_mut().enumerate() {
+            *issued += 1;
+            let key = format!("item-{client}-{issued}");
+            let cmd = command(&key, op_id(client, *issued));
+            net.sim
+                .inject_message(net.clients[client], NodeMsg::Client(cmd));
+        }
+        net.sim
+            .run_until(net.sim.now() + SimDuration::from_millis(80));
     }
 }
 
@@ -355,29 +381,32 @@ fn three_homes(seed: u64) -> HyperProvNetwork {
     net
 }
 
-/// The three clients post in a closed loop for 24 s while `node`, the
-/// home of client `homed`, is down from 6 s to 16 s. Every post ends
-/// `Ok` with the budget never spent, and the live peers end up equal.
-/// Only a post `homed` issued within `deadline` of the crash may meet the
-/// dead node: it takes at most that deadline — the one attempt sent there
-/// — plus the first backoff (50 ms + 20 %) plus a steady-state post on the
-/// next node (at most twice the slowest post before the fault). The
-/// client's first expiry moved its home past the dead node, so every
-/// later post of the outage never meets it and takes at most twice the
-/// steady-state post. Returns how many posts `homed` issued during the
-/// outage, and how many of them took the deadline or longer.
+/// The three clients post under `load` for 24 s while `node`, the home
+/// of client `homed`, is down from 6 s to 16 s. Every post ends `Ok` with
+/// the budget never spent, and the live peers end up equal. Only a post
+/// `homed` issued within `deadline` of the crash may meet the dead node:
+/// it takes at most that deadline — the one attempt sent there, or the
+/// first expiry there, which moves every other attempt waiting on the
+/// node at once — plus the first backoff (50 ms + 20 %) plus a
+/// steady-state post on the next node (at most twice the slowest post
+/// before the fault). The client's first expiry moved its home past the
+/// dead node, so every later post of the outage never meets it and takes
+/// at most twice the steady-state post. Returns how many posts `homed`
+/// issued during the outage, and how many of them took the deadline or
+/// longer.
 fn an_outage_costs_one_deadline(
     net: &mut HyperProvNetwork,
     node: ActorId,
     homed: usize,
     deadline: SimDuration,
+    load: Load,
 ) -> (usize, usize) {
     let (down, up) = (SimTime::from_secs(6), SimTime::from_secs(16));
     FaultPlan::new()
         .crash_window(node, down, up)
         .install(&mut net.sim);
     let mut issued = [0u64; 3];
-    in_a_closed_loop(net, &mut issued, SimTime::from_secs(24), post);
+    load(net, &mut issued, SimTime::from_secs(24), post);
     net.sim.run_until(SimTime::from_secs(60));
 
     for (client, &issued) in issued.iter().enumerate() {
@@ -424,7 +453,8 @@ fn an_outage_costs_one_deadline(
 fn a_crashed_home_peer_costs_one_endorse_deadline_per_outage() {
     let mut net = three_homes(71);
     let home = net.peers[0];
-    let (posts, paid) = an_outage_costs_one_deadline(&mut net, home, 0, ENDORSE_DEADLINE);
+    let (posts, paid) =
+        an_outage_costs_one_deadline(&mut net, home, 0, ENDORSE_DEADLINE, in_a_closed_loop);
     assert!(posts >= 20, "{posts} posts issued during the outage");
     assert!(paid <= 1, "{paid} of {posts} posts paid a deadline");
 }
@@ -439,9 +469,30 @@ fn a_crashed_home_orderer_costs_one_endorse_deadline_per_outage() {
     let leader = net.ordering_leader().expect("a leader after two seconds");
     let follower = net.orderers.iter().position(|&o| o != leader).unwrap();
     let home = net.orderers[follower];
-    let (posts, paid) = an_outage_costs_one_deadline(&mut net, home, follower, ENDORSE_DEADLINE);
+    let (posts, paid) =
+        an_outage_costs_one_deadline(&mut net, home, follower, ENDORSE_DEADLINE, in_a_closed_loop);
     assert!(posts >= 20, "{posts} posts issued during the outage");
     assert!(paid <= 1, "{paid} of {posts} posts paid a deadline");
+}
+
+/// The same crash under an open loop: the client keeps sending envelopes
+/// to the dead orderer until its first deadline expires, about 25 of
+/// them. That one expiry moves all the others on at once, instead of each
+/// waiting out a deadline of its own: one timeout in all. (A crashed home
+/// peer is not this test's twin: the posts waiting there for their
+/// commit are left to their commit deadline, as that commit may be in.)
+#[test]
+fn an_open_loop_pays_one_endorse_deadline_for_a_crashed_home_orderer() {
+    let mut net = three_homes(73);
+    let leader = net.ordering_leader().expect("a leader after two seconds");
+    let follower = net.orderers.iter().position(|&o| o != leader).unwrap();
+    let home = net.orderers[follower];
+    let (posts, _) =
+        an_outage_costs_one_deadline(&mut net, home, follower, ENDORSE_DEADLINE, on_a_schedule);
+    assert!(posts >= 100, "{posts} posts issued during the outage");
+    // Only client `follower` is homed on the dead orderer.
+    let timeouts = net.sim.metrics().counter("client.timeouts");
+    assert!(timeouts <= 1, "{timeouts} deadlines expired");
 }
 
 /// Client `c`'s odd operations store a fresh item, and its even ones read
