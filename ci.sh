@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Local CI gate: formatting, lints, release build, tests, then smoke-runs
-# the examples and the quick campaigns.
+# Local CI gate: formatting, lints, release build, tests and the seeded
+# generator's soak, then smoke-runs the examples and the quick campaigns.
 # Run from the repo root; fails fast on the first broken step.
 set -eu
 
@@ -8,6 +8,18 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test --workspace -q
+
+# The seeded generator (tests/generated.rs): the workspace tests run 64
+# seeds, this soak 1,000 more. Each seed draws a deployment (testbed, 1-2
+# channels, Solo or Raft(3), snapshots off or every 4-32 blocks, a spare
+# peer, a peer queue bound, endorse and commit deadlines, a retry budget),
+# a workload (1-4 clients, open or closed loop, posts, stores and reads of
+# acknowledged keys) and 0-3 overlapping fault windows (a peer, orderer or
+# storage crash, a peer cut from the orderers, a loss window, the spare
+# joining), runs it 60 virtual seconds past the last window and fails on a
+# panic, a hung operation, a write reported invalid or an audit finding no
+# named exclusion covers. A failure prints its shrunk regression test.
+cargo test --release --test generated -- --ignored
 
 # Options audit: an option needs a caller that is not a test. Every
 # `pub fn with_*` of every crate must be called (`.with_x(` or
@@ -22,7 +34,7 @@ cargo test --workspace -q
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=24228
+ceiling=24088
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"

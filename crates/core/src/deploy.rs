@@ -402,7 +402,8 @@ pub struct HyperProvNetwork {
     pub ledgers: Vec<Rc<RefCell<Committer>>>,
     /// The off-chain object store (shared with the storage actor).
     pub store: Arc<MemoryStore>,
-    /// Devices, in actor-id order, for energy metering.
+    /// Devices, in actor-id order, for energy metering: the build's at
+    /// their actors' ids, then each spare's as it joins.
     pub devices: Vec<DeviceProfile>,
     /// Channel ids, in shard order.
     pub channels: Vec<ChannelId>,
@@ -733,10 +734,13 @@ impl HyperProvNetwork {
         let (id, committers) =
             self.kit
                 .start_peer(index, identity, &device, hosted, &[], &mut self.sim);
-        debug_assert_eq!(id, ActorId(self.devices.len() as u32));
-        // Full-mesh links to every existing device (one shared switch).
-        for (other, dev) in self.devices.iter().enumerate() {
-            let other = ActorId(other as u32);
+        // Full-mesh links to every existing device (one shared switch). The
+        // build's devices sit at their actors' ids; a spare's id lies past
+        // its index when an actor with no device (a fault plan's) was
+        // registered before it joined.
+        let joined = &self.peers[index - (self.kit.next_spare - 1)..];
+        let built = (0..(self.devices.len() - joined.len()) as u32).map(ActorId);
+        for (other, dev) in built.chain(joined.iter().copied()).zip(&self.devices) {
             self.sim
                 .network_mut()
                 .set_link(id, other, link_between(&device, dev));

@@ -58,6 +58,11 @@ impl Peer {
     /// one, and commits the blocks that arrived live during the fetch and
     /// now sit directly above it. Answers whether the boot succeeded.
     pub(super) fn install(&mut self, i: usize, snapshot: Snapshot, out: &mut Vec<Action>) -> bool {
+        // Blocks delivered during the fetch may have carried the ledger past
+        // the snapshot: booting it would commit those heights a second time.
+        if snapshot.height() < self.channels[i].committer.borrow().height() {
+            return true;
+        }
         let Some((cost, _)) = self.rebuild(i, Some(&snapshot), out) else {
             return false;
         };

@@ -503,6 +503,51 @@ mod transitions {
         assert!(view.buffered.is_empty() && !view.current);
         assert_eq!(view.snapshot_height, Some(6));
     }
+
+    /// A joiner that re-delivery carried past the snapshot while it
+    /// downloaded it does not boot it: booting would roll blocks 6 and 7
+    /// back. It asks for the delta above its own height instead.
+    #[test]
+    fn a_joiner_already_past_the_snapshot_it_downloaded_keeps_its_ledger() {
+        let (_, endorser, chain, empty) = fixture(8);
+        let (provider_id, joiner_id) = (ActorId(1), ActorId(2));
+        let (mut provider, served) =
+            peer_on(&endorser, empty, CommitPipeline::default(), Some(3), None);
+        for block in &chain {
+            deliver(&mut provider, block);
+        }
+        let (_, _, _, empty) = fixture(0);
+        let (mut joiner, ledger) = peer_on(
+            &endorser,
+            empty,
+            CommitPipeline::default(),
+            None,
+            Some(ORDERER),
+        );
+        joiner.set_providers(&channel(), vec![provider_id]);
+        let mut s = Sched::new([(provider_id, provider), (joiner_id, joiner)], Rng::new(0));
+        let join = FabricMsg::JoinChannel { channel: channel() };
+        let mut seen = show(&s.message(1, ORDERER, join));
+        // The offer is taken and the first part asked for; then the whole
+        // chain arrives before the parts do.
+        while !seen.iter().any(|a| a.starts_with("part?")) {
+            let (src, m, msg) = s.flying.remove(0);
+            seen.extend(show(&s.message(m, src, msg)));
+        }
+        for block in &chain {
+            let block = FabricMsg::DeliverBlock(channel(), Arc::new(block.clone()));
+            seen.extend(show(&s.message(1, ORDERER, block)));
+        }
+        for (_, actions) in s.settle() {
+            seen.extend(show(&actions));
+        }
+        let has = |word: &str| seen.iter().any(|a| a == word);
+        assert!(has("part?@6/0->1") && has("blocks@8->90"));
+        assert!(!has("+ch.snapshot_boots=1"));
+        let commits = seen.iter().filter(|a| a.starts_with("committed block-6"));
+        assert_eq!(commits.count(), 1);
+        assert_eq!(ledger_digests(&ledger), ledger_digests(&served));
+    }
 }
 
 /// A transaction of the generated chain: who should hear of it from whom.

@@ -4,64 +4,42 @@
 //!
 //! A [`FaultPlan`] is built declaratively (typically from a handful of
 //! windows derived from the experiment seed), then installed into a
-//! [`Simulation`] with [`FaultPlan::install`]. The resulting
-//! [`FaultPlanActor`] wakes on its own timers, applies every action due at
-//! that instant, and records a `fault.*` trace event plus a metric for
-//! each — so a fault campaign is fully reproducible from the seed and
-//! fully visible in the exported trace.
+//! [`Simulation`] with [`FaultPlan::install`]. The actor it installs wakes
+//! on its own timers, applies every action due at that instant, and
+//! records a `fault.*` trace event plus a metric for each — so a fault
+//! campaign is fully reproducible from the seed and fully visible in the
+//! exported trace. Windows may overlap, and compose as their union: an
+//! actor stays down, and a link cut, until the last window over it ends,
+//! and the loss probability is the largest open loss window's. An action
+//! that changes none of that is skipped, untraced.
 
+use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use crate::engine::{Actor, ActorId, Context, Event, Simulation};
 use crate::time::SimTime;
 
-/// One fault action, applied at a scheduled virtual time.
+/// One end of a fault window, applied at a scheduled virtual time.
 #[derive(Debug, Clone)]
-pub enum FaultAction {
-    /// Crash an actor: its queued events are dropped and everything sent
-    /// to it while down is lost.
+enum FaultAction {
+    /// An actor crashes: its queued events are dropped, and everything
+    /// sent to it while down is lost.
     Crash(ActorId),
-    /// Restart a crashed actor, invoking its
-    /// [`Actor::on_restart`](crate::Actor::on_restart) recovery hook.
+    /// It restarts, through its [`Actor::on_restart`] recovery hook.
     Restart(ActorId),
-    /// Block the link between two actors in both directions.
-    Partition(ActorId, ActorId),
-    /// Block every pair of links across the two groups.
+    /// Every link across the two groups is blocked, both ways.
     PartitionGroups(Vec<ActorId>, Vec<ActorId>),
-    /// Unblock the link between two actors.
+    /// The link between two actors is unblocked.
     Heal(ActorId, ActorId),
-    /// Unblock every partitioned link.
-    HealAll,
-    /// Set the global message-loss probability (0.0 disables loss).
-    SetLoss(f64),
+    /// Messages are lost with this probability, until the same `EndLoss`.
+    Loss(f64),
+    EndLoss(f64),
 }
 
-impl FaultAction {
-    fn name(&self) -> &'static str {
-        match self {
-            FaultAction::Crash(_) => "fault.crash",
-            FaultAction::Restart(_) => "fault.restart",
-            FaultAction::Partition(..) | FaultAction::PartitionGroups(..) => "fault.partition",
-            FaultAction::Heal(..) | FaultAction::HealAll => "fault.heal",
-            FaultAction::SetLoss(_) => "fault.loss",
-        }
-    }
-
-    fn detail(&self) -> String {
-        match self {
-            FaultAction::Crash(a) | FaultAction::Restart(a) => a.to_string(),
-            FaultAction::Partition(a, b) | FaultAction::Heal(a, b) => format!("{a}<->{b}"),
-            FaultAction::PartitionGroups(l, r) => format!("{}|{}", l.len(), r.len()),
-            FaultAction::HealAll => "all".to_owned(),
-            FaultAction::SetLoss(p) => format!("p={p}"),
-        }
-    }
-}
-
-/// A virtual-time schedule of [`FaultAction`]s.
+/// A virtual-time schedule of fault windows.
 ///
-/// Entries may be added in any order; [`FaultPlan::install`] sorts them by
-/// time (stable, so same-instant entries apply in insertion order).
+/// Windows may be added in any order; [`FaultPlan::install`] sorts their
+/// ends by time (stable, so same-instant ends apply in insertion order).
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     entries: Vec<(SimTime, FaultAction)>,
@@ -73,8 +51,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Schedules `action` at absolute virtual time `at`.
-    pub fn at(mut self, at: SimTime, action: FaultAction) -> Self {
+    fn at(mut self, at: SimTime, action: FaultAction) -> Self {
         self.entries.push((at, action));
         self
     }
@@ -94,45 +71,32 @@ impl FaultPlan {
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        let mut plan = self.at(
-            from,
-            FaultAction::PartitionGroups(left.to_vec(), right.to_vec()),
-        );
-        for &a in left {
-            for &b in right {
-                plan = plan.at(until, FaultAction::Heal(a, b));
-            }
-        }
-        plan
+        let cut = FaultAction::PartitionGroups(left.to_vec(), right.to_vec());
+        let links = left
+            .iter()
+            .flat_map(|&a| right.iter().map(move |&b| (a, b)));
+        links.fold(self.at(from, cut), |plan, (a, b)| {
+            plan.at(until, FaultAction::Heal(a, b))
+        })
     }
 
-    /// Applies message-loss probability `p` at `from` and restores
-    /// loss-free delivery at `until`.
+    /// Loses each message with probability `p` from `from` until `until`.
     pub fn loss_window(self, p: f64, from: SimTime, until: SimTime) -> Self {
-        self.at(from, FaultAction::SetLoss(p))
-            .at(until, FaultAction::SetLoss(0.0))
+        self.at(from, FaultAction::Loss(p))
+            .at(until, FaultAction::EndLoss(p))
     }
 
-    /// Number of scheduled actions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Registers a [`FaultPlanActor`] executing this plan and arms its
-    /// first timer. Returns the actor's id (no-op registration when the
-    /// plan is empty — the actor exists but never wakes).
+    /// Registers the actor executing this plan and arms its first timer.
+    /// Returns the actor's id (an empty plan's actor never wakes).
     pub fn install<M: 'static>(mut self, sim: &mut Simulation<M>) -> ActorId {
         self.entries.sort_by_key(|(t, _)| *t);
         let first = self.entries.first().map(|(t, _)| *t);
         let id = sim.add_actor(Box::new(FaultPlanActor {
             entries: self.entries,
             next: 0,
-            _marker: PhantomData,
+            open: HashMap::new(),
+            loss: Vec::new(),
+            _marker: PhantomData::<M>,
         }));
         if let Some(at) = first {
             let delay = at.saturating_duration_since(sim.now());
@@ -148,37 +112,87 @@ const FAULT_TIMER: u64 = 1;
 /// The actor that executes a [`FaultPlan`]. It sends no messages: it only
 /// wakes on timers, mutates the network, and crashes/restarts actors.
 #[derive(Debug)]
-pub struct FaultPlanActor<M> {
+struct FaultPlanActor<M> {
     entries: Vec<(SimTime, FaultAction)>,
     next: usize,
+    /// The open windows over each crashed actor `a`, keyed `(a, a)`, and
+    /// over each cut link, keyed `(a, b)` with `a < b`.
+    open: HashMap<(ActorId, ActorId), u32>,
+    /// The probabilities of the open loss windows.
+    loss: Vec<f64>,
     _marker: PhantomData<M>,
 }
 
 impl<M> FaultPlanActor<M> {
-    fn apply(&self, ctx: &mut Context<'_, M>, action: &FaultAction) {
-        ctx.trace_event("fault", action.name(), &action.detail());
+    /// The loss probability in force: the largest open window's, or 0.
+    fn loss(&self) -> f64 {
+        self.loss.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Counts a window opening over `(a, b)`, or closing; true when it is
+    /// the first to open or the last to close.
+    fn count(&mut self, a: ActorId, b: ActorId, opens: bool) -> bool {
+        let open = self.open.entry((a.min(b), a.max(b))).or_insert(0);
+        *open = if opens {
+            *open + 1
+        } else {
+            open.saturating_sub(1)
+        };
+        *open == u32::from(opens)
+    }
+
+    /// Counts `action` against the open windows, and applies and traces it
+    /// when it changes what is down, cut or lost.
+    fn apply(&mut self, ctx: &mut Context<'_, M>, action: &FaultAction) {
+        let lost = self.loss();
+        let changes = match action {
+            FaultAction::Crash(a) => self.count(*a, *a, true),
+            FaultAction::Restart(a) => self.count(*a, *a, false),
+            FaultAction::PartitionGroups(l, r) => {
+                let links = l.iter().flat_map(|&a| r.iter().map(move |&b| (a, b)));
+                links.fold(false, |any, (a, b)| self.count(a, b, true) | any)
+            }
+            FaultAction::Heal(a, b) => self.count(*a, *b, false),
+            FaultAction::Loss(p) => {
+                self.loss.push(*p);
+                self.loss() != lost
+            }
+            FaultAction::EndLoss(p) => {
+                let at = self.loss.iter().position(|q| q == p);
+                at.map(|at| self.loss.swap_remove(at));
+                self.loss() != lost
+            }
+        };
+        if !changes {
+            return;
+        }
+        let trace = |ctx: &mut Context<'_, M>, name, detail: String| {
+            ctx.trace_event("fault", name, &detail);
+        };
         match action {
-            FaultAction::Crash(a) => ctx.crash(*a),
-            FaultAction::Restart(a) => ctx.restart(*a),
-            FaultAction::Partition(a, b) => {
-                ctx.metrics().incr("fault.partitions", 1);
-                ctx.network_mut().partition(*a, *b);
+            FaultAction::Crash(a) => {
+                trace(ctx, "fault.crash", a.to_string());
+                ctx.crash(*a);
+            }
+            FaultAction::Restart(a) => {
+                trace(ctx, "fault.restart", a.to_string());
+                ctx.restart(*a);
             }
             FaultAction::PartitionGroups(l, r) => {
+                trace(ctx, "fault.partition", format!("{}|{}", l.len(), r.len()));
                 ctx.metrics().incr("fault.partitions", 1);
                 ctx.network_mut().partition_groups(l, r);
             }
             FaultAction::Heal(a, b) => {
+                trace(ctx, "fault.heal", format!("{a}<->{b}"));
                 ctx.metrics().incr("fault.heals", 1);
                 ctx.network_mut().heal(*a, *b);
             }
-            FaultAction::HealAll => {
-                ctx.metrics().incr("fault.heals", 1);
-                ctx.network_mut().heal_all();
-            }
-            FaultAction::SetLoss(p) => {
+            FaultAction::Loss(_) | FaultAction::EndLoss(_) => {
+                let p = self.loss();
+                trace(ctx, "fault.loss", format!("p={p}"));
                 ctx.metrics().incr("fault.loss_changes", 1);
-                ctx.network_mut().set_loss_probability(*p);
+                ctx.network_mut().set_loss_probability(p);
             }
         }
     }
@@ -269,6 +283,51 @@ mod tests {
             (190..=210).contains(&received),
             "received {received} beacons"
         );
+    }
+
+    /// Beacons `sink` received by 5 s, and `net.dropped`, under `plan`
+    /// over a beacon ticking every 10 ms.
+    fn beacons_under(plan: impl Fn(ActorId, ActorId) -> FaultPlan) -> (u64, u64) {
+        let mut sim: Simulation<u32> = Simulation::new(5);
+        let sink = sim.add_actor(Box::new(Beacon { peer: ActorId(0) }));
+        let beacon = sim.add_actor(Box::new(Beacon { peer: sink }));
+        sim.start_timer(beacon, SimDuration::ZERO, 0);
+        plan(beacon, sink).install(&mut sim);
+        sim.run_until(secs(5));
+        let metrics = sim.metrics();
+        (
+            metrics.counter("beacon.received"),
+            metrics.counter("net.dropped"),
+        )
+    }
+
+    /// Two windows over one actor, one link, or the whole network, from 1 s
+    /// to 3 s and from 2 s to 4 s, act as one from 1 s to 4 s: the first
+    /// to end neither restarts, heals nor stops the loss. Overlapping loss
+    /// windows lose at the larger probability: certain loss from 1 s to
+    /// 3 s, then half until 4 s.
+    #[test]
+    fn overlapping_windows_compose_as_their_union() {
+        let (received, _) = beacons_under(|beacon, _| {
+            FaultPlan::new()
+                .crash_window(beacon, secs(1), secs(3))
+                .crash_window(beacon, secs(2), secs(4))
+        });
+        assert!((195..=205).contains(&received), "received {received}");
+        let (received, dropped) = beacons_under(|beacon, sink| {
+            FaultPlan::new()
+                .partition_window(&[beacon], &[sink], secs(1), secs(3))
+                .partition_window(&[sink], &[beacon], secs(2), secs(4))
+        });
+        assert!((195..=205).contains(&received), "received {received}");
+        assert!((295..=305).contains(&dropped), "dropped {dropped}");
+        let (received, dropped) = beacons_under(|_, _| {
+            FaultPlan::new()
+                .loss_window(1.0, secs(1), secs(3))
+                .loss_window(0.5, secs(2), secs(4))
+        });
+        assert!((220..=280).contains(&dropped), "dropped {dropped}");
+        assert_eq!(received + dropped, 500);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   ([`Network`], [`LinkSpec`]),
 //! * deterministic fault injection — actor crash/restart with an
 //!   [`Actor::on_restart`] recovery hook, plus seed-reproducible schedules
-//!   of crash/partition/loss windows ([`FaultPlan`], [`FaultAction`]),
+//!   of crash/partition/loss windows that compose as their union
+//!   ([`FaultPlan`]),
 //! * per-actor serialising CPU resources with busy-interval accounting
 //!   ([`CpuResource`]) — the basis for the energy model,
 //! * metrics ([`Metrics`], [`Histogram`]),
@@ -72,7 +73,7 @@ mod trace;
 
 pub use cpu::CpuResource;
 pub use engine::{Actor, ActorId, Carries, Context, Event, Simulation, TimerId};
-pub use fault::{FaultAction, FaultPlan, FaultPlanActor};
+pub use fault::FaultPlan;
 pub use histogram::Histogram;
 pub use metrics::{GaugeId, HistogramId, Metrics};
 pub use net::{Delivery, LinkSpec, Network};

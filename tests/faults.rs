@@ -4,105 +4,24 @@
 //! entirely by the client retry budget, a network-wide loss window
 //! ridden out by deadlines and retry, a crashed home peer or home
 //! orderer costing its clients one deadline per outage, not one per
-//! operation — in an open loop too, with many operations in flight — and
-//! a crashed storage node serving what it held after the restart.
+//! operation — in an open loop too, with many operations in flight —, a
+//! crashed storage node serving what it held after the restart, and two
+//! pinned findings of a peer left behind.
+
+mod support;
 
 use hyperprov_repro::fabric::BatchConfig;
 use hyperprov_repro::hyperprov::{
     AuditFinding, ClientCommand, ClientCompletion, HyperProvError, HyperProvNetwork, NetworkConfig,
-    NodeMsg, OpId, OpOutput, RecordInput, RetryPolicy,
+    NodeMsg, OpId, OpOutput, RetryPolicy,
 };
-use hyperprov_repro::ledger::Digest;
 use hyperprov_repro::sim::{ActorId, FaultPlan, SimDuration, SimTime};
-
-/// A `StoreData` of a small payload under `key`.
-fn store_data(key: &str, op: u64) -> ClientCommand {
-    ClientCommand::StoreData {
-        key: key.into(),
-        data: format!("payload for {key}").into_bytes(),
-        parents: vec![],
-        metadata: vec![],
-        op: OpId(op),
-    }
-}
-
-/// Client `client`'s `n`th operation: an op id keys the operation's
-/// spans, so it is unique across the network.
-fn op_id(client: usize, n: u64) -> u64 {
-    (client as u64) << 32 | n
-}
+use support::{audit, op_id, post, store_data, Load};
 
 fn store(net: &mut HyperProvNetwork, client: usize, n: u64, key: &str) {
     let command = store_data(key, op_id(client, n));
     net.sim
         .inject_message(net.clients[client], NodeMsg::Client(command));
-}
-
-/// A metadata-only `Post` under `key`.
-fn post(key: &str, op: u64) -> ClientCommand {
-    let input = RecordInput::new(Digest::of(key.as_bytes()));
-    let (key, op) = (key.into(), OpId(op));
-    ClientCommand::Post { key, input, op }
-}
-
-/// A closed loop until `until`: client `c` (one per entry of `issued`,
-/// which counts its operations) issues `command(key, op)` again as soon
-/// as its last operation ended.
-fn in_a_closed_loop(
-    net: &mut HyperProvNetwork,
-    issued: &mut [u64],
-    until: SimTime,
-    command: fn(&str, u64) -> ClientCommand,
-) {
-    while net.sim.now() < until {
-        for (client, issued) in issued.iter_mut().enumerate() {
-            if net.completions[client].borrow().len() as u64 == *issued {
-                *issued += 1;
-                let key = format!("item-{client}-{issued}");
-                let cmd = command(&key, op_id(client, *issued));
-                net.sim
-                    .inject_message(net.clients[client], NodeMsg::Client(cmd));
-            }
-        }
-        net.sim
-            .run_until(net.sim.now() + SimDuration::from_millis(10));
-    }
-}
-
-/// How clients issue operations until an instant: `in_a_closed_loop` or
-/// `on_a_schedule`.
-type Load = fn(&mut HyperProvNetwork, &mut [u64], SimTime, fn(&str, u64) -> ClientCommand);
-
-/// An open loop until `until`: every client issues `command(key, op)`
-/// every 80 ms — the benchmark's 12.5 operations a second per client —
-/// whether or not its earlier operations ended.
-fn on_a_schedule(
-    net: &mut HyperProvNetwork,
-    issued: &mut [u64],
-    until: SimTime,
-    command: fn(&str, u64) -> ClientCommand,
-) {
-    while net.sim.now() < until {
-        for (client, issued) in issued.iter_mut().enumerate() {
-            *issued += 1;
-            let key = format!("item-{client}-{issued}");
-            let cmd = command(&key, op_id(client, *issued));
-            net.sim
-                .inject_message(net.clients[client], NodeMsg::Client(cmd));
-        }
-        net.sim
-            .run_until(net.sim.now() + SimDuration::from_millis(80));
-    }
-}
-
-/// The network's audit over every completion its clients were handed.
-fn audit(net: &HyperProvNetwork) -> Vec<AuditFinding> {
-    let done: Vec<_> = net
-        .completions
-        .iter()
-        .flat_map(|q| q.borrow().clone())
-        .collect();
-    net.audit(&done)
 }
 
 /// A commit notification that never arrives (home peer partitioned from
@@ -334,7 +253,7 @@ fn a_loss_window_is_ridden_out_by_deadlines_and_retry() {
         .install(&mut net.sim);
 
     let mut issued = [0u64; 2];
-    in_a_closed_loop(&mut net, &mut issued, at(10), store_data);
+    Load::InAClosedLoop.run(&mut net, &mut issued, at(10), &mut store_data);
     net.sim.run_until(at(60));
 
     let mut failed = 0;
@@ -357,6 +276,9 @@ fn a_loss_window_is_ridden_out_by_deadlines_and_retry() {
     assert_eq!(failed, 0, "posts invalidated");
     assert_eq!(audit(&net), []);
 }
+
+/// The benchmark's open loop: 12.5 operations a second per client.
+const SCHEDULE: Load = Load::OnASchedule(SimDuration::from_millis(80));
 
 /// The benchmark's deadlines.
 const ENDORSE_DEADLINE: SimDuration = SimDuration::from_secs(2);
@@ -406,7 +328,7 @@ fn an_outage_costs_one_deadline(
         .crash_window(node, down, up)
         .install(&mut net.sim);
     let mut issued = [0u64; 3];
-    load(net, &mut issued, SimTime::from_secs(24), post);
+    load.run(net, &mut issued, SimTime::from_secs(24), &mut post);
     net.sim.run_until(SimTime::from_secs(60));
 
     for (client, &issued) in issued.iter().enumerate() {
@@ -454,7 +376,7 @@ fn a_crashed_home_peer_costs_one_endorse_deadline_per_outage() {
     let mut net = three_homes(71);
     let home = net.peers[0];
     let (posts, paid) =
-        an_outage_costs_one_deadline(&mut net, home, 0, ENDORSE_DEADLINE, in_a_closed_loop);
+        an_outage_costs_one_deadline(&mut net, home, 0, ENDORSE_DEADLINE, Load::InAClosedLoop);
     assert!(posts >= 20, "{posts} posts issued during the outage");
     assert!(paid <= 1, "{paid} of {posts} posts paid a deadline");
 }
@@ -469,8 +391,13 @@ fn a_crashed_home_orderer_costs_one_endorse_deadline_per_outage() {
     let leader = net.ordering_leader().expect("a leader after two seconds");
     let follower = net.orderers.iter().position(|&o| o != leader).unwrap();
     let home = net.orderers[follower];
-    let (posts, paid) =
-        an_outage_costs_one_deadline(&mut net, home, follower, ENDORSE_DEADLINE, in_a_closed_loop);
+    let (posts, paid) = an_outage_costs_one_deadline(
+        &mut net,
+        home,
+        follower,
+        ENDORSE_DEADLINE,
+        Load::InAClosedLoop,
+    );
     assert!(posts >= 20, "{posts} posts issued during the outage");
     assert!(paid <= 1, "{paid} of {posts} posts paid a deadline");
 }
@@ -488,11 +415,76 @@ fn an_open_loop_pays_one_endorse_deadline_for_a_crashed_home_orderer() {
     let follower = net.orderers.iter().position(|&o| o != leader).unwrap();
     let home = net.orderers[follower];
     let (posts, _) =
-        an_outage_costs_one_deadline(&mut net, home, follower, ENDORSE_DEADLINE, on_a_schedule);
+        an_outage_costs_one_deadline(&mut net, home, follower, ENDORSE_DEADLINE, SCHEDULE);
     assert!(posts >= 100, "{posts} posts issued during the outage");
     // Only client `follower` is homed on the dead orderer.
     let timeouts = net.sim.metrics().counter("client.timeouts");
     assert!(timeouts <= 1, "{timeouts} deadlines expired");
+}
+
+/// A desktop deployment with one client, one block per transaction and no
+/// deadlines.
+fn one_block_per_tx(seed: u64) -> NetworkConfig {
+    NetworkConfig::desktop(1)
+        .with_seed(seed)
+        .with_batch(BatchConfig {
+            max_message_count: 1,
+            ..BatchConfig::default()
+        })
+}
+
+/// A spare that joins while its channel's Solo ordering node is down sends
+/// its one `DeliverSubscribe` into the crash. Its catch-up reaches the tip
+/// once the node is back, but the node never delivers to it again: the next
+/// block leaves it behind for good. A known finding that ROADMAP item 9
+/// (catch-up from peers) flips to a clean audit.
+#[test]
+fn a_spare_that_joins_while_the_solo_orderer_is_down_stays_behind() {
+    let mut net = HyperProvNetwork::build(&one_block_per_tx(79).with_spare_peers(1));
+    let t0 = net.sim.now();
+    let at = |secs| t0 + SimDuration::from_secs(secs);
+    FaultPlan::new()
+        .crash_window(net.orderers[0], at(3), at(5))
+        .install(&mut net.sim);
+    store(&mut net, 0, 1, "before");
+    net.sim.run_until(at(4));
+    net.add_peer();
+    net.sim.run_until(at(10));
+    assert_eq!(net.ledgers[4].borrow().height(), 1, "caught up once back");
+    store(&mut net, 0, 2, "after");
+    net.sim.run_until(at(30));
+
+    assert!(net.completions[0]
+        .borrow()
+        .iter()
+        .all(|c| c.outcome.is_ok()));
+    let found: Vec<String> = audit(&net).iter().map(ToString::to_string).collect();
+    assert_eq!(found, ["hyperprov-channel peer4: diverged in height"]);
+}
+
+/// Peer 3 is cut off from the orderer while the last post commits, and
+/// heals after it. Catch-up is gap-driven: nothing shows peer 3 the block
+/// it missed until one more post does. A known finding that ROADMAP item 9
+/// flips: the first audit then comes back clean too.
+#[test]
+fn a_peer_whose_partition_heals_after_the_last_post_stays_behind_until_one_more_post() {
+    let mut net = HyperProvNetwork::build(&one_block_per_tx(83));
+    let t0 = net.sim.now();
+    let at = |secs| t0 + SimDuration::from_secs(secs);
+    FaultPlan::new()
+        .partition_window(&[net.peers[3]], &[net.orderers[0]], at(2), at(5))
+        .install(&mut net.sim);
+    store(&mut net, 0, 1, "before");
+    net.sim.run_until(at(3));
+    store(&mut net, 0, 2, "during");
+    net.sim.run_until(at(30));
+    let found: Vec<String> = audit(&net).iter().map(ToString::to_string).collect();
+    assert_eq!(found, ["hyperprov-channel peer3: diverged in height"]);
+
+    store(&mut net, 0, 3, "after");
+    net.sim.run_until(at(60));
+    assert_eq!(net.ledgers[3].borrow().height(), 3);
+    assert_eq!(audit(&net), []);
 }
 
 /// Client `c`'s odd operations store a fresh item, and its even ones read
@@ -541,7 +533,7 @@ fn a_crashed_storage_node_serves_what_it_held_after_the_restart() {
         .install(&mut net.sim);
 
     let mut issued = [1u64, 0];
-    in_a_closed_loop(&mut net, &mut issued, at(10), store_or_get_kept);
+    Load::InAClosedLoop.run(&mut net, &mut issued, at(10), &mut store_or_get_kept);
     net.sim.run_until(at(60));
 
     let kept = b"payload for kept".to_vec();
