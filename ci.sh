@@ -34,7 +34,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=24088
+ceiling=23835
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -44,6 +44,18 @@ if [ "$lines" -gt "$ceiling" ]; then
     echo "non-test lines $lines > ceiling $ceiling: delete lines, or raise the ceiling in ci.sh in the same diff" >&2
     exit 1
 fi
+# The same ratchet on the two long documents, in bytes: DESIGN.md says
+# what the system is, CHANGES.md what each change did, and neither grows
+# unseen.
+for doc in DESIGN.md:126308 CHANGES.md:131629; do
+    file=${doc%%:*}
+    limit=${doc#*:}
+    bytes=$(wc -c <"$file")
+    if [ "$bytes" -gt "$limit" ]; then
+        echo "$file is $bytes bytes > ceiling $limit: delete bytes, or raise the ceiling in ci.sh in the same diff" >&2
+        exit 1
+    fi
+done
 find crates/*/src -name '*.rs' -print0 |
     xargs -0 awk "$nontest"' {file[FILENAME]++; split(FILENAME, part, "/"); crate[part[2]]++}
         END {for (c in crate) printf "  crates/%s/src: %d\n", c, crate[c] | "sort"

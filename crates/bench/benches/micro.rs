@@ -144,8 +144,8 @@ fn bench_event_queue(c: &mut Criterion) {
     use hyperprov_sim::{Actor, Context, DetRng, Event, SimDuration, Simulation};
     use rand::Rng;
 
-    /// Keeps ~10k timers in flight across all three queue tiers (near
-    /// heap, wheel slots, overflow map) until its budget runs out.
+    /// Keeps ~10k timers in flight, from under a millisecond to seconds
+    /// out, until its budget runs out.
     struct TimerStorm {
         rng: DetRng,
         budget: u32,

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use hyperprov_device::{link_between, DeviceProfile};
+use hyperprov_device::DeviceProfile;
 use hyperprov_fabric::{
     BatchConfig, CertId, ChaincodeRegistry, ChannelPolicies, CommitPipeline, Committer, CostModel,
     EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, Node, OrderingNode, Peer,
@@ -648,18 +648,9 @@ impl HyperProvNetwork {
             devices.push(config.client_devices[i].clone());
         }
 
-        // Wire pairwise links from device NICs (one shared switch).
-        let all: Vec<(ActorId, &DeviceProfile)> = devices
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (ActorId(i as u32), d))
-            .collect();
-        for (a, da) in &all {
-            for (b, db) in &all {
-                if a != b {
-                    sim.network_mut().set_link(*a, *b, link_between(da, db));
-                }
-            }
+        // One NIC per device, all on one switch.
+        for (i, device) in devices.iter().enumerate() {
+            sim.network_mut().set_nic(ActorId(i as u32), device.nic);
         }
 
         let channel_orderers: Vec<Vec<ActorId>> =
@@ -734,20 +725,7 @@ impl HyperProvNetwork {
         let (id, committers) =
             self.kit
                 .start_peer(index, identity, &device, hosted, &[], &mut self.sim);
-        // Full-mesh links to every existing device (one shared switch). The
-        // build's devices sit at their actors' ids; a spare's id lies past
-        // its index when an actor with no device (a fault plan's) was
-        // registered before it joined.
-        let joined = &self.peers[index - (self.kit.next_spare - 1)..];
-        let built = (0..(self.devices.len() - joined.len()) as u32).map(ActorId);
-        for (other, dev) in built.chain(joined.iter().copied()).zip(&self.devices) {
-            self.sim
-                .network_mut()
-                .set_link(id, other, link_between(&device, dev));
-            self.sim
-                .network_mut()
-                .set_link(other, id, link_between(dev, &device));
-        }
+        self.sim.network_mut().set_nic(id, device.nic);
         self.devices.push(device);
         self.ledgers.push(committers[0].1.clone());
         for (ci, committer) in committers {

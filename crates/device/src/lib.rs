@@ -6,8 +6,11 @@
 //! * [`DeviceProfile`] — CPU speed factor, NIC characteristics and energy
 //!   parameters per machine model,
 //! * [`EnergyModel`]/[`PowerMeter`] — the virtual ODROID power meter that
-//!   regenerates Figure 3, and
-//! * [`link_between`] — pairwise link selection for a shared switch.
+//!   regenerates Figure 3.
+//!
+//! A deployment gives each actor one NIC, its device's
+//! [`DeviceProfile::nic`]; the network takes the slower NIC of the two
+//! ends as their link, as on the testbeds' one switch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,4 +19,4 @@ mod energy;
 mod profile;
 
 pub use energy::{EnergyModel, PowerMeter, PowerSample};
-pub use profile::{link_between, DeviceProfile};
+pub use profile::DeviceProfile;

@@ -104,19 +104,6 @@ fn desktop_nic() -> LinkSpec {
     }
 }
 
-/// Picks the link spec to use between two devices: the slower NIC bounds
-/// the path (they share one switch in both testbeds).
-pub fn link_between(a: &DeviceProfile, b: &DeviceProfile) -> LinkSpec {
-    let lat = a.nic.latency.max(b.nic.latency);
-    let bw = a.nic.bandwidth_bps.min(b.nic.bandwidth_bps);
-    let jitter = a.nic.jitter_frac.max(b.nic.jitter_frac);
-    LinkSpec {
-        latency: lat,
-        bandwidth_bps: bw,
-        jitter_frac: jitter,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,17 +122,6 @@ mod tests {
         let rpi = DeviceProfile::raspberry_pi_3b_plus();
         assert!(desktop.nic.bandwidth_bps > rpi.nic.bandwidth_bps);
         assert!(desktop.nic.jitter_frac < rpi.nic.jitter_frac);
-    }
-
-    #[test]
-    fn link_between_takes_the_weaker_side() {
-        let desktop = DeviceProfile::xeon_e5_1603();
-        let rpi = DeviceProfile::raspberry_pi_3b_plus();
-        let link = link_between(&desktop, &rpi);
-        assert_eq!(link.bandwidth_bps, rpi.nic.bandwidth_bps);
-        assert_eq!(link.latency, rpi.nic.latency);
-        let sym = link_between(&rpi, &desktop);
-        assert_eq!(link, sym);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! `(time, sequence-number)` and all randomness flows from the simulation
 //! seed.
 
+use std::collections::BinaryHeap;
+
 use crate::cpu::CpuResource;
-use crate::equeue::{EventQueue, QueueItem};
+use crate::equeue::QueueItem;
 use crate::fxhash::FxHashSet;
 use crate::metrics::Metrics;
 use crate::net::{Delivery, Network};
@@ -103,15 +105,11 @@ pub trait Actor<M> {
     }
 }
 
-/// Queue length below which a crash skips the lazy stale-event sweep:
-/// tiny queues drain stale entries cheaply at pop time anyway.
-const COMPACT_MIN_QUEUE: usize = 1024;
-
 /// Engine state shared with actors during event handling.
 pub struct Kernel<M> {
     now: SimTime,
     seq: u64,
-    queue: EventQueue<M>,
+    queue: BinaryHeap<QueueItem<M>>,
     network: Network,
     cpus: Vec<CpuResource>,
     rngs: Vec<DetRng>,
@@ -147,9 +145,7 @@ impl<M> Kernel<M> {
     }
 
     /// Marks `target` crashed: every event already queued for it (and any
-    /// sent while it is down) will be dropped — lazily at pop time, or
-    /// eagerly by a compaction sweep when the queue is large enough that
-    /// carrying the dead weight would hurt.
+    /// sent while it is down) is dropped at pop time.
     fn crash(&mut self, target: ActorId) {
         let slot = target.0 as usize;
         if self.crashed[slot] {
@@ -158,37 +154,6 @@ impl<M> Kernel<M> {
         self.crashed[slot] = true;
         self.epochs[slot] += 1;
         self.metrics.incr("fault.crashes", 1);
-        self.maybe_compact_stale();
-    }
-
-    /// Sweeps epoch-guard-stale events out of the queue in one pass,
-    /// applying exactly the checks (and metric counts) that pop-time
-    /// dropping would have applied, so observable totals are unchanged.
-    fn maybe_compact_stale(&mut self) {
-        if self.queue.len() < COMPACT_MIN_QUEUE {
-            return;
-        }
-        let crashed = &self.crashed;
-        let epochs = &self.epochs;
-        let cancelled = &mut self.cancelled;
-        let mut dropped = 0u64;
-        self.queue.compact(|item| {
-            if item.restart {
-                return true;
-            }
-            if item.timer_id != 0 && cancelled.remove(&item.timer_id) {
-                return false; // cancelled timer: silently discarded
-            }
-            let slot = item.target.0 as usize;
-            if crashed[slot] || item.epoch != epochs[slot] {
-                dropped += 1;
-                return false;
-            }
-            true
-        });
-        if dropped > 0 {
-            self.metrics.incr("fault.dropped_events", dropped);
-        }
     }
 
     /// Schedules a restart marker for `target` at the current instant.
@@ -447,7 +412,7 @@ impl<M> Simulation<M> {
             kernel: Kernel {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue: EventQueue::new(),
+                queue: BinaryHeap::new(),
                 network: Network::new(crate::net::LinkSpec::lan()),
                 cpus: Vec::new(),
                 rngs: Vec::new(),
@@ -634,7 +599,7 @@ impl<M> Simulation<M> {
         }
         loop {
             if let Some(limit) = limit {
-                if !matches!(self.kernel.queue.peek_time(), Some(time) if time <= limit) {
+                if !matches!(self.kernel.queue.peek(), Some(item) if item.time <= limit) {
                     return false;
                 }
             }
@@ -1009,26 +974,6 @@ mod tests {
         assert_eq!(sim.metrics().counter("fault.crashes"), 1);
         assert_eq!(sim.metrics().counter("fault.restarts"), 1);
         assert_eq!(sim.metrics().counter("rebuilt"), 1);
-    }
-
-    #[test]
-    fn crash_on_large_queue_compacts_stale_events_eagerly() {
-        let mut sim = Simulation::new(1);
-        let victim = sim.add_actor(Box::new(Crashable { restarts: 0 }));
-        let bystander = sim.add_actor(Box::new(Crashable { restarts: 0 }));
-        let n = (COMPACT_MIN_QUEUE + 200) as u64;
-        for i in 0..n {
-            sim.start_timer(victim, SimDuration::from_millis(i + 1), 1);
-        }
-        sim.start_timer(bystander, SimDuration::from_millis(1), 1);
-        sim.crash_actor(victim);
-        // The sweep ran at crash time: every stale event is already
-        // counted, not left to trickle out at pop time.
-        assert_eq!(sim.metrics().counter("fault.dropped_events"), n);
-        sim.run();
-        // Totals match what pure pop-time dropping would have produced.
-        assert_eq!(sim.metrics().counter("fault.dropped_events"), n);
-        assert_eq!(sim.metrics().counter("timer_fired"), 1, "bystander ran");
     }
 
     #[test]

@@ -1,34 +1,10 @@
-//! Hybrid event queue: a near-horizon binary heap fronting a
-//! hierarchical timer wheel.
-//!
-//! A single `BinaryHeap` pays `O(log n)` sift work on every push and pop,
-//! with `n` the *whole* future — at 10k clients the queue holds hundreds
-//! of thousands of pending timers and deliveries and the heap becomes the
-//! kernel's cache-miss machine. This queue keeps only the imminent events
-//! (those below a moving time horizon) in a small heap; everything later
-//! is binned by coarse time slot into a fixed-size wheel of unsorted
-//! buckets, with far-future slots spilling into an overflow tier. Pushes
-//! into the wheel are `O(1)` appends; slots are sorted lazily by draining
-//! them into the heap only when the horizon reaches them. Bucket vectors
-//! are pooled and reused so steady-state operation allocates nothing.
-//!
-//! Pop order is identical to the plain heap by construction: every item
-//! below the horizon is in the heap, every item at or above it is not,
-//! and the horizon only advances when the heap is empty — so the heap
-//! minimum is always the global `(time, seq)` minimum.
+//! The kernel's event queue is one `BinaryHeap` of these items, popped
+//! in `(time, seq)` order.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::engine::{ActorId, Event};
 use crate::time::SimTime;
-
-/// Log2 of a wheel slot's time span: 2^20 ns ≈ 1.05 ms per slot.
-const SLOT_SHIFT: u32 = 20;
-/// Number of wheel slots: covers ≈ 268 ms beyond the horizon.
-const SLOTS: u64 = 256;
-/// Retain at most this many spare bucket vectors for reuse.
-const POOL_CAP: usize = 64;
 
 /// One scheduled event (or timer, or restart marker).
 pub(crate) struct QueueItem<M> {
@@ -40,7 +16,7 @@ pub(crate) struct QueueItem<M> {
     pub(crate) timer_id: u64,
     /// The target's crash epoch when this entry was enqueued; stale
     /// entries (scheduled before a crash or during the down window) are
-    /// dropped at pop time or swept by lazy compaction.
+    /// dropped at pop time.
     pub(crate) epoch: u64,
     /// True for the internal marker that revives a crashed actor.
     pub(crate) restart: bool,
@@ -64,187 +40,11 @@ impl<M> Ord for QueueItem<M> {
     }
 }
 
-/// The hybrid event queue. See the module docs for the design.
-pub(crate) struct EventQueue<M> {
-    /// Imminent events, every one strictly below `horizon`.
-    near: BinaryHeap<QueueItem<M>>,
-    /// First slot index not yet drained into `near`.
-    wheel_base: u64,
-    /// Time bound of `near`: `wheel_base << SLOT_SHIFT` (saturating).
-    horizon: u64,
-    /// Ring of unsorted buckets for slots `wheel_base .. wheel_base+SLOTS`;
-    /// slot `s` lives at index `s % SLOTS`.
-    wheel: Vec<Vec<QueueItem<M>>>,
-    /// Items currently binned in the wheel.
-    wheel_len: usize,
-    /// Buckets for slots at or beyond `wheel_base + SLOTS`.
-    overflow: BTreeMap<u64, Vec<QueueItem<M>>>,
-    /// Spare bucket vectors, reused to keep steady state allocation-free.
-    pool: Vec<Vec<QueueItem<M>>>,
-    len: usize,
-}
-
-impl<M> EventQueue<M> {
-    pub(crate) fn new() -> Self {
-        EventQueue {
-            near: BinaryHeap::new(),
-            wheel_base: 0,
-            horizon: 0,
-            wheel: (0..SLOTS).map(|_| Vec::new()).collect(),
-            wheel_len: 0,
-            overflow: BTreeMap::new(),
-            pool: Vec::new(),
-            len: 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Enqueues one item, binning by time tier.
-    pub(crate) fn push(&mut self, item: QueueItem<M>) {
-        let t = item.time.as_nanos();
-        self.len += 1;
-        if t < self.horizon {
-            self.near.push(item);
-            return;
-        }
-        let slot = t >> SLOT_SHIFT;
-        if slot < self.wheel_base + SLOTS {
-            self.wheel[(slot % SLOTS) as usize].push(item);
-            self.wheel_len += 1;
-        } else {
-            self.overflow
-                .entry(slot)
-                .or_insert_with(|| self.pool.pop().unwrap_or_default())
-                .push(item);
-        }
-    }
-
-    /// Removes and returns the earliest `(time, seq)` item.
-    pub(crate) fn pop(&mut self) -> Option<QueueItem<M>> {
-        if self.near.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.advance();
-        }
-        let item = self.near.pop();
-        debug_assert!(item.is_some(), "len out of sync with tiers");
-        if item.is_some() {
-            self.len -= 1;
-        }
-        item
-    }
-
-    /// The timestamp of the earliest queued item, if any. Takes `&mut
-    /// self` because peeking may need to advance the horizon (which never
-    /// changes pop order).
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        if self.near.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.advance();
-        }
-        self.near.peek().map(|item| item.time)
-    }
-
-    /// Advances the horizon to the next non-empty slot and drains that
-    /// slot into the near heap. Caller guarantees `len > 0` and `near`
-    /// empty.
-    fn advance(&mut self) {
-        loop {
-            if self.wheel_len == 0 {
-                // Nothing binned in the wheel window: jump straight to the
-                // first overflow bucket's slot.
-                let (&slot, _) = self
-                    .overflow
-                    .first_key_value()
-                    .expect("len > 0 but all tiers empty");
-                self.wheel_base = slot;
-                self.set_horizon();
-                self.refill();
-                continue;
-            }
-            let window_end = self.wheel_base + SLOTS;
-            let mut found = None;
-            for s in self.wheel_base..window_end {
-                if !self.wheel[(s % SLOTS) as usize].is_empty() {
-                    found = Some(s);
-                    break;
-                }
-            }
-            let s = found.expect("wheel_len > 0 but all slots empty");
-            self.wheel_base = s + 1;
-            self.set_horizon();
-            let bucket = &mut self.wheel[(s % SLOTS) as usize];
-            self.wheel_len -= bucket.len();
-            for item in bucket.drain(..) {
-                self.near.push(item);
-            }
-            self.refill();
-            return;
-        }
-    }
-
-    fn set_horizon(&mut self) {
-        self.horizon = self.wheel_base.saturating_mul(1 << SLOT_SHIFT);
-    }
-
-    /// Moves overflow buckets that fell inside the wheel window into the
-    /// wheel, recycling drained vectors through the pool.
-    fn refill(&mut self) {
-        let window_end = self.wheel_base + SLOTS;
-        while let Some((&slot, _)) = self.overflow.first_key_value() {
-            if slot >= window_end {
-                break;
-            }
-            let mut bucket = self.overflow.remove(&slot).unwrap();
-            self.wheel_len += bucket.len();
-            let dst = &mut self.wheel[(slot % SLOTS) as usize];
-            if dst.is_empty() {
-                let spare = std::mem::replace(dst, bucket);
-                self.recycle(spare);
-            } else {
-                dst.append(&mut bucket);
-                self.recycle(bucket);
-            }
-        }
-    }
-
-    fn recycle(&mut self, bucket: Vec<QueueItem<M>>) {
-        if self.pool.len() < POOL_CAP && bucket.capacity() > 0 {
-            debug_assert!(bucket.is_empty());
-            self.pool.push(bucket);
-        }
-    }
-
-    /// Retains only items for which `keep` returns true, preserving pop
-    /// order of the survivors. Used for lazy compaction of stale events
-    /// after a crash; `keep` may count what it rejects.
-    pub(crate) fn compact(&mut self, mut keep: impl FnMut(&QueueItem<M>) -> bool) {
-        let mut heap = std::mem::take(&mut self.near).into_vec();
-        heap.retain(&mut keep);
-        self.near = BinaryHeap::from(heap);
-        self.wheel_len = 0;
-        for bucket in &mut self.wheel {
-            bucket.retain(&mut keep);
-            self.wheel_len += bucket.len();
-        }
-        for bucket in self.overflow.values_mut() {
-            bucket.retain(&mut keep);
-        }
-        self.len = self.near.len() + self.wheel_len;
-        self.len += self.overflow.values().map(Vec::len).sum::<usize>();
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BinaryHeap;
+
     use super::*;
-    use proptest::prelude::*;
 
     fn item(time: u64, seq: u64) -> QueueItem<()> {
         QueueItem {
@@ -258,114 +58,40 @@ mod tests {
         }
     }
 
-    /// Reference model: the original single binary heap.
-    fn heap_order(mut items: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-        items.sort_by_key(|&(t, s)| (t, s));
-        items
-    }
-
     #[test]
-    fn pops_in_time_then_seq_order_across_tiers() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        // Near (sub-ms), wheel (tens of ms) and overflow (minutes) tiers.
-        let times = [
-            5u64,
-            1 << 21,
-            (1 << 21) + 1,
-            90_000_000,
-            60_000_000_000,
-            3,
-            60_000_000_001,
-        ];
+    fn pops_in_time_then_seq_order() {
+        let mut q = BinaryHeap::new();
+        // Sub-millisecond, tens of milliseconds and a minute out; two ties
+        // on time broken by sequence number.
+        let times = [5u64, 1 << 21, 1 << 21, 90_000_000, 60_000_000_000, 3, 5];
         for (seq, &t) in times.iter().enumerate() {
             q.push(item(t, seq as u64 + 1));
         }
-        assert_eq!(q.len(), times.len());
         let mut got = Vec::new();
         while let Some(i) = q.pop() {
             got.push((i.time.as_nanos(), i.seq));
         }
-        let want = heap_order(
-            times
-                .iter()
-                .enumerate()
-                .map(|(s, &t)| (t, s as u64 + 1))
-                .collect(),
-        );
+        let mut want: Vec<(u64, u64)> = times
+            .iter()
+            .enumerate()
+            .map(|(s, &t)| (t, s as u64 + 1))
+            .collect();
+        want.sort_unstable();
         assert_eq!(got, want);
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.pop().map(|i| i.seq), None);
     }
 
     #[test]
     fn peek_matches_next_pop() {
-        let mut q: EventQueue<()> = EventQueue::new();
+        let mut q = BinaryHeap::new();
         q.push(item(500_000_000, 1));
         q.push(item(10, 2));
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(q.peek().map(|i| i.time), Some(SimTime::from_nanos(10)));
         assert_eq!(q.pop().unwrap().seq, 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(500_000_000)));
+        assert_eq!(
+            q.peek().map(|i| i.time),
+            Some(SimTime::from_nanos(500_000_000))
+        );
         assert_eq!(q.pop().unwrap().seq, 1);
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn compact_drops_only_rejected_items_and_keeps_order() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        for seq in 1..=200u64 {
-            q.push(item(seq * 3_000_000, seq)); // spans many slots
-        }
-        q.pop(); // pull a slot into the near heap so all tiers are populated
-        q.compact(|i| i.seq % 3 != 0);
-        let mut got = Vec::new();
-        while let Some(i) = q.pop() {
-            got.push(i.seq);
-        }
-        let want: Vec<u64> = (2..=200).filter(|s| s % 3 != 0).collect();
-        assert_eq!(got, want);
-    }
-
-    proptest! {
-        /// Timer-wheel vs heap equivalence: any interleaving of pushes
-        /// and pops yields exactly the `(time, seq)` order the plain
-        /// `BinaryHeap` produced.
-        #[test]
-        fn wheel_matches_heap_reference(
-            batches in proptest::collection::vec(
-                proptest::collection::vec((0u64..200_000_000_000, 0usize..3), 1..40),
-                1..8,
-            ),
-        ) {
-            use std::cmp::Reverse;
-            let mut q: EventQueue<()> = EventQueue::new();
-            let mut reference: std::collections::BinaryHeap<Reverse<(u64, u64)>> =
-                std::collections::BinaryHeap::new();
-            let mut seq = 0u64;
-            let mut floor = 0u64; // sim time never goes backwards
-            for batch in batches {
-                for (t, pops) in batch {
-                    seq += 1;
-                    let t = floor.saturating_add(t % 1_000_000_000);
-                    q.push(item(t, seq));
-                    reference.push(Reverse((t, seq)));
-                    for _ in 0..pops {
-                        let got = q.pop().map(|i| (i.time.as_nanos(), i.seq));
-                        let want = reference.pop().map(|Reverse(pair)| pair);
-                        prop_assert_eq!(got, want);
-                        if let Some((t, _)) = got {
-                            floor = floor.max(t);
-                        }
-                    }
-                }
-            }
-            loop {
-                let got = q.pop().map(|i| (i.time.as_nanos(), i.seq));
-                let want = reference.pop().map(|Reverse(pair)| pair);
-                prop_assert_eq!(got, want);
-                if got.is_none() {
-                    break;
-                }
-            }
-        }
+        assert!(q.peek().is_none());
     }
 }

@@ -1,11 +1,14 @@
 //! Network model: point-to-point links with latency, bandwidth, jitter and
 //! fault injection (partitions, loss).
 //!
-//! Every ordered pair of actors communicates over a logical link. A link
-//! serialises transfers (a second message queues behind the first), then
-//! adds propagation latency plus optional uniform jitter. This reproduces
-//! the first-order behaviour of the paper's switched LAN: small messages are
-//! latency-bound, large off-chain transfers are bandwidth-bound.
+//! Every actor may have one NIC, and all of them share one switch, as in
+//! the paper's testbeds: the link between two actors is the slower of
+//! their two NICs, field by field. Every ordered pair of actors
+//! communicates over its own logical link. A link serialises transfers (a
+//! second message queues behind the first), then adds propagation latency
+//! plus optional uniform jitter. This reproduces the first-order behaviour
+//! of the paper's switched LAN: small messages are latency-bound, large
+//! off-chain transfers are bandwidth-bound.
 
 use std::collections::{HashMap, HashSet};
 
@@ -75,7 +78,8 @@ pub enum Delivery {
 #[derive(Debug, Default)]
 pub struct Network {
     default_link: LinkSpec,
-    overrides: HashMap<(ActorId, ActorId), LinkSpec>,
+    /// Each actor's NIC, by actor id; `None` for an actor without one.
+    nics: Vec<Option<LinkSpec>>,
     busy_until: HashMap<(ActorId, ActorId), SimTime>,
     blocked: HashSet<(ActorId, ActorId)>,
     loss_prob: f64,
@@ -85,7 +89,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network where every pair uses `default_link`.
+    /// Creates a network where every pair uses `default_link` until both
+    /// of its actors have a NIC.
     pub fn new(default_link: LinkSpec) -> Self {
         Network {
             default_link,
@@ -93,9 +98,13 @@ impl Network {
         }
     }
 
-    /// Overrides the link used from `src` to `dst` (one direction).
-    pub fn set_link(&mut self, src: ActorId, dst: ActorId, spec: LinkSpec) {
-        self.overrides.insert((src, dst), spec);
+    /// Attaches `actor` to the switch through `nic`.
+    pub fn set_nic(&mut self, actor: ActorId, nic: LinkSpec) {
+        let slot = actor.0 as usize;
+        if self.nics.len() <= slot {
+            self.nics.resize(slot + 1, None);
+        }
+        self.nics[slot] = Some(nic);
     }
 
     /// Replaces the default link.
@@ -103,12 +112,18 @@ impl Network {
         self.default_link = spec;
     }
 
-    /// The link spec in effect from `src` to `dst`.
+    /// The link spec in effect from `src` to `dst`: the slower of their
+    /// NICs in each field, or the default link when either has none.
     pub fn link(&self, src: ActorId, dst: ActorId) -> LinkSpec {
-        self.overrides
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(self.default_link)
+        let nic = |actor: ActorId| self.nics.get(actor.0 as usize).copied().flatten();
+        match (nic(src), nic(dst)) {
+            (Some(a), Some(b)) => LinkSpec {
+                latency: a.latency.max(b.latency),
+                bandwidth_bps: a.bandwidth_bps.min(b.bandwidth_bps),
+                jitter_frac: a.jitter_frac.max(b.jitter_frac),
+            },
+            _ => self.default_link,
+        }
     }
 
     /// Sets the probability in `[0, 1]` that any message is silently lost.
@@ -321,27 +336,78 @@ mod tests {
         }
     }
 
+    /// A desktop NIC and a Raspberry Pi's: the Pi is slower in every field.
+    fn nics() -> (LinkSpec, LinkSpec) {
+        let desktop = LinkSpec {
+            latency: SimDuration::from_micros(120),
+            bandwidth_bps: 1_000_000_000,
+            jitter_frac: 0.05,
+        };
+        let rpi = LinkSpec {
+            latency: SimDuration::from_micros(350),
+            bandwidth_bps: 230_000_000,
+            jitter_frac: 0.35,
+        };
+        (desktop, rpi)
+    }
+
     #[test]
-    fn per_pair_override_applies_one_direction() {
+    fn the_link_is_the_slower_nic_in_each_field_both_ways() {
         let (a, b) = ids();
+        let (desktop, rpi) = nics();
         let mut net = Network::new(LinkSpec::local());
-        net.set_link(
-            a,
-            b,
-            LinkSpec {
-                latency: SimDuration::from_secs(1),
-                bandwidth_bps: u64::MAX,
-                jitter_frac: 0.0,
-            },
-        );
-        let mut rng = DetRng::new(1);
+        net.set_nic(a, desktop);
+        net.set_nic(b, rpi);
+        assert_eq!(net.link(a, b), rpi);
+        assert_eq!(net.link(b, a), rpi);
+        // Slower in different fields: each field takes its own side.
+        let mixed = LinkSpec {
+            latency: SimDuration::from_millis(1),
+            bandwidth_bps: u64::MAX,
+            jitter_frac: 0.0,
+        };
+        net.set_nic(b, mixed);
+        let want = LinkSpec {
+            latency: mixed.latency,
+            bandwidth_bps: desktop.bandwidth_bps,
+            jitter_frac: desktop.jitter_frac,
+        };
+        assert_eq!(net.link(a, b), want);
+        assert_eq!(net.link(b, a), want);
         assert_eq!(
-            net.offer(SimTime::ZERO, a, b, 1, &mut rng),
-            Delivery::At(SimTime::from_secs(1))
+            net.link(a, a),
+            desktop,
+            "an actor's link to itself is its NIC"
         );
+    }
+
+    #[test]
+    fn an_actor_without_a_nic_gets_the_default_link_both_ways() {
+        let (a, b) = ids();
+        let c = ActorId(2);
+        let mut net = Network::new(LinkSpec::local());
+        net.set_nic(a, nics().1);
+        net.set_nic(c, nics().1);
+        for (src, dst) in [(a, b), (b, a), (b, c), (c, b), (b, b)] {
+            assert_eq!(net.link(src, dst), LinkSpec::local());
+        }
+        let mut rng = DetRng::new(1);
         assert_eq!(
             net.offer(SimTime::ZERO, b, a, 1, &mut rng),
             Delivery::At(SimTime::ZERO)
         );
+    }
+
+    #[test]
+    fn a_nic_can_be_set_past_the_current_table() {
+        let (a, _) = ids();
+        let far = ActorId(1_000);
+        let (desktop, rpi) = nics();
+        let mut net = Network::new(LinkSpec::local());
+        net.set_nic(far, rpi);
+        assert_eq!(net.link(a, far), LinkSpec::local(), "a has no NIC yet");
+        net.set_nic(a, desktop);
+        assert_eq!(net.link(a, far), rpi);
+        assert_eq!(net.link(ActorId(999), far), LinkSpec::local());
     }
 }

@@ -5,17 +5,19 @@
 //! ridden out by deadlines and retry, a crashed home peer or home
 //! orderer costing its clients one deadline per outage, not one per
 //! operation — in an open loop too, with many operations in flight —, a
-//! crashed storage node serving what it held after the restart, and two
-//! pinned findings of a peer left behind.
+//! crashed storage node serving what it held after the restart, two
+//! pinned findings of a peer left behind, and the links of a spare that
+//! joins after a fault plan's actor.
 
 mod support;
 
+use hyperprov_repro::device::DeviceProfile;
 use hyperprov_repro::fabric::BatchConfig;
 use hyperprov_repro::hyperprov::{
     AuditFinding, ClientCommand, ClientCompletion, HyperProvError, HyperProvNetwork, NetworkConfig,
     NodeMsg, OpId, OpOutput, RetryPolicy,
 };
-use hyperprov_repro::sim::{ActorId, FaultPlan, SimDuration, SimTime};
+use hyperprov_repro::sim::{ActorId, FaultPlan, LinkSpec, SimDuration, SimTime};
 use support::{audit, op_id, post, store_data, Load};
 
 fn store(net: &mut HyperProvNetwork, client: usize, n: u64, key: &str) {
@@ -431,6 +433,44 @@ fn one_block_per_tx(seed: u64) -> NetworkConfig {
             max_message_count: 1,
             ..BatchConfig::default()
         })
+}
+
+/// Spares join after a fault plan's actor took the next actor id. Each is
+/// linked through its NIC to every built device and to the other spare;
+/// the fault plan's actor has no NIC and keeps the default link.
+#[test]
+fn a_spare_that_joins_after_a_fault_plan_links_through_its_nic() {
+    let rpi = DeviceProfile::raspberry_pi_3b_plus();
+    let mut config = one_block_per_tx(5).with_spare_peers(2);
+    // Spare `i` runs on peer `i`'s device: spare 0 on a Pi, spare 1 on a
+    // desktop, whose NIC equals every other built device's.
+    config.peer_devices[0] = rpi.clone();
+    let mut net = HyperProvNetwork::build(&config);
+    let t0 = net.sim.now();
+    let at = |secs| t0 + SimDuration::from_secs(secs);
+    let plan = FaultPlan::new()
+        .crash_window(net.peers[1], at(1), at(2))
+        .install(&mut net.sim);
+    let built = net.devices.len();
+    assert_eq!(
+        plan,
+        ActorId(built as u32),
+        "the plan sits between build and spares"
+    );
+    let pi_spare = net.add_peer();
+    let desktop_spare = net.add_peer();
+    let link = |a, b| (net.sim.network().link(a, b), net.sim.network().link(b, a));
+    for (i, device) in net.devices[..built].iter().enumerate() {
+        let id = ActorId(i as u32);
+        assert_eq!(link(id, pi_spare), (rpi.nic, rpi.nic), "{id}");
+        assert_eq!(link(id, desktop_spare), (device.nic, device.nic), "{id}");
+        assert_eq!(link(id, plan), (LinkSpec::lan(), LinkSpec::lan()), "{id}");
+    }
+    assert_eq!(link(pi_spare, desktop_spare), (rpi.nic, rpi.nic));
+    assert_eq!(
+        link(plan, desktop_spare),
+        (LinkSpec::lan(), LinkSpec::lan())
+    );
 }
 
 /// A spare that joins while its channel's Solo ordering node is down sends
