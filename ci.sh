@@ -34,7 +34,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23835
+ceiling=23524
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -47,7 +47,7 @@ fi
 # The same ratchet on the two long documents, in bytes: DESIGN.md says
 # what the system is, CHANGES.md what each change did, and neither grows
 # unseen.
-for doc in DESIGN.md:126308 CHANGES.md:131629; do
+for doc in DESIGN.md:124605 CHANGES.md:133119; do
     file=${doc%%:*}
     limit=${doc#*:}
     bytes=$(wc -c <"$file")
@@ -124,10 +124,10 @@ done
 # paper's figures and the thesis-style tables, among them bounded
 # admission queues (overload); crash/restart, Raft failover, partitions
 # and the retrying client (faults); multi-channel routing (sharding);
-# multi-lane VSCC and verification caches (commit_pipeline); snapshots,
-# pruning and elastic membership (recovery); the 10k-client machinery in
-# miniature (scale). Then the other way round: a tracked file under
-# results/ that no campaign saved is nobody's output any more.
+# multi-lane VSCC (commit_pipeline); snapshots, pruning and elastic
+# membership (recovery); the 10k-client machinery in miniature (scale).
+# Then the other way round: a tracked file under results/ that no
+# campaign saved is nobody's output any more.
 saved=target/campaign_saved
 cargo run --release -p hyperprov-bench --bin campaign -- all --quick >"$saved" || {
     cat "$saved"

@@ -1,18 +1,15 @@
 //! T-PIPELINE: FastFabric-style commit-path acceleration sweep.
 //!
 //! The paper's commit path validates every transaction serially on one
-//! core; this campaign measures what the peers gain from the three
-//! optimisations the commit pipeline adds on top of that baseline:
-//! multi-lane VSCC (endorsement signature + policy checks fanned out over
-//! the device's cores), validate/apply pipelining across consecutive
-//! blocks, and the two verification caches (the `(cert, digest,
-//! signature)` memo and the endorser hot-state read cache). Swept: lanes
-//! 1/2/4 × caches on/off on the desktop and RPi testbeds under a
-//! saturating closed-loop `post` load with hot parent keys. Reported per
-//! cell: commit-stage goodput, validate-stage p50/p99, and the cache hit
-//! rates.
+//! core; this campaign measures what the peers gain from the commit
+//! pipeline on top of that baseline: multi-lane VSCC (endorsement
+//! signature + policy checks fanned out over the device's cores) and
+//! validate/apply pipelining across consecutive blocks. Swept: 1/2/4
+//! VSCC lanes on the desktop and RPi testbeds under a saturating
+//! closed-loop `post` load with hot parent keys. Reported per cell:
+//! commit-stage goodput and validate-stage p50/p99.
 
-use hyperprov::{ClientCommand, CommitPipeline, HyperProvNetwork, OpId, OpOutput, RecordInput};
+use hyperprov::{ClientCommand, HyperProvNetwork, OpId, OpOutput, RecordInput};
 use hyperprov_fabric::BatchConfig;
 use hyperprov_ledger::Digest;
 use hyperprov_sim::{Histogram, SimDuration, SloObjective, SloSpec};
@@ -25,8 +22,8 @@ use crate::table::{Fmt, Table};
 use super::{op_ms, Platform};
 
 /// Number of shared parent records the load phase links every post to;
-/// endorsers re-read these hot keys on each proposal, which is what the
-/// read cache memoises.
+/// the workload is unchanged since the sweep was first recorded, so each
+/// cell replays its committed numbers.
 const HOT_PARENTS: usize = 4;
 
 struct Cell {
@@ -34,43 +31,20 @@ struct Cell {
     errors: u64,
     validate_p50_ms: f64,
     validate_p99_ms: f64,
-    sigcache_pct: f64,
-    readcache_pct: f64,
 }
 
-/// Sums every counter whose name ends with `suffix` (cache counters are
-/// namespaced per peer/channel; the sweep reports the fleet-wide rate).
-fn counter_sum(net: &HyperProvNetwork, suffix: &str) -> u64 {
-    net.sim
-        .metrics()
-        .counters()
-        .filter(|(name, _)| name.ends_with(suffix))
-        .map(|(_, v)| v)
-        .sum()
-}
-
-fn hit_pct(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        100.0 * hits as f64 / total as f64
-    }
-}
-
-/// Runs one (platform, lanes, caches) cell: seeds the hot parent records,
-/// then drives a closed-loop `post` load where every record links to one
-/// of the shared parents.
+/// Runs one (platform, lanes) cell: seeds the hot parent records, then
+/// drives a closed-loop `post` load where every record links to one of
+/// the shared parents.
 fn run_cell(
     platform: Platform,
-    pipeline: CommitPipeline,
+    lanes: usize,
     clients: usize,
     duration: SimDuration,
     seed: u64,
     slos: &[SloSpec],
     exporter: &mut MetricsExporter,
 ) -> Cell {
-    let (lanes, caches) = (pipeline.lanes, pipeline.caches);
     let config = platform
         .config(clients)
         .with_seed(seed)
@@ -78,7 +52,7 @@ fn run_cell(
             timeout: SimDuration::from_millis(100),
             ..BatchConfig::default()
         })
-        .with_pipeline(pipeline)
+        .with_vscc_lanes(lanes)
         .with_slos(slos.to_vec());
     let mut net = HyperProvNetwork::build(&config);
 
@@ -95,8 +69,7 @@ fn run_cell(
         assert!(done.is_some(), "parent {p} must commit");
     }
 
-    // Load phase: unique keys, each linking to a hot parent so endorsers
-    // re-read the same state keys proposal after proposal.
+    // Load phase: unique keys, each linking to a hot parent.
     let result = run_closed_loop(
         &mut net,
         Until::Elapsed(duration),
@@ -124,8 +97,7 @@ fn run_cell(
     }
     let goodput = commit.count() as f64 / result.span.as_secs_f64();
     // The "validate" span covers the whole per-block commit (VSCC +
-    // MVCC/apply) in both the legacy and the pipelined path, so its
-    // quantiles are comparable across the sweep.
+    // MVCC/apply), so its quantiles are comparable across the sweep.
     let validate = net
         .sim
         .tracer()
@@ -134,11 +106,7 @@ fn run_cell(
         .unwrap_or_default();
 
     exporter.add_run(
-        &format!(
-            "platform={} lanes={lanes} caches={}",
-            platform.name(),
-            if caches { "on" } else { "off" }
-        ),
+        &format!("platform={} lanes={lanes}", platform.name()),
         &net.sim,
     );
     Cell {
@@ -146,95 +114,70 @@ fn run_cell(
         errors,
         validate_p50_ms: validate.quantile(0.50) as f64 / 1e6,
         validate_p99_ms: validate.quantile(0.99) as f64 / 1e6,
-        sigcache_pct: hit_pct(
-            counter_sum(&net, "sigcache.hits"),
-            counter_sum(&net, "sigcache.misses"),
-        ),
-        readcache_pct: hit_pct(
-            counter_sum(&net, "readcache.hits"),
-            counter_sum(&net, "readcache.misses"),
-        ),
     }
 }
 
-/// Runs the lanes × caches sweep: the acceleration table (one row per
-/// platform × lanes × caches), one metrics + trace snapshot per cell, and
-/// the table's rows as the committed `BENCH_commit.json` trajectory.
+/// Runs the lanes sweep: the acceleration table (one row per platform ×
+/// lanes), one metrics + trace snapshot per cell, and the table's rows as
+/// the committed `BENCH_commit.json` trajectory.
 pub fn pipeline_sweep(quick: bool) -> Vec<Artefact> {
-    type Cfg = (Vec<Platform>, Vec<(usize, bool)>, usize, SimDuration);
+    type Cfg = (Vec<Platform>, &'static [usize], usize, SimDuration);
     let (platforms, cells, clients, duration): Cfg = if quick {
         (
             vec![Platform::Desktop],
-            vec![(1, false), (4, true)],
+            &[1, 4],
             8,
             SimDuration::from_secs(4),
         )
     } else {
         (
             vec![Platform::Desktop, Platform::Rpi],
-            vec![
-                (1, false),
-                (1, true),
-                (2, false),
-                (2, true),
-                (4, false),
-                (4, true),
-            ],
+            &[1, 2, 4],
             96,
             SimDuration::from_secs(10),
         )
     };
 
     let mut table = Table::new(
-        "T-PIPELINE: commit goodput vs lanes and caches",
+        "T-PIPELINE: commit goodput vs VSCC lanes",
         &[
             ("platform", "platform", Fmt::Plain),
             ("lanes", "lanes", Fmt::Plain),
-            ("caches", "caches", Fmt::Plain),
             ("goodput_tx_s", "goodput (tx/s)", Fmt::Fixed(1, "")),
             ("speedup_vs_serial", "vs serial", Fmt::Fixed(2, "x")),
             ("commit_p50_ms", "validate p50 (ms)", Fmt::Fixed(2, "")),
             ("commit_p99_ms", "validate p99 (ms)", Fmt::Fixed(2, "")),
-            ("sigcache_hit_pct", "sigcache hit%", Fmt::Fixed(1, "")),
-            ("readcache_hit_pct", "readcache hit%", Fmt::Fixed(1, "")),
             ("errors", "errors", Fmt::Plain),
         ],
     );
     let mut exporter = MetricsExporter::new("table_commit_pipeline");
-    // Full runs also watch the commit path with SLOs (validate-span
-    // latency, committed-tx goodput); the burn series land in the metrics
-    // export. Quick runs stay SLO-free so the export remains byte-
-    // identical to the committed `pipeline_quick.metrics.json` fixture.
-    let slos = if quick {
-        Vec::new()
-    } else {
-        vec![
-            SloSpec::new(
-                "validate-p99",
-                SloObjective::LatencyQuantile {
-                    source: "validate".into(),
-                    q: 0.99,
-                    budget: SimDuration::from_millis(250),
-                },
-                SimDuration::from_secs(2),
-            ),
-            SloSpec::new(
-                "commit-goodput",
-                SloObjective::GoodputFloor {
-                    source: "commit.tx".into(),
-                    floor_per_sec: 20.0,
-                },
-                SimDuration::from_secs(2),
-            ),
-        ]
-    };
+    // The commit path is watched with SLOs (validate-span latency,
+    // committed-tx goodput); the burn series land in the metrics export.
+    let slos = [
+        SloSpec::new(
+            "validate-p99",
+            SloObjective::LatencyQuantile {
+                source: "validate".into(),
+                q: 0.99,
+                budget: SimDuration::from_millis(250),
+            },
+            SimDuration::from_secs(2),
+        ),
+        SloSpec::new(
+            "commit-goodput",
+            SloObjective::GoodputFloor {
+                source: "commit.tx".into(),
+                floor_per_sec: 20.0,
+            },
+            SimDuration::from_secs(2),
+        ),
+    ];
     for &platform in &platforms {
         let mut serial_goodput = None;
-        for &(lanes, caches) in &cells {
-            let pipeline = CommitPipeline { lanes, caches };
+        for &lanes in cells {
             let cell = run_cell(
                 platform,
-                pipeline,
+                lanes,
                 clients,
                 duration,
                 100,
@@ -250,13 +193,10 @@ pub fn pipeline_sweep(quick: bool) -> Vec<Artefact> {
             table.push_row(row![
                 platform.name(),
                 lanes,
-                if caches { "on" } else { "off" },
                 cell.goodput,
                 speedup,
                 cell.validate_p50_ms,
                 cell.validate_p99_ms,
-                cell.sigcache_pct,
-                cell.readcache_pct,
                 cell.errors,
             ]);
         }

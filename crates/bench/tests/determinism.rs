@@ -54,9 +54,8 @@ fn fig2_quick_metrics_match_committed_fixture() {
 
 #[test]
 fn pipeline_quick_metrics_match_committed_fixture() {
-    // Covers both ends of the commit-path settings: the baseline cell
-    // (lanes = 1, caches off) and the accelerated cell (4 lanes, both
-    // caches on).
+    // Covers both ends of the commit-path setting: the serial cell
+    // (1 VSCC lane) and the 4-lane cell, each watched by the sweep's SLOs.
     let json = metrics_json(&pipeline_sweep(true));
     assert_eq!(
         json,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use hyperprov_device::DeviceProfile;
 use hyperprov_fabric::{
-    BatchConfig, CertId, ChaincodeRegistry, ChannelPolicies, CommitPipeline, Committer, CostModel,
+    BatchConfig, CertId, ChaincodeRegistry, ChannelPolicies, Committer, CostModel,
     EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, Node, OrderingNode, Peer,
     QueueConfig, Route, SigningIdentity, SnapshotPolicy,
 };
@@ -106,10 +106,9 @@ pub struct NetworkConfig {
     /// the paper-faithful one-channel layout, byte-identical to the
     /// pre-sharding code paths.
     pub channels: Vec<ChannelSpec>,
-    /// Peer commit-path acceleration: VSCC lanes and verification caches
-    /// (default: one lane, no caches). Requested lanes are clamped to each
-    /// peer device's core count.
-    pub pipeline: CommitPipeline,
+    /// CPU lanes a peer spreads its VSCC phase over (default 1), clamped
+    /// to each peer device's core count.
+    pub vscc_lanes: usize,
     /// Rolling-window SLOs evaluated during the run (empty = monitoring
     /// off, the default — default-config exports stay byte-identical).
     /// Latency objectives watch pipeline span stages (`"op"`,
@@ -177,7 +176,7 @@ impl NetworkConfig {
             endorse_timeout: None,
             commit_timeout: None,
             channels: vec![ChannelSpec::new(DEFAULT_CHANNEL)],
-            pipeline: CommitPipeline::default(),
+            vscc_lanes: 1,
             slos: Vec::new(),
             snapshots: None,
             spare_peers: 0,
@@ -246,12 +245,11 @@ impl NetworkConfig {
         self
     }
 
-    /// Accelerates the peer commit path: spreads VSCC over `lanes` CPU
-    /// lanes (clamped to each device's cores) and enables the requested
-    /// verification caches.
+    /// Spreads each peer's VSCC phase over `lanes` CPU lanes (clamped to
+    /// each device's cores).
     #[must_use]
-    pub fn with_pipeline(mut self, pipeline: CommitPipeline) -> Self {
-        self.pipeline = pipeline;
+    pub fn with_vscc_lanes(mut self, lanes: usize) -> Self {
+        self.vscc_lanes = lanes;
         self
     }
 
@@ -314,7 +312,7 @@ struct JoinKit {
     registry: ChaincodeRegistry,
     policy: EndorsementPolicy,
     costs: CostModel,
-    pipeline: CommitPipeline,
+    vscc_lanes: usize,
     peer_queue: Option<QueueConfig>,
     snapshots: Option<SnapshotPolicy>,
     /// Pre-enrolled spare identities with their device profiles.
@@ -341,13 +339,9 @@ impl JoinKit {
     ) -> (ActorId, Vec<(usize, Ledger)>) {
         // A peer gets at most as many VSCC lanes as its device has cores:
         // an RPi cannot fan out like a Xeon.
-        let lanes = self.pipeline.lanes.clamp(1, device.cores.max(1));
+        let lanes = self.vscc_lanes.clamp(1, device.cores.max(1));
         let name = format!("peer{index}");
         let mut peer = Peer::new(identity, self.registry.clone(), self.costs, name.clone());
-        peer.set_pipeline(CommitPipeline {
-            lanes,
-            ..self.pipeline
-        });
         if let Some(policy) = self.snapshots {
             peer.set_snapshots(policy);
         }
@@ -534,7 +528,7 @@ impl HyperProvNetwork {
             registry,
             policy: config.endorsement_policy(),
             costs: config.costs,
-            pipeline: config.pipeline,
+            vscc_lanes: config.vscc_lanes,
             peer_queue: config.peer_queue,
             snapshots: config.snapshots,
             spares: spare_identities

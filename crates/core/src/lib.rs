@@ -54,7 +54,7 @@ pub use client::{
 };
 pub use deploy::{ChannelSpec, HyperProvNetwork, NetworkConfig, OrdererMode};
 pub use facade::HyperProv;
-pub use hyperprov_fabric::{CommitPipeline, SnapshotPolicy};
+pub use hyperprov_fabric::SnapshotPolicy;
 pub use net::NodeMsg;
 pub use opm::{OpmEdge, OpmEdgeKind, OpmGraph, OpmNode, OpmNodeKind};
 pub use record::{

@@ -31,7 +31,6 @@ use hyperprov_ledger::{
 
 pub use bootstrap::BootstrapError;
 
-use crate::caches::SigVerifyCache;
 use crate::identity::{Msp, MspId};
 use crate::messages::{CommitEvent, EnvelopeSpans, EnvelopeView};
 use crate::policy::EndorsementPolicy;
@@ -74,10 +73,6 @@ pub struct CommitOutcome {
     pub invalid: u32,
     /// Total bytes applied to the state database.
     pub bytes_written: u64,
-    /// Keys written by valid transactions, in apply order — what an
-    /// endorser-side [`crate::ReadCache`] must invalidate after this
-    /// block.
-    pub written_keys: Vec<StateKey>,
     /// Parent references committed by this block that were absent from the
     /// provenance graph index at apply time — cross-shard links or broken
     /// references (always 0 without a [`GraphIndexer`] installed).
@@ -86,10 +81,9 @@ pub struct CommitOutcome {
 
 /// Outcome of the parallelisable VSCC phase for one envelope: where its
 /// parts sit in the block's bytes, the VSCC failure code (if any), and how
-/// many endorsement signatures ran cryptographically vs. were served from
-/// a [`SigVerifyCache`]. The phase touches no world state, so verdicts for
-/// the envelopes of one block are independent and can be computed on
-/// separate CPU lanes.
+/// many endorsement signatures it verified. The phase touches no world
+/// state, so verdicts for the envelopes of one block are independent and
+/// can be computed on separate CPU lanes.
 #[derive(Debug, Clone)]
 pub struct VsccVerdict {
     /// What [`EnvelopeView::parse`] recorded, `None` when the bytes are
@@ -103,10 +97,9 @@ pub struct VsccVerdict {
     /// [`ValidationCode::EndorsementPolicyFailure`]), `None` when the
     /// envelope passed.
     pub failure: Option<ValidationCode>,
-    /// Endorsement signatures verified cryptographically.
-    pub sig_misses: u32,
-    /// Endorsement signatures served from the verification cache.
-    pub sig_hits: u32,
+    /// Endorsement signatures verified: all of them, or up to and
+    /// including the first bad one.
+    pub signatures: u32,
 }
 
 /// A committing peer's ledger of one channel — block store, world state
@@ -125,7 +118,7 @@ pub struct Committer {
     policies: ChannelPolicies,
     seen: HashSet<TxId>,
     /// Maps committed writes to provenance-graph updates; `None` leaves
-    /// the graph index empty (legacy behaviour).
+    /// the graph index empty.
     indexer: Option<Arc<dyn GraphIndexer>>,
 }
 
@@ -236,7 +229,7 @@ impl Committer {
     /// (wrong number, broken link or bad data hash); the ledger is
     /// unchanged in that case.
     pub fn commit_block(&mut self, block: Block) -> Result<CommitOutcome, ChainError> {
-        let verdicts = self.vscc_block(&block, None);
+        let verdicts = self.vscc_block(&block);
         self.commit_block_prevalidated(block, verdicts)
     }
 
@@ -246,33 +239,20 @@ impl Committer {
     /// so the verdicts for one block's envelopes are mutually independent
     /// — the simulation charges this phase as the makespan of the
     /// per-envelope costs spread across CPU lanes.
-    ///
-    /// Pass a [`SigVerifyCache`] to memoise successful signature checks
-    /// across blocks; each verdict reports how many verifications hit the
-    /// cache so callers can charge reduced CPU cost for hits.
-    pub fn vscc_block(
-        &self,
-        block: &Block,
-        mut cache: Option<&mut SigVerifyCache>,
-    ) -> Vec<VsccVerdict> {
+    pub fn vscc_block(&self, block: &Block) -> Vec<VsccVerdict> {
         block
             .envelopes
             .iter()
-            .map(|raw| self.vscc_envelope(raw, cache.as_deref_mut()))
+            .map(|raw| self.vscc_envelope(raw))
             .collect()
     }
 
-    fn vscc_envelope(
-        &self,
-        raw: &RawEnvelope,
-        mut cache: Option<&mut SigVerifyCache>,
-    ) -> VsccVerdict {
+    fn vscc_envelope(&self, raw: &RawEnvelope) -> VsccVerdict {
         let mut verdict = VsccVerdict {
             spans: None,
             tx_id: raw.tx_id,
             failure: Some(ValidationCode::BadSignature),
-            sig_misses: 0,
-            sig_hits: 0,
+            signatures: 0,
         };
         let Ok(view) = EnvelopeView::parse(&raw.bytes) else {
             return verdict;
@@ -283,15 +263,10 @@ impl Committer {
         let message = [verdict.tx_id.0.as_ref(), view.signed()];
         let mut orgs: Vec<&MspId> = Vec::new();
         for (endorser, signature) in view.endorsements() {
-            let (org, hit) = match cache.as_deref_mut() {
-                Some(c) => c.verify(&self.msp, endorser, &message, &signature),
-                None => (self.msp.verify_parts(endorser, &message, &signature), false),
-            };
-            verdict.sig_hits += u32::from(hit);
-            verdict.sig_misses += u32::from(!hit);
+            verdict.signatures += 1;
             // Stop at the first bad signature, exactly like the serial
             // validator's early return.
-            let Some(org) = org else {
+            let Some(org) = self.msp.verify_parts(endorser, &message, &signature) else {
                 return verdict;
             };
             orgs.push(org);
@@ -341,7 +316,6 @@ impl Committer {
         let mut valid = 0u32;
         let mut invalid = 0u32;
         let mut bytes_written = 0u64;
-        let mut written_keys = Vec::new();
         let mut dangling_parents = 0u64;
 
         for (tx_num, (raw, verdict)) in block.envelopes.iter().zip(vscc).enumerate() {
@@ -361,12 +335,11 @@ impl Committer {
                 };
                 if code.is_valid() {
                     let version = Version::new(block.header.number, tx_num as u32);
-                    // The state entry, its history and the written-key list
-                    // share the write's key and value with the envelope.
+                    // The state entry and its history share the write's key
+                    // and value with the envelope.
                     for write in view.writes() {
                         self.state.apply_tx(verdict.tx_id, version, &write);
                         dangling_parents += self.index_write(&write.key, write.value.as_deref());
-                        written_keys.push(write.key);
                     }
                     bytes_written += spans.write_bytes;
                     event = view.event();
@@ -403,7 +376,6 @@ impl Committer {
             valid,
             invalid,
             bytes_written,
-            written_keys,
             dangling_parents,
         })
     }

@@ -84,7 +84,6 @@ fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
         valid: 0,
         invalid: 0,
         bytes_written: 0,
-        written_keys: Vec::new(),
         dangling_parents: 0,
     };
     let mut codes = Vec::new();
@@ -103,8 +102,6 @@ fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
                         out.dangling_parents += c.index_write(&w.key, w.value.as_deref());
                     }
                     out.bytes_written += write_bytes(&env.rwset);
-                    out.written_keys
-                        .extend(env.rwset.writes.into_iter().map(|w| w.key));
                     chaincode_event = env.event;
                 }
                 c.seen.insert(tx_id);
@@ -591,7 +588,7 @@ fn graph_index_identical_on_split_commit_path() {
     let b_legacy = block_of(&legacy, envs.clone());
     let out_legacy = commit_block_reference(&mut legacy, b_legacy);
     let b_split = block_of(&split, envs);
-    let verdicts = split.vscc_block(&b_split, None);
+    let verdicts = split.vscc_block(&b_split);
     let out_split = split.commit_block_prevalidated(b_split, verdicts).unwrap();
 
     assert_eq!(out_legacy.dangling_parents, 1);
@@ -774,12 +771,11 @@ fn bootstrap_error_eq_derives() {
 }
 
 #[test]
-fn prevalidated_path_matches_legacy_on_mixed_block() {
+fn prevalidated_path_matches_reference_on_mixed_block() {
     let n = net();
     let policy = EndorsementPolicy::any_of([MspId::new("org1")]);
-    let mut legacy = committer(&n, policy.clone());
+    let mut reference = committer(&n, policy.clone());
     let mut split = committer(&n, policy);
-    let mut cache = crate::SigVerifyCache::new();
 
     // A mix: valid, forged signature, MVCC conflict pair, and (in a
     // second block) a duplicate of the first transaction.
@@ -807,39 +803,37 @@ fn prevalidated_path_matches_legacy_on_mixed_block() {
         )
     };
 
-    let b1_legacy = blocks(&legacy);
-    let out_legacy = commit_block_reference(&mut legacy, b1_legacy);
+    let b1_reference = blocks(&reference);
+    let out_reference = commit_block_reference(&mut reference, b1_reference);
     let b1_split = blocks(&split);
-    let verdicts = split.vscc_block(&b1_split, Some(&mut cache));
+    let verdicts = split.vscc_block(&b1_split);
     let out_split = split.commit_block_prevalidated(b1_split, verdicts).unwrap();
 
     let codes = |c: &Committer, h: u64| c.store().block(h).unwrap().metadata.codes.clone();
-    assert_eq!(codes(&legacy, 0), codes(&split, 0));
-    assert_eq!(out_legacy.valid, out_split.valid);
-    assert_eq!(out_legacy.bytes_written, out_split.bytes_written);
-    assert_eq!(out_legacy.written_keys, out_split.written_keys);
-    assert_eq!(legacy.state().state_hash(), split.state().state_hash());
+    assert_eq!(codes(&reference, 0), codes(&split, 0));
+    assert_eq!(out_reference.valid, out_split.valid);
+    assert_eq!(out_reference.bytes_written, out_split.bytes_written);
+    assert_eq!(reference.state().state_hash(), split.state().state_hash());
 
-    // Block 2: duplicate of e_valid. The split path runs (cached)
-    // signature checks eagerly, but the serial phase still reports
-    // DuplicateTxId just like the legacy validator.
-    let b2_legacy = Block::build(
-        legacy.height(),
-        legacy.store().tip_hash(),
+    // Block 2: duplicate of e_valid. The split path runs signature
+    // checks eagerly, but the serial phase still reports DuplicateTxId
+    // just like the reference validator.
+    let b2_reference = Block::build(
+        reference.height(),
+        reference.store().tip_hash(),
         vec![e_valid.to_raw()],
     );
-    commit_block_reference(&mut legacy, b2_legacy);
+    commit_block_reference(&mut reference, b2_reference);
     let b2_split = Block::build(
         split.height(),
         split.store().tip_hash(),
         vec![e_valid.to_raw()],
     );
-    let verdicts = split.vscc_block(&b2_split, Some(&mut cache));
-    assert_eq!(verdicts[0].sig_hits, 1); // same (cert, msg, sig) as block 1
+    let verdicts = split.vscc_block(&b2_split);
     split.commit_block_prevalidated(b2_split, verdicts).unwrap();
-    assert_eq!(codes(&legacy, 1), codes(&split, 1));
+    assert_eq!(codes(&reference, 1), codes(&split, 1));
     assert_eq!(codes(&split, 1), vec![ValidationCode::DuplicateTxId]);
-    assert_eq!(legacy.state().state_hash(), split.state().state_hash());
+    assert_eq!(reference.state().state_hash(), split.state().state_hash());
 }
 
 /// One seeded contention workload: a few hot keys, random read versions
@@ -930,30 +924,23 @@ fn fingerprint(c: &Committer) -> impl PartialEq + std::fmt::Debug {
 }
 
 /// Commits one seeded workload through the reference loop and through
-/// the production path (inline, split without a cache, split with a
-/// persistent [`SigVerifyCache`]), asserting all four agree on every
-/// observable outcome.
+/// the production path (inline, and split into its two phases), asserting
+/// all three agree on every observable outcome.
 fn assert_equivalent(seed: u64) {
     let net = net();
     let mut reference = all_of_committer(&net);
-    let mut others: [Committer; 3] = std::array::from_fn(|_| all_of_committer(&net));
-    let mut cache = SigVerifyCache::new();
+    let mut others: [Committer; 2] = std::array::from_fn(|_| all_of_committer(&net));
     for envs in workload(&net, seed) {
         let block = block_of(&reference, envs.clone());
         let expected = commit_block_reference(&mut reference, block);
         let height = reference.height() - 1;
         for (i, c) in others.iter_mut().enumerate() {
             let block = block_of(c, envs.clone());
-            let out = match i {
-                0 => c.commit_block(block),
-                1 => {
-                    let verdicts = c.vscc_block(&block, None);
-                    c.commit_block_prevalidated(block, verdicts)
-                }
-                _ => {
-                    let verdicts = c.vscc_block(&block, Some(&mut cache));
-                    c.commit_block_prevalidated(block, verdicts)
-                }
+            let out = if i == 0 {
+                c.commit_block(block)
+            } else {
+                let verdicts = c.vscc_block(&block);
+                c.commit_block_prevalidated(block, verdicts)
             }
             .unwrap();
             let at = format!("seed {seed} block {height} path {i}");
@@ -967,14 +954,10 @@ fn assert_equivalent(seed: u64) {
             );
             assert_eq!((out.valid, out.invalid), (expected.valid, expected.invalid));
             assert_eq!(out.bytes_written, expected.bytes_written, "{at}");
-            assert_eq!(out.written_keys, expected.written_keys, "{at}");
             assert_eq!(out.dangling_parents, expected.dangling_parents, "{at}");
             assert_eq!(fingerprint(c), fingerprint(&reference), "{at}");
         }
     }
-    // The cache saw repeated (cert, msg, sig) triples across duplicates
-    // and re-endorsements without ever changing a decision.
-    assert!(!cache.is_empty(), "seed {seed}");
 }
 
 #[test]
@@ -1014,28 +997,18 @@ fn workloads_exercise_every_validation_code() {
 fn vscc_reference(
     c: &Committer,
     raw: &RawEnvelope,
-    mut cache: Option<&mut SigVerifyCache>,
-) -> (Option<Envelope>, TxId, Option<ValidationCode>, u32, u32) {
+) -> (Option<Envelope>, TxId, Option<ValidationCode>, u32) {
     let Ok(env) = Envelope::from_raw(raw) else {
         let failure = Some(ValidationCode::BadSignature);
-        return (None, raw.tx_id, failure, 0, 0);
+        return (None, raw.tx_id, failure, 0);
     };
     let tx_id = env.tx_id();
     let msg = endorsement_message(&tx_id, &env.payload, &env.rwset);
-    let (mut misses, mut hits, mut failure) = (0, 0, None);
+    let (mut signatures, mut failure) = (0, None);
     let mut orgs = Vec::new();
     for e in &env.endorsements {
-        let cert = e.endorser.borrowed();
-        let (ok, hit) = match cache.as_deref_mut() {
-            Some(cache) => {
-                let (org, hit) = cache.verify(&c.msp, cert, &[&msg], &e.signature);
-                (org.is_some(), hit)
-            }
-            None => (c.msp.verify(&e.endorser, &msg, &e.signature), false),
-        };
-        hits += u32::from(hit);
-        misses += u32::from(!hit);
-        if !ok {
+        signatures += 1;
+        if !c.msp.verify(&e.endorser, &msg, &e.signature) {
             failure = Some(ValidationCode::BadSignature);
             break;
         }
@@ -1045,7 +1018,7 @@ fn vscc_reference(
     if failure.is_none() && !policy.is_satisfied_by(orgs) {
         failure = Some(ValidationCode::EndorsementPolicyFailure);
     }
-    (Some(env), tx_id, failure, misses, hits)
+    (Some(env), tx_id, failure, signatures)
 }
 
 /// Damages an envelope one of the ways a faulty orderer, a bad disk or an
@@ -1069,8 +1042,8 @@ fn damage(raw: &mut RawEnvelope, donor: &RawEnvelope, below: &mut impl FnMut(u64
 
 /// Commits one seeded workload, about half of its envelopes damaged,
 /// through the reference loop over owned envelopes and through the
-/// production path over views, with and without a [`SigVerifyCache`]:
-/// every verdict, event and ledger agrees, and nothing panics. Answers
+/// production path over views: every verdict, event and ledger agrees,
+/// and nothing panics. Answers
 /// `(envelopes that still decoded, envelopes that did not)` among the
 /// damaged ones, and the codes seen.
 fn assert_views_agree(seed: u64) -> (u32, u32, HashSet<ValidationCode>) {
@@ -1078,9 +1051,7 @@ fn assert_views_agree(seed: u64) -> (u32, u32, HashSet<ValidationCode>) {
     let mut rng = hyperprov_sim::DetRng::new(seed ^ 0xD1FF);
     let mut below = move |n: u64| rand::RngCore::next_u64(&mut rng) % n;
     let mut reference = all_of_committer(&net);
-    let mut plain = all_of_committer(&net);
-    let mut cached = all_of_committer(&net);
-    let (mut cache, mut reference_cache) = (SigVerifyCache::new(), SigVerifyCache::new());
+    let mut view = all_of_committer(&net);
     let (mut decoded, mut rejected, mut codes) = (0, 0, HashSet::new());
     let mut donor = envelope(&net, u64::MAX, write_set("donor", b""), &[2]).to_raw();
     for envs in workload(&net, seed) {
@@ -1100,20 +1071,13 @@ fn assert_views_agree(seed: u64) -> (u32, u32, HashSet<ValidationCode>) {
         let at = format!("seed {seed} block {}", block.header.number);
 
         // The stateless phase, envelope by envelope.
-        let verdicts = plain.vscc_block(&block, None);
-        let verdicts_cached = cached.vscc_block(&block, Some(&mut cache));
+        let verdicts = view.vscc_block(&block);
         for (i, raw) in block.envelopes.iter().enumerate() {
-            let (env, tx_id, failure, _, _) = vscc_reference(&reference, raw, None);
-            let (_, _, _, misses, hits) =
-                vscc_reference(&reference, raw, Some(&mut reference_cache));
-            for (v, expected_misses, expected_hits) in [
-                (&verdicts[i], misses + hits, 0),
-                (&verdicts_cached[i], misses, hits),
-            ] {
-                assert_eq!((v.tx_id, v.failure), (tx_id, failure), "{at} tx {i}");
-                assert_eq!((v.sig_misses, v.sig_hits), (expected_misses, expected_hits));
-                assert_eq!(v.spans.is_some(), env.is_some(), "{at} tx {i}");
-            }
+            let (env, tx_id, failure, signatures) = vscc_reference(&reference, raw);
+            let v = &verdicts[i];
+            assert_eq!((v.tx_id, v.failure), (tx_id, failure), "{at} tx {i}");
+            assert_eq!(v.signatures, signatures, "{at} tx {i}");
+            assert_eq!(v.spans.is_some(), env.is_some(), "{at} tx {i}");
             if let (Some(spans), Some(env)) = (verdicts[i].spans, env) {
                 assert_eq!(
                     env.to_bytes(),
@@ -1129,22 +1093,16 @@ fn assert_views_agree(seed: u64) -> (u32, u32, HashSet<ValidationCode>) {
                 assert_eq!(spans.write_bytes, write_bytes(&env.rwset));
             }
         }
-        assert_eq!(cache.len(), reference_cache.len(), "{at}");
 
         // The serial phase and what it leaves behind.
         let expected = commit_block_reference(&mut reference, block.clone());
         codes.extend(expected.events.iter().map(|e| e.code));
-        for (c, verdicts) in [(&mut plain, verdicts), (&mut cached, verdicts_cached)] {
-            let out = c
-                .commit_block_prevalidated(block.clone(), verdicts)
-                .unwrap();
-            assert_eq!(out.events, expected.events, "{at}");
-            assert_eq!((out.valid, out.invalid), (expected.valid, expected.invalid));
-            assert_eq!(out.bytes_written, expected.bytes_written, "{at}");
-            assert_eq!(out.written_keys, expected.written_keys, "{at}");
-            assert_eq!(out.dangling_parents, expected.dangling_parents, "{at}");
-            assert_eq!(fingerprint(c), fingerprint(&reference), "{at}");
-        }
+        let out = view.commit_block_prevalidated(block, verdicts).unwrap();
+        assert_eq!(out.events, expected.events, "{at}");
+        assert_eq!((out.valid, out.invalid), (expected.valid, expected.invalid));
+        assert_eq!(out.bytes_written, expected.bytes_written, "{at}");
+        assert_eq!(out.dangling_parents, expected.dangling_parents, "{at}");
+        assert_eq!(fingerprint(&view), fingerprint(&reference), "{at}");
     }
     (decoded, rejected, codes)
 }

@@ -37,8 +37,8 @@ pub struct CostModel {
     pub block_base: SimDuration,
     /// Orderer's per-envelope admission work.
     pub order_per_msg: SimDuration,
-    /// Serving one verification or state read from a warm in-memory cache
-    /// (hash + lookup) instead of doing the full work.
+    /// One warm in-memory operation (hash + lookup): copying a snapshot
+    /// entry, or answering from a manifest already held.
     pub cache_hit_op: SimDuration,
 }
 
@@ -78,11 +78,10 @@ impl CostModel {
     }
 
     /// Parallelisable half of a committing peer's validation: the
-    /// stateless VSCC work for one envelope (verify each endorsement,
-    /// evaluate the policy), with cache-served verifications charged at
-    /// [`CostModel::cache_hit_op`].
-    pub fn vscc_cost(&self, sig_misses: u64, sig_hits: u64) -> SimDuration {
-        self.verify * sig_misses + self.cache_hit_op * sig_hits
+    /// stateless VSCC work for one envelope: `signatures` endorsement
+    /// verifications (the policy evaluation is free).
+    pub fn vscc_cost(&self, signatures: u64) -> SimDuration {
+        self.verify * signatures
     }
 
     /// Serial half of validation: per-transaction MVCC bookkeeping that
@@ -190,11 +189,9 @@ mod tests {
     #[test]
     fn vscc_cost_counts_verifications() {
         let m = model();
-        assert_eq!(m.vscc_cost(4, 0), m.verify * 4);
-        assert!(m.vscc_cost(4, 0) > m.vscc_cost(1, 0));
+        assert_eq!(m.vscc_cost(4), m.verify * 4);
+        assert!(m.vscc_cost(4) > m.vscc_cost(1));
         assert_eq!(m.mvcc_cost(), m.commit_per_tx);
-        // A cache hit is strictly cheaper than a cryptographic check.
-        assert!(m.vscc_cost(0, 1) < m.vscc_cost(1, 0));
     }
 
     #[test]

@@ -217,13 +217,6 @@ impl Msp {
         ok.then_some(&enrolled.org)
     }
 
-    /// The organisation `cert` is enrolled under, `None` for an unknown
-    /// certificate or one whose contents differ from the enrolled one.
-    pub fn org_of(&self, cert: CertRef<'_>) -> Option<&MspId> {
-        let (enrolled, _) = self.certs.get(&cert.id)?;
-        (enrolled.borrowed() == cert).then_some(&enrolled.org)
-    }
-
     /// All organisations that have enrolled at least one identity,
     /// in enrolment order.
     pub fn orgs(&self) -> &[MspId] {

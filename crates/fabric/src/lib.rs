@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 mod action;
-mod caches;
 mod catchup;
 mod chaincode;
 mod committer;
@@ -41,7 +40,6 @@ mod policy;
 mod raft;
 
 pub use action::{Action, Outbound, SpanKey};
-pub use caches::{ReadCache, SigVerifyCache};
 pub use catchup::{Action as CatchUpAction, CatchUp, CATCHUP_ESCALATE_AFTER, CATCHUP_GIVE_UP};
 pub use chaincode::{
     Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, StubStats, COMPOSITE_SEP,
@@ -63,9 +61,7 @@ pub use messages::{
 };
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
 pub use ordering::{Action as OrderingAction, OrderingNode};
-pub use peer::{
-    Action as PeerAction, ChannelView, CommitPipeline, Own as PeerOwn, Peer, SnapshotPolicy,
-};
+pub use peer::{Action as PeerAction, ChannelView, Own as PeerOwn, Peer, SnapshotPolicy};
 pub use perform::{Host, Io, Machine, Node, QueueConfig};
 pub use policy::EndorsementPolicy;
 pub use raft::{LogEntry, PeerIdx, RaftConfig, RaftMsg, RaftNode, RaftOutput, Role};

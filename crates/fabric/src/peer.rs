@@ -22,7 +22,6 @@ use std::sync::Arc;
 use hyperprov_ledger::{Block, ChannelId, Digest, Snapshot, DEFAULT_CHUNK_ENTRIES};
 use hyperprov_sim::{fnv1a, ActorId, SimDuration};
 
-use crate::caches::{ReadCache, SigVerifyCache};
 use crate::catchup::{self, CatchUp};
 use crate::chaincode::ChaincodeRegistry;
 use crate::committer::Committer;
@@ -32,31 +31,6 @@ use crate::identity::{CertId, SigningIdentity};
 use crate::messages::{
     tx_trace, CommitEvent, FabricMsg, ProposalResponse, SignedProposal, BUSY_REASON,
 };
-
-/// Configuration of a peer's FastFabric-style commit path: how many CPU
-/// lanes the parallel VSCC phase may spread across, and whether the
-/// verification caches are on. Every peer commits through the same
-/// VSCC-then-apply path; the default (one lane, no caches) is its
-/// degenerate case, charged as two CPU jobs per block on one lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitPipeline {
-    /// CPU lanes available to the parallel VSCC phase (deployment clamps
-    /// this to the device's core count).
-    pub lanes: usize,
-    /// Memoise successful endorsement-signature verifications across
-    /// blocks, and keep an endorser-side hot-state read cache,
-    /// invalidated at commit for every written key.
-    pub caches: bool,
-}
-
-impl Default for CommitPipeline {
-    fn default() -> Self {
-        CommitPipeline {
-            lanes: 1,
-            caches: false,
-        }
-    }
-}
 
 /// Peer-side snapshot policy: cut a Merkle-rooted state snapshot every
 /// `interval` blocks and prune the block store behind it. Snapshots are
@@ -120,14 +94,12 @@ fn defer(cost: SimDuration, to: ActorId, msg: FabricMsg) -> Action {
 }
 
 /// A hosted channel: its ledger, the durable latest checkpoint, and what a
-/// crash loses — the reorder buffer, the read cache, the catch-up state.
+/// crash loses — the reorder buffer and the catch-up state.
 struct Channel {
     id: ChannelId,
     committer: Rc<RefCell<Committer>>,
     /// Blocks that arrived ahead of the next expected height.
     buffer: BTreeMap<u64, Arc<Block>>,
-    /// Hot-state read cache for endorsement, when the pipeline enables it.
-    read_cache: Option<ReadCache>,
     /// Latest cut or fetched snapshot. Models durable checkpoint storage,
     /// so — like the block store — it survives crashes.
     checkpoint: Option<Checkpoint>,
@@ -188,8 +160,6 @@ impl Checkpoint {
 pub struct ChannelView {
     /// Numbers of the blocks in the reorder buffer, ascending.
     pub buffered: Vec<u64>,
-    /// Entries in the channel's read cache and the peer's signature cache.
-    pub cached: usize,
     /// Height of the latest snapshot.
     pub snapshot_height: Option<u64>,
     /// Whether that snapshot's content is held in memory: a fetched one
@@ -215,9 +185,6 @@ pub struct Peer {
     /// Commit-event subscriptions: creator certificate -> client. Ordered,
     /// so the fan-out of an addressee-less event is deterministic.
     subscribers: BTreeMap<CertId, ActorId>,
-    pipeline: CommitPipeline,
-    /// Signature-verification memo, shared across the channels.
-    sig_cache: Option<SigVerifyCache>,
     /// `None` (the default) disables snapshots, pruning and
     /// snapshot-based recovery entirely.
     snapshots: Option<SnapshotPolicy>,
@@ -239,8 +206,6 @@ impl Peer {
             channels: Vec::new(),
             by_id: BTreeMap::new(),
             subscribers: BTreeMap::new(),
-            pipeline: CommitPipeline::default(),
-            sig_cache: None,
             snapshots: None,
         }
     }
@@ -256,7 +221,6 @@ impl Peer {
             id,
             committer,
             buffer: BTreeMap::new(),
-            read_cache: self.pipeline.caches.then(ReadCache::new),
             checkpoint: None,
         });
     }
@@ -274,16 +238,6 @@ impl Peer {
         }
     }
 
-    /// Configures the commit path (VSCC lanes + caches), on every channel
-    /// hosted so far or later.
-    pub fn set_pipeline(&mut self, pipeline: CommitPipeline) {
-        self.pipeline = pipeline;
-        self.sig_cache = pipeline.caches.then(SigVerifyCache::new);
-        for ch in &mut self.channels {
-            ch.read_cache = pipeline.caches.then(ReadCache::new);
-        }
-    }
-
     /// Subscribes a client to the commit events of the transactions it
     /// submits under `cert`, at every peer it may ask to endorse; which of
     /// them reports which transaction is the machine's rule.
@@ -294,10 +248,8 @@ impl Peer {
     /// A hosted channel's state, for tests.
     pub fn view(&self, channel: &ChannelId) -> Option<ChannelView> {
         let ch = &self.channels[self.hosted(channel)?];
-        let read_cached = ch.read_cache.as_ref().map_or(0, ReadCache::len);
         Some(ChannelView {
             buffered: ch.buffer.keys().copied().collect(),
-            cached: read_cached + self.sig_cache.as_ref().map_or(0, SigVerifyCache::len),
             snapshot_height: ch.checkpoint.as_ref().map(Checkpoint::height),
             snapshot_resident: ch.checkpoint.as_ref().is_some_and(Checkpoint::resident),
             current: ch.catchup.is_current(),
@@ -347,7 +299,7 @@ impl Peer {
         let Some(i) = self.hosted(channel) else {
             return vec![self.reject(src, &sp, format!("channel {channel} not hosted"))];
         };
-        let ch = &mut self.channels[i];
+        let ch = &self.channels[i];
         let committer = ch.committer.borrow();
         let (response, stats) = endorse(
             &self.identity,
@@ -358,36 +310,16 @@ impl Peer {
             &sp,
         );
         drop(committer);
-        let mut cost = self.costs.endorse_cost(&sp.proposal, &stats);
-        // Hot-state read cache: reads served from cache cost a cache hit
-        // instead of a full state operation. The chaincode still ran against
-        // the authoritative state above, so only the charged time changes.
-        let (mut hits, mut misses) = (0u64, 0u64);
-        if let Some(cache) = ch.read_cache.as_mut() {
-            for read in &response.rwset.reads {
-                if cache.touch(&read.key) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(2 + usize::from(hits > 0) + usize::from(misses > 0));
-        let count = |name, n| Action::Count(Some(ch.id.clone()), name, n);
-        if hits > 0 {
-            cost = cost - (self.costs.state_op - self.costs.cache_hit_op) * hits;
-            out.push(count("readcache.hits", hits));
-        }
-        if misses > 0 {
-            out.push(count("readcache.misses", misses));
-        }
-        out.push(count("endorsed", 1));
+        let cost = self.costs.endorse_cost(&sp.proposal, &stats);
+        let endorsed = Action::Count(Some(ch.id.clone()), "endorsed", 1);
         // Chaincode simulation + signing, as a span on the tx id `endorse`
         // already computed.
         let span = (tx_trace(&response.tx_id), "endorse.exec");
         let result = FabricMsg::ProposalResult(response);
-        out.push(Action::Own(Own::DeferRequest(cost, span, src, result)));
-        out
+        vec![
+            endorsed,
+            Action::Own(Own::DeferRequest(cost, span, src, result)),
+        ]
     }
 
     /// An immediate rejection carrying `reason`.
@@ -440,30 +372,18 @@ impl Peer {
     /// per-envelope costs for the CPU lanes, the serial MVCC + apply phase
     /// as one. Answers whether the block extended the chain.
     fn commit(&mut self, i: usize, block: Arc<Block>, out: &mut Vec<Action>) -> bool {
-        let (ch, sig_cache) = (&mut self.channels[i], self.sig_cache.as_mut());
+        let ch = &mut self.channels[i];
         let name = &self.name;
         let trace = ch.id.trace_name(&format!("block-{}", block.header.number));
         out.push(Action::SpanStart(trace.clone(), "validate", name.clone()));
-        let verdicts = ch.committer.borrow().vscc_block(&block, sig_cache);
+        let verdicts = ch.committer.borrow().vscc_block(&block);
         let mut vscc = Vec::with_capacity(verdicts.len());
         let mut serial = self.costs.block_cost(block.wire_size());
-        let (mut sig_hits, mut sig_misses) = (0u64, 0u64);
         for verdict in &verdicts {
-            let (hits, misses) = (verdict.sig_hits as u64, verdict.sig_misses as u64);
-            sig_hits += hits;
-            sig_misses += misses;
             if let Some(spans) = &verdict.spans {
-                vscc.push(self.costs.vscc_cost(misses, hits));
+                vscc.push(self.costs.vscc_cost(u64::from(verdict.signatures)));
                 serial +=
                     self.costs.mvcc_cost() + self.costs.apply_cost(spans.write_bytes, spans.writes);
-            }
-        }
-        if self.sig_cache.is_some() {
-            if sig_hits > 0 {
-                out.push(Action::Count(None, "sigcache.hits", sig_hits));
-            }
-            if sig_misses > 0 {
-                out.push(Action::Count(None, "sigcache.misses", sig_misses));
             }
         }
         // The orderer's retained tail and the other peers' deliveries
@@ -495,15 +415,6 @@ impl Peer {
         if outcome.dangling_parents > 0 {
             out.push(count("dangling_parent", outcome.dangling_parents));
             out.push(Action::Note(trace.clone(), "dangling_parent", name.clone()));
-        }
-        // Every committed write invalidates its read-cache entry: the
-        // cached version is no longer the latest.
-        if let Some(cache) = ch.read_cache.as_mut() {
-            let stale = outcome.written_keys.iter();
-            let invalidated = stale.filter(|key| cache.invalidate(key)).count() as u64;
-            if invalidated > 0 {
-                out.push(count("readcache.invalidations", invalidated));
-            }
         }
         let events = self.commit_events(outcome.events);
         out.push(Action::Own(Own::Committed {

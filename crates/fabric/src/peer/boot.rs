@@ -6,7 +6,6 @@ use hyperprov_ledger::Snapshot;
 use hyperprov_sim::SimDuration;
 
 use super::{Action, Checkpoint, Peer};
-use crate::caches::{ReadCache, SigVerifyCache};
 
 impl Peer {
     /// Rebuilds channel `i`'s ledger and swaps it in: from `snapshot` plus
@@ -80,22 +79,18 @@ impl Peer {
     }
 
     /// Crash restart. What is volatile is gone: buffered out-of-order
-    /// blocks, the verification caches, the catch-up waits, a cut's
-    /// materialized content. Every hosted ledger is rebuilt from what the
-    /// peer models as durable — the latest checkpoint plus the block store,
-    /// or the block store alone — and each channel's machine asks for
-    /// whatever was cut meanwhile. A cut is materialized from the ledger it
-    /// is about to replace, which holds all it covers, and dropped once the
-    /// rebuild has read it.
+    /// blocks, the catch-up waits, a cut's materialized content. Every
+    /// hosted ledger is rebuilt from what the peer models as durable — the
+    /// latest checkpoint plus the block store, or the block store alone —
+    /// and each channel's machine asks for whatever was cut meanwhile. A
+    /// cut is materialized from the ledger it is about to replace, which
+    /// holds all it covers, and dropped once the rebuild has read it.
     pub fn restarted(&mut self) -> Vec<Action> {
-        self.sig_cache = self.pipeline.caches.then(SigVerifyCache::new);
         let mut out = Vec::new();
         let (mut cost, mut replayed, mut boots) = (SimDuration::ZERO, 0u64, 0u64);
         let order: Vec<usize> = self.by_id.values().copied().collect();
         for &i in &order {
-            let ch = &mut self.channels[i];
-            ch.buffer.clear();
-            ch.read_cache = self.pipeline.caches.then(ReadCache::new);
+            self.channels[i].buffer.clear();
             let ch = &self.channels[i];
             let latest = ch.checkpoint.as_ref().map(|c| c.snapshot(&ch.committer));
             let from_snapshot = latest.and_then(|s| self.rebuild(i, Some(s), &mut out));

@@ -15,9 +15,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelView, CommitPipeline,
-    Committer, CostModel, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal,
-    SignedProposal, SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
+    Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelView, Committer, CostModel,
+    FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal, SignedProposal,
+    SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, Encode, RawEnvelope, TxId, ValidationCode, DEFAULT_CHANNEL,
@@ -70,7 +70,6 @@ fn read_proposal(client: &SigningIdentity, channel: &str, key: &str, nonce: u64)
 fn peer_on(
     identity: &SigningIdentity,
     ledger: Committer,
-    pipeline: CommitPipeline,
     snapshots: Option<u64>,
     target: Option<ActorId>,
 ) -> (Peer, Rc<RefCell<Committer>>) {
@@ -78,7 +77,6 @@ fn peer_on(
     registry.install(Arc::new(ReadCc));
     let name = "peer0".to_owned();
     let mut peer = Peer::new(identity.clone(), registry, CostModel::default(), name);
-    peer.set_pipeline(pipeline);
     if let Some(interval) = snapshots {
         peer.set_snapshots(SnapshotPolicy::every(interval));
     }
@@ -157,11 +155,6 @@ fn ledger_digests(ledger: &RefCell<Committer>) -> (u64, Digest, Digest) {
 mod transitions {
     use super::*;
 
-    const CACHES: CommitPipeline = CommitPipeline {
-        lanes: 2,
-        caches: true,
-    };
-
     /// One client, one peer, and a chain of `blocks` two-post blocks.
     fn fixture(blocks: u64) -> (SigningIdentity, SigningIdentity, Vec<Block>, Committer) {
         let (client, endorser, new_committer) = support::new_committers();
@@ -172,7 +165,7 @@ mod transitions {
     #[test]
     fn a_block_in_order_commits_and_tells_the_subscribed_creator() {
         let (client, endorser, chain, empty) = fixture(2);
-        let (mut peer, ledger) = peer_on(&endorser, empty, CommitPipeline::default(), None, None);
+        let (mut peer, ledger) = peer_on(&endorser, empty, None, None);
         peer.subscribe(client_actor(0), client.certificate().id);
         let told = [
             "[validate block-0",
@@ -204,7 +197,7 @@ mod transitions {
     #[test]
     fn a_block_ahead_is_buffered_and_asked_for_once_then_drains_in_order() {
         let (_, endorser, chain, empty) = fixture(3);
-        let (mut peer, ledger) = peer_on(&endorser, empty, CommitPipeline::default(), None, None);
+        let (mut peer, ledger) = peer_on(&endorser, empty, None, None);
         let asked = [
             "+ch.catchup_requests=1",
             "blocks@0->90",
@@ -243,8 +236,7 @@ mod transitions {
         }
         // A cut is due (height 2, none yet, one every 2 blocks) the moment
         // anything commits.
-        let (mut peer, ledger) =
-            peer_on(&endorser, ledger, CommitPipeline::default(), Some(2), None);
+        let (mut peer, ledger) = peer_on(&endorser, ledger, Some(2), None);
         let before = ledger_digests(&ledger);
         let stray = Block::build(2, Digest::of(b"elsewhere"), chain[2].envelopes.to_vec());
         let rejected = [
@@ -275,7 +267,7 @@ mod transitions {
     #[test]
     fn a_peer_that_cannot_link_keeps_every_later_block() {
         let (_, endorser, chain, empty) = fixture(200);
-        let (mut peer, ledger) = peer_on(&endorser, empty, CommitPipeline::default(), None, None);
+        let (mut peer, ledger) = peer_on(&endorser, empty, None, None);
         for block in &chain[1..] {
             deliver(&mut peer, block);
         }
@@ -288,33 +280,21 @@ mod transitions {
     #[test]
     fn a_proposal_is_endorsed_shed_or_refused() {
         let (client, endorser, _, empty) = fixture(0);
-        let (mut peer, ledger) = peer_on(&endorser, empty, CACHES, None, None);
+        let (mut peer, ledger) = peer_on(&endorser, empty, None, None);
         let before = ledger_digests(&ledger);
         let propose = |peer: &mut Peer, sp, admitted| {
             peer.message(client_actor(0), FabricMsg::SubmitProposal(sp), admitted)
         };
         let ask = |nonce| read_proposal(&client, DEFAULT_CHANNEL, "k", nonce);
-        let cost = |actions: &[Action]| match actions.last() {
-            Some(Action::Own(Own::DeferRequest(cost, (trace, _), ..))) => (*cost, trace.clone()),
+        let trace = |actions: &[Action]| match actions.last() {
+            Some(Action::Own(Own::DeferRequest(_, (trace, _), ..))) => trace.clone(),
             _ => panic!("{:?}", show(actions)),
         };
 
         let first = propose(&mut peer, ask(1), true);
-        let miss = [
-            "+ch.readcache.misses=1",
-            "+ch.endorsed=1",
-            "request[endorse.exec]:endorsed->100",
-        ];
-        assert_eq!(show(&first), miss);
-        assert_eq!(cost(&first).1, ask(1).proposal.tx_id().0.to_hex());
-        // The same key again is a cache hit: the same work, charged less.
-        let second = propose(&mut peer, ask(2), true);
-        assert_eq!(show(&second)[0], "+ch.readcache.hits=1");
-        let costs = CostModel::default();
-        assert_eq!(
-            cost(&first).0 - cost(&second).0,
-            costs.state_op - costs.cache_hit_op
-        );
+        let endorsed = ["+ch.endorsed=1", "request[endorse.exec]:endorsed->100"];
+        assert_eq!(show(&first), endorsed);
+        assert_eq!(trace(&first), ask(1).proposal.tx_id().0.to_hex());
 
         // Shed at admission: one immediate refusal, no ledger touched.
         let shed = show(&propose(&mut peer, ask(3), false));
@@ -332,7 +312,6 @@ mod transitions {
             ["refused(channel another-channel not hosted)->100"]
         );
         assert_eq!(ledger_digests(&ledger), before);
-        assert_eq!(peer.view(&channel()).unwrap().cached, 1);
     }
 
     /// A restart with `prepare` done to the peer's six-block ledger first.
@@ -342,13 +321,7 @@ mod transitions {
     ) -> (Vec<String>, u64) {
         let (client, endorser, new_committer) = support::new_committers();
         let chain = support::extend_chain(&mut new_committer(), &client, &endorser, 6, 1);
-        let (mut peer, ledger) = peer_on(
-            &endorser,
-            new_committer(),
-            CommitPipeline::default(),
-            snapshots,
-            None,
-        );
+        let (mut peer, ledger) = peer_on(&endorser, new_committer(), snapshots, None);
         for block in &chain {
             deliver(&mut peer, block);
         }
@@ -388,8 +361,7 @@ mod transitions {
     #[test]
     fn a_restart_boots_from_the_cut_and_keeps_none_of_its_content() {
         let (_, endorser, chain, empty) = fixture(6);
-        let (mut peer, ledger) =
-            peer_on(&endorser, empty, CommitPipeline::default(), Some(4), None);
+        let (mut peer, ledger) = peer_on(&endorser, empty, Some(4), None);
         for block in &chain {
             deliver(&mut peer, block);
         }
@@ -465,21 +437,14 @@ mod transitions {
     fn a_joiner_boots_from_a_provider_and_commits_what_it_buffered() {
         let (_, endorser, chain, empty) = fixture(8);
         let (provider_id, joiner_id) = (ActorId(1), ActorId(2));
-        let (mut provider, served) =
-            peer_on(&endorser, empty, CommitPipeline::default(), Some(3), None);
+        let (mut provider, served) = peer_on(&endorser, empty, Some(3), None);
         for block in &chain {
             deliver(&mut provider, block);
         }
         assert_eq!(provider.view(&channel()).unwrap().snapshot_height, Some(6));
 
         let (_, _, _, empty) = fixture(0);
-        let (mut joiner, ledger) = peer_on(
-            &endorser,
-            empty,
-            CommitPipeline::default(),
-            Some(3),
-            Some(ORDERER),
-        );
+        let (mut joiner, ledger) = peer_on(&endorser, empty, Some(3), Some(ORDERER));
         joiner.set_providers(&channel(), vec![provider_id]);
         for number in [2, 6, 7] {
             deliver(&mut joiner, &chain[number]);
@@ -511,19 +476,12 @@ mod transitions {
     fn a_joiner_already_past_the_snapshot_it_downloaded_keeps_its_ledger() {
         let (_, endorser, chain, empty) = fixture(8);
         let (provider_id, joiner_id) = (ActorId(1), ActorId(2));
-        let (mut provider, served) =
-            peer_on(&endorser, empty, CommitPipeline::default(), Some(3), None);
+        let (mut provider, served) = peer_on(&endorser, empty, Some(3), None);
         for block in &chain {
             deliver(&mut provider, block);
         }
         let (_, _, _, empty) = fixture(0);
-        let (mut joiner, ledger) = peer_on(
-            &endorser,
-            empty,
-            CommitPipeline::default(),
-            None,
-            Some(ORDERER),
-        );
+        let (mut joiner, ledger) = peer_on(&endorser, empty, None, Some(ORDERER));
         joiner.set_providers(&channel(), vec![provider_id]);
         let mut s = Sched::new([(provider_id, provider), (joiner_id, joiner)], Rng::new(0));
         let join = FabricMsg::JoinChannel { channel: channel() };
@@ -708,11 +666,9 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     let mut machines = Vec::new();
     let mut replicas = Vec::new();
     for (p, identity) in peers.iter().enumerate() {
-        let caches = rng.chance(50);
-        let pipeline = CommitPipeline { lanes: 2, caches };
         let interval = rng.chance(60).then(|| 2 + rng.below(4));
         let target = rng.chance(80).then_some(ORDERER);
-        let (mut peer, ledger) = peer_on(identity, new_committer(), pipeline, interval, target);
+        let (mut peer, ledger) = peer_on(identity, new_committer(), interval, target);
         for (c, client) in clients.iter().enumerate() {
             peer.subscribe(client_actor(c), client.certificate().id);
         }
@@ -794,8 +750,8 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
                     // A restart keeps what is durable and nothing else.
                     let before = ledger_digests(&m.replicas[i].ledger);
                     let view = m.view(i);
-                    let volatile = view.buffered.len() + view.cached;
-                    coverage.restarts_with_something_to_lose += u64::from(volatile > 0);
+                    coverage.restarts_with_something_to_lose +=
+                        u64::from(!view.buffered.is_empty());
                     let actions = show(&m.input(i, |s| s.restart(i)));
                     assert!(actions.contains(&"+recoveries=1".to_owned()));
                     let booted = actions.contains(&"+ch.snapshot_boots=1".to_owned());
@@ -804,7 +760,6 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
                     assert_eq!(ledger_digests(&m.replicas[i].ledger), before);
                     let after = m.view(i);
                     assert!(after.buffered.is_empty());
-                    assert_eq!(after.cached, 0);
                     assert_eq!(after.snapshot_height, view.snapshot_height);
                     // Every checkpoint here is a cut (nothing is fetched):
                     // its content does not outlive the boot.

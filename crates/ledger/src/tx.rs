@@ -87,10 +87,9 @@ impl Decode for Version {
 
 /// A namespaced state key: `(chaincode namespace, key)`.
 ///
-/// Both halves are shared strings, so the world state, its history and a
-/// commit's written-key list hold no copy of a key between them — a key a
-/// committer read out of an envelope is two ranges of the envelope's
-/// bytes — and cloning a `StateKey` bumps two refcounts. It compares,
+/// Both halves are shared strings, so the world state and its history
+/// hold no copy of a key between them — a key a committer read out of an
+/// envelope is two ranges of the envelope's bytes — and cloning a `StateKey` bumps two refcounts. It compares,
 /// orders, hashes and encodes exactly like the `(String, String)` pair it
 /// stands for.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
