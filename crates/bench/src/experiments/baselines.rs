@@ -49,6 +49,7 @@ pub fn baseline_comparison(quick: bool) -> Vec<Artefact> {
             ("latency_p50_ms", "latency p50 (ms)", Fmt::Fixed(0, "")),
             ("chain_bytes_per_tx", "chain bytes/tx", Fmt::Bytes),
             ("energy_per_tx_j", "energy/tx (J)", Fmt::Fixed(2, "")),
+            ("unfinished", "unfinished", Fmt::Plain),
         ],
     );
 
@@ -62,6 +63,7 @@ pub fn baseline_comparison(quick: bool) -> Vec<Artefact> {
                 summary.latency_ms(0.5),
                 chain_bytes.checked_div(summary.ok).unwrap_or(0),
                 energy,
+                summary.unfinished,
             ]);
         }
 
@@ -76,6 +78,8 @@ pub fn baseline_comparison(quick: bool) -> Vec<Artefact> {
             // Three orders of magnitude above the permissioned rows:
             // whole joules.
             Cell::Shown(energy, Fmt::Fixed(0, "")),
+            // Not a driver run: nothing to account for.
+            None::<f64>,
         ]);
     }
     vec![Artefact::table(table, "table_baselines")]
@@ -126,7 +130,7 @@ fn run_fabric(clients: usize, size: usize, ops: u64, on_chain: bool) -> (Summary
             }
         },
     );
-    let summary = Summary::of(&result.completions, result.span);
+    let summary = Summary::of(&result);
     let chain_bytes = net.ledgers[0]
         .borrow()
         .store()
@@ -144,7 +148,7 @@ fn run_fabric(clients: usize, size: usize, ops: u64, on_chain: bool) -> (Summary
         .chain([net.orderers[0]])
         .chain(storage)
         .chain(net.clients.iter().copied());
-    let energy = energy_per_tx(&net, actors, &summary, result.span);
+    let energy = energy_per_tx(&net, actors, &summary, result.window);
     (summary, chain_bytes, energy)
 }
 
@@ -154,12 +158,12 @@ fn energy_per_tx(
     net: &HyperProvNetwork,
     actors: impl Iterator<Item = ActorId>,
     summary: &Summary,
-    span: SimDuration,
+    (from, to): (SimTime, SimTime),
 ) -> f64 {
     let meter = PowerMeter::new(EnergyModel::desktop(), SimDuration::from_secs(1));
-    let (from, to) = (SimTime::ZERO, SimTime::ZERO + span);
+    let secs = to.saturating_duration_since(from).as_secs_f64();
     let joules: f64 = actors
-        .map(|id| meter.average_watts(net.sim.cpu(id), from, to, true) * span.as_secs_f64())
+        .map(|id| meter.average_watts(net.sim.cpu(id), from, to, true) * secs)
         .sum();
     if summary.ok > 0 {
         joules / summary.ok as f64

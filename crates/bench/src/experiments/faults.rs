@@ -9,7 +9,7 @@
 //! ≥90 % of its pre-fault mean, and the client-side retry/timeout
 //! economics. Clients run with per-op deadlines and the deterministic
 //! jittered-backoff [`RetryPolicy`], so every operation terminates — the
-//! hung-client column must read zero.
+//! unfinished column must read zero.
 
 use hyperprov::{HyperProvNetwork, NetworkConfig, RetryPolicy};
 use hyperprov_fabric::BatchConfig;
@@ -20,7 +20,7 @@ use hyperprov_sim::{
 use super::Platform;
 use crate::report::{push_slo_verdicts, slo_verdict_table, MetricsExporter};
 use crate::row;
-use crate::runner::{run_closed_loop, Artefact, RunResult, Until};
+use crate::runner::{run_closed_loop, Artefact, RunResult, Summary, Until};
 use crate::table::{Fmt, Table};
 use crate::workload::{payload, store_cmd};
 
@@ -184,9 +184,7 @@ fn build_plan(
 
 /// Statistics of one campaign run.
 struct RunStats {
-    ok: u64,
-    err: u64,
-    hung: u64,
+    summary: Summary,
     timeouts: u64,
     retries: u64,
     exhausted: u64,
@@ -242,38 +240,29 @@ fn run_scenario(
         },
     );
 
-    // Per-second goodput buckets over [t0, t0 + duration + grace).
-    let n_buckets = (params.duration + params.grace)
-        .as_nanos()
-        .div_ceil(1_000_000_000) as usize;
-    let mut buckets = vec![0u64; n_buckets];
-    let mut ok = 0u64;
-    let mut err = 0u64;
+    // Per-second goodput buckets over the window [t0, t0 + duration);
+    // completions landing in the drain count towards `ok`/`err` only.
+    let duration_s = (params.duration.as_nanos() / 1_000_000_000) as usize;
+    let mut buckets = vec![0u64; duration_s];
     for (_, completion) in &result.completions {
         if completion.outcome.is_ok() {
-            ok += 1;
             let idx = (completion.finished.saturating_duration_since(t0).as_nanos() / 1_000_000_000)
                 as usize;
             if let Some(slot) = buckets.get_mut(idx) {
                 *slot += 1;
             }
-        } else {
-            err += 1;
         }
     }
 
     let fault_from_s = (params.fault_from.as_nanos() / 1_000_000_000) as usize;
     let fault_to_s = (params.fault_to.as_nanos() / 1_000_000_000) as usize;
-    let duration_s = (params.duration.as_nanos() / 1_000_000_000) as usize;
     // Skip the first second (closed-loop warm-up) for the pre-fault mean.
     let pre = mean(&buckets[1.min(fault_from_s)..fault_from_s]);
-    let during = mean(&buckets[fault_from_s..fault_to_s.min(buckets.len())]);
-    let recover_idx = (fault_to_s..duration_s.min(buckets.len()))
-        .find(|&s| buckets[s] as f64 >= RECOVERY_FRACTION * pre);
+    let during = mean(&buckets[fault_from_s..fault_to_s]);
+    let recover_idx =
+        (fault_to_s..duration_s).find(|&s| buckets[s] as f64 >= RECOVERY_FRACTION * pre);
     let time_to_recover = recover_idx.map(|s| (s + 1 - fault_to_s) as f64);
-    let post = recover_idx
-        .map(|s| mean(&buckets[s..duration_s.min(buckets.len())]))
-        .unwrap_or(0.0);
+    let post = recover_idx.map_or(0.0, |s| mean(&buckets[s..]));
 
     let run_label = format!("{} {}", platform.name(), scenario.name());
     push_slo_verdicts(verdicts, &run_label, &net.sim);
@@ -282,17 +271,11 @@ fn run_scenario(
     }
     exporter.add_run(&run_label, &net.sim);
 
-    // The timeline reports the injection window only; completions landing
-    // in the drain tail still count towards `ok`/`err`.
-    buckets.truncate(duration_s);
-
     RunStats {
-        ok,
-        err,
+        summary: Summary::of(&result),
         timeouts: net.sim.metrics().counter("client.timeouts"),
         retries: net.sim.metrics().counter("client.retries"),
         exhausted: net.sim.metrics().counter("client.exhausted"),
-        hung: result.issued - result.completions.len() as u64,
         pre_goodput: pre,
         during_goodput: during,
         post_goodput: post,
@@ -337,7 +320,7 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
             ("timeouts", "timeouts", Fmt::Plain),
             ("retries", "retries", Fmt::Plain),
             ("exhausted", "exhausted", Fmt::Plain),
-            ("hung_clients", "hung clients", Fmt::Plain),
+            ("unfinished", "unfinished", Fmt::Plain),
         ],
     );
     let mut timeline = Table::new(
@@ -373,12 +356,12 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
                 stats.during_goodput,
                 stats.post_goodput,
                 stats.time_to_recover,
-                stats.ok,
-                stats.err,
+                stats.summary.ok,
+                stats.summary.err,
                 stats.timeouts,
                 stats.retries,
                 stats.exhausted,
-                stats.hung,
+                stats.summary.unfinished,
             ]);
             for (second, &count) in stats.buckets.iter().enumerate() {
                 timeline.push_row(row![platform.name(), scenario.name(), second, count]);

@@ -110,6 +110,7 @@ pub fn size_sweep(platform: Platform, quick: bool) -> Vec<Artefact> {
             // variation" on the RPi, as one number per size.
             ("resp_std_over_mean", "", Fmt::Plain),
             ("errors", "errors", Fmt::Plain),
+            ("unfinished", "unfinished", Fmt::Plain),
         ],
     );
 
@@ -120,7 +121,7 @@ pub fn size_sweep(platform: Platform, quick: bool) -> Vec<Artefact> {
         let mut lat_means = Vec::new();
         let mut lat_p95s = Vec::new();
         let mut lat_stds = Vec::new();
-        let mut errors = 0u64;
+        let (mut errors, mut unfinished) = (0u64, 0u64);
         for seed in 0..seeds {
             let summary = run_one(
                 platform,
@@ -136,6 +137,7 @@ pub fn size_sweep(platform: Platform, quick: bool) -> Vec<Artefact> {
             lat_p95s.push(summary.latency_ms(0.95));
             lat_stds.push(summary.stddev_latency_ms());
             errors += summary.err;
+            unfinished += summary.unfinished;
         }
         let (resp, resp_std) = (mean(&lat_means), mean(&lat_stds));
         table.push_row(row![
@@ -148,6 +150,7 @@ pub fn size_sweep(platform: Platform, quick: bool) -> Vec<Artefact> {
             resp_std,
             resp_std / resp,
             errors,
+            unfinished,
         ]);
     }
     let breakdown = breakdown_table(
@@ -185,10 +188,12 @@ fn run_one(
         });
     let mut net = HyperProvNetwork::build(&config);
     let mut rng = DetRng::new(seed).fork("payload");
+    // The drain waits for every issued operation: the slowest, an RPi
+    // 16 MiB store, finishes about 33 s after the window.
     let result = run_closed_loop(
         &mut net,
         Until::Elapsed(duration),
-        SimDuration::from_secs(10),
+        SimDuration::from_secs(60),
         move |client, seq| {
             let data = payload(&mut rng, size);
             store_cmd(format!("item-c{client}-s{seq}"), data)
@@ -196,7 +201,7 @@ fn run_one(
     );
     exporter.add_run(&format!("size={size} seed={seed}"), &net.sim);
     merge_stages(stages, &net.sim);
-    Summary::of(&result.completions, result.span)
+    Summary::of(&result)
 }
 
 /// Arithmetic mean.

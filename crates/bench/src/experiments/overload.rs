@@ -104,7 +104,7 @@ pub fn overload_sweep(quick: bool) -> Vec<Artefact> {
                 let data = payload(&mut rng, ITEM_BYTES);
                 store_cmd(format!("item-{i}-c{c}"), data)
             });
-            let summary = Summary::of(&result.completions, result.span);
+            let summary = Summary::of(&result);
 
             let n_peers = net.peers.len();
             let rejected: u64 = (0..n_peers)

@@ -9,14 +9,14 @@
 //! closed-loop `post` load with hot parent keys. Reported per cell:
 //! commit-stage goodput and validate-stage p50/p99.
 
-use hyperprov::{ClientCommand, HyperProvNetwork, OpId, OpOutput, RecordInput};
+use hyperprov::{ClientCommand, HyperProvNetwork, OpId, RecordInput};
 use hyperprov_fabric::BatchConfig;
 use hyperprov_ledger::Digest;
-use hyperprov_sim::{Histogram, SimDuration, SloObjective, SloSpec};
+use hyperprov_sim::{SimDuration, SloObjective, SloSpec};
 
 use crate::report::MetricsExporter;
 use crate::row;
-use crate::runner::{run_closed_loop, Artefact, Until};
+use crate::runner::{run_closed_loop, Artefact, Summary, Until};
 use crate::table::{Fmt, Table};
 
 use super::{op_ms, Platform};
@@ -27,8 +27,7 @@ use super::{op_ms, Platform};
 const HOT_PARENTS: usize = 4;
 
 struct Cell {
-    goodput: f64,
-    errors: u64,
+    summary: Summary,
     validate_p50_ms: f64,
     validate_p99_ms: f64,
 }
@@ -84,18 +83,7 @@ fn run_cell(
         },
     );
 
-    let mut errors = 0u64;
-    let mut commit = Histogram::new();
-    for (_, completion) in &result.completions {
-        match &completion.outcome {
-            Ok(OpOutput::Committed {
-                record: Some(_), ..
-            }) => commit.record(completion.latency().as_nanos()),
-            Ok(_) => {}
-            Err(_) => errors += 1,
-        }
-    }
-    let goodput = commit.count() as f64 / result.span.as_secs_f64();
+    let summary = Summary::of(&result);
     // The "validate" span covers the whole per-block commit (VSCC +
     // MVCC/apply), so its quantiles are comparable across the sweep.
     let validate = net
@@ -110,8 +98,7 @@ fn run_cell(
         &net.sim,
     );
     Cell {
-        goodput,
-        errors,
+        summary,
         validate_p50_ms: validate.quantile(0.50) as f64 / 1e6,
         validate_p99_ms: validate.quantile(0.99) as f64 / 1e6,
     }
@@ -148,6 +135,7 @@ pub fn pipeline_sweep(quick: bool) -> Vec<Artefact> {
             ("commit_p50_ms", "validate p50 (ms)", Fmt::Fixed(2, "")),
             ("commit_p99_ms", "validate p99 (ms)", Fmt::Fixed(2, "")),
             ("errors", "errors", Fmt::Plain),
+            ("unfinished", "unfinished", Fmt::Plain),
         ],
     );
     let mut exporter = MetricsExporter::new("table_commit_pipeline");
@@ -184,20 +172,22 @@ pub fn pipeline_sweep(quick: bool) -> Vec<Artefact> {
                 &slos,
                 &mut exporter,
             );
-            let baseline = *serial_goodput.get_or_insert(cell.goodput);
+            let goodput = cell.summary.throughput;
+            let baseline = *serial_goodput.get_or_insert(goodput);
             let speedup = if baseline > 0.0 {
-                cell.goodput / baseline
+                goodput / baseline
             } else {
                 0.0
             };
             table.push_row(row![
                 platform.name(),
                 lanes,
-                cell.goodput,
+                goodput,
                 speedup,
                 cell.validate_p50_ms,
                 cell.validate_p99_ms,
-                cell.errors,
+                cell.summary.err,
+                cell.summary.unfinished,
             ]);
         }
     }

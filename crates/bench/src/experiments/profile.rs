@@ -97,7 +97,7 @@ pub fn sim_bench(quick: bool) -> Vec<Artefact> {
         }
     }
     let (net, result) = best.expect("HOST_REPEATS >= 1");
-    let summary = Summary::of(&result.completions, result.span);
+    let summary = Summary::of(&result);
 
     let hot = net.sim.hot_counters();
     let events = net.sim.events_processed();
@@ -120,6 +120,7 @@ pub fn sim_bench(quick: bool) -> Vec<Artefact> {
             ("workload", "", Fmt::Plain),
             ("model.ok", "model: completions ok", Fmt::Plain),
             ("model.err", "", Fmt::Plain),
+            ("model.unfinished", "", Fmt::Plain),
             (
                 "model.goodput_tx_s",
                 "model: goodput (tx/s virtual)",
@@ -162,6 +163,7 @@ pub fn sim_bench(quick: bool) -> Vec<Artefact> {
         format!("closed-loop store, {clients} clients, {ITEM_BYTES} B items, {secs}s"),
         summary.ok,
         summary.err,
+        summary.unfinished,
         summary.throughput,
         summary.latency_ms(0.50),
         summary.latency_ms(0.95),

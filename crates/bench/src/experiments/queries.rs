@@ -30,6 +30,7 @@ pub fn batch_sweep(quick: bool) -> Vec<Artefact> {
             ("resp_p50_ms", "resp p50 (ms)", Fmt::Fixed(1, "")),
             ("resp_p95_ms", "resp p95 (ms)", Fmt::Fixed(1, "")),
             ("blocks_cut", "blocks cut", Fmt::Plain),
+            ("unfinished", "unfinished", Fmt::Plain),
         ],
     );
     for &batch in &batch_sizes {
@@ -51,13 +52,14 @@ pub fn batch_sweep(quick: bool) -> Vec<Artefact> {
                 post_cmd(format!("b{client}-{seq}"), &body)
             },
         );
-        let summary = Summary::of(&result.completions, result.span);
+        let summary = Summary::of(&result);
         table.push_row(row![
             batch,
             summary.throughput,
             summary.latency_ms(0.5),
             summary.latency_ms(0.95),
             net.sim.metrics().counter("orderer.blocks_cut"),
+            summary.unfinished,
         ]);
     }
     vec![Artefact::table(table, "table_batch_sweep")]
@@ -105,18 +107,13 @@ pub fn query_latency(quick: bool) -> Vec<Artefact> {
     }
     let total = ops.len() as u64;
     let mut ops_iter = ops.into_iter();
-    let preload_result = run_closed_loop(
+    let loaded = run_closed_loop(
         &mut net,
         Until::Ops(total),
         SimDuration::from_secs(30),
         move |_c, _s| ops_iter.next().expect("preload exhausted"),
     );
-    let preload_ok = preload_result
-        .completions
-        .iter()
-        .filter(|(_, c)| c.outcome.is_ok())
-        .count() as u64;
-    assert_eq!(preload_ok, total, "preload had failures");
+    assert_eq!(Summary::of(&loaded).ok, total, "preload had failures");
 
     let mut table = Table::new(
         "T-QUERY: query latency by operator (desktop, pre-loaded ledger)",
@@ -178,7 +175,7 @@ pub fn query_latency(quick: bool) -> Vec<Artefact> {
         let result = run_open_loop(&mut net, &arrivals, SimDuration::from_secs(5), |_, i| {
             factory(i)
         });
-        let summary = Summary::of(&result.completions, result.span);
+        let summary = Summary::of(&result);
         assert_eq!(
             summary.err, 0,
             "{name}: unexpected query failures ({} ok)",

@@ -71,14 +71,7 @@ pub fn scale_campaign(quick: bool) -> Vec<Artefact> {
             post_cmd(key, &checksum)
         },
     );
-    // Goodput over the full window from first arrival to quiescence —
-    // the sustained rate the modelled system absorbed, not the injection
-    // rate.
-    let total_span = net
-        .sim
-        .now()
-        .saturating_duration_since(hyperprov_sim::SimTime::ZERO);
-    let summary = Summary::of(&result.completions, total_span);
+    let summary = Summary::of(&result);
 
     let hot = net.sim.hot_counters();
     let events = net.sim.events_processed();
@@ -139,7 +132,7 @@ pub fn scale_campaign(quick: bool) -> Vec<Artefact> {
         result.issued,
         summary.ok,
         summary.err,
-        result.issued - result.completions.len() as u64,
+        summary.unfinished,
         total_ops,
         summary.throughput,
         summary.latency_ms(0.50),

@@ -17,7 +17,7 @@ use hyperprov_sim::{Histogram, SimDuration};
 
 use crate::report::MetricsExporter;
 use crate::row;
-use crate::runner::{run_closed_loop, Artefact, Until};
+use crate::runner::{run_closed_loop, Artefact, Summary, Until};
 use crate::table::{Fmt, Table};
 use crate::workload::post_cmd;
 
@@ -44,9 +44,7 @@ pub(super) fn shard_specs(channels: usize, n_peers: usize) -> Vec<ChannelSpec> {
 }
 
 struct Cell {
-    goodput: f64,
-    errors: u64,
-    commit_mean_ms: f64,
+    summary: Summary,
     per_channel_ms: Vec<f64>,
     lineage_ms: f64,
     list_ms: f64,
@@ -86,24 +84,18 @@ fn run_cell(
         |client, seq| post_cmd(format!("item-c{client}-s{seq}"), b"shard-bench"),
     );
 
-    let mut errors = 0u64;
-    let mut commit = Histogram::new();
+    let summary = Summary::of(&result);
     let mut per_channel: Vec<Histogram> = (0..channels).map(|_| Histogram::new()).collect();
     for (_, completion) in &result.completions {
-        match &completion.outcome {
-            Ok(OpOutput::Committed {
-                record: Some(record),
-                ..
-            }) => {
-                let nanos = completion.latency().as_nanos();
-                commit.record(nanos);
-                per_channel[HashRouter.route(&record.key, channels)].record(nanos);
-            }
-            Ok(_) => {}
-            Err(_) => errors += 1,
+        if let Ok(OpOutput::Committed {
+            record: Some(record),
+            ..
+        }) = &completion.outcome
+        {
+            let nanos = completion.latency().as_nanos();
+            per_channel[HashRouter.route(&record.key, channels)].record(nanos);
         }
     }
-    let goodput = commit.count() as f64 / result.span.as_secs_f64();
 
     // Query phase. First lay down a lineage chain deep enough to hop
     // between shards a few times, one link at a time (children must see
@@ -152,9 +144,7 @@ fn run_cell(
         &net.sim,
     );
     Cell {
-        goodput,
-        errors,
-        commit_mean_ms: commit.mean() / 1e6,
+        summary,
         per_channel_ms: per_channel.iter().map(|h| h.mean() / 1e6).collect(),
         lineage_ms,
         list_ms,
@@ -196,6 +186,7 @@ pub fn sharding_sweep(quick: bool) -> Vec<Artefact> {
             ("lineage_ms", "lineage (ms)", Fmt::Fixed(2, "")),
             ("list_ms", "list (ms)", Fmt::Fixed(2, "")),
             ("errors", "errors", Fmt::Plain),
+            ("unfinished", "unfinished", Fmt::Plain),
         ],
     );
     let mut exporter = MetricsExporter::new("table_sharding");
@@ -205,8 +196,8 @@ pub fn sharding_sweep(quick: bool) -> Vec<Artefact> {
             table.push_row(row![
                 platform.name(),
                 channels,
-                cell.goodput,
-                cell.commit_mean_ms,
+                cell.summary.throughput,
+                cell.summary.mean_latency_ms(),
                 cell.per_channel_ms
                     .iter()
                     .map(|ms| format!("{ms:.2}"))
@@ -214,7 +205,8 @@ pub fn sharding_sweep(quick: bool) -> Vec<Artefact> {
                     .join("/"),
                 cell.lineage_ms,
                 cell.list_ms,
-                cell.errors,
+                cell.summary.err,
+                cell.summary.unfinished,
             ]);
         }
     }

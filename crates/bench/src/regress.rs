@@ -161,6 +161,8 @@ pub const GATES: &[Gate] = &[
     // Fig 3: "barely consumes any power (2.71 W)", "maximum up to 3.64 W".
     Gate(PAPER, HLF_IDLE, "avg_power_w", Between(2.70, 2.72)),
     Gate(PAPER, SATURATED, "peak_power_w", Between(0.0, 3.64)),
+    // Figs 1-3 account for every operation they issued.
+    Gate(PAPER, &[], "unfinished", Equals(0.0)),
 ];
 
 fn selected(doc: &Value, select: Select) -> Vec<&Value> {
@@ -494,6 +496,23 @@ mod tests {
         assert!(!holds(&[("k", Text("z"))], "v", Equals(1.0)));
         assert!(!holds(&[("k", Text("b"))], "v", Equals(1.0)));
         assert!(!holds(A, "w*", Within(0.01)));
+    }
+
+    #[test]
+    fn an_unfinished_operation_in_a_committed_figure_fails_the_gate() {
+        let body = std::fs::read_to_string(trajectory_path(PAPER)).unwrap();
+        let gate: Vec<Gate> = GATES
+            .iter()
+            .filter(|g| g.2 == "unfinished")
+            .copied()
+            .collect();
+        let rows = evaluate(&gate, &[(PAPER, parse(&body))], &sim(72.0));
+        assert!(all_ok(&rows), "{rows}");
+
+        let lost = body.replacen("\"unfinished\": 0", "\"unfinished\": 1", 1);
+        assert_ne!(lost, body);
+        let rows = evaluate(&gate, &[(PAPER, parse(&lost))], &sim(72.0));
+        assert_eq!(failed(&rows), [0], "{rows}");
     }
 
     /// Every row of the gate reads something in the committed files and

@@ -1,6 +1,6 @@
 //! Workload drivers: closed-loop and open-loop harnesses over a built
-//! network, plus latency/throughput summarisation, and the [`Artefact`]s
-//! a campaign hands back.
+//! network, the one measurement rule every campaign summarises a run by
+//! ([`Summary::of`]), and the [`Artefact`]s a campaign hands back.
 //!
 //! The paper's "custom benchmarking program" corresponds to
 //! [`run_closed_loop`] (clients issue the next operation as soon as the
@@ -183,10 +183,11 @@ pub fn save_trajectories(artefacts: &[Artefact]) -> String {
 pub struct RunResult {
     /// `(client, completion)` pairs in completion order.
     pub completions: Vec<(usize, ClientCompletion)>,
-    /// The measured span (excluding drain).
-    pub span: SimDuration,
-    /// Operations issued; `issued - completions.len()` operations were
-    /// still hanging when the run stopped.
+    /// The measured window: `[start, start + span]` for
+    /// [`Until::Elapsed`], `[start, last completion]` for [`Until::Ops`],
+    /// `[start, last arrival]` for [`run_open_loop`].
+    pub window: (SimTime, SimTime),
+    /// Operations issued ([`Summary::unfinished`] of them never completed).
     pub issued: u64,
 }
 
@@ -225,10 +226,7 @@ pub enum Until {
 /// `grace` (counted from the end of the span, or from the last issue of
 /// an op-bounded run). A run whose queue empties while operations are
 /// still in flight returns: nothing is left that could complete them
-/// (`issued - completions.len()` says how many).
-///
-/// [`RunResult::span`] is the span itself for a time-bounded run, and
-/// first issue to last completion for an op-bounded one.
+/// ([`Summary::unfinished`] says how many).
 pub fn run_closed_loop(
     net: &mut HyperProvNetwork,
     until: Until,
@@ -269,15 +267,13 @@ pub fn run_closed_loop(
             break;
         }
     }
-    let span = match until {
-        Until::Elapsed(span) => span,
-        Until::Ops(_) => completions.last().map_or(SimDuration::ZERO, |(_, last)| {
-            last.finished.saturating_duration_since(start)
-        }),
+    let end = match until {
+        Until::Elapsed(span) => start + span,
+        Until::Ops(_) => completions.last().map_or(start, |(_, last)| last.finished),
     };
     RunResult {
         completions,
-        span,
+        window: (start, end),
         issued,
     }
 }
@@ -323,46 +319,53 @@ pub fn run_open_loop(
     }
     RunResult {
         completions,
-        span: last.saturating_duration_since(start),
+        window: (start, last),
         issued: next_op,
     }
 }
 
-/// Aggregate statistics of a run.
+/// Aggregate statistics of a run, by the one measurement rule every
+/// campaign shares: throughput is the `Ok` completions that finish inside
+/// the run's window divided by its length; `ok` and `err` count every
+/// completion and the latency every `Ok`, drain included; `unfinished` is
+/// what was issued and never completed.
 #[derive(Debug, Clone)]
 pub struct Summary {
-    /// Completed operations (success + failure).
-    pub count: u64,
     /// Successful operations.
     pub ok: u64,
     /// Failed operations (rejections, invalidations, integrity errors).
     pub err: u64,
-    /// Successful operations per second of measured span.
+    /// Issued operations that never completed.
+    pub unfinished: u64,
+    /// Successful operations finished inside the window, per second of it.
     pub throughput: f64,
     /// Latency statistics over successful operations (nanoseconds).
     pub latency: Histogram,
 }
 
 impl Summary {
-    /// Builds a summary from completions over a measured span.
-    pub fn of(completions: &[(usize, ClientCompletion)], span: SimDuration) -> Summary {
+    /// Summarises a run over its window.
+    pub fn of(run: &RunResult) -> Summary {
+        let (from, to) = run.window;
         let mut latency = Histogram::new();
-        let mut ok = 0;
-        let mut err = 0;
-        for (_, completion) in completions {
+        let (mut ok, mut err, mut inside) = (0, 0, 0.0);
+        for (_, completion) in &run.completions {
             if completion.outcome.is_ok() {
                 ok += 1;
+                if completion.finished <= to {
+                    inside += 1.0;
+                }
                 latency.record(completion.latency().as_nanos());
             } else {
                 err += 1;
             }
         }
-        let secs = span.as_secs_f64();
+        let secs = to.saturating_duration_since(from).as_secs_f64();
         Summary {
-            count: ok + err,
             ok,
             err,
-            throughput: if secs > 0.0 { ok as f64 / secs } else { 0.0 },
+            unfinished: run.issued - run.completions.len() as u64,
+            throughput: if secs > 0.0 { inside / secs } else { 0.0 },
             latency,
         }
     }
@@ -405,7 +408,7 @@ mod tests {
             |client, seq| post_cmd(format!("item-c{client}-s{seq}"), b"x"),
         );
         assert_eq!(result.issued, 6);
-        assert_eq!(result.issued - result.completions.len() as u64, 1);
+        assert_eq!(Summary::of(&result).unfinished, 1);
         assert!(result
             .completions
             .iter()
@@ -422,7 +425,7 @@ mod tests {
         let counted = run_closed_loop(&mut net, Until::Ops(7), grace, post);
         assert_eq!((counted.issued, counted.completions.len()), (7, 7));
         let last = counted.completions.last().unwrap().1.finished;
-        assert_eq!(counted.span, last.saturating_duration_since(SimTime::ZERO));
+        assert_eq!(counted.window, (SimTime::ZERO, last));
         // Settled: every peer holds every block.
         let heights: Vec<u64> = net.ledgers.iter().map(|l| l.borrow().height()).collect();
         assert!(heights.iter().all(|h| *h == heights[0]), "{heights:?}");
@@ -430,12 +433,24 @@ mod tests {
         let mut net = HyperProvNetwork::build(&config);
         let span = SimDuration::from_secs(5);
         let timed = run_closed_loop(&mut net, Until::Elapsed(span), grace, post);
-        assert_eq!(timed.span, span);
+        let end = SimTime::ZERO + span;
+        assert_eq!(timed.window, (SimTime::ZERO, end));
         assert_eq!(timed.issued, timed.completions.len() as u64);
-        assert!(timed
+        assert!(timed.completions.iter().all(|(_, c)| c.started < end));
+        // Throughput counts what finished inside the window; the
+        // operations in flight at its end finish in the drain and count
+        // in `ok` only.
+        let summary = Summary::of(&timed);
+        let inside = timed
             .completions
             .iter()
-            .all(|(_, c)| c.started < SimTime::ZERO + span));
+            .filter(|(_, c)| c.outcome.is_ok() && c.finished <= end)
+            .count() as u64;
+        assert_eq!(
+            (summary.throughput * span.as_secs_f64()).round() as u64,
+            inside
+        );
+        assert!(inside < summary.ok, "{inside} of {}", summary.ok);
     }
 
     #[test]

@@ -18,22 +18,15 @@ use crate::record::{GraphSlice, HistoryRecord, LineageEntry, ProvenanceRecord, R
 /// operation before giving up.
 const OP_PATIENCE: SimDuration = SimDuration::from_secs(30);
 
-/// Events [`HyperProvNetwork::run_op`] runs between two looks at the
-/// completion queue. The events of a slice that follow the completion
-/// still run before the call returns, so the value decides at which
-/// virtual instant the *next* operation starts: every committed
-/// `BENCH_*.json` and `results/*` number of the campaigns that issue
-/// operations one at a time was recorded at 64.
-const OP_STEP_EVENTS: u64 = 64;
-
 impl HyperProvNetwork {
     /// Runs one operation to completion: injects `cmd` on client
-    /// `client` and steps the simulation until that operation's
-    /// completion arrives. Returns `None` once 30 s of virtual time
-    /// (`OP_PATIENCE`) have passed without it; an event queue that runs
-    /// dry ends the wait at once (nothing can complete the operation any
-    /// more) with the clock moved to that deadline. Completions of other
-    /// operations found on the client's queue are dropped.
+    /// `client` and steps the simulation one event at a time until that
+    /// operation's completion arrives, returning at that event's instant.
+    /// Returns `None` once 30 s of virtual time (`OP_PATIENCE`) have
+    /// passed without it; an event queue that runs dry ends the wait at
+    /// once (nothing can complete the operation any more) with the clock
+    /// moved to that deadline. Completions of other operations found on
+    /// the client's queue are dropped.
     pub fn run_op(&mut self, client: usize, cmd: ClientCommand) -> Option<ClientCompletion> {
         let op = cmd.op();
         self.sim
@@ -50,7 +43,7 @@ impl HyperProvNetwork {
             if self.sim.now() >= deadline {
                 return None;
             }
-            if self.sim.run_events(OP_STEP_EVENTS) == 0 {
+            if !self.sim.step() {
                 // Nothing is left that could complete the operation: the
                 // wait is over, only the clock still has to say so.
                 self.sim.run_until(deadline);
@@ -434,5 +427,21 @@ mod tests {
         let before = hp.now();
         assert_eq!(hp.get("item"), Err(HyperProvError::Timeout));
         assert_eq!(hp.now() - before, hyperprov_sim::SimDuration::from_secs(30));
+    }
+
+    /// The call returns at its completion's instant, not after a slice of
+    /// events that follow it: when the next call starts is the model's
+    /// business only.
+    #[test]
+    fn an_operation_returns_at_its_completion() {
+        let mut net = HyperProvNetwork::build(&NetworkConfig::desktop(1));
+        let cmd = ClientCommand::Post {
+            key: "item".into(),
+            input: RecordInput::new(Digest::of(b"x")),
+            op: OpId(1),
+        };
+        let completion = net.run_op(0, cmd).expect("healthy network");
+        assert!(completion.outcome.is_ok());
+        assert_eq!(net.sim.now(), completion.finished);
     }
 }

@@ -2,8 +2,11 @@
 //! Fabric pipeline, off-chain storage and auditing, all under virtual
 //! time.
 
+mod support;
+
 use hyperprov::{AuditFinding, HyperProv, HyperProvError, NetworkConfig, OpmGraph, RecordInput};
 use hyperprov_ledger::{Digest, DEFAULT_CHANNEL};
+use support::settle;
 
 /// `finding` on peer 0, the replica the record pass reads.
 fn on_peer0(finding: AuditFinding) -> AuditFinding {
@@ -189,6 +192,7 @@ fn audit_clean_network_and_ledger_convergence() {
             .unwrap();
     }
     // All four peers converge to the same chain tip and state.
+    settle(&mut hp, 5);
     assert!(hp.network().ledgers[0].borrow().height() > 0);
     assert_eq!(hp.network().audit([]), []);
 }
@@ -199,6 +203,7 @@ fn missing_payload_detected_by_audit() {
     let record = hp
         .store_data("gone", b"data".to_vec(), vec![], vec![])
         .unwrap();
+    settle(&mut hp, 5);
     let object = record.location.rsplit('/').next().unwrap().to_owned();
     use hyperprov_offchain::ObjectStore;
     hp.network().store.delete(&object).unwrap();

@@ -2,22 +2,16 @@
 //! genesis replay, restart-during-partition retry, and a spare peer
 //! joining a live network; whether they converged, the network audit says.
 
+mod support;
+
 use hyperprov::{AuditFinding, HyperProv, NetworkConfig, SnapshotPolicy};
 use hyperprov_ledger::DEFAULT_CHANNEL;
-use hyperprov_sim::SimDuration;
+use support::settle;
 
 /// Desktop deployment with one client, a small snapshot interval and the
 /// recovery gauges enabled.
 fn snapshot_config() -> NetworkConfig {
     NetworkConfig::desktop(1).with_snapshots(SnapshotPolicy::every(2))
-}
-
-/// Runs the network for `secs` of virtual time (drain/catch-up windows).
-fn settle(hp: &mut HyperProv, secs: u64) {
-    let now = hp.network().sim.now();
-    hp.network_mut()
-        .sim
-        .run_until(now + SimDuration::from_secs(secs));
 }
 
 /// A restarted peer with a snapshot boots from it (plus a bounded delta
