@@ -17,8 +17,9 @@ cargo test --workspace -q
 # acknowledged keys) and 0-3 overlapping fault windows (a peer, orderer or
 # storage crash, a peer cut from the orderers, a loss window, the spare
 # joining), runs it 60 virtual seconds past the last window and fails on a
-# panic, a hung operation, a write reported invalid or an audit finding no
-# named exclusion covers. A failure prints its shrunk regression test.
+# panic, a hung operation, a write reported invalid, a write reported `Ok`
+# that a replica recorded under another code, or an audit finding no named
+# exclusion covers. A failure prints its shrunk regression test.
 cargo test --release --test generated -- --ignored
 
 # Options audit: an option needs a caller that is not a test. Every
@@ -34,7 +35,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23493
+ceiling=23697
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -165,11 +166,16 @@ cargo run --release -p hyperprov-bench --bin bench_regress -- --quick
 # under the 2 s endorse deadline, a node that let a deadline expire is
 # not asked again — its client's home moves past it — and that first
 # expiry moves on every other attempt waiting on the node, so an outage
-# costs a client one endorse deadline, not one per operation in flight.
-# The (virtual, exactly repeating) `op_p99_ms` reads 1.94 s, its tail
-# mostly the partition's; 2.1 s when each attempt left on the dead node
-# waits out its own deadline, 4.1 s when every operation starts at home
-# again, 13.6 s when retries go back to the dead node. And
+# costs a client one endorse deadline, not one per operation in flight;
+# and an operation whose home peer is crashed or cut off from the
+# orderers asks the next endorser for its commit after the route's
+# retransmission timeout, not at the commit deadline. The (virtual,
+# exactly repeating) `op_p99_ms` reads 0.89 s, its tail the 2 s endorse
+# and order deadlines of the peer's and the orderer's crash; 1.94 s when
+# the clients of the two partitioned peers wait for their home to catch
+# up, 2.1 s when each attempt left on the dead node also waits out its
+# own deadline, 4.1 s when every operation starts at home again, 13.6 s
+# when retries go back to the dead node. And
 # it is the one workload that cuts snapshots and runs a raft ordering
 # cluster: a peer's cut is a height, its content materialized from the
 # ledger only when something reads it, and the raft members share one body
@@ -204,8 +210,8 @@ for smoke in "ledger_growth 1" "crash_recover 2"; do
     fi
     if [ "$1" = crash_recover ]; then
         p99=$(echo "$result" | sed 's/.*"op_p99_ms":{"value":\([0-9.]*\).*/\1/')
-        if awk "BEGIN {exit !($p99 >= 2050)}"; then
-            echo "crash_recover op_p99_ms $p99 >= 2050: an expiry left the other attempts waiting on the dead node" >&2
+        if awk "BEGIN {exit !($p99 >= 1200)}"; then
+            echo "crash_recover op_p99_ms $p99 >= 1200: a commit waits on a cut-off home, or an expiry left the other attempts waiting on the dead node" >&2
             exit 1
         fi
         rss=$(echo "$result" | sed 's/.*"peak_rss_mib":{"value":\([0-9.]*\).*/\1/')

@@ -157,13 +157,18 @@ impl Client {
         out
     }
 
-    /// A Fabric or storage message arrived. `rng` is the host actor's
-    /// stream: a retry draws its backoff from it.
-    pub fn message(&mut self, msg: NodeMsg, rng: &mut DetRng) -> Vec<Action<ClientOwn>> {
+    /// A Fabric or storage message arrived at `now`. `rng` is the host
+    /// actor's stream: a retry draws its backoff from it.
+    pub fn message(
+        &mut self,
+        msg: NodeMsg,
+        now: SimTime,
+        rng: &mut DetRng,
+    ) -> Vec<Action<ClientOwn>> {
         let mut out = Vec::new();
         let (token, result) = match msg {
             NodeMsg::Fabric(msg) => {
-                let actions = self.gateway.on_message(msg, rng);
+                let actions = self.gateway.on_message(msg, now, rng);
                 self.run(actions, &mut out);
                 return out;
             }

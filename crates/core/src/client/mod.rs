@@ -31,7 +31,7 @@ impl Machine for Client {
     fn message(&mut self, _: ActorId, msg: NodeMsg, io: Io<'_>) -> Vec<Action<ClientOwn>> {
         match msg {
             NodeMsg::Client(cmd) => self.command(io.now, cmd),
-            msg => Client::message(self, msg, io.rng),
+            msg => Client::message(self, msg, io.now, io.rng),
         }
     }
 

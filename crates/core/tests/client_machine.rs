@@ -145,7 +145,12 @@ fn post(op: u64, key: &str) -> ClientCommand {
 
 /// A peer's commit notification for `tx_id`.
 fn commit(tx_id: TxId) -> NodeMsg {
-    NodeMsg::Fabric(FabricMsg::Commit(CommitEvent {
+    NodeMsg::Fabric(FabricMsg::Commit(event(tx_id)))
+}
+
+/// The commit event of `tx_id`, validated.
+fn event(tx_id: TxId) -> CommitEvent {
+    CommitEvent {
         channel: ChannelId::default(),
         tx_id,
         block_number: 1,
@@ -153,7 +158,7 @@ fn commit(tx_id: TxId) -> NodeMsg {
         chaincode_event: None,
         creator: None,
         endorser: None,
-    }))
+    }
 }
 
 /// The `n`th transfer token.
@@ -529,7 +534,11 @@ impl Model {
                 }
                 commit(tx_id)
             }
-            other => panic!("the client sends proposals and envelopes, not {other:?}"),
+            // Every envelope is taken in, so a probed peer has committed it.
+            FabricMsg::CommitStatus { tx_id, .. } => {
+                NodeMsg::Fabric(FabricMsg::CommitStatusAnswer(event(tx_id)))
+            }
+            other => panic!("the client sends proposals, envelopes and probes, not {other:?}"),
         };
         self.ship(to, reply);
     }

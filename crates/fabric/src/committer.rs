@@ -21,13 +21,14 @@
 
 mod bootstrap;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use hyperprov_ledger::{
     Block, BlockStore, ChainError, ChannelId, GraphIndexer, History, ProvGraph, RawEnvelope,
     StateDb, StateKey, TxId, ValidationCode, Version,
 };
+use hyperprov_sim::fxhash::FxHashMap;
 
 pub use bootstrap::BootstrapError;
 
@@ -116,7 +117,10 @@ pub struct Committer {
     graph: ProvGraph,
     msp: Arc<Msp>,
     policies: ChannelPolicies,
-    seen: HashSet<TxId>,
+    /// Every tx id committed on the channel, with the validation code
+    /// this peer recorded for its first envelope; `None` for an id that
+    /// came in a booted snapshot.
+    seen: FxHashMap<TxId, Option<ValidationCode>>,
     /// Maps committed writes to provenance-graph updates; `None` leaves
     /// the graph index empty.
     indexer: Option<Arc<dyn GraphIndexer>>,
@@ -137,7 +141,7 @@ impl Committer {
             graph: ProvGraph::new(),
             msp,
             policies,
-            seen: HashSet::new(),
+            seen: FxHashMap::default(),
             indexer: None,
         }
     }
@@ -216,6 +220,12 @@ impl Committer {
     /// Chain height.
     pub fn height(&self) -> u64 {
         self.store.height()
+    }
+
+    /// The validation code this peer recorded for `tx_id`, if it committed
+    /// it (not if it knows the id only from a booted snapshot).
+    pub fn status(&self, tx_id: &TxId) -> Option<ValidationCode> {
+        self.seen.get(tx_id).copied().flatten()
     }
 
     /// Validates and commits one block: the VSCC verdicts computed inline
@@ -324,7 +334,7 @@ impl Committer {
             if let Some(spans) = verdict.spans {
                 let view = EnvelopeView::over(&raw.bytes, spans);
                 let state = &self.state;
-                code = if self.seen.contains(&verdict.tx_id) {
+                code = if self.seen.contains_key(&verdict.tx_id) {
                     ValidationCode::DuplicateTxId
                 } else if let Some(failure) = verdict.failure {
                     failure
@@ -344,7 +354,7 @@ impl Committer {
                     bytes_written += spans.write_bytes;
                     event = view.event();
                 }
-                self.seen.insert(verdict.tx_id);
+                self.seen.entry(verdict.tx_id).or_insert(Some(code));
             }
             if code.is_valid() {
                 valid += 1;

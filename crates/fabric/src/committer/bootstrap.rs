@@ -1,6 +1,7 @@
 //! Snapshots of a committer: cutting one, pruning the block store behind
 //! it, and rebuilding a committer from a verified one plus delta blocks.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use hyperprov_ledger::{Digest, Snapshot, SnapshotError};
@@ -70,7 +71,7 @@ impl Committer {
             self.store.height(),
             self.store.tip_hash(),
             &self.state,
-            self.seen.iter().copied().collect(),
+            self.seen.keys().copied().collect(),
             self.indexer.clone(),
             chunk_entries,
         )
@@ -95,7 +96,7 @@ impl Committer {
             .filter_map(|(raw, _)| Some(EnvelopeView::parse(&raw.bytes).ok()?.tx_id()))
             .collect();
         let mut seen = Vec::with_capacity(self.seen.len() - later.len());
-        seen.extend(self.seen.iter().filter(|id| !later.contains(id)));
+        seen.extend(self.seen.keys().filter(|id| !later.contains(id)));
         Snapshot::capture_as_of(
             &self.channel,
             height,
@@ -159,7 +160,7 @@ impl Committer {
             graph,
             msp,
             policies,
-            seen: snapshot.tail().seen.iter().copied().collect(),
+            seen: snapshot.tail().seen.iter().map(|&id| (id, None)).collect(),
             indexer,
         };
         for mut block in delta_blocks {

@@ -1,6 +1,8 @@
 //! The committer's unit tests, with the monolithic serial commit loop
 //! kept as their reference implementation.
 
+use std::collections::HashSet;
+
 use super::*;
 use crate::identity::{MspBuilder, Signature, SigningIdentity};
 use crate::messages::{endorsement_message, Endorsement, Envelope, Proposal};
@@ -104,7 +106,7 @@ fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
                     out.bytes_written += write_bytes(&env.rwset);
                     chaincode_event = env.event;
                 }
-                c.seen.insert(tx_id);
+                c.seen.entry(tx_id).or_insert(Some(code));
                 (code, chaincode_event, Some(creator), endorser)
             }
             Err(_) => (ValidationCode::BadSignature, None, None, None),
@@ -131,7 +133,7 @@ fn commit_block_reference(c: &mut Committer, block: Block) -> CommitOutcome {
 }
 
 fn validate_reference(c: &Committer, env: &Envelope, tx_id: &TxId) -> ValidationCode {
-    if c.seen.contains(tx_id) {
+    if c.seen.contains_key(tx_id) {
         return ValidationCode::DuplicateTxId;
     }
     let msg = endorsement_message(tx_id, &env.payload, &env.rwset);

@@ -6,14 +6,29 @@
 //! One table holds every request of the client, on whichever channel. A
 //! row is in one of five phases — *endorsing*, *ordering*, *commit-wait*,
 //! *query*, *backing off* — and each phase waits on exactly one wake-up:
-//! the endorse deadline, the commit deadline, or the backoff sleep. So with
+//! the endorse deadline, the backoff sleep, or in commit-wait the next
+//! status probe or the commit deadline, whichever comes first. So with
 //! deadlines configured a row exists exactly while its one timer is
-//! armed, and nothing can wedge: every wake-up either ends the row with a
-//! typed error or moves it to a fresh attempt under a fresh tx id.
+//! armed, and nothing can wedge: a probe re-arms, and every other wake-up
+//! either ends the row with a typed error or moves it to a fresh attempt
+//! under a fresh tx id.
+//!
+//! A row in commit-wait whose home peer stays silent past the route's
+//! retransmission timeout asks the next endorser on its ring whether the
+//! transaction committed — Fabric Gateway's `CommitStatus` —, one place
+//! further along and twice as late each time. A peer that committed it
+//! answers with the commit event the home would have sent, and that
+//! completes the row as the home's would. The timeout is RFC 6298's
+//! `srtt + 4·rttvar` over the route's commit waits, timed from the
+//! orderer's ack to the home's event; before the first sample it is the
+//! endorse deadline. A row that an answer completed gives no sample: it
+//! timed the probe, not the home (Karn's rule, which here can tell the
+//! two apart). A row whose probes went unanswered still times the home,
+//! so a timeout that fell short grows back.
 
 use hyperprov_ledger::{ChannelId, Digest, Encode, TxId, ValidationCode};
 use hyperprov_sim::fxhash::FxHashMap;
-use hyperprov_sim::{ActorId, DetRng, SimDuration};
+use hyperprov_sim::{ActorId, DetRng, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::costs::CostModel;
@@ -225,6 +240,9 @@ pub struct Route {
     nonce: u64,
     /// Where a first attempt starts: `[ENDORSERS]`, `[ORDERERS]`.
     home: [usize; 2],
+    /// The commit wait's smoothed round trip and its mean deviation, once
+    /// a row has been timed.
+    rtt: Option<(SimDuration, SimDuration)>,
 }
 
 /// A route's rings, as indices into a pair of ring positions.
@@ -261,7 +279,26 @@ impl Route {
             endorsements_needed,
             nonce: 0,
             home: [0; 2],
+            rtt: None,
         }
+    }
+
+    /// The retransmission timeout, `srtt + 4·rttvar`; `before` until the
+    /// first sample.
+    fn rto(&self, before: SimDuration) -> SimDuration {
+        self.rtt.map_or(before, |(srtt, rttvar)| srtt + rttvar * 4)
+    }
+
+    /// Folds one commit wait into the estimate, with RFC 6298's gains
+    /// α = 1/8 and β = 1/4.
+    fn sample(&mut self, r: SimDuration) {
+        self.rtt = Some(match self.rtt {
+            None => (r, r / 2),
+            Some((srtt, rttvar)) => {
+                let error = srtt.max(r) - srtt.min(r);
+                (srtt - srtt / 8 + r / 8, rttvar - rttvar / 4 + error / 4)
+            }
+        });
     }
 
     /// The position one place on from `at` on `ring`.
@@ -292,13 +329,47 @@ enum Phase {
     /// deadline: one node answers it); `payload` as in commit-wait.
     Ordering { payload: Vec<u8> },
     /// The commit notification of the submitted envelope, whose agreed
-    /// chaincode response is `payload` (the commit deadline).
-    CommitWait { payload: Vec<u8> },
+    /// chaincode response is `payload` (the next probe or the commit
+    /// deadline, with `probes`; else the commit deadline).
+    CommitWait {
+        payload: Vec<u8>,
+        probes: Option<Probes>,
+    },
     /// The one endorser's answer (the endorse deadline).
     Query,
     /// The backoff sleep before the next attempt. The row stays under the
     /// failed attempt's tx id, whose late replies it ignores.
     BackingOff,
+}
+
+/// The status probes of a row in commit-wait: kept only under both
+/// deadlines, from the orderer's ack on, on a ring of two endorsers or more.
+#[derive(Debug)]
+struct Probes {
+    /// When the orderer took the envelope in: the home's event times the
+    /// route's round trip from here.
+    acked: SimTime,
+    /// Probes sent so far.
+    sent: u32,
+    /// The wait from now, or from the armed probe, to the next probe.
+    next: SimDuration,
+    /// The wait from now, or from the armed probe, to the commit deadline;
+    /// zero once the armed wake-up is the deadline itself.
+    left: SimDuration,
+}
+
+impl Probes {
+    /// The delay to arm commit-wait's one wake-up at: the next probe, if
+    /// it comes before the deadline, else the deadline. A zero timeout
+    /// probes never.
+    fn wake(&mut self) -> SimDuration {
+        if !self.next.is_zero() && self.next < self.left {
+            self.left = self.left - self.next;
+            self.next
+        } else {
+            std::mem::take(&mut self.left)
+        }
+    }
 }
 
 /// One caller request, from `invoke` / `query` to its `Done`.
@@ -528,16 +599,18 @@ impl<T: Caller> Gateway<T> {
     /// Feeds an incoming Fabric message to the gateway. Messages that
     /// are not an answer to a live attempt — another client's commit, a
     /// reply to an attempt that already timed out, an extra endorsement
-    /// after submit — do nothing. `rng` is the host actor's stream: a
-    /// rejection that is retried draws its backoff from it.
-    pub fn on_message(&mut self, msg: FabricMsg, rng: &mut DetRng) -> Vec<Action<T>> {
+    /// after submit — do nothing. It arrived at `now`, which times the
+    /// commit wait; `rng` is the host actor's stream: a rejection that is
+    /// retried draws its backoff from it.
+    pub fn on_message(&mut self, msg: FabricMsg, now: SimTime, rng: &mut DetRng) -> Vec<Action<T>> {
         let mut out = Vec::new();
         match msg {
             FabricMsg::ProposalResult(resp) => self.on_response(resp, rng, &mut out),
             FabricMsg::BroadcastAck { tx_id, accepted } => {
-                self.on_ack(tx_id, accepted, rng, &mut out);
+                self.on_ack(tx_id, accepted, now, rng, &mut out);
             }
-            FabricMsg::Commit(event) => self.on_commit(event, &mut out),
+            FabricMsg::Commit(event) => self.on_commit(event, Some(now), &mut out),
+            FabricMsg::CommitStatusAnswer(event) => self.on_commit(event, None, &mut out),
             _ => {}
         }
         out
@@ -637,7 +710,10 @@ impl<T: Caller> Gateway<T> {
         let ack = self.endorse_timeout.is_some();
         row.phase = match ack {
             true => Phase::Ordering { payload },
-            false => Phase::CommitWait { payload },
+            false => Phase::CommitWait {
+                payload,
+                probes: None,
+            },
         };
         out.extend(row.token.take().map(Action::Disarm));
         let deadline = self.endorse_timeout.or(self.commit_timeout);
@@ -653,9 +729,17 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::SpanStart(trace, "commit_wait", String::new()));
     }
 
-    /// The orderer answered the envelope: taken in, the row waits for the
-    /// commit under the commit deadline; refused, the attempt fails `Busy`.
-    fn on_ack(&mut self, tx_id: TxId, accepted: bool, rng: &mut DetRng, out: &mut Vec<Action<T>>) {
+    /// The orderer answered the envelope at `now`: taken in, the row waits
+    /// for the commit under the commit deadline, probing before it on a
+    /// ring with another endorser; refused, the attempt fails `Busy`.
+    fn on_ack(
+        &mut self,
+        tx_id: TxId,
+        accepted: bool,
+        now: SimTime,
+        rng: &mut DetRng,
+        out: &mut Vec<Action<T>>,
+    ) {
         let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
         };
@@ -664,9 +748,24 @@ impl<T: Caller> Gateway<T> {
         };
         if accepted {
             let payload = std::mem::take(payload);
-            row.phase = Phase::CommitWait { payload };
+            let route = &self.routes[row.shard];
+            // Only an endorse deadline asks for the ack.
+            let rto = route.rto(self.endorse_timeout.unwrap_or_default());
+            let mut probes = self
+                .commit_timeout
+                .filter(|_| route.endorsers.len() > 1)
+                .map(|left| Probes {
+                    acked: now,
+                    sent: 0,
+                    next: rto,
+                    left,
+                });
             out.extend(row.token.take().map(Action::Disarm));
-            row.token = arm(&mut self.next_token, self.commit_timeout, out);
+            let wake = probes
+                .as_mut()
+                .map_or(self.commit_timeout, |p| Some(p.wake()));
+            row.token = arm(&mut self.next_token, wake, out);
+            row.phase = Phase::CommitWait { payload, probes };
             return;
         }
         let row = self.close(tx_id, "commit_wait", out);
@@ -675,13 +774,23 @@ impl<T: Caller> Gateway<T> {
         self.fail(tx_id, row, GatewayError::Busy, rng, out);
     }
 
-    /// A commit completes the row, even one that overtook the ack.
-    fn on_commit(&mut self, event: CommitEvent, out: &mut Vec<Action<T>>) {
+    /// A commit — the home's event, or a probed peer's answer — completes
+    /// the row, even one that overtook the ack. The home's, arriving at
+    /// `home`, is a sample of the route's round trip.
+    fn on_commit(&mut self, event: CommitEvent, home: Option<SimTime>, out: &mut Vec<Action<T>>) {
         let tx_id = event.tx_id;
-        let Some(Phase::Ordering { payload } | Phase::CommitWait { payload }) =
-            self.rows.get_mut(&tx_id).map(|r| &mut r.phase)
-        else {
+        let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
+        };
+        let payload = match &mut row.phase {
+            Phase::Ordering { payload } => payload,
+            Phase::CommitWait { payload, probes } => {
+                if let (Some(probes), Some(now)) = (probes, home) {
+                    self.routes[row.shard].sample(now - probes.acked);
+                }
+                payload
+            }
+            _ => return,
         };
         let payload = std::mem::take(payload);
         let row = self.close(tx_id, "commit_wait", out);
@@ -694,16 +803,20 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::Own(Done(row.caller, Ok(reply))));
     }
 
-    /// A wake-up fired. A deadline abandons the attempt — its span
-    /// closes, its row leaves the table, nothing can leak — moves the home
-    /// of the ring it blames and, unless a commit may be in, every attempt
-    /// waiting on the node it blames ([`Gateway::fail_over`]); a backoff
-    /// issues the next attempt. Tokens of finished requests do nothing.
+    /// A wake-up fired. A probe asks the next peer ([`Gateway::probe`]). A
+    /// deadline abandons the attempt — its span closes, its row leaves the
+    /// table, nothing can leak — moves the home of the ring it blames and,
+    /// unless a commit may be in, every attempt waiting on the node it
+    /// blames ([`Gateway::fail_over`]); a backoff issues the next attempt.
+    /// Tokens of finished requests do nothing.
     pub fn on_timer(&mut self, token: u64, rng: &mut DetRng) -> Vec<Action<T>> {
         let found = self.rows.iter().find(|(_, row)| row.token == Some(token));
-        let Some(tx_id) = found.map(|(tx_id, _)| *tx_id) else {
+        let Some((&tx_id, row)) = found else {
             return Vec::new();
         };
+        if matches!(&row.phase, Phase::CommitWait { probes: Some(p), .. } if !p.left.is_zero()) {
+            return self.probe(tx_id);
+        }
         let mut row = self.rows.remove(&tx_id).expect("found above");
         row.token = None;
         use GatewayError::{CommitTimeout, EndorseTimeout};
@@ -732,6 +845,39 @@ impl<T: Caller> Gateway<T> {
             self.fail_over(dead, &mut out);
         }
         self.fail(tx_id, row, error, rng, &mut out);
+        out
+    }
+
+    /// The armed wake-up of the commit-wait row `tx_id` was a probe: asks
+    /// the next endorser on the ring after the attempt's own — one place
+    /// further along after each probe, skipping the attempt's own — whether
+    /// the transaction committed, and arms the next probe, twice as late,
+    /// or the deadline.
+    fn probe(&mut self, tx_id: TxId) -> Vec<Action<T>> {
+        let row = self
+            .rows
+            .get_mut(&tx_id)
+            .expect("invariant: caller found it");
+        let Phase::CommitWait {
+            probes: Some(probes),
+            ..
+        } = &mut row.phase
+        else {
+            unreachable!("a probe fires on a probing row");
+        };
+        let route = &self.routes[row.shard];
+        let ring = route.endorsers.len();
+        let step = 1 + probes.sent as usize % (ring - 1);
+        let peer = route.endorsers[(row.at[ENDORSERS] + step) % ring];
+        probes.sent += 1;
+        probes.next = probes.next * 2;
+        let channel = route.channel.clone();
+        let msg = FabricMsg::CommitStatus { channel, tx_id };
+        let mut out = vec![
+            Action::Note(tx_trace(&tx_id), "commit.probe", String::new()),
+            Action::Send(peer, msg.wire_size(), msg),
+        ];
+        row.token = arm(&mut self.next_token, Some(probes.wake()), &mut out);
         out
     }
 

@@ -591,6 +591,20 @@ pub enum FabricMsg {
     },
     /// Committing peer → subscribed client.
     Commit(CommitEvent),
+    /// Client → peer: did this transaction commit? A peer that recorded a
+    /// validation code for it answers with a
+    /// [`FabricMsg::CommitStatusAnswer`]; any other peer stays silent.
+    CommitStatus {
+        /// The transaction's channel.
+        channel: ChannelId,
+        /// The transaction.
+        tx_id: TxId,
+    },
+    /// Peer → client that asked: the commit event of the transaction,
+    /// carrying the code the peer recorded; its block number is the
+    /// peer's last block (the transaction is in it or below it), and it
+    /// names neither creator nor endorser.
+    CommitStatusAnswer(CommitEvent),
     /// Orderer ↔ orderer consensus traffic. A batch rides as the body the
     /// leader proposed: every member's log and block share it.
     Raft(Box<RaftMsg<Arc<[RawEnvelope]>>>),
@@ -658,6 +672,8 @@ impl FabricMsg {
             FabricMsg::DeliverBlock(_, b) => b.wire_size(),
             FabricMsg::DeliverRequest { .. } => 64,
             FabricMsg::Commit(_) => 128,
+            FabricMsg::CommitStatus { .. } => 64,
+            FabricMsg::CommitStatusAnswer(_) => 128,
             FabricMsg::SnapshotRequest { .. } => 64,
             FabricMsg::SnapshotOffer { manifest, .. } => {
                 64 + manifest.as_ref().map_or(0, |m| m.wire_size())

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use hyperprov_ledger::{Block, ChannelId, Digest, Snapshot, DEFAULT_CHUNK_ENTRIES};
+use hyperprov_ledger::{Block, ChannelId, Digest, Snapshot, TxId, DEFAULT_CHUNK_ENTRIES};
 use hyperprov_sim::{fnv1a, ActorId, SimDuration};
 
 use crate::catchup::{self, CatchUp};
@@ -263,6 +263,7 @@ impl Peer {
         match msg {
             FabricMsg::SubmitProposal(sp) => self.proposal(src, sp, admitted),
             FabricMsg::DeliverBlock(channel, block) => self.block(src, channel, block),
+            FabricMsg::CommitStatus { channel, tx_id } => self.commit_status(src, channel, tx_id),
             FabricMsg::SnapshotRequest { channel } => self.snapshot_request(src, channel),
             FabricMsg::SnapshotPartRequest {
                 channel,
@@ -320,6 +321,31 @@ impl Peer {
             endorsed,
             Action::Own(Own::DeferRequest(cost, span, src, result)),
         ]
+    }
+
+    /// A client's commit-status probe, charged as a query (verify the
+    /// request, look the id up): answered with the event of a transaction
+    /// this peer committed, carrying the code it recorded; met with
+    /// silence otherwise.
+    fn commit_status(&self, src: ActorId, channel: ChannelId, tx_id: TxId) -> Vec<Action> {
+        let Some(i) = self.hosted(&channel) else {
+            return Vec::new();
+        };
+        let cost = self.costs.verify + self.costs.state_op;
+        let ledger = self.channels[i].committer.borrow();
+        let Some(code) = ledger.status(&tx_id) else {
+            return vec![Action::Charge(cost)];
+        };
+        let event = CommitEvent {
+            channel,
+            tx_id,
+            block_number: ledger.height() - 1,
+            code,
+            chaincode_event: None,
+            creator: None,
+            endorser: None,
+        };
+        vec![defer(cost, src, FabricMsg::CommitStatusAnswer(event))]
     }
 
     /// An immediate rejection carrying `reason`.

@@ -1,9 +1,9 @@
 //! The gateway machine, driven with no simulation: first one directed
 //! test per transition (inputs in, actions out), then the failover rule
-//! leg by leg and one finding pinned as it stands, then three seeded
-//! property tests over a model network — one that drops, duplicates and
-//! reorders replies and fires timers early or late, two that are clean
-//! but for a dead node.
+//! leg by leg and one finding pinned as it stands, then the commit-status
+//! probes, then three seeded property tests over a model network — one
+//! that drops, duplicates and reorders replies, answers probes and fires
+//! timers early or late, two that are clean but for a dead node.
 
 #[path = "support/sched.rs"]
 mod sched;
@@ -16,7 +16,7 @@ use hyperprov_fabric::{
     RetryPolicy, Route, SigningIdentity, BUSY_REASON,
 };
 use hyperprov_ledger::{ChannelId, RwSet, TxId, ValidationCode};
-use hyperprov_sim::{ActorId, Context, SimDuration};
+use hyperprov_sim::{ActorId, Context, SimDuration, SimTime};
 use proptest::prelude::*;
 
 use sched::{Rng, Sched};
@@ -24,7 +24,7 @@ use sched::{Rng, Sched};
 /// The orderers of every route, home first.
 const ORDERERS: [ActorId; 3] = [ActorId(90), ActorId(91), ActorId(92)];
 const ENDORSE: SimDuration = SimDuration::from_secs(5);
-const COMMIT: SimDuration = SimDuration::from_secs(10);
+const COMMIT: SimDuration = SimDuration::from_secs(12);
 
 /// The caller's tag: a request number, traced the way the client does.
 #[derive(Debug, PartialEq)]
@@ -54,7 +54,7 @@ impl Machine for Bare {
     type Own = Done<Req>;
 
     fn message(&mut self, _: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Req>> {
-        self.0.on_message(msg, io.rng)
+        self.0.on_message(msg, io.now, io.rng)
     }
 
     fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<Req>> {
@@ -162,17 +162,27 @@ impl Bench {
     }
 }
 
-/// A peer's commit notification for `tx_id`.
+/// The home peer's commit notification for `tx_id`.
 fn commit(tx_id: TxId) -> FabricMsg {
-    FabricMsg::Commit(CommitEvent {
+    FabricMsg::Commit(event(tx_id, ValidationCode::Valid))
+}
+
+/// A probed peer's answer for `tx_id`, validated as `code`.
+fn answer(tx_id: TxId, code: ValidationCode) -> FabricMsg {
+    FabricMsg::CommitStatusAnswer(event(tx_id, code))
+}
+
+/// The commit event of `tx_id`, validated as `code`.
+fn event(tx_id: TxId, code: ValidationCode) -> CommitEvent {
+    CommitEvent {
         channel: ChannelId::default(),
         tx_id,
         block_number: 1,
-        code: ValidationCode::Valid,
+        code,
         chaincode_event: None,
         creator: None,
         endorser: None,
-    })
+    }
 }
 
 /// An orderer's answer to the envelope of `tx_id`, which asked.
@@ -213,9 +223,13 @@ fn show(actions: &[Action<Req>]) -> Vec<String> {
                 format!("broadcast?->{}", to.0)
             }
             Action::Send(to, _, FabricMsg::Broadcast { .. }) => format!("broadcast->{}", to.0),
+            Action::Send(to, _, FabricMsg::CommitStatus { .. }) => format!("probe->{}", to.0),
             Action::Send(..) => "send?".to_owned(),
+            // Before any sample a commit-wait's first probe is due at the
+            // endorse deadline, and the deadline the rest of the way on.
             Action::Arm(token, delay) if *delay == ENDORSE => format!("arm#{token}=endorse"),
             Action::Arm(token, delay) if *delay == COMMIT => format!("arm#{token}=commit"),
+            Action::Arm(token, delay) if *delay == COMMIT - ENDORSE => format!("arm#{token}=rest"),
             Action::Arm(token, _) => format!("arm#{token}=backoff"),
             Action::Disarm(token) => format!("disarm#{token}"),
             Action::SpanStart(_, stage, _) => format!("[{stage}"),
@@ -264,9 +278,11 @@ mod transitions {
         ];
         assert_eq!(show(&submitted), submit);
         assert_eq!(tx_of(&submitted), tx);
+        // In commit-wait the one wake-up is the first status probe, due at
+        // the endorse deadline before the route has timed a commit.
         assert_eq!(
             show(&b.message(ack(tx, true))),
-            ["disarm#2", "arm#3=commit"]
+            ["disarm#2", "arm#3=endorse"]
         );
         // A duplicate answer finds the row past ordering.
         assert!(b.message(ack(tx, true)).is_empty());
@@ -404,17 +420,21 @@ mod transitions {
             "done2=CommitTimeout",
         ];
         assert_eq!(show(&b.timer(3)), expired);
-        // Commit deadline, after the answer.
+        // Commit deadline, after the answer and one unanswered probe.
         let tx = tx_of(&b.invoke(0, 3));
         b.message(b.answer(tx, Ok(b"r")));
         b.message(ack(tx, true));
+        assert_eq!(
+            show(&b.timer(6)),
+            ["!commit.probe", "probe->12", "arm#7=rest"]
+        );
         let expired = [
             "commit_wait]",
             "!commit.timeout",
             "+client.timeouts",
             "done3=CommitTimeout",
         ];
-        assert_eq!(show(&b.timer(6)), expired);
+        assert_eq!(show(&b.timer(7)), expired);
         // Query deadline.
         b.query(0, 4);
         let expired = [
@@ -423,10 +443,10 @@ mod transitions {
             "+client.timeouts",
             "done4=EndorseTimeout",
         ];
-        assert_eq!(show(&b.timer(7)), expired);
+        assert_eq!(show(&b.timer(8)), expired);
         assert_eq!(b.gateway().inflight(), 0);
         // Nothing is left to fire: every token is spent or disarmed.
-        for token in 0..9 {
+        for token in 0..10 {
             assert!(b.timer(token).is_empty());
         }
     }
@@ -617,7 +637,7 @@ mod transitions {
         assert_eq!(submitted[2], "broadcast?->91");
         assert_eq!(
             show(&b.message(ack(second, true))),
-            ["disarm#5", "arm#6=commit"]
+            ["disarm#5", "arm#6=endorse"]
         );
         let done = ["disarm#6", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(second))), done);
@@ -795,8 +815,9 @@ mod transitions {
         b.message(b.answer(waiting, Ok(b"r")));
         b.message(ack(waiting, true));
         b.invoke(0, 2);
-        // Request 1's commit deadline blames endorser 10, where request 2
-        // waits: it stays.
+        // Request 1's probe goes unanswered, and its commit deadline
+        // blames endorser 10, where request 2 waits: it stays.
+        b.timer(3);
         let expired = [
             "commit_wait]",
             "!commit.timeout",
@@ -804,9 +825,9 @@ mod transitions {
             "+client.retries",
             "backoff",
             "!op.retry@op-1",
-            "arm#5=backoff",
+            "arm#6=backoff",
         ];
-        assert_eq!(show(&b.timer(3)), expired);
+        assert_eq!(show(&b.timer(5)), expired);
         // Request 3 waits for its commit at endorser 11, the new home,
         // when request 4's endorse deadline there expires: it stays.
         let waiting = tx_of(&b.invoke(0, 3));
@@ -820,9 +841,9 @@ mod transitions {
             "+client.retries",
             "backoff",
             "!op.retry@op-4",
-            "arm#10=backoff",
+            "arm#11=backoff",
         ];
-        assert_eq!(show(&b.timer(9)), expired);
+        assert_eq!(show(&b.timer(10)), expired);
         assert_eq!(b.gateway().inflight(), 4);
     }
 
@@ -882,10 +903,11 @@ mod transitions {
         let first = tx_of(&b.invoke(0, 1));
         b.message(b.answer(first, Ok(b"r")));
         b.message(ack(first, true));
-        assert_eq!(show(&b.timer(3))[..2], ["commit_wait]", "!commit.timeout"]);
+        b.timer(3); // an unanswered probe
+        assert_eq!(show(&b.timer(4))[..2], ["commit_wait]", "!commit.timeout"]);
         let mut completed = 0;
         completed += b.message(commit(first)).len(); // during the backoff
-        let second = tx_of(&b.timer(4));
+        let second = tx_of(&b.timer(5));
         completed += b.message(commit(first)).len(); // during the second attempt
         assert_eq!(completed, 0);
         b.message(b.answer(second, Ok(b"r")));
@@ -893,6 +915,138 @@ mod transitions {
             show(&b.message(commit(second))).last().unwrap(),
             "done1=Valid"
         );
+    }
+}
+
+/// A row in commit-wait whose home is silent asks the other endorsers of
+/// its ring whether the transaction committed, at the route's RTO.
+mod probes {
+    use super::*;
+
+    fn ms(ms: u64) -> SimDuration {
+        SimDuration::from_millis(ms)
+    }
+
+    /// The delay of the last timer these actions arm.
+    fn delay(actions: &[Action<Req>]) -> SimDuration {
+        let armed = actions.iter().rev().find_map(|action| match action {
+            Action::Arm(_, delay) => Some(*delay),
+            _ => None,
+        });
+        armed.expect("the actions arm a timer")
+    }
+
+    /// Request `req` on route 0, taken in by the orderer `at` ms in: its
+    /// tx id, and the actions of the ack.
+    fn acked(b: &mut Bench, req: u32, at: u64) -> (TxId, Vec<Action<Req>>) {
+        b.sched.now = SimTime::ZERO + ms(at);
+        let tx = tx_of(&b.invoke(0, req));
+        b.message(b.answer(tx, Ok(b"r")));
+        (tx, b.message(ack(tx, true)))
+    }
+
+    /// The commit of `tx` arrives `at` ms in.
+    fn committed(b: &mut Bench, tx: TxId, at: u64) -> Vec<Action<Req>> {
+        b.sched.now = SimTime::ZERO + ms(at);
+        b.message(commit(tx))
+    }
+
+    #[test]
+    fn the_first_probe_is_due_at_the_endorse_deadline_then_at_srtt_plus_four_rttvar() {
+        let mut b = bench(&[1], true, None);
+        let (tx, waiting) = acked(&mut b, 1, 0);
+        assert_eq!(delay(&waiting), ENDORSE);
+        // The first sample, 100 ms: srtt 100 ms, rttvar 50 ms.
+        committed(&mut b, tx, 100);
+        let (tx, waiting) = acked(&mut b, 2, 1_000);
+        assert_eq!(delay(&waiting), ms(300));
+        // 200 ms: rttvar 3/4 · 50 + 1/4 · 100, srtt 7/8 · 100 + 1/8 · 200.
+        committed(&mut b, tx, 1_200);
+        let (_, waiting) = acked(&mut b, 3, 2_000);
+        assert_eq!(
+            delay(&waiting),
+            SimDuration::from_micros(112_500 + 4 * 62_500)
+        );
+    }
+
+    #[test]
+    fn probes_walk_the_ring_past_the_own_endorser_twice_as_late_until_the_deadline() {
+        let mut b = bench(&[1], true, None);
+        let (tx, _) = acked(&mut b, 1, 0);
+        committed(&mut b, tx, 400); // an RTO of 400 + 4 · 200 ms
+        let (_, mut fired) = acked(&mut b, 2, 1_000);
+        let (mut waits, mut asked) = (vec![], vec![]);
+        loop {
+            waits.push(delay(&fired));
+            fired = b.timer(armed_by(&fired));
+            let shown = show(&fired);
+            if shown[0] != "!commit.probe" {
+                assert_eq!(shown[..2], ["commit_wait]", "!commit.timeout"]);
+                break;
+            }
+            asked.push(shown[1].clone());
+        }
+        assert_eq!(asked, ["probe->11", "probe->12", "probe->11"]);
+        // 1.2 s, then doubling, and the rest of the commit deadline.
+        assert_eq!(waits, [ms(1_200), ms(2_400), ms(4_800), ms(3_600)]);
+        assert_eq!(
+            waits.into_iter().fold(SimDuration::ZERO, |a, b| a + b),
+            COMMIT
+        );
+        assert_eq!(b.gateway().inflight(), 0);
+    }
+
+    /// Karn's rule: a row a probe's answer completed timed the probe, not
+    /// the home, and gives no sample; one the home's event completed after
+    /// an unanswered probe does, so a timeout that fell short grows back.
+    #[test]
+    fn only_the_home_event_times_a_probed_row() {
+        let mut b = bench(&[1], true, None);
+        let (tx, _) = acked(&mut b, 1, 0);
+        committed(&mut b, tx, 100); // an RTO of 100 + 4 · 50 ms
+                                    // Row 2's probe goes unanswered, and the home's event times it.
+        let (tx, waiting) = acked(&mut b, 2, 1_000);
+        b.timer(armed_by(&waiting));
+        committed(&mut b, tx, 1_400);
+        let rto = SimDuration::from_micros(137_500 + 4 * 112_500);
+        let (tx, waiting) = acked(&mut b, 3, 2_000);
+        assert_eq!(delay(&waiting), rto);
+        // Row 3's probe is answered: no sample.
+        b.timer(armed_by(&waiting));
+        b.sched.now = SimTime::ZERO + ms(2_600);
+        b.message(answer(tx, ValidationCode::Valid));
+        let (_, waiting) = acked(&mut b, 4, 3_000);
+        assert_eq!(delay(&waiting), rto);
+    }
+
+    /// Without a commit deadline nothing is armed in commit-wait: no
+    /// deadline, and no probe. A ring of one endorser has no one else to
+    /// ask, and waits on its deadline alone.
+    #[test]
+    fn without_a_commit_deadline_or_another_endorser_nothing_probes() {
+        let mut b = bench_with(&[1], Some(ENDORSE), None, None);
+        let (_, waiting) = acked(&mut b, 1, 0);
+        assert_eq!(show(&waiting), ["disarm#2"]);
+        let lone = Route::new("ch0", vec![ActorId(10)], ORDERERS.to_vec(), 1);
+        let mut b = bench_on(vec![lone], Some(ENDORSE), Some(COMMIT), None);
+        let (_, waiting) = acked(&mut b, 1, 0);
+        assert_eq!(show(&waiting), ["disarm#2", "arm#3=commit"]);
+    }
+
+    /// A probed peer's answer is a commit event like the home's: one that
+    /// carries an MVCC conflict ends the row with that code, and the
+    /// home's own event, when it comes, finds no row.
+    #[test]
+    fn an_answer_ends_the_row_with_its_code_and_the_home_event_after_it_does_nothing() {
+        let mut b = bench(&[1], true, None);
+        let (tx, waiting) = acked(&mut b, 1, 0);
+        let probed = b.timer(armed_by(&waiting));
+        assert_eq!(show(&probed)[..2], ["!commit.probe", "probe->11"]);
+        let conflict = answer(tx, ValidationCode::MvccReadConflict);
+        let done = ["disarm#4", "commit_wait]", "done1=MvccReadConflict"];
+        assert_eq!(show(&b.message(conflict)), done);
+        assert!(b.message(commit(tx)).is_empty());
+        assert_eq!(b.gateway().inflight(), 0);
     }
 }
 
@@ -931,6 +1085,9 @@ struct Model {
     /// The node the current input's expiry blamed, unless it was a commit
     /// deadline: the only node attempts may be moved off.
     blamed: Option<ActorId>,
+    /// Transactions an orderer took in: on the ledger of every live peer,
+    /// which answers a status probe for them.
+    committed: BTreeSet<TxId>,
 }
 
 /// The node one place along `ring` from `node`.
@@ -956,6 +1113,7 @@ impl Model {
             dead,
             asked: BTreeMap::new(),
             blamed: None,
+            committed: BTreeSet::new(),
         }
     }
 
@@ -1089,9 +1247,14 @@ impl Model {
                 if !accepted {
                     return;
                 }
+                self.committed.insert(tx);
                 commit(tx)
             }
-            other => panic!("the gateway sends proposals and envelopes, not {other:?}"),
+            FabricMsg::CommitStatus { tx_id, .. } if self.committed.contains(&tx_id) => {
+                answer(tx_id, ValidationCode::Valid)
+            }
+            FabricMsg::CommitStatus { .. } => return,
+            other => panic!("the gateway sends proposals, envelopes and probes, not {other:?}"),
         };
         self.bench.sched.ship(to, 0, reply, self.loss);
     }

@@ -15,12 +15,13 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelView, Committer, CostModel,
-    FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal, SignedProposal,
-    SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
+    endorsement_message, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelView,
+    Committer, CostModel, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal,
+    SignedProposal, SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, Encode, RawEnvelope, TxId, ValidationCode, DEFAULT_CHANNEL,
+    DEFAULT_CHUNK_ENTRIES,
 };
 use hyperprov_sim::ActorId;
 use proptest::prelude::*;
@@ -104,6 +105,7 @@ fn show(actions: &[Action]) -> Vec<String> {
         FabricMsg::SnapshotPartData { index, part, .. } => {
             format!("part/{index}={}", part.is_some())
         }
+        FabricMsg::CommitStatusAnswer(event) => format!("status={:?}", event.code),
         _ => "?".to_owned(),
     };
     let scope = |scope: &Option<ChannelId>| if scope.is_some() { "ch." } else { "" };
@@ -312,6 +314,42 @@ mod transitions {
             ["refused(channel another-channel not hosted)->100"]
         );
         assert_eq!(ledger_digests(&ledger), before);
+    }
+
+    /// A commit-status probe is answered from the committer with the code
+    /// the peer recorded, valid or not, and charged; an id the peer never
+    /// committed, and one it knows only from a booted snapshot, get
+    /// silence.
+    #[test]
+    fn a_status_probe_is_answered_with_the_recorded_code_or_not_at_all() {
+        let (client, endorser, new_committer) = support::new_committers();
+        let mut ledger = new_committer();
+        let chain = support::extend_chain(&mut ledger, &client, &endorser, 1, 2);
+        // Post 0's key again under another tx id: its read of the key's
+        // absence is stale.
+        let mut stale = support::post(&client, &endorser, 0);
+        stale.proposal.nonce += 100;
+        let message = endorsement_message(&stale.tx_id(), &stale.payload, &stale.rwset);
+        stale.endorsements[0].signature = endorser.sign(&message);
+        let block = Block::build(1, ledger.store().tip_hash(), vec![stale.to_raw()]);
+        assert_eq!(ledger.commit_block(block).unwrap().invalid, 1);
+        let snapshot = ledger.snapshot(DEFAULT_CHUNK_ENTRIES);
+        let booted = ledger.recover_from_snapshot(&snapshot).unwrap();
+        let probe = |peer: &mut Peer, tx_id| {
+            let msg = FabricMsg::CommitStatus {
+                channel: channel(),
+                tx_id,
+            };
+            show(&peer.message(client_actor(0), msg, true))
+        };
+        let valid = chain[0].envelopes[0].tx_id;
+        let (mut peer, _) = peer_on(&endorser, ledger, None, None);
+        assert_eq!(probe(&mut peer, valid), ["job:status=Valid->100"]);
+        let conflict = ["job:status=MvccReadConflict->100"];
+        assert_eq!(probe(&mut peer, stale.tx_id()), conflict);
+        assert_eq!(probe(&mut peer, TxId(Digest::of(b"never"))), ["charge"]);
+        let (mut peer, _) = peer_on(&endorser, booted, None, None);
+        assert_eq!(probe(&mut peer, valid), ["charge"]);
     }
 
     /// A restart with `prepare` done to the peer's six-block ledger first.

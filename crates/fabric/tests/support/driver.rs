@@ -82,7 +82,7 @@ impl Machine for Driver {
     type Own = Infallible;
 
     fn message(&mut self, _: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Infallible>> {
-        let actions = self.gateway.on_message(msg, io.rng);
+        let actions = self.gateway.on_message(msg, io.now, io.rng);
         self.answer(actions, io.now)
     }
 

@@ -26,13 +26,12 @@ fn store(net: &mut HyperProvNetwork, client: usize, n: u64, key: &str) {
         .inject_message(net.clients[client], NodeMsg::Client(command));
 }
 
-/// A commit notification that never arrives (home peer partitioned from
-/// the orderer) must surface as a clean `Timeout` completion: no retry
-/// policy is armed, the deadline fires once, and the operation ends once.
-/// (That nothing is left in the client's tables afterwards, under every
-/// schedule, is `client_machine.rs`'s property test.)
-#[test]
-fn commit_wait_times_out_cleanly_under_partition() {
+/// One store on a one-client deployment whose peers in `cut` are
+/// partitioned from the orderer, with deadlines and no retry policy:
+/// endorsement (client <-> peer) and submission (client <-> orderer) still
+/// work, only the block delivery to the cut peers does not. Returns the
+/// operation's one completion and how many status probes the client sent.
+fn store_with_peers_cut(cut: &[usize]) -> (HyperProvNetwork, ClientCompletion, usize) {
     let config = NetworkConfig::desktop(1)
         .with_seed(41)
         .with_batch(BatchConfig {
@@ -44,30 +43,57 @@ fn commit_wait_times_out_cleanly_under_partition() {
             Some(SimDuration::from_secs(4)),
         );
     let mut net = HyperProvNetwork::build(&config);
-
-    // Endorsement (client <-> peer 0) and submission (client <-> orderer)
-    // still work; only the block delivery to the client's home peer is
-    // cut, so the commit event never fires.
-    let home = net.peers[0];
     let orderer = net.orderers[0];
-    net.sim.network_mut().partition(home, orderer);
-
+    for &peer in cut {
+        net.sim.network_mut().partition(net.peers[peer], orderer);
+    }
     store(&mut net, 0, 1, "stuck-commit");
     net.sim.run_until(SimTime::from_secs(30));
-
-    let completions = net.completions[0].borrow();
+    let completions = net.completions[0].borrow().clone();
     assert_eq!(completions.len(), 1, "the operation must complete");
+    let events = net.sim.tracer().events();
+    let probes = events.filter(|e| e.name == "commit.probe").count();
+    let completion = completions.into_iter().next().expect("one");
+    (net, completion, probes)
+}
+
+/// A home peer cut off from the orderer holds no commit: the other peers
+/// committed the transaction, and the first status probe — due at the
+/// endorse deadline, as nothing was timed before — asks the next one,
+/// whose answer ends the operation `Ok`, with no timeout. The home is
+/// still cut off, so it is behind; nothing else is wrong.
+#[test]
+fn a_commit_wait_cut_off_from_its_home_ends_ok_after_one_probe() {
+    let (net, completion, probes) = store_with_peers_cut(&[0]);
     assert!(
-        matches!(completions[0].outcome, Err(HyperProvError::Timeout)),
-        "expected a commit deadline timeout, got {:?}",
-        completions[0].outcome
+        matches!(completion.outcome, Ok(OpOutput::Committed { .. })),
+        "expected the probed peer's answer, got {:?}",
+        completion.outcome
     );
-    assert_eq!(net.sim.metrics().counter("client.timeouts"), 1);
-    drop(completions);
-    // The home peer is still cut off, so it is behind; nothing else is
-    // wrong.
+    assert_eq!(probes, 1);
+    assert_eq!(net.sim.metrics().counter("client.timeouts"), 0);
     let found: Vec<String> = audit(&net).iter().map(ToString::to_string).collect();
     assert_eq!(found, ["hyperprov-channel peer0: diverged in height"]);
+}
+
+/// A commit notification that never arrives (every peer partitioned from
+/// the orderer) must surface as a clean `Timeout` completion: no retry
+/// policy is armed, the one probe that fits before the deadline goes
+/// unanswered, the deadline fires once, and the operation ends once.
+/// (That nothing is left in the client's tables afterwards, under every
+/// schedule, is `client_machine.rs`'s property test.)
+#[test]
+fn commit_wait_times_out_cleanly_under_partition() {
+    let (net, completion, probes) = store_with_peers_cut(&[0, 1, 2, 3]);
+    assert!(
+        matches!(completion.outcome, Err(HyperProvError::Timeout)),
+        "expected a commit deadline timeout, got {:?}",
+        completion.outcome
+    );
+    assert_eq!(probes, 1);
+    assert_eq!(net.sim.metrics().counter("client.timeouts"), 1);
+    let found: Vec<String> = audit(&net).iter().map(ToString::to_string).collect();
+    assert_eq!(found, Vec::<String>::new());
 }
 
 /// A 2/2 peer split heals via block catch-up: the cut half misses blocks

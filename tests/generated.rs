@@ -3,8 +3,9 @@
 //! and the benchmark build theirs (`NetworkConfig` plus `FaultPlan`). Each
 //! seed runs until every window has ended, plus 60 virtual seconds, and
 //! fails on a panic, on an operation that never ended, and on a finding —
-//! a write reported invalid, or one of the audit's — that no named
-//! exclusion covers.
+//! a write reported invalid, a write reported `Ok` that a replica recorded
+//! under another code, or one of the audit's — that no named exclusion
+//! covers.
 //!
 //! An exclusion is a known finding under the drawn condition that
 //! explains it, owned by the ROADMAP item whose fix deletes it; the same
@@ -24,9 +25,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use hyperprov_repro::fabric::{BatchConfig, QueueConfig};
 use hyperprov_repro::hyperprov::{
     current_records, AuditFinding, ChannelSpec, ClientCommand, CompletionQueue, HyperProvError,
-    HyperProvNetwork, NetworkConfig, OpId, OrdererMode, RetryPolicy, SnapshotPolicy,
+    HyperProvNetwork, NetworkConfig, OpId, OpOutput, OrdererMode, RetryPolicy, SnapshotPolicy,
 };
-use hyperprov_repro::ledger::{ChannelId, ValidationCode, DEFAULT_CHANNEL};
+use hyperprov_repro::ledger::{ChannelId, TxId, ValidationCode, DEFAULT_CHANNEL};
 use hyperprov_repro::sim::{DetRng, FaultPlan, SimDuration, SimTime};
 use rand::Rng;
 use support::{audit, post, store_data, Load};
@@ -202,6 +203,9 @@ enum Finding {
     /// A write of a fresh key ended invalid; whether the key is on the
     /// ledger all the same.
     InvalidWrite(String, ValidationCode, bool),
+    /// A write reported `Ok` — by its home peer or by a probed one — whose
+    /// transaction a replica recorded under this other code.
+    Untruthful(TxId, ValidationCode),
     /// The audit found this.
     Audit(AuditFinding),
 }
@@ -414,6 +418,19 @@ fn run(seed: u64, windows: &[Window]) -> (Vec<Finding>, Run) {
                 continue;
             };
             findings.push(Finding::InvalidWrite(key.clone(), *code, on_ledger(key)));
+        }
+    }
+    let replicas: Vec<_> = net.channel_ledgers.iter().flatten().collect();
+    for queue in &net.completions {
+        for done in queue.borrow().iter() {
+            let Ok(OpOutput::Committed { tx_id, .. }) = done.outcome else {
+                continue;
+            };
+            let recorded = replicas
+                .iter()
+                .filter_map(|(_, l)| l.borrow().status(&tx_id));
+            let other = recorded.filter(|code| !code.is_valid()).take(1);
+            findings.extend(other.map(|code| Finding::Untruthful(tx_id, code)));
         }
     }
     findings.extend(audit(&net).into_iter().map(Finding::Audit));
