@@ -35,7 +35,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23697
+ceiling=23338
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -48,7 +48,7 @@ fi
 # The same ratchet on the two long documents, in bytes: DESIGN.md says
 # what the system is, CHANGES.md what each change did, and neither grows
 # unseen.
-for doc in DESIGN.md:124603 CHANGES.md:132833; do
+for doc in DESIGN.md:124001 CHANGES.md:133963; do
     file=${doc%%:*}
     limit=${doc#*:}
     bytes=$(wc -c <"$file")
@@ -148,13 +148,20 @@ spans_sound quick
 # Regression gate: one table of claims (crates/bench/src/regress.rs,
 # GATES) over the committed BENCH_*.json trajectories. Reruns the quick
 # BENCH-SIM reference and T-SCALE profiles and diffs their deterministic
-# model metrics against BENCH_sim.json (1 %), and holds the committed
-# full-run trajectories to their shape claims (recovery flatness, the
-# Fig 1/2 knee, desktop : RPi, Fig 3 power). A committed file that is
-# missing or does not parse fails. Host numbers are recorded as
-# information only — host cost is the benchmark's job (below).
-# Regenerate BENCH_sim.json deliberately with `bench_regress --update`.
-cargo run --release -p hyperprov-bench --bin bench_regress -- --quick
+# model metrics against BENCH_sim.json (1 %), and holds every campaign's
+# committed full run to its reading: the Fig 1/2 knee, desktop : RPi and
+# Fig 3 power; snapshot recovery flat in chain length; off-chain chain
+# bytes flat in item size and on-chain throughput halved by 1 MiB; MVCC
+# conflicts rising with the hot fraction; no admission reject below the
+# overload knee and a flat plateau past it; fault recovery within 3 s,
+# with no error or unfinished operation; goodput rising to 4 channels
+# and flat to 8; a 2-lane commit speedup of at least 1.25 and nothing
+# more from 4; lineage within 3 % of ancestry on one shard. A committed
+# file that is missing, empty or does not parse fails. Host numbers are
+# recorded as information only — host cost is the benchmark's job
+# (below). Regenerate BENCH_sim.json deliberately with
+# `bench_regress --update`.
+cargo run --release -p hyperprov-bench --bin bench_regress
 
 # The benchmark is a package of its own outside the workspace, so nothing
 # above compiles it, and it reads public fields of the product's types

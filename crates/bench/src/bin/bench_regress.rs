@@ -2,10 +2,10 @@
 //! (`hyperprov_bench::regress::GATES`) over the committed `BENCH_*.json`
 //! trajectories — the deterministic model metrics of `BENCH_sim.json`
 //! against a fresh quick run (1 %), and the shape claims of the full-run
-//! trajectories (recovery flatness, the Fig 1/2 knee, Fig 3 power). Exits
-//! non-zero when any row fails, a missing or unparseable file included.
-//! `--update` first rewrites `BENCH_sim.json` from the fresh run. Both
-//! runs are the quick ones whether or not `--quick` is given.
+//! trajectories (the Fig 1/2 knee, Fig 3 power, and each table
+//! campaign's reading). Exits non-zero when any row fails, a missing,
+//! empty or unparseable file included. `--update` first rewrites
+//! `BENCH_sim.json` from the fresh run. Both runs are the quick ones.
 
 use hyperprov_bench::regress::{all_ok, baseline_path, run_regress};
 

@@ -1,11 +1,8 @@
-//! T-BASE: HyperProv vs the on-chain-data variant vs a ProvChain-like
-//! public PoW chain.
+//! T-BASE: HyperProv vs the on-chain-data variant.
 //!
-//! Quantifies the paper's two positioning claims: (1) moving payloads
-//! off-chain keeps throughput flat-ish as items grow while the on-chain
-//! variant collapses, and (2) a permissioned chain costs orders of
-//! magnitude less energy and finalisation latency than a public PoW
-//! anchor.
+//! Quantifies the paper's positioning claim that moving payloads
+//! off-chain keeps throughput flat-ish and the chain small as items grow,
+//! while the on-chain variant pays for every payload byte.
 //!
 //! The on-chain variant is a *workload* on the same deployment, not a
 //! second system: a `Post` whose record carries the payload itself as
@@ -14,7 +11,6 @@
 //! the storage node sits idle.
 
 use hyperprov::{ClientCommand, HyperProvNetwork, NetworkConfig, OpId, RecordInput};
-use hyperprov_baseline::{PowChain, PowConfig, PowTx};
 use hyperprov_device::{EnergyModel, PowerMeter};
 use hyperprov_fabric::BatchConfig;
 use hyperprov_ledger::Digest;
@@ -22,10 +18,11 @@ use hyperprov_sim::{ActorId, DetRng, SimDuration, SimTime};
 
 use crate::row;
 use crate::runner::{run_closed_loop, Artefact, Summary, Until};
-use crate::table::{Cell, Fmt, Table};
+use crate::table::{Fmt, Table};
 use crate::workload::{payload, store_cmd};
 
-/// Runs the three-system comparison at several item sizes.
+/// Runs the two-workload comparison at several item sizes: the table and
+/// its rows as the committed `BENCH_baselines.json` trajectory.
 pub fn baseline_comparison(quick: bool) -> Vec<Artefact> {
     // The workload is bounded by *operation count*, not duration: the
     // on-chain variant replicates every payload into all four peers'
@@ -38,10 +35,9 @@ pub fn baseline_comparison(quick: bool) -> Vec<Artefact> {
     } else {
         (vec![1 << 10, 1 << 16, 1 << 20], 8, 300)
     };
-    let duration = ops; // virtual seconds offered to the PoW chain
 
     let mut table = Table::new(
-        "T-BASE: HyperProv vs on-chain data vs ProvChain-like PoW",
+        "T-BASE: HyperProv vs on-chain data",
         &[
             ("system", "system", Fmt::Plain),
             ("size_bytes", "item size", Fmt::Bytes),
@@ -66,23 +62,14 @@ pub fn baseline_comparison(quick: bool) -> Vec<Artefact> {
                 summary.unfinished,
             ]);
         }
-
-        let (tput, latency_ms, bytes_per_tx, energy) =
-            run_pow(SimDuration::from_secs(duration), quick);
-        table.push_row(row![
-            "ProvChain-like PoW",
-            size,
-            tput,
-            latency_ms,
-            bytes_per_tx,
-            // Three orders of magnitude above the permissioned rows:
-            // whole joules.
-            Cell::Shown(energy, Fmt::Fixed(0, "")),
-            // Not a driver run: nothing to account for.
-            None::<f64>,
-        ]);
     }
-    vec![Artefact::table(table, "table_baselines")]
+    let trajectory = Artefact::trajectory(
+        "BENCH_baselines.json",
+        "T-BASE",
+        "throughput, latency, chain bytes and energy per tx: payloads off-chain vs on-chain",
+        &[&table],
+    );
+    vec![Artefact::table(table, "table_baselines"), trajectory]
 }
 
 /// The item as an on-chain record: the payload rides in the record's
@@ -170,46 +157,4 @@ fn energy_per_tx(
     } else {
         joules
     }
-}
-
-/// Pushes the same offered load through the PoW chain. Records carry only
-/// metadata (~300 B) regardless of item size, as in ProvChain — but
-/// finality waits for mining and confirmations, and the miners burn power
-/// continuously.
-fn run_pow(duration: SimDuration, quick: bool) -> (f64, f64, u64, f64) {
-    let config = PowConfig::default();
-    let mut chain = PowChain::new(config, 9);
-    let record_bytes = 300u64;
-    // Offer one anchor per second (the permissioned systems do far more;
-    // PoW latency is what dominates regardless of rate).
-    let offered = duration.as_secs_f64() as u64;
-    for i in 0..offered {
-        chain.submit(PowTx {
-            id: i,
-            submitted: SimTime::from_secs(i),
-            bytes: record_bytes,
-        });
-    }
-    // Let the chain settle: every tx needs mining + confirmations.
-    let settle = if quick { 4_000 } else { 40_000 };
-    chain.advance_to(SimTime::from_secs(settle));
-    let commits = chain.commits();
-    let mean_latency_ms = if commits.is_empty() {
-        0.0
-    } else {
-        commits
-            .iter()
-            .map(|c| (c.finalized - c.tx.submitted).as_secs_f64() * 1e3)
-            .sum::<f64>()
-            / commits.len() as f64
-    };
-    // Throughput over the offered window (the chain keeps up at 1 tx/s;
-    // the figure of merit here is latency + energy).
-    let tput = commits.len() as f64 / duration.as_secs_f64().max(1.0);
-    let energy_per_tx = if commits.is_empty() {
-        f64::INFINITY
-    } else {
-        chain.mining_energy_joules(duration) / commits.len() as f64
-    };
-    (tput.min(1.0), mean_latency_ms, record_bytes, energy_per_tx)
 }

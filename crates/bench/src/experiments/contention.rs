@@ -15,7 +15,8 @@ use crate::runner::{run_open_loop, Artefact};
 use crate::table::{Fmt, Table};
 use crate::workload::{payload, poisson_arrivals, KeyChooser};
 
-/// Runs the contention sweep.
+/// Runs the contention sweep: the table and its rows as the committed
+/// `BENCH_contention.json` trajectory.
 pub fn contention_sweep(quick: bool) -> Vec<Artefact> {
     let (fractions, rate, duration, clients): (Vec<f64>, f64, SimDuration, usize) = if quick {
         (vec![0.0, 0.8], 30.0, SimDuration::from_secs(10), 4)
@@ -74,5 +75,11 @@ pub fn contention_sweep(quick: bool) -> Vec<Artefact> {
             (total > 0).then(|| conflicts as f64 / total as f64 * 100.0),
         ]);
     }
-    vec![Artefact::table(table, "table_contention")]
+    let trajectory = Artefact::trajectory(
+        "BENCH_contention.json",
+        "T-MVCC",
+        "MVCC invalidations vs hot-key fraction (open loop)",
+        &[&table],
+    );
+    vec![Artefact::table(table, "table_contention"), trajectory]
 }

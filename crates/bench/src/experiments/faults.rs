@@ -289,7 +289,8 @@ fn run_scenario(
 /// retry/timeout counts), the per-second goodput timeline of every run
 /// (the recovery curves), the per-run SLO verdicts over the fault
 /// windows, the Chrome/Perfetto `trace_events` export of the desktop
-/// peer-crash run, and one metrics + trace + SLO snapshot per run.
+/// peer-crash run, one metrics + trace + SLO snapshot per run, and the
+/// summary rows as the committed `BENCH_faults.json` trajectory.
 pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
     let params = Params::new(quick);
     let mut table = Table::new(
@@ -369,6 +370,12 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
         }
     }
 
+    let trajectory = Artefact::trajectory(
+        "BENCH_faults.json",
+        "T-FAULTS",
+        "goodput before, during and after injected faults; operation outcomes",
+        &[&table],
+    );
     vec![
         Artefact::table(table, "table_faults"),
         Artefact::table(timeline, "table_faults_timeline"),
@@ -378,6 +385,7 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
             name: "table_faults_peer_crash.trace.json",
         },
         Artefact::Metrics(exporter),
+        trajectory,
     ]
 }
 

@@ -15,7 +15,6 @@ mod lineage;
 mod overload;
 mod pipeline;
 mod profile;
-mod queries;
 mod recovery;
 mod scale;
 mod sharding;
@@ -31,7 +30,6 @@ pub use lineage::lineage_sweep;
 pub use overload::overload_sweep;
 pub use pipeline::pipeline_sweep;
 pub use profile::sim_bench;
-pub use queries::{batch_sweep, query_latency};
 pub use recovery::recovery_sweep;
 pub use scale::scale_campaign;
 pub use sharding::sharding_sweep;
@@ -57,8 +55,6 @@ pub const ALL_CAMPAIGNS: &[(&str, Campaign)] = &[
     ("fig1_desktop", |quick| size_sweep(Platform::Desktop, quick)),
     ("fig2_rpi", |quick| size_sweep(Platform::Rpi, quick)),
     ("fig3_energy", energy_profile),
-    ("table_batch_sweep", batch_sweep),
-    ("table_query_latency", query_latency),
     ("table_baselines", baseline_comparison),
     ("table_contention", contention_sweep),
     ("table_overload", overload_sweep),

@@ -33,8 +33,9 @@ const ITEM_BYTES: usize = 1 << 10;
 /// well past each testbed's saturation rate, peers bounded at
 /// [`PEER_QUEUE_CAPACITY`] with the nack policy. Returns the goodput /
 /// rejection series per platform and offered rate, the per-stage latency
-/// breakdown (includes the `queue.wait` stage) and one metrics + trace
-/// snapshot per `(platform, rate)` run.
+/// breakdown (includes the `queue.wait` stage), one metrics + trace
+/// snapshot per `(platform, rate)` run, and the series' rows as the
+/// committed `BENCH_overload.json` trajectory.
 pub fn overload_sweep(quick: bool) -> Vec<Artefact> {
     let (desktop_rates, rpi_rates, clients, duration, drain): (
         Vec<f64>,
@@ -136,9 +137,16 @@ pub fn overload_sweep(quick: bool) -> Vec<Artefact> {
         "T-OVERLOAD: per-stage latency breakdown (both platforms, all rates)",
         &stages,
     );
+    let trajectory = Artefact::trajectory(
+        "BENCH_overload.json",
+        "T-OVERLOAD",
+        "goodput and admission rejections vs offered load (open loop, 1 KiB items)",
+        &[&table],
+    );
     vec![
         Artefact::table(table, "table_overload"),
         Artefact::table(breakdown, "table_overload_stages"),
         Artefact::Metrics(exporter),
+        trajectory,
     ]
 }

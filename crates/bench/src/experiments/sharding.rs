@@ -152,7 +152,8 @@ fn run_cell(
 }
 
 /// Runs the shard-count sweep: the scaling table (one row per platform ×
-/// shard count) and one metrics + trace snapshot per cell.
+/// shard count), one metrics + trace snapshot per cell, and the table's
+/// rows as the committed `BENCH_sharding.json` trajectory.
 pub fn sharding_sweep(quick: bool) -> Vec<Artefact> {
     let (shard_counts, platforms, clients, duration): (Vec<usize>, Vec<Platform>, usize, _) =
         if quick {
@@ -210,8 +211,15 @@ pub fn sharding_sweep(quick: bool) -> Vec<Artefact> {
             ]);
         }
     }
+    let trajectory = Artefact::trajectory(
+        "BENCH_sharding.json",
+        "T-SHARDING",
+        "goodput, commit latency and query cost vs shard count",
+        &[&table],
+    );
     vec![
         Artefact::table(table, "table_sharding"),
         Artefact::Metrics(exporter),
+        trajectory,
     ]
 }

@@ -16,7 +16,8 @@
 //! [`MODEL_REL_TOL`] means the simulated system's behaviour changed and
 //! the baseline must be regenerated deliberately (`bench_regress
 //! --update`). *Shape* claims hold the committed full-run trajectories to
-//! what the paper and EXPERIMENTS.md say about them.
+//! what the paper and EXPERIMENTS.md say about them. Every campaign has
+//! at least one row: a reading no row holds is not a result.
 //!
 //! Host numbers (wall seconds, events per wall-second, peak RSS) are
 //! recorded in `BENCH_sim.json` as information and gated nowhere here:
@@ -25,6 +26,7 @@
 //! held by the exact-count budget tests
 //! (`crates/fabric/tests/{memory,snapshot}_budget.rs`).
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use hyperprov_sim::json::{parse, Value};
@@ -35,7 +37,7 @@ use crate::runner::{table_of, trajectory_path};
 use crate::table::{trajectory_json, Fmt, Table};
 
 use Is::{AtLeast, AtMost, Num, Text};
-use Relation::{Between, Campaign, Equals, Spread, Steps, Within};
+use Relation::{Between, Equals, Spread, Steps, Within};
 
 /// Relative tolerance for deterministic model metrics.
 pub const MODEL_REL_TOL: f64 = 0.01;
@@ -68,13 +70,10 @@ impl std::fmt::Display for Is {
 pub type Select = &'static [(&'static str, Is)];
 
 /// What the selected cells' values under a gate's key must satisfy. Every
-/// relation also fails on an empty selection and, [`Campaign`] apart, on
-/// a selected cell without a number under the key.
+/// relation also fails on a missing or unparseable file, an empty
+/// selection and a selected cell without a number under the key.
 #[derive(Debug, Clone, Copy)]
 pub enum Relation {
-    /// The document is of this campaign (and, as for every relation,
-    /// parses and has cells): present and non-empty.
-    Campaign(&'static str),
     /// Each value is within this relative tolerance of the same cell's in
     /// the fresh document. The one relation whose key may end in `*`: one
     /// result row per key of the committed cell with that prefix.
@@ -103,6 +102,11 @@ const COMMIT: &str = "BENCH_commit.json";
 const LINEAGE: &str = "BENCH_lineage.json";
 const RECOVERY: &str = "BENCH_recovery.json";
 const PAPER: &str = "BENCH_paper.json";
+const BASE: &str = "BENCH_baselines.json";
+const MVCC: &str = "BENCH_contention.json";
+const OVERLOAD: &str = "BENCH_overload.json";
+const FAULTS: &str = "BENCH_faults.json";
+const SHARDING: &str = "BENCH_sharding.json";
 
 const REFERENCE: Select = &[("profile", Text("reference"))];
 const SCALE: Select = &[("profile", Text("scale"))];
@@ -117,10 +121,26 @@ const FROM_64K: (&str, Is) = ("size_bytes", AtLeast(64.0 * KIB));
 const TO_256K: (&str, Is) = ("size_bytes", AtMost(256.0 * KIB));
 const FROM_256K: (&str, Is) = ("size_bytes", AtLeast(256.0 * KIB));
 const AT_1_KIB: Select = &[("size_bytes", Num(KIB))];
+const AT_1_MIB: Select = &[("size_bytes", Num(KIB * KIB))];
 const AT_16_MIB: Select = &[("size_bytes", Num(16.0 * KIB * KIB))];
+const HYPERPROV: Select = &[("system", Text("HyperProv"))];
+const COLD: Select = &[("hot_fraction", Num(0.0))];
+const HOT: Select = &[("hot_fraction", AtLeast(0.1))];
+const DESKTOP_BELOW_KNEE: Select = &[DESKTOP, ("offered_tx_s", AtMost(400.0))];
+const RPI_BELOW_KNEE: Select = &[RPI, ("offered_tx_s", AtMost(75.0))];
+const DESKTOP_PAST_KNEE: Select = &[DESKTOP, ("offered_tx_s", AtLeast(800.0))];
+const RPI_PAST_KNEE: Select = &[RPI, ("offered_tx_s", AtLeast(100.0))];
+const UP_TO_4: (&str, Is) = ("channels", AtMost(4.0));
+const FROM_4: (&str, Is) = ("channels", AtLeast(4.0));
+const TWO_LANES: Select = &[("lanes", Num(2.0))];
+const FROM_2_LANES: (&str, Is) = ("lanes", AtLeast(2.0));
+const ONE_SHARD: Select = &[("shards", Num(1.0))];
+const FOUR_SHARDS: Select = &[("shards", Num(4.0))];
 const HLF_IDLE: Select = &[("load_level", Text("HLF idle"))];
 const SATURATED: Select = &[("load_level", Text("peak (saturated)"))];
 const TPUT: &str = "throughput_tx_s";
+const GOODPUT: &str = "goodput_tx_s";
+const LINEAGE_OVER_GRAPH: &str = "lineage_over_graph_p50";
 const COST: &str = "recovery_cost_ms";
 const INF: f64 = f64::INFINITY;
 
@@ -134,11 +154,6 @@ pub const GATES: &[Gate] = &[
     Gate(SIM, SCALE, "model.*", Within(MODEL_REL_TOL)),
     Gate(SIM, SCALE, "model.hung", Equals(0.0)),
     Gate(SIM, SCALE, "model.err", Equals(0.0)),
-    // A broken regeneration of a trajectory must not land unnoticed.
-    Gate(COMMIT, &[], "", Campaign("T-PIPELINE")),
-    Gate(LINEAGE, &[], "", Campaign("T-LINEAGE")),
-    Gate(RECOVERY, &[], "", Campaign("T-RECOVERY")),
-    Gate(PAPER, &[], "", Campaign("PAPER")),
     // T-RECOVERY: snapshot recovery is flat in chain length (within 2x),
     // genesis replay grows with the chain (each tenfold chain costs more
     // than double), the elastic joiner converged.
@@ -163,24 +178,74 @@ pub const GATES: &[Gate] = &[
     Gate(PAPER, SATURATED, "peak_power_w", Between(0.0, 3.64)),
     // Figs 1-3 account for every operation they issued.
     Gate(PAPER, &[], "unfinished", Equals(0.0)),
+    // T-BASE: off-chain payloads leave HyperProv's chain bytes per tx
+    // flat in the item size; carried on-chain, they cost little at 1 KiB
+    // (throughput within 1 %) and at least half the throughput at 1 MiB.
+    Gate(BASE, HYPERPROV, "chain_bytes_per_tx", Spread(1.0)),
+    Gate(BASE, AT_1_KIB, TPUT, Steps(0.99, 1.01)),
+    Gate(BASE, AT_1_MIB, TPUT, Steps(0.0, 0.5)),
+    Gate(BASE, &[], "unfinished", Equals(0.0)),
+    // T-MVCC: unique keys never conflict; from a 0.1 hot fraction on,
+    // every step up raises the conflict rate.
+    Gate(MVCC, COLD, "mvcc_conflicts", Equals(0.0)),
+    Gate(MVCC, HOT, "conflict_rate_pct", Steps(1.01, INF)),
+    // T-OVERLOAD: below the knee admission rejects nothing; well past it
+    // goodput is a plateau (within 5 %) and the excess is nacked.
+    Gate(OVERLOAD, DESKTOP_BELOW_KNEE, "rejected", Equals(0.0)),
+    Gate(OVERLOAD, RPI_BELOW_KNEE, "rejected", Equals(0.0)),
+    Gate(OVERLOAD, DESKTOP_PAST_KNEE, GOODPUT, Spread(1.05)),
+    Gate(OVERLOAD, RPI_PAST_KNEE, GOODPUT, Spread(1.05)),
+    // T-FAULTS: every scenario ends every operation `Ok`, with no retry
+    // budget exhausted, and is back at 90 % of its pre-fault goodput
+    // within 3 s of the fault clearing.
+    Gate(FAULTS, &[], "err", Equals(0.0)),
+    Gate(FAULTS, &[], "exhausted", Equals(0.0)),
+    Gate(FAULTS, &[], "unfinished", Equals(0.0)),
+    Gate(FAULTS, &[], "recover_s", Between(0.0, 3.0)),
+    // T-SHARDING: goodput rises with every channel count up to 4 on both
+    // testbeds, moves by less than 5 % from 4 to 8, and every operation
+    // ends `Ok`.
+    Gate(SHARDING, &[DESKTOP, UP_TO_4], GOODPUT, Steps(1.01, INF)),
+    Gate(SHARDING, &[RPI, UP_TO_4], GOODPUT, Steps(1.01, INF)),
+    Gate(SHARDING, &[DESKTOP, FROM_4], GOODPUT, Steps(0.95, 1.05)),
+    Gate(SHARDING, &[RPI, FROM_4], GOODPUT, Steps(0.95, 1.05)),
+    Gate(SHARDING, &[], "errors", Equals(0.0)),
+    Gate(SHARDING, &[], "unfinished", Equals(0.0)),
+    // T-PIPELINE: a second VSCC lane lifts goodput by at least 25 % on
+    // both testbeds; a third and fourth add nothing (the serial MVCC +
+    // apply phase is the limit).
+    Gate(COMMIT, TWO_LANES, "speedup_vs_serial", Between(1.25, INF)),
+    Gate(COMMIT, &[DESKTOP, FROM_2_LANES], GOODPUT, Steps(1.0, 1.0)),
+    Gate(COMMIT, &[RPI, FROM_2_LANES], GOODPUT, Steps(1.0, 1.0)),
+    Gate(COMMIT, &[], "errors", Equals(0.0)),
+    // T-LINEAGE: on one shard a lineage costs at most 3 % over the
+    // keys-only ancestry and every parent is local; across 4 shards it
+    // is no dearer than the ancestry.
+    Gate(LINEAGE, ONE_SHARD, LINEAGE_OVER_GRAPH, Between(0.99, 1.03)),
+    Gate(LINEAGE, FOUR_SHARDS, LINEAGE_OVER_GRAPH, Between(0.0, 1.0)),
+    Gate(LINEAGE, ONE_SHARD, "dangling", Equals(0.0)),
 ];
 
-fn selected(doc: &Value, select: Select) -> Vec<&Value> {
-    let holds = |cell: &Value, key: &str, is: &Is| {
+/// True when `select` picks `cell`.
+fn picks(cell: &Value, select: Select) -> bool {
+    select.iter().all(|&(key, is)| {
         let value = cell.get(key);
         let num = value.and_then(Value::as_f64);
-        match *is {
+        match is {
             Text(text) => value.and_then(Value::as_str) == Some(text),
             Num(n) => num == Some(n),
             AtMost(n) => num.is_some_and(|v| v <= n),
             AtLeast(n) => num.is_some_and(|v| v >= n),
         }
-    };
+    })
+}
+
+fn selected(doc: &Value, select: Select) -> Vec<&Value> {
     doc.get("cells")
         .and_then(Value::as_array)
         .unwrap_or_default()
         .iter()
-        .filter(|cell| select.iter().all(|(key, is)| holds(cell, key, is)))
+        .filter(|cell| picks(cell, select))
         .collect()
 }
 
@@ -241,10 +306,6 @@ pub fn evaluate(
         let values: Option<Vec<f64>> = cells.iter().map(|c| c.get(key)?.as_f64()).collect();
         let (constraint, ok) = match (relation, values.as_deref()) {
             _ if cells.is_empty() => ("selects no cell".to_owned(), false),
-            (Campaign(name), _) => (
-                format!("parses, campaign {name}, non-empty cells"),
-                doc.get("campaign").and_then(Value::as_str) == Some(name),
-            ),
             (Within(tol), _) => {
                 // Cell by cell, key by key, against the fresh document.
                 let constraint = format!("within {:.0}% of a fresh run", tol * 100.0);
@@ -303,6 +364,21 @@ pub fn baseline_path() -> PathBuf {
     trajectory_path(SIM)
 }
 
+/// Every file [`GATES`] reads, once each, as committed: parsed, or why it
+/// could not be read.
+fn committed() -> Vec<(&'static str, Result<Value, String>)> {
+    let files: BTreeSet<&str> = GATES.iter().map(|gate| gate.0).collect();
+    files
+        .into_iter()
+        .map(|file| {
+            let doc = std::fs::read_to_string(trajectory_path(file))
+                .map_err(|err| err.to_string())
+                .and_then(|body| parse(&body));
+            (file, doc)
+        })
+        .collect()
+}
+
 /// Runs the gate: a fresh quick BENCH-SIM reference profile and quick
 /// T-SCALE profile — the two cells of `BENCH_sim.json`, one file, one
 /// trajectory — then [`evaluate`] over [`GATES`] and the committed files.
@@ -325,18 +401,7 @@ pub fn run_regress(update: bool) -> Table {
         false => Ok(()),
     };
 
-    let mut files: Vec<&str> = GATES.iter().map(|gate| gate.0).collect();
-    files.dedup();
-    let committed: Vec<(&str, Result<Value, String>)> = files
-        .into_iter()
-        .map(|file| {
-            let doc = std::fs::read_to_string(trajectory_path(file))
-                .map_err(|err| err.to_string())
-                .and_then(|body| parse(&body));
-            (file, doc)
-        })
-        .collect();
-    let mut table = evaluate(GATES, &committed, &fresh);
+    let mut table = evaluate(GATES, &committed(), &fresh);
     if let Err(err) = written {
         table.push_row(row!["baseline write", "", "", err.to_string(), false]);
     }
@@ -395,33 +460,18 @@ mod tests {
     }
 
     #[test]
-    fn a_missing_or_broken_file_fails_every_row_that_reads_it() {
+    fn a_missing_broken_or_empty_file_fails_every_row_that_reads_it() {
         for why in ["No such file or directory (os error 2)", "expected value"] {
             let rows = evaluate(&gates_of(SIM), &[(SIM, Err(why.to_owned()))], &sim(72.0));
             assert_eq!(rows.len(), 4);
             assert_eq!(failed(&rows).len(), 4);
             assert!(rows.text(0, "constraint").unwrap().contains(why));
         }
-        let present = [Gate(COMMIT, &[], "", Campaign("T-PIPELINE"))];
-        assert!(!all_ok(&evaluate(&present, &[], &sim(72.0))));
-        let wrong = doc("T-LINEAGE", &["{\"lanes\":1}"]);
-        assert!(!all_ok(&evaluate(
-            &present,
-            &[(COMMIT, Ok(wrong))],
-            &sim(72.0)
-        )));
-        let empty = doc("T-PIPELINE", &[]);
-        assert!(!all_ok(&evaluate(
-            &present,
-            &[(COMMIT, Ok(empty))],
-            &sim(72.0)
-        )));
-        let good = doc("T-PIPELINE", &["{\"lanes\":1}"]);
-        assert!(all_ok(&evaluate(
-            &present,
-            &[(COMMIT, Ok(good))],
-            &sim(72.0)
-        )));
+        let gates = gates_of(COMMIT);
+        for committed in [vec![], vec![(COMMIT, Ok(doc("T-PIPELINE", &[])))]] {
+            let rows = evaluate(&gates, &committed, &sim(72.0));
+            assert_eq!(failed(&rows).len(), gates.len(), "{rows}");
+        }
     }
 
     fn recovery(snapshot_costs: [f64; 3]) -> Value {
@@ -498,39 +548,75 @@ mod tests {
         assert!(!holds(A, "w*", Within(0.01)));
     }
 
-    #[test]
-    fn an_unfinished_operation_in_a_committed_figure_fails_the_gate() {
-        let body = std::fs::read_to_string(trajectory_path(PAPER)).unwrap();
-        let gate: Vec<Gate> = GATES
-            .iter()
-            .filter(|g| g.2 == "unfinished")
-            .copied()
-            .collect();
-        let rows = evaluate(&gate, &[(PAPER, parse(&body))], &sim(72.0));
-        assert!(all_ok(&rows), "{rows}");
-
-        let lost = body.replacen("\"unfinished\": 0", "\"unfinished\": 1", 1);
-        assert_ne!(lost, body);
-        let rows = evaluate(&gate, &[(PAPER, parse(&lost))], &sim(72.0));
-        assert_eq!(failed(&rows), [0], "{rows}");
-    }
-
     /// Every row of the gate reads something in the committed files and
     /// holds on them: no row silently selects nothing. The fresh document
     /// is the committed `BENCH_sim.json` itself, so this test runs no
     /// campaign.
     #[test]
     fn every_gate_resolves_and_holds_on_the_committed_files() {
-        let read = |file: &str| {
-            let body = std::fs::read_to_string(trajectory_path(file)).unwrap();
-            parse(&body).unwrap()
-        };
-        let committed: Vec<(&str, Result<Value, String>)> = [SIM, COMMIT, LINEAGE, RECOVERY, PAPER]
-            .into_iter()
-            .map(|file| (file, Ok(read(file))))
-            .collect();
-        let rows = evaluate(GATES, &committed, &read(SIM));
+        let committed = committed();
+        let rows = evaluate(GATES, &committed, &committed_doc(&committed, SIM));
         assert!(rows.len() >= GATES.len());
         assert!(all_ok(&rows), "{rows}");
+    }
+
+    fn committed_doc(committed: &[(&str, Result<Value, String>)], file: &str) -> Value {
+        let (_, doc) = committed.iter().find(|(name, _)| *name == file).unwrap();
+        doc.clone().unwrap_or_else(|why| panic!("{file}: {why}"))
+    }
+
+    /// Moves the values a gate reads across its relation: the gate must
+    /// fail on them.
+    fn perturb(relation: Relation, xs: &mut [&mut f64]) {
+        match relation {
+            Within(tol) => xs.iter_mut().for_each(|x| **x *= 1.0 + 2.0 * tol),
+            Equals(v) => *xs[0] = v + 1.0,
+            Between(lo, hi) => *xs[0] = if hi.is_finite() { hi + 1.0 } else { lo - 1.0 },
+            Spread(k) => {
+                let top = (0..xs.len()).max_by(|&a, &b| xs[a].total_cmp(xs[b]));
+                *xs[top.unwrap()] *= 2.0 * k;
+            }
+            Steps(lo, hi) => *xs[1] = *xs[0] * if hi.is_finite() { 2.0 * hi } else { lo / 2.0 },
+        }
+    }
+
+    /// Every row of the gate can fail: on a copy of its committed file
+    /// whose selected values are moved across its relation (a model value
+    /// off by twice the tolerance, a count one above its bound, a flat
+    /// series' top scaled by twice the spread, a step out of its range),
+    /// the row does not hold.
+    #[test]
+    fn every_gate_fails_once_its_committed_values_cross_its_relation() {
+        let committed = committed();
+        let fresh = committed_doc(&committed, SIM);
+        for &gate in GATES {
+            let Gate(file, select, key, relation) = gate;
+            let mut doc = committed_doc(&committed, file);
+            let Value::Obj(fields) = &mut doc else {
+                panic!("{file} is not an object");
+            };
+            let Some((_, Value::Arr(cells))) = fields.iter_mut().find(|(k, _)| k == "cells") else {
+                panic!("{file} has no cells");
+            };
+            let prefix = key.strip_suffix('*');
+            let mut xs: Vec<&mut f64> = cells
+                .iter_mut()
+                .filter(|cell| picks(cell, select))
+                .filter_map(|cell| match cell {
+                    Value::Obj(fields) => Some(fields.iter_mut()),
+                    _ => None,
+                })
+                .flatten()
+                .filter(|(name, _)| prefix.map_or(name == key, |p| name.starts_with(p)))
+                .filter_map(|(_, value)| match value {
+                    Value::Num(x) => Some(x),
+                    _ => None,
+                })
+                .collect();
+            assert!(!xs.is_empty(), "{gate:?} reads no value");
+            perturb(relation, &mut xs);
+            let rows = evaluate(&[gate], &[(file, Ok(doc))], &fresh);
+            assert!(!all_ok(&rows), "{gate:?} holds on crossed values: {rows}");
+        }
     }
 }

@@ -40,9 +40,6 @@ pub type Col = (&'static str, &'static str, Fmt);
 pub enum Cell {
     /// A float.
     Num(f64),
-    /// A float rendered with its own format instead of the column's, for
-    /// the odd row whose magnitude the column's decimals do not suit.
-    Shown(f64, Fmt),
     /// An unsigned integer (counts, byte sizes, 0/1 flags).
     Int(u64),
     /// A label.
@@ -97,12 +94,11 @@ impl From<String> for Cell {
 
 impl Cell {
     fn render(&self, fmt: Fmt) -> String {
-        let (value, fmt) = match self {
+        let value = match self {
             Cell::Text(s) | Cell::Json(s) => return s.clone(),
             Cell::Missing => return "-".to_owned(),
-            Cell::Num(v) => (*v, fmt),
-            Cell::Shown(v, own) => (*v, *own),
-            Cell::Int(v) => (*v as f64, fmt),
+            Cell::Num(v) => *v,
+            Cell::Int(v) => *v as f64,
         };
         match (fmt, self) {
             (Fmt::Fixed(decimals, unit), _) => format!("{value:.decimals$}{unit}"),
@@ -194,7 +190,7 @@ impl Table {
     /// The numeric value of a cell by row and column key.
     pub fn num(&self, row: usize, key: &str) -> Option<f64> {
         match self.cell(row, key)?.0 {
-            Cell::Num(v) | Cell::Shown(v, _) => Some(*v),
+            Cell::Num(v) => Some(*v),
             Cell::Int(v) => Some(*v as f64),
             _ => None,
         }
@@ -215,7 +211,7 @@ impl Table {
                 let mut obj = json::Obj::new();
                 for ((key, ..), cell) in self.cols.iter().zip(row) {
                     obj = match cell {
-                        Cell::Num(v) | Cell::Shown(v, _) => obj.f64(key, *v),
+                        Cell::Num(v) => obj.f64(key, *v),
                         Cell::Int(v) => obj.u64(key, *v),
                         Cell::Text(s) => obj.str(key, s),
                         Cell::Json(s) => obj.raw(key, s),

@@ -4,8 +4,6 @@
 //! single dependency. See [`hyperprov`] for the provenance API itself.
 
 pub use hyperprov;
-/// The ProvChain-like proof-of-work anchor chain T-BASE compares against.
-pub use hyperprov_baseline as baseline;
 pub use hyperprov_device as device;
 pub use hyperprov_fabric as fabric;
 pub use hyperprov_ledger as ledger;
