@@ -35,7 +35,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23338
+ceiling=23172
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -48,7 +48,7 @@ fi
 # The same ratchet on the two long documents, in bytes: DESIGN.md says
 # what the system is, CHANGES.md what each change did, and neither grows
 # unseen.
-for doc in DESIGN.md:124001 CHANGES.md:133963; do
+for doc in DESIGN.md:123809 CHANGES.md:133725; do
     file=${doc%%:*}
     limit=${doc#*:}
     bytes=$(wc -c <"$file")

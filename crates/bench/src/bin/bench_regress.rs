@@ -5,12 +5,21 @@
 //! trajectories (the Fig 1/2 knee, Fig 3 power, and each table
 //! campaign's reading). Exits non-zero when any row fails, a missing,
 //! empty or unparseable file included. `--update` first rewrites
-//! `BENCH_sim.json` from the fresh run. Both runs are the quick ones.
+//! `BENCH_sim.json` from the fresh run. Both runs are the quick ones. Any
+//! other argument prints the usage line and exits 2 before a run.
 
 use hyperprov_bench::regress::{all_ok, baseline_path, run_regress};
 
 fn main() {
-    let update = std::env::args().any(|a| a == "--update");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let update = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--update" => true,
+        _ => {
+            eprintln!("unexpected arguments {args:?}\nusage: bench_regress [--update]");
+            std::process::exit(2);
+        }
+    };
     let rows = run_regress(update);
     print!("{rows}");
     if update {

@@ -89,8 +89,10 @@ impl HyperProvChaincode {
         }
     }
 
-    /// Creates a permissive variant that does not check parent existence
-    /// (used by the on-chain baseline to isolate storage cost).
+    /// Creates a permissive variant that does not check parent existence:
+    /// a channel cannot see a parent posted on another, so the sharded
+    /// campaigns (T-SHARDING, T-LINEAGE) that post cross-channel parents
+    /// run it.
     pub fn permissive() -> Self {
         HyperProvChaincode {
             require_parents: false,

@@ -13,7 +13,8 @@
 
 use std::collections::HashMap;
 
-use hyperprov_fabric::{Action, Caller, CostModel, Gateway, GatewayAction, GatewayDone};
+use hyperprov_fabric::costs::hash_cost;
+use hyperprov_fabric::{Action, Caller, Gateway, GatewayAction, GatewayDone};
 use hyperprov_offchain::StoreMsg;
 use hyperprov_sim::{ActorId, DetRng, SimTime};
 
@@ -86,7 +87,6 @@ pub struct Client {
     gateway: Gateway<Origin>,
     storage: ActorId,
     location_prefix: String,
-    costs: CostModel,
     /// Running operations by slot.
     operations: HashMap<u64, Running>,
     next_slot: u64,
@@ -101,17 +101,11 @@ pub struct Client {
 impl Client {
     /// A client over `gateway`, storing payloads at `storage` and naming
     /// them `location_prefix` + checksum hex on-chain.
-    pub fn new(
-        gateway: Gateway<Origin>,
-        storage: ActorId,
-        location_prefix: String,
-        costs: CostModel,
-    ) -> Self {
+    pub fn new(gateway: Gateway<Origin>, storage: ActorId, location_prefix: String) -> Self {
         Client {
             gateway,
             storage,
             location_prefix,
-            costs,
             operations: HashMap::new(),
             next_slot: 0,
             transfers: HashMap::new(),
@@ -137,7 +131,7 @@ impl Client {
         let op = cmd.op();
         let mut out = vec![Action::SpanStart(op_trace(op), "op", String::new())];
         if let ClientCommand::StoreData { data, .. } = &cmd {
-            out.push(Action::Charge(self.costs.hash_cost(data.len() as u64)));
+            out.push(Action::Charge(hash_cost(data.len() as u64)));
         }
         let (plan, requests) = Plan::start(
             cmd,
@@ -197,7 +191,7 @@ impl Client {
         out.push(Action::SpanEnd(op_trace(op), stage, String::new()));
         if let Ok(Reply::Bytes(data)) = &result {
             // The verification hash.
-            out.push(Action::Charge(self.costs.hash_cost(data.len() as u64)));
+            out.push(Action::Charge(hash_cost(data.len() as u64)));
         }
         let reply = result.unwrap_or_else(|err| Reply::Failed(HyperProvError::Storage(err)));
         self.advance(slot, 0, reply, &mut out);

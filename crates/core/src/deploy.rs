@@ -8,12 +8,12 @@ use std::sync::Arc;
 
 use hyperprov_device::DeviceProfile;
 use hyperprov_fabric::{
-    BatchConfig, CertId, ChaincodeRegistry, ChannelPolicies, Committer, CostModel,
-    EndorsementPolicy, FabricMsg, Gateway, Msp, MspBuilder, MspId, Node, OrderingNode, Peer,
-    QueueConfig, Route, SigningIdentity, SnapshotPolicy,
+    BatchConfig, CertId, ChaincodeRegistry, ChannelPolicies, Committer, EndorsementPolicy,
+    FabricMsg, Gateway, Msp, MspBuilder, MspId, Node, OrderingNode, Peer, QueueConfig, Route,
+    SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{ChannelId, DEFAULT_CHANNEL};
-use hyperprov_offchain::{MemoryStore, StorageCosts, StorageNode};
+use hyperprov_offchain::{MemoryStore, StorageNode};
 use hyperprov_sim::{ActorId, CpuResource, SimDuration, Simulation, SloSpec};
 
 use crate::chaincode::{HyperProvChaincode, HyperProvIndexer};
@@ -83,10 +83,6 @@ pub struct NetworkConfig {
     pub client_devices: Vec<DeviceProfile>,
     /// Orderer batching parameters.
     pub batch: BatchConfig,
-    /// The reference CPU cost table.
-    pub costs: CostModel,
-    /// SSHFS service costs.
-    pub storage_costs: StorageCosts,
     /// Install the permissive chaincode variant (no parent checks).
     pub permissive: bool,
     /// Admission-queue bound for every peer (`None` = unbounded, the
@@ -167,8 +163,6 @@ impl NetworkConfig {
             storage_device: other.clone(),
             client_devices: vec![other; clients.max(1)],
             batch: BatchConfig::default(),
-            costs: CostModel::default(),
-            storage_costs: StorageCosts::default(),
             permissive: false,
             peer_queue: None,
             orderer_mode: OrdererMode::Solo,
@@ -311,7 +305,6 @@ struct JoinKit {
     msp: Arc<Msp>,
     registry: ChaincodeRegistry,
     policy: EndorsementPolicy,
-    costs: CostModel,
     vscc_lanes: usize,
     peer_queue: Option<QueueConfig>,
     snapshots: Option<SnapshotPolicy>,
@@ -341,7 +334,7 @@ impl JoinKit {
         // an RPi cannot fan out like a Xeon.
         let lanes = self.vscc_lanes.clamp(1, device.cores.max(1));
         let name = format!("peer{index}");
-        let mut peer = Peer::new(identity, self.registry.clone(), self.costs, name.clone());
+        let mut peer = Peer::new(identity, self.registry.clone(), name.clone());
         if let Some(policy) = self.snapshots {
             peer.set_snapshots(policy);
         }
@@ -527,7 +520,6 @@ impl HyperProvNetwork {
             msp,
             registry,
             policy: config.endorsement_policy(),
-            costs: config.costs,
             vscc_lanes: config.vscc_lanes,
             peer_queue: config.peer_queue,
             snapshots: config.snapshots,
@@ -579,12 +571,9 @@ impl HyperProvNetwork {
             let raft_seed = config.seed.wrapping_add(ci as u64 * 7919);
             for (i, &expected) in chan.orderers.iter().enumerate() {
                 let node = match config.orderer_mode {
-                    OrdererMode::Solo => OrderingNode::solo(
-                        chan.id.clone(),
-                        config.batch,
-                        deliver_to.clone(),
-                        config.costs,
-                    ),
+                    OrdererMode::Solo => {
+                        OrderingNode::solo(chan.id.clone(), config.batch, deliver_to.clone())
+                    }
                     OrdererMode::Raft { .. } => OrderingNode::raft(
                         i,
                         chan.orderers.clone(),
@@ -592,7 +581,6 @@ impl HyperProvNetwork {
                         deliver_to.clone(),
                         config.batch,
                         raft_seed,
-                        config.costs,
                     ),
                 };
                 let cpu = CpuResource::new(config.orderer_device.cpu_speed);
@@ -603,7 +591,7 @@ impl HyperProvNetwork {
         }
 
         let store = Arc::new(MemoryStore::new());
-        let node = StorageNode::new(store.clone(), config.storage_costs);
+        let node = StorageNode::new(store.clone());
         let cpu = CpuResource::new(config.storage_device.cpu_speed);
         let id = Node::new(node, "storage").start(&mut sim, cpu, "storage");
         debug_assert_eq!(id, storage_id);
@@ -627,13 +615,13 @@ impl HyperProvNetwork {
                     Route::new(chan.id.clone(), endorsers, orderers, 1)
                 })
                 .collect();
-            let mut gateway = Gateway::new(identity.clone(), routes, config.costs)
+            let mut gateway = Gateway::new(identity.clone(), routes)
                 .with_deadlines(config.endorse_timeout, config.commit_timeout);
             if let Some(policy) = config.retry {
                 gateway = gateway.with_retry(policy);
             }
             let prefix = "sshfs://store0/".to_owned();
-            let client = Client::new(gateway, storage_id, prefix, config.costs);
+            let client = Client::new(gateway, storage_id, prefix);
             completions.push(client.completions.clone());
             let cpu = CpuResource::new(config.client_devices[i].cpu_speed);
             let id = Node::new(client, "client").start(&mut sim, cpu, "client");

@@ -14,7 +14,7 @@ use hyperprov::{
     TRANSFER_TOKEN_BIT,
 };
 use hyperprov_fabric::{
-    Action, CommitEvent, CostModel, FabricMsg, Gateway, MspBuilder, MspId, ProposalResponse, Route,
+    Action, CommitEvent, FabricMsg, Gateway, MspBuilder, MspId, ProposalResponse, Route,
     SigningIdentity, BUSY_REASON,
 };
 use hyperprov_ledger::{ChannelId, Digest, Encode, RwSet, TxId, ValidationCode};
@@ -54,19 +54,14 @@ fn bench(shards: usize, deadlines: bool, budget: Option<u32>) -> Bench {
     let routes = (0..shards)
         .map(|shard| Route::new(format!("ch{shard}"), endorsers(shard), ORDERERS.to_vec(), 1))
         .collect();
-    let mut gateway = Gateway::new(identity, routes, CostModel::default());
+    let mut gateway = Gateway::new(identity, routes);
     if deadlines {
         gateway = gateway.with_deadlines(Some(ENDORSE), Some(COMMIT));
     }
     if let Some(budget) = budget {
         gateway = gateway.with_retry(RetryPolicy::new(budget));
     }
-    let client = Client::new(
-        gateway,
-        STORAGE,
-        "sshfs://s/".to_owned(),
-        CostModel::default(),
-    );
+    let client = Client::new(gateway, STORAGE, "sshfs://s/".to_owned());
     let sched = Sched::new([(CLIENT, client)], Rng::new(11));
     Bench { sched, peer }
 }

@@ -31,7 +31,7 @@ use hyperprov_sim::fxhash::FxHashMap;
 use hyperprov_sim::{ActorId, DetRng, SimDuration, SimTime};
 use rand::Rng;
 
-use crate::costs::CostModel;
+use crate::costs;
 use crate::identity::SigningIdentity;
 use crate::messages::{
     tx_trace, CommitEvent, Endorsement, Envelope, FabricMsg, Proposal, ProposalResponse,
@@ -395,7 +395,6 @@ struct Row<T> {
 pub struct Gateway<T> {
     identity: SigningIdentity,
     routes: Vec<Route>,
-    costs: CostModel,
     /// Deadline of the endorsement phase and of queries; `None` arms no
     /// timer at all.
     endorse_timeout: Option<SimDuration>,
@@ -416,12 +415,11 @@ impl<T: Caller> Gateway<T> {
     /// # Panics
     ///
     /// Panics if `routes` is empty.
-    pub fn new(identity: SigningIdentity, routes: Vec<Route>, costs: CostModel) -> Self {
+    pub fn new(identity: SigningIdentity, routes: Vec<Route>) -> Self {
         assert!(!routes.is_empty(), "gateway needs at least one route");
         Gateway {
             identity,
             routes,
-            costs,
             endorse_timeout: None,
             commit_timeout: None,
             retry: None,
@@ -565,7 +563,7 @@ impl<T: Caller> Gateway<T> {
             (1, "query", Phase::Query)
         };
         let mut out = Vec::with_capacity(3 + targets);
-        out.push(Action::Charge(self.costs.client_proposal_cost(wire)));
+        out.push(Action::Charge(costs::client_proposal_cost(wire)));
         out.push(Action::SpanStart(tx_trace(&tx_id), stage, String::new()));
         let token = arm(&mut self.next_token, self.endorse_timeout, &mut out);
         // The last endorser gets the proposal by move, the rest by clone.

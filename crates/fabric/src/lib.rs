@@ -27,7 +27,7 @@ mod action;
 mod catchup;
 mod chaincode;
 mod committer;
-mod costs;
+pub mod costs;
 mod endorser;
 mod gateway;
 mod identity;
@@ -45,7 +45,6 @@ pub use chaincode::{
     Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, StubStats, COMPOSITE_SEP,
 };
 pub use committer::{BootstrapError, ChannelPolicies, CommitOutcome, Committer, VsccVerdict};
-pub use costs::CostModel;
 pub use endorser::endorse;
 pub use gateway::{
     Action as GatewayAction, Caller, Done as GatewayDone, Gateway, GatewayError,

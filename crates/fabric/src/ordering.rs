@@ -18,7 +18,7 @@ use hyperprov_ledger::{Block, ChannelId, RawEnvelope, TxId};
 use hyperprov_sim::{ActorId, SimDuration};
 
 use crate::action::{Outbound, SpanKey};
-use crate::costs::CostModel;
+use crate::costs;
 use crate::messages::{tx_trace, Envelope, FabricMsg};
 use crate::orderer::{BatchConfig, BlockAssembler, BlockCutter};
 use crate::raft::{RaftConfig, RaftNode, RaftOutput};
@@ -57,7 +57,6 @@ struct Chain {
     peers: Vec<ActorId>,
     /// Recently cut blocks, retained for the deliver (catch-up) service.
     retained: VecDeque<Arc<Block>>,
-    costs: CostModel,
 }
 
 impl Chain {
@@ -165,7 +164,7 @@ impl RaftMember {
         for (_, batch) in stepped.committed {
             let mut sends = Vec::new();
             let (close, bytes) = chain.block(batch, Some(self), &mut sends, out);
-            let cost = chain.costs.block_cost(bytes);
+            let cost = costs::block_cost(bytes);
             out.push(Action::Job(cost, sends, vec![close]));
         }
     }
@@ -194,19 +193,13 @@ pub struct OrderingNode {
 impl OrderingNode {
     /// The single-node ("solo") ordering service of `channel`, as used by
     /// the paper's setup, delivering blocks to `peers`.
-    pub fn solo(
-        channel: ChannelId,
-        batch: BatchConfig,
-        peers: Vec<ActorId>,
-        costs: CostModel,
-    ) -> Self {
+    pub fn solo(channel: ChannelId, batch: BatchConfig, peers: Vec<ActorId>) -> Self {
         OrderingNode {
             chain: Chain {
                 channel,
                 assembler: BlockAssembler::new(),
                 peers,
                 retained: VecDeque::new(),
-                costs,
             },
             cutter: BlockCutter::new(batch),
             batch_armed: false,
@@ -223,7 +216,6 @@ impl OrderingNode {
         peers: Vec<ActorId>,
         batch: BatchConfig,
         seed: u64,
-        costs: CostModel,
     ) -> Self {
         let member = RaftMember {
             node: RaftNode::new(index, cluster.len(), RaftConfig::default(), seed),
@@ -233,7 +225,7 @@ impl OrderingNode {
         };
         OrderingNode {
             consensus: Consensus::Raft(Box::new(member)),
-            ..OrderingNode::solo(channel, batch, peers, costs)
+            ..OrderingNode::solo(channel, batch, peers)
         }
     }
 
@@ -285,7 +277,7 @@ impl OrderingNode {
                 self.batch_armed = false;
                 if let Some(batch) = self.cutter.cut() {
                     out.push(self.chain.count("timeout_cuts"));
-                    let cost = self.chain.costs.block_base;
+                    let cost = costs::BLOCK_BASE;
                     self.order(vec![batch], cost, &mut out);
                 }
             }
@@ -342,7 +334,7 @@ impl OrderingNode {
         }
         let raw = envelope.to_raw();
         let tx_id = raw.tx_id;
-        let cost = self.chain.costs.order_cost(raw.bytes.len() as u64);
+        let cost = costs::order_cost(raw.bytes.len() as u64);
         let cut = self.cutter.offer(raw);
         // Room for what each cut block answers with.
         let txs: usize = cut.batches.iter().map(Vec::len).sum();

@@ -25,7 +25,7 @@ use hyperprov_sim::{fnv1a, ActorId, SimDuration};
 use crate::catchup::{self, CatchUp};
 use crate::chaincode::ChaincodeRegistry;
 use crate::committer::Committer;
-use crate::costs::CostModel;
+use crate::costs;
 use crate::endorser::endorse;
 use crate::identity::{CertId, SigningIdentity};
 use crate::messages::{
@@ -173,7 +173,6 @@ pub struct ChannelView {
 pub struct Peer {
     identity: SigningIdentity,
     registry: ChaincodeRegistry,
-    costs: CostModel,
     /// The peer's metric prefix: the detail of its spans, and, hashed,
     /// the salt of its catch-up retry backoff.
     name: String,
@@ -192,16 +191,10 @@ pub struct Peer {
 
 impl Peer {
     /// A peer called `name`, hosting no channel yet.
-    pub fn new(
-        identity: SigningIdentity,
-        registry: ChaincodeRegistry,
-        costs: CostModel,
-        name: String,
-    ) -> Self {
+    pub fn new(identity: SigningIdentity, registry: ChaincodeRegistry, name: String) -> Self {
         Peer {
             identity,
             registry,
-            costs,
             name,
             channels: Vec::new(),
             by_id: BTreeMap::new(),
@@ -311,7 +304,7 @@ impl Peer {
             &sp,
         );
         drop(committer);
-        let cost = self.costs.endorse_cost(&sp.proposal, &stats);
+        let cost = costs::endorse_cost(&sp.proposal, &stats);
         let endorsed = Action::Count(Some(ch.id.clone()), "endorsed", 1);
         // Chaincode simulation + signing, as a span on the tx id `endorse`
         // already computed.
@@ -331,7 +324,7 @@ impl Peer {
         let Some(i) = self.hosted(&channel) else {
             return Vec::new();
         };
-        let cost = self.costs.verify + self.costs.state_op;
+        let cost = costs::VERIFY + costs::STATE_OP;
         let ledger = self.channels[i].committer.borrow();
         let Some(code) = ledger.status(&tx_id) else {
             return vec![Action::Charge(cost)];
@@ -404,12 +397,11 @@ impl Peer {
         out.push(Action::SpanStart(trace.clone(), "validate", name.clone()));
         let verdicts = ch.committer.borrow().vscc_block(&block);
         let mut vscc = Vec::with_capacity(verdicts.len());
-        let mut serial = self.costs.block_cost(block.wire_size());
+        let mut serial = costs::block_cost(block.wire_size());
         for verdict in &verdicts {
             if let Some(spans) = &verdict.spans {
-                vscc.push(self.costs.vscc_cost(u64::from(verdict.signatures)));
-                serial +=
-                    self.costs.mvcc_cost() + self.costs.apply_cost(spans.write_bytes, spans.writes);
+                vscc.push(costs::vscc_cost(u64::from(verdict.signatures)));
+                serial += costs::COMMIT_PER_TX + costs::apply_cost(spans.write_bytes, spans.writes);
             }
         }
         // The orderer's retained tail and the other peers' deliveries
@@ -502,7 +494,7 @@ impl Peer {
             return;
         }
         let (entries, bytes) = (ledger.state().len(), ledger.state().live_bytes());
-        let cost = self.costs.snapshot_capture_cost(entries as u64, bytes);
+        let cost = costs::snapshot_capture_cost(entries as u64, bytes);
         ch.checkpoint = Some(Checkpoint::Cut {
             height,
             tip_hash: ledger.store().tip_hash(),
@@ -544,7 +536,7 @@ impl Peer {
                     out.push(Action::Count(id, name, 1));
                 }
                 catchup::Action::Ingested(bytes) => {
-                    out.push(Action::Charge(self.costs.snapshot_transfer_cost(bytes)));
+                    out.push(Action::Charge(costs::snapshot_transfer_cost(bytes)));
                 }
                 catchup::Action::Boot(snapshot) => {
                     let ok = self.install(i, snapshot, out);
@@ -567,7 +559,7 @@ impl Peer {
             .map(|s| Box::new(s.manifest().clone()));
         let requests = Action::Count(Some(channel.clone()), "snapshot_requests", 1);
         let offer = FabricMsg::SnapshotOffer { channel, manifest };
-        vec![requests, defer(self.costs.cache_hit_op, src, offer)]
+        vec![requests, defer(costs::CACHE_HIT_OP, src, offer)]
     }
 
     /// A request for one part (state chunk or tail) of the snapshot at
@@ -585,8 +577,8 @@ impl Peer {
             .latest_snapshot(&channel, Some(height))
             .and_then(|s| s.part(index as usize))
             .map(Arc::new);
-        let cost = part.as_ref().map_or(self.costs.cache_hit_op, |p| {
-            self.costs.snapshot_transfer_cost(p.wire_size())
+        let cost = part.as_ref().map_or(costs::CACHE_HIT_OP, |p| {
+            costs::snapshot_transfer_cost(p.wire_size())
         });
         let msg = FabricMsg::SnapshotPartData {
             channel,

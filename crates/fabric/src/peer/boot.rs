@@ -6,6 +6,7 @@ use hyperprov_ledger::Snapshot;
 use hyperprov_sim::SimDuration;
 
 use super::{Action, Checkpoint, Peer};
+use crate::costs;
 
 impl Peer {
     /// Rebuilds channel `i`'s ledger and swaps it in: from `snapshot` plus
@@ -20,7 +21,7 @@ impl Peer {
         snapshot: Option<&Snapshot>,
         out: &mut Vec<Action>,
     ) -> Option<(SimDuration, u64)> {
-        let (costs, ch) = (&self.costs, &self.channels[i]);
+        let ch = &self.channels[i];
         // Each rebuild is bound before it is looked at: the ledger's shared
         // borrow must end before the rebuilt one is swapped in.
         let (rebuilt, outcome, mut cost) = match snapshot {
@@ -31,7 +32,7 @@ impl Peer {
                     None => "snapshot_boot_errors",
                 };
                 let entries = snapshot.entry_count() as u64;
-                let cost = costs.snapshot_restore_cost(entries, snapshot.state_bytes());
+                let cost = costs::snapshot_restore_cost(entries, snapshot.state_bytes());
                 (rebuilt, Some(outcome), cost)
             }
             None => {
@@ -46,7 +47,7 @@ impl Peer {
         let rebuilt = rebuilt?;
         let mut replayed = 0;
         for block in rebuilt.store().iter() {
-            cost += costs.block_cost(block.wire_size());
+            cost += costs::block_cost(block.wire_size());
             replayed += 1;
         }
         *ch.committer.borrow_mut() = rebuilt;

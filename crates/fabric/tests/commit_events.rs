@@ -11,8 +11,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    endorsement_message, ChaincodeRegistry, ChannelPolicies, CommitEvent, Committer, CostModel,
-    Endorsement, EndorsementPolicy, Envelope, FabricMsg, MspBuilder, MspId, Node, Peer, Proposal,
+    endorsement_message, ChaincodeRegistry, ChannelPolicies, CommitEvent, Committer, Endorsement,
+    EndorsementPolicy, Envelope, FabricMsg, MspBuilder, MspId, Node, Peer, Proposal,
     SigningIdentity,
 };
 use hyperprov_ledger::{
@@ -110,12 +110,7 @@ fn run(n_peers: usize, n_clients: usize) -> Outcome {
             ChannelPolicies::new(EndorsementPolicy::any_of([org.clone()])),
         )));
         let (name, registry) = (format!("peer{i}"), ChaincodeRegistry::new());
-        let mut peer = Peer::new(
-            identity.clone(),
-            registry,
-            CostModel::default(),
-            name.clone(),
-        );
+        let mut peer = Peer::new(identity.clone(), registry, name.clone());
         peer.host(committer.clone(), None);
         for (c, client) in clients.iter().enumerate() {
             peer.subscribe(ActorId((n_peers + c) as u32), client.certificate().id);

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{
     BatchConfig, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelPolicies,
-    Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayError, GatewayReply,
-    MspBuilder, MspId, Node, OrderingNode, Peer, Route,
+    Committer, EndorsementPolicy, FabricMsg, Gateway, GatewayError, GatewayReply, MspBuilder,
+    MspId, Node, OrderingNode, Peer, Route,
 };
 use hyperprov_ledger::ValidationCode;
 use hyperprov_sim::{ActorId, CpuResource, SimDuration, SimTime, Simulation};
@@ -57,7 +57,6 @@ fn build(
     needed: usize,
     chaincode: &'static str,
 ) -> Net {
-    let costs = CostModel::default();
     let mut msp_builder = MspBuilder::new(2);
     let ids: Vec<_> = (0..registries.len())
         .map(|i| msp_builder.enroll(&format!("peer{i}"), &MspId::new(format!("org{}", i + 1))))
@@ -76,7 +75,7 @@ fn build(
             ChannelPolicies::new(policy.clone()),
         )));
         let name = format!("p{i}");
-        let mut peer = Peer::new(identity.clone(), registry, costs, name.clone());
+        let mut peer = Peer::new(identity.clone(), registry, name.clone());
         peer.host(committer, None);
         // Whichever endorsement arrives first names the peer that reports.
         peer.subscribe(client_actor, client_identity.certificate().id);
@@ -86,11 +85,11 @@ fn build(
         max_message_count: 1,
         ..BatchConfig::default()
     };
-    let node = OrderingNode::solo("ch".into(), batch, peers.clone(), costs);
+    let node = OrderingNode::solo("ch".into(), batch, peers.clone());
     let orderer = Node::new(node, "orderer").start(&mut sim, CpuResource::new(1.0), "orderer");
     let log = Rc::new(RefCell::new(Vec::new()));
     let route = Route::new("ch", peers, vec![orderer], needed);
-    let gateway = Gateway::new(client_identity, vec![route], costs);
+    let gateway = Gateway::new(client_identity, vec![route]);
     let go = move |gateway: &mut Gateway<()>, _| {
         gateway.invoke(0, (), chaincode, "go", vec![b"key".to_vec()])
     };

@@ -11,7 +11,7 @@ mod sched;
 use std::collections::{BTreeMap, BTreeSet};
 
 use hyperprov_fabric::{
-    tx_trace, Caller, Carries, CommitEvent, CostModel, FabricMsg, Gateway, GatewayAction as Action,
+    tx_trace, Caller, Carries, CommitEvent, FabricMsg, Gateway, GatewayAction as Action,
     GatewayDone as Done, GatewayReply, Host, Io, Machine, MspBuilder, MspId, ProposalResponse,
     RetryPolicy, Route, SigningIdentity, BUSY_REASON,
 };
@@ -114,8 +114,7 @@ fn bench_on(
     let org = MspId::new("org1");
     let client = msp.enroll("client", &org);
     let peer = msp.enroll("peer", &org);
-    let mut gateway =
-        Gateway::new(client, routes, CostModel::default()).with_deadlines(endorse, commit);
+    let mut gateway = Gateway::new(client, routes).with_deadlines(endorse, commit);
     if let Some(budget) = budget {
         gateway = gateway.with_retry(RetryPolicy::new(budget));
     }

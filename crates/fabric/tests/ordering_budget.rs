@@ -19,8 +19,7 @@ use std::collections::VecDeque;
 use std::mem::size_of;
 
 use hyperprov_fabric::{
-    BatchConfig, CostModel, FabricMsg, Machine as _, OrderingAction as Action, OrderingNode,
-    SigningIdentity,
+    BatchConfig, FabricMsg, Machine as _, OrderingAction as Action, OrderingNode, SigningIdentity,
 };
 use hyperprov_ledger::{ChannelId, RawEnvelope};
 use hyperprov_sim::ActorId;
@@ -113,8 +112,7 @@ fn three_raft_members_hold_one_retained_tail_however_long_the_chain() {
     let empty = live();
     let member = |i| {
         let (cluster, peers) = (ORDERERS.to_vec(), vec![PEER]);
-        let (channel, costs) = (ChannelId::default(), CostModel::default());
-        OrderingNode::raft(i, cluster, channel, peers, batch, 5, costs)
+        OrderingNode::raft(i, cluster, ChannelId::default(), peers, batch, 5)
     };
     let mut nodes: Vec<OrderingNode> = (0..ORDERERS.len()).map(member).collect();
     while !nodes[0].is_leader() {

@@ -16,7 +16,7 @@ use std::iter;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    tx_trace, BatchConfig, BlockCutter, CostModel, Envelope, FabricMsg, Machine as _,
+    costs, tx_trace, BatchConfig, BlockCutter, Envelope, FabricMsg, Machine as _,
     OrderingAction as Action, OrderingNode, RaftMsg, SigningIdentity,
 };
 use hyperprov_ledger::{Block, ChannelId, RawEnvelope, TxId};
@@ -43,7 +43,7 @@ fn batch_of(count: usize) -> BatchConfig {
 }
 
 fn solo(batch: BatchConfig) -> OrderingNode {
-    OrderingNode::solo(channel(), batch, PEERS.to_vec(), CostModel::default())
+    OrderingNode::solo(channel(), batch, PEERS.to_vec())
 }
 
 /// The three members of a raft cluster cutting batches of `count`, under
@@ -51,8 +51,7 @@ fn solo(batch: BatchConfig) -> OrderingNode {
 fn cluster(count: usize, seed: u64, rng: Rng) -> Sched<OrderingNode> {
     let member = |(i, id)| {
         let (cluster, peers) = (ORDERERS.to_vec(), PEERS.to_vec());
-        let costs = CostModel::default();
-        let node = OrderingNode::raft(i, cluster, channel(), peers, batch_of(count), seed, costs);
+        let node = OrderingNode::raft(i, cluster, channel(), peers, batch_of(count), seed);
         (id, node)
     };
     Sched::new(ORDERERS.into_iter().enumerate().map(member), rng)
@@ -224,7 +223,7 @@ mod transitions {
         assert_eq!(show(&first, &txs), waits);
 
         let second = txs.envelope();
-        let cost = CostModel::default().order_cost(second.to_raw().bytes.len() as u64);
+        let cost = costs::order_cost(second.to_raw().bytes.len() as u64);
         let actions = node.message(CLIENT, broadcast(second));
         let cut = [
             "+broadcasts=1",
@@ -283,7 +282,7 @@ mod transitions {
         let Some(Action::Job(cost, ..)) = actions.last() else {
             panic!("{actions:?}");
         };
-        assert_eq!(*cost, CostModel::default().block_base);
+        assert_eq!(*cost, costs::BLOCK_BASE);
         // With nothing pending a firing costs nothing at all, and neither
         // does a timer that is not the machine's.
         for token in [timer, 77] {
@@ -512,7 +511,7 @@ mod transitions {
             panic!("{:?}", seen[0]);
         };
         assert_eq!((member.as_str(), closes[0].2.as_str()), ("0", "0"));
-        assert!(*cost > CostModel::default().block_base);
+        assert!(*cost > costs::BLOCK_BASE);
         assert!(seen[1].is_empty() && seen[2].is_empty());
         // The followers learn of the commit from the next heartbeat, and
         // close no queue span: they admitted nothing.

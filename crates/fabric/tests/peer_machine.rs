@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{
     endorsement_message, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelView,
-    Committer, CostModel, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal,
-    SignedProposal, SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
+    Committer, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal, SignedProposal,
+    SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, Encode, RawEnvelope, TxId, ValidationCode, DEFAULT_CHANNEL,
@@ -77,7 +77,7 @@ fn peer_on(
     let mut registry = ChaincodeRegistry::new();
     registry.install(Arc::new(ReadCc));
     let name = "peer0".to_owned();
-    let mut peer = Peer::new(identity.clone(), registry, CostModel::default(), name);
+    let mut peer = Peer::new(identity.clone(), registry, name);
     if let Some(interval) = snapshots {
         peer.set_snapshots(SnapshotPolicy::every(interval));
     }

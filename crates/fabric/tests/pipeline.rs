@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{
     BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
-    ChannelPolicies, Committer, CostModel, EndorsementPolicy, FabricMsg, Gateway, GatewayReply,
-    MspBuilder, MspId, Node, OrderingNode, Peer, Route, SigningIdentity, SnapshotPolicy,
+    ChannelPolicies, Committer, EndorsementPolicy, FabricMsg, Gateway, GatewayReply, MspBuilder,
+    MspId, Node, OrderingNode, Peer, Route, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{
     ChannelId, GraphIndexer, GraphUpdate, SnapshotError, StateKey, ValidationCode,
@@ -122,7 +122,6 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     registry.install(Arc::new(CounterCc));
 
     let policy = EndorsementPolicy::any_of(orgs.clone());
-    let costs = CostModel::default();
 
     let mut sim = Simulation::new(42);
     let mut peers = Vec::new();
@@ -130,7 +129,7 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     let client_actor_id = ActorId(5);
     for (i, identity) in peer_ids.iter().enumerate() {
         let name = format!("peer{i}");
-        let mut peer = Peer::new(identity.clone(), registry.clone(), costs, name.clone());
+        let mut peer = Peer::new(identity.clone(), registry.clone(), name.clone());
         let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy.clone()));
         peer.host(Rc::new(RefCell::new(ledger)), None);
         if i == 0 {
@@ -138,12 +137,12 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
         }
         peers.push(start_peer(&mut sim, peer, name));
     }
-    let node = OrderingNode::solo(ChannelId::default(), batch, peers.clone(), costs);
+    let node = OrderingNode::solo(ChannelId::default(), batch, peers.clone());
     let orderer = start_orderer(&mut sim, node);
 
     let log = Log::default();
     let route = Route::new(ChannelId::default(), peers.clone(), vec![orderer], 1);
-    let gateway = Gateway::new(client_id, vec![route], costs);
+    let gateway = Gateway::new(client_id, vec![route]);
     let key_of = move |n| match hot_key {
         true => "hot".to_owned(),
         false => format!("key{n}"),
@@ -233,7 +232,6 @@ fn raft_ordering_service_commits_transactions() {
 
     let mut registry = ChaincodeRegistry::new();
     registry.install(Arc::new(CounterCc));
-    let costs = CostModel::default();
     let policy = EndorsementPolicy::any_of([org.clone()]);
 
     let mut sim = Simulation::new(11);
@@ -242,7 +240,7 @@ fn raft_ordering_service_commits_transactions() {
     let orderer_ids: Vec<ActorId> = (1..=3).map(ActorId).collect();
     let client_actor_id = ActorId(4);
 
-    let mut peer = Peer::new(peer_identity, registry, costs, "peer0".to_owned());
+    let mut peer = Peer::new(peer_identity, registry, "peer0".to_owned());
     let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
     peer.host(Rc::new(RefCell::new(ledger)), None);
     peer.subscribe(client_actor_id, client_id.certificate().id);
@@ -261,7 +259,6 @@ fn raft_ordering_service_commits_transactions() {
             vec![peer_actor_id],
             batch,
             77,
-            costs,
         );
         assert_eq!(start_orderer(&mut sim, node), orderer_ids[i]);
     }
@@ -269,7 +266,7 @@ fn raft_ordering_service_commits_transactions() {
     let log = Log::default();
     // Point the gateway at orderer 0; it redirects to the leader if needed.
     let route = Route::new(ChannelId::default(), vec![peer_actor_id], orderer_ids, 1);
-    let gateway = Gateway::new(client_id, vec![route], costs);
+    let gateway = Gateway::new(client_id, vec![route]);
     let driver = client_driver(gateway, 8, |n| format!("key{n}"), &log);
     let client = driver.start(&mut sim, CpuResource::new(1.0), "client");
     assert_eq!(client, client_actor_id);
@@ -297,17 +294,16 @@ fn endorsement_failure_reported_to_client() {
     let msp = msp_builder.build();
     let mut registry = ChaincodeRegistry::new();
     registry.install(Arc::new(CounterCc));
-    let costs = CostModel::default();
 
     let mut sim = Simulation::new(3);
-    let mut peer = Peer::new(peer_identity, registry, costs, "peer0".to_owned());
+    let mut peer = Peer::new(peer_identity, registry, "peer0".to_owned());
     let policy = EndorsementPolicy::any_of([org.clone()]);
     let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
     peer.host(Rc::new(RefCell::new(ledger)), None);
     let peer_id = start_peer(&mut sim, peer, "peer0".to_owned());
     let log = Log::default();
     let route = Route::new(ChannelId::default(), vec![peer_id], vec![peer_id], 1);
-    let gateway = Gateway::new(client_id, vec![route], costs);
+    let gateway = Gateway::new(client_id, vec![route]);
     let get = |gateway: &mut Gateway<()>, _| {
         gateway.query(0, (), "counter", "get", vec![b"missing".to_vec()])
     };
@@ -382,7 +378,6 @@ impl SmallNet {
         let msp = msp_builder.build();
         let mut registry = ChaincodeRegistry::new();
         registry.install(Arc::new(CounterCc));
-        let costs = CostModel::default();
         let policy = EndorsementPolicy::any_of([org.clone()]);
 
         // Layout: the peers, the tap, the orderers, then the clients.
@@ -393,7 +388,7 @@ impl SmallNet {
         let mut ledgers = Vec::new();
         for (i, identity) in identities.into_iter().enumerate() {
             let name = format!("peer{i}");
-            let mut peer = Peer::new(identity, registry.clone(), costs, name.clone());
+            let mut peer = Peer::new(identity, registry.clone(), name.clone());
             if let Some(policy) = snapshots {
                 peer.set_snapshots(policy);
             }
@@ -421,9 +416,9 @@ impl SmallNet {
         for (i, &expected) in orderers.iter().enumerate() {
             let (channel, peers) = (ChannelId::default(), SMALL_NET_PEERS.to_vec());
             let node = if members == 1 {
-                OrderingNode::solo(channel, batch, peers, costs)
+                OrderingNode::solo(channel, batch, peers)
             } else {
-                OrderingNode::raft(i, orderers.clone(), channel, peers, batch, 31, costs)
+                OrderingNode::raft(i, orderers.clone(), channel, peers, batch, 31)
             };
             assert_eq!(start_orderer(&mut sim, node), expected);
         }
@@ -431,7 +426,7 @@ impl SmallNet {
         for (c, (identity, remaining)) in client_ids.into_iter().zip(client_txs).enumerate() {
             let peers = vec![SMALL_NET_PEERS[0]];
             let route = Route::new(ChannelId::default(), peers, vec![orderers[0]], 1);
-            let gateway = Gateway::new(identity, vec![route], costs);
+            let gateway = Gateway::new(identity, vec![route]);
             let key_of = move |n| format!("key{c}-{n}");
             let driver = client_driver(gateway, remaining, key_of, &log);
             let cpu = CpuResource::new(1.0);

@@ -28,8 +28,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    ChaincodeRegistry, Committer, CostModel, FabricMsg, Peer, PeerAction, SigningIdentity,
-    SnapshotPolicy,
+    ChaincodeRegistry, Committer, FabricMsg, Peer, PeerAction, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{Block, ChannelId, DEFAULT_CHUNK_ENTRIES};
 use hyperprov_sim::ActorId;
@@ -62,8 +61,8 @@ const CUT_BYTES: i64 = 3_380;
 /// A peer that commits `ledger`'s channel, cutting after every block when
 /// `cuts`.
 fn peer(identity: &SigningIdentity, ledger: Committer, cuts: bool) -> Peer {
-    let (registry, costs) = (ChaincodeRegistry::new(), CostModel::default());
-    let mut peer = Peer::new(identity.clone(), registry, costs, "peer0".to_owned());
+    let registry = ChaincodeRegistry::new();
+    let mut peer = Peer::new(identity.clone(), registry, "peer0".to_owned());
     if cuts {
         peer.set_snapshots(SnapshotPolicy::every(1));
     }

@@ -69,30 +69,11 @@ impl StoreMsg {
     }
 }
 
-/// Timing parameters of the SSHFS-like service.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageCosts {
-    /// Fixed per-operation overhead (SSH channel + FUSE round trip).
-    pub op_overhead: SimDuration,
-    /// Server-side cost per payload byte (encryption + disk).
-    pub per_byte: SimDuration,
-}
-
-impl Default for StorageCosts {
-    fn default() -> Self {
-        StorageCosts {
-            op_overhead: SimDuration::from_micros(800),
-            per_byte: SimDuration::from_nanos(8),
-        }
-    }
-}
-
-impl StorageCosts {
-    /// Service time for an operation moving `bytes` bytes.
-    pub fn service_time(&self, bytes: u64) -> SimDuration {
-        self.op_overhead + self.per_byte * bytes
-    }
-}
+/// Fixed per-operation overhead of the SSHFS-like service (SSH channel +
+/// FUSE round trip).
+const OP_OVERHEAD: SimDuration = SimDuration::from_micros(800);
+/// Server-side cost per payload byte (encryption + disk).
+const PER_BYTE: SimDuration = SimDuration::from_nanos(8);
 
 /// The storage node as a sans-IO machine: it serves puts and gets over a
 /// shared [`ObjectStore`] and answers each with one job of SSH-like
@@ -100,7 +81,6 @@ impl StorageCosts {
 /// the objects, as a rebooted SSHFS node does.
 pub struct StorageNode {
     store: Arc<dyn ObjectStore>,
-    costs: StorageCosts,
     /// Requests served, which numbers their `offchain.server` spans.
     jobs: u64,
 }
@@ -113,12 +93,8 @@ pub struct Reply(pub SimDuration, pub ActorId, pub StoreMsg, pub SpanKey);
 
 impl StorageNode {
     /// Creates a storage node over `store`.
-    pub fn new(store: Arc<dyn ObjectStore>, costs: StorageCosts) -> Self {
-        StorageNode {
-            store,
-            costs,
-            jobs: 0,
-        }
+    pub fn new(store: Arc<dyn ObjectStore>) -> Self {
+        StorageNode { store, jobs: 0 }
     }
 
     /// Serves a request from `src` at once: counts it, opens its
@@ -154,7 +130,7 @@ impl StorageNode {
         let (stage, job) = ("offchain.server", self.jobs.to_string());
         let mut out: Vec<_> = counts.map(|(n, by)| Action::Count(None, n, by)).into();
         out.push(Action::SpanStart(name.clone(), stage, job.clone()));
-        let cost = self.costs.service_time(moved);
+        let cost = OP_OVERHEAD + PER_BYTE * moved;
         out.push(Action::Own(Reply(cost, src, reply, (name, stage, job))));
         out
     }
@@ -247,7 +223,7 @@ mod tests {
     fn run_script(script: Vec<StoreMsg>) -> (Seen, Simulation<Wire>, Arc<MemoryStore>) {
         let store = Arc::new(MemoryStore::new());
         let mut sim = Simulation::new(1);
-        let node = StorageNode::new(store.clone(), StorageCosts::default());
+        let node = StorageNode::new(store.clone());
         let cpu = CpuResource::new(1.0);
         let server = Node::new(node, "storage").start(&mut sim, cpu, "storage");
         let seen = Rc::new(RefCell::new(Seen::default()));

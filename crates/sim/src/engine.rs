@@ -21,7 +21,7 @@ use crate::profile::{HotCounters, SimProfiler};
 use crate::rng::DetRng;
 use crate::slo::{SloMonitor, SloSpec};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{SpanId, Tracer, TracerConfig};
+use crate::trace::{SpanId, Tracer};
 
 /// Identifies an actor registered with a [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -119,7 +119,6 @@ pub struct Kernel<M> {
     hot: HotCounters,
     cancelled: FxHashSet<u64>,
     next_timer: u64,
-    stopped: bool,
     events_processed: u64,
     /// Per-actor crash flag; events for a crashed actor are dropped.
     crashed: Vec<bool>,
@@ -355,11 +354,6 @@ impl<M> Context<'_, M> {
     pub fn is_crashed(&self, target: ActorId) -> bool {
         self.kernel.crashed[target.0 as usize]
     }
-
-    /// Requests that the simulation stop after the current event.
-    pub fn stop(&mut self) {
-        self.kernel.stopped = true;
-    }
 }
 
 /// A deterministic discrete-event simulation over message type `M`.
@@ -382,9 +376,9 @@ impl<M> Context<'_, M> {
 /// struct Starter { peer: hyperprov_sim::ActorId }
 /// impl Actor<String> for Starter {
 ///     fn on_event(&mut self, ctx: &mut Context<'_, String>, event: Event<String>) {
-///         match event {
-///             Event::Timer { .. } => ctx.send(self.peer, 5, "hello".into()),
-///             Event::Message { .. } => ctx.stop(),
+///         // The echo's reply is the last event: the run ends with it.
+///         if let Event::Timer { .. } = event {
+///             ctx.send(self.peer, 5, "hello".into());
 ///         }
 ///     }
 /// }
@@ -417,12 +411,11 @@ impl<M> Simulation<M> {
                 cpus: Vec::new(),
                 rngs: Vec::new(),
                 metrics: Metrics::new(),
-                tracer: Tracer::new(TracerConfig::default()),
+                tracer: Tracer::default(),
                 slo: SloMonitor::disabled(),
                 hot: HotCounters::default(),
                 cancelled: FxHashSet::default(),
                 next_timer: 0,
-                stopped: false,
                 events_processed: 0,
                 crashed: Vec::new(),
                 epochs: Vec::new(),
@@ -436,12 +429,7 @@ impl<M> Simulation<M> {
 
     /// Registers an actor with a reference-speed CPU; returns its id.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
-        self.add_actor_with_speed(actor, 1.0)
-    }
-
-    /// Registers an actor with the given relative CPU speed.
-    pub fn add_actor_with_speed(&mut self, actor: Box<dyn Actor<M>>, cpu_speed: f64) -> ActorId {
-        self.add_actor_with_cpu(actor, CpuResource::new(cpu_speed))
+        self.add_actor_with_cpu(actor, CpuResource::new(1.0))
     }
 
     /// Registers an actor with a fully specified CPU (speed and lane
@@ -583,8 +571,7 @@ impl<M> Simulation<M> {
         self.kernel.events_processed
     }
 
-    /// Processes a single event. Returns `false` when the queue is empty or
-    /// the simulation was stopped.
+    /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.step_due(None)
     }
@@ -594,9 +581,6 @@ impl<M> Simulation<M> {
     /// timer, stale epoch), so the event processed is never later than
     /// `limit`.
     fn step_due(&mut self, limit: Option<SimTime>) -> bool {
-        if self.kernel.stopped {
-            return false;
-        }
         loop {
             if let Some(limit) = limit {
                 if !matches!(self.kernel.queue.peek(), Some(item) if item.time <= limit) {
@@ -833,7 +817,7 @@ mod tests {
     #[test]
     fn cpu_work_serialises() {
         let mut sim = Simulation::new(1);
-        let w = sim.add_actor_with_speed(Box::new(Worker), 0.5); // half speed
+        let w = sim.add_actor_with_cpu(Box::new(Worker), CpuResource::new(0.5)); // half speed
         sim.start_timer(w, SimDuration::ZERO, 0);
         sim.run();
         assert_eq!(sim.metrics().gauge("done.1"), Some(100_000_000.0)); // 50ms/0.5

@@ -16,7 +16,7 @@
 //!   ([`CpuResource`]) — the basis for the energy model,
 //! * metrics ([`Metrics`], [`Histogram`]),
 //! * virtual-time span tracing with bounded memory ([`Tracer`],
-//!   [`Span`], [`TracerConfig`]),
+//!   [`Span`], [`SPAN_CAPACITY`]),
 //! * rolling-window SLO evaluation with burn-rate series and breach
 //!   windows ([`SloMonitor`], [`SloSpec`]),
 //! * Chrome-trace/Perfetto export of span records
@@ -82,4 +82,4 @@ pub use profile::{peak_rss_bytes, HotCounters, SimProfiler};
 pub use rng::DetRng;
 pub use slo::{SloBreach, SloMonitor, SloObjective, SloSpec, SloVerdict, MAX_BURN};
 pub use time::{SimDuration, SimTime};
-pub use trace::{fnv1a, Span, SpanId, TraceEvent, Tracer, TracerConfig};
+pub use trace::{fnv1a, Span, SpanId, TraceEvent, Tracer, EVENT_CAPACITY, SPAN_CAPACITY};

@@ -17,9 +17,9 @@
 //! assigned from the sorted set of names, so same-seed runs export
 //! byte-identical traces.
 //!
-//! Only *sampled, retained* records are exported — the tracer's ring
-//! buffers and `sample_every` govern what is available (aggregates in
-//! `Tracer::snapshot_json` remain exact regardless).
+//! Only *retained* records are exported — the tracer's ring buffers
+//! govern what is available (aggregates in `Tracer::snapshot_json` remain
+//! exact regardless).
 
 use std::collections::BTreeMap;
 
@@ -42,9 +42,9 @@ fn ts_us(ns: u64) -> String {
 /// # Examples
 ///
 /// ```
-/// use hyperprov_sim::{chrome_trace_json, SimTime, Tracer, TracerConfig};
+/// use hyperprov_sim::{chrome_trace_json, SimTime, Tracer};
 ///
-/// let mut tr = Tracer::new(TracerConfig::default());
+/// let mut tr = Tracer::default();
 /// tr.span_start(SimTime::from_nanos(1_000), "tx1", "endorse", "peer0");
 /// tr.span_end(SimTime::from_nanos(5_500), "tx1", "endorse", "peer0");
 /// let json = chrome_trace_json(&tr);
@@ -177,14 +177,13 @@ mod tests {
     use super::*;
     use crate::json::parse;
     use crate::time::SimTime;
-    use crate::trace::TracerConfig;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
     }
 
     fn sample_tracer() -> Tracer {
-        let mut tr = Tracer::new(TracerConfig::default());
+        let mut tr = Tracer::default();
         tr.span_start(t(0), "tx1", "e2e", "");
         tr.span_start(t(100), "tx1", "endorse", "peer0");
         tr.span_end(t(2_500), "tx1", "endorse", "peer0");
@@ -278,7 +277,7 @@ mod tests {
 
     #[test]
     fn empty_tracer_exports_empty_document() {
-        let tr = Tracer::disabled();
+        let tr = Tracer::default();
         let json = chrome_trace_json(&tr);
         let doc = parse(&json).unwrap();
         assert_eq!(doc.get("traceEvents").unwrap().as_array().unwrap().len(), 0);

@@ -12,10 +12,10 @@
 //! * **Error-rate ceiling** — "of the `ok` and `err` events observed,
 //!   the error fraction must stay at or below `ceiling`".
 //!
-//! Observations land in a ring of fixed-width virtual-time buckets; every
-//! time the clock crosses a bucket boundary the window (the most recent
-//! `buckets` buckets) is evaluated and one **burn-rate** point is
-//! emitted: the fraction of the error budget the window consumed, where
+//! Observations land in a ring of four fixed-width virtual-time buckets
+//! per window; every time the clock crosses a bucket boundary the window
+//! (the most recent four buckets) is evaluated and one **burn-rate** point
+//! is emitted: the fraction of the error budget the window consumed, where
 //! `burn > 1.0` means the objective is out of budget. Contiguous
 //! out-of-budget evaluations coalesce into **breach windows** with a
 //! start and (once the burn drops back) an end instant. At export time a
@@ -109,13 +109,14 @@ pub struct SloSpec {
     pub objective: SloObjective,
     /// Rolling window length (virtual time).
     pub window: SimDuration,
-    /// Sub-buckets per window; the window is evaluated once per bucket
-    /// rotation, so this is also the burn-series resolution.
-    pub buckets: usize,
 }
 
+/// Sub-buckets per window; the window is evaluated once per bucket
+/// rotation, so this is also the burn-series resolution.
+const BUCKETS: u64 = 4;
+
 impl SloSpec {
-    /// A spec with the default window shape (4 buckets per window).
+    /// A spec over a rolling `window`.
     ///
     /// # Panics
     ///
@@ -126,7 +127,6 @@ impl SloSpec {
             name: name.into(),
             objective,
             window,
-            buckets: 4,
         }
     }
 }
@@ -190,7 +190,7 @@ struct SloState {
     /// Index (time / width) of the bucket currently being filled.
     cur_index: u64,
     cur: Bucket,
-    /// The most recent completed buckets, oldest first (≤ `buckets - 1`
+    /// The most recent completed buckets, oldest first (≤ `BUCKETS - 1`
     /// entries; the current bucket completes the window).
     ring: VecDeque<Bucket>,
     /// Burn-rate series: one `(evaluation instant, burn)` point per
@@ -210,7 +210,7 @@ struct SloState {
 
 impl SloState {
     fn new(spec: SloSpec) -> Self {
-        let width = (spec.window / spec.buckets as u64).max(SimDuration::from_nanos(1));
+        let width = (spec.window / BUCKETS).max(SimDuration::from_nanos(1));
         SloState {
             spec,
             width,
@@ -246,7 +246,7 @@ impl SloState {
             let boundary = SimTime::from_nanos((self.cur_index + 1) * self.width.as_nanos());
             let finished = std::mem::take(&mut self.cur);
             self.ring.push_back(finished);
-            while self.ring.len() >= self.spec.buckets.max(1) {
+            while self.ring.len() as u64 >= BUCKETS {
                 self.ring.pop_front();
             }
             self.evaluate(boundary);

@@ -9,15 +9,13 @@
 //! can close a span another event handler opened.
 //!
 //! Memory is bounded: finished spans and events live in ring buffers of
-//! configurable capacity, and traces can be sampled (`sample_every = N`
-//! keeps full span records for one trace in N). Aggregate per-stage
+//! [`SPAN_CAPACITY`] and [`EVENT_CAPACITY`] records. Aggregate per-stage
 //! latency histograms are updated on every span close *before* any
-//! eviction or sampling, so stage breakdowns remain exact even when
-//! individual span records are dropped.
+//! eviction, so stage breakdowns remain exact even when individual span
+//! records are dropped.
 //!
 //! Everything is deterministic: ids and sequence numbers come from a
-//! monotonic counter, sampling uses a seed-free FNV hash of the trace
-//! key, and all iteration orders are defined.
+//! monotonic counter, and all iteration orders are defined.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -30,28 +28,10 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
-/// Configuration for a [`Tracer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TracerConfig {
-    /// Maximum finished span records retained (ring buffer).
-    pub span_capacity: usize,
-    /// Maximum point events retained (ring buffer).
-    pub event_capacity: usize,
-    /// Keep full span/event records for one trace in `sample_every`
-    /// (1 = record every trace). Aggregate stage histograms always see
-    /// every span regardless of sampling.
-    pub sample_every: u64,
-}
-
-impl Default for TracerConfig {
-    fn default() -> Self {
-        TracerConfig {
-            span_capacity: 4096,
-            event_capacity: 4096,
-            sample_every: 1,
-        }
-    }
-}
+/// Finished span records a [`Tracer`] retains (ring buffer).
+pub const SPAN_CAPACITY: usize = 4096;
+/// Point events a [`Tracer`] retains (ring buffer).
+pub const EVENT_CAPACITY: usize = 4096;
 
 /// A finished span: one stage's interval of virtual time for one trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,14 +84,11 @@ struct OpenSpan {
     detail: String,
     start: SimTime,
     seq: u64,
-    sampled: bool,
 }
 
 /// Records spans and events on virtual time with bounded memory.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    config: TracerConfig,
-    enabled: bool,
     next_seq: u64,
     /// Open spans, grouped per trace. Each trace's spans stay in open
     /// (= seq) order, so the parent of a new span is simply the last
@@ -126,31 +103,11 @@ pub struct Tracer {
     spans_finished: u64,
     spans_evicted: u64,
     events_recorded: u64,
-    events_evicted: u64,
     unmatched_ends: u64,
     duplicate_starts: u64,
 }
 
 impl Tracer {
-    /// Creates an enabled tracer with the given configuration.
-    pub fn new(config: TracerConfig) -> Self {
-        Tracer {
-            config,
-            enabled: true,
-            ..Tracer::default()
-        }
-    }
-
-    /// Creates a disabled tracer; every call is a no-op.
-    pub fn disabled() -> Self {
-        Tracer::default()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> TracerConfig {
-        self.config
-    }
-
     /// Opens a span for `(trace, stage, detail)` at virtual time `now`.
     /// If another span of the same trace is open, the most recently
     /// opened one becomes this span's parent. Re-opening a key that is
@@ -163,13 +120,9 @@ impl Tracer {
         stage: &'static str,
         detail: &str,
     ) -> SpanId {
-        if !self.enabled {
-            return SpanId(0);
-        }
         self.next_seq += 1;
         let seq = self.next_seq;
         let id = SpanId(seq);
-        let sampled = self.is_sampled(trace);
         if !self.open.contains_key(trace) {
             self.open.insert(Box::from(trace), Vec::new());
         }
@@ -193,7 +146,6 @@ impl Tracer {
             detail: detail.to_owned(),
             start: now,
             seq,
-            sampled,
         });
         self.open_count += 1;
         self.spans_started += 1;
@@ -211,9 +163,6 @@ impl Tracer {
         stage: &'static str,
         detail: &str,
     ) -> Option<SimDuration> {
-        if !self.enabled {
-            return None;
-        }
         let pos = self.open.get_mut(trace).and_then(|stack| {
             stack
                 .iter()
@@ -235,61 +184,40 @@ impl Tracer {
             .or_default()
             .record(duration.as_nanos());
         self.spans_finished += 1;
-        if open.sampled {
-            if self.finished.len() == self.config.span_capacity {
-                self.finished.pop_front();
-                self.spans_evicted += 1;
-            }
-            if self.config.span_capacity > 0 {
-                self.finished.push_back(Span {
-                    id: open.id,
-                    parent: open.parent,
-                    trace: trace.to_owned(),
-                    stage,
-                    detail: open.detail,
-                    start: open.start,
-                    end: now,
-                    seq: open.seq,
-                });
-            }
+        if self.finished.len() == SPAN_CAPACITY {
+            self.finished.pop_front();
+            self.spans_evicted += 1;
         }
+        self.finished.push_back(Span {
+            id: open.id,
+            parent: open.parent,
+            trace: trace.to_owned(),
+            stage,
+            detail: open.detail,
+            start: open.start,
+            end: now,
+            seq: open.seq,
+        });
         Some(duration)
     }
 
     /// Records a point event on `trace` at `now`.
     pub fn event(&mut self, now: SimTime, trace: &str, name: &'static str, detail: &str) {
-        if !self.enabled {
-            return;
-        }
         self.next_seq += 1;
         self.events_recorded += 1;
-        if !self.is_sampled(trace) {
-            return;
-        }
-        if self.events.len() == self.config.event_capacity {
+        if self.events.len() == EVENT_CAPACITY {
             self.events.pop_front();
-            self.events_evicted += 1;
         }
-        if self.config.event_capacity > 0 {
-            self.events.push_back(TraceEvent {
-                trace: trace.to_owned(),
-                name,
-                detail: detail.to_owned(),
-                at: now,
-                seq: self.next_seq,
-            });
-        }
+        self.events.push_back(TraceEvent {
+            trace: trace.to_owned(),
+            name,
+            detail: detail.to_owned(),
+            at: now,
+            seq: self.next_seq,
+        });
     }
 
-    fn is_sampled(&self, trace: &str) -> bool {
-        if self.config.sample_every <= 1 {
-            return true;
-        }
-        fnv1a(trace.as_bytes()).is_multiple_of(self.config.sample_every)
-    }
-
-    /// Finished span records, oldest first (sampled traces only; bounded
-    /// by `span_capacity`).
+    /// Finished span records, oldest first (the last [`SPAN_CAPACITY`]).
     pub fn finished_spans(&self) -> impl Iterator<Item = &Span> {
         self.finished.iter()
     }
@@ -300,8 +228,8 @@ impl Tracer {
     }
 
     /// Per-stage latency histograms (nanoseconds), in stage-name order.
-    /// These aggregate **every** finished span, independent of sampling
-    /// and ring-buffer eviction.
+    /// These aggregate **every** finished span, independent of
+    /// ring-buffer eviction.
     pub fn stage_histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
         self.stage_hist.iter().map(|(k, v)| (*k, v))
     }
@@ -339,7 +267,7 @@ impl Tracer {
         self.spans_evicted
     }
 
-    /// Total events recorded (including ones sampled out or evicted).
+    /// Total events recorded (including ones evicted).
     pub fn events_recorded(&self) -> u64 {
         self.events_recorded
     }
@@ -358,7 +286,7 @@ impl Tracer {
     /// Serializes a deterministic summary of the tracer to compact JSON:
     /// lifecycle counters plus per-stage latency statistics (nanosecond
     /// units). Individual span/event records are omitted — the ring
-    /// buffers depend on sampling, while the aggregates here are exact.
+    /// buffers keep only the latest, while the aggregates here are exact.
     pub fn snapshot_json(&self) -> String {
         use crate::json::Obj;
         let mut stages = Obj::new();
@@ -389,7 +317,7 @@ impl Tracer {
     }
 }
 
-/// FNV-1a, a stable 64-bit hash (trace sampling, per-node jitter salts).
+/// FNV-1a, a stable 64-bit hash (per-node jitter salts).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -409,7 +337,7 @@ mod tests {
 
     #[test]
     fn span_lifecycle_records_duration() {
-        let mut tr = Tracer::new(TracerConfig::default());
+        let mut tr = Tracer::default();
         tr.span_start(t(100), "tx1", "endorse", "peer0");
         let d = tr.span_end(t(350), "tx1", "endorse", "peer0").unwrap();
         assert_eq!(d, SimDuration::from_nanos(250));
@@ -424,7 +352,7 @@ mod tests {
 
     #[test]
     fn children_nest_under_latest_open_span() {
-        let mut tr = Tracer::new(TracerConfig::default());
+        let mut tr = Tracer::default();
         let root = tr.span_start(t(0), "tx1", "e2e", "");
         let child = tr.span_start(t(10), "tx1", "endorse", "");
         let grandchild = tr.span_start(t(20), "tx1", "endorse.exec", "peer0");
@@ -443,46 +371,25 @@ mod tests {
 
     #[test]
     fn ring_buffer_evicts_oldest_and_counts() {
-        let mut tr = Tracer::new(TracerConfig {
-            span_capacity: 3,
-            ..TracerConfig::default()
-        });
-        for i in 0..5u64 {
+        let mut tr = Tracer::default();
+        let total = SPAN_CAPACITY as u64 + 3;
+        for i in 0..total {
             let trace = format!("tx{i}");
             tr.span_start(t(i * 10), &trace, "commit", "");
             tr.span_end(t(i * 10 + 5), &trace, "commit", "");
         }
-        assert_eq!(tr.finished_spans().count(), 3);
-        assert_eq!(tr.spans_evicted(), 2);
-        let oldest = tr.finished_spans().next().unwrap();
-        assert_eq!(oldest.trace, "tx2");
-        // Aggregates saw all five spans despite eviction.
-        assert_eq!(tr.stage_histogram("commit").unwrap().count(), 5);
-    }
-
-    #[test]
-    fn sampling_thins_records_but_not_aggregates() {
-        let mut tr = Tracer::new(TracerConfig {
-            sample_every: 4,
-            ..TracerConfig::default()
-        });
-        for i in 0..100u64 {
-            let trace = format!("tx{i}");
-            tr.span_start(t(i), &trace, "order", "");
-            tr.span_end(t(i + 1), &trace, "order", "");
-            tr.event(t(i), &trace, "enqueue", "");
-        }
-        let kept = tr.finished_spans().count();
-        assert!(kept < 100, "sampling kept everything");
-        assert!(kept > 0, "sampling kept nothing");
-        assert_eq!(tr.stage_histogram("order").unwrap().count(), 100);
-        assert_eq!(tr.events_recorded(), 100);
-        assert_eq!(tr.events().count(), kept);
+        assert_eq!(tr.spans_evicted(), 3);
+        let kept: Vec<&str> = tr.finished_spans().map(|s| s.trace.as_str()).collect();
+        let expect: Vec<String> = (3..total).map(|i| format!("tx{i}")).collect();
+        assert_eq!(kept, expect);
+        // Aggregates saw every span despite eviction.
+        assert_eq!(tr.spans_finished(), total);
+        assert_eq!(tr.stage_histogram("commit").unwrap().count(), total);
     }
 
     #[test]
     fn unmatched_and_duplicate_spans_are_counted() {
-        let mut tr = Tracer::new(TracerConfig::default());
+        let mut tr = Tracer::default();
         assert!(tr.span_end(t(5), "tx1", "endorse", "").is_none());
         assert_eq!(tr.unmatched_ends(), 1);
         tr.span_start(t(0), "tx1", "endorse", "");
@@ -494,21 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_is_inert() {
-        let mut tr = Tracer::disabled();
-        tr.span_start(t(0), "tx1", "endorse", "");
-        assert!(tr.span_end(t(1), "tx1", "endorse", "").is_none());
-        tr.event(t(0), "tx1", "x", "");
-        assert_eq!(tr.spans_started(), 0);
-        assert_eq!(tr.unmatched_ends(), 0);
-        assert_eq!(tr.events_recorded(), 0);
-        assert_eq!(tr.finished_spans().count(), 0);
-    }
-
-    #[test]
     fn snapshot_json_is_deterministic() {
         let build = || {
-            let mut tr = Tracer::new(TracerConfig::default());
+            let mut tr = Tracer::default();
             tr.span_start(t(0), "tx1", "endorse", "");
             tr.span_end(t(7), "tx1", "endorse", "");
             tr.event(t(8), "tx1", "done", "");
@@ -523,7 +418,7 @@ mod tests {
 
     #[test]
     fn unclosed_spans_surface_in_snapshot() {
-        let mut tr = Tracer::new(TracerConfig::default());
+        let mut tr = Tracer::default();
         tr.span_start(t(0), "tx1", "endorse", "peer0");
         tr.span_start(t(1), "tx2", "endorse", "peer1");
         tr.span_start(t(2), "tx3", "commit.apply", "");
@@ -541,7 +436,7 @@ mod tests {
 
     #[test]
     fn clean_snapshot_omits_unclosed_report() {
-        let mut tr = Tracer::new(TracerConfig::default());
+        let mut tr = Tracer::default();
         tr.span_start(t(0), "tx1", "endorse", "");
         tr.span_end(t(5), "tx1", "endorse", "");
         let json = tr.snapshot_json();
@@ -550,55 +445,15 @@ mod tests {
     }
 
     #[test]
-    fn eviction_and_sampling_compose() {
-        // With sample_every = 4 only ~1/4 of traces produce records; the
-        // tiny ring then evicts most of those. Aggregates and lifecycle
-        // counters must still see every span exactly once.
-        let mut tr = Tracer::new(TracerConfig {
-            span_capacity: 2,
-            sample_every: 4,
-            ..TracerConfig::default()
-        });
-        let mut sampled = 0u64;
-        for i in 0..200u64 {
-            let trace = format!("tx{i}");
-            if super::fnv1a(trace.as_bytes()).is_multiple_of(4) {
-                sampled += 1;
-            }
-            tr.span_start(t(i * 10), &trace, "commit", "");
-            tr.span_end(t(i * 10 + 3), &trace, "commit", "");
-        }
-        assert!(sampled > 2, "need more sampled traces than capacity");
-        assert_eq!(tr.finished_spans().count(), 2);
-        // Only sampled records count as evicted: eviction happens after
-        // sampling, never double-drops.
-        assert_eq!(tr.spans_evicted(), sampled - 2);
-        assert_eq!(tr.spans_finished(), 200);
-        assert_eq!(tr.stage_histogram("commit").unwrap().count(), 200);
-        // The survivors are the most recently closed sampled traces.
-        let kept: Vec<&str> = tr.finished_spans().map(|s| s.trace.as_str()).collect();
-        let all_sampled: Vec<String> = (0..200u64)
-            .map(|i| format!("tx{i}"))
-            .filter(|tx| super::fnv1a(tx.as_bytes()).is_multiple_of(4))
-            .collect();
-        let expect: Vec<&str> = all_sampled[all_sampled.len() - 2..]
-            .iter()
-            .map(String::as_str)
-            .collect();
-        assert_eq!(kept, expect);
-    }
-
-    #[test]
     fn events_ring_respects_capacity() {
-        let mut tr = Tracer::new(TracerConfig {
-            event_capacity: 2,
-            ..TracerConfig::default()
-        });
-        tr.event(t(0), "a", "e", "");
-        tr.event(t(1), "b", "e", "");
-        tr.event(t(2), "c", "e", "");
-        let traces: Vec<&str> = tr.events().map(|e| e.trace.as_str()).collect();
-        assert_eq!(traces, ["b", "c"]);
-        assert_eq!(tr.events_recorded(), 3);
+        let mut tr = Tracer::default();
+        let total = EVENT_CAPACITY as u64 + 3;
+        for i in 0..total {
+            tr.event(t(i), &format!("tx{i}"), "e", "");
+        }
+        let kept: Vec<&str> = tr.events().map(|e| e.trace.as_str()).collect();
+        let expect: Vec<String> = (3..total).map(|i| format!("tx{i}")).collect();
+        assert_eq!(kept, expect);
+        assert_eq!(tr.events_recorded(), total);
     }
 }
