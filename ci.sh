@@ -35,7 +35,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23172
+ceiling=23449
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -48,7 +48,7 @@ fi
 # The same ratchet on the two long documents, in bytes: DESIGN.md says
 # what the system is, CHANGES.md what each change did, and neither grows
 # unseen.
-for doc in DESIGN.md:123809 CHANGES.md:133725; do
+for doc in DESIGN.md:123770 CHANGES.md:132874; do
     file=${doc%%:*}
     limit=${doc#*:}
     bytes=$(wc -c <"$file")
@@ -166,23 +166,25 @@ cargo run --release -p hyperprov-bench --bin bench_regress
 # The benchmark is a package of its own outside the workspace, so nothing
 # above compiles it, and it reads public fields of the product's types
 # (`Block.envelopes`, `StateKey.key`, `VersionedValue.value`). Build it
-# and run two short workloads — the one the ledger's memory shows on, and
-# the one snapshot cutting and recovery show on: the last line of each is
-# the result object. `crash_recover` is also where the client's failover
-# shows: a retry goes to the next node, the orderer answers an envelope
-# under the 2 s endorse deadline, a node that let a deadline expire is
-# not asked again — its client's home moves past it — and that first
-# expiry moves on every other attempt waiting on the node, so an outage
-# costs a client one endorse deadline, not one per operation in flight;
-# and an operation whose home peer is crashed or cut off from the
-# orderers asks the next endorser for its commit after the route's
-# retransmission timeout, not at the commit deadline. The (virtual,
-# exactly repeating) `op_p99_ms` reads 0.89 s, its tail the 2 s endorse
-# and order deadlines of the peer's and the orderer's crash; 1.94 s when
-# the clients of the two partitioned peers wait for their home to catch
-# up, 2.1 s when each attempt left on the dead node also waits out its
-# own deadline, 4.1 s when every operation starts at home again, 13.6 s
-# when retries go back to the dead node. And
+# and run short workloads — the one the ledger's memory shows on, and
+# the one snapshot cutting and recovery show on, twice: the last line of
+# each is the result object. `crash_recover` is also where the client's
+# failover shows: every wait of a request — for an endorsement, the
+# orderer's answer, the commit — sends a copy under the same tx id to the
+# next node once the route's retransmission timeout passes (the endorse
+# and order ones floored at 200 ms), and from the second commit probe on
+# re-broadcasts the envelope; the 2 s endorse and 4 s commit deadlines
+# only bound that; a retry goes to the next node, and a node passed by a
+# copy or an expiry is not asked again. The (virtual, exactly repeating)
+# `op_p99_ms` reads 0.28 s at seed 1, where the killed orderer follows,
+# and 0.48 s at seed 6, where it leads and its envelopes wait for a
+# re-broadcast after the election. It read 0.89 s and 1.46 s with the
+# deadlines alone (the crashed peer's and orderer's 2 s deadlines, the
+# lost envelopes' 4 s one), 1.94 s at seed 1 when the clients of the two
+# partitioned peers also waited for their home, 2.1 s when each attempt
+# left on the dead node waited out its own deadline, 4.1 s when every
+# operation started at home again, 13.6 s when retries went back to the
+# dead node. And
 # it is the one workload that cuts snapshots and runs a raft ordering
 # cluster: a peer's cut is a height, its content materialized from the
 # ledger only when something reads it, and the raft members share one body
@@ -196,15 +198,15 @@ cargo run --release -p hyperprov-bench --bin bench_regress
 # out of the block, 136-146 with a list of history entries per key beside
 # the state as well.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-for smoke in "ledger_growth 1" "crash_recover 2"; do
+for smoke in "ledger_growth 1 1" "crash_recover 2 1" "crash_recover 2 6"; do
     set -- $smoke
     result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload "$1" --seed 1 --seconds "$2" --trace 0 | tail -n 1)
+        --workload "$1" --seed "$3" --seconds "$2" --trace 0 | tail -n 1)
     echo "$result"
     case "$result" in
         *'"correct":true'*'"failed":0,'*) ;;
         *)
-            echo "benchmark smoke run of $1: not correct, or operations failed" >&2
+            echo "benchmark smoke run of $1 (seed $3): not correct, or operations failed" >&2
             exit 1
             ;;
     esac
@@ -217,8 +219,8 @@ for smoke in "ledger_growth 1" "crash_recover 2"; do
     fi
     if [ "$1" = crash_recover ]; then
         p99=$(echo "$result" | sed 's/.*"op_p99_ms":{"value":\([0-9.]*\).*/\1/')
-        if awk "BEGIN {exit !($p99 >= 1200)}"; then
-            echo "crash_recover op_p99_ms $p99 >= 1200: a commit waits on a cut-off home, or an expiry left the other attempts waiting on the dead node" >&2
+        if awk "BEGIN {exit !($p99 >= 650)}"; then
+            echo "crash_recover seed $3 op_p99_ms $p99 >= 650: a wait sits out a deadline instead of copying past a silent node" >&2
             exit 1
         fi
         rss=$(echo "$result" | sed 's/.*"peak_rss_mib":{"value":\([0-9.]*\).*/\1/')

@@ -187,6 +187,7 @@ struct RunStats {
     summary: Summary,
     timeouts: u64,
     retries: u64,
+    resent: u64,
     exhausted: u64,
     pre_goodput: f64,
     during_goodput: f64,
@@ -275,6 +276,7 @@ fn run_scenario(
         summary: Summary::of(&result),
         timeouts: net.sim.metrics().counter("client.timeouts"),
         retries: net.sim.metrics().counter("client.retries"),
+        resent: net.sim.metrics().counter("client.resent"),
         exhausted: net.sim.metrics().counter("client.exhausted"),
         pre_goodput: pre,
         during_goodput: during,
@@ -320,6 +322,7 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
             ("err", "err", Fmt::Plain),
             ("timeouts", "timeouts", Fmt::Plain),
             ("retries", "retries", Fmt::Plain),
+            ("resent", "resent", Fmt::Plain),
             ("exhausted", "exhausted", Fmt::Plain),
             ("unfinished", "unfinished", Fmt::Plain),
         ],
@@ -361,6 +364,7 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
                 stats.summary.err,
                 stats.timeouts,
                 stats.retries,
+                stats.resent,
                 stats.exhausted,
                 stats.summary.unfinished,
             ]);

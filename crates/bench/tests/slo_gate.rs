@@ -19,9 +19,10 @@ const FAULT_FROM: SimDuration = SimDuration::from_secs(3);
 const FAULT_TO: SimDuration = SimDuration::from_secs(5);
 const SLO_WINDOW: SimDuration = SimDuration::from_secs(2);
 
-/// A quick-mode desktop Raft leader-kill run (the T-FAULTS scenario that
-/// stalls ordering outright) with the campaign's SLO shapes installed.
-/// Returns the driven network and the workload's start instant.
+/// A quick-mode desktop Raft run whose leader and one follower are down
+/// together, which stalls ordering outright: no quorum is left to elect or
+/// commit, whatever the clients re-send. The campaign's SLO shapes are
+/// installed. Returns the driven network and the workload's start instant.
 fn fault_run() -> (HyperProvNetwork, SimTime) {
     let config = NetworkConfig::desktop(4)
         .with_seed(SEED)
@@ -55,12 +56,15 @@ fn fault_run() -> (HyperProvNetwork, SimTime) {
             ),
         ]);
     let mut net = HyperProvNetwork::build(&config);
-    // Let the cluster elect a leader, then schedule its crash mid-run.
+    // Let the cluster elect a leader, then schedule its crash, and a
+    // follower's, mid-run.
     net.sim.run_until(SimTime::from_secs(2));
     let t0 = net.sim.now();
     let leader = net.ordering_leader().unwrap_or(net.orderers[0]);
+    let follower = *net.orderers.iter().find(|&&o| o != leader).unwrap();
     FaultPlan::new()
         .crash_window(leader, t0 + FAULT_FROM, t0 + FAULT_TO)
+        .crash_window(follower, t0 + FAULT_FROM, t0 + FAULT_TO)
         .install(&mut net.sim);
     let mut rng = DetRng::new(SEED).fork("slo-gate");
     run_closed_loop(
@@ -78,13 +82,13 @@ fn fault_window_breaches_an_slo_and_recovers() {
     let now = net.sim.now();
     net.sim.slo_mut().advance_to(now);
 
-    // Killing the ordering leader stalls commits: the goodput floor must
-    // breach, opening inside (or within one window of) the fault window,
-    // and close again once the new leader catches the cluster up.
+    // Losing the quorum stalls commits: the goodput floor must breach,
+    // opening inside (or within one window of) the fault window, and close
+    // again once the restarted members elect a leader and catch up.
     let windows = net.sim.slo().breach_windows("store-goodput").unwrap();
     assert!(
         !windows.is_empty(),
-        "the leader kill must breach the goodput floor"
+        "losing the ordering quorum must breach the goodput floor"
     );
     let fault_breach = windows
         .iter()

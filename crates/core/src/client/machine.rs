@@ -147,7 +147,7 @@ impl Client {
             plan,
         };
         self.operations.insert(slot, running);
-        self.send(slot, op, requests, &mut out);
+        self.send(slot, op, requests, now, &mut out);
         out
     }
 
@@ -163,7 +163,7 @@ impl Client {
         let (token, result) = match msg {
             NodeMsg::Fabric(msg) => {
                 let actions = self.gateway.on_message(msg, now, rng);
-                self.run(actions, &mut out);
+                self.run(actions, now, &mut out);
                 return out;
             }
             NodeMsg::Store(StoreMsg::PutAck { token, result, .. }) => {
@@ -194,19 +194,19 @@ impl Client {
             out.push(Action::Charge(hash_cost(data.len() as u64)));
         }
         let reply = result.unwrap_or_else(|err| Reply::Failed(HyperProvError::Storage(err)));
-        self.advance(slot, 0, reply, &mut out);
+        self.advance(slot, 0, reply, now, &mut out);
         out
     }
 
-    /// A wake-up fired: a gateway row's or a transfer's. A transfer's
+    /// A wake-up fired at `now`: a gateway row's or a transfer's. A transfer's
     /// backoff sends the next attempt; its deadline abandons this one and
     /// backs off, or ends the operation `Exhausted` — `Timeout` with no
     /// policy.
-    pub fn timer(&mut self, token: u64, rng: &mut DetRng) -> Vec<Action<ClientOwn>> {
+    pub fn timer(&mut self, token: u64, now: SimTime, rng: &mut DetRng) -> Vec<Action<ClientOwn>> {
         let mut out = Vec::new();
         if token & TRANSFER_TOKEN_BIT == 0 {
-            let actions = self.gateway.on_timer(token, rng);
-            self.run(actions, &mut out);
+            let actions = self.gateway.on_timer(token, now, rng);
+            self.run(actions, now, &mut out);
             return out;
         }
         let Some(mut row) = self.transfers.remove(&token) else {
@@ -237,12 +237,12 @@ impl Client {
             },
             None => HyperProvError::Timeout,
         };
-        self.advance(row.slot, 0, Reply::Failed(error), &mut out);
+        self.advance(row.slot, 0, Reply::Failed(error), now, &mut out);
         out
     }
 
     /// Carries out the requests a plan of operation `slot` asked for.
-    fn send(&mut self, slot: u64, op: OpId, requests: Vec<Request>, out: &mut Out) {
+    fn send(&mut self, slot: u64, op: OpId, requests: Vec<Request>, now: SimTime, out: &mut Out) {
         for request in requests {
             let Request::Chain(call) = request else {
                 self.transfer(slot, op, 0, request, out);
@@ -262,17 +262,18 @@ impl Client {
                 &mut self.gateway,
                 call.shard,
                 origin,
+                now,
                 CHAINCODE_NAME,
                 call.function,
                 call.args,
             );
-            self.run(actions, out);
+            self.run(actions, now, out);
         }
     }
 
     /// Appends what the gateway answered and, if that completed a request
     /// (always the last action), hands the outcome to its plan.
-    fn run(&mut self, actions: Vec<GatewayAction<Origin>>, out: &mut Out) {
+    fn run(&mut self, actions: Vec<GatewayAction<Origin>>, now: SimTime, out: &mut Out) {
         out.reserve(actions.len());
         for action in actions {
             match action.split() {
@@ -280,7 +281,7 @@ impl Client {
                 Err(GatewayDone(origin, result)) => {
                     let reply =
                         result.map_or_else(|error| Reply::Failed(error.into()), Reply::from);
-                    self.advance(origin.slot, origin.shard, reply, out);
+                    self.advance(origin.slot, origin.shard, reply, now, out);
                 }
             }
         }
@@ -288,7 +289,7 @@ impl Client {
 
     /// Hands operation `slot`'s plan the reply to one of its requests and
     /// does what it asks next.
-    fn advance(&mut self, slot: u64, shard: usize, reply: Reply, out: &mut Out) {
+    fn advance(&mut self, slot: u64, shard: usize, reply: Reply, now: SimTime, out: &mut Out) {
         let shards = self.gateway.shards();
         let Some(running) = self.operations.get_mut(&slot) else {
             return;
@@ -296,7 +297,7 @@ impl Client {
         let op = running.op;
         match running.plan.on_reply(shard, reply, shards) {
             Step::Wait => {}
-            Step::Send(requests) => self.send(slot, op, requests, out),
+            Step::Send(requests) => self.send(slot, op, requests, now, out),
             Step::Done(outcome) => {
                 let running = self
                     .operations

@@ -36,7 +36,7 @@ impl Machine for Client {
     }
 
     fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<ClientOwn>> {
-        Client::timer(self, token, io.rng)
+        Client::timer(self, token, io.now, io.rng)
     }
 
     fn perform_own<M: Carries<NodeMsg> + Carries<FabricMsg>>(

@@ -518,7 +518,7 @@ impl Model {
                 }
             }
             // The orderer takes the envelope in and answers if asked.
-            FabricMsg::Broadcast { envelope, ack } => {
+            FabricMsg::Broadcast { envelope, ack, .. } => {
                 let tx_id = envelope.tx_id();
                 if ack {
                     let accepted = true;

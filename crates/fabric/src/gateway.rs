@@ -6,25 +6,51 @@
 //! One table holds every request of the client, on whichever channel. A
 //! row is in one of five phases — *endorsing*, *ordering*, *commit-wait*,
 //! *query*, *backing off* — and each phase waits on exactly one wake-up:
-//! the endorse deadline, the backoff sleep, or in commit-wait the next
-//! status probe or the commit deadline, whichever comes first. So with
-//! deadlines configured a row exists exactly while its one timer is
-//! armed, and nothing can wedge: a probe re-arms, and every other wake-up
-//! either ends the row with a typed error or moves it to a fresh attempt
-//! under a fresh tx id.
+//! under deadlines, the next re-send or the deadline, whichever comes
+//! first; else the backoff sleep. So with deadlines configured a row exists
+//! exactly while its one timer is armed, and nothing can wedge: a re-send
+//! re-arms, and every other wake-up either ends the row with a typed error
+//! or moves it to a fresh attempt under a fresh tx id.
 //!
-//! A row in commit-wait whose home peer stays silent past the route's
-//! retransmission timeout asks the next endorser on its ring whether the
-//! transaction committed — Fabric Gateway's `CommitStatus` —, one place
-//! further along and twice as late each time. A peer that committed it
-//! answers with the commit event the home would have sent, and that
-//! completes the row as the home's would. The timeout is RFC 6298's
-//! `srtt + 4·rttvar` over the route's commit waits, timed from the
-//! orderer's ack to the home's event; before the first sample it is the
-//! endorse deadline. A row that an answer completed gives no sample: it
-//! timed the probe, not the home (Karn's rule, which here can tell the
-//! two apart). A row whose probes went unanswered still times the home,
-//! so a timeout that fell short grows back.
+//! One rule covers every wait of a request, the hedged request of "The
+//! Tail at Scale": a node silent past the route's retransmission timeout
+//! (RTO) for that wait is passed by a copy of the request under the same
+//! tx id, one place further along its ring and twice as late each time.
+//! An endorsing or query row sends its signed proposal to the next
+//! endorser, an ordering row its envelope to the next orderer, at most one
+//! copy per other node of the ring; each copy moves the route's home past
+//! the node it passed, as an expiry does. A row in commit-wait asks the
+//! next endorser whether the transaction committed — Fabric Gateway's
+//! `CommitStatus` —, walking the ring until the deadline, and from its
+//! second probe on also re-broadcasts its envelope, unasked, walking the
+//! other orderers the same way: that recovers an envelope a follower
+//! forwarded into a dead leader once a new one is elected. The deadlines, the failover of
+//! stranded attempts and retries under fresh tx ids stay as the hard bound.
+//! A wait's first copy counts under `resent`, a commit wait's first
+//! re-broadcast under `rebroadcasts`.
+//!
+//! Each route times each wait on its own with RFC 6298's estimator, RTO =
+//! `srtt + 4·rttvar`: *endorse* (proposal to first answer, queries
+//! included), *order* (envelope to the orderer's answer) and *commit* (the
+//! ack to the home's event). Before a wait's first sample its RTO is the
+//! endorse deadline, so nothing is re-sent before the first answer. The
+//! endorse and order RTOs are floored at `MIN_RTO` (200 ms): their round
+//! trip is a near-constant few milliseconds, which unfloored would re-send
+//! on any queueing hiccup. The commit RTO is not floored. A wait that
+//! re-sent gives no sample (Karn's rule): its answer may be the copy's.
+//! The commit wait, whose answers tell the home's event from a probed
+//! peer's, withholds a sample only when an answer completed it, so an RTO
+//! that fell short grows back.
+//!
+//! Copies are harmless by these rules: a `DuplicateTxId` commit event or
+//! status answer — a second copy's — never completes or fails a row; a
+//! refusal fails an attempt only once no other copy of it can still
+//! answer; an envelope sent again is marked a `copy`, and an ordering node
+//! that holds it — admitted, or cut into a retained block — acks it if
+//! asked and does not order it twice; and the envelope kept for copies is
+//! shared, not copied.
+
+use std::sync::Arc;
 
 use hyperprov_ledger::{ChannelId, Digest, Encode, TxId, ValidationCode};
 use hyperprov_sim::fxhash::FxHashMap;
@@ -226,9 +252,10 @@ pub struct Done<T>(pub T, pub Result<Reply, GatewayError>);
 /// Both lists are rings. A request's first attempt starts at each ring's
 /// *home*, its first node to begin with; a retry one place along from its
 /// own attempt's positions, so it goes to the next node, not back to the
-/// one that just failed. An expired deadline moves the home of the ring it
-/// blames past the expired position, if it still points there, and every
-/// attempt stranded on that node ([`Gateway::on_timer`]); nothing else moves a home.
+/// one that just failed. A copy sent past a silent node, or an expired
+/// deadline, moves the home of the ring it blames past that position, if
+/// it still points there; a deadline also moves every attempt stranded on
+/// that node ([`Gateway::on_timer`]). Nothing else moves a home.
 #[derive(Debug)]
 pub struct Route {
     channel: ChannelId,
@@ -240,14 +267,29 @@ pub struct Route {
     nonce: u64,
     /// Where a first attempt starts: `[ENDORSERS]`, `[ORDERERS]`.
     home: [usize; 2],
-    /// The commit wait's smoothed round trip and its mean deviation, once
-    /// a row has been timed.
-    rtt: Option<(SimDuration, SimDuration)>,
+    /// Per [`Wait`], its smoothed round trip and mean deviation, once a
+    /// row has been timed.
+    rtt: [Option<(SimDuration, SimDuration)>; 3],
 }
 
 /// A route's rings, as indices into a pair of ring positions.
 const ENDORSERS: usize = 0;
 const ORDERERS: usize = 1;
+
+/// The floor of the endorse and order waits' RTO (RFC 6298 §2.4 floors
+/// its RTO too).
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+
+/// The waits of a request, each timed on its own per route.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// A proposal (or query) to its first answer.
+    Endorse,
+    /// An envelope to the orderer's answer.
+    Order,
+    /// The orderer's answer to the home peer's commit event.
+    Commit,
+}
 
 impl Route {
     /// A route to `channel`. A first attempt is proposed to the
@@ -279,20 +321,26 @@ impl Route {
             endorsements_needed,
             nonce: 0,
             home: [0; 2],
-            rtt: None,
+            rtt: [None; 3],
         }
     }
 
-    /// The retransmission timeout, `srtt + 4·rttvar`; `before` until the
-    /// first sample.
-    fn rto(&self, before: SimDuration) -> SimDuration {
-        self.rtt.map_or(before, |(srtt, rttvar)| srtt + rttvar * 4)
+    /// The retransmission timeout of `wait`, `srtt + 4·rttvar`, floored
+    /// at [`MIN_RTO`] but for the commit wait; `before` until the first
+    /// sample.
+    fn rto(&self, wait: Wait, before: SimDuration) -> SimDuration {
+        let rto = self.rtt[wait as usize].map_or(before, |(srtt, rttvar)| srtt + rttvar * 4);
+        match wait {
+            Wait::Commit => rto,
+            Wait::Endorse | Wait::Order => rto.max(MIN_RTO),
+        }
     }
 
-    /// Folds one commit wait into the estimate, with RFC 6298's gains
-    /// α = 1/8 and β = 1/4.
-    fn sample(&mut self, r: SimDuration) {
-        self.rtt = Some(match self.rtt {
+    /// Folds one round trip of `wait` into its estimate, with RFC 6298's
+    /// gains α = 1/8 and β = 1/4.
+    fn sample(&mut self, wait: Wait, r: SimDuration) {
+        let rtt = &mut self.rtt[wait as usize];
+        *rtt = Some(match *rtt {
             None => (r, r / 2),
             Some((srtt, rttvar)) => {
                 let error = srtt.max(r) - srtt.min(r);
@@ -303,7 +351,44 @@ impl Route {
 
     /// The position one place on from `at` on `ring`.
     fn after(&self, ring: usize, at: usize) -> usize {
-        (at + 1) % [self.endorsers.len(), self.orderers.len()][ring]
+        (at + 1) % self.ring(ring).len()
+    }
+
+    fn ring(&self, ring: usize) -> &[ActorId] {
+        [&self.endorsers, &self.orderers][ring]
+    }
+
+    /// `ring`'s node at position `at` let a wait run out: the home moves
+    /// past it, unless something moved it already.
+    fn blame(&mut self, ring: usize, at: usize) {
+        if self.home[ring] == at {
+            self.home[ring] = self.after(ring, at);
+        }
+    }
+
+    /// The wake-ups of a `wait` that begins at `now` and may re-send
+    /// `most` times, under the gateway's `endorse` and `commit` deadlines;
+    /// `None` without the wait's own.
+    fn wake(
+        &self,
+        wait: Wait,
+        now: SimTime,
+        most: usize,
+        endorse: Option<SimDuration>,
+        commit: Option<SimDuration>,
+    ) -> Option<Wake> {
+        let deadline = match wait {
+            Wait::Endorse | Wait::Order => endorse,
+            Wait::Commit => commit,
+        };
+        Some(Wake {
+            since: now,
+            sent: 0,
+            most: u32::try_from(most).unwrap_or(u32::MAX),
+            refused: 0,
+            next: self.rto(wait, endorse.unwrap_or_default()),
+            left: deadline?,
+        })
     }
 }
 
@@ -320,55 +405,64 @@ struct Call {
 /// What a request is waiting for. Each phase has one wake-up.
 #[derive(Debug)]
 enum Phase {
-    /// Endorsements of the proposal (the endorse deadline).
+    /// Endorsements of the proposal, which is kept for the envelope and
+    /// for copies.
     Endorsing {
-        proposal: Box<Proposal>,
+        signed: Box<SignedProposal>,
         responses: Vec<ProposalResponse>,
     },
-    /// The orderer's answer to the submitted envelope (the endorse
-    /// deadline: one node answers it); `payload` as in commit-wait.
-    Ordering { payload: Vec<u8> },
+    /// The orderer's answer to the submitted envelope (one node answers
+    /// it, under the endorse deadline).
+    Ordering { envelope: Arc<Envelope> },
     /// The commit notification of the submitted envelope, whose agreed
-    /// chaincode response is `payload` (the next probe or the commit
-    /// deadline, with `probes`; else the commit deadline).
-    CommitWait {
-        payload: Vec<u8>,
-        probes: Option<Probes>,
-    },
-    /// The one endorser's answer (the endorse deadline).
-    Query,
+    /// chaincode response is the reply's payload.
+    CommitWait { envelope: Arc<Envelope> },
+    /// The one endorser's answer; the proposal is kept for copies under
+    /// an endorse deadline.
+    Query { signed: Option<Box<SignedProposal>> },
     /// The backoff sleep before the next attempt. The row stays under the
     /// failed attempt's tx id, whose late replies it ignores.
     BackingOff,
 }
 
-/// The status probes of a row in commit-wait: kept only under both
-/// deadlines, from the orderer's ack on, on a ring of two endorsers or more.
+/// The wake-ups of a row's wait under its deadline: a re-send each time
+/// the route's RTO for the wait runs out, twice as late each time, while
+/// one is left; then the deadline.
 #[derive(Debug)]
-struct Probes {
-    /// When the orderer took the envelope in: the home's event times the
-    /// route's round trip from here.
-    acked: SimTime,
-    /// Probes sent so far.
+struct Wake {
+    /// When the wait began: its answer times the route's round trip from
+    /// here.
+    since: SimTime,
+    /// Re-sends so far: copies of the request, or in commit-wait status
+    /// probes.
     sent: u32,
-    /// The wait from now, or from the armed probe, to the next probe.
+    /// How many re-sends the wait may make.
+    most: u32,
+    /// Refusals of the request so far.
+    refused: u32,
+    /// The wait from now, or from the armed re-send, to the next re-send.
     next: SimDuration,
-    /// The wait from now, or from the armed probe, to the commit deadline;
-    /// zero once the armed wake-up is the deadline itself.
+    /// The wait from now, or from the armed re-send, to the deadline; zero
+    /// once the armed wake-up is the deadline itself.
     left: SimDuration,
 }
 
-impl Probes {
-    /// The delay to arm commit-wait's one wake-up at: the next probe, if
-    /// it comes before the deadline, else the deadline. A zero timeout
-    /// probes never.
-    fn wake(&mut self) -> SimDuration {
-        if !self.next.is_zero() && self.next < self.left {
+impl Wake {
+    /// The delay to arm the wait's one wake-up at: the next re-send, if
+    /// one is left and it comes before the deadline, else the deadline. A
+    /// zero timeout re-sends never.
+    fn arm(&mut self) -> SimDuration {
+        if self.sent < self.most && !self.next.is_zero() && self.next < self.left {
             self.left = self.left - self.next;
             self.next
         } else {
             std::mem::take(&mut self.left)
         }
+    }
+
+    /// The round trip of a wait answered at `now`, unless it re-sent.
+    fn sample(&self, now: SimTime) -> Option<SimDuration> {
+        (self.sent == 0).then(|| now - self.since)
     }
 }
 
@@ -380,13 +474,27 @@ struct Row<T> {
     shard: usize,
     /// Attempts started so far (1 = first try).
     attempts: u32,
-    /// The ring positions the latest attempt used (first endorser, orderer).
+    /// The ring positions the latest attempt used (first endorser, orderer);
+    /// a copy moves them on to where it went.
     at: [usize; 2],
     /// The armed wake-up, if the phase has one configured.
     token: Option<u64>,
+    /// The wait's re-sends and deadline, under a deadline.
+    wake: Option<Wake>,
     /// The call, to issue it again (kept only under a retry policy).
     redo: Option<Call>,
     phase: Phase,
+}
+
+impl<T> Row<T> {
+    /// Counts a refusal of the attempt's request: true while a copy sent to
+    /// another node may still answer it.
+    fn another_copy_out(&mut self) -> bool {
+        self.wake.as_mut().is_some_and(|wake| {
+            wake.refused += 1;
+            wake.refused <= wake.sent
+        })
+    }
 }
 
 /// A Fabric client endpoint: every request of one client identity, on
@@ -429,9 +537,11 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// Arms per-op deadlines: `endorse` bounds the endorsement/query phase
-    /// (and, read through [`Gateway::endorse_deadline`], each off-chain
-    /// transfer of the HyperProv client), `commit` the commit-wait phase.
-    /// `None` leaves a phase unbounded (the default: no timer is ever set).
+    /// and the orderer's answer (and, read through
+    /// [`Gateway::endorse_deadline`], each off-chain transfer of the
+    /// HyperProv client), `commit` the commit-wait phase. `None` leaves a
+    /// phase unbounded (the default: no timer is ever set), and without
+    /// deadlines nothing is ever re-sent.
     ///
     /// The host actor must route every timer token that is not its own
     /// into [`Gateway::on_timer`]; tokens count up from 1.
@@ -482,13 +592,14 @@ impl<T: Caller> Gateway<T> {
         (route.endorsers[endorser], route.orderers[orderer])
     }
 
-    /// Starts a full transaction on route `shard`: endorse on the
+    /// Starts a full transaction on route `shard` at `now`: endorse on the
     /// `endorsements_needed` endorsers from the route's home endorser on,
     /// then order at its home orderer, then wait for the commit event.
     pub fn invoke(
         &mut self,
         shard: usize,
         caller: T,
+        now: SimTime,
         chaincode: &'static str,
         function: &'static str,
         args: Vec<Vec<u8>>,
@@ -500,15 +611,16 @@ impl<T: Caller> Gateway<T> {
             args,
         };
         let at = self.routes[shard].home;
-        self.issue(caller, shard, 0, at, call)
+        self.issue(caller, shard, 0, at, call, now)
     }
 
-    /// Starts an endorse-only query against the home endorser of route
-    /// `shard`.
+    /// Starts an endorse-only query at `now` against the home endorser of
+    /// route `shard`.
     pub fn query(
         &mut self,
         shard: usize,
         caller: T,
+        now: SimTime,
         chaincode: &'static str,
         function: &'static str,
         args: Vec<Vec<u8>>,
@@ -520,7 +632,7 @@ impl<T: Caller> Gateway<T> {
             args,
         };
         let at = self.routes[shard].home;
-        self.issue(caller, shard, 0, at, call)
+        self.issue(caller, shard, 0, at, call, now)
     }
 
     /// Issues attempt `attempts + 1` of `call` at ring positions `at`:
@@ -535,6 +647,7 @@ impl<T: Caller> Gateway<T> {
         attempts: u32,
         at: [usize; 2],
         call: Call,
+        now: SimTime,
     ) -> Vec<Action<T>> {
         let redo = self.retry.map(|_| call.clone());
         let route = &mut self.routes[shard];
@@ -551,28 +664,35 @@ impl<T: Caller> Gateway<T> {
         let tx_id = TxId(Digest::of(&bytes));
         let wire = bytes.len() as u64;
         let signature = self.identity.sign(&bytes);
+        let signed = SignedProposal {
+            proposal,
+            signature,
+        };
+        let ring = route.endorsers.len();
         // The endorse span covers the whole collection phase: it closes
         // at submit (or on failure), where `commit_wait` opens.
         let (targets, stage, phase) = if call.invoke {
             let phase = Phase::Endorsing {
-                proposal: Box::new(proposal.clone()),
+                signed: Box::new(signed.clone()),
                 responses: Vec::new(),
             };
             (route.endorsements_needed, "endorse", phase)
         } else {
-            (1, "query", Phase::Query)
+            let copies = self.endorse_timeout.filter(|_| ring > 1);
+            let signed = copies.map(|_| Box::new(signed.clone()));
+            (1, "query", Phase::Query { signed })
         };
+        let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
+        let mut wake = route.wake(Wait::Endorse, now, ring - targets, endorse, commit);
         let mut out = Vec::with_capacity(3 + targets);
         out.push(Action::Charge(costs::client_proposal_cost(wire)));
         out.push(Action::SpanStart(tx_trace(&tx_id), stage, String::new()));
-        let token = arm(&mut self.next_token, self.endorse_timeout, &mut out);
+        let token = arm(&mut self.next_token, wake.as_mut().map(Wake::arm), &mut out);
         // The last endorser gets the proposal by move, the rest by clone.
-        let mut signed = Some(SignedProposal {
-            proposal,
-            signature,
-        });
+        let mut signed = Some(signed);
+        let route = &self.routes[shard];
         for i in 0..targets {
-            let endorser = route.endorsers[(at[ENDORSERS] + i) % route.endorsers.len()];
+            let endorser = route.endorsers[(at[ENDORSERS] + i) % ring];
             let signed = if i + 1 == targets {
                 signed.take()
             } else {
@@ -587,6 +707,7 @@ impl<T: Caller> Gateway<T> {
             attempts: attempts + 1,
             at,
             token,
+            wake,
             redo,
             phase,
         };
@@ -597,13 +718,13 @@ impl<T: Caller> Gateway<T> {
     /// Feeds an incoming Fabric message to the gateway. Messages that
     /// are not an answer to a live attempt — another client's commit, a
     /// reply to an attempt that already timed out, an extra endorsement
-    /// after submit — do nothing. It arrived at `now`, which times the
-    /// commit wait; `rng` is the host actor's stream: a rejection that is
-    /// retried draws its backoff from it.
+    /// after submit, a second copy's commit — do nothing. It arrived at
+    /// `now`, which times the wait it answers; `rng` is the host actor's
+    /// stream: a rejection that is retried draws its backoff from it.
     pub fn on_message(&mut self, msg: FabricMsg, now: SimTime, rng: &mut DetRng) -> Vec<Action<T>> {
         let mut out = Vec::new();
         match msg {
-            FabricMsg::ProposalResult(resp) => self.on_response(resp, rng, &mut out),
+            FabricMsg::ProposalResult(resp) => self.on_response(resp, now, rng, &mut out),
             FabricMsg::BroadcastAck { tx_id, accepted } => {
                 self.on_ack(tx_id, accepted, now, rng, &mut out);
             }
@@ -614,14 +735,35 @@ impl<T: Caller> Gateway<T> {
         out
     }
 
-    fn on_response(&mut self, resp: ProposalResponse, rng: &mut DetRng, out: &mut Vec<Action<T>>) {
+    fn on_response(
+        &mut self,
+        resp: ProposalResponse,
+        now: SimTime,
+        rng: &mut DetRng,
+        out: &mut Vec<Action<T>>,
+    ) {
         let tx_id = resp.tx_id;
         let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
         };
-        let needed = self.routes[row.shard].endorsements_needed;
+        let route = &mut self.routes[row.shard];
+        // The first answer, if nothing was re-sent, times the route.
+        let first = match &row.phase {
+            Phase::Endorsing { responses, .. } => responses.is_empty(),
+            Phase::Query { .. } => true,
+            Phase::Ordering { .. } | Phase::CommitWait { .. } | Phase::BackingOff => return,
+        };
+        let wake = row.wake.as_ref().filter(|wake| first && wake.refused == 0);
+        if let Some(rtt) = wake.and_then(|wake| wake.sample(now)) {
+            route.sample(Wait::Endorse, rtt);
+        }
+        // Fail fast, as the Fabric SDK does, once no copy is left.
+        if resp.result.is_err() && row.another_copy_out() {
+            return;
+        }
+        let needed = route.endorsements_needed;
         let (stage, note, error) = match &mut row.phase {
-            Phase::Query => match resp.result {
+            Phase::Query { .. } => match resp.result {
                 Ok(bytes) => {
                     let row = self.close(tx_id, "query", out);
                     out.push(Action::Own(Done(row.caller, Ok(Reply::Bytes(bytes)))));
@@ -630,7 +772,6 @@ impl<T: Caller> Gateway<T> {
                 Err(reason) => ("query", None, GatewayError::from_query(reason)),
             },
             Phase::Endorsing { responses, .. } => match &resp.result {
-                // Fail fast, as the Fabric SDK does.
                 Err(reason) => (
                     "endorse",
                     Some(("endorse.rejected", reason.clone())),
@@ -646,13 +787,15 @@ impl<T: Caller> Gateway<T> {
                         .iter()
                         .all(|r| r.rwset == first.rwset && r.result == first.result);
                     if agree {
-                        return self.submit(tx_id, out);
+                        return self.submit(tx_id, now, out);
                     }
                     let note = ("endorse.mismatch", String::new());
                     ("endorse", Some(note), GatewayError::Mismatch)
                 }
             },
-            Phase::Ordering { .. } | Phase::CommitWait { .. } | Phase::BackingOff => return,
+            Phase::Ordering { .. } | Phase::CommitWait { .. } | Phase::BackingOff => {
+                unreachable!("answered above")
+            }
         };
         let row = self.close(tx_id, stage, out);
         if let Some((name, detail)) = note {
@@ -673,16 +816,14 @@ impl<T: Caller> Gateway<T> {
         row
     }
 
-    /// All endorsements are in and agree: assembles the envelope,
+    /// All endorsements are in and agree at `now`: assembles the envelope,
     /// broadcasts it to this attempt's orderer and waits — for its answer
     /// under an endorse deadline, else for the commit — so a lost
     /// broadcast or commit notification cannot wedge the client.
-    fn submit(&mut self, tx_id: TxId, out: &mut Vec<Action<T>>) {
+    fn submit(&mut self, tx_id: TxId, now: SimTime, out: &mut Vec<Action<T>>) {
         let row = self.rows.get_mut(&tx_id).expect("caller looked it up");
-        let Phase::Endorsing {
-            proposal,
-            responses,
-        } = std::mem::replace(&mut row.phase, Phase::BackingOff)
+        let Phase::Endorsing { signed, responses } =
+            std::mem::replace(&mut row.phase, Phase::BackingOff)
         else {
             unreachable!("submit runs on an endorsing row");
         };
@@ -697,28 +838,38 @@ impl<T: Caller> Gateway<T> {
             .into_iter()
             .next()
             .expect("invariant: submit runs only after `needed >= 1` endorsements");
-        let payload = first.result.unwrap_or_default();
-        let envelope = Envelope {
-            proposal: *proposal,
-            payload: payload.clone(),
+        let envelope = Arc::new(Envelope {
+            proposal: signed.proposal,
+            payload: first.result.unwrap_or_default(),
             rwset: first.rwset,
             event: first.event,
             endorsements,
+        });
+        let (route, kept) = (&self.routes[row.shard], Arc::clone(&envelope));
+        let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
+        let ack = endorse.is_some();
+        let (phase, mut wake) = match ack {
+            true => {
+                let copies = route.orderers.len() - 1;
+                let wake = route.wake(Wait::Order, now, copies, endorse, commit);
+                (Phase::Ordering { envelope: kept }, wake)
+            }
+            false => {
+                let wake = route.wake(Wait::Commit, now, 0, endorse, commit);
+                (Phase::CommitWait { envelope: kept }, wake)
+            }
         };
-        let ack = self.endorse_timeout.is_some();
-        row.phase = match ack {
-            true => Phase::Ordering { payload },
-            false => Phase::CommitWait {
-                payload,
-                probes: None,
-            },
-        };
+        row.phase = phase;
         out.extend(row.token.take().map(Action::Disarm));
-        let deadline = self.endorse_timeout.or(self.commit_timeout);
-        row.token = arm(&mut self.next_token, deadline, out);
+        row.token = arm(&mut self.next_token, wake.as_mut().map(Wake::arm), out);
+        row.wake = wake;
         let bytes = envelope.wire_size();
-        let orderer = self.routes[row.shard].orderers[row.at[ORDERERS]];
-        let msg = FabricMsg::Broadcast { envelope, ack };
+        let orderer = route.orderers[row.at[ORDERERS]];
+        let msg = FabricMsg::Broadcast {
+            envelope,
+            ack,
+            copy: false,
+        };
         out.push(Action::Send(orderer, bytes, msg));
         // The two spans are contiguous, so their durations sum exactly to
         // the end-to-end invoke latency.
@@ -727,9 +878,10 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::SpanStart(trace, "commit_wait", String::new()));
     }
 
-    /// The orderer answered the envelope at `now`: taken in, the row waits
+    /// An orderer answered the envelope at `now`: taken in, the row waits
     /// for the commit under the commit deadline, probing before it on a
-    /// ring with another endorser; refused, the attempt fails `Busy`.
+    /// ring with another endorser; refused, the attempt fails `Busy` once
+    /// no other copy is out.
     fn on_ack(
         &mut self,
         tx_id: TxId,
@@ -741,29 +893,29 @@ impl<T: Caller> Gateway<T> {
         let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
         };
-        let Phase::Ordering { payload } = &mut row.phase else {
+        let Phase::Ordering { envelope } = &row.phase else {
             return;
         };
         if accepted {
-            let payload = std::mem::take(payload);
-            let route = &self.routes[row.shard];
-            // Only an endorse deadline asks for the ack.
-            let rto = route.rto(self.endorse_timeout.unwrap_or_default());
-            let mut probes = self
-                .commit_timeout
-                .filter(|_| route.endorsers.len() > 1)
-                .map(|left| Probes {
-                    acked: now,
-                    sent: 0,
-                    next: rto,
-                    left,
-                });
+            let envelope = Arc::clone(envelope);
+            let route = &mut self.routes[row.shard];
+            if let Some(rtt) = row.wake.as_ref().and_then(|wake| wake.sample(now)) {
+                route.sample(Wait::Order, rtt);
+            }
+            let probes = if route.endorsers.len() > 1 {
+                usize::MAX
+            } else {
+                0
+            };
+            let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
+            let mut wake = route.wake(Wait::Commit, now, probes, endorse, commit);
             out.extend(row.token.take().map(Action::Disarm));
-            let wake = probes
-                .as_mut()
-                .map_or(self.commit_timeout, |p| Some(p.wake()));
-            row.token = arm(&mut self.next_token, wake, out);
-            row.phase = Phase::CommitWait { payload, probes };
+            row.token = arm(&mut self.next_token, wake.as_mut().map(Wake::arm), out);
+            row.wake = wake;
+            row.phase = Phase::CommitWait { envelope };
+            return;
+        }
+        if row.another_copy_out() {
             return;
         }
         let row = self.close(tx_id, "commit_wait", out);
@@ -773,25 +925,32 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// A commit — the home's event, or a probed peer's answer — completes
-    /// the row, even one that overtook the ack. The home's, arriving at
-    /// `home`, is a sample of the route's round trip.
+    /// the row, even one that overtook the ack; a second copy's, coded
+    /// `DuplicateTxId`, does nothing. The home's, arriving at `home`, is a
+    /// sample of the route's commit wait.
     fn on_commit(&mut self, event: CommitEvent, home: Option<SimTime>, out: &mut Vec<Action<T>>) {
         let tx_id = event.tx_id;
+        if event.code == ValidationCode::DuplicateTxId {
+            return;
+        }
         let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
         };
-        let payload = match &mut row.phase {
-            Phase::Ordering { payload } => payload,
-            Phase::CommitWait { payload, probes } => {
-                if let (Some(probes), Some(now)) = (probes, home) {
-                    self.routes[row.shard].sample(now - probes.acked);
+        match &row.phase {
+            Phase::Ordering { .. } => {}
+            Phase::CommitWait { .. } => {
+                if let (Some(wake), Some(now)) = (&row.wake, home) {
+                    self.routes[row.shard].sample(Wait::Commit, now - wake.since);
                 }
-                payload
             }
             _ => return,
-        };
-        let payload = std::mem::take(payload);
+        }
         let row = self.close(tx_id, "commit_wait", out);
+        let (Phase::Ordering { envelope } | Phase::CommitWait { envelope }) = row.phase else {
+            unreachable!("matched above");
+        };
+        // The orderers dropped their copies on taking the envelope in.
+        let payload = Arc::try_unwrap(envelope).map_or_else(|e| e.payload.clone(), |e| e.payload);
         let code = event.code;
         let reply = Reply::Committed {
             tx_id,
@@ -801,19 +960,19 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::Own(Done(row.caller, Ok(reply))));
     }
 
-    /// A wake-up fired. A probe asks the next peer ([`Gateway::probe`]). A
-    /// deadline abandons the attempt — its span closes, its row leaves the
-    /// table, nothing can leak — moves the home of the ring it blames and,
-    /// unless a commit may be in, every attempt waiting on the node it
-    /// blames ([`Gateway::fail_over`]); a backoff issues the next attempt.
-    /// Tokens of finished requests do nothing.
-    pub fn on_timer(&mut self, token: u64, rng: &mut DetRng) -> Vec<Action<T>> {
+    /// A wake-up fired at `now`. A re-send sends a copy on
+    /// ([`Gateway::resend`]). A deadline abandons the attempt — its span
+    /// closes, its row leaves the table, nothing can leak — moves the home
+    /// of the ring it blames and, unless a commit may be in, every attempt
+    /// waiting on the node it blames ([`Gateway::fail_over`]); a backoff
+    /// issues the next attempt. Tokens of finished requests do nothing.
+    pub fn on_timer(&mut self, token: u64, now: SimTime, rng: &mut DetRng) -> Vec<Action<T>> {
         let found = self.rows.iter().find(|(_, row)| row.token == Some(token));
         let Some((&tx_id, row)) = found else {
             return Vec::new();
         };
-        if matches!(&row.phase, Phase::CommitWait { probes: Some(p), .. } if !p.left.is_zero()) {
-            return self.probe(tx_id);
+        if row.wake.as_ref().is_some_and(|wake| !wake.left.is_zero()) {
+            return self.resend(tx_id);
         }
         let mut row = self.rows.remove(&tx_id).expect("found above");
         row.token = None;
@@ -825,83 +984,133 @@ impl<T: Caller> Gateway<T> {
             Phase::Endorsing { .. } => ("endorse", "endorse.timeout", EndorseTimeout, ENDORSERS),
             Phase::Ordering { .. } => ("commit_wait", "order.timeout", CommitTimeout, ORDERERS),
             Phase::CommitWait { .. } => ("commit_wait", "commit.timeout", CommitTimeout, ENDORSERS),
-            Phase::Query => ("query", "query.timeout", EndorseTimeout, ENDORSERS),
-            Phase::BackingOff => return self.next_attempt(row),
+            Phase::Query { .. } => ("query", "query.timeout", EndorseTimeout, ENDORSERS),
+            Phase::BackingOff => return self.next_attempt(row, now),
         };
-        // The home moves past the expired position, unless an earlier
-        // expiry moved it already.
         let (route, at) = (&mut self.routes[row.shard], row.at[blamed]);
-        if route.home[blamed] == at {
-            route.home[blamed] = route.after(blamed, at);
-        }
-        let dead = [&route.endorsers, &route.orderers][blamed][at];
+        route.blame(blamed, at);
+        let dead = route.ring(blamed)[at];
         let mut out = vec![
             Action::SpanEnd(tx_trace(&tx_id), stage, String::new()),
             Action::Note(tx_trace(&tx_id), event, String::new()),
         ];
         if !matches!(row.phase, Phase::CommitWait { .. }) {
-            self.fail_over(dead, &mut out);
+            self.fail_over(dead, now, &mut out);
         }
         self.fail(tx_id, row, error, rng, &mut out);
         out
     }
 
-    /// The armed wake-up of the commit-wait row `tx_id` was a probe: asks
-    /// the next endorser on the ring after the attempt's own — one place
-    /// further along after each probe, skipping the attempt's own — whether
-    /// the transaction committed, and arms the next probe, twice as late,
-    /// or the deadline.
-    fn probe(&mut self, tx_id: TxId) -> Vec<Action<T>> {
+    /// The armed wake-up of row `tx_id` was a re-send, and arms the next,
+    /// twice as late, or the deadline. An endorsing or query row sends its
+    /// proposal one endorser past its window, which moves on past its first
+    /// (silent) endorser; an ordering row its envelope to the next orderer.
+    /// A row in commit-wait asks the next endorser after its own — one place
+    /// further along each time, skipping its own — whether the transaction
+    /// committed, and from its second probe on sends its envelope, unasked,
+    /// to the orderers after its own in the same way.
+    fn resend(&mut self, tx_id: TxId) -> Vec<Action<T>> {
         let row = self
             .rows
             .get_mut(&tx_id)
             .expect("invariant: caller found it");
-        let Phase::CommitWait {
-            probes: Some(probes),
-            ..
-        } = &mut row.phase
-        else {
-            unreachable!("a probe fires on a probing row");
+        let wake = row
+            .wake
+            .as_mut()
+            .expect("a re-send fires on a row with a wake-up");
+        let route = &mut self.routes[row.shard];
+        let (trace, sent) = (tx_trace(&tx_id), wake.sent);
+        wake.sent += 1;
+        wake.next = wake.next * 2;
+        let mut out = Vec::with_capacity(6);
+        // Each copy is noted; a wait is counted once, at its first: under
+        // `resent`, or from commit-wait under `rebroadcasts`.
+        let (copy, note, counted) = match &row.phase {
+            Phase::Endorsing { signed, .. }
+            | Phase::Query {
+                signed: Some(signed),
+            } => {
+                let window = match row.phase {
+                    Phase::Endorsing { .. } => route.endorsements_needed,
+                    _ => 1,
+                };
+                route.blame(ENDORSERS, row.at[ENDORSERS]);
+                row.at[ENDORSERS] = route.after(ENDORSERS, row.at[ENDORSERS]);
+                let ring = route.endorsers.len();
+                let to = route.endorsers[(row.at[ENDORSERS] + window - 1) % ring];
+                let wire = signed.proposal.wire_size() + 32;
+                let msg = FabricMsg::SubmitProposal(SignedProposal::clone(signed));
+                (
+                    Some((to, wire, msg)),
+                    "endorse.resend",
+                    (sent == 0).then_some("resent"),
+                )
+            }
+            Phase::Ordering { envelope } => {
+                route.blame(ORDERERS, row.at[ORDERERS]);
+                row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
+                let (bytes, msg) = copy_of(envelope, true);
+                let copy = (route.orderers[row.at[ORDERERS]], bytes, msg);
+                (Some(copy), "order.resend", (sent == 0).then_some("resent"))
+            }
+            Phase::CommitWait { envelope } => {
+                let ring = route.endorsers.len();
+                let step = 1 + sent as usize % (ring - 1);
+                let peer = route.endorsers[(row.at[ENDORSERS] + step) % ring];
+                let channel = route.channel.clone();
+                let msg = FabricMsg::CommitStatus { channel, tx_id };
+                out.push(Action::Note(trace.clone(), "commit.probe", String::new()));
+                out.push(Action::Send(peer, msg.wire_size(), msg));
+                let orderers = route.orderers.len();
+                let copy = (sent >= 1 && orderers > 1).then(|| {
+                    let step = 1 + (sent as usize - 1) % (orderers - 1);
+                    let to = route.orderers[(row.at[ORDERERS] + step) % orderers];
+                    let (bytes, msg) = copy_of(envelope, false);
+                    (to, bytes, msg)
+                });
+                (
+                    copy,
+                    "commit.rebroadcast",
+                    (sent == 1).then_some("rebroadcasts"),
+                )
+            }
+            Phase::Query { signed: None } | Phase::BackingOff => {
+                unreachable!("a re-send fires on a row with something to send")
+            }
         };
-        let route = &self.routes[row.shard];
-        let ring = route.endorsers.len();
-        let step = 1 + probes.sent as usize % (ring - 1);
-        let peer = route.endorsers[(row.at[ENDORSERS] + step) % ring];
-        probes.sent += 1;
-        probes.next = probes.next * 2;
-        let channel = route.channel.clone();
-        let msg = FabricMsg::CommitStatus { channel, tx_id };
-        let mut out = vec![
-            Action::Note(tx_trace(&tx_id), "commit.probe", String::new()),
-            Action::Send(peer, msg.wire_size(), msg),
-        ];
-        row.token = arm(&mut self.next_token, Some(probes.wake()), &mut out);
+        if let Some((to, bytes, msg)) = copy {
+            out.extend(counted.map(|name| Action::Count(None, name, 1)));
+            out.push(Action::Note(trace, note, String::new()));
+            out.push(Action::Send(to, bytes, msg));
+        }
+        let delay = row.wake.as_mut().map(Wake::arm);
+        row.token = arm(&mut self.next_token, delay, &mut out);
         out
     }
 
     /// A deadline blamed `dead`: each attempt waiting on it for its first
     /// endorsement, its query's or its orderer's answer, with an attempt
     /// left and another node on that ring, is abandoned and issued again at
-    /// once, one place along its rings, in the order they were armed: a
-    /// retry, noted `op.failover`. One still endorsing submits past `dead`.
-    fn fail_over(&mut self, dead: ActorId, out: &mut Vec<Action<T>>) {
+    /// once, at `now`, one place along its rings, in the order they were
+    /// armed: a retry, noted `op.failover`. One still endorsing submits
+    /// past `dead`.
+    fn fail_over(&mut self, dead: ActorId, now: SimTime, out: &mut Vec<Action<T>>) {
         let budget = self.retry.map_or(0, |policy| policy.max_attempts);
         let mut stranded = Vec::new();
         for (&tx_id, row) in &mut self.rows {
             let (route, at) = (&self.routes[row.shard], row.at);
-            let rings = [&route.endorsers, &route.orderers];
-            let on_dead = |ring: usize| rings[ring][at[ring]] == dead;
+            let on_dead = |ring: usize| route.ring(ring)[at[ring]] == dead;
             let (stage, ring) = match row.phase {
                 Phase::Endorsing { .. } if on_dead(ORDERERS) => {
                     row.at[ORDERERS] = route.after(ORDERERS, at[ORDERERS]);
                     continue;
                 }
                 Phase::Endorsing { .. } => ("endorse", ENDORSERS),
-                Phase::Query => ("query", ENDORSERS),
+                Phase::Query { .. } => ("query", ENDORSERS),
                 Phase::Ordering { .. } => ("commit_wait", ORDERERS),
                 Phase::CommitWait { .. } | Phase::BackingOff => continue,
             };
-            if on_dead(ring) && rings[ring].len() > 1 && row.attempts < budget {
+            if on_dead(ring) && route.ring(ring).len() > 1 && row.attempts < budget {
                 stranded.push((row.token, tx_id, stage));
             }
         }
@@ -910,15 +1119,16 @@ impl<T: Caller> Gateway<T> {
             let row = self.close(tx_id, stage, out);
             out.push(Action::Note(tx_trace(&tx_id), "op.failover", String::new()));
             out.push(Action::Count(None, "retries", 1));
-            out.extend(self.next_attempt(row));
+            out.extend(self.next_attempt(row, now));
         }
     }
 
-    /// Issues the next attempt of a row out of the table, one place along both rings.
-    fn next_attempt(&mut self, row: Row<T>) -> Vec<Action<T>> {
+    /// Issues the next attempt of a row out of the table at `now`, one
+    /// place along both rings.
+    fn next_attempt(&mut self, row: Row<T>, now: SimTime) -> Vec<Action<T>> {
         let call = row.redo.expect("invariant: only a kept call goes again");
         let at = [ENDORSERS, ORDERERS].map(|ring| self.routes[row.shard].after(ring, row.at[ring]));
-        self.issue(row.caller, row.shard, row.attempts, at, call)
+        self.issue(row.caller, row.shard, row.attempts, at, call, now)
     }
 
     /// The attempt under `tx_id` failed with `error`, and `row` is out of
@@ -945,6 +1155,7 @@ impl<T: Caller> Gateway<T> {
                 match policy.after_failure(row.attempts, row.caller.trace(), rng, out) {
                     Ok(backoff) => {
                         row.token = arm(&mut self.next_token, Some(backoff), out);
+                        row.wake = None;
                         row.phase = Phase::BackingOff;
                         self.rows.insert(tx_id, row);
                         return;
@@ -956,6 +1167,18 @@ impl<T: Caller> Gateway<T> {
         };
         out.push(Action::Own(Done(row.caller, Err(error))));
     }
+}
+
+/// A copy of `envelope` to send again, asking for the orderer's answer or
+/// not: its wire size and the message.
+fn copy_of(envelope: &Arc<Envelope>, ack: bool) -> (u64, FabricMsg) {
+    let (envelope, copy) = (Arc::clone(envelope), true);
+    let msg = FabricMsg::Broadcast {
+        envelope,
+        ack,
+        copy,
+    };
+    (msg.wire_size(), msg)
 }
 
 /// Arms a fresh wake-up after `delay`, if the phase has one configured.

@@ -564,10 +564,14 @@ pub enum FabricMsg {
     /// Client → orderer: an assembled transaction; one that asks is
     /// answered with a [`FabricMsg::BroadcastAck`].
     Broadcast {
-        /// The transaction.
-        envelope: Envelope,
+        /// The transaction, shared with the client, which keeps it to send
+        /// again.
+        envelope: Arc<Envelope>,
         /// Whether the envelope asks for the orderer's answer.
         ack: bool,
+        /// Whether the client sent it before: a node that holds it, or
+        /// ordered it within its retained tail, does not order it again.
+        copy: bool,
     },
     /// Orderer → client: an envelope that asked was taken in (or forwarded
     /// to the raft leader), or dropped.

@@ -37,9 +37,10 @@ const RETAINED_BLOCKS: usize = 64;
 /// closing `order.deliver` spans and sending each block to each peer.
 pub type Action = crate::action::Action<Infallible>;
 
-/// Closes the `order.queue` span of a transaction that left the cutter.
-fn queue_left(raw: &RawEnvelope) -> Action {
-    Action::SpanEnd(tx_trace(&raw.tx_id), "order.queue", String::new())
+/// Closes the `order.queue` span of a transaction that left the cutter of
+/// the node whose span detail is `member`.
+fn queue_left(raw: &RawEnvelope, member: &str) -> Action {
+    Action::SpanEnd(tx_trace(&raw.tx_id), "order.queue", member.to_owned())
 }
 
 /// The answer to `client`'s envelope of `tx_id`, which asked for one.
@@ -80,12 +81,13 @@ impl Chain {
         let (trace, txs) = (self.channel.trace_name(&number), block.envelopes.iter());
         let detail = match member {
             Some(member) => {
+                let index = member.index.to_string();
                 let applied = txs.filter(|raw| member.admitted.remove(&raw.tx_id));
-                out.extend(applied.map(queue_left));
-                member.index.to_string()
+                out.extend(applied.map(|raw| queue_left(raw, &index)));
+                index
             }
             None => {
-                out.extend(txs.map(queue_left));
+                out.extend(txs.map(|raw| queue_left(raw, "")));
                 let txs = format!("txs={}", block.envelopes.len());
                 out.push(Action::Note(trace.clone(), "block.cut", txs));
                 String::new()
@@ -126,6 +128,12 @@ impl Chain {
         vec![self.count("subscriptions")]
     }
 
+    /// Whether a retained block holds `tx_id`, newest first.
+    fn holds(&self, tx_id: &TxId) -> bool {
+        let mut blocks = self.retained.iter().rev();
+        blocks.any(|block| block.envelopes.iter().any(|raw| raw.tx_id == *tx_id))
+    }
+
     /// The action that adds one to the channel's counter of this name.
     fn count(&self, name: &'static str) -> Action {
         Action::Count(Some(self.channel.clone()), name, 1)
@@ -139,11 +147,13 @@ struct RaftMember {
     index: usize,
     cluster: Vec<ActorId>,
     /// Transactions this member admitted (and opened `order.queue` spans
-    /// for) that have neither applied nor been dropped. Span closes follow
-    /// this set, not current leadership: an entry admitted here may commit
-    /// under a later leader, and gating on `is_leader()` at apply time
-    /// would close the span at the wrong member (or twice) whenever
-    /// leadership moved in between.
+    /// for, detailed with its index, so that two members' spans of one
+    /// transaction do not collide) that have neither applied nor been
+    /// dropped. Span closes follow this set, not current leadership: an
+    /// entry admitted here may commit under a later leader, and gating on
+    /// `is_leader()` at apply time would close the span at the wrong member
+    /// (or twice) whenever leadership moved in between. A copy of an
+    /// envelope in this set is acked and not queued again.
     admitted: BTreeSet<TxId>,
 }
 
@@ -252,7 +262,14 @@ impl OrderingNode {
     pub fn message(&mut self, src: ActorId, msg: FabricMsg) -> Vec<Action> {
         let here = &self.chain.channel;
         match (msg, &mut self.consensus) {
-            (FabricMsg::Broadcast { envelope, ack }, _) => self.broadcast(src, envelope, ack),
+            (
+                FabricMsg::Broadcast {
+                    envelope,
+                    ack,
+                    copy,
+                },
+                _,
+            ) => self.broadcast(src, envelope, ack, copy),
             (FabricMsg::DeliverRequest { channel, from }, _) if channel == *here => {
                 self.chain.deliver_request(src, from)
             }
@@ -311,12 +328,20 @@ impl OrderingNode {
     }
 
     /// A client's envelope. A raft member that does not lead forwards it
-    /// to the leader it knows of, or drops it; the node that orders takes
-    /// it into the cutter: counts it, opens its `order.queue` span (the
-    /// time the tx waits for its batch to cut), cancels the batch timer
-    /// when a batch cut, and arms it when something stays pending. If the
-    /// envelope asked (`ack`), `src` is told whether it was dropped.
-    fn broadcast(&mut self, src: ActorId, envelope: Envelope, ack: bool) -> Vec<Action> {
+    /// to the leader it knows of, or drops it. A node that orders and holds
+    /// it already — admitted, or, for a client's `copy`, in a retained block
+    /// — counts a duplicate and queues nothing. Else it takes it into the
+    /// cutter: counts it, opens its `order.queue` span (the time the tx
+    /// waits for its batch to cut), cancels the batch timer when a batch
+    /// cut, and arms it when something stays pending. If the envelope asked
+    /// (`ack`), `src` is told whether it was dropped.
+    fn broadcast(
+        &mut self,
+        src: ActorId,
+        envelope: Arc<Envelope>,
+        ack: bool,
+        copy: bool,
+    ) -> Vec<Action> {
         if let Consensus::Raft(member) = &self.consensus {
             if !member.node.is_leader() {
                 let leader = member.node.leader_hint().map(|i| member.cluster[i]);
@@ -327,13 +352,34 @@ impl OrderingNode {
                     return std::iter::once(dropped).chain(reply).collect();
                 };
                 let (bytes, ack) = (envelope.wire_size(), false);
-                let forward = Action::Send(dst, bytes, FabricMsg::Broadcast { envelope, ack });
+                let msg = FabricMsg::Broadcast {
+                    envelope,
+                    ack,
+                    copy,
+                };
+                let forward = Action::Send(dst, bytes, msg);
                 let redirect = self.chain.count("redirects");
                 return [forward, redirect].into_iter().chain(reply).collect();
             }
         }
         let raw = envelope.to_raw();
         let tx_id = raw.tx_id;
+        let held = match &self.consensus {
+            Consensus::Raft(member) => member.admitted.contains(&tx_id),
+            Consensus::Solo => false,
+        };
+        if held || copy && self.chain.holds(&tx_id) {
+            let duplicate = self.chain.count("duplicates");
+            let reply = ack.then(|| answer(src, tx_id, true));
+            return std::iter::once(duplicate).chain(reply).collect();
+        }
+        let queued = match &mut self.consensus {
+            Consensus::Solo => String::new(),
+            Consensus::Raft(member) => {
+                member.admitted.insert(tx_id);
+                member.index.to_string()
+            }
+        };
         let cost = costs::order_cost(raw.bytes.len() as u64);
         let cut = self.cutter.offer(raw);
         // Room for what each cut block answers with.
@@ -341,12 +387,11 @@ impl OrderingNode {
         let mut out = Vec::with_capacity(5 + txs + 4 * cut.batches.len());
         out.push(self.chain.count("broadcasts"));
         let trace = tx_trace(&tx_id);
-        out.push(Action::SpanStart(trace, "order.queue", String::new()));
+        out.push(Action::SpanStart(trace, "order.queue", queued));
         if !cut.batches.is_empty() && std::mem::take(&mut self.batch_armed) {
             out.push(Action::Disarm(BATCH_TIMER));
         }
-        if let Consensus::Raft(member) = &mut self.consensus {
-            member.admitted.insert(tx_id);
+        if let Consensus::Raft(_) = &self.consensus {
             // Admission cost is charged but does not gate consensus
             // messages (they are network-bound).
             out.push(Action::Charge(cost));
@@ -386,9 +431,9 @@ impl OrderingNode {
                 Ok(proposed) => member.ship(&mut self.chain, proposed, out),
                 Err(batch) => {
                     out.push(self.chain.count("dropped_not_leader"));
-                    let admitted = &mut member.admitted;
+                    let (admitted, index) = (&mut member.admitted, member.index.to_string());
                     let dropped = batch.iter().filter(|raw| admitted.remove(&raw.tx_id));
-                    out.extend(dropped.map(queue_left));
+                    out.extend(dropped.map(|raw| queue_left(raw, &index)));
                 }
             }
         }

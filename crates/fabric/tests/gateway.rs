@@ -90,8 +90,8 @@ fn build(
     let log = Rc::new(RefCell::new(Vec::new()));
     let route = Route::new("ch", peers, vec![orderer], needed);
     let gateway = Gateway::new(client_identity, vec![route]);
-    let go = move |gateway: &mut Gateway<()>, _| {
-        gateway.invoke(0, (), chaincode, "go", vec![b"key".to_vec()])
+    let go = move |gateway: &mut Gateway<()>, _, now| {
+        gateway.invoke(0, (), now, chaincode, "go", vec![b"key".to_vec()])
     };
     let driver = Node::new(Driver::new(gateway, 1, go, &log), "client");
     let got = driver.start(&mut sim, CpuResource::new(1.0), "client");

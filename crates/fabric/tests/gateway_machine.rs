@@ -25,6 +25,10 @@ use sched::{Rng, Sched};
 const ORDERERS: [ActorId; 3] = [ActorId(90), ActorId(91), ActorId(92)];
 const ENDORSE: SimDuration = SimDuration::from_secs(5);
 const COMMIT: SimDuration = SimDuration::from_secs(12);
+/// The floor of the endorse and order waits' retransmission timeout: the
+/// model network answers at once, so every timed endorse or order wait
+/// re-sends at it.
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
 
 /// The caller's tag: a request number, traced the way the client does.
 #[derive(Debug, PartialEq)]
@@ -58,7 +62,7 @@ impl Machine for Bare {
     }
 
     fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<Req>> {
-        self.0.on_timer(token, io.rng)
+        self.0.on_timer(token, io.now, io.rng)
     }
 
     fn perform_own<M: Carries<FabricMsg>>(
@@ -129,14 +133,16 @@ impl Bench {
 
     fn invoke(&mut self, shard: usize, req: u32) -> Vec<Action<Req>> {
         let args = vec![b"k".to_vec()];
-        self.sched
-            .input(0, |g, _| g.0.invoke(shard, Req(req), "cc", "put", args))
+        self.sched.input(0, |g, io| {
+            g.0.invoke(shard, Req(req), io.now, "cc", "put", args)
+        })
     }
 
     fn query(&mut self, shard: usize, req: u32) -> Vec<Action<Req>> {
         let args = vec![b"k".to_vec()];
-        self.sched
-            .input(0, |g, _| g.0.query(shard, Req(req), "cc", "get", args))
+        self.sched.input(0, |g, io| {
+            g.0.query(shard, Req(req), io.now, "cc", "get", args)
+        })
     }
 
     /// A reply, from whichever node: the gateway reads no sender.
@@ -229,6 +235,7 @@ fn show(actions: &[Action<Req>]) -> Vec<String> {
             Action::Arm(token, delay) if *delay == ENDORSE => format!("arm#{token}=endorse"),
             Action::Arm(token, delay) if *delay == COMMIT => format!("arm#{token}=commit"),
             Action::Arm(token, delay) if *delay == COMMIT - ENDORSE => format!("arm#{token}=rest"),
+            Action::Arm(token, delay) if *delay == MIN_RTO => format!("arm#{token}=rto"),
             Action::Arm(token, _) => format!("arm#{token}=backoff"),
             Action::Disarm(token) => format!("disarm#{token}"),
             Action::SpanStart(_, stage, _) => format!("[{stage}"),
@@ -408,39 +415,40 @@ mod transitions {
             "done1=EndorseTimeout",
         ];
         assert_eq!(show(&b.timer(1)), expired);
-        // The orderer's answer (token 2 was the endorse deadline it
+        // Query deadline: nothing has been timed yet, so nothing re-sends.
+        b.query(0, 2);
+        let expired = [
+            "query]",
+            "!query.timeout",
+            "+client.timeouts",
+            "done2=EndorseTimeout",
+        ];
+        assert_eq!(show(&b.timer(2)), expired);
+        // The orderer's answer (token 3 was the endorse deadline it
         // replaced).
-        let tx = tx_of(&b.invoke(0, 2));
+        let tx = tx_of(&b.invoke(0, 3));
         b.message(b.answer(tx, Ok(b"r")));
         let expired = [
             "commit_wait]",
             "!order.timeout",
             "+client.timeouts",
-            "done2=CommitTimeout",
+            "done3=CommitTimeout",
         ];
-        assert_eq!(show(&b.timer(3)), expired);
-        // Commit deadline, after the answer and one unanswered probe.
-        let tx = tx_of(&b.invoke(0, 3));
+        assert_eq!(show(&b.timer(4)), expired);
+        // Commit deadline, after the answer and one unanswered probe; the
+        // endorsement, timed now, is awaited at its RTO first (token 5).
+        let tx = tx_of(&b.invoke(0, 4));
         b.message(b.answer(tx, Ok(b"r")));
         b.message(ack(tx, true));
         assert_eq!(
-            show(&b.timer(6)),
-            ["!commit.probe", "probe->12", "arm#7=rest"]
+            show(&b.timer(7)),
+            ["!commit.probe", "probe->10", "arm#8=rest"]
         );
         let expired = [
             "commit_wait]",
             "!commit.timeout",
             "+client.timeouts",
-            "done3=CommitTimeout",
-        ];
-        assert_eq!(show(&b.timer(7)), expired);
-        // Query deadline.
-        b.query(0, 4);
-        let expired = [
-            "query]",
-            "!query.timeout",
-            "+client.timeouts",
-            "done4=EndorseTimeout",
+            "done4=CommitTimeout",
         ];
         assert_eq!(show(&b.timer(8)), expired);
         assert_eq!(b.gateway().inflight(), 0);
@@ -679,8 +687,8 @@ mod transitions {
 
     /// The actions that move one stranded attempt of route 0 on: it is
     /// abandoned in `stage` under its deadline `token`, and issued again
-    /// one place along, at endorser 11, armed as `fresh`.
-    fn moved(token: u64, stage: &str, fresh: u64) -> Vec<String> {
+    /// one place along, at endorser 11, armed as `fresh` at `wake`.
+    fn moved(token: u64, stage: &str, fresh: u64, wake: &str) -> Vec<String> {
         let again = if stage == "query" { "query" } else { "endorse" };
         vec![
             format!("disarm#{token}"),
@@ -689,7 +697,7 @@ mod transitions {
             "+client.retries".to_owned(),
             "charge".to_owned(),
             format!("[{again}"),
-            format!("arm#{fresh}=endorse"),
+            format!("arm#{fresh}={wake}"),
             "propose->11".to_owned(),
         ]
     }
@@ -714,8 +722,8 @@ mod transitions {
         let old: Vec<TxId> = (1..=3).map(|n| tx_of(&b.invoke(0, n))).collect();
         let expired = b.timer(1);
         let mut expected = vec!["endorse]".to_owned(), "!endorse.timeout".to_owned()];
-        expected.extend(moved(2, "endorse", 4));
-        expected.extend(moved(3, "endorse", 5));
+        expected.extend(moved(2, "endorse", 4, "endorse"));
+        expected.extend(moved(3, "endorse", 5, "endorse"));
         let backing_off = [
             "+client.timeouts",
             "+client.retries",
@@ -755,7 +763,7 @@ mod transitions {
         b.invoke(0, 1);
         b.query(1, 2);
         let expired = show(&b.timer(1));
-        assert_eq!(expired[2..10], moved(2, "query", 3));
+        assert_eq!(expired[2..10], moved(2, "query", 3, "endorse"));
     }
 
     /// The same for envelopes a dead home orderer leaves unanswered: its
@@ -774,11 +782,13 @@ mod transitions {
             })
             .collect();
         let endorsing = tx_of(&b.invoke(0, 4));
-        // Each envelope's answer is awaited under tokens 2, 4 and 6.
+        // Each envelope's answer is awaited under tokens 2, 4 and 6. The
+        // endorsements were timed: the fresh attempts wait for theirs at
+        // the RTO first.
         let expired = b.timer(2);
         let mut expected = vec!["commit_wait]".to_owned(), "!order.timeout".to_owned()];
-        expected.extend(moved(4, "commit_wait", 8));
-        expected.extend(moved(6, "commit_wait", 9));
+        expected.extend(moved(4, "commit_wait", 8, "rto"));
+        expected.extend(moved(6, "commit_wait", 9, "rto"));
         let backing_off = [
             "+client.timeouts",
             "+client.retries",
@@ -811,6 +821,9 @@ mod transitions {
     fn no_row_in_commit_wait_moves_and_no_commit_deadline_moves_any() {
         let mut b = bench(&[1], true, Some(3));
         let waiting = tx_of(&b.invoke(0, 1));
+        // An endorsement that takes its whole deadline: its RTO, three
+        // deadlines, leaves no room for a copy before the next deadline.
+        b.sched.now = SimTime::ZERO + ENDORSE;
         b.message(b.answer(waiting, Ok(b"r")));
         b.message(ack(waiting, true));
         b.invoke(0, 2);
@@ -922,12 +935,12 @@ mod transitions {
 mod probes {
     use super::*;
 
-    fn ms(ms: u64) -> SimDuration {
+    pub(super) fn ms(ms: u64) -> SimDuration {
         SimDuration::from_millis(ms)
     }
 
     /// The delay of the last timer these actions arm.
-    fn delay(actions: &[Action<Req>]) -> SimDuration {
+    pub(super) fn delay(actions: &[Action<Req>]) -> SimDuration {
         let armed = actions.iter().rev().find_map(|action| match action {
             Action::Arm(_, delay) => Some(*delay),
             _ => None,
@@ -937,7 +950,7 @@ mod probes {
 
     /// Request `req` on route 0, taken in by the orderer `at` ms in: its
     /// tx id, and the actions of the ack.
-    fn acked(b: &mut Bench, req: u32, at: u64) -> (TxId, Vec<Action<Req>>) {
+    pub(super) fn acked(b: &mut Bench, req: u32, at: u64) -> (TxId, Vec<Action<Req>>) {
         b.sched.now = SimTime::ZERO + ms(at);
         let tx = tx_of(&b.invoke(0, req));
         b.message(b.answer(tx, Ok(b"r")));
@@ -945,7 +958,7 @@ mod probes {
     }
 
     /// The commit of `tx` arrives `at` ms in.
-    fn committed(b: &mut Bench, tx: TxId, at: u64) -> Vec<Action<Req>> {
+    pub(super) fn committed(b: &mut Bench, tx: TxId, at: u64) -> Vec<Action<Req>> {
         b.sched.now = SimTime::ZERO + ms(at);
         b.message(commit(tx))
     }
@@ -1046,6 +1059,217 @@ mod probes {
         assert_eq!(show(&b.message(conflict)), done);
         assert!(b.message(commit(tx)).is_empty());
         assert_eq!(b.gateway().inflight(), 0);
+    }
+}
+
+/// Every wait of a row under a deadline passes a silent node by a copy of
+/// the request under the same tx id, at the route's RTO for that wait.
+mod resends {
+    use super::probes::{acked, committed, delay, ms};
+    use super::*;
+
+    /// The tx ids of the proposals and envelopes these actions send.
+    fn sent_ids(actions: &[Action<Req>]) -> Vec<TxId> {
+        let ids = actions.iter().filter_map(|action| match action {
+            Action::Send(_, _, FabricMsg::SubmitProposal(signed)) => Some(signed.proposal.tx_id()),
+            Action::Send(_, _, FabricMsg::Broadcast { envelope, .. }) => Some(envelope.tx_id()),
+            _ => None,
+        });
+        ids.collect()
+    }
+
+    /// A bench whose route has timed one endorsement, one orderer's answer
+    /// and one commit, all at once: both floored RTOs are [`MIN_RTO`], and
+    /// the commit's is zero, so commit-wait probes never.
+    fn timed() -> Bench {
+        let mut b = bench(&[1], true, Some(3));
+        let (tx, _) = acked(&mut b, 1, 0);
+        committed(&mut b, tx, 0);
+        b
+    }
+
+    /// Past its RTO an endorsing row sends the same signed proposal to the
+    /// next endorser, and the first copy moves the endorsers' home past
+    /// the silent one. One copy per other endorser, twice as late each
+    /// time, then the deadline, the rest of the way.
+    #[test]
+    fn an_endorsing_row_sends_one_copy_per_other_endorser_then_waits_out_its_deadline() {
+        let mut b = timed();
+        let issued = b.invoke(0, 2);
+        let tx = tx_of(&issued);
+        assert_eq!(show(&issued)[2..], ["arm#4=rto", "propose->10"]);
+        let first = b.timer(4);
+        let copy = [
+            "+client.resent",
+            "!endorse.resend",
+            "propose->11",
+            "arm#5=backoff",
+        ];
+        assert_eq!(show(&first), copy);
+        assert_eq!((sent_ids(&first), delay(&first)), (vec![tx], MIN_RTO * 2));
+        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+        let second = b.timer(5);
+        assert_eq!(show(&second)[..2], ["!endorse.resend", "propose->12"]);
+        assert_eq!(sent_ids(&second), [tx]);
+        assert_eq!(delay(&second), ENDORSE - MIN_RTO * 3);
+        let expired = show(&b.timer(6));
+        assert_eq!(expired[..2], ["endorse]", "!endorse.timeout"]);
+        assert_eq!(b.gateway().inflight(), 1, "backing off");
+    }
+
+    /// The same for an envelope: copies go to the next orderers, asking,
+    /// and the first moves the orderers' home.
+    #[test]
+    fn an_ordering_row_sends_one_copy_per_other_orderer_then_waits_out_its_deadline() {
+        let mut b = timed();
+        let tx = tx_of(&b.invoke(0, 2));
+        let submitted = b.message(b.answer(tx, Ok(b"r")));
+        assert_eq!(
+            show(&submitted)[..3],
+            ["disarm#4", "arm#5=rto", "broadcast?->90"]
+        );
+        let first = b.timer(5);
+        let copy = [
+            "+client.resent",
+            "!order.resend",
+            "broadcast?->91",
+            "arm#6=backoff",
+        ];
+        assert_eq!(show(&first), copy);
+        assert_eq!(sent_ids(&first), [tx]);
+        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
+        assert_eq!(show(&b.timer(6))[..2], ["!order.resend", "broadcast?->92"]);
+        let expired = show(&b.timer(7));
+        assert_eq!(expired[..2], ["commit_wait]", "!order.timeout"]);
+    }
+
+    /// The endorse and order RTOs never fall below [`MIN_RTO`]: a 10 ms
+    /// round trip gives `10 + 4 · 5` ms unfloored. Above it, RFC 6298 rules.
+    #[test]
+    fn the_rto_of_the_endorse_and_order_waits_is_floored() {
+        let mut b = bench(&[1], true, None);
+        let tx = tx_of(&b.invoke(0, 1));
+        b.sched.now = SimTime::ZERO + ms(10);
+        let submitted = b.message(b.answer(tx, Ok(b"r")));
+        assert_eq!(
+            delay(&submitted),
+            ENDORSE,
+            "the order wait is not timed yet"
+        );
+        b.sched.now = SimTime::ZERO + ms(20);
+        b.message(ack(tx, true));
+        b.sched.now = SimTime::ZERO + ms(1_000);
+        let issued = b.invoke(0, 2);
+        assert_eq!(delay(&issued), MIN_RTO);
+        let tx = tx_of(&issued);
+        let submitted = b.message(b.answer(tx, Ok(b"r")));
+        assert_eq!(delay(&submitted), MIN_RTO);
+        // An endorsement of 100 ms: srtt 7/8 · 10 + 1/8 · 100, rttvar
+        // 3/4 · 5 + 1/4 · 90, together 166.25 ms: still floored. One more
+        // of 1 s lifts it above the floor.
+        let mut b = bench(&[1], true, None);
+        for (req, took) in [(1, 100), (2, 1_000)] {
+            b.sched.now = SimTime::ZERO;
+            let tx = tx_of(&b.invoke(0, req));
+            b.sched.now = SimTime::ZERO + ms(took);
+            b.message(b.answer(tx, Ok(b"r")));
+        }
+        // srtt 7/8 · 100 + 1/8 · 1,000 = 212.5, rttvar 3/4 · 50 + 1/4 · 900 = 262.5.
+        assert_eq!(
+            delay(&b.invoke(0, 3)),
+            SimDuration::from_micros(212_500 + 4 * 262_500)
+        );
+    }
+
+    /// Karn's rule: an answer to a row that re-sent may be the copy's, and
+    /// times nothing. The same answer, a second late, to a row that sent
+    /// no copy lifts the RTO.
+    #[test]
+    fn a_row_that_re_sent_gives_no_sample() {
+        let mut b = timed();
+        b.sched.now = SimTime::ZERO;
+        let tx = tx_of(&b.invoke(0, 2));
+        b.timer(4);
+        b.sched.now = SimTime::ZERO + ms(1_000);
+        b.message(b.answer(tx, Ok(b"r")));
+        assert_eq!(delay(&b.invoke(0, 3)), MIN_RTO);
+        let mut b = timed();
+        b.sched.now = SimTime::ZERO;
+        let tx = tx_of(&b.invoke(0, 2));
+        b.sched.now = SimTime::ZERO + ms(1_000);
+        b.message(b.answer(tx, Ok(b"r")));
+        assert!(delay(&b.invoke(0, 3)) > MIN_RTO);
+    }
+
+    /// A refusal fails an attempt only once no other copy of it can still
+    /// answer: the silent endorser's shed proposal waits for the copy,
+    /// whose endorsement goes on to submit; the orderer's refusal waits for
+    /// the copy's ack. Two refusals of two copies fail the attempt.
+    #[test]
+    fn a_refusal_while_another_copy_is_out_fails_nothing() {
+        let mut b = timed();
+        let tx = tx_of(&b.invoke(0, 2));
+        b.timer(4);
+        assert!(b.message(b.answer(tx, Err(BUSY_REASON))).is_empty());
+        let submitted = show(&b.message(b.answer(tx, Ok(b"r"))));
+        assert_eq!(submitted[2], "broadcast?->90");
+        b.timer(6);
+        assert!(b.message(ack(tx, false)).is_empty());
+        let waiting = ["disarm#7", "arm#8=commit"];
+        assert_eq!(show(&b.message(ack(tx, true))), waiting);
+        // A query whose every copy is refused.
+        let tx = tx_of(&b.query(0, 3));
+        b.timer(9);
+        assert!(b.message(b.answer(tx, Err("not found"))).is_empty());
+        let refused = show(&b.message(b.answer(tx, Err("not found"))));
+        let failed = [
+            "disarm#10",
+            "query]",
+            r#"done3=Query { reason: "not found" }"#,
+        ];
+        assert_eq!(refused, failed);
+    }
+
+    /// A row in commit-wait re-broadcasts its envelope, unasked, from its
+    /// second probe on, walking the other orderers after its own as the
+    /// probes walk the endorsers. That recovers an envelope a follower
+    /// forwarded into a dead leader once a new one is elected.
+    #[test]
+    fn commit_wait_re_broadcasts_its_envelope_from_the_second_probe_on() {
+        let mut b = bench(&[1], true, None);
+        let (tx, _) = acked(&mut b, 1, 0);
+        committed(&mut b, tx, 100); // a commit RTO of 300 ms
+        let (tx, mut fired) = acked(&mut b, 2, 1_000);
+        let mut shown = Vec::new();
+        for _ in 0..4 {
+            fired = b.timer(armed_by(&fired));
+            assert!(sent_ids(&fired).iter().all(|&id| id == tx));
+            let words = show(&fired);
+            shown.push(words[..words.len() - 1].join(" "));
+        }
+        let expected = [
+            "!commit.probe probe->11",
+            "!commit.probe probe->12 +client.rebroadcasts !commit.rebroadcast broadcast->91",
+            "!commit.probe probe->11 !commit.rebroadcast broadcast->92",
+            "!commit.probe probe->12 !commit.rebroadcast broadcast->91",
+        ];
+        assert_eq!(shown, expected);
+        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(90)));
+    }
+
+    /// A second copy of a transaction is committed `DuplicateTxId` where
+    /// the first is in the ledger: that event, or a probed peer's answer
+    /// carrying it, neither completes nor fails a row.
+    #[test]
+    fn a_duplicate_tx_id_never_ends_a_row() {
+        let mut b = bench(&[1], true, None);
+        let (tx, _) = acked(&mut b, 1, 0);
+        let duplicate = event(tx, ValidationCode::DuplicateTxId);
+        assert!(b.message(FabricMsg::Commit(duplicate.clone())).is_empty());
+        let answer = FabricMsg::CommitStatusAnswer(duplicate);
+        assert!(b.message(answer).is_empty());
+        assert_eq!(b.gateway().inflight(), 1);
+        assert_eq!(show(&b.message(commit(tx))).last().unwrap(), "done1=Valid");
     }
 }
 
@@ -1157,25 +1381,30 @@ impl Model {
     }
 
     /// Notes where an attempt went: its route and first endorser when
-    /// proposed, its orderer when submitted.
+    /// proposed, its orderer when submitted or sent again. An envelope
+    /// re-broadcast unasked from commit-wait leaves the attempt's orderer.
     fn record(&mut self, to: ActorId, msg: &FabricMsg) {
         match msg {
             FabricMsg::SubmitProposal(signed) => {
                 let (trace, shard) = (tx_trace(&signed.proposal.tx_id()), to.0 as usize / 10 - 1);
                 self.attempts.entry(trace).or_insert((shard, to, None));
             }
-            FabricMsg::Broadcast { envelope, .. } => {
+            FabricMsg::Broadcast { envelope, ack, .. } => {
                 let attempt = self.attempts.get_mut(&tx_trace(&envelope.tx_id()));
-                attempt.expect("proposed before submitted").2 = Some(to);
+                let orderer = &mut attempt.expect("proposed before submitted").2;
+                if *ack || orderer.is_none() {
+                    *orderer = Some(to);
+                }
             }
             _ => {}
         }
     }
 
     /// The note `name` on `trace`: if it says an attempt's deadline
-    /// expired, the blamed ring's home moves one place on past the node
-    /// that let it expire — if the home still points there. If it says the
-    /// attempt was moved on, the expiry just noted blamed the node it
+    /// expired, or that a copy passed the node it waited on, the blamed
+    /// ring's home moves one place on past that node — if the home still
+    /// points there —, and a copy moves the attempt on with it. If it says
+    /// the attempt was moved on, the expiry just noted blamed the node it
     /// waited on: its endorser before it was submitted, else its orderer.
     fn expired(&mut self, trace: &str, name: &str) {
         let Some(&(shard, endorser, orderer)) = self.attempts.get(trace) else {
@@ -1184,6 +1413,10 @@ impl Model {
         match name {
             "endorse.timeout" | "query.timeout" => self.blamed = Some(endorser),
             "order.timeout" => self.blamed = orderer,
+            "endorse.resend" => {
+                let attempt = self.attempts.get_mut(trace).expect("looked up");
+                attempt.1 = next(&endorsers(shard), endorser);
+            }
             "op.failover" => {
                 let waited_on = orderer.unwrap_or(endorser);
                 assert_eq!(
@@ -1196,10 +1429,14 @@ impl Model {
         }
         let home = &mut self.homes[shard];
         match name {
-            "endorse.timeout" | "query.timeout" | "commit.timeout" if home.0 == endorser => {
+            "endorse.timeout" | "query.timeout" | "commit.timeout" | "endorse.resend"
+                if home.0 == endorser =>
+            {
                 home.0 = next(&endorsers(shard), endorser);
             }
-            "order.timeout" if Some(home.1) == orderer => home.1 = next(&ORDERERS, home.1),
+            "order.timeout" | "order.resend" if Some(home.1) == orderer => {
+                home.1 = next(&ORDERERS, home.1);
+            }
             _ => {}
         }
     }
@@ -1237,6 +1474,7 @@ impl Model {
             FabricMsg::Broadcast {
                 envelope,
                 ack: asked,
+                ..
             } => {
                 let tx = envelope.tx_id();
                 let accepted = honest || self.rng().below(10) != 0;

@@ -73,8 +73,15 @@ fn tick(nodes: &mut [OrderingNode], n: usize) {
 fn order(nodes: &mut [OrderingNode], ids: (&SigningIdentity, &SigningIdentity), batches: u64) {
     let first = nodes[0].raft_log().unwrap().1 * TXS_PER_BATCH as u64;
     for nonce in first..first + batches * TXS_PER_BATCH as u64 {
-        let (envelope, ack) = (post(ids.0, ids.1, nonce), false);
-        let actions = nodes[0].message(CLIENT, FabricMsg::Broadcast { envelope, ack });
+        let (envelope, ack) = (post(ids.0, ids.1, nonce).into(), false);
+        let actions = nodes[0].message(
+            CLIENT,
+            FabricMsg::Broadcast {
+                envelope,
+                ack,
+                copy: false,
+            },
+        );
         carry(nodes, 0, actions);
     }
     tick(nodes, 9);

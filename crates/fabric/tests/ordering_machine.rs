@@ -83,22 +83,31 @@ impl Txs {
     }
 
     fn broadcast(&mut self) -> FabricMsg {
-        let (envelope, ack) = (self.envelope(), false);
-        FabricMsg::Broadcast { envelope, ack }
+        let (envelope, ack) = (self.envelope().into(), false);
+        FabricMsg::Broadcast {
+            envelope,
+            ack,
+            copy: false,
+        }
     }
 
     /// The next post, asking for the orderer's answer.
     fn asking(&mut self) -> FabricMsg {
-        let (envelope, ack) = (self.envelope(), true);
-        FabricMsg::Broadcast { envelope, ack }
+        let (envelope, ack) = (self.envelope().into(), true);
+        FabricMsg::Broadcast {
+            envelope,
+            ack,
+            copy: false,
+        }
     }
 }
 
 /// A client's envelope that does not ask for the orderer's answer.
 fn broadcast(envelope: Envelope) -> FabricMsg {
     FabricMsg::Broadcast {
-        envelope,
+        envelope: envelope.into(),
         ack: false,
+        copy: false,
     }
 }
 
@@ -556,6 +565,54 @@ mod transitions {
         let actions = s.message(0, CLIENT, txs.broadcast());
         let again = ["+broadcasts=1", "[order.queue tx2", "charge", "arm#1"];
         assert_eq!(show(&actions, &txs), again);
+    }
+
+    /// A client sends an envelope again under the same tx id past a
+    /// silent orderer, or from commit-wait. A leader that holds it already
+    /// acks a copy that asks, counts it, and queues it no second time —
+    /// however it arrives, forwarded by a follower too: one `order.queue`
+    /// span, and the transaction is cut once. Once cut, a copy finds it in
+    /// the retained tail.
+    #[test]
+    fn a_leader_acks_a_copy_of_an_admitted_envelope_and_cuts_it_once() {
+        let (mut s, mut txs) = (cluster(2, 5, Rng::new(5)), Txs::new());
+        elect(&mut s, 0);
+        let envelope = Arc::new(txs.envelope());
+        let sent = |ack, copy| FabricMsg::Broadcast {
+            envelope: Arc::clone(&envelope),
+            ack,
+            copy,
+        };
+        let admitted = s.message(0, CLIENT, sent(true, false));
+        let taken = [
+            "+broadcasts=1",
+            "[order.queue tx0",
+            "charge",
+            "arm#1",
+            "ack->100",
+        ];
+        assert_eq!(show(&admitted, &txs), taken);
+        let again = s.message(0, CLIENT, sent(true, true));
+        assert_eq!(show(&again, &txs), ["+duplicates=1", "ack->100"]);
+        let forwarded = s.message(1, CLIENT, sent(false, true));
+        let seen = carry(&mut s, 1, forwarded);
+        assert_eq!(show(&seen[0], &txs), ["+duplicates=1"]);
+        let actions = s.message(0, CLIENT, txs.broadcast());
+        let seen = carry(&mut s, 0, actions);
+        let cut = show(&seen[0], &txs);
+        let closed = cut.iter().filter(|w| w.starts_with("order.queue]"));
+        let closed: Vec<_> = closed.collect();
+        assert_eq!(closed, ["order.queue] tx0", "order.queue] tx1"]);
+        let Some(Action::Job(_, sends, _)) = seen[0].last() else {
+            panic!("{cut:?}");
+        };
+        let FabricMsg::DeliverBlock(_, block) = &sends[0].2 else {
+            panic!("{cut:?}");
+        };
+        let ids: Vec<TxId> = block.envelopes.iter().map(|raw| raw.tx_id).collect();
+        assert_eq!(ids, txs.ids);
+        let late = s.message(0, CLIENT, sent(false, true));
+        assert_eq!(show(&late, &txs), ["+duplicates=1"]);
     }
 }
 

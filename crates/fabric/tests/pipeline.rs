@@ -64,8 +64,8 @@ fn client_driver(
     mut key_of: impl FnMut(u32) -> String + 'static,
     log: &Log,
 ) -> Node<Driver, FabricMsg> {
-    let inc = move |gateway: &mut Gateway<()>, n| {
-        gateway.invoke(0, (), "counter", "inc", vec![key_of(n).into_bytes()])
+    let inc = move |gateway: &mut Gateway<()>, n, now| {
+        gateway.invoke(0, (), now, "counter", "inc", vec![key_of(n).into_bytes()])
     };
     Node::new(Driver::new(gateway, remaining, inc, log), "client")
 }
@@ -304,8 +304,8 @@ fn endorsement_failure_reported_to_client() {
     let log = Log::default();
     let route = Route::new(ChannelId::default(), vec![peer_id], vec![peer_id], 1);
     let gateway = Gateway::new(client_id, vec![route]);
-    let get = |gateway: &mut Gateway<()>, _| {
-        gateway.query(0, (), "counter", "get", vec![b"missing".to_vec()])
+    let get = |gateway: &mut Gateway<()>, _, now| {
+        gateway.query(0, (), now, "counter", "get", vec![b"missing".to_vec()])
     };
     let driver = Node::new(Driver::new(gateway, 1, get, &log), "client");
     let client = driver.start(&mut sim, CpuResource::new(1.0), "client");

@@ -17,8 +17,8 @@ use hyperprov_sim::{ActorId, Context, SimDuration, SimTime};
 pub type Ended = (SimDuration, Result<GatewayReply, GatewayError>);
 
 /// What the driver asks the gateway next, given how many requests remain
-/// after it.
-pub type Request = Box<dyn FnMut(&mut Gateway<()>, u32) -> Vec<GatewayAction<()>>>;
+/// after it and the instant it is issued at.
+pub type Request = Box<dyn FnMut(&mut Gateway<()>, u32, SimTime) -> Vec<GatewayAction<()>>>;
 
 pub struct Driver {
     gateway: Gateway<()>,
@@ -33,7 +33,7 @@ impl Driver {
     pub fn new(
         gateway: Gateway<()>,
         remaining: u32,
-        request: impl FnMut(&mut Gateway<()>, u32) -> Vec<GatewayAction<()>> + 'static,
+        request: impl FnMut(&mut Gateway<()>, u32, SimTime) -> Vec<GatewayAction<()>> + 'static,
         log: &Rc<RefCell<Vec<Ended>>>,
     ) -> Self {
         Driver {
@@ -52,7 +52,7 @@ impl Driver {
         }
         self.remaining -= 1;
         self.started = now;
-        let actions = (self.request)(&mut self.gateway, self.remaining);
+        let actions = (self.request)(&mut self.gateway, self.remaining, now);
         self.answer(actions, now)
     }
 
@@ -90,7 +90,7 @@ impl Machine for Driver {
         match token {
             0 => self.next(io.now),
             token => {
-                let actions = self.gateway.on_timer(token, io.rng);
+                let actions = self.gateway.on_timer(token, io.now, io.rng);
                 self.answer(actions, io.now)
             }
         }
