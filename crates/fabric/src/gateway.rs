@@ -24,9 +24,12 @@
 //! `CommitStatus` —, walking the ring until the deadline, and from its
 //! second probe on also re-broadcasts its envelope, unasked, walking the
 //! other orderers the same way: that recovers an envelope a follower
-//! forwarded into a dead leader once a new one is elected. The deadlines, the failover of
-//! stranded attempts and retries under fresh tx ids stay as the hard bound.
-//! A wait's first copy counts under `resent`, a commit wait's first
+//! forwarded into a dead leader once a new one is elected. A peer that
+//! holds no code for the transaction answers "not found", and the row
+//! asks the next endorser at once, arming nothing: at most once around
+//! the ring per timed probe, so two peers cannot bounce probes. The
+//! deadlines and retries under fresh tx ids stay as the hard bound. A
+//! wait's first copy counts under `resent`, a commit wait's first
 //! re-broadcast under `rebroadcasts`.
 //!
 //! Each route times each wait on its own with RFC 6298's estimator, RTO =
@@ -43,7 +46,8 @@
 //! that fell short grows back.
 //!
 //! Copies are harmless by these rules: a `DuplicateTxId` commit event or
-//! status answer — a second copy's — never completes or fails a row; a
+//! status answer — a second copy's — never completes or fails a row, nor
+//! does a "not found"; a
 //! refusal fails an attempt only once no other copy of it can still
 //! answer; an envelope sent again is marked a `copy`, and an ordering node
 //! that holds it — admitted, or cut into a retained block — acks it if
@@ -254,8 +258,7 @@ pub struct Done<T>(pub T, pub Result<Reply, GatewayError>);
 /// own attempt's positions, so it goes to the next node, not back to the
 /// one that just failed. A copy sent past a silent node, or an expired
 /// deadline, moves the home of the ring it blames past that position, if
-/// it still points there; a deadline also moves every attempt stranded on
-/// that node ([`Gateway::on_timer`]). Nothing else moves a home.
+/// it still points there. Nothing else moves a home.
 #[derive(Debug)]
 pub struct Route {
     channel: ChannelId,
@@ -351,11 +354,20 @@ impl Route {
 
     /// The position one place on from `at` on `ring`.
     fn after(&self, ring: usize, at: usize) -> usize {
-        (at + 1) % self.ring(ring).len()
+        (at + 1) % [&self.endorsers, &self.orderers][ring].len()
     }
 
-    fn ring(&self, ring: usize) -> &[ActorId] {
-        [&self.endorsers, &self.orderers][ring]
+    /// The next status probe of `tx` in `wake`, counted: noted `note` and
+    /// sent to the endorser one place past the last asked, from `at` — the
+    /// attempt's own, which reports the commit and is never asked.
+    fn probe<T>(&self, at: usize, wake: &mut Wake, tx: TxId, note: &'static str) -> [Action<T>; 2] {
+        let ring = self.endorsers.len();
+        let peer = self.endorsers[(at + 1 + wake.probed % (ring - 1)) % ring];
+        wake.probed += 1;
+        let channel = self.channel.clone();
+        let msg = FabricMsg::CommitStatus { channel, tx_id: tx };
+        let note = Action::Note(tx_trace(&tx), note, String::new());
+        [note, Action::Send(peer, msg.wire_size(), msg)]
     }
 
     /// `ring`'s node at position `at` let a wait run out: the home moves
@@ -386,6 +398,8 @@ impl Route {
             sent: 0,
             most: u32::try_from(most).unwrap_or(u32::MAX),
             refused: 0,
+            probed: 0,
+            moves: 0,
             next: self.rto(wait, endorse.unwrap_or_default()),
             left: deadline?,
         })
@@ -440,6 +454,10 @@ struct Wake {
     most: u32,
     /// Refusals of the request so far.
     refused: u32,
+    /// Status probes so far, timed or not: they walk the endorsers.
+    probed: usize,
+    /// Probes a "not found" may still send before the next timed one.
+    moves: usize,
     /// The wait from now, or from the armed re-send, to the next re-send.
     next: SimDuration,
     /// The wait from now, or from the armed re-send, to the deadline; zero
@@ -730,6 +748,7 @@ impl<T: Caller> Gateway<T> {
             }
             FabricMsg::Commit(event) => self.on_commit(event, Some(now), &mut out),
             FabricMsg::CommitStatusAnswer(event) => self.on_commit(event, None, &mut out),
+            FabricMsg::CommitStatusNotFound(tx_id) => self.on_not_found(tx_id, &mut out),
             _ => {}
         }
         out
@@ -960,12 +979,26 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::Own(Done(row.caller, Ok(reply))));
     }
 
+    /// A probed peer holds no code for `tx_id`: a row with a move left —
+    /// only a commit-wait probe grants moves — probes the next endorser at
+    /// once and arms nothing. Like a `DuplicateTxId`, the answer never ends
+    /// a row and times nothing.
+    fn on_not_found(&mut self, tx_id: TxId, out: &mut Vec<Action<T>>) {
+        let Some(row) = self.rows.get_mut(&tx_id) else {
+            return;
+        };
+        if let Some(wake) = row.wake.as_mut().filter(|wake| wake.moves > 0) {
+            wake.moves -= 1;
+            let route = &self.routes[row.shard];
+            out.extend(route.probe(row.at[ENDORSERS], wake, tx_id, "commit.reprobe"));
+        }
+    }
+
     /// A wake-up fired at `now`. A re-send sends a copy on
     /// ([`Gateway::resend`]). A deadline abandons the attempt — its span
-    /// closes, its row leaves the table, nothing can leak — moves the home
-    /// of the ring it blames and, unless a commit may be in, every attempt
-    /// waiting on the node it blames ([`Gateway::fail_over`]); a backoff
-    /// issues the next attempt. Tokens of finished requests do nothing.
+    /// closes, its row leaves the table, nothing can leak — and moves the
+    /// home of the ring it blames; a backoff issues the next attempt.
+    /// Tokens of finished requests do nothing.
     pub fn on_timer(&mut self, token: u64, now: SimTime, rng: &mut DetRng) -> Vec<Action<T>> {
         let found = self.rows.iter().find(|(_, row)| row.token == Some(token));
         let Some((&tx_id, row)) = found else {
@@ -987,16 +1020,11 @@ impl<T: Caller> Gateway<T> {
             Phase::Query { .. } => ("query", "query.timeout", EndorseTimeout, ENDORSERS),
             Phase::BackingOff => return self.next_attempt(row, now),
         };
-        let (route, at) = (&mut self.routes[row.shard], row.at[blamed]);
-        route.blame(blamed, at);
-        let dead = route.ring(blamed)[at];
+        self.routes[row.shard].blame(blamed, row.at[blamed]);
         let mut out = vec![
             Action::SpanEnd(tx_trace(&tx_id), stage, String::new()),
             Action::Note(tx_trace(&tx_id), event, String::new()),
         ];
-        if !matches!(row.phase, Phase::CommitWait { .. }) {
-            self.fail_over(dead, now, &mut out);
-        }
         self.fail(tx_id, row, error, rng, &mut out);
         out
     }
@@ -1007,8 +1035,9 @@ impl<T: Caller> Gateway<T> {
     /// (silent) endorser; an ordering row its envelope to the next orderer.
     /// A row in commit-wait asks the next endorser after its own — one place
     /// further along each time, skipping its own — whether the transaction
-    /// committed, and from its second probe on sends its envelope, unasked,
-    /// to the orderers after its own in the same way.
+    /// committed, which lets a "not found" move the probe on again, once
+    /// around the ring; from its second probe on it also sends its
+    /// envelope, unasked, to the orderers after its own in the same way.
     fn resend(&mut self, tx_id: TxId) -> Vec<Action<T>> {
         let row = self
             .rows
@@ -1054,13 +1083,8 @@ impl<T: Caller> Gateway<T> {
                 (Some(copy), "order.resend", (sent == 0).then_some("resent"))
             }
             Phase::CommitWait { envelope } => {
-                let ring = route.endorsers.len();
-                let step = 1 + sent as usize % (ring - 1);
-                let peer = route.endorsers[(row.at[ENDORSERS] + step) % ring];
-                let channel = route.channel.clone();
-                let msg = FabricMsg::CommitStatus { channel, tx_id };
-                out.push(Action::Note(trace.clone(), "commit.probe", String::new()));
-                out.push(Action::Send(peer, msg.wire_size(), msg));
+                wake.moves = route.endorsers.len() - 2;
+                out.extend(route.probe(row.at[ENDORSERS], wake, tx_id, "commit.probe"));
                 let orderers = route.orderers.len();
                 let copy = (sent >= 1 && orderers > 1).then(|| {
                     let step = 1 + (sent as usize - 1) % (orderers - 1);
@@ -1086,41 +1110,6 @@ impl<T: Caller> Gateway<T> {
         let delay = row.wake.as_mut().map(Wake::arm);
         row.token = arm(&mut self.next_token, delay, &mut out);
         out
-    }
-
-    /// A deadline blamed `dead`: each attempt waiting on it for its first
-    /// endorsement, its query's or its orderer's answer, with an attempt
-    /// left and another node on that ring, is abandoned and issued again at
-    /// once, at `now`, one place along its rings, in the order they were
-    /// armed: a retry, noted `op.failover`. One still endorsing submits
-    /// past `dead`.
-    fn fail_over(&mut self, dead: ActorId, now: SimTime, out: &mut Vec<Action<T>>) {
-        let budget = self.retry.map_or(0, |policy| policy.max_attempts);
-        let mut stranded = Vec::new();
-        for (&tx_id, row) in &mut self.rows {
-            let (route, at) = (&self.routes[row.shard], row.at);
-            let on_dead = |ring: usize| route.ring(ring)[at[ring]] == dead;
-            let (stage, ring) = match row.phase {
-                Phase::Endorsing { .. } if on_dead(ORDERERS) => {
-                    row.at[ORDERERS] = route.after(ORDERERS, at[ORDERERS]);
-                    continue;
-                }
-                Phase::Endorsing { .. } => ("endorse", ENDORSERS),
-                Phase::Query { .. } => ("query", ENDORSERS),
-                Phase::Ordering { .. } => ("commit_wait", ORDERERS),
-                Phase::CommitWait { .. } | Phase::BackingOff => continue,
-            };
-            if on_dead(ring) && route.ring(ring).len() > 1 && row.attempts < budget {
-                stranded.push((row.token, tx_id, stage));
-            }
-        }
-        stranded.sort_unstable();
-        for (_, tx_id, stage) in stranded {
-            let row = self.close(tx_id, stage, out);
-            out.push(Action::Note(tx_trace(&tx_id), "op.failover", String::new()));
-            out.push(Action::Count(None, "retries", 1));
-            out.extend(self.next_attempt(row, now));
-        }
     }
 
     /// Issues the next attempt of a row out of the table at `now`, one

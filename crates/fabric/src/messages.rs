@@ -597,7 +597,8 @@ pub enum FabricMsg {
     Commit(CommitEvent),
     /// Client → peer: did this transaction commit? A peer that recorded a
     /// validation code for it answers with a
-    /// [`FabricMsg::CommitStatusAnswer`]; any other peer stays silent.
+    /// [`FabricMsg::CommitStatusAnswer`], any other peer of the channel
+    /// with a [`FabricMsg::CommitStatusNotFound`].
     CommitStatus {
         /// The transaction's channel.
         channel: ChannelId,
@@ -609,6 +610,10 @@ pub enum FabricMsg {
     /// peer's last block (the transaction is in it or below it), and it
     /// names neither creator nor endorser.
     CommitStatusAnswer(CommitEvent),
+    /// Peer → client that asked: no code is recorded here for the
+    /// transaction — Fabric's "no such transaction ID". It ends nothing:
+    /// the asking client probes its next peer.
+    CommitStatusNotFound(TxId),
     /// Orderer ↔ orderer consensus traffic. A batch rides as the body the
     /// leader proposed: every member's log and block share it.
     Raft(Box<RaftMsg<Arc<[RawEnvelope]>>>),
@@ -678,6 +683,7 @@ impl FabricMsg {
             FabricMsg::Commit(_) => 128,
             FabricMsg::CommitStatus { .. } => 64,
             FabricMsg::CommitStatusAnswer(_) => 128,
+            FabricMsg::CommitStatusNotFound(_) => 64,
             FabricMsg::SnapshotRequest { .. } => 64,
             FabricMsg::SnapshotOffer { manifest, .. } => {
                 64 + manifest.as_ref().map_or(0, |m| m.wire_size())

@@ -318,8 +318,8 @@ impl Peer {
 
     /// A client's commit-status probe, charged as a query (verify the
     /// request, look the id up): answered with the event of a transaction
-    /// this peer committed, carrying the code it recorded; met with
-    /// silence otherwise.
+    /// this peer committed, carrying the code it recorded; with "not
+    /// found" otherwise, so the client asks its next peer at once.
     fn commit_status(&self, src: ActorId, channel: ChannelId, tx_id: TxId) -> Vec<Action> {
         let Some(i) = self.hosted(&channel) else {
             return Vec::new();
@@ -327,7 +327,7 @@ impl Peer {
         let cost = costs::VERIFY + costs::STATE_OP;
         let ledger = self.channels[i].committer.borrow();
         let Some(code) = ledger.status(&tx_id) else {
-            return vec![Action::Charge(cost)];
+            return vec![defer(cost, src, FabricMsg::CommitStatusNotFound(tx_id))];
         };
         let event = CommitEvent {
             channel,

@@ -1,9 +1,9 @@
 //! The gateway machine, driven with no simulation: first one directed
-//! test per transition (inputs in, actions out), then the failover rule
+//! test per transition (inputs in, actions out), then the rings and homes
 //! leg by leg and one finding pinned as it stands, then the commit-status
-//! probes, then three seeded property tests over a model network — one
-//! that drops, duplicates and reorders replies, answers probes and fires
-//! timers early or late, two that are clean but for a dead node.
+//! probes, then two seeded property tests over a model network — one that
+//! drops, duplicates and reorders replies, answers probes (found or not)
+//! and fires timers early or late, one that is clean but for a dead node.
 
 #[path = "support/sched.rs"]
 mod sched;
@@ -175,6 +175,11 @@ fn commit(tx_id: TxId) -> FabricMsg {
 /// A probed peer's answer for `tx_id`, validated as `code`.
 fn answer(tx_id: TxId, code: ValidationCode) -> FabricMsg {
     FabricMsg::CommitStatusAnswer(event(tx_id, code))
+}
+
+/// A probed peer's answer that it holds no code for `tx_id`.
+fn not_found(tx_id: TxId) -> FabricMsg {
+    FabricMsg::CommitStatusNotFound(tx_id)
 }
 
 /// The commit event of `tx_id`, validated as `code`.
@@ -685,138 +690,10 @@ mod transitions {
         }
     }
 
-    /// The actions that move one stranded attempt of route 0 on: it is
-    /// abandoned in `stage` under its deadline `token`, and issued again
-    /// one place along, at endorser 11, armed as `fresh` at `wake`.
-    fn moved(token: u64, stage: &str, fresh: u64, wake: &str) -> Vec<String> {
-        let again = if stage == "query" { "query" } else { "endorse" };
-        vec![
-            format!("disarm#{token}"),
-            format!("{stage}]"),
-            "!op.failover".to_owned(),
-            "+client.retries".to_owned(),
-            "charge".to_owned(),
-            format!("[{again}"),
-            format!("arm#{fresh}={wake}"),
-            "propose->11".to_owned(),
-        ]
-    }
-
-    /// How many of these actions close a span of `tx`.
-    fn closes(actions: &[Action<Req>], tx: TxId) -> usize {
-        let trace = tx_trace(&tx);
-        let ends = actions
-            .iter()
-            .filter(|a| matches!(a, Action::SpanEnd(t, ..) if *t == trace));
-        ends.count()
-    }
-
-    /// Three requests wait on a dead home endorser. Its first expiry
-    /// moves the other two at once, in the order they were armed, under
-    /// fresh tx ids, one place along both rings: no backoff, a retry each,
-    /// and one timeout in all. Each abandoned attempt's span closes once,
-    /// and late replies to the old tx ids find nothing.
-    #[test]
-    fn the_first_expiry_moves_every_attempt_stranded_on_a_dead_endorser() {
-        let mut b = bench(&[1], true, Some(3));
-        let old: Vec<TxId> = (1..=3).map(|n| tx_of(&b.invoke(0, n))).collect();
-        let expired = b.timer(1);
-        let mut expected = vec!["endorse]".to_owned(), "!endorse.timeout".to_owned()];
-        expected.extend(moved(2, "endorse", 4, "endorse"));
-        expected.extend(moved(3, "endorse", 5, "endorse"));
-        let backing_off = [
-            "+client.timeouts",
-            "+client.retries",
-            "backoff",
-            "!op.retry@op-1",
-            "arm#6=backoff",
-        ];
-        expected.extend(backing_off.map(str::to_owned));
-        assert_eq!(show(&expired), expected);
-        for &tx in &old {
-            assert_eq!(closes(&expired, tx), 1);
-        }
-        let fresh: Vec<TxId> = expired
-            .iter()
-            .filter_map(|action| match action {
-                Action::Send(_, _, FabricMsg::SubmitProposal(signed)) => {
-                    Some(signed.proposal.tx_id())
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(fresh.len(), 2);
-        assert!(fresh.iter().all(|tx| !old.contains(tx)));
-        for &tx in &old {
-            assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
-        }
-        assert_eq!(b.gateway().inflight(), 3);
-        // A moved attempt goes one place along the orderers too.
-        let submitted = show(&b.message(b.answer(fresh[0], Ok(b"r"))));
-        assert_eq!(submitted[2], "broadcast?->91");
-        // Only the expiry moved the home, once.
-        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
-        // A peer that serves two routes strands the attempts of both.
-        let shared = |channel| Route::new(channel, endorsers(0), ORDERERS.to_vec(), 1);
-        let routes = vec![shared("ch0"), shared("ch1")];
-        let mut b = bench_on(routes, Some(ENDORSE), Some(COMMIT), Some(3));
-        b.invoke(0, 1);
-        b.query(1, 2);
-        let expired = show(&b.timer(1));
-        assert_eq!(expired[2..10], moved(2, "query", 3, "endorse"));
-    }
-
-    /// The same for envelopes a dead home orderer leaves unanswered: its
-    /// first `order.timeout` moves the other two at once, to be endorsed
-    /// again one place along and ordered at the next orderer. Their late
-    /// answers and commits find nothing. A request still endorsing keeps
-    /// its attempt, and submits to the next orderer.
-    #[test]
-    fn the_first_expiry_moves_every_envelope_stranded_on_a_dead_orderer() {
-        let mut b = bench(&[1], true, Some(3));
-        let old: Vec<TxId> = (1..=3)
-            .map(|n| {
-                let tx = tx_of(&b.invoke(0, n));
-                b.message(b.answer(tx, Ok(b"r")));
-                tx
-            })
-            .collect();
-        let endorsing = tx_of(&b.invoke(0, 4));
-        // Each envelope's answer is awaited under tokens 2, 4 and 6. The
-        // endorsements were timed: the fresh attempts wait for theirs at
-        // the RTO first.
-        let expired = b.timer(2);
-        let mut expected = vec!["commit_wait]".to_owned(), "!order.timeout".to_owned()];
-        expected.extend(moved(4, "commit_wait", 8, "rto"));
-        expected.extend(moved(6, "commit_wait", 9, "rto"));
-        let backing_off = [
-            "+client.timeouts",
-            "+client.retries",
-            "backoff",
-            "!op.retry@op-1",
-            "arm#10=backoff",
-        ];
-        expected.extend(backing_off.map(str::to_owned));
-        assert_eq!(show(&expired), expected);
-        for &tx in &old {
-            assert_eq!(closes(&expired, tx), 1);
-            assert!(b.message(ack(tx, true)).is_empty());
-            assert!(b.message(commit(tx)).is_empty());
-        }
-        let fresh = tx_of(&expired);
-        let submitted = show(&b.message(b.answer(fresh, Ok(b"r"))));
-        assert_eq!(submitted[2], "broadcast?->91");
-        let submitted = show(&b.message(b.answer(endorsing, Ok(b"r"))));
-        assert_eq!(
-            submitted[..3],
-            ["disarm#7", "arm#12=endorse", "broadcast?->91"]
-        );
-        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
-    }
-
-    /// A row in commit-wait is never moved, as its commit may be in
-    /// already: not by an endorse deadline that blames its peer, and no
-    /// commit deadline moves anything.
+    /// A deadline ends its own attempt and moves a home, never another
+    /// row: a row in commit-wait, whose commit may be in already, stays
+    /// when an endorse deadline blames its peer, and a commit deadline
+    /// moves no other row either.
     #[test]
     fn no_row_in_commit_wait_moves_and_no_commit_deadline_moves_any() {
         let mut b = bench(&[1], true, Some(3));
@@ -859,9 +736,9 @@ mod transitions {
         assert_eq!(b.gateway().inflight(), 4);
     }
 
-    /// An attempt stays to wait out its own deadline where moving it could
-    /// find no other node or only spend budget: on a Solo orderer's ring of
-    /// one, on its last attempt, and with no retry policy.
+    /// Every attempt waits out its own deadline, wherever it waits: on a
+    /// Solo orderer's ring of one, on its last attempt, and with no retry
+    /// policy.
     #[test]
     fn an_attempt_with_nowhere_to_go_waits_out_its_own_deadline() {
         let solo = Route::new("ch0", endorsers(0), vec![ORDERERS[0]], 1);
@@ -1059,6 +936,75 @@ mod probes {
         assert_eq!(show(&b.message(conflict)), done);
         assert!(b.message(commit(tx)).is_empty());
         assert_eq!(b.gateway().inflight(), 0);
+    }
+
+    /// A probed peer that holds no code answers "not found": the row asks
+    /// the next endorser at once, noted `commit.reprobe`, and arms nothing;
+    /// that peer's answer ends it.
+    #[test]
+    fn a_not_found_probes_the_next_endorser_at_once_and_arms_nothing() {
+        let mut b = bench(&[1], true, None);
+        let (tx, waiting) = acked(&mut b, 1, 0);
+        let probed = b.timer(armed_by(&waiting));
+        assert_eq!(show(&probed)[..2], ["!commit.probe", "probe->11"]);
+        let moved = ["!commit.reprobe", "probe->12"];
+        assert_eq!(show(&b.message(not_found(tx))), moved);
+        let done = ["disarm#4", "commit_wait]", "done1=Valid"];
+        assert_eq!(show(&b.message(answer(tx, ValidationCode::Valid))), done);
+    }
+
+    /// On a ring of four endorsers a timed probe and its "not found"s ask
+    /// each other endorser once: ring − 2 probes at once, then nothing
+    /// until the timer, which is still due twice as late and walks on.
+    #[test]
+    fn a_ring_of_not_found_stops_after_ring_minus_two_and_waits_for_the_doubled_timer() {
+        let ring = (10..14).map(ActorId).collect();
+        let route = Route::new("ch0", ring, ORDERERS.to_vec(), 1);
+        let mut b = bench_on(vec![route], Some(ENDORSE), Some(COMMIT), None);
+        let (tx, _) = acked(&mut b, 1, 0);
+        committed(&mut b, tx, 100); // a commit RTO of 300 ms
+        let (tx, waiting) = acked(&mut b, 2, 1_000);
+        assert_eq!(delay(&waiting), ms(300));
+        let fired = b.timer(armed_by(&waiting));
+        assert_eq!(show(&fired)[..2], ["!commit.probe", "probe->11"]);
+        assert_eq!(delay(&fired), ms(600));
+        let moved: Vec<Vec<String>> = (0..3).map(|_| show(&b.message(not_found(tx)))).collect();
+        let expected = [
+            vec!["!commit.reprobe", "probe->12"],
+            vec!["!commit.reprobe", "probe->13"],
+            vec![],
+        ];
+        assert_eq!(moved, expected);
+        let fired = b.timer(armed_by(&fired));
+        assert_eq!(show(&fired)[..2], ["!commit.probe", "probe->11"]);
+        assert_eq!(delay(&fired), ms(1_200));
+        assert_eq!(
+            show(&b.message(not_found(tx))),
+            ["!commit.reprobe", "probe->12"]
+        );
+    }
+
+    /// "Not found" neither ends nor times a row: for a finished row, and
+    /// for a row endorsing, ordering, or in commit-wait before its first
+    /// probe, it does nothing, and the commit RTO stays as it was.
+    #[test]
+    fn a_not_found_for_a_finished_row_or_another_phase_does_nothing() {
+        let mut b = bench(&[1], true, None);
+        let (tx, _) = acked(&mut b, 1, 0);
+        committed(&mut b, tx, 100); // a commit RTO of 300 ms
+        assert!(b.message(not_found(tx)).is_empty());
+        let tx = tx_of(&b.invoke(0, 2));
+        b.sched.now = SimTime::ZERO + ms(1_000);
+        assert!(b.message(not_found(tx)).is_empty());
+        b.message(b.answer(tx, Ok(b"r")));
+        assert!(b.message(not_found(tx)).is_empty());
+        let waiting = b.message(ack(tx, true));
+        assert_eq!(delay(&waiting), ms(300));
+        b.sched.now = SimTime::ZERO + ms(1_200);
+        assert!(b.message(not_found(tx)).is_empty());
+        let (_, waiting) = acked(&mut b, 3, 2_000);
+        assert_eq!(delay(&waiting), ms(300));
+        assert_eq!(b.gateway().inflight(), 2);
     }
 }
 
@@ -1305,11 +1251,8 @@ struct Model {
     /// Where each route's next request should start: home endorser, home
     /// orderer.
     homes: Vec<(ActorId, ActorId)>,
-    /// The node the current input's expiry blamed, unless it was a commit
-    /// deadline: the only node attempts may be moved off.
-    blamed: Option<ActorId>,
     /// Transactions an orderer took in: on the ledger of every live peer,
-    /// which answers a status probe for them.
+    /// which answers a status probe for them, and "not found" for others.
     committed: BTreeSet<TxId>,
 }
 
@@ -1335,7 +1278,6 @@ impl Model {
             loss,
             dead,
             asked: BTreeMap::new(),
-            blamed: None,
             committed: BTreeSet::new(),
         }
     }
@@ -1347,7 +1289,6 @@ impl Model {
     /// Checks the actions of one input against the books and applies
     /// them: sends become the replies a (lossy) network would return.
     fn apply(&mut self, actions: Vec<Action<Req>>) {
-        self.blamed = None;
         for action in actions {
             match action {
                 Action::SpanStart(tx, stage, _) => assert!(self.open.insert((tx, stage))),
@@ -1403,29 +1344,14 @@ impl Model {
     /// The note `name` on `trace`: if it says an attempt's deadline
     /// expired, or that a copy passed the node it waited on, the blamed
     /// ring's home moves one place on past that node — if the home still
-    /// points there —, and a copy moves the attempt on with it. If it says
-    /// the attempt was moved on, the expiry just noted blamed the node it
-    /// waited on: its endorser before it was submitted, else its orderer.
+    /// points there —, and a copy moves the attempt on with it.
     fn expired(&mut self, trace: &str, name: &str) {
         let Some(&(shard, endorser, orderer)) = self.attempts.get(trace) else {
             return;
         };
-        match name {
-            "endorse.timeout" | "query.timeout" => self.blamed = Some(endorser),
-            "order.timeout" => self.blamed = orderer,
-            "endorse.resend" => {
-                let attempt = self.attempts.get_mut(trace).expect("looked up");
-                attempt.1 = next(&endorsers(shard), endorser);
-            }
-            "op.failover" => {
-                let waited_on = orderer.unwrap_or(endorser);
-                assert_eq!(
-                    Some(waited_on),
-                    self.blamed,
-                    "{trace} moved off a node no expiry blamed"
-                );
-            }
-            _ => {}
+        if name == "endorse.resend" {
+            let attempt = self.attempts.get_mut(trace).expect("looked up");
+            attempt.1 = next(&endorsers(shard), endorser);
         }
         let home = &mut self.homes[shard];
         match name {
@@ -1439,19 +1365,6 @@ impl Model {
             }
             _ => {}
         }
-    }
-
-    /// How many attempts in flight wait on `node`: for their endorsement
-    /// or answer, or for their orderer's answer.
-    fn waiting_on(&self, node: ActorId) -> usize {
-        let waits = |(trace, stage): &&(String, &str)| {
-            let (_, endorser, orderer) = self.attempts[trace];
-            match *stage {
-                "commit_wait" => orderer == Some(node),
-                _ => endorser == node,
-            }
-        };
-        self.open.iter().filter(waits).count()
     }
 
     /// The node `to` answers `msg`.
@@ -1490,7 +1403,7 @@ impl Model {
             FabricMsg::CommitStatus { tx_id, .. } if self.committed.contains(&tx_id) => {
                 answer(tx_id, ValidationCode::Valid)
             }
-            FabricMsg::CommitStatus { .. } => return,
+            FabricMsg::CommitStatus { tx_id, .. } => not_found(tx_id),
             other => panic!("the gateway sends proposals, envelopes and probes, not {other:?}"),
         };
         self.bench.sched.ship(to, 0, reply, self.loss);
@@ -1613,38 +1526,4 @@ proptest! {
         prop_assert!(again == met, "the next request met the dead node");
     }
 
-    /// Several requests are in flight on a clean network when one node of
-    /// the route is dead from the start: the first expiry it causes moves
-    /// every other attempt waiting on it at once, so that from then on no
-    /// attempt in flight is addressed to it. That expiry is the only one,
-    /// and every request ends `Ok`.
-    #[test]
-    fn the_first_expiry_on_a_dead_node_moves_every_attempt_stranded_there(seed in any::<u64>()) {
-        let mut rng = Rng::new(seed);
-        let budget = 2 + rng.below(4) as u32;
-        let dead = pick_target(&mut rng, 1);
-        let mut m = Model::new(bench(&[1], true, Some(budget)), rng, 0, Some(dead));
-        let requests = 2 + m.rng().below(6) as u32;
-        for n in 1..=requests {
-            let actions = match m.rng().chance(60) {
-                true => m.bench.invoke(0, n),
-                false => m.bench.query(0, n),
-            };
-            m.apply(actions);
-        }
-        let mut expiries = 0;
-        while let Some(actions) = m.bench.sched.heal() {
-            expiries += actions
-                .iter()
-                .filter(|a| matches!(a, Action::Note(_, name, _) if name.ends_with(".timeout")))
-                .count();
-            m.apply(actions);
-            if expiries > 0 {
-                prop_assert!(m.waiting_on(dead) == 0, "an attempt is left on the dead node");
-            }
-        }
-        prop_assert_eq!(expiries, usize::from(m.asked.contains_key(&dead)));
-        prop_assert_eq!((m.done.len() as u32, m.failed), (requests, 0));
-        prop_assert_eq!(m.bench.gateway().inflight(), 0);
-    }
 }

@@ -15,9 +15,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    endorsement_message, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, ChannelView,
-    Committer, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal, SignedProposal,
-    SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
+    costs, endorsement_message, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
+    ChannelView, Committer, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal,
+    SignedProposal, SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, Encode, RawEnvelope, TxId, ValidationCode, DEFAULT_CHANNEL,
@@ -106,6 +106,7 @@ fn show(actions: &[Action]) -> Vec<String> {
             format!("part/{index}={}", part.is_some())
         }
         FabricMsg::CommitStatusAnswer(event) => format!("status={:?}", event.code),
+        FabricMsg::CommitStatusNotFound(_) => "status=none".to_owned(),
         _ => "?".to_owned(),
     };
     let scope = |scope: &Option<ChannelId>| if scope.is_some() { "ch." } else { "" };
@@ -317,11 +318,11 @@ mod transitions {
     }
 
     /// A commit-status probe is answered from the committer with the code
-    /// the peer recorded, valid or not, and charged; an id the peer never
-    /// committed, and one it knows only from a booted snapshot, get
-    /// silence.
+    /// the peer recorded, valid or not; an id the peer never committed, and
+    /// one it knows only from a booted snapshot, with "not found" at the
+    /// same charge, so the client asks its next peer at once.
     #[test]
-    fn a_status_probe_is_answered_with_the_recorded_code_or_not_at_all() {
+    fn a_status_probe_is_answered_with_the_recorded_code_or_not_found() {
         let (client, endorser, new_committer) = support::new_committers();
         let mut ledger = new_committer();
         let chain = support::extend_chain(&mut ledger, &client, &endorser, 1, 2);
@@ -340,16 +341,21 @@ mod transitions {
                 channel: channel(),
                 tx_id,
             };
-            show(&peer.message(client_actor(0), msg, true))
+            let actions = peer.message(client_actor(0), msg, true);
+            // Charged as a query, found or not.
+            let query = costs::VERIFY + costs::STATE_OP;
+            assert!(matches!(&actions[..], [Action::Job(cost, ..)] if *cost == query));
+            show(&actions)
         };
         let valid = chain[0].envelopes[0].tx_id;
         let (mut peer, _) = peer_on(&endorser, ledger, None, None);
         assert_eq!(probe(&mut peer, valid), ["job:status=Valid->100"]);
         let conflict = ["job:status=MvccReadConflict->100"];
         assert_eq!(probe(&mut peer, stale.tx_id()), conflict);
-        assert_eq!(probe(&mut peer, TxId(Digest::of(b"never"))), ["charge"]);
+        let not_found = ["job:status=none->100"];
+        assert_eq!(probe(&mut peer, TxId(Digest::of(b"never"))), not_found);
         let (mut peer, _) = peer_on(&endorser, booted, None, None);
-        assert_eq!(probe(&mut peer, valid), ["charge"]);
+        assert_eq!(probe(&mut peer, valid), not_found);
     }
 
     /// A restart with `prepare` done to the peer's six-block ledger first.

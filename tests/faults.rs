@@ -1,5 +1,7 @@
 //! Workspace-level fault-tolerance tests: commit deadlines firing cleanly
-//! under partitions, split peer groups converging after heal, Raft
+//! under partitions, a commit probe moving on at once past a cut-off
+//! neighbour that answers "not found", split peer groups converging
+//! after heal, Raft
 //! leader loss with a retrying client, transient partitions absorbed
 //! entirely by the client retry budget, a network-wide loss window
 //! ridden out by deadlines and retry, a crashed home peer or home
@@ -12,7 +14,9 @@
 mod support;
 
 use hyperprov_repro::device::DeviceProfile;
-use hyperprov_repro::fabric::BatchConfig;
+use std::collections::BTreeMap;
+
+use hyperprov_repro::fabric::{tx_trace, BatchConfig};
 use hyperprov_repro::hyperprov::{
     AuditFinding, ClientCommand, ClientCompletion, HyperProvError, HyperProvNetwork, NetworkConfig,
     NodeMsg, OpId, OpOutput, RetryPolicy,
@@ -94,6 +98,63 @@ fn commit_wait_times_out_cleanly_under_partition() {
     assert_eq!(net.sim.metrics().counter("client.timeouts"), 1);
     let found: Vec<String> = audit(&net).iter().map(ToString::to_string).collect();
     assert_eq!(found, Vec::<String>::new());
+}
+
+/// Peers 2 and 3, neighbours on the endorser ring, are cut off from the
+/// orderers together while four clients, one homed on each peer, keep
+/// posting. Client 2's home holds no commit, and neither does peer 3, the
+/// first its probes ask: peer 3 answers "not found", and the probe moves
+/// on to peer 0 at once. So no operation of client 2 waits for a second
+/// timed probe. (Met with silence, each of them did, twice as late, and
+/// re-broadcast its envelope.)
+#[test]
+fn a_probe_past_a_cut_off_neighbour_moves_on_without_waiting_for_the_timer() {
+    let config = NetworkConfig::desktop(4)
+        .with_seed(43)
+        .with_batch(BatchConfig {
+            timeout: SimDuration::from_millis(100),
+            ..BatchConfig::default()
+        })
+        .with_deadlines(Some(ENDORSE_DEADLINE), Some(COMMIT_DEADLINE))
+        .with_retry(RetryPolicy::new(8));
+    let mut net = HyperProvNetwork::build(&config);
+    let (cut, heal) = (SimTime::from_secs(2), SimTime::from_secs(5));
+    FaultPlan::new()
+        .partition_window(&net.peers[2..4], &net.orderers, cut, heal)
+        .install(&mut net.sim);
+    let mut issued = [0u64; 4];
+    let every = Load::OnASchedule(SimDuration::from_millis(100));
+    every.run(&mut net, &mut issued, SimTime::from_secs(7), &mut post);
+    net.sim.run_until(SimTime::from_secs(20));
+
+    let mut probes: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for event in net.sim.tracer().events() {
+        let counts = probes.entry(event.trace.clone()).or_default();
+        match event.name {
+            "commit.probe" => counts.0 += 1,
+            "commit.reprobe" => counts.1 += 1,
+            _ => {}
+        }
+    }
+    let completions = net.completions[2].borrow();
+    assert_eq!(completions.len() as u64, issued[2], "an operation hung");
+    let mut moved = 0;
+    for completion in completions.iter() {
+        let Ok(OpOutput::Committed { tx_id, .. }) = &completion.outcome else {
+            panic!("{completion:?}");
+        };
+        let (timed, at_once) = probes.get(&tx_trace(tx_id)).copied().unwrap_or_default();
+        assert!(
+            timed <= 1,
+            "{:?} waited for {timed} timed probes",
+            completion.op
+        );
+        moved += at_once;
+    }
+    // About one post in each 100 ms of the 3 s cut.
+    assert!(moved >= 25, "{moved} probes moved on past peer 3");
+    drop(completions);
+    assert_eq!(net.sim.metrics().counter("client.timeouts"), 0);
 }
 
 /// A 2/2 peer split heals via block catch-up: the cut half misses blocks
@@ -335,13 +396,13 @@ fn three_homes(seed: u64) -> HyperProvNetwork {
 /// of client `homed`, is down from 6 s to 16 s. Every post ends `Ok` with
 /// the budget never spent, and the live peers end up equal. Only a post
 /// `homed` issued within `deadline` of the crash may meet the dead node:
-/// it takes at most that deadline — the one attempt sent there, or the
-/// first expiry there, which moves every other attempt waiting on the
-/// node at once — plus the first backoff (50 ms + 20 %) plus a
-/// steady-state post on the next node (at most twice the slowest post
-/// before the fault). The client's first expiry moved its home past the
-/// dead node, so every later post of the outage never meets it and takes
-/// at most twice the steady-state post. Returns how many posts `homed`
+/// it takes at most that deadline — a copy past the silent node at the
+/// route's retransmission timeout usually gets there first — plus the
+/// first backoff (50 ms + 20 %) plus a steady-state post on the next node
+/// (at most twice the slowest post before the fault). The client's first
+/// copy or expiry moved its home past the dead node, so every later post
+/// of the outage never meets it and takes at most twice the steady-state
+/// post. Returns how many posts `homed`
 /// issued during the outage, and how many of them took the deadline or
 /// longer.
 fn an_outage_costs_one_deadline(
@@ -430,12 +491,11 @@ fn a_crashed_home_orderer_costs_one_endorse_deadline_per_outage() {
     assert!(paid <= 1, "{paid} of {posts} posts paid a deadline");
 }
 
-/// The same crash under an open loop: the client keeps sending envelopes
-/// to the dead orderer until its first deadline expires, about 25 of
-/// them. That one expiry moves all the others on at once, instead of each
-/// waiting out a deadline of its own: one timeout in all. (A crashed home
-/// peer is not this test's twin: the posts waiting there for their
-/// commit are left to their commit deadline, as that commit may be in.)
+/// The same crash under an open loop: the client sends envelopes to the
+/// dead orderer until the first of them is copied to the next orderer at
+/// the order wait's retransmission timeout, which moves the home; each of
+/// the others is copied on at its own, instead of waiting out a deadline:
+/// at most one timeout in all.
 #[test]
 fn an_open_loop_pays_one_endorse_deadline_for_a_crashed_home_orderer() {
     let mut net = three_homes(73);
