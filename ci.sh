@@ -35,7 +35,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23444
+ceiling=23493
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -48,7 +48,7 @@ fi
 # The same ratchet on the two long documents, in bytes: DESIGN.md says
 # what the system is, CHANGES.md what each change did, and neither grows
 # unseen.
-for doc in DESIGN.md:123710 CHANGES.md:134625; do
+for doc in DESIGN.md:124473 CHANGES.md:138022; do
     file=${doc%%:*}
     limit=${doc#*:}
     bytes=$(wc -c <"$file")
@@ -175,10 +175,14 @@ cargo run --release -p hyperprov-bench --bin bench_regress
 # and order ones floored at 200 ms), and from the second commit probe on
 # re-broadcasts the envelope; a commit probe that a peer answers "not
 # found" moves on to the next peer at once; the 2 s endorse and 4 s
-# commit deadlines only bound that; a retry goes to the next node, and a
-# node passed by a copy or an expiry is not asked again. The (virtual,
-# exactly repeating) `op_p99_ms` reads 0.17 s at seed 1, where the killed
-# orderer follows, and 0.19 s at seed 6, where it leads. It read 0.28 s
+# commit deadlines only bound that; a retry goes to the next node, a
+# node passed by a copy or an expiry is not asked again, and a peer whose
+# probe answer completed a commit wait is asked first from then on. The
+# (virtual, exactly repeating) `op_p99_ms` reads 0.11 s at seed 1, where
+# the killed orderer follows, and 0.12 s at seed 6, where it leads. It
+# read 0.17 s and 0.19 s when the clients of the two partitioned peers
+# paid a probe for every commit of the cut, not only for those in flight
+# when the first answer came, 0.28 s
 # and 0.48 s when a probe waited out a silent peer — the clients homed
 # on peer 2 asked peer 3, cut off with it, first, and waited twice as
 # long for their second probe —, 0.89 s and 1.46 s with the deadlines
@@ -221,8 +225,8 @@ for smoke in "ledger_growth 1 1" "crash_recover 2 1" "crash_recover 2 6"; do
     fi
     if [ "$1" = crash_recover ]; then
         p99=$(echo "$result" | sed 's/.*"op_p99_ms":{"value":\([0-9.]*\).*/\1/')
-        if awk "BEGIN {exit !($p99 >= 300)}"; then
-            echo "crash_recover seed $3 op_p99_ms $p99 >= 300: a probe waits out silence instead of moving on, or a wait sits out a deadline instead of copying past a silent node" >&2
+        if awk "BEGIN {exit !($p99 >= 150)}"; then
+            echo "crash_recover seed $3 op_p99_ms $p99 >= 150: a cut-off home keeps its clients, a probe waits out silence instead of moving on, or a wait sits out a deadline instead of copying past a silent node" >&2
             exit 1
         fi
         rss=$(echo "$result" | sed 's/.*"peak_rss_mib":{"value":\([0-9.]*\).*/\1/')

@@ -188,6 +188,7 @@ struct RunStats {
     timeouts: u64,
     retries: u64,
     resent: u64,
+    home_moves: u64,
     exhausted: u64,
     pre_goodput: f64,
     during_goodput: f64,
@@ -277,6 +278,7 @@ fn run_scenario(
         timeouts: net.sim.metrics().counter("client.timeouts"),
         retries: net.sim.metrics().counter("client.retries"),
         resent: net.sim.metrics().counter("client.resent"),
+        home_moves: net.sim.metrics().counter("client.home_moves"),
         exhausted: net.sim.metrics().counter("client.exhausted"),
         pre_goodput: pre,
         during_goodput: during,
@@ -323,6 +325,7 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
             ("timeouts", "timeouts", Fmt::Plain),
             ("retries", "retries", Fmt::Plain),
             ("resent", "resent", Fmt::Plain),
+            ("home_moves", "home moves", Fmt::Plain),
             ("exhausted", "exhausted", Fmt::Plain),
             ("unfinished", "unfinished", Fmt::Plain),
         ],
@@ -365,6 +368,7 @@ pub fn fault_campaign(quick: bool) -> Vec<Artefact> {
                 stats.timeouts,
                 stats.retries,
                 stats.resent,
+                stats.home_moves,
                 stats.exhausted,
                 stats.summary.unfinished,
             ]);

@@ -151,10 +151,11 @@ impl Client {
         out
     }
 
-    /// A Fabric or storage message arrived at `now`. `rng` is the host
-    /// actor's stream: a retry draws its backoff from it.
+    /// A Fabric or storage message from `src` arrived at `now`. `rng` is
+    /// the host actor's stream: a retry draws its backoff from it.
     pub fn message(
         &mut self,
+        src: ActorId,
         msg: NodeMsg,
         now: SimTime,
         rng: &mut DetRng,
@@ -162,7 +163,7 @@ impl Client {
         let mut out = Vec::new();
         let (token, result) = match msg {
             NodeMsg::Fabric(msg) => {
-                let actions = self.gateway.on_message(msg, now, rng);
+                let actions = self.gateway.on_message(src, msg, now, rng);
                 self.run(actions, now, &mut out);
                 return out;
             }

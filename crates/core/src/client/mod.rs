@@ -28,10 +28,10 @@ impl Machine for Client {
     type Msg = NodeMsg;
     type Own = ClientOwn;
 
-    fn message(&mut self, _: ActorId, msg: NodeMsg, io: Io<'_>) -> Vec<Action<ClientOwn>> {
+    fn message(&mut self, src: ActorId, msg: NodeMsg, io: Io<'_>) -> Vec<Action<ClientOwn>> {
         match msg {
             NodeMsg::Client(cmd) => self.command(io.now, cmd),
-            msg => Client::message(self, msg, io.now, io.rng),
+            msg => Client::message(self, src, msg, io.now, io.rng),
         }
     }
 

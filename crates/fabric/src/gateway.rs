@@ -27,10 +27,13 @@
 //! forwarded into a dead leader once a new one is elected. A peer that
 //! holds no code for the transaction answers "not found", and the row
 //! asks the next endorser at once, arming nothing: at most once around
-//! the ring per timed probe, so two peers cannot bounce probes. The
-//! deadlines and retries under fresh tx ids stay as the hard bound. A
+//! the ring per timed probe, so two peers cannot bounce probes. An
+//! answer that completes the row moves the endorsers' home to the peer
+//! that sent it, which held a commit the home did not report: only the
+//! rows already waiting pay a probe for a home cut off from the orderers.
+//! The deadlines and retries under fresh tx ids stay as the hard bound. A
 //! wait's first copy counts under `resent`, a commit wait's first
-//! re-broadcast under `rebroadcasts`.
+//! re-broadcast under `rebroadcasts`, a home move under `home_moves`.
 //!
 //! Each route times each wait on its own with RFC 6298's estimator, RTO =
 //! `srtt + 4·rttvar`: *endorse* (proposal to first answer, queries
@@ -39,7 +42,9 @@
 //! endorse deadline, so nothing is re-sent before the first answer. The
 //! endorse and order RTOs are floored at `MIN_RTO` (200 ms): their round
 //! trip is a near-constant few milliseconds, which unfloored would re-send
-//! on any queueing hiccup. The commit RTO is not floored. A wait that
+//! on any queueing hiccup. The commit RTO is floored at `MIN_COMMIT_RTO`
+//! (50 ms), so a probe never leaves before any peer committed, and a
+//! merely faster peer's answer never moves a healthy home. A wait that
 //! re-sent gives no sample (Karn's rule): its answer may be the copy's.
 //! The commit wait, whose answers tell the home's event from a probed
 //! peer's, withholds a sample only when an answer completed it, so an RTO
@@ -257,8 +262,9 @@ pub struct Done<T>(pub T, pub Result<Reply, GatewayError>);
 /// *home*, its first node to begin with; a retry one place along from its
 /// own attempt's positions, so it goes to the next node, not back to the
 /// one that just failed. A copy sent past a silent node, or an expired
-/// deadline, moves the home of the ring it blames past that position, if
-/// it still points there. Nothing else moves a home.
+/// deadline, moves the home of the ring it blames past that position, and
+/// a probe's answer that completes a commit wait moves the endorsers' home
+/// to its sender, each if the home still points at the attempt's position.
 #[derive(Debug)]
 pub struct Route {
     channel: ChannelId,
@@ -282,6 +288,9 @@ const ORDERERS: usize = 1;
 /// The floor of the endorse and order waits' RTO (RFC 6298 §2.4 floors
 /// its RTO too).
 const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+
+/// The floor of the commit wait's RTO, above a healthy block's commit.
+const MIN_COMMIT_RTO: SimDuration = SimDuration::from_millis(50);
 
 /// The waits of a request, each timed on its own per route.
 #[derive(Debug, Clone, Copy)]
@@ -329,12 +338,12 @@ impl Route {
     }
 
     /// The retransmission timeout of `wait`, `srtt + 4·rttvar`, floored
-    /// at [`MIN_RTO`] but for the commit wait; `before` until the first
-    /// sample.
+    /// at [`MIN_RTO`], or [`MIN_COMMIT_RTO`] for the commit wait; `before`
+    /// until the first sample.
     fn rto(&self, wait: Wait, before: SimDuration) -> SimDuration {
         let rto = self.rtt[wait as usize].map_or(before, |(srtt, rttvar)| srtt + rttvar * 4);
         match wait {
-            Wait::Commit => rto,
+            Wait::Commit => rto.max(MIN_COMMIT_RTO),
             Wait::Endorse | Wait::Order => rto.max(MIN_RTO),
         }
     }
@@ -370,12 +379,29 @@ impl Route {
         [note, Action::Send(peer, msg.wire_size(), msg)]
     }
 
-    /// `ring`'s node at position `at` let a wait run out: the home moves
-    /// past it, unless something moved it already.
-    fn blame(&mut self, ring: usize, at: usize) {
-        if self.home[ring] == at {
-            self.home[ring] = self.after(ring, at);
+    /// Moves `ring`'s home from position `from` to `to`, unless something
+    /// moved it already: counted, and noted on the trace of `tx`.
+    fn move_home<T>(
+        &mut self,
+        ring: usize,
+        from: usize,
+        to: usize,
+        tx: &TxId,
+        out: &mut Vec<Action<T>>,
+    ) {
+        if self.home[ring] != from || from == to {
+            return;
         }
+        self.home[ring] = to;
+        let detail = format!("{} {from}->{to}", ["endorsers", "orderers"][ring]);
+        out.push(Action::Count(None, "home_moves", 1));
+        out.push(Action::Note(tx_trace(tx), "route.home", detail));
+    }
+
+    /// `ring`'s node at position `at` let a wait of `tx` run out: the home
+    /// moves past it, unless something moved it already.
+    fn blame<T>(&mut self, ring: usize, at: usize, tx: &TxId, out: &mut Vec<Action<T>>) {
+        self.move_home(ring, at, self.after(ring, at), tx, out);
     }
 
     /// The wake-ups of a `wait` that begins at `now` and may re-send
@@ -733,21 +759,27 @@ impl<T: Caller> Gateway<T> {
         out
     }
 
-    /// Feeds an incoming Fabric message to the gateway. Messages that
-    /// are not an answer to a live attempt — another client's commit, a
-    /// reply to an attempt that already timed out, an extra endorsement
+    /// Feeds an incoming Fabric message from `src` to the gateway. Messages
+    /// that are not an answer to a live attempt — another client's commit,
+    /// a reply to an attempt that already timed out, an extra endorsement
     /// after submit, a second copy's commit — do nothing. It arrived at
     /// `now`, which times the wait it answers; `rng` is the host actor's
     /// stream: a rejection that is retried draws its backoff from it.
-    pub fn on_message(&mut self, msg: FabricMsg, now: SimTime, rng: &mut DetRng) -> Vec<Action<T>> {
+    pub fn on_message(
+        &mut self,
+        src: ActorId,
+        msg: FabricMsg,
+        now: SimTime,
+        rng: &mut DetRng,
+    ) -> Vec<Action<T>> {
         let mut out = Vec::new();
         match msg {
             FabricMsg::ProposalResult(resp) => self.on_response(resp, now, rng, &mut out),
             FabricMsg::BroadcastAck { tx_id, accepted } => {
                 self.on_ack(tx_id, accepted, now, rng, &mut out);
             }
-            FabricMsg::Commit(event) => self.on_commit(event, Some(now), &mut out),
-            FabricMsg::CommitStatusAnswer(event) => self.on_commit(event, None, &mut out),
+            FabricMsg::Commit(event) => self.on_commit(event, now, None, &mut out),
+            FabricMsg::CommitStatusAnswer(event) => self.on_commit(event, now, Some(src), &mut out),
             FabricMsg::CommitStatusNotFound(tx_id) => self.on_not_found(tx_id, &mut out),
             _ => {}
         }
@@ -943,11 +975,18 @@ impl<T: Caller> Gateway<T> {
         self.fail(tx_id, row, GatewayError::Busy, rng, out);
     }
 
-    /// A commit — the home's event, or a probed peer's answer — completes
-    /// the row, even one that overtook the ack; a second copy's, coded
-    /// `DuplicateTxId`, does nothing. The home's, arriving at `home`, is a
-    /// sample of the route's commit wait.
-    fn on_commit(&mut self, event: CommitEvent, home: Option<SimTime>, out: &mut Vec<Action<T>>) {
+    /// A commit arriving at `now` — the home's event, or the answer of the
+    /// `probed` peer — completes the row, even one that overtook the ack; a
+    /// second copy's, coded `DuplicateTxId`, does nothing. In commit-wait
+    /// the home's is a sample of the route's commit wait, and a probed
+    /// peer's answer moves the endorsers' home to that peer.
+    fn on_commit(
+        &mut self,
+        event: CommitEvent,
+        now: SimTime,
+        probed: Option<ActorId>,
+        out: &mut Vec<Action<T>>,
+    ) {
         let tx_id = event.tx_id;
         if event.code == ValidationCode::DuplicateTxId {
             return;
@@ -958,8 +997,13 @@ impl<T: Caller> Gateway<T> {
         match &row.phase {
             Phase::Ordering { .. } => {}
             Phase::CommitWait { .. } => {
-                if let (Some(wake), Some(now)) = (&row.wake, home) {
-                    self.routes[row.shard].sample(Wait::Commit, now - wake.since);
+                let route = &mut self.routes[row.shard];
+                if let (None, Some(wake)) = (probed, &row.wake) {
+                    route.sample(Wait::Commit, now - wake.since);
+                }
+                let at = probed.and_then(|peer| route.endorsers.iter().position(|&p| p == peer));
+                if let Some(to) = at {
+                    route.move_home(ENDORSERS, row.at[ENDORSERS], to, &tx_id, out);
                 }
             }
             _ => return,
@@ -1020,11 +1064,11 @@ impl<T: Caller> Gateway<T> {
             Phase::Query { .. } => ("query", "query.timeout", EndorseTimeout, ENDORSERS),
             Phase::BackingOff => return self.next_attempt(row, now),
         };
-        self.routes[row.shard].blame(blamed, row.at[blamed]);
         let mut out = vec![
             Action::SpanEnd(tx_trace(&tx_id), stage, String::new()),
             Action::Note(tx_trace(&tx_id), event, String::new()),
         ];
+        self.routes[row.shard].blame(blamed, row.at[blamed], &tx_id, &mut out);
         self.fail(tx_id, row, error, rng, &mut out);
         out
     }
@@ -1063,7 +1107,7 @@ impl<T: Caller> Gateway<T> {
                     Phase::Endorsing { .. } => route.endorsements_needed,
                     _ => 1,
                 };
-                route.blame(ENDORSERS, row.at[ENDORSERS]);
+                route.blame(ENDORSERS, row.at[ENDORSERS], &tx_id, &mut out);
                 row.at[ENDORSERS] = route.after(ENDORSERS, row.at[ENDORSERS]);
                 let ring = route.endorsers.len();
                 let to = route.endorsers[(row.at[ENDORSERS] + window - 1) % ring];
@@ -1076,7 +1120,7 @@ impl<T: Caller> Gateway<T> {
                 )
             }
             Phase::Ordering { envelope } => {
-                route.blame(ORDERERS, row.at[ORDERERS]);
+                route.blame(ORDERERS, row.at[ORDERERS], &tx_id, &mut out);
                 row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
                 let (bytes, msg) = copy_of(envelope, true);
                 let copy = (route.orderers[row.at[ORDERERS]], bytes, msg);

@@ -1,9 +1,10 @@
 //! The gateway machine, driven with no simulation: first one directed
 //! test per transition (inputs in, actions out), then the rings and homes
 //! leg by leg and one finding pinned as it stands, then the commit-status
-//! probes, then two seeded property tests over a model network — one that
-//! drops, duplicates and reorders replies, answers probes (found or not)
-//! and fires timers early or late, one that is clean but for a dead node.
+//! probes and the homes their answers move, then two seeded property tests
+//! over a model network — one that drops, duplicates and reorders replies,
+//! answers probes (found or not) and fires timers early or late, one that
+//! is clean but for a dead node.
 
 #[path = "support/sched.rs"]
 mod sched;
@@ -29,6 +30,8 @@ const COMMIT: SimDuration = SimDuration::from_secs(12);
 /// model network answers at once, so every timed endorse or order wait
 /// re-sends at it.
 const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// The floor of the commit wait's retransmission timeout.
+const MIN_COMMIT_RTO: SimDuration = SimDuration::from_millis(50);
 
 /// The caller's tag: a request number, traced the way the client does.
 #[derive(Debug, PartialEq)]
@@ -57,8 +60,8 @@ impl Machine for Bare {
     type Msg = FabricMsg;
     type Own = Done<Req>;
 
-    fn message(&mut self, _: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Req>> {
-        self.0.on_message(msg, io.now, io.rng)
+    fn message(&mut self, src: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Req>> {
+        self.0.on_message(src, msg, io.now, io.rng)
     }
 
     fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<Req>> {
@@ -145,9 +148,15 @@ impl Bench {
         })
     }
 
-    /// A reply, from whichever node: the gateway reads no sender.
+    /// A reply from the home orderer: the gateway reads the sender of a
+    /// probe's answer only, which [`Bench::message_from`] names.
     fn message(&mut self, msg: FabricMsg) -> Vec<Action<Req>> {
         self.sched.message(0, ORDERERS[0], msg)
+    }
+
+    /// A reply from `src`.
+    fn message_from(&mut self, src: u32, msg: FabricMsg) -> Vec<Action<Req>> {
+        self.sched.message(0, ActorId(src), msg)
     }
 
     fn timer(&mut self, token: u64) -> Vec<Action<Req>> {
@@ -241,11 +250,16 @@ fn show(actions: &[Action<Req>]) -> Vec<String> {
             Action::Arm(token, delay) if *delay == COMMIT => format!("arm#{token}=commit"),
             Action::Arm(token, delay) if *delay == COMMIT - ENDORSE => format!("arm#{token}=rest"),
             Action::Arm(token, delay) if *delay == MIN_RTO => format!("arm#{token}=rto"),
+            Action::Arm(token, delay) if *delay == MIN_COMMIT_RTO => {
+                format!("arm#{token}=commit_rto")
+            }
             Action::Arm(token, _) => format!("arm#{token}=backoff"),
             Action::Disarm(token) => format!("disarm#{token}"),
             Action::SpanStart(_, stage, _) => format!("[{stage}"),
             Action::SpanEnd(_, stage, _) => format!("{stage}]"),
             Action::Note(trace, name, _) if trace.starts_with("op-") => format!("!{name}@{trace}"),
+            // A home move, with its ring and both positions.
+            Action::Note(_, "route.home", moved) => format!("!home {moved}"),
             Action::Note(_, name, _) => format!("!{name}"),
             Action::Count(None, name, 1) => format!("+client.{name}"),
             Action::Observe("backoff", _) => "backoff".to_owned(),
@@ -412,10 +426,14 @@ mod transitions {
     fn each_deadline_closes_its_own_span_and_leaves_nothing_behind() {
         let mut b = bench(&[1], true, None);
         // Endorse deadline.
+        // Each deadline moves the home of the ring it blames, counted and
+        // noted with the ring and both positions.
         b.invoke(0, 1);
         let expired = [
             "endorse]",
             "!endorse.timeout",
+            "+client.home_moves",
+            "!home endorsers 0->1",
             "+client.timeouts",
             "done1=EndorseTimeout",
         ];
@@ -425,6 +443,8 @@ mod transitions {
         let expired = [
             "query]",
             "!query.timeout",
+            "+client.home_moves",
+            "!home endorsers 1->2",
             "+client.timeouts",
             "done2=EndorseTimeout",
         ];
@@ -436,6 +456,8 @@ mod transitions {
         let expired = [
             "commit_wait]",
             "!order.timeout",
+            "+client.home_moves",
+            "!home orderers 0->1",
             "+client.timeouts",
             "done3=CommitTimeout",
         ];
@@ -452,6 +474,8 @@ mod transitions {
         let expired = [
             "commit_wait]",
             "!commit.timeout",
+            "+client.home_moves",
+            "!home endorsers 2->0",
             "+client.timeouts",
             "done4=CommitTimeout",
         ];
@@ -470,6 +494,8 @@ mod transitions {
         let backing_off = [
             "endorse]",
             "!endorse.timeout",
+            "+client.home_moves",
+            "!home endorsers 0->1",
             "+client.timeouts",
             "+client.retries",
             "backoff",
@@ -508,11 +534,13 @@ mod transitions {
     fn a_spent_budget_reports_its_attempts() {
         let mut b = bench(&[1], true, Some(2));
         b.invoke(0, 1);
-        assert_eq!(b.timer(1).len(), 7); // endorse deadline -> backoff
+        assert_eq!(b.timer(1).len(), 9); // endorse deadline -> backoff
         assert_eq!(b.timer(2).len(), 4); // backoff -> second attempt
         let exhausted = [
             "endorse]",
             "!endorse.timeout",
+            "+client.home_moves",
+            "!home endorsers 1->2",
             "+client.timeouts",
             "+client.exhausted",
             "done1=Exhausted { attempts: 2 }",
@@ -637,6 +665,8 @@ mod transitions {
         let backing_off = [
             "commit_wait]",
             "!order.timeout",
+            "+client.home_moves",
+            "!home orderers 0->1",
             "+client.timeouts",
             "+client.retries",
             "backoff",
@@ -656,8 +686,8 @@ mod transitions {
         assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
     }
 
-    /// Only an expiry moves a home: a full queue, an orderer's refusal and
-    /// a rejection are answers, and leave both homes where they were. The
+    /// A full queue, an orderer's refusal and a rejection are answers, not
+    /// silence, and leave both homes where they were. The
     /// retry after `Busy` still goes one place along.
     #[test]
     fn busy_a_refusal_and_a_rejection_move_no_home() {
@@ -710,6 +740,8 @@ mod transitions {
         let expired = [
             "commit_wait]",
             "!commit.timeout",
+            "+client.home_moves",
+            "!home endorsers 0->1",
             "+client.timeouts",
             "+client.retries",
             "backoff",
@@ -726,6 +758,8 @@ mod transitions {
         let expired = [
             "endorse]",
             "!endorse.timeout",
+            "+client.home_moves",
+            "!home endorsers 1->2",
             "+client.timeouts",
             "+client.retries",
             "backoff",
@@ -737,8 +771,9 @@ mod transitions {
     }
 
     /// Every attempt waits out its own deadline, wherever it waits: on a
-    /// Solo orderer's ring of one, on its last attempt, and with no retry
-    /// policy.
+    /// Solo orderer's ring of one, whose home has nowhere to move, on its
+    /// last attempt, and with no retry policy. Two deadlines of one node
+    /// move its home once.
     #[test]
     fn an_attempt_with_nowhere_to_go_waits_out_its_own_deadline() {
         let solo = Route::new("ch0", endorsers(0), vec![ORDERERS[0]], 1);
@@ -760,7 +795,7 @@ mod transitions {
         b.timer(1);
         assert_eq!(show(&b.timer(2))[3], "propose->11");
         b.invoke(0, 2);
-        assert_eq!(show(&b.timer(4)).len(), 7);
+        assert_eq!(show(&b.timer(4)).len(), 9, "the home moves past 11");
         let exhausted = [
             "endorse]",
             "!endorse.timeout",
@@ -773,10 +808,10 @@ mod transitions {
         let mut b = bench(&[1], true, None);
         b.invoke(0, 1);
         b.invoke(0, 2);
-        for (token, req) in [(1, 1), (2, 2)] {
+        for (token, req, moved) in [(1, 1, 2), (2, 2, 0)] {
             let expired = show(&b.timer(token));
-            assert_eq!(expired.len(), 4, "{expired:?}");
-            assert_eq!(expired[3], format!("done{req}=EndorseTimeout"));
+            assert_eq!(expired.len(), 4 + moved, "{expired:?}");
+            assert_eq!(expired[3 + moved], format!("done{req}=EndorseTimeout"));
         }
     }
 
@@ -808,7 +843,8 @@ mod transitions {
 }
 
 /// A row in commit-wait whose home is silent asks the other endorsers of
-/// its ring whether the transaction committed, at the route's RTO.
+/// its ring whether the transaction committed, at the route's RTO, and an
+/// answer that ends it moves the endorsers' home to the peer that gave it.
 mod probes {
     use super::*;
 
@@ -938,6 +974,85 @@ mod probes {
         assert_eq!(b.gateway().inflight(), 0);
     }
 
+    /// A probed peer's answer that ends a row moves the endorsers' home to
+    /// that peer, counted and noted: it held a commit the home did not
+    /// report. The next invoke proposes there.
+    #[test]
+    fn a_probe_answer_moves_the_endorsers_home_to_the_peer_that_answered() {
+        let mut b = bench(&[1], true, None);
+        let (tx, waiting) = acked(&mut b, 1, 0);
+        let probed = b.timer(armed_by(&waiting));
+        assert_eq!(show(&probed)[..2], ["!commit.probe", "probe->11"]);
+        let moved = ["!commit.reprobe", "probe->12"];
+        assert_eq!(show(&b.message_from(11, not_found(tx))), moved);
+        let done = [
+            "+client.home_moves",
+            "!home endorsers 0->2",
+            "disarm#4",
+            "commit_wait]",
+            "done1=Valid",
+        ];
+        let answered = b.message_from(12, answer(tx, ValidationCode::Valid));
+        assert_eq!(show(&answered), done);
+        assert_eq!(b.gateway().homes(0), (ActorId(12), ActorId(90)));
+        assert_eq!(show(&b.invoke(0, 2)).last().unwrap(), "propose->12");
+    }
+
+    /// The home is the peer that answered, not the last one asked: a late
+    /// answer to the first timed probe, after the second went out, moves
+    /// the home to the first peer probed.
+    #[test]
+    fn a_late_answer_to_an_earlier_probe_moves_the_home_to_its_sender() {
+        let mut b = bench(&[1], true, None);
+        let (tx, _) = acked(&mut b, 1, 0);
+        committed(&mut b, tx, 100); // a commit RTO of 300 ms
+        let (tx, waiting) = acked(&mut b, 2, 1_000);
+        let first = b.timer(armed_by(&waiting));
+        let second = b.timer(armed_by(&first));
+        assert_eq!(show(&second)[..2], ["!commit.probe", "probe->12"]);
+        let answered = show(&b.message_from(11, answer(tx, ValidationCode::Valid)));
+        assert_eq!(
+            answered[..2],
+            ["+client.home_moves", "!home endorsers 0->1"]
+        );
+        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+    }
+
+    /// The home's own event moves nothing, even after a probe went out:
+    /// the home reported the commit. Nor does an answer that ends no row:
+    /// a `DuplicateTxId`, a "not found", or any answer once the row is
+    /// gone.
+    #[test]
+    fn the_home_event_a_duplicate_or_a_not_found_moves_no_home() {
+        let homes = (ActorId(10), ActorId(90));
+        let mut b = bench(&[1], true, None);
+        let (tx, waiting) = acked(&mut b, 1, 0);
+        b.timer(armed_by(&waiting));
+        let duplicate = FabricMsg::CommitStatusAnswer(event(tx, ValidationCode::DuplicateTxId));
+        assert!(b.message_from(11, duplicate).is_empty());
+        let moved = ["!commit.reprobe", "probe->12"];
+        assert_eq!(show(&b.message_from(11, not_found(tx))), moved);
+        assert_eq!(b.gateway().homes(0), homes);
+        let done = ["disarm#4", "commit_wait]", "done1=Valid"];
+        assert_eq!(show(&b.message_from(10, commit(tx))), done);
+        let late = answer(tx, ValidationCode::Valid);
+        assert!(b.message_from(12, late).is_empty());
+        assert_eq!(b.gateway().homes(0), homes);
+    }
+
+    /// The commit RTO never falls below [`MIN_COMMIT_RTO`]: a commit in
+    /// 4 ms gives `4 + 4 · 2` ms unfloored, and a probe would leave before
+    /// any other peer could have committed — and its answer, from a peer
+    /// merely faster than the home, would move a healthy home.
+    #[test]
+    fn the_commit_rto_is_floored() {
+        let mut b = bench(&[1], true, None);
+        let (tx, _) = acked(&mut b, 1, 0);
+        committed(&mut b, tx, 4);
+        let (_, waiting) = acked(&mut b, 2, 1_000);
+        assert_eq!(show(&waiting), ["disarm#5", "arm#6=commit_rto"]);
+    }
+
     /// A probed peer that holds no code answers "not found": the row asks
     /// the next endorser at once, noted `commit.reprobe`, and arms nothing;
     /// that peer's answer ends it.
@@ -1026,7 +1141,7 @@ mod resends {
 
     /// A bench whose route has timed one endorsement, one orderer's answer
     /// and one commit, all at once: both floored RTOs are [`MIN_RTO`], and
-    /// the commit's is zero, so commit-wait probes never.
+    /// the commit's is [`MIN_COMMIT_RTO`].
     fn timed() -> Bench {
         let mut b = bench(&[1], true, Some(3));
         let (tx, _) = acked(&mut b, 1, 0);
@@ -1046,6 +1161,8 @@ mod resends {
         assert_eq!(show(&issued)[2..], ["arm#4=rto", "propose->10"]);
         let first = b.timer(4);
         let copy = [
+            "+client.home_moves",
+            "!home endorsers 0->1",
             "+client.resent",
             "!endorse.resend",
             "propose->11",
@@ -1054,8 +1171,15 @@ mod resends {
         assert_eq!(show(&first), copy);
         assert_eq!((sent_ids(&first), delay(&first)), (vec![tx], MIN_RTO * 2));
         assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+        // The second copy passes 11, the home now, and moves it on again.
         let second = b.timer(5);
-        assert_eq!(show(&second)[..2], ["!endorse.resend", "propose->12"]);
+        let copy = [
+            "+client.home_moves",
+            "!home endorsers 1->2",
+            "!endorse.resend",
+            "propose->12",
+        ];
+        assert_eq!(show(&second)[..4], copy);
         assert_eq!(sent_ids(&second), [tx]);
         assert_eq!(delay(&second), ENDORSE - MIN_RTO * 3);
         let expired = show(&b.timer(6));
@@ -1076,6 +1200,8 @@ mod resends {
         );
         let first = b.timer(5);
         let copy = [
+            "+client.home_moves",
+            "!home orderers 0->1",
             "+client.resent",
             "!order.resend",
             "broadcast?->91",
@@ -1084,7 +1210,13 @@ mod resends {
         assert_eq!(show(&first), copy);
         assert_eq!(sent_ids(&first), [tx]);
         assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
-        assert_eq!(show(&b.timer(6))[..2], ["!order.resend", "broadcast?->92"]);
+        let copy = [
+            "+client.home_moves",
+            "!home orderers 1->2",
+            "!order.resend",
+            "broadcast?->92",
+        ];
+        assert_eq!(show(&b.timer(6))[..4], copy);
         let expired = show(&b.timer(7));
         assert_eq!(expired[..2], ["commit_wait]", "!order.timeout"]);
     }
@@ -1161,7 +1293,7 @@ mod resends {
         assert_eq!(submitted[2], "broadcast?->90");
         b.timer(6);
         assert!(b.message(ack(tx, false)).is_empty());
-        let waiting = ["disarm#7", "arm#8=commit"];
+        let waiting = ["disarm#7", "arm#8=commit_rto"];
         assert_eq!(show(&b.message(ack(tx, true))), waiting);
         // A query whose every copy is refused.
         let tx = tx_of(&b.query(0, 3));
@@ -1201,6 +1333,26 @@ mod resends {
         ];
         assert_eq!(shown, expected);
         assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(90)));
+    }
+
+    /// A home that something moved already stays where it went: a copy of
+    /// request 3 passed endorser 10 and moved the home to 11, so the answer
+    /// of peer 12 to request 2's probe, whose attempt started at 10, moves
+    /// nothing.
+    #[test]
+    fn a_probe_answer_leaves_a_home_a_copy_moved() {
+        let mut b = timed();
+        let (tx, waiting) = acked(&mut b, 2, 1_000);
+        let probed = b.timer(armed_by(&waiting));
+        assert_eq!(show(&probed)[..2], ["!commit.probe", "probe->11"]);
+        let issued = b.invoke(0, 3);
+        let copy = show(&b.timer(armed_by(&issued)));
+        assert_eq!(copy[..2], ["+client.home_moves", "!home endorsers 0->1"]);
+        b.message_from(11, not_found(tx));
+        let answered = show(&b.message_from(12, answer(tx, ValidationCode::Valid)));
+        assert_eq!(answered.last().unwrap(), "done2=Valid");
+        assert!(!answered.contains(&"+client.home_moves".to_owned()));
+        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
     }
 
     /// A second copy of a transaction is committed `DuplicateTxId` where
@@ -1314,8 +1466,8 @@ impl Model {
         assert_eq!(sched.armed[0].len(), self.bench.gateway().inflight());
         assert_eq!(sched.stray_disarms, 0);
         assert!(self.done.values().all(|&n| n == 1));
-        // A home moves only on an expiry, one place on from the position
-        // that expired.
+        // A home moves on an expiry or a copy, one place on from the
+        // position blamed, and to the peer whose probe answer ended a row.
         for (shard, &home) in self.homes.iter().enumerate() {
             assert_eq!(self.bench.gateway().homes(shard), home, "route {shard}");
         }
@@ -1367,6 +1519,17 @@ impl Model {
         }
     }
 
+    /// The answer to a status probe of the attempt `trace`, from the
+    /// endorser `src`, ended its row: the endorsers' home moves to `src`,
+    /// if it still points at the attempt's first endorser.
+    fn answered(&mut self, trace: &str, src: ActorId) {
+        let &(shard, endorser, _) = self.attempts.get(trace).expect("probed once submitted");
+        let home = &mut self.homes[shard].0;
+        if *home == endorser {
+            *home = src;
+        }
+    }
+
     /// The node `to` answers `msg`.
     fn reply_to(&mut self, to: ActorId, msg: FabricMsg) {
         // A healed network answers honestly.
@@ -1409,9 +1572,26 @@ impl Model {
         self.bench.sched.ship(to, 0, reply, self.loss);
     }
 
-    /// Delivers one reply, picked at random: the wire reorders.
+    /// Delivers one reply, picked at random: the wire reorders. A probe's
+    /// answer that ends its row moves a home before the books are checked.
     fn deliver(&mut self) {
-        let actions = self.bench.sched.deliver_any();
+        let sched = &mut self.bench.sched;
+        let (src, m, msg) = sched
+            .flying
+            .swap_remove(sched.rng.below(sched.flying.len() as u64) as usize);
+        let probed = match &msg {
+            FabricMsg::CommitStatusAnswer(event) if event.code != ValidationCode::DuplicateTxId => {
+                Some(tx_trace(&event.tx_id))
+            }
+            _ => None,
+        };
+        let actions = sched.message(m, src, msg);
+        let ended = actions
+            .iter()
+            .any(|action| matches!(action, Action::Own(_)));
+        if let Some(trace) = probed.filter(|_| ended) {
+            self.answered(&trace, src);
+        }
         self.apply(actions);
     }
 
@@ -1419,7 +1599,15 @@ impl Model {
     /// only once nothing is left to arrive, until nothing is armed.
     fn drain(&mut self) {
         self.loss = 0;
-        while let Some(actions) = self.bench.sched.heal() {
+        loop {
+            if !self.bench.sched.flying.is_empty() {
+                self.deliver();
+                continue;
+            }
+            let Some(&token) = self.bench.sched.armed[0].first() else {
+                return;
+            };
+            let actions = self.bench.timer(token);
             self.apply(actions);
         }
     }

@@ -81,8 +81,8 @@ impl Machine for Driver {
     type Msg = FabricMsg;
     type Own = Infallible;
 
-    fn message(&mut self, _: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Infallible>> {
-        let actions = self.gateway.on_message(msg, io.now, io.rng);
+    fn message(&mut self, src: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Infallible>> {
+        let actions = self.gateway.on_message(src, msg, io.now, io.rng);
         self.answer(actions, io.now)
     }
 

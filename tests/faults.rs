@@ -1,6 +1,7 @@
 //! Workspace-level fault-tolerance tests: commit deadlines firing cleanly
 //! under partitions, a commit probe moving on at once past a cut-off
-//! neighbour that answers "not found", split peer groups converging
+//! neighbour that answers "not found" and its answer moving the client's
+//! home, no probe on a healthy network, split peer groups converging
 //! after heal, Raft
 //! leader loss with a retrying client, transient partitions absorbed
 //! entirely by the client retry budget, a network-wide loss window
@@ -16,7 +17,7 @@ mod support;
 use hyperprov_repro::device::DeviceProfile;
 use std::collections::BTreeMap;
 
-use hyperprov_repro::fabric::{tx_trace, BatchConfig};
+use hyperprov_repro::fabric::{tx_trace, BatchConfig, Envelope};
 use hyperprov_repro::hyperprov::{
     AuditFinding, ClientCommand, ClientCompletion, HyperProvError, HyperProvNetwork, NetworkConfig,
     NodeMsg, OpId, OpOutput, RetryPolicy,
@@ -104,9 +105,10 @@ fn commit_wait_times_out_cleanly_under_partition() {
 /// orderers together while four clients, one homed on each peer, keep
 /// posting. Client 2's home holds no commit, and neither does peer 3, the
 /// first its probes ask: peer 3 answers "not found", and the probe moves
-/// on to peer 0 at once. So no operation of client 2 waits for a second
-/// timed probe. (Met with silence, each of them did, twice as late, and
-/// re-broadcast its envelope.)
+/// on to peer 0 at once. Peer 0's answer moves client 2's home there, so
+/// only the posts in flight when that first answer comes probe at all,
+/// none waits for a second timed probe, and every later post of the cut
+/// is endorsed by peer 0 and completes on its event, with no probe.
 #[test]
 fn a_probe_past_a_cut_off_neighbour_moves_on_without_waiting_for_the_timer() {
     let config = NetworkConfig::desktop(4)
@@ -136,9 +138,21 @@ fn a_probe_past_a_cut_off_neighbour_moves_on_without_waiting_for_the_timer() {
             _ => {}
         }
     }
+    // Who endorsed each transaction, read off peer 0's chain.
+    let mut endorser = BTreeMap::new();
+    for block in net.ledgers[0].borrow().store().iter() {
+        for raw in block.envelopes.iter() {
+            let envelope = Envelope::from_raw(raw).expect("a committed envelope decodes");
+            endorser.insert(
+                envelope.tx_id(),
+                envelope.endorsements[0].endorser.subject.clone(),
+            );
+        }
+    }
     let completions = net.completions[2].borrow();
     assert_eq!(completions.len() as u64, issued[2], "an operation hung");
-    let mut moved = 0;
+    let mut probed = Vec::new();
+    let mut quiet = Vec::new();
     for completion in completions.iter() {
         let Ok(OpOutput::Committed { tx_id, .. }) = &completion.outcome else {
             panic!("{completion:?}");
@@ -149,12 +163,72 @@ fn a_probe_past_a_cut_off_neighbour_moves_on_without_waiting_for_the_timer() {
             "{:?} waited for {timed} timed probes",
             completion.op
         );
-        moved += at_once;
+        match timed + at_once {
+            0 => quiet.push((completion.started, &endorser[tx_id])),
+            _ => probed.push(completion),
+        }
     }
+    let answered = probed.iter().map(|c| c.finished).min().expect("a probe");
+    for completion in &probed {
+        assert!(
+            completion.started < answered,
+            "{:?}, issued at {}, probed after the first answer at {answered}",
+            completion.op,
+            completion.started
+        );
+    }
+    let later: Vec<_> = quiet
+        .iter()
+        .filter(|&&(started, _)| started > answered && started < heal)
+        .collect();
     // About one post in each 100 ms of the 3 s cut.
-    assert!(moved >= 25, "{moved} probes moved on past peer 3");
+    assert!(
+        later.len() >= 25,
+        "{} posts after the first answer",
+        later.len()
+    );
+    assert!(
+        later.iter().all(|(_, by)| by.as_str() == "peer0"),
+        "{later:?}"
+    );
     drop(completions);
     assert_eq!(net.sim.metrics().counter("client.timeouts"), 0);
+    assert_eq!(audit(&net), []);
+}
+
+/// On a healthy network cutting one transaction per block a commit takes
+/// a few milliseconds, and the commit wait's retransmission timeout,
+/// floored at 50 ms, stays above it: no probe leaves before any peer
+/// could answer it — none leaves at all —, and no home moves. (Unfloored,
+/// the four closed loops' queueing sent 43 probes.)
+#[test]
+fn a_healthy_network_cutting_one_tx_per_block_probes_nothing() {
+    let config = NetworkConfig::desktop(4)
+        .with_seed(43)
+        .with_batch(BatchConfig {
+            max_message_count: 1,
+            ..BatchConfig::default()
+        })
+        .with_deadlines(Some(ENDORSE_DEADLINE), Some(COMMIT_DEADLINE))
+        .with_retry(RetryPolicy::new(8));
+    let mut net = HyperProvNetwork::build(&config);
+    let mut issued = [0u64; 4];
+    Load::InAClosedLoop.run(&mut net, &mut issued, SimTime::from_secs(5), &mut post);
+    net.sim.run_until(SimTime::from_secs(10));
+
+    for (client, &issued) in issued.iter().enumerate() {
+        let completions = net.completions[client].borrow();
+        assert_eq!(completions.len() as u64, issued, "an operation hung");
+        assert!(completions.iter().all(|c| c.outcome.is_ok()));
+    }
+    let probes = net
+        .sim
+        .tracer()
+        .events()
+        .filter(|e| e.name == "commit.probe");
+    assert_eq!(probes.count(), 0);
+    assert_eq!(net.sim.metrics().counter("client.home_moves"), 0);
+    assert_eq!(audit(&net), []);
 }
 
 /// A 2/2 peer split heals via block catch-up: the cut half misses blocks
