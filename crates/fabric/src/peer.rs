@@ -63,8 +63,16 @@ pub enum Own {
     /// Run a CPU job of this cost, then send the message to the actor,
     /// for an admitted request: the span (trace, stage) opens now and
     /// closes when the job is done, which also frees the request's place
-    /// in the admission queue.
-    DeferRequest(SimDuration, (String, &'static str), ActorId, FabricMsg),
+    /// in the admission queue. A read-only answer (true: its simulation
+    /// wrote nothing) runs on the CPU's read lane, beside block
+    /// validation and commit; the rest queue behind them.
+    DeferRequest(
+        SimDuration,
+        (String, &'static str),
+        ActorId,
+        FabricMsg,
+        bool,
+    ),
     /// A block was committed: run its VSCC checks as one parallel batch
     /// over the CPU lanes (span `commit.vscc`), then the serial MVCC +
     /// apply phase on one lane (span `commit.apply`), and when that is
@@ -283,7 +291,8 @@ impl Peer {
 
     /// A client's proposal. A shed one and one for a channel not hosted
     /// are rejected at once; any other is endorsed against the channel's
-    /// committed state, the response released after its cost.
+    /// committed state, the response released after its cost: beside the
+    /// committer when it wrote nothing, behind it otherwise.
     fn proposal(&mut self, src: ActorId, sp: SignedProposal, admitted: bool) -> Vec<Action> {
         if !admitted {
             let nacked = Action::Count(None, "nacked", 1);
@@ -309,11 +318,10 @@ impl Peer {
         // Chaincode simulation + signing, as a span on the tx id `endorse`
         // already computed.
         let span = (tx_trace(&response.tx_id), "endorse.exec");
+        let read_only = response.rwset.writes.is_empty();
         let result = FabricMsg::ProposalResult(response);
-        vec![
-            endorsed,
-            Action::Own(Own::DeferRequest(cost, span, src, result)),
-        ]
+        let answer = Own::DeferRequest(cost, span, src, result, read_only);
+        vec![endorsed, Action::Own(answer)]
     }
 
     /// A client's commit-status probe, charged as a query (verify the

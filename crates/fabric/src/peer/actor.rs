@@ -1,7 +1,7 @@
 //! The I/O half of the peer: the [`Peer`] as a [`Machine`], and what
 //! performs a peer's own actions: the request job that frees its admission
-//! slot, and a committed block's two jobs with the instants they read off
-//! the CPU.
+//! slot, on the CPU's read lane when it wrote nothing, and a committed
+//! block's two jobs with the instants they read off the CPU.
 
 use hyperprov_sim::{ActorId, Carries, Context};
 
@@ -42,12 +42,12 @@ impl Machine for Peer {
         own: Own,
     ) {
         match own {
-            Own::DeferRequest(cost, (trace, stage), to, msg) => {
+            Own::DeferRequest(cost, (trace, stage), to, msg, read) => {
                 let name = host.name().to_owned();
                 ctx.span_start(&trace, stage, &name);
                 let sends = vec![outbound((to, msg))];
                 let closes = vec![(trace.clone(), stage, name)];
-                host.request_job(ctx, cost, &trace, sends, closes);
+                host.request_job(ctx, cost, read, &trace, sends, closes);
             }
             Own::Committed {
                 trace,

@@ -295,23 +295,30 @@ impl<M: Carries<FabricMsg>> Host<M> {
         sends: Vec<Outbound<M>>,
         closes: Vec<SpanKey>,
     ) {
-        self.hold(ctx, cost, Release(closes, sends, false));
+        let token = self.hold(Release(closes, sends, false));
+        ctx.execute(cost, token);
     }
 
     /// Like [`Host::job`], and its end also frees the slot of one admitted
-    /// request. Under a bounded queue, the `queue.wait` span of `trace`
-    /// covers the time the job waits behind earlier CPU work.
+    /// request; a `read` job runs on the CPU's read lane, beside the rest.
+    /// Under a bounded queue, the `queue.wait` span of `trace` covers the
+    /// time the job waits behind earlier CPU work on its lane.
     pub fn request_job(
         &mut self,
         ctx: &mut Context<'_, M>,
         cost: SimDuration,
+        read: bool,
         trace: &str,
         sends: Vec<Outbound<M>>,
         closes: Vec<SpanKey>,
     ) {
         if let Some(q) = &mut self.queue {
             let arrival = ctx.now();
-            let start = arrival.max(ctx.cpu().busy_until());
+            let free = match read {
+                true => ctx.cpu().read_busy_until(),
+                false => ctx.cpu().busy_until(),
+            };
+            let start = arrival.max(free);
             let tracer = ctx.tracer();
             tracer.span_start(arrival, trace, "queue.wait", &self.name);
             tracer.span_end(start, trace, "queue.wait", &self.name);
@@ -320,13 +327,18 @@ impl<M: Carries<FabricMsg>> Host<M> {
             let id = *id.get_or_insert_with(|| ctx.metrics().histogram_id(name));
             ctx.metrics().record_id(id, wait);
         }
-        self.hold(ctx, cost, Release(closes, sends, true));
+        let token = self.hold(Release(closes, sends, true));
+        match read {
+            true => ctx.execute_read(cost, token),
+            false => ctx.execute(cost, token),
+        };
     }
 
-    fn hold(&mut self, ctx: &mut Context<'_, M>, cost: SimDuration, release: Release<M>) {
+    /// The token of a new job, whose end releases `release`.
+    fn hold(&mut self, release: Release<M>) -> u64 {
         let token = self.token();
         self.outbox.insert(token, release);
-        ctx.execute(cost, token);
+        token
     }
 
     /// Runs the costs as one batch spread over the CPU's lanes; when the
@@ -337,9 +349,7 @@ impl<M: Carries<FabricMsg>> Host<M> {
         costs: &[SimDuration],
         closes: Vec<SpanKey>,
     ) {
-        let token = self.token();
-        self.outbox
-            .insert(token, Release(closes, Vec::new(), false));
+        let token = self.hold(Release(closes, Vec::new(), false));
         ctx.execute_parallel(costs, token);
     }
 

@@ -3,12 +3,21 @@
 //! sends, when the virtual CPU finishes it; a job's token never reaches
 //! the machine; a bounded admission queue nacks past its capacity, frees
 //! a slot when a request's job ends and survives a crash; an unbounded one
-//! records nothing.
+//! records nothing. Then a real peer in a `Node`: a query is answered
+//! beside a running block commit, a write endorsed behind it.
+
+mod support;
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use hyperprov_fabric::{Action, Carries, FabricMsg, Host, Io, Machine, Node, QueueConfig};
+use hyperprov_fabric::{
+    costs, endorse, tx_trace, Action, Carries, Chaincode, ChaincodeError, ChaincodeRegistry,
+    ChaincodeStub, FabricMsg, Host, Io, Machine, Node, Peer, Proposal, QueueConfig, SignedProposal,
+    SigningIdentity,
+};
+use hyperprov_ledger::{Encode, TxId, DEFAULT_CHANNEL};
 use hyperprov_sim::{
     Actor, ActorId, Context, CpuResource, Event, LinkSpec, SimDuration, SimTime, Simulation,
 };
@@ -150,7 +159,7 @@ impl Machine for Svc {
                 let sends = vec![(self.sink, 8, wrap(n))];
                 let closes = vec![(trace.clone(), "svc.exec", String::new())];
                 match request {
-                    true => host.request_job(ctx, cost, &trace, sends, closes),
+                    true => host.request_job(ctx, cost, false, &trace, sends, closes),
                     false => host.job(ctx, cost, sends, closes),
                 }
             }
@@ -367,4 +376,132 @@ proptest::proptest! {
         // svc.exec); nacks open none.
         proptest::prop_assert!(tracer.spans_started() <= 2 * n_requests);
     }
+}
+
+/// `get` reads the key it is given; `post` also writes it.
+struct KvCc;
+impl Chaincode for KvCc {
+    fn name(&self) -> &str {
+        "kv"
+    }
+    fn invoke(&self, stub: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError> {
+        let key = stub.arg_str(0)?.to_owned();
+        let value = stub.get_state(&key).unwrap_or_default();
+        if stub.function() == "post" {
+            stub.put_state(&key, b"record".to_vec());
+        }
+        Ok(value)
+    }
+}
+
+fn kv_proposal(client: &SigningIdentity, function: &str, nonce: u64) -> SignedProposal {
+    let proposal = Proposal {
+        channel: DEFAULT_CHANNEL.into(),
+        chaincode: "kv".into(),
+        function: function.into(),
+        args: vec![b"k".to_vec()],
+        creator: client.certificate().clone(),
+        nonce,
+    };
+    SignedProposal {
+        signature: client.sign(&proposal.to_bytes()),
+        proposal,
+    }
+}
+
+/// A client that sends its proposals to the peer when its timer fires
+/// and logs when each answer arrives.
+struct Asker {
+    peer: ActorId,
+    proposals: Vec<SignedProposal>,
+    answers: Rc<RefCell<Vec<(TxId, SimTime)>>>,
+}
+
+impl Actor<Wire> for Asker {
+    fn on_event(&mut self, ctx: &mut Context<'_, Wire>, event: Event<Wire>) {
+        match event {
+            Event::Timer { .. } => {
+                for sp in self.proposals.drain(..) {
+                    let msg = FabricMsg::SubmitProposal(sp);
+                    ctx.send(self.peer, msg.wire_size(), Wire::Fabric(Box::new(msg)));
+                }
+            }
+            Event::Message { msg, .. } => {
+                if let Wire::Fabric(msg) = msg {
+                    if let FabricMsg::ProposalResult(response) = *msg {
+                        let at = ctx.now();
+                        self.answers.borrow_mut().push((response.tx_id, at));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_query_is_answered_beside_a_running_commit_and_a_write_behind_it() {
+    // A peer (one lane, bounded queue) commits a block of 40 posts from
+    // t = 0; at 1 ms, while the commit job runs, a `get` and a `post`
+    // arrive together.
+    let (client, endorser, new_committer) = support::new_committers();
+    let mut committed = new_committer();
+    let blocks = support::extend_chain(&mut committed, &client, &endorser, 1, 40);
+    let mut registry = ChaincodeRegistry::new();
+    registry.install(Arc::new(KvCc));
+    // Each answer's endorse cost, against the state after the block.
+    let (get, post) = (
+        kv_proposal(&client, "get", 1),
+        kv_proposal(&client, "post", 2),
+    );
+    let cost = |sp: &SignedProposal| {
+        let (msp, state) = (committed.msp(), committed.state());
+        let (_, stats) = endorse(&endorser, &registry, msp, state, None, sp);
+        costs::endorse_cost(&sp.proposal, &stats)
+    };
+    let (get_cost, post_cost) = (cost(&get), cost(&post));
+    let (get_id, post_id) = (get.proposal.tx_id(), post.proposal.tx_id());
+
+    let mut sim = Simulation::new(1);
+    sim.network_mut().set_default_link(LinkSpec {
+        latency: SimDuration::ZERO,
+        bandwidth_bps: u64::MAX,
+        jitter_frac: 0.0,
+    });
+    let mut peer = Peer::new(endorser.clone(), registry, "peer0".to_owned());
+    peer.host(Rc::new(RefCell::new(new_committer())), None);
+    let node = Node::new(peer, "peer0").with_queue(QueueConfig::new(4));
+    let peer = node.start(&mut sim, CpuResource::new(1.0), "peer");
+    let answers = Rc::default();
+    let asker = sim.add_actor(Box::new(Asker {
+        peer,
+        proposals: vec![get, post],
+        answers: Rc::clone(&answers),
+    }));
+    let block = FabricMsg::DeliverBlock(Default::default(), Arc::new(blocks[0].clone()));
+    sim.inject_message(peer, Wire::Fabric(Box::new(block)));
+    let arrival = SimTime::from_nanos(MS);
+    sim.run_until(arrival);
+    let commit_end = sim.cpu(peer).busy_until();
+    assert!(commit_end > arrival + get_cost, "the commit job still runs");
+    sim.start_timer(asker, SimDuration::ZERO, 1);
+    sim.run();
+
+    let answers = answers.borrow();
+    let at = |id| answers.iter().find(|(tx, _)| *tx == id).unwrap().1;
+    assert_eq!(answers.len(), 2);
+    assert_eq!(at(get_id), arrival + get_cost);
+    assert_eq!(at(post_id), commit_end + post_cost);
+    // Each job's queue wait is its own lane's: none for the query, the
+    // rest of the commit job for the post.
+    let wait = |id| {
+        let trace = tx_trace(&id);
+        let mut spans = sim.tracer().finished_spans();
+        let span = spans.find(|s| s.trace == trace && s.stage == "queue.wait");
+        span.unwrap().duration()
+    };
+    assert_eq!(wait(get_id), SimDuration::ZERO);
+    assert_eq!(wait(post_id), commit_end - arrival);
+    let histogram = sim.metrics().histogram("queue.wait.peer0").unwrap();
+    assert_eq!(histogram.count(), 2);
+    assert_eq!(histogram.min(), 0);
 }

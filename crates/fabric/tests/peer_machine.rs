@@ -39,7 +39,8 @@ fn client_actor(c: usize) -> ActorId {
     ActorId(100 + c as u32)
 }
 
-/// Reads the key it is given: an endorsement with one read.
+/// Reads the key it is given: an endorsement with one read; `put` also
+/// writes it.
 struct ReadCc;
 impl Chaincode for ReadCc {
     fn name(&self) -> &str {
@@ -47,7 +48,11 @@ impl Chaincode for ReadCc {
     }
     fn invoke(&self, stub: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError> {
         let key = stub.arg_str(0)?.to_owned();
-        Ok(stub.get_state(&key).unwrap_or_default())
+        let value = stub.get_state(&key).unwrap_or_default();
+        if stub.function() == "put" {
+            stub.put_state(&key, b"v".to_vec());
+        }
+        Ok(value)
     }
 }
 
@@ -124,8 +129,9 @@ fn show(actions: &[Action]) -> Vec<String> {
                 assert_eq!(*bytes, m.wire_size());
                 format!("job:{}->{}", msg(m), to.0)
             }
-            Action::Own(Own::DeferRequest(_, (_, stage), to, m)) => {
-                format!("request[{stage}]:{}->{}", msg(m), to.0)
+            Action::Own(Own::DeferRequest(_, (_, stage), to, m, read)) => {
+                let lane = if *read { "read" } else { "request" };
+                format!("{lane}[{stage}]:{}->{}", msg(m), to.0)
             }
             Action::Own(Own::Committed { trace, events, .. }) => {
                 let to: Vec<u32> = events.iter().map(|(to, _)| to.0).collect();
@@ -294,10 +300,25 @@ mod transitions {
             _ => panic!("{:?}", show(actions)),
         };
 
+        // A query's answer runs on the read lane, a write's behind the
+        // committer, and an invoke the chaincode refused wrote nothing.
         let first = propose(&mut peer, ask(1), true);
-        let endorsed = ["+ch.endorsed=1", "request[endorse.exec]:endorsed->100"];
+        let endorsed = ["+ch.endorsed=1", "read[endorse.exec]:endorsed->100"];
         assert_eq!(show(&first), endorsed);
         assert_eq!(trace(&first), ask(1).proposal.tx_id().0.to_hex());
+        let mut put = ask(2);
+        put.proposal.function = "put".into();
+        put.signature = client.sign(&put.proposal.to_bytes());
+        let write = ["+ch.endorsed=1", "request[endorse.exec]:endorsed->100"];
+        assert_eq!(show(&propose(&mut peer, put, true)), write);
+        let mut bad = ask(5);
+        bad.proposal.args.clear();
+        bad.signature = client.sign(&bad.proposal.to_bytes());
+        let refused = show(&propose(&mut peer, bad, true));
+        assert!(
+            refused[1].starts_with("read[endorse.exec]:refused("),
+            "{refused:?}"
+        );
 
         // Shed at admission: one immediate refusal, no ledger touched.
         let shed = show(&propose(&mut peer, ask(3), false));
@@ -772,11 +793,11 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
                     assert_eq!(ledger_digests(&m.replicas[i].ledger), before);
                     let refused = format!("refused({BUSY_REASON})->{}", src.0);
                     match (admitted, actions.last()) {
-                        (true, Some(Action::Own(Own::DeferRequest(_, _, to, msg)))) => {
+                        (true, Some(Action::Own(Own::DeferRequest(_, _, to, msg, read)))) => {
                             let FabricMsg::ProposalResult(response) = msg else {
                                 panic!("{msg:?}");
                             };
-                            assert!(*to == src && response.result.is_ok());
+                            assert!(*to == src && response.result.is_ok() && *read);
                         }
                         (false, _) => assert_eq!(show(&actions), ["+nacked=1", &refused]),
                         _ => panic!("{:?}", show(&actions)),

@@ -13,6 +13,15 @@
 //! items across the lanes (earliest-free-lane assignment, deterministic
 //! tie-break by lane index) and returns the batch makespan, modelling
 //! FastFabric-style parallel validation.
+//!
+//! Beside its lanes every CPU has one *read lane*:
+//! [`CpuResource::execute_read`] queues FIFO on it alone, modelling a
+//! Fabric peer answering queries while its committer validates — the
+//! commit lock blocks a query only while state is written. Serial and
+//! parallel work never see the read lane, nor read work theirs. Its busy
+//! time counts in [`busy_between`](CpuResource::busy_between), so the
+//! power meter charges it; a CPU that never ran read work logs and
+//! meters exactly as one without the lane.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -25,6 +34,16 @@ struct Lane {
 }
 
 impl Lane {
+    /// Runs work of `service` time from `start`; returns its end.
+    fn run(&mut self, start: SimTime, service: SimDuration) -> SimTime {
+        let end = start + service;
+        self.free_at = end;
+        if !service.is_zero() {
+            self.push_segment(start, end);
+        }
+        end
+    }
+
     fn push_segment(&mut self, start: SimTime, end: SimTime) {
         // Coalesce with the previous segment when contiguous.
         if let Some(last) = self.segments.last_mut() {
@@ -60,6 +79,8 @@ impl Lane {
 pub struct CpuResource {
     speed: f64,
     lanes: Vec<Lane>,
+    /// The read lane, beside `lanes`.
+    read: Lane,
     total_busy: SimDuration,
 }
 
@@ -88,6 +109,7 @@ impl CpuResource {
         CpuResource {
             speed,
             lanes: vec![Lane::default(); lanes],
+            read: Lane::default(),
             total_busy: SimDuration::ZERO,
         }
     }
@@ -129,15 +151,11 @@ impl CpuResource {
         let service = self.service_time(reference_cost);
         let barrier = self.busy_until();
         let start = if barrier > now { barrier } else { now };
-        let end = start + service;
         // All lanes are free at `start`; occupy the one that was busiest
         // so earlier-free lanes keep their head start for parallel work.
         let lane = self.last_busy_lane();
-        self.lanes[lane].free_at = end;
-        if !service.is_zero() {
-            self.lanes[lane].push_segment(start, end);
-            self.total_busy += service;
-        }
+        let end = self.lanes[lane].run(start, service);
+        self.total_busy += service;
         (start, end)
     }
 
@@ -156,17 +174,32 @@ impl CpuResource {
             let lane = self.earliest_free_lane();
             let free = self.lanes[lane].free_at;
             let start = if free > now { free } else { now };
-            let end = start + service;
-            self.lanes[lane].free_at = end;
-            if !service.is_zero() {
-                self.lanes[lane].push_segment(start, end);
-                self.total_busy += service;
-            }
+            let end = self.lanes[lane].run(start, service);
+            self.total_busy += service;
             if end > makespan {
                 makespan = end;
             }
         }
         makespan
+    }
+
+    /// Schedules `reference_cost` worth of read work submitted at `now`
+    /// on the read lane, FIFO behind earlier read work only. Returns
+    /// `(start, completion)`.
+    pub fn execute_read(
+        &mut self,
+        now: SimTime,
+        reference_cost: SimDuration,
+    ) -> (SimTime, SimTime) {
+        let service = self.service_time(reference_cost);
+        let start = now.max(self.read.free_at);
+        self.total_busy += service;
+        (start, self.read.run(start, service))
+    }
+
+    /// The instant after which the read lane is idle.
+    pub fn read_busy_until(&self) -> SimTime {
+        self.read.free_at
     }
 
     fn earliest_free_lane(&self) -> usize {
@@ -189,7 +222,7 @@ impl CpuResource {
         best
     }
 
-    /// The instant after which every lane is idle.
+    /// The instant after which every lane but the read lane is idle.
     pub fn busy_until(&self) -> SimTime {
         self.lanes
             .iter()
@@ -198,31 +231,36 @@ impl CpuResource {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Number of lanes still busy at `at` (free strictly after it).
+    /// Number of lanes but the read lane still busy at `at` (free
+    /// strictly after it).
     pub fn lanes_busy_at(&self, at: SimTime) -> usize {
         self.lanes.iter().filter(|l| l.free_at > at).count()
     }
 
-    /// Total busy time accumulated so far, summed over lanes.
+    /// Total busy time accumulated so far, summed over lanes and the read
+    /// lane.
     pub fn total_busy(&self) -> SimDuration {
         self.total_busy
     }
 
     /// Busy time that falls within the window `[from, to)`, summed over
-    /// lanes (a window where two lanes run the whole time counts double).
+    /// lanes and the read lane (a window where two lanes run the whole
+    /// time counts double).
     pub fn busy_between(&self, from: SimTime, to: SimTime) -> SimDuration {
         if to <= from {
             return SimDuration::ZERO;
         }
-        let mut acc = SimDuration::ZERO;
+        let mut acc = self.read.busy_between(from, to);
         for lane in &self.lanes {
             acc += lane.busy_between(from, to);
         }
         acc
     }
 
-    /// Fraction of the window `[from, to)` the CPU was busy, averaged
-    /// over lanes, in `[0, 1]` (all lanes saturated = 1.0).
+    /// Busy time in the window `[from, to)` over the window times the
+    /// lanes: all lanes saturated = 1.0. Read work counts against the
+    /// same capacity, so beside saturated lanes the value exceeds 1 (the
+    /// power model clamps it).
     pub fn utilization(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
             return 0.0;
@@ -478,6 +516,78 @@ mod tests {
         cpu2.execute(t(0), d(1)); // occupies lane 1 [5,6)
         let makespan = cpu2.execute_parallel(t(2), &[d(1)]);
         assert_eq!(makespan, t(3)); // lane 0 was free at 1
+    }
+
+    #[test]
+    fn a_read_job_behind_a_long_serial_job_takes_its_own_service_time() {
+        let mut cpu = CpuResource::new(0.5);
+        cpu.execute(t(0), d(10)); // the serial lane is busy until 20
+        assert_eq!(cpu.execute_read(t(1), d(2)), (t(1), t(5)));
+        // FIFO behind earlier read work only.
+        assert_eq!(cpu.execute_read(t(2), d(1)), (t(5), t(7)));
+        assert_eq!(cpu.read_busy_until(), t(7));
+        assert_eq!(cpu.busy_until(), t(20));
+    }
+
+    #[test]
+    fn read_jobs_delay_no_serial_or_parallel_work() {
+        let schedule = |cpu: &mut CpuResource| {
+            let serial = cpu.execute(t(1), d(3));
+            let batch = cpu.execute_parallel(t(2), &[d(2), d(5)]);
+            (serial, batch, cpu.execute(t(2), d(1)))
+        };
+        let mut plain = CpuResource::with_lanes(1.0, 2);
+        let expected = schedule(&mut plain);
+        let mut reading = CpuResource::with_lanes(1.0, 2);
+        reading.execute_read(t(0), d(4));
+        reading.execute_read(t(1), d(4));
+        assert_eq!(schedule(&mut reading), expected);
+        assert_eq!(reading.lanes_busy_at(t(8)), plain.lanes_busy_at(t(8)));
+        for (a, b) in reading.lanes.iter().zip(&plain.lanes) {
+            assert_eq!(a.segments, b.segments);
+        }
+    }
+
+    #[test]
+    fn busy_between_counts_the_read_lane() {
+        let mut cpu = CpuResource::new(1.0);
+        cpu.execute(t(0), d(4)); // [0, 4)
+        cpu.execute_read(t(1), d(2)); // [1, 3) beside it
+        assert_eq!(cpu.busy_between(t(0), t(4)), d(6));
+        assert_eq!(cpu.busy_between(t(2), t(3)), d(2));
+        assert_eq!(cpu.total_busy(), d(6));
+        // Read work counts against the serial lane's capacity.
+        assert!((cpu.utilization(t(0), t(4)) - 1.5).abs() < 1e-9);
+        assert!((cpu.utilization(t(0), t(10)) - 0.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_cpu_without_read_jobs_logs_and_meters_as_its_lanes_alone() {
+        let mut cpu = CpuResource::with_lanes(0.13, 3);
+        cpu.execute(t(0), d(3));
+        cpu.execute_parallel(t(1), &[d(2), d(7), d(1)]);
+        cpu.execute(t(9), d(2));
+        assert!(cpu.read.segments.is_empty());
+        let lanes: Vec<_> = cpu.lanes.iter().map(|l| l.segments.clone()).collect();
+        let mut read_elsewhere = cpu.clone();
+        read_elsewhere.execute_read(t(200), d(1));
+        for (lane, segments) in read_elsewhere.lanes.iter().zip(&lanes) {
+            assert_eq!(&lane.segments, segments);
+        }
+        for (from, to) in [(t(0), t(5)), (t(3), t(40)), (t(0), t(200))] {
+            let busy = lanes.iter().fold(SimDuration::ZERO, |acc, segments| {
+                let lane = Lane {
+                    free_at: to,
+                    segments: segments.clone(),
+                };
+                acc + lane.busy_between(from, to)
+            });
+            assert_eq!(cpu.busy_between(from, to), busy);
+            let window = (to - from).as_secs_f64() * 3.0;
+            let util = busy.as_secs_f64() / window;
+            assert_eq!(cpu.utilization(from, to).to_bits(), util.to_bits());
+            assert_eq!(read_elsewhere.busy_between(from, to), busy);
+        }
     }
 
     #[test]

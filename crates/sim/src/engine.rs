@@ -238,14 +238,18 @@ impl<M> Context<'_, M> {
     /// [`Event::Timer`] with `token` fires when the work completes (after
     /// queueing behind earlier work).
     pub fn execute(&mut self, reference_cost: SimDuration, token: u64) -> TimerId {
-        self.kernel.hot.cpu_jobs += 1;
-        let (_, end) =
-            self.kernel.cpus[self.id.0 as usize].execute(self.kernel.now, reference_cost);
-        self.kernel.next_timer += 1;
-        let id = self.kernel.next_timer;
-        let target = self.id;
-        self.kernel.push(end, target, Event::Timer { token }, id);
-        TimerId(id)
+        let now = self.kernel.now;
+        let (_, end) = self.kernel.cpus[self.id.0 as usize].execute(now, reference_cost);
+        self.job_done_at(end, token)
+    }
+
+    /// Like [`Context::execute`], on the CPU's read lane (see
+    /// [`CpuResource::execute_read`]): the work queues behind earlier
+    /// read work only.
+    pub fn execute_read(&mut self, reference_cost: SimDuration, token: u64) -> TimerId {
+        let now = self.kernel.now;
+        let (_, end) = self.kernel.cpus[self.id.0 as usize].execute_read(now, reference_cost);
+        self.job_done_at(end, token)
     }
 
     /// Submits a batch of independent CPU work items to this actor's CPU
@@ -253,13 +257,18 @@ impl<M> Context<'_, M> {
     /// with `token` fires at the batch makespan. Returns the timer and
     /// the makespan instant.
     pub fn execute_parallel(&mut self, costs: &[SimDuration], token: u64) -> (TimerId, SimTime) {
-        self.kernel.hot.cpu_jobs += 1;
         let end = self.kernel.cpus[self.id.0 as usize].execute_parallel(self.kernel.now, costs);
+        (self.job_done_at(end, token), end)
+    }
+
+    /// Counts a CPU job and fires [`Event::Timer`] with `token` at `end`.
+    fn job_done_at(&mut self, end: SimTime, token: u64) -> TimerId {
+        self.kernel.hot.cpu_jobs += 1;
         self.kernel.next_timer += 1;
         let id = self.kernel.next_timer;
         let target = self.id;
         self.kernel.push(end, target, Event::Timer { token }, id);
-        (TimerId(id), end)
+        TimerId(id)
     }
 
     /// This actor's deterministic random stream.

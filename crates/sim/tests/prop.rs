@@ -58,21 +58,26 @@ proptest! {
 
     #[test]
     fn cpu_busy_partitions_sum_to_total(
-        jobs in proptest::collection::vec((0u64..1000, 1u64..500), 1..40),
+        jobs in proptest::collection::vec((0u64..1000, 1u64..500, any::<bool>()), 1..40),
     ) {
         let mut cpu = CpuResource::new(1.0);
-        let mut submissions: Vec<(u64, u64)> = jobs;
+        let mut submissions: Vec<(u64, u64, bool)> = jobs;
         submissions.sort_unstable();
-        let mut last_end = SimTime::ZERO;
-        for &(at, cost) in &submissions {
-            let (_, end) = cpu.execute(SimTime::from_nanos(at), SimDuration::from_nanos(cost));
-            prop_assert!(end >= last_end, "FIFO completion order");
-            last_end = end;
+        // Serial and read work each complete in FIFO order on their lane.
+        let mut last_end = [SimTime::ZERO; 2];
+        for &(at, cost, read) in &submissions {
+            let (at, cost) = (SimTime::from_nanos(at), SimDuration::from_nanos(cost));
+            let (_, end) = match read {
+                true => cpu.execute_read(at, cost),
+                false => cpu.execute(at, cost),
+            };
+            prop_assert!(end >= last_end[usize::from(read)], "FIFO completion order");
+            last_end[usize::from(read)] = end;
         }
-        let total: u64 = submissions.iter().map(|&(_, c)| c).sum();
+        let total: u64 = submissions.iter().map(|&(_, c, _)| c).sum();
         prop_assert_eq!(cpu.total_busy(), SimDuration::from_nanos(total));
         // Partition [0, horizon) into chunks; busy time is additive.
-        let horizon = last_end + SimDuration::from_nanos(100);
+        let horizon = last_end[0].max(last_end[1]) + SimDuration::from_nanos(100);
         let mid = SimTime::from_nanos(horizon.as_nanos() / 2);
         let part = cpu.busy_between(SimTime::ZERO, mid) + cpu.busy_between(mid, horizon);
         prop_assert_eq!(part, cpu.busy_between(SimTime::ZERO, horizon));
