@@ -227,7 +227,7 @@ impl Client {
         ));
         out.push(Action::Count(None, "timeouts", 1));
         let error = match self.gateway.retry_policy() {
-            Some(policy) => match policy.after_failure(row.attempts, trace, rng, &mut out) {
+            Some(policy) => match policy.after_failure(row.attempts, trace, Some(rng), &mut out) {
                 Ok(backoff) => {
                     let token = self.token();
                     out.push(Action::Arm(token, backoff));

@@ -4,24 +4,24 @@
 //! and answers with the [`Action`]s its host actor must perform, in order.
 //!
 //! One table holds every request of the client, on whichever channel. A
-//! row is in one of five phases — *endorsing*, *ordering*, *commit-wait*,
-//! *query*, *backing off* — and each phase waits on exactly one wake-up:
-//! under deadlines, the next re-send or the deadline, whichever comes
-//! first; else the backoff sleep. So with deadlines configured a row exists
+//! row is in one of four phases — *endorsing*, *commit-wait*, *query*,
+//! *backing off* — and each phase waits on exactly one wake-up: under
+//! deadlines, the next re-send or the deadline, whichever comes first;
+//! else the backoff sleep. So with deadlines configured a row exists
 //! exactly while its one timer is armed, and nothing can wedge: a re-send
-//! re-arms, and every other wake-up either ends the row with a typed error
-//! or moves it to a fresh attempt under a fresh tx id.
+//! re-arms, and every other wake-up ends the row with a typed error, waits
+//! again for its envelope or, while none has left, starts a fresh attempt.
 //!
 //! One rule covers every wait of a request, the hedged request of "The
 //! Tail at Scale": a node silent past the route's retransmission timeout
 //! (RTO) for that wait is passed by a copy of the request under the same
 //! tx id, one place further along its ring and twice as late each time.
 //! An endorsing or query row sends its signed proposal to the next
-//! endorser, an ordering row its envelope to the next orderer, at most one
-//! copy per other node of the ring; each copy moves the route's home past
-//! the node it passed, as an expiry does. A row in commit-wait asks the
-//! next endorser whether the transaction committed — Fabric Gateway's
-//! `CommitStatus` —, walking the ring until the deadline, and from its
+//! endorser, a commit-wait row not yet acked its envelope to the next
+//! orderer, at most one copy per other node of the ring; each copy moves
+//! the route's home past the node it passed, as an expiry does. An acked
+//! row asks the next endorser whether the transaction committed — Fabric
+//! Gateway's `CommitStatus` —, walking the ring until the deadline, and from its
 //! second probe on also re-broadcasts its envelope, unasked, walking the
 //! other orderers the same way: that recovers an envelope a follower
 //! forwarded into a dead leader once a new one is elected. A peer that
@@ -31,9 +31,12 @@
 //! answer that completes the row moves the endorsers' home to the peer
 //! that sent it, which held a commit the home did not report: only the
 //! rows already waiting pay a probe for a home cut off from the orderers.
-//! The deadlines and retries under fresh tx ids stay as the hard bound. A
-//! wait's first copy counts under `resent`, a commit wait's first
-//! re-broadcast under `rebroadcasts`, a home move under `home_moves`.
+//! The deadlines stay as the hard bound, and a tx id once broadcast is
+//! never replaced: past a commit-wait deadline the row sends its envelope
+//! on again and waits, so its outcome is the code the ledger recorded for
+//! that one tx id. A wait's first copy counts under `resent`, a commit
+//! wait's first re-broadcast under `rebroadcasts`, a home move under
+//! `home_moves`.
 //!
 //! Each route times each wait on its own with RFC 6298's estimator, RTO =
 //! `srtt + 4·rttvar`: *endorse* (proposal to first answer, queries
@@ -106,31 +109,20 @@ pub enum GatewayError {
 }
 
 impl GatewayError {
-    /// Classifies an endorser's wire-level rejection string.
-    fn from_endorsement(reason: String) -> Self {
-        if reason == BUSY_REASON {
-            GatewayError::Busy
-        } else {
-            GatewayError::Endorsement { reason }
+    /// Classifies a wire-level rejection string: `Busy`, else the
+    /// endorser's rejection, or a query's.
+    fn rejected(reason: String, query: bool) -> Self {
+        match (reason == BUSY_REASON, query) {
+            (true, _) => GatewayError::Busy,
+            (false, true) => GatewayError::Query { reason },
+            (false, false) => GatewayError::Endorsement { reason },
         }
     }
 
-    /// Classifies a query's wire-level rejection string.
-    fn from_query(reason: String) -> Self {
-        if reason == BUSY_REASON {
-            GatewayError::Busy
-        } else {
-            GatewayError::Query { reason }
-        }
-    }
-
-    /// True when the failure is transient — backpressure or a deadline
-    /// expiry — and a fresh attempt (with a new tx id) may succeed.
+    /// True when the failure is transient and no envelope left — backpressure,
+    /// a refusal, an endorse deadline —, so a fresh tx id may succeed.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            GatewayError::Busy | GatewayError::EndorseTimeout | GatewayError::CommitTimeout
-        )
+        matches!(self, GatewayError::Busy | GatewayError::EndorseTimeout)
     }
 }
 
@@ -153,11 +145,11 @@ impl std::fmt::Display for GatewayError {
 
 impl std::error::Error for GatewayError {}
 
-/// Deterministic exponential-backoff-with-jitter retry policy for
-/// transient gateway failures ([`GatewayError::Busy`], endorsement
-/// timeouts, commit-wait timeouts). Retried transactions are re-submitted
-/// with a fresh tx id; all randomness comes from the client actor's
-/// seeded stream, so runs are reproducible.
+/// Deterministic retry policy for transient gateway failures: an attempt
+/// whose envelope never left goes again under a fresh tx id after a
+/// jittered exponential backoff, and a commit-wait deadline waits again for
+/// the same envelope. All randomness comes from the client actor's seeded
+/// stream, so runs are reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempt budget (initial try + retries), at least 1.
@@ -193,14 +185,14 @@ impl RetryPolicy {
     }
 
     /// Attempt number `attempts` of the request traced on `trace` failed
-    /// transiently. With budget left: the backoff to sleep before the next
-    /// one, the retry counted, observed and noted; spent: `Exhausted`,
-    /// counted.
+    /// transiently. With budget left: the retry counted and noted, and the
+    /// backoff to sleep before it, drawn from `rng` and observed if one is
+    /// given (else zero); spent: `Exhausted`, counted.
     pub fn after_failure<X>(
         &self,
         attempts: u32,
         trace: String,
-        rng: &mut DetRng,
+        rng: Option<&mut DetRng>,
         out: &mut Vec<crate::action::Action<X>>,
     ) -> Result<SimDuration, GatewayError> {
         use crate::action::Action;
@@ -208,12 +200,13 @@ impl RetryPolicy {
             out.push(Action::Count(None, "exhausted", 1));
             return Err(GatewayError::Exhausted { attempts });
         }
-        let backoff = self.backoff(attempts, rng);
         out.push(Action::Count(None, "retries", 1));
-        out.push(Action::Observe("backoff", backoff));
-        let detail = format!("attempt={} backoff={backoff}", attempts + 1);
+        let backoff = rng.map(|rng| self.backoff(attempts, rng));
+        out.extend(backoff.map(|backoff| Action::Observe("backoff", backoff)));
+        let shown = backoff.map_or(String::new(), |backoff| format!(" backoff={backoff}"));
+        let detail = format!("attempt={}{shown}", attempts + 1);
         out.push(Action::Note(trace, "op.retry", detail));
-        Ok(backoff)
+        Ok(backoff.unwrap_or_default())
     }
 }
 
@@ -249,6 +242,9 @@ pub enum Reply {
 /// What a gateway answers an input with, in the order its host must
 /// perform it.
 pub type Action<T> = crate::action::Action<Done<T>>;
+
+/// The actions an input has answered with so far.
+type Out<T> = Vec<Action<T>>;
 
 /// What only a gateway tells its host: the caller's request is over.
 /// Always the last action of an input, which completes at most one request.
@@ -381,14 +377,7 @@ impl Route {
 
     /// Moves `ring`'s home from position `from` to `to`, unless something
     /// moved it already: counted, and noted on the trace of `tx`.
-    fn move_home<T>(
-        &mut self,
-        ring: usize,
-        from: usize,
-        to: usize,
-        tx: &TxId,
-        out: &mut Vec<Action<T>>,
-    ) {
+    fn move_home<T>(&mut self, ring: usize, from: usize, to: usize, tx: &TxId, out: &mut Out<T>) {
         if self.home[ring] != from || from == to {
             return;
         }
@@ -400,17 +389,17 @@ impl Route {
 
     /// `ring`'s node at position `at` let a wait of `tx` run out: the home
     /// moves past it, unless something moved it already.
-    fn blame<T>(&mut self, ring: usize, at: usize, tx: &TxId, out: &mut Vec<Action<T>>) {
+    fn blame<T>(&mut self, ring: usize, at: usize, tx: &TxId, out: &mut Out<T>) {
         self.move_home(ring, at, self.after(ring, at), tx, out);
     }
 
-    /// The wake-ups of a `wait` that begins at `now` and may re-send
-    /// `most` times, under the gateway's `endorse` and `commit` deadlines;
-    /// `None` without the wait's own.
+    /// The wake-ups of a `wait` timed from `since` that may re-send `most`
+    /// times, under the gateway's `endorse` and `commit` deadlines; `None`
+    /// without the wait's own.
     fn wake(
         &self,
         wait: Wait,
-        now: SimTime,
+        since: Option<SimTime>,
         most: usize,
         endorse: Option<SimDuration>,
         commit: Option<SimDuration>,
@@ -420,7 +409,7 @@ impl Route {
             Wait::Commit => commit,
         };
         Some(Wake {
-            since: now,
+            since,
             sent: 0,
             most: u32::try_from(most).unwrap_or(u32::MAX),
             refused: 0,
@@ -451,17 +440,19 @@ enum Phase {
         signed: Box<SignedProposal>,
         responses: Vec<ProposalResponse>,
     },
-    /// The orderer's answer to the submitted envelope (one node answers
-    /// it, under the endorse deadline).
-    Ordering { envelope: Arc<Envelope> },
     /// The commit notification of the submitted envelope, whose agreed
-    /// chaincode response is the reply's payload.
-    CommitWait { envelope: Arc<Envelope> },
+    /// chaincode response is the reply's payload. Until an orderer's answer
+    /// (or a deadline) `acked` it, a re-send copies the envelope to the next
+    /// orderer; after, it probes the commit's status.
+    CommitWait {
+        envelope: Arc<Envelope>,
+        acked: bool,
+    },
     /// The one endorser's answer; the proposal is kept for copies under
     /// an endorse deadline.
     Query { signed: Option<Box<SignedProposal>> },
-    /// The backoff sleep before the next attempt. The row stays under the
-    /// failed attempt's tx id, whose late replies it ignores.
+    /// The backoff sleep of an attempt whose envelope never left. The row
+    /// stays under its tx id, whose late replies it ignores.
     BackingOff,
 }
 
@@ -471,8 +462,8 @@ enum Phase {
 #[derive(Debug)]
 struct Wake {
     /// When the wait began: its answer times the route's round trip from
-    /// here.
-    since: SimTime,
+    /// here. `None` after a deadline: the answer may be the earlier wait's.
+    since: Option<SimTime>,
     /// Re-sends so far: copies of the request, or in commit-wait status
     /// probes.
     sent: u32,
@@ -506,7 +497,7 @@ impl Wake {
 
     /// The round trip of a wait answered at `now`, unless it re-sent.
     fn sample(&self, now: SimTime) -> Option<SimDuration> {
-        (self.sent == 0).then(|| now - self.since)
+        Some(now - self.since?).filter(|_| self.sent == 0)
     }
 }
 
@@ -516,7 +507,7 @@ struct Row<T> {
     caller: T,
     /// The route it was issued on.
     shard: usize,
-    /// Attempts started so far (1 = first try).
+    /// Attempts so far (1 = first try); one after submit waits again.
     attempts: u32,
     /// The ring positions the latest attempt used (first endorser, orderer);
     /// a copy moves them on to where it went.
@@ -600,9 +591,8 @@ impl<T: Caller> Gateway<T> {
         self
     }
 
-    /// Enables transparent retries of transient failures under `policy`:
-    /// a fresh attempt under a fresh tx id after a jittered exponential
-    /// backoff, until the attempt budget is spent.
+    /// Enables transparent retries of transient failures under `policy`
+    /// until the attempt budget is spent (see [`RetryPolicy`]).
     #[must_use]
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
@@ -727,7 +717,7 @@ impl<T: Caller> Gateway<T> {
             (1, "query", Phase::Query { signed })
         };
         let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
-        let mut wake = route.wake(Wait::Endorse, now, ring - targets, endorse, commit);
+        let mut wake = route.wake(Wait::Endorse, Some(now), ring - targets, endorse, commit);
         let mut out = Vec::with_capacity(3 + targets);
         out.push(Action::Charge(costs::client_proposal_cost(wire)));
         out.push(Action::SpanStart(tx_trace(&tx_id), stage, String::new()));
@@ -791,7 +781,7 @@ impl<T: Caller> Gateway<T> {
         resp: ProposalResponse,
         now: SimTime,
         rng: &mut DetRng,
-        out: &mut Vec<Action<T>>,
+        out: &mut Out<T>,
     ) {
         let tx_id = resp.tx_id;
         let Some(row) = self.rows.get_mut(&tx_id) else {
@@ -802,7 +792,7 @@ impl<T: Caller> Gateway<T> {
         let first = match &row.phase {
             Phase::Endorsing { responses, .. } => responses.is_empty(),
             Phase::Query { .. } => true,
-            Phase::Ordering { .. } | Phase::CommitWait { .. } | Phase::BackingOff => return,
+            Phase::CommitWait { .. } | Phase::BackingOff => return,
         };
         let wake = row.wake.as_ref().filter(|wake| first && wake.refused == 0);
         if let Some(rtt) = wake.and_then(|wake| wake.sample(now)) {
@@ -820,13 +810,13 @@ impl<T: Caller> Gateway<T> {
                     out.push(Action::Own(Done(row.caller, Ok(Reply::Bytes(bytes)))));
                     return;
                 }
-                Err(reason) => ("query", None, GatewayError::from_query(reason)),
+                Err(reason) => ("query", None, GatewayError::rejected(reason, true)),
             },
             Phase::Endorsing { responses, .. } => match &resp.result {
                 Err(reason) => (
                     "endorse",
                     Some(("endorse.rejected", reason.clone())),
-                    GatewayError::from_endorsement(reason.clone()),
+                    GatewayError::rejected(reason.clone(), false),
                 ),
                 Ok(_) => {
                     responses.push(resp);
@@ -844,9 +834,7 @@ impl<T: Caller> Gateway<T> {
                     ("endorse", Some(note), GatewayError::Mismatch)
                 }
             },
-            Phase::Ordering { .. } | Phase::CommitWait { .. } | Phase::BackingOff => {
-                unreachable!("answered above")
-            }
+            Phase::CommitWait { .. } | Phase::BackingOff => unreachable!("answered above"),
         };
         let row = self.close(tx_id, stage, out);
         if let Some((name, detail)) = note {
@@ -857,11 +845,8 @@ impl<T: Caller> Gateway<T> {
 
     /// The attempt under `tx_id` got its answer: takes its row out of the
     /// table, disarming its deadline and closing its `stage` span.
-    fn close(&mut self, tx_id: TxId, stage: &'static str, out: &mut Vec<Action<T>>) -> Row<T> {
-        let mut row = self
-            .rows
-            .remove(&tx_id)
-            .expect("invariant: callers looked the row up");
+    fn close(&mut self, tx_id: TxId, stage: &'static str, out: &mut Out<T>) -> Row<T> {
+        let mut row = self.rows.remove(&tx_id).expect("invariant: in the table");
         out.extend(row.token.take().map(Action::Disarm));
         out.push(Action::SpanEnd(tx_trace(&tx_id), stage, String::new()));
         row
@@ -871,8 +856,8 @@ impl<T: Caller> Gateway<T> {
     /// broadcasts it to this attempt's orderer and waits — for its answer
     /// under an endorse deadline, else for the commit — so a lost
     /// broadcast or commit notification cannot wedge the client.
-    fn submit(&mut self, tx_id: TxId, now: SimTime, out: &mut Vec<Action<T>>) {
-        let row = self.rows.get_mut(&tx_id).expect("caller looked it up");
+    fn submit(&mut self, tx_id: TxId, now: SimTime, out: &mut Out<T>) {
+        let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
         let Phase::Endorsing { signed, responses } =
             std::mem::replace(&mut row.phase, Phase::BackingOff)
         else {
@@ -885,39 +870,23 @@ impl<T: Caller> Gateway<T> {
                 signature: r.signature,
             })
             .collect();
-        let first = responses
-            .into_iter()
-            .next()
-            .expect("invariant: submit runs only after `needed >= 1` endorsements");
-        let envelope = Arc::new(Envelope {
+        let first = responses.into_iter().next().expect("needed >= 1");
+        let sent = Arc::new(Envelope {
             proposal: signed.proposal,
             payload: first.result.unwrap_or_default(),
             rwset: first.rwset,
             event: first.event,
             endorsements,
         });
-        let (route, kept) = (&self.routes[row.shard], Arc::clone(&envelope));
-        let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
-        let ack = endorse.is_some();
-        let (phase, mut wake) = match ack {
-            true => {
-                let copies = route.orderers.len() - 1;
-                let wake = route.wake(Wait::Order, now, copies, endorse, commit);
-                (Phase::Ordering { envelope: kept }, wake)
-            }
-            false => {
-                let wake = route.wake(Wait::Commit, now, 0, endorse, commit);
-                (Phase::CommitWait { envelope: kept }, wake)
-            }
-        };
-        row.phase = phase;
-        out.extend(row.token.take().map(Action::Disarm));
-        row.token = arm(&mut self.next_token, wake.as_mut().map(Wake::arm), out);
-        row.wake = wake;
-        let bytes = envelope.wire_size();
-        let orderer = route.orderers[row.at[ORDERERS]];
+        let orderer = self.routes[row.shard].orderers[row.at[ORDERERS]];
+        let (envelope, acked) = (Arc::clone(&sent), false);
+        row.phase = Phase::CommitWait { envelope, acked };
+        let ack = self.endorse_timeout.is_some();
+        let wait = if ack { Wait::Order } else { Wait::Commit };
+        self.start_wait(tx_id, wait, Some(now), out);
+        let bytes = sent.wire_size();
         let msg = FabricMsg::Broadcast {
-            envelope,
+            envelope: sent,
             ack,
             copy: false,
         };
@@ -929,42 +898,28 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::SpanStart(trace, "commit_wait", String::new()));
     }
 
-    /// An orderer answered the envelope at `now`: taken in, the row waits
-    /// for the commit under the commit deadline, probing before it on a
-    /// ring with another endorser; refused, the attempt fails `Busy` once
-    /// no other copy is out.
+    /// An orderer answered the envelope at `now`, which only a row not yet
+    /// acked hears: taken in, the row waits for the commit; refused, the
+    /// attempt fails `Busy` once no other copy is out.
     fn on_ack(
         &mut self,
         tx_id: TxId,
         accepted: bool,
         now: SimTime,
         rng: &mut DetRng,
-        out: &mut Vec<Action<T>>,
+        out: &mut Out<T>,
     ) {
         let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
         };
-        let Phase::Ordering { envelope } = &row.phase else {
+        let Phase::CommitWait { acked: false, .. } = row.phase else {
             return;
         };
         if accepted {
-            let envelope = Arc::clone(envelope);
-            let route = &mut self.routes[row.shard];
             if let Some(rtt) = row.wake.as_ref().and_then(|wake| wake.sample(now)) {
-                route.sample(Wait::Order, rtt);
+                self.routes[row.shard].sample(Wait::Order, rtt);
             }
-            let probes = if route.endorsers.len() > 1 {
-                usize::MAX
-            } else {
-                0
-            };
-            let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
-            let mut wake = route.wake(Wait::Commit, now, probes, endorse, commit);
-            out.extend(row.token.take().map(Action::Disarm));
-            row.token = arm(&mut self.next_token, wake.as_mut().map(Wake::arm), out);
-            row.wake = wake;
-            row.phase = Phase::CommitWait { envelope };
-            return;
+            return self.start_wait(tx_id, Wait::Commit, Some(now), out);
         }
         if row.another_copy_out() {
             return;
@@ -975,17 +930,39 @@ impl<T: Caller> Gateway<T> {
         self.fail(tx_id, row, GatewayError::Busy, rng, out);
     }
 
+    /// Submitted row `tx_id` waits for the orderer's answer or, acked, for
+    /// the commit, timed from `since` if at all: under the wait's deadline,
+    /// from the route's RTO on it copies the envelope to the other orderers
+    /// or, under an endorse deadline, probes the other endorsers.
+    fn start_wait(&mut self, tx_id: TxId, wait: Wait, since: Option<SimTime>, out: &mut Out<T>) {
+        let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
+        let route = &self.routes[row.shard];
+        let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
+        let most = match wait {
+            Wait::Order => route.orderers.len() - 1,
+            _ if endorse.is_some() && route.endorsers.len() > 1 => usize::MAX,
+            _ => 0,
+        };
+        let mut wake = route.wake(wait, since, most, endorse, commit);
+        out.extend(row.token.take().map(Action::Disarm));
+        row.token = arm(&mut self.next_token, wake.as_mut().map(Wake::arm), out);
+        row.wake = wake;
+        if let Phase::CommitWait { acked, .. } = &mut row.phase {
+            *acked = matches!(wait, Wait::Commit);
+        }
+    }
+
     /// A commit arriving at `now` — the home's event, or the answer of the
     /// `probed` peer — completes the row, even one that overtook the ack; a
-    /// second copy's, coded `DuplicateTxId`, does nothing. In commit-wait
-    /// the home's is a sample of the route's commit wait, and a probed
-    /// peer's answer moves the endorsers' home to that peer.
+    /// second copy's, coded `DuplicateTxId`, does nothing. Once acked the
+    /// home's is a sample of the route's commit wait, and a probed peer's
+    /// answer moves the endorsers' home to that peer.
     fn on_commit(
         &mut self,
         event: CommitEvent,
         now: SimTime,
         probed: Option<ActorId>,
-        out: &mut Vec<Action<T>>,
+        out: &mut Out<T>,
     ) {
         let tx_id = event.tx_id;
         if event.code == ValidationCode::DuplicateTxId {
@@ -994,22 +971,21 @@ impl<T: Caller> Gateway<T> {
         let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
         };
-        match &row.phase {
-            Phase::Ordering { .. } => {}
-            Phase::CommitWait { .. } => {
-                let route = &mut self.routes[row.shard];
-                if let (None, Some(wake)) = (probed, &row.wake) {
-                    route.sample(Wait::Commit, now - wake.since);
-                }
-                let at = probed.and_then(|peer| route.endorsers.iter().position(|&p| p == peer));
-                if let Some(to) = at {
-                    route.move_home(ENDORSERS, row.at[ENDORSERS], to, &tx_id, out);
-                }
+        let Phase::CommitWait { acked, .. } = row.phase else {
+            return;
+        };
+        if acked {
+            let route = &mut self.routes[row.shard];
+            if let (None, Some(since)) = (probed, row.wake.as_ref().and_then(|wake| wake.since)) {
+                route.sample(Wait::Commit, now - since);
             }
-            _ => return,
+            let at = probed.and_then(|peer| route.endorsers.iter().position(|&p| p == peer));
+            if let Some(to) = at {
+                route.move_home(ENDORSERS, row.at[ENDORSERS], to, &tx_id, out);
+            }
         }
         let row = self.close(tx_id, "commit_wait", out);
-        let (Phase::Ordering { envelope } | Phase::CommitWait { envelope }) = row.phase else {
+        let Phase::CommitWait { envelope, .. } = row.phase else {
             unreachable!("matched above");
         };
         // The orderers dropped their copies on taking the envelope in.
@@ -1027,7 +1003,7 @@ impl<T: Caller> Gateway<T> {
     /// only a commit-wait probe grants moves — probes the next endorser at
     /// once and arms nothing. Like a `DuplicateTxId`, the answer never ends
     /// a row and times nothing.
-    fn on_not_found(&mut self, tx_id: TxId, out: &mut Vec<Action<T>>) {
+    fn on_not_found(&mut self, tx_id: TxId, out: &mut Out<T>) {
         let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
         };
@@ -1039,65 +1015,97 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// A wake-up fired at `now`. A re-send sends a copy on
-    /// ([`Gateway::resend`]). A deadline abandons the attempt — its span
-    /// closes, its row leaves the table, nothing can leak — and moves the
-    /// home of the ring it blames; a backoff issues the next attempt.
-    /// Tokens of finished requests do nothing.
+    /// ([`Gateway::resend`]). A deadline moves the home of the ring it
+    /// blames and, before submit, abandons the attempt — its span closes,
+    /// its row leaves the table, nothing can leak —; after, see
+    /// [`Gateway::wait_again`]. A backoff issues the next attempt. Tokens
+    /// of finished requests do nothing.
     pub fn on_timer(&mut self, token: u64, now: SimTime, rng: &mut DetRng) -> Vec<Action<T>> {
-        let found = self.rows.iter().find(|(_, row)| row.token == Some(token));
+        let found = self
+            .rows
+            .iter_mut()
+            .find(|(_, row)| row.token == Some(token));
         let Some((&tx_id, row)) = found else {
             return Vec::new();
         };
         if row.wake.as_ref().is_some_and(|wake| !wake.left.is_zero()) {
             return self.resend(tx_id);
         }
-        let mut row = self.rows.remove(&tx_id).expect("found above");
         row.token = None;
-        use GatewayError::{CommitTimeout, EndorseTimeout};
         // Whose deadline it was: the endorser asked, the orderer that did
-        // not answer, or — in commit-wait — the first endorser, which is
-        // the peer that reports the commit.
-        let (stage, event, error, blamed) = match row.phase {
-            Phase::Endorsing { .. } => ("endorse", "endorse.timeout", EndorseTimeout, ENDORSERS),
-            Phase::Ordering { .. } => ("commit_wait", "order.timeout", CommitTimeout, ORDERERS),
-            Phase::CommitWait { .. } => ("commit_wait", "commit.timeout", CommitTimeout, ENDORSERS),
-            Phase::Query { .. } => ("query", "query.timeout", EndorseTimeout, ENDORSERS),
-            Phase::BackingOff => return self.next_attempt(row, now),
+        // not answer, or — once acked — the first endorser, which is the
+        // peer that reports the commit.
+        let (stage, event, blamed) = match row.phase {
+            Phase::Endorsing { .. } => ("endorse", "endorse.timeout", ENDORSERS),
+            Phase::CommitWait { acked: false, .. } => ("commit_wait", "order.timeout", ORDERERS),
+            Phase::CommitWait { acked: true, .. } => ("commit_wait", "commit.timeout", ENDORSERS),
+            Phase::Query { .. } => ("query", "query.timeout", ENDORSERS),
+            Phase::BackingOff => {
+                let row = self.rows.remove(&tx_id).expect("found above");
+                return self.next_attempt(row, now);
+            }
         };
-        let mut out = vec![
-            Action::SpanEnd(tx_trace(&tx_id), stage, String::new()),
-            Action::Note(tx_trace(&tx_id), event, String::new()),
-        ];
-        self.routes[row.shard].blame(blamed, row.at[blamed], &tx_id, &mut out);
-        self.fail(tx_id, row, error, rng, &mut out);
+        let (shard, at, mut out) = (row.shard, row.at[blamed], Vec::new());
+        let ended = (stage != "commit_wait").then(|| self.close(tx_id, stage, &mut out));
+        out.push(Action::Note(tx_trace(&tx_id), event, String::new()));
+        self.routes[shard].blame(blamed, at, &tx_id, &mut out);
+        out.push(Action::Count(None, "timeouts", 1));
+        match ended {
+            Some(row) => self.fail(tx_id, row, GatewayError::EndorseTimeout, rng, &mut out),
+            None => self.wait_again(tx_id, &mut out),
+        }
         out
+    }
+
+    /// The commit-wait deadline of row `tx_id` passed. Its envelope may
+    /// have reached an orderer, so its tx id stays: with budget left the
+    /// retry, drawing no backoff, sends it again, marked `copy`, to the next
+    /// orderer — on a ring of one, to that one — and waits again for the
+    /// commit, timing nothing; spent, the row ends `Exhausted`, with no
+    /// policy `CommitTimeout`.
+    fn wait_again(&mut self, tx_id: TxId, out: &mut Out<T>) {
+        let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
+        let trace = row.caller.trace();
+        let error = match self.retry {
+            None => GatewayError::CommitTimeout,
+            Some(policy) => match policy.after_failure(row.attempts, trace, None, out) {
+                Err(exhausted) => exhausted,
+                Ok(_) => {
+                    let route = &self.routes[row.shard];
+                    row.attempts += 1;
+                    row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
+                    if let Phase::CommitWait { envelope, .. } = &row.phase {
+                        let (bytes, msg) = copy_of(envelope, false);
+                        out.push(Action::Send(route.orderers[row.at[ORDERERS]], bytes, msg));
+                    }
+                    return self.start_wait(tx_id, Wait::Commit, None, out);
+                }
+            },
+        };
+        let row = self.close(tx_id, "commit_wait", out);
+        out.push(Action::Own(Done(row.caller, Err(error))));
     }
 
     /// The armed wake-up of row `tx_id` was a re-send, and arms the next,
     /// twice as late, or the deadline. An endorsing or query row sends its
     /// proposal one endorser past its window, which moves on past its first
-    /// (silent) endorser; an ordering row its envelope to the next orderer.
-    /// A row in commit-wait asks the next endorser after its own — one place
-    /// further along each time, skipping its own — whether the transaction
+    /// (silent) endorser; a commit-wait row not yet acked its envelope to
+    /// the next orderer. Once acked it asks the next endorser after its own
+    /// — one place further along each time, skipping its own — whether the transaction
     /// committed, which lets a "not found" move the probe on again, once
     /// around the ring; from its second probe on it also sends its
     /// envelope, unasked, to the orderers after its own in the same way.
     fn resend(&mut self, tx_id: TxId) -> Vec<Action<T>> {
-        let row = self
-            .rows
-            .get_mut(&tx_id)
-            .expect("invariant: caller found it");
-        let wake = row
-            .wake
-            .as_mut()
-            .expect("a re-send fires on a row with a wake-up");
+        let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
+        let wake = row.wake.as_mut().expect("a re-send has a wake-up");
         let route = &mut self.routes[row.shard];
         let (trace, sent) = (tx_trace(&tx_id), wake.sent);
         wake.sent += 1;
         wake.next = wake.next * 2;
         let mut out = Vec::with_capacity(6);
         // Each copy is noted; a wait is counted once, at its first: under
-        // `resent`, or from commit-wait under `rebroadcasts`.
+        // `resent`, or once acked under `rebroadcasts`.
+        let resent = (sent == 0).then_some("resent");
         let (copy, note, counted) = match &row.phase {
             Phase::Endorsing { signed, .. }
             | Phase::Query {
@@ -1113,20 +1121,19 @@ impl<T: Caller> Gateway<T> {
                 let to = route.endorsers[(row.at[ENDORSERS] + window - 1) % ring];
                 let wire = signed.proposal.wire_size() + 32;
                 let msg = FabricMsg::SubmitProposal(SignedProposal::clone(signed));
-                (
-                    Some((to, wire, msg)),
-                    "endorse.resend",
-                    (sent == 0).then_some("resent"),
-                )
+                (Some((to, wire, msg)), "endorse.resend", resent)
             }
-            Phase::Ordering { envelope } => {
+            Phase::CommitWait {
+                envelope,
+                acked: false,
+            } => {
                 route.blame(ORDERERS, row.at[ORDERERS], &tx_id, &mut out);
                 row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
                 let (bytes, msg) = copy_of(envelope, true);
                 let copy = (route.orderers[row.at[ORDERERS]], bytes, msg);
-                (Some(copy), "order.resend", (sent == 0).then_some("resent"))
+                (Some(copy), "order.resend", resent)
             }
-            Phase::CommitWait { envelope } => {
+            Phase::CommitWait { envelope, .. } => {
                 wake.moves = route.endorsers.len() - 2;
                 out.extend(route.probe(row.at[ENDORSERS], wake, tx_id, "commit.probe"));
                 let orderers = route.orderers.len();
@@ -1136,11 +1143,8 @@ impl<T: Caller> Gateway<T> {
                     let (bytes, msg) = copy_of(envelope, false);
                     (to, bytes, msg)
                 });
-                (
-                    copy,
-                    "commit.rebroadcast",
-                    (sent == 1).then_some("rebroadcasts"),
-                )
+                let rebroadcasts = (sent == 1).then_some("rebroadcasts");
+                (copy, "commit.rebroadcast", rebroadcasts)
             }
             Phase::Query { signed: None } | Phase::BackingOff => {
                 unreachable!("a re-send fires on a row with something to send")
@@ -1164,28 +1168,22 @@ impl<T: Caller> Gateway<T> {
         self.issue(row.caller, row.shard, row.attempts, at, call, now)
     }
 
-    /// The attempt under `tx_id` failed with `error`, and `row` is out of
-    /// the table with nothing armed. A transient error goes back in to
-    /// sleep out a jittered exponential backoff until the attempt budget
-    /// is spent; everything else (and every failure without a policy) is
-    /// the request's outcome.
+    /// The attempt under `tx_id`, whose envelope never left, failed with
+    /// `error`, and `row` is out of the table with nothing armed. A
+    /// transient error goes back in to sleep out a jittered exponential
+    /// backoff until the attempt budget is spent; everything else (and every
+    /// failure without a policy) is the request's outcome.
     fn fail(
         &mut self,
         tx_id: TxId,
         mut row: Row<T>,
         error: GatewayError,
         rng: &mut DetRng,
-        out: &mut Vec<Action<T>>,
+        out: &mut Out<T>,
     ) {
-        if matches!(
-            error,
-            GatewayError::EndorseTimeout | GatewayError::CommitTimeout
-        ) {
-            out.push(Action::Count(None, "timeouts", 1));
-        }
         let error = match self.retry {
             Some(policy) if error.is_retryable() => {
-                match policy.after_failure(row.attempts, row.caller.trace(), rng, out) {
+                match policy.after_failure(row.attempts, row.caller.trace(), Some(rng), out) {
                     Ok(backoff) => {
                         row.token = arm(&mut self.next_token, Some(backoff), out);
                         row.wake = None;
@@ -1215,11 +1213,7 @@ fn copy_of(envelope: &Arc<Envelope>, ack: bool) -> (u64, FabricMsg) {
 }
 
 /// Arms a fresh wake-up after `delay`, if the phase has one configured.
-fn arm<T>(
-    next_token: &mut u64,
-    delay: Option<SimDuration>,
-    out: &mut Vec<Action<T>>,
-) -> Option<u64> {
+fn arm<T>(next_token: &mut u64, delay: Option<SimDuration>, out: &mut Out<T>) -> Option<u64> {
     let delay = delay?;
     *next_token += 1;
     out.push(Action::Arm(*next_token, delay));

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use hyperprov_ledger::{Block, Digest, RawEnvelope};
+use hyperprov_ledger::{Block, Digest, RawEnvelope, TxId};
 use hyperprov_sim::SimDuration;
 
 /// Batch formation parameters, mirroring Fabric's `BatchSize`/`BatchTimeout`.
@@ -100,6 +100,11 @@ impl BlockCutter {
             timer_needed: !self.pending.is_empty(),
             batches,
         }
+    }
+
+    /// Whether `tx_id` is pending.
+    pub fn holds(&self, tx_id: &TxId) -> bool {
+        self.pending.iter().any(|env| env.tx_id == *tx_id)
     }
 
     /// Cuts whatever is pending (the batch-timeout path). Returns `None`

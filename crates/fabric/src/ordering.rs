@@ -313,7 +313,7 @@ impl OrderingNode {
     /// term, vote and log: a restarted stale leader steps down as soon as
     /// it hears a higher term. Transactions pending in the cutter are
     /// volatile and are lost — their clients observe a commit timeout and
-    /// retry with fresh tx ids — and the spans of pre-crash admissions
+    /// send the same envelopes again — and the spans of pre-crash admissions
     /// stay open in the tracer (reported as open, never as unmatched). The
     /// crash dropped every pending timer, so the tick is armed again.
     pub fn restarted(&mut self) -> Vec<Action> {
@@ -329,8 +329,9 @@ impl OrderingNode {
 
     /// A client's envelope. A raft member that does not lead forwards it
     /// to the leader it knows of, or drops it. A node that orders and holds
-    /// it already — admitted, or, for a client's `copy`, in a retained block
-    /// — counts a duplicate and queues nothing. Else it takes it into the
+    /// it already — admitted (Solo: for a client's `copy`, pending in the
+    /// cutter), or, for a `copy`, in a retained block — counts a duplicate
+    /// and queues nothing. Else it takes it into the
     /// cutter: counts it, opens its `order.queue` span (the time the tx
     /// waits for its batch to cut), cancels the batch timer when a batch
     /// cut, and arms it when something stays pending. If the envelope asked
@@ -366,7 +367,7 @@ impl OrderingNode {
         let tx_id = raw.tx_id;
         let held = match &self.consensus {
             Consensus::Raft(member) => member.admitted.contains(&tx_id),
-            Consensus::Solo => false,
+            Consensus::Solo => copy && self.cutter.holds(&tx_id),
         };
         if held || copy && self.chain.holds(&tx_id) {
             let duplicate = self.chain.count("duplicates");
@@ -412,7 +413,7 @@ impl OrderingNode {
     /// and delivers them at once, as one CPU job of `cost`; a raft leader
     /// proposes each to the cluster, and a member deposed since it took
     /// the envelopes in drops the batch: its transactions have left the
-    /// queue for good, and their clients time out and retry.
+    /// queue for good, and their clients time out and send them again.
     fn order(&mut self, batches: Vec<Vec<RawEnvelope>>, cost: SimDuration, out: &mut Vec<Action>) {
         let member = match &mut self.consensus {
             Consensus::Raft(member) => member,

@@ -221,6 +221,18 @@ fn tx_of(actions: &[Action<Req>]) -> TxId {
         .expect("the actions send a proposal")
 }
 
+/// The tx id of each envelope these actions send, and whether it is
+/// marked a copy.
+fn envelopes(actions: &[Action<Req>]) -> Vec<(TxId, bool)> {
+    let sent = actions.iter().filter_map(|action| match action {
+        Action::Send(_, _, FabricMsg::Broadcast { envelope, copy, .. }) => {
+            Some((envelope.tx_id(), *copy))
+        }
+        _ => None,
+    });
+    sent.collect()
+}
+
 /// The token of the last timer these actions arm.
 fn armed_by(actions: &[Action<Req>]) -> u64 {
     let armed = actions.iter().rev().find_map(|action| match action {
@@ -361,7 +373,11 @@ mod transitions {
         assert_eq!(show(&b.message(b.answer(tx, Ok(b"r")))), submit);
         // An answer nobody asked for changes nothing.
         assert!(b.message(ack(tx, false)).is_empty());
-        assert_eq!(show(&b.timer(1))[..2], ["commit_wait]", "!commit.timeout"]);
+        // The deadline sends the same envelope again and waits again, with
+        // no probe: nothing is copied before an endorse deadline.
+        let again = show(&b.timer(1));
+        assert_eq!(again[..2], ["!commit.timeout", "+client.home_moves"]);
+        assert_eq!(again[6..], ["broadcast->91", "arm#2=commit"]);
     }
 
     #[test]
@@ -453,12 +469,13 @@ mod transitions {
         // replaced).
         let tx = tx_of(&b.invoke(0, 3));
         b.message(b.answer(tx, Ok(b"r")));
+        // A submitted row closes its span as it ends.
         let expired = [
-            "commit_wait]",
             "!order.timeout",
             "+client.home_moves",
             "!home orderers 0->1",
             "+client.timeouts",
+            "commit_wait]",
             "done3=CommitTimeout",
         ];
         assert_eq!(show(&b.timer(4)), expired);
@@ -472,11 +489,11 @@ mod transitions {
             ["!commit.probe", "probe->10", "arm#8=rest"]
         );
         let expired = [
-            "commit_wait]",
             "!commit.timeout",
             "+client.home_moves",
             "!home endorsers 2->0",
             "+client.timeouts",
+            "commit_wait]",
             "done4=CommitTimeout",
         ];
         assert_eq!(show(&b.timer(8)), expired);
@@ -642,47 +659,45 @@ mod transitions {
     }
 
     /// A dead home orderer costs one endorse deadline per outage: its
-    /// answer does not come, the resubmission goes to the next orderer,
-    /// and the next request's envelope goes there first. The endorsers'
-    /// home stays: it was not their deadline.
+    /// answer does not come, the same envelope goes to the next orderer,
+    /// with no second proposal, and the next request's envelope goes there
+    /// first. The endorsers' home stays: it was not their deadline.
     #[test]
     fn a_resubmission_goes_to_the_next_orderer() {
         let mut b = bench(&[1], true, Some(4));
         let first = addressed(&mut b, 1, true, &[90]);
-        assert_eq!(first, (vec![10, 11], vec![90, 91]));
+        assert_eq!(first, (vec![10], vec![90, 91]));
         assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
         assert_eq!(addressed(&mut b, 2, true, &[90]), (vec![10], vec![91]));
     }
 
-    /// The orderer's answer is lost: the attempt fails `CommitTimeout`
-    /// after the endorse deadline and, with budget left, is re-sent to the
-    /// next orderer, which the home then points at.
+    /// The orderer's answer is lost: after the endorse deadline the row,
+    /// with budget left, sends the same envelope, unasked and marked
+    /// `copy`, to the next orderer, which the home then points at, and
+    /// waits for its commit: no backoff, no second proposal, the span
+    /// still open.
     #[test]
     fn a_lost_answer_with_budget_left_resends_to_the_next_orderer() {
         let mut b = bench(&[1], true, Some(3));
         let tx = tx_of(&b.invoke(0, 1));
         let ordering = armed_by(&b.message(b.answer(tx, Ok(b"r"))));
-        let backing_off = [
-            "commit_wait]",
+        let again = b.timer(ordering);
+        let waiting = [
             "!order.timeout",
             "+client.home_moves",
             "!home orderers 0->1",
             "+client.timeouts",
             "+client.retries",
-            "backoff",
             "!op.retry@op-1",
-            "arm#3=backoff",
+            "broadcast->91",
+            "arm#3=endorse",
         ];
-        assert_eq!(show(&b.timer(ordering)), backing_off);
-        let second = tx_of(&b.timer(3));
-        let submitted = show(&b.message(b.answer(second, Ok(b"r"))));
-        assert_eq!(submitted[2], "broadcast?->91");
-        assert_eq!(
-            show(&b.message(ack(second, true))),
-            ["disarm#5", "arm#6=endorse"]
-        );
-        let done = ["disarm#6", "commit_wait]", "done1=Valid"];
-        assert_eq!(show(&b.message(commit(second))), done);
+        assert_eq!(show(&again), waiting);
+        assert_eq!(envelopes(&again), [(tx, true)], "the same envelope, a copy");
+        // A late answer to the first broadcast changes nothing.
+        assert!(b.message(ack(tx, false)).is_empty());
+        let done = ["disarm#3", "commit_wait]", "done1=Valid"];
+        assert_eq!(show(&b.message(commit(tx))), done);
         assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
     }
 
@@ -735,18 +750,18 @@ mod transitions {
         b.message(ack(waiting, true));
         b.invoke(0, 2);
         // Request 1's probe goes unanswered, and its commit deadline
-        // blames endorser 10, where request 2 waits: it stays.
+        // blames endorser 10, where request 2 waits: it stays. Request 1
+        // waits again for its envelope.
         b.timer(3);
         let expired = [
-            "commit_wait]",
             "!commit.timeout",
             "+client.home_moves",
             "!home endorsers 0->1",
             "+client.timeouts",
             "+client.retries",
-            "backoff",
             "!op.retry@op-1",
-            "arm#6=backoff",
+            "broadcast->91",
+            "arm#6=endorse",
         ];
         assert_eq!(show(&b.timer(5)), expired);
         // Request 3 waits for its commit at endorser 11, the new home,
@@ -770,24 +785,44 @@ mod transitions {
         assert_eq!(b.gateway().inflight(), 4);
     }
 
-    /// Every attempt waits out its own deadline, wherever it waits: on a
-    /// Solo orderer's ring of one, whose home has nowhere to move, on its
+    /// An ordering deadline on a Solo orderer's ring of one, whose home has
+    /// nowhere to move, sends the same envelope, marked `copy`, to that
+    /// orderer again and stays on its tx id: a lost envelope is recovered.
+    /// A second deadline does the same, and the row then waits for its
+    /// commit.
+    #[test]
+    fn an_ordering_deadline_on_a_ring_of_one_sends_the_same_envelope_to_it_again() {
+        let solo = Route::new("ch0", endorsers(0), vec![ORDERERS[0]], 1);
+        let mut b = bench_on(vec![solo], Some(ENDORSE), Some(COMMIT), Some(3));
+        let tx = tx_of(&b.invoke(0, 1));
+        let ordering = armed_by(&b.message(b.answer(tx, Ok(b"r"))));
+        let again = b.timer(ordering);
+        let expired = [
+            "!order.timeout",
+            "+client.timeouts",
+            "+client.retries",
+            "!op.retry@op-1",
+            "broadcast->90",
+            "arm#3=endorse",
+        ];
+        assert_eq!(show(&again), expired);
+        assert_eq!(envelopes(&again), [(tx, true)]);
+        // The probe, then the commit deadline: the same envelope again.
+        let probed = b.timer(3);
+        assert_eq!(show(&probed)[..2], ["!commit.probe", "probe->11"]);
+        let again = show(&b.timer(armed_by(&probed)));
+        assert_eq!(again[0], "!commit.timeout");
+        assert_eq!(again[again.len() - 2], "broadcast->90");
+        assert_eq!(b.gateway().homes(0), (ActorId(11), ORDERERS[0]));
+        let done = show(&b.message(commit(tx)));
+        assert_eq!(done.last().unwrap(), "done1=Valid");
+    }
+
+    /// Every attempt waits out its own deadline, wherever it waits: on its
     /// last attempt, and with no retry policy. Two deadlines of one node
     /// move its home once.
     #[test]
     fn an_attempt_with_nowhere_to_go_waits_out_its_own_deadline() {
-        let solo = Route::new("ch0", endorsers(0), vec![ORDERERS[0]], 1);
-        let mut b = bench_on(vec![solo], Some(ENDORSE), Some(COMMIT), Some(3));
-        for n in 1..=2 {
-            let tx = tx_of(&b.invoke(0, n));
-            b.message(b.answer(tx, Ok(b"r")));
-        }
-        for (token, req) in [(2, 1), (4, 2)] {
-            let expired = show(&b.timer(token));
-            assert_eq!(expired[..2], ["commit_wait]", "!order.timeout"]);
-            assert_eq!(expired[5], format!("!op.retry@op-{req}"));
-            assert_eq!(expired.len(), 7, "{expired:?}");
-        }
         // Request 1 is on the last of its two attempts at endorser 11 when
         // request 2's deadline there expires.
         let mut b = bench(&[1], true, Some(2));
@@ -815,30 +850,28 @@ mod transitions {
         }
     }
 
-    /// Pinned, not endorsed (benchmark README finding 2): after a
-    /// `CommitTimeout` the row moves to a fresh tx id, and the first
-    /// attempt's commit notification, if it then arrives, completes
-    /// nothing — 0 of the 2 late commits here — although that
-    /// transaction is on the ledger. The operation is reported by its
-    /// second attempt alone.
+    /// After a `CommitTimeout` the row stays on its tx id, so the commit
+    /// of its one envelope, arriving after the deadline, completes it
+    /// with the code the ledger recorded, and no second proposal is sent.
     #[test]
-    fn a_late_commit_of_a_timed_out_attempt_is_dropped() {
+    fn a_late_commit_of_a_timed_out_attempt_completes_it() {
         let mut b = bench(&[1], true, Some(3));
         let first = tx_of(&b.invoke(0, 1));
         b.message(b.answer(first, Ok(b"r")));
         b.message(ack(first, true));
         b.timer(3); // an unanswered probe
-        assert_eq!(show(&b.timer(4))[..2], ["commit_wait]", "!commit.timeout"]);
-        let mut completed = 0;
-        completed += b.message(commit(first)).len(); // during the backoff
-        let second = tx_of(&b.timer(5));
-        completed += b.message(commit(first)).len(); // during the second attempt
-        assert_eq!(completed, 0);
-        b.message(b.answer(second, Ok(b"r")));
-        assert_eq!(
-            show(&b.message(commit(second))).last().unwrap(),
-            "done1=Valid"
-        );
+        let again = b.timer(4);
+        assert_eq!(show(&again)[0], "!commit.timeout");
+        let proposed = |actions: &[Action<Req>]| {
+            let proposals = actions.iter().filter(|action| {
+                matches!(action, Action::Send(_, _, FabricMsg::SubmitProposal(_)))
+            });
+            proposals.count()
+        };
+        assert_eq!(proposed(&again), 0);
+        let done = ["disarm#5", "commit_wait]", "done1=Valid"];
+        assert_eq!(show(&b.message(commit(first))), done);
+        assert_eq!(b.gateway().inflight(), 0);
     }
 }
 
@@ -906,7 +939,7 @@ mod probes {
             fired = b.timer(armed_by(&fired));
             let shown = show(&fired);
             if shown[0] != "!commit.probe" {
-                assert_eq!(shown[..2], ["commit_wait]", "!commit.timeout"]);
+                assert_eq!(shown[0], "!commit.timeout");
                 break;
             }
             asked.push(shown[1].clone());
@@ -1217,8 +1250,22 @@ mod resends {
             "broadcast?->92",
         ];
         assert_eq!(show(&b.timer(6))[..4], copy);
-        let expired = show(&b.timer(7));
-        assert_eq!(expired[..2], ["commit_wait]", "!order.timeout"]);
+        // The deadline sends the same envelope on, unasked, and waits
+        // for its commit.
+        let expired = b.timer(7);
+        let shown = show(&expired);
+        assert_eq!(
+            shown[..3],
+            [
+                "!order.timeout",
+                "+client.home_moves",
+                "!home orderers 2->0"
+            ]
+        );
+        assert_eq!(
+            (sent_ids(&expired), &shown[6]),
+            (vec![tx], &"broadcast->90".to_owned())
+        );
     }
 
     /// The endorse and order RTOs never fall below [`MIN_RTO`]: a 10 ms
@@ -1406,6 +1453,14 @@ struct Model {
     /// Transactions an orderer took in: on the ledger of every live peer,
     /// which answers a status probe for them, and "not found" for others.
     committed: BTreeSet<TxId>,
+    /// The request of each tx id sent.
+    requests: BTreeMap<TxId, u32>,
+    /// The request whose retry, noted `op.retry`, armed each token: the
+    /// proposal that token's wake-up sends is that request's.
+    retrying: BTreeMap<u64, u32>,
+    /// The tx id of each request's first envelope an orderer took in:
+    /// every later send of the request carries it.
+    broadcast: BTreeMap<u32, TxId>,
 }
 
 /// The node one place along `ring` from `node`.
@@ -1431,6 +1486,9 @@ impl Model {
             dead,
             asked: BTreeMap::new(),
             committed: BTreeSet::new(),
+            requests: BTreeMap::new(),
+            retrying: BTreeMap::new(),
+            broadcast: BTreeMap::new(),
         }
     }
 
@@ -1438,11 +1496,45 @@ impl Model {
         &mut self.bench.sched.rng
     }
 
+    /// Issues request `req` on route `shard`, an invoke or a query, and
+    /// applies what the gateway answers.
+    fn issue(&mut self, shard: usize, req: u32, invoke: bool) -> Vec<Action<Req>> {
+        let actions = match invoke {
+            true => self.bench.invoke(shard, req),
+            false => self.bench.query(shard, req),
+        };
+        self.requests.insert(tx_of(&actions), req);
+        actions
+    }
+
+    /// Fires wake-up `token`; a backoff's issues the next attempt of its
+    /// request.
+    fn wake(&mut self, token: u64) {
+        let actions = self.bench.timer(token);
+        if let Some(req) = self.retrying.remove(&token) {
+            for action in &actions {
+                if let Action::Send(_, _, FabricMsg::SubmitProposal(signed)) = action {
+                    self.requests.entry(signed.proposal.tx_id()).or_insert(req);
+                }
+            }
+        }
+        self.apply(actions);
+    }
+
     /// Checks the actions of one input against the books and applies
     /// them: sends become the replies a (lossy) network would return.
     fn apply(&mut self, actions: Vec<Action<Req>>) {
+        let mut retried = None;
         for action in actions {
             match action {
+                Action::Note(trace, "op.retry", _) => {
+                    retried = trace.strip_prefix("op-").and_then(|n| n.parse().ok());
+                }
+                Action::Arm(token, _) => {
+                    if let Some(req) = retried.take() {
+                        self.retrying.insert(token, req);
+                    }
+                }
                 Action::SpanStart(tx, stage, _) => assert!(self.open.insert((tx, stage))),
                 Action::SpanEnd(tx, stage, _) => assert!(self.open.remove(&(tx, stage))),
                 Action::Own(Done(Req(n), result)) => {
@@ -1451,6 +1543,7 @@ impl Model {
                 }
                 Action::Send(to, _, msg) => {
                     *self.asked.entry(to).or_insert(0) += 1;
+                    self.one_tx_id_once_broadcast(&msg);
                     self.record(to, &msg);
                     if Some(to) != self.dead {
                         self.reply_to(to, msg);
@@ -1471,6 +1564,24 @@ impl Model {
         for (shard, &home) in self.homes.iter().enumerate() {
             assert_eq!(self.bench.gateway().homes(shard), home, "route {shard}");
         }
+    }
+
+    /// Once an orderer took a request's envelope in, every send of the
+    /// request — proposal, envelope or probe — carries that envelope's tx
+    /// id. (A refused one may be replaced: it never left.)
+    fn one_tx_id_once_broadcast(&mut self, msg: &FabricMsg) {
+        let tx = match msg {
+            FabricMsg::SubmitProposal(signed) => signed.proposal.tx_id(),
+            FabricMsg::Broadcast { envelope, .. } => envelope.tx_id(),
+            FabricMsg::CommitStatus { tx_id, .. } => *tx_id,
+            other => panic!("the gateway sends proposals, envelopes and probes, not {other:?}"),
+        };
+        let req = self.requests[&tx];
+        let first = self.broadcast.get(&req).copied();
+        assert!(
+            first.is_none_or(|first| first == tx),
+            "request {req} left its broadcast tx id"
+        );
     }
 
     /// Notes where an attempt went: its route and first endorser when
@@ -1560,6 +1671,7 @@ impl Model {
                 if !accepted {
                     return;
                 }
+                self.broadcast.entry(self.requests[&tx]).or_insert(tx);
                 self.committed.insert(tx);
                 commit(tx)
             }
@@ -1607,8 +1719,7 @@ impl Model {
             let Some(&token) = self.bench.sched.armed[0].first() else {
                 return;
             };
-            let actions = self.bench.timer(token);
-            self.apply(actions);
+            self.wake(token);
         }
     }
 
@@ -1616,8 +1727,7 @@ impl Model {
     fn fire(&mut self, nth: u64) {
         let armed = &self.bench.sched.armed[0];
         let token = *armed.iter().nth(nth as usize).expect("in range");
-        let actions = self.bench.timer(token);
-        self.apply(actions);
+        self.wake(token);
     }
 }
 
@@ -1626,8 +1736,9 @@ proptest! {
     /// fire, and whether or not one node of a route is dead throughout: a
     /// row exists exactly while its one wake-up is armed, no token is
     /// armed twice, no span is opened or closed twice, every request is
-    /// answered exactly once — and once the inputs stop and the timers
-    /// drain, the table is empty.
+    /// answered exactly once, after its first envelope every send of a
+    /// request carries that envelope's tx id — and once the inputs stop
+    /// and the timers drain, the table is empty.
     #[test]
     fn every_request_ends_exactly_once_and_the_table_drains(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
@@ -1644,10 +1755,8 @@ proptest! {
                 0..=2 if issued < requests => {
                     issued += 1;
                     let shard = m.rng().below(needed.len() as u64) as usize;
-                    let actions = match m.rng().chance(60) {
-                        true => m.bench.invoke(shard, issued),
-                        false => m.bench.query(shard, issued),
-                    };
+                    let invoke = m.rng().chance(60);
+                    let actions = m.issue(shard, issued, invoke);
                     // A first attempt starts at the route's home.
                     let first = actions.iter().find_map(|action| match action {
                         Action::Send(to, ..) => Some(*to),
@@ -1692,10 +1801,7 @@ proptest! {
         let dead = pick_target(&mut rng, 1);
         let mut m = Model::new(bench(&[1], true, Some(budget)), rng, 0, Some(dead));
         let invoke = m.rng().chance(60);
-        let request = |m: &mut Model, n| match invoke {
-            true => m.bench.invoke(0, n),
-            false => m.bench.query(0, n),
-        };
+        let request = |m: &mut Model, n| m.issue(0, n, invoke);
         let actions = request(&mut m, 1);
         m.apply(actions);
         m.drain();

@@ -303,6 +303,34 @@ mod transitions {
         assert_eq!(armed_by(&third), timer);
     }
 
+    /// A client sends an envelope again under the same tx id past a
+    /// deadline, to a Solo orderer too. A copy that arrives while its
+    /// original is pending in the cutter is acked if it asks, counted, and
+    /// ordered once: one `order.queue` span, one cut. Once cut, a copy
+    /// finds it in the retained tail.
+    #[test]
+    fn a_solo_copy_of_a_pending_envelope_is_ordered_once() {
+        let (mut node, mut txs) = (solo(batch_of(10)), Txs::new());
+        let envelope = Arc::new(txs.envelope());
+        let sent = |copy| FabricMsg::Broadcast {
+            envelope: Arc::clone(&envelope),
+            ack: true,
+            copy,
+        };
+        let timer = armed_by(&node.message(CLIENT, sent(false)));
+        let again = node.message(CLIENT, sent(true));
+        assert_eq!(show(&again, &txs), ["+duplicates=1", "ack->100"]);
+        let cut = show(&node.timer(timer), &txs);
+        let closed: Vec<_> = cut
+            .iter()
+            .filter(|w| w.starts_with("order.queue]"))
+            .collect();
+        assert_eq!(closed, ["order.queue] tx0"]);
+        let late = node.message(CLIENT, sent(true));
+        assert_eq!(show(&late, &txs), ["+duplicates=1", "ack->100"]);
+        assert_eq!(height(&mut node), 1);
+    }
+
     #[test]
     fn an_oversized_envelope_cuts_two_blocks_in_one_input() {
         let batch = BatchConfig {

@@ -3,22 +3,24 @@
 //! and the benchmark build theirs (`NetworkConfig` plus `FaultPlan`). Each
 //! seed runs until every window has ended, plus 60 virtual seconds, and
 //! fails on a panic, on an operation that never ended, and on a finding —
-//! a write reported invalid, a write reported `Ok` that a replica recorded
-//! under another code, or one of the audit's — that no named exclusion
-//! covers.
+//! a write reported invalid, a write on the ledger whose op was told it
+//! failed, a write reported `Ok` that a replica recorded under another
+//! code, or one of the audit's — that no named exclusion covers.
 //!
 //! An exclusion is a known finding under the drawn condition that
 //! explains it, owned by the ROADMAP item whose fix deletes it; the same
 //! finding outside that condition fails the seed. A failing seed shrinks
 //! by dropping one fault window at a time while its first finding
 //! persists, and its message ends with the regression test to paste here.
+//! The soak also prints, per counter any node incremented (read from the
+//! metrics registry, which is exact), how many seeds reached it.
 //!
 //! `cargo test --test generated` runs 64 seeds; `cargo test --release
 //! --test generated -- --ignored` soaks 1,000 more.
 
 mod support;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -200,9 +202,10 @@ enum Finding {
     Panic(String),
     /// Client `c` issued this many operations, and this many ended.
     Hung(usize, u64, u64),
-    /// A write of a fresh key ended invalid; whether the key is on the
-    /// ledger all the same.
-    InvalidWrite(String, ValidationCode, bool),
+    /// A write of a fresh key ended invalid, or ended in another definite
+    /// error — anything but `Timeout` or `Exhausted`, whose outcome is
+    /// unknown — while its key is on the ledger; whether the key is.
+    FailedWrite(String, HyperProvError, bool),
     /// A write reported `Ok` — by its home peer or by a probed one — whose
     /// transaction a replica recorded under this other code.
     Untruthful(TxId, ValidationCode),
@@ -228,6 +231,8 @@ struct Run {
     /// When each channel's tip block was cut: `None` when nothing was, or
     /// its span is no longer in the tracer's ring.
     tip_cut: Vec<Option<SimTime>>,
+    /// The transitions any node counted: see [`transition`].
+    reached: BTreeSet<String>,
 }
 
 impl Run {
@@ -283,9 +288,6 @@ impl Run {
         let orderer_crashed = self.drew(|f| matches!(f, CrashOrderer(_)));
         let lossy = self.drew(|f| matches!(f, Loss(_)));
         match finding {
-            Finding::InvalidWrite(_, ValidationCode::MvccReadConflict, true) => {
-                Some(Exclusion::LateCommit)
-            }
             Finding::Audit(AuditFinding::OpenSpans("order.queue", _))
                 if orderer_crashed || self.raft && lossy =>
             {
@@ -319,10 +321,6 @@ impl Run {
 /// item whose fix deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Exclusion {
-    /// An `MVCC_READ_CONFLICT` on a fresh key, which is on the ledger: the
-    /// only other write of it was the op's own earlier attempt, which
-    /// committed after its commit deadline.
-    LateCommit,
     /// `order.queue` spans left open when an ordering node crashed, or a
     /// loss window may have deposed a Raft leader: the envelopes it held.
     DeadOrderer,
@@ -345,7 +343,6 @@ impl Exclusion {
     /// The ROADMAP item whose fix deletes this exclusion.
     fn item(self) -> &'static str {
         match self {
-            Exclusion::LateCommit => "item 2a",
             Exclusion::DeadOrderer => "item 3",
             Exclusion::BeyondTheTail | Exclusion::NoLaterBlock | Exclusion::JoinedWhileDown => {
                 "item 9"
@@ -412,12 +409,15 @@ fn run(seed: u64, windows: &[Window]) -> (Vec<Finding>, Run) {
     };
     for queue in &net.completions {
         for done in queue.borrow().iter() {
-            let (Some((key, _)), Err(HyperProvError::Invalidated(code))) =
-                (mix.writes.get(&done.op.0), &done.outcome)
-            else {
+            let (Some((key, _)), Err(error)) = (mix.writes.get(&done.op.0), &done.outcome) else {
                 continue;
             };
-            findings.push(Finding::InvalidWrite(key.clone(), *code, on_ledger(key)));
+            use HyperProvError::{Exhausted, Invalidated, Timeout};
+            let unknown = matches!(error, Timeout | Exhausted { .. });
+            let on_ledger = on_ledger(key);
+            if matches!(error, Invalidated(_)) || on_ledger && !unknown {
+                findings.push(Finding::FailedWrite(key.clone(), error.clone(), on_ledger));
+            }
         }
     }
     let replicas: Vec<_> = net.channel_ledgers.iter().flatten().collect();
@@ -465,34 +465,49 @@ fn run(seed: u64, windows: &[Window]) -> (Vec<Finding>, Run) {
         });
         run.tip_cut.push(tip.flatten());
     }
+    let counters = net.sim.metrics().counters().filter(|&(_, n)| n > 0);
+    run.reached = counters.map(|(name, _)| transition(name)).collect();
     (findings, run)
 }
 
-/// Runs seed `seed` with `windows`, a panic included: each finding, with
-/// the exclusion that covers it.
-fn check(seed: u64, windows: &[Window]) -> Vec<(Finding, Option<Exclusion>)> {
+/// A counter's name without its node's number or its channel:
+/// `orderer.duplicates` for `orderer2.hyperprov-channel-1.duplicates`.
+fn transition(counter: &str) -> String {
+    let parts = counter
+        .split('.')
+        .filter(|part| !part.starts_with(DEFAULT_CHANNEL));
+    let parts = parts.map(|part| part.trim_end_matches(|c: char| c.is_ascii_digit()));
+    parts.collect::<Vec<_>>().join(".")
+}
+
+/// What one seed found: each finding, with the exclusion that covers it,
+/// and the transitions it reached.
+type Checked = (Vec<(Finding, Option<Exclusion>)>, BTreeSet<String>);
+
+/// Runs seed `seed` with `windows`, a panic included.
+fn check(seed: u64, windows: &[Window]) -> Checked {
     match catch_unwind(AssertUnwindSafe(|| run(seed, windows))) {
-        Ok((findings, run)) => findings
-            .into_iter()
-            .map(|f| {
+        Ok((findings, run)) => {
+            let excused = findings.into_iter().map(|f| {
                 let excuse = run.excuse(&f);
                 (f, excuse)
-            })
-            .collect(),
+            });
+            (excused.collect(), run.reached)
+        }
         Err(payload) => {
             let message = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_default();
-            vec![(Finding::Panic(message), None)]
+            (vec![(Finding::Panic(message), None)], BTreeSet::new())
         }
     }
 }
 
 /// The findings no exclusion covers.
 fn failures(seed: u64, windows: &[Window]) -> Vec<Finding> {
-    let found = check(seed, windows).into_iter();
+    let found = check(seed, windows).0.into_iter();
     found.filter(|(_, e)| e.is_none()).map(|(f, _)| f).collect()
 }
 
@@ -520,13 +535,17 @@ fn replay(seed: u64, windows: &[Window]) {
 }
 
 /// Runs every seed of `seeds` with its own windows, prints how many seeds
-/// each exclusion covered, and fails with one shrunk regression test per
-/// failing seed.
+/// each exclusion covered and each transition was reached by, and fails
+/// with one shrunk regression test per failing seed.
 fn audit_seeds(seeds: Range<u64>) {
     let (count, mut covered, mut failed) = (seeds.end - seeds.start, BTreeMap::new(), Vec::new());
+    let mut reached = BTreeMap::new();
     for seed in seeds {
         let windows = draw(seed).windows;
-        let found = check(seed, &windows);
+        let (found, transitions) = check(seed, &windows);
+        for transition in transitions {
+            *reached.entry(transition).or_insert(0) += 1;
+        }
         let mut excused: Vec<_> = found.iter().filter_map(|(_, e)| *e).collect();
         excused.sort();
         excused.dedup();
@@ -545,6 +564,9 @@ fn audit_seeds(seeds: Range<u64>) {
     for (exclusion, seeds) in &covered {
         let item = exclusion.item();
         eprintln!("{exclusion:?} ({item}): {seeds} of {count} seeds");
+    }
+    for (transition, seeds) in &reached {
+        eprintln!("{transition}: reached by {seeds} of {count} seeds");
     }
     assert!(failed.is_empty(), "{}", failed.join("\n"));
 }
@@ -628,4 +650,19 @@ fn seed_453() {
             Window(AddPeer, 9539, 9539),
         ],
     )
+}
+
+/// A loss window: the op's first attempt committed after its commit
+/// deadline, and its retry under a fresh tx id was reported
+/// `MVCC_READ_CONFLICT` against it. A deadline now waits again for the
+/// same envelope, so the op ends with the code its one tx id got.
+#[test]
+fn seed_223() {
+    replay(223, &[Window(Loss(29), 13756, 22114)])
+}
+
+/// The same under a longer loss window.
+#[test]
+fn seed_2644() {
+    replay(2644, &[Window(Loss(26), 5671, 13817)])
 }
