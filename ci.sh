@@ -12,16 +12,19 @@ cargo test --workspace -q
 # The seeded generator (tests/generated.rs): the workspace tests run 64
 # seeds, this soak 1,000 more. Each seed draws a deployment (testbed, 1-2
 # channels, Solo or Raft(3), snapshots off or every 4-32 blocks, a spare
-# peer, a peer queue bound, endorse and commit deadlines, a retry budget),
-# a workload (1-4 clients, open or closed loop, posts, stores and reads of
-# acknowledged keys) and 0-3 overlapping fault windows (a peer, orderer or
-# storage crash, a peer cut from the orderers, a loss window, the spare
-# joining), runs it 60 virtual seconds past the last window and fails on a
+# peer, a peer queue bound of 1-4, small enough to shed, endorse and
+# commit deadlines, a retry budget), a workload (1-4 clients, open or
+# closed loop, posts, stores and reads of acknowledged keys) and 0-3
+# overlapping fault windows (a peer, orderer or storage crash, a peer cut
+# from the orderers, a loss window, the spare joining), runs it 60
+# virtual seconds past the last window and fails on a
 # panic, a hung operation, a write reported invalid, a write on the ledger
 # whose op was told it failed, a write reported `Ok` that a replica
 # recorded under another code, or an audit finding no named exclusion
-# covers. A failure prints its shrunk regression test. The soak also
-# prints how many seeds reached each counter a node incremented.
+# covers. A failure prints its shrunk regression test and every node's
+# view at the end of that run. The soak also prints how many seeds
+# reached each counter a node incremented, and fails when a counter its
+# committed list names is reached by none.
 cargo test --release --test generated -- --ignored
 
 # Options audit: an option needs a caller that is not a test. Every
@@ -37,7 +40,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23558
+ceiling=23555
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -50,7 +53,7 @@ fi
 # The same ratchet on the two long documents, in bytes: DESIGN.md says
 # what the system is, CHANGES.md what each change did, and neither grows
 # unseen.
-for doc in DESIGN.md:125926 CHANGES.md:145926; do
+for doc in DESIGN.md:127266 CHANGES.md:147799; do
     file=${doc%%:*}
     limit=${doc#*:}
     bytes=$(wc -c <"$file")

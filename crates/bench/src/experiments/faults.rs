@@ -20,7 +20,7 @@ use hyperprov_sim::{
 use super::Platform;
 use crate::report::{push_slo_verdicts, slo_verdict_table, MetricsExporter};
 use crate::row;
-use crate::runner::{run_closed_loop, Artefact, RunResult, Summary, Until};
+use crate::runner::{leading_orderer, run_closed_loop, Artefact, RunResult, Summary, Until};
 use crate::table::{Fmt, Table};
 use crate::workload::{payload, store_cmd};
 
@@ -172,7 +172,7 @@ fn build_plan(
     match scenario {
         FaultScenario::PeerCrash => FaultPlan::new().crash_window(net.peers[0], from, to),
         FaultScenario::LeaderKill => {
-            let leader = net.ordering_leader().unwrap_or(net.orderers[0]);
+            let leader = leading_orderer(net).unwrap_or(net.orderers[0]);
             FaultPlan::new().crash_window(leader, from, to)
         }
         FaultScenario::Partition => {

@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use hyperprov::{ClientCommand, ClientCompletion, HyperProvNetwork, NodeMsg, OpId};
-use hyperprov_sim::{Histogram, SimDuration, SimTime};
+use hyperprov_sim::{json, ActorId, Histogram, SimDuration, SimTime};
 
 use crate::report::MetricsExporter;
 use crate::table::{trajectory_json, Table};
@@ -217,6 +217,17 @@ pub enum Until {
     /// Once this many operations have been issued (preloads, and
     /// workloads that must stay bounded in memory).
     Ops(u64),
+}
+
+/// The first ordering node whose view says it orders now: the solo
+/// orderer, or the raft member that leads its cluster (`None` during an
+/// election).
+pub fn leading_orderer(net: &HyperProvNetwork) -> Option<ActorId> {
+    let leads = |&id: &ActorId| {
+        let view = net.sim.view(id).and_then(|view| json::parse(&view).ok());
+        view.is_some_and(|view| view.get("leader") == Some(&json::Value::Bool(true)))
+    };
+    net.orderers.iter().copied().find(leads)
 }
 
 /// Runs a closed loop: every client keeps exactly one operation in

@@ -11,7 +11,7 @@ use hyperprov_sim::{
 };
 
 use hyperprov_bench::report::{push_slo_verdicts, slo_verdict_table, MetricsExporter};
-use hyperprov_bench::runner::{run_closed_loop, Until};
+use hyperprov_bench::runner::{leading_orderer, run_closed_loop, Until};
 use hyperprov_bench::workload::{payload, store_cmd};
 
 const SEED: u64 = 11;
@@ -60,7 +60,7 @@ fn fault_run() -> (HyperProvNetwork, SimTime) {
     // follower's, mid-run.
     net.sim.run_until(SimTime::from_secs(2));
     let t0 = net.sim.now();
-    let leader = net.ordering_leader().unwrap_or(net.orderers[0]);
+    let leader = leading_orderer(&net).unwrap_or(net.orderers[0]);
     let follower = *net.orderers.iter().find(|&&o| o != leader).unwrap();
     FaultPlan::new()
         .crash_window(leader, t0 + FAULT_FROM, t0 + FAULT_TO)

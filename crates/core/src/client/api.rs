@@ -144,45 +144,37 @@ pub enum ClientCommand {
     },
 }
 
+/// `$body` over the op id `$op` of whichever command `$cmd` is.
+macro_rules! on_op {
+    ($cmd:expr, $op:ident => $body:expr) => {
+        match $cmd {
+            ClientCommand::Post { $op, .. }
+            | ClientCommand::StoreData { $op, .. }
+            | ClientCommand::Get { $op, .. }
+            | ClientCommand::GetData { $op, .. }
+            | ClientCommand::CheckData { $op, .. }
+            | ClientCommand::GetHistory { $op, .. }
+            | ClientCommand::GetKeysByChecksum { $op, .. }
+            | ClientCommand::GetLineage { $op, .. }
+            | ClientCommand::GetAncestry { $op, .. }
+            | ClientCommand::GetDescendants { $op, .. }
+            | ClientCommand::GetClosure { $op, .. }
+            | ClientCommand::GetSubgraph { $op, .. }
+            | ClientCommand::Delete { $op, .. }
+            | ClientCommand::List { $op } => $body,
+        }
+    };
+}
+
 impl ClientCommand {
     /// The operation id carried by this command.
     pub fn op(&self) -> OpId {
-        match self {
-            ClientCommand::Post { op, .. }
-            | ClientCommand::StoreData { op, .. }
-            | ClientCommand::Get { op, .. }
-            | ClientCommand::GetData { op, .. }
-            | ClientCommand::CheckData { op, .. }
-            | ClientCommand::GetHistory { op, .. }
-            | ClientCommand::GetKeysByChecksum { op, .. }
-            | ClientCommand::GetLineage { op, .. }
-            | ClientCommand::GetAncestry { op, .. }
-            | ClientCommand::GetDescendants { op, .. }
-            | ClientCommand::GetClosure { op, .. }
-            | ClientCommand::GetSubgraph { op, .. }
-            | ClientCommand::Delete { op, .. }
-            | ClientCommand::List { op } => *op,
-        }
+        on_op!(self, op => *op)
     }
 
     /// Rewrites the operation id (workload drivers own id assignment).
     pub fn set_op(&mut self, new: OpId) {
-        match self {
-            ClientCommand::Post { op, .. }
-            | ClientCommand::StoreData { op, .. }
-            | ClientCommand::Get { op, .. }
-            | ClientCommand::GetData { op, .. }
-            | ClientCommand::CheckData { op, .. }
-            | ClientCommand::GetHistory { op, .. }
-            | ClientCommand::GetKeysByChecksum { op, .. }
-            | ClientCommand::GetLineage { op, .. }
-            | ClientCommand::GetAncestry { op, .. }
-            | ClientCommand::GetDescendants { op, .. }
-            | ClientCommand::GetClosure { op, .. }
-            | ClientCommand::GetSubgraph { op, .. }
-            | ClientCommand::Delete { op, .. }
-            | ClientCommand::List { op } => *op = new,
-        }
+        on_op!(self, op => *op = new)
     }
 }
 

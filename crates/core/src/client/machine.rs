@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use hyperprov_fabric::costs::hash_cost;
-use hyperprov_fabric::{Action, Caller, Gateway, GatewayAction, GatewayDone};
+use hyperprov_fabric::{Caller, Gateway, GatewayAction, GatewayDone, GatewayView};
 use hyperprov_offchain::StoreMsg;
 use hyperprov_sim::{ActorId, DetRng, SimTime};
 
@@ -26,16 +26,29 @@ use crate::net::NodeMsg;
 /// The bit every transfer token carries and no gateway token does.
 pub const TRANSFER_TOKEN_BIT: u64 = 1 << 62;
 
-/// What only a client asks its host for.
+/// What only a client asks its host for: the operation that started at
+/// this instant is over.
 #[derive(Debug)]
-pub enum ClientOwn {
-    /// Send the storage message, this many bytes on the wire, to the actor.
-    Store(ActorId, u64, StoreMsg),
-    /// The operation that started at this instant is over.
-    Done(OpId, SimTime, Result<OpOutput, HyperProvError>),
-}
+pub struct ClientOwn(pub OpId, pub SimTime, pub Result<OpOutput, HyperProvError>);
 
-type Out = Vec<Action<ClientOwn>>;
+/// What a client answers an input with: its sends carry chain and storage
+/// messages alike.
+pub type Action = hyperprov_fabric::Action<ClientOwn, NodeMsg>;
+
+type Out = Vec<Action>;
+
+hyperprov_sim::view! {
+    /// A client's view.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ClientView {
+        /// Its gateway's.
+        pub gateway: GatewayView,
+        /// Operations running.
+        pub operations: usize,
+        /// Transfer rows: off-chain puts and gets, and their backoffs.
+        pub transfers: usize,
+    }
+}
 
 /// A running operation.
 #[derive(Debug)]
@@ -114,20 +127,20 @@ impl Client {
         }
     }
 
-    /// Operations running, including those sleeping out a backoff.
-    pub fn inflight(&self) -> usize {
-        self.operations.len()
-    }
-
-    /// Rows that wait on a wake-up: the gateway's, and the transfers.
-    pub fn rows(&self) -> (usize, usize) {
-        (self.gateway.inflight(), self.transfers.len())
+    /// Its gateway's view, the operations running (those sleeping out a
+    /// backoff included) and the transfer rows.
+    pub fn view(&self) -> ClientView {
+        ClientView {
+            gateway: self.gateway.view(),
+            operations: self.operations.len(),
+            transfers: self.transfers.len(),
+        }
     }
 
     /// A command arrived at `now`: opens its `op` span, charges a payload's
     /// checksum — the dominant client CPU cost of large items (Figs 1 and
     /// 2) — and starts its plan.
-    pub fn command(&mut self, now: SimTime, cmd: ClientCommand) -> Vec<Action<ClientOwn>> {
+    pub fn command(&mut self, now: SimTime, cmd: ClientCommand) -> Out {
         let op = cmd.op();
         let mut out = vec![Action::SpanStart(op_trace(op), "op", String::new())];
         if let ClientCommand::StoreData { data, .. } = &cmd {
@@ -153,13 +166,7 @@ impl Client {
 
     /// A Fabric or storage message from `src` arrived at `now`. `rng` is
     /// the host actor's stream: a retry draws its backoff from it.
-    pub fn message(
-        &mut self,
-        src: ActorId,
-        msg: NodeMsg,
-        now: SimTime,
-        rng: &mut DetRng,
-    ) -> Vec<Action<ClientOwn>> {
+    pub fn message(&mut self, src: ActorId, msg: NodeMsg, now: SimTime, rng: &mut DetRng) -> Out {
         let mut out = Vec::new();
         let (token, result) = match msg {
             NodeMsg::Fabric(msg) => {
@@ -203,7 +210,7 @@ impl Client {
     /// backoff sends the next attempt; its deadline abandons this one and
     /// backs off, or ends the operation `Exhausted` — `Timeout` with no
     /// policy.
-    pub fn timer(&mut self, token: u64, now: SimTime, rng: &mut DetRng) -> Vec<Action<ClientOwn>> {
+    pub fn timer(&mut self, token: u64, now: SimTime, rng: &mut DetRng) -> Out {
         let mut out = Vec::new();
         if token & TRANSFER_TOKEN_BIT == 0 {
             let actions = self.gateway.on_timer(token, now, rng);
@@ -305,7 +312,7 @@ impl Client {
                     .remove(&slot)
                     .expect("invariant: entry matched above");
                 out.push(Action::SpanEnd(op_trace(op), "op", String::new()));
-                out.push(Action::Own(ClientOwn::Done(op, running.started, outcome)));
+                out.push(Action::Own(ClientOwn(op, running.started, outcome)));
             }
         }
     }
@@ -325,7 +332,7 @@ impl Client {
         };
         out.push(Action::SpanStart(op_trace(op), stage, String::new()));
         let bytes = msg.wire_size();
-        out.push(Action::Own(ClientOwn::Store(self.storage, bytes, msg)));
+        out.push(Action::Send(self.storage, bytes, NodeMsg::Store(msg)));
         if let Some(delay) = deadline {
             out.push(Action::Arm(token, delay));
         }

@@ -15,56 +15,50 @@ mod graph;
 mod machine;
 pub mod plan;
 
-use hyperprov_fabric::{Action, Carries, FabricMsg, Host, Io, Machine};
+use hyperprov_fabric::{Carries, Host, Io, Machine};
 use hyperprov_sim::{ActorId, Context};
 
 pub use self::api::{
     ClientCommand, ClientCompletion, CompletionQueue, HyperProvError, OpId, OpOutput, RetryPolicy,
 };
-pub use self::machine::{Client, ClientOwn, Origin, TRANSFER_TOKEN_BIT};
+pub use self::machine::{Action, Client, ClientOwn, ClientView, Origin, TRANSFER_TOKEN_BIT};
 use crate::net::NodeMsg;
 
 impl Machine for Client {
     type Msg = NodeMsg;
     type Own = ClientOwn;
+    type View = ClientView;
 
-    fn message(&mut self, src: ActorId, msg: NodeMsg, io: Io<'_>) -> Vec<Action<ClientOwn>> {
+    fn message(&mut self, src: ActorId, msg: NodeMsg, io: Io<'_>) -> Vec<Action> {
         match msg {
             NodeMsg::Client(cmd) => self.command(io.now, cmd),
             msg => Client::message(self, src, msg, io.now, io.rng),
         }
     }
 
-    fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<ClientOwn>> {
+    fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action> {
         Client::timer(self, token, io.now, io.rng)
     }
 
-    fn perform_own<M: Carries<NodeMsg> + Carries<FabricMsg>>(
+    fn view(&self) -> ClientView {
+        Client::view(self)
+    }
+
+    fn perform_own<M: Carries<NodeMsg>>(
         &mut self,
         _: &mut Host<M>,
         ctx: &mut Context<'_, M>,
-        own: ClientOwn,
+        ClientOwn(op, started, outcome): ClientOwn,
     ) {
-        match own {
-            ClientOwn::Store(to, bytes, msg) => {
-                let msg = <M as Carries<NodeMsg>>::wrap(NodeMsg::Store(msg));
-                ctx.send(to, bytes, msg);
-            }
-            ClientOwn::Done(op, started, outcome) => {
-                // SLO sources: goodput objectives watch "client.ok",
-                // error-rate objectives pair it with "client.err".
-                ctx.slo_event(if outcome.is_ok() {
-                    "client.ok"
-                } else {
-                    "client.err"
-                });
-                self.completions.borrow_mut().push_back(ClientCompletion {
-                    op,
-                    started,
-                    finished: ctx.now(),
-                    outcome,
-                });
-            }
-        }
+        // SLO sources: goodput objectives watch "client.ok", error-rate
+        // objectives pair it with "client.err".
+        let ok = outcome.is_ok();
+        ctx.slo_event_n(if ok { "client.ok" } else { "client.err" }, 1);
+        self.completions.borrow_mut().push_back(ClientCompletion {
+            op,
+            started,
+            finished: ctx.now(),
+            outcome,
+        });
     }
 }

@@ -656,16 +656,6 @@ impl HyperProvNetwork {
         }
     }
 
-    /// The first ordering node that orders now: the solo orderer, or the
-    /// raft member that leads its cluster (`None` during an election).
-    pub fn ordering_leader(&self) -> Option<ActorId> {
-        self.orderers.iter().copied().find(|&id| {
-            let actor = self.sim.actor_ref(id).and_then(|actor| actor.as_any());
-            let orderer = actor.and_then(|any| any.downcast_ref::<Node<OrderingNode, NodeMsg>>());
-            orderer.is_some_and(|orderer| orderer.machine().is_leader())
-        })
-    }
-
     /// Number of spare peer identities still available to
     /// [`HyperProvNetwork::add_peer`].
     pub fn spare_peers_left(&self) -> usize {

@@ -107,16 +107,27 @@ impl HyperProv {
         self.net.sim.now()
     }
 
-    fn call(&mut self, cmd: ClientCommand) -> Result<OpOutput, HyperProvError> {
-        match self.net.run_op(0, cmd) {
+    /// Runs the command `cmd` builds under the next op id to completion.
+    fn call(
+        &mut self,
+        cmd: impl FnOnce(OpId) -> ClientCommand,
+    ) -> Result<OpOutput, HyperProvError> {
+        self.next_op += 1;
+        match self.net.run_op(0, cmd(OpId(self.next_op))) {
             Some(completion) => completion.outcome,
             None => Err(HyperProvError::Timeout),
         }
     }
 
-    fn op(&mut self) -> OpId {
-        self.next_op += 1;
-        OpId(self.next_op)
+    /// [`Self::call`] for a command whose answer is a graph slice.
+    fn graph(
+        &mut self,
+        cmd: impl FnOnce(OpId) -> ClientCommand,
+    ) -> Result<GraphSlice, HyperProvError> {
+        match self.call(cmd)? {
+            OpOutput::Graph(slice) => Ok(slice),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Stores `data` off-chain and posts its provenance record — the
@@ -132,9 +143,9 @@ impl HyperProv {
         parents: Vec<String>,
         metadata: Vec<(String, String)>,
     ) -> Result<ProvenanceRecord, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::StoreData {
-            key: key.to_owned(),
+        let key = key.to_owned();
+        match self.call(|op| ClientCommand::StoreData {
+            key,
             data,
             parents,
             metadata,
@@ -159,12 +170,8 @@ impl HyperProv {
         key: &str,
         input: RecordInput,
     ) -> Result<ProvenanceRecord, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::Post {
-            key: key.to_owned(),
-            input,
-            op,
-        })? {
+        let key = key.to_owned();
+        match self.call(|op| ClientCommand::Post { key, input, op })? {
             OpOutput::Committed {
                 record: Some(record),
                 ..
@@ -179,11 +186,8 @@ impl HyperProv {
     ///
     /// Returns [`HyperProvError::Rejected`] if the key does not exist.
     pub fn get(&mut self, key: &str) -> Result<ProvenanceRecord, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::Get {
-            key: key.to_owned(),
-            op,
-        })? {
+        let key = key.to_owned();
+        match self.call(|op| ClientCommand::Get { key, op })? {
             OpOutput::Record(record) => Ok(record),
             other => Err(unexpected(other)),
         }
@@ -197,11 +201,8 @@ impl HyperProv {
     /// Returns [`HyperProvError::IntegrityViolation`] if the payload was
     /// tampered with.
     pub fn get_data(&mut self, key: &str) -> Result<(ProvenanceRecord, Vec<u8>), HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::GetData {
-            key: key.to_owned(),
-            op,
-        })? {
+        let key = key.to_owned();
+        match self.call(|op| ClientCommand::GetData { key, op })? {
             OpOutput::Data { record, data } => Ok((record, data)),
             other => Err(unexpected(other)),
         }
@@ -214,11 +215,8 @@ impl HyperProv {
     ///
     /// Returns a [`HyperProvError`] if the record itself cannot be read.
     pub fn check_data(&mut self, key: &str) -> Result<bool, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::CheckData {
-            key: key.to_owned(),
-            op,
-        })? {
+        let key = key.to_owned();
+        match self.call(|op| ClientCommand::CheckData { key, op })? {
             OpOutput::Checked { ok } => Ok(ok),
             other => Err(unexpected(other)),
         }
@@ -230,11 +228,8 @@ impl HyperProv {
     ///
     /// Returns [`HyperProvError::Rejected`] if the key was never posted.
     pub fn get_history(&mut self, key: &str) -> Result<Vec<HistoryRecord>, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::GetHistory {
-            key: key.to_owned(),
-            op,
-        })? {
+        let key = key.to_owned();
+        match self.call(|op| ClientCommand::GetHistory { key, op })? {
             OpOutput::History(entries) => Ok(entries),
             other => Err(unexpected(other)),
         }
@@ -249,8 +244,7 @@ impl HyperProv {
         &mut self,
         checksum: Digest,
     ) -> Result<Vec<String>, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::GetKeysByChecksum { checksum, op })? {
+        match self.call(|op| ClientCommand::GetKeysByChecksum { checksum, op })? {
             OpOutput::Keys(keys) => Ok(keys),
             other => Err(unexpected(other)),
         }
@@ -283,12 +277,8 @@ impl HyperProv {
         key: &str,
         depth: u32,
     ) -> Result<(Vec<LineageEntry>, bool), HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::GetLineage {
-            key: key.to_owned(),
-            depth,
-            op,
-        })? {
+        let key = key.to_owned();
+        match self.call(|op| ClientCommand::GetLineage { key, depth, op })? {
             OpOutput::Lineage { entries, truncated } => Ok((entries, truncated)),
             other => Err(unexpected(other)),
         }
@@ -301,15 +291,8 @@ impl HyperProv {
     ///
     /// Returns a [`HyperProvError`] if the query fails.
     pub fn get_ancestry(&mut self, key: &str, depth: u32) -> Result<GraphSlice, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::GetAncestry {
-            key: key.to_owned(),
-            depth,
-            op,
-        })? {
-            OpOutput::Graph(slice) => Ok(slice),
-            other => Err(unexpected(other)),
-        }
+        let key = key.to_owned();
+        self.graph(|op| ClientCommand::GetAncestry { key, depth, op })
     }
 
     /// Descendants (impact set) of `key` to `depth` from the DAG index.
@@ -318,15 +301,8 @@ impl HyperProv {
     ///
     /// Returns a [`HyperProvError`] if the query fails.
     pub fn get_descendants(&mut self, key: &str, depth: u32) -> Result<GraphSlice, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::GetDescendants {
-            key: key.to_owned(),
-            depth,
-            op,
-        })? {
-            OpOutput::Graph(slice) => Ok(slice),
-            other => Err(unexpected(other)),
-        }
+        let key = key.to_owned();
+        self.graph(|op| ClientCommand::GetDescendants { key, depth, op })
     }
 
     /// Transitive closure (ancestors and descendants) of `key` to `depth`
@@ -336,15 +312,8 @@ impl HyperProv {
     ///
     /// Returns a [`HyperProvError`] if the query fails.
     pub fn get_closure(&mut self, key: &str, depth: u32) -> Result<GraphSlice, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::GetClosure {
-            key: key.to_owned(),
-            depth,
-            op,
-        })? {
-            OpOutput::Graph(slice) => Ok(slice),
-            other => Err(unexpected(other)),
-        }
+        let key = key.to_owned();
+        self.graph(|op| ClientCommand::GetClosure { key, depth, op })
     }
 
     /// The closure of `key` plus the edges between its nodes — enough to
@@ -354,15 +323,8 @@ impl HyperProv {
     ///
     /// Returns a [`HyperProvError`] if the query fails.
     pub fn get_subgraph(&mut self, key: &str, depth: u32) -> Result<GraphSlice, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::GetSubgraph {
-            key: key.to_owned(),
-            depth,
-            op,
-        })? {
-            OpOutput::Graph(slice) => Ok(slice),
-            other => Err(unexpected(other)),
-        }
+        let key = key.to_owned();
+        self.graph(|op| ClientCommand::GetSubgraph { key, depth, op })
     }
 
     /// Exports peer 0's block chain in the persistent chain format (see
@@ -383,8 +345,7 @@ impl HyperProv {
     ///
     /// Returns a [`HyperProvError`] if the query fails.
     pub fn list(&mut self) -> Result<Vec<String>, HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::List { op })? {
+        match self.call(|op| ClientCommand::List { op })? {
             OpOutput::Keys(keys) => Ok(keys),
             other => Err(unexpected(other)),
         }
@@ -396,11 +357,8 @@ impl HyperProv {
     ///
     /// Returns a [`HyperProvError`] if the transaction fails.
     pub fn delete(&mut self, key: &str) -> Result<(), HyperProvError> {
-        let op = self.op();
-        match self.call(ClientCommand::Delete {
-            key: key.to_owned(),
-            op,
-        })? {
+        let key = key.to_owned();
+        match self.call(|op| ClientCommand::Delete { key, op })? {
             OpOutput::Committed { .. } => Ok(()),
             other => Err(unexpected(other)),
         }

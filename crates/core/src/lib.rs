@@ -49,8 +49,8 @@ pub use chaincode::{
     HyperProvChaincode, HyperProvIndexer, CHAINCODE_NAME, MAX_GRAPH_NODES, MAX_LINEAGE_DEPTH,
 };
 pub use client::{
-    plan, Client, ClientCommand, ClientCompletion, ClientOwn, CompletionQueue, HyperProvError,
-    OpId, OpOutput, Origin, RetryPolicy, TRANSFER_TOKEN_BIT,
+    plan, Client, ClientCommand, ClientCompletion, ClientOwn, ClientView, CompletionQueue,
+    HyperProvError, OpId, OpOutput, Origin, RetryPolicy, TRANSFER_TOKEN_BIT,
 };
 pub use deploy::{ChannelSpec, HyperProvNetwork, NetworkConfig, OrdererMode};
 pub use facade::HyperProv;

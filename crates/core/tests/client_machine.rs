@@ -71,17 +71,17 @@ impl Bench {
         &self.sched.machines[0]
     }
 
-    fn command(&mut self, cmd: ClientCommand) -> Vec<Action<ClientOwn>> {
+    fn command(&mut self, cmd: ClientCommand) -> Vec<Action<ClientOwn, NodeMsg>> {
         self.message(NodeMsg::Client(cmd))
     }
 
     /// A command or a reply, from whichever node: the client reads no
     /// sender.
-    fn message(&mut self, msg: NodeMsg) -> Vec<Action<ClientOwn>> {
+    fn message(&mut self, msg: NodeMsg) -> Vec<Action<ClientOwn, NodeMsg>> {
         self.sched.message(0, STORAGE, msg)
     }
 
-    fn timer(&mut self, token: u64) -> Vec<Action<ClientOwn>> {
+    fn timer(&mut self, token: u64) -> Vec<Action<ClientOwn, NodeMsg>> {
         self.sched.fire(0, token)
     }
 
@@ -180,26 +180,44 @@ fn get_result(token: u64, result: Result<Vec<u8>, StoreError>) -> NodeMsg {
 }
 
 /// The tx id of the proposal (or envelope) these actions send.
-fn tx_of(actions: &[Action<ClientOwn>]) -> TxId {
+fn tx_of(actions: &[Action<ClientOwn, NodeMsg>]) -> TxId {
     actions
         .iter()
         .find_map(|action| match action {
-            Action::Send(_, _, FabricMsg::SubmitProposal(signed)) => Some(signed.proposal.tx_id()),
-            Action::Send(_, _, FabricMsg::Broadcast { envelope, .. }) => Some(envelope.tx_id()),
+            Action::Send(_, _, NodeMsg::Fabric(FabricMsg::SubmitProposal(signed))) => {
+                Some(signed.proposal.tx_id())
+            }
+            Action::Send(_, _, NodeMsg::Fabric(FabricMsg::Broadcast { envelope, .. })) => {
+                Some(envelope.tx_id())
+            }
             _ => None,
         })
         .expect("the actions send a proposal")
 }
 
 /// The storage message these actions send.
-fn stored(actions: &[Action<ClientOwn>]) -> &StoreMsg {
+fn stored(actions: &[Action<ClientOwn, NodeMsg>]) -> &StoreMsg {
     actions
         .iter()
         .find_map(|action| match action {
-            Action::Own(ClientOwn::Store(_, _, msg)) => Some(msg),
+            Action::Send(_, _, NodeMsg::Store(msg)) => Some(msg),
             _ => None,
         })
         .expect("the actions send to the store")
+}
+
+/// Rows that wait on a wake-up, as the client's view shows them: the
+/// gateway's, and the transfers.
+fn rows(client: &Client) -> (usize, usize) {
+    let view = client.view();
+    let gateway = view.gateway;
+    let phases = [
+        gateway.endorsing,
+        gateway.commit_wait,
+        gateway.query,
+        gateway.backing_off,
+    ];
+    (phases.iter().sum(), view.transfers)
 }
 
 /// A token as a line shows it: `t3` for the third transfer token, `3`
@@ -213,13 +231,17 @@ fn tok(token: u64) -> String {
 }
 
 /// One short word per action, so a transition reads as a line.
-fn show(actions: &[Action<ClientOwn>]) -> Vec<String> {
+fn show(actions: &[Action<ClientOwn, NodeMsg>]) -> Vec<String> {
     actions
         .iter()
         .map(|action| match action {
             Action::Charge(_) => "charge".to_owned(),
-            Action::Send(to, _, FabricMsg::SubmitProposal(_)) => format!("propose->{}", to.0),
-            Action::Send(to, _, FabricMsg::Broadcast { .. }) => format!("broadcast->{}", to.0),
+            Action::Send(to, _, NodeMsg::Fabric(FabricMsg::SubmitProposal(_))) => {
+                format!("propose->{}", to.0)
+            }
+            Action::Send(to, _, NodeMsg::Fabric(FabricMsg::Broadcast { .. })) => {
+                format!("broadcast->{}", to.0)
+            }
             Action::Arm(token, delay) if *delay == ENDORSE => {
                 format!("arm#{}=endorse", tok(*token))
             }
@@ -232,14 +254,14 @@ fn show(actions: &[Action<ClientOwn>]) -> Vec<String> {
             Action::Note(_, name, _) => format!("!{name}"),
             Action::Count(None, name, 1) => format!("+client.{name}"),
             Action::Observe("backoff", _) => "backoff".to_owned(),
-            Action::Own(ClientOwn::Store(_, _, StoreMsg::Put { token, .. })) => {
+            Action::Send(_, _, NodeMsg::Store(StoreMsg::Put { token, .. })) => {
                 format!("put#{}", tok(*token))
             }
-            Action::Own(ClientOwn::Store(_, _, StoreMsg::Get { token, .. })) => {
+            Action::Send(_, _, NodeMsg::Store(StoreMsg::Get { token, .. })) => {
                 format!("get#{}", tok(*token))
             }
-            Action::Own(ClientOwn::Done(op, _, Ok(_))) => format!("done{}=Ok", op.0),
-            Action::Own(ClientOwn::Done(op, _, Err(error))) => format!("done{}={error:?}", op.0),
+            Action::Own(ClientOwn(op, _, Ok(_))) => format!("done{}=Ok", op.0),
+            Action::Own(ClientOwn(op, _, Err(error))) => format!("done{}={error:?}", op.0),
             other => panic!("not a client's action: {other:?}"),
         })
         .collect()
@@ -259,7 +281,7 @@ mod transfers {
         let acked = b.message(put_ack(token(1)));
         let post = ["offchain.put]", "charge", "[endorse", "propose->10"];
         assert_eq!(show(&acked), post);
-        assert_eq!(b.client().rows(), (1, 0));
+        assert_eq!(rows(b.client()), (1, 0));
     }
 
     #[test]
@@ -308,7 +330,10 @@ mod transfers {
         b.message(b.answer(tx, Ok(b"r".to_vec())));
         let done = ["disarm#2", "commit_wait]", "op]", "done1=Ok"];
         assert_eq!(show(&b.message(commit(tx))), done);
-        assert_eq!((b.client().inflight(), b.client().rows()), (0, (0, 0)));
+        assert_eq!(
+            (b.client().view().operations, rows(b.client())),
+            (0, (0, 0))
+        );
     }
 
     #[test]
@@ -332,7 +357,10 @@ mod transfers {
             "done1=Timeout",
         ];
         assert_eq!(show(&b.timer(token(1))), timed_out);
-        assert_eq!((b.client().inflight(), b.client().rows()), (0, (0, 0)));
+        assert_eq!(
+            (b.client().view().operations, rows(b.client())),
+            (0, (0, 0))
+        );
         // The result thought lost arrives after all, and finds nothing.
         assert!(b.message(get_result(token(1), Ok(payload("k")))).is_empty());
     }
@@ -365,7 +393,10 @@ mod transfers {
             "done1=Exhausted { attempts: 2 }",
         ];
         assert_eq!(show(&b.timer(token(3))), exhausted);
-        assert_eq!((b.client().inflight(), b.client().rows()), (0, (0, 0)));
+        assert_eq!(
+            (b.client().view().operations, rows(b.client())),
+            (0, (0, 0))
+        );
     }
 
     /// The first attempt's ack arrives late: during the backoff, and again
@@ -408,7 +439,7 @@ mod transfers {
             })
             .collect();
         assert_eq!(armed, [token(1), 1, token(2), 2]);
-        assert_eq!(b.client().rows(), (1, 2));
+        assert_eq!(rows(b.client()), (1, 2));
     }
 }
 
@@ -435,7 +466,7 @@ impl Model {
 
     /// Checks the actions of one input against the books and applies
     /// them: sends become the replies a (lossy) network would return.
-    fn apply(&mut self, actions: Vec<Action<ClientOwn>>) {
+    fn apply(&mut self, actions: Vec<Action<ClientOwn, NodeMsg>>) {
         for action in actions {
             match action {
                 Action::SpanStart(trace, stage, _) => {
@@ -444,12 +475,12 @@ impl Model {
                 Action::SpanEnd(trace, stage, _) => {
                     assert!(self.open.remove(&(trace, stage)), "{stage} closed twice");
                 }
-                Action::Own(ClientOwn::Done(op, _, _)) => *self.done.entry(op.0).or_insert(0) += 1,
-                Action::Own(ClientOwn::Store(to, _, msg)) => {
+                Action::Own(ClientOwn(op, _, _)) => *self.done.entry(op.0).or_insert(0) += 1,
+                Action::Send(to, _, NodeMsg::Store(msg)) => {
                     assert_eq!(to, STORAGE);
                     self.serve(msg);
                 }
-                Action::Send(to, _, msg) => self.endorse_or_order(to, msg),
+                Action::Send(to, _, NodeMsg::Fabric(msg)) => self.endorse_or_order(to, msg),
                 _ => {}
             }
         }
@@ -461,8 +492,8 @@ impl Model {
         let armed = &self.bench.sched.armed[0];
         let transfers = armed.iter().filter(|&&t| t & TRANSFER_TOKEN_BIT != 0);
         let transfers = transfers.count();
-        let rows = (armed.len() - transfers, transfers);
-        assert_eq!(rows, self.bench.client().rows());
+        let armed = (armed.len() - transfers, transfers);
+        assert_eq!(armed, rows(self.bench.client()));
         assert_eq!(self.bench.sched.stray_disarms, 0);
     }
 
@@ -620,8 +651,8 @@ proptest! {
         }
         // The inputs stop.
         m.drain();
-        prop_assert_eq!(m.bench.client().inflight(), 0);
-        prop_assert_eq!(m.bench.client().rows(), (0, 0));
+        prop_assert_eq!(m.bench.client().view().operations, 0);
+        prop_assert_eq!(rows(m.bench.client()), (0, 0));
         prop_assert!(m.open.is_empty(), "spans left open: {:?}", m.open);
         prop_assert_eq!(m.done.len() as u64, issued);
     }

@@ -87,11 +87,6 @@ impl PowerMeter {
         PowerMeter { model, interval }
     }
 
-    /// The model being metered.
-    pub fn model(&self) -> &EnergyModel {
-        &self.model
-    }
-
     /// Samples the window `[from, to)` of a device's CPU log.
     pub fn sample(
         &self,
@@ -100,18 +95,7 @@ impl PowerMeter {
         to: SimTime,
         hlf_running: bool,
     ) -> Vec<PowerSample> {
-        let mut out = Vec::new();
-        let mut cursor = from;
-        while cursor < to {
-            let end = (cursor + self.interval).min(to);
-            let u = cpu.utilization(cursor, end);
-            out.push(PowerSample {
-                at: end,
-                watts: self.model.power(u, hlf_running),
-            });
-            cursor = end;
-        }
-        out
+        self.sample_combined(&[cpu], from, to, hlf_running)
     }
 
     /// Average power over `[from, to)`, in watts.

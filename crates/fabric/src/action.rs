@@ -4,7 +4,7 @@
 //! it.
 
 use hyperprov_ledger::ChannelId;
-use hyperprov_sim::{ActorId, SimDuration};
+use hyperprov_sim::{ActorId, Carries, SimDuration};
 
 use crate::messages::FabricMsg;
 
@@ -14,7 +14,8 @@ pub type Outbound<M> = (ActorId, u64, M);
 /// The key of a span: `(trace, stage, detail)`.
 pub type SpanKey = (String, &'static str, String);
 
-/// One thing the host must do for its machine, in the order given: a send
+/// One thing the host must do for its machine, in the order given (its
+/// sends carry `S`, the kind of message the machine takes): a send
 /// draws link jitter from the actor's random stream and arming a timer
 /// takes a kernel sequence number, so the order is part of the model. An
 /// action says who, what and how much CPU, never when: the host owns the
@@ -22,12 +23,12 @@ pub type SpanKey = (String, &'static str, String);
 /// nothing.)
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub enum Action<X> {
+pub enum Action<X, S = FabricMsg> {
     /// Send the message, this many bytes on the wire, to the actor now.
-    Send(ActorId, u64, FabricMsg),
+    Send(ActorId, u64, S),
     /// Run one CPU job of this cost; when it is done close the spans, then
     /// send the messages.
-    Job(SimDuration, Vec<Outbound<FabricMsg>>, Vec<SpanKey>),
+    Job(SimDuration, Vec<Outbound<S>>, Vec<SpanKey>),
     /// Keep the CPU busy for this long (it models utilisation and
     /// energy); nothing waits for it.
     Charge(SimDuration),
@@ -53,13 +54,17 @@ pub enum Action<X> {
     Own(X),
 }
 
-impl<X> Action<X> {
+impl<X, S> Action<X, S> {
     /// The same action in the vocabulary of a machine whose own actions
-    /// are `Y` — one that embeds this machine — or this machine's own.
-    pub fn split<Y>(self) -> Result<Action<Y>, X> {
+    /// are `Y` and whose messages carry `T` — one that embeds this
+    /// machine — or this machine's own.
+    pub fn split<Y, T: Carries<S>>(self) -> Result<Action<Y, T>, X> {
+        let wrap = |(to, bytes, msg)| (to, bytes, T::wrap(msg));
         Ok(match self {
-            Action::Send(to, bytes, msg) => Action::Send(to, bytes, msg),
-            Action::Job(cost, sends, closes) => Action::Job(cost, sends, closes),
+            Action::Send(to, bytes, msg) => Action::Send(to, bytes, T::wrap(msg)),
+            Action::Job(cost, sends, closes) => {
+                Action::Job(cost, sends.into_iter().map(wrap).collect(), closes)
+            }
             Action::Charge(cost) => Action::Charge(cost),
             Action::Arm(token, delay) => Action::Arm(token, delay),
             Action::Disarm(token) => Action::Disarm(token),

@@ -98,6 +98,19 @@ enum Fetch {
     },
 }
 
+hyperprov_sim::view! {
+    /// Where a [`CatchUp`] stands.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CatchUpView {
+        /// Whether it waits for nothing.
+        pub current: bool,
+        /// Ladder index of the provider the snapshot fetch is at.
+        pub rung: usize,
+        /// The height the block wait awaits blocks from, if one is out.
+        pub wait: Option<u64>,
+    }
+}
+
 /// The catch-up protocol of one hosted channel.
 #[derive(Debug)]
 pub struct CatchUp {
@@ -142,8 +155,17 @@ impl CatchUp {
 
     /// Nothing is outstanding, so the retry timer is not armed; in every
     /// other state it is.
-    pub fn is_current(&self) -> bool {
+    fn is_current(&self) -> bool {
         self.wait.is_none() && matches!(self.fetch, Fetch::Idle)
+    }
+
+    /// Where it stands.
+    pub fn view(&self) -> CatchUpView {
+        CatchUpView {
+            current: self.is_current(),
+            rung: self.rung,
+            wait: self.wait.map(|(Wait::Asked(at) | Wait::Restarted(at))| at),
+        }
     }
 
     /// A delivered block from `from` was buffered and every consecutive

@@ -6,61 +6,15 @@
 //! One table holds every request of the client, on whichever channel. A
 //! row is in one of four phases — *endorsing*, *commit-wait*, *query*,
 //! *backing off* — and each phase waits on exactly one wake-up: under
-//! deadlines, the next re-send or the deadline, whichever comes first;
-//! else the backoff sleep. So with deadlines configured a row exists
-//! exactly while its one timer is armed, and nothing can wedge: a re-send
-//! re-arms, and every other wake-up ends the row with a typed error, waits
-//! again for its envelope or, while none has left, starts a fresh attempt.
-//!
-//! One rule covers every wait of a request, the hedged request of "The
-//! Tail at Scale": a node silent past the route's retransmission timeout
-//! (RTO) for that wait is passed by a copy of the request under the same
-//! tx id, one place further along its ring and twice as late each time.
-//! An endorsing or query row sends its signed proposal to the next
-//! endorser, a commit-wait row not yet acked its envelope to the next
-//! orderer, at most one copy per other node of the ring; each copy moves
-//! the route's home past the node it passed, as an expiry does. An acked
-//! row asks the next endorser whether the transaction committed — Fabric
-//! Gateway's `CommitStatus` —, walking the ring until the deadline, and from its
-//! second probe on also re-broadcasts its envelope, unasked, walking the
-//! other orderers the same way: that recovers an envelope a follower
-//! forwarded into a dead leader once a new one is elected. A peer that
-//! holds no code for the transaction answers "not found", and the row
-//! asks the next endorser at once, arming nothing: at most once around
-//! the ring per timed probe, so two peers cannot bounce probes. An
-//! answer that completes the row moves the endorsers' home to the peer
-//! that sent it, which held a commit the home did not report: only the
-//! rows already waiting pay a probe for a home cut off from the orderers.
-//! The deadlines stay as the hard bound, and a tx id once broadcast is
-//! never replaced: past a commit-wait deadline the row sends its envelope
-//! on again and waits, so its outcome is the code the ledger recorded for
-//! that one tx id. A wait's first copy counts under `resent`, a commit
-//! wait's first re-broadcast under `rebroadcasts`, a home move under
-//! `home_moves`.
-//!
-//! Each route times each wait on its own with RFC 6298's estimator, RTO =
-//! `srtt + 4·rttvar`: *endorse* (proposal to first answer, queries
-//! included), *order* (envelope to the orderer's answer) and *commit* (the
-//! ack to the home's event). Before a wait's first sample its RTO is the
-//! endorse deadline, so nothing is re-sent before the first answer. The
-//! endorse and order RTOs are floored at `MIN_RTO` (200 ms): their round
-//! trip is a near-constant few milliseconds, which unfloored would re-send
-//! on any queueing hiccup. The commit RTO is floored at `MIN_COMMIT_RTO`
-//! (50 ms), so a probe never leaves before any peer committed, and a
-//! merely faster peer's answer never moves a healthy home. A wait that
-//! re-sent gives no sample (Karn's rule): its answer may be the copy's.
-//! The commit wait, whose answers tell the home's event from a probed
-//! peer's, withholds a sample only when an answer completed it, so an RTO
-//! that fell short grows back.
-//!
-//! Copies are harmless by these rules: a `DuplicateTxId` commit event or
-//! status answer — a second copy's — never completes or fails a row, nor
-//! does a "not found"; a
-//! refusal fails an attempt only once no other copy of it can still
-//! answer; an envelope sent again is marked a `copy`, and an ordering node
-//! that holds it — admitted, or cut into a retained block — acks it if
-//! asked and does not order it twice; and the envelope kept for copies is
-//! shared, not copied.
+//! deadlines the next re-send or the deadline, else the backoff sleep, so
+//! a row exists exactly while its one timer is armed. A node silent past
+//! the route's retransmission timeout for a wait (RFC 6298, per route and
+//! wait: *endorse*, *order*, *commit*) is passed by a copy of the request
+//! under the same tx id, one place further along its ring; an acked row
+//! probes the endorsers with `CommitStatus` and re-broadcasts its
+//! envelope. A tx id once broadcast is never replaced. DESIGN §9.2 has
+//! every rule: the transition table, the homes and what moves them, the
+//! RTO floors, and why copies are harmless.
 
 use std::sync::Arc;
 
@@ -188,12 +142,12 @@ impl RetryPolicy {
     /// transiently. With budget left: the retry counted and noted, and the
     /// backoff to sleep before it, drawn from `rng` and observed if one is
     /// given (else zero); spent: `Exhausted`, counted.
-    pub fn after_failure<X>(
+    pub fn after_failure<X, S>(
         &self,
         attempts: u32,
         trace: String,
         rng: Option<&mut DetRng>,
-        out: &mut Vec<crate::action::Action<X>>,
+        out: &mut Vec<crate::action::Action<X, S>>,
     ) -> Result<SimDuration, GatewayError> {
         use crate::action::Action;
         if attempts >= self.max_attempts {
@@ -532,6 +486,37 @@ impl<T> Row<T> {
     }
 }
 
+hyperprov_sim::view! {
+    /// A gateway's view: its rows in flight by phase, and each route's.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct GatewayView {
+        /// Rows collecting endorsements.
+        pub endorsing: usize,
+        /// Rows waiting for a commit.
+        pub commit_wait: usize,
+        /// Rows waiting for a query's answer.
+        pub query: usize,
+        /// Rows sleeping out a backoff.
+        pub backing_off: usize,
+        /// The rows' attempts so far.
+        pub attempts: u32,
+        /// The copies their current waits sent: requests re-sent past a
+        /// silent node, commit-status probes.
+        pub copies: u32,
+        /// Each route, by shard.
+        pub routes: Vec<RouteView>,
+    }
+
+    /// One route of a [`GatewayView`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct RouteView {
+        /// Where a first attempt starts: the home endorser and orderer.
+        pub homes: (ActorId, ActorId),
+        /// The retransmission timeout of the endorse, order and commit waits.
+        pub rto: [SimDuration; 3],
+    }
+}
+
 /// A Fabric client endpoint: every request of one client identity, on
 /// every channel it has a [`Route`] to.
 #[derive(Debug)]
@@ -604,11 +589,6 @@ impl<T: Caller> Gateway<T> {
         self.routes.len()
     }
 
-    /// Requests in flight, including those sleeping out a backoff.
-    pub fn inflight(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The deadline of the endorsement phase and of queries, if any.
     pub fn endorse_deadline(&self) -> Option<SimDuration> {
         self.endorse_timeout
@@ -619,11 +599,33 @@ impl<T: Caller> Gateway<T> {
         self.retry
     }
 
-    /// Where the next request on route `shard` starts: home endorser, home orderer.
-    pub fn homes(&self, shard: usize) -> (ActorId, ActorId) {
-        let route = &self.routes[shard];
-        let [endorser, orderer] = route.home;
-        (route.endorsers[endorser], route.orderers[orderer])
+    /// Its rows by phase, what they spent so far, and where each route
+    /// stands.
+    pub fn view(&self) -> GatewayView {
+        let route = |route: &Route| {
+            let [endorser, orderer] = route.home;
+            let rto = |wait| route.rto(wait, self.endorse_timeout.unwrap_or_default());
+            RouteView {
+                homes: (route.endorsers[endorser], route.orderers[orderer]),
+                rto: [rto(Wait::Endorse), rto(Wait::Order), rto(Wait::Commit)],
+            }
+        };
+        let routes = self.routes.iter().map(route).collect();
+        let mut view = GatewayView {
+            routes,
+            ..GatewayView::default()
+        };
+        for row in self.rows.values() {
+            *match row.phase {
+                Phase::Endorsing { .. } => &mut view.endorsing,
+                Phase::CommitWait { .. } => &mut view.commit_wait,
+                Phase::Query { .. } => &mut view.query,
+                Phase::BackingOff => &mut view.backing_off,
+            } += 1;
+            view.attempts += row.attempts;
+            view.copies += row.wake.as_ref().map_or(0, |wake| wake.sent);
+        }
+        view
     }
 
     /// Starts a full transaction on route `shard` at `now`: endorse on the

@@ -40,15 +40,17 @@ mod policy;
 mod raft;
 
 pub use action::{Action, Outbound, SpanKey};
-pub use catchup::{Action as CatchUpAction, CatchUp, CATCHUP_ESCALATE_AFTER, CATCHUP_GIVE_UP};
+pub use catchup::{
+    Action as CatchUpAction, CatchUp, CatchUpView, CATCHUP_ESCALATE_AFTER, CATCHUP_GIVE_UP,
+};
 pub use chaincode::{
     Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, StubStats, COMPOSITE_SEP,
 };
 pub use committer::{BootstrapError, ChannelPolicies, CommitOutcome, Committer, VsccVerdict};
 pub use endorser::endorse;
 pub use gateway::{
-    Action as GatewayAction, Caller, Done as GatewayDone, Gateway, GatewayError,
-    Reply as GatewayReply, RetryPolicy, Route,
+    Action as GatewayAction, Caller, Done as GatewayDone, Gateway, GatewayError, GatewayView,
+    Reply as GatewayReply, RetryPolicy, Route, RouteView,
 };
 pub use identity::{
     CertId, CertRef, Certificate, Msp, MspBuilder, MspId, Signature, SigningIdentity,
@@ -59,8 +61,8 @@ pub use messages::{
     SignedProposal, BUSY_REASON,
 };
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
-pub use ordering::{Action as OrderingAction, OrderingNode};
-pub use peer::{Action as PeerAction, ChannelView, Own as PeerOwn, Peer, SnapshotPolicy};
-pub use perform::{Host, Io, Machine, Node, QueueConfig};
+pub use ordering::{Action as OrderingAction, OrderingNode, OrderingView};
+pub use peer::{Action as PeerAction, HostedView, Own as PeerOwn, Peer, SnapshotPolicy};
+pub use perform::{Answer, Host, Io, Machine, Node, QueueConfig};
 pub use policy::EndorsementPolicy;
 pub use raft::{LogEntry, PeerIdx, RaftConfig, RaftMsg, RaftNode, RaftOutput, Role};

@@ -102,6 +102,11 @@ impl BlockCutter {
         }
     }
 
+    /// How many envelopes are pending.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
     /// Whether `tx_id` is pending.
     pub fn holds(&self, tx_id: &TxId) -> bool {
         self.pending.iter().any(|env| env.tx_id == *tx_id)
@@ -145,11 +150,6 @@ impl BlockAssembler {
         self.next_number += 1;
         self.prev_hash = block.header.hash();
         block
-    }
-
-    /// Number the next assembled block will carry.
-    pub fn next_number(&self) -> u64 {
-        self.next_number
     }
 }
 
@@ -241,7 +241,7 @@ mod tests {
         assert_eq!(b0.header.prev_hash, Digest::ZERO);
         assert_eq!(b1.header.prev_hash, b0.header.hash());
         assert_eq!(b2.header.prev_hash, b1.header.hash());
-        assert_eq!(asm.next_number(), 3);
+        assert_eq!(asm.next_number, 3);
     }
 
     #[test]

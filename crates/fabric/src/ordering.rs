@@ -191,6 +191,23 @@ enum Consensus {
     Raft(Box<RaftMember>),
 }
 
+hyperprov_sim::view! {
+    /// An ordering node's view (see [`Machine::view`](crate::Machine::view)).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct OrderingView {
+        /// Whether it orders for its channel now: solo always, a raft
+        /// member while it leads the cluster.
+        pub leader: bool,
+        /// Numbers of the first and the last block of the retained tail.
+        pub tail: Option<(u64, u64)>,
+        /// Envelopes pending in the cutter.
+        pub pending: usize,
+        /// A raft member's log as `(compacted, last index)`: the entries it
+        /// holds are those after the first, up to the second. Solo has none.
+        pub raft_log: Option<(u64, u64)>,
+    }
+}
+
 /// An ordering node's decisions, on the one channel it orders.
 pub struct OrderingNode {
     chain: Chain,
@@ -236,24 +253,6 @@ impl OrderingNode {
         OrderingNode {
             consensus: Consensus::Raft(Box::new(member)),
             ..OrderingNode::solo(channel, batch, peers)
-        }
-    }
-
-    /// True if this node orders for its channel now: always for solo, for
-    /// a raft member while it leads the cluster.
-    pub fn is_leader(&self) -> bool {
-        match &self.consensus {
-            Consensus::Solo => true,
-            Consensus::Raft(member) => member.node.is_leader(),
-        }
-    }
-
-    /// A raft member's log as `(compacted, last index)`: the entries it
-    /// holds are those after the first, up to the second. Solo has none.
-    pub fn raft_log(&self) -> Option<(u64, u64)> {
-        match &self.consensus {
-            Consensus::Solo => None,
-            Consensus::Raft(member) => Some((member.node.compacted(), member.node.last_index())),
         }
     }
 

@@ -163,18 +163,26 @@ impl Checkpoint {
     }
 }
 
-/// What a test may see of one hosted channel (see [`Peer::view`]).
-#[derive(Debug)]
-pub struct ChannelView {
-    /// Numbers of the blocks in the reorder buffer, ascending.
-    pub buffered: Vec<u64>,
-    /// Height of the latest snapshot.
-    pub snapshot_height: Option<u64>,
-    /// Whether that snapshot's content is held in memory: a fetched one
-    /// always is, a cut only once something has read it.
-    pub snapshot_resident: bool,
-    /// Whether the channel's [`CatchUp`] waits for nothing.
-    pub current: bool,
+hyperprov_sim::view! {
+    /// One hosted channel, as a peer's view (see
+    /// [`Machine::view`](crate::Machine::view)) shows it: the view holds
+    /// one per hosted channel, in joining order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HostedView {
+        /// The channel's name.
+        pub channel: String,
+        /// Height of the committed chain.
+        pub height: u64,
+        /// Numbers of the blocks in the reorder buffer, ascending.
+        pub buffered: Vec<u64>,
+        /// Height of the latest snapshot.
+        pub snapshot_height: Option<u64>,
+        /// Whether that snapshot's content is held in memory: a fetched one
+        /// always is, a cut only once something has read it.
+        pub snapshot_resident: bool,
+        /// Where the channel's [`CatchUp`] stands.
+        pub catchup: catchup::CatchUpView,
+    }
 }
 
 /// A Fabric peer's decisions, on every channel it hosts.
@@ -246,17 +254,6 @@ impl Peer {
         self.subscribers.insert(cert, client);
     }
 
-    /// A hosted channel's state, for tests.
-    pub fn view(&self, channel: &ChannelId) -> Option<ChannelView> {
-        let ch = &self.channels[self.hosted(channel)?];
-        Some(ChannelView {
-            buffered: ch.buffer.keys().copied().collect(),
-            snapshot_height: ch.checkpoint.as_ref().map(Checkpoint::height),
-            snapshot_resident: ch.checkpoint.as_ref().is_some_and(Checkpoint::resident),
-            current: ch.catchup.is_current(),
-        })
-    }
-
     /// A message from `src`; what a peer does not take is ignored.
     /// `admitted` is the verdict of the admission queue, which the host
     /// owns and asks about proposals only.
@@ -295,8 +292,7 @@ impl Peer {
     /// committer when it wrote nothing, behind it otherwise.
     fn proposal(&mut self, src: ActorId, sp: SignedProposal, admitted: bool) -> Vec<Action> {
         if !admitted {
-            let nacked = Action::Count(None, "nacked", 1);
-            return vec![nacked, self.reject(src, &sp, BUSY_REASON.to_owned())];
+            return vec![self.reject(src, &sp, BUSY_REASON.to_owned())];
         }
         let channel = &sp.proposal.channel;
         let Some(i) = self.hosted(channel) else {

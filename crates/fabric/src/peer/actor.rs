@@ -5,7 +5,7 @@
 
 use hyperprov_sim::{ActorId, Carries, Context};
 
-use super::{Action, Own, Peer};
+use super::{Action, Checkpoint, HostedView, Own, Peer};
 use crate::action::Outbound;
 use crate::messages::FabricMsg;
 use crate::perform::{Host, Io, Machine};
@@ -17,6 +17,7 @@ fn outbound<M: Carries<FabricMsg>>((to, msg): (ActorId, FabricMsg)) -> Outbound<
 impl Machine for Peer {
     type Msg = FabricMsg;
     type Own = Own;
+    type View = Vec<HostedView>;
 
     fn message(&mut self, src: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action> {
         Peer::message(self, src, msg, io.admitted)
@@ -28,6 +29,18 @@ impl Machine for Peer {
 
     fn restarted(&mut self) -> Vec<Action> {
         Peer::restarted(self)
+    }
+
+    fn view(&self) -> Vec<HostedView> {
+        let hosted = |ch: &super::Channel| HostedView {
+            channel: ch.id.to_string(),
+            height: ch.committer.borrow().height(),
+            buffered: ch.buffer.keys().copied().collect(),
+            snapshot_height: ch.checkpoint.as_ref().map(Checkpoint::height),
+            snapshot_resident: ch.checkpoint.as_ref().is_some_and(Checkpoint::resident),
+            catchup: ch.catchup.view(),
+        };
+        self.channels.iter().map(hosted).collect()
     }
 
     /// Only a proposal takes a place in the admission queue.

@@ -2,33 +2,43 @@
 //! give and turns [`Action`]s into kernel calls — the one interpreter, which
 //! the one host actor, [`Node`], calls with what an input answered.
 
-use std::any::Any;
 use std::collections::HashMap;
 
 use hyperprov_ledger::ChannelId;
+use hyperprov_sim::json::ToJson;
 use hyperprov_sim::{
     Actor, ActorId, Context, CpuResource, DetRng, Event, GaugeId, HistogramId, Metrics,
     SimDuration, SimTime, Simulation, TimerId,
 };
 
 use crate::action::{Action, Outbound, SpanKey};
-use crate::messages::{Carries, FabricMsg};
+use crate::messages::Carries;
+
+/// What a machine answers an input with: actions whose sends are messages
+/// of the kind it takes.
+pub type Answer<Mc> = Vec<Action<<Mc as Machine>::Own, <Mc as Machine>::Msg>>;
 
 /// A sans-IO machine — peer, ordering node, client, off-chain store — as a
 /// [`Node`] hosts it.
-pub trait Machine {
-    /// The messages it takes.
+pub trait Machine: Sized {
+    /// The messages it takes, and sends.
     type Msg;
     /// What only this kind of machine asks its host for.
     type Own;
+    /// What it shows of its state.
+    type View: ToJson;
     /// A message from `src` arrived.
-    fn message(&mut self, src: ActorId, msg: Self::Msg, io: Io<'_>) -> Vec<Action<Self::Own>>;
+    fn message(&mut self, src: ActorId, msg: Self::Msg, io: Io<'_>) -> Answer<Self>;
     /// A timer it armed fired.
-    fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<Self::Own>>;
+    fn timer(&mut self, token: u64, io: Io<'_>) -> Answer<Self>;
     /// It restarts after a crash, which its host's timers did not survive.
-    fn restarted(&mut self) -> Vec<Action<Self::Own>> {
+    fn restarted(&mut self) -> Answer<Self> {
         Vec::new()
     }
+    /// Its state as a plain value, computed when asked: the one way to
+    /// read it, from a test or, rendered, from the host side during a run
+    /// ([`Simulation::view`]). It emits nothing and changes nothing.
+    fn view(&self) -> Self::View;
     /// The token of the timer its host fires when it starts, if any.
     fn first_timer(&self) -> Option<u64> {
         None
@@ -38,7 +48,7 @@ pub trait Machine {
         false
     }
     /// Performs one of its own actions.
-    fn perform_own<M: Carries<Self::Msg> + Carries<FabricMsg>>(
+    fn perform_own<M: Carries<Self::Msg>>(
         &mut self,
         host: &mut Host<M>,
         ctx: &mut Context<'_, M>,
@@ -65,7 +75,7 @@ pub struct Node<Mc, M> {
     host: Host<M>,
 }
 
-impl<Mc: Machine + 'static, M: Carries<Mc::Msg> + Carries<FabricMsg> + 'static> Node<Mc, M> {
+impl<Mc: Machine + 'static, M: Carries<Mc::Msg> + 'static> Node<Mc, M> {
     /// The host of `machine`, whose metrics are named after `name`.
     pub fn new(machine: Mc, name: impl Into<String>) -> Self {
         let host = Host::new(name);
@@ -100,22 +110,15 @@ impl<Mc: Machine + 'static, M: Carries<Mc::Msg> + Carries<FabricMsg> + 'static> 
         id
     }
 
-    /// The machine, to read.
-    pub fn machine(&self) -> &Mc {
-        &self.machine
-    }
-
-    fn perform(&mut self, ctx: &mut Context<'_, M>, actions: Vec<Action<Mc::Own>>) {
+    fn perform(&mut self, ctx: &mut Context<'_, M>, actions: Answer<Mc>) {
         let Node { machine, host } = self;
         host.perform(ctx, actions, |h, c, own| machine.perform_own(h, c, own));
     }
 }
 
-impl<Mc: Machine + 'static, M: Carries<Mc::Msg> + Carries<FabricMsg> + 'static> Actor<M>
-    for Node<Mc, M>
-{
-    fn as_any(&self) -> Option<&dyn Any> {
-        Some(self)
+impl<Mc: Machine + 'static, M: Carries<Mc::Msg> + 'static> Actor<M> for Node<Mc, M> {
+    fn view(&self) -> Option<String> {
+        Some(self.machine.view().to_json())
     }
 
     fn on_event(&mut self, ctx: &mut Context<'_, M>, event: Event<M>) {
@@ -223,7 +226,7 @@ pub struct Host<M> {
     names: HashMap<(Option<ChannelId>, &'static str), String>,
 }
 
-impl<M: Carries<FabricMsg>> Host<M> {
+impl<M> Host<M> {
     fn new(name: impl Into<String>) -> Self {
         Host {
             name: name.into(),
@@ -366,12 +369,14 @@ impl<M: Carries<FabricMsg>> Host<M> {
 
     /// Performs `actions` in the order given; `own` performs what only
     /// this kind of machine asks for.
-    fn perform<X>(
+    fn perform<X, S>(
         &mut self,
         ctx: &mut Context<'_, M>,
-        actions: Vec<Action<X>>,
+        actions: Vec<Action<X, S>>,
         mut own: impl FnMut(&mut Self, &mut Context<'_, M>, X),
-    ) {
+    ) where
+        M: Carries<S>,
+    {
         for action in actions {
             match action {
                 Action::Send(to, bytes, msg) => ctx.send(to, bytes, M::wrap(msg)),

@@ -213,21 +213,6 @@ impl<T: Clone> RaftNode<T> {
         }
     }
 
-    /// This node's index.
-    pub fn id(&self) -> PeerIdx {
-        self.id
-    }
-
-    /// Current role.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
-    /// Current term.
-    pub fn term(&self) -> u64 {
-        self.term
-    }
-
     /// True if this node currently leads.
     pub fn is_leader(&self) -> bool {
         self.role == Role::Leader
@@ -240,11 +225,6 @@ impl<T: Clone> RaftNode<T> {
         } else {
             self.leader_hint
         }
-    }
-
-    /// Highest committed log index.
-    pub fn commit_index(&self) -> u64 {
-        self.commit_index
     }
 
     /// Log length (highest index; indices are 1-based).
@@ -743,9 +723,9 @@ mod tests {
         c.run_ticks(50);
         let leaders = c.nodes.iter().filter(|n| n.is_leader()).count();
         assert_eq!(leaders, 1);
-        let term = c.nodes[c.leader().unwrap()].term();
+        let term = c.nodes[c.leader().unwrap()].term;
         for n in &c.nodes {
-            assert_eq!(n.term(), term);
+            assert_eq!(n.term, term);
             assert_eq!(n.leader_hint(), c.leader());
         }
     }
@@ -783,7 +763,7 @@ mod tests {
             .find(|&p| c.nodes[p].is_leader())
             .expect("a survivor should take over");
         assert_ne!(new, old);
-        assert!(c.nodes[new].term() > c.nodes[old].term() || !c.nodes[old].is_leader());
+        assert!(c.nodes[new].term > c.nodes[old].term || !c.nodes[old].is_leader());
         // New leader can commit.
         let out = c.nodes[new].propose(99).ok().unwrap();
         c.dispatch(new, out);
@@ -887,17 +867,17 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(n.role(), Role::Candidate);
+        assert_eq!(n.role, Role::Candidate);
         // Grant both votes.
         let o = n.step(RaftMsg::VoteReply {
-            term: n.term(),
+            term: n.term,
             granted: true,
             from: 1,
         });
         drop(o);
         assert!(n.is_leader());
         let _ = n.propose(9).unwrap();
-        assert_eq!(n.commit_index(), 0);
+        assert_eq!(n.commit_index, 0);
         drop(out);
     }
 
@@ -937,10 +917,10 @@ mod tests {
             heartbeat_interval: 1,
         };
         let mut leader = RaftNode::new(0, 3, config, 7);
-        while leader.role() != Role::Candidate {
+        while leader.role != Role::Candidate {
             let _ = leader.tick();
         }
-        let term = leader.term();
+        let term = leader.term;
         let _ = leader.step(RaftMsg::VoteReply {
             term,
             granted: true,
@@ -954,7 +934,7 @@ mod tests {
 
     /// Member `from`'s answer to an append of `leader`'s current term.
     fn reply(leader: &mut RaftNode<u64>, from: PeerIdx, success: bool, match_index: u64) {
-        let term = leader.term();
+        let term = leader.term;
         let _ = leader.step(RaftMsg::AppendReply {
             term,
             success,

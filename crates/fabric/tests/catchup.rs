@@ -100,7 +100,7 @@ mod transitions {
         for height in 1..5 {
             assert!(m.delivered(ORDERER, height, false).is_empty());
         }
-        assert!(m.is_current());
+        assert!(m.view().current);
     }
 
     #[test]
@@ -111,7 +111,7 @@ mod transitions {
         // The repeat guard: another later block at the same height.
         assert!(m.delivered(ActorId(5), 3, true).is_empty());
         assert_eq!(show(&m.delivered(ORDERER, 6, false)), ["disarm"]);
-        assert!(m.is_current());
+        assert!(m.view().current);
     }
 
     /// Pinned, not endorsed: while a later block sits in the buffer, every
@@ -148,7 +148,7 @@ mod transitions {
             assert_eq!(show(&m.timer_fired(5, false)), resend);
         }
         assert!(m.timer_fired(5, false).is_empty());
-        assert!(m.is_current());
+        assert!(m.view().current);
 
         m.delivered(ORDERER, 5, true);
         for _ in 0..3 * CATCHUP_GIVE_UP {
@@ -172,7 +172,7 @@ mod transitions {
             show(&m.timer_fired(3, true)),
             ["+catchup_retries", "disarm"]
         );
-        assert!(m.is_current());
+        assert!(m.view().current);
         let ask = ["+catchup_requests", "blocks@3->9", "arm"];
         assert_eq!(show(&m.delivered(ORDERER, 3, true)), ask);
     }
@@ -182,7 +182,7 @@ mod transitions {
         let mut m = machine(None, &[]);
         assert_eq!(show(&m.join(0)), ["+joins", "disarm"]);
         assert_eq!(show(&m.restarted(0)), ["disarm"]);
-        assert!(m.is_current());
+        assert!(m.view().current);
 
         let snap = snapshot(8);
         let mut m = machine(None, &[P0]);
@@ -192,7 +192,7 @@ mod transitions {
             m.part(P0, 0, 8, index as u32, part_of(&snap, index));
         }
         assert_eq!(show(&m.booted(true, 8)), ["disarm"]);
-        assert!(m.is_current());
+        assert!(m.view().current);
     }
 
     #[test]
@@ -348,7 +348,7 @@ mod transitions {
         let mut m = downloading(&snap, &[P0]);
         m.restarted(0);
         assert!(m.part(P0, 0, 8, 0, part_of(&snap, 0)).is_empty());
-        assert!(m.delivered(ORDERER, 1, false).len() == 1 && m.is_current());
+        assert!(m.delivered(ORDERER, 1, false).len() == 1 && m.view().current);
     }
 }
 
@@ -482,7 +482,7 @@ impl Model {
         let (seed, machine) = (self.seed, &self.machine);
         assert_eq!(
             self.armed,
-            !machine.is_current(),
+            !machine.view().current,
             "seed {seed}: {machine:?}"
         );
     }
@@ -625,7 +625,7 @@ proptest! {
             }
         }
         prop_assert!(
-            model.machine.is_current() && model.height == tip,
+            model.machine.view().current && model.height == tip,
             "seed {seed}: at {} of {tip} after {} inputs: {:?}",
             model.height, model.inputs, model.machine
         );
@@ -647,11 +647,11 @@ proptest! {
         let first = if joined { machine.join(height) } else { machine.restarted(height) };
         prop_assert!(first.iter().any(|a| matches!(a, CatchUpAction::Arm(_))));
         let mut timers = 0;
-        while !machine.is_current() && timers < 200 {
+        while !machine.view().current && timers < 200 {
             let actions = machine.timer_fired(height, buffered);
             timers += 1;
             let armed = actions.iter().any(|a| matches!(a, CatchUpAction::Arm(_)));
-            prop_assert_eq!(armed, !machine.is_current());
+            prop_assert_eq!(armed, !machine.view().current);
         }
         if buffered {
             prop_assert_eq!(timers, 200);

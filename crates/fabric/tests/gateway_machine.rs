@@ -13,8 +13,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hyperprov_fabric::{
     tx_trace, Caller, Carries, CommitEvent, FabricMsg, Gateway, GatewayAction as Action,
-    GatewayDone as Done, GatewayReply, Host, Io, Machine, MspBuilder, MspId, ProposalResponse,
-    RetryPolicy, Route, SigningIdentity, BUSY_REASON,
+    GatewayDone as Done, GatewayReply, GatewayView, Host, Io, Machine, MspBuilder, MspId,
+    ProposalResponse, RetryPolicy, Route, SigningIdentity, BUSY_REASON,
 };
 use hyperprov_ledger::{ChannelId, RwSet, TxId, ValidationCode};
 use hyperprov_sim::{ActorId, Context, SimDuration, SimTime};
@@ -59,6 +59,7 @@ struct Bare(Gateway<Req>);
 impl Machine for Bare {
     type Msg = FabricMsg;
     type Own = Done<Req>;
+    type View = GatewayView;
 
     fn message(&mut self, src: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Req>> {
         self.0.on_message(src, msg, io.now, io.rng)
@@ -66,6 +67,10 @@ impl Machine for Bare {
 
     fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<Req>> {
         self.0.on_timer(token, io.now, io.rng)
+    }
+
+    fn view(&self) -> GatewayView {
+        self.0.view()
     }
 
     fn perform_own<M: Carries<FabricMsg>>(
@@ -76,6 +81,19 @@ impl Machine for Bare {
     ) {
         unreachable!("no kernel hosts a bare gateway: a client performs its ends")
     }
+}
+
+/// The requests in flight, those sleeping out a backoff included, as the
+/// gateway's view shows them.
+fn rows(gateway: &Gateway<Req>) -> usize {
+    let view = gateway.view();
+    view.endorsing + view.commit_wait + view.query + view.backing_off
+}
+
+/// Where the next request on route `shard` starts: home endorser, home
+/// orderer.
+fn homes(gateway: &Gateway<Req>, shard: usize) -> (ActorId, ActorId) {
+    gateway.view().routes[shard].homes
 }
 
 struct Bench {
@@ -325,7 +343,7 @@ mod transitions {
         assert!(b.message(ack(tx, true)).is_empty());
         let done = ["disarm#3", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(tx))), done);
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
@@ -345,7 +363,7 @@ mod transitions {
         let rejected = show(&b.message(answer));
         assert_eq!(rejected[..2], ["disarm#2", "query]"]);
         assert!(rejected[2].starts_with("done2=Query"), "{rejected:?}");
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
@@ -390,7 +408,7 @@ mod transitions {
         assert_eq!(failed.len(), 4);
         // The other endorser's answer finds no row.
         assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
@@ -405,7 +423,7 @@ mod transitions {
             "done1=Mismatch",
         ];
         assert_eq!(show(&b.message(b.answer(tx, Ok(b"two")))), failed);
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
@@ -415,7 +433,7 @@ mod transitions {
         assert_eq!(b.message(b.answer(tx, Ok(b"r"))).len(), 5);
         assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
         assert!(b.message(b.answer(tx, Err("late"))).is_empty());
-        assert_eq!(b.gateway().inflight(), 1);
+        assert_eq!(rows(b.gateway()), 1);
     }
 
     #[test]
@@ -428,14 +446,14 @@ mod transitions {
         assert!(b.message(commit(ours)).is_empty());
         let query = tx_of(&b.query(0, 2));
         assert!(b.message(commit(query)).is_empty());
-        assert_eq!(b.gateway().inflight(), 2);
+        assert_eq!(rows(b.gateway()), 2);
         // Ours once submitted: a commit that overtakes the orderer's answer
         // completes it, and the answer then finds nothing.
         b.message(b.answer(ours, Ok(b"r")));
         let done = ["disarm#3", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(ours))), done);
         assert!(b.message(ack(ours, true)).is_empty());
-        assert_eq!(b.gateway().inflight(), 1);
+        assert_eq!(rows(b.gateway()), 1);
     }
 
     #[test]
@@ -497,7 +515,7 @@ mod transitions {
             "done4=CommitTimeout",
         ];
         assert_eq!(show(&b.timer(8)), expired);
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
         // Nothing is left to fire: every token is spent or disarmed.
         for token in 0..10 {
             assert!(b.timer(token).is_empty());
@@ -520,7 +538,7 @@ mod transitions {
             "arm#2=backoff",
         ];
         assert_eq!(show(&b.timer(1)), backing_off);
-        assert_eq!(b.gateway().inflight(), 1);
+        assert_eq!(rows(b.gateway()), 1);
         let reissued = b.timer(2);
         let again = ["charge", "[endorse", "arm#3=endorse", "propose->11"];
         assert_eq!(show(&reissued), again);
@@ -529,7 +547,7 @@ mod transitions {
         b.message(b.answer(second, Ok(b"r")));
         let done = ["disarm#4", "commit_wait]", "done7=Valid"];
         assert_eq!(show(&b.message(commit(second))), done);
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
@@ -563,7 +581,7 @@ mod transitions {
             "done1=Exhausted { attempts: 2 }",
         ];
         assert_eq!(show(&b.timer(3)), exhausted);
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
@@ -572,7 +590,7 @@ mod transitions {
         let tx = tx_of(&b.invoke(0, 1));
         let failed = show(&b.message(b.answer(tx, Err("bad argument"))));
         assert!(failed[3].starts_with("done1=Endorsement"), "{failed:?}");
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
@@ -585,7 +603,7 @@ mod transitions {
         // ...and after the next attempt moved it to a fresh one.
         b.timer(2);
         assert!(b.message(b.answer(first, Ok(b"r"))).is_empty());
-        assert_eq!(b.gateway().inflight(), 1);
+        assert_eq!(rows(b.gateway()), 1);
     }
 
     /// Runs request `req` on route 0 — an invoke, or a query — to its end
@@ -636,7 +654,7 @@ mod transitions {
     fn a_retry_goes_to_the_next_endorser() {
         let mut b = bench(&[1], true, Some(4));
         assert_eq!(addressed(&mut b, 1, true, &[10]), (vec![10, 11], vec![91]));
-        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
         assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11], vec![90]));
         // With two endorsements needed, the window of two moves along.
         let mut b = bench(&[2], true, Some(3));
@@ -647,7 +665,7 @@ mod transitions {
         let mut b = bench(&[1], true, Some(4));
         let (proposals, _) = addressed(&mut b, 1, true, &[10, 11, 12]);
         assert_eq!(proposals, [10, 11, 12, 10]);
-        assert_eq!(b.gateway().homes(0).0, ActorId(11));
+        assert_eq!(homes(b.gateway(), 0).0, ActorId(11));
     }
 
     #[test]
@@ -655,7 +673,7 @@ mod transitions {
         let mut b = bench(&[2], true, Some(4));
         assert_eq!(addressed(&mut b, 1, false, &[10]), (vec![10, 11], vec![]));
         assert_eq!(addressed(&mut b, 2, false, &[10]), (vec![11], vec![]));
-        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
     }
 
     /// A dead home orderer costs one endorse deadline per outage: its
@@ -667,7 +685,7 @@ mod transitions {
         let mut b = bench(&[1], true, Some(4));
         let first = addressed(&mut b, 1, true, &[90]);
         assert_eq!(first, (vec![10], vec![90, 91]));
-        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(10), ActorId(91)));
         assert_eq!(addressed(&mut b, 2, true, &[90]), (vec![10], vec![91]));
     }
 
@@ -698,7 +716,7 @@ mod transitions {
         assert!(b.message(ack(tx, false)).is_empty());
         let done = ["disarm#3", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(tx))), done);
-        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(10), ActorId(91)));
     }
 
     /// A full queue, an orderer's refusal and a rejection are answers, not
@@ -706,7 +724,7 @@ mod transitions {
     /// retry after `Busy` still goes one place along.
     #[test]
     fn busy_a_refusal_and_a_rejection_move_no_home() {
-        let homes = (ActorId(10), ActorId(90));
+        let before = (ActorId(10), ActorId(90));
         let mut b = bench(&[1], true, Some(3));
         // Refused by the home orderer.
         let tx = tx_of(&b.invoke(0, 1));
@@ -724,14 +742,14 @@ mod transitions {
             "arm#3=backoff",
         ];
         assert_eq!(show(&b.message(ack(tx, false))), refused);
-        assert_eq!(b.gateway().homes(0), homes);
+        assert_eq!(homes(b.gateway(), 0), before);
         assert_eq!(show(&b.timer(3)).last().unwrap(), "propose->11");
         // Shed by the home endorser, then rejected by it.
         for (req, reason) in [(2, BUSY_REASON), (3, "not found")] {
             let issued = b.query(0, req);
             assert_eq!(show(&issued).last().unwrap(), "propose->10");
             b.message(b.answer(tx_of(&issued), Err(reason)));
-            assert_eq!(b.gateway().homes(0), homes);
+            assert_eq!(homes(b.gateway(), 0), before);
         }
     }
 
@@ -782,7 +800,7 @@ mod transitions {
             "arm#11=backoff",
         ];
         assert_eq!(show(&b.timer(10)), expired);
-        assert_eq!(b.gateway().inflight(), 4);
+        assert_eq!(rows(b.gateway()), 4);
     }
 
     /// An ordering deadline on a Solo orderer's ring of one, whose home has
@@ -813,7 +831,7 @@ mod transitions {
         let again = show(&b.timer(armed_by(&probed)));
         assert_eq!(again[0], "!commit.timeout");
         assert_eq!(again[again.len() - 2], "broadcast->90");
-        assert_eq!(b.gateway().homes(0), (ActorId(11), ORDERERS[0]));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(11), ORDERERS[0]));
         let done = show(&b.message(commit(tx)));
         assert_eq!(done.last().unwrap(), "done1=Valid");
     }
@@ -871,7 +889,7 @@ mod transitions {
         assert_eq!(proposed(&again), 0);
         let done = ["disarm#5", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message(commit(first))), done);
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 }
 
@@ -951,7 +969,7 @@ mod probes {
             waits.into_iter().fold(SimDuration::ZERO, |a, b| a + b),
             COMMIT
         );
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     /// Karn's rule: a row a probe's answer completed timed the probe, not
@@ -1004,7 +1022,7 @@ mod probes {
         let done = ["disarm#4", "commit_wait]", "done1=MvccReadConflict"];
         assert_eq!(show(&b.message(conflict)), done);
         assert!(b.message(commit(tx)).is_empty());
-        assert_eq!(b.gateway().inflight(), 0);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     /// A probed peer's answer that ends a row moves the endorsers' home to
@@ -1027,7 +1045,7 @@ mod probes {
         ];
         let answered = b.message_from(12, answer(tx, ValidationCode::Valid));
         assert_eq!(show(&answered), done);
-        assert_eq!(b.gateway().homes(0), (ActorId(12), ActorId(90)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(12), ActorId(90)));
         assert_eq!(show(&b.invoke(0, 2)).last().unwrap(), "propose->12");
     }
 
@@ -1048,7 +1066,7 @@ mod probes {
             answered[..2],
             ["+client.home_moves", "!home endorsers 0->1"]
         );
-        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
     }
 
     /// The home's own event moves nothing, even after a probe went out:
@@ -1057,7 +1075,7 @@ mod probes {
     /// gone.
     #[test]
     fn the_home_event_a_duplicate_or_a_not_found_moves_no_home() {
-        let homes = (ActorId(10), ActorId(90));
+        let before = (ActorId(10), ActorId(90));
         let mut b = bench(&[1], true, None);
         let (tx, waiting) = acked(&mut b, 1, 0);
         b.timer(armed_by(&waiting));
@@ -1065,12 +1083,12 @@ mod probes {
         assert!(b.message_from(11, duplicate).is_empty());
         let moved = ["!commit.reprobe", "probe->12"];
         assert_eq!(show(&b.message_from(11, not_found(tx))), moved);
-        assert_eq!(b.gateway().homes(0), homes);
+        assert_eq!(homes(b.gateway(), 0), before);
         let done = ["disarm#4", "commit_wait]", "done1=Valid"];
         assert_eq!(show(&b.message_from(10, commit(tx))), done);
         let late = answer(tx, ValidationCode::Valid);
         assert!(b.message_from(12, late).is_empty());
-        assert_eq!(b.gateway().homes(0), homes);
+        assert_eq!(homes(b.gateway(), 0), before);
     }
 
     /// The commit RTO never falls below [`MIN_COMMIT_RTO`]: a commit in
@@ -1152,7 +1170,7 @@ mod probes {
         assert!(b.message(not_found(tx)).is_empty());
         let (_, waiting) = acked(&mut b, 3, 2_000);
         assert_eq!(delay(&waiting), ms(300));
-        assert_eq!(b.gateway().inflight(), 2);
+        assert_eq!(rows(b.gateway()), 2);
     }
 }
 
@@ -1203,7 +1221,7 @@ mod resends {
         ];
         assert_eq!(show(&first), copy);
         assert_eq!((sent_ids(&first), delay(&first)), (vec![tx], MIN_RTO * 2));
-        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
         // The second copy passes 11, the home now, and moves it on again.
         let second = b.timer(5);
         let copy = [
@@ -1217,7 +1235,7 @@ mod resends {
         assert_eq!(delay(&second), ENDORSE - MIN_RTO * 3);
         let expired = show(&b.timer(6));
         assert_eq!(expired[..2], ["endorse]", "!endorse.timeout"]);
-        assert_eq!(b.gateway().inflight(), 1, "backing off");
+        assert_eq!(rows(b.gateway()), 1, "backing off");
     }
 
     /// The same for an envelope: copies go to the next orderers, asking,
@@ -1242,7 +1260,7 @@ mod resends {
         ];
         assert_eq!(show(&first), copy);
         assert_eq!(sent_ids(&first), [tx]);
-        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(91)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(10), ActorId(91)));
         let copy = [
             "+client.home_moves",
             "!home orderers 1->2",
@@ -1379,7 +1397,7 @@ mod resends {
             "!commit.probe probe->12 !commit.rebroadcast broadcast->91",
         ];
         assert_eq!(shown, expected);
-        assert_eq!(b.gateway().homes(0), (ActorId(10), ActorId(90)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(10), ActorId(90)));
     }
 
     /// A home that something moved already stays where it went: a copy of
@@ -1399,7 +1417,7 @@ mod resends {
         let answered = show(&b.message_from(12, answer(tx, ValidationCode::Valid)));
         assert_eq!(answered.last().unwrap(), "done2=Valid");
         assert!(!answered.contains(&"+client.home_moves".to_owned()));
-        assert_eq!(b.gateway().homes(0), (ActorId(11), ActorId(90)));
+        assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
     }
 
     /// A second copy of a transaction is committed `DuplicateTxId` where
@@ -1413,7 +1431,7 @@ mod resends {
         assert!(b.message(FabricMsg::Commit(duplicate.clone())).is_empty());
         let answer = FabricMsg::CommitStatusAnswer(duplicate);
         assert!(b.message(answer).is_empty());
-        assert_eq!(b.gateway().inflight(), 1);
+        assert_eq!(rows(b.gateway()), 1);
         assert_eq!(show(&b.message(commit(tx))).last().unwrap(), "done1=Valid");
     }
 }
@@ -1556,13 +1574,13 @@ impl Model {
         // A row exists exactly while its one wake-up is armed, in every
         // phase, *ordering* included, and nothing else is disarmed.
         let sched = &self.bench.sched;
-        assert_eq!(sched.armed[0].len(), self.bench.gateway().inflight());
+        assert_eq!(sched.armed[0].len(), rows(self.bench.gateway()));
         assert_eq!(sched.stray_disarms, 0);
         assert!(self.done.values().all(|&n| n == 1));
         // A home moves on an expiry or a copy, one place on from the
         // position blamed, and to the peer whose probe answer ended a row.
         for (shard, &home) in self.homes.iter().enumerate() {
-            assert_eq!(self.bench.gateway().homes(shard), home, "route {shard}");
+            assert_eq!(homes(self.bench.gateway(), shard), home, "route {shard}");
         }
     }
 
@@ -1783,7 +1801,7 @@ proptest! {
         }
         // The inputs stop.
         m.drain();
-        prop_assert_eq!(m.bench.gateway().inflight(), 0);
+        prop_assert_eq!(rows(m.bench.gateway()), 0);
         prop_assert!(m.open.is_empty(), "spans left open: {:?}", m.open);
         prop_assert_eq!(m.done.len() as u32, issued);
     }

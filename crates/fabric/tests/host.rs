@@ -111,7 +111,7 @@ impl Svc {
         }
     }
 
-    fn serve(cost: SimDuration, n: u64, request: bool) -> Vec<Action<Own>> {
+    fn serve(cost: SimDuration, n: u64, request: bool) -> Vec<Action<Own, u64>> {
         let trace = format!("req-{n}");
         let start = Action::SpanStart(trace, "svc.exec", String::new());
         vec![start, Action::Own(Own::Job(cost, n, request))]
@@ -121,15 +121,17 @@ impl Svc {
 impl Machine for Svc {
     type Msg = u64;
     type Own = Own;
+    /// How many unscripted timers fired.
+    type View = usize;
 
-    fn message(&mut self, _: ActorId, n: u64, io: Io<'_>) -> Vec<Action<Own>> {
+    fn message(&mut self, _: ActorId, n: u64, io: Io<'_>) -> Vec<Action<Own, u64>> {
         match io.admitted {
             true => Svc::serve(self.cost, n, true),
             false => vec![Action::Own(Own::Nack(n))],
         }
     }
 
-    fn timer(&mut self, token: u64, _: Io<'_>) -> Vec<Action<Own>> {
+    fn timer(&mut self, token: u64, _: Io<'_>) -> Vec<Action<Own, u64>> {
         if let Some(cost) = self.charge {
             return vec![Action::Charge(cost)];
         }
@@ -146,7 +148,11 @@ impl Machine for Svc {
         true
     }
 
-    fn perform_own<M: Carries<u64> + Carries<FabricMsg>>(
+    fn view(&self) -> usize {
+        self.fired.borrow().len()
+    }
+
+    fn perform_own<M: Carries<u64>>(
         &mut self,
         host: &mut Host<M>,
         ctx: &mut Context<'_, M>,

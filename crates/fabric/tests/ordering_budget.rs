@@ -71,7 +71,7 @@ fn tick(nodes: &mut [OrderingNode], n: usize) {
 /// The leader orders `batches` more batches of fresh posts, then the
 /// cluster settles: every member applies all of it.
 fn order(nodes: &mut [OrderingNode], ids: (&SigningIdentity, &SigningIdentity), batches: u64) {
-    let first = nodes[0].raft_log().unwrap().1 * TXS_PER_BATCH as u64;
+    let first = nodes[0].view().raft_log.unwrap().1 * TXS_PER_BATCH as u64;
     for nonce in first..first + batches * TXS_PER_BATCH as u64 {
         let (envelope, ack) = (post(ids.0, ids.1, nonce).into(), false);
         let actions = nodes[0].message(
@@ -122,7 +122,7 @@ fn three_raft_members_hold_one_retained_tail_however_long_the_chain() {
         OrderingNode::raft(i, cluster, ChannelId::default(), peers, batch, 5)
     };
     let mut nodes: Vec<OrderingNode> = (0..ORDERERS.len()).map(member).collect();
-    while !nodes[0].is_leader() {
+    while !nodes[0].view().leader {
         tick(&mut nodes, 1);
     }
 
@@ -149,9 +149,9 @@ fn three_raft_members_hold_one_retained_tail_however_long_the_chain() {
         "three members hold {at_4n} B: more than one tail of bodies ({tail} B) and {STRUCTURE_BYTES} B of structure"
     );
     // What all members hold is gone from every log.
-    let last = nodes[0].raft_log().unwrap().1;
+    let last = nodes[0].view().raft_log.unwrap().1;
     assert_eq!(last, 4 * N);
     for node in &nodes {
-        assert_eq!(node.raft_log(), Some((last, last)));
+        assert_eq!(node.view().raft_log, Some((last, last)));
     }
 }

@@ -214,7 +214,7 @@ fn carry(s: &mut Sched<OrderingNode>, from: usize, actions: Vec<Action>) -> Vec<
 /// Ticks member `who` alone until it stands for election and wins it.
 fn elect(s: &mut Sched<OrderingNode>, who: usize) {
     let tick = s.machines[who].first_timer().expect("a raft member ticks");
-    while !s.machines[who].is_leader() {
+    while !s.machines[who].view().leader {
         s.fire(who, tick);
         s.settle();
     }
@@ -480,7 +480,7 @@ mod transitions {
     #[test]
     fn a_member_that_does_not_lead_forwards_to_the_leader_it_knows_of() {
         let (mut s, mut txs) = (cluster(1, 5, Rng::new(5)), Txs::new());
-        assert!(s.machines.iter().all(|node| !node.is_leader()));
+        assert!(s.machines.iter().all(|node| !node.view().leader));
         let lost = s.machines[1].message(CLIENT, txs.broadcast());
         assert_eq!(show(&lost, &txs), ["+dropped_no_leader=1"]);
         let refused = s.machines[1].message(CLIENT, txs.asking());
@@ -493,7 +493,7 @@ mod transitions {
         assert_eq!(tx_id, txs.ids.last().unwrap());
         elect(&mut s, 0);
         let nodes = &mut s.machines;
-        assert!(nodes[0].is_leader() && !nodes[1].is_leader());
+        assert!(nodes[0].view().leader && !nodes[1].view().leader);
         let env = txs.envelope();
         let size = env.wire_size();
         let forwarded = nodes[1].message(CLIENT, broadcast(env));
@@ -579,7 +579,7 @@ mod transitions {
         let timer = armed_by(&admitted);
         s.message(0, CLIENT, txs.broadcast());
         elect(&mut s, 1);
-        assert!(!s.machines[0].is_leader());
+        assert!(!s.machines[0].view().leader);
         let dropped = [
             "+timeout_cuts=1",
             "+dropped_not_leader=1",
@@ -716,7 +716,7 @@ impl Net {
 
     fn leader(&self) -> Option<usize> {
         let s = &self.sched;
-        (0..ORDERERS.len()).find(|&m| !s.down[m] && s.machines[m].is_leader())
+        (0..ORDERERS.len()).find(|&m| !s.down[m] && s.machines[m].view().leader)
     }
 
     /// Holds what must hold after member `m` answered an input with
@@ -786,7 +786,7 @@ impl Net {
             .sched
             .machines
             .iter()
-            .map(|node| node.raft_log().unwrap())
+            .map(|node| node.view().raft_log.unwrap())
             .collect();
         let held = logs.iter().map(|&(_, last)| last).min().unwrap();
         let kept = logs.iter().all(|&(compacted, _)| compacted <= held);
@@ -946,7 +946,12 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     // consensus commits what earlier terms left behind only with an entry
     // of the current one — and every member applies all of it.
     net.heal(coverage, |net| {
-        let leaders = net.sched.machines.iter().filter(|n| n.is_leader()).count();
+        let leaders = net
+            .sched
+            .machines
+            .iter()
+            .filter(|n| n.view().leader)
+            .count();
         leaders == 1 && net.members.iter().all(|m| !m.pending)
     });
     let leader = net.leader().unwrap();
@@ -970,7 +975,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
     for m in 0..net.members.len() {
         assert_eq!(hashes(&net.members[m]), chain);
         net.check_tail(m, coverage);
-        coverage.compacted += net.sched.machines[m].raft_log().unwrap().0;
+        coverage.compacted += net.sched.machines[m].view().raft_log.unwrap().0;
     }
     coverage.blocks += chain.len() as u64;
     // No transaction in two blocks, and none that nobody broadcast.

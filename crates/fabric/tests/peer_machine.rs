@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use hyperprov_fabric::{
     costs, endorsement_message, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
-    ChannelView, Committer, FabricMsg, Peer, PeerAction as Action, PeerOwn as Own, Proposal,
-    SignedProposal, SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
+    Committer, FabricMsg, HostedView, Machine as _, Peer, PeerAction as Action, PeerOwn as Own,
+    Proposal, SignedProposal, SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, Encode, RawEnvelope, TxId, ValidationCode, DEFAULT_CHANNEL,
@@ -32,6 +32,11 @@ const ORDERER: ActorId = ActorId(90);
 
 fn channel() -> ChannelId {
     ChannelId::default()
+}
+
+/// The peer's one hosted channel, as its view shows it.
+fn hosted(peer: &Peer) -> HostedView {
+    peer.view().remove(0)
 }
 
 /// The actor of client `c`.
@@ -216,7 +221,7 @@ mod transitions {
         assert_eq!(show(&deliver(&mut peer, &chain[2])), asked);
         // The repeat guard: another later block shows the same gap.
         assert!(deliver(&mut peer, &chain[1]).is_empty());
-        assert_eq!(peer.view(&channel()).unwrap().buffered, [1, 2]);
+        assert_eq!(hosted(&peer).buffered, [1, 2]);
         let drained = show(&deliver(&mut peer, &chain[0]));
         let commits: Vec<&String> = drained
             .iter()
@@ -230,8 +235,8 @@ mod transitions {
         assert_eq!(commits, in_order);
         assert_eq!(drained.last().unwrap(), "disarm#0");
         assert_eq!(ledger.borrow().height(), 3);
-        let view = peer.view(&channel()).unwrap();
-        assert!(view.buffered.is_empty() && view.current);
+        let view = hosted(&peer);
+        assert!(view.buffered.is_empty() && view.catchup.current);
     }
 
     /// A block that `commit_block_prevalidated` rejects is not a drained
@@ -262,12 +267,12 @@ mod transitions {
         let error = ledger.borrow_mut().commit_block(stray).unwrap_err();
         assert_eq!(*detail, error.to_string());
         assert_eq!(ledger_digests(&ledger), before);
-        let view = peer.view(&channel()).unwrap();
+        let view = hosted(&peer);
         assert!(view.buffered.is_empty() && view.snapshot_height.is_none());
         // The block that does link commits, and now the cut comes.
         let committed = show(&deliver(&mut peer, &chain[2]));
         assert!(committed.contains(&"+ch.snapshots.cut=1".to_owned()));
-        assert_eq!(peer.view(&channel()).unwrap().snapshot_height, Some(3));
+        assert_eq!(hosted(&peer).snapshot_height, Some(3));
     }
 
     /// Pinned, not endorsed: the reorder buffer has no bound, so a peer
@@ -283,7 +288,7 @@ mod transitions {
         let stray = Block::build(0, Digest::of(b"elsewhere"), vec![]);
         deliver(&mut peer, &stray);
         assert_eq!(ledger.borrow().height(), 0);
-        assert_eq!(peer.view(&channel()).unwrap().buffered.len(), 199);
+        assert_eq!(hosted(&peer).buffered.len(), 199);
     }
 
     #[test]
@@ -320,15 +325,10 @@ mod transitions {
             "{refused:?}"
         );
 
-        // Shed at admission: one immediate refusal, no ledger touched.
+        // Shed at admission: one immediate refusal, no ledger touched, and
+        // no count: the host counted the nack.
         let shed = show(&propose(&mut peer, ask(3), false));
-        assert_eq!(
-            shed,
-            [
-                "+nacked=1".to_owned(),
-                format!("refused({BUSY_REASON})->100")
-            ]
-        );
+        assert_eq!(shed, [format!("refused({BUSY_REASON})->100")]);
         let elsewhere = read_proposal(&client, "another-channel", "k", 4);
         let unhosted = show(&propose(&mut peer, elsewhere, true));
         assert_eq!(
@@ -440,7 +440,7 @@ mod transitions {
                 other => panic!("{other:?}"),
             }
         };
-        let resident = |peer: &Peer| peer.view(&channel()).unwrap().snapshot_resident;
+        let resident = |peer: &Peer| hosted(peer).snapshot_resident;
         let before = ledger_digests(&ledger);
         assert_eq!(before.0, 6);
         assert!(!resident(&peer));
@@ -459,7 +459,7 @@ mod transitions {
             assert!(actions.contains(&"recovery.replayed_blocks:=2".to_owned()));
             assert_eq!(ledger_digests(&ledger), before);
             assert!(ledger.borrow().graph_consistent());
-            let view = peer.view(&channel()).unwrap();
+            let view = hosted(&peer);
             assert_eq!(view.snapshot_height, Some(4));
             assert!(!view.snapshot_resident);
         }
@@ -506,7 +506,7 @@ mod transitions {
         for block in &chain {
             deliver(&mut provider, block);
         }
-        assert_eq!(provider.view(&channel()).unwrap().snapshot_height, Some(6));
+        assert_eq!(hosted(&provider).snapshot_height, Some(6));
 
         let (_, _, _, empty) = fixture(0);
         let (mut joiner, ledger) = peer_on(&endorser, empty, Some(3), Some(ORDERER));
@@ -529,8 +529,8 @@ mod transitions {
         assert!(!has("committed block-2->[]"));
         assert!(has("blocks@8->90"));
         assert_eq!(ledger_digests(&ledger), ledger_digests(&served));
-        let view = s.machines[1].view(&channel()).unwrap();
-        assert!(view.buffered.is_empty() && !view.current);
+        let view = hosted(&s.machines[1]);
+        assert!(view.buffered.is_empty() && !view.catchup.current);
         assert_eq!(view.snapshot_height, Some(6));
     }
 
@@ -616,8 +616,8 @@ impl Model {
         self.replicas[i].ledger.borrow().height()
     }
 
-    fn view(&self, i: usize) -> ChannelView {
-        self.sched.machines[i].view(&channel()).unwrap()
+    fn view(&self, i: usize) -> HostedView {
+        hosted(&self.sched.machines[i])
     }
 
     /// Feeds machine `i` one input through its host and holds what must
@@ -672,7 +672,7 @@ impl Model {
             }
         }
         // The retry timer is armed exactly while catch-up is not current.
-        assert_eq!(!self.sched.armed[i].is_empty(), !view.current);
+        assert_eq!(!self.sched.armed[i].is_empty(), !view.catchup.current);
         actions
     }
 
@@ -799,7 +799,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
                             };
                             assert!(*to == src && response.result.is_ok() && *read);
                         }
-                        (false, _) => assert_eq!(show(&actions), ["+nacked=1", &refused]),
+                        (false, _) => assert_eq!(show(&actions), [refused]),
                         _ => panic!("{:?}", show(&actions)),
                     }
                 }
@@ -849,7 +849,7 @@ fn run_case(seed: u64, coverage: &mut Coverage) {
             m.fire_first(i);
         }
         let view = m.view(i);
-        assert!(view.current && m.sched.armed[i].is_empty() && view.buffered.is_empty());
+        assert!(view.catchup.current && m.sched.armed[i].is_empty() && view.buffered.is_empty());
     }
 
     // One height, one state, one graph — the reference's — whatever the

@@ -28,7 +28,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    ChaincodeRegistry, Committer, FabricMsg, Peer, PeerAction, SigningIdentity, SnapshotPolicy,
+    ChaincodeRegistry, Committer, FabricMsg, Machine as _, Peer, PeerAction, SigningIdentity,
+    SnapshotPolicy,
 };
 use hyperprov_ledger::{Block, ChannelId, DEFAULT_CHUNK_ENTRIES};
 use hyperprov_sim::ActorId;
@@ -147,7 +148,7 @@ fn a_cut_holds_nothing_per_key_and_its_content_lives_while_it_is_served() {
         cut_held - plain_held
     );
 
-    let view = cutting.view(&ChannelId::default()).expect("hosted");
+    let view = cutting.view().remove(0);
     assert_eq!(view.snapshot_height, Some(BLOCKS + 2));
     assert!(!view.snapshot_resident);
 
@@ -157,12 +158,7 @@ fn a_cut_holds_nothing_per_key_and_its_content_lives_while_it_is_served() {
         channel: ChannelId::default(),
     };
     let (_, serving, _) = cost_of(|| drop(cutting.message(ActorId(7), request, true)));
-    assert!(
-        cutting
-            .view(&ChannelId::default())
-            .expect("hosted")
-            .snapshot_resident
-    );
+    assert!(cutting.view()[0].snapshot_resident);
     assert!(
         serving >= held,
         "a served cut holds {serving} B, its content alone is {held} B"

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use hyperprov_fabric::{
     Action, Carries, FabricMsg, Gateway, GatewayAction, GatewayDone, GatewayError, GatewayReply,
-    Host, Io, Machine,
+    GatewayView, Host, Io, Machine,
 };
 use hyperprov_sim::{ActorId, Context, SimDuration, SimTime};
 
@@ -80,6 +80,7 @@ impl Driver {
 impl Machine for Driver {
     type Msg = FabricMsg;
     type Own = Infallible;
+    type View = GatewayView;
 
     fn message(&mut self, src: ActorId, msg: FabricMsg, io: Io<'_>) -> Vec<Action<Infallible>> {
         let actions = self.gateway.on_message(src, msg, io.now, io.rng);
@@ -94,6 +95,10 @@ impl Machine for Driver {
                 self.answer(actions, io.now)
             }
         }
+    }
+
+    fn view(&self) -> GatewayView {
+        self.gateway.view()
     }
 
     fn perform_own<M: Carries<FabricMsg>>(

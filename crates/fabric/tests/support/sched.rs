@@ -8,7 +8,8 @@
 
 use std::collections::BTreeSet;
 
-use hyperprov_fabric::{Action, Carries, FabricMsg, Io, Machine};
+pub use hyperprov_fabric::Answer;
+use hyperprov_fabric::{Action, Io, Machine};
 use hyperprov_sim::{ActorId, DetRng, SimTime};
 use rand::Rng as _;
 
@@ -28,9 +29,6 @@ impl Rng {
         self.below(100) < percent
     }
 }
-
-/// Answers to one input, in the order the host would perform them.
-pub type Answer<Mc> = Vec<Action<<Mc as Machine>::Own>>;
 
 /// Machines and their model host.
 pub struct Sched<Mc: Machine> {
@@ -53,7 +51,7 @@ pub struct Sched<Mc: Machine> {
 
 impl<Mc: Machine> Sched<Mc>
 where
-    Mc::Msg: Carries<FabricMsg> + Clone,
+    Mc::Msg: Clone,
 {
     /// Each machine at its actor id, its first timer armed, as its host
     /// starts it.
@@ -105,9 +103,9 @@ where
         actions
     }
 
-    fn send(&mut self, src: ActorId, to: ActorId, msg: &FabricMsg) {
+    fn send(&mut self, src: ActorId, to: ActorId, msg: &Mc::Msg) {
         if let Some(m) = self.ids.iter().position(|&id| id == to) {
-            self.flying.push((src, m, Mc::Msg::wrap(msg.clone())));
+            self.flying.push((src, m, msg.clone()));
         }
     }
 

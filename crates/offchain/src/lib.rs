@@ -17,5 +17,5 @@
 mod sshfs;
 mod store;
 
-pub use sshfs::{Reply, StorageNode, StoreMsg};
+pub use sshfs::{StorageNode, StoreMsg};
 pub use store::{validate_name, MemoryStore, ObjectStore, StoreError};

@@ -11,7 +11,6 @@ mod actor;
 
 use std::sync::Arc;
 
-use hyperprov_fabric::{Action, SpanKey};
 use hyperprov_sim::{ActorId, SimDuration};
 
 use crate::store::{ObjectStore, StoreError};
@@ -75,21 +74,20 @@ const OP_OVERHEAD: SimDuration = SimDuration::from_micros(800);
 /// Server-side cost per payload byte (encryption + disk).
 const PER_BYTE: SimDuration = SimDuration::from_nanos(8);
 
+/// What a storage node answers an input with: nothing of its own, and
+/// sends that are [`StoreMsg`]s.
+pub type Action = hyperprov_fabric::Action<std::convert::Infallible, StoreMsg>;
+
 /// The storage node as a sans-IO machine: it serves puts and gets over a
 /// shared [`ObjectStore`] and answers each with one job of SSH-like
-/// service time. It arms no timer and admits everything; a restart keeps
-/// the objects, as a rebooted SSHFS node does.
+/// service time, which closes the request's span and sends the reply. It
+/// arms no timer and admits everything; a restart keeps the objects, as a
+/// rebooted SSHFS node does.
 pub struct StorageNode {
     store: Arc<dyn ObjectStore>,
     /// Requests served, which numbers their `offchain.server` spans.
     jobs: u64,
 }
-
-/// What only the storage node asks its host for: one CPU job of the
-/// service time that, when done, closes the span and sends the reply to
-/// the caller — a job whose send is a [`StoreMsg`].
-#[derive(Debug)]
-pub struct Reply(pub SimDuration, pub ActorId, pub StoreMsg, pub SpanKey);
 
 impl StorageNode {
     /// Creates a storage node over `store`.
@@ -100,7 +98,7 @@ impl StorageNode {
     /// Serves a request from `src` at once: counts it, opens its
     /// server-side span (SSH overhead + per-byte I/O), and asks for the
     /// job that sends the reply.
-    pub fn message(&mut self, src: ActorId, msg: StoreMsg) -> Vec<Action<Reply>> {
+    pub fn message(&mut self, src: ActorId, msg: StoreMsg) -> Vec<Action> {
         let (name, reply, moved, counts) = match msg {
             StoreMsg::Put { name, data, token } => {
                 let bytes = data.len() as u64;
@@ -131,7 +129,8 @@ impl StorageNode {
         let mut out: Vec<_> = counts.map(|(n, by)| Action::Count(None, n, by)).into();
         out.push(Action::SpanStart(name.clone(), stage, job.clone()));
         let cost = OP_OVERHEAD + PER_BYTE * moved;
-        out.push(Action::Own(Reply(cost, src, reply, (name, stage, job))));
+        let send = (src, reply.wire_size(), reply);
+        out.push(Action::Job(cost, vec![send], vec![(name, stage, job)]));
         out
     }
 }
@@ -140,42 +139,10 @@ impl StorageNode {
 mod tests {
     use super::*;
     use crate::store::MemoryStore;
-    use hyperprov_fabric::{Carries, FabricMsg, Node};
+    use hyperprov_fabric::Node;
     use hyperprov_sim::{Actor, Context, CpuResource, Event, SimTime, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
-
-    /// The store's protocol, on a wire that carries fabric's too, as a
-    /// [`Node`] needs.
-    #[derive(Debug)]
-    enum Wire {
-        Store(StoreMsg),
-        Fabric(Box<FabricMsg>),
-    }
-
-    impl Carries<StoreMsg> for Wire {
-        fn wrap(inner: StoreMsg) -> Self {
-            Wire::Store(inner)
-        }
-        fn peel(self) -> Result<StoreMsg, Self> {
-            match self {
-                Wire::Store(msg) => Ok(msg),
-                other => Err(other),
-            }
-        }
-    }
-
-    impl Carries<FabricMsg> for Wire {
-        fn wrap(inner: FabricMsg) -> Self {
-            Wire::Fabric(Box::new(inner))
-        }
-        fn peel(self) -> Result<FabricMsg, Self> {
-            match self {
-                Wire::Fabric(msg) => Ok(*msg),
-                other => Err(other),
-            }
-        }
-    }
 
     #[derive(Debug, Default)]
     struct Seen {
@@ -190,26 +157,26 @@ mod tests {
         seen: Rc<RefCell<Seen>>,
     }
 
-    impl Actor<Wire> for TestClient {
-        fn on_event(&mut self, ctx: &mut Context<'_, Wire>, event: Event<Wire>) {
+    impl Actor<StoreMsg> for TestClient {
+        fn on_event(&mut self, ctx: &mut Context<'_, StoreMsg>, event: Event<StoreMsg>) {
             match event {
                 Event::Timer { .. } => {
                     for msg in self.script.drain(..) {
                         let bytes = msg.wire_size();
-                        ctx.send(self.server, bytes, Wire::Store(msg));
+                        ctx.send(self.server, bytes, msg);
                     }
                 }
                 Event::Message { msg, .. } => {
                     let mut seen = self.seen.borrow_mut();
                     match msg {
-                        Wire::Store(StoreMsg::PutAck {
+                        StoreMsg::PutAck {
                             name,
                             token,
                             result,
-                        }) => {
+                        } => {
                             seen.acks.push((name, token, result.is_ok()));
                         }
-                        Wire::Store(StoreMsg::GetResult { token, result, .. }) => {
+                        StoreMsg::GetResult { token, result, .. } => {
                             seen.gets.push((token, result));
                         }
                         _ => {}
@@ -220,7 +187,7 @@ mod tests {
         }
     }
 
-    fn run_script(script: Vec<StoreMsg>) -> (Seen, Simulation<Wire>, Arc<MemoryStore>) {
+    fn run_script(script: Vec<StoreMsg>) -> (Seen, Simulation<StoreMsg>, Arc<MemoryStore>) {
         let store = Arc::new(MemoryStore::new());
         let mut sim = Simulation::new(1);
         let node = StorageNode::new(store.clone());

@@ -1,32 +1,38 @@
 //! The I/O half of the storage node: the [`StorageNode`] as a [`Machine`],
-//! and what performs its one own action, the job that sends a reply.
+//! which asks for nothing of its own.
 
-use hyperprov_fabric::{Action, Carries, FabricMsg, Host, Io, Machine};
+use std::convert::Infallible;
+
+use hyperprov_fabric::{Carries, Host, Io, Machine};
 use hyperprov_sim::{ActorId, Context};
 
-use super::{Reply, StorageNode, StoreMsg};
+use super::{Action, StorageNode, StoreMsg};
 
 impl Machine for StorageNode {
     type Msg = StoreMsg;
-    type Own = Reply;
+    type Own = Infallible;
+    /// The requests it served.
+    type View = u64;
 
-    fn message(&mut self, src: ActorId, msg: StoreMsg, _: Io<'_>) -> Vec<Action<Reply>> {
+    fn message(&mut self, src: ActorId, msg: StoreMsg, _: Io<'_>) -> Vec<Action> {
         StorageNode::message(self, src, msg)
     }
 
     /// It arms none.
-    fn timer(&mut self, _: u64, _: Io<'_>) -> Vec<Action<Reply>> {
+    fn timer(&mut self, _: u64, _: Io<'_>) -> Vec<Action> {
         Vec::new()
     }
 
-    fn perform_own<M: Carries<StoreMsg> + Carries<FabricMsg>>(
+    fn view(&self) -> u64 {
+        self.jobs
+    }
+
+    fn perform_own<M: Carries<StoreMsg>>(
         &mut self,
-        host: &mut Host<M>,
-        ctx: &mut Context<'_, M>,
-        Reply(cost, to, reply, span): Reply,
+        _: &mut Host<M>,
+        _: &mut Context<'_, M>,
+        own: Infallible,
     ) {
-        let bytes = reply.wire_size();
-        let send = (to, bytes, <M as Carries<StoreMsg>>::wrap(reply));
-        host.job(ctx, cost, vec![send], vec![span]);
+        match own {}
     }
 }

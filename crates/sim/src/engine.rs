@@ -96,11 +96,11 @@ pub trait Actor<M> {
     /// the crash window have already been dropped.
     fn on_restart(&mut self, _ctx: &mut Context<'_, M>) {}
 
-    /// Optional [`std::any::Any`] access for host-side inspection
-    /// (experiment drivers and tests peeking at actor state via
-    /// [`Simulation::actor_ref`]). Actors that opt in override this with
-    /// `Some(self)`.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
+    /// The actor's state as it shows it, rendered once as JSON (see
+    /// [`crate::json::ToJson`]), for the host side to read during a run
+    /// through [`Simulation::view`]. Computing it changes nothing; an actor
+    /// that shows none keeps the default.
+    fn view(&self) -> Option<String> {
         None
     }
 }
@@ -184,11 +184,6 @@ impl<M> Context<'_, M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.kernel.now
-    }
-
-    /// This actor's id.
-    pub fn id(&self) -> ActorId {
-        self.id
     }
 
     /// Sends `msg` to `dst` through the network, accounting `bytes` of
@@ -313,13 +308,8 @@ impl<M> Context<'_, M> {
         duration
     }
 
-    /// Feeds one event tagged `source` to the SLO monitor (goodput and
+    /// Feeds `n` events tagged `source` to the SLO monitor (goodput and
     /// error-rate objectives). A no-op when no SLOs are installed.
-    pub fn slo_event(&mut self, source: &str) {
-        self.slo_event_n(source, 1);
-    }
-
-    /// Feeds `n` events tagged `source` to the SLO monitor.
     pub fn slo_event_n(&mut self, source: &str, n: u64) {
         if self.kernel.slo.is_active() {
             let now = self.kernel.now;
@@ -470,13 +460,10 @@ impl<M> Simulation<M> {
         self.kernel.crashed[target.0 as usize]
     }
 
-    /// Read access to a registered actor (for [`Actor::as_any`]
-    /// inspection). `None` for unknown ids or while the actor is being
-    /// stepped.
-    pub fn actor_ref(&self, id: ActorId) -> Option<&dyn Actor<M>> {
-        self.actors
-            .get(id.0 as usize)
-            .and_then(|slot| slot.as_deref())
+    /// The [view](Actor::view) of actor `id`, crashed or not; `None` for
+    /// an unknown id or an actor that shows none.
+    pub fn view(&self, id: ActorId) -> Option<String> {
+        self.actors.get(id.0 as usize)?.as_deref()?.view()
     }
 
     /// Schedules an initial [`Event::Timer`] for `target`.
@@ -524,7 +511,7 @@ impl<M> Simulation<M> {
 
     /// Installs rolling-window SLOs (see [`SloMonitor`]). Latency
     /// objectives are fed automatically from [`Context::span_end`];
-    /// goodput/error objectives from [`Context::slo_event`]. Replaces
+    /// goodput/error objectives from [`Context::slo_event_n`]. Replaces
     /// any previously installed monitor.
     pub fn set_slos(&mut self, specs: Vec<SloSpec>) {
         self.kernel.slo = SloMonitor::new(specs);

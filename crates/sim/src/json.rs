@@ -90,6 +90,61 @@ pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
     format!("[{}]", items.join(","))
 }
 
+/// A value with one JSON rendering: a node's view (see [`view!`]) and the
+/// parts it is made of. A duration renders in milliseconds.
+///
+/// [`view!`]: crate::view
+pub trait ToJson {
+    /// The compact rendering.
+    fn to_json(&self) -> String;
+}
+
+/// One [`ToJson`] impl per `[generics] type => |value| rendering`.
+macro_rules! to_json {
+    ($([$($g:tt)*] $ty:ty => |$v:ident| $render:expr;)*) => {$(
+        impl<$($g)*> ToJson for $ty {
+            fn to_json(&self) -> String {
+                let $v = self;
+                $render
+            }
+        }
+    )*};
+}
+
+to_json! {
+    [] bool => |v| v.to_string();
+    [] u32 => |v| v.to_string();
+    [] u64 => |v| v.to_string();
+    [] usize => |v| v.to_string();
+    [] String => |v| format!("\"{}\"", escape(v));
+    [] crate::ActorId => |v| v.0.to_string();
+    [] crate::SimDuration => |v| fmt_f64(v.as_secs_f64() * 1e3);
+    [T: ToJson] Option<T> => |v| v.as_ref().map_or_else(|| "null".to_owned(), T::to_json);
+    [T: ToJson] Vec<T> => |v| array(v.iter().map(T::to_json));
+    [T: ToJson, const N: usize] [T; N] => |v| array(v.iter().map(T::to_json));
+    [A: ToJson, B: ToJson] (A, B) => |v| array([v.0.to_json(), v.1.to_json()]);
+}
+
+/// Defines structs of named fields that are all [`ToJson`], and renders
+/// each as one JSON object, its fields in the order declared: how a
+/// machine declares its view.
+#[macro_export]
+macro_rules! view {
+    ($($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+    })*) => {$(
+        $(#[$meta])* $vis struct $name { $($(#[$fmeta])* $fvis $field: $ty),* }
+
+        impl $crate::json::ToJson for $name {
+            fn to_json(&self) -> String {
+                let obj = $crate::json::Obj::new();
+                $(let obj = obj.raw(stringify!($field), &$crate::json::ToJson::to_json(&self.$field));)*
+                obj.build()
+            }
+        }
+    )*};
+}
+
 /// Pretty-prints compact JSON produced by this module with two-space
 /// indentation, so `results/*.json` stays diffable. Assumes valid JSON
 /// input (as produced by [`Obj`] / [`array`]).

@@ -160,11 +160,6 @@ impl Metrics {
         self.counters.iter_sorted().map(|(k, v)| (k, *v))
     }
 
-    /// Iterates over all histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter_sorted()
-    }
-
     /// Merges another registry into this one (counters add, gauges take the
     /// other's value, histograms merge).
     pub fn merge(&mut self, other: &Metrics) {

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::Obj;
-use crate::trace::Tracer;
+use crate::trace::{Span, Tracer};
 
 /// The process name used for spans and events with an empty `detail`.
 const DEFAULT_PROCESS: &str = "pipeline";
@@ -33,6 +33,14 @@ const DEFAULT_PROCESS: &str = "pipeline";
 /// precision, via integer math (no float rounding).
 fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
+}
+
+/// The process a span renders under: its detail, or the default.
+fn process(span: &Span) -> &str {
+    match span.detail.is_empty() {
+        true => DEFAULT_PROCESS,
+        false => &span.detail,
+    }
 }
 
 /// Renders the tracer's retained spans and events as a Chrome
@@ -57,12 +65,7 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
     let mut processes: BTreeMap<&str, u64> = BTreeMap::new();
     let mut threads: BTreeMap<&str, u64> = BTreeMap::new();
     for span in tracer.finished_spans() {
-        let proc_name = if span.detail.is_empty() {
-            DEFAULT_PROCESS
-        } else {
-            &span.detail
-        };
-        processes.entry(proc_name).or_insert(0);
+        processes.entry(process(span)).or_insert(0);
         threads.entry(span.stage).or_insert(0);
     }
     let has_events = tracer.events().next().is_some();
@@ -96,12 +99,7 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
     }
     let mut named_threads: BTreeMap<(u64, u64), &str> = BTreeMap::new();
     for span in tracer.finished_spans() {
-        let proc_name = if span.detail.is_empty() {
-            DEFAULT_PROCESS
-        } else {
-            &span.detail
-        };
-        named_threads.insert((processes[proc_name], threads[span.stage]), span.stage);
+        named_threads.insert((processes[process(span)], threads[span.stage]), span.stage);
     }
     for ev in tracer.events() {
         named_threads.insert((processes[DEFAULT_PROCESS], threads[ev.name]), ev.name);
@@ -120,11 +118,7 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
 
     // Spans as complete events, in ring-buffer (close) order.
     for span in tracer.finished_spans() {
-        let proc_name = if span.detail.is_empty() {
-            DEFAULT_PROCESS
-        } else {
-            &span.detail
-        };
+        let proc_name = process(span);
         let mut args = Obj::new().str("trace", &span.trace).u64("seq", span.seq);
         if !span.detail.is_empty() {
             args = args.str("detail", &span.detail);

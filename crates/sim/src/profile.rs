@@ -115,11 +115,6 @@ impl SimProfiler {
         self.started.map(|t| t.elapsed()).unwrap_or(Duration::ZERO)
     }
 
-    /// Handler invocations recorded.
-    pub fn handler_events(&self) -> u64 {
-        self.handler_events
-    }
-
     /// Total wall time spent inside event handlers.
     pub fn handler_wall(&self) -> Duration {
         self.handler_wall
@@ -191,7 +186,7 @@ mod tests {
         let t = p.start_handler();
         assert!(t.is_none());
         p.end_handler(t, "peer");
-        assert_eq!(p.handler_events(), 0);
+        assert_eq!(p.handler_events, 0);
         assert_eq!(p.wall_elapsed(), Duration::ZERO);
     }
 
@@ -204,7 +199,7 @@ mod tests {
             assert!(t.is_some());
             p.end_handler(t, label);
         }
-        assert_eq!(p.handler_events(), 3);
+        assert_eq!(p.handler_events, 3);
         let json = p.snapshot_json(3, HotCounters::default());
         assert!(json.contains("\"peer\":{\"events\":2"));
         assert!(json.contains("\"client\":{\"events\":1"));

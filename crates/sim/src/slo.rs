@@ -54,7 +54,7 @@ pub enum SloObjective {
     /// Events tagged `source` must arrive at ≥ `floor_per_sec` events
     /// per second of virtual time, on average over the window.
     GoodputFloor {
-        /// Event source fed via [`SloMonitor::observe_event`].
+        /// Event source fed via [`SloMonitor::observe_event_n`].
         source: String,
         /// Minimum acceptable event rate (events/second).
         floor_per_sec: f64,
@@ -531,11 +531,6 @@ impl SloMonitor {
         }
     }
 
-    /// Feeds one event tagged `source`.
-    pub fn observe_event(&mut self, now: SimTime, source: &str) {
-        self.observe_event_n(now, source, 1);
-    }
-
     /// Advances every objective's window to `now` without recording an
     /// observation (e.g. before reading verdicts mid-run).
     pub fn advance_to(&mut self, now: SimTime) {
@@ -643,10 +638,10 @@ mod tests {
         let mut m = SloMonitor::new(vec![spec]);
         // 100/s for 2s, silence for 2s, 100/s for 2s.
         for i in 0..200u64 {
-            m.observe_event(t(i * 10), "ok");
+            m.observe_event_n(t(i * 10), "ok", 1);
         }
         for i in 400..600u64 {
-            m.observe_event(t(i * 10), "ok");
+            m.observe_event_n(t(i * 10), "ok", 1);
         }
         m.advance_to(t(6_000));
         let v = &m.verdicts(t(6_000))[0];
@@ -670,9 +665,9 @@ mod tests {
         );
         let mut m = SloMonitor::new(vec![spec]);
         for i in 0..100u64 {
-            m.observe_event(t(i * 10), "ok");
+            m.observe_event_n(t(i * 10), "ok", 1);
             if i % 2 == 0 {
-                m.observe_event(t(i * 10), "bad");
+                m.observe_event_n(t(i * 10), "bad", 1);
             }
         }
         let v = &m.verdicts(t(1_000))[0];
@@ -685,7 +680,7 @@ mod tests {
         let mut m = SloMonitor::disabled();
         assert!(!m.is_active());
         m.observe_latency(t(1), "op", SimDuration::from_millis(1));
-        m.observe_event(t(1), "ok");
+        m.observe_event_n(t(1), "ok", 1);
         assert_eq!(m.snapshot_json(t(10)), "{}");
         assert!(m.verdicts(t(10)).is_empty());
     }
@@ -712,7 +707,7 @@ mod tests {
     fn unrelated_sources_are_ignored() {
         let mut m = SloMonitor::new(vec![latency_spec(0.95, 100)]);
         m.observe_latency(t(1), "other", SimDuration::from_secs(10));
-        m.observe_event(t(1), "op");
+        m.observe_event_n(t(1), "op", 1);
         let v = &m.verdicts(t(100))[0];
         assert_eq!(v.attained, 0.0);
         assert!(v.pass);
@@ -751,7 +746,7 @@ mod tests {
         // the SLO clock starts at the first observation.
         m.advance_to(t(10_000));
         for i in 40_000..41_000u64 {
-            m.observe_event(t(i), "ok");
+            m.observe_event_n(t(i), "ok", 1);
         }
         let burn = m.burn_series("tput").unwrap();
         assert!(!burn.is_empty());

@@ -267,11 +267,6 @@ impl Tracer {
         self.spans_evicted
     }
 
-    /// Total events recorded (including ones evicted).
-    pub fn events_recorded(&self) -> u64 {
-        self.events_recorded
-    }
-
     /// `span_end` calls that found no matching open span.
     pub fn unmatched_ends(&self) -> u64 {
         self.unmatched_ends
@@ -454,6 +449,6 @@ mod tests {
         let kept: Vec<&str> = tr.events().map(|e| e.trace.as_str()).collect();
         let expect: Vec<String> = (3..total).map(|i| format!("tx{i}")).collect();
         assert_eq!(kept, expect);
-        assert_eq!(tr.events_recorded(), total);
+        assert_eq!(tr.events_recorded, total);
     }
 }

@@ -23,7 +23,7 @@ use hyperprov_repro::hyperprov::{
     NodeMsg, OpId, OpOutput, RetryPolicy,
 };
 use hyperprov_repro::sim::{ActorId, FaultPlan, LinkSpec, SimDuration, SimTime};
-use support::{audit, op_id, post, store_data, Load};
+use support::{audit, leaders, op_id, post, store_data, Load};
 
 fn store(net: &mut HyperProvNetwork, client: usize, n: u64, key: &str) {
     let command = store_data(key, op_id(client, n));
@@ -284,6 +284,25 @@ fn partitioned_peer_group_heals_without_state_divergence() {
     assert_eq!(audit(&net), []);
 }
 
+/// The orderers' views name exactly one leader of a 3-member Raft
+/// cluster; once it is killed, the two left elect, and their views name
+/// exactly one other.
+#[test]
+fn the_views_name_one_leader_before_a_leader_kill_and_another_after() {
+    let config = NetworkConfig::desktop(1)
+        .with_seed(29)
+        .with_raft_orderers(3);
+    let mut net = HyperProvNetwork::build(&config);
+    net.sim.run_until(SimTime::from_secs(2));
+    let before = leaders(&net);
+    assert_eq!(before.len(), 1, "{before:?}");
+    net.sim.crash_actor(before[0]);
+    net.sim.run_until(SimTime::from_secs(6));
+    let after = leaders(&net);
+    assert_eq!(after.len(), 1, "{after:?}");
+    assert_ne!(after, before);
+}
+
 /// Killing the Raft leader mid-run does not strand the client: the
 /// remaining members elect a new leader, the crashed node recovers and
 /// rejoins, and the deadline-plus-retry client pushes the operation
@@ -306,7 +325,7 @@ fn raft_leader_kill_recovers_with_retrying_client() {
 
     // Let the cluster elect, then kill whoever leads.
     net.sim.run_until(SimTime::from_secs(2));
-    let leader = net.ordering_leader().expect("a leader after two seconds");
+    let leader = *leaders(&net).first().expect("a leader after two seconds");
     net.sim.crash_actor(leader);
 
     store(&mut net, 0, 1, "across-failover");
@@ -323,7 +342,7 @@ fn raft_leader_kill_recovers_with_retrying_client() {
     );
     assert_eq!(net.sim.metrics().counter("client.exhausted"), 0);
     assert!(
-        net.ordering_leader().is_some(),
+        !leaders(&net).is_empty(),
         "the cluster must have a leader again"
     );
     drop(completions);
@@ -551,7 +570,7 @@ fn a_crashed_home_peer_costs_one_endorse_deadline_per_outage() {
 #[test]
 fn a_crashed_home_orderer_costs_one_endorse_deadline_per_outage() {
     let mut net = three_homes(73);
-    let leader = net.ordering_leader().expect("a leader after two seconds");
+    let leader = *leaders(&net).first().expect("a leader after two seconds");
     let follower = net.orderers.iter().position(|&o| o != leader).unwrap();
     let home = net.orderers[follower];
     let (posts, paid) = an_outage_costs_one_deadline(
@@ -573,7 +592,7 @@ fn a_crashed_home_orderer_costs_one_endorse_deadline_per_outage() {
 #[test]
 fn an_open_loop_pays_one_endorse_deadline_for_a_crashed_home_orderer() {
     let mut net = three_homes(73);
-    let leader = net.ordering_leader().expect("a leader after two seconds");
+    let leader = *leaders(&net).first().expect("a leader after two seconds");
     let follower = net.orderers.iter().position(|&o| o != leader).unwrap();
     let home = net.orderers[follower];
     let (posts, _) =

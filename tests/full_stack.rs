@@ -2,13 +2,16 @@
 //! the provenance layer on a Raft-ordered Fabric network, partition
 //! tolerance, multi-client convergence, and energy accounting.
 
+mod support;
+
 use hyperprov_repro::device::{DeviceProfile, EnergyModel, PowerMeter};
-use hyperprov_repro::fabric::BatchConfig;
+use hyperprov_repro::fabric::{BatchConfig, QueueConfig};
 use hyperprov_repro::hyperprov::{
     current_records, ClientCommand, HyperProv, HyperProvNetwork, NetworkConfig, NodeMsg, OpId,
-    OpOutput,
+    OpOutput, RetryPolicy, SnapshotPolicy,
 };
-use hyperprov_repro::sim::{SimDuration, SimTime};
+use hyperprov_repro::sim::{chrome_trace_json, FaultPlan, SimDuration, SimTime};
+use support::{op_id, store_data, views};
 
 /// Client 0 stores a small payload under `key`.
 fn store(net: &mut HyperProvNetwork, op: u64, key: &str) {
@@ -197,4 +200,55 @@ fn partitioned_peer_stays_consistent() {
     // Peer 3 recovered both blocks and matches the healthy peers.
     assert_eq!(net.ledgers[0].borrow().height(), 2);
     assert_eq!(net.audit(net.completions[0].borrow().iter()), []);
+}
+
+/// Views are read-only: the same seeded deployment — Raft, snapshots, a
+/// bounded peer queue, deadlines and retry, a peer crash — run twice in
+/// 100 ms steps, once reading every node's view after each step, exports
+/// byte-identical metrics and traces.
+#[test]
+fn reading_every_view_changes_no_export() {
+    let run = |read: bool| {
+        let config = NetworkConfig::desktop(2)
+            .with_seed(31)
+            .with_raft_orderers(3)
+            .with_snapshots(SnapshotPolicy::every(4))
+            .with_peer_queue(QueueConfig::new(2))
+            .with_deadlines(
+                Some(SimDuration::from_secs(1)),
+                Some(SimDuration::from_secs(2)),
+            )
+            .with_retry(RetryPolicy::new(4));
+        let mut net = HyperProvNetwork::build(&config);
+        let crash = (SimTime::from_secs(3), SimTime::from_secs(5));
+        FaultPlan::new()
+            .crash_window(net.peers[1], crash.0, crash.1)
+            .install(&mut net.sim);
+        for step in 1..=200 {
+            if step % 5 == 0 && step <= 100 {
+                for client in 0..2 {
+                    let op = op_id(client, step);
+                    let cmd = store_data(&format!("item-{client}-{step}"), op);
+                    net.sim
+                        .inject_message(net.clients[client], NodeMsg::Client(cmd));
+                }
+            }
+            net.sim.run_until(SimTime::from_nanos(step * 100_000_000));
+            if read {
+                assert_eq!(views(&net).len(), 4 + 3 + 1 + 2);
+            }
+        }
+        let tracer = net.sim.tracer();
+        let exports = [
+            net.sim.metrics().snapshot_json(),
+            tracer.snapshot_json(),
+            chrome_trace_json(tracer),
+        ];
+        assert!(
+            exports[0].contains("client.timeouts"),
+            "no deadline expired"
+        );
+        exports
+    };
+    assert_eq!(run(false), run(true));
 }

@@ -1,13 +1,15 @@
 //! What the workspace-level fault tests and the seeded generator share:
-//! op ids, the write commands, the two ways clients issue operations, and
-//! the audit over every completion the clients were handed.
+//! op ids, the write commands, the two ways clients issue operations, the
+//! nodes' views, and the audit over every completion the clients were
+//! handed.
 #![allow(dead_code)] // each test file uses its own part of this module
 
 use hyperprov_repro::hyperprov::{
     AuditFinding, ClientCommand, HyperProvNetwork, NodeMsg, OpId, RecordInput,
 };
 use hyperprov_repro::ledger::Digest;
-use hyperprov_repro::sim::{SimDuration, SimTime};
+use hyperprov_repro::sim::json::{parse, Value};
+use hyperprov_repro::sim::{ActorId, SimDuration, SimTime};
 
 /// Client `client`'s `n`th operation: an op id keys the operation's
 /// spans, so it is unique across the network.
@@ -83,4 +85,22 @@ pub fn audit(net: &HyperProvNetwork) -> Vec<AuditFinding> {
         .flat_map(|q| q.borrow().clone())
         .collect();
     net.audit(&done)
+}
+
+/// Every node's view, as its host renders it: the peers', the ordering
+/// nodes', the storage node's and the clients', in that order.
+pub fn views(net: &HyperProvNetwork) -> Vec<(ActorId, String)> {
+    let nodes = [&net.peers, &net.orderers, &vec![net.storage], &net.clients];
+    let view = |&id: &ActorId| Some((id, net.sim.view(id)?));
+    nodes.into_iter().flatten().filter_map(view).collect()
+}
+
+/// The ordering nodes up now whose views say they order: the solo
+/// orderer, or the raft members that believe they lead.
+pub fn leaders(net: &HyperProvNetwork) -> Vec<ActorId> {
+    let up = net.orderers.iter().filter(|&&id| !net.sim.is_crashed(id));
+    let view = |&id: &ActorId| parse(&net.sim.view(id)?).ok();
+    let leads =
+        |id: &&ActorId| view(id).is_some_and(|v| v.get("leader") == Some(&Value::Bool(true)));
+    up.filter(leads).copied().collect()
 }
