@@ -182,19 +182,31 @@ pub fn push_slo_verdicts<M>(table: &mut Table, run: &str, sim: &Simulation<M>) {
 
 #[cfg(test)]
 mod tests {
+    use hyperprov_sim::{Actor, Context, Event, SimDuration};
+
     use super::*;
+
+    /// Counts `tx` three times and traces one 2 ms `endorse` span.
+    struct Spans;
+
+    impl Actor<()> for Spans {
+        fn on_event(&mut self, ctx: &mut Context<'_, ()>, event: Event<()>) {
+            match event {
+                Event::Timer { token: 0 } => {
+                    ctx.metrics().incr("tx", 3);
+                    ctx.span_start("tx1", "endorse", "");
+                    ctx.set_timer(SimDuration::from_millis(2), 1);
+                }
+                _ => drop(ctx.span_end("tx1", "endorse", "")),
+            }
+        }
+    }
 
     fn sim_with_spans() -> Simulation<()> {
         let mut sim: Simulation<()> = Simulation::new(7);
-        sim.metrics_mut().incr("tx", 3);
-        let tracer = sim.tracer_mut();
-        tracer.span_start(hyperprov_sim::SimTime::ZERO, "tx1", "endorse", "");
-        tracer.span_end(
-            hyperprov_sim::SimTime::from_nanos(2_000_000),
-            "tx1",
-            "endorse",
-            "",
-        );
+        let spans = sim.add_actor(Box::new(Spans));
+        sim.start_timer(spans, SimDuration::ZERO, 0);
+        sim.run();
         sim
     }
 
@@ -231,7 +243,7 @@ mod tests {
 
     #[test]
     fn slo_section_appears_only_when_objectives_installed() {
-        use hyperprov_sim::{SimDuration, SloObjective, SloSpec};
+        use hyperprov_sim::{SloObjective, SloSpec};
 
         let plain = sim_with_spans();
         let mut exporter = MetricsExporter::new("unit");

@@ -481,15 +481,15 @@ mod tests {
         assert_eq!((docs[0].0, docs[1].0), ("BENCH_p.json", "BENCH_q.json"));
         let p = hyperprov_sim::json::parse(&docs[0].1).unwrap();
         assert_eq!(p.get("campaign").unwrap().as_str(), Some("P"));
-        let xs: Vec<u64> = p
+        let xs: Vec<f64> = p
             .get("cells")
             .unwrap()
             .as_array()
             .unwrap()
             .iter()
-            .map(|c| c.get("x").unwrap().as_u64().unwrap())
+            .map(|c| c.get("x").unwrap().as_f64().unwrap())
             .collect();
-        assert_eq!(xs, [1, 1, 2]);
+        assert_eq!(xs, [1.0, 1.0, 2.0]);
         assert!(artefacts[0].render_and_save().is_empty());
         assert_eq!(table_of(&artefacts, "a").len(), 1);
     }

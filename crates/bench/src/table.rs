@@ -430,13 +430,13 @@ mod tests {
             Some(1.2674966352624495),
             "JSON carries the value, not its rendering"
         );
-        assert_eq!(cell.get("snapshots").unwrap().as_u64(), Some(1));
+        assert_eq!(cell.get("snapshots").unwrap().as_f64(), Some(1.0));
         assert!(
             cell.get("recover_s").is_none(),
             "missing cells are left out"
         );
         let events = cell.get("profile").unwrap().get("events").unwrap();
-        assert_eq!(events.as_u64(), Some(3));
+        assert_eq!(events.as_f64(), Some(3.0));
     }
 
     #[test]

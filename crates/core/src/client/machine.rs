@@ -47,6 +47,8 @@ hyperprov_sim::view! {
         pub operations: usize,
         /// Transfer rows: off-chain puts and gets, and their backoffs.
         pub transfers: usize,
+        /// Chain requests its plans made so far: each is one gateway row.
+        pub requests: u64,
     }
 }
 
@@ -106,6 +108,8 @@ pub struct Client {
     /// Transfer rows by token.
     transfers: HashMap<u64, Transfer>,
     next_token: u64,
+    /// Chain requests sent so far.
+    requests: u64,
     /// Where its host queues each finished operation, for the embedding
     /// code to drain.
     pub(crate) completions: CompletionQueue,
@@ -123,6 +127,7 @@ impl Client {
             next_slot: 0,
             transfers: HashMap::new(),
             next_token: 0,
+            requests: 0,
             completions: CompletionQueue::default(),
         }
     }
@@ -134,6 +139,7 @@ impl Client {
             gateway: self.gateway.view(),
             operations: self.operations.len(),
             transfers: self.transfers.len(),
+            requests: self.requests,
         }
     }
 
@@ -213,7 +219,7 @@ impl Client {
     pub fn timer(&mut self, token: u64, now: SimTime, rng: &mut DetRng) -> Out {
         let mut out = Vec::new();
         if token & TRANSFER_TOKEN_BIT == 0 {
-            let actions = self.gateway.on_timer(token, now, rng);
+            let actions = self.gateway.on_timer(token);
             self.run(actions, now, &mut out);
             return out;
         }
@@ -256,6 +262,7 @@ impl Client {
                 self.transfer(slot, op, 0, request, out);
                 continue;
             };
+            self.requests += 1;
             let origin = Origin {
                 op,
                 slot,

@@ -52,8 +52,9 @@ pub enum AuditFinding {
         actual: Digest,
     },
     /// A live replica differs from its channel's reference replica (the
-    /// tip most live replicas share) in this: height, tip hash, state hash
-    /// or graph digest, the first that differs.
+    /// tallest live tip, the one most live replicas share of several) in
+    /// this: height, tip hash, state hash or graph digest, the first that
+    /// differs.
     Diverged(&'static str),
     /// A replica this high is not on its channel's chain: the channel has
     /// no block below that height, or another one.
@@ -277,10 +278,11 @@ impl HyperProvNetwork {
                 let ledger = ledger.borrow();
                 (live(*peer), ledger.height(), ledger.store().tip_hash())
             };
-            // The reference: the first live replica with the tip most live
-            // replicas share, the taller of two on a tie.
+            // The reference: the first live replica at the tallest tip, the
+            // one most live replicas share if several are that tall. A
+            // replica that is only behind is then behind, not a fork.
             let tips: Vec<_> = replicas.iter().map(tip).collect();
-            let votes = |&i: &usize| (tips.iter().filter(|&&t| t == tips[i]).count(), tips[i].1);
+            let votes = |&i: &usize| (tips[i].1, tips.iter().filter(|&&t| t == tips[i]).count());
             let live_tips = (0..tips.len()).rev().filter(|&i| tips[i].0);
             let voted = live_tips.max_by_key(votes);
             let Some((reader, reference)) = replicas.get(voted.unwrap_or(0)) else {

@@ -8,7 +8,7 @@ use hyperprov::{
     OpId, OpOutput, RecordInput, SnapshotPolicy,
 };
 use hyperprov_fabric::BatchConfig;
-use hyperprov_ledger::{Block, Digest, TxId, DEFAULT_CHANNEL};
+use hyperprov_ledger::{Block, Digest, RawEnvelope, TxId, DEFAULT_CHANNEL};
 use hyperprov_sim::{SimDuration, SimTime};
 
 /// A desktop network, one block per transaction, that stored `ops` items
@@ -94,24 +94,80 @@ fn a_drifted_graph_index_is_named() {
 /// Appends a valid, empty block to `peer`'s ledger behind the network's
 /// back.
 fn hand_an_extra_block(net: &HyperProvNetwork, peer: usize) -> u64 {
+    hand_a_block(net, peer, Vec::new())
+}
+
+/// Appends a block of `envelopes` to `peer`'s ledger behind the
+/// network's back.
+fn hand_a_block(net: &HyperProvNetwork, peer: usize, envelopes: Vec<RawEnvelope>) -> u64 {
     let mut ledger = net.ledgers[peer].borrow_mut();
     let tip = ledger.store().tip_hash();
-    let block = Block::build(ledger.height(), tip, Vec::new());
+    let block = Block::build(ledger.height(), tip, envelopes);
     ledger
         .commit_block(block)
         .expect("the block extends the chain");
     ledger.height()
 }
 
+/// The tallest live chain is the reference, however few replicas hold
+/// it: a majority one block behind a current replica is behind, and the
+/// current replica is not a fork.
 #[test]
-fn an_extra_block_on_a_live_replica_is_a_divergence() {
+fn a_majority_one_block_behind_a_current_replica_is_behind() {
+    let net = network(NetworkConfig::desktop(1), 2);
+    hand_an_extra_block(&net, 2);
+    let behind = |peer| on(peer, AuditFinding::Diverged("height"));
+    assert_eq!(findings(&net), [behind(0), behind(1), behind(3)]);
+}
+
+/// Two different blocks at one height are a fork: of the two tallest
+/// chains, the one not taken as the reference is `Forked`.
+#[test]
+fn two_blocks_at_one_height_are_still_a_fork() {
     let net = network(NetworkConfig::desktop(1), 2);
     let height = hand_an_extra_block(&net, 2);
-    let diverged = AuditFinding::Diverged("height");
+    let first = net.ledgers[1]
+        .borrow()
+        .store()
+        .block(1)
+        .map(|b| b.envelopes.to_vec());
+    hand_a_block(&net, 1, first.expect("block 1 is stored"));
+    let behind = |peer| on(peer, AuditFinding::Diverged("height"));
+    let forked = [
+        on(2, AuditFinding::Diverged("tip hash")),
+        on(2, AuditFinding::Forked(height)),
+    ];
     assert_eq!(
         findings(&net),
-        [on(2, diverged), on(2, AuditFinding::Forked(height))]
+        [&[behind(0)][..], &forked, &[behind(3)]].concat()
     );
+}
+
+/// The last block reaches the client's home peer only, the others being
+/// cut off from the orderer, and no later block shows them the gap: the
+/// operation's `Ok` commit, in the tallest chain's last block, counts
+/// once, and the others are behind.
+#[test]
+fn an_ok_commit_in_the_tallest_chains_last_block_counts_once() {
+    let mut net = network(NetworkConfig::desktop(1), 2);
+    for peer in 1..4 {
+        let (peer, orderer) = (net.peers[peer], net.orderers[0]);
+        net.sim.network_mut().partition(peer, orderer);
+    }
+    let command = ClientCommand::Post {
+        key: "last".into(),
+        input: RecordInput::new(Digest::of(b"last")),
+        op: OpId(3),
+    };
+    net.sim
+        .inject_message(net.clients[0], NodeMsg::Client(command));
+    net.sim
+        .run_until(net.sim.now() + SimDuration::from_secs(10));
+    let done = net.completions[0].borrow();
+    assert!(matches!(done[2].outcome, Ok(OpOutput::Committed { .. })));
+    drop(done);
+    let behind = |peer| on(peer, AuditFinding::Diverged("height"));
+    assert_eq!(findings(&net), [behind(1), behind(2), behind(3)]);
 }
 
 /// A crashed replica is not asked to agree — it may be behind — but its

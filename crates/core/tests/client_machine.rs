@@ -211,12 +211,7 @@ fn stored(actions: &[Action<ClientOwn, NodeMsg>]) -> &StoreMsg {
 fn rows(client: &Client) -> (usize, usize) {
     let view = client.view();
     let gateway = view.gateway;
-    let phases = [
-        gateway.endorsing,
-        gateway.commit_wait,
-        gateway.query,
-        gateway.backing_off,
-    ];
+    let phases = [gateway.endorsing, gateway.commit_wait, gateway.query];
     (phases.iter().sum(), view.transfers)
 }
 
@@ -275,7 +270,7 @@ mod transfers {
     /// for a transfer, and the ack goes straight on to the `post`.
     #[test]
     fn without_deadlines_a_transfer_arms_nothing() {
-        let mut b = bench(1, false, Some(3));
+        let mut b = bench(1, false, None);
         let issued = b.command(store_data(1, "k"));
         assert_eq!(show(&issued), ["[op", "charge", "[offchain.put", "put#t1"]);
         let acked = b.message(put_ack(token(1)));
@@ -440,6 +435,82 @@ mod transfers {
             .collect();
         assert_eq!(armed, [token(1), 1, token(2), 2]);
         assert_eq!(rows(b.client()), (1, 2));
+    }
+}
+
+/// An operation's chain request keeps its one tx id through every retry.
+mod retries {
+    use super::*;
+
+    fn ack(tx_id: TxId, accepted: bool) -> NodeMsg {
+        NodeMsg::Fabric(FabricMsg::BroadcastAck { tx_id, accepted })
+    }
+
+    /// A post meets an endorse deadline, a shed proposal and a refused
+    /// envelope: each retry sends the same request one place along its
+    /// ring — at once after the deadline, after a backoff after `Busy`
+    /// and the refusal — and the post commits under the tx id it was
+    /// issued with. One request, one tx id, as the view counts them.
+    #[test]
+    fn a_post_keeps_its_tx_id_through_a_deadline_a_shed_and_a_refusal() {
+        let mut b = bench(1, true, Some(4));
+        let issued = b.command(post(1, "k"));
+        let tx = tx_of(&issued);
+        let deadline = b.timer(1);
+        assert_eq!(show(&deadline)[8..], ["propose->11", "arm#2=endorse"]);
+        assert_eq!(tx_of(&deadline), tx);
+        let shed = [
+            "!endorse.rejected",
+            "+client.retries",
+            "backoff",
+            "!op.retry@op-1",
+            "disarm#2",
+            "arm#3=backoff",
+        ];
+        assert_eq!(show(&b.message(b.answer(tx, Err(BUSY_REASON)))), shed);
+        let again = b.timer(3);
+        let copy = [
+            "+client.resent",
+            "!endorse.resend",
+            "propose->12",
+            "arm#4=endorse",
+        ];
+        assert_eq!(show(&again), copy);
+        assert_eq!(tx_of(&again), tx);
+        let submitted = b.message(b.answer(tx, Ok(b"r".to_vec())));
+        assert_eq!(show(&submitted)[2], "broadcast->90");
+        let refused = show(&b.message(ack(tx, false)));
+        assert_eq!(refused[..2], ["!order.refused", "+client.retries"]);
+        let again = b.timer(6);
+        assert_eq!(show(&again)[2], "broadcast->91");
+        assert_eq!(tx_of(&again), tx);
+        b.message(ack(tx, true));
+        let done = ["disarm#8", "commit_wait]", "op]", "done1=Ok"];
+        assert_eq!(show(&b.message(commit(tx))), done);
+        let view = b.client().view();
+        assert_eq!((view.requests, view.gateway.tx_ids), (1, 1));
+    }
+
+    /// The same with a budget of three: the refusal, a fourth attempt,
+    /// ends the operation `Exhausted`.
+    #[test]
+    fn a_spent_budget_ends_the_post_exhausted() {
+        let mut b = bench(1, true, Some(3));
+        let tx = tx_of(&b.command(post(1, "k")));
+        b.timer(1);
+        b.message(b.answer(tx, Err(BUSY_REASON)));
+        b.timer(3);
+        b.message(b.answer(tx, Ok(b"r".to_vec())));
+        let exhausted = [
+            "disarm#5",
+            "commit_wait]",
+            "!order.refused",
+            "+client.exhausted",
+            "op]",
+            "done1=Exhausted { attempts: 3 }",
+        ];
+        assert_eq!(show(&b.message(ack(tx, false))), exhausted);
+        assert_eq!(rows(b.client()), (0, 0));
     }
 }
 

@@ -3,18 +3,15 @@
 //! per client takes what happened (a request, a Fabric message, a timer)
 //! and answers with the [`Action`]s its host actor must perform, in order.
 //!
-//! One table holds every request of the client, on whichever channel. A
-//! row is in one of four phases — *endorsing*, *commit-wait*, *query*,
-//! *backing off* — and each phase waits on exactly one wake-up: under
-//! deadlines the next re-send or the deadline, else the backoff sleep, so
-//! a row exists exactly while its one timer is armed. A node silent past
-//! the route's retransmission timeout for a wait (RFC 6298, per route and
-//! wait: *endorse*, *order*, *commit*) is passed by a copy of the request
-//! under the same tx id, one place further along its ring; an acked row
-//! probes the endorsers with `CommitStatus` and re-broadcasts its
-//! envelope. A tx id once broadcast is never replaced. DESIGN §9.2 has
-//! every rule: the transition table, the homes and what moves them, the
-//! RTO floors, and why copies are harmless.
+//! One table holds every request of the client, on whichever channel: a
+//! row in one of three phases — *endorsing*, *commit-wait*, *query* — that
+//! waits on one wake-up, the next re-send or the deadline. A request keeps
+//! its tx id for life. A copy passes a node silent for the route's RTO
+//! (RFC 6298, per wait), and a retry — at once after a deadline, after a
+//! backoff after `Busy` or a refusal — goes one place along the ring too;
+//! an acked row probes the endorsers and re-broadcasts its envelope.
+//! DESIGN §9.2 has every rule: the transitions, the homes and what moves
+//! them, the RTO floors, and why copies are harmless.
 
 use std::sync::Arc;
 
@@ -40,7 +37,8 @@ pub enum GatewayError {
         reason: String,
     },
     /// The endorsing peer shed the request (its queue was full), or an
-    /// orderer that knows no leader refused the envelope. A retry may work.
+    /// orderer that knows no leader refused the envelope, and no copy of
+    /// it was out. Under deadlines a retry policy backs off and re-sends it.
     Busy,
     /// Collected endorsements disagree on the result or read/write set.
     Mismatch,
@@ -72,12 +70,6 @@ impl GatewayError {
             (false, false) => GatewayError::Endorsement { reason },
         }
     }
-
-    /// True when the failure is transient and no envelope left — backpressure,
-    /// a refusal, an endorse deadline —, so a fresh tx id may succeed.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, GatewayError::Busy | GatewayError::EndorseTimeout)
-    }
 }
 
 impl std::fmt::Display for GatewayError {
@@ -99,11 +91,11 @@ impl std::fmt::Display for GatewayError {
 
 impl std::error::Error for GatewayError {}
 
-/// Deterministic retry policy for transient gateway failures: an attempt
-/// whose envelope never left goes again under a fresh tx id after a
-/// jittered exponential backoff, and a commit-wait deadline waits again for
-/// the same envelope. All randomness comes from the client actor's seeded
-/// stream, so runs are reproducible.
+/// Deterministic retry policy for transient gateway failures, under
+/// deadlines: a retry re-sends the same request, under its one tx id, one
+/// place along its ring — at once after a deadline, after a jittered
+/// exponential backoff after `Busy` or a refusal. All randomness comes
+/// from the client actor's seeded stream, so runs are reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempt budget (initial try + retries), at least 1.
@@ -208,13 +200,13 @@ pub struct Done<T>(pub T, pub Result<Reply, GatewayError>);
 /// Where one channel's requests go. A client on a sharded deployment has
 /// one route per channel, indexed by shard.
 ///
-/// Both lists are rings. A request's first attempt starts at each ring's
-/// *home*, its first node to begin with; a retry one place along from its
-/// own attempt's positions, so it goes to the next node, not back to the
-/// one that just failed. A copy sent past a silent node, or an expired
-/// deadline, moves the home of the ring it blames past that position, and
-/// a probe's answer that completes a commit wait moves the endorsers' home
-/// to its sender, each if the home still points at the attempt's position.
+/// Both lists are rings. A request starts at each ring's *home*, its first
+/// node to begin with; a copy or a retry goes one place along from the
+/// request's own positions, so to the next node, not back to the one that
+/// just failed. A copy sent past a silent node, or an expired deadline,
+/// moves the home of the ring it blames past that position, and a probe's
+/// answer that completes a commit wait moves the endorsers' home to its
+/// sender, each if the home still points at the request's position.
 #[derive(Debug)]
 pub struct Route {
     channel: ChannelId,
@@ -224,7 +216,7 @@ pub struct Route {
     /// The channel's proposal nonce: with the channel name and the
     /// creator it makes every tx id unique.
     nonce: u64,
-    /// Where a first attempt starts: `[ENDORSERS]`, `[ORDERERS]`.
+    /// Where a request starts: `[ENDORSERS]`, `[ORDERERS]`.
     home: [usize; 2],
     /// Per [`Wait`], its smoothed round trip and mean deviation, once a
     /// row has been timed.
@@ -318,7 +310,7 @@ impl Route {
 
     /// The next status probe of `tx` in `wake`, counted: noted `note` and
     /// sent to the endorser one place past the last asked, from `at` — the
-    /// attempt's own, which reports the commit and is never asked.
+    /// request's own, which reports the commit and is never asked.
     fn probe<T>(&self, at: usize, wake: &mut Wake, tx: TxId, note: &'static str) -> [Action<T>; 2] {
         let ring = self.endorsers.len();
         let peer = self.endorsers[(at + 1 + wake.probed % (ring - 1)) % ring];
@@ -375,16 +367,6 @@ impl Route {
     }
 }
 
-/// A chaincode call, kept to issue it again under a fresh tx id.
-#[derive(Debug, Clone)]
-struct Call {
-    /// A full transaction rather than an endorse-only query.
-    invoke: bool,
-    chaincode: &'static str,
-    function: &'static str,
-    args: Vec<Vec<u8>>,
-}
-
 /// What a request is waiting for. Each phase has one wake-up.
 #[derive(Debug)]
 enum Phase {
@@ -405,9 +387,6 @@ enum Phase {
     /// The one endorser's answer; the proposal is kept for copies under
     /// an endorse deadline.
     Query { signed: Option<Box<SignedProposal>> },
-    /// The backoff sleep of an attempt whose envelope never left. The row
-    /// stays under its tx id, whose late replies it ignores.
-    BackingOff,
 }
 
 /// The wake-ups of a row's wait under its deadline: a re-send each time
@@ -416,14 +395,14 @@ enum Phase {
 #[derive(Debug)]
 struct Wake {
     /// When the wait began: its answer times the route's round trip from
-    /// here. `None` after a deadline: the answer may be the earlier wait's.
+    /// here. `None` after a deadline or a retry: it may answer an earlier send.
     since: Option<SimTime>,
     /// Re-sends so far: copies of the request, or in commit-wait status
-    /// probes.
+    /// probes; a retry's re-send is one.
     sent: u32,
     /// How many re-sends the wait may make.
     most: u32,
-    /// Refusals of the request so far.
+    /// Refusals of the request so far, or what a retry wrote off.
     refused: u32,
     /// Status probes so far, timed or not: they walk the endorsers.
     probed: usize,
@@ -455,29 +434,28 @@ impl Wake {
     }
 }
 
-/// One caller request, from `invoke` / `query` to its `Done`.
+/// One caller request, from `invoke` / `query` to its `Done`, under one
+/// tx id.
 #[derive(Debug)]
 struct Row<T> {
     caller: T,
     /// The route it was issued on.
     shard: usize,
-    /// Attempts so far (1 = first try); one after submit waits again.
+    /// Attempts so far: the first try, and one per retry.
     attempts: u32,
-    /// The ring positions the latest attempt used (first endorser, orderer);
-    /// a copy moves them on to where it went.
+    /// The ring positions the request is at (first endorser, orderer); a
+    /// copy or a retry moves them on to where it went.
     at: [usize; 2],
     /// The armed wake-up, if the phase has one configured.
     token: Option<u64>,
     /// The wait's re-sends and deadline, under a deadline.
     wake: Option<Wake>,
-    /// The call, to issue it again (kept only under a retry policy).
-    redo: Option<Call>,
     phase: Phase,
 }
 
 impl<T> Row<T> {
-    /// Counts a refusal of the attempt's request: true while a copy sent to
-    /// another node may still answer it.
+    /// Counts a refusal of the request: true while a copy sent to another
+    /// node may still answer it.
     fn another_copy_out(&mut self) -> bool {
         self.wake.as_mut().is_some_and(|wake| {
             wake.refused += 1;
@@ -496,8 +474,6 @@ hyperprov_sim::view! {
         pub commit_wait: usize,
         /// Rows waiting for a query's answer.
         pub query: usize,
-        /// Rows sleeping out a backoff.
-        pub backing_off: usize,
         /// The rows' attempts so far.
         pub attempts: u32,
         /// The copies their current waits sent: requests re-sent past a
@@ -505,12 +481,14 @@ hyperprov_sim::view! {
         pub copies: u32,
         /// Each route, by shard.
         pub routes: Vec<RouteView>,
+        /// Tx ids minted so far, one per proposal signed.
+        pub tx_ids: u64,
     }
 
     /// One route of a [`GatewayView`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RouteView {
-        /// Where a first attempt starts: the home endorser and orderer.
+        /// Where a request starts: the home endorser and orderer.
         pub homes: (ActorId, ActorId),
         /// The retransmission timeout of the endorse, order and commit waits.
         pub rto: [SimDuration; 3],
@@ -577,7 +555,8 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// Enables transparent retries of transient failures under `policy`
-    /// until the attempt budget is spent (see [`RetryPolicy`]).
+    /// until the attempt budget is spent (see [`RetryPolicy`]). Only a wait
+    /// under a deadline retries: without deadlines the policy does nothing.
     #[must_use]
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
@@ -610,9 +589,9 @@ impl<T: Caller> Gateway<T> {
                 rto: [rto(Wait::Endorse), rto(Wait::Order), rto(Wait::Commit)],
             }
         };
-        let routes = self.routes.iter().map(route).collect();
         let mut view = GatewayView {
-            routes,
+            routes: self.routes.iter().map(route).collect(),
+            tx_ids: self.routes.iter().map(|route| route.nonce).sum(),
             ..GatewayView::default()
         };
         for row in self.rows.values() {
@@ -620,7 +599,6 @@ impl<T: Caller> Gateway<T> {
                 Phase::Endorsing { .. } => &mut view.endorsing,
                 Phase::CommitWait { .. } => &mut view.commit_wait,
                 Phase::Query { .. } => &mut view.query,
-                Phase::BackingOff => &mut view.backing_off,
             } += 1;
             view.attempts += row.attempts;
             view.copies += row.wake.as_ref().map_or(0, |wake| wake.sent);
@@ -640,14 +618,7 @@ impl<T: Caller> Gateway<T> {
         function: &'static str,
         args: Vec<Vec<u8>>,
     ) -> Vec<Action<T>> {
-        let call = Call {
-            invoke: true,
-            chaincode,
-            function,
-            args,
-        };
-        let at = self.routes[shard].home;
-        self.issue(caller, shard, 0, at, call, now)
+        self.issue(true, shard, caller, now, chaincode, function, args)
     }
 
     /// Starts an endorse-only query at `now` against the home endorser of
@@ -661,38 +632,32 @@ impl<T: Caller> Gateway<T> {
         function: &'static str,
         args: Vec<Vec<u8>>,
     ) -> Vec<Action<T>> {
-        let call = Call {
-            invoke: false,
-            chaincode,
-            function,
-            args,
-        };
-        let at = self.routes[shard].home;
-        self.issue(caller, shard, 0, at, call, now)
+        self.issue(false, shard, caller, now, chaincode, function, args)
     }
 
-    /// Issues attempt `attempts + 1` of `call` at ring positions `at`:
+    /// Issues a request — an `invoke` or a query — at the route's homes:
     /// builds and signs the proposal — encoded exactly once: the signature
     /// covers the bytes, the tx id is their digest and the wire size their
     /// length — and sends it, under the endorse deadline, to the endorsers
-    /// from position `at[ENDORSERS]` on.
+    /// from the home endorser on. The tx id is the request's for life.
+    #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
-        caller: T,
+        invoke: bool,
         shard: usize,
-        attempts: u32,
-        at: [usize; 2],
-        call: Call,
+        caller: T,
         now: SimTime,
+        chaincode: &'static str,
+        function: &'static str,
+        args: Vec<Vec<u8>>,
     ) -> Vec<Action<T>> {
-        let redo = self.retry.map(|_| call.clone());
         let route = &mut self.routes[shard];
         route.nonce += 1;
         let proposal = Proposal {
             channel: route.channel.clone(),
-            chaincode: call.chaincode.to_owned(),
-            function: call.function.to_owned(),
-            args: call.args,
+            chaincode: chaincode.to_owned(),
+            function: function.to_owned(),
+            args,
             creator: self.identity.certificate().clone(),
             nonce: route.nonce,
         };
@@ -704,18 +669,17 @@ impl<T: Caller> Gateway<T> {
             proposal,
             signature,
         };
-        let ring = route.endorsers.len();
+        let (at, ring) = (route.home, route.endorsers.len());
         // The endorse span covers the whole collection phase: it closes
         // at submit (or on failure), where `commit_wait` opens.
-        let (targets, stage, phase) = if call.invoke {
+        let (targets, stage, phase) = if invoke {
             let phase = Phase::Endorsing {
                 signed: Box::new(signed.clone()),
                 responses: Vec::new(),
             };
             (route.endorsements_needed, "endorse", phase)
         } else {
-            let copies = self.endorse_timeout.filter(|_| ring > 1);
-            let signed = copies.map(|_| Box::new(signed.clone()));
+            let signed = self.endorse_timeout.map(|_| Box::new(signed.clone()));
             (1, "query", Phase::Query { signed })
         };
         let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
@@ -740,11 +704,10 @@ impl<T: Caller> Gateway<T> {
         let row = Row {
             caller,
             shard,
-            attempts: attempts + 1,
+            attempts: 1,
             at,
             token,
             wake,
-            redo,
             phase,
         };
         self.rows.insert(tx_id, row);
@@ -752,11 +715,11 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// Feeds an incoming Fabric message from `src` to the gateway. Messages
-    /// that are not an answer to a live attempt — another client's commit,
-    /// a reply to an attempt that already timed out, an extra endorsement
-    /// after submit, a second copy's commit — do nothing. It arrived at
-    /// `now`, which times the wait it answers; `rng` is the host actor's
-    /// stream: a rejection that is retried draws its backoff from it.
+    /// that are not an answer to a live request — another client's commit,
+    /// a reply to a request that already ended, an extra endorsement after
+    /// submit, a second copy's commit — do nothing. It arrived at `now`,
+    /// which times the wait it answers; `rng` is the host actor's stream: a
+    /// `Busy` that is retried draws its backoff from it.
     pub fn on_message(
         &mut self,
         src: ActorId,
@@ -794,7 +757,7 @@ impl<T: Caller> Gateway<T> {
         let first = match &row.phase {
             Phase::Endorsing { responses, .. } => responses.is_empty(),
             Phase::Query { .. } => true,
-            Phase::CommitWait { .. } | Phase::BackingOff => return,
+            Phase::CommitWait { .. } => return,
         };
         let wake = row.wake.as_ref().filter(|wake| first && wake.refused == 0);
         if let Some(rtt) = wake.and_then(|wake| wake.sample(now)) {
@@ -836,17 +799,19 @@ impl<T: Caller> Gateway<T> {
                     ("endorse", Some(note), GatewayError::Mismatch)
                 }
             },
-            Phase::CommitWait { .. } | Phase::BackingOff => unreachable!("answered above"),
+            Phase::CommitWait { .. } => unreachable!("answered above"),
         };
-        let row = self.close(tx_id, stage, out);
-        if let Some((name, detail)) = note {
-            out.push(Action::Note(tx_trace(&tx_id), name, detail));
+        let note = note.map(|(name, detail)| Action::Note(tx_trace(&tx_id), name, detail));
+        if error == GatewayError::Busy {
+            return self.retry(tx_id, stage, note, error, Some(rng), out);
         }
-        self.fail(tx_id, row, error, rng, out);
+        let row = self.close(tx_id, stage, out);
+        out.extend(note);
+        out.push(Action::Own(Done(row.caller, Err(error))));
     }
 
-    /// The attempt under `tx_id` got its answer: takes its row out of the
-    /// table, disarming its deadline and closing its `stage` span.
+    /// The request under `tx_id` got its answer: takes its row out of the
+    /// table, disarming its wake-up and closing its `stage` span.
     fn close(&mut self, tx_id: TxId, stage: &'static str, out: &mut Out<T>) -> Row<T> {
         let mut row = self.rows.remove(&tx_id).expect("invariant: in the table");
         out.extend(row.token.take().map(Action::Disarm));
@@ -855,14 +820,13 @@ impl<T: Caller> Gateway<T> {
     }
 
     /// All endorsements are in and agree at `now`: assembles the envelope,
-    /// broadcasts it to this attempt's orderer and waits — for its answer
+    /// broadcasts it to the request's orderer and waits — for its answer
     /// under an endorse deadline, else for the commit — so a lost
     /// broadcast or commit notification cannot wedge the client.
     fn submit(&mut self, tx_id: TxId, now: SimTime, out: &mut Out<T>) {
         let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
-        let Phase::Endorsing { signed, responses } =
-            std::mem::replace(&mut row.phase, Phase::BackingOff)
-        else {
+        let taken = std::mem::replace(&mut row.phase, Phase::Query { signed: None });
+        let Phase::Endorsing { signed, responses } = taken else {
             unreachable!("submit runs on an endorsing row");
         };
         let endorsements = responses
@@ -902,7 +866,7 @@ impl<T: Caller> Gateway<T> {
 
     /// An orderer answered the envelope at `now`, which only a row not yet
     /// acked hears: taken in, the row waits for the commit; refused, the
-    /// attempt fails `Busy` once no other copy is out.
+    /// request fails `Busy` once no other copy is out.
     fn on_ack(
         &mut self,
         tx_id: TxId,
@@ -926,10 +890,15 @@ impl<T: Caller> Gateway<T> {
         if row.another_copy_out() {
             return;
         }
-        let row = self.close(tx_id, "commit_wait", out);
-        let refused = Action::Note(tx_trace(&tx_id), "order.refused", String::new());
-        out.push(refused);
-        self.fail(tx_id, row, GatewayError::Busy, rng, out);
+        let note = Action::Note(tx_trace(&tx_id), "order.refused", String::new());
+        self.retry(
+            tx_id,
+            "commit_wait",
+            Some(note),
+            GatewayError::Busy,
+            Some(rng),
+            out,
+        );
     }
 
     /// Submitted row `tx_id` waits for the orderer's answer or, acked, for
@@ -1016,13 +985,11 @@ impl<T: Caller> Gateway<T> {
         }
     }
 
-    /// A wake-up fired at `now`. A re-send sends a copy on
-    /// ([`Gateway::resend`]). A deadline moves the home of the ring it
-    /// blames and, before submit, abandons the attempt — its span closes,
-    /// its row leaves the table, nothing can leak —; after, see
-    /// [`Gateway::wait_again`]. A backoff issues the next attempt. Tokens
-    /// of finished requests do nothing.
-    pub fn on_timer(&mut self, token: u64, now: SimTime, rng: &mut DetRng) -> Vec<Action<T>> {
+    /// A wake-up fired. A re-send sends a copy on ([`Gateway::resend`]). A
+    /// deadline moves the home of the ring it blames and retries the
+    /// request or ends it ([`Gateway::retry`]). Tokens of finished
+    /// requests do nothing.
+    pub fn on_timer(&mut self, token: u64) -> Vec<Action<T>> {
         let found = self
             .rows
             .iter_mut()
@@ -1030,8 +997,10 @@ impl<T: Caller> Gateway<T> {
         let Some((&tx_id, row)) = found else {
             return Vec::new();
         };
+        let mut out = Vec::new();
         if row.wake.as_ref().is_some_and(|wake| !wake.left.is_zero()) {
-            return self.resend(tx_id);
+            self.resend(tx_id, &mut out);
+            return out;
         }
         row.token = None;
         // Whose deadline it was: the endorser asked, the orderer that did
@@ -1042,69 +1011,95 @@ impl<T: Caller> Gateway<T> {
             Phase::CommitWait { acked: false, .. } => ("commit_wait", "order.timeout", ORDERERS),
             Phase::CommitWait { acked: true, .. } => ("commit_wait", "commit.timeout", ENDORSERS),
             Phase::Query { .. } => ("query", "query.timeout", ENDORSERS),
-            Phase::BackingOff => {
-                let row = self.rows.remove(&tx_id).expect("found above");
-                return self.next_attempt(row, now);
-            }
         };
-        let (shard, at, mut out) = (row.shard, row.at[blamed], Vec::new());
-        let ended = (stage != "commit_wait").then(|| self.close(tx_id, stage, &mut out));
+        let error = match stage {
+            "commit_wait" => GatewayError::CommitTimeout,
+            _ => GatewayError::EndorseTimeout,
+        };
+        let (shard, at) = (row.shard, row.at[blamed]);
         out.push(Action::Note(tx_trace(&tx_id), event, String::new()));
         self.routes[shard].blame(blamed, at, &tx_id, &mut out);
         out.push(Action::Count(None, "timeouts", 1));
-        match ended {
-            Some(row) => self.fail(tx_id, row, GatewayError::EndorseTimeout, rng, &mut out),
-            None => self.wait_again(tx_id, &mut out),
-        }
+        self.retry(tx_id, stage, None, error, None, &mut out);
         out
     }
 
-    /// The commit-wait deadline of row `tx_id` passed. Its envelope may
-    /// have reached an orderer, so its tx id stays: with budget left the
-    /// retry, drawing no backoff, sends it again, marked `copy`, to the next
-    /// orderer — on a ring of one, to that one — and waits again for the
-    /// commit, timing nothing; spent, the row ends `Exhausted`, with no
-    /// policy `CommitTimeout`.
-    fn wait_again(&mut self, tx_id: TxId, out: &mut Out<T>) {
+    /// Row `tx_id`'s request failed with `error`, noted `note`, and no
+    /// copy of it is out: a deadline passed, or, given `rng`, it was
+    /// answered `Busy`. Under a deadline and a policy with budget left it
+    /// goes again, under its tx id, one place along its ring: after `Busy`
+    /// the row's wake-up becomes a re-send ([`Gateway::resend`]) a jittered
+    /// backoff away; after a deadline the re-send goes at once, or in
+    /// commit-wait the envelope, unasked, to the next orderer (on a ring
+    /// of one, to that one) and the row waits again for its commit. Spent,
+    /// the row ends `Exhausted`; else `error` is final.
+    fn retry(
+        &mut self,
+        tx_id: TxId,
+        stage: &'static str,
+        note: Option<Action<T>>,
+        error: GatewayError,
+        rng: Option<&mut DetRng>,
+        out: &mut Out<T>,
+    ) {
         let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
-        let trace = row.caller.trace();
-        let error = match self.retry {
-            None => GatewayError::CommitTimeout,
-            Some(policy) => match policy.after_failure(row.attempts, trace, None, out) {
-                Err(exhausted) => exhausted,
-                Ok(_) => {
-                    let route = &self.routes[row.shard];
-                    row.attempts += 1;
-                    row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
-                    if let Phase::CommitWait { envelope, .. } = &row.phase {
+        let (trace, backs_off, mut counted) = (row.caller.trace(), rng.is_some(), Vec::new());
+        let policy = self.retry.filter(|_| row.wake.is_some());
+        let retried =
+            policy.map(|policy| policy.after_failure(row.attempts, trace, rng, &mut counted));
+        let error = match retried {
+            None => error,
+            Some(Err(exhausted)) => exhausted,
+            Some(Ok(backoff)) => {
+                out.extend(note.into_iter().chain(counted));
+                row.attempts += 1;
+                // What was sent is written off: the wait's copies and deadline
+                // start again, untimed, from the re-send, which passes no
+                // silent node; the next copy still comes twice as late.
+                let wake = row.wake.as_mut().expect("filtered above");
+                (wake.sent, wake.refused, wake.since) = (0, 1, None);
+                wake.left = self.endorse_timeout.unwrap_or_default();
+                match &row.phase {
+                    _ if backs_off => {
+                        out.extend(row.token.take().map(Action::Disarm));
+                        row.token = arm(&mut self.next_token, Some(backoff), out);
+                    }
+                    Phase::CommitWait { envelope, .. } => {
+                        let route = &self.routes[row.shard];
+                        row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
                         let (bytes, msg) = copy_of(envelope, false);
                         out.push(Action::Send(route.orderers[row.at[ORDERERS]], bytes, msg));
+                        self.start_wait(tx_id, Wait::Commit, None, out);
                     }
-                    return self.start_wait(tx_id, Wait::Commit, None, out);
+                    _ => self.resend(tx_id, out),
                 }
-            },
+                return;
+            }
         };
-        let row = self.close(tx_id, "commit_wait", out);
+        let row = self.close(tx_id, stage, out);
+        out.extend(note.into_iter().chain(counted));
         out.push(Action::Own(Done(row.caller, Err(error))));
     }
 
     /// The armed wake-up of row `tx_id` was a re-send, and arms the next,
     /// twice as late, or the deadline. An endorsing or query row sends its
     /// proposal one endorser past its window, which moves on past its first
-    /// (silent) endorser; a commit-wait row not yet acked its envelope to
-    /// the next orderer. Once acked it asks the next endorser after its own
-    /// — one place further along each time, skipping its own — whether the transaction
+    /// endorser; a commit-wait row not yet acked its envelope to the next
+    /// orderer. Either passes a silent node, and blames it, unless no send
+    /// of the request is out: then it is a retry's, after a refusal or a
+    /// deadline, which blamed already. Once
+    /// acked the row asks the next endorser after its own — one place
+    /// further along each time, skipping its own — whether the transaction
     /// committed, which lets a "not found" move the probe on again, once
     /// around the ring; from its second probe on it also sends its
     /// envelope, unasked, to the orderers after its own in the same way.
-    fn resend(&mut self, tx_id: TxId) -> Vec<Action<T>> {
+    fn resend(&mut self, tx_id: TxId, out: &mut Out<T>) {
         let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
         let wake = row.wake.as_mut().expect("a re-send has a wake-up");
         let route = &mut self.routes[row.shard];
-        let (trace, sent) = (tx_trace(&tx_id), wake.sent);
+        let (trace, sent, silent) = (tx_trace(&tx_id), wake.sent, wake.refused <= wake.sent);
         wake.sent += 1;
         wake.next = wake.next * 2;
-        let mut out = Vec::with_capacity(6);
         // Each copy is noted; a wait is counted once, at its first: under
         // `resent`, or once acked under `rebroadcasts`.
         let resent = (sent == 0).then_some("resent");
@@ -1117,7 +1112,9 @@ impl<T: Caller> Gateway<T> {
                     Phase::Endorsing { .. } => route.endorsements_needed,
                     _ => 1,
                 };
-                route.blame(ENDORSERS, row.at[ENDORSERS], &tx_id, &mut out);
+                if silent {
+                    route.blame(ENDORSERS, row.at[ENDORSERS], &tx_id, out);
+                }
                 row.at[ENDORSERS] = route.after(ENDORSERS, row.at[ENDORSERS]);
                 let ring = route.endorsers.len();
                 let to = route.endorsers[(row.at[ENDORSERS] + window - 1) % ring];
@@ -1129,7 +1126,9 @@ impl<T: Caller> Gateway<T> {
                 envelope,
                 acked: false,
             } => {
-                route.blame(ORDERERS, row.at[ORDERERS], &tx_id, &mut out);
+                if silent {
+                    route.blame(ORDERERS, row.at[ORDERERS], &tx_id, out);
+                }
                 row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
                 let (bytes, msg) = copy_of(envelope, true);
                 let copy = (route.orderers[row.at[ORDERERS]], bytes, msg);
@@ -1148,7 +1147,7 @@ impl<T: Caller> Gateway<T> {
                 let rebroadcasts = (sent == 1).then_some("rebroadcasts");
                 (copy, "commit.rebroadcast", rebroadcasts)
             }
-            Phase::Query { signed: None } | Phase::BackingOff => {
+            Phase::Query { signed: None } => {
                 unreachable!("a re-send fires on a row with something to send")
             }
         };
@@ -1158,47 +1157,7 @@ impl<T: Caller> Gateway<T> {
             out.push(Action::Send(to, bytes, msg));
         }
         let delay = row.wake.as_mut().map(Wake::arm);
-        row.token = arm(&mut self.next_token, delay, &mut out);
-        out
-    }
-
-    /// Issues the next attempt of a row out of the table at `now`, one
-    /// place along both rings.
-    fn next_attempt(&mut self, row: Row<T>, now: SimTime) -> Vec<Action<T>> {
-        let call = row.redo.expect("invariant: only a kept call goes again");
-        let at = [ENDORSERS, ORDERERS].map(|ring| self.routes[row.shard].after(ring, row.at[ring]));
-        self.issue(row.caller, row.shard, row.attempts, at, call, now)
-    }
-
-    /// The attempt under `tx_id`, whose envelope never left, failed with
-    /// `error`, and `row` is out of the table with nothing armed. A
-    /// transient error goes back in to sleep out a jittered exponential
-    /// backoff until the attempt budget is spent; everything else (and every
-    /// failure without a policy) is the request's outcome.
-    fn fail(
-        &mut self,
-        tx_id: TxId,
-        mut row: Row<T>,
-        error: GatewayError,
-        rng: &mut DetRng,
-        out: &mut Out<T>,
-    ) {
-        let error = match self.retry {
-            Some(policy) if error.is_retryable() => {
-                match policy.after_failure(row.attempts, row.caller.trace(), Some(rng), out) {
-                    Ok(backoff) => {
-                        row.token = arm(&mut self.next_token, Some(backoff), out);
-                        row.wake = None;
-                        row.phase = Phase::BackingOff;
-                        self.rows.insert(tx_id, row);
-                        return;
-                    }
-                    Err(exhausted) => exhausted,
-                }
-            }
-            _ => error,
-        };
-        out.push(Action::Own(Done(row.caller, Err(error))));
+        row.token = arm(&mut self.next_token, delay, out);
     }
 }
 

@@ -65,8 +65,8 @@ impl Machine for Bare {
         self.0.on_message(src, msg, io.now, io.rng)
     }
 
-    fn timer(&mut self, token: u64, io: Io<'_>) -> Vec<Action<Req>> {
-        self.0.on_timer(token, io.now, io.rng)
+    fn timer(&mut self, token: u64, _: Io<'_>) -> Vec<Action<Req>> {
+        self.0.on_timer(token)
     }
 
     fn view(&self) -> GatewayView {
@@ -87,7 +87,7 @@ impl Machine for Bare {
 /// gateway's view shows them.
 fn rows(gateway: &Gateway<Req>) -> usize {
     let view = gateway.view();
-    view.endorsing + view.commit_wait + view.query + view.backing_off
+    view.endorsing + view.commit_wait + view.query
 }
 
 /// Where the next request on route `shard` starts: home endorser, home
@@ -464,22 +464,22 @@ mod transitions {
         // noted with the ring and both positions.
         b.invoke(0, 1);
         let expired = [
-            "endorse]",
             "!endorse.timeout",
             "+client.home_moves",
             "!home endorsers 0->1",
             "+client.timeouts",
+            "endorse]",
             "done1=EndorseTimeout",
         ];
         assert_eq!(show(&b.timer(1)), expired);
         // Query deadline: nothing has been timed yet, so nothing re-sends.
         b.query(0, 2);
         let expired = [
-            "query]",
             "!query.timeout",
             "+client.home_moves",
             "!home endorsers 1->2",
             "+client.timeouts",
+            "query]",
             "done2=EndorseTimeout",
         ];
         assert_eq!(show(&b.timer(2)), expired);
@@ -522,65 +522,94 @@ mod transitions {
         }
     }
 
+    /// An endorse deadline with budget left sends the same signed
+    /// proposal to the next endorser at once, with no backoff and no
+    /// second proposal, and waits out a whole deadline again; the span
+    /// stays open and the request ends under its one tx id.
     #[test]
-    fn a_retry_reissues_under_a_fresh_tx_id_for_the_same_caller() {
+    fn an_endorse_deadline_re_sends_the_same_proposal_to_the_next_endorser_at_once() {
         let mut b = bench(&[1], true, Some(3));
-        let first = tx_of(&b.invoke(0, 7));
-        let backing_off = [
-            "endorse]",
+        let tx = tx_of(&b.invoke(0, 7));
+        let retried = b.timer(1);
+        let again = [
             "!endorse.timeout",
             "+client.home_moves",
             "!home endorsers 0->1",
             "+client.timeouts",
             "+client.retries",
-            "backoff",
             "!op.retry@op-7",
-            "arm#2=backoff",
+            "+client.resent",
+            "!endorse.resend",
+            "propose->11",
+            "arm#2=endorse",
         ];
-        assert_eq!(show(&b.timer(1)), backing_off);
+        assert_eq!(show(&retried), again);
+        assert_eq!(tx_of(&retried), tx);
         assert_eq!(rows(b.gateway()), 1);
-        let reissued = b.timer(2);
-        let again = ["charge", "[endorse", "arm#3=endorse", "propose->11"];
-        assert_eq!(show(&reissued), again);
-        let second = tx_of(&reissued);
-        assert_ne!(first, second);
-        b.message(b.answer(second, Ok(b"r")));
-        let done = ["disarm#4", "commit_wait]", "done7=Valid"];
-        assert_eq!(show(&b.message(commit(second))), done);
+        b.message(b.answer(tx, Ok(b"r")));
+        let done = ["disarm#3", "commit_wait]", "done7=Valid"];
+        assert_eq!(show(&b.message(commit(tx))), done);
         assert_eq!(rows(b.gateway()), 0);
     }
 
+    /// A `Busy` with budget left sleeps out a backoff as the row's one
+    /// armed wake-up, its span open, then sends the same proposal to the
+    /// next endorser and waits out a whole deadline again: one tx id, one
+    /// place along the ring.
     #[test]
-    fn backpressure_is_retried_even_without_deadlines() {
-        let mut b = bench(&[1], false, Some(2));
-        let tx = tx_of(&b.query(0, 1));
+    fn busy_backs_off_then_re_sends_the_same_proposal_to_the_next_endorser() {
+        let mut b = bench(&[1], true, Some(3));
+        let tx = tx_of(&b.invoke(0, 1));
         let shed = [
-            "query]",
+            "!endorse.rejected",
             "+client.retries",
             "backoff",
             "!op.retry@op-1",
-            "arm#1=backoff",
+            "disarm#1",
+            "arm#2=backoff",
         ];
         assert_eq!(show(&b.message(b.answer(tx, Err(BUSY_REASON)))), shed);
-        assert_eq!(show(&b.timer(1)), ["charge", "[query", "propose->11"]);
+        assert_eq!(rows(b.gateway()), 1);
+        let again = b.timer(2);
+        let copy = [
+            "+client.resent",
+            "!endorse.resend",
+            "propose->11",
+            "arm#3=endorse",
+        ];
+        assert_eq!(show(&again), copy);
+        assert_eq!(tx_of(&again), tx);
+        let submitted = show(&b.message(b.answer(tx, Ok(b"r"))));
+        assert_eq!(submitted[2], "broadcast?->90");
+    }
+
+    /// A retry policy acts only under deadlines: without them `Busy` is
+    /// the request's outcome.
+    #[test]
+    fn without_deadlines_a_retry_policy_retries_nothing() {
+        let mut b = bench(&[1], false, Some(2));
+        let tx = tx_of(&b.query(0, 1));
+        let shed = ["query]", "done1=Busy"];
+        assert_eq!(show(&b.message(b.answer(tx, Err(BUSY_REASON)))), shed);
+        assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
     fn a_spent_budget_reports_its_attempts() {
         let mut b = bench(&[1], true, Some(2));
         b.invoke(0, 1);
-        assert_eq!(b.timer(1).len(), 9); // endorse deadline -> backoff
-        assert_eq!(b.timer(2).len(), 4); // backoff -> second attempt
+        // Endorse deadline -> the same proposal to the next endorser.
+        assert_eq!(b.timer(1).len(), 10);
         let exhausted = [
-            "endorse]",
             "!endorse.timeout",
             "+client.home_moves",
             "!home endorsers 1->2",
             "+client.timeouts",
+            "endorse]",
             "+client.exhausted",
             "done1=Exhausted { attempts: 2 }",
         ];
-        assert_eq!(show(&b.timer(3)), exhausted);
+        assert_eq!(show(&b.timer(2)), exhausted);
         assert_eq!(rows(b.gateway()), 0);
     }
 
@@ -593,16 +622,20 @@ mod transitions {
         assert_eq!(rows(b.gateway()), 0);
     }
 
+    /// A retry is the same request: a late answer of the endorser whose
+    /// deadline passed endorses it, and the copy's answer after submit is
+    /// stale.
     #[test]
-    fn a_reply_to_an_attempt_that_timed_out_is_ignored() {
+    fn a_late_answer_to_a_retried_request_is_its_answer() {
         let mut b = bench(&[1], true, Some(3));
-        let first = tx_of(&b.invoke(0, 1));
-        b.timer(1);
-        // While the row sleeps out its backoff under the dead tx id...
-        assert!(b.message(b.answer(first, Ok(b"r"))).is_empty());
-        // ...and after the next attempt moved it to a fresh one.
-        b.timer(2);
-        assert!(b.message(b.answer(first, Ok(b"r"))).is_empty());
+        let tx = tx_of(&b.invoke(0, 1));
+        assert_eq!(show(&b.timer(1))[8], "propose->11");
+        let submitted = show(&b.message_from(10, b.answer(tx, Ok(b"r"))));
+        assert_eq!(
+            submitted[..3],
+            ["disarm#2", "arm#3=endorse", "broadcast?->90"]
+        );
+        assert!(b.message_from(11, b.answer(tx, Ok(b"r"))).is_empty());
         assert_eq!(rows(b.gateway()), 1);
     }
 
@@ -647,19 +680,20 @@ mod transitions {
     }
 
     /// A dead home endorser costs its client one endorse deadline per
-    /// outage, not one per request: the retry goes one place along both
-    /// rings, and the expiry moves the endorsers' home past the dead node,
-    /// so the next request starts where the retry went.
+    /// outage, not one per request: the retry goes one place along the
+    /// endorsers' ring only, and the expiry moves the endorsers' home past
+    /// the dead node, so the next request starts where the retry went.
     #[test]
     fn a_retry_goes_to_the_next_endorser() {
         let mut b = bench(&[1], true, Some(4));
-        assert_eq!(addressed(&mut b, 1, true, &[10]), (vec![10, 11], vec![91]));
+        assert_eq!(addressed(&mut b, 1, true, &[10]), (vec![10, 11], vec![90]));
         assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
         assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11], vec![90]));
-        // With two endorsements needed, the window of two moves along.
+        // With two endorsements needed, the window of two moves along, and
+        // the endorsement already in counts.
         let mut b = bench(&[2], true, Some(3));
         let first = addressed(&mut b, 1, true, &[10]);
-        assert_eq!(first, (vec![10, 11, 11, 12], vec![91]));
+        assert_eq!(first, (vec![10, 11, 12], vec![90]));
         assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11, 12], vec![90]));
         // Every attempt expiring walks the home along with it.
         let mut b = bench(&[1], true, Some(4));
@@ -720,8 +754,9 @@ mod transitions {
     }
 
     /// A full queue, an orderer's refusal and a rejection are answers, not
-    /// silence, and leave both homes where they were. The
-    /// retry after `Busy` still goes one place along.
+    /// silence, and leave both homes where they were. The retry after
+    /// `Busy` or a refusal still goes one place along, under the same tx
+    /// id: a refused envelope goes again, asking, to the next orderer.
     #[test]
     fn busy_a_refusal_and_a_rejection_move_no_home() {
         let before = (ActorId(10), ActorId(90));
@@ -733,17 +768,27 @@ mod transitions {
             "broadcast?->90"
         );
         let refused = [
-            "disarm#2",
-            "commit_wait]",
             "!order.refused",
             "+client.retries",
             "backoff",
             "!op.retry@op-1",
+            "disarm#2",
             "arm#3=backoff",
         ];
         assert_eq!(show(&b.message(ack(tx, false))), refused);
         assert_eq!(homes(b.gateway(), 0), before);
-        assert_eq!(show(&b.timer(3)).last().unwrap(), "propose->11");
+        let again = b.timer(3);
+        let copy = [
+            "+client.resent",
+            "!order.resend",
+            "broadcast?->91",
+            "arm#4=endorse",
+        ];
+        assert_eq!(show(&again), copy);
+        assert_eq!(envelopes(&again), [(tx, true)]);
+        assert_eq!(homes(b.gateway(), 0), before);
+        let done = ["disarm#4", "arm#5=endorse"];
+        assert_eq!(show(&b.message(ack(tx, true))), done);
         // Shed by the home endorser, then rejected by it.
         for (req, reason) in [(2, BUSY_REASON), (3, "not found")] {
             let issued = b.query(0, req);
@@ -789,15 +834,16 @@ mod transitions {
         b.message(ack(waiting, true));
         assert_eq!(show(&b.invoke(0, 4))[3], "propose->11");
         let expired = [
-            "endorse]",
             "!endorse.timeout",
             "+client.home_moves",
             "!home endorsers 1->2",
             "+client.timeouts",
             "+client.retries",
-            "backoff",
             "!op.retry@op-4",
-            "arm#11=backoff",
+            "+client.resent",
+            "!endorse.resend",
+            "propose->12",
+            "arm#11=endorse",
         ];
         assert_eq!(show(&b.timer(10)), expired);
         assert_eq!(rows(b.gateway()), 4);
@@ -845,18 +891,18 @@ mod transitions {
         // request 2's deadline there expires.
         let mut b = bench(&[1], true, Some(2));
         b.invoke(0, 1);
-        b.timer(1);
-        assert_eq!(show(&b.timer(2))[3], "propose->11");
+        assert_eq!(show(&b.timer(1))[8], "propose->11");
         b.invoke(0, 2);
-        assert_eq!(show(&b.timer(4)).len(), 9, "the home moves past 11");
+        let moved = show(&b.timer(3));
+        assert_eq!(moved[2], "!home endorsers 1->2", "the home moves past 11");
         let exhausted = [
-            "endorse]",
             "!endorse.timeout",
             "+client.timeouts",
+            "endorse]",
             "+client.exhausted",
             "done1=Exhausted { attempts: 2 }",
         ];
-        assert_eq!(show(&b.timer(3)), exhausted);
+        assert_eq!(show(&b.timer(2)), exhausted);
         // No retry policy.
         let mut b = bench(&[1], true, None);
         b.invoke(0, 1);
@@ -1233,9 +1279,27 @@ mod resends {
         assert_eq!(show(&second)[..4], copy);
         assert_eq!(sent_ids(&second), [tx]);
         assert_eq!(delay(&second), ENDORSE - MIN_RTO * 3);
-        let expired = show(&b.timer(6));
-        assert_eq!(expired[..2], ["endorse]", "!endorse.timeout"]);
-        assert_eq!(rows(b.gateway()), 1, "backing off");
+        // The deadline's retry: the same proposal once more, to the next
+        // endorser round the ring, and a wait that starts again from it,
+        // its next copy twice as late as the last.
+        let expired = b.timer(6);
+        let again = [
+            "!endorse.timeout",
+            "+client.home_moves",
+            "!home endorsers 2->0",
+            "+client.timeouts",
+            "+client.retries",
+            "!op.retry@op-2",
+            "+client.resent",
+            "!endorse.resend",
+            "propose->10",
+            "arm#7=backoff",
+        ];
+        assert_eq!(
+            (show(&expired), sent_ids(&expired)),
+            (again.map(String::from).to_vec(), vec![tx])
+        );
+        assert_eq!(rows(b.gateway()), 1);
     }
 
     /// The same for an envelope: copies go to the next orderers, asking,
@@ -1471,14 +1535,13 @@ struct Model {
     /// Transactions an orderer took in: on the ledger of every live peer,
     /// which answers a status probe for them, and "not found" for others.
     committed: BTreeSet<TxId>,
-    /// The request of each tx id sent.
+    /// The request of each tx id issued: one per request, for life.
     requests: BTreeMap<TxId, u32>,
-    /// The request whose retry, noted `op.retry`, armed each token: the
-    /// proposal that token's wake-up sends is that request's.
-    retrying: BTreeMap<u64, u32>,
-    /// The tx id of each request's first envelope an orderer took in:
-    /// every later send of the request carries it.
-    broadcast: BTreeMap<u32, TxId>,
+    /// The tokens a retry's backoff armed: the re-send each fires passes
+    /// no silent node, so it moves no home.
+    backoffs: BTreeSet<u64>,
+    /// Whether the input being applied is such a re-send.
+    backed_off: bool,
 }
 
 /// The node one place along `ring` from `node`.
@@ -1505,8 +1568,8 @@ impl Model {
             asked: BTreeMap::new(),
             committed: BTreeSet::new(),
             requests: BTreeMap::new(),
-            retrying: BTreeMap::new(),
-            broadcast: BTreeMap::new(),
+            backoffs: BTreeSet::new(),
+            backed_off: false,
         }
     }
 
@@ -1525,33 +1588,23 @@ impl Model {
         actions
     }
 
-    /// Fires wake-up `token`; a backoff's issues the next attempt of its
-    /// request.
+    /// Fires wake-up `token`; a backoff's re-sends its request.
     fn wake(&mut self, token: u64) {
         let actions = self.bench.timer(token);
-        if let Some(req) = self.retrying.remove(&token) {
-            for action in &actions {
-                if let Action::Send(_, _, FabricMsg::SubmitProposal(signed)) = action {
-                    self.requests.entry(signed.proposal.tx_id()).or_insert(req);
-                }
-            }
-        }
+        self.backed_off = self.backoffs.remove(&token);
         self.apply(actions);
+        self.backed_off = false;
     }
 
     /// Checks the actions of one input against the books and applies
     /// them: sends become the replies a (lossy) network would return.
     fn apply(&mut self, actions: Vec<Action<Req>>) {
-        let mut retried = None;
+        let mut backoff = false;
         for action in actions {
             match action {
-                Action::Note(trace, "op.retry", _) => {
-                    retried = trace.strip_prefix("op-").and_then(|n| n.parse().ok());
-                }
-                Action::Arm(token, _) => {
-                    if let Some(req) = retried.take() {
-                        self.retrying.insert(token, req);
-                    }
+                Action::Observe("backoff", _) => backoff = true,
+                Action::Arm(token, _) if std::mem::take(&mut backoff) => {
+                    self.backoffs.insert(token);
                 }
                 Action::SpanStart(tx, stage, _) => assert!(self.open.insert((tx, stage))),
                 Action::SpanEnd(tx, stage, _) => assert!(self.open.remove(&(tx, stage))),
@@ -1561,7 +1614,7 @@ impl Model {
                 }
                 Action::Send(to, _, msg) => {
                     *self.asked.entry(to).or_insert(0) += 1;
-                    self.one_tx_id_once_broadcast(&msg);
+                    self.one_tx_id(&msg);
                     self.record(to, &msg);
                     if Some(to) != self.dead {
                         self.reply_to(to, msg);
@@ -1584,21 +1637,18 @@ impl Model {
         }
     }
 
-    /// Once an orderer took a request's envelope in, every send of the
-    /// request — proposal, envelope or probe — carries that envelope's tx
-    /// id. (A refused one may be replaced: it never left.)
-    fn one_tx_id_once_broadcast(&mut self, msg: &FabricMsg) {
+    /// Every send of a request — proposal, envelope or probe, first,
+    /// copy or retry — carries the one tx id it was issued under.
+    fn one_tx_id(&mut self, msg: &FabricMsg) {
         let tx = match msg {
             FabricMsg::SubmitProposal(signed) => signed.proposal.tx_id(),
             FabricMsg::Broadcast { envelope, .. } => envelope.tx_id(),
             FabricMsg::CommitStatus { tx_id, .. } => *tx_id,
             other => panic!("the gateway sends proposals, envelopes and probes, not {other:?}"),
         };
-        let req = self.requests[&tx];
-        let first = self.broadcast.get(&req).copied();
         assert!(
-            first.is_none_or(|first| first == tx),
-            "request {req} left its broadcast tx id"
+            self.requests.contains_key(&tx),
+            "a tx id no request was issued under"
         );
     }
 
@@ -1625,7 +1675,8 @@ impl Model {
     /// The note `name` on `trace`: if it says an attempt's deadline
     /// expired, or that a copy passed the node it waited on, the blamed
     /// ring's home moves one place on past that node — if the home still
-    /// points there —, and a copy moves the attempt on with it.
+    /// points there —, and a copy moves the attempt on with it. A backoff's
+    /// re-send moves the attempt only.
     fn expired(&mut self, trace: &str, name: &str) {
         let Some(&(shard, endorser, orderer)) = self.attempts.get(trace) else {
             return;
@@ -1633,6 +1684,9 @@ impl Model {
         if name == "endorse.resend" {
             let attempt = self.attempts.get_mut(trace).expect("looked up");
             attempt.1 = next(&endorsers(shard), endorser);
+        }
+        if self.backed_off {
+            return;
         }
         let home = &mut self.homes[shard];
         match name {
@@ -1689,7 +1743,6 @@ impl Model {
                 if !accepted {
                     return;
                 }
-                self.broadcast.entry(self.requests[&tx]).or_insert(tx);
                 self.committed.insert(tx);
                 commit(tx)
             }
@@ -1754,8 +1807,8 @@ proptest! {
     /// fire, and whether or not one node of a route is dead throughout: a
     /// row exists exactly while its one wake-up is armed, no token is
     /// armed twice, no span is opened or closed twice, every request is
-    /// answered exactly once, after its first envelope every send of a
-    /// request carries that envelope's tx id — and once the inputs stop
+    /// answered exactly once, every send of a request carries the one tx
+    /// id it was issued under — and once the inputs stop
     /// and the timers drain, the table is empty.
     #[test]
     fn every_request_ends_exactly_once_and_the_table_drains(seed in any::<u64>()) {

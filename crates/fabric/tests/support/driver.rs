@@ -91,7 +91,7 @@ impl Machine for Driver {
         match token {
             0 => self.next(io.now),
             token => {
-                let actions = self.gateway.on_timer(token, io.now, io.rng);
+                let actions = self.gateway.on_timer(token);
                 self.answer(actions, io.now)
             }
         }

@@ -494,19 +494,9 @@ impl<M> Simulation<M> {
         &self.kernel.metrics
     }
 
-    /// Mutable access to the metrics registry.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.kernel.metrics
-    }
-
     /// The span tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.kernel.tracer
-    }
-
-    /// Mutable access to the span tracer.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.kernel.tracer
     }
 
     /// Installs rolling-window SLOs (see [`SloMonitor`]). Latency

@@ -40,15 +40,6 @@ impl LinkSpec {
         }
     }
 
-    /// An instantaneous link used for co-located processes.
-    pub fn local() -> Self {
-        LinkSpec {
-            latency: SimDuration::ZERO,
-            bandwidth_bps: u64::MAX,
-            jitter_frac: 0.0,
-        }
-    }
-
     /// Serialisation (transfer) time of `bytes` over this link.
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         if self.bandwidth_bps == u64::MAX {
@@ -224,6 +215,15 @@ mod tests {
         (ActorId(0), ActorId(1))
     }
 
+    /// An instantaneous link, as between co-located processes.
+    fn local() -> LinkSpec {
+        LinkSpec {
+            latency: SimDuration::ZERO,
+            bandwidth_bps: u64::MAX,
+            jitter_frac: 0.0,
+        }
+    }
+
     #[test]
     fn transfer_time_scales_with_bytes() {
         let spec = LinkSpec {
@@ -233,7 +233,7 @@ mod tests {
         };
         assert_eq!(spec.transfer_time(1000), SimDuration::from_secs(1));
         assert_eq!(spec.transfer_time(0), SimDuration::ZERO);
-        assert_eq!(LinkSpec::local().transfer_time(1 << 30), SimDuration::ZERO);
+        assert_eq!(local().transfer_time(1 << 30), SimDuration::ZERO);
     }
 
     #[test]
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn partition_drops_and_heals() {
         let (a, b) = ids();
-        let mut net = Network::new(LinkSpec::local());
+        let mut net = Network::new(local());
         let mut rng = DetRng::new(1);
         net.partition(a, b);
         assert!(net.is_blocked(a, b) && net.is_blocked(b, a));
@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn partition_groups_blocks_cross_traffic_only() {
         let ids: Vec<ActorId> = (0..4).map(ActorId).collect();
-        let mut net = Network::new(LinkSpec::local());
+        let mut net = Network::new(local());
         net.partition_groups(&ids[..2], &ids[2..]);
         assert!(net.is_blocked(ids[0], ids[2]));
         assert!(net.is_blocked(ids[3], ids[1]));
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn loss_probability_one_drops_everything() {
         let (a, b) = ids();
-        let mut net = Network::new(LinkSpec::local());
+        let mut net = Network::new(local());
         net.set_loss_probability(1.0);
         let mut rng = DetRng::new(1);
         for _ in 0..10 {
@@ -355,7 +355,7 @@ mod tests {
     fn the_link_is_the_slower_nic_in_each_field_both_ways() {
         let (a, b) = ids();
         let (desktop, rpi) = nics();
-        let mut net = Network::new(LinkSpec::local());
+        let mut net = Network::new(local());
         net.set_nic(a, desktop);
         net.set_nic(b, rpi);
         assert_eq!(net.link(a, b), rpi);
@@ -385,11 +385,11 @@ mod tests {
     fn an_actor_without_a_nic_gets_the_default_link_both_ways() {
         let (a, b) = ids();
         let c = ActorId(2);
-        let mut net = Network::new(LinkSpec::local());
+        let mut net = Network::new(local());
         net.set_nic(a, nics().1);
         net.set_nic(c, nics().1);
         for (src, dst) in [(a, b), (b, a), (b, c), (c, b), (b, b)] {
-            assert_eq!(net.link(src, dst), LinkSpec::local());
+            assert_eq!(net.link(src, dst), local());
         }
         let mut rng = DetRng::new(1);
         assert_eq!(
@@ -403,11 +403,11 @@ mod tests {
         let (a, _) = ids();
         let far = ActorId(1_000);
         let (desktop, rpi) = nics();
-        let mut net = Network::new(LinkSpec::local());
+        let mut net = Network::new(local());
         net.set_nic(far, rpi);
-        assert_eq!(net.link(a, far), LinkSpec::local(), "a has no NIC yet");
+        assert_eq!(net.link(a, far), local(), "a has no NIC yet");
         net.set_nic(a, desktop);
         assert_eq!(net.link(a, far), rpi);
-        assert_eq!(net.link(ActorId(999), far), LinkSpec::local());
+        assert_eq!(net.link(ActorId(999), far), local());
     }
 }

@@ -198,8 +198,8 @@ mod tests {
             let ph = ev.get("ph").unwrap().as_str().unwrap();
             assert!(matches!(ph, "X" | "i" | "M"), "unexpected ph {ph}");
             assert!(ev.get("name").unwrap().as_str().is_some());
-            assert!(ev.get("pid").unwrap().as_u64().is_some());
-            assert!(ev.get("tid").unwrap().as_u64().is_some());
+            assert!(ev.get("pid").unwrap().as_f64().is_some());
+            assert!(ev.get("tid").unwrap().as_f64().is_some());
             match ph {
                 "X" => {
                     assert!(ev.get("ts").unwrap().as_f64().unwrap() >= 0.0);
@@ -232,12 +232,12 @@ mod tests {
                 .unwrap()
                 .get("pid")
                 .unwrap()
-                .as_u64()
+                .as_f64()
                 .unwrap()
         };
-        assert_eq!(pid_of("peer0"), 1);
-        assert_eq!(pid_of("peer1"), 2);
-        assert_eq!(pid_of("pipeline"), 3);
+        assert_eq!(pid_of("peer0"), 1.0);
+        assert_eq!(pid_of("peer1"), 2.0);
+        assert_eq!(pid_of("pipeline"), 3.0);
     }
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
             .iter()
             .find(|e| e.get("ph").unwrap().as_str() == Some("i"))
             .unwrap();
-        assert_eq!(instant.get("pid").unwrap().as_u64(), Some(3)); // "pipeline"
+        assert_eq!(instant.get("pid").unwrap().as_f64(), Some(3.0)); // "pipeline"
         assert_eq!(instant.get("name").unwrap().as_str(), Some("block.cut"));
     }
 }

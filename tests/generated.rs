@@ -5,7 +5,9 @@
 //! fails on a panic, on an operation that never ended, and on a finding —
 //! a write reported invalid, a write on the ledger whose op was told it
 //! failed, a write reported `Ok` that a replica recorded under another
-//! code, or one of the audit's — that no named exclusion covers.
+//! code, a request that took a second tx id, a write on the ledger that
+//! maps back to no op, or one of the audit's — that no named exclusion
+//! covers.
 //!
 //! An exclusion is a known finding under the drawn condition that
 //! explains it, owned by the ROADMAP item whose fix deletes it; the same
@@ -26,12 +28,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hyperprov_repro::fabric::{BatchConfig, QueueConfig};
+use hyperprov_repro::fabric::{BatchConfig, QueueConfig, COMPOSITE_SEP};
 use hyperprov_repro::hyperprov::{
     current_records, AuditFinding, ChannelSpec, ClientCommand, CompletionQueue, HyperProvError,
     HyperProvNetwork, NetworkConfig, OpId, OpOutput, OrdererMode, RetryPolicy, SnapshotPolicy,
 };
-use hyperprov_repro::ledger::{ChannelId, TxId, ValidationCode, DEFAULT_CHANNEL};
+use hyperprov_repro::ledger::{ChannelId, Digest, TxId, ValidationCode, DEFAULT_CHANNEL};
+use hyperprov_repro::sim::json::{parse, Value};
 use hyperprov_repro::sim::{ActorId, DetRng, FaultPlan, SimDuration, SimTime};
 use rand::Rng;
 use support::{audit, post, store_data, views, Load};
@@ -211,6 +214,13 @@ enum Finding {
     /// A write reported `Ok` — by its home peer or by a probed one — whose
     /// transaction a replica recorded under this other code.
     Untruthful(TxId, ValidationCode),
+    /// Client `c`'s plans made this many chain requests, for which its
+    /// gateway minted this many tx ids: a request took a second one.
+    TxIds(usize, u64, u64),
+    /// A write on the ledger, of this key under this tx id, that maps back
+    /// to no op: no write op made the key, or its op wrote it under
+    /// another tx id too, or was told another.
+    NotItsOp(String, TxId),
     /// The audit found this.
     Audit(AuditFinding),
 }
@@ -437,6 +447,43 @@ fn run(seed: u64, windows: &[Window]) -> (Vec<Finding>, Run) {
             findings.extend(other.map(|code| Finding::Untruthful(tx_id, code)));
         }
     }
+    // One tx id per request (ROADMAP item 23), as each client's view counts them.
+    let count = |v: Option<&Value>| v.and_then(Value::as_f64).expect("a count") as u64;
+    for (client, &id) in net.clients.iter().enumerate() {
+        let view = parse(&net.sim.view(id).expect("a client's view")).expect("JSON");
+        let requests = count(view.get("requests"));
+        let minted = count(view.get("gateway").and_then(|g| g.get("tx_ids")));
+        if minted != requests {
+            findings.push(Finding::TxIds(client, requests, minted));
+        }
+    }
+    let item = format!("item{COMPOSITE_SEP}");
+    let mut written = Vec::new();
+    for (_, ledger) in &replicas {
+        for (state_key, writes) in ledger.borrow().history().iter() {
+            let Some(key) = state_key.key.strip_prefix(&item) else {
+                continue;
+            };
+            let key = key.trim_end_matches(COMPOSITE_SEP);
+            written.extend(writes.entries().map(|w| (key.to_owned(), w.tx_id)));
+        }
+    }
+    let owner = mix.writes.iter().map(|(&op, (key, _))| (key.as_str(), op));
+    let mut told = BTreeMap::new();
+    for queue in &net.completions {
+        for done in queue.borrow().iter() {
+            if let Ok(OpOutput::Committed { tx_id, .. }) = done.outcome {
+                told.insert(done.op.0, tx_id);
+            }
+        }
+    }
+    let written = written.iter().map(|(key, tx)| (key.as_str(), *tx));
+    let strays = not_their_ops(written, &owner.collect(), &told);
+    findings.extend(
+        strays
+            .into_iter()
+            .map(|(key, tx)| Finding::NotItsOp(key, tx)),
+    );
     findings.extend(audit(&net).into_iter().map(Finding::Audit));
 
     let orderers = net.channel_orderers.iter().map(|ids| {
@@ -473,6 +520,26 @@ fn run(seed: u64, windows: &[Window]) -> (Vec<Finding>, Run) {
     run.reached = counters.map(|(name, _)| transition(name)).collect();
     run.views = views(&net);
     (findings, run)
+}
+
+/// The writes among `written` — a key and the tx id that wrote it, as
+/// often as replicas hold it — that map back to no op (ROADMAP item 23):
+/// a key no write op of `owner` made, a second tx id for an op's key, or
+/// a tx id other than the one the op was `told`.
+fn not_their_ops<'a>(
+    written: impl IntoIterator<Item = (&'a str, TxId)>,
+    owner: &BTreeMap<&str, u64>,
+    told: &BTreeMap<u64, TxId>,
+) -> BTreeSet<(String, TxId)> {
+    let mut first = BTreeMap::new();
+    let stray = |&(key, tx): &(&str, TxId)| {
+        let Some(op) = owner.get(key) else {
+            return true;
+        };
+        *first.entry(op).or_insert(tx) != tx || told.get(op).is_some_and(|&t| t != tx)
+    };
+    let strays = written.into_iter().filter(stray);
+    strays.map(|(key, tx)| (key.to_owned(), tx)).collect()
 }
 
 /// A counter's name without its node's number or its channel:
@@ -710,6 +777,28 @@ fn a_peer_behind_with_snapshots_on_and_no_late_fault_fails() {
     assert_eq!(run.excuse(&behind), Some(Exclusion::NoLaterBlock));
 }
 
+/// A write whose key no op made, a second tx id for an op's key and a tx
+/// id other than the one its op was told each map back to no op; one
+/// op's one write, however many replicas hold it, does.
+#[test]
+fn every_write_on_the_ledger_maps_back_to_its_op() {
+    let tx = |id: &[u8]| TxId(Digest::of(id));
+    let owner = BTreeMap::from([("a", 1), ("b", 2)]);
+    let told = BTreeMap::from([(1, tx(b"a"))]);
+    let held = [("a", tx(b"a")), ("b", tx(b"b")), ("a", tx(b"a"))];
+    assert_eq!(not_their_ops(held, &owner, &told), BTreeSet::new());
+    let stray = |key: &str, id: &[u8]| (key.to_owned(), tx(id));
+    let strays = [
+        ("c", tx(b"c")),
+        ("b", tx(b"b")),
+        ("b", tx(b"b2")),
+        ("a", tx(b"a2")),
+    ];
+    let found = not_their_ops(strays, &owner, &told);
+    let expected = [stray("c", b"c"), stray("b", b"b2"), stray("a", b"a2")];
+    assert_eq!(found, BTreeSet::from(expected));
+}
+
 /// No exclusion covers a graph index that drifted from its state, under
 /// any window.
 #[test]
@@ -744,10 +833,10 @@ fn seed_453() {
     )
 }
 
-/// A loss window: the op's first attempt committed after its commit
-/// deadline, and its retry under a fresh tx id was reported
-/// `MVCC_READ_CONFLICT` against it. A deadline now waits again for the
-/// same envelope, so the op ends with the code its one tx id got.
+/// A loss window: the op's envelope committed after its commit deadline.
+/// A retry that took a second tx id was reported `MVCC_READ_CONFLICT`
+/// against the first; a request keeps its one tx id for life, so the op
+/// ends with the code that tx id got.
 #[test]
 fn seed_223() {
     replay(223, &[Window(Loss(29), 13756, 22114)])
@@ -757,4 +846,32 @@ fn seed_223() {
 #[test]
 fn seed_2644() {
     replay(2644, &[Window(Loss(26), 5671, 13817)])
+}
+
+/// A loss window ends after the tip was cut, so only peer 1 holds the
+/// last block and the others wait for a later one (`NoLaterBlock`). The
+/// audit took the tip most replicas shared as its reference, and called
+/// the one current replica `Forked` and its block's `Ok` commit
+/// committed never. The tallest live chain is the reference now.
+#[test]
+fn seed_4433() {
+    replay(
+        4433,
+        &[
+            Window(Loss(30), 17639, 24613),
+            Window(CrashOrderer(0), 3770, 12098),
+        ],
+    )
+}
+
+/// The same, with the spare joined before the loss window.
+#[test]
+fn seed_4680() {
+    replay(
+        4680,
+        &[
+            Window(Loss(27), 17892, 21994),
+            Window(AddPeer, 10487, 10487),
+        ],
+    )
 }

@@ -558,7 +558,7 @@ fn an_unreachable_shard_fails_the_lineage_walk_a_deleted_parent_does_not() {
 /// With a retry policy armed, every sharded query rides out a partition
 /// that heals inside the budget, the way a single-shard `Get` does: each
 /// one's sub-query on the unreachable shard is a tracked request of its
-/// own, re-issued when it times out.
+/// own, retried under its one tx id when it times out.
 #[test]
 fn sharded_queries_ride_out_a_healed_partition_like_get() {
     let (mut net, [grandparent, parent, child]) =
@@ -608,7 +608,7 @@ fn sharded_queries_ride_out_a_healed_partition_like_get() {
         }
         other => panic!("expected a graph slice, got {other:?}"),
     }
-    // One re-issued request per operation: the `get` itself and the four
+    // One retried request per operation: the `get` itself and the four
     // plans' shard-1 sub-queries. Both peers of shard 1 are cut off, so
     // the copy each sends at the RTO is lost too, and each waits out its
     // own deadline: five timeouts, all at the same instant.
