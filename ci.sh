@@ -20,10 +20,9 @@ cargo test --workspace -q
 # virtual seconds past the last window and fails on a
 # panic, a hung operation, a write reported invalid, a write on the ledger
 # whose op was told it failed, a write reported `Ok` that a replica
-# recorded under another code, a request that took a second tx id, a
-# write on the ledger that maps back to no op, or an audit finding no
-# named exclusion covers. A failure prints its shrunk regression test and every node's
-# view at the end of that run. The soak also prints how many seeds
+# recorded under another code, a write on the ledger that maps back to
+# no op, or an audit finding no named exclusion covers. A failure prints
+# its shrunk regression test and every node's view at the end of that run. The soak also prints how many seeds
 # reached each counter a node incremented, and fails when a counter its
 # committed list names is reached by none.
 cargo test --release --test generated -- --ignored
@@ -41,7 +40,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23493
+ceiling=23518
 nontest='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1} !t'
 src=target/options_audit.src
 find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$nontest" >"$src"
@@ -54,7 +53,7 @@ fi
 # The same ratchet on the two long documents, in bytes: DESIGN.md says
 # what the system is, CHANGES.md what each change did, and neither grows
 # unseen.
-for doc in DESIGN.md:127185 CHANGES.md:149842; do
+for doc in DESIGN.md:127133 CHANGES.md:149246; do
     file=${doc%%:*}
     limit=${doc#*:}
     bytes=$(wc -c <"$file")

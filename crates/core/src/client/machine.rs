@@ -47,8 +47,6 @@ hyperprov_sim::view! {
         pub operations: usize,
         /// Transfer rows: off-chain puts and gets, and their backoffs.
         pub transfers: usize,
-        /// Chain requests its plans made so far: each is one gateway row.
-        pub requests: u64,
     }
 }
 
@@ -108,8 +106,6 @@ pub struct Client {
     /// Transfer rows by token.
     transfers: HashMap<u64, Transfer>,
     next_token: u64,
-    /// Chain requests sent so far.
-    requests: u64,
     /// Where its host queues each finished operation, for the embedding
     /// code to drain.
     pub(crate) completions: CompletionQueue,
@@ -127,7 +123,6 @@ impl Client {
             next_slot: 0,
             transfers: HashMap::new(),
             next_token: 0,
-            requests: 0,
             completions: CompletionQueue::default(),
         }
     }
@@ -139,7 +134,6 @@ impl Client {
             gateway: self.gateway.view(),
             operations: self.operations.len(),
             transfers: self.transfers.len(),
-            requests: self.requests,
         }
     }
 
@@ -262,7 +256,6 @@ impl Client {
                 self.transfer(slot, op, 0, request, out);
                 continue;
             };
-            self.requests += 1;
             let origin = Origin {
                 op,
                 slot,

@@ -75,10 +75,16 @@ impl Bench {
         self.message(NodeMsg::Client(cmd))
     }
 
-    /// A command or a reply, from whichever node: the client reads no
-    /// sender.
+    /// A command or a reply, from the storage node: the client reads no
+    /// sender but a refusal's and an endorsement's, which
+    /// [`Bench::message_from`] names.
     fn message(&mut self, msg: NodeMsg) -> Vec<Action<ClientOwn, NodeMsg>> {
         self.sched.message(0, STORAGE, msg)
+    }
+
+    /// A reply from actor `src`.
+    fn message_from(&mut self, src: u32, msg: NodeMsg) -> Vec<Action<ClientOwn, NodeMsg>> {
+        self.sched.message(0, ActorId(src), msg)
     }
 
     fn timer(&mut self, token: u64) -> Vec<Action<ClientOwn, NodeMsg>> {
@@ -450,14 +456,14 @@ mod retries {
     /// envelope: each retry sends the same request one place along its
     /// ring — at once after the deadline, after a backoff after `Busy`
     /// and the refusal — and the post commits under the tx id it was
-    /// issued with. One request, one tx id, as the view counts them.
+    /// issued with. One request, one tx id.
     #[test]
     fn a_post_keeps_its_tx_id_through_a_deadline_a_shed_and_a_refusal() {
         let mut b = bench(1, true, Some(4));
         let issued = b.command(post(1, "k"));
         let tx = tx_of(&issued);
         let deadline = b.timer(1);
-        assert_eq!(show(&deadline)[8..], ["propose->11", "arm#2=endorse"]);
+        assert_eq!(show(&deadline)[7..], ["propose->11", "arm#2=endorse"]);
         assert_eq!(tx_of(&deadline), tx);
         let shed = [
             "!endorse.rejected",
@@ -467,28 +473,22 @@ mod retries {
             "disarm#2",
             "arm#3=backoff",
         ];
-        assert_eq!(show(&b.message(b.answer(tx, Err(BUSY_REASON)))), shed);
+        let busy = b.answer(tx, Err(BUSY_REASON));
+        assert_eq!(show(&b.message_from(11, busy)), shed);
         let again = b.timer(3);
-        let copy = [
-            "+client.resent",
-            "!endorse.resend",
-            "propose->12",
-            "arm#4=endorse",
-        ];
+        let copy = ["!endorse.resend", "propose->12", "arm#4=endorse"];
         assert_eq!(show(&again), copy);
         assert_eq!(tx_of(&again), tx);
-        let submitted = b.message(b.answer(tx, Ok(b"r".to_vec())));
+        let submitted = b.message_from(12, b.answer(tx, Ok(b"r".to_vec())));
         assert_eq!(show(&submitted)[2], "broadcast->90");
-        let refused = show(&b.message(ack(tx, false)));
+        let refused = show(&b.message_from(90, ack(tx, false)));
         assert_eq!(refused[..2], ["!order.refused", "+client.retries"]);
         let again = b.timer(6);
-        assert_eq!(show(&again)[2], "broadcast->91");
+        assert_eq!(show(&again)[1], "broadcast->91");
         assert_eq!(tx_of(&again), tx);
-        b.message(ack(tx, true));
+        b.message_from(91, ack(tx, true));
         let done = ["disarm#8", "commit_wait]", "op]", "done1=Ok"];
         assert_eq!(show(&b.message(commit(tx))), done);
-        let view = b.client().view();
-        assert_eq!((view.requests, view.gateway.tx_ids), (1, 1));
     }
 
     /// The same with a budget of three: the refusal, a fourth attempt,
@@ -498,9 +498,9 @@ mod retries {
         let mut b = bench(1, true, Some(3));
         let tx = tx_of(&b.command(post(1, "k")));
         b.timer(1);
-        b.message(b.answer(tx, Err(BUSY_REASON)));
+        b.message_from(11, b.answer(tx, Err(BUSY_REASON)));
         b.timer(3);
-        b.message(b.answer(tx, Ok(b"r".to_vec())));
+        b.message_from(12, b.answer(tx, Ok(b"r".to_vec())));
         let exhausted = [
             "disarm#5",
             "commit_wait]",
@@ -509,7 +509,7 @@ mod retries {
             "op]",
             "done1=Exhausted { attempts: 3 }",
         ];
-        assert_eq!(show(&b.message(ack(tx, false))), exhausted);
+        assert_eq!(show(&b.message_from(90, ack(tx, false))), exhausted);
         assert_eq!(rows(b.client()), (0, 0));
     }
 }

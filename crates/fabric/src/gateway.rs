@@ -339,14 +339,14 @@ impl Route {
         self.move_home(ring, at, self.after(ring, at), tx, out);
     }
 
-    /// The wake-ups of a `wait` timed from `since` that may re-send `most`
-    /// times, under the gateway's `endorse` and `commit` deadlines; `None`
-    /// without the wait's own.
+    /// The wake-ups of a `wait` timed from `since` that asked `asked`
+    /// nodes and may re-send `most` times, under the gateway's `endorse`
+    /// and `commit` deadlines; `None` without the wait's own.
     fn wake(
         &self,
         wait: Wait,
         since: Option<SimTime>,
-        most: usize,
+        (asked, most): (usize, usize),
         endorse: Option<SimDuration>,
         commit: Option<SimDuration>,
     ) -> Option<Wake> {
@@ -358,6 +358,7 @@ impl Route {
             since,
             sent: 0,
             most: u32::try_from(most).unwrap_or(u32::MAX),
+            asked: asked as u32,
             refused: 0,
             probed: 0,
             moves: 0,
@@ -398,11 +399,15 @@ struct Wake {
     /// here. `None` after a deadline or a retry: it may answer an earlier send.
     since: Option<SimTime>,
     /// Re-sends so far: copies of the request, or in commit-wait status
-    /// probes; a retry's re-send is one.
+    /// probes.
     sent: u32,
     /// How many re-sends the wait may make.
     most: u32,
-    /// Refusals of the request so far, or what a retry wrote off.
+    /// The nodes of its ring the wait asked: its window, then one per
+    /// copy, so those just before the end of the row's window. Zero while
+    /// a retry's send is due: what was sent before is written off.
+    asked: u32,
+    /// Refusals by nodes the wait asked.
     refused: u32,
     /// Status probes so far, timed or not: they walk the endorsers.
     probed: usize,
@@ -454,12 +459,24 @@ struct Row<T> {
 }
 
 impl<T> Row<T> {
-    /// Counts a refusal of the request: true while a copy sent to another
-    /// node may still answer it.
-    fn another_copy_out(&mut self) -> bool {
+    /// Counts a refusal of the request by `src`, on `route`: true while a
+    /// copy sent to another node may still answer it. A node the wait did
+    /// not ask answers a send that a retry wrote off: that counts for
+    /// nothing.
+    fn another_copy_out(&mut self, route: &Route, src: ActorId) -> bool {
+        let (ring, window) = match self.phase {
+            Phase::Endorsing { .. } => (ENDORSERS, route.endorsements_needed),
+            Phase::Query { .. } => (ENDORSERS, 1),
+            Phase::CommitWait { .. } => (ORDERERS, 1),
+        };
+        let nodes = [&route.endorsers, &route.orderers][ring];
+        let end = self.at[ring] + window + nodes.len() - 1;
+        let at = nodes.iter().position(|&n| n == src);
         self.wake.as_mut().is_some_and(|wake| {
-            wake.refused += 1;
-            wake.refused <= wake.sent
+            // The wait asked the `asked` nodes back from its window's last.
+            let asked = at.is_some_and(|at| (end - at) % nodes.len() < wake.asked as usize);
+            wake.refused += u32::from(asked);
+            !asked || wake.refused <= wake.sent
         })
     }
 }
@@ -481,8 +498,6 @@ hyperprov_sim::view! {
         pub copies: u32,
         /// Each route, by shard.
         pub routes: Vec<RouteView>,
-        /// Tx ids minted so far, one per proposal signed.
-        pub tx_ids: u64,
     }
 
     /// One route of a [`GatewayView`].
@@ -591,7 +606,6 @@ impl<T: Caller> Gateway<T> {
         };
         let mut view = GatewayView {
             routes: self.routes.iter().map(route).collect(),
-            tx_ids: self.routes.iter().map(|route| route.nonce).sum(),
             ..GatewayView::default()
         };
         for row in self.rows.values() {
@@ -683,7 +697,8 @@ impl<T: Caller> Gateway<T> {
             (1, "query", Phase::Query { signed })
         };
         let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
-        let mut wake = route.wake(Wait::Endorse, Some(now), ring - targets, endorse, commit);
+        let counts = (targets, ring - targets);
+        let mut wake = route.wake(Wait::Endorse, Some(now), counts, endorse, commit);
         let mut out = Vec::with_capacity(3 + targets);
         out.push(Action::Charge(costs::client_proposal_cost(wire)));
         out.push(Action::SpanStart(tx_trace(&tx_id), stage, String::new()));
@@ -729,9 +744,9 @@ impl<T: Caller> Gateway<T> {
     ) -> Vec<Action<T>> {
         let mut out = Vec::new();
         match msg {
-            FabricMsg::ProposalResult(resp) => self.on_response(resp, now, rng, &mut out),
+            FabricMsg::ProposalResult(resp) => self.on_response(src, resp, now, rng, &mut out),
             FabricMsg::BroadcastAck { tx_id, accepted } => {
-                self.on_ack(tx_id, accepted, now, rng, &mut out);
+                self.on_ack(src, tx_id, accepted, now, rng, &mut out);
             }
             FabricMsg::Commit(event) => self.on_commit(event, now, None, &mut out),
             FabricMsg::CommitStatusAnswer(event) => self.on_commit(event, now, Some(src), &mut out),
@@ -741,8 +756,11 @@ impl<T: Caller> Gateway<T> {
         out
     }
 
+    /// An endorser's answer, from `src`: an endorsement counts once per
+    /// endorser certificate, a refusal once no copy is out.
     fn on_response(
         &mut self,
+        src: ActorId,
         resp: ProposalResponse,
         now: SimTime,
         rng: &mut DetRng,
@@ -764,7 +782,7 @@ impl<T: Caller> Gateway<T> {
             route.sample(Wait::Endorse, rtt);
         }
         // Fail fast, as the Fabric SDK does, once no copy is left.
-        if resp.result.is_err() && row.another_copy_out() {
+        if resp.result.is_err() && row.another_copy_out(route, src) {
             return;
         }
         let needed = route.endorsements_needed;
@@ -784,6 +802,9 @@ impl<T: Caller> Gateway<T> {
                     GatewayError::rejected(reason.clone(), false),
                 ),
                 Ok(_) => {
+                    if responses.iter().any(|r| r.endorser == resp.endorser) {
+                        return;
+                    }
                     responses.push(resp);
                     if responses.len() < needed {
                         return;
@@ -864,11 +885,12 @@ impl<T: Caller> Gateway<T> {
         out.push(Action::SpanStart(trace, "commit_wait", String::new()));
     }
 
-    /// An orderer answered the envelope at `now`, which only a row not yet
-    /// acked hears: taken in, the row waits for the commit; refused, the
-    /// request fails `Busy` once no other copy is out.
+    /// Orderer `src` answered the envelope at `now`, which only a row not
+    /// yet acked hears: taken in, the row waits for the commit; refused,
+    /// the request fails `Busy` once no other copy is out.
     fn on_ack(
         &mut self,
+        src: ActorId,
         tx_id: TxId,
         accepted: bool,
         now: SimTime,
@@ -887,7 +909,7 @@ impl<T: Caller> Gateway<T> {
             }
             return self.start_wait(tx_id, Wait::Commit, Some(now), out);
         }
-        if row.another_copy_out() {
+        if row.another_copy_out(&self.routes[row.shard], src) {
             return;
         }
         let note = Action::Note(tx_trace(&tx_id), "order.refused", String::new());
@@ -914,7 +936,7 @@ impl<T: Caller> Gateway<T> {
             _ if endorse.is_some() && route.endorsers.len() > 1 => usize::MAX,
             _ => 0,
         };
-        let mut wake = route.wake(wait, since, most, endorse, commit);
+        let mut wake = route.wake(wait, since, (1, most), endorse, commit);
         out.extend(row.token.take().map(Action::Disarm));
         row.token = arm(&mut self.next_token, wake.as_mut().map(Wake::arm), out);
         row.wake = wake;
@@ -1027,12 +1049,13 @@ impl<T: Caller> Gateway<T> {
     /// Row `tx_id`'s request failed with `error`, noted `note`, and no
     /// copy of it is out: a deadline passed, or, given `rng`, it was
     /// answered `Busy`. Under a deadline and a policy with budget left it
-    /// goes again, under its tx id, one place along its ring: after `Busy`
-    /// the row's wake-up becomes a re-send ([`Gateway::resend`]) a jittered
-    /// backoff away; after a deadline the re-send goes at once, or in
-    /// commit-wait the envelope, unasked, to the next orderer (on a ring
-    /// of one, to that one) and the row waits again for its commit. Spent,
-    /// the row ends `Exhausted`; else `error` is final.
+    /// goes again, under its tx id, one place along its ring, in a wait
+    /// that starts again, untimed, from that send: what was sent before is
+    /// written off. After `Busy` the row's one wake-up is that send
+    /// ([`Gateway::resend`]) a jittered backoff away; after a deadline it
+    /// goes at once, or in commit-wait the envelope, unasked, to the next
+    /// orderer (on a ring of one, to that one) and the row waits again for
+    /// its commit. Spent, the row ends `Exhausted`; else `error` is final.
     fn retry(
         &mut self,
         tx_id: TxId,
@@ -1053,25 +1076,25 @@ impl<T: Caller> Gateway<T> {
             Some(Ok(backoff)) => {
                 out.extend(note.into_iter().chain(counted));
                 row.attempts += 1;
-                // What was sent is written off: the wait's copies and deadline
-                // start again, untimed, from the re-send, which passes no
-                // silent node; the next copy still comes twice as late.
-                let wake = row.wake.as_mut().expect("filtered above");
-                (wake.sent, wake.refused, wake.since) = (0, 1, None);
-                wake.left = self.endorse_timeout.unwrap_or_default();
-                match &row.phase {
-                    _ if backs_off => {
-                        out.extend(row.token.take().map(Action::Disarm));
-                        row.token = arm(&mut self.next_token, Some(backoff), out);
-                    }
-                    Phase::CommitWait { envelope, .. } => {
-                        let route = &self.routes[row.shard];
+                let route = &self.routes[row.shard];
+                let wait = match &row.phase {
+                    Phase::CommitWait { envelope, .. } if !backs_off => {
                         row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
                         let (bytes, msg) = copy_of(envelope, false);
                         out.push(Action::Send(route.orderers[row.at[ORDERERS]], bytes, msg));
-                        self.start_wait(tx_id, Wait::Commit, None, out);
+                        return self.start_wait(tx_id, Wait::Commit, None, out);
                     }
-                    _ => self.resend(tx_id, out),
+                    Phase::CommitWait { .. } => Wait::Order,
+                    Phase::Endorsing { .. } | Phase::Query { .. } => Wait::Endorse,
+                };
+                let most = row.wake.as_ref().map_or(0, |wake| wake.most as usize);
+                let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
+                row.wake = route.wake(wait, None, (0, most), endorse, commit);
+                if backs_off {
+                    out.extend(row.token.take().map(Action::Disarm));
+                    row.token = arm(&mut self.next_token, Some(backoff), out);
+                } else {
+                    self.resend(tx_id, out);
                 }
                 return;
             }
@@ -1085,11 +1108,11 @@ impl<T: Caller> Gateway<T> {
     /// twice as late, or the deadline. An endorsing or query row sends its
     /// proposal one endorser past its window, which moves on past its first
     /// endorser; a commit-wait row not yet acked its envelope to the next
-    /// orderer. Either passes a silent node, and blames it, unless no send
-    /// of the request is out: then it is a retry's, after a refusal or a
-    /// deadline, which blamed already. Once
-    /// acked the row asks the next endorser after its own — one place
-    /// further along each time, skipping its own — whether the transaction
+    /// orderer. Either is a copy past a silent node, which it blames — or
+    /// a retry's send, which opens its wait, blames no one and doubles
+    /// nothing. Once acked
+    /// the row asks the next endorser after its own — one place further
+    /// along each time, skipping its own — whether the transaction
     /// committed, which lets a "not found" move the probe on again, once
     /// around the ring; from its second probe on it also sends its
     /// envelope, unasked, to the orderers after its own in the same way.
@@ -1097,13 +1120,16 @@ impl<T: Caller> Gateway<T> {
         let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
         let wake = row.wake.as_mut().expect("a re-send has a wake-up");
         let route = &mut self.routes[row.shard];
-        let (trace, sent, silent) = (tx_trace(&tx_id), wake.sent, wake.refused <= wake.sent);
-        wake.sent += 1;
-        wake.next = wake.next * 2;
-        // Each copy is noted; a wait is counted once, at its first: under
-        // `resent`, or once acked under `rebroadcasts`.
-        let resent = (sent == 0).then_some("resent");
-        let (copy, note, counted) = match &row.phase {
+        let (trace, sent, retry) = (tx_trace(&tx_id), wake.sent, wake.asked == 0);
+        if !retry {
+            wake.sent += 1;
+            wake.next = wake.next * 2;
+        }
+        // Each send is noted; a wait is counted once, at its first copy:
+        // under `resent`, or once acked under `rebroadcasts`.
+        let resent = (sent == 0 && !retry).then_some("resent");
+        let mut sends = Vec::new();
+        let (note, counted) = match &row.phase {
             Phase::Endorsing { signed, .. }
             | Phase::Query {
                 signed: Some(signed),
@@ -1112,49 +1138,55 @@ impl<T: Caller> Gateway<T> {
                     Phase::Endorsing { .. } => route.endorsements_needed,
                     _ => 1,
                 };
-                if silent {
+                if !retry {
                     route.blame(ENDORSERS, row.at[ENDORSERS], &tx_id, out);
                 }
                 row.at[ENDORSERS] = route.after(ENDORSERS, row.at[ENDORSERS]);
-                let ring = route.endorsers.len();
-                let to = route.endorsers[(row.at[ENDORSERS] + window - 1) % ring];
-                let wire = signed.proposal.wire_size() + 32;
-                let msg = FabricMsg::SubmitProposal(SignedProposal::clone(signed));
-                (Some((to, wire, msg)), "endorse.resend", resent)
+                // A copy asks the endorser that enters the window, a
+                // retry's send the whole window.
+                let first = if retry { 0 } else { window - 1 };
+                wake.asked += (window - first) as u32;
+                let (ring, wire) = (route.endorsers.len(), signed.proposal.wire_size() + 32);
+                for i in first..window {
+                    let msg = FabricMsg::SubmitProposal(SignedProposal::clone(signed));
+                    sends.push((route.endorsers[(row.at[ENDORSERS] + i) % ring], wire, msg));
+                }
+                ("endorse.resend", resent)
             }
             Phase::CommitWait {
                 envelope,
                 acked: false,
             } => {
-                if silent {
+                if !retry {
                     route.blame(ORDERERS, row.at[ORDERERS], &tx_id, out);
                 }
                 row.at[ORDERERS] = route.after(ORDERERS, row.at[ORDERERS]);
+                wake.asked += 1;
                 let (bytes, msg) = copy_of(envelope, true);
-                let copy = (route.orderers[row.at[ORDERERS]], bytes, msg);
-                (Some(copy), "order.resend", resent)
+                sends.push((route.orderers[row.at[ORDERERS]], bytes, msg));
+                ("order.resend", resent)
             }
             Phase::CommitWait { envelope, .. } => {
                 wake.moves = route.endorsers.len() - 2;
                 out.extend(route.probe(row.at[ENDORSERS], wake, tx_id, "commit.probe"));
                 let orderers = route.orderers.len();
-                let copy = (sent >= 1 && orderers > 1).then(|| {
+                if sent >= 1 && orderers > 1 {
                     let step = 1 + (sent as usize - 1) % (orderers - 1);
                     let to = route.orderers[(row.at[ORDERERS] + step) % orderers];
                     let (bytes, msg) = copy_of(envelope, false);
-                    (to, bytes, msg)
-                });
-                let rebroadcasts = (sent == 1).then_some("rebroadcasts");
-                (copy, "commit.rebroadcast", rebroadcasts)
+                    sends.push((to, bytes, msg));
+                }
+                ("commit.rebroadcast", (sent == 1).then_some("rebroadcasts"))
             }
             Phase::Query { signed: None } => {
                 unreachable!("a re-send fires on a row with something to send")
             }
         };
-        if let Some((to, bytes, msg)) = copy {
+        if !sends.is_empty() {
             out.extend(counted.map(|name| Action::Count(None, name, 1)));
             out.push(Action::Note(trace, note, String::new()));
-            out.push(Action::Send(to, bytes, msg));
+            let sends = sends.into_iter();
+            out.extend(sends.map(|(to, bytes, msg)| Action::Send(to, bytes, msg)));
         }
         let delay = row.wake.as_mut().map(Wake::arm);
         row.token = arm(&mut self.next_token, delay, out);

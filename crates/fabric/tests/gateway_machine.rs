@@ -98,7 +98,8 @@ fn homes(gateway: &Gateway<Req>, shard: usize) -> (ActorId, ActorId) {
 
 struct Bench {
     sched: Sched<Bare>,
-    peer: SigningIdentity,
+    /// The identity of each route's first, second and third endorser.
+    peers: Vec<SigningIdentity>,
 }
 
 /// A gateway with one route per entry of `needed` (three endorsers and
@@ -138,13 +139,15 @@ fn bench_on(
     let mut msp = MspBuilder::new(3);
     let org = MspId::new("org1");
     let client = msp.enroll("client", &org);
-    let peer = msp.enroll("peer", &org);
+    let peers = (0..3)
+        .map(|i| msp.enroll(&format!("peer{i}"), &org))
+        .collect();
     let mut gateway = Gateway::new(client, routes).with_deadlines(endorse, commit);
     if let Some(budget) = budget {
         gateway = gateway.with_retry(RetryPolicy::new(budget));
     }
     let sched = Sched::new([(CLIENT, Bare(gateway))], Rng::new(11));
-    Bench { sched, peer }
+    Bench { sched, peers }
 }
 
 impl Bench {
@@ -166,10 +169,16 @@ impl Bench {
         })
     }
 
-    /// A reply from the home orderer: the gateway reads the sender of a
-    /// probe's answer only, which [`Bench::message_from`] names.
+    /// A reply from route 0's home node of its kind: an endorser's answer
+    /// from the home endorser, anything else from the home orderer. The
+    /// gateway reads the sender of a refusal, an endorsement and a probe's
+    /// answer; [`Bench::message_from`] names another.
     fn message(&mut self, msg: FabricMsg) -> Vec<Action<Req>> {
-        self.sched.message(0, ORDERERS[0], msg)
+        let src = match msg {
+            FabricMsg::ProposalResult(_) => endorsers(0)[0],
+            _ => ORDERERS[0],
+        };
+        self.sched.message(0, src, msg)
     }
 
     /// A reply from `src`.
@@ -181,15 +190,21 @@ impl Bench {
         self.sched.fire(0, token)
     }
 
-    /// An endorser's answer to the proposal `tx_id`.
+    /// The home endorser's answer to the proposal `tx_id`.
     fn answer(&self, tx_id: TxId, result: Result<&[u8], &str>) -> FabricMsg {
+        self.answer_by(endorsers(0)[0].0, tx_id, result)
+    }
+
+    /// Endorser `src`'s answer to the proposal `tx_id`, signed as it.
+    fn answer_by(&self, src: u32, tx_id: TxId, result: Result<&[u8], &str>) -> FabricMsg {
+        let peer = &self.peers[src as usize % 10];
         FabricMsg::ProposalResult(ProposalResponse {
             tx_id,
-            endorser: self.peer.certificate().clone(),
+            endorser: peer.certificate().clone(),
             result: result.map(<[u8]>::to_vec).map_err(str::to_owned),
             rwset: RwSet::new(),
             event: None,
-            signature: self.peer.sign(b"endorsement"),
+            signature: peer.sign(b"endorsement"),
         })
     }
 }
@@ -321,7 +336,9 @@ mod transitions {
         assert_eq!(show(&issued), start);
         let tx = tx_of(&issued);
         assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
-        let submitted = b.message(b.answer(tx, Ok(b"r")));
+        // A second answer of the same endorser counts once.
+        assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
+        let submitted = b.message_from(11, b.answer_by(11, tx, Ok(b"r")));
         // The envelope asks, and the orderer's answer is awaited under the
         // endorse deadline: one node answers it.
         let submit = [
@@ -422,7 +439,10 @@ mod transitions {
             "!endorse.mismatch",
             "done1=Mismatch",
         ];
-        assert_eq!(show(&b.message(b.answer(tx, Ok(b"two")))), failed);
+        assert_eq!(
+            show(&b.message_from(11, b.answer_by(11, tx, Ok(b"two")))),
+            failed
+        );
         assert_eq!(rows(b.gateway()), 0);
     }
 
@@ -538,7 +558,6 @@ mod transitions {
             "+client.timeouts",
             "+client.retries",
             "!op.retry@op-7",
-            "+client.resent",
             "!endorse.resend",
             "propose->11",
             "arm#2=endorse",
@@ -554,8 +573,9 @@ mod transitions {
 
     /// A `Busy` with budget left sleeps out a backoff as the row's one
     /// armed wake-up, its span open, then sends the same proposal to the
-    /// next endorser and waits out a whole deadline again: one tx id, one
-    /// place along the ring.
+    /// next endorser in a wait that starts again: its first copy due at the
+    /// route's RTO (the `Busy` timed the endorse wait), then its deadline.
+    /// One tx id, one place along the ring.
     #[test]
     fn busy_backs_off_then_re_sends_the_same_proposal_to_the_next_endorser() {
         let mut b = bench(&[1], true, Some(3));
@@ -571,12 +591,7 @@ mod transitions {
         assert_eq!(show(&b.message(b.answer(tx, Err(BUSY_REASON)))), shed);
         assert_eq!(rows(b.gateway()), 1);
         let again = b.timer(2);
-        let copy = [
-            "+client.resent",
-            "!endorse.resend",
-            "propose->11",
-            "arm#3=endorse",
-        ];
+        let copy = ["!endorse.resend", "propose->11", "arm#3=rto"];
         assert_eq!(show(&again), copy);
         assert_eq!(tx_of(&again), tx);
         let submitted = show(&b.message(b.answer(tx, Ok(b"r"))));
@@ -599,7 +614,7 @@ mod transitions {
         let mut b = bench(&[1], true, Some(2));
         b.invoke(0, 1);
         // Endorse deadline -> the same proposal to the next endorser.
-        assert_eq!(b.timer(1).len(), 10);
+        assert_eq!(b.timer(1).len(), 9);
         let exhausted = [
             "!endorse.timeout",
             "+client.home_moves",
@@ -629,14 +644,79 @@ mod transitions {
     fn a_late_answer_to_a_retried_request_is_its_answer() {
         let mut b = bench(&[1], true, Some(3));
         let tx = tx_of(&b.invoke(0, 1));
-        assert_eq!(show(&b.timer(1))[8], "propose->11");
-        let submitted = show(&b.message_from(10, b.answer(tx, Ok(b"r"))));
+        assert_eq!(show(&b.timer(1))[7], "propose->11");
+        let submitted = show(&b.message_from(10, b.answer_by(10, tx, Ok(b"r"))));
         assert_eq!(
             submitted[..3],
             ["disarm#2", "arm#3=endorse", "broadcast?->90"]
         );
-        assert!(b.message_from(11, b.answer(tx, Ok(b"r"))).is_empty());
+        assert!(b.message_from(11, b.answer_by(11, tx, Ok(b"r"))).is_empty());
         assert_eq!(rows(b.gateway()), 1);
+    }
+
+    /// A late refusal by the endorser a deadline passed answers a send the
+    /// retry wrote off: it fails nothing while the retry's send is out, and
+    /// the refusal of that send is the one that counts.
+    #[test]
+    fn a_late_refusal_of_a_written_off_send_fails_nothing() {
+        let mut b = bench(&[1], true, Some(3));
+        let tx = tx_of(&b.invoke(0, 1));
+        assert_eq!(show(&b.timer(1))[7], "propose->11");
+        assert!(b
+            .message_from(10, b.answer_by(10, tx, Err(BUSY_REASON)))
+            .is_empty());
+        let shed = show(&b.message_from(11, b.answer_by(11, tx, Err(BUSY_REASON))));
+        assert_eq!(shed[..2], ["!endorse.rejected", "+client.retries"]);
+        assert_eq!(rows(b.gateway()), 1);
+    }
+
+    /// With two endorsements needed, a retry keeps the endorsement in and
+    /// asks the window one place along; an endorser counts once however
+    /// often it answers, so the envelope never carries one peer's
+    /// endorsement twice. On a ring of two the retry asks the silent
+    /// endorser again.
+    #[test]
+    fn a_retry_counts_each_endorser_once() {
+        let endorsed_by = |actions: &[Action<Req>]| {
+            let envelope = actions.iter().find_map(|action| match action {
+                Action::Send(_, _, FabricMsg::Broadcast { envelope, .. }) => Some(envelope),
+                _ => None,
+            });
+            let endorsements = &envelope.expect("submitted").endorsements;
+            endorsements
+                .iter()
+                .map(|e| e.endorser.clone())
+                .collect::<Vec<_>>()
+        };
+        let mut b = bench(&[2], true, Some(3));
+        let tx = tx_of(&b.invoke(0, 1));
+        assert!(b.message_from(10, b.answer_by(10, tx, Ok(b"r"))).is_empty());
+        let retried = show(&b.timer(1));
+        assert_eq!(
+            retried[6..],
+            ["!endorse.resend", "propose->11", "propose->12", "arm#2=rto"]
+        );
+        assert!(b.message_from(10, b.answer_by(10, tx, Ok(b"r"))).is_empty());
+        let submitted = b.message_from(12, b.answer_by(12, tx, Ok(b"r")));
+        assert_eq!(show(&submitted)[2], "broadcast?->90");
+        let cert = |i: usize| b.peers[i].certificate().clone();
+        assert_eq!(endorsed_by(&submitted), [cert(0), cert(2)]);
+        let route = Route::new("ch0", endorsers(0)[..2].to_vec(), ORDERERS.to_vec(), 2);
+        let mut b = bench_on(vec![route], Some(ENDORSE), Some(COMMIT), Some(3));
+        let tx = tx_of(&b.invoke(0, 1));
+        assert!(b.message_from(10, b.answer_by(10, tx, Ok(b"r"))).is_empty());
+        let retried = show(&b.timer(1));
+        let again = [
+            "!endorse.resend",
+            "propose->11",
+            "propose->10",
+            "arm#2=endorse",
+        ];
+        assert_eq!(retried[6..], again);
+        assert!(b.message_from(10, b.answer_by(10, tx, Ok(b"r"))).is_empty());
+        let submitted = b.message_from(11, b.answer_by(11, tx, Ok(b"r")));
+        let cert = |i: usize| b.peers[i].certificate().clone();
+        assert_eq!(endorsed_by(&submitted), [cert(0), cert(1)]);
     }
 
     /// Runs request `req` on route 0 — an invoke, or a query — to its end
@@ -658,13 +738,15 @@ mod transitions {
                     Action::Send(to, _, FabricMsg::SubmitProposal(signed)) => {
                         proposals.push(to.0);
                         let tx = signed.proposal.tx_id();
-                        replies.extend((!dead.contains(&to.0)).then(|| b.answer(tx, Ok(b"r"))));
+                        let answer = (!dead.contains(&to.0))
+                            .then(|| (to.0, b.answer_by(to.0, tx, Ok(b"r"))));
+                        replies.extend(answer);
                     }
                     Action::Send(to, _, FabricMsg::Broadcast { envelope, .. }) => {
                         envelopes.push(to.0);
                         if !dead.contains(&to.0) {
-                            replies.push(ack(envelope.tx_id(), true));
-                            replies.push(commit(envelope.tx_id()));
+                            replies.push((to.0, ack(envelope.tx_id(), true)));
+                            replies.push((to.0, commit(envelope.tx_id())));
                         }
                     }
                     Action::Arm(token, _) => armed = *token,
@@ -674,7 +756,10 @@ mod transitions {
             }
             actions = match replies.is_empty() {
                 true => b.timer(armed),
-                false => replies.into_iter().flat_map(|r| b.message(r)).collect(),
+                false => replies
+                    .into_iter()
+                    .flat_map(|(src, reply)| b.message_from(src, reply))
+                    .collect(),
             };
         }
     }
@@ -690,10 +775,10 @@ mod transitions {
         assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
         assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11], vec![90]));
         // With two endorsements needed, the window of two moves along, and
-        // the endorsement already in counts.
+        // the endorsement already in counts once: 11 is asked again.
         let mut b = bench(&[2], true, Some(3));
         let first = addressed(&mut b, 1, true, &[10]);
-        assert_eq!(first, (vec![10, 11, 12], vec![90]));
+        assert_eq!(first, (vec![10, 11, 11, 12], vec![90]));
         assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11, 12], vec![90]));
         // Every attempt expiring walks the home along with it.
         let mut b = bench(&[1], true, Some(4));
@@ -778,12 +863,7 @@ mod transitions {
         assert_eq!(show(&b.message(ack(tx, false))), refused);
         assert_eq!(homes(b.gateway(), 0), before);
         let again = b.timer(3);
-        let copy = [
-            "+client.resent",
-            "!order.resend",
-            "broadcast?->91",
-            "arm#4=endorse",
-        ];
+        let copy = ["!order.resend", "broadcast?->91", "arm#4=endorse"];
         assert_eq!(show(&again), copy);
         assert_eq!(envelopes(&again), [(tx, true)]);
         assert_eq!(homes(b.gateway(), 0), before);
@@ -840,7 +920,6 @@ mod transitions {
             "+client.timeouts",
             "+client.retries",
             "!op.retry@op-4",
-            "+client.resent",
             "!endorse.resend",
             "propose->12",
             "arm#11=endorse",
@@ -891,7 +970,7 @@ mod transitions {
         // request 2's deadline there expires.
         let mut b = bench(&[1], true, Some(2));
         b.invoke(0, 1);
-        assert_eq!(show(&b.timer(1))[8], "propose->11");
+        assert_eq!(show(&b.timer(1))[7], "propose->11");
         b.invoke(0, 2);
         let moved = show(&b.timer(3));
         assert_eq!(moved[2], "!home endorsers 1->2", "the home moves past 11");
@@ -1281,7 +1360,7 @@ mod resends {
         assert_eq!(delay(&second), ENDORSE - MIN_RTO * 3);
         // The deadline's retry: the same proposal once more, to the next
         // endorser round the ring, and a wait that starts again from it,
-        // its next copy twice as late as the last.
+        // its first copy due at the route's RTO.
         let expired = b.timer(6);
         let again = [
             "!endorse.timeout",
@@ -1290,10 +1369,9 @@ mod resends {
             "+client.timeouts",
             "+client.retries",
             "!op.retry@op-2",
-            "+client.resent",
             "!endorse.resend",
             "propose->10",
-            "arm#7=backoff",
+            "arm#7=rto",
         ];
         assert_eq!(
             (show(&expired), sent_ids(&expired)),
@@ -1424,11 +1502,17 @@ mod resends {
         assert!(b.message(ack(tx, false)).is_empty());
         let waiting = ["disarm#7", "arm#8=commit_rto"];
         assert_eq!(show(&b.message(ack(tx, true))), waiting);
-        // A query whose every copy is refused.
-        let tx = tx_of(&b.query(0, 3));
-        b.timer(9);
-        assert!(b.message(b.answer(tx, Err("not found"))).is_empty());
-        let refused = show(&b.message(b.answer(tx, Err("not found"))));
+        // A query whose every copy is refused: by the home endorser, which
+        // the first copy passed, then by the copy's.
+        let issued = b.query(0, 3);
+        assert_eq!(show(&issued).last().unwrap(), "propose->11");
+        let copy = show(&b.timer(9));
+        assert_eq!(copy[copy.len() - 2], "propose->12");
+        let tx = tx_of(&issued);
+        assert!(b
+            .message_from(11, b.answer_by(11, tx, Err("not found")))
+            .is_empty());
+        let refused = show(&b.message_from(12, b.answer_by(12, tx, Err("not found"))));
         let failed = [
             "disarm#10",
             "query]",
@@ -1721,10 +1805,10 @@ impl Model {
             FabricMsg::SubmitProposal(signed) => {
                 let tx = signed.proposal.tx_id();
                 match if honest { 9 } else { self.rng().below(10) } {
-                    0 => self.bench.answer(tx, Err(BUSY_REASON)),
-                    1 => self.bench.answer(tx, Err("rejected")),
-                    2 => self.bench.answer(tx, Ok(b"odd")),
-                    _ => self.bench.answer(tx, Ok(b"r")),
+                    0 => self.bench.answer_by(to.0, tx, Err(BUSY_REASON)),
+                    1 => self.bench.answer_by(to.0, tx, Err("rejected")),
+                    2 => self.bench.answer_by(to.0, tx, Ok(b"odd")),
+                    _ => self.bench.answer_by(to.0, tx, Ok(b"r")),
                 }
             }
             // The orderer answers an envelope that asks, and refuses one

@@ -5,9 +5,8 @@
 //! fails on a panic, on an operation that never ended, and on a finding —
 //! a write reported invalid, a write on the ledger whose op was told it
 //! failed, a write reported `Ok` that a replica recorded under another
-//! code, a request that took a second tx id, a write on the ledger that
-//! maps back to no op, or one of the audit's — that no named exclusion
-//! covers.
+//! code, a write on the ledger that maps back to no op, or one of the
+//! audit's — that no named exclusion covers.
 //!
 //! An exclusion is a known finding under the drawn condition that
 //! explains it, owned by the ROADMAP item whose fix deletes it; the same
@@ -34,7 +33,6 @@ use hyperprov_repro::hyperprov::{
     HyperProvNetwork, NetworkConfig, OpId, OpOutput, OrdererMode, RetryPolicy, SnapshotPolicy,
 };
 use hyperprov_repro::ledger::{ChannelId, Digest, TxId, ValidationCode, DEFAULT_CHANNEL};
-use hyperprov_repro::sim::json::{parse, Value};
 use hyperprov_repro::sim::{ActorId, DetRng, FaultPlan, SimDuration, SimTime};
 use rand::Rng;
 use support::{audit, post, store_data, views, Load};
@@ -214,9 +212,6 @@ enum Finding {
     /// A write reported `Ok` — by its home peer or by a probed one — whose
     /// transaction a replica recorded under this other code.
     Untruthful(TxId, ValidationCode),
-    /// Client `c`'s plans made this many chain requests, for which its
-    /// gateway minted this many tx ids: a request took a second one.
-    TxIds(usize, u64, u64),
     /// A write on the ledger, of this key under this tx id, that maps back
     /// to no op: no write op made the key, or its op wrote it under
     /// another tx id too, or was told another.
@@ -445,16 +440,6 @@ fn run(seed: u64, windows: &[Window]) -> (Vec<Finding>, Run) {
                 .filter_map(|(_, l)| l.borrow().status(&tx_id));
             let other = recorded.filter(|code| !code.is_valid()).take(1);
             findings.extend(other.map(|code| Finding::Untruthful(tx_id, code)));
-        }
-    }
-    // One tx id per request (ROADMAP item 23), as each client's view counts them.
-    let count = |v: Option<&Value>| v.and_then(Value::as_f64).expect("a count") as u64;
-    for (client, &id) in net.clients.iter().enumerate() {
-        let view = parse(&net.sim.view(id).expect("a client's view")).expect("JSON");
-        let requests = count(view.get("requests"));
-        let minted = count(view.get("gateway").and_then(|g| g.get("tx_ids")));
-        if minted != requests {
-            findings.push(Finding::TxIds(client, requests, minted));
         }
     }
     let item = format!("item{COMPOSITE_SEP}");
