@@ -248,9 +248,6 @@ impl From<GatewayError> for HyperProvError {
             GatewayError::Endorsement { reason } | GatewayError::Query { reason } => {
                 HyperProvError::Rejected(reason)
             }
-            GatewayError::Mismatch => {
-                HyperProvError::Rejected("endorsement mismatch across peers".to_owned())
-            }
             GatewayError::Exhausted { attempts } => HyperProvError::Exhausted { attempts },
         }
     }

@@ -612,7 +612,7 @@ impl HyperProvNetwork {
                     endorsers.rotate_left(i % chan.hosts.len());
                     let mut orderers = chan.orderers.clone();
                     orderers.rotate_left(i % chan.orderers.len());
-                    Route::new(chan.id.clone(), endorsers, orderers, 1)
+                    Route::new(chan.id.clone(), endorsers, orderers)
                 })
                 .collect();
             let mut gateway = Gateway::new(identity.clone(), routes)

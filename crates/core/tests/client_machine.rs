@@ -52,7 +52,7 @@ fn bench(shards: usize, deadlines: bool, budget: Option<u32>) -> Bench {
     let identity = msp.enroll("client", &org);
     let peer = msp.enroll("peer", &org);
     let routes = (0..shards)
-        .map(|shard| Route::new(format!("ch{shard}"), endorsers(shard), ORDERERS.to_vec(), 1))
+        .map(|shard| Route::new(format!("ch{shard}"), endorsers(shard), ORDERERS.to_vec()))
         .collect();
     let mut gateway = Gateway::new(identity, routes);
     if deadlines {

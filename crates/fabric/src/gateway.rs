@@ -40,8 +40,6 @@ pub enum GatewayError {
     /// orderer that knows no leader refused the envelope, and no copy of
     /// it was out. Under deadlines a retry policy backs off and re-sends it.
     Busy,
-    /// Collected endorsements disagree on the result or read/write set.
-    Mismatch,
     /// An endorse-only query returned an application error.
     Query {
         /// The chaincode's error message.
@@ -79,7 +77,6 @@ impl std::fmt::Display for GatewayError {
                 write!(f, "{reason}")
             }
             GatewayError::Busy => write!(f, "{BUSY_REASON}"),
-            GatewayError::Mismatch => write!(f, "endorsement mismatch across peers"),
             GatewayError::EndorseTimeout => write!(f, "endorsement deadline exceeded"),
             GatewayError::CommitTimeout => write!(f, "commit deadline exceeded"),
             GatewayError::Exhausted { attempts } => {
@@ -212,7 +209,6 @@ pub struct Route {
     channel: ChannelId,
     endorsers: Vec<ActorId>,
     orderers: Vec<ActorId>,
-    endorsements_needed: usize,
     /// The channel's proposal nonce: with the channel name and the
     /// creator it makes every tx id unique.
     nonce: u64,
@@ -246,33 +242,24 @@ enum Wait {
 }
 
 impl Route {
-    /// A route to `channel`. A first attempt is proposed to the
-    /// `endorsements_needed` endorsers from the home endorser on (derive
-    /// the count from the chaincode's policy via
-    /// [`crate::EndorsementPolicy::min_endorsers`]) and its envelope goes
-    /// to the home orderer; a query asks the home endorser.
+    /// A route to `channel`. A request — an invoke or a query — is
+    /// proposed to the home endorser, whose one endorsement an invoke
+    /// submits to the home orderer.
     ///
     /// # Panics
     ///
-    /// Panics if `endorsers` or `orderers` is empty or
-    /// `endorsements_needed` is not in `1..=endorsers.len()`.
+    /// Panics if `endorsers` or `orderers` is empty.
     pub fn new(
         channel: impl Into<ChannelId>,
         endorsers: Vec<ActorId>,
         orderers: Vec<ActorId>,
-        endorsements_needed: usize,
     ) -> Self {
         assert!(!endorsers.is_empty(), "a route needs at least one endorser");
         assert!(!orderers.is_empty(), "a route needs at least one orderer");
-        assert!(
-            endorsements_needed >= 1 && endorsements_needed <= endorsers.len(),
-            "endorsements_needed must be in 1..=endorsers.len()"
-        );
         Route {
             channel: channel.into(),
             endorsers,
             orderers,
-            endorsements_needed,
             nonce: 0,
             home: [0; 2],
             rtt: [None; 3],
@@ -371,13 +358,10 @@ impl Route {
 /// What a request is waiting for. Each phase has one wake-up.
 #[derive(Debug)]
 enum Phase {
-    /// Endorsements of the proposal, which is kept for the envelope and
-    /// for copies.
-    Endorsing {
-        signed: Box<SignedProposal>,
-        responses: Vec<ProposalResponse>,
-    },
-    /// The commit notification of the submitted envelope, whose agreed
+    /// The one endorsement of the proposal, which is kept for the
+    /// envelope and for copies.
+    Endorsing { signed: Box<SignedProposal> },
+    /// The commit notification of the submitted envelope, whose endorsed
     /// chaincode response is the reply's payload. Until an orderer's answer
     /// (or a deadline) `acked` it, a re-send copies the envelope to the next
     /// orderer; after, it probes the commit's status.
@@ -403,9 +387,9 @@ struct Wake {
     sent: u32,
     /// How many re-sends the wait may make.
     most: u32,
-    /// The nodes of its ring the wait asked: its window, then one per
-    /// copy, so those just before the end of the row's window. Zero while
-    /// a retry's send is due: what was sent before is written off.
+    /// The nodes of its ring the wait asked: one, then one per copy, so
+    /// those back from the row's position. Zero while a retry's send is
+    /// due: what was sent before is written off.
     asked: u32,
     /// Refusals by nodes the wait asked.
     refused: u32,
@@ -464,16 +448,15 @@ impl<T> Row<T> {
     /// not ask answers a send that a retry wrote off: that counts for
     /// nothing.
     fn another_copy_out(&mut self, route: &Route, src: ActorId) -> bool {
-        let (ring, window) = match self.phase {
-            Phase::Endorsing { .. } => (ENDORSERS, route.endorsements_needed),
-            Phase::Query { .. } => (ENDORSERS, 1),
-            Phase::CommitWait { .. } => (ORDERERS, 1),
+        let ring = match self.phase {
+            Phase::Endorsing { .. } | Phase::Query { .. } => ENDORSERS,
+            Phase::CommitWait { .. } => ORDERERS,
         };
         let nodes = [&route.endorsers, &route.orderers][ring];
-        let end = self.at[ring] + window + nodes.len() - 1;
+        let end = self.at[ring] + nodes.len();
         let at = nodes.iter().position(|&n| n == src);
         self.wake.as_mut().is_some_and(|wake| {
-            // The wait asked the `asked` nodes back from its window's last.
+            // The wait asked the `asked` nodes back from the row's.
             let asked = at.is_some_and(|at| (end - at) % nodes.len() < wake.asked as usize);
             wake.refused += u32::from(asked);
             !asked || wake.refused <= wake.sent
@@ -485,7 +468,7 @@ hyperprov_sim::view! {
     /// A gateway's view: its rows in flight by phase, and each route's.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct GatewayView {
-        /// Rows collecting endorsements.
+        /// Rows waiting for their endorsement.
         pub endorsing: usize,
         /// Rows waiting for a commit.
         pub commit_wait: usize,
@@ -620,9 +603,9 @@ impl<T: Caller> Gateway<T> {
         view
     }
 
-    /// Starts a full transaction on route `shard` at `now`: endorse on the
-    /// `endorsements_needed` endorsers from the route's home endorser on,
-    /// then order at its home orderer, then wait for the commit event.
+    /// Starts a full transaction on route `shard` at `now`: endorse at the
+    /// route's home endorser, then order at its home orderer, then wait for
+    /// the commit event.
     pub fn invoke(
         &mut self,
         shard: usize,
@@ -652,8 +635,8 @@ impl<T: Caller> Gateway<T> {
     /// Issues a request — an `invoke` or a query — at the route's homes:
     /// builds and signs the proposal — encoded exactly once: the signature
     /// covers the bytes, the tx id is their digest and the wire size their
-    /// length — and sends it, under the endorse deadline, to the endorsers
-    /// from the home endorser on. The tx id is the request's for life.
+    /// length — and sends it, under the endorse deadline, to the home
+    /// endorser. The tx id is the request's for life.
     #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
@@ -683,39 +666,25 @@ impl<T: Caller> Gateway<T> {
             proposal,
             signature,
         };
-        let (at, ring) = (route.home, route.endorsers.len());
-        // The endorse span covers the whole collection phase: it closes
+        let (at, endorser) = (route.home, route.endorsers[route.home[ENDORSERS]]);
+        // The endorse span covers the whole endorsement phase: it closes
         // at submit (or on failure), where `commit_wait` opens.
-        let (targets, stage, phase) = if invoke {
-            let phase = Phase::Endorsing {
-                signed: Box::new(signed.clone()),
-                responses: Vec::new(),
-            };
-            (route.endorsements_needed, "endorse", phase)
+        let (stage, phase) = if invoke {
+            let signed = Box::new(signed.clone());
+            ("endorse", Phase::Endorsing { signed })
         } else {
             let signed = self.endorse_timeout.map(|_| Box::new(signed.clone()));
-            (1, "query", Phase::Query { signed })
+            ("query", Phase::Query { signed })
         };
         let (endorse, commit) = (self.endorse_timeout, self.commit_timeout);
-        let counts = (targets, ring - targets);
+        let counts = (1, route.endorsers.len() - 1);
         let mut wake = route.wake(Wait::Endorse, Some(now), counts, endorse, commit);
-        let mut out = Vec::with_capacity(3 + targets);
+        let mut out = Vec::with_capacity(4);
         out.push(Action::Charge(costs::client_proposal_cost(wire)));
         out.push(Action::SpanStart(tx_trace(&tx_id), stage, String::new()));
         let token = arm(&mut self.next_token, wake.as_mut().map(Wake::arm), &mut out);
-        // The last endorser gets the proposal by move, the rest by clone.
-        let mut signed = Some(signed);
-        let route = &self.routes[shard];
-        for i in 0..targets {
-            let endorser = route.endorsers[(at[ENDORSERS] + i) % ring];
-            let signed = if i + 1 == targets {
-                signed.take()
-            } else {
-                signed.clone()
-            };
-            let msg = FabricMsg::SubmitProposal(signed.expect("taken on the last send only"));
-            out.push(Action::Send(endorser, wire + 32, msg));
-        }
+        let msg = FabricMsg::SubmitProposal(signed);
+        out.push(Action::Send(endorser, wire + 32, msg));
         let row = Row {
             caller,
             shard,
@@ -756,8 +725,8 @@ impl<T: Caller> Gateway<T> {
         out
     }
 
-    /// An endorser's answer, from `src`: an endorsement counts once per
-    /// endorser certificate, a refusal once no copy is out.
+    /// An endorser's answer, from `src`: an endorsement is submitted, a
+    /// refusal counts once no copy is out.
     fn on_response(
         &mut self,
         src: ActorId,
@@ -770,14 +739,14 @@ impl<T: Caller> Gateway<T> {
         let Some(row) = self.rows.get_mut(&tx_id) else {
             return;
         };
-        let route = &mut self.routes[row.shard];
-        // The first answer, if nothing was re-sent, times the route.
-        let first = match &row.phase {
-            Phase::Endorsing { responses, .. } => responses.is_empty(),
+        let query = match row.phase {
+            Phase::Endorsing { .. } => false,
             Phase::Query { .. } => true,
             Phase::CommitWait { .. } => return,
         };
-        let wake = row.wake.as_ref().filter(|wake| first && wake.refused == 0);
+        let route = &mut self.routes[row.shard];
+        // The first answer, if nothing was re-sent, times the route.
+        let wake = row.wake.as_ref().filter(|wake| wake.refused == 0);
         if let Some(rtt) = wake.and_then(|wake| wake.sample(now)) {
             route.sample(Wait::Endorse, rtt);
         }
@@ -785,44 +754,23 @@ impl<T: Caller> Gateway<T> {
         if resp.result.is_err() && row.another_copy_out(route, src) {
             return;
         }
-        let needed = route.endorsements_needed;
-        let (stage, note, error) = match &mut row.phase {
-            Phase::Query { .. } => match resp.result {
-                Ok(bytes) => {
-                    let row = self.close(tx_id, "query", out);
-                    out.push(Action::Own(Done(row.caller, Ok(Reply::Bytes(bytes)))));
-                    return;
-                }
-                Err(reason) => ("query", None, GatewayError::rejected(reason, true)),
-            },
-            Phase::Endorsing { responses, .. } => match &resp.result {
-                Err(reason) => (
-                    "endorse",
-                    Some(("endorse.rejected", reason.clone())),
-                    GatewayError::rejected(reason.clone(), false),
-                ),
-                Ok(_) => {
-                    if responses.iter().any(|r| r.endorser == resp.endorser) {
-                        return;
-                    }
-                    responses.push(resp);
-                    if responses.len() < needed {
-                        return;
-                    }
-                    let first = &responses[0];
-                    let agree = responses
-                        .iter()
-                        .all(|r| r.rwset == first.rwset && r.result == first.result);
-                    if agree {
-                        return self.submit(tx_id, now, out);
-                    }
-                    let note = ("endorse.mismatch", String::new());
-                    ("endorse", Some(note), GatewayError::Mismatch)
-                }
-            },
-            Phase::CommitWait { .. } => unreachable!("answered above"),
+        let reason = match resp.result {
+            Ok(bytes) if query => {
+                let row = self.close(tx_id, "query", out);
+                out.push(Action::Own(Done(row.caller, Ok(Reply::Bytes(bytes)))));
+                return;
+            }
+            Ok(_) => return self.submit(resp, now, out),
+            Err(reason) => reason,
         };
-        let note = note.map(|(name, detail)| Action::Note(tx_trace(&tx_id), name, detail));
+        let (stage, note) = match query {
+            true => ("query", None),
+            false => {
+                let note = Action::Note(tx_trace(&tx_id), "endorse.rejected", reason.clone());
+                ("endorse", Some(note))
+            }
+        };
+        let error = GatewayError::rejected(reason, query);
         if error == GatewayError::Busy {
             return self.retry(tx_id, stage, note, error, Some(rng), out);
         }
@@ -840,30 +788,27 @@ impl<T: Caller> Gateway<T> {
         row
     }
 
-    /// All endorsements are in and agree at `now`: assembles the envelope,
-    /// broadcasts it to the request's orderer and waits — for its answer
-    /// under an endorse deadline, else for the commit — so a lost
-    /// broadcast or commit notification cannot wedge the client.
-    fn submit(&mut self, tx_id: TxId, now: SimTime, out: &mut Out<T>) {
+    /// The endorsement `resp` is in at `now`: assembles the envelope that
+    /// carries it, broadcasts it to the request's orderer and waits — for
+    /// its answer under an endorse deadline, else for the commit — so a
+    /// lost broadcast or commit notification cannot wedge the client.
+    fn submit(&mut self, resp: ProposalResponse, now: SimTime, out: &mut Out<T>) {
+        let tx_id = resp.tx_id;
         let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
         let taken = std::mem::replace(&mut row.phase, Phase::Query { signed: None });
-        let Phase::Endorsing { signed, responses } = taken else {
+        let Phase::Endorsing { signed } = taken else {
             unreachable!("submit runs on an endorsing row");
         };
-        let endorsements = responses
-            .iter()
-            .map(|r| Endorsement {
-                endorser: r.endorser.clone(),
-                signature: r.signature,
-            })
-            .collect();
-        let first = responses.into_iter().next().expect("needed >= 1");
+        let endorsement = Endorsement {
+            endorser: resp.endorser,
+            signature: resp.signature,
+        };
         let sent = Arc::new(Envelope {
             proposal: signed.proposal,
-            payload: first.result.unwrap_or_default(),
-            rwset: first.rwset,
-            event: first.event,
-            endorsements,
+            payload: resp.result.unwrap_or_default(),
+            rwset: resp.rwset,
+            event: resp.event,
+            endorsements: vec![endorsement],
         });
         let orderer = self.routes[row.shard].orderers[row.at[ORDERERS]];
         let (envelope, acked) = (Arc::clone(&sent), false);
@@ -1106,16 +1051,15 @@ impl<T: Caller> Gateway<T> {
 
     /// The armed wake-up of row `tx_id` was a re-send, and arms the next,
     /// twice as late, or the deadline. An endorsing or query row sends its
-    /// proposal one endorser past its window, which moves on past its first
-    /// endorser; a commit-wait row not yet acked its envelope to the next
-    /// orderer. Either is a copy past a silent node, which it blames — or
-    /// a retry's send, which opens its wait, blames no one and doubles
-    /// nothing. Once acked
-    /// the row asks the next endorser after its own — one place further
-    /// along each time, skipping its own — whether the transaction
-    /// committed, which lets a "not found" move the probe on again, once
-    /// around the ring; from its second probe on it also sends its
-    /// envelope, unasked, to the orderers after its own in the same way.
+    /// proposal to the next endorser; a commit-wait row not yet acked its
+    /// envelope to the next orderer. Either is a copy past a silent node,
+    /// which it blames — or a retry's send, which opens its wait, blames no
+    /// one and doubles nothing. Once acked the row asks the next endorser
+    /// after its own — one place further along each time, skipping its own
+    /// — whether the transaction committed, which lets a "not found" move
+    /// the probe on again, once around the ring; from its second probe on
+    /// it also sends its envelope, unasked, to the orderers after its own
+    /// in the same way.
     fn resend(&mut self, tx_id: TxId, out: &mut Out<T>) {
         let row = self.rows.get_mut(&tx_id).expect("invariant: in the table");
         let wake = row.wake.as_mut().expect("a re-send has a wake-up");
@@ -1130,27 +1074,18 @@ impl<T: Caller> Gateway<T> {
         let resent = (sent == 0 && !retry).then_some("resent");
         let mut sends = Vec::new();
         let (note, counted) = match &row.phase {
-            Phase::Endorsing { signed, .. }
+            Phase::Endorsing { signed }
             | Phase::Query {
                 signed: Some(signed),
             } => {
-                let window = match row.phase {
-                    Phase::Endorsing { .. } => route.endorsements_needed,
-                    _ => 1,
-                };
                 if !retry {
                     route.blame(ENDORSERS, row.at[ENDORSERS], &tx_id, out);
                 }
                 row.at[ENDORSERS] = route.after(ENDORSERS, row.at[ENDORSERS]);
-                // A copy asks the endorser that enters the window, a
-                // retry's send the whole window.
-                let first = if retry { 0 } else { window - 1 };
-                wake.asked += (window - first) as u32;
-                let (ring, wire) = (route.endorsers.len(), signed.proposal.wire_size() + 32);
-                for i in first..window {
-                    let msg = FabricMsg::SubmitProposal(SignedProposal::clone(signed));
-                    sends.push((route.endorsers[(row.at[ENDORSERS] + i) % ring], wire, msg));
-                }
+                wake.asked += 1;
+                let wire = signed.proposal.wire_size() + 32;
+                let msg = FabricMsg::SubmitProposal(SignedProposal::clone(signed));
+                sends.push((route.endorsers[row.at[ENDORSERS]], wire, msg));
                 ("endorse.resend", resent)
             }
             Phase::CommitWait {

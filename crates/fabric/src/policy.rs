@@ -17,10 +17,7 @@ use crate::identity::MspId;
 ///
 /// let org1 = MspId::new("org1");
 /// let org2 = MspId::new("org2");
-/// let policy = EndorsementPolicy::or(vec![
-///     EndorsementPolicy::signed_by(org1.clone()),
-///     EndorsementPolicy::signed_by(org2.clone()),
-/// ]);
+/// let policy = EndorsementPolicy::any_of([org1.clone(), org2]);
 /// assert!(policy.is_satisfied_by([org1].iter()));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,11 +41,6 @@ impl EndorsementPolicy {
     /// Conjunction of sub-policies.
     pub fn and(policies: Vec<EndorsementPolicy>) -> Self {
         EndorsementPolicy::And(policies)
-    }
-
-    /// Disjunction of sub-policies.
-    pub fn or(policies: Vec<EndorsementPolicy>) -> Self {
-        EndorsementPolicy::Or(policies)
     }
 
     /// Threshold over sub-policies.
@@ -91,31 +83,6 @@ impl EndorsementPolicy {
                 subs.iter().any(|p| p.eval(set))
             }
             EndorsementPolicy::OutOf(n, subs) => subs.iter().filter(|p| p.eval(set)).count() >= *n,
-        }
-    }
-
-    /// The smallest number of distinct organisations that could satisfy
-    /// the policy — used by the gateway to decide how many endorsements to
-    /// collect before submitting.
-    pub fn min_endorsers(&self) -> usize {
-        match self {
-            EndorsementPolicy::SignedBy(_) => 1,
-            EndorsementPolicy::And(subs) => {
-                // Upper bound: sum of children (orgs may overlap, but the
-                // gateway only uses this as a collection target).
-                subs.iter().map(EndorsementPolicy::min_endorsers).sum()
-            }
-            EndorsementPolicy::Or(subs) => subs
-                .iter()
-                .map(EndorsementPolicy::min_endorsers)
-                .min()
-                .unwrap_or(usize::MAX),
-            EndorsementPolicy::OutOf(n, subs) => {
-                let mut costs: Vec<usize> =
-                    subs.iter().map(EndorsementPolicy::min_endorsers).collect();
-                costs.sort_unstable();
-                costs.iter().take(*n).sum::<usize>().max(*n)
-            }
         }
     }
 }
@@ -172,7 +139,6 @@ mod tests {
         assert!(p.is_satisfied_by([org(1)].iter()));
         assert!(!p.is_satisfied_by([org(2)].iter()));
         assert!(!p.is_satisfied_by([].iter()));
-        assert_eq!(p.min_endorsers(), 1);
     }
 
     #[test]
@@ -180,7 +146,6 @@ mod tests {
         let p = EndorsementPolicy::all_of([org(1), org(2)]);
         assert!(p.is_satisfied_by([org(1), org(2)].iter()));
         assert!(!p.is_satisfied_by([org(1)].iter()));
-        assert_eq!(p.min_endorsers(), 2);
     }
 
     #[test]
@@ -188,13 +153,12 @@ mod tests {
         let p = EndorsementPolicy::any_of([org(1), org(2)]);
         assert!(p.is_satisfied_by([org(2)].iter()));
         assert!(!p.is_satisfied_by([org(3)].iter()));
-        assert_eq!(p.min_endorsers(), 1);
     }
 
     #[test]
     fn empty_and_is_trivially_true_empty_or_false() {
         let and = EndorsementPolicy::and(vec![]);
-        let or = EndorsementPolicy::or(vec![]);
+        let or = EndorsementPolicy::any_of([]);
         assert!(and.is_satisfied_by([].iter()));
         assert!(!or.is_satisfied_by([org(1)].iter()));
     }
@@ -211,7 +175,6 @@ mod tests {
         );
         assert!(p.is_satisfied_by([org(1), org(3)].iter()));
         assert!(!p.is_satisfied_by([org(2)].iter()));
-        assert_eq!(p.min_endorsers(), 2);
     }
 
     #[test]
@@ -219,20 +182,18 @@ mod tests {
         let p = EndorsementPolicy::majority_of([org(1), org(2), org(3), org(4)]);
         assert!(p.is_satisfied_by([org(1), org(2), org(3)].iter()));
         assert!(!p.is_satisfied_by([org(1), org(2)].iter()));
-        assert_eq!(p.min_endorsers(), 3);
     }
 
     #[test]
     fn nested_policies() {
         // (org1 AND org2) OR org3
-        let p = EndorsementPolicy::or(vec![
+        let p = EndorsementPolicy::Or(vec![
             EndorsementPolicy::all_of([org(1), org(2)]),
             EndorsementPolicy::signed_by(org(3)),
         ]);
         assert!(p.is_satisfied_by([org(3)].iter()));
         assert!(p.is_satisfied_by([org(1), org(2)].iter()));
         assert!(!p.is_satisfied_by([org(1)].iter()));
-        assert_eq!(p.min_endorsers(), 1);
     }
 
     #[test]

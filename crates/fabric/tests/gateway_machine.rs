@@ -102,28 +102,22 @@ struct Bench {
     peers: Vec<SigningIdentity>,
 }
 
-/// A gateway with one route per entry of `needed` (three endorsers and
-/// three orderers each), both deadlines when `deadlines`, and a retry
-/// budget when given.
-fn bench(needed: &[usize], deadlines: bool, budget: Option<u32>) -> Bench {
+/// A gateway with `shards` routes (three endorsers and three orderers
+/// each), both deadlines when `deadlines`, and a retry budget when given.
+fn bench(shards: usize, deadlines: bool, budget: Option<u32>) -> Bench {
     let (endorse, commit) = (deadlines.then_some(ENDORSE), deadlines.then_some(COMMIT));
-    bench_with(needed, endorse, commit, budget)
+    bench_with(shards, endorse, commit, budget)
 }
 
 /// [`bench`] with each deadline given on its own.
 fn bench_with(
-    needed: &[usize],
+    shards: usize,
     endorse: Option<SimDuration>,
     commit: Option<SimDuration>,
     budget: Option<u32>,
 ) -> Bench {
-    let routes = needed
-        .iter()
-        .enumerate()
-        .map(|(shard, &n)| {
-            let channel = format!("ch{shard}");
-            Route::new(channel, endorsers(shard), ORDERERS.to_vec(), n)
-        })
+    let routes = (0..shards)
+        .map(|shard| Route::new(format!("ch{shard}"), endorsers(shard), ORDERERS.to_vec()))
         .collect();
     bench_on(routes, endorse, commit, budget)
 }
@@ -324,23 +318,15 @@ mod transitions {
 
     #[test]
     fn an_invoke_endorses_submits_and_commits_under_one_timer_at_a_time() {
-        let mut b = bench(&[2], true, None);
+        let mut b = bench(1, true, None);
         let issued = b.invoke(0, 1);
-        let start = [
-            "charge",
-            "[endorse",
-            "arm#1=endorse",
-            "propose->10",
-            "propose->11",
-        ];
+        let start = ["charge", "[endorse", "arm#1=endorse", "propose->10"];
         assert_eq!(show(&issued), start);
         let tx = tx_of(&issued);
-        assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
-        // A second answer of the same endorser counts once.
-        assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
-        let submitted = b.message_from(11, b.answer_by(11, tx, Ok(b"r")));
-        // The envelope asks, and the orderer's answer is awaited under the
-        // endorse deadline: one node answers it.
+        // The one endorsement is submitted at once. The envelope asks, and
+        // the orderer's answer is awaited under the endorse deadline: one
+        // node answers it.
+        let submitted = b.message(b.answer(tx, Ok(b"r")));
         let submit = [
             "disarm#1",
             "arm#2=endorse",
@@ -350,6 +336,13 @@ mod transitions {
         ];
         assert_eq!(show(&submitted), submit);
         assert_eq!(tx_of(&submitted), tx);
+        let envelope = submitted.iter().find_map(|action| match action {
+            Action::Send(_, _, FabricMsg::Broadcast { envelope, .. }) => Some(envelope),
+            _ => None,
+        });
+        let endorsements = &envelope.expect("submitted").endorsements;
+        assert_eq!(endorsements.len(), 1);
+        assert_eq!(&endorsements[0].endorser, b.peers[0].certificate());
         // In commit-wait the one wake-up is the first status probe, due at
         // the endorse deadline before the route has timed a commit.
         assert_eq!(
@@ -365,7 +358,7 @@ mod transitions {
 
     #[test]
     fn a_query_asks_the_first_endorser_and_ends_on_its_answer() {
-        let mut b = bench(&[2], true, None);
+        let mut b = bench(1, true, None);
         let issued = b.query(0, 1);
         let start = ["charge", "[query", "arm#1=endorse", "propose->10"];
         assert_eq!(show(&issued), start);
@@ -385,7 +378,7 @@ mod transitions {
 
     #[test]
     fn without_deadlines_no_timer_is_ever_armed() {
-        let mut b = bench(&[1], false, None);
+        let mut b = bench(1, false, None);
         let issued = b.invoke(0, 1);
         assert_eq!(show(&issued), ["charge", "[endorse", "propose->10"]);
         let tx = tx_of(&issued);
@@ -402,7 +395,7 @@ mod transitions {
     /// and arms exactly what it did before the orderer answered.
     #[test]
     fn without_an_endorse_deadline_the_envelope_does_not_ask() {
-        let mut b = bench_with(&[1], None, Some(COMMIT), Some(3));
+        let mut b = bench_with(1, None, Some(COMMIT), Some(3));
         let tx = tx_of(&b.invoke(0, 1));
         let submit = ["arm#1=commit", "broadcast->90", "endorse]", "[commit_wait"];
         assert_eq!(show(&b.message(b.answer(tx, Ok(b"r")))), submit);
@@ -416,39 +409,21 @@ mod transitions {
     }
 
     #[test]
-    fn the_first_rejection_fails_fast_with_the_second_endorsement_in_flight() {
-        let mut b = bench(&[2], true, None);
+    fn a_rejection_with_no_copy_out_fails_at_once() {
+        let mut b = bench(1, true, None);
         let tx = tx_of(&b.invoke(0, 1));
         let failed = show(&b.message(b.answer(tx, Err("no such key"))));
         assert_eq!(failed[..3], ["disarm#1", "endorse]", "!endorse.rejected"]);
         assert!(failed[3].starts_with("done1=Endorsement"), "{failed:?}");
         assert_eq!(failed.len(), 4);
-        // The other endorser's answer finds no row.
+        // A late answer finds no row.
         assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
         assert_eq!(rows(b.gateway()), 0);
     }
 
     #[test]
-    fn mismatching_endorsements_are_not_submitted() {
-        let mut b = bench(&[2], true, None);
-        let tx = tx_of(&b.invoke(0, 1));
-        assert!(b.message(b.answer(tx, Ok(b"one"))).is_empty());
-        let failed = [
-            "disarm#1",
-            "endorse]",
-            "!endorse.mismatch",
-            "done1=Mismatch",
-        ];
-        assert_eq!(
-            show(&b.message_from(11, b.answer_by(11, tx, Ok(b"two")))),
-            failed
-        );
-        assert_eq!(rows(b.gateway()), 0);
-    }
-
-    #[test]
     fn an_extra_endorsement_after_submit_is_stale() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let tx = tx_of(&b.invoke(0, 1));
         assert_eq!(b.message(b.answer(tx, Ok(b"r"))).len(), 5);
         assert!(b.message(b.answer(tx, Ok(b"r"))).is_empty());
@@ -458,7 +433,7 @@ mod transitions {
 
     #[test]
     fn a_commit_completes_only_a_transaction_waiting_for_it() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let ours = tx_of(&b.invoke(0, 1));
         // Somebody else's transaction; ours before it was submitted; a
         // query's proposal id.
@@ -478,7 +453,7 @@ mod transitions {
 
     #[test]
     fn each_deadline_closes_its_own_span_and_leaves_nothing_behind() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         // Endorse deadline.
         // Each deadline moves the home of the ring it blames, counted and
         // noted with the ring and both positions.
@@ -548,7 +523,7 @@ mod transitions {
     /// stays open and the request ends under its one tx id.
     #[test]
     fn an_endorse_deadline_re_sends_the_same_proposal_to_the_next_endorser_at_once() {
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         let tx = tx_of(&b.invoke(0, 7));
         let retried = b.timer(1);
         let again = [
@@ -578,7 +553,7 @@ mod transitions {
     /// One tx id, one place along the ring.
     #[test]
     fn busy_backs_off_then_re_sends_the_same_proposal_to_the_next_endorser() {
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         let tx = tx_of(&b.invoke(0, 1));
         let shed = [
             "!endorse.rejected",
@@ -602,7 +577,7 @@ mod transitions {
     /// the request's outcome.
     #[test]
     fn without_deadlines_a_retry_policy_retries_nothing() {
-        let mut b = bench(&[1], false, Some(2));
+        let mut b = bench(1, false, Some(2));
         let tx = tx_of(&b.query(0, 1));
         let shed = ["query]", "done1=Busy"];
         assert_eq!(show(&b.message(b.answer(tx, Err(BUSY_REASON)))), shed);
@@ -611,7 +586,7 @@ mod transitions {
 
     #[test]
     fn a_spent_budget_reports_its_attempts() {
-        let mut b = bench(&[1], true, Some(2));
+        let mut b = bench(1, true, Some(2));
         b.invoke(0, 1);
         // Endorse deadline -> the same proposal to the next endorser.
         assert_eq!(b.timer(1).len(), 9);
@@ -630,7 +605,7 @@ mod transitions {
 
     #[test]
     fn an_error_that_is_not_transient_ends_at_once_under_a_retry_policy() {
-        let mut b = bench(&[1], true, Some(5));
+        let mut b = bench(1, true, Some(5));
         let tx = tx_of(&b.invoke(0, 1));
         let failed = show(&b.message(b.answer(tx, Err("bad argument"))));
         assert!(failed[3].starts_with("done1=Endorsement"), "{failed:?}");
@@ -642,7 +617,7 @@ mod transitions {
     /// stale.
     #[test]
     fn a_late_answer_to_a_retried_request_is_its_answer() {
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         let tx = tx_of(&b.invoke(0, 1));
         assert_eq!(show(&b.timer(1))[7], "propose->11");
         let submitted = show(&b.message_from(10, b.answer_by(10, tx, Ok(b"r"))));
@@ -659,7 +634,7 @@ mod transitions {
     /// the refusal of that send is the one that counts.
     #[test]
     fn a_late_refusal_of_a_written_off_send_fails_nothing() {
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         let tx = tx_of(&b.invoke(0, 1));
         assert_eq!(show(&b.timer(1))[7], "propose->11");
         assert!(b
@@ -668,55 +643,6 @@ mod transitions {
         let shed = show(&b.message_from(11, b.answer_by(11, tx, Err(BUSY_REASON))));
         assert_eq!(shed[..2], ["!endorse.rejected", "+client.retries"]);
         assert_eq!(rows(b.gateway()), 1);
-    }
-
-    /// With two endorsements needed, a retry keeps the endorsement in and
-    /// asks the window one place along; an endorser counts once however
-    /// often it answers, so the envelope never carries one peer's
-    /// endorsement twice. On a ring of two the retry asks the silent
-    /// endorser again.
-    #[test]
-    fn a_retry_counts_each_endorser_once() {
-        let endorsed_by = |actions: &[Action<Req>]| {
-            let envelope = actions.iter().find_map(|action| match action {
-                Action::Send(_, _, FabricMsg::Broadcast { envelope, .. }) => Some(envelope),
-                _ => None,
-            });
-            let endorsements = &envelope.expect("submitted").endorsements;
-            endorsements
-                .iter()
-                .map(|e| e.endorser.clone())
-                .collect::<Vec<_>>()
-        };
-        let mut b = bench(&[2], true, Some(3));
-        let tx = tx_of(&b.invoke(0, 1));
-        assert!(b.message_from(10, b.answer_by(10, tx, Ok(b"r"))).is_empty());
-        let retried = show(&b.timer(1));
-        assert_eq!(
-            retried[6..],
-            ["!endorse.resend", "propose->11", "propose->12", "arm#2=rto"]
-        );
-        assert!(b.message_from(10, b.answer_by(10, tx, Ok(b"r"))).is_empty());
-        let submitted = b.message_from(12, b.answer_by(12, tx, Ok(b"r")));
-        assert_eq!(show(&submitted)[2], "broadcast?->90");
-        let cert = |i: usize| b.peers[i].certificate().clone();
-        assert_eq!(endorsed_by(&submitted), [cert(0), cert(2)]);
-        let route = Route::new("ch0", endorsers(0)[..2].to_vec(), ORDERERS.to_vec(), 2);
-        let mut b = bench_on(vec![route], Some(ENDORSE), Some(COMMIT), Some(3));
-        let tx = tx_of(&b.invoke(0, 1));
-        assert!(b.message_from(10, b.answer_by(10, tx, Ok(b"r"))).is_empty());
-        let retried = show(&b.timer(1));
-        let again = [
-            "!endorse.resend",
-            "propose->11",
-            "propose->10",
-            "arm#2=endorse",
-        ];
-        assert_eq!(retried[6..], again);
-        assert!(b.message_from(10, b.answer_by(10, tx, Ok(b"r"))).is_empty());
-        let submitted = b.message_from(11, b.answer_by(11, tx, Ok(b"r")));
-        let cert = |i: usize| b.peers[i].certificate().clone();
-        assert_eq!(endorsed_by(&submitted), [cert(0), cert(1)]);
     }
 
     /// Runs request `req` on route 0 — an invoke, or a query — to its end
@@ -770,18 +696,12 @@ mod transitions {
     /// the dead node, so the next request starts where the retry went.
     #[test]
     fn a_retry_goes_to_the_next_endorser() {
-        let mut b = bench(&[1], true, Some(4));
+        let mut b = bench(1, true, Some(4));
         assert_eq!(addressed(&mut b, 1, true, &[10]), (vec![10, 11], vec![90]));
         assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
         assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11], vec![90]));
-        // With two endorsements needed, the window of two moves along, and
-        // the endorsement already in counts once: 11 is asked again.
-        let mut b = bench(&[2], true, Some(3));
-        let first = addressed(&mut b, 1, true, &[10]);
-        assert_eq!(first, (vec![10, 11, 11, 12], vec![90]));
-        assert_eq!(addressed(&mut b, 2, true, &[10]), (vec![11, 12], vec![90]));
         // Every attempt expiring walks the home along with it.
-        let mut b = bench(&[1], true, Some(4));
+        let mut b = bench(1, true, Some(4));
         let (proposals, _) = addressed(&mut b, 1, true, &[10, 11, 12]);
         assert_eq!(proposals, [10, 11, 12, 10]);
         assert_eq!(homes(b.gateway(), 0).0, ActorId(11));
@@ -789,7 +709,7 @@ mod transitions {
 
     #[test]
     fn a_query_retry_asks_the_next_endorser() {
-        let mut b = bench(&[2], true, Some(4));
+        let mut b = bench(1, true, Some(4));
         assert_eq!(addressed(&mut b, 1, false, &[10]), (vec![10, 11], vec![]));
         assert_eq!(addressed(&mut b, 2, false, &[10]), (vec![11], vec![]));
         assert_eq!(homes(b.gateway(), 0), (ActorId(11), ActorId(90)));
@@ -801,7 +721,7 @@ mod transitions {
     /// first. The endorsers' home stays: it was not their deadline.
     #[test]
     fn a_resubmission_goes_to_the_next_orderer() {
-        let mut b = bench(&[1], true, Some(4));
+        let mut b = bench(1, true, Some(4));
         let first = addressed(&mut b, 1, true, &[90]);
         assert_eq!(first, (vec![10], vec![90, 91]));
         assert_eq!(homes(b.gateway(), 0), (ActorId(10), ActorId(91)));
@@ -815,7 +735,7 @@ mod transitions {
     /// still open.
     #[test]
     fn a_lost_answer_with_budget_left_resends_to_the_next_orderer() {
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         let tx = tx_of(&b.invoke(0, 1));
         let ordering = armed_by(&b.message(b.answer(tx, Ok(b"r"))));
         let again = b.timer(ordering);
@@ -845,7 +765,7 @@ mod transitions {
     #[test]
     fn busy_a_refusal_and_a_rejection_move_no_home() {
         let before = (ActorId(10), ActorId(90));
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         // Refused by the home orderer.
         let tx = tx_of(&b.invoke(0, 1));
         assert_eq!(
@@ -884,7 +804,7 @@ mod transitions {
     /// moves no other row either.
     #[test]
     fn no_row_in_commit_wait_moves_and_no_commit_deadline_moves_any() {
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         let waiting = tx_of(&b.invoke(0, 1));
         // An endorsement that takes its whole deadline: its RTO, three
         // deadlines, leaves no room for a copy before the next deadline.
@@ -935,7 +855,7 @@ mod transitions {
     /// commit.
     #[test]
     fn an_ordering_deadline_on_a_ring_of_one_sends_the_same_envelope_to_it_again() {
-        let solo = Route::new("ch0", endorsers(0), vec![ORDERERS[0]], 1);
+        let solo = Route::new("ch0", endorsers(0), vec![ORDERERS[0]]);
         let mut b = bench_on(vec![solo], Some(ENDORSE), Some(COMMIT), Some(3));
         let tx = tx_of(&b.invoke(0, 1));
         let ordering = armed_by(&b.message(b.answer(tx, Ok(b"r"))));
@@ -968,7 +888,7 @@ mod transitions {
     fn an_attempt_with_nowhere_to_go_waits_out_its_own_deadline() {
         // Request 1 is on the last of its two attempts at endorser 11 when
         // request 2's deadline there expires.
-        let mut b = bench(&[1], true, Some(2));
+        let mut b = bench(1, true, Some(2));
         b.invoke(0, 1);
         assert_eq!(show(&b.timer(1))[7], "propose->11");
         b.invoke(0, 2);
@@ -983,7 +903,7 @@ mod transitions {
         ];
         assert_eq!(show(&b.timer(2)), exhausted);
         // No retry policy.
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         b.invoke(0, 1);
         b.invoke(0, 2);
         for (token, req, moved) in [(1, 1, 2), (2, 2, 0)] {
@@ -998,7 +918,7 @@ mod transitions {
     /// with the code the ledger recorded, and no second proposal is sent.
     #[test]
     fn a_late_commit_of_a_timed_out_attempt_completes_it() {
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         let first = tx_of(&b.invoke(0, 1));
         b.message(b.answer(first, Ok(b"r")));
         b.message(ack(first, true));
@@ -1054,7 +974,7 @@ mod probes {
 
     #[test]
     fn the_first_probe_is_due_at_the_endorse_deadline_then_at_srtt_plus_four_rttvar() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, waiting) = acked(&mut b, 1, 0);
         assert_eq!(delay(&waiting), ENDORSE);
         // The first sample, 100 ms: srtt 100 ms, rttvar 50 ms.
@@ -1072,7 +992,7 @@ mod probes {
 
     #[test]
     fn probes_walk_the_ring_past_the_own_endorser_twice_as_late_until_the_deadline() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, _) = acked(&mut b, 1, 0);
         committed(&mut b, tx, 400); // an RTO of 400 + 4 · 200 ms
         let (_, mut fired) = acked(&mut b, 2, 1_000);
@@ -1102,7 +1022,7 @@ mod probes {
     /// an unanswered probe does, so a timeout that fell short grows back.
     #[test]
     fn only_the_home_event_times_a_probed_row() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, _) = acked(&mut b, 1, 0);
         committed(&mut b, tx, 100); // an RTO of 100 + 4 · 50 ms
                                     // Row 2's probe goes unanswered, and the home's event times it.
@@ -1125,10 +1045,10 @@ mod probes {
     /// ask, and waits on its deadline alone.
     #[test]
     fn without_a_commit_deadline_or_another_endorser_nothing_probes() {
-        let mut b = bench_with(&[1], Some(ENDORSE), None, None);
+        let mut b = bench_with(1, Some(ENDORSE), None, None);
         let (_, waiting) = acked(&mut b, 1, 0);
         assert_eq!(show(&waiting), ["disarm#2"]);
-        let lone = Route::new("ch0", vec![ActorId(10)], ORDERERS.to_vec(), 1);
+        let lone = Route::new("ch0", vec![ActorId(10)], ORDERERS.to_vec());
         let mut b = bench_on(vec![lone], Some(ENDORSE), Some(COMMIT), None);
         let (_, waiting) = acked(&mut b, 1, 0);
         assert_eq!(show(&waiting), ["disarm#2", "arm#3=commit"]);
@@ -1139,7 +1059,7 @@ mod probes {
     /// home's own event, when it comes, finds no row.
     #[test]
     fn an_answer_ends_the_row_with_its_code_and_the_home_event_after_it_does_nothing() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, waiting) = acked(&mut b, 1, 0);
         let probed = b.timer(armed_by(&waiting));
         assert_eq!(show(&probed)[..2], ["!commit.probe", "probe->11"]);
@@ -1155,7 +1075,7 @@ mod probes {
     /// report. The next invoke proposes there.
     #[test]
     fn a_probe_answer_moves_the_endorsers_home_to_the_peer_that_answered() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, waiting) = acked(&mut b, 1, 0);
         let probed = b.timer(armed_by(&waiting));
         assert_eq!(show(&probed)[..2], ["!commit.probe", "probe->11"]);
@@ -1179,7 +1099,7 @@ mod probes {
     /// the home to the first peer probed.
     #[test]
     fn a_late_answer_to_an_earlier_probe_moves_the_home_to_its_sender() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, _) = acked(&mut b, 1, 0);
         committed(&mut b, tx, 100); // a commit RTO of 300 ms
         let (tx, waiting) = acked(&mut b, 2, 1_000);
@@ -1201,7 +1121,7 @@ mod probes {
     #[test]
     fn the_home_event_a_duplicate_or_a_not_found_moves_no_home() {
         let before = (ActorId(10), ActorId(90));
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, waiting) = acked(&mut b, 1, 0);
         b.timer(armed_by(&waiting));
         let duplicate = FabricMsg::CommitStatusAnswer(event(tx, ValidationCode::DuplicateTxId));
@@ -1222,7 +1142,7 @@ mod probes {
     /// merely faster than the home, would move a healthy home.
     #[test]
     fn the_commit_rto_is_floored() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, _) = acked(&mut b, 1, 0);
         committed(&mut b, tx, 4);
         let (_, waiting) = acked(&mut b, 2, 1_000);
@@ -1234,7 +1154,7 @@ mod probes {
     /// that peer's answer ends it.
     #[test]
     fn a_not_found_probes_the_next_endorser_at_once_and_arms_nothing() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, waiting) = acked(&mut b, 1, 0);
         let probed = b.timer(armed_by(&waiting));
         assert_eq!(show(&probed)[..2], ["!commit.probe", "probe->11"]);
@@ -1250,7 +1170,7 @@ mod probes {
     #[test]
     fn a_ring_of_not_found_stops_after_ring_minus_two_and_waits_for_the_doubled_timer() {
         let ring = (10..14).map(ActorId).collect();
-        let route = Route::new("ch0", ring, ORDERERS.to_vec(), 1);
+        let route = Route::new("ch0", ring, ORDERERS.to_vec());
         let mut b = bench_on(vec![route], Some(ENDORSE), Some(COMMIT), None);
         let (tx, _) = acked(&mut b, 1, 0);
         committed(&mut b, tx, 100); // a commit RTO of 300 ms
@@ -1280,7 +1200,7 @@ mod probes {
     /// probe, it does nothing, and the commit RTO stays as it was.
     #[test]
     fn a_not_found_for_a_finished_row_or_another_phase_does_nothing() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, _) = acked(&mut b, 1, 0);
         committed(&mut b, tx, 100); // a commit RTO of 300 ms
         assert!(b.message(not_found(tx)).is_empty());
@@ -1319,7 +1239,7 @@ mod resends {
     /// and one commit, all at once: both floored RTOs are [`MIN_RTO`], and
     /// the commit's is [`MIN_COMMIT_RTO`].
     fn timed() -> Bench {
-        let mut b = bench(&[1], true, Some(3));
+        let mut b = bench(1, true, Some(3));
         let (tx, _) = acked(&mut b, 1, 0);
         committed(&mut b, tx, 0);
         b
@@ -1432,7 +1352,7 @@ mod resends {
     /// round trip gives `10 + 4 · 5` ms unfloored. Above it, RFC 6298 rules.
     #[test]
     fn the_rto_of_the_endorse_and_order_waits_is_floored() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let tx = tx_of(&b.invoke(0, 1));
         b.sched.now = SimTime::ZERO + ms(10);
         let submitted = b.message(b.answer(tx, Ok(b"r")));
@@ -1452,7 +1372,7 @@ mod resends {
         // An endorsement of 100 ms: srtt 7/8 · 10 + 1/8 · 100, rttvar
         // 3/4 · 5 + 1/4 · 90, together 166.25 ms: still floored. One more
         // of 1 s lifts it above the floor.
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         for (req, took) in [(1, 100), (2, 1_000)] {
             b.sched.now = SimTime::ZERO;
             let tx = tx_of(&b.invoke(0, req));
@@ -1527,7 +1447,7 @@ mod resends {
     /// forwarded into a dead leader once a new one is elected.
     #[test]
     fn commit_wait_re_broadcasts_its_envelope_from_the_second_probe_on() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, _) = acked(&mut b, 1, 0);
         committed(&mut b, tx, 100); // a commit RTO of 300 ms
         let (tx, mut fired) = acked(&mut b, 2, 1_000);
@@ -1573,7 +1493,7 @@ mod resends {
     /// carrying it, neither completes nor fails a row.
     #[test]
     fn a_duplicate_tx_id_never_ends_a_row() {
-        let mut b = bench(&[1], true, None);
+        let mut b = bench(1, true, None);
         let (tx, _) = acked(&mut b, 1, 0);
         let duplicate = event(tx, ValidationCode::DuplicateTxId);
         assert!(b.message(FabricMsg::Commit(duplicate.clone())).is_empty());
@@ -1807,7 +1727,6 @@ impl Model {
                 match if honest { 9 } else { self.rng().below(10) } {
                     0 => self.bench.answer_by(to.0, tx, Err(BUSY_REASON)),
                     1 => self.bench.answer_by(to.0, tx, Err("rejected")),
-                    2 => self.bench.answer_by(to.0, tx, Ok(b"odd")),
                     _ => self.bench.answer_by(to.0, tx, Ok(b"r")),
                 }
             }
@@ -1897,11 +1816,11 @@ proptest! {
     #[test]
     fn every_request_ends_exactly_once_and_the_table_drains(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
-        let needed: Vec<usize> = (0..1 + rng.below(4)).map(|_| 1 + rng.below(2) as usize).collect();
+        let shards = 1 + rng.below(4) as usize;
         let budget = rng.chance(70).then(|| 1 + rng.below(4) as u32);
         let loss = 10 + rng.below(30);
-        let dead = rng.chance(50).then(|| pick_target(&mut rng, needed.len()));
-        let mut m = Model::new(bench(&needed, true, budget), rng, loss, dead);
+        let dead = rng.chance(50).then(|| pick_target(&mut rng, shards));
+        let mut m = Model::new(bench(shards, true, budget), rng, loss, dead);
         let requests = 1 + m.rng().below(24) as u32;
         let mut issued = 0;
         for _ in 0..400 {
@@ -1909,7 +1828,7 @@ proptest! {
             match m.rng().below(10) {
                 0..=2 if issued < requests => {
                     issued += 1;
-                    let shard = m.rng().below(needed.len() as u64) as usize;
+                    let shard = m.rng().below(shards as u64) as usize;
                     let invoke = m.rng().chance(60);
                     let actions = m.issue(shard, issued, invoke);
                     // A first attempt starts at the route's home.
@@ -1954,7 +1873,7 @@ proptest! {
         let mut rng = Rng::new(seed);
         let budget = 2 + rng.below(4) as u32;
         let dead = pick_target(&mut rng, 1);
-        let mut m = Model::new(bench(&[1], true, Some(budget)), rng, 0, Some(dead));
+        let mut m = Model::new(bench(1, true, Some(budget)), rng, 0, Some(dead));
         let invoke = m.rng().chance(60);
         let request = |m: &mut Model, n| m.issue(0, n, invoke);
         let actions = request(&mut m, 1);

@@ -141,7 +141,7 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     let orderer = start_orderer(&mut sim, node);
 
     let log = Log::default();
-    let route = Route::new(ChannelId::default(), peers.clone(), vec![orderer], 1);
+    let route = Route::new(ChannelId::default(), peers.clone(), vec![orderer]);
     let gateway = Gateway::new(client_id, vec![route]);
     let key_of = move |n| match hot_key {
         true => "hot".to_owned(),
@@ -265,7 +265,7 @@ fn raft_ordering_service_commits_transactions() {
 
     let log = Log::default();
     // Point the gateway at orderer 0; it redirects to the leader if needed.
-    let route = Route::new(ChannelId::default(), vec![peer_actor_id], orderer_ids, 1);
+    let route = Route::new(ChannelId::default(), vec![peer_actor_id], orderer_ids);
     let gateway = Gateway::new(client_id, vec![route]);
     let driver = client_driver(gateway, 8, |n| format!("key{n}"), &log);
     let client = driver.start(&mut sim, CpuResource::new(1.0), "client");
@@ -302,7 +302,7 @@ fn endorsement_failure_reported_to_client() {
     peer.host(Rc::new(RefCell::new(ledger)), None);
     let peer_id = start_peer(&mut sim, peer, "peer0".to_owned());
     let log = Log::default();
-    let route = Route::new(ChannelId::default(), vec![peer_id], vec![peer_id], 1);
+    let route = Route::new(ChannelId::default(), vec![peer_id], vec![peer_id]);
     let gateway = Gateway::new(client_id, vec![route]);
     let get = |gateway: &mut Gateway<()>, _, now| {
         gateway.query(0, (), now, "counter", "get", vec![b"missing".to_vec()])
@@ -425,7 +425,7 @@ impl SmallNet {
         let log = Log::default();
         for (c, (identity, remaining)) in client_ids.into_iter().zip(client_txs).enumerate() {
             let peers = vec![SMALL_NET_PEERS[0]];
-            let route = Route::new(ChannelId::default(), peers, vec![orderers[0]], 1);
+            let route = Route::new(ChannelId::default(), peers, vec![orderers[0]]);
             let gateway = Gateway::new(identity, vec![route]);
             let key_of = move |n| format!("key{c}-{n}");
             let driver = client_driver(gateway, remaining, key_of, &log);
