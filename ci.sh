@@ -42,7 +42,7 @@ cargo test --release --test generated -- --ignored
 # the total, each crate's, and the largest single file. The total may not
 # rise above the ceiling: a change that needs more lines raises it in its
 # own diff, in plain sight, and one that deletes lines lowers it.
-ceiling=23417
+ceiling=23413
 skip='FNR==1{t=(FILENAME ~ /\/tests\.rs$/)} /#\[cfg\(test\)\]/{t=1}'
 nontest="$skip !t"
 # The code of each line, after the names of the functions it lies in and
@@ -90,7 +90,7 @@ fi
 # The same ratchet on the two long documents, in bytes: DESIGN.md says
 # what the system is, CHANGES.md what each change did, and neither grows
 # unseen.
-for doc in DESIGN.md:127051 CHANGES.md:150619; do
+for doc in DESIGN.md:127046 CHANGES.md:152919; do
     file=${doc%%:*}
     limit=${doc#*:}
     bytes=$(wc -c <"$file")
@@ -212,8 +212,8 @@ cargo run --release -p hyperprov-bench --bin bench_regress
 # Each gate holds a measured gain (latencies are virtual and repeat
 # exactly): `ledger_growth` `peak_rss_mib` under 100 (about 87; a replica's
 # keys, values and history are ranges of the envelope bytes every replica
-# shares); `query_mix` `op_p50_ms` under 8.3 (about 7.6; a query runs on
-# the peer's read lane, beside block validation); `crash_recover`, at
+# shares); `query_mix` `op_p50_ms` under 3.5 (about 2.7; a query runs on
+# any core its peer's committer leaves free); `crash_recover`, at
 # seed 1, where the killed Raft orderer follows, and 6, where it leads,
 # `op_p99_ms` under 150 (0.11 s and 0.13 s; a wait copies past a silent
 # node at the route's RTO, a probe a peer answers "not found" moves on at
@@ -243,8 +243,8 @@ for smoke in "ledger_growth 1 1" "query_mix 1 1" "crash_recover 2 1" "crash_reco
     fi
     if [ "$1" = query_mix ]; then
         p50=$(echo "$result" | sed 's/.*"op_p50_ms":{"value":\([0-9.]*\).*/\1/')
-        if awk "BEGIN {exit !($p50 >= 8.3)}"; then
-            echo "query_mix op_p50_ms $p50 >= 8.3: a query waits behind block validation again" >&2
+        if awk "BEGIN {exit !($p50 >= 3.5)}"; then
+            echo "query_mix op_p50_ms $p50 >= 3.5: a query waits behind block validation or behind other queries on one core again" >&2
             exit 1
         fi
     fi

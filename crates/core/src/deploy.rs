@@ -330,9 +330,10 @@ impl JoinKit {
         subscribers: &[(ActorId, CertId)],
         sim: &mut Simulation<NodeMsg>,
     ) -> (ActorId, Vec<(usize, Ledger)>) {
-        // A peer gets at most as many VSCC lanes as its device has cores:
-        // an RPi cannot fan out like a Xeon.
+        // A peer gets at most one VSCC lane per core of its device, and a
+        // read lane per core they leave free, one at least.
         let lanes = self.vscc_lanes.clamp(1, device.cores.max(1));
+        let reads = device.cores.saturating_sub(lanes).max(1);
         let name = format!("peer{index}");
         let mut peer = Peer::new(identity, self.registry.clone(), name.clone());
         if let Some(policy) = self.snapshots {
@@ -364,7 +365,7 @@ impl JoinKit {
         if let Some(queue) = self.peer_queue {
             node = node.with_queue(queue);
         }
-        let cpu = CpuResource::with_lanes(device.cpu_speed, lanes);
+        let cpu = CpuResource::with_lanes(device.cpu_speed, lanes).with_read_lanes(reads);
         (node.start(sim, cpu, "peer"), committers)
     }
 }

@@ -4,8 +4,12 @@
 
 mod support;
 
-use hyperprov::{AuditFinding, HyperProv, HyperProvError, NetworkConfig, OpmGraph, RecordInput};
+use hyperprov::{
+    AuditFinding, HyperProv, HyperProvError, HyperProvNetwork, NetworkConfig, OpmGraph, RecordInput,
+};
+use hyperprov_device::DeviceProfile;
 use hyperprov_ledger::{Digest, DEFAULT_CHANNEL};
+use hyperprov_sim::{ActorId, SimDuration, SimTime};
 use support::settle;
 
 /// `finding` on peer 0, the replica the record pass reads.
@@ -492,4 +496,38 @@ fn the_profiler_reports_handler_time_by_role() {
     let handlers = report.get("handlers").and_then(|h| h.entries()).unwrap();
     let labels: Vec<&str> = handlers.iter().map(|(label, _)| label.as_str()).collect();
     assert_eq!(labels, ["client", "orderer", "peer", "storage"]);
+}
+
+/// `peer`'s read lanes: how many reads submitted together on an idle
+/// copy of its CPU start at once.
+fn read_lanes(net: &HyperProvNetwork, peer: ActorId) -> usize {
+    let mut cpu = net.sim.cpu(peer).clone();
+    let idle = SimTime::from_secs(1 << 30);
+    let second = SimDuration::from_secs(1);
+    (0..8)
+        .take_while(|_| cpu.execute_read(idle, second).0 == idle)
+        .count()
+}
+
+#[test]
+fn a_peer_answers_queries_on_every_core_its_vscc_lanes_leave_free() {
+    let reads = |config: &NetworkConfig| {
+        let net = HyperProvNetwork::build(config);
+        let reads: Vec<_> = net.peers.iter().map(|&p| read_lanes(&net, p)).collect();
+        reads
+    };
+    // Desktop: Xeon, Xeon and i7 have 4 cores, the i3 2; the RPi 3B+ 4.
+    assert_eq!(reads(&NetworkConfig::desktop(1)), [3, 3, 3, 1]);
+    assert_eq!(reads(&NetworkConfig::rpi(1)), [3; 4]);
+    assert_eq!(reads(&NetworkConfig::rpi(1).with_vscc_lanes(2)), [2; 4]);
+    assert_eq!(reads(&NetworkConfig::desktop(1).with_vscc_lanes(4)), [1; 4]);
+    let mut reference = NetworkConfig::desktop(1);
+    reference.peer_devices = vec![DeviceProfile::reference()];
+    assert_eq!(reads(&reference), [1]);
+    // A spare joins on the device of the built peer it mirrors, with the
+    // same read lanes.
+    let mut net = HyperProvNetwork::build(&NetworkConfig::desktop(1).with_spare_peers(4));
+    let spares: Vec<_> = (0..4).map(|_| net.add_peer()).collect();
+    let spare_reads: Vec<_> = spares.iter().map(|&p| read_lanes(&net, p)).collect();
+    assert_eq!(spare_reads, [3, 3, 3, 1]);
 }

@@ -18,8 +18,8 @@ pub struct DeviceProfile {
     pub name: String,
     /// CPU speed relative to the reference core (Xeon E5-1603 = 1.0).
     pub cpu_speed: f64,
-    /// Physical cores available to a node on this device (bounds how many
-    /// commit-pipeline lanes deployment will grant a peer).
+    /// Physical cores available to a node on this device: a peer's
+    /// commit-pipeline lanes, and read lanes on the cores they leave free.
     pub cores: usize,
     /// Characteristics of this device's network attachment.
     pub nic: LinkSpec,

@@ -64,7 +64,7 @@ pub enum Own {
     /// for an admitted request: the span (trace, stage) opens now and
     /// closes when the job is done, which also frees the request's place
     /// in the admission queue. A read-only answer (true: its simulation
-    /// wrote nothing) runs on the CPU's read lane, beside block
+    /// wrote nothing) runs on one of the CPU's read lanes, beside block
     /// validation and commit; the rest queue behind them.
     DeferRequest(
         SimDuration,
@@ -288,8 +288,8 @@ impl Peer {
 
     /// A client's proposal. A shed one and one for a channel not hosted
     /// are rejected at once; any other is endorsed against the channel's
-    /// committed state, the response released after its cost: beside the
-    /// committer when it wrote nothing, behind it otherwise.
+    /// committed state, the response released after its cost: on a read
+    /// lane when it wrote nothing, behind the committer otherwise.
     fn proposal(&mut self, src: ActorId, sp: SignedProposal, admitted: bool) -> Vec<Action> {
         if !admitted {
             return vec![self.reject(src, &sp, BUSY_REASON.to_owned())];

@@ -1,6 +1,6 @@
 //! The I/O half of the peer: the [`Peer`] as a [`Machine`], and what
 //! performs a peer's own actions: the request job that frees its admission
-//! slot, on the CPU's read lane when it wrote nothing, and a committed
+//! slot, on a read lane of the CPU when it wrote nothing, and a committed
 //! block's two jobs with the instants they read off the CPU.
 
 use hyperprov_sim::{ActorId, Carries, Context};

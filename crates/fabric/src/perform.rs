@@ -303,9 +303,9 @@ impl<M> Host<M> {
     }
 
     /// Like [`Host::job`], and its end also frees the slot of one admitted
-    /// request; a `read` job runs on the CPU's read lane, beside the rest.
+    /// request; a `read` job runs on the CPU's earliest-free read lane.
     /// Under a bounded queue, the `queue.wait` span of `trace` covers the
-    /// time the job waits behind earlier CPU work on its lane.
+    /// time the job waits behind earlier CPU work on the lane it starts on.
     pub fn request_job(
         &mut self,
         ctx: &mut Context<'_, M>,

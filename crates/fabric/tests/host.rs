@@ -4,7 +4,8 @@
 //! the machine; a bounded admission queue nacks past its capacity, frees
 //! a slot when a request's job ends and survives a crash; an unbounded one
 //! records nothing. Then a real peer in a `Node`: a query is answered
-//! beside a running block commit, a write endorsed behind it.
+//! beside a running block commit, a write endorsed behind it, and two
+//! queries on two read lanes wait for nothing.
 
 mod support;
 
@@ -510,4 +511,39 @@ fn a_query_is_answered_beside_a_running_commit_and_a_write_behind_it() {
     let histogram = sim.metrics().histogram("queue.wait.peer0").unwrap();
     assert_eq!(histogram.count(), 2);
     assert_eq!(histogram.min(), 0);
+}
+
+#[test]
+fn two_queries_on_two_read_lanes_wait_for_no_queue() {
+    // A peer with two read lanes and a bounded queue: two `get`s that
+    // arrive together start at once, one on each lane.
+    let (client, endorser, new_committer) = support::new_committers();
+    let mut registry = ChaincodeRegistry::new();
+    registry.install(Arc::new(KvCc));
+    let gets = vec![
+        kv_proposal(&client, "get", 1),
+        kv_proposal(&client, "get", 2),
+    ];
+    let mut sim = Simulation::new(1);
+    let mut peer = Peer::new(endorser, registry, "peer0".to_owned());
+    peer.host(Rc::new(RefCell::new(new_committer())), None);
+    let node = Node::new(peer, "peer0").with_queue(QueueConfig::new(4));
+    let peer = node.start(&mut sim, CpuResource::new(1.0).with_read_lanes(2), "peer");
+    let answers = Rc::default();
+    let asker = sim.add_actor(Box::new(Asker {
+        peer,
+        proposals: gets,
+        answers: Rc::clone(&answers),
+    }));
+    sim.start_timer(asker, SimDuration::ZERO, 1);
+    sim.run();
+
+    assert_eq!(answers.borrow().len(), 2);
+    let waits = sim
+        .tracer()
+        .finished_spans()
+        .filter(|s| s.stage == "queue.wait");
+    assert!(waits.map(|s| s.duration()).eq([SimDuration::ZERO; 2]));
+    let histogram = sim.metrics().histogram("queue.wait.peer0").unwrap();
+    assert_eq!((histogram.count(), histogram.max()), (2, 0));
 }

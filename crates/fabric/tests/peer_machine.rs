@@ -305,7 +305,7 @@ mod transitions {
             _ => panic!("{:?}", show(actions)),
         };
 
-        // A query's answer runs on the read lane, a write's behind the
+        // A query's answer runs on a read lane, a write's behind the
         // committer, and an invoke the chaincode refused wrote nothing.
         let first = propose(&mut peer, ask(1), true);
         let endorsed = ["+ch.endorsed=1", "read[endorse.exec]:endorsed->100"];

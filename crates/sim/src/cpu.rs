@@ -14,14 +14,15 @@
 //! tie-break by lane index) and returns the batch makespan, modelling
 //! FastFabric-style parallel validation.
 //!
-//! Beside its lanes every CPU has one *read lane*:
-//! [`CpuResource::execute_read`] queues FIFO on it alone, modelling a
-//! Fabric peer answering queries while its committer validates — the
-//! commit lock blocks a query only while state is written. Serial and
-//! parallel work never see the read lane, nor read work theirs. Its busy
-//! time counts in [`busy_between`](CpuResource::busy_between), so the
-//! power meter charges it; a CPU that never ran read work logs and
-//! meters exactly as one without the lane.
+//! Beside its lanes every CPU has one or more *read lanes*
+//! ([`CpuResource::with_read_lanes`]): [`CpuResource::execute_read`]
+//! runs on the earliest-free one, modelling a Fabric peer answering
+//! queries on the cores its committer leaves free — the commit lock
+//! blocks a query only while state is written. Serial and parallel work
+//! never see the read lanes, nor read work theirs. Their busy time counts
+//! in [`busy_between`](CpuResource::busy_between), so the power meter
+//! charges it; a CPU that never ran read work logs and meters exactly as
+//! one without them.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -64,11 +65,7 @@ impl Lane {
             if s >= to {
                 break;
             }
-            let lo = if s > from { s } else { from };
-            let hi = if e < to { e } else { to };
-            if hi > lo {
-                acc += hi - lo;
-            }
+            acc += e.min(to).saturating_duration_since(s.max(from));
         }
         acc
     }
@@ -79,8 +76,8 @@ impl Lane {
 pub struct CpuResource {
     speed: f64,
     lanes: Vec<Lane>,
-    /// The read lane, beside `lanes`.
-    read: Lane,
+    /// The read lanes, beside `lanes`.
+    reads: Vec<Lane>,
     total_busy: SimDuration,
 }
 
@@ -109,9 +106,20 @@ impl CpuResource {
         CpuResource {
             speed,
             lanes: vec![Lane::default(); lanes],
-            read: Lane::default(),
+            reads: vec![Lane::default()],
             total_busy: SimDuration::ZERO,
         }
+    }
+
+    /// This CPU with `reads` read lanes (one by default).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reads` is zero.
+    pub fn with_read_lanes(mut self, reads: usize) -> Self {
+        assert!(reads > 0, "CPU must have at least one read lane");
+        self.reads = vec![Lane::default(); reads];
+        self
     }
 
     /// The relative speed factor.
@@ -149,14 +157,14 @@ impl CpuResource {
     /// single lane this is exactly the classic FIFO queue.
     pub fn execute(&mut self, now: SimTime, reference_cost: SimDuration) -> (SimTime, SimTime) {
         let service = self.service_time(reference_cost);
-        let barrier = self.busy_until();
-        let start = if barrier > now { barrier } else { now };
-        // All lanes are free at `start`; occupy the one that was busiest
-        // so earlier-free lanes keep their head start for parallel work.
-        let lane = self.last_busy_lane();
-        let end = self.lanes[lane].run(start, service);
         self.total_busy += service;
-        (start, end)
+        // All lanes are free when the busiest is; occupy that one (the
+        // lowest on a tie) so the others keep their head start for
+        // parallel work.
+        let lane = self.lanes.iter_mut().rev().max_by_key(|l| l.free_at);
+        let lane = lane.expect("a CPU has a lane");
+        let start = now.max(lane.free_at);
+        (start, lane.run(start, service))
     }
 
     /// Schedules a batch of independent work items submitted at `now`
@@ -171,58 +179,36 @@ impl CpuResource {
         let mut makespan = now;
         for &cost in costs {
             let service = self.service_time(cost);
-            let lane = self.earliest_free_lane();
-            let free = self.lanes[lane].free_at;
-            let start = if free > now { free } else { now };
-            let end = self.lanes[lane].run(start, service);
             self.total_busy += service;
-            if end > makespan {
-                makespan = end;
-            }
+            makespan = makespan.max(run_earliest(&mut self.lanes, now, service).1);
         }
         makespan
     }
 
     /// Schedules `reference_cost` worth of read work submitted at `now`
-    /// on the read lane, FIFO behind earlier read work only. Returns
-    /// `(start, completion)`.
+    /// on the earliest-free read lane (ties broken by the lowest index),
+    /// behind earlier read work only. Returns `(start, completion)`.
     pub fn execute_read(
         &mut self,
         now: SimTime,
         reference_cost: SimDuration,
     ) -> (SimTime, SimTime) {
         let service = self.service_time(reference_cost);
-        let start = now.max(self.read.free_at);
         self.total_busy += service;
-        (start, self.read.run(start, service))
+        run_earliest(&mut self.reads, now, service)
     }
 
-    /// The instant after which the read lane is idle.
+    /// The instant the earliest-free read lane frees: read work
+    /// submitted now starts then, or now if that is later.
     pub fn read_busy_until(&self) -> SimTime {
-        self.read.free_at
+        self.reads
+            .iter()
+            .map(|l| l.free_at)
+            .min()
+            .unwrap_or_default()
     }
 
-    fn earliest_free_lane(&self) -> usize {
-        let mut best = 0;
-        for (i, lane) in self.lanes.iter().enumerate().skip(1) {
-            if lane.free_at < self.lanes[best].free_at {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn last_busy_lane(&self) -> usize {
-        let mut best = 0;
-        for (i, lane) in self.lanes.iter().enumerate().skip(1) {
-            if lane.free_at > self.lanes[best].free_at {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// The instant after which every lane but the read lane is idle.
+    /// The instant after which every lane but the read lanes is idle.
     pub fn busy_until(&self) -> SimTime {
         self.lanes
             .iter()
@@ -231,36 +217,36 @@ impl CpuResource {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Number of lanes but the read lane still busy at `at` (free
+    /// Number of lanes but the read lanes still busy at `at` (free
     /// strictly after it).
     pub fn lanes_busy_at(&self, at: SimTime) -> usize {
         self.lanes.iter().filter(|l| l.free_at > at).count()
     }
 
-    /// Total busy time accumulated so far, summed over lanes and the read
-    /// lane.
+    /// Total busy time accumulated so far, summed over lanes and read
+    /// lanes.
     pub fn total_busy(&self) -> SimDuration {
         self.total_busy
     }
 
     /// Busy time that falls within the window `[from, to)`, summed over
-    /// lanes and the read lane (a window where two lanes run the whole
-    /// time counts double).
+    /// lanes and read lanes (a window where two lanes run the whole time
+    /// counts double).
     pub fn busy_between(&self, from: SimTime, to: SimTime) -> SimDuration {
         if to <= from {
             return SimDuration::ZERO;
         }
-        let mut acc = self.read.busy_between(from, to);
-        for lane in &self.lanes {
+        let mut acc = SimDuration::ZERO;
+        for lane in self.lanes.iter().chain(&self.reads) {
             acc += lane.busy_between(from, to);
         }
         acc
     }
 
     /// Busy time in the window `[from, to)` over the window times the
-    /// lanes: all lanes saturated = 1.0. Read work counts against the
-    /// same capacity, so beside saturated lanes the value exceeds 1 (the
-    /// power model clamps it).
+    /// lanes, read lanes not counted: all lanes saturated = 1.0. Read
+    /// work counts against the same capacity, so beside busy lanes the
+    /// value can exceed 1 (the power model clamps it).
     pub fn utilization(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
             return 0.0;
@@ -268,6 +254,15 @@ impl CpuResource {
         let window = to - from;
         self.busy_between(from, to).as_secs_f64() / (window.as_secs_f64() * self.lanes.len() as f64)
     }
+}
+
+/// Runs `service` from `now` on the lane that frees first (the lowest on
+/// a tie); returns `(start, completion)`.
+fn run_earliest(lanes: &mut [Lane], now: SimTime, service: SimDuration) -> (SimTime, SimTime) {
+    let lane = lanes.iter_mut().min_by_key(|l| l.free_at);
+    let lane = lane.expect("a CPU has a lane");
+    let start = now.max(lane.free_at);
+    (start, lane.run(start, service))
 }
 
 impl Default for CpuResource {
@@ -563,31 +558,71 @@ mod tests {
 
     #[test]
     fn a_cpu_without_read_jobs_logs_and_meters_as_its_lanes_alone() {
-        let mut cpu = CpuResource::with_lanes(0.13, 3);
-        cpu.execute(t(0), d(3));
-        cpu.execute_parallel(t(1), &[d(2), d(7), d(1)]);
-        cpu.execute(t(9), d(2));
-        assert!(cpu.read.segments.is_empty());
-        let lanes: Vec<_> = cpu.lanes.iter().map(|l| l.segments.clone()).collect();
-        let mut read_elsewhere = cpu.clone();
-        read_elsewhere.execute_read(t(200), d(1));
-        for (lane, segments) in read_elsewhere.lanes.iter().zip(&lanes) {
-            assert_eq!(&lane.segments, segments);
+        for reads in [1, 3] {
+            let mut cpu = CpuResource::with_lanes(0.13, 3).with_read_lanes(reads);
+            cpu.execute(t(0), d(3));
+            cpu.execute_parallel(t(1), &[d(2), d(7), d(1)]);
+            cpu.execute(t(9), d(2));
+            assert!(cpu.reads.iter().all(|r| r.segments.is_empty()));
+            let lanes: Vec<_> = cpu.lanes.iter().map(|l| l.segments.clone()).collect();
+            let mut read_elsewhere = cpu.clone();
+            read_elsewhere.execute_read(t(200), d(1));
+            read_elsewhere.execute_read(t(200), d(1));
+            for (lane, segments) in read_elsewhere.lanes.iter().zip(&lanes) {
+                assert_eq!(&lane.segments, segments);
+            }
+            for (from, to) in [(t(0), t(5)), (t(3), t(40)), (t(0), t(200))] {
+                let busy = lanes.iter().fold(SimDuration::ZERO, |acc, segments| {
+                    let lane = Lane {
+                        free_at: to,
+                        segments: segments.clone(),
+                    };
+                    acc + lane.busy_between(from, to)
+                });
+                assert_eq!(cpu.busy_between(from, to), busy);
+                let window = (to - from).as_secs_f64() * 3.0;
+                let util = busy.as_secs_f64() / window;
+                assert_eq!(cpu.utilization(from, to).to_bits(), util.to_bits());
+                assert_eq!(read_elsewhere.busy_between(from, to), busy);
+            }
         }
-        for (from, to) in [(t(0), t(5)), (t(3), t(40)), (t(0), t(200))] {
-            let busy = lanes.iter().fold(SimDuration::ZERO, |acc, segments| {
-                let lane = Lane {
-                    free_at: to,
-                    segments: segments.clone(),
-                };
-                acc + lane.busy_between(from, to)
-            });
-            assert_eq!(cpu.busy_between(from, to), busy);
-            let window = (to - from).as_secs_f64() * 3.0;
-            let util = busy.as_secs_f64() / window;
-            assert_eq!(cpu.utilization(from, to).to_bits(), util.to_bits());
-            assert_eq!(read_elsewhere.busy_between(from, to), busy);
-        }
+    }
+
+    #[test]
+    fn reads_that_arrive_together_start_at_once_on_two_read_lanes() {
+        let mut cpu = CpuResource::new(1.0).with_read_lanes(2);
+        cpu.execute(t(0), d(10)); // the serial lane is busy until 10
+        assert_eq!(cpu.execute_read(t(1), d(3)), (t(1), t(4)));
+        assert_eq!(cpu.execute_read(t(1), d(2)), (t(1), t(3)));
+        // A third waits for the earliest-free read lane: the second's.
+        assert_eq!(cpu.read_busy_until(), t(3));
+        assert_eq!(cpu.execute_read(t(1), d(2)), (t(3), t(5)));
+        assert_eq!(cpu.reads[0].segments, vec![(t(1), t(4))]);
+        assert_eq!(cpu.reads[1].segments, vec![(t(1), t(5))]);
+        assert_eq!(cpu.busy_until(), t(10));
+    }
+
+    #[test]
+    fn read_busy_until_and_busy_between_span_every_read_lane() {
+        let mut cpu = CpuResource::new(1.0).with_read_lanes(3);
+        assert_eq!(cpu.read_busy_until(), t(0));
+        cpu.execute_read(t(0), d(4)); // read lane 0: [0, 4)
+        cpu.execute_read(t(0), d(2)); // read lane 1: [0, 2)
+        assert_eq!(cpu.read_busy_until(), t(0)); // read lane 2 is idle
+        cpu.execute_read(t(1), d(5)); // read lane 2: [1, 6)
+        assert_eq!(cpu.read_busy_until(), t(2));
+        cpu.execute(t(0), d(1)); // the serial lane: [0, 1)
+        assert_eq!(cpu.busy_between(t(0), t(6)), d(12));
+        assert_eq!(cpu.busy_between(t(3), t(5)), d(3));
+        assert_eq!(cpu.total_busy(), d(12));
+        // Utilisation divides by the serial lane alone.
+        assert!((cpu.utilization(t(0), t(6)) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one read lane")]
+    fn zero_read_lanes_panics() {
+        let _ = CpuResource::new(1.0).with_read_lanes(0);
     }
 
     #[test]

@@ -238,8 +238,8 @@ impl<M> Context<'_, M> {
         self.job_done_at(end, token)
     }
 
-    /// Like [`Context::execute`], on the CPU's read lane (see
-    /// [`CpuResource::execute_read`]): the work queues behind earlier
+    /// Like [`Context::execute`], on the CPU's earliest-free read lane
+    /// (see [`CpuResource::execute_read`]): the work waits for earlier
     /// read work only.
     pub fn execute_read(&mut self, reference_cost: SimDuration, token: u64) -> TimerId {
         let now = self.kernel.now;
