@@ -1,18 +1,15 @@
 //! Criterion micro-benchmarks for the substrate hot paths: hashing,
-//! canonical codec, Merkle roots, state-DB operations on both storage
-//! backends, snapshot cutting and sealing, the hybrid event queue,
-//! endorsement-policy evaluation, a full single-transaction pipeline step
-//! and the commit path's decoders.
-
-use std::sync::Arc;
+//! canonical codec, Merkle roots, state-DB operations, snapshot cutting
+//! and sealing, the hybrid event queue, a full single-transaction
+//! pipeline step and the commit path's decoders.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyperprov::{
     HyperProvChaincode, HyperProvIndexer, RecordInput, CHAINCODE_NAME, MAX_GRAPH_NODES,
 };
 use hyperprov_fabric::{
-    endorse, Chaincode, ChaincodeRegistry, ChaincodeStub, Endorsement, EndorsementPolicy, Envelope,
-    EnvelopeView, MspBuilder, MspId, Proposal, SignedProposal,
+    endorse, Chaincode, ChaincodeStub, Endorsement, Envelope, EnvelopeView, MspBuilder, MspId,
+    Proposal, SignedProposal,
 };
 use hyperprov_ledger::{
     ChannelId, Decode, Digest, Encode, GraphIndexer, KvWrite, MerkleTree, ProvGraph, Snapshot,
@@ -183,28 +180,12 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-fn bench_policy(c: &mut Criterion) {
-    let orgs: Vec<MspId> = (0..8).map(|i| MspId::new(format!("org{i}"))).collect();
-    let policy = EndorsementPolicy::out_of(
-        5,
-        orgs.iter()
-            .cloned()
-            .map(EndorsementPolicy::signed_by)
-            .collect(),
-    );
-    let endorsers: Vec<MspId> = orgs[..5].to_vec();
-    c.bench_function("policy_eval_5_of_8", |b| {
-        b.iter(|| policy.is_satisfied_by(endorsers.iter()));
-    });
-}
-
 fn bench_endorse(c: &mut Criterion) {
     let mut builder = MspBuilder::new(1);
     let peer = builder.enroll("peer0", &MspId::new("org1"));
     let client = builder.enroll("client0", &MspId::new("org1"));
     let msp = builder.build();
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(HyperProvChaincode::new()));
+    let chaincode = HyperProvChaincode::new();
     let state = StateDb::new();
     let input = RecordInput::new(Digest::of(b"data")).with_location("sshfs://s/x", 4096);
     let proposal = Proposal {
@@ -220,7 +201,7 @@ fn bench_endorse(c: &mut Criterion) {
         proposal,
     };
     c.bench_function("endorse_hyperprov_post", |b| {
-        b.iter(|| endorse(&peer, &registry, &msp, &state, None, &signed));
+        b.iter(|| endorse(&peer, &chaincode, &msp, &state, None, &signed));
     });
 }
 
@@ -234,8 +215,7 @@ fn bench_commit_decode(c: &mut Criterion) {
     let peer = builder.enroll("peer0", &MspId::new("org1"));
     let client = builder.enroll("client0", &MspId::new("org1"));
     let msp = builder.build();
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(HyperProvChaincode::new()));
+    let chaincode = HyperProvChaincode::new();
     let key = "scale1-c00003-k1234";
     let input = RecordInput::new(Digest::of(key.as_bytes()));
     let proposal = Proposal {
@@ -251,7 +231,7 @@ fn bench_commit_decode(c: &mut Criterion) {
         proposal: proposal.clone(),
     };
     let state = StateDb::new();
-    let (response, _) = endorse(&peer, &registry, &msp, &state, None, &signed);
+    let (response, _) = endorse(&peer, &chaincode, &msp, &state, None, &signed);
     let record = response.result.clone().expect("endorsed");
     let raw = Envelope {
         proposal,
@@ -338,7 +318,6 @@ criterion_group! {
     bench_statedb,
     bench_snapshot,
     bench_event_queue,
-    bench_policy,
     bench_endorse,
     bench_commit_decode,
     bench_chaincode_lineage

@@ -167,11 +167,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -424,7 +419,7 @@ mod tests {
         let doc = trajectory_json("T-X", "m", t.cells_json());
         let doc = json::parse(&doc).unwrap();
         assert_eq!(doc.get("campaign").unwrap().as_str(), Some("T-X"));
-        let cell = doc.get("cells").unwrap().idx(0).unwrap();
+        let cell = &doc.get("cells").unwrap().as_array().unwrap()[0];
         assert_eq!(
             cell.get("speedup").unwrap().as_f64(),
             Some(1.2674966352624495),

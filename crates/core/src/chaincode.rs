@@ -64,16 +64,13 @@ fn item_of(composite: &str) -> Option<&str> {
 
 /// The HyperProv chaincode.
 ///
-/// Install it on every peer of the channel:
+/// Every peer of the channel runs it, under its name:
 ///
 /// ```
 /// use hyperprov::HyperProvChaincode;
-/// use hyperprov_fabric::{Chaincode, ChaincodeRegistry};
-/// use std::sync::Arc;
+/// use hyperprov_fabric::Chaincode;
 ///
-/// let mut registry = ChaincodeRegistry::new();
-/// registry.install(Arc::new(HyperProvChaincode::new()));
-/// assert!(registry.get("hyperprov").is_some());
+/// assert_eq!(HyperProvChaincode::new().name(), "hyperprov");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HyperProvChaincode {

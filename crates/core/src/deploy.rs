@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 use hyperprov_device::DeviceProfile;
 use hyperprov_fabric::{
-    BatchConfig, CertId, ChaincodeRegistry, ChannelPolicies, Committer, EndorsementPolicy,
-    FabricMsg, Gateway, Msp, MspBuilder, MspId, Node, OrderingNode, Peer, QueueConfig, Route,
-    SigningIdentity, SnapshotPolicy,
+    BatchConfig, CertId, Chaincode, Committer, EndorsementPolicy, FabricMsg, Gateway, Msp,
+    MspBuilder, MspId, Node, OrderingNode, Peer, QueueConfig, Route, SigningIdentity,
+    SnapshotPolicy,
 };
 use hyperprov_ledger::{ChannelId, DEFAULT_CHANNEL};
 use hyperprov_offchain::{MemoryStore, StorageNode};
@@ -177,15 +177,6 @@ impl NetworkConfig {
         }
     }
 
-    /// The deployment's endorsement policy: any one of the peers' orgs
-    /// (peer `i` belongs to `org(i+1)`), so clients collect one
-    /// endorsement before submitting.
-    pub fn endorsement_policy(&self) -> EndorsementPolicy {
-        EndorsementPolicy::any_of(
-            (1..=self.peer_devices.len()).map(|i| MspId::new(format!("org{i}"))),
-        )
-    }
-
     /// Sets the seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -303,7 +294,7 @@ struct ChannelWiring {
 /// [`HyperProvNetwork::add_peer`] (elastic membership).
 struct JoinKit {
     msp: Arc<Msp>,
-    registry: ChaincodeRegistry,
+    chaincode: Arc<dyn Chaincode>,
     policy: EndorsementPolicy,
     vscc_lanes: usize,
     peer_queue: Option<QueueConfig>,
@@ -335,19 +326,16 @@ impl JoinKit {
         let lanes = self.vscc_lanes.clamp(1, device.cores.max(1));
         let reads = device.cores.saturating_sub(lanes).max(1);
         let name = format!("peer{index}");
-        let mut peer = Peer::new(identity, self.registry.clone(), name.clone());
+        let mut peer = Peer::new(identity, self.chaincode.clone(), name.clone());
         if let Some(policy) = self.snapshots {
             peer.set_snapshots(policy);
         }
         let mut committers = Vec::with_capacity(hosted.len());
         for (ci, providers) in hosted {
             let chan = &self.channels[ci];
-            let committer = Committer::for_channel(
-                chan.id.clone(),
-                self.msp.clone(),
-                ChannelPolicies::new(self.policy.clone()),
-            )
-            .with_indexer(Arc::new(HyperProvIndexer));
+            let committer =
+                Committer::for_channel(chan.id.clone(), self.msp.clone(), self.policy.clone())
+                    .with_indexer(Arc::new(HyperProvIndexer));
             let committer = Rc::new(RefCell::new(committer));
             peer.host(
                 committer.clone(),
@@ -482,14 +470,11 @@ impl HyperProvNetwork {
             .collect();
         let msp = msp_builder.build();
 
-        // Install the chaincode.
-        let mut registry = ChaincodeRegistry::new();
         let chaincode = if config.permissive {
             HyperProvChaincode::permissive()
         } else {
             HyperProvChaincode::new()
         };
-        registry.install(Arc::new(chaincode));
 
         // Predictable actor ids: peers first, then each channel's ordering
         // block in shard order, then storage and clients.
@@ -518,9 +503,11 @@ impl HyperProvNetwork {
         let mut devices = Vec::new();
 
         let kit = JoinKit {
+            // Every identity belongs to a peer's org, and a client
+            // collects one endorsement: any one of them will do.
+            policy: EndorsementPolicy::any_of(msp.orgs().iter().cloned()),
             msp,
-            registry,
-            policy: config.endorsement_policy(),
+            chaincode: Arc::new(chaincode),
             vscc_lanes: config.vscc_lanes,
             peer_queue: config.peer_queue,
             snapshots: config.snapshots,

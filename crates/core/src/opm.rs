@@ -91,7 +91,6 @@ pub struct OpmEdge {
 /// let rec = ProvenanceRecord::from_input("item", RecordInput::new(Digest::of(b"x")), cert);
 /// let mut graph = OpmGraph::new();
 /// graph.add_record(&rec);
-/// assert_eq!(graph.nodes().len(), 3); // artifact, process, agent
 /// assert!(graph.to_dot().contains("wasGeneratedBy"));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -181,11 +180,6 @@ impl OpmGraph {
         }
     }
 
-    /// All nodes, ordered by id.
-    pub fn nodes(&self) -> Vec<&OpmNode> {
-        self.nodes.values().collect()
-    }
-
     /// All edges, in insertion order.
     pub fn edges(&self) -> &[OpmEdge] {
         &self.edges
@@ -247,7 +241,6 @@ mod tests {
     fn single_record_produces_three_nodes_two_edges() {
         let mut g = OpmGraph::new();
         g.add_record(&record("a", vec![]));
-        assert_eq!(g.nodes().len(), 3);
         assert_eq!(g.edges().len(), 2);
         assert_eq!(g.nodes_of(OpmNodeKind::Artifact).len(), 1);
         assert_eq!(g.nodes_of(OpmNodeKind::Process).len(), 1);
@@ -279,7 +272,8 @@ mod tests {
     #[test]
     fn unknown_parent_gets_placeholder_artifact() {
         let g = OpmGraph::from_records([&record("orphan", vec!["ghost".into()])]);
-        assert!(g.nodes().iter().any(|n| n.id == "artifact:ghost"));
+        let artifacts = g.nodes_of(OpmNodeKind::Artifact);
+        assert!(artifacts.iter().any(|n| n.id == "artifact:ghost"));
     }
 
     #[test]

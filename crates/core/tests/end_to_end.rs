@@ -295,9 +295,9 @@ fn exported_chain_replays_into_identical_ledger() {
     let rebuilt = hyperprov_fabric::Committer::replay(
         original.channel().clone(),
         original.msp().clone(),
-        hyperprov_fabric::ChannelPolicies::new(hyperprov_fabric::EndorsementPolicy::any_of(
+        hyperprov_fabric::EndorsementPolicy::any_of(
             (1..=4).map(|i| hyperprov_fabric::MspId::new(format!("org{i}"))),
-        )),
+        ),
         None,
         loaded.iter().cloned(),
     )

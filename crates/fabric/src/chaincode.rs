@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use hyperprov_ledger::{
     HistoryEntry, KvRead, KvWrite, ProvGraph, RwSet, SharedBytes, SharedStr, StateDb, StateKey,
@@ -319,54 +318,12 @@ pub trait Chaincode: Send + Sync {
     fn invoke(&self, stub: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError>;
 }
 
-/// The chaincodes installed on a peer, by namespace.
-#[derive(Clone, Default)]
-pub struct ChaincodeRegistry {
-    map: HashMap<String, Arc<dyn Chaincode>>,
-}
-
-impl ChaincodeRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        ChaincodeRegistry::default()
-    }
-
-    /// Installs a chaincode under its own name.
-    pub fn install(&mut self, chaincode: Arc<dyn Chaincode>) {
-        self.map.insert(chaincode.name().to_owned(), chaincode);
-    }
-
-    /// Looks up a chaincode by namespace.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn Chaincode>> {
-        self.map.get(name)
-    }
-
-    /// Number of installed chaincodes.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no chaincode is installed.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl fmt::Debug for ChaincodeRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<&String> = self.map.keys().collect();
-        names.sort();
-        f.debug_struct("ChaincodeRegistry")
-            .field("installed", &names)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::identity::{MspBuilder, MspId};
     use hyperprov_ledger::{TxId, Version};
+    use std::sync::Arc;
 
     fn fixtures() -> (StateDb, Certificate) {
         let mut state = StateDb::new();
@@ -512,17 +469,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_installs_and_dispatches() {
-        let mut reg = ChaincodeRegistry::new();
-        assert!(reg.is_empty());
-        reg.install(Arc::new(Echo));
-        assert_eq!(reg.len(), 1);
-        let cc = reg.get("echo").unwrap().clone();
+    fn installed_chaincode_dispatches() {
+        let cc: Arc<dyn Chaincode> = Arc::new(Echo);
+        assert_eq!(cc.name(), "echo");
         let (state, cert) = fixtures();
         let args = vec![b"x".to_vec()];
         let mut stub = ChaincodeStub::new("echo", "any", &args, &cert, &state);
         assert_eq!(cc.invoke(&mut stub).unwrap(), b"x".to_vec());
-        assert!(reg.get("nope").is_none());
     }
 
     #[test]

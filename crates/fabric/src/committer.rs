@@ -21,7 +21,6 @@
 
 mod bootstrap;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use hyperprov_ledger::{
@@ -32,36 +31,9 @@ use hyperprov_sim::fxhash::FxHashMap;
 
 pub use bootstrap::BootstrapError;
 
-use crate::identity::{Msp, MspId};
+use crate::identity::Msp;
 use crate::messages::{CommitEvent, EnvelopeSpans, EnvelopeView};
 use crate::policy::EndorsementPolicy;
-
-/// Per-chaincode endorsement policies with a channel default.
-#[derive(Debug, Clone)]
-pub struct ChannelPolicies {
-    default: EndorsementPolicy,
-    per_chaincode: HashMap<String, EndorsementPolicy>,
-}
-
-impl ChannelPolicies {
-    /// Creates a policy table with the given channel default.
-    pub fn new(default: EndorsementPolicy) -> Self {
-        ChannelPolicies {
-            default,
-            per_chaincode: HashMap::new(),
-        }
-    }
-
-    /// Overrides the policy for one chaincode.
-    pub fn set(&mut self, chaincode: &str, policy: EndorsementPolicy) {
-        self.per_chaincode.insert(chaincode.to_owned(), policy);
-    }
-
-    /// The policy in effect for `chaincode`.
-    pub fn policy_for(&self, chaincode: &str) -> &EndorsementPolicy {
-        self.per_chaincode.get(chaincode).unwrap_or(&self.default)
-    }
-}
 
 /// Summary of one block commit.
 #[derive(Debug, Clone)]
@@ -116,7 +88,7 @@ pub struct Committer {
     /// block replay on restart.
     graph: ProvGraph,
     msp: Arc<Msp>,
-    policies: ChannelPolicies,
+    policy: EndorsementPolicy,
     /// Every tx id committed on the channel, with the validation code
     /// this peer recorded for its first envelope; `None` for an id that
     /// came in a booted snapshot.
@@ -128,19 +100,19 @@ pub struct Committer {
 
 impl Committer {
     /// Creates a committer for the default channel.
-    pub fn new(msp: Arc<Msp>, policies: ChannelPolicies) -> Self {
-        Committer::for_channel(ChannelId::default(), msp, policies)
+    pub fn new(msp: Arc<Msp>, policy: EndorsementPolicy) -> Self {
+        Committer::for_channel(ChannelId::default(), msp, policy)
     }
 
     /// Creates a committer for a named channel.
-    pub fn for_channel(channel: ChannelId, msp: Arc<Msp>, policies: ChannelPolicies) -> Self {
+    pub fn for_channel(channel: ChannelId, msp: Arc<Msp>, policy: EndorsementPolicy) -> Self {
         Committer {
             channel,
             store: BlockStore::new(),
             state: StateDb::new(),
             graph: ProvGraph::new(),
             msp,
-            policies,
+            policy,
             seen: FxHashMap::default(),
             indexer: None,
         }
@@ -271,7 +243,7 @@ impl Committer {
         verdict.tx_id = view.tx_id();
         // What every endorser signed, as it lies in the block.
         let message = [verdict.tx_id.0.as_ref(), view.signed()];
-        let mut orgs: Vec<&MspId> = Vec::new();
+        let mut satisfied = false;
         for (endorser, signature) in view.endorsements() {
             verdict.signatures += 1;
             // Stop at the first bad signature, exactly like the serial
@@ -279,11 +251,9 @@ impl Committer {
             let Some(org) = self.msp.verify_parts(endorser, &message, &signature) else {
                 return verdict;
             };
-            orgs.push(org);
+            satisfied |= self.policy.is_satisfied_by([org]);
         }
-        let policy = self.policies.policy_for(view.chaincode());
-        verdict.failure =
-            (!policy.is_satisfied_by(orgs)).then_some(ValidationCode::EndorsementPolicyFailure);
+        verdict.failure = (!satisfied).then_some(ValidationCode::EndorsementPolicyFailure);
         verdict
     }
 
@@ -403,11 +373,11 @@ impl Committer {
     pub fn replay(
         channel: ChannelId,
         msp: Arc<Msp>,
-        policies: ChannelPolicies,
+        policy: EndorsementPolicy,
         indexer: Option<Arc<dyn GraphIndexer>>,
         blocks: impl IntoIterator<Item = Block>,
     ) -> Result<Committer, ChainError> {
-        let mut committer = Committer::for_channel(channel, msp, policies);
+        let mut committer = Committer::for_channel(channel, msp, policy);
         committer.indexer = indexer;
         for mut block in blocks {
             // Drop the recorded validation codes; they are recomputed.
@@ -430,7 +400,7 @@ impl Committer {
         Committer::replay(
             self.channel.clone(),
             self.msp.clone(),
-            self.policies.clone(),
+            self.policy.clone(),
             self.indexer.clone(),
             self.store.iter().cloned(),
         )

@@ -130,7 +130,7 @@ impl Committer {
     pub fn bootstrap_from_snapshot(
         channel: ChannelId,
         msp: Arc<Msp>,
-        policies: ChannelPolicies,
+        policy: EndorsementPolicy,
         indexer: Option<Arc<dyn GraphIndexer>>,
         snapshot: &Snapshot,
         delta_blocks: impl IntoIterator<Item = Block>,
@@ -159,7 +159,7 @@ impl Committer {
             state,
             graph,
             msp,
-            policies,
+            policy,
             seen: snapshot.tail().seen.iter().map(|&id| (id, None)).collect(),
             indexer,
         };
@@ -187,7 +187,7 @@ impl Committer {
         Committer::bootstrap_from_snapshot(
             self.channel.clone(),
             self.msp.clone(),
-            self.policies.clone(),
+            self.policy.clone(),
             self.indexer.clone(),
             snapshot,
             self.store

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use super::*;
-use crate::identity::{MspBuilder, Signature, SigningIdentity};
+use crate::identity::{MspBuilder, MspId, Signature, SigningIdentity};
 use crate::messages::{endorsement_message, Endorsement, Envelope, Proposal};
 use hyperprov_ledger::{Decode, Encode};
 use hyperprov_ledger::{Digest, HistoryEntry, KvRead, KvWrite, RwSet, Snapshot, SnapshotError};
@@ -29,7 +29,7 @@ fn net() -> Net {
 }
 
 fn committer(net: &Net, policy: EndorsementPolicy) -> Committer {
-    Committer::new(net.msp.clone(), ChannelPolicies::new(policy))
+    Committer::new(net.msp.clone(), policy)
 }
 
 fn envelope(net: &Net, nonce: u64, rwset: RwSet, endorsers: &[usize]) -> Envelope {
@@ -144,8 +144,7 @@ fn validate_reference(c: &Committer, env: &Envelope, tx_id: &TxId) -> Validation
         }
         orgs.push(&e.endorser.org);
     }
-    let policy = c.policies.policy_for(&env.proposal.chaincode);
-    if !policy.is_satisfied_by(orgs.iter().copied()) {
+    if !c.policy.is_satisfied_by(orgs.iter().copied()) {
         return ValidationCode::EndorsementPolicyFailure;
     }
     if !c.state.validate_reads(&env.rwset.reads) {
@@ -191,14 +190,24 @@ fn valid_tx_commits_and_updates_state() {
 #[test]
 fn policy_failure_invalidates() {
     let n = net();
-    let mut c = committer(
-        &n,
-        EndorsementPolicy::all_of([MspId::new("org1"), MspId::new("org2")]),
-    );
+    let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org2")]));
     let env = envelope(&n, 1, write_set("k", b"v"), &[0]); // only org1
     let out = c.commit_block(block_of(&c, vec![env])).unwrap();
     assert_eq!(out.events[0].code, ValidationCode::EndorsementPolicyFailure);
     assert!(c.state().get(&StateKey::new("cc", "k")).is_none());
+}
+
+#[test]
+fn an_endorser_outside_the_policy_is_verified_but_not_needed() {
+    let n = net();
+    let mut c = committer(&n, EndorsementPolicy::any_of([MspId::new("org1")]));
+    let env = envelope(&n, 1, write_set("k", b"v"), &[0, 1]); // org1 and org2
+    let mut forged = envelope(&n, 2, write_set("j", b"v"), &[0, 1]);
+    forged.endorsements[1].signature = Signature(Digest::of(b"forged"));
+    let out = c.commit_block(block_of(&c, vec![env, forged])).unwrap();
+    assert_eq!(out.events[0].code, ValidationCode::Valid);
+    // Every endorsement is verified before the policy is asked.
+    assert_eq!(out.events[1].code, ValidationCode::BadSignature);
 }
 
 #[test]
@@ -465,7 +474,7 @@ fn replay_reconstructs_identical_ledger() {
     let rebuilt = Committer::replay(
         ChannelId::default(),
         n.msp.clone(),
-        ChannelPolicies::new(policy),
+        policy,
         None,
         loaded.iter().cloned(),
     )
@@ -497,23 +506,6 @@ fn replay_reconstructs_identical_ledger() {
         b"3"
     );
     assert_eq!(histories(&rebuilt), histories(&original));
-}
-
-#[test]
-fn per_chaincode_policy_override() {
-    let n = net();
-    let mut policies = ChannelPolicies::new(EndorsementPolicy::any_of([MspId::new("org1")]));
-    policies.set(
-        "cc",
-        EndorsementPolicy::all_of([MspId::new("org1"), MspId::new("org2")]),
-    );
-    let org1 = [MspId::new("org1")];
-    assert!(!policies.policy_for("cc").is_satisfied_by(org1.iter()));
-    assert!(policies.policy_for("other").is_satisfied_by(org1.iter()));
-    let mut c = Committer::new(n.msp.clone(), policies);
-    let env = envelope(&n, 1, write_set("k", b"v"), &[0, 1]);
-    let out = c.commit_block(block_of(&c, vec![env])).unwrap();
-    assert_eq!(out.events[0].code, ValidationCode::Valid);
 }
 
 /// A toy indexer for graph-maintenance tests: keys `rec~<item>` carry
@@ -645,7 +637,7 @@ fn snapshot_bootstrap_matches_full_replay() {
     let rebuilt = Committer::bootstrap_from_snapshot(
         ChannelId::default(),
         n.msp.clone(),
-        ChannelPolicies::new(policy.clone()),
+        policy.clone(),
         Some(Arc::new(TestIndexer)),
         &snapshot,
         deltas,
@@ -682,7 +674,7 @@ fn bootstrap_rejects_bad_snapshots() {
         Committer::bootstrap_from_snapshot(
             channel,
             n.msp.clone(),
-            ChannelPolicies::new(policy.clone()),
+            policy.clone(),
             Some(Arc::new(TestIndexer)),
             snap,
             std::iter::empty(),
@@ -740,7 +732,7 @@ fn bootstrap_rejects_bad_snapshots() {
         Committer::bootstrap_from_snapshot(
             ChannelId::default(),
             n.msp.clone(),
-            ChannelPolicies::new(policy.clone()),
+            policy.clone(),
             Some(Arc::new(TestIndexer)),
             &good,
             vec![orphan],
@@ -840,7 +832,7 @@ fn prevalidated_path_matches_reference_on_mixed_block() {
 }
 
 /// One seeded contention workload: a few hot keys, random read versions
-/// (stale and fresh), endorser subsets that sometimes fail the all-of
+/// (stale and fresh), endorser subsets that sometimes fail the any-of(org1)
 /// policy, occasional forged signatures and duplicate transactions.
 fn workload(net: &Net, seed: u64) -> Vec<Vec<Envelope>> {
     let mut rng = hyperprov_sim::DetRng::new(seed);
@@ -880,8 +872,8 @@ fn workload(net: &Net, seed: u64) -> Vec<Vec<Envelope>> {
                 let parent = below(nonce + 2).to_string();
                 write_set(&format!("rec~{nonce}"), parent.as_bytes())
             };
-            // [0] and [1] fail the all-of(org1, org2) policy; the rest
-            // satisfy it.
+            // [1] alone fails the any-of(org1) policy; the rest satisfy
+            // it.
             let endorsers: &[usize] = match below(4) {
                 0 => &[0],
                 1 => &[1],
@@ -905,12 +897,9 @@ fn workload(net: &Net, seed: u64) -> Vec<Vec<Envelope>> {
     blocks
 }
 
-fn all_of_committer(net: &Net) -> Committer {
-    committer(
-        net,
-        EndorsementPolicy::all_of([MspId::new("org1"), MspId::new("org2")]),
-    )
-    .with_indexer(Arc::new(TestIndexer))
+fn org1_committer(net: &Net) -> Committer {
+    committer(net, EndorsementPolicy::any_of([MspId::new("org1")]))
+        .with_indexer(Arc::new(TestIndexer))
 }
 
 /// Everything a commit leaves behind in a ledger.
@@ -928,14 +917,16 @@ fn fingerprint(c: &Committer) -> impl PartialEq + std::fmt::Debug {
 
 /// Commits one seeded workload through the reference loop and through
 /// the production path (inline, and split into its two phases), asserting
-/// all three agree on every observable outcome.
-fn assert_equivalent(seed: u64) {
+/// all three agree on every observable outcome. Answers the codes seen.
+fn assert_equivalent(seed: u64) -> HashSet<ValidationCode> {
     let net = net();
-    let mut reference = all_of_committer(&net);
-    let mut others: [Committer; 2] = std::array::from_fn(|_| all_of_committer(&net));
+    let mut codes = HashSet::new();
+    let mut reference = org1_committer(&net);
+    let mut others: [Committer; 2] = std::array::from_fn(|_| org1_committer(&net));
     for envs in workload(&net, seed) {
         let block = block_of(&reference, envs.clone());
         let expected = commit_block_reference(&mut reference, block);
+        codes.extend(expected.events.iter().map(|e| e.code));
         let height = reference.height() - 1;
         for (i, c) in others.iter_mut().enumerate() {
             let block = block_of(c, envs.clone());
@@ -961,28 +952,17 @@ fn assert_equivalent(seed: u64) {
             assert_eq!(fingerprint(c), fingerprint(&reference), "{at}");
         }
     }
+    codes
 }
 
 #[test]
 fn commit_path_matches_reference_on_seeded_contention() {
-    for seed in 0..12 {
-        assert_equivalent(seed);
-    }
-}
-
-#[test]
-fn workloads_exercise_every_validation_code() {
-    // Meta-check: across the fixed seeds the generator actually produces
-    // the interesting mix — otherwise the equivalence above is vacuous.
-    let net = net();
     let mut seen = HashSet::new();
     for seed in 0..12 {
-        let mut c = all_of_committer(&net);
-        for envs in workload(&net, seed) {
-            let out = c.commit_block(block_of(&c, envs)).unwrap();
-            seen.extend(out.events.iter().map(|e| e.code));
-        }
+        seen.extend(assert_equivalent(seed));
     }
+    // Meta-check: across the fixed seeds the generator actually produces
+    // the interesting mix — otherwise the equivalence is vacuous.
     for code in [
         ValidationCode::Valid,
         ValidationCode::MvccReadConflict,
@@ -1017,8 +997,7 @@ fn vscc_reference(
         }
         orgs.push(&e.endorser.org);
     }
-    let policy = c.policies.policy_for(&env.proposal.chaincode);
-    if failure.is_none() && !policy.is_satisfied_by(orgs) {
+    if failure.is_none() && !c.policy.is_satisfied_by(orgs) {
         failure = Some(ValidationCode::EndorsementPolicyFailure);
     }
     (Some(env), tx_id, failure, signatures)
@@ -1053,8 +1032,8 @@ fn assert_views_agree(seed: u64) -> (u32, u32, HashSet<ValidationCode>) {
     let net = net();
     let mut rng = hyperprov_sim::DetRng::new(seed ^ 0xD1FF);
     let mut below = move |n: u64| rand::RngCore::next_u64(&mut rng) % n;
-    let mut reference = all_of_committer(&net);
-    let mut view = all_of_committer(&net);
+    let mut reference = org1_committer(&net);
+    let mut view = org1_committer(&net);
     let (mut decoded, mut rejected, mut codes) = (0, 0, HashSet::new());
     let mut donor = envelope(&net, u64::MAX, write_set("donor", b""), &[2]).to_raw();
     for envs in workload(&net, seed) {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use hyperprov_ledger::{Digest, Encode, ProvGraph, StateDb, TxId};
 
-use crate::chaincode::{ChaincodeRegistry, ChaincodeStub, StubStats};
+use crate::chaincode::{Chaincode, ChaincodeStub, StubStats};
 use crate::identity::{Msp, SigningIdentity};
 use crate::messages::{endorsement_message, ProposalResponse, SignedProposal};
 
@@ -13,15 +13,16 @@ use crate::messages::{endorsement_message, ProposalResponse, SignedProposal};
 /// the resource stats the cost model needs.
 ///
 /// Mirrors a Fabric endorsing peer's ESCC path: verify the client
-/// signature, dispatch to the installed chaincode, capture the read/write
-/// set, sign `(tx_id, payload, rwset)`.
+/// signature, dispatch to the peer's one installed chaincode (a proposal
+/// naming any other is refused), capture the read/write set, sign
+/// `(tx_id, payload, rwset)`.
 ///
 /// `graph` is the channel's materialized provenance DAG index, exposed to
 /// chaincode via [`ChaincodeStub::graph`] (pass `None` when the hosting
 /// peer maintains no index).
 pub fn endorse(
     identity: &SigningIdentity,
-    registry: &ChaincodeRegistry,
+    chaincode: &dyn Chaincode,
     msp: &Arc<Msp>,
     state: &StateDb,
     graph: Option<&ProvGraph>,
@@ -43,16 +44,12 @@ pub fn endorse(
         );
     }
 
-    // Dispatch to the chaincode.
-    let chaincode = match registry.get(&proposal.chaincode) {
-        Some(cc) => cc.clone(),
-        None => {
-            return (
-                fail(format!("chaincode {:?} not installed", proposal.chaincode)),
-                StubStats::default(),
-            )
-        }
-    };
+    if proposal.chaincode != chaincode.name() {
+        return (
+            fail(format!("chaincode {:?} not installed", proposal.chaincode)),
+            StubStats::default(),
+        );
+    }
 
     let mut stub = ChaincodeStub::new(
         &proposal.chaincode,
@@ -87,7 +84,7 @@ pub fn endorse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaincode::{Chaincode, ChaincodeError};
+    use crate::chaincode::ChaincodeError;
     use crate::identity::{MspBuilder, MspId, Signature};
     use crate::messages::Proposal;
     use hyperprov_ledger::Digest;
@@ -119,7 +116,6 @@ mod tests {
         msp: Arc<Msp>,
         client: SigningIdentity,
         peer: SigningIdentity,
-        registry: ChaincodeRegistry,
         state: StateDb,
     }
 
@@ -129,13 +125,10 @@ mod tests {
         let mut b = MspBuilder::new(1);
         let client = b.enroll("client", &MspId::new("org1"));
         let peer = b.enroll("peer0", &MspId::new("org1"));
-        let mut registry = ChaincodeRegistry::new();
-        registry.install(Arc::new(Kv));
         Setup {
             msp: b.build(),
             client,
             peer,
-            registry,
             state: StateDb::new(),
         }
     }
@@ -164,7 +157,7 @@ mod tests {
     fn successful_endorsement_is_signed_and_carries_rwset() {
         let s = setup();
         let sp = signed(&s.client, "kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
-        let (resp, stats) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
+        let (resp, stats) = endorse(&s.peer, &Kv, &s.msp, &s.state, None, &sp);
         assert!(resp.result.is_ok());
         assert_eq!(resp.rwset.writes.len(), 1);
         assert_eq!(resp.event.as_ref().unwrap().name, "put");
@@ -179,7 +172,7 @@ mod tests {
         let s = setup();
         let mut sp = signed(&s.client, "kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
         sp.signature = Signature(Digest::of(b"forged"));
-        let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
+        let (resp, _) = endorse(&s.peer, &Kv, &s.msp, &s.state, None, &sp);
         assert!(resp.result.is_err());
         assert!(resp.result.unwrap_err().contains("signature"));
         assert!(resp.rwset.is_empty());
@@ -189,7 +182,7 @@ mod tests {
     fn unknown_chaincode_rejected() {
         let s = setup();
         let sp = signed(&s.client, "ghost", "put", vec![]);
-        let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
+        let (resp, _) = endorse(&s.peer, &Kv, &s.msp, &s.state, None, &sp);
         assert!(resp.result.is_err());
         assert!(resp.result.unwrap_err().contains("not installed"));
     }
@@ -198,12 +191,12 @@ mod tests {
     fn chaincode_error_propagates_as_rejection() {
         let s = setup();
         let sp = signed(&s.client, "kv", "get", vec![b"missing".to_vec()]);
-        let (resp, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp);
+        let (resp, _) = endorse(&s.peer, &Kv, &s.msp, &s.state, None, &sp);
         assert!(resp.result.is_err());
         assert!(resp.result.unwrap_err().contains("not found"));
         // The read of the missing key is still recorded in stats.
         let sp2 = signed(&s.client, "kv", "nope", vec![]);
-        let (resp2, _) = endorse(&s.peer, &s.registry, &s.msp, &s.state, None, &sp2);
+        let (resp2, _) = endorse(&s.peer, &Kv, &s.msp, &s.state, None, &sp2);
         assert!(resp2.result.unwrap_err().contains("unknown function"));
     }
 
@@ -214,12 +207,10 @@ mod tests {
         let peer1 = b.enroll("peer1", &MspId::new("org1"));
         let peer2 = b.enroll("peer2", &MspId::new("org2"));
         let msp = b.build();
-        let mut registry = ChaincodeRegistry::new();
-        registry.install(Arc::new(Kv));
         let state = StateDb::new();
         let sp = signed(&client, "kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
-        let (r1, _) = endorse(&peer1, &registry, &msp, &state, None, &sp);
-        let (r2, _) = endorse(&peer2, &registry, &msp, &state, None, &sp);
+        let (r1, _) = endorse(&peer1, &Kv, &msp, &state, None, &sp);
+        let (r2, _) = endorse(&peer2, &Kv, &msp, &state, None, &sp);
         assert_eq!(r1.rwset, r2.rwset);
         assert_eq!(r1.result, r2.result);
         assert_ne!(r1.signature, r2.signature); // different keys

@@ -6,11 +6,12 @@
 //! * [`Msp`]/[`Certificate`]/[`SigningIdentity`] — membership and
 //!   signatures (see DESIGN.md for the crypto substitution),
 //! * [`Chaincode`]/[`ChaincodeStub`] — the smart-contract shim with state,
-//!   history, range and composite-key queries,
+//!   history, range and composite-key queries; a peer runs one chaincode,
 //! * [`endorse`] — proposal simulation and endorsement,
 //! * [`BlockCutter`]/[`BatchConfig`] — ordering-service batching,
 //! * [`RaftNode`] — a compact Raft for replicated ordering,
-//! * [`Committer`] — VSCC endorsement-policy + MVCC validation and commit,
+//! * [`Committer`] — VSCC (signatures and the any-org
+//!   [`EndorsementPolicy`]), MVCC validation and commit,
 //! * [`CatchUp`] — how a peer that fell behind gets current again,
 //! * [`Peer`] — endorsement, commit, snapshots, a machine like [`CatchUp`],
 //! * [`OrderingNode`] — batching, consensus hand-off, block fan-out and
@@ -43,10 +44,8 @@ pub use action::{Action, Outbound, SpanKey};
 pub use catchup::{
     Action as CatchUpAction, CatchUp, CatchUpView, CATCHUP_ESCALATE_AFTER, CATCHUP_GIVE_UP,
 };
-pub use chaincode::{
-    Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub, StubStats, COMPOSITE_SEP,
-};
-pub use committer::{BootstrapError, ChannelPolicies, CommitOutcome, Committer, VsccVerdict};
+pub use chaincode::{Chaincode, ChaincodeError, ChaincodeStub, StubStats, COMPOSITE_SEP};
+pub use committer::{BootstrapError, CommitOutcome, Committer, VsccVerdict};
 pub use endorser::endorse;
 pub use gateway::{
     Action as GatewayAction, Caller, Done as GatewayDone, Gateway, GatewayError, GatewayView,
@@ -56,9 +55,9 @@ pub use identity::{
     CertId, CertRef, Certificate, Msp, MspBuilder, MspId, Signature, SigningIdentity,
 };
 pub use messages::{
-    endorsement_message, payload_checksum, tx_trace, Carries, ChaincodeEvent, CommitEvent,
-    Endorsement, Envelope, EnvelopeSpans, EnvelopeView, FabricMsg, Proposal, ProposalResponse,
-    SignedProposal, BUSY_REASON,
+    endorsement_message, tx_trace, Carries, ChaincodeEvent, CommitEvent, Endorsement, Envelope,
+    EnvelopeSpans, EnvelopeView, FabricMsg, Proposal, ProposalResponse, SignedProposal,
+    BUSY_REASON,
 };
 pub use orderer::{BatchConfig, BlockAssembler, BlockCutter, CutterOutput};
 pub use ordering::{Action as OrderingAction, OrderingNode, OrderingView};

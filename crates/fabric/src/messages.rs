@@ -469,13 +469,6 @@ impl<'a> EnvelopeView<'a> {
         &self.bytes[self.spans.proposal_end..self.spans.event_at]
     }
 
-    /// The target chaincode's name: the proposal's second string.
-    pub fn chaincode(&self) -> &'a str {
-        let mut dec = Decoder::new(self.bytes);
-        let name = dec.get_str_ref().and_then(|_channel| dec.get_str_ref());
-        name.unwrap_or_default()
-    }
-
     /// The read set, in order: each read's namespace and key, borrowed
     /// from the envelope, and the version it observed.
     pub fn reads(&self) -> impl Iterator<Item = ((&'a str, &'a str), Option<Version>)> + 'a {
@@ -543,11 +536,6 @@ pub struct CommitEvent {
     /// wherever it is subscribed; an event without one is sent by every
     /// peer.
     pub endorser: Option<CertId>,
-}
-
-/// Digest of arbitrary payload bytes — convenience for checksum fields.
-pub fn payload_checksum(data: &[u8]) -> Digest {
-    Digest::of(data)
 }
 
 /// Rejection reason carried by a [`ProposalResponse`] when an endorsing

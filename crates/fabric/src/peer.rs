@@ -23,7 +23,7 @@ use hyperprov_ledger::{Block, ChannelId, Digest, Snapshot, TxId, DEFAULT_CHUNK_E
 use hyperprov_sim::{fnv1a, ActorId, SimDuration};
 
 use crate::catchup::{self, CatchUp};
-use crate::chaincode::ChaincodeRegistry;
+use crate::chaincode::Chaincode;
 use crate::committer::Committer;
 use crate::costs;
 use crate::endorser::endorse;
@@ -188,7 +188,9 @@ hyperprov_sim::view! {
 /// A Fabric peer's decisions, on every channel it hosts.
 pub struct Peer {
     identity: SigningIdentity,
-    registry: ChaincodeRegistry,
+    /// The one chaincode the peer runs; a proposal naming another is
+    /// refused.
+    chaincode: Arc<dyn Chaincode>,
     /// The peer's metric prefix: the detail of its spans, and, hashed,
     /// the salt of its catch-up retry backoff.
     name: String,
@@ -206,11 +208,11 @@ pub struct Peer {
 }
 
 impl Peer {
-    /// A peer called `name`, hosting no channel yet.
-    pub fn new(identity: SigningIdentity, registry: ChaincodeRegistry, name: String) -> Self {
+    /// A peer called `name` running `chaincode`, hosting no channel yet.
+    pub fn new(identity: SigningIdentity, chaincode: Arc<dyn Chaincode>, name: String) -> Self {
         Peer {
             identity,
-            registry,
+            chaincode,
             name,
             channels: Vec::new(),
             by_id: BTreeMap::new(),
@@ -302,7 +304,7 @@ impl Peer {
         let committer = ch.committer.borrow();
         let (response, stats) = endorse(
             &self.identity,
-            &self.registry,
+            &*self.chaincode,
             committer.msp(),
             committer.state(),
             Some(committer.graph()),

@@ -11,14 +11,16 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    endorsement_message, ChaincodeRegistry, ChannelPolicies, CommitEvent, Committer, Endorsement,
-    EndorsementPolicy, Envelope, FabricMsg, MspBuilder, MspId, Node, Peer, Proposal,
-    SigningIdentity,
+    endorsement_message, CommitEvent, Committer, Endorsement, EndorsementPolicy, Envelope,
+    FabricMsg, MspBuilder, MspId, Node, Peer, Proposal, SigningIdentity,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, KvWrite, RawEnvelope, RwSet, StateKey, TxId, ValidationCode,
 };
 use hyperprov_sim::{Actor, ActorId, Context, CpuResource, Event, Simulation};
+
+mod support;
+use support::Idle;
 
 /// The commit events a client was sent, and by whom.
 type Received = Vec<(ActorId, CommitEvent)>;
@@ -107,10 +109,10 @@ fn run(n_peers: usize, n_clients: usize) -> Outcome {
     for (i, identity) in peers.iter().enumerate() {
         let committer = Rc::new(RefCell::new(Committer::new(
             msp.clone(),
-            ChannelPolicies::new(EndorsementPolicy::any_of([org.clone()])),
+            EndorsementPolicy::any_of([org.clone()]),
         )));
-        let (name, registry) = (format!("peer{i}"), ChaincodeRegistry::new());
-        let mut peer = Peer::new(identity.clone(), registry, name.clone());
+        let name = format!("peer{i}");
+        let mut peer = Peer::new(identity.clone(), Arc::new(Idle), name.clone());
         peer.host(committer.clone(), None);
         for (c, client) in clients.iter().enumerate() {
             peer.subscribe(ActorId((n_peers + c) as u32), client.certificate().id);

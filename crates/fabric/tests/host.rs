@@ -14,9 +14,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    costs, endorse, tx_trace, Action, Carries, Chaincode, ChaincodeError, ChaincodeRegistry,
-    ChaincodeStub, FabricMsg, Host, Io, Machine, Node, Peer, Proposal, QueueConfig, SignedProposal,
-    SigningIdentity,
+    costs, endorse, tx_trace, Action, Carries, Chaincode, ChaincodeError, ChaincodeStub, FabricMsg,
+    Host, Io, Machine, Node, Peer, Proposal, QueueConfig, SignedProposal, SigningIdentity,
 };
 use hyperprov_ledger::{Encode, TxId, DEFAULT_CHANNEL};
 use hyperprov_sim::{
@@ -453,8 +452,6 @@ fn a_query_is_answered_beside_a_running_commit_and_a_write_behind_it() {
     let (client, endorser, new_committer) = support::new_committers();
     let mut committed = new_committer();
     let blocks = support::extend_chain(&mut committed, &client, &endorser, 1, 40);
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(KvCc));
     // Each answer's endorse cost, against the state after the block.
     let (get, post) = (
         kv_proposal(&client, "get", 1),
@@ -462,7 +459,7 @@ fn a_query_is_answered_beside_a_running_commit_and_a_write_behind_it() {
     );
     let cost = |sp: &SignedProposal| {
         let (msp, state) = (committed.msp(), committed.state());
-        let (_, stats) = endorse(&endorser, &registry, msp, state, None, sp);
+        let (_, stats) = endorse(&endorser, &KvCc, msp, state, None, sp);
         costs::endorse_cost(&sp.proposal, &stats)
     };
     let (get_cost, post_cost) = (cost(&get), cost(&post));
@@ -474,7 +471,7 @@ fn a_query_is_answered_beside_a_running_commit_and_a_write_behind_it() {
         bandwidth_bps: u64::MAX,
         jitter_frac: 0.0,
     });
-    let mut peer = Peer::new(endorser.clone(), registry, "peer0".to_owned());
+    let mut peer = Peer::new(endorser.clone(), Arc::new(KvCc), "peer0".to_owned());
     peer.host(Rc::new(RefCell::new(new_committer())), None);
     let node = Node::new(peer, "peer0").with_queue(QueueConfig::new(4));
     let peer = node.start(&mut sim, CpuResource::new(1.0), "peer");
@@ -518,14 +515,12 @@ fn two_queries_on_two_read_lanes_wait_for_no_queue() {
     // A peer with two read lanes and a bounded queue: two `get`s that
     // arrive together start at once, one on each lane.
     let (client, endorser, new_committer) = support::new_committers();
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(KvCc));
     let gets = vec![
         kv_proposal(&client, "get", 1),
         kv_proposal(&client, "get", 2),
     ];
     let mut sim = Simulation::new(1);
-    let mut peer = Peer::new(endorser, registry, "peer0".to_owned());
+    let mut peer = Peer::new(endorser, Arc::new(KvCc), "peer0".to_owned());
     peer.host(Rc::new(RefCell::new(new_committer())), None);
     let node = Node::new(peer, "peer0").with_queue(QueueConfig::new(4));
     let peer = node.start(&mut sim, CpuResource::new(1.0).with_read_lanes(2), "peer");

@@ -15,9 +15,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    costs, endorsement_message, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
-    Committer, FabricMsg, HostedView, Machine as _, Peer, PeerAction as Action, PeerOwn as Own,
-    Proposal, SignedProposal, SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
+    costs, endorsement_message, Chaincode, ChaincodeError, ChaincodeStub, Committer, FabricMsg,
+    HostedView, Machine as _, Peer, PeerAction as Action, PeerOwn as Own, Proposal, SignedProposal,
+    SigningIdentity, SnapshotPolicy, BUSY_REASON, CATCHUP_GIVE_UP,
 };
 use hyperprov_ledger::{
     Block, ChannelId, Digest, Encode, RawEnvelope, TxId, ValidationCode, DEFAULT_CHANNEL,
@@ -84,10 +84,8 @@ fn peer_on(
     snapshots: Option<u64>,
     target: Option<ActorId>,
 ) -> (Peer, Rc<RefCell<Committer>>) {
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(ReadCc));
     let name = "peer0".to_owned();
-    let mut peer = Peer::new(identity.clone(), registry, name);
+    let mut peer = Peer::new(identity.clone(), Arc::new(ReadCc), name);
     if let Some(interval) = snapshots {
         peer.set_snapshots(SnapshotPolicy::every(interval));
     }

@@ -7,9 +7,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub,
-    ChannelPolicies, Committer, EndorsementPolicy, FabricMsg, Gateway, GatewayReply, MspBuilder,
-    MspId, Node, OrderingNode, Peer, Route, SigningIdentity, SnapshotPolicy,
+    BatchConfig, BootstrapError, Chaincode, ChaincodeError, ChaincodeStub, Committer,
+    EndorsementPolicy, FabricMsg, Gateway, GatewayReply, MspBuilder, MspId, Node, OrderingNode,
+    Peer, Route, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{
     ChannelId, GraphIndexer, GraphUpdate, SnapshotError, StateKey, ValidationCode,
@@ -118,8 +118,7 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     let client_id = msp_builder.enroll("client0", &orgs[0]);
     let msp = msp_builder.build();
 
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(CounterCc));
+    let chaincode: Arc<dyn Chaincode> = Arc::new(CounterCc);
 
     let policy = EndorsementPolicy::any_of(orgs.clone());
 
@@ -129,8 +128,8 @@ fn build_solo_net(txs: u32, batch: BatchConfig, hot_key: bool) -> TestNet {
     let client_actor_id = ActorId(5);
     for (i, identity) in peer_ids.iter().enumerate() {
         let name = format!("peer{i}");
-        let mut peer = Peer::new(identity.clone(), registry.clone(), name.clone());
-        let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy.clone()));
+        let mut peer = Peer::new(identity.clone(), chaincode.clone(), name.clone());
+        let ledger = Committer::new(msp.clone(), policy.clone());
         peer.host(Rc::new(RefCell::new(ledger)), None);
         if i == 0 {
             peer.subscribe(client_actor_id, client_id.certificate().id);
@@ -230,8 +229,7 @@ fn raft_ordering_service_commits_transactions() {
     let client_id = msp_builder.enroll("client0", &org);
     let msp = msp_builder.build();
 
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(CounterCc));
+    let chaincode: Arc<dyn Chaincode> = Arc::new(CounterCc);
     let policy = EndorsementPolicy::any_of([org.clone()]);
 
     let mut sim = Simulation::new(11);
@@ -240,8 +238,8 @@ fn raft_ordering_service_commits_transactions() {
     let orderer_ids: Vec<ActorId> = (1..=3).map(ActorId).collect();
     let client_actor_id = ActorId(4);
 
-    let mut peer = Peer::new(peer_identity, registry, "peer0".to_owned());
-    let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
+    let mut peer = Peer::new(peer_identity, chaincode, "peer0".to_owned());
+    let ledger = Committer::new(msp.clone(), policy);
     peer.host(Rc::new(RefCell::new(ledger)), None);
     peer.subscribe(client_actor_id, client_id.certificate().id);
     let got_peer = start_peer(&mut sim, peer, "peer0".to_owned());
@@ -292,13 +290,12 @@ fn endorsement_failure_reported_to_client() {
     let peer_identity = msp_builder.enroll("peer0", &org);
     let client_id = msp_builder.enroll("client0", &org);
     let msp = msp_builder.build();
-    let mut registry = ChaincodeRegistry::new();
-    registry.install(Arc::new(CounterCc));
+    let chaincode: Arc<dyn Chaincode> = Arc::new(CounterCc);
 
     let mut sim = Simulation::new(3);
-    let mut peer = Peer::new(peer_identity, registry, "peer0".to_owned());
+    let mut peer = Peer::new(peer_identity, chaincode, "peer0".to_owned());
     let policy = EndorsementPolicy::any_of([org.clone()]);
-    let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy));
+    let ledger = Committer::new(msp.clone(), policy);
     peer.host(Rc::new(RefCell::new(ledger)), None);
     let peer_id = start_peer(&mut sim, peer, "peer0".to_owned());
     let log = Log::default();
@@ -376,8 +373,7 @@ impl SmallNet {
             msp_builder.enroll("client1", &org),
         ];
         let msp = msp_builder.build();
-        let mut registry = ChaincodeRegistry::new();
-        registry.install(Arc::new(CounterCc));
+        let chaincode: Arc<dyn Chaincode> = Arc::new(CounterCc);
         let policy = EndorsementPolicy::any_of([org.clone()]);
 
         // Layout: the peers, the tap, the orderers, then the clients.
@@ -388,12 +384,12 @@ impl SmallNet {
         let mut ledgers = Vec::new();
         for (i, identity) in identities.into_iter().enumerate() {
             let name = format!("peer{i}");
-            let mut peer = Peer::new(identity, registry.clone(), name.clone());
+            let mut peer = Peer::new(identity, chaincode.clone(), name.clone());
             if let Some(policy) = snapshots {
                 peer.set_snapshots(policy);
             }
-            let ledger = Committer::new(msp.clone(), ChannelPolicies::new(policy.clone()))
-                .with_indexer(Arc::new(KeyIndexer));
+            let ledger =
+                Committer::new(msp.clone(), policy.clone()).with_indexer(Arc::new(KeyIndexer));
             let ledger = Rc::new(RefCell::new(ledger));
             peer.host(ledger.clone(), Some(orderers[i % members]));
             ledgers.push(ledger);

@@ -28,12 +28,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    ChaincodeRegistry, Committer, FabricMsg, Machine as _, Peer, PeerAction, SigningIdentity,
-    SnapshotPolicy,
+    Committer, FabricMsg, Machine as _, Peer, PeerAction, SigningIdentity, SnapshotPolicy,
 };
 use hyperprov_ledger::{Block, ChannelId, DEFAULT_CHUNK_ENTRIES};
 use hyperprov_sim::ActorId;
-use support::{allocated, extend_chain, live, new_committers, Counting};
+use support::{allocated, extend_chain, live, new_committers, Counting, Idle};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -62,8 +61,7 @@ const CUT_BYTES: i64 = 3_380;
 /// A peer that commits `ledger`'s channel, cutting after every block when
 /// `cuts`.
 fn peer(identity: &SigningIdentity, ledger: Committer, cuts: bool) -> Peer {
-    let registry = ChaincodeRegistry::new();
-    let mut peer = Peer::new(identity.clone(), registry, "peer0".to_owned());
+    let mut peer = Peer::new(identity.clone(), Arc::new(Idle), "peer0".to_owned());
     if cuts {
         peer.set_snapshots(SnapshotPolicy::every(1));
     }

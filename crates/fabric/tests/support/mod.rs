@@ -1,6 +1,7 @@
 //! What the allocation-counting tests share: the counting allocator (each
-//! test file installs it as its own global allocator), and the generator
-//! of `ledger_growth`-shaped transactions they fill their ledgers with.
+//! test file installs it as its own global allocator), the generator of
+//! `ledger_growth`-shaped transactions they fill their ledgers with, and
+//! the chaincode of a peer that only commits.
 #![allow(dead_code)] // each test file uses its own part of this module
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -8,8 +9,9 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use hyperprov_fabric::{
-    endorsement_message, ChaincodeEvent, ChannelPolicies, Committer, Endorsement,
-    EndorsementPolicy, Envelope, MspBuilder, MspId, Proposal, SigningIdentity, COMPOSITE_SEP,
+    endorsement_message, Chaincode, ChaincodeError, ChaincodeEvent, ChaincodeStub, Committer,
+    Endorsement, EndorsementPolicy, Envelope, MspBuilder, MspId, Proposal, SigningIdentity,
+    COMPOSITE_SEP,
 };
 use hyperprov_ledger::{
     Block, Digest, GraphIndexer, GraphUpdate, KvRead, KvWrite, RwSet, StateKey, DEFAULT_CHANNEL,
@@ -111,6 +113,18 @@ impl GraphIndexer for ItemIndexer {
     }
 }
 
+/// The chaincode of a peer that only commits: it endorses nothing.
+pub struct Idle;
+
+impl Chaincode for Idle {
+    fn name(&self) -> &str {
+        "idle"
+    }
+    fn invoke(&self, _: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError> {
+        Err(ChaincodeError::Rejected("endorses nothing".into()))
+    }
+}
+
 /// `clients` clients, `peers` endorsing peers of the same organisation,
 /// and a maker of empty committers that accept what any two of them sign
 /// and index it with [`ItemIndexer`].
@@ -132,11 +146,8 @@ pub fn network(
     let (clients, peers) = (enroll("client", clients), enroll("peer", peers));
     let msp = msp.build();
     let new_committer = move || {
-        Committer::new(
-            msp.clone(),
-            ChannelPolicies::new(EndorsementPolicy::any_of([org.clone()])),
-        )
-        .with_indexer(Arc::new(ItemIndexer))
+        Committer::new(msp.clone(), EndorsementPolicy::any_of([org.clone()]))
+            .with_indexer(Arc::new(ItemIndexer))
     };
     (clients, peers, new_committer)
 }

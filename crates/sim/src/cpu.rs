@@ -122,16 +122,6 @@ impl CpuResource {
         self
     }
 
-    /// The relative speed factor.
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
-    /// Number of execution lanes (cores).
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Service time for `reference_cost` on this CPU: `cost / speed`,
     /// rounded half-up, computed in integer arithmetic (the f64 speed is
     /// decomposed exactly as `m * 2^e`, so no precision is lost even for

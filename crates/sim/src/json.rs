@@ -227,14 +227,6 @@ impl Value {
         }
     }
 
-    /// Indexes into an array.
-    pub fn idx(&self, i: usize) -> Option<&Value> {
-        match self {
-            Value::Arr(items) => items.get(i),
-            _ => None,
-        }
-    }
-
     /// The value as a float, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -283,7 +275,7 @@ impl Value {
 /// use hyperprov_sim::json::{parse, Value};
 ///
 /// let v = parse("{\"a\":[1,2.5],\"b\":null}").unwrap();
-/// assert_eq!(v.get("a").unwrap().idx(1).unwrap().as_f64(), Some(2.5));
+/// assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(2.5));
 /// assert_eq!(v.get("b"), Some(&Value::Null));
 /// ```
 pub fn parse(input: &str) -> Result<Value, String> {
@@ -525,8 +517,8 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\nd"));
         assert_eq!(v.get("n").unwrap().as_f64(), Some(42.0));
         assert_eq!(v.get("f").unwrap().as_f64(), Some(0.30000000000000004));
-        assert_eq!(v.get("arr").unwrap().idx(1), Some(&Value::Null));
-        assert_eq!(v.get("arr").unwrap().idx(2), Some(&Value::Bool(true)));
+        let arr = v.get("arr").unwrap().as_array().unwrap();
+        assert_eq!(arr[1..], [Value::Null, Value::Bool(true)]);
         assert_eq!(v.get("o").unwrap().get("k").unwrap().as_str(), Some("v"));
         // Field order is preserved.
         let keys: Vec<&str> = v
@@ -550,9 +542,10 @@ mod tests {
     #[test]
     fn parse_numbers_and_unicode() {
         let v = parse("[-1.5e3,0,18446744073709551615,\"\\u00e9\\ud83d\\ude00\"]").unwrap();
-        assert_eq!(v.idx(0).unwrap().as_f64(), Some(-1500.0));
-        assert_eq!(v.idx(1).unwrap().as_f64(), Some(0.0));
-        assert_eq!(v.idx(3).unwrap().as_str(), Some("é😀"));
+        let v = v.as_array().unwrap();
+        assert_eq!(v[0].as_f64(), Some(-1500.0));
+        assert_eq!(v[1].as_f64(), Some(0.0));
+        assert_eq!(v[3].as_str(), Some("é😀"));
     }
 
     #[test]

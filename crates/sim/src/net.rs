@@ -75,7 +75,6 @@ pub struct Network {
     blocked: HashSet<(ActorId, ActorId)>,
     loss_prob: f64,
     delivered: u64,
-    dropped: u64,
     bytes_sent: u64,
 }
 
@@ -163,12 +162,8 @@ impl Network {
         bytes: u64,
         rng: &mut DetRng,
     ) -> Delivery {
-        if self.is_blocked(src, dst) {
-            self.dropped += 1;
-            return Delivery::Dropped;
-        }
-        if self.loss_prob > 0.0 && rng.gen::<f64>() < self.loss_prob {
-            self.dropped += 1;
+        if self.is_blocked(src, dst) || (self.loss_prob > 0.0 && rng.gen::<f64>() < self.loss_prob)
+        {
             return Delivery::Dropped;
         }
         let spec = self.link(src, dst);
@@ -194,11 +189,6 @@ impl Network {
     /// Number of messages delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Number of messages dropped so far (partitions + loss).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Total payload bytes accepted by the network so far.
@@ -285,7 +275,6 @@ mod tests {
             net.offer(SimTime::ZERO, a, b, 1, &mut rng),
             Delivery::At(_)
         ));
-        assert_eq!(net.dropped(), 1);
         assert_eq!(net.delivered(), 1);
     }
 
